@@ -1,6 +1,7 @@
 package dtmsvs
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math"
@@ -8,8 +9,10 @@ import (
 	"runtime"
 	"testing"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/cnn"
 	"dtmsvs/internal/grouping"
+	"dtmsvs/internal/sim"
 	"dtmsvs/internal/vecmath"
 )
 
@@ -367,6 +370,11 @@ func BenchmarkMatMulParallel(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			pool := vecmath.NewGEMMPool(bc.workers)
 			defer pool.Close()
+			// The first product starts the crew; keep that out of the
+			// loop so a -benchtime 1x sample reads the steady 0 allocs.
+			if err := pool.MatMulInto(dst, a, w); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := pool.MatMulInto(dst, a, w); err != nil {
@@ -560,4 +568,112 @@ func BenchmarkStepInstrumented(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchCheckpointSession opens the benchmark workloads' population —
+// 4000 users × 8 cells, default tick rate — with learning cut to the
+// minimum, and steps it until every twin ring has wrapped, so a
+// checkpoint taken from it has the steady-state size.
+func benchCheckpointSession(b *testing.B) (*ClusterSession, ClusterConfig) {
+	b.Helper()
+	cfg := ClusterConfig{Sim: DefaultConfig(42)}
+	cfg.Sim.NumUsers = 4000
+	cfg.Sim.NumBS = 8
+	cfg.Sim.NumIntervals = 6
+	cfg.Sim.FixedK = 4
+	cfg.Sim.CompressorEpochs = 1
+	cfg.Sim.AgentEpisodes = 1
+	s, err := OpenCluster(cfg, WithSink(DiscardSink{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	for i := 0; i < 4; i++ {
+		if _, serr := s.Step(context.Background()); serr != nil {
+			b.Fatal(serr)
+		}
+	}
+	return s, cfg
+}
+
+// BenchmarkCheckpointEncode measures one whole-session Checkpoint of
+// the 4000 × 8 cluster; MB/s is over the encoded stream.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	s, _ := benchCheckpointSession(b)
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil { // size the buffer outside the timer
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := s.Checkpoint(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportMetric(float64(buf.Len())/4000, "bytes/user")
+}
+
+// BenchmarkCheckpointDecode measures ResumeCluster from that
+// checkpoint: the constructor replay plus the decode.
+func BenchmarkCheckpointDecode(b *testing.B) {
+	s, cfg := benchCheckpointSession(b)
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := ResumeCluster(cfg, bytes.NewReader(buf.Bytes()), WithSink(DiscardSink{}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+}
+
+// BenchmarkTwinCodec measures the per-user wire codec — what a
+// handover ships and the "users" checkpoint section repeats — on one
+// user whose twin rings have wrapped. Encode must not allocate.
+func BenchmarkTwinCodec(b *testing.B) {
+	cfg := benchConfig(42)
+	eng, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 5; i++ {
+		if err := eng.WarmupIntervalContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	id := eng.UserIDs()[0]
+	var enc checkpoint.Enc
+	if err := eng.EncodeUser(&enc, id); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(enc.Bytes())))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc.Reset()
+			if err := eng.EncodeUser(&enc, id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		blob := bytes.Clone(enc.Bytes())
+		b.SetBytes(int64(len(blob)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.DecodeUser(checkpoint.NewDec(blob)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

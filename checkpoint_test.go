@@ -3,9 +3,11 @@ package dtmsvs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"dtmsvs/internal/faultinject"
@@ -339,12 +341,21 @@ func TestSessionCheckpointRejectsDamage(t *testing.T) {
 			t.Fatalf("bit flip at %d/%d: want typed checkpoint error, got %v", i, len(raw), rerr)
 		}
 	}
-	// A future format version is ErrCheckpointVersion specifically.
+	// A future format version is ErrCheckpointVersion specifically,
+	// and so is the superseded v1 (JSON twin blobs): there is no dual
+	// reader.
 	mut := bytes.Clone(raw)
 	mut[8] = 0xFE
 	mut[9] = 0x7F
 	if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
 		t.Fatalf("version bump: want ErrCheckpointVersion, got %v", rerr)
+	}
+	if raw[8] != 2 || raw[9] != 0 {
+		t.Fatalf("checkpoint header carries format version %d, want 2", int(raw[8])|int(raw[9])<<8)
+	}
+	mut[8], mut[9] = 1, 0
+	if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
+		t.Fatalf("v1 header: want ErrCheckpointVersion, got %v", rerr)
 	}
 	// The wrong engine kind and the wrong configuration are both
 	// ErrCheckpointConfig.
@@ -355,5 +366,51 @@ func TestSessionCheckpointRejectsDamage(t *testing.T) {
 	other.Seed++
 	if _, rerr := Resume(other, bytes.NewReader(raw)); !errors.Is(rerr, ErrCheckpointConfig) {
 		t.Fatalf("different config: want ErrCheckpointConfig, got %v", rerr)
+	}
+}
+
+// TestCheckpointDigestPinned pins the exact bytes of one tiny
+// monolithic and one tiny cluster checkpoint, so the next change to
+// the format — or to anything the format carries — shows up as a
+// failing digest to review, not as silent drift. Parallelism and
+// kernel dispatch do not reach the bytes (the determinism suites
+// assert that); floating-point contraction does, so the pin holds
+// where the compiler does not fuse multiply-adds: amd64 at the default
+// GOAMD64 level.
+func TestCheckpointDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are pinned for amd64 floating-point evaluation")
+	}
+	cfg := fuzzCheckpointConfig()
+	for _, tc := range []struct {
+		name string
+		open func() (Session, error)
+		want string
+	}{
+		{"mono", func() (Session, error) { return Open(cfg) },
+			"b6a026a29193054b03e946a2de258561c5a897809fcecfd7e9a19b75e55b61d4"},
+		{"cluster", func() (Session, error) { return OpenCluster(ClusterConfig{Sim: cfg}) },
+			"45ca0584e47025d9ceff14f7ad914ecc35e24a82458f4fbaf55c9003a50cd436"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < 2; i++ {
+				if _, serr := s.Step(context.Background()); serr != nil {
+					t.Fatal(serr)
+				}
+			}
+			var ckpt bytes.Buffer
+			if cerr := s.Checkpoint(&ckpt); cerr != nil {
+				t.Fatal(cerr)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(ckpt.Bytes())); got != tc.want {
+				t.Fatalf("v2 checkpoint (%d bytes) digest\n got %s\nwant %s\n"+
+					"update the pin only for a deliberate format or engine change", ckpt.Len(), got, tc.want)
+			}
+		})
 	}
 }

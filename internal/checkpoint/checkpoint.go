@@ -5,12 +5,16 @@
 // a fingerprint of the producing configuration — followed by named
 // sections, each length-prefixed and protected by a CRC32 of its
 // payload, and closed by an empty "end" section so truncation after
-// the last real section is still detected. Readers are strict: any
-// framing damage, CRC mismatch, or over-long length surfaces as
-// ErrCorrupt (never a panic or an unbounded allocation), a format
-// version the reader does not speak surfaces as ErrVersion, and a
-// header whose engine kind or config fingerprint disagrees with the
-// resuming session surfaces as ErrConfigMismatch.
+// the last real section is still detected. Section payloads are
+// binary throughout (format v2: fixed-width little-endian words and
+// length-prefixed runs of them; v1 carried a JSON blob per user twin
+// and is refused). Readers are strict: any framing damage, CRC
+// mismatch, or over-long length surfaces as ErrCorrupt (never a panic,
+// and never an allocation ahead of the bytes that justify it), a
+// format version the reader does not speak surfaces as ErrVersion, and
+// a header whose engine kind or config fingerprint disagrees with the
+// resuming session surfaces as ErrConfigMismatch. The writer refuses
+// with ErrTooLarge what the reader would refuse to read.
 package checkpoint
 
 import (
@@ -25,11 +29,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Version is the checkpoint format version this package writes and
 // the only one it reads.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // magic opens every checkpoint stream.
 var magic = [8]byte{'D', 'T', 'C', 'K', 'P', 'T', '0', '\n'}
@@ -45,11 +50,15 @@ var (
 	// belongs to a different engine kind or configuration than the
 	// session trying to resume from it.
 	ErrConfigMismatch = errors.New("checkpoint config mismatch")
+	// ErrTooLarge marks a write whose section payload, or one
+	// length-prefixed value in it, exceeds what a reader accepts.
+	ErrTooLarge = errors.New("checkpoint section too large")
 )
 
-// maxSection bounds a section payload; anything larger is treated as
-// corruption rather than allocated.
-const maxSection = 1 << 30
+// maxSection bounds a section payload in bytes: the reader treats a
+// larger claim as corruption and the writer refuses to emit one. A
+// variable only so tests can lower it.
+var maxSection = 1 << 30
 
 // maxName bounds a section name.
 const maxName = 64
@@ -70,13 +79,35 @@ func Fingerprint(cfg any) (uint64, error) {
 
 // Enc accumulates one section's payload. The zero value is ready to
 // use; Writer.Section hands a reset Enc to its fill callback.
-type Enc struct{ buf []byte }
+type Enc struct {
+	buf []byte
+	err error
+}
 
-// Reset empties the buffer, keeping capacity.
-func (e *Enc) Reset() { e.buf = e.buf[:0] }
+// Reset empties the buffer, keeping capacity, and clears Err.
+func (e *Enc) Reset() { e.buf, e.err = e.buf[:0], nil }
 
 // Bytes returns the accumulated payload.
 func (e *Enc) Bytes() []byte { return e.buf }
+
+// Err reports ErrTooLarge once a length-prefixed value was too long
+// for its prefix to be read back; that value was not appended.
+func (e *Enc) Err() error { return e.err }
+
+// count appends the u32 length prefix for n elements of elemSize
+// bytes and reserves room for them, or latches ErrTooLarge when they
+// could not fit a section (which also keeps the prefix from wrapping).
+func (e *Enc) count(n, elemSize int) bool {
+	if n > maxSection/elemSize {
+		if e.err == nil {
+			e.err = fmt.Errorf("%d elements of %d bytes: %w", n, elemSize, ErrTooLarge)
+		}
+		return false
+	}
+	e.buf = slices.Grow(e.buf, 4+n*elemSize)
+	e.U32(uint32(n))
+	return true
+}
 
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -110,27 +141,44 @@ func (e *Enc) Bool(v bool) {
 
 // Blob appends a length-prefixed byte slice.
 func (e *Enc) Blob(b []byte) {
-	e.U32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	if e.count(len(b), 1) {
+		e.buf = append(e.buf, b...)
+	}
 }
 
 // String appends a length-prefixed string.
 func (e *Enc) String(s string) {
-	e.U32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
+	if e.count(len(s), 1) {
+		e.buf = append(e.buf, s...)
+	}
 }
 
-// F64s appends a length-prefixed float64 slice.
-func (e *Enc) F64s(v []float64) {
-	e.U32(uint32(len(v)))
-	for _, x := range v {
-		e.F64(x)
+// F64s appends the concatenation of runs as one length-prefixed
+// float64 slice (raw IEEE-754 words), so a ring buffer encodes as its
+// two contiguous halves without being copied into order first.
+func (e *Enc) F64s(runs ...[]float64) {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	if !e.count(n, 8) {
+		return
+	}
+	off := len(e.buf)
+	e.buf = e.buf[:off+8*n]
+	for _, r := range runs {
+		for _, x := range r {
+			binary.LittleEndian.PutUint64(e.buf[off:], math.Float64bits(x))
+			off += 8
+		}
 	}
 }
 
 // Ints appends a length-prefixed int slice.
 func (e *Enc) Ints(v []int) {
-	e.U32(uint32(len(v)))
+	if !e.count(len(v), 8) {
+		return
+	}
 	for _, x := range v {
 		e.Int(x)
 	}
@@ -279,6 +327,22 @@ func (d *Dec) F64s() []float64 {
 	return out
 }
 
+// F64sInto reads a length-prefixed float64 slice into the front of
+// dst and returns its length; a slice longer than dst is corruption,
+// so the caller's capacity, never the input, bounds the read.
+func (d *Dec) F64sInto(dst []float64) int {
+	n := d.len(8)
+	if n > len(dst) {
+		d.fail(fmt.Sprintf("%d floats into room for %d", n, len(dst)))
+		return 0
+	}
+	b := d.take(8 * n) // len has shown the bytes are there
+	for i := range dst[:n] {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return n
+}
+
 // Ints reads a length-prefixed int slice; nil when empty.
 func (d *Dec) Ints() []int {
 	n := d.len(8)
@@ -326,7 +390,9 @@ func (w *Writer) write(b []byte) {
 
 // Section frames one named payload: fill receives a reset encoder,
 // and the accumulated bytes are written with a length prefix and a
-// CRC32 trailer.
+// CRC32 trailer. A payload the reader would refuse — longer than
+// maxSection, or holding a value whose length prefix overflowed —
+// writes nothing and latches ErrTooLarge.
 func (w *Writer) Section(name string, fill func(*Enc)) error {
 	if w.err != nil {
 		return w.err
@@ -334,6 +400,14 @@ func (w *Writer) Section(name string, fill func(*Enc)) error {
 	w.enc.Reset()
 	fill(&w.enc)
 	payload := w.enc.Bytes()
+	err := w.enc.Err()
+	if err == nil && len(payload) > maxSection {
+		err = fmt.Errorf("%d bytes: %w", len(payload), ErrTooLarge)
+	}
+	if err != nil {
+		w.err = fmt.Errorf("checkpoint section %q: %w", name, err)
+		return w.err
+	}
 	var frame Enc
 	frame.String(name)
 	frame.U32(uint32(len(payload)))
@@ -371,11 +445,11 @@ func NewReader(r io.Reader, kind string, fingerprint uint64) (*Reader, error) {
 	if hdr != magic {
 		return nil, fmt.Errorf("checkpoint magic: %w", ErrCorrupt)
 	}
-	ver, err := cr.readU16()
+	b, err := cr.readN(2)
 	if err != nil {
 		return nil, err
 	}
-	if ver != Version {
+	if ver := binary.LittleEndian.Uint16(b); ver != Version {
 		return nil, fmt.Errorf("checkpoint format v%d, reader speaks v%d: %w", ver, Version, ErrVersion)
 	}
 	gotKind, err := cr.readString(maxName)
@@ -385,11 +459,10 @@ func NewReader(r io.Reader, kind string, fingerprint uint64) (*Reader, error) {
 	if gotKind != kind {
 		return nil, fmt.Errorf("checkpoint for engine %q, session is %q: %w", gotKind, kind, ErrConfigMismatch)
 	}
-	gotFP, err := cr.readU64()
-	if err != nil {
+	if b, err = cr.readN(8); err != nil {
 		return nil, err
 	}
-	if gotFP != fingerprint {
+	if gotFP := binary.LittleEndian.Uint64(b); gotFP != fingerprint {
 		return nil, fmt.Errorf("checkpoint config fingerprint %016x, session has %016x: %w", gotFP, fingerprint, ErrConfigMismatch)
 	}
 	return cr, nil
@@ -406,28 +479,12 @@ func (r *Reader) readN(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (r *Reader) readU16() (uint16, error) {
-	b, err := r.readN(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
 func (r *Reader) readU32() (uint32, error) {
 	b, err := r.readN(4)
 	if err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *Reader) readU64() (uint64, error) {
-	b, err := r.readN(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
 }
 
 func (r *Reader) readString(maxLen int) (string, error) {
@@ -459,12 +516,22 @@ func (r *Reader) Section(name string) (*Dec, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxSection {
+	if int64(n) > int64(maxSection) {
 		return nil, fmt.Errorf("checkpoint section %q length %d: %w", name, n, ErrCorrupt)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return nil, fmt.Errorf("checkpoint section %q truncated: %w", name, ErrCorrupt)
+	// Grow the payload as bytes arrive, doubling up to the claimed
+	// length: a short stream whose prefix claims a gigabyte must not
+	// allocate the claim.
+	payload := make([]byte, 0, min(int(n), 1<<20))
+	for len(payload) < int(n) {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(int(n)-len(payload), len(payload)))
+		}
+		chunk := payload[len(payload):min(cap(payload), int(n))]
+		if _, err := io.ReadFull(r.r, chunk); err != nil {
+			return nil, fmt.Errorf("checkpoint section %q truncated: %w", name, ErrCorrupt)
+		}
+		payload = payload[:len(payload)+len(chunk)]
 	}
 	sum, err := r.readU32()
 	if err != nil {

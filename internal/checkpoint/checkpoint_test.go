@@ -2,11 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -30,6 +33,11 @@ func TestEncDecRoundTrip(t *testing.T) {
 	e.Ints([]int{3, -4, 5})
 	e.F64s(nil)
 	e.Ints(nil)
+	e.F64s([]float64{1, 2}, nil, []float64{3})
+	e.F64s()
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
 
 	d := NewDec(e.Bytes())
 	if got := d.U8(); got != 7 {
@@ -77,6 +85,15 @@ func TestEncDecRoundTrip(t *testing.T) {
 	if got := d.Ints(); got != nil {
 		t.Fatalf("empty Ints: %v", got)
 	}
+	// Runs concatenate under one prefix and decode into the front of
+	// the destination, leaving the rest alone.
+	dst := []float64{9, 9, 9, 9}
+	if n := d.F64sInto(dst); n != 3 || !slices.Equal(dst, []float64{1, 2, 3, 9}) {
+		t.Fatalf("F64sInto: %d %v", n, dst)
+	}
+	if n := d.F64sInto(nil); n != 0 {
+		t.Fatalf("empty F64sInto: %d", n)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +117,15 @@ func TestDecMalformed(t *testing.T) {
 	d = NewDec(e.Bytes())
 	if d.F64s(); !errors.Is(d.Err(), ErrCorrupt) {
 		t.Fatal("oversized F64s not corrupt")
+	}
+
+	// A slice longer than the destination is refused, not truncated.
+	e.Reset()
+	e.F64s([]float64{1, 2, 3})
+	d = NewDec(e.Bytes())
+	dst := make([]float64, 2)
+	if n := d.F64sInto(dst); n != 0 || !errors.Is(d.Err(), ErrCorrupt) || dst[0] != 0 {
+		t.Fatalf("over-long F64sInto: n=%d err=%v dst=%v", n, d.Err(), dst)
 	}
 
 	d = NewDec([]byte{2})
@@ -227,6 +253,145 @@ func TestReaderDamage(t *testing.T) {
 		if err := read(mut); !typed(err) {
 			t.Fatalf("flip at %d: %v", i, err)
 		}
+	}
+}
+
+// lowerMaxSection shrinks the section limit for one test.
+func lowerMaxSection(t *testing.T, n int) {
+	old := maxSection
+	maxSection = n
+	t.Cleanup(func() { maxSection = old })
+}
+
+// TestWriterRefusesOversize: a section the reader would reject — over
+// the limit as a whole, or holding one value whose length prefix could
+// not be read back — fails the write with ErrTooLarge, emits nothing
+// for it, and latches; a section exactly at the limit round-trips.
+func TestWriterRefusesOversize(t *testing.T) {
+	lowerMaxSection(t, 64)
+	for _, tc := range []struct {
+		name string
+		fill func(*Enc)
+	}{
+		{"payload", func(e *Enc) {
+			for i := 0; i < 9; i++ {
+				e.U64(uint64(i))
+			}
+		}},
+		{"blob", func(e *Enc) { e.Blob(make([]byte, 65)) }},
+		{"string", func(e *Enc) { e.String(string(make([]byte, 65))) }},
+		{"floats", func(e *Enc) { e.F64s(make([]float64, 5), make([]float64, 4)) }},
+		{"ints", func(e *Enc) { e.Ints(make([]int, 9)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w := NewWriter(&buf, "sim", 1)
+			header := buf.Len()
+			if err := w.Section("big", tc.fill); !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("want ErrTooLarge, got %v", err)
+			}
+			if buf.Len() != header {
+				t.Fatalf("refused section still wrote %d bytes", buf.Len()-header)
+			}
+			if err := w.Finish(); !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("Finish after refusal: %v", err)
+			}
+		})
+	}
+
+	var e Enc
+	e.Blob(make([]byte, 65))
+	if !errors.Is(e.Err(), ErrTooLarge) || len(e.Bytes()) != 0 {
+		t.Fatalf("oversized Blob: err=%v, %d bytes appended", e.Err(), len(e.Bytes()))
+	}
+	if e.Reset(); e.Err() != nil {
+		t.Fatal("Reset kept the error")
+	}
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf, "sim", 1)
+	if err := w.Section("full", func(e *Enc) { e.Blob(make([]byte, 60)) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf, "sim", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Blob(); len(got) != 60 || d.Close() != nil {
+		t.Fatalf("section at the limit: %d bytes, %v", len(got), d.Err())
+	}
+}
+
+// TestReaderSectionGrowsWithInput: a section larger than the first
+// read chunk round-trips through the grow-as-bytes-arrive loop, and a
+// short stream claiming the maximum length fails typed having
+// allocated for the bytes that arrived, not for the claim.
+func TestReaderSectionGrowsWithInput(t *testing.T) {
+	want := make([]byte, 5<<20+123)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, "sim", 1)
+	if err := w.Section("big", func(e *Enc) { e.Blob(want) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()), "sim", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.Section("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Blob(); !bytes.Equal(got, want) || d.Close() != nil {
+		t.Fatalf("large section did not round-trip: %v", d.Err())
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	var hdr Enc
+	hdr.String("huge")
+	hdr.U32(uint32(maxSection))
+	hdr.U64(0) // all that arrives of the claimed gigabyte
+	stream := func() io.Reader {
+		var b bytes.Buffer
+		NewWriter(&b, "sim", 1)
+		b.Write(hdr.Bytes())
+		return &b
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err = NewReader(stream(), "sim", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Section("huge"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("truncated huge claim: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("%d-byte section claiming %d allocated %d bytes", len(hdr.Bytes()), maxSection, got)
+	}
+
+	// One past the limit is refused before any read.
+	binary.LittleEndian.PutUint32(hdr.buf[8:], uint32(maxSection)+1)
+	if r, err = NewReader(stream(), "sim", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Section("huge"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("over-limit claim: %v", err)
 	}
 }
 

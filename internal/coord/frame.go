@@ -44,7 +44,7 @@ var (
 
 // protoVersion gates the hello exchange so a supervisor never drives
 // a worker speaking a different frame dialect.
-const protoVersion = 1
+const protoVersion = 2
 
 // maxFramePayload bounds one frame's payload: worker checkpoints
 // carry whole cell populations, so the ceiling is generous, but a

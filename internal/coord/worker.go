@@ -243,7 +243,11 @@ type workerSession struct {
 	fp    uint64
 	hello helloMsg
 	enc   checkpoint.Enc
-	kill  func()
+	// ckpt holds the boundary checkpoint between encode and send, kept
+	// across boundaries so it is sized once; conn.send copies the frame
+	// out before returning.
+	ckpt bytes.Buffer
+	kill func()
 }
 
 // handleStep runs one boundary: fault injection, the phase's engine
@@ -432,15 +436,15 @@ func (ws *workerSession) awaitImports(seq int64) ([]cluster.Handover, error) {
 }
 
 // encodeCheckpoint captures the worker's boundary state as a
-// self-contained checkpoint blob.
+// self-contained checkpoint blob, valid until the next call.
 func (ws *workerSession) encodeCheckpoint() ([]byte, error) {
-	var buf bytes.Buffer
-	cw := checkpoint.NewWriter(&buf, WorkerKind, ws.fp)
+	ws.ckpt.Reset()
+	cw := checkpoint.NewWriter(&ws.ckpt, WorkerKind, ws.fp)
 	if err := ws.wk.WriteState(cw); err != nil {
 		return nil, err
 	}
 	if err := cw.Finish(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return ws.ckpt.Bytes(), nil
 }

@@ -15,13 +15,19 @@
 // scheduler reservations, transcoder cycle meters) are always zeroed
 // at a boundary, so they never ride in a checkpoint.
 //
+// Every section is binary (checkpoint format v2), and each package
+// encodes its own state: nn its weights, kmeans its centroids, udt
+// the twin (EncodeState/DecodeState) — most of a checkpoint's bytes,
+// the same in the "users" section, a cluster.Worker handover and a
+// coord worker ack, and decoded into the twin the replay already
+// built, so no allocation is sized by a length the input claims.
+//
 // WriteState only runs at interval boundaries — the session layer
 // guarantees that by refusing to checkpoint failed sessions.
 
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -36,7 +42,6 @@ import (
 	"dtmsvs/internal/nn"
 	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/predict"
-	"dtmsvs/internal/udt"
 	"dtmsvs/internal/vecmath"
 	"dtmsvs/internal/video"
 )
@@ -268,11 +273,7 @@ func (s *Simulation) encodeUser(e *checkpoint.Enc, u *user) error {
 	e.F64(ls.ShadowDB)
 	e.F64(ls.HRe)
 	e.F64(ls.HIm)
-	blob, err := json.Marshal(u.twin.Snapshot())
-	if err != nil {
-		return fmt.Errorf("user %d twin: %w", u.id, err)
-	}
-	e.Blob(blob)
+	u.twin.EncodeState(e)
 	e.F64(u.posPrev.X)
 	e.F64(u.posPrev.Y)
 	e.F64(u.posPrev2.X)
@@ -349,11 +350,9 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec) (*user, error) {
 		return nil, fmt.Errorf("user %d replay: %w", id, err)
 	}
 	u.gen = gen
-	pref := d.F64s()
-	if len(pref) != len(u.profile.Pref) {
-		return nil, fmt.Errorf("user %d preference of %d categories: %w", id, len(pref), checkpoint.ErrCorrupt)
+	if n := d.F64sInto(u.profile.Pref); n != len(u.profile.Pref) && d.Err() == nil {
+		return nil, fmt.Errorf("user %d preference of %d categories: %w", id, n, checkpoint.ErrCorrupt)
 	}
-	copy(u.profile.Pref, pref)
 	if err := decodeMobility(d, u.mob); err != nil {
 		return nil, fmt.Errorf("user %d mobility: %w", id, err)
 	}
@@ -362,22 +361,15 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec) (*user, error) {
 	ls.ShadowDB = d.F64()
 	ls.HRe = d.F64()
 	ls.HIm = d.F64()
-	blob := d.Blob()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if err := u.link.SetState(ls, s.stations); err != nil {
 		return nil, fmt.Errorf("user %d link: %v: %w", id, err, checkpoint.ErrCorrupt)
 	}
-	var snap udt.Snapshot
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		return nil, fmt.Errorf("user %d twin: %v: %w", id, err, checkpoint.ErrCorrupt)
+	if err := u.twin.DecodeState(d); err != nil {
+		return nil, fmt.Errorf("user %d: %w", id, err)
 	}
-	twin, err := udt.Restore(&snap)
-	if err != nil {
-		return nil, fmt.Errorf("user %d twin: %v: %w", id, err, checkpoint.ErrCorrupt)
-	}
-	u.twin = twin
 	u.posPrev = mobility.Point{X: d.F64(), Y: d.F64()}
 	u.posPrev2 = mobility.Point{X: d.F64(), Y: d.F64()}
 	u.havePos = d.Int()
