@@ -12,8 +12,11 @@ import (
 	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/cnn"
 	"dtmsvs/internal/grouping"
+	"dtmsvs/internal/predict"
 	"dtmsvs/internal/sim"
+	"dtmsvs/internal/udt"
 	"dtmsvs/internal/vecmath"
+	"dtmsvs/internal/video"
 )
 
 // benchConfig is the scenario all figure/table benches share: small
@@ -676,4 +679,83 @@ func BenchmarkTwinCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkGroupProfile measures one group's abstraction (§II-B2) on
+// 125 twins — a 4000-user × 8-cell run's group at K = 4 — holding 4
+// and 48 intervals of cumulative views, 25 views a twin an interval.
+// The abstraction reads per-category counters, so late must cost what
+// early does, in time and in allocations.
+func BenchmarkGroupProfile(b *testing.B) {
+	catalog, err := video.NewCatalog(video.CatalogConfig{NumVideos: 500}, rand.New(rand.NewSource(42)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name      string
+		intervals int
+	}{{"early", 4}, {"late", 48}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			twins := make([]*udt.Twin, 125)
+			for i := range twins {
+				tw, err := udt.NewTwin(i, udt.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for v := 0; v < 25*bc.intervals; v++ {
+					cat := video.AllCategories()[rng.Intn(video.NumCategories)]
+					if _, err := tw.CollectView(cat, 30*rng.Float64(), rng.Float64(), false); err != nil {
+						b.Fatal(err)
+					}
+				}
+				twins[i] = tw
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := predict.BuildGroupProfile(twins, catalog, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCollectTicks measures one interval of UDT collection —
+// mobility, handover check, channel sample and the twin's collector,
+// 30 ticks a user — for 500 users on one worker.
+func BenchmarkCollectTicks(b *testing.B) {
+	cfg := benchConfig(42)
+	cfg.NumUsers = 500
+	cfg.Parallelism = 1
+	eng, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.CollectTicks(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpenCluster measures OpenCluster of the benchmark
+// workloads' population, 4000 users × 8 cells: nearly all of it is
+// building users, and most of a user is its twin.
+func BenchmarkOpenCluster(b *testing.B) {
+	cfg := ClusterConfig{Sim: DefaultConfig(42)}
+	cfg.Sim.NumUsers = 4000
+	cfg.Sim.NumBS = 8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := OpenCluster(cfg, WithSink(DiscardSink{}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
 }

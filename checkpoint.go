@@ -35,7 +35,9 @@ var (
 
 // Checkpoint implements Session. The stream is self-describing
 // (versioned header, per-section CRCs) and safe to write through
-// checkpoint.WriteFile for atomic on-disk persistence.
+// checkpoint.WriteFile for atomic on-disk persistence. The session
+// keeps its encoding buffer between calls: the first checkpoint grows
+// it to the size of the state, later ones allocate next to nothing.
 func (s *session) Checkpoint(w io.Writer) error {
 	switch {
 	case s.closed:
@@ -49,7 +51,8 @@ func (s *session) Checkpoint(w io.Writer) error {
 	}
 	t0 := s.met.ckptEncode.Start()
 	counted := &countingWriter{w: w}
-	cw := checkpoint.NewWriter(counted, s.eng.kind(), fp)
+	cw := &s.ckpt
+	cw.Reset(counted, s.eng.kind(), fp)
 	if err := cw.Section("session", func(e *checkpoint.Enc) {
 		e.Int(s.next)
 		e.Int(s.warmupDone)

@@ -414,3 +414,51 @@ func TestCheckpointDigestPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointKeepsItsBuffer: the session encodes every checkpoint
+// after its first into the buffer the first one grew. Growing a new
+// buffer to the size of the state each call cost more than encoding
+// it, and the cost varied call to call. The bytes do not change.
+func TestCheckpointKeepsItsBuffer(t *testing.T) {
+	cfg := fuzzCheckpointConfig()
+	cfg.NumUsers = 400 // state well above the fixed per-call allocations
+	for _, tc := range []struct {
+		name string
+		open func() (Session, error)
+	}{
+		{"mono", func() (Session, error) { return Open(cfg) }},
+		{"cluster", func() (Session, error) { return OpenCluster(ClusterConfig{Sim: cfg}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Step(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var first, again bytes.Buffer
+			if err := s.Checkpoint(&first); err != nil {
+				t.Fatal(err)
+			}
+			var mem runtime.MemStats
+			runtime.ReadMemStats(&mem)
+			before := mem.TotalAlloc
+			if err := s.Checkpoint(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&mem)
+			// A writer per call allocated two to three times the state.
+			if got := mem.TotalAlloc - before; got > uint64(first.Len())/2 {
+				t.Fatalf("second checkpoint of %d bytes allocated %d", first.Len(), got)
+			}
+			if err := s.Checkpoint(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), again.Bytes()) {
+				t.Fatal("checkpoint bytes differ between calls at one boundary")
+			}
+		})
+	}
+}

@@ -106,6 +106,10 @@ type Link struct {
 	// hRe/hIm is the complex fading tap for the AR(1) process
 	// (only evolved when FadingRho > 0).
 	hRe, hIm float64
+
+	// noiseDBm and innov are params.NoisePowerDBm() and
+	// sqrt(1 − FadingRho²), fixed at construction.
+	noiseDBm, innov float64
 }
 
 // NewLink creates a link with freshly drawn shadowing.
@@ -124,6 +128,8 @@ func NewLink(params Params, bs *BaseStation, rng *rand.Rand) (*Link, error) {
 		rng:      rng,
 		hRe:      rng.NormFloat64() * invSqrt2,
 		hIm:      rng.NormFloat64() * invSqrt2,
+		noiseDBm: params.NoisePowerDBm(),
+		innov:    math.Sqrt(1 - params.FadingRho*params.FadingRho),
 	}, nil
 }
 
@@ -159,9 +165,8 @@ func (l *Link) Sample(userPos mobility.Point) float64 {
 	var h2 float64
 	if rho := l.params.FadingRho; rho > 0 {
 		const invSqrt2 = 0.7071067811865476
-		innov := math.Sqrt(1 - rho*rho)
-		l.hRe = rho*l.hRe + innov*l.rng.NormFloat64()*invSqrt2
-		l.hIm = rho*l.hIm + innov*l.rng.NormFloat64()*invSqrt2
+		l.hRe = rho*l.hRe + l.innov*l.rng.NormFloat64()*invSqrt2
+		l.hIm = rho*l.hIm + l.innov*l.rng.NormFloat64()*invSqrt2
 		h2 = l.hRe*l.hRe + l.hIm*l.hIm
 	} else {
 		// |h|² of a unit complex Gaussian is Exp(1).
@@ -172,7 +177,7 @@ func (l *Link) Sample(userPos mobility.Point) float64 {
 	}
 	fadeDB := 10 * math.Log10(h2)
 	rxDBm := l.bs.TxPowerDBm - pl - l.shadowDB + fadeDB
-	return rxDBm - l.params.NoisePowerDBm()
+	return rxDBm - l.noiseDBm
 }
 
 // SpectralEfficiency converts an SNR in dB to Shannon spectral

@@ -369,14 +369,25 @@ type Writer struct {
 // NewWriter writes the header for the given engine kind and config
 // fingerprint and returns the section writer.
 func NewWriter(w io.Writer, kind string, fingerprint uint64) *Writer {
-	cw := &Writer{w: w}
+	cw := new(Writer)
+	cw.Reset(w, kind, fingerprint)
+	return cw
+}
+
+// Reset starts a new checkpoint stream on dst, as NewWriter does,
+// clearing a latched error but keeping the section buffer the writer
+// has already grown. A session that resets one Writer per checkpoint
+// encodes into memory it owns; a fresh Writer grows a buffer to the
+// size of the whole state on every call, and that allocation costs
+// more than the encoding (and varies from call to call).
+func (w *Writer) Reset(dst io.Writer, kind string, fingerprint uint64) {
+	w.w, w.err = dst, nil
 	var hdr Enc
 	hdr.buf = append(hdr.buf, magic[:]...)
 	hdr.U16(Version)
 	hdr.String(kind)
 	hdr.U64(fingerprint)
-	cw.write(hdr.Bytes())
-	return cw
+	w.write(hdr.Bytes())
 }
 
 func (w *Writer) write(b []byte) {
@@ -419,9 +430,11 @@ func (w *Writer) Section(name string, fill func(*Enc)) error {
 	return w.err
 }
 
-// Finish writes the end marker and returns the first write error.
+// Finish writes the end marker, lets go of the destination (a writer
+// kept for Reset must not pin it) and returns the first write error.
 func (w *Writer) Finish() error {
 	w.Section("end", func(*Enc) {})
+	w.w = io.Discard
 	return w.err
 }
 

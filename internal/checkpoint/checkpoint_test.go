@@ -190,6 +190,45 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterReset: a writer reset after a finished stream, or after a
+// latched write error, produces the bytes a new writer does and grows
+// no second section buffer.
+func TestWriterReset(t *testing.T) {
+	want := writeStream(t)
+	fill := func(w *Writer) error {
+		w.Section("alpha", func(e *Enc) { e.Int(42); e.String("hello") })
+		w.Section("beta", func(e *Enc) { e.F64s([]float64{1, 2, 3}) })
+		return w.Finish()
+	}
+	w := NewWriter(failingWriter{}, "cluster", 7)
+	if err := fill(w); err == nil {
+		t.Fatal("write error not latched")
+	}
+	for i := 0; i < 2; i++ {
+		var buf bytes.Buffer
+		w.Reset(&buf, "sim", 0xDEADBEEF)
+		if err := fill(w); err != nil {
+			t.Fatalf("reset %d: %v", i, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("reset %d: stream differs from a new writer's", i)
+		}
+	}
+	big := make([]byte, 1<<16)
+	w.Reset(io.Discard, "sim", 1)
+	w.Section("big", func(e *Enc) { e.Blob(big) })
+	grown := cap(w.enc.buf)
+	w.Reset(io.Discard, "sim", 1)
+	w.Section("big", func(e *Enc) { e.Blob(big) })
+	if cap(w.enc.buf) != grown {
+		t.Fatalf("section buffer regrown: cap %d, was %d", cap(w.enc.buf), grown)
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
 // TestReaderHeaderChecks: kind, fingerprint and version mismatches
 // map to their sentinels.
 func TestReaderHeaderChecks(t *testing.T) {

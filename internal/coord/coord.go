@@ -157,7 +157,7 @@ type stepState struct {
 type Supervisor struct {
 	cfg     Config
 	handles []*workerHandle
-	events  chan workerEvent
+	events  chan workerEvent // made by ensureStarted, with the pumps that send on it
 	step    *stepState
 	seq     int64
 	started bool
@@ -191,10 +191,7 @@ func New(cfg Config) (*Supervisor, error) {
 			return nil, fmt.Errorf("%w: fault for worker %d of %d", ErrProtocol, f.Worker, cfg.Workers)
 		}
 	}
-	s := &Supervisor{
-		cfg:    cfg,
-		events: make(chan workerEvent, 64+16*cfg.Workers),
-	}
+	s := &Supervisor{cfg: cfg}
 	reg := cfg.Metrics
 	s.tx = reg.Counter("dtmsvs_coord_tx_bytes_total", "Frame bytes written to workers.")
 	s.rx = reg.Counter("dtmsvs_coord_rx_bytes_total", "Frame bytes read from workers.")
@@ -369,6 +366,7 @@ func (s *Supervisor) ensureStarted() error {
 	if s.started {
 		return nil
 	}
+	s.events = make(chan workerEvent, 64+16*s.cfg.Workers)
 	for _, h := range s.handles {
 		if err := s.spawn(h, false); err != nil {
 			return s.fail(fmt.Errorf("spawn worker %d: %w", h.idx, err))

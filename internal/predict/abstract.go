@@ -48,30 +48,41 @@ type GroupObservation struct {
 	WatchFraction float64
 }
 
-// NewSwipeDistribution estimates the distribution from observations.
-// Categories with no observations get a uniform CDF (maximum
-// uncertainty) so downstream expectations stay defined.
-func NewSwipeDistribution(obs []GroupObservation) (*SwipeDistribution, error) {
-	hists := [video.NumCategories]*stats.Histogram{}
-	for i := range hists {
+// swipeFold is the one construction of a SwipeDistribution: weighted
+// watch fractions folded into a histogram per category.
+type swipeFold [video.NumCategories]*stats.Histogram
+
+func newSwipeFold() (*swipeFold, error) {
+	var f swipeFold
+	for i := range f {
 		h, err := stats.NewHistogram(0, 1.0000001, SwipeBins)
 		if err != nil {
 			return nil, err
 		}
-		hists[i] = h
+		f[i] = h
 	}
-	for _, o := range obs {
-		idx := o.Category.Index()
-		if idx < 0 {
-			return nil, fmt.Errorf("category %v: %w", o.Category, ErrInput)
-		}
-		if o.WatchFraction < 0 || o.WatchFraction > 1 || math.IsNaN(o.WatchFraction) {
-			return nil, fmt.Errorf("watch fraction %v: %w", o.WatchFraction, ErrInput)
-		}
-		hists[idx].Add(o.WatchFraction)
+	return &f, nil
+}
+
+// add folds n views of the category, each watched to frac.
+func (f *swipeFold) add(cat video.Category, frac float64, n int) error {
+	idx := cat.Index()
+	if idx < 0 {
+		return fmt.Errorf("category %v: %w", cat, ErrInput)
 	}
+	if frac < 0 || frac > 1 || math.IsNaN(frac) {
+		return fmt.Errorf("watch fraction %v: %w", frac, ErrInput)
+	}
+	f[idx].AddN(frac, n)
+	return nil
+}
+
+// distribution reads the CDFs out. Categories with no observations
+// get a uniform CDF (maximum uncertainty) so downstream expectations
+// stay defined.
+func (f *swipeFold) distribution() *SwipeDistribution {
 	var d SwipeDistribution
-	for i, h := range hists {
+	for i, h := range f {
 		d.Samples[i] = h.Total()
 		if h.Total() == 0 {
 			cdf := make([]float64, SwipeBins)
@@ -83,7 +94,22 @@ func NewSwipeDistribution(obs []GroupObservation) (*SwipeDistribution, error) {
 		}
 		d.CDF[i] = h.CDF()
 	}
-	return &d, nil
+	return &d
+}
+
+// NewSwipeDistribution estimates the distribution from observations,
+// each at weight one.
+func NewSwipeDistribution(obs []GroupObservation) (*SwipeDistribution, error) {
+	f, err := newSwipeFold()
+	if err != nil {
+		return nil, err
+	}
+	for _, o := range obs {
+		if err := f.add(o.Category, o.WatchFraction, 1); err != nil {
+			return nil, err
+		}
+	}
+	return f.distribution(), nil
 }
 
 // ExpectedWatchFraction returns E[watch fraction] for the category:
@@ -205,12 +231,12 @@ type GroupProfile struct {
 	MeanEngagementS float64
 }
 
-// ObservationsFromTwins converts the twins' accumulated per-category
-// engagement fractions into per-view observations for the swipe
-// distribution: each user contributes, per category, their mean
-// watched fraction weighted by their view count.
-func ObservationsFromTwins(twins []*udt.Twin) ([]GroupObservation, error) {
-	var obs []GroupObservation
+// categoryMeans calls fn once per twin and category the twin has
+// viewed, with the twin's mean watched fraction of that category
+// (clamped to [0,1]) and its view count — the swipe distribution's
+// input as the UDTs hold it.
+func categoryMeans(twins []*udt.Twin, fn func(cat video.Category, frac float64, views int) error) error {
+	cats := video.AllCategories()
 	for _, tw := range twins {
 		engage := tw.EngagementByCategory()
 		views := tw.ViewsByCategory()
@@ -225,13 +251,30 @@ func ObservationsFromTwins(twins []*udt.Twin) ([]GroupObservation, error) {
 			if frac < 0 {
 				frac = 0
 			}
-			cat := video.AllCategories()[ci]
-			for v := 0; v < n; v++ {
-				obs = append(obs, GroupObservation{Category: cat, WatchFraction: frac})
+			if err := fn(cats[ci], frac, n); err != nil {
+				return err
 			}
 		}
 	}
-	return obs, nil
+	return nil
+}
+
+// ObservationsFromTwins expands the twins' accumulated per-category
+// engagement fractions into one observation per view: each user
+// contributes, per category, their mean watched fraction once for
+// every view counted. The engine does not call it — BuildGroupProfile
+// folds the same (fraction, count) pairs without expanding them — and
+// because the view counters are cumulative the result grows with the
+// length of the run; it is the reference the fold is tested against.
+func ObservationsFromTwins(twins []*udt.Twin) ([]GroupObservation, error) {
+	var obs []GroupObservation
+	err := categoryMeans(twins, func(cat video.Category, frac float64, views int) error {
+		for v := 0; v < views; v++ {
+			obs = append(obs, GroupObservation{Category: cat, WatchFraction: frac})
+		}
+		return nil
+	})
+	return obs, err
 }
 
 // BuildGroupProfile abstracts one multicast group from its members'
@@ -247,14 +290,14 @@ func BuildGroupProfile(twins []*udt.Twin, cat *video.Catalog, topN int) (*GroupP
 	if topN <= 0 {
 		return nil, fmt.Errorf("topN %d: %w", topN, ErrInput)
 	}
-	obs, err := ObservationsFromTwins(twins)
+	fold, err := newSwipeFold()
 	if err != nil {
 		return nil, err
 	}
-	swipe, err := NewSwipeDistribution(obs)
-	if err != nil {
+	if err := categoryMeans(twins, fold.add); err != nil {
 		return nil, err
 	}
+	swipe := fold.distribution()
 
 	// Mean preference across members.
 	pref := make(behavior.Preference, video.NumCategories)

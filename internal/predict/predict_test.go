@@ -263,6 +263,97 @@ func TestObservationsFromTwins(t *testing.T) {
 	}
 }
 
+// viewedTwin returns a twin holding, per category, views[ci] views
+// each watched to fracs[ci].
+func viewedTwin(t *testing.T, id int, views [video.NumCategories]int, fracs [video.NumCategories]float64) *udt.Twin {
+	t.Helper()
+	tw, err := udt.NewTwin(id, udt.Config{HistoryLen: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, cat := range video.AllCategories() {
+		for v := 0; v < views[ci]; v++ {
+			if _, err := tw.CollectView(cat, 10, fracs[ci], false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return tw
+}
+
+// TestGroupProfileFoldMatchesExpansion: the swipe distribution
+// BuildGroupProfile folds from (mean fraction, view count) pairs is the
+// one NewSwipeDistribution builds from the per-view expansion of the
+// same twins — every CDF value equal with ==, every sample count equal
+// — over random groups that include twins with no views, twins with
+// one category only, fractions at 0, 1 and on bin edges, and more than
+// 10⁵ cumulative views.
+func TestGroupProfileFoldMatchesExpansion(t *testing.T) {
+	cat := testCatalog(t)
+	edges := []float64{0, 1, 0.05, 0.5, 0.95, 1.0 / SwipeBins * 7, 0.3, 0.7}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 12; trial++ {
+		var twins []*udt.Twin
+		total := 0
+		for id, n := 0, 2+rng.Intn(6); id < n; id++ {
+			var views [video.NumCategories]int
+			var fracs [video.NumCategories]float64
+			switch rng.Intn(4) {
+			case 0: // no views at all
+			case 1: // one category only
+				views[rng.Intn(video.NumCategories)] = 1 + rng.Intn(50)
+			default:
+				for ci := range views {
+					views[ci] = rng.Intn(60)
+				}
+			}
+			if trial == 0 && id == 0 {
+				views = [video.NumCategories]int{60000, 0, 45000, 1, 0}
+			}
+			for ci := range fracs {
+				if rng.Intn(2) == 0 {
+					fracs[ci] = edges[rng.Intn(len(edges))]
+				} else {
+					fracs[ci] = rng.Float64()
+				}
+				total += views[ci]
+			}
+			twins = append(twins, viewedTwin(t, id, views, fracs))
+		}
+		if trial == 0 && total <= 100000 {
+			t.Fatalf("trial 0 holds %d views, want > 1e5", total)
+		}
+		obs, err := ObservationsFromTwins(twins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(obs) != total {
+			t.Fatalf("trial %d: %d observations for %d views", trial, len(obs), total)
+		}
+		want, err := NewSwipeDistribution(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := BuildGroupProfile(twins, cat, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Swipe.Samples != want.Samples {
+			t.Fatalf("trial %d: samples %v, want %v", trial, p.Swipe.Samples, want.Samples)
+		}
+		for ci := range want.CDF {
+			if len(p.Swipe.CDF[ci]) != len(want.CDF[ci]) {
+				t.Fatalf("trial %d category %d: %d bins, want %d", trial, ci, len(p.Swipe.CDF[ci]), len(want.CDF[ci]))
+			}
+			for i, w := range want.CDF[ci] {
+				if p.Swipe.CDF[ci][i] != w {
+					t.Fatalf("trial %d category %d bin %d: %v, want %v", trial, ci, i, p.Swipe.CDF[ci][i], w)
+				}
+			}
+		}
+	}
+}
+
 func testCatalog(t *testing.T) *video.Catalog {
 	t.Helper()
 	cat, err := video.NewCatalog(video.CatalogConfig{NumVideos: 100}, rand.New(rand.NewSource(5)))

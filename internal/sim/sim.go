@@ -766,13 +766,8 @@ func (s *Simulation) collectTicks(ctx context.Context) error {
 			u.meanSNR.Add(snr)
 			u.meanX.Add(pos.X)
 			u.meanY.Add(pos.Y)
-			u.twin.Tick()
-			if _, err := u.twin.CollectChannel(channel.CQI(snr)); err != nil {
-				return fmt.Errorf("user %d channel: %w", u.id, err)
-			}
-			u.twin.CollectLocation(pos.X, pos.Y)
-			if _, err := u.twin.CollectPreference(u.profile.Pref); err != nil {
-				return fmt.Errorf("user %d preference: %w", u.id, err)
+			if err := u.twin.CollectTick(channel.CQI(snr), pos.X, pos.Y, u.profile.Pref); err != nil {
+				return fmt.Errorf("user %d collect: %w", u.id, err)
 			}
 		}
 		return nil
@@ -1115,8 +1110,10 @@ func (s *Simulation) groupWorstSNR(g *groupState) float64 {
 // cumulative view counters and folds the interval's worst SNR into
 // the forecaster. Counters are kept cumulative (not reset) so the
 // swiping distributions sharpen over time and remain available right
-// after a regroup. Groups are disjoint and twins are only read, so
-// the abstraction fans across the pool.
+// after a regroup; the profile folds each member's counters without
+// expanding them, so an interval costs O(members) however long the
+// run. Groups are disjoint and twins are only read, so the
+// abstraction fans across the pool.
 func (s *Simulation) abstractGroups(ctx context.Context) error {
 	return s.pool.ForContext(ctx, len(s.groups), func(gi int) error {
 		g := s.groups[gi]

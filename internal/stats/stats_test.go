@@ -247,6 +247,45 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramAddN: AddN(x, n) is n calls of Add(x) — same bins
+// (out-of-range values clamp the same way), same total, same CDF bits.
+func TestHistogramAddN(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	xs := []float64{-3, 0, 0.05, 0.5, 1 - 1e-16, 1, 1.0000001, 7}
+	for i := 0; i < 40; i++ {
+		xs = append(xs, rng.Float64()*1.4-0.2)
+	}
+	one, err := NewHistogram(0, 1.0000001, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := NewHistogram(0, 1.0000001, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range xs {
+		n := rng.Intn(2000)
+		many.AddN(x, n)
+		for j := 0; j < n; j++ {
+			one.Add(x)
+		}
+	}
+	if one.Total() != many.Total() {
+		t.Fatalf("total %d, want %d", many.Total(), one.Total())
+	}
+	for i := range one.Counts {
+		if one.Counts[i] != many.Counts[i] {
+			t.Fatalf("bin %d: %d, want %d", i, many.Counts[i], one.Counts[i])
+		}
+	}
+	c1, c2 := one.CDF(), many.CDF()
+	for i := range c1 {
+		if c1[i] != c2[i] {
+			t.Fatalf("cdf[%d] %v, want %v", i, c2[i], c1[i])
+		}
+	}
+}
+
 func TestHistogramEmptyPMF(t *testing.T) {
 	h, err := NewHistogram(0, 1, 3)
 	if err != nil {

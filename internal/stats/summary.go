@@ -57,7 +57,10 @@ func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 }
 
 // Add records one observation.
-func (h *Histogram) Add(x float64) {
+func (h *Histogram) Add(x float64) { h.AddN(x, 1) }
+
+// AddN records n observations of the same value.
+func (h *Histogram) AddN(x float64, n int) {
 	bins := len(h.Counts)
 	i := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
 	if i < 0 {
@@ -66,8 +69,8 @@ func (h *Histogram) Add(x float64) {
 	if i >= bins {
 		i = bins - 1
 	}
-	h.Counts[i]++
-	h.total++
+	h.Counts[i] += n
+	h.total += n
 }
 
 // Total returns the number of recorded observations.

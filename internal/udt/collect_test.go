@@ -1,0 +1,231 @@
+package udt
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"dtmsvs/internal/behavior"
+	"dtmsvs/internal/video"
+)
+
+// coprime has pairwise co-prime collection periods, so over 30 ticks
+// every combination of due attributes occurs, and a ring short enough
+// to wrap many times.
+var coprime = Config{HistoryLen: 7, ChannelEvery: 2, LocationEvery: 3, WatchEvery: 1, PreferenceEvery: 5}
+
+// TestCollectTickMatchesSeparateCalls: one CollectTick is exactly Tick
+// + CollectChannel + CollectLocation + CollectPreference. A random
+// collector sequence, with views and interval resets in between, is
+// applied both ways; the encoded state — clock, rings, preference,
+// counters, staleness — must stay byte-identical throughout.
+func TestCollectTickMatchesSeparateCalls(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		one, four := newTwin(t, coprime), newTwin(t, coprime)
+		for step := 0; step < 400; step++ {
+			cqi := 1 + rng.Intn(15)
+			x, y := rng.Float64()*2000, rng.NormFloat64()*500
+			pref, err := behavior.NewRandomPreference(rng, video.AllCategories()[rng.Intn(video.NumCategories)], 1+3*rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := one.CollectTick(cqi, x, y, pref); err != nil {
+				t.Fatal(err)
+			}
+			four.Tick()
+			if _, err := four.CollectChannel(cqi); err != nil {
+				t.Fatal(err)
+			}
+			four.CollectLocation(x, y)
+			if _, err := four.CollectPreference(pref); err != nil {
+				t.Fatal(err)
+			}
+			switch rng.Intn(32) {
+			case 0, 1, 2, 3, 4, 5, 6, 7:
+				cat, w, e, sw := video.AllCategories()[rng.Intn(video.NumCategories)], rng.Float64()*40, rng.Float64(), rng.Intn(2) == 0
+				for _, tw := range []*Twin{one, four} {
+					if _, err := tw.CollectView(cat, w, e, sw); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 8:
+				one.ResetIntervalCounters()
+				four.ResetIntervalCounters()
+			}
+			if !bytes.Equal(encodeState(one), encodeState(four)) {
+				t.Fatalf("seed %d step %d: encoded state differs", seed, step)
+			}
+			for a := AttrChannel; a <= AttrPreference; a++ {
+				if one.Staleness(a) != four.Staleness(a) {
+					t.Fatalf("seed %d step %d: staleness %v: %d vs %d", seed, step, a, one.Staleness(a), four.Staleness(a))
+				}
+			}
+		}
+	}
+}
+
+// TestCollectTickValidation: both inputs are checked on every tick,
+// due or not, fail typed, and a rejected tick leaves the twin as it was.
+func TestCollectTickValidation(t *testing.T) {
+	tw := newTwin(t, coprime)
+	good := behavior.NewUniformPreference()
+	if err := tw.CollectTick(7, 1, 2, good); err != nil {
+		t.Fatal(err)
+	}
+	before := encodeState(tw)
+	// Tick 2 is not due for the preference (period 5): still validated.
+	for _, cqi := range []int{0, 16, -1} {
+		if err := tw.CollectTick(cqi, 1, 2, good); !errors.Is(err, ErrParam) {
+			t.Fatalf("cqi %d: want ErrParam, got %v", cqi, err)
+		}
+	}
+	for _, bad := range []behavior.Preference{nil, {1}, {0.5, 0.5, 0.5, 0.5, 0.5}, {1.2, -0.2, 0, 0, 0}} {
+		if err := tw.CollectTick(7, 1, 2, bad); !errors.Is(err, behavior.ErrParam) {
+			t.Fatalf("preference %v: want behavior.ErrParam, got %v", bad, err)
+		}
+	}
+	if !bytes.Equal(before, encodeState(tw)) {
+		t.Fatal("rejected ticks changed the twin")
+	}
+}
+
+// TestCollectTickCopiesPreference: the twin keeps its own copy of the
+// snapshot, not the caller's slice.
+func TestCollectTickCopiesPreference(t *testing.T) {
+	tw := newTwin(t, everyTick)
+	p := behavior.Preference{0.6, 0.1, 0.1, 0.1, 0.1}
+	if err := tw.CollectTick(9, 0, 0, p); err != nil {
+		t.Fatal(err)
+	}
+	p[0], p[1] = 0.1, 0.6
+	if got := tw.Preference(); got[0] != 0.6 || got[1] != 0.1 {
+		t.Fatalf("twin preference %v follows the caller's slice", got)
+	}
+}
+
+func TestStalenessUnknownAttribute(t *testing.T) {
+	tw := newTwin(t, coprime)
+	for i := 0; i < 3; i++ {
+		tw.Tick()
+	}
+	if tw.Staleness(AttrWatch) != 3 {
+		t.Fatalf("watch staleness %d, want 3", tw.Staleness(AttrWatch))
+	}
+	for _, a := range []Attribute{0, 99, -1} {
+		if s := tw.Staleness(a); s != 0 {
+			t.Fatalf("staleness of %v = %d, want 0", a, s)
+		}
+	}
+}
+
+// TestCollectTickAllocFree: no tick allocates, whichever attributes
+// are due on it. Each run spans ten ticks — every due-combination of
+// the default periods (1, 2, 1, 5) — because AllocsPerRun rounds down.
+func TestCollectTickAllocFree(t *testing.T) {
+	tw := newTwin(t, Config{})
+	p := behavior.NewUniformPreference()
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 10; i++ {
+			if err := tw.CollectTick(1+i, float64(i), 3, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations per ten ticks, want 0", n)
+	}
+}
+
+// TestSlabRingsDisjoint: the five series share one backing array;
+// filling any one to capacity and beyond must leave the others as
+// they were, and no ring's slice can grow into its neighbour.
+func TestSlabRingsDisjoint(t *testing.T) {
+	tw := newTwin(t, coprime)
+	n := coprime.HistoryLen
+	for i, r := range tw.rings() {
+		if len(r.buf) != n || cap(r.buf) != n {
+			t.Fatalf("ring %d: len %d cap %d, want %d/%d", i, len(r.buf), cap(r.buf), n, n)
+		}
+	}
+	for i, r := range tw.rings() {
+		for j := 0; j < 2*n+3; j++ {
+			r.add(float64(100*(i+1) + j))
+		}
+		for k, other := range tw.rings() {
+			want := 0.0 // not yet written
+			if k < i {
+				want = float64(100*(k+1) + 2*n + 2) // its own last value
+			}
+			if k != i && other.window(1)[0] != want {
+				t.Fatalf("filling ring %d changed ring %d: newest %v, want %v", i, k, other.window(1)[0], want)
+			}
+		}
+	}
+	for i, r := range tw.rings() {
+		for j, v := range r.buf {
+			if int(v)/100 != i+1 {
+				t.Fatalf("ring %d slot %d holds %v, not one of its own values", i, j, v)
+			}
+		}
+	}
+}
+
+// windowRef is the ring window as first written — one modulo per
+// element into a fresh slice — kept as the reference for windowInto.
+func windowRef(r *ring, n int) []float64 {
+	out := make([]float64, n)
+	have := r.len()
+	if have == 0 {
+		return out
+	}
+	take := min(have, n)
+	start := r.next - take
+	if start < 0 {
+		start += len(r.buf)
+	}
+	for i := 0; i < take; i++ {
+		out[n-take+i] = r.buf[(start+i)%len(r.buf)]
+	}
+	for i := 0; i < n-take; i++ {
+		out[i] = out[n-take]
+	}
+	return out
+}
+
+// TestFeatureWindowMatchesReference: at every fill level and wrap
+// position, for windows shorter than, equal to and longer than the
+// ring, FeatureWindow equals the five reference windows scaled and
+// concatenated, bit for bit.
+func TestFeatureWindowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tw := newTwin(t, Config{HistoryLen: 6, ChannelEvery: 1, LocationEvery: 2, WatchEvery: 1, PreferenceEvery: 1})
+	const posScale = 1700.0
+	divs := []float64{15, posScale, posScale, 60, 1}
+	for tick := 0; tick < 40; tick++ {
+		for _, steps := range []int{1, 4, 6, 9} {
+			got, err := tw.FeatureWindow(steps, posScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != NumFeatureChannels*steps {
+				t.Fatalf("window of %d values, want %d", len(got), NumFeatureChannels*steps)
+			}
+			for c, r := range tw.rings() {
+				for i, v := range windowRef(r, steps) {
+					if got[c*steps+i] != v/divs[c] {
+						t.Fatalf("tick %d steps %d channel %d[%d]: %v, want %v", tick, steps, c, i, got[c*steps+i], v/divs[c])
+					}
+				}
+			}
+		}
+		if err := tw.CollectTick(1+rng.Intn(15), rng.Float64()*posScale, rng.Float64()*posScale, behavior.NewUniformPreference()); err != nil {
+			t.Fatal(err)
+		}
+		if tick%3 != 0 {
+			if _, err := tw.CollectView(video.News, rng.Float64()*50, rng.Float64(), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

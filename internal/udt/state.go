@@ -7,14 +7,6 @@ import (
 	"dtmsvs/internal/video"
 )
 
-// attributes lists the collected attributes in encoding order.
-var attributes = [...]Attribute{AttrChannel, AttrLocation, AttrWatch, AttrPreference}
-
-// rings lists the scalar series in encoding order.
-func (t *Twin) rings() [NumFeatureChannels]*ring {
-	return [...]*ring{t.cqi, t.locX, t.locY, t.watch, t.engage}
-}
-
 // identity is what a twin is constructed from: state encoded by one
 // twin decodes only into a twin built from the same values.
 func (t *Twin) identity() [6]int {
@@ -47,8 +39,8 @@ func (t *Twin) EncodeState(e *checkpoint.Enc) {
 	e.Ints(t.viewsByCat[:])
 	e.Int(t.swipes)
 	e.Int(t.views)
-	for _, a := range attributes {
-		e.Int(t.staleness[a])
+	for _, n := range t.staleness[AttrChannel:] {
+		e.Int(n)
 	}
 }
 
@@ -93,7 +85,7 @@ func (t *Twin) DecodeState(d *checkpoint.Dec) error {
 	}
 	t.swipes = d.Int()
 	t.views = d.Int()
-	for _, a := range attributes {
+	for a := AttrChannel; a <= AttrPreference; a++ {
 		t.staleness[a] = d.Int()
 	}
 	return d.Err()

@@ -94,7 +94,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatal("preference differs")
 		}
 	}
-	for _, a := range attributes {
+	for a := AttrChannel; a <= AttrPreference; a++ {
 		if tw.Staleness(a) != back.Staleness(a) {
 			t.Fatalf("staleness %v differs", a)
 		}

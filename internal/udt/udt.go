@@ -46,14 +46,12 @@ func (a Attribute) String() string {
 	}
 }
 
-// ring is a fixed-capacity float64 ring buffer.
+// ring is a fixed-capacity float64 ring buffer over part of the twin's slab.
 type ring struct {
 	buf  []float64
 	next int
 	full bool
 }
-
-func newRing(capacity int) *ring { return &ring{buf: make([]float64, capacity)} }
 
 func (r *ring) add(x float64) {
 	r.buf[r.next] = x
@@ -71,31 +69,40 @@ func (r *ring) len() int {
 	return r.next
 }
 
-// window returns the most recent n values, oldest first. When fewer
-// than n are stored, the result is left-padded with the oldest value
-// (or zeros when empty) so it always has length n.
-func (r *ring) window(n int) []float64 {
-	out := make([]float64, n)
-	have := r.len()
-	if have == 0 {
-		return out
-	}
-	// Collect up to n most recent in chronological order.
-	take := have
-	if take > n {
-		take = n
+// windowInto fills out with the most recent len(out) values divided
+// by div, oldest first. When fewer are stored, out is left-padded with
+// the oldest value (or zeros when empty).
+func (r *ring) windowInto(out []float64, div float64) {
+	take := min(r.len(), len(out))
+	if take == 0 {
+		clear(out)
+		return
 	}
 	start := r.next - take
 	if start < 0 {
 		start += len(r.buf)
 	}
-	for i := 0; i < take; i++ {
-		out[n-take+i] = r.buf[(start+i)%len(r.buf)]
+	// The window is at most two contiguous runs of the ring.
+	recent := out[len(out)-take:]
+	k := 0
+	for _, v := range r.buf[start:min(start+take, len(r.buf))] {
+		recent[k] = v / div
+		k++
 	}
-	// Left-pad with the oldest collected value.
-	for i := 0; i < n-take; i++ {
-		out[i] = out[n-take]
+	for _, v := range r.buf[:take-k] {
+		recent[k] = v / div
+		k++
 	}
+	for i := range out[:len(out)-take] {
+		out[i] = recent[0]
+	}
+}
+
+// window returns the most recent n values in a new slice, padded as
+// windowInto pads.
+func (r *ring) window(n int) []float64 {
+	out := make([]float64, n)
+	r.windowInto(out, 1)
 	return out
 }
 
@@ -147,7 +154,9 @@ func (c Config) Validate() error {
 }
 
 // Twin is one user's digital twin. It is safe for concurrent use: the
-// BS-side collectors write while the grouping pipeline reads.
+// BS-side collector writes — one CollectTick call per simulation tick,
+// or Tick followed by the per-attribute Collect calls — while the
+// grouping pipeline reads.
 type Twin struct {
 	UserID int
 
@@ -155,10 +164,11 @@ type Twin struct {
 
 	cfg Config
 
-	cqi        *ring
-	locX, locY *ring
-	watch      *ring // watch durations (s)
-	engage     *ring // engagement ratios [0,1]
+	// The five series share one backing array allocated by NewTwin.
+	cqi        ring
+	locX, locY ring
+	watch      ring // watch durations (s)
+	engage     ring // engagement ratios [0,1]
 	pref       behavior.Preference
 	// watchByCat accumulates total watch seconds per category since
 	// the last ResetIntervalCounters call.
@@ -169,7 +179,7 @@ type Twin struct {
 	views       int
 
 	ticks     int
-	staleness map[Attribute]int
+	staleness [AttrPreference + 1]int // indexed by Attribute; slot 0 unused
 }
 
 // NewTwin constructs a twin for the user.
@@ -178,27 +188,32 @@ func NewTwin(userID int, cfg Config) (*Twin, error) {
 		return nil, err
 	}
 	c := cfg.withDefaults()
-	return &Twin{
-		UserID: userID,
-		cfg:    c,
-		cqi:    newRing(c.HistoryLen),
-		locX:   newRing(c.HistoryLen),
-		locY:   newRing(c.HistoryLen),
-		watch:  newRing(c.HistoryLen),
-		engage: newRing(c.HistoryLen),
-		pref:   behavior.NewUniformPreference(),
-		staleness: map[Attribute]int{
-			AttrChannel: 0, AttrLocation: 0, AttrWatch: 0, AttrPreference: 0,
-		},
-	}, nil
+	t := &Twin{UserID: userID, cfg: c, pref: behavior.NewUniformPreference()}
+	n := c.HistoryLen
+	slab := make([]float64, NumFeatureChannels*n)
+	for i, r := range t.rings() {
+		r.buf = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	return t, nil
+}
+
+// rings lists the scalar series in feature-channel (and encoding)
+// order.
+func (t *Twin) rings() [NumFeatureChannels]*ring {
+	return [...]*ring{&t.cqi, &t.locX, &t.locY, &t.watch, &t.engage}
 }
 
 // Tick advances the twin's collection clock by one simulation tick.
 func (t *Twin) Tick() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.tick()
+}
+
+// tick is Tick's body. Caller must hold the lock.
+func (t *Twin) tick() {
 	t.ticks++
-	for a := range t.staleness {
+	for a := AttrChannel; a <= AttrPreference; a++ {
 		t.staleness[a]++
 	}
 }
@@ -210,8 +225,12 @@ func (t *Twin) Ticks() int {
 	return t.ticks
 }
 
-// Staleness returns ticks since the attribute was last accepted.
+// Staleness returns ticks since the attribute was last accepted (0
+// for an attribute the twin does not collect).
 func (t *Twin) Staleness(a Attribute) int {
+	if a < AttrChannel || a > AttrPreference {
+		return 0
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.staleness[a]
@@ -221,26 +240,64 @@ func (t *Twin) Staleness(a Attribute) int {
 // Caller must hold the lock.
 func (t *Twin) due(period int) bool { return t.ticks%period == 0 }
 
-// CollectChannel records a CQI sample if the channel period is due.
-// Returns whether the sample was accepted.
-func (t *Twin) CollectChannel(cqi int) (bool, error) {
+func checkCQI(cqi int) error {
 	if cqi < 1 || cqi > 15 {
-		return false, fmt.Errorf("cqi %d: %w", cqi, ErrParam)
+		return fmt.Errorf("cqi %d: %w", cqi, ErrParam)
+	}
+	return nil
+}
+
+// CollectTick is one simulation tick of the BS-side collector under a
+// single lock: Tick, then CollectChannel, CollectLocation and
+// CollectPreference, each accepted only when its period is due. Both
+// inputs are validated on every tick, due or not; on error the twin is
+// unchanged.
+func (t *Twin) CollectTick(cqi int, x, y float64, p behavior.Preference) error {
+	if err := checkCQI(cqi); err != nil {
+		return err
+	}
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.tick()
+	t.collectChannel(cqi)
+	t.collectLocation(x, y)
+	t.collectPreference(p)
+	return nil
+}
+
+// CollectChannel records a CQI sample if the channel period is due.
+// Returns whether the sample was accepted.
+func (t *Twin) CollectChannel(cqi int) (bool, error) {
+	if err := checkCQI(cqi); err != nil {
+		return false, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.collectChannel(cqi), nil
+}
+
+// collectChannel stores a validated CQI if due. Caller must hold the lock.
+func (t *Twin) collectChannel(cqi int) bool {
 	if !t.due(t.cfg.ChannelEvery) {
-		return false, nil
+		return false
 	}
 	t.cqi.add(float64(cqi))
 	t.staleness[AttrChannel] = 0
-	return true, nil
+	return true
 }
 
 // CollectLocation records an (x, y) sample if due.
 func (t *Twin) CollectLocation(x, y float64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.collectLocation(x, y)
+}
+
+// collectLocation stores the position if due. Caller must hold the lock.
+func (t *Twin) collectLocation(x, y float64) bool {
 	if !t.due(t.cfg.LocationEvery) {
 		return false
 	}
@@ -288,12 +345,18 @@ func (t *Twin) CollectPreference(p behavior.Preference) (bool, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.collectPreference(p), nil
+}
+
+// collectPreference copies a validated preference into the twin's own
+// vector if due. Caller must hold the lock.
+func (t *Twin) collectPreference(p behavior.Preference) bool {
 	if !t.due(t.cfg.PreferenceEvery) {
-		return false, nil
+		return false
 	}
-	t.pref = p.Clone()
+	copy(t.pref, p)
 	t.staleness[AttrPreference] = 0
-	return true, nil
+	return true
 }
 
 // Preference returns the last collected preference snapshot.
@@ -365,20 +428,11 @@ func (t *Twin) FeatureWindow(steps int, posScale float64) (vecmath.Vec, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make(vecmath.Vec, 0, NumFeatureChannels*steps)
-	for _, v := range t.cqi.window(steps) {
-		out = append(out, v/15)
+	out := make(vecmath.Vec, NumFeatureChannels*steps)
+	divs := [NumFeatureChannels]float64{15, posScale, posScale, 60, 1}
+	for i, r := range t.rings() {
+		r.windowInto(out[i*steps:(i+1)*steps], divs[i])
 	}
-	for _, v := range t.locX.window(steps) {
-		out = append(out, v/posScale)
-	}
-	for _, v := range t.locY.window(steps) {
-		out = append(out, v/posScale)
-	}
-	for _, v := range t.watch.window(steps) {
-		out = append(out, v/60)
-	}
-	out = append(out, t.engage.window(steps)...)
 	return out, nil
 }
 

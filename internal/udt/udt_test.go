@@ -41,7 +41,7 @@ func TestAttributeString(t *testing.T) {
 }
 
 func TestRingWindow(t *testing.T) {
-	r := newRing(4)
+	r := &ring{buf: make([]float64, 4)}
 	w := r.window(3)
 	for _, v := range w {
 		if v != 0 {

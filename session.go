@@ -346,6 +346,10 @@ type session struct {
 	// further flush may push it out — the sink's backing store keeps
 	// the whole-interval prefix of the last successful flush.
 	sinkBroken bool
+	// ckpt is reset for every Checkpoint call, so the section buffer
+	// (about one checkpoint in size) is grown once per session. Close
+	// lets it go.
+	ckpt checkpoint.Writer
 }
 
 // Interval implements Session.
@@ -480,6 +484,7 @@ func (s *session) Close() error {
 	}
 	s.closed = true
 	s.eng.close()
+	s.ckpt = checkpoint.Writer{} // a closed session takes no checkpoint
 	// Close has no caller context; the final flush retries on the
 	// ordinary schedule.
 	return s.flush(context.Background())
