@@ -117,7 +117,7 @@ func (s *session) resume(r io.Reader) error {
 	if s.finished {
 		// The run had already completed; stamp the (suffix-only) trace
 		// so Done/Trace behave as after a normal final Step.
-		s.eng.finish()
+		return s.eng.finish()
 	}
 	return nil
 }

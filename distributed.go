@@ -27,8 +27,8 @@ import (
 )
 
 // ErrWorkerFailed marks a distributed run that lost a worker more
-// times than the restart budget allows, with adoption disabled.
-// Match with errors.Is.
+// times than the restart budget allows, with adoption disabled or
+// already spent on that worker. Match with errors.Is.
 var ErrWorkerFailed = coord.ErrWorkerFailed
 
 // ProcFault schedules one deterministic process fault on a worker:
@@ -110,10 +110,11 @@ func WithWorkerRestartPolicy(maxRestarts int, backoff time.Duration) SessionOpti
 }
 
 // WithWorkerAdoption degrades gracefully instead of failing: a
-// worker that exhausts its restart budget has its cells adopted by
-// the supervisor and simulated in-process from the last acked
-// checkpoint. The trace stays bit-identical; only the process
-// topology degrades.
+// worker that exhausts its restart budget is adopted — respawned once
+// more as an in-process goroutine from the last acked checkpoint, its
+// remaining scheduled faults stripped. The trace stays bit-identical;
+// only the process topology degrades. An adopted worker has no budget
+// left: losing it too fails the run with ErrWorkerFailed.
 func WithWorkerAdoption() SessionOption {
 	return func(o *sessionOptions) { o.workerAdopt = true }
 }
@@ -183,19 +184,20 @@ func (a *distStepper) stepInterval(ctx context.Context, interval int) ([]TraceRe
 
 // finish assembles the merged ClusterTrace from the workers' final
 // stats, shaped exactly like the single-process engine's Finish.
-func (a *distStepper) finish() {
-	tr := &ClusterTrace{Records: a.records, Handovers: a.sup.Handovers()}
+func (a *distStepper) finish() error {
 	cells, hits, misses, err := a.sup.FinalStats(context.Background())
-	if err == nil {
-		tr.Cells = cells
-		for _, c := range cells {
-			tr.ChurnedUsers += c.ChurnedUsers
-		}
-		if total := hits + misses; total > 0 {
-			tr.CacheHitRate = float64(hits) / float64(total)
-		}
+	if err != nil {
+		return fmt.Errorf("final worker stats: %w", err)
+	}
+	tr := &ClusterTrace{Records: a.records, Handovers: a.sup.Handovers(), Cells: cells}
+	for _, c := range cells {
+		tr.ChurnedUsers += c.ChurnedUsers
+	}
+	if total := hits + misses; total > 0 {
+		tr.CacheHitRate = float64(hits) / float64(total)
 	}
 	a.trace = tr
+	return nil
 }
 
 func (a *distStepper) close() { _ = a.sup.Close() }
@@ -327,7 +329,7 @@ func OpenDistributed(cfg ClusterConfig, workers int, opts ...SessionOption) (*Di
 	}
 	st := &distStepper{
 		sup:     sup,
-		cfg:     cfg.Defaulted(),
+		cfg:     sup.Cluster(),
 		workers: workers,
 		retain:  o.sink == nil,
 	}

@@ -15,7 +15,8 @@ import (
 )
 
 // WriteState appends the engine's boundary state to a checkpoint: a
-// "cluster" section followed by each cell's sim sections in id order.
+// "cluster" section followed by each cell's sim sections in id order
+// (un-owned cells present but empty).
 func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 	if err := cw.Section("cluster", func(enc *checkpoint.Enc) {
 		enc.Ints(e.owner)
@@ -48,9 +49,11 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 }
 
 // ReadState restores boundary state written by WriteState into a
-// freshly constructed engine of the identical configuration. Each
-// cell's population is rebuilt from its own checkpoint sections,
-// replacing the initial placement New performed.
+// freshly constructed engine of the identical configuration and
+// partition. Each cell's population is rebuilt from its own checkpoint
+// sections, replacing the initial placement construction performed; a
+// checkpoint holding twins in a cell this partition does not own is
+// rejected.
 func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 	d, err := cr.Section("cluster")
 	if err != nil {
@@ -124,6 +127,14 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 		if err := c.eng.ReadState(cr); err != nil {
 			return fmt.Errorf("cell %d: %w", c.id, err)
 		}
+	}
+	e.local = 0
+	for i, c := range e.cells {
+		n := c.eng.NumUsers()
+		if !e.mask[i] && n != 0 {
+			return fmt.Errorf("restore left %d twins in un-owned cell %d: %w", n, i, checkpoint.ErrCorrupt)
+		}
+		e.local += n
 	}
 	return nil
 }

@@ -68,7 +68,9 @@ type Config struct {
 	Faults []faultinject.CellFault
 }
 
-func (c Config) withDefaults() Config {
+// Defaulted returns the configuration with every default filled in,
+// so callers stepping the engine see the values it runs with.
+func (c Config) Defaulted() Config {
 	c.Sim = c.Sim.Defaulted()
 	if c.Shards == 0 {
 		c.Shards = c.Sim.NumBS
@@ -76,16 +78,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Defaulted returns the configuration with every default filled in,
-// so callers stepping the engine see the values it runs with.
-func (c Config) Defaulted() Config { return c.withDefaults() }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if err := c.Sim.Validate(); err != nil {
 		return err
 	}
-	d := c.withDefaults()
+	d := c.Defaulted()
 	if d.Shards < 1 || d.Shards > d.Sim.NumBS {
 		return fmt.Errorf("%d shards for %d base stations: %w", d.Shards, d.Sim.NumBS, ErrConfig)
 	}
@@ -203,12 +201,26 @@ type Engine struct {
 	stations []*channel.BaseStation
 	catalog  *video.Catalog
 	cells    []*cellState
-	// shards[s] lists the cell ids shard s owns (contiguous blocks).
+	// The engine's unit is a set of owned cells: it steps, checkpoints
+	// and conserves twins over exactly those. New owns every cell (the
+	// degenerate partition); NewWorker owns one contiguous block of a
+	// larger partition, and the other cells stay constructed but empty.
+	owned []int  // owned cell ids, ascending
+	mask  []bool // mask[c] reports ownership of cell c
+	local int    // twins currently living in owned cells
+	// shards[s] lists the owned cell ids shard s steps (contiguous
+	// blocks of the global shard layout).
 	shards [][]int
-	// owner[id] is the cell currently holding user id's twin.
+	// owner[id] is the cell holding user id's twin as far as this
+	// partition knows: exact for its own twins, and for the others the
+	// last un-owned cell it saw them in — so a twin is local exactly
+	// when mask[owner[id]].
 	owner     []int
 	handovers int
 	trained   bool
+	// plan is PlanHandovers' buffer, kept so the handover pass allocates
+	// nothing proportional to population.
+	plan []Handover
 	// Failure model (see failure.go): the fault schedule in firing
 	// order, the response policy, the quarantine mask shared with
 	// every cell's sim engine (written only between fan-outs), and
@@ -238,12 +250,19 @@ type Engine struct {
 	metRevivals   *obs.Counter
 }
 
-// New constructs a cluster engine and places the initial population.
-func New(cfg Config) (*Engine, error) {
+// New constructs a cluster engine that owns every cell and places the
+// initial population: the partition (0, 1).
+func New(cfg Config) (*Engine, error) { return newPartition(cfg, 0, 1) }
+
+// newPartition constructs the engine for slot index of a count-way
+// partition. Construction is identical for every slot — it draws only
+// from the shared substrate and per-user streams — and only the twins
+// whose initial cell the slot owns are attached.
+func newPartition(cfg Config, index, count int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := cfg.withDefaults()
+	d := cfg.Defaulted()
 	d.Sim.PerBSGrouping = false // the cell partition is the per-BS split
 
 	pool := parallel.New(d.Sim.Parallelism)
@@ -305,8 +324,18 @@ func New(cfg Config) (*Engine, error) {
 		cells[c] = &cellState{id: c, eng: eng, server: server, trace: sim.NewTrace()}
 	}
 
+	// Cells map to partition slots and to shards by the same contiguous
+	// block arithmetic; a slot keeps the owned part of each shard (a
+	// shard wholly owned by another slot stays empty and costs nothing).
+	var owned []int
+	mask := make([]bool, numCells)
 	shards := make([][]int, d.Shards)
 	for c := 0; c < numCells; c++ {
+		if WorkerForCell(c, numCells, count) != index {
+			continue
+		}
+		owned = append(owned, c)
+		mask[c] = true
 		s := c * d.Shards / numCells
 		shards[s] = append(shards[s], c)
 	}
@@ -328,6 +357,8 @@ func New(cfg Config) (*Engine, error) {
 		stations: stations,
 		catalog:  catalog,
 		cells:    cells,
+		owned:    owned,
+		mask:     mask,
 		shards:   shards,
 		owner:    make([]int, d.Sim.NumUsers),
 		faults:   faults,
@@ -336,9 +367,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	// Spawn the population on the pool (user creation draws only from
-	// each user's private stream) and place every twin in the cell of
-	// its initial serving base station.
-	spawned := make([]*sim.User, d.Sim.NumUsers)
+	// each user's private stream) and place every twin whose initial
+	// serving base station this partition owns in that station's cell.
+	spawned := make([]sim.User, d.Sim.NumUsers)
 	if err := pool.For(d.Sim.NumUsers, func(i int) error {
 		mu, serr := cells[0].eng.SpawnUser(i)
 		if serr != nil {
@@ -351,15 +382,19 @@ func New(cfg Config) (*Engine, error) {
 	}
 	for id, mu := range spawned {
 		bs := mu.ServingBS()
+		e.owner[id] = bs
+		if !mask[bs] {
+			continue
+		}
 		if aerr := cells[bs].eng.AttachUser(mu); aerr != nil {
 			return nil, aerr
 		}
-		e.owner[id] = bs
+		e.local++
 	}
 	return e, nil
 }
 
-// eachCell runs fn over every cell, fanning whole shards across the
+// eachCell runs fn over every owned cell, fanning whole shards across the
 // pool; cells within a shard run sequentially in id order. fn must
 // touch only the given cell's state. Cancellation is cooperative:
 // once ctx is done no further cell starts, and ctx.Err() is returned.
@@ -378,64 +413,6 @@ func (e *Engine) eachCell(ctx context.Context, fn func(*cellState) error) error 
 	})
 }
 
-// migrate is the deterministic twin-handover pass: sequentially in
-// global user-id order, every user whose link now serves a base
-// station outside its cell is detached (UDT, calibration state and
-// random stream intact) and attached to the new station's cell. The
-// pass verifies twin conservation — no user lost or duplicated — and
-// constructs groups for cells that gained their first users after
-// training.
-func (e *Engine) migrate() error {
-	t0 := e.metHandover.Start()
-	defer e.metHandover.ObserveSince(t0)
-	for id := range e.owner {
-		from := e.owner[id]
-		bs := e.cells[from].eng.ServingBSOf(id)
-		if bs < 0 {
-			return fmt.Errorf("user %d missing from cell %d: %w", id, from, ErrConfig)
-		}
-		if bs == from {
-			continue
-		}
-		if e.cells[bs].down {
-			// Links route around quarantined stations at every tick, so
-			// a handover into a dark cell means the quarantine mask and
-			// the link layer disagree — stop before the twin is lost.
-			return fmt.Errorf("user %d handed over to quarantined cell %d: %w", id, bs, ErrCellFailure)
-		}
-		mu, ok := e.cells[from].eng.DetachUser(id)
-		if !ok {
-			return fmt.Errorf("user %d not detachable from cell %d: %w", id, from, ErrConfig)
-		}
-		if err := e.cells[bs].eng.AttachUser(mu); err != nil {
-			return err
-		}
-		e.owner[id] = bs
-		e.cells[bs].migratedIn++
-		e.handovers++
-		e.metHandovers.Inc()
-	}
-	if err := e.checkConservation("handover"); err != nil {
-		return err
-	}
-	return e.lateTrain()
-}
-
-// checkConservation verifies the twin-conservation invariant — every
-// user lives in exactly one cell — after a handover or evacuation
-// pass.
-func (e *Engine) checkConservation(pass string) error {
-	total := 0
-	for _, c := range e.cells {
-		total += c.eng.NumUsers()
-	}
-	if total != len(e.owner) {
-		return fmt.Errorf("%d twins after %s, want %d (twin lost or duplicated): %w",
-			total, pass, len(e.owner), ErrConfig)
-	}
-	return nil
-}
-
 // lateTrain fits cells that gained their first users after the
 // cluster trained: their pipelines are still untrained, so fit them
 // on the twins that just arrived before the first construction.
@@ -443,7 +420,8 @@ func (e *Engine) lateTrain() error {
 	if !e.trained {
 		return nil
 	}
-	for _, c := range e.cells {
+	for _, ci := range e.owned {
+		c := e.cells[ci]
 		if !c.built && c.eng.NumUsers() > 0 {
 			if err := c.eng.Train(); err != nil {
 				return fmt.Errorf("cell %d late train: %w", c.id, err)
@@ -488,8 +466,12 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// Handovers reports cross-cell twin migrations so far.
+// Handovers reports twin migrations out of owned cells so far; summed
+// over a partition this is the single-process handover counter.
 func (e *Engine) Handovers() int { return e.handovers }
+
+// NumUsers reports the twins currently living in owned cells.
+func (e *Engine) NumUsers() int { return e.local }
 
 // Config returns the engine's fully defaulted configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -510,12 +492,9 @@ func (e *Engine) Churned() int {
 // returns run-level statistics with an empty Records slice.
 func (e *Engine) SetRetainRecords(retain bool) { e.retain = retain }
 
-// WarmupStep runs one warm-up interval across all cells followed by
-// the twin-handover pass, so cells train on the populations they will
-// actually serve. Call it Config.Sim.WarmupIntervals times before
-// TrainAndBuild.
-func (e *Engine) WarmupStep(ctx context.Context) error {
-	if err := e.eachCell(ctx, func(c *cellState) error {
+// warmupCells runs one warm-up interval over the owned cells.
+func (e *Engine) warmupCells(ctx context.Context) error {
+	return e.eachCell(ctx, func(c *cellState) error {
 		if c.down || c.eng.NumUsers() == 0 {
 			return nil
 		}
@@ -523,15 +502,23 @@ func (e *Engine) WarmupStep(ctx context.Context) error {
 			return fmt.Errorf("cell %d warmup: %w", c.id, err)
 		}
 		return nil
-	}); err != nil {
+	})
+}
+
+// WarmupStep runs one warm-up interval across all cells followed by
+// the twin-handover pass, so cells train on the populations they will
+// actually serve. Call it Config.Sim.WarmupIntervals times before
+// TrainAndBuild.
+func (e *Engine) WarmupStep(ctx context.Context) error {
+	if err := e.warmupCells(ctx); err != nil {
 		return err
 	}
 	return e.migrate()
 }
 
-// TrainAndBuild fits every populated cell's grouping pipeline and
-// runs the initial group construction. Cells that are empty now but
-// gain users later are trained lazily by the handover pass.
+// TrainAndBuild fits every populated owned cell's grouping pipeline
+// and runs the initial group construction. Cells that are empty now
+// but gain users later are trained lazily by the handover pass.
 func (e *Engine) TrainAndBuild(ctx context.Context) error {
 	if err := e.eachCell(ctx, func(c *cellState) error {
 		if c.down || c.eng.NumUsers() == 0 {
@@ -552,13 +539,13 @@ func (e *Engine) TrainAndBuild(ctx context.Context) error {
 	return nil
 }
 
-// StepInterval runs one reservation interval — whole shards
-// concurrently: predict, collect, stream, abstract, churn, regroup —
-// followed by the twin-handover pass, and returns the interval's
-// merged records in (cell, group) order. Cells append into their own
-// per-interval buffers, so the concatenation in cell-id order is the
-// same (interval, cell, group) ordering the whole-run trace carries.
-func (e *Engine) StepInterval(ctx context.Context, interval int) ([]Record, error) {
+// stepCells runs one reservation interval over the owned cells — whole
+// shards concurrently: predict, collect, stream, abstract, churn,
+// regroup — and returns the interval's records in (cell, group) order.
+// Cells append into their own per-interval buffers, so the
+// concatenation in cell-id order is the same (interval, cell, group)
+// ordering the whole-run trace carries.
+func (e *Engine) stepCells(ctx context.Context, interval int) ([]Record, error) {
 	// Scheduled cell faults fire at the boundary, before the interval
 	// fans out: revivals restore coverage, failures quarantine the
 	// cell and evacuate its twins (or abort, under fail-fast).
@@ -580,11 +567,13 @@ func (e *Engine) StepInterval(ctx context.Context, interval int) ([]Record, erro
 	}); err != nil {
 		return nil, err
 	}
-	if err := e.migrate(); err != nil {
-		return nil, err
+	n := 0
+	for _, ci := range e.owned {
+		n += len(e.cells[ci].trace.Records)
 	}
-	var out []Record
-	for _, c := range e.cells {
+	out := make([]Record, 0, n)
+	for _, ci := range e.owned {
+		c := e.cells[ci]
 		for _, r := range c.trace.Records {
 			out = append(out, Record{BS: c.id, GroupIntervalRecord: r})
 		}
@@ -592,10 +581,48 @@ func (e *Engine) StepInterval(ctx context.Context, interval int) ([]Record, erro
 		// its capacity for the next step.
 		c.trace.Records = c.trace.Records[:0]
 	}
+	return out, nil
+}
+
+// StepInterval runs one reservation interval followed by the
+// twin-handover pass, and returns the interval's merged records.
+func (e *Engine) StepInterval(ctx context.Context, interval int) ([]Record, error) {
+	out, err := e.stepCells(ctx, interval)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.migrate(); err != nil {
+		return nil, err
+	}
 	if e.retain {
 		e.records = append(e.records, out...)
 	}
 	return out, nil
+}
+
+// FinishStats finalizes the owned cells and returns their end-of-run
+// statistics in cell-id order plus the raw cache counts — a
+// partition's contribution to the merged Trace.
+func (e *Engine) FinishStats() (cells []CellStats, hits, misses int) {
+	for _, ci := range e.owned {
+		c := e.cells[ci]
+		c.eng.FinishTrace(c.trace)
+		h, m := c.server.Cache().Counts()
+		hits += h
+		misses += m
+		cells = append(cells, CellStats{
+			BS:             c.id,
+			Users:          c.eng.NumUsers(),
+			K:              c.trace.K,
+			Silhouette:     c.trace.Silhouette,
+			CacheHitRate:   c.trace.CacheHitRate,
+			ChurnedUsers:   c.trace.ChurnedUsers,
+			AttachedTwins:  c.migratedIn,
+			Down:           c.down,
+			EvacuatedTwins: c.evacuated,
+		})
+	}
+	return cells, hits, misses
 }
 
 // Finish merges the per-cell statistics (and, when retention is on,
@@ -610,24 +637,10 @@ func (e *Engine) Finish() *Trace {
 		EvacuatedTwins:    e.evacuated,
 		DegradedIntervals: e.degradedIntervals,
 	}
-	var hits, misses int
-	for _, c := range e.cells {
-		c.eng.FinishTrace(c.trace)
-		h, m := c.server.Cache().Counts()
-		hits += h
-		misses += m
-		tr.Cells = append(tr.Cells, CellStats{
-			BS:             c.id,
-			Users:          c.eng.NumUsers(),
-			K:              c.trace.K,
-			Silhouette:     c.trace.Silhouette,
-			CacheHitRate:   c.trace.CacheHitRate,
-			ChurnedUsers:   c.trace.ChurnedUsers,
-			AttachedTwins:  c.migratedIn,
-			Down:           c.down,
-			EvacuatedTwins: c.evacuated,
-		})
-		tr.ChurnedUsers += c.trace.ChurnedUsers
+	cells, hits, misses := e.FinishStats()
+	tr.Cells = cells
+	for _, c := range cells {
+		tr.ChurnedUsers += c.ChurnedUsers
 	}
 	if total := hits + misses; total > 0 {
 		tr.CacheHitRate = float64(hits) / float64(total)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"dtmsvs/internal/channel"
+	"dtmsvs/internal/sim"
 )
 
 // ErrCellFailure classifies every injected-failure outcome: the
@@ -152,19 +153,17 @@ func (e *Engine) evacuate(failed int) error {
 		if e.owner[id] != failed {
 			continue
 		}
-		mu, ok := e.cells[failed].eng.DetachUser(id)
+		pos, ok := e.cells[failed].eng.PositionOf(id)
 		if !ok {
 			return fmt.Errorf("user %d not evacuable from cell %d: %w", id, failed, ErrCellFailure)
 		}
-		bs, err := channel.NearestAliveBS(e.stations, e.down, mu.Position())
+		bs, err := channel.NearestAliveBS(e.stations, e.down, pos)
 		if err != nil {
 			return fmt.Errorf("evacuating user %d: %w", id, err)
 		}
-		if err := e.cells[bs.ID].eng.AttachUser(mu); err != nil {
+		if err := e.move(Handover{ID: id, From: failed, To: bs.ID}, sim.User{}); err != nil {
 			return err
 		}
-		e.owner[id] = bs.ID
-		e.cells[bs.ID].migratedIn++
 		moved++
 	}
 	e.cells[failed].evacuated += moved

@@ -1,0 +1,189 @@
+// This file is the twin-handover pass — the only one: a plan over the
+// owned twins in global user-id order, then an apply of every move
+// touching this partition. The single-process engine runs the two back
+// to back (migrate); partition workers exchange the moves that cross
+// them through internal/coord between the two calls.
+//
+// Determinism: sim keeps each cell's population sorted by global user
+// id and apply runs in ascending global user-id order, so every owned
+// cell sees exactly the attach/detach subsequence it sees when one
+// engine owns all cells — per-cell state, and therefore the merged
+// trace, is bit-identical for any partition.
+
+package cluster
+
+import (
+	"fmt"
+	"sort"
+
+	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/sim"
+)
+
+// Handover is one boundary twin move. Twin carries the user's full
+// mutable state (the sim per-user checkpoint encoding) when the move
+// leaves the planning partition; it is nil for moves both of whose
+// endpoints the partition owns, where the twin moves by pointer.
+type Handover struct {
+	ID   int
+	From int
+	To   int
+	Twin []byte
+}
+
+// PlanHandovers scans the owned twins in global id order and returns
+// every pending move out of an owned cell: each user whose link now
+// serves a base station outside its cell. Moves leaving the partition
+// carry the twin's wire encoding, captured before any mutation; engine
+// state is untouched until ApplyHandovers. The returned slice is the
+// engine's own buffer, valid until the next PlanHandovers.
+func (e *Engine) PlanHandovers() ([]Handover, error) {
+	plan := e.plan[:0]
+	var enc checkpoint.Enc
+	for id, from := range e.owner {
+		if !e.mask[from] {
+			continue
+		}
+		bs := e.cells[from].eng.ServingBSOf(id)
+		if bs < 0 {
+			return nil, fmt.Errorf("user %d missing from cell %d: %w", id, from, ErrConfig)
+		}
+		if bs == from {
+			continue
+		}
+		h := Handover{ID: id, From: from, To: bs}
+		if !e.mask[bs] {
+			enc.Reset()
+			if err := e.cells[from].eng.EncodeUser(&enc, id); err != nil {
+				return nil, err
+			}
+			h.Twin = append([]byte(nil), enc.Bytes()...)
+		}
+		plan = append(plan, h)
+	}
+	e.plan = plan
+	return plan, nil
+}
+
+// ApplyHandovers applies one boundary's moves touching this partition
+// — its own plan plus the imports routed from its peers — in ascending
+// global user-id order: each twin is detached (UDT, calibration state
+// and random stream intact) and attached to the new station's cell.
+// Every move is checked, and every import decoded, before the first
+// twin moves, so a rejected batch leaves the engine untouched. The
+// pass then verifies twin conservation and late-trains owned cells
+// that just gained their first users.
+func (e *Engine) ApplyHandovers(moves []Handover) error {
+	// The engine's own plan is already id-ordered; only a batch merged
+	// with imports needs the private sorted copy.
+	for i := 1; i < len(moves); i++ {
+		if moves[i].ID < moves[i-1].ID {
+			moves = append([]Handover(nil), moves...)
+			sort.Slice(moves, func(i, j int) bool { return moves[i].ID < moves[j].ID })
+			break
+		}
+	}
+	var imported []sim.User
+	for i, h := range moves {
+		switch {
+		case h.ID < 0 || h.ID >= len(e.owner):
+			return fmt.Errorf("handover of unknown user %d: %w", h.ID, ErrConfig)
+		case i > 0 && moves[i-1].ID == h.ID:
+			return fmt.Errorf("user %d handed over twice at one boundary: %w", h.ID, ErrConfig)
+		case h.To < 0 || h.To >= len(e.cells) || h.From < 0 || h.From >= len(e.cells) || h.From == h.To:
+			return fmt.Errorf("handover of user %d between cells %d and %d: %w", h.ID, h.From, h.To, ErrConfig)
+		case !e.mask[h.From] && !e.mask[h.To]:
+			return fmt.Errorf("handover of user %d (%d→%d) owns neither endpoint: %w", h.ID, h.From, h.To, ErrConfig)
+		case e.mask[h.To] && e.cells[h.To].down:
+			// Links route around quarantined stations at every tick, so
+			// a handover into a dark cell means the quarantine mask and
+			// the link layer disagree — stop before the twin is lost.
+			return fmt.Errorf("user %d handed over to quarantined cell %d: %w", h.ID, h.To, ErrCellFailure)
+		case e.mask[h.From] && e.owner[h.ID] != h.From:
+			return fmt.Errorf("user %d not detachable from cell %d: %w", h.ID, h.From, ErrConfig)
+		case e.mask[h.From]:
+			continue
+		case e.mask[e.owner[h.ID]]:
+			return fmt.Errorf("import of user %d, already in cell %d: %w", h.ID, e.owner[h.ID], ErrConfig)
+		case len(h.Twin) == 0:
+			return fmt.Errorf("import of user %d into cell %d carries no twin: %w", h.ID, h.To, ErrConfig)
+		}
+		d := checkpoint.NewDec(h.Twin)
+		mu, err := e.cells[h.To].eng.DecodeUser(d)
+		if err == nil {
+			err = d.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("import user %d: %w", h.ID, err)
+		}
+		if mu.ID() != h.ID {
+			return fmt.Errorf("import of user %d decoded twin %d: %w", h.ID, mu.ID(), ErrConfig)
+		}
+		imported = append(imported, mu)
+	}
+	for _, h := range moves {
+		var in sim.User
+		if e.mask[h.From] {
+			e.handovers++
+			e.metHandovers.Inc()
+		} else {
+			in, imported = imported[0], imported[1:]
+		}
+		if err := e.move(h, in); err != nil {
+			return err
+		}
+	}
+	if err := e.checkConservation("handover"); err != nil {
+		return err
+	}
+	return e.lateTrain()
+}
+
+// move is the one place a twin changes cells: detached from h.From
+// when this partition owns it (otherwise in is the decoded import),
+// attached to h.To when this partition owns that, and recorded in the
+// owner map. Handover and evacuation both go through it.
+func (e *Engine) move(h Handover, in sim.User) error {
+	if e.mask[h.From] {
+		var ok bool
+		if in, ok = e.cells[h.From].eng.DetachUser(h.ID); !ok {
+			return fmt.Errorf("user %d not detachable from cell %d: %w", h.ID, h.From, ErrConfig)
+		}
+		e.local--
+	}
+	if e.mask[h.To] {
+		if err := e.cells[h.To].eng.AttachUser(in); err != nil {
+			return err
+		}
+		e.cells[h.To].migratedIn++
+		e.local++
+	}
+	e.owner[h.ID] = h.To
+	return nil
+}
+
+// migrate is the handover pass of an engine with no remote endpoint:
+// plan, then apply the plan as it stands.
+func (e *Engine) migrate() error {
+	t0 := e.metHandover.Start()
+	defer e.metHandover.ObserveSince(t0)
+	plan, err := e.PlanHandovers()
+	if err != nil {
+		return err
+	}
+	return e.ApplyHandovers(plan)
+}
+
+// checkConservation verifies the twin-conservation invariant over the
+// owned cells — every local twin lives in exactly one of them — after
+// a handover or evacuation pass.
+func (e *Engine) checkConservation(pass string) error {
+	total := 0
+	for _, ci := range e.owned {
+		total += e.cells[ci].eng.NumUsers()
+	}
+	if total != e.local {
+		return fmt.Errorf("%d twins after %s, want %d (twin lost or duplicated): %w", total, pass, e.local, ErrConfig)
+	}
+	return nil
+}

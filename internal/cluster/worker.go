@@ -1,37 +1,19 @@
 // This file is the per-process half of the distributed cluster: a
-// Worker owns a contiguous block of coverage cells and steps only
-// those, exchanging boundary handovers with its peers through the
-// internal/coord supervisor.
+// Worker is the cluster engine over one contiguous block of coverage
+// cells, exchanging boundary handovers with its peers through the
+// internal/coord supervisor instead of running the pass on its own.
 //
-// Determinism contract: a Worker constructs the full engine exactly
-// like the single-process path (construction draws only touch shared
-// substrate and per-user streams), then drops the populations of the
-// cells it does not own. Because sim keeps each cell's population
-// sorted by global user id, and because ApplyHandovers applies every
-// boundary move in ascending global user-id order, each owned cell
-// sees exactly the attach/detach subsequence it would have seen under
-// the single-process migrate pass — so per-cell state, and therefore
-// the merged trace, is bit-identical for any worker count.
+// Determinism contract: every partition slot constructs the engine
+// identically (construction draws only touch shared substrate and
+// per-user streams) and attaches only the twins of the cells it owns;
+// the handover pass (handover.go) is the engine's own, split at the
+// point where the moves crossing workers are exchanged.
 package cluster
 
 import (
 	"context"
 	"fmt"
-	"sort"
-
-	"dtmsvs/internal/checkpoint"
 )
-
-// Handover is one boundary twin move. Twin carries the user's full
-// mutable state (the sim per-user checkpoint encoding) when the move
-// crosses workers; it is nil for moves both of whose endpoints live
-// on the same worker, where the twin moves by pointer.
-type Handover struct {
-	ID   int
-	From int
-	To   int
-	Twin []byte
-}
 
 // WorkerForCell maps a cell id to the worker owning it: contiguous
 // blocks, the same arithmetic the engine uses to map cells to shards.
@@ -39,23 +21,16 @@ func WorkerForCell(cell, numCells, workers int) int {
 	return cell * workers / numCells
 }
 
-// Worker is the distributed counterpart of Engine: the full engine
-// construction with only an owned contiguous block of cells
-// populated and stepped.
-type Worker struct {
-	eng   *Engine
-	index int
-	count int
-	owned []int  // owned cell ids, ascending
-	mask  []bool // mask[c] reports ownership of cell c
-	local int    // users currently living in owned cells
-}
+// Worker is an Engine that owns one block of a partition. Its
+// WarmupStep and StepInterval stop before the handover pass: the
+// caller runs PlanHandovers, routes the moves that carry a twin to the
+// workers owning their destination cells, and hands each worker its
+// own plan plus its imports through ApplyHandovers.
+type Worker struct{ *Engine }
 
-// NewWorker constructs worker index of count over cfg. The full
-// population is spawned (construction is cheap and keeps the replay
-// deterministic) and the cells owned by other workers are emptied.
+// NewWorker constructs worker index of count over cfg.
 func NewWorker(cfg Config, index, count int) (*Worker, error) {
-	d := cfg.withDefaults()
+	d := cfg.Defaulted()
 	if len(d.Faults) > 0 {
 		return nil, fmt.Errorf("cell fault injection inside distributed workers is not supported (inject process faults instead): %w", ErrConfig)
 	}
@@ -65,305 +40,22 @@ func NewWorker(cfg Config, index, count int) (*Worker, error) {
 	if index < 0 || index >= count {
 		return nil, fmt.Errorf("worker index %d of %d: %w", index, count, ErrConfig)
 	}
-	e, err := New(cfg)
+	e, err := newPartition(cfg, index, count)
 	if err != nil {
 		return nil, err
 	}
 	e.SetRetainRecords(false)
-	w := &Worker{eng: e, index: index, count: count, mask: make([]bool, len(e.cells))}
-	for c := range e.cells {
-		if WorkerForCell(c, len(e.cells), count) == index {
-			w.owned = append(w.owned, c)
-			w.mask[c] = true
-		}
-	}
-	for c, cell := range e.cells {
-		if w.mask[c] {
-			w.local += cell.eng.NumUsers()
-			continue
-		}
-		for _, id := range cell.eng.UserIDs() {
-			if _, ok := cell.eng.DetachUser(id); !ok {
-				return nil, fmt.Errorf("worker %d: drop user %d from cell %d: %w", index, id, c, ErrConfig)
-			}
-		}
-	}
-	return w, nil
-}
-
-// Index returns the worker's position in the worker set.
-func (w *Worker) Index() int { return w.index }
-
-// Count returns the worker-set size.
-func (w *Worker) Count() int { return w.count }
-
-// OwnedCells returns the ascending cell ids this worker owns.
-func (w *Worker) OwnedCells() []int { return w.owned }
-
-// Owns reports whether cell c lives on this worker.
-func (w *Worker) Owns(c int) bool { return c >= 0 && c < len(w.mask) && w.mask[c] }
-
-// NumUsers returns the users currently living in owned cells.
-func (w *Worker) NumUsers() int { return w.local }
-
-// Handovers reports moves whose source cell this worker owned; summed
-// across workers this equals the single-process handover counter.
-func (w *Worker) Handovers() int { return w.eng.handovers }
-
-// Churned reports users replaced by churn in owned cells.
-func (w *Worker) Churned() int { return w.eng.Churned() }
-
-// Config returns the fully defaulted configuration.
-func (w *Worker) Config() Config { return w.eng.cfg }
-
-// Close releases the owned cells' training GEMM workers.
-func (w *Worker) Close() { w.eng.Close() }
-
-// eachOwned runs fn over the owned cells on the pool. fn must touch
-// only the given cell's state.
-func (w *Worker) eachOwned(ctx context.Context, fn func(*cellState) error) error {
-	return w.eng.pool.ForContext(ctx, len(w.owned), func(i int) error {
-		return fn(w.eng.cells[w.owned[i]])
-	})
+	return &Worker{e}, nil
 }
 
 // WarmupStep runs one warm-up interval over the owned cells. The
 // boundary handover exchange (Plan/ApplyHandovers) follows it.
-func (w *Worker) WarmupStep(ctx context.Context) error {
-	return w.eachOwned(ctx, func(c *cellState) error {
-		if c.eng.NumUsers() == 0 {
-			return nil
-		}
-		if err := c.eng.WarmupIntervalContext(ctx); err != nil {
-			return fmt.Errorf("cell %d warmup: %w", c.id, err)
-		}
-		return nil
-	})
-}
-
-// TrainAndBuild fits the populated owned cells' grouping pipelines,
-// mirroring Engine.TrainAndBuild for the owned block.
-func (w *Worker) TrainAndBuild(ctx context.Context) error {
-	if err := w.eachOwned(ctx, func(c *cellState) error {
-		if c.eng.NumUsers() == 0 {
-			return nil
-		}
-		if err := c.eng.Train(); err != nil {
-			return fmt.Errorf("cell %d train: %w", c.id, err)
-		}
-		if err := c.eng.BuildGroupsContext(ctx); err != nil {
-			return fmt.Errorf("cell %d construction: %w", c.id, err)
-		}
-		c.built = true
-		return nil
-	}); err != nil {
-		return err
-	}
-	w.eng.trained = true
-	return nil
-}
+func (w *Worker) WarmupStep(ctx context.Context) error { return w.warmupCells(ctx) }
 
 // StepInterval runs one reservation interval over the owned cells and
 // returns the interval's records in (cell, group) order — the owned
 // slice of the single-process merged ordering. The boundary handover
 // exchange follows it.
 func (w *Worker) StepInterval(ctx context.Context, interval int) ([]Record, error) {
-	if err := w.eachOwned(ctx, func(c *cellState) error {
-		if c.eng.NumUsers() == 0 {
-			return nil
-		}
-		if err := c.eng.RunIntervalContext(ctx, interval, c.trace); err != nil {
-			return fmt.Errorf("cell %d: %w", c.id, err)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	var out []Record
-	for _, ci := range w.owned {
-		c := w.eng.cells[ci]
-		for _, r := range c.trace.Records {
-			out = append(out, Record{BS: c.id, GroupIntervalRecord: r})
-		}
-		c.trace.Records = c.trace.Records[:0]
-	}
-	return out, nil
-}
-
-// PlanHandovers scans the owned users in global id order and returns
-// every pending move out of an owned cell. Moves leaving the worker
-// carry the twin's wire encoding, captured before any mutation; the
-// worker's state is untouched until ApplyHandovers.
-func (w *Worker) PlanHandovers() ([]Handover, error) {
-	type residence struct{ id, cell int }
-	var pop []residence
-	for _, ci := range w.owned {
-		for _, id := range w.eng.cells[ci].eng.UserIDs() {
-			pop = append(pop, residence{id, ci})
-		}
-	}
-	sort.Slice(pop, func(i, j int) bool { return pop[i].id < pop[j].id })
-	var out []Handover
-	var enc checkpoint.Enc
-	for _, r := range pop {
-		bs := w.eng.cells[r.cell].eng.ServingBSOf(r.id)
-		if bs < 0 {
-			return nil, fmt.Errorf("user %d missing from cell %d: %w", r.id, r.cell, ErrConfig)
-		}
-		if bs == r.cell {
-			continue
-		}
-		h := Handover{ID: r.id, From: r.cell, To: bs}
-		if !w.mask[bs] {
-			enc.Reset()
-			if err := w.eng.cells[r.cell].eng.EncodeUser(&enc, r.id); err != nil {
-				return nil, err
-			}
-			h.Twin = append([]byte(nil), enc.Bytes()...)
-		}
-		out = append(out, h)
-	}
-	return out, nil
-}
-
-// ApplyHandovers applies one boundary's moves touching this worker —
-// the worker's own plan plus the imports routed from its peers — in
-// ascending global user-id order, reproducing the single-process
-// migrate pass on the owned cells. It then verifies local twin
-// conservation and late-trains owned cells that just gained their
-// first users.
-func (w *Worker) ApplyHandovers(moves []Handover) error {
-	sorted := append([]Handover(nil), moves...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	for _, h := range sorted {
-		if h.ID < 0 || h.ID >= len(w.eng.owner) {
-			return fmt.Errorf("handover of unknown user %d: %w", h.ID, ErrConfig)
-		}
-		if h.To < 0 || h.To >= len(w.eng.cells) || h.From < 0 || h.From >= len(w.eng.cells) {
-			return fmt.Errorf("handover of user %d between cells %d and %d: %w", h.ID, h.From, h.To, ErrConfig)
-		}
-		fromOwned, toOwned := w.mask[h.From], w.mask[h.To]
-		switch {
-		case fromOwned && toOwned:
-			mu, ok := w.eng.cells[h.From].eng.DetachUser(h.ID)
-			if !ok {
-				return fmt.Errorf("user %d not detachable from cell %d: %w", h.ID, h.From, ErrConfig)
-			}
-			if err := w.eng.cells[h.To].eng.AttachUser(mu); err != nil {
-				return err
-			}
-			w.eng.cells[h.To].migratedIn++
-			w.eng.handovers++
-		case fromOwned:
-			if _, ok := w.eng.cells[h.From].eng.DetachUser(h.ID); !ok {
-				return fmt.Errorf("user %d not detachable from cell %d: %w", h.ID, h.From, ErrConfig)
-			}
-			w.eng.handovers++
-			w.local--
-		case toOwned:
-			if len(h.Twin) == 0 {
-				return fmt.Errorf("import of user %d into cell %d carries no twin: %w", h.ID, h.To, ErrConfig)
-			}
-			d := checkpoint.NewDec(h.Twin)
-			mu, err := w.eng.cells[h.To].eng.DecodeUser(d)
-			if err != nil {
-				return fmt.Errorf("import user %d: %w", h.ID, err)
-			}
-			if err := d.Close(); err != nil {
-				return fmt.Errorf("import user %d: %w", h.ID, err)
-			}
-			if mu.ID() != h.ID {
-				return fmt.Errorf("import of user %d decoded twin %d: %w", h.ID, mu.ID(), ErrConfig)
-			}
-			if err := w.eng.cells[h.To].eng.AttachUser(mu); err != nil {
-				return err
-			}
-			w.eng.cells[h.To].migratedIn++
-			w.local++
-		default:
-			return fmt.Errorf("handover of user %d (%d→%d) routed to worker %d owning neither endpoint: %w",
-				h.ID, h.From, h.To, w.index, ErrConfig)
-		}
-		w.eng.owner[h.ID] = h.To
-	}
-	total := 0
-	for _, ci := range w.owned {
-		total += w.eng.cells[ci].eng.NumUsers()
-	}
-	if total != w.local {
-		return fmt.Errorf("%d twins on worker %d after handover, want %d (twin lost or duplicated): %w",
-			total, w.index, w.local, ErrConfig)
-	}
-	return w.lateTrain()
-}
-
-// lateTrain fits owned cells that gained their first users after the
-// cluster trained, mirroring Engine.lateTrain for the owned block.
-func (w *Worker) lateTrain() error {
-	if !w.eng.trained {
-		return nil
-	}
-	for _, ci := range w.owned {
-		c := w.eng.cells[ci]
-		if !c.built && c.eng.NumUsers() > 0 {
-			if err := c.eng.Train(); err != nil {
-				return fmt.Errorf("cell %d late train: %w", c.id, err)
-			}
-			if err := c.eng.BuildGroups(); err != nil {
-				return fmt.Errorf("cell %d late construction: %w", c.id, err)
-			}
-			c.built = true
-		}
-	}
-	return nil
-}
-
-// FinishStats finalizes the owned cells and returns their end-of-run
-// statistics in cell-id order plus the raw cache counts — the
-// worker's contribution to the merged Trace.
-func (w *Worker) FinishStats() (cells []CellStats, hits, misses int) {
-	for _, ci := range w.owned {
-		c := w.eng.cells[ci]
-		c.eng.FinishTrace(c.trace)
-		h, m := c.server.Cache().Counts()
-		hits += h
-		misses += m
-		cells = append(cells, CellStats{
-			BS:            c.id,
-			Users:         c.eng.NumUsers(),
-			K:             c.trace.K,
-			Silhouette:    c.trace.Silhouette,
-			CacheHitRate:  c.trace.CacheHitRate,
-			ChurnedUsers:  c.trace.ChurnedUsers,
-			AttachedTwins: c.migratedIn,
-		})
-	}
-	return cells, hits, misses
-}
-
-// WriteState appends the worker's boundary state to a checkpoint —
-// the engine encoding, with un-owned cells present but empty.
-func (w *Worker) WriteState(cw *checkpoint.Writer) error { return w.eng.WriteState(cw) }
-
-// ReadState restores boundary state written by WriteState into a
-// freshly constructed worker of the identical configuration and
-// partition.
-func (w *Worker) ReadState(cr *checkpoint.Reader) error {
-	if err := w.eng.ReadState(cr); err != nil {
-		return err
-	}
-	w.local = 0
-	for _, ci := range w.owned {
-		w.local += w.eng.cells[ci].eng.NumUsers()
-	}
-	// The engine restore replayed construction, which repopulates every
-	// cell before overwriting from the checkpoint; verify no twin leaked
-	// back into an un-owned cell.
-	for c, cell := range w.eng.cells {
-		if !w.mask[c] && cell.eng.NumUsers() != 0 {
-			return fmt.Errorf("worker %d restore left %d twins in un-owned cell %d: %w",
-				w.index, cell.eng.NumUsers(), c, checkpoint.ErrCorrupt)
-		}
-	}
-	return nil
+	return w.stepCells(ctx, interval)
 }

@@ -54,9 +54,11 @@ type Config struct {
 	// restart of the same worker, capped at 1s (default 25ms).
 	Backoff time.Duration
 	// Adopt degrades gracefully instead of failing: a worker that
-	// exhausts its restart budget is adopted — its cells run
-	// in-process inside the supervisor from the last acked
-	// checkpoint. Without Adopt, budget exhaustion is ErrWorkerFailed.
+	// exhausts its restart budget is adopted — respawned once more on
+	// the in-process transport from the last acked checkpoint, with
+	// its remaining scheduled faults stripped and no further budget:
+	// losing an adopted worker is ErrWorkerFailed. Without Adopt,
+	// budget exhaustion is ErrWorkerFailed.
 	Adopt bool
 	// Faults schedules deterministic process-fault injection
 	// (kill/hang/garbage) on workers, for tests and chaos runs.
@@ -123,8 +125,9 @@ type workerHandle struct {
 	sendq      chan sendReq // ordered async sends of the live incarnation
 	lastCkpt   []byte       // last acked boundary checkpoint (resume blob before any)
 	lastBeat   time.Time    // last frame of the live incarnation
-	wk         *cluster.Worker
-	plan       []cluster.Handover // adopted: full handover plan awaiting imports
+	// adopted marks a worker past its restart budget that now runs on
+	// the in-process transport whatever Config.Transport says.
+	adopted bool
 
 	// Per-step state. got* flags survive recovery: a replayed worker
 	// re-sends exports and records, and the duplicates are dropped.
@@ -197,13 +200,16 @@ func New(cfg Config) (*Supervisor, error) {
 	s.rx = reg.Counter("dtmsvs_coord_rx_bytes_total", "Frame bytes read from workers.")
 	s.hbMissC = reg.Counter("dtmsvs_heartbeat_miss_total", "Workers declared dead by heartbeat deadline.")
 	s.adoptC = reg.Counter("dtmsvs_worker_adoptions_total", "Workers adopted in-process after exhausting restarts.")
-	for i := 0; i < cfg.Workers; i++ {
+	handles := make([]workerHandle, cfg.Workers)
+	s.handles = make([]*workerHandle, cfg.Workers)
+	for i := range handles {
 		lbl := obs.Label{Name: "worker", Value: strconv.Itoa(i)}
-		s.handles = append(s.handles, &workerHandle{
+		handles[i] = workerHandle{
 			idx:       i,
 			stage:     reg.Stage("coord_boundary", lbl),
 			restartsC: reg.Counter("dtmsvs_worker_restarts_total", "Worker restarts after crash, torn frame or missed heartbeat.", lbl),
-		})
+		}
+		s.handles[i] = &handles[i]
 	}
 	return s, nil
 }
@@ -223,6 +229,9 @@ func (s *Supervisor) SetResume(blobs [][]byte) error {
 	}
 	return nil
 }
+
+// Cluster returns the fully defaulted scenario the supervisor runs.
+func (s *Supervisor) Cluster() cluster.Config { return s.cfg.Cluster }
 
 // Restarts reports total worker restarts so far.
 func (s *Supervisor) Restarts() int { return s.restartsTotal }
@@ -291,7 +300,7 @@ func (s *Supervisor) pump(idx, inc int, t Transport) {
 func (s *Supervisor) helloPayload(h *workerHandle) ([]byte, error) {
 	var faults []faultinject.ProcFault
 	for _, f := range s.cfg.Faults {
-		if f.Worker == h.idx && f.Interval >= h.stripBelow {
+		if f.Worker == h.idx && f.Interval >= h.stripBelow && !h.adopted {
 			faults = append(faults, f)
 		}
 	}
@@ -316,13 +325,19 @@ func (s *Supervisor) helloPayload(h *workerHandle) ([]byte, error) {
 
 // spawn starts a fresh incarnation of h and queues its hello. resend
 // additionally replays the in-flight step (and routed imports) — the
-// recovery path.
+// recovery path. A worker lost after its boundary was acked has
+// nothing to replay: its checkpoint already holds the step, so it
+// restarts idle.
 func (s *Supervisor) spawn(h *workerHandle, resend bool) error {
 	hello, err := s.helloPayload(h)
 	if err != nil {
 		return err
 	}
-	t, err := s.cfg.Transport(h.idx)
+	factory := s.cfg.Transport
+	if h.adopted {
+		factory = InProcess()
+	}
+	t, err := factory(h.idx)
 	if err != nil {
 		return err
 	}
@@ -337,7 +352,7 @@ func (s *Supervisor) spawn(h *workerHandle, resend bool) error {
 	go s.pump(h.idx, h.inc, t)
 
 	h.sendq <- sendReq{fHello, hello}
-	if resend && s.step != nil {
+	if resend && s.step != nil && !h.gotBoundary {
 		h.sendq <- sendReq{fStep, stepPayload(s.step.ph, s.step.n, s.step.seq)}
 		if s.step.importsRouted {
 			h.sendq <- sendReq{fImports, importsPayload(s.step.seq, h.imports)}
@@ -378,7 +393,7 @@ func (s *Supervisor) ensureStarted() error {
 
 // recover handles the loss of worker h for any cause: kill whatever
 // is left, and either restart it (replaying the in-flight boundary)
-// or — budget exhausted — adopt it in-process / fail the run.
+// or — budget exhausted — adopt it once / fail the run.
 func (s *Supervisor) recover(h *workerHandle, cause error) error {
 	if h.t != nil {
 		h.t.Kill()
@@ -395,168 +410,30 @@ func (s *Supervisor) recover(h *workerHandle, cause error) error {
 		budget = 0
 	}
 	if h.restarts > budget {
-		if s.cfg.Adopt {
-			return s.adopt(h, cause)
+		if !s.cfg.Adopt || h.adopted {
+			return s.fail(fmt.Errorf("worker %d lost %d times (budget %d), last cause: %v: %w",
+				h.idx, h.restarts, budget, cause, ErrWorkerFailed))
 		}
-		return s.fail(fmt.Errorf("worker %d lost %d times (budget %d), last cause: %v: %w",
-			h.idx, h.restarts, budget, cause, ErrWorkerFailed))
+		// Adoption is one more restart, on the transport that cannot
+		// fail to exec and with nothing left scheduled to kill it; the
+		// in-flight boundary replays exactly as after any restart.
+		h.adopted = true
+		s.adoptionsTotal++
+		s.adoptC.Inc()
+	} else {
+		backoff := s.cfg.Backoff
+		for i := 1; i < h.restarts && backoff < time.Second; i++ {
+			backoff *= 2
+		}
+		if backoff > time.Second {
+			backoff = time.Second
+		}
+		time.Sleep(backoff)
 	}
-	backoff := s.cfg.Backoff
-	for i := 1; i < h.restarts && backoff < time.Second; i++ {
-		backoff *= 2
-	}
-	if backoff > time.Second {
-		backoff = time.Second
-	}
-	time.Sleep(backoff)
 	if err := s.spawn(h, true); err != nil {
-		return s.fail(fmt.Errorf("respawn worker %d: %v: %w", h.idx, err, ErrWorkerFailed))
+		return s.fail(fmt.Errorf("respawn worker %d after %v: %v: %w", h.idx, cause, err, ErrWorkerFailed))
 	}
 	return nil
-}
-
-// adopt runs h's cells in-process from its last acked checkpoint —
-// graceful degradation once the restart budget is gone. The in-flight
-// boundary is replayed locally.
-func (s *Supervisor) adopt(h *workerHandle, cause error) error {
-	wk, err := cluster.NewWorker(s.cfg.Cluster, h.idx, len(s.handles))
-	if err != nil {
-		return s.fail(fmt.Errorf("adopt worker %d: %v: %w", h.idx, err, ErrWorkerFailed))
-	}
-	if len(h.lastCkpt) > 0 {
-		if err := restoreWorker(wk, s.cfg.Cluster, h.idx, len(s.handles), h.lastCkpt); err != nil {
-			wk.Close()
-			return s.fail(fmt.Errorf("adopt worker %d: %v: %w", h.idx, err, ErrWorkerFailed))
-		}
-	}
-	h.wk = wk
-	h.t = nil
-	h.conn = nil
-	if h.sendq != nil {
-		close(h.sendq)
-		h.sendq = nil
-	}
-	s.adoptionsTotal++
-	s.adoptC.Inc()
-	_ = cause
-	if s.step != nil {
-		return s.runLocal(h)
-	}
-	return nil
-}
-
-// restoreWorker restores wk from a boundary checkpoint blob.
-func restoreWorker(wk *cluster.Worker, cfg cluster.Config, index, count int, blob []byte) error {
-	fp, err := WorkerFingerprint(cfg, index, count)
-	if err != nil {
-		return err
-	}
-	cr, err := checkpoint.NewReader(bytes.NewReader(blob), WorkerKind, fp)
-	if err != nil {
-		return err
-	}
-	if err := wk.ReadState(cr); err != nil {
-		return err
-	}
-	return cr.Finish()
-}
-
-// runLocal replays the in-flight boundary on an adopted worker: the
-// phase's engine work, records, exports — deduplicated against what
-// the dead incarnation already delivered — and, if imports are
-// already routed, the apply and boundary.
-func (s *Supervisor) runLocal(h *workerHandle) error {
-	st := s.step
-	ctx := context.Background()
-	var err error
-	switch st.ph {
-	case phaseWarmup:
-		err = h.wk.WarmupStep(ctx)
-	case phaseTrain:
-		err = h.wk.TrainAndBuild(ctx)
-	case phaseInterval:
-		var recs []cluster.Record
-		if recs, err = h.wk.StepInterval(ctx, st.n); err == nil {
-			var blob []byte
-			if blob, err = encodeRecordsStream(recs); err == nil && !h.gotRecords {
-				h.records = blob
-				h.gotRecords = true
-			}
-		}
-	case phaseCkpt:
-		// Checkpoint-only boundary: no engine work.
-	}
-	if err != nil {
-		return s.fail(fmt.Errorf("adopted worker %d %s %d: %w", h.idx, st.ph, st.n, err))
-	}
-	h.plan = nil
-	if st.ph == phaseWarmup || st.ph == phaseInterval {
-		if h.plan, err = h.wk.PlanHandovers(); err != nil {
-			return s.fail(fmt.Errorf("adopted worker %d plan: %w", h.idx, err))
-		}
-	}
-	if !h.gotExports {
-		for _, x := range h.plan {
-			if x.Twin != nil {
-				h.exports = append(h.exports, x)
-			}
-		}
-		h.gotExports = true
-	}
-	if st.importsRouted {
-		return s.finishLocal(h)
-	}
-	return nil
-}
-
-// finishLocal applies the routed imports on an adopted worker and
-// produces its boundary: counters, a fresh checkpoint, and final
-// stats on the last interval — exactly what a wire worker's boundary
-// frame carries.
-func (s *Supervisor) finishLocal(h *workerHandle) error {
-	st := s.step
-	if st.ph == phaseWarmup || st.ph == phaseInterval {
-		if err := h.wk.ApplyHandovers(append(h.plan, h.imports...)); err != nil {
-			return s.fail(fmt.Errorf("adopted worker %d apply: %w", h.idx, err))
-		}
-	}
-	ckpt, err := encodeWorkerCheckpoint(h.wk, s.cfg.Cluster, h.idx, len(s.handles))
-	if err != nil {
-		return s.fail(fmt.Errorf("adopted worker %d checkpoint: %w", h.idx, err))
-	}
-	h.lastCkpt = ckpt
-	h.numUsers = h.wk.NumUsers()
-	h.handovers = h.wk.Handovers()
-	h.churned = h.wk.Churned()
-	if st.ph == phaseCkpt || (st.ph == phaseInterval && st.n == s.cfg.Cluster.Sim.NumIntervals-1) {
-		cells, hits, misses := h.wk.FinishStats()
-		jb, jerr := json.Marshal(workerStats{Cells: cells, Hits: hits, Misses: misses})
-		if jerr != nil {
-			return s.fail(jerr)
-		}
-		h.stats = jb
-	}
-	h.gotBoundary = true
-	h.stage.ObserveSince(h.stepStart)
-	return nil
-}
-
-// encodeWorkerCheckpoint captures wk as a self-contained blob, same
-// container a wire worker ships at every boundary.
-func encodeWorkerCheckpoint(wk *cluster.Worker, cfg cluster.Config, index, count int) ([]byte, error) {
-	fp, err := WorkerFingerprint(cfg, index, count)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	cw := checkpoint.NewWriter(&buf, WorkerKind, fp)
-	if err := wk.WriteState(cw); err != nil {
-		return nil, err
-	}
-	if err := cw.Finish(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // runStep drives one boundary across all workers: step out, exports
@@ -583,18 +460,11 @@ func (s *Supervisor) runStep(ctx context.Context, ph phase, n int) error {
 		h.records = nil
 		h.exports = nil
 		h.imports = nil
-		h.plan = nil
 		h.lastBeat = now
 		h.stepStart = h.stage.Start()
 	}
 	step := stepPayload(ph, n, s.seq)
 	for _, h := range s.handles {
-		if h.wk != nil {
-			if err := s.runLocal(h); err != nil {
-				return err
-			}
-			continue
-		}
 		h.sendq <- sendReq{fStep, step}
 	}
 	return s.gather(ctx)
@@ -633,7 +503,7 @@ func (s *Supervisor) gather(ctx context.Context) error {
 				s.step.ph, s.step.n, s.cfg.StepTimeout, ErrWorkerFailed))
 		}
 		for _, h := range s.handles {
-			if h.wk == nil && !h.gotBoundary && time.Since(h.lastBeat) > missAfter {
+			if !h.gotBoundary && time.Since(h.lastBeat) > missAfter {
 				s.heartbeatMisses++
 				s.hbMissC.Inc()
 				if err := s.recover(h, fmt.Errorf("missed %d heartbeats", s.cfg.HeartbeatMiss)); err != nil {
@@ -663,8 +533,7 @@ func (s *Supervisor) allBoundaries() bool {
 }
 
 // routeImports fans every worker's exports out to their destination
-// workers, then releases everyone: imports frames to wire workers,
-// local apply for adopted ones.
+// workers, then releases everyone with an imports frame.
 func (s *Supervisor) routeImports() error {
 	numCells := s.cfg.Cluster.Sim.NumBS
 	workers := len(s.handles)
@@ -680,12 +549,6 @@ func (s *Supervisor) routeImports() error {
 	}
 	s.step.importsRouted = true
 	for _, h := range s.handles {
-		if h.wk != nil {
-			if err := s.finishLocal(h); err != nil {
-				return err
-			}
-			continue
-		}
 		h.sendq <- sendReq{fImports, importsPayload(s.step.seq, h.imports)}
 	}
 	return nil
@@ -694,7 +557,7 @@ func (s *Supervisor) routeImports() error {
 // handleEvent processes one frame (or loss) from a worker.
 func (s *Supervisor) handleEvent(ev workerEvent) error {
 	h := s.handles[ev.idx]
-	if ev.inc != h.inc || h.wk != nil {
+	if ev.inc != h.inc {
 		return nil // stale incarnation
 	}
 	if ev.err != nil {
@@ -751,9 +614,10 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 		h.numUsers = numUsers
 		h.handovers = handovers
 		h.churned = churned
-		h.lastCkpt = append([]byte(nil), ckpt...)
+		// Both alias the event's private payload copy.
+		h.lastCkpt = ckpt
 		if len(stats) > 0 {
-			h.stats = append([]byte(nil), stats...)
+			h.stats = stats
 		}
 		h.gotBoundary = true
 		h.stage.ObserveSince(h.stepStart)
@@ -884,71 +748,47 @@ func (s *Supervisor) FinalStats(ctx context.Context) ([]cluster.CellStats, int, 
 	return s.Stats()
 }
 
-// Close shuts every worker down: a shutdown frame for the live ones,
-// then the transports are killed and reaped. Adopted workers are
-// closed in-process. Safe to call more than once.
+// Close shuts every worker down, adopted ones included: a shutdown
+// frame each and a moment to exit cleanly, then whatever is left is
+// killed and reaped. Safe to call more than once.
 func (s *Supervisor) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
 	for _, h := range s.handles {
-		if h.wk != nil {
-			h.wk.Close()
-			h.wk = nil
-			continue
-		}
 		if h.sendq != nil {
 			h.sendq <- sendReq{fShutdown, nil}
 			close(h.sendq)
 			h.sendq = nil
 		}
 	}
-	// Give workers a moment to exit cleanly, then kill what is left.
-	// The event channel keeps draining so pump goroutines can deliver
-	// their final error and unwind.
-	patience := time.After(2 * time.Second)
-	done := make([]bool, len(s.handles))
-	for {
-		live := false
-		for i, h := range s.handles {
-			if h.t == nil || done[i] {
-				continue
+	if !s.reap(2 * time.Second) {
+		for _, h := range s.handles {
+			if h.t != nil {
+				h.t.Kill()
 			}
+		}
+		s.reap(2 * time.Second)
+	}
+	return nil
+}
+
+// reap waits up to d for every spawned worker to stop and reports
+// whether all did. The event channel keeps draining meanwhile, so pump
+// goroutines can deliver their final error and unwind.
+func (s *Supervisor) reap(d time.Duration) bool {
+	deadline := time.After(d)
+	for _, h := range s.handles {
+		for stopped := h.t == nil; !stopped; {
 			select {
 			case <-h.t.Done():
-				done[i] = true
-			default:
-				live = true
+				stopped = true
+			case <-s.events:
+			case <-deadline:
+				return false
 			}
-		}
-		if !live {
-			return nil
-		}
-		select {
-		case <-s.events:
-		case <-patience:
-			for i, h := range s.handles {
-				if h.t != nil && !done[i] {
-					h.t.Kill()
-				}
-			}
-			// One bounded reap pass after the kill.
-			reap := time.After(2 * time.Second)
-			for i, h := range s.handles {
-				if h.t == nil || done[i] {
-					continue
-				}
-				select {
-				case <-h.t.Done():
-					done[i] = true
-				case <-s.events:
-				case <-reap:
-					return nil
-				}
-			}
-			return nil
-		case <-time.After(10 * time.Millisecond):
 		}
 	}
+	return true
 }

@@ -1,15 +1,17 @@
 // Package coord is the distributed cluster coordinator: a supervisor
-// drives N worker processes, each owning a contiguous block of
-// coverage cells (cluster.Worker), through the scenario in lockstep
-// boundaries — exchanging handover-twin batches, per-interval record
-// streams and per-boundary checkpoints as length-prefixed
-// CRC32-guarded binary frames over pipes.
+// drives N workers, each the cluster engine over one contiguous block
+// of coverage cells (cluster.Worker, constructed only on the worker
+// side of the wire), through the scenario in lockstep boundaries —
+// exchanging handover-twin batches, per-interval record streams and
+// per-boundary checkpoints as length-prefixed CRC32-guarded binary
+// frames over pipes.
 //
 // The robustness layer is the point: workers heartbeat between
 // frames, every boundary ships a checkpoint, and on worker loss —
 // process exit, SIGKILL, torn frame, missed heartbeat, stalled step —
 // the supervisor restarts the worker with exponential backoff from
-// the last checkpoint it acked and replays the in-flight boundary.
+// the last checkpoint it acked and replays the in-flight boundary
+// (adoption is that restart taken once past the budget, in-process).
 // Because workers are deterministic and boundaries are idempotent to
 // replay, the merged trace stays bit-identical to the single-process
 // cluster run at the same seed, faults or none.
@@ -38,7 +40,8 @@ var (
 	// payload shape).
 	ErrProtocol = errors.New("coord: protocol violation")
 	// ErrWorkerFailed marks a worker that died more times than the
-	// restart budget allows (and, absent adoption, fails the run).
+	// restart budget allows with adoption off, or once more after being
+	// adopted; either fails the run.
 	ErrWorkerFailed = errors.New("coord: worker failed")
 )
 

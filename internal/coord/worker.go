@@ -243,11 +243,13 @@ type workerSession struct {
 	fp    uint64
 	hello helloMsg
 	enc   checkpoint.Enc
-	// ckpt holds the boundary checkpoint between encode and send, kept
-	// across boundaries so it is sized once; conn.send copies the frame
-	// out before returning.
-	ckpt bytes.Buffer
-	kill func()
+	// ckpt holds the boundary checkpoint between encode and send, and
+	// ckptw encodes it; both are kept across boundaries so the blob and
+	// the writer's section buffer are sized once. conn.send copies the
+	// frame out before returning.
+	ckpt  bytes.Buffer
+	ckptw checkpoint.Writer
+	kill  func()
 }
 
 // handleStep runs one boundary: fault injection, the phase's engine
@@ -366,39 +368,28 @@ func (ws *workerSession) injectFaults(n int) {
 	}
 }
 
-// encodeRecordsStream encodes one interval's records as a whole
-// columnar trace stream — the unit of the supervisor's block-append
-// merge. Worker processes and adopted in-process workers both encode
-// through here, so the merged bytes cannot depend on where a worker
-// runs.
-func encodeRecordsStream(recs []cluster.Record) ([]byte, error) {
+// sendRecords ships one interval's records in the records frame, as a
+// whole columnar trace stream — the unit of the supervisor's
+// block-append merge.
+func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
 	var stream bytes.Buffer
 	bw, err := tracebin.NewWriter(&stream, tracebin.WriterOptions{Workers: 1})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rows := make([]tracebin.Record, len(recs))
 	for i, r := range recs {
 		rows[i] = r.BinRecord()
 	}
 	if err := bw.Flush(rows); err != nil {
-		return nil, err
+		return err
 	}
 	if err := bw.Close(); err != nil {
-		return nil, err
-	}
-	return stream.Bytes(), nil
-}
-
-// sendRecords ships one interval's records in the records frame.
-func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
-	stream, err := encodeRecordsStream(recs)
-	if err != nil {
 		return err
 	}
 	ws.enc.Reset()
 	ws.enc.I64(seq)
-	ws.enc.Blob(stream)
+	ws.enc.Blob(stream.Bytes())
 	return ws.c.send(fRecords, ws.enc.Bytes())
 }
 
@@ -436,10 +427,13 @@ func (ws *workerSession) awaitImports(seq int64) ([]cluster.Handover, error) {
 }
 
 // encodeCheckpoint captures the worker's boundary state as a
-// self-contained checkpoint blob, valid until the next call.
+// self-contained checkpoint blob, valid until the next call. This and
+// the restore in RunWorkerOpts are the only places a worker checkpoint
+// is written or read.
 func (ws *workerSession) encodeCheckpoint() ([]byte, error) {
 	ws.ckpt.Reset()
-	cw := checkpoint.NewWriter(&ws.ckpt, WorkerKind, ws.fp)
+	cw := &ws.ckptw
+	cw.Reset(&ws.ckpt, WorkerKind, ws.fp)
 	if err := ws.wk.WriteState(cw); err != nil {
 		return nil, err
 	}

@@ -152,19 +152,17 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 // User is an opaque handle to one simulated user — twin, mobility
 // model, link and calibration state — detached from a cell for
 // cross-shard migration. The handle carries the user's private random
-// stream, so its draw sequence is unaffected by the move.
+// stream, so its draw sequence is unaffected by the move. It is one
+// pointer wide and passed by value, so a handover allocates nothing
+// for it; the zero User is no user.
 type User struct{ u *user }
 
 // ID returns the user's global id.
-func (m *User) ID() int { return m.u.id }
+func (m User) ID() int { return m.u.id }
 
 // ServingBS returns the id of the base station the user's link is
 // currently attached to.
-func (m *User) ServingBS() int { return m.u.link.BS().ID }
-
-// Position returns the user's current map position, so the cluster
-// engine can route an evacuated twin to the nearest surviving cell.
-func (m *User) Position() mobility.Point { return m.u.mob.Position() }
+func (m User) ServingBS() int { return m.u.link.BS().ID }
 
 // SpawnUser creates a fresh user with the given global id (churn
 // generation 0) without attaching it to this engine. The cluster
@@ -172,12 +170,9 @@ func (m *User) Position() mobility.Point { return m.u.mob.Position() }
 // touches the shared substrate and the user's own derived stream, so
 // it does not matter which cell spawns — and attaches each user to
 // the cell of its initial serving base station.
-func (s *Simulation) SpawnUser(id int) (*User, error) {
+func (s *Simulation) SpawnUser(id int) (User, error) {
 	u, err := s.newUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), 0))
-	if err != nil {
-		return nil, err
-	}
-	return &User{u: u}, nil
+	return User{u: u}, err
 }
 
 // NumUsers reports the engine's current population.
@@ -202,12 +197,24 @@ func (s *Simulation) ServingBSOf(id int) int {
 	return u.link.BS().ID
 }
 
+// PositionOf returns the current map position of the user with the
+// given global id, so the cluster engine can route an evacuated twin
+// to the nearest surviving cell; false if the user is not in this
+// engine.
+func (s *Simulation) PositionOf(id int) (mobility.Point, bool) {
+	u := s.userByID(id)
+	if u == nil {
+		return mobility.Point{}, false
+	}
+	return u.mob.Position(), true
+}
+
 // DetachUser removes the user with the given global id from the
 // engine — population and multicast group — and returns the handle.
-func (s *Simulation) DetachUser(id int) (*User, bool) {
+func (s *Simulation) DetachUser(id int) (User, bool) {
 	pos := s.userPos(id)
 	if pos < 0 {
-		return nil, false
+		return User{}, false
 	}
 	u := s.users[pos]
 	s.users = append(s.users[:pos], s.users[pos+1:]...)
@@ -222,7 +229,7 @@ func (s *Simulation) DetachUser(id int) (*User, bool) {
 	// Membership changed under the stability tracker's feet; the next
 	// construction starts a fresh baseline.
 	s.prevAssign = nil
-	return &User{u: u}, true
+	return User{u: u}, true
 }
 
 // AttachUser inserts a migrated (or freshly spawned) user into the
@@ -232,8 +239,8 @@ func (s *Simulation) DetachUser(id int) (*User, bool) {
 // update on user dynamics); when no centroid applies it joins the
 // smallest group, matching how churn arrivals inherit a slot's
 // membership in the monolithic engine.
-func (s *Simulation) AttachUser(mu *User) error {
-	if mu == nil || mu.u == nil {
+func (s *Simulation) AttachUser(mu User) error {
+	if mu.u == nil {
 		return fmt.Errorf("attach nil user: %w", ErrConfig)
 	}
 	u := mu.u

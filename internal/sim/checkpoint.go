@@ -306,12 +306,9 @@ func (s *Simulation) EncodeUser(e *checkpoint.Enc, id int) error {
 // replaying the deterministic constructor on this cell's substrate
 // and overwriting the mutable state. The returned handle is detached:
 // pass it to AttachUser to add it to this cell's population.
-func (s *Simulation) DecodeUser(d *checkpoint.Dec) (*User, error) {
+func (s *Simulation) DecodeUser(d *checkpoint.Dec) (User, error) {
 	u, err := s.decodeUser(d)
-	if err != nil {
-		return nil, err
-	}
-	return &User{u: u}, nil
+	return User{u: u}, err
 }
 
 func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {

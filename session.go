@@ -304,7 +304,9 @@ type stepper interface {
 	warmupStep(ctx context.Context) error
 	trainAndBuild(ctx context.Context) error
 	stepInterval(ctx context.Context, interval int) ([]TraceRecord, error)
-	finish()
+	// finish stamps the run-level trace fields after the last interval;
+	// an error means the trace summary could not be assembled.
+	finish() error
 	handovers() int
 	churned() int
 	// cellsDown and evacuated report the degradation state of the
@@ -441,8 +443,10 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 	}
 	s.next++
 	if s.next >= s.eng.intervals() {
+		if err := s.eng.finish(); err != nil {
+			return zero, s.fail(err)
+		}
 		s.finished = true
-		s.eng.finish()
 	}
 	rep.StepDuration = time.Since(start)
 	rep.PrologueDuration = prologue
@@ -621,8 +625,8 @@ func (a *simStepper) stepInterval(ctx context.Context, interval int) ([]TraceRec
 	return out, nil
 }
 
-func (a *simStepper) finish() { a.eng.FinishTrace(a.trace) }
-func (a *simStepper) close()  { a.eng.Close() }
+func (a *simStepper) finish() error { a.eng.FinishTrace(a.trace); return nil }
+func (a *simStepper) close()        { a.eng.Close() }
 
 func (a *simStepper) mount(reg *MetricsRegistry) { a.eng.SetMetrics(reg) }
 
@@ -704,8 +708,8 @@ func (a *clusterStepper) stepInterval(ctx context.Context, interval int) ([]Trac
 	return out, nil
 }
 
-func (a *clusterStepper) finish() { a.trace = a.eng.Finish() }
-func (a *clusterStepper) close()  { a.eng.Close() }
+func (a *clusterStepper) finish() error { a.trace = a.eng.Finish(); return nil }
+func (a *clusterStepper) close()        { a.eng.Close() }
 
 func (a *clusterStepper) mount(reg *MetricsRegistry) { a.eng.SetMetrics(reg) }
 

@@ -384,3 +384,54 @@ func TestSinkFailureKeepsWholeIntervalPrefix(t *testing.T) {
 			buf.Len(), len(want))
 	}
 }
+
+// failingFinish is a stepper whose final stamp fails, as a distributed
+// run's does when the workers' final stats cannot be fetched.
+type failingFinish struct {
+	stepper
+	err error
+}
+
+func (f failingFinish) finish() error { return f.err }
+
+// TestFinishErrorFailsSession: an engine that cannot assemble its
+// run-level trace on the final interval fails that Step and the
+// session with the cause, instead of reporting Done with an empty
+// summary. The interval itself completed, so its records are on the
+// sink and counted.
+func TestFinishErrorFailsSession(t *testing.T) {
+	cfg := sessionTestConfig(9, 1)
+	full, _ := ndjsonRun(t, func(opts ...SessionOption) (Session, error) {
+		return Open(cfg, opts...)
+	})
+	var buf bytes.Buffer
+	s, err := Open(cfg, WithSink(NewNDJSONSink(&buf)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	boom := errors.New("final stats unavailable")
+	s.eng = failingFinish{stepper: s.eng, err: boom}
+	ctx := context.Background()
+	for i := 0; i < cfg.NumIntervals-1; i++ {
+		if _, serr := s.Step(ctx); serr != nil {
+			t.Fatal(serr)
+		}
+	}
+	if _, serr := s.Step(ctx); !errors.Is(serr, boom) {
+		t.Fatalf("final step: %v, want the finish error", serr)
+	}
+	if s.Done() {
+		t.Fatal("session reports Done after its final stamp failed")
+	}
+	if _, serr := s.Step(ctx); !errors.Is(serr, boom) {
+		t.Fatalf("step after failure: %v, want the latched finish error", serr)
+	}
+	if cerr := s.Checkpoint(io.Discard); !errors.Is(cerr, boom) {
+		t.Fatalf("checkpoint of the failed session: %v", cerr)
+	}
+	if s.Interval() != cfg.NumIntervals || buf.String() != full {
+		t.Fatalf("final interval's records lost: interval %d, %d of %d stream bytes",
+			s.Interval(), buf.Len(), len(full))
+	}
+}
