@@ -415,6 +415,130 @@ func TestCheckpointDigestPinned(t *testing.T) {
 	}
 }
 
+// traceDigestConfig is the scenario of the pinned trace digests: the
+// CNN is on and every engine holds more users than KMax, so the digest
+// covers the compressor fit, the DDQN's K-means and silhouette rewards
+// and the group build, as well as the simulation around them.
+func traceDigestConfig(seed int64, users int) ClusterConfig {
+	c := Config{
+		Seed:             seed,
+		NumUsers:         users,
+		NumBS:            4,
+		NumIntervals:     4,
+		TicksPerInterval: 6,
+		WarmupIntervals:  1,
+		RegroupEvery:     2,
+		CompressorEpochs: 2,
+		AgentEpisodes:    6,
+		ChurnPerInterval: 0.1,
+		PrefetchDepth:    -1,
+	}
+	c.Grouping.UseCNN = true
+	return ClusterConfig{Sim: c}
+}
+
+// TestTraceDigestPinned pins the SHA-256 of the binary trace of four
+// tiny runs — monolithic with DDQN training, cluster, degraded cluster
+// and two in-process distributed workers — at two seeds, so a change
+// that claims to be bit-identical is checked against the bytes the
+// previous revision wrote, not only against itself. The final
+// checkpoint is pinned beside the trace: it carries the trained CNN and
+// DDQN weights, which move with any bit of a silhouette reward or an
+// optimizer step even when the selected K, and so the trace, does not.
+// Every run uses all cores and the dispatched kernels; the determinism
+// suites show neither reaches the bytes, and the digests hold under the
+// purego tag. Like TestCheckpointDigestPinned the pin holds where the
+// compiler does not fuse multiply-adds: amd64 at the default GOAMD64
+// level.
+func TestTraceDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are pinned for amd64 floating-point evaluation")
+	}
+	mono := func(seed int64, opts ...SessionOption) (Session, error) {
+		return Open(traceDigestConfig(seed, 300).Sim, opts...)
+	}
+	cluster := func(seed int64, opts ...SessionOption) (Session, error) {
+		return OpenCluster(traceDigestConfig(seed, 64), opts...)
+	}
+	degraded := func(seed int64, opts ...SessionOption) (Session, error) {
+		cfg := traceDigestConfig(seed, 64)
+		cfg.Faults = []CellFault{{Cell: 1, FailAt: 1, ReviveAt: 3}}
+		return OpenCluster(cfg, append(opts, WithCellFailurePolicy(CellDegradeWithRevival))...)
+	}
+	distributed := func(seed int64, opts ...SessionOption) (Session, error) {
+		return OpenDistributed(traceDigestConfig(seed, 64), 2, opts...)
+	}
+	for _, tc := range []struct {
+		name        string
+		seed        int64
+		open        func(seed int64, opts ...SessionOption) (Session, error)
+		trace, ckpt string
+	}{
+		{"mono", 42, mono,
+			"998aabfc32f692d75175eda7762983f6f7a772976541f4ab0620bca27bdc3335",
+			"a18f8054a056d69b95346e281a717220dedc46b407d233db813bc5bf9ac87318"},
+		{"mono", 7, mono,
+			"6e6daefafdf2509a8eec64be401f93435979fa76fd3322ad4cac757e901a65ea",
+			"e96d86a0aca78e66fd6bde1b25e6e4f74401570f0eac4135d06a0b672fc0e74c"},
+		{"cluster", 42, cluster,
+			"66dbae66259bef6293276962d06c51db29e06066af83a46b8a32e4a83d59fae9",
+			"3418d8356065a8fcad657841813ac9e839410d7ed8847b0097127b21a3d2db71"},
+		{"cluster", 7, cluster,
+			"c9225eef348e49f141d60fe027074b388d3232cca50a874f68115680f443cbd7",
+			"f0d2946a6cd15f01cb2f2519f2362397f77e537a8cadce9b7dffd7a09456a904"},
+		{"degraded", 42, degraded,
+			"9a8e5465a8b6ea5c53f1c360a06f8307b89f8ed5e8ab06372e41d4d0d81ea8f9",
+			"e047ccaad3ad1f9c317c81ecc44feb8c1e8a21afeaa0ffa9e9c9ca3a69e1d095"},
+		{"degraded", 7, degraded,
+			"54e4bee8d5cf8c5c7b5776688ef7c2ca0fa0a948b244d6fe36bb3598abe929cf",
+			"009b2735e6b06d4010cc70801a26045feb8479daac32423e70bc1ffc5a98e18e"},
+		{"distributed", 42, distributed,
+			"66dbae66259bef6293276962d06c51db29e06066af83a46b8a32e4a83d59fae9",
+			"824dd6a5ac719786bfc73559dca1d74782faee2edcf9fead0b8e6b6fdc1bae1d"},
+		{"distributed", 7, distributed,
+			"c9225eef348e49f141d60fe027074b388d3232cca50a874f68115680f443cbd7",
+			"7933eb16b2264c28c88b549ad2c4e5b24e6e26e55b41db6eed74a17d6c49c865"},
+	} {
+		t.Run(fmt.Sprintf("%s/seed%d", tc.name, tc.seed), func(t *testing.T) {
+			var trace, ckpt bytes.Buffer
+			sink, err := NewBinarySink(&trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := tc.open(tc.seed, WithSink(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for !s.Done() {
+				if _, serr := s.Step(context.Background()); serr != nil {
+					t.Fatal(serr)
+				}
+			}
+			if err := s.Checkpoint(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, pin := range []struct {
+				what string
+				raw  []byte
+				want string
+			}{{"binary trace", trace.Bytes(), tc.trace}, {"final checkpoint", ckpt.Bytes(), tc.ckpt}} {
+				if got := fmt.Sprintf("%x", sha256.Sum256(pin.raw)); got != pin.want {
+					t.Errorf("%s (%d bytes) digest\n got %s\nwant %s\n"+
+						"update the pin only for a deliberate engine change, and say so in CHANGES.md",
+						pin.what, len(pin.raw), got, pin.want)
+				}
+			}
+		})
+	}
+}
+
 // TestCheckpointKeepsItsBuffer: the session encodes every checkpoint
 // after its first into the buffer the first one grew. Growing a new
 // buffer to the size of the state each call cost more than encoding
