@@ -3,6 +3,7 @@ package dtmsvs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -12,6 +13,9 @@ import (
 	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/cnn"
 	"dtmsvs/internal/grouping"
+	"dtmsvs/internal/kmeans"
+	"dtmsvs/internal/nn"
+	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/predict"
 	"dtmsvs/internal/sim"
 	"dtmsvs/internal/udt"
@@ -757,5 +761,141 @@ func BenchmarkOpenCluster(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.Close()
+	}
+}
+
+// BenchmarkPoolFor measures parallel.Pool's claim scheme on all cores:
+// "fine" is 2000 cheap index-owned writes — the shape of a K-means
+// assignment or silhouette row fan-out, where per-index claims and
+// neighbouring indices on different cores cost more than the work —
+// and "heavy" is eight items of about 40 µs each, the shape of a cell
+// or group fan-out, which must stay spread over the workers.
+func BenchmarkPoolFor(b *testing.B) {
+	pool := parallel.New(0)
+	b.Run("fine", func(b *testing.B) {
+		out := make([]float64, 2000)
+		fn := func(i int) error {
+			out[i] = math.Sqrt(float64(i)) * 1.5
+			return nil
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := pool.For(len(out), fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("heavy", func(b *testing.B) {
+		src := make([]float64, 40_000)
+		for i := range src {
+			src[i] = float64(i % 97)
+		}
+		out := make([]float64, 8)
+		fn := func(i int) error {
+			var s float64
+			for _, v := range src {
+				s += v * float64(i+1)
+			}
+			out[i] = s
+			return nil
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := pool.For(len(out), fn); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSilhouetteDists measures one DDQN reward's silhouette over
+// the cached distance matrix of 2000 eight-dimensional codes, on all
+// cores, at the two ends of the K range.
+func BenchmarkSilhouetteDists(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	codes := make([]vecmath.Vec, 2000)
+	for i := range codes {
+		c := make(vecmath.Vec, 8)
+		for j := range c {
+			c[j] = float64(i%6) + 0.5*rng.NormFloat64()
+		}
+		codes[i] = c
+	}
+	pool := parallel.New(0)
+	dists, err := kmeans.PairDistances(codes, pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{2, 8} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			res, err := kmeans.Run(codes, k, rand.New(rand.NewSource(12)), kmeans.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := kmeans.SilhouetteDists(dists, res.Assign, k, pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAdamStep measures one optimizer step over the parameter
+// shapes of the CNN compressor (conv, encoder head, two decoder
+// layers: 5 656 weights), the sequential tail of every training batch.
+func BenchmarkAdamStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	var params []nn.Param
+	for _, n := range []int{120, 8, 448, 8, 448, 56, 4480, 80} {
+		p := nn.Param{W: make([]float64, n), G: make([]float64, n)}
+		for j := range p.W {
+			p.W[j] = rng.NormFloat64()
+			p.G[j] = 0.1 * rng.NormFloat64()
+		}
+		params = append(params, p)
+	}
+	opt := nn.NewAdam(1e-3 * math.Sqrt(8))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := opt.Step(params); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainAgent measures the DDQN half of the learning prologue
+// at a monolithic engine's scale: 20 episodes over the codes of 2000
+// twins, each a K-means++ run and a silhouette reward, on all cores.
+// The compressor is trained once outside the timer and every iteration
+// starts from the same weights and random stream.
+func BenchmarkTrainAgent(b *testing.B) {
+	twins := populationTwins(b, 2000)
+	cfg := grouping.Config{WindowSteps: 16, PosScale: 2000, KMin: 2, KMax: 8, UseCNN: true}
+	trained, err := grouping.New(cfg, rand.New(rand.NewSource(14)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := trained.TrainCompressor(twins, 2); err != nil {
+		b.Fatal(err)
+	}
+	state := trained.SaveState()
+	pool := parallel.New(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		builder, err := grouping.New(cfg, rand.New(rand.NewSource(15)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := builder.LoadState(state); err != nil {
+			b.Fatal(err)
+		}
+		builder.SetPool(pool)
+		if _, err := builder.TrainAgent(twins, 20); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

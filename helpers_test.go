@@ -1,6 +1,7 @@
 package dtmsvs
 
 import (
+	"math/rand"
 	"testing"
 
 	"dtmsvs/internal/udt"
@@ -39,6 +40,37 @@ func benchTwins(tb testing.TB) []*udt.Twin {
 				if _, verr := tw.CollectView(video.Game, 4, 0.1, true); verr != nil {
 					tb.Fatal(verr)
 				}
+			}
+		}
+		twins[i] = tw
+	}
+	return twins
+}
+
+// populationTwins builds n twins in four behavioural clusters — signal
+// level, position, favourite category and watch depth — with per-tick
+// noise, the scale of a monolithic engine's population.
+func populationTwins(tb testing.TB, n int) []*udt.Twin {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	cats := video.AllCategories()
+	twins := make([]*udt.Twin, n)
+	for i := range twins {
+		tw, err := udt.NewTwin(i, udt.Config{
+			ChannelEvery: 1, LocationEvery: 1, WatchEvery: 1, PreferenceEvery: 1,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		c := i % 4
+		for tick := 0; tick < 32; tick++ {
+			tw.Tick()
+			if _, cerr := tw.CollectChannel(1 + 4*c + rng.Intn(3)); cerr != nil {
+				tb.Fatal(cerr)
+			}
+			tw.CollectLocation(300+400*float64(c)+40*rng.NormFloat64(), 1700-400*float64(c)+40*rng.NormFloat64())
+			if _, verr := tw.CollectView(cats[c], 5+10*float64(c)*rng.Float64(), 0.2+0.2*float64(c)*rng.Float64(), c == 0); verr != nil {
+				tb.Fatal(verr)
 			}
 		}
 		twins[i] = tw

@@ -348,16 +348,18 @@ type DistMatrix struct {
 	N int
 	D []float64 // row-major n×n, D[i*N+j] = dist(points[i], points[j])
 
-	// Silhouette scratch, grown once and reused across the many
-	// SilhouetteDists calls a DDQN training run makes against one
-	// matrix — at cluster scale this keeps the per-episode reward
-	// evaluation allocation-free. Calls on the same matrix must not
-	// overlap (they never do: each builder owns its matrix and
-	// evaluates one clustering at a time; the pool fan-out inside a
-	// call uses index-owned rows).
+	// Silhouette scratch, grown by the first SilhouetteDists call and
+	// reused by the many a DDQN training run makes against one matrix,
+	// so the per-episode reward evaluation allocates nothing. order
+	// lists the point ids grouped by cluster, ascending within each,
+	// and cluster c's members are order[start[c]:start[c+1]]. Calls on
+	// the same matrix must not overlap (they never do: each builder
+	// owns its matrix and evaluates one clustering at a time; the pool
+	// fan-out inside a call writes index-owned contrib slots).
 	sizes   []int
+	start   []int
+	order   []int
 	contrib []float64
-	sumTo   []float64
 }
 
 // At returns the distance between points i and j.
@@ -411,9 +413,23 @@ func PairDistances(points []vecmath.Vec, pool *parallel.Pool) (*DistMatrix, erro
 	return m, nil
 }
 
-// SilhouetteDists is Silhouette over a precomputed distance matrix.
-// The accumulation order matches SilhouettePool exactly, so the result
-// is bit-identical to computing from the raw points.
+// SilhouetteDists is Silhouette over a precomputed distance matrix,
+// bit-identical to SilhouettePool over the points the matrix was built
+// from. It allocates nothing after its first call on a matrix.
+//
+// The point ids are counting-sorted by cluster (O(n), ascending id
+// within each cluster), and each row's sum over a cluster is gathered
+// by walking that cluster's members in ascending id. A bucket therefore
+// receives the same additions in the same order as SilhouettePool's
+// ascending-j scatter, and rows run four at a time: one cluster walk
+// feeds four independent accumulators, which hides the add latency a
+// lone chain is bound by, and no per-row scratch is written.
+//
+// The gather does not skip j == i, where the scatter does. That adds
+// D[i,i] to row i's own-cluster sum, and the addition is the identity:
+// PairDistances computes D[i,i] as √(Σ(x−x)²), which is exactly +0 for
+// finite points, and a partial sum of distances starts at +0 and adds
+// values ≥ +0, so it is never −0, the one value s + (+0) would change.
 func SilhouetteDists(dists *DistMatrix, assign []int, k int, pool *parallel.Pool) (float64, error) {
 	if k < 2 {
 		return 0, fmt.Errorf("silhouette k=%d: %w", k, ErrInput)
@@ -421,68 +437,99 @@ func SilhouetteDists(dists *DistMatrix, assign []int, k int, pool *parallel.Pool
 	if dists == nil || dists.N == 0 || len(assign) != dists.N {
 		return 0, fmt.Errorf("silhouette dists for %d assigns: %w", len(assign), ErrInput)
 	}
+	n := dists.N
 	if cap(dists.sizes) < k {
 		dists.sizes = make([]int, k)
+		dists.start = make([]int, k+1)
 	}
-	sizes := dists.sizes[:k]
-	for c := range sizes {
-		sizes[c] = 0
+	if cap(dists.order) < n {
+		dists.order = make([]int, n)
+		dists.contrib = make([]float64, n)
 	}
+	sizes, start, order := dists.sizes[:k], dists.start[:k+1], dists.order[:n]
+	clear(sizes)
 	for _, a := range assign {
 		if a < 0 || a >= k {
 			return 0, fmt.Errorf("silhouette assign %d outside [0,%d): %w", a, k, ErrInput)
 		}
 		sizes[a]++
 	}
-	n := dists.N
-	if cap(dists.contrib) < n {
-		dists.contrib = make([]float64, n)
+	// start[c+1] begins at cluster c's offset and is advanced past each
+	// member placed, ending at cluster c+1's offset.
+	start[0], start[1] = 0, 0
+	for c := 1; c < k; c++ {
+		start[c+1] = start[c] + sizes[c-1]
 	}
-	contrib := dists.contrib[:n]
-	if cap(dists.sumTo) < n*k {
-		dists.sumTo = make([]float64, n*k)
+	for i, a := range assign {
+		order[start[a+1]] = i
+		start[a+1]++
 	}
-	sumTo := dists.sumTo[:n*k]
-	one := func(i int) error {
-		st := sumTo[i*k : (i+1)*k]
-		for c := range st {
-			st[c] = 0
-		}
-		row := dists.D[i*n : (i+1)*n]
-		for j, d := range row {
-			if i == j {
-				continue
-			}
-			st[assign[j]] += d
-		}
-		contrib[i] = silhouetteOf(st, sizes, assign[i])
-		return nil
-	}
-	if pool != nil {
-		if err := pool.For(n, one); err != nil {
-			return 0, err
-		}
+	quads := (n + 3) / 4
+	if pool != nil && pool.Workers() > 1 {
+		// Nothing fails: the quads return nil and For is not cancellable.
+		_ = pool.For(quads, func(q int) error {
+			dists.silhouetteQuad(q, assign, k)
+			return nil
+		})
 	} else {
-		for i := 0; i < n; i++ {
-			if err := one(i); err != nil {
-				return 0, err
-			}
+		for q := 0; q < quads; q++ {
+			dists.silhouetteQuad(q, assign, k)
 		}
 	}
 	var total float64
-	for _, c := range contrib {
+	for _, c := range dists.contrib[:n] {
 		total += c
 	}
 	return total / float64(n), nil
 }
 
-// silhouetteOf turns one point's per-cluster distance sums into its
-// silhouette contribution (0 for singletons or missing neighbors).
-func silhouetteOf(sumTo []float64, sizes []int, own int) float64 {
-	if sizes[own] <= 1 {
-		return 0
+// silhouetteQuad computes the silhouette contributions of rows 4q…4q+3.
+// Past the last row the final row is computed again and not stored.
+func (m *DistMatrix) silhouetteQuad(q int, assign []int, k int) {
+	n := m.N
+	var rows [4][]float64
+	var own [4]int
+	for r := range rows {
+		i := min(4*q+r, n-1)
+		rows[r] = m.D[i*n : (i+1)*n]
+		own[r] = assign[i]
 	}
-	a := sumTo[own] / float64(sizes[own]-1)
+	// Equal lengths let one bounds check per member cover all four rows.
+	r0, r1, r2, r3 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
+	var ownSum [4]float64
+	b := [4]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+	for c := 0; c < k; c++ {
+		size := m.sizes[c]
+		if size == 0 {
+			continue
+		}
+		// Scalars, not an array: the four chains must stay in registers.
+		var s0, s1, s2, s3 float64
+		for _, j := range m.order[m.start[c]:m.start[c+1]] {
+			s0 += r0[j]
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		s := [4]float64{s0, s1, s2, s3}
+		for r := range s {
+			if c == own[r] {
+				ownSum[r] = s[r]
+			} else if mean := s[r] / float64(size); mean < b[r] {
+				b[r] = mean
+			}
+		}
+	}
+	for r := range rows {
+		if i := 4*q + r; i < n {
+			m.contrib[i] = silhouetteScore(ownSum[r], m.sizes[own[r]], b[r])
+		}
+	}
+}
+
+// silhouetteOf turns one point's per-cluster distance sums into its
+// silhouette contribution.
+func silhouetteOf(sumTo []float64, sizes []int, own int) float64 {
 	b := math.Inf(1)
 	for c := range sumTo {
 		if c == own || sizes[c] == 0 {
@@ -492,9 +539,18 @@ func silhouetteOf(sumTo []float64, sizes []int, own int) float64 {
 			b = m
 		}
 	}
-	if math.IsInf(b, 1) {
+	return silhouetteScore(sumTo[own], sizes[own], b)
+}
+
+// silhouetteScore is one point's silhouette from the sum of its
+// distances to the rest of its own cluster and b, the smallest mean
+// distance to another non-empty cluster: 0 for singletons or when no
+// other cluster exists. The minimum b is the same in any cluster order.
+func silhouetteScore(ownSum float64, ownSize int, b float64) float64 {
+	if ownSize <= 1 || math.IsInf(b, 1) {
 		return 0
 	}
+	a := ownSum / float64(ownSize-1)
 	den := math.Max(a, b)
 	if den <= 0 {
 		return 0

@@ -1,0 +1,87 @@
+package kmeans
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"dtmsvs/internal/parallel"
+	"dtmsvs/internal/vecmath"
+)
+
+// silhouetteAssignments returns the labelings the gather kernel must
+// reproduce: uniform over k, only even clusters used (empty odd ones)
+// with point 0 a singleton in cluster 1, and everything in one cluster.
+func silhouetteAssignments(n, k int, rng *rand.Rand) map[string][]int {
+	uniform := make([]int, n)
+	gaps := make([]int, n)
+	one := make([]int, n)
+	for i := range uniform {
+		uniform[i] = rng.Intn(k)
+		gaps[i] = 2 * rng.Intn((k+1)/2)
+		one[i] = k - 1
+	}
+	gaps[0] = 1
+	return map[string][]int{"uniform": uniform, "gaps": gaps, "one": one}
+}
+
+// TestSilhouetteDistsMatchesSilhouettePool holds the cluster-ordered
+// gather to the scatter over raw points, bit for bit, across sizes off
+// every multiple of four, k around the quad and pool widths, with
+// empty clusters, singletons and duplicate points (zero distances off
+// the diagonal). One matrix per n serves every k, so the scratch is
+// regrown and reused along the way.
+func TestSilhouetteDistsMatchesSilhouettePool(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	pools := []*parallel.Pool{nil, parallel.New(1), parallel.New(2), parallel.New(4)}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 257, 2000} {
+		points := randPoints(n, 5, rng)
+		for i := 3; i < n; i += 7 {
+			points[i] = vecmath.Clone(points[i-3])
+		}
+		dists, err := PairDistances(points, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2, 3, 8, 16, 17} {
+			for name, assign := range silhouetteAssignments(n, k, rng) {
+				want, err := SilhouettePool(points, assign, k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pi, pool := range pools {
+					got, err := SilhouetteDists(dists, assign, k, pool)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d k=%d %s pool#%d: gather %v (%x), scatter %v (%x)",
+							n, k, name, pi, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSilhouetteDistsAllocFree gates the sequential reward path of DDQN
+// training: after the first call on a matrix, none allocates.
+func TestSilhouetteDistsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	points := randPoints(300, 8, rng)
+	dists, err := PairDistances(points, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := silhouetteAssignments(300, 8, rng)["uniform"]
+	if _, err := SilhouetteDists(dists, assign, 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := SilhouetteDists(dists, assign, 8, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("SilhouetteDists allocates %v per call", n)
+	}
+}

@@ -246,21 +246,19 @@ func (a *Adam) Step(params []Param) error {
 		return fmt.Errorf("adam param-set changed size: %w", ErrShape)
 	}
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := vecmath.AdamCoeffs{
+		B1: a.Beta1, C1: 1 - a.Beta1,
+		B2: a.Beta2, C2: 1 - a.Beta2,
+		LR: a.LR, Eps: a.Eps,
+		BC1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		BC2: 1 - math.Pow(a.Beta2, float64(a.t)),
+	}
 	for i, p := range params {
 		m, v := a.m[i], a.v[i]
 		if len(m) != len(p.W) || len(p.G) != len(p.W) {
 			return fmt.Errorf("adam param %d shape: %w", i, ErrShape)
 		}
-		for j := range p.W {
-			g := p.G[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mh := m[j] / bc1
-			vh := v[j] / bc2
-			p.W[j] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-		}
+		vecmath.AdamUnchecked(&c, p.W, p.G, m, v)
 	}
 	return nil
 }

@@ -96,28 +96,44 @@ func (p *Pool) For(n int, fn func(i int) error) error {
 // treat the touched state as indeterminate and either discard it or
 // stop the run, which is exactly what the engines' interval-boundary
 // cancellation contract does.
+//
+// Workers claim contiguous blocks of max(1, n/(8·workers)) indices per
+// atomic add and run each block in ascending order. Claiming single
+// indices would have every worker hit the one counter for every index
+// and put neighbouring indices on different cores, so the index-owned
+// writes of fine-grained fan-outs (a K-means point's bounds, a
+// silhouette row) would bounce cache lines between them — enough to
+// make two cores slower than one. Eight blocks per worker keep the
+// tail short. A fan-out of at most 8·workers items — cluster cells,
+// groups — claims one index at a time, so its few heavy items spread
+// over distinct workers. Which worker runs an index never reaches the
+// results (fn writes only index-owned state), so the block size is
+// invisible to them.
+//
+// Cancellation is polled before every index through the channel
+// captured once from ctx.Done(): a non-blocking receive reads no lock,
+// where ctx.Err() on a cancellable context takes the context's mutex,
+// shared by every worker.
 func (p *Pool) ForContext(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
+	done := ctx.Done()
+	workers := min(p.workers, n)
 	if workers <= 1 {
 		var firstErr error
-		firstIdx := -1
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
+			if isDone(done) {
+				return ctx.Err()
 			}
-			if err := fn(i); err != nil && firstIdx == -1 {
-				firstErr, firstIdx = err, i
+			if err := fn(i); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 		return firstErr
 	}
 
+	block := max(1, n/(8*workers))
 	var (
 		next     atomic.Int64
 		mu       sync.Mutex
@@ -137,15 +153,17 @@ func (p *Pool) ForContext(ctx context.Context, n int, fn func(i int) error) erro
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
+				lo := int(next.Add(int64(block))) - block
+				if lo >= n {
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					record(i, err)
+				for i := lo; i < min(lo+block, n); i++ {
+					if isDone(done) {
+						return
+					}
+					if err := fn(i); err != nil {
+						record(i, err)
+					}
 				}
 			}
 		}()
@@ -155,4 +173,15 @@ func (p *Pool) ForContext(ctx context.Context, n int, fn func(i int) error) erro
 		return err
 	}
 	return firstErr
+}
+
+// isDone polls a context's Done channel without blocking; a nil
+// channel (context.Background) is never done.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }

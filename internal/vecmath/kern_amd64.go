@@ -26,6 +26,13 @@ func ForceGeneric(force bool) {
 //go:noescape
 func axpyAVX2(alpha float64, x, y *float64, n int)
 
+// adamAVX2 applies the Adam update of AdamUnchecked to the first n
+// elements of w, grad, m and v, 4-wide; n must be a positive multiple of
+// 4. Implemented in kern_amd64.s.
+//
+//go:noescape
+func adamAVX2(c *AdamCoeffs, w, grad, m, v *float64, n int)
+
 // cpuid executes CPUID for (leaf, subleaf). Implemented in
 // kern_amd64.s.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

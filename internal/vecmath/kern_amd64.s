@@ -83,6 +83,69 @@ done:
 	VZEROUPPER
 	RET
 
+// func adamAVX2(c *AdamCoeffs, w, grad, m, v *float64, n int)
+//
+// One Adam step over n elements, n a positive multiple of 4:
+//
+//	m = B1*m + C1*g
+//	v = B2*v + (C2*g)*g
+//	w = w - (LR*(m/BC1)) / (sqrt(v/BC2) + Eps)
+//
+// Determinism contract: every lane performs the scalar loop's
+// operations — one VMULPD, VADDPD, VDIVPD, VSQRTPD or VSUBPD per
+// rounded Go operation, in the same association and order — so each
+// element is bit-identical to adamGeneric. No FMA and no reciprocal
+// approximations. The loads are unaligned.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), AX
+	MOVQ w+8(FP), DI
+	MOVQ grad+16(FP), SI
+	MOVQ m+24(FP), R8
+	MOVQ v+32(FP), R9
+	MOVQ n+40(FP), CX
+	SHRQ $2, CX             // CX = n / 4
+	// AdamCoeffs field order: B1, C1, B2, C2, LR, Eps, BC1, BC2.
+	VBROADCASTSD 0(AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VBROADCASTSD 40(AX), Y13
+	VBROADCASTSD 48(AX), Y14
+	VBROADCASTSD 56(AX), Y15
+
+adamloop:
+	VMOVUPD (SI), Y0        // g
+	VMOVUPD (R8), Y1
+	VMULPD  Y8, Y1, Y1      // B1*m
+	VMULPD  Y9, Y0, Y2      // C1*g
+	VADDPD  Y2, Y1, Y1      // m
+	VMOVUPD Y1, (R8)
+	VMOVUPD (R9), Y3
+	VMULPD  Y10, Y3, Y3     // B2*v
+	VMULPD  Y11, Y0, Y4     // C2*g
+	VMULPD  Y0, Y4, Y4      // (C2*g)*g
+	VADDPD  Y4, Y3, Y3      // v
+	VMOVUPD Y3, (R9)
+	VDIVPD  Y14, Y1, Y1     // m/BC1
+	VMULPD  Y1, Y12, Y1     // LR*(m/BC1)
+	VDIVPD  Y15, Y3, Y3     // v/BC2
+	VSQRTPD Y3, Y3
+	VADDPD  Y13, Y3, Y3     // sqrt(v/BC2) + Eps
+	VDIVPD  Y3, Y1, Y1      // the step
+	VMOVUPD (DI), Y5
+	VSUBPD  Y1, Y5, Y5      // w - step
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     adamloop
+
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

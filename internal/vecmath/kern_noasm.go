@@ -16,3 +16,8 @@ func ForceGeneric(force bool) {}
 func axpyAVX2(alpha float64, x, y *float64, n int) {
 	panic("vecmath: axpyAVX2 called without AVX2 support")
 }
+
+// adamAVX2 is never reachable on this build either.
+func adamAVX2(c *AdamCoeffs, w, grad, m, v *float64, n int) {
+	panic("vecmath: adamAVX2 called without AVX2 support")
+}

@@ -5,12 +5,13 @@ package vecmath
 // The package's determinism contract — every destination element
 // accumulates its inner sum in fixed ascending index order, bit-
 // identical across machines, build tags and worker counts — survives
-// vectorization only for kernels in AXPY form: y[i] += alpha*x[i]
-// touches each element's sum exactly once per call, so a 4-wide SIMD
-// lane computes the same rounded multiply and add the scalar loop
-// does. The AVX2 AXPY kernel therefore uses separate VMULPD/VADDPD
+// vectorization only for elementwise kernels such as AXPY:
+// y[i] += alpha*x[i] touches each element's sum exactly once per call,
+// so a 4-wide SIMD lane computes the same rounded multiply and add the
+// scalar loop does. The Adam update (AdamUnchecked) is elementwise in
+// the same way. The AVX2 kernels therefore use separate VMULPD/VADDPD
 // (never VFMADDxxx: a fused multiply-add rounds once where the scalar
-// contract rounds twice, which would change result bits) and is
+// contract rounds twice, which would change result bits) and are
 // selected once at init via CPUID feature detection; the `purego`
 // build tag, non-amd64 targets and pre-AVX2 hardware all fall back to
 // the scalar loop, and ForceGeneric flips the dispatch at runtime for
@@ -27,6 +28,8 @@ package vecmath
 // chains hide the FP-add latency that bounds a lone chain. These are
 // hand-unrolled portable Go, identical on every platform and build
 // tag by construction.
+
+import "math"
 
 // cpuHasAVX2 / cpuHasFMA record what CPUID detection found at init
 // (always false on non-amd64 and under the purego tag). FMA presence
@@ -63,6 +66,55 @@ func axpyGeneric(alpha float64, x, y Vec) {
 	y = y[:len(x)]
 	for i, xv := range x {
 		y[i] += alpha * xv
+	}
+}
+
+// AdamCoeffs are the scalars of one Adam step. The field order is the
+// layout the AVX2 kernel reads; do not reorder.
+type AdamCoeffs struct {
+	B1, C1   float64 // β₁ and 1−β₁
+	B2, C2   float64 // β₂ and 1−β₂
+	LR, Eps  float64
+	BC1, BC2 float64 // this step's bias corrections 1−β₁ᵗ and 1−β₂ᵗ
+}
+
+// AdamUnchecked applies one Adam step to the weights w, given their
+// gradients g and first and second moment estimates m and v, which it
+// updates in place: per element
+//
+//	m = β₁·m + (1−β₁)·g
+//	v = β₂·v + ((1−β₂)·g)·g
+//	w = w − (lr·(m/bc1)) / (√(v/bc2) + eps)
+//
+// with every operation rounded on its own, in that association. The
+// caller guarantees g, m and v have length >= len(w). The update is
+// elementwise, so on amd64 with AVX2 (and without the `purego` tag)
+// vectors of at least four elements run 4-wide assembly — VMULPD,
+// VADDPD, VDIVPD, VSQRTPD, VSUBPD and never FMA, each lane rounding
+// exactly as the scalar loop does — and the results are bit-identical
+// to adamGeneric for every non-NaN input.
+func AdamUnchecked(c *AdamCoeffs, w, g, m, v Vec) {
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	if n := len(w) &^ 3; n > 0 && useAVX2() {
+		adamAVX2(c, &w[0], &g[0], &m[0], &v[0], n)
+		w, g, m, v = w[n:], g[n:], m[n:], v[n:]
+	}
+	adamGeneric(c, w, g, m, v)
+}
+
+// adamGeneric is the portable Adam update and the reference the
+// kernel equivalence tests compare against. The float64 conversions
+// round each product on its own, so no build may fuse a multiply into
+// the following add.
+func adamGeneric(c *AdamCoeffs, w, g, m, v Vec) {
+	b1, c1, b2, c2 := c.B1, c.C1, c.B2, c.C2
+	lr, eps, bc1, bc2 := c.LR, c.Eps, c.BC1, c.BC2
+	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
+	for j, gj := range g {
+		mj := float64(b1*m[j]) + float64(c1*gj)
+		vj := float64(b2*v[j]) + float64(float64(c2*gj)*gj)
+		m[j], v[j] = mj, vj
+		w[j] -= lr * (mj / bc1) / (math.Sqrt(vj/bc2) + eps)
 	}
 }
 
