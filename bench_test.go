@@ -772,18 +772,27 @@ func BenchmarkOpenCluster(b *testing.B) {
 // or group fan-out, which must stay spread over the workers.
 func BenchmarkPoolFor(b *testing.B) {
 	pool := parallel.New(0)
-	b.Run("fine", func(b *testing.B) {
-		out := make([]float64, 2000)
-		fn := func(i int) error {
-			out[i] = math.Sqrt(float64(i)) * 1.5
-			return nil
+	run := func(b *testing.B, n int, fn func(int) error) {
+		// A first fan-out leaves the workers' goroutines on the
+		// runtime's free list, so a -benchtime 1x sample reads the
+		// steady-state allocations.
+		if err := pool.For(n, fn); err != nil {
+			b.Fatal(err)
 		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := pool.For(len(out), fn); err != nil {
+			if err := pool.For(n, fn); err != nil {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("fine", func(b *testing.B) {
+		out := make([]float64, 2000)
+		run(b, len(out), func(i int) error {
+			out[i] = math.Sqrt(float64(i)) * 1.5
+			return nil
+		})
 	})
 	b.Run("heavy", func(b *testing.B) {
 		src := make([]float64, 40_000)
@@ -791,20 +800,14 @@ func BenchmarkPoolFor(b *testing.B) {
 			src[i] = float64(i % 97)
 		}
 		out := make([]float64, 8)
-		fn := func(i int) error {
+		run(b, len(out), func(i int) error {
 			var s float64
 			for _, v := range src {
 				s += v * float64(i+1)
 			}
 			out[i] = s
 			return nil
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := pool.For(len(out), fn); err != nil {
-				b.Fatal(err)
-			}
-		}
+		})
 	})
 }
 
@@ -830,6 +833,11 @@ func BenchmarkSilhouetteDists(b *testing.B) {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			res, err := kmeans.Run(codes, k, rand.New(rand.NewSource(12)), kmeans.Options{})
 			if err != nil {
+				b.Fatal(err)
+			}
+			// The first call grows the matrix's scratch; keep it out of
+			// the loop so a -benchtime 1x sample reads the steady state.
+			if _, err := kmeans.SilhouetteDists(dists, res.Assign, k, pool); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -858,7 +866,12 @@ func BenchmarkAdamStep(b *testing.B) {
 		params = append(params, p)
 	}
 	opt := nn.NewAdam(1e-3 * math.Sqrt(8))
+	// The first step allocates the moment estimates.
+	if err := opt.Step(params); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := opt.Step(params); err != nil {
 			b.Fatal(err)
