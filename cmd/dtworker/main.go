@@ -10,7 +10,7 @@
 // so the binary takes no flags. Exit status is 0 after an orderly
 // shutdown frame and 1 after a protocol or engine error (the
 // supervisor treats either death the same way: restart from the last
-// acked checkpoint).
+// shipped checkpoint and replay the boundaries since).
 package main
 
 import (

@@ -7,11 +7,11 @@
 // exchange handover twins at every boundary in global user-id order.
 //
 // The distributed layer adds a failure model on top: workers
-// heartbeat between frames, every boundary acks a checkpoint, and a
-// worker that dies (crash, SIGKILL, torn frame, missed heartbeat) is
-// restarted with exponential backoff from its last acked checkpoint
-// and replays the lost boundary. The restart budget and the adoption
-// fallback are session options below.
+// heartbeat between frames, ship a checkpoint at least every 8th
+// boundary, and a worker that dies (crash, SIGKILL, torn frame, missed
+// heartbeat) is restarted with exponential backoff from its last
+// shipped checkpoint and replays the boundaries since then. The
+// restart budget and the adoption fallback are session options below.
 package dtmsvs
 
 import (
@@ -111,7 +111,7 @@ func WithWorkerRestartPolicy(maxRestarts int, backoff time.Duration) SessionOpti
 
 // WithWorkerAdoption degrades gracefully instead of failing: a
 // worker that exhausts its restart budget is adopted — respawned once
-// more as an in-process goroutine from the last acked checkpoint, its
+// more as an in-process goroutine from the last shipped checkpoint, its
 // remaining scheduled faults stripped. The trace stays bit-identical;
 // only the process topology degrades. An adopted worker has no budget
 // left: losing it too fails the run with ErrWorkerFailed.

@@ -1,12 +1,16 @@
 // This file is the supervisor: it drives N workers through the
 // scenario one boundary at a time, routes twin batches between them,
 // merges their record streams, and — the point of the package —
-// survives worker loss. Every boundary acks a checkpoint; a worker
-// that dies (process exit, torn frame, missed heartbeat) is killed,
-// restarted with exponential backoff from its last acked checkpoint,
-// and the in-flight boundary is replayed. Exports and records the
-// first incarnation already delivered are deduplicated, so replay is
-// idempotent and the merged trace stays bit-identical.
+// survives worker loss. A worker ships its checkpoint only when the
+// step frame asks (train, checkpoint-only, and every replayMax-th
+// boundary); for every other boundary the supervisor keeps the step
+// and imports frames that drove it in the worker's replay log. A
+// worker that dies (process exit, torn frame, missed heartbeat) is
+// killed, restarted with exponential backoff from its last shipped
+// checkpoint, and fed the logged boundaries and then the in-flight
+// one. Exports, records and boundaries an earlier incarnation already
+// delivered are dropped, so replay is idempotent and the merged trace
+// stays bit-identical.
 
 package coord
 
@@ -55,10 +59,10 @@ type Config struct {
 	Backoff time.Duration
 	// Adopt degrades gracefully instead of failing: a worker that
 	// exhausts its restart budget is adopted — respawned once more on
-	// the in-process transport from the last acked checkpoint, with
-	// its remaining scheduled faults stripped and no further budget:
-	// losing an adopted worker is ErrWorkerFailed. Without Adopt,
-	// budget exhaustion is ErrWorkerFailed.
+	// the in-process transport from the last shipped checkpoint and
+	// replay log, with its remaining scheduled faults stripped and no
+	// further budget: losing an adopted worker is ErrWorkerFailed.
+	// Without Adopt, budget exhaustion is ErrWorkerFailed.
 	Adopt bool
 	// Faults schedules deterministic process-fault injection
 	// (kill/hang/garbage) on workers, for tests and chaos runs.
@@ -100,6 +104,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// replayMax bounds a worker's replay log: the supervisor asks for a
+// checkpoint at any boundary that would otherwise be the replayMax-th
+// logged one, so a restart replays at most replayMax-1 boundaries.
+const replayMax = 8
+
+// logEntry is one boundary a worker completed without shipping its
+// checkpoint: the step and imports frames that drove it, replayed
+// verbatim into a restarted incarnation.
+type logEntry struct {
+	seq     int64
+	ph      phase
+	n       int
+	step    []byte
+	imports []byte
+}
+
 // workerEvent is one frame (or read failure) from one worker
 // incarnation, pumped into the supervisor's event channel.
 type workerEvent struct {
@@ -117,34 +137,41 @@ type workerHandle struct {
 	inc      int // incarnation; events from older incarnations are stale
 	restarts int
 	// stripBelow drops scheduled faults with Interval < stripBelow
-	// from restart hellos, so the fault that killed an incarnation
-	// cannot re-fire on replay and crash-loop the worker.
+	// from restart hellos, so a fault fires once: it cannot re-fire
+	// when its interval is replayed and crash-loop the worker.
 	stripBelow int
 	t          Transport
 	conn       *conn
 	sendq      chan sendReq // ordered async sends of the live incarnation
-	lastCkpt   []byte       // last acked boundary checkpoint (resume blob before any)
-	lastBeat   time.Time    // last frame of the live incarnation
+	lastCkpt   []byte       // last shipped checkpoint (resume blob before any)
+	log        []logEntry   // boundaries completed since lastCkpt, oldest first
+	// replayLo..replayHi are the seqs the live incarnation replays;
+	// its frames for them were delivered by an earlier one.
+	replayLo, replayHi int64
+	lastBeat           time.Time // last frame of the live incarnation
 	// adopted marks a worker past its restart budget that now runs on
 	// the in-process transport whatever Config.Transport says.
 	adopted bool
 
 	// Per-step state. got* flags survive recovery: a replayed worker
-	// re-sends exports and records, and the duplicates are dropped.
-	gotRecords  bool
-	gotExports  bool
-	gotBoundary bool
-	records     []byte
-	exports     []cluster.Handover
-	imports     []cluster.Handover
-	numUsers    int
-	handovers   int
-	churned     int
-	stats       []byte
-	stepStart   time.Time
+	// re-sends exports, records and its boundary, and the duplicates
+	// are dropped.
+	gotRecords   bool
+	gotExports   bool
+	gotBoundary  bool
+	records      []byte
+	exports      []cluster.Handover
+	importsFrame []byte // this step's routed imports, kept for replay
+	numUsers     int
+	handovers    int
+	churned      int
+	stats        []byte
+	stepStart    time.Time
 
 	stage     *obs.Stage
 	restartsC *obs.Counter
+	ckptsC    *obs.Counter
+	replayedC *obs.Counter
 }
 
 // stepState is the boundary currently in flight.
@@ -152,6 +179,8 @@ type stepState struct {
 	ph            phase
 	n             int
 	seq           int64
+	ship          bool   // workers ship their checkpoints at this boundary
+	frame         []byte // the step frame's payload
 	importsRouted bool
 }
 
@@ -208,6 +237,8 @@ func New(cfg Config) (*Supervisor, error) {
 			idx:       i,
 			stage:     reg.Stage("coord_boundary", lbl),
 			restartsC: reg.Counter("dtmsvs_worker_restarts_total", "Worker restarts after crash, torn frame or missed heartbeat.", lbl),
+			ckptsC:    reg.Counter("dtmsvs_coord_worker_checkpoints_total", "Boundaries at which a worker shipped its checkpoint.", lbl),
+			replayedC: reg.Counter("dtmsvs_coord_replayed_boundaries_total", "Completed boundaries replayed into restarted workers.", lbl),
 		}
 		s.handles[i] = &handles[i]
 	}
@@ -261,10 +292,13 @@ type sendReq struct {
 // startSender serializes frames to one worker incarnation through an
 // ordered queue, so the supervisor's event loop never blocks on a
 // synchronous pipe (a restarted worker reads its next frame only
-// after reconstructing the engine) and frames cannot reorder. Send
-// failures latch the conn and surface through the pump's read error.
+// after reconstructing the engine) and frames cannot reorder. The
+// queue holds the most an incarnation can have outstanding — hello, a
+// full log's step and imports pairs, the in-flight pair, shutdown —
+// so enqueuing never blocks either. Send failures latch the conn and
+// surface through the pump's read error.
 func startSender(c *conn) chan sendReq {
-	ch := make(chan sendReq, 16)
+	ch := make(chan sendReq, 2*replayMax+2)
 	go func() {
 		for r := range ch {
 			_ = c.send(r.typ, r.payload)
@@ -287,12 +321,33 @@ func (s *Supervisor) pump(idx, inc int, t Transport) {
 			return
 		}
 		s.rx.Add(uint64(9 + len(payload)))
+		// A checkpoint is megabytes: hand the read buffer over with the
+		// event instead of copying it, and — once the event is
+		// delivered — read on into a fresh one of the same capacity,
+		// already received, so allocation stays bounded by the stream.
+		handOver := typ == fBoundary && shipsCheckpoint(payload)
 		var p []byte
-		if len(payload) > 0 {
+		switch {
+		case handOver:
+			p = payload
+		case len(payload) > 0:
 			p = append([]byte(nil), payload...)
 		}
 		s.events <- workerEvent{idx: idx, inc: inc, typ: typ, payload: p}
+		if handOver {
+			buf = make([]byte, 0, cap(buf))
+		}
 	}
+}
+
+// shipsCheckpoint reports whether a boundary frame's payload carries a
+// checkpoint: its blob follows the seq and three counters.
+func shipsCheckpoint(payload []byte) bool {
+	d := checkpoint.NewDec(payload)
+	for range 4 {
+		d.I64()
+	}
+	return len(d.Blob()) > 0
 }
 
 // helloPayload builds the hello frame for a worker: config +
@@ -323,12 +378,13 @@ func (s *Supervisor) helloPayload(h *workerHandle) ([]byte, error) {
 	return append([]byte(nil), e.Bytes()...), nil
 }
 
-// spawn starts a fresh incarnation of h and queues its hello. resend
-// additionally replays the in-flight step (and routed imports) — the
-// recovery path. A worker lost after its boundary was acked has
-// nothing to replay: its checkpoint already holds the step, so it
-// restarts idle.
-func (s *Supervisor) spawn(h *workerHandle, resend bool) error {
+// spawn starts a fresh incarnation of h and queues its hello, then —
+// the recovery path — every logged boundary and the in-flight step
+// (with its imports once routed). A worker lost after shipping the
+// in-flight boundary's checkpoint restarts idle at it; one lost after
+// acking it without a checkpoint replays it like a logged boundary,
+// since its state must reach this boundary before the next step.
+func (s *Supervisor) spawn(h *workerHandle) error {
 	hello, err := s.helloPayload(h)
 	if err != nil {
 		return err
@@ -352,28 +408,43 @@ func (s *Supervisor) spawn(h *workerHandle, resend bool) error {
 	go s.pump(h.idx, h.inc, t)
 
 	h.sendq <- sendReq{fHello, hello}
-	if resend && s.step != nil && !h.gotBoundary {
-		h.sendq <- sendReq{fStep, stepPayload(s.step.ph, s.step.n, s.step.seq)}
-		if s.step.importsRouted {
-			h.sendq <- sendReq{fImports, importsPayload(s.step.seq, h.imports)}
+	replay := h.log
+	st := s.step
+	if st != nil && h.gotBoundary && !st.ship {
+		replay = append(replay[:len(replay):len(replay)], logEntry{seq: st.seq, ph: st.ph, n: st.n, step: st.frame, imports: h.importsFrame})
+	}
+	h.replayLo, h.replayHi = 1, 0
+	if len(replay) > 0 {
+		h.replayLo, h.replayHi = replay[0].seq, replay[len(replay)-1].seq
+	}
+	h.replayedC.Add(uint64(len(replay)))
+	for _, e := range replay {
+		h.sendq <- sendReq{fStep, e.step}
+		h.sendq <- sendReq{fImports, e.imports}
+	}
+	if st != nil && !h.gotBoundary {
+		h.sendq <- sendReq{fStep, st.frame}
+		if st.importsRouted {
+			h.sendq <- sendReq{fImports, h.importsFrame}
 		}
 	}
 	return nil
 }
 
-func stepPayload(ph phase, n int, seq int64) []byte {
+func stepPayload(ph phase, n int, seq int64, ship bool) []byte {
 	var e checkpoint.Enc
 	e.U8(uint8(ph))
 	e.I64(int64(n))
 	e.I64(seq)
-	return append([]byte(nil), e.Bytes()...)
+	e.Bool(ship)
+	return e.Bytes()
 }
 
 func importsPayload(seq int64, hs []cluster.Handover) []byte {
 	var e checkpoint.Enc
 	e.I64(seq)
 	appendHandovers(&e, hs)
-	return append([]byte(nil), e.Bytes()...)
+	return e.Bytes()
 }
 
 // ensureStarted spawns every worker on first use.
@@ -383,7 +454,7 @@ func (s *Supervisor) ensureStarted() error {
 	}
 	s.events = make(chan workerEvent, 64+16*s.cfg.Workers)
 	for _, h := range s.handles {
-		if err := s.spawn(h, false); err != nil {
+		if err := s.spawn(h); err != nil {
 			return s.fail(fmt.Errorf("spawn worker %d: %w", h.idx, err))
 		}
 	}
@@ -392,8 +463,8 @@ func (s *Supervisor) ensureStarted() error {
 }
 
 // recover handles the loss of worker h for any cause: kill whatever
-// is left, and either restart it (replaying the in-flight boundary)
-// or — budget exhausted — adopt it once / fail the run.
+// is left, and either restart it (replaying the logged and in-flight
+// boundaries) or — budget exhausted — adopt it once / fail the run.
 func (s *Supervisor) recover(h *workerHandle, cause error) error {
 	if h.t != nil {
 		h.t.Kill()
@@ -402,9 +473,18 @@ func (s *Supervisor) recover(h *workerHandle, cause error) error {
 	h.restarts++
 	s.restartsTotal++
 	h.restartsC.Inc()
-	if s.step != nil && s.step.ph == phaseInterval && s.step.n >= h.stripBelow {
-		h.stripBelow = s.step.n + 1
+	// Every fault up to the last interval the restart replays has had
+	// its chance to fire.
+	last := -1
+	for _, e := range h.log {
+		if e.ph == phaseInterval {
+			last = e.n
+		}
 	}
+	if s.step != nil && s.step.ph == phaseInterval {
+		last = s.step.n
+	}
+	h.stripBelow = max(h.stripBelow, last+1)
 	budget := s.cfg.MaxRestarts
 	if budget < 0 {
 		budget = 0
@@ -430,7 +510,7 @@ func (s *Supervisor) recover(h *workerHandle, cause error) error {
 		}
 		time.Sleep(backoff)
 	}
-	if err := s.spawn(h, true); err != nil {
+	if err := s.spawn(h); err != nil {
 		return s.fail(fmt.Errorf("respawn worker %d after %v: %v: %w", h.idx, cause, err, ErrWorkerFailed))
 	}
 	return nil
@@ -438,7 +518,10 @@ func (s *Supervisor) recover(h *workerHandle, cause error) error {
 
 // runStep drives one boundary across all workers: step out, exports
 // in, imports routed, boundaries in — recovering workers as they
-// fall.
+// fall. Workers ship their checkpoints at the train boundary (too
+// costly to replay), at checkpoint-only boundaries (the blobs are the
+// product), and wherever the log would otherwise reach replayMax;
+// any other completed boundary is logged.
 func (s *Supervisor) runStep(ctx context.Context, ph phase, n int) error {
 	if s.err != nil {
 		return s.err
@@ -450,7 +533,12 @@ func (s *Supervisor) runStep(ctx context.Context, ph phase, n int) error {
 		return err
 	}
 	s.seq++
-	s.step = &stepState{ph: ph, n: n, seq: s.seq}
+	ship := ph == phaseTrain || ph == phaseCkpt
+	for _, h := range s.handles {
+		ship = ship || len(h.log) >= replayMax-1
+	}
+	st := &stepState{ph: ph, n: n, seq: s.seq, ship: ship, frame: stepPayload(ph, n, s.seq, ship)}
+	s.step = st
 	defer func() { s.step = nil }()
 	now := time.Now()
 	for _, h := range s.handles {
@@ -459,15 +547,22 @@ func (s *Supervisor) runStep(ctx context.Context, ph phase, n int) error {
 		h.gotRecords = ph != phaseInterval
 		h.records = nil
 		h.exports = nil
-		h.imports = nil
+		h.importsFrame = nil
 		h.lastBeat = now
 		h.stepStart = h.stage.Start()
 	}
-	step := stepPayload(ph, n, s.seq)
 	for _, h := range s.handles {
-		h.sendq <- sendReq{fStep, step}
+		h.sendq <- sendReq{fStep, st.frame}
 	}
-	return s.gather(ctx)
+	if err := s.gather(ctx); err != nil {
+		return err
+	}
+	if !ship {
+		for _, h := range s.handles {
+			h.log = append(h.log, logEntry{seq: st.seq, ph: ph, n: n, step: st.frame, imports: h.importsFrame})
+		}
+	}
+	return nil
 }
 
 // gather runs the event loop for the in-flight boundary until every
@@ -479,6 +574,10 @@ func (s *Supervisor) gather(ctx context.Context) error {
 	if tick < 5*time.Millisecond {
 		tick = 5 * time.Millisecond
 	}
+	// One timer, re-armed every turn, wakes the loop for the liveness
+	// and deadline checks when no frame arrives.
+	wake := time.NewTimer(tick)
+	defer wake.Stop()
 	for {
 		if !s.step.importsRouted && s.allExports() {
 			if err := s.routeImports(); err != nil {
@@ -493,8 +592,9 @@ func (s *Supervisor) gather(ctx context.Context) error {
 			if err := s.handleEvent(ev); err != nil {
 				return err
 			}
-		case <-time.After(tick):
+		case <-wake.C:
 		}
+		wake.Reset(tick)
 		if err := ctx.Err(); err != nil {
 			return s.fail(err)
 		}
@@ -533,10 +633,12 @@ func (s *Supervisor) allBoundaries() bool {
 }
 
 // routeImports fans every worker's exports out to their destination
-// workers, then releases everyone with an imports frame.
+// workers, then releases everyone with an imports frame — kept, since
+// a restart may have to replay it.
 func (s *Supervisor) routeImports() error {
 	numCells := s.cfg.Cluster.Sim.NumBS
 	workers := len(s.handles)
+	imports := make([][]cluster.Handover, workers)
 	for _, h := range s.handles {
 		for _, x := range h.exports {
 			dst := cluster.WorkerForCell(x.To, numCells, workers)
@@ -544,12 +646,13 @@ func (s *Supervisor) routeImports() error {
 				return s.fail(fmt.Errorf("worker %d exported user %d to its own cell %d: %w",
 					h.idx, x.ID, x.To, ErrProtocol))
 			}
-			s.handles[dst].imports = append(s.handles[dst].imports, x)
+			imports[dst] = append(imports[dst], x)
 		}
 	}
 	s.step.importsRouted = true
-	for _, h := range s.handles {
-		h.sendq <- sendReq{fImports, importsPayload(s.step.seq, h.imports)}
+	for i, h := range s.handles {
+		h.importsFrame = importsPayload(s.step.seq, imports[i])
+		h.sendq <- sendReq{fImports, h.importsFrame}
 	}
 	return nil
 }
@@ -564,6 +667,15 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 		return s.recover(h, fmt.Errorf("read: %w", ev.err))
 	}
 	h.lastBeat = time.Now()
+	switch ev.typ {
+	case fRecords, fExports, fBoundary:
+		// Frames of a boundary this incarnation replays were delivered
+		// by an earlier one. Each starts with its seq; a short payload
+		// reads as 0, which no boundary has.
+		if seq := checkpoint.NewDec(ev.payload).I64(); seq >= h.replayLo && seq <= h.replayHi {
+			return nil
+		}
+	}
 	switch ev.typ {
 	case fHeartbeat, fReady:
 		return nil
@@ -611,11 +723,19 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 		if err := d.Close(); err != nil || seq != s.step.seq {
 			return s.recover(h, fmt.Errorf("boundary frame (seq %d, want %d): %w", seq, s.step.seq, ErrProtocol))
 		}
+		if shipped := len(ckpt) > 0; shipped != s.step.ship {
+			return s.recover(h, fmt.Errorf("boundary frame (seq %d) shipped a checkpoint: %v, asked: %v: %w",
+				seq, shipped, s.step.ship, ErrProtocol))
+		}
 		h.numUsers = numUsers
 		h.handovers = handovers
 		h.churned = churned
-		// Both alias the event's private payload copy.
-		h.lastCkpt = ckpt
+		// Both alias the event's private payload.
+		if s.step.ship {
+			h.lastCkpt = ckpt
+			h.log = nil
+			h.ckptsC.Inc()
+		}
 		if len(stats) > 0 {
 			h.stats = stats
 		}

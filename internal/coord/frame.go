@@ -3,18 +3,22 @@
 // of coverage cells (cluster.Worker, constructed only on the worker
 // side of the wire), through the scenario in lockstep boundaries —
 // exchanging handover-twin batches, per-interval record streams and
-// per-boundary checkpoints as length-prefixed CRC32-guarded binary
-// frames over pipes.
+// worker checkpoints as length-prefixed CRC32-guarded binary frames
+// over pipes.
 //
 // The robustness layer is the point: workers heartbeat between
-// frames, every boundary ships a checkpoint, and on worker loss —
-// process exit, SIGKILL, torn frame, missed heartbeat, stalled step —
-// the supervisor restarts the worker with exponential backoff from
-// the last checkpoint it acked and replays the in-flight boundary
-// (adoption is that restart taken once past the budget, in-process).
-// Because workers are deterministic and boundaries are idempotent to
-// replay, the merged trace stays bit-identical to the single-process
-// cluster run at the same seed, faults or none.
+// frames, and a worker ships its checkpoint at the boundaries the
+// supervisor asks for — the train boundary, every checkpoint-only
+// boundary, and often enough that at most replayMax-1 boundaries
+// complete in between. The supervisor logs the step and imports
+// frames of each of those. On worker loss — process exit, SIGKILL,
+// torn frame, missed heartbeat, stalled step — it restarts the worker
+// with exponential backoff from the last checkpoint it shipped,
+// replays the logged boundaries and then the in-flight one (adoption
+// is that restart taken once past the budget, in-process). Because
+// workers are deterministic and boundaries are idempotent to replay,
+// the merged trace stays bit-identical to the single-process cluster
+// run at the same seed, faults or none.
 package coord
 
 import (
@@ -46,8 +50,9 @@ var (
 )
 
 // protoVersion gates the hello exchange so a supervisor never drives
-// a worker speaking a different frame dialect.
-const protoVersion = 2
+// a worker speaking a different frame dialect. Version 3 added the
+// step frame's ship-checkpoint byte; there is no reader for 2.
+const protoVersion = 3
 
 // maxFramePayload bounds one frame's payload: worker checkpoints
 // carry whole cell populations, so the ceiling is generous, but a
@@ -60,14 +65,14 @@ type frameType uint8
 const (
 	// Supervisor → worker.
 	fHello    frameType = 1 // config, partition, faults, optional resume checkpoint
-	fStep     frameType = 2 // run one phase
+	fStep     frameType = 2 // run one phase; ship the checkpoint or not
 	fImports  frameType = 3 // twin batch routed into this worker
 	fShutdown frameType = 4 // clean exit
 	// Worker → supervisor.
 	fReady     frameType = 5  // hello processed, engine constructed/restored
 	fRecords   frameType = 6  // one interval's records as a tracebin stream
 	fExports   frameType = 7  // twin batch leaving this worker
-	fBoundary  frameType = 8  // step done: counters + boundary checkpoint
+	fBoundary  frameType = 8  // step done: counters + checkpoint if asked
 	fHeartbeat frameType = 9  // liveness beat
 	fError     frameType = 10 // terminal worker-side failure, as text
 )
@@ -79,7 +84,7 @@ const (
 	phaseWarmup phase = iota
 	phaseTrain
 	phaseInterval
-	phaseCkpt // checkpoint-only boundary: no engine work, fresh state blob
+	phaseCkpt // checkpoint-only boundary: no engine work, always ships
 )
 
 func (p phase) String() string {

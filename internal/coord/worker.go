@@ -1,7 +1,8 @@
 // This file is the worker side of the frame protocol: parse hello,
 // construct (or restore) the owned cell block, then serve step frames
-// until shutdown — heartbeating the whole time, checkpointing at
-// every boundary, and injecting scheduled process faults on itself.
+// until shutdown — heartbeating the whole time, checkpointing at the
+// boundaries the supervisor asks for, and injecting scheduled process
+// faults on itself.
 
 package coord
 
@@ -254,12 +255,14 @@ type workerSession struct {
 
 // handleStep runs one boundary: fault injection, the phase's engine
 // work, the export/import twin exchange, then the boundary frame with
-// a fresh checkpoint (and final stats on the last interval).
+// a fresh checkpoint if the step asked for one (and final stats on the
+// last interval).
 func (ws *workerSession) handleStep(payload []byte) error {
 	d := checkpoint.NewDec(payload)
 	ph := phase(d.U8())
 	n := int(d.I64())
 	seq := d.I64()
+	ship := d.Bool()
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("step payload: %w", err)
 	}
@@ -321,9 +324,11 @@ func (ws *workerSession) handleStep(payload []byte) error {
 		return fmt.Errorf("%d imports at a %s boundary: %w", len(imports), ph, ErrProtocol)
 	}
 
-	ckpt, err := ws.encodeCheckpoint()
-	if err != nil {
-		return sendErrf(ws.c, "worker %d checkpoint: %v", ws.hello.Index, err)
+	var ckpt []byte
+	if ship {
+		if ckpt, err = ws.encodeCheckpoint(); err != nil {
+			return sendErrf(ws.c, "worker %d checkpoint: %v", ws.hello.Index, err)
+		}
 	}
 	// Stats ride the final interval's boundary — and every
 	// checkpoint-only boundary, so a supervisor restoring into an
