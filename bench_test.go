@@ -10,10 +10,13 @@ import (
 	"runtime"
 	"testing"
 
+	"dtmsvs/internal/channel"
 	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/cnn"
 	"dtmsvs/internal/grouping"
 	"dtmsvs/internal/kmeans"
+	"dtmsvs/internal/mobility"
 	"dtmsvs/internal/nn"
 	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/predict"
@@ -738,6 +741,12 @@ func BenchmarkCollectTicks(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Close()
+	// A first interval leaves the pool's goroutines on the runtime's
+	// free list, so a -benchtime 1x sample reads the steady-state
+	// allocations.
+	if err := eng.CollectTicks(); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -911,4 +920,100 @@ func BenchmarkTrainAgent(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNearestAliveBS measures the per-tick nearest-station search
+// of 8 grid stations over 1024 campus positions (one op = 1024
+// searches): with no quarantine mask, with a mask that rules nothing
+// out, and with one station down.
+func BenchmarkNearestAliveBS(b *testing.B) {
+	campus := mobility.CampusMap()
+	stations, err := channel.GridDeploy(campus, 8, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	pts := make([]mobility.Point, 1024)
+	for i := range pts {
+		pts[i] = campus.RandomPoint(rng)
+	}
+	oneDown := make([]bool, len(stations))
+	oneDown[4] = true
+	for _, bc := range []struct {
+		name string
+		down []bool
+	}{{"nomask", nil}, {"nonedown", make([]bool, len(stations))}, {"onedown", oneDown}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range pts {
+					if _, err := channel.NearestAliveBS(stations, bc.down, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHandoverPass measures one boundary handover pass of the
+// benchmark workloads' population, 4000 users × 8 cells, once trained
+// (FixedK 4, so the prologue is short): PlanHandovers, then
+// ApplyHandovers of the plan — the group pre-pass, the detach/attach
+// loop and the conservation check. The plan is the real one after the
+// first interval; between iterations, off the clock, its reverse puts
+// every migrant back in its old cell, so each iteration replays the
+// same moves. Reported metric: moves per pass.
+func BenchmarkHandoverPass(b *testing.B) {
+	cfg := ClusterConfig{Sim: DefaultConfig(42)}
+	cfg.Sim.NumUsers = 4000
+	cfg.Sim.NumBS = 8
+	cfg.Sim.FixedK = 4
+	cfg.Sim.CompressorEpochs = 2
+	w, err := cluster.NewWorker(cfg, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	ctx := context.Background()
+	apply := func(moves []cluster.Handover) {
+		if err := w.ApplyHandovers(moves); err != nil {
+			b.Fatal(err)
+		}
+	}
+	plan := func() []cluster.Handover {
+		p, err := w.PlanHandovers()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	for i := 0; i < w.Config().Sim.WarmupIntervals; i++ {
+		if err := w.WarmupStep(ctx); err != nil {
+			b.Fatal(err)
+		}
+		apply(plan())
+	}
+	if err := w.TrainAndBuild(ctx); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := w.StepInterval(ctx, 0); err != nil {
+		b.Fatal(err)
+	}
+	back := append([]cluster.Handover(nil), plan()...)
+	for i := range back {
+		back[i].From, back[i].To = back[i].To, back[i].From
+	}
+	// One untimed round trip sizes every buffer of the pass.
+	apply(plan())
+	apply(back)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply(plan())
+		b.StopTimer()
+		apply(back)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(len(back)), "moves")
 }

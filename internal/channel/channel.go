@@ -80,12 +80,20 @@ func (p Params) Validate() error {
 // meters: PL = 128.1 + 37.6·log10(d/1000) adjusted for carrier
 // frequency. Distances below MinDistM are clamped.
 func (p Params) PathLossDB(d float64) float64 {
+	return p.pathLossDB(p.refDB(), d)
+}
+
+// refDB is the path-loss reference: 128.1 dB at 2 GHz, shifted by
+// 21·log10(f/2) to account for carrier frequency (approximate
+// frequency scaling).
+func (p Params) refDB() float64 { return 128.1 + 21*math.Log10(p.CarrierGHz/2) }
+
+// pathLossDB is PathLossDB over a reference already computed by refDB,
+// so a Link pays the carrier logarithm once, not per sample.
+func (p Params) pathLossDB(ref, d float64) float64 {
 	if d < p.MinDistM {
 		d = p.MinDistM
 	}
-	// 128.1 dB reference at 2 GHz; shift by 21·log10(f/2) to account
-	// for carrier frequency (approximate frequency scaling).
-	ref := 128.1 + 21*math.Log10(p.CarrierGHz/2)
 	return ref + 37.6*math.Log10(d/1000)
 }
 
@@ -107,9 +115,10 @@ type Link struct {
 	// (only evolved when FadingRho > 0).
 	hRe, hIm float64
 
-	// noiseDBm and innov are params.NoisePowerDBm() and
+	// noiseDBm, refDB and innov are params.NoisePowerDBm(), the
+	// carrier-adjusted path-loss reference of PathLossDB and
 	// sqrt(1 − FadingRho²), fixed at construction.
-	noiseDBm, innov float64
+	noiseDBm, refDB, innov float64
 }
 
 // NewLink creates a link with freshly drawn shadowing.
@@ -129,6 +138,7 @@ func NewLink(params Params, bs *BaseStation, rng *rand.Rand) (*Link, error) {
 		hRe:      rng.NormFloat64() * invSqrt2,
 		hIm:      rng.NormFloat64() * invSqrt2,
 		noiseDBm: params.NoisePowerDBm(),
+		refDB:    params.refDB(),
 		innov:    math.Sqrt(1 - params.FadingRho*params.FadingRho),
 	}, nil
 }
@@ -161,7 +171,7 @@ func (l *Link) Handover(bs *BaseStation) error {
 // an independent Rayleigh realization.
 func (l *Link) Sample(userPos mobility.Point) float64 {
 	d := l.bs.Pos.Dist(userPos)
-	pl := l.params.PathLossDB(d)
+	pl := l.params.pathLossDB(l.refDB, d)
 	var h2 float64
 	if rho := l.params.FadingRho; rho > 0 {
 		const invSqrt2 = 0.7071067811865476
@@ -225,19 +235,13 @@ func CQI(snrDB float64) int {
 	return q
 }
 
-// NearestBS returns the base station closest to the position.
+// NearestBS returns the base station closest to the position: the
+// first, in slice order, at the smallest Euclidean distance.
 func NearestBS(stations []*BaseStation, pos mobility.Point) (*BaseStation, error) {
 	if len(stations) == 0 {
 		return nil, fmt.Errorf("no base stations: %w", ErrParam)
 	}
-	best := stations[0]
-	bestD := best.Pos.Dist(pos)
-	for _, bs := range stations[1:] {
-		if d := bs.Pos.Dist(pos); d < bestD {
-			best, bestD = bs, d
-		}
-	}
-	return best, nil
+	return nearest(stations, nil, pos), nil
 }
 
 // NearestAliveBS returns the closest base station whose id is not
@@ -249,20 +253,87 @@ func NearestAliveBS(stations []*BaseStation, down []bool, pos mobility.Point) (*
 	if len(down) == 0 {
 		return NearestBS(stations, pos)
 	}
+	best := nearest(stations, down, pos)
+	if best == nil {
+		return nil, fmt.Errorf("no surviving base stations: %w", ErrParam)
+	}
+	return best, nil
+}
+
+// The squared-distance screen of nearest. A station whose squared
+// distance exceeds the smallest by more than screenTol (relative) is
+// farther by more than screenTol/2, while dx²+dy² and math.Hypot each
+// err by a few ulp (~1e-16): its Hypot is strictly larger than the
+// nearest station's, so it can neither win nor tie and need not be
+// measured. Below screenFloor the squares lose relative precision to
+// underflow and the screen stands aside.
+const (
+	screenTol   = 1e-9
+	screenFloor = 1e-280
+)
+
+// nearest returns the first live station (not marked in down) at the
+// smallest math.Hypot distance — exactly what a plain Hypot scan with a
+// strict < returns — or nil when none is live. It screens on squared
+// distance: when the runner-up square is more than screenTol above the
+// smallest, the smallest is the answer and no Hypot is taken; otherwise
+// only the stations within screenTol of the smallest square are
+// measured, in slice order. Non-finite or underflowing squares fall
+// back to the plain scan.
+func nearest(stations []*BaseStation, down []bool, pos mobility.Point) *BaseStation {
+	var best *BaseStation
+	minSq, nextSq := math.Inf(1), math.Inf(1)
+	for _, bs := range stations {
+		if isDown(bs, down) {
+			continue
+		}
+		switch sq := sqDist(bs.Pos, pos); {
+		case !(sq <= math.MaxFloat64): // NaN or +Inf
+			return nearestScan(stations, down, pos, math.Inf(1))
+		case sq < minSq:
+			best, minSq, nextSq = bs, sq, minSq
+		case sq < nextSq:
+			nextSq = sq
+		}
+	}
+	if minSq < screenFloor {
+		return nearestScan(stations, down, pos, math.Inf(1))
+	}
+	// With no live station both squares are +Inf, a "tie" whose scan
+	// finds nothing.
+	if limit := minSq + minSq*screenTol; nextSq <= limit {
+		return nearestScan(stations, down, pos, limit)
+	}
+	return best
+}
+
+// nearestScan is the plain Hypot scan over the live stations whose
+// squared distance is at most limit (+Inf: all of them).
+func nearestScan(stations []*BaseStation, down []bool, pos mobility.Point, limit float64) *BaseStation {
 	var best *BaseStation
 	var bestD float64
 	for _, bs := range stations {
-		if bs.ID >= 0 && bs.ID < len(down) && down[bs.ID] {
+		if isDown(bs, down) || sqDist(bs.Pos, pos) > limit {
 			continue
 		}
 		if d := bs.Pos.Dist(pos); best == nil || d < bestD {
 			best, bestD = bs, d
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("no surviving base stations: %w", ErrParam)
-	}
-	return best, nil
+	return best
+}
+
+// isDown reports whether the mask rules the station out.
+func isDown(bs *BaseStation, down []bool) bool {
+	return bs.ID >= 0 && bs.ID < len(down) && down[bs.ID]
+}
+
+// sqDist is the squared Euclidean distance, each product rounded on
+// its own (the conversions forbid a fused multiply-add) so both passes
+// of nearest see the same value.
+func sqDist(p, q mobility.Point) float64 {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return float64(dx*dx) + float64(dy*dy)
 }
 
 // GridDeploy places n base stations on a uniform grid over the map

@@ -313,3 +313,149 @@ func TestCorrelatedFading(t *testing.T) {
 		t.Fatalf("stationary means differ by %v dB", d)
 	}
 }
+
+// referenceNearest is the plain search the squared-distance screen
+// replaced — one Hypot per live station, first strict minimum in slice
+// order — kept verbatim as the screen's oracle.
+func referenceNearest(stations []*BaseStation, down []bool, pos mobility.Point) (*BaseStation, error) {
+	if len(down) == 0 {
+		if len(stations) == 0 {
+			return nil, ErrParam
+		}
+		best := stations[0]
+		bestD := best.Pos.Dist(pos)
+		for _, bs := range stations[1:] {
+			if d := bs.Pos.Dist(pos); d < bestD {
+				best, bestD = bs, d
+			}
+		}
+		return best, nil
+	}
+	var best *BaseStation
+	var bestD float64
+	for _, bs := range stations {
+		if bs.ID >= 0 && bs.ID < len(down) && down[bs.ID] {
+			continue
+		}
+		if d := bs.Pos.Dist(pos); best == nil || d < bestD {
+			best, bestD = bs, d
+		}
+	}
+	if best == nil {
+		return nil, ErrParam
+	}
+	return best, nil
+}
+
+// TestNearestScreenMatchesHypotScan: the screened search returns the
+// very station the plain Hypot scan returns — same pointer, same
+// tie-break — on and far off the map, on a station, on and within a few
+// ulp of the bisector of two stations, over duplicate stations, at
+// magnitudes where the squares overflow or underflow, at a NaN position
+// and with a NaN station, under every down mask of an 8-station
+// deployment.
+func TestNearestScreenMatchesHypotScan(t *testing.T) {
+	grid, err := GridDeploy(mobility.CampusMap(), 8, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled := func(f float64) []*BaseStation {
+		out := make([]*BaseStation, len(grid))
+		for i, bs := range grid {
+			out[i] = &BaseStation{ID: bs.ID, Pos: mobility.Point{X: bs.Pos.X * f, Y: bs.Pos.Y * f}}
+		}
+		return out
+	}
+	// Duplicates: stations 2 and 5 share a position, as do 3 and 4;
+	// the first in slice order must win.
+	dup := scaled(1)
+	dup[5].Pos = dup[2].Pos
+	dup[4].Pos = dup[3].Pos
+	// A station at a NaN position: the plain scan keeps it when it is
+	// the first live station, since no distance compares below NaN.
+	nanFirst := scaled(1)
+	nanFirst[0].Pos.X = math.NaN()
+	// Squares that overflow for some stations and not others, and
+	// squares deep enough in the subnormals to lose their order.
+	big, tiny := scaled(1e151), scaled(1e-160)
+	// A pair whose bisector (x = 100) has exactly equal squares.
+	pair := []*BaseStation{
+		{ID: 0, Pos: mobility.Point{X: 0, Y: 0}},
+		{ID: 1, Pos: mobility.Point{X: 200, Y: 0}},
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	type probe struct {
+		name     string
+		stations []*BaseStation
+		pos      mobility.Point
+	}
+	var probes []probe
+	add := func(name string, st []*BaseStation, p mobility.Point) {
+		probes = append(probes, probe{name, st, p})
+	}
+	for i := 0; i < 500; i++ {
+		add("on map", grid, mobility.Point{X: 2000 * rng.Float64(), Y: 2000 * rng.Float64()})
+		add("off map", grid, mobility.Point{X: 1e6 * rng.NormFloat64(), Y: 1e6 * rng.NormFloat64()})
+		add("duplicates", dup, mobility.Point{X: 2000 * rng.Float64(), Y: 2000 * rng.Float64()})
+		add("bisector", pair, mobility.Point{X: 100, Y: 1000 * rng.NormFloat64()})
+		// Within a few ulp of the bisector of two grid columns, where
+		// rounding decides the square's order and Hypot's apart.
+		mid := (grid[0].Pos.X + grid[3].Pos.X) / 2
+		for k := -2.0; k <= 2; k++ {
+			add("near grid bisector", grid, mobility.Point{X: mid + k*1e-13, Y: grid[0].Pos.Y + 5*rng.NormFloat64()})
+		}
+		add("near 1e150", big, mobility.Point{X: 2e154 * rng.Float64(), Y: 2e154 * rng.Float64()})
+		add("near 1e-160", tiny, mobility.Point{X: 2e-157 * rng.Float64(), Y: 2e-157 * rng.Float64()})
+		add("nan station", nanFirst, mobility.Point{X: 2000 * rng.Float64(), Y: 2000 * rng.Float64()})
+	}
+	for _, bs := range grid {
+		add("on a station", grid, bs.Pos)
+		add("on a duplicate", dup, bs.Pos)
+	}
+	// Near-ties of stations 5 and 7 whose subnormal squares order the
+	// two the other way round from Hypot (found by search).
+	for _, p := range []mobility.Point{
+		{X: 1.767503391040547e-160, Y: 1.7672967338996142e-160},
+		{X: 1.983781352026803e-160, Y: 1.9837323563639737e-160},
+		{X: 1.8181744632875092e-160, Y: 1.8182848684604218e-160},
+	} {
+		add("subnormal squares", scaled(1e-163), p)
+	}
+	add("nan", grid, mobility.Point{X: math.NaN(), Y: 500})
+	add("inf", grid, mobility.Point{X: math.Inf(1), Y: 500})
+
+	const numBS = 8
+	for _, p := range probes {
+		for mask := 0; mask < 1<<numBS; mask++ {
+			var down []bool
+			if mask > 0 {
+				down = make([]bool, numBS)
+				for b := range down {
+					down[b] = mask&(1<<b) != 0
+				}
+			}
+			want, werr := referenceNearest(p.stations, down, p.pos)
+			got, gerr := NearestAliveBS(p.stations, down, p.pos)
+			if (werr != nil) != (gerr != nil) || got != want {
+				t.Fatalf("%s at %+v, mask %08b: got %v (%v), want %v (%v)", p.name, p.pos, mask, got, gerr, want, werr)
+			}
+			if werr != nil && !errors.Is(gerr, ErrParam) {
+				t.Fatalf("%s, mask %08b: want ErrParam, got %v", p.name, mask, gerr)
+			}
+			if mask == 0 {
+				if got, err := NearestBS(p.stations, p.pos); err != nil || got != want {
+					t.Fatalf("%s at %+v: NearestBS %v (%v), want %v", p.name, p.pos, got, err, want)
+				}
+			}
+		}
+	}
+	// Every station down over the full grid still fails typed.
+	all := make([]bool, numBS)
+	for i := range all {
+		all[i] = true
+	}
+	if _, err := NearestAliveBS(grid, all, mobility.Point{X: 1, Y: 1}); !errors.Is(err, ErrParam) {
+		t.Fatalf("all down: want ErrParam, got %v", err)
+	}
+}

@@ -16,8 +16,9 @@
 //
 // Determinism: every cell derives its random streams from (Seed,
 // tag, cell salt, ...), users own global-id-keyed streams that
-// travel with their twin, and the handover pass runs sequentially in
-// global user-id order. The merged ClusterTrace is therefore
+// travel with their twin, and the handover pass moves twins
+// sequentially in global user-id order (its concurrent group pre-pass
+// computes pure per-move values). The merged ClusterTrace is therefore
 // bit-identical for any Parallelism and any shard count — sharding
 // is a scheduling decision, never a semantic one.
 package cluster
@@ -218,9 +219,14 @@ type Engine struct {
 	owner     []int
 	handovers int
 	trained   bool
-	// plan is PlanHandovers' buffer, kept so the handover pass allocates
-	// nothing proportional to population.
-	plan []Handover
+	// plan is PlanHandovers' buffer, and arrivals, inbound (per-cell
+	// move indices) and dests ApplyHandovers' group pre-pass scratch,
+	// kept so the handover pass allocates nothing proportional to
+	// population.
+	plan     []Handover
+	arrivals []arrival
+	inbound  [][]int
+	dests    []int
 	// Failure model (see failure.go): the fault schedule in firing
 	// order, the response policy, the quarantine mask shared with
 	// every cell's sim engine (written only between fan-outs), and
@@ -361,6 +367,7 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 		mask:     mask,
 		shards:   shards,
 		owner:    make([]int, d.Sim.NumUsers),
+		inbound:  make([][]int, numCells),
 		faults:   faults,
 		down:     down,
 		retain:   true,

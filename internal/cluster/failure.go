@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"dtmsvs/internal/channel"
-	"dtmsvs/internal/sim"
 )
 
 // ErrCellFailure classifies every injected-failure outcome: the
@@ -153,15 +152,16 @@ func (e *Engine) evacuate(failed int) error {
 		if e.owner[id] != failed {
 			continue
 		}
-		pos, ok := e.cells[failed].eng.PositionOf(id)
+		mu, ok := e.cells[failed].eng.Member(id)
 		if !ok {
 			return fmt.Errorf("user %d not evacuable from cell %d: %w", id, failed, ErrCellFailure)
 		}
-		bs, err := channel.NearestAliveBS(e.stations, e.down, pos)
+		bs, err := channel.NearestAliveBS(e.stations, e.down, mu.Position())
 		if err != nil {
 			return fmt.Errorf("evacuating user %d: %w", id, err)
 		}
-		if err := e.move(Handover{ID: id, From: failed, To: bs.ID}, sim.User{}); err != nil {
+		a := arrival{user: mu, group: e.cells[bs.ID].eng.NearestGroup(mu)}
+		if err := e.move(Handover{ID: id, From: failed, To: bs.ID}, a); err != nil {
 			return err
 		}
 		moved++

@@ -65,14 +65,28 @@ func (e *Engine) PlanHandovers() ([]Handover, error) {
 	return plan, nil
 }
 
+// arrival is one move's twin as the apply loop attaches it: the handle
+// (the decoded import, or the owned twin still in its source cell) and
+// the destination group the pre-pass chose for it (-1: none applies,
+// join the smallest group at attach time).
+type arrival struct {
+	user  sim.User
+	group int
+}
+
 // ApplyHandovers applies one boundary's moves touching this partition
 // — its own plan plus the imports routed from its peers — in ascending
 // global user-id order: each twin is detached (UDT, calibration state
 // and random stream intact) and attached to the new station's cell.
 // Every move is checked, and every import decoded, before the first
-// twin moves, so a rejected batch leaves the engine untouched. The
-// pass then verifies twin conservation and late-trains owned cells
-// that just gained their first users.
+// twin moves, so a rejected batch leaves the engine untouched. A
+// pre-pass then picks every incoming twin's destination group
+// (sim.NearestGroup: one CNN encode and a nearest-centroid search)
+// concurrently, one pool task per destination cell, since the choice
+// reads only the twin and that cell's encoder and centroids, none of
+// which the pass changes; the sequential attach loop consumes the
+// choices. The pass ends by verifying twin conservation and
+// late-training owned cells that just gained their first users.
 func (e *Engine) ApplyHandovers(moves []Handover) error {
 	// The engine's own plan is already id-ordered; only a batch merged
 	// with imports needs the private sorted copy.
@@ -83,7 +97,7 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 			break
 		}
 	}
-	var imported []sim.User
+	arrivals := e.arrivals[:0]
 	for i, h := range moves {
 		switch {
 		case h.ID < 0 || h.ID >= len(e.owner):
@@ -102,6 +116,11 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 		case e.mask[h.From] && e.owner[h.ID] != h.From:
 			return fmt.Errorf("user %d not detachable from cell %d: %w", h.ID, h.From, ErrConfig)
 		case e.mask[h.From]:
+			mu, ok := e.cells[h.From].eng.Member(h.ID)
+			if !ok {
+				return fmt.Errorf("user %d not detachable from cell %d: %w", h.ID, h.From, ErrConfig)
+			}
+			arrivals = append(arrivals, arrival{user: mu, group: -1})
 			continue
 		case e.mask[e.owner[h.ID]]:
 			return fmt.Errorf("import of user %d, already in cell %d: %w", h.ID, e.owner[h.ID], ErrConfig)
@@ -119,31 +138,64 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 		if mu.ID() != h.ID {
 			return fmt.Errorf("import of user %d decoded twin %d: %w", h.ID, mu.ID(), ErrConfig)
 		}
-		imported = append(imported, mu)
+		arrivals = append(arrivals, arrival{user: mu, group: -1})
 	}
-	for _, h := range moves {
-		var in sim.User
+	e.arrivals = arrivals
+	e.pickGroups(moves, arrivals)
+	for i, h := range moves {
 		if e.mask[h.From] {
 			e.handovers++
 			e.metHandovers.Inc()
-		} else {
-			in, imported = imported[0], imported[1:]
 		}
-		if err := e.move(h, in); err != nil {
+		if err := e.move(h, arrivals[i]); err != nil {
 			return err
 		}
 	}
+	clear(arrivals) // hold no twin past the pass
 	if err := e.checkConservation("handover"); err != nil {
 		return err
 	}
 	return e.lateTrain()
 }
 
+// pickGroups is ApplyHandovers' group pre-pass: arrivals[i].group
+// becomes the destination group of moves[i]'s twin whenever this
+// partition owns moves[i].To. The moves are bucketed by destination
+// cell and the buckets fan out over the pool, one task per cell, so
+// each cell's encoder has one user; a task writes only its own moves'
+// slots, so the choices do not depend on scheduling. The buckets are
+// engine-owned and reused across passes.
+func (e *Engine) pickGroups(moves []Handover, arrivals []arrival) {
+	dests := e.dests[:0]
+	for i, h := range moves {
+		if !e.mask[h.To] || e.cells[h.To].eng.NumGroups() == 0 {
+			continue
+		}
+		if len(e.inbound[h.To]) == 0 {
+			dests = append(dests, h.To)
+		}
+		e.inbound[h.To] = append(e.inbound[h.To], i)
+	}
+	e.dests = dests
+	_ = e.pool.For(len(dests), func(k int) error {
+		eng := e.cells[dests[k]].eng
+		for _, i := range e.inbound[dests[k]] {
+			arrivals[i].group = eng.NearestGroup(arrivals[i].user)
+		}
+		return nil
+	})
+	for _, c := range dests {
+		e.inbound[c] = e.inbound[c][:0]
+	}
+}
+
 // move is the one place a twin changes cells: detached from h.From
-// when this partition owns it (otherwise in is the decoded import),
-// attached to h.To when this partition owns that, and recorded in the
-// owner map. Handover and evacuation both go through it.
-func (e *Engine) move(h Handover, in sim.User) error {
+// when this partition owns it (otherwise a.user is the decoded
+// import), attached to h.To in group a.group when this partition owns
+// that, and recorded in the owner map. Handover and evacuation both go
+// through it.
+func (e *Engine) move(h Handover, a arrival) error {
+	in := a.user
 	if e.mask[h.From] {
 		var ok bool
 		if in, ok = e.cells[h.From].eng.DetachUser(h.ID); !ok {
@@ -152,7 +204,7 @@ func (e *Engine) move(h Handover, in sim.User) error {
 		e.local--
 	}
 	if e.mask[h.To] {
-		if err := e.cells[h.To].eng.AttachUser(in); err != nil {
+		if err := e.cells[h.To].eng.AttachUserTo(in, a.group); err != nil {
 			return err
 		}
 		e.cells[h.To].migratedIn++

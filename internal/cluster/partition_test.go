@@ -288,3 +288,126 @@ func TestHandoverPassAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyHandoversRejectsTrainedBatch: after training, a batch whose
+// moves land in cells with groups — so the group pre-pass has work —
+// and whose last import is bad is refused typed with the engine's
+// boundary state byte-identical to before; the same batch without the
+// bad import then applies, pre-pass and all.
+func TestApplyHandoversRejectsTrainedBatch(t *testing.T) {
+	sc := testSimConfig(13, 2)
+	sc.ChurnPerInterval = 0
+	sc.NumIntervals = 8
+	sc.Grouping.UseCNN = true
+	cfg := Config{Sim: sc}
+	ws := make([]*Worker, 2)
+	for i := range ws {
+		w, err := NewWorker(cfg, i, len(ws))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		ws[i] = w
+	}
+	ctx := context.Background()
+	for _, w := range ws {
+		if err := w.WarmupStep(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange(t, ws)
+	for _, w := range ws {
+		if err := w.TrainAndBuild(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Step until worker 1's batch holds an import into a cell with
+	// groups; its own plan rides along.
+	into := func(h Handover) bool { return ws[1].mask[h.To] && ws[1].cells[h.To].eng.NumGroups() > 0 }
+	var batch []Handover
+	for n := 0; ; n++ {
+		if n == sc.NumIntervals {
+			t.Fatal("scenario produced no import into a grouped cell")
+		}
+		if n > 0 {
+			exchange(t, ws)
+		}
+		for _, w := range ws {
+			if _, err := w.StepInterval(ctx, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		own, err := ws[1].PlanHandovers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = append([]Handover(nil), own...)
+		exports, err := ws[0].PlanHandovers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		imported := false
+		for _, h := range exports {
+			if h.Twin != nil && into(h) {
+				batch = append(batch, h)
+				imported = true
+			}
+		}
+		if imported {
+			break
+		}
+	}
+	// The bad import names a twin worker 0 keeps this boundary (the
+	// highest such id, so it sorts after most of the batch) and carries
+	// a real export's bytes.
+	var good Handover
+	for _, h := range batch {
+		if h.Twin != nil {
+			good = h
+		}
+	}
+	last := -1
+	for id, c := range ws[0].owner {
+		if ws[0].mask[c] && ws[0].cells[c].eng.ServingBSOf(id) == c {
+			last = id
+		}
+	}
+	if last < 0 {
+		t.Fatal("no stationary twin on worker 0")
+	}
+	for _, bad := range []struct {
+		name string
+		move Handover
+		want error
+	}{
+		{"corrupt twin", Handover{ID: last, From: good.From, To: good.To, Twin: good.Twin[:len(good.Twin)/2]}, checkpoint.ErrCorrupt},
+		{"twin of another user", Handover{ID: last, From: good.From, To: good.To, Twin: good.Twin}, ErrConfig},
+	} {
+		before := stateBytes(t, ws[1].Engine)
+		err := ws[1].ApplyHandovers(append(append([]Handover(nil), batch...), bad.move))
+		if !errors.Is(err, bad.want) {
+			t.Fatalf("%s: got %v, want %v", bad.name, err, bad.want)
+		}
+		if !bytes.Equal(stateBytes(t, ws[1].Engine), before) {
+			t.Fatalf("%s: rejected batch mutated the engine", bad.name)
+		}
+	}
+	attached := func() (n int) {
+		for _, c := range ws[1].cells {
+			n += c.migratedIn
+		}
+		return n
+	}
+	want := attached()
+	for _, h := range batch {
+		if ws[1].mask[h.To] {
+			want++
+		}
+	}
+	if err := ws[1].ApplyHandovers(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := attached(); got != want {
+		t.Fatalf("%d twins attached in all, want %d", got, want)
+	}
+}

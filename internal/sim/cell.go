@@ -144,6 +144,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		meanDur:       meanDur,
 		cyclesPerTxS:  make(map[int]*predict.EWMA),
 		wastePerPlayS: wastePerPlayS,
+		byID:          make([]*user, c.NumUsers),
 	}
 	eng.predictor = eng.newPredictor()
 	return eng, nil
@@ -163,6 +164,9 @@ func (m User) ID() int { return m.u.id }
 // ServingBS returns the id of the base station the user's link is
 // currently attached to.
 func (m User) ServingBS() int { return m.u.link.BS().ID }
+
+// Position returns the user's current map position.
+func (m User) Position() mobility.Point { return m.u.mob.Position() }
 
 // SpawnUser creates a fresh user with the given global id (churn
 // generation 0) without attaching it to this engine. The cluster
@@ -197,16 +201,13 @@ func (s *Simulation) ServingBSOf(id int) int {
 	return u.link.BS().ID
 }
 
-// PositionOf returns the current map position of the user with the
-// given global id, so the cluster engine can route an evacuated twin
-// to the nearest surviving cell; false if the user is not in this
-// engine.
-func (s *Simulation) PositionOf(id int) (mobility.Point, bool) {
+// Member returns the handle of the user with the given global id
+// without detaching it, so the cluster engine can route a twin (see
+// User.Position) and pick its destination group (NearestGroup) before
+// moving it; false if the user is not in this engine.
+func (s *Simulation) Member(id int) (User, bool) {
 	u := s.userByID(id)
-	if u == nil {
-		return mobility.Point{}, false
-	}
-	return u.mob.Position(), true
+	return User{u: u}, u != nil
 }
 
 // DetachUser removes the user with the given global id from the
@@ -218,6 +219,7 @@ func (s *Simulation) DetachUser(id int) (User, bool) {
 	}
 	u := s.users[pos]
 	s.users = append(s.users[:pos], s.users[pos+1:]...)
+	s.index(id, nil)
 	for _, g := range s.groups {
 		for i, m := range g.members {
 			if m == id {
@@ -238,10 +240,25 @@ func (s *Simulation) DetachUser(id int) (User, bool) {
 // code-space centroid (the per-shard analogue of the paper's group
 // update on user dynamics); when no centroid applies it joins the
 // smallest group, matching how churn arrivals inherit a slot's
-// membership in the monolithic engine.
+// membership in the monolithic engine. It is AttachUserTo with the
+// group NearestGroup picks at the time of the call.
 func (s *Simulation) AttachUser(mu User) error {
+	return s.AttachUserTo(mu, s.NearestGroup(mu))
+}
+
+// AttachUserTo is AttachUser with the nearest-centroid group already
+// chosen by NearestGroup, so the cluster engine's handover pass can
+// encode its incoming twins concurrently, one goroutine per
+// destination cell, before its sequential attach loop. A negative
+// group — no centroid applies — joins the smallest group as it stands
+// at the time of the call (ties to the lowest id): that fallback reads
+// live membership, so it is never precomputed.
+func (s *Simulation) AttachUserTo(mu User, group int) error {
 	if mu.u == nil {
 		return fmt.Errorf("attach nil user: %w", ErrConfig)
+	}
+	if group >= len(s.groups) {
+		return fmt.Errorf("attach user %d to group %d of %d: %w", mu.u.id, group, len(s.groups), ErrConfig)
 	}
 	u := mu.u
 	pos := sort.Search(len(s.users), func(i int) bool { return s.users[i].id >= u.id })
@@ -251,38 +268,53 @@ func (s *Simulation) AttachUser(mu User) error {
 	s.users = append(s.users, nil)
 	copy(s.users[pos+1:], s.users[pos:])
 	s.users[pos] = u
+	s.index(u.id, u)
 	s.prevAssign = nil
 	if len(s.groups) == 0 {
 		return nil
 	}
-	gid := s.assignGroup(u)
-	s.groups[gid].members = append(s.groups[gid].members, u.id)
+	if group < 0 {
+		group = s.smallestGroup()
+	}
+	s.groups[group].members = append(s.groups[group].members, u.id)
 	return nil
 }
 
-// assignGroup picks the multicast group for a migrated twin: nearest
-// centroid in the cell's code space when computable, else the
-// smallest group (ties to the lowest id). Always deterministic.
-func (s *Simulation) assignGroup(u *user) int {
-	if codes, err := s.builder.Codes([]*udt.Twin{u.twin}); err == nil && len(codes) == 1 {
-		best, bestD := -1, 0.0
-		for _, g := range s.groups {
-			if len(g.centroid) != len(codes[0]) {
-				continue
-			}
-			var d float64
-			for i, c := range g.centroid {
-				diff := codes[0][i] - c
-				d += diff * diff
-			}
-			if best == -1 || d < bestD {
-				best, bestD = g.id, d
-			}
+// NearestGroup returns the multicast group whose code-space centroid
+// is nearest to the twin's code under this cell's encoder, or -1 when
+// none applies: no groups, no centroid of the code's dimension, or a
+// twin the encoder cannot read. It reads only the twin, the encoder
+// weights and the centroids — not membership — so its answer holds for
+// as long as the groups are not rebuilt. Calls on one engine must not
+// overlap: they share the encoder's scratch.
+func (s *Simulation) NearestGroup(mu User) int {
+	if len(s.groups) == 0 || mu.u == nil {
+		return -1
+	}
+	codes, err := s.builder.Codes([]*udt.Twin{mu.u.twin})
+	if err != nil || len(codes) != 1 {
+		return -1
+	}
+	best, bestD := -1, 0.0
+	for _, g := range s.groups {
+		if len(g.centroid) != len(codes[0]) {
+			continue
 		}
-		if best >= 0 {
-			return best
+		var d float64
+		for i, c := range g.centroid {
+			diff := codes[0][i] - c
+			d += diff * diff
+		}
+		if best == -1 || d < bestD {
+			best, bestD = g.id, d
 		}
 	}
+	return best
+}
+
+// smallestGroup returns the group with the fewest members (ties to the
+// lowest id); the engine must have groups.
+func (s *Simulation) smallestGroup() int {
 	best := 0
 	for _, g := range s.groups[1:] {
 		if len(g.members) < len(s.groups[best].members) {

@@ -322,9 +322,16 @@ func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {
 		if err != nil {
 			return err
 		}
+		if len(users) > 0 && u.id <= users[len(users)-1].id {
+			return fmt.Errorf("user %d after user %d: population not in id order: %w", u.id, users[len(users)-1].id, checkpoint.ErrCorrupt)
+		}
 		users = append(users, u)
 	}
 	s.users = users
+	clear(s.byID)
+	for _, u := range users {
+		s.index(u.id, u)
+	}
 	return nil
 }
 

@@ -460,9 +460,15 @@ type Simulation struct {
 	// writes it only between interval fan-outs; nil in the monolithic
 	// engine and in healthy clusters, where nearest-BS resolution is
 	// bit-identical to channel.NearestBS.
-	downBS  []bool
-	campus  *mobility.Map
-	users   []*user
+	downBS []bool
+	campus *mobility.Map
+	users  []*user
+	// byID maps a global user id below cfg.NumUsers to its member of
+	// users (nil when absent). Cluster cells keep it, maintained by
+	// attach, detach, churn and restore, because their sparse id sets
+	// miss userPos's dense fast path; the monolithic engine, whose ids
+	// are its slice indices, leaves it nil.
+	byID    []*user
 	catalog *video.Catalog
 	server  *edge.Server
 	builder *grouping.Builder
@@ -612,13 +618,23 @@ func (s *Simulation) newPredictor() predict.DemandPredictor {
 
 // userByID resolves a global user id to its state. The users slice is
 // kept sorted by id, with ids equal to slice indices in the monolithic
-// engine; cluster cells hold sparse id sets and fall back to binary
-// search.
+// engine; cluster cells hold sparse id sets and look them up in byID,
+// falling back to binary search for an id it does not cover.
 func (s *Simulation) userByID(id int) *user {
+	if id >= 0 && id < len(s.byID) {
+		return s.byID[id]
+	}
 	if pos := s.userPos(id); pos >= 0 {
 		return s.users[pos]
 	}
 	return nil
+}
+
+// index records u (nil: no user) under id in byID, when byID covers it.
+func (s *Simulation) index(id int, u *user) {
+	if id >= 0 && id < len(s.byID) {
+		s.byID[id] = u
+	}
 }
 
 // newUser creates one simulated user: a favorite-category-biased
@@ -712,6 +728,7 @@ func (s *Simulation) churnUsers(ctx context.Context) (int, error) {
 		}
 		u.gen = gen
 		s.users[i] = u
+		s.index(u.id, u) // an index-owned slot: ids are unique
 		replaced[i] = true
 		return nil
 	}); err != nil {

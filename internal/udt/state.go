@@ -20,8 +20,8 @@ func (t *Twin) identity() [6]int {
 // oldest-first as raw IEEE-754 words, the preference snapshot, the
 // per-category interval counters and the staleness counts.
 func (t *Twin) EncodeState(e *checkpoint.Enc) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, v := range t.identity() {
 		e.Int(v)
 	}

@@ -156,11 +156,18 @@ func (c Config) Validate() error {
 // Twin is one user's digital twin. It is safe for concurrent use: the
 // BS-side collector writes — one CollectTick call per simulation tick,
 // or Tick followed by the per-attribute Collect calls — while the
-// grouping pipeline reads.
+// grouping pipeline reads. Readers serialize with each other as well
+// as with the collector.
 type Twin struct {
 	UserID int
 
-	mu sync.RWMutex
+	// mu guards everything below, for readers as for writers. It is a
+	// plain Mutex, not an RWMutex: the engines never run two readers of
+	// one twin at once (a twin belongs to one user, one group and one
+	// pool index per fan-out), so shared read locking bought nothing,
+	// and its extra atomics on the collector's hot path cost a drain of
+	// the store buffer the ring writes fill.
+	mu sync.Mutex
 
 	cfg Config
 
@@ -220,8 +227,8 @@ func (t *Twin) tick() {
 
 // Ticks returns the collection clock.
 func (t *Twin) Ticks() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ticks
 }
 
@@ -231,8 +238,8 @@ func (t *Twin) Staleness(a Attribute) int {
 	if a < AttrChannel || a > AttrPreference {
 		return 0
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.staleness[a]
 }
 
@@ -361,16 +368,16 @@ func (t *Twin) collectPreference(p behavior.Preference) bool {
 
 // Preference returns the last collected preference snapshot.
 func (t *Twin) Preference() behavior.Preference {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.pref.Clone()
 }
 
 // WatchByCategory returns total watch seconds per category since the
 // last interval reset.
 func (t *Twin) WatchByCategory() [video.NumCategories]float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.watchByCat
 }
 
@@ -379,23 +386,23 @@ func (t *Twin) WatchByCategory() [video.NumCategories]float64 {
 // it yields the mean watched fraction per category — the direct input
 // to the group swiping-probability distribution.
 func (t *Twin) EngagementByCategory() [video.NumCategories]float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.engageByCat
 }
 
 // ViewsByCategory returns view counts per category since the last
 // interval reset.
 func (t *Twin) ViewsByCategory() [video.NumCategories]int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.viewsByCat
 }
 
 // SwipeStats returns (swipes, views) since the last interval reset.
 func (t *Twin) SwipeStats() (swipes, views int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.swipes, t.views
 }
 
@@ -426,8 +433,8 @@ func (t *Twin) FeatureWindow(steps int, posScale float64) (vecmath.Vec, error) {
 	if posScale <= 0 {
 		return nil, fmt.Errorf("position scale %v: %w", posScale, ErrParam)
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make(vecmath.Vec, NumFeatureChannels*steps)
 	divs := [NumFeatureChannels]float64{15, posScale, posScale, 60, 1}
 	for i, r := range t.rings() {
@@ -439,8 +446,8 @@ func (t *Twin) FeatureWindow(steps int, posScale float64) (vecmath.Vec, error) {
 // MeanCQI returns the mean collected CQI over the last steps samples
 // (0 when nothing collected).
 func (t *Twin) MeanCQI(steps int) float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	w := t.cqi.window(steps)
 	var sum float64
 	for _, v := range w {
@@ -452,8 +459,8 @@ func (t *Twin) MeanCQI(steps int) float64 {
 // LastLocation returns the most recent collected position (0,0 when
 // nothing collected).
 func (t *Twin) LastLocation() (x, y float64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	wx := t.locX.window(1)
 	wy := t.locY.window(1)
 	return wx[0], wy[0]
