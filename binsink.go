@@ -26,15 +26,15 @@ var (
 // BinarySink streams records in the binary columnar trace format
 // (internal/tracebin): records buffer in memory until the session's
 // interval-boundary Flush, which encodes them as column blocks —
-// split per serving cell in cluster runs — in parallel on a worker
-// crew and hands the underlying writer a single Write. After any
-// Flush the backing store holds a well-formed whole-interval prefix,
-// the same crash contract as NDJSON and CSV; a run that ends before
-// its first interval leaves a valid header-only file.
+// split per serving cell in cluster runs — and hands the underlying
+// writer a single Write. After any Flush the backing store holds a
+// well-formed whole-interval prefix, the same crash contract as
+// NDJSON and CSV; a run that ends before its first interval leaves a
+// valid header-only file.
 //
-// Call Close when the run is over to release the encode workers (and
-// write the header, if nothing ever flushed). Decode with
-// ReadTraceRecordsBin or the format-agnostic ReadTraceRecords.
+// Call Close when the run is over to write the header if nothing ever
+// flushed. Decode with ReadTraceRecordsBin or the format-agnostic
+// ReadTraceRecords.
 type BinarySink struct {
 	w    *tracebin.Writer
 	recs []tracebin.Record
@@ -43,12 +43,6 @@ type BinarySink struct {
 
 // BinarySinkOption tunes a BinarySink.
 type BinarySinkOption func(*tracebin.WriterOptions)
-
-// WithBinaryWorkers sets the number of goroutines encoding column
-// blocks within one flush (default: GOMAXPROCS; 1 = sequential).
-func WithBinaryWorkers(n int) BinarySinkOption {
-	return func(o *tracebin.WriterOptions) { o.Workers = n }
-}
 
 // WithBinaryCompression enables per-block DEFLATE; each block keeps
 // whichever of raw/compressed is smaller.
@@ -95,8 +89,8 @@ func (s *BinarySink) Flush() error {
 	return nil
 }
 
-// Close releases the encode workers and, if nothing ever flushed,
-// writes the stream header so even an empty run leaves a valid file.
+// Close writes the stream header if nothing ever flushed, so even an
+// empty run leaves a valid file.
 // The underlying writer is not closed.
 func (s *BinarySink) Close() error { return s.w.Close() }
 

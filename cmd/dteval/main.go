@@ -54,7 +54,7 @@ func run() error {
 		bs        = flag.Int("bs", 4, "number of base stations")
 		intervals = flag.Int("intervals", 24, "reservation intervals")
 		counts    = flag.String("counts", "50,100,200", "comma-separated user counts for -exp users")
-		par       = flag.Int("parallel", 0, "worker goroutines for simulation fan-out and training GEMM row-blocks (0 = all cores; results are identical for any value)")
+		par       = flag.Int("parallel", 0, "worker goroutines for simulation and grouping fan-out (0 = all cores; results are identical for any value)")
 		shards    = flag.Int("shards", 0, "shard count for -exp cluster (0 = one per BS)")
 		out       = flag.String("out", "", "stream the experiment's trace to this file (single-trace experiments only)")
 		format    = flag.String("format", "ndjson", `-out stream format: "ndjson", "csv" or "bin" (binary columnar)`)

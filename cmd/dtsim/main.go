@@ -27,7 +27,7 @@
 // to -out at every interval boundary, so the process never holds the
 // full trace in heap and an interrupt (Ctrl-C) leaves a well-formed
 // whole-interval prefix behind. "bin" is the compact binary columnar
-// format (internal/tracebin), encoded in parallel; add -bin-compress
+// format (internal/tracebin); add -bin-compress
 // for per-block DEFLATE. "json" buffers the run and writes one JSON
 // array at the end (the partial array is still written on interrupt).
 // Any of the four decodes with dtreport/dteval or ReadTraceRecords,
@@ -104,7 +104,7 @@ func run() (err error) {
 		fixedK     = flag.Int("fixed-k", 0, "bypass the DDQN with a fixed grouping number (0 = use DDQN)")
 		noCNN      = flag.Bool("no-cnn", false, "disable the 1D-CNN compressor (raw-feature baseline)")
 		budget     = flag.Int("rb-budget", 0, "shared RB budget for reservation-with-admission (0 = unlimited)")
-		par        = flag.Int("parallel", 0, "worker goroutines for simulation fan-out and training GEMM row-blocks (0 = all cores; trace is identical for any value)")
+		par        = flag.Int("parallel", 0, "worker goroutines for simulation and grouping fan-out (0 = all cores; trace is identical for any value)")
 		shards     = flag.Int("shards", 0, "run the sharded multi-BS cluster engine with this many shards (-1 = one per BS, 0 = monolithic engine)")
 		format     = flag.String("format", "json", `trace format: "json" (buffered array), "ndjson", "csv" or "bin" (streamed per interval; "bin" is the binary columnar format)`)
 		binGzip    = flag.Bool("bin-compress", false, `with -format bin, DEFLATE-compress each column block`)
@@ -191,8 +191,8 @@ func run() (err error) {
 		if serr != nil {
 			return serr
 		}
-		// Releases the encode workers; a run that never flushed still
-		// gets its self-describing header.
+		// A run that never flushed still gets its self-describing
+		// header.
 		defer sink.Close()
 		opts = append(opts, dtmsvs.WithSink(sink))
 	default:

@@ -371,6 +371,30 @@ func TestDistributedSinkRetryKeepsWorkersAlive(t *testing.T) {
 	}
 }
 
+// TestDistributedSubMillisecondHeartbeat: a beat period under one
+// millisecond reaches the workers rounded up to 1 ms. Truncated to 0,
+// it made them fall back to 100 ms beats while the supervisor still
+// declared them dead after 50 × 900 µs, so a healthy run lost its
+// workers in a prologue long enough — 200 agent episodes — to outlast
+// that.
+func TestDistributedSubMillisecondHeartbeat(t *testing.T) {
+	cfg := distTestConfig(41, 1)
+	cfg.Sim.AgentEpisodes = 200
+	s, err := OpenDistributed(cfg, 2, WithWorkerHeartbeat(900*time.Microsecond, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for !s.Done() {
+		if _, serr := s.Step(context.Background()); serr != nil {
+			t.Fatal(serr)
+		}
+	}
+	if s.HeartbeatMisses() != 0 || s.WorkerRestarts() != 0 {
+		t.Fatalf("healthy run recovered: %d misses, %d restarts", s.HeartbeatMisses(), s.WorkerRestarts())
+	}
+}
+
 // TestDistributedProcessWorkers runs real child processes (this test
 // binary re-exec'ed via TestMain/MaybeWorker) and real SIGKILLs. The
 // default run covers a clean pass and one kill per worker count; the

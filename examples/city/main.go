@@ -51,7 +51,7 @@ func run() error {
 		par       = flag.Int("parallel", 0, "worker goroutines (0 = all cores)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		out       = flag.String("out", "", "stream the trace to this file (default: records are not kept)")
-		format    = flag.String("format", "ndjson", `-out stream format: "ndjson" or "bin" (binary columnar — ~10× smaller, parallel-encoded)`)
+		format    = flag.String("format", "ndjson", `-out stream format: "ndjson" or "bin" (binary columnar — ~10× smaller)`)
 	)
 	flag.Parse()
 

@@ -291,19 +291,6 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 	if cellBytes <= 0 {
 		cellBytes = d.Sim.CacheBytes
 	}
-	// Split the worker budget across the cells that can train
-	// concurrently (one per shard, capped by the pool), so the
-	// per-cell GEMM crews sum to at most Parallelism workers instead
-	// of oversubscribing the host Shards-fold. Width only moves
-	// wall-clock time — cell traces are bit-identical at any value.
-	concurrent := d.Shards
-	if concurrent > pool.Workers() {
-		concurrent = pool.Workers()
-	}
-	gemmWorkers := pool.Workers() / concurrent
-	if gemmWorkers < 1 {
-		gemmWorkers = 1
-	}
 	// One quarantine mask, aliased by every cell's sim engine, so a
 	// failure routes handovers and churn arrivals around the dark
 	// station in every sibling cell at once.
@@ -315,14 +302,13 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 			return nil, serr
 		}
 		eng, cerr := sim.NewCell(d.Sim, sim.CellOptions{
-			Stations:    stations,
-			Campus:      campus,
-			Catalog:     catalog,
-			Server:      server,
-			Pool:        pool,
-			Salt:        uint64(c) + 1,
-			GEMMWorkers: gemmWorkers,
-			DownBS:      down,
+			Stations: stations,
+			Campus:   campus,
+			Catalog:  catalog,
+			Server:   server,
+			Pool:     pool,
+			Salt:     uint64(c) + 1,
+			DownBS:   down,
 		})
 		if cerr != nil {
 			return nil, fmt.Errorf("cell %d: %w", c, cerr)
@@ -442,14 +428,9 @@ func (e *Engine) lateTrain() error {
 	return nil
 }
 
-// Close releases every cell's training GEMM workers. The engine
-// stays readable afterwards — further training GEMMs would run
-// sequentially with identical results. Idempotent.
-func (e *Engine) Close() {
-	for _, c := range e.cells {
-		c.eng.Close()
-	}
-}
+// Close is a no-op kept for callers that pair construction with a
+// release: the engine and its cells hold no goroutines between calls.
+func (e *Engine) Close() {}
 
 // SetMetrics mounts reg on the cluster: the interval/handover stage
 // timer and handover counter on the engine itself, and every cell's

@@ -42,7 +42,8 @@ type Config struct {
 	Workers int
 	// Transport builds each worker's byte channel. nil = InProcess().
 	Transport TransportFactory
-	// Heartbeat is the worker beat period (default 100ms).
+	// Heartbeat is the worker beat period (default 100ms), rounded up
+	// to a whole millisecond: the hello frame carries milliseconds.
 	Heartbeat time.Duration
 	// HeartbeatMiss is how many consecutive missed beats declare a
 	// worker dead (default 10).
@@ -68,7 +69,8 @@ type Config struct {
 	// (kill/hang/garbage) on workers, for tests and chaos runs.
 	Faults []faultinject.ProcFault
 	// HangDuration is how long a ProcHang fault stalls a worker
-	// (default 30s; tests shrink it).
+	// (default 30s; tests shrink it), rounded up to a whole
+	// millisecond like Heartbeat.
 	HangDuration time.Duration
 	// Metrics receives restart/heartbeat/byte counters and per-worker
 	// boundary timings. nil disables.
@@ -101,7 +103,17 @@ func (c Config) withDefaults() Config {
 	if c.HangDuration <= 0 {
 		c.HangDuration = 30 * time.Second
 	}
+	// The hello frame sends both as whole milliseconds. Truncating a
+	// sub-millisecond beat to 0 would have the worker fall back to its
+	// 100ms default while gather still times it against Heartbeat.
+	c.Heartbeat = ceilMillis(c.Heartbeat)
+	c.HangDuration = ceilMillis(c.HangDuration)
 	return c
+}
+
+// ceilMillis rounds a positive duration up to a whole millisecond.
+func ceilMillis(d time.Duration) time.Duration {
+	return (d + time.Millisecond - 1).Truncate(time.Millisecond)
 }
 
 // replayMax bounds a worker's replay log: the supervisor asks for a
@@ -217,6 +229,9 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	if cfg.Workers < 1 || cfg.Workers > cfg.Cluster.Sim.NumBS {
 		return nil, fmt.Errorf("%w: %d workers for %d cells", ErrProtocol, cfg.Workers, cfg.Cluster.Sim.NumBS)
+	}
+	if cfg.Heartbeat > time.Hour || cfg.HangDuration > time.Hour {
+		return nil, fmt.Errorf("%w: heartbeat %v or hang %v over the hello frame's 1h bound", ErrProtocol, cfg.Heartbeat, cfg.HangDuration)
 	}
 	for _, f := range cfg.Faults {
 		if f.Worker < 0 || f.Worker >= cfg.Workers {

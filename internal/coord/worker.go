@@ -1,4 +1,4 @@
-// This file is the worker side of the frame protocol: parse hello,
+// This file is the worker side of the frame protocol: decode hello,
 // construct (or restore) the owned cell block, then serve step frames
 // until shutdown — heartbeating the whole time, checkpointing at the
 // boundaries the supervisor asks for, and injecting scheduled process
@@ -50,6 +50,36 @@ type helloMsg struct {
 	HeartbeatMS int                     `json:"heartbeatMs"`
 	HangMS      int                     `json:"hangMs"`
 	Faults      []faultinject.ProcFault `json:"faults,omitempty"`
+}
+
+// maxHelloMS bounds the hello header's heartbeatMs and hangMs: one
+// hour is far past any useful setting, and keeps the millisecond count
+// far inside time.Duration, so the worker's ticker and hang timer
+// always get a positive period.
+const maxHelloMS = int(time.Hour / time.Millisecond)
+
+// decodeHello parses a hello frame's payload into its header and the
+// resume checkpoint blob (empty for a fresh worker; it aliases
+// payload). The payload crossed a pipe, so every malformed or
+// out-of-range field is an ErrProtocol error.
+func decodeHello(payload []byte) (helloMsg, []byte, error) {
+	d := checkpoint.NewDec(payload)
+	header := d.Blob()
+	resume := d.Blob()
+	if err := d.Close(); err != nil {
+		return helloMsg{}, nil, fmt.Errorf("hello payload: %w: %w", err, ErrProtocol)
+	}
+	var hello helloMsg
+	if err := json.Unmarshal(header, &hello); err != nil {
+		return helloMsg{}, nil, fmt.Errorf("hello header: %v: %w", err, ErrProtocol)
+	}
+	if hello.HeartbeatMS < 0 || hello.HeartbeatMS > maxHelloMS {
+		return helloMsg{}, nil, fmt.Errorf("hello heartbeatMs %d outside [0, %d]: %w", hello.HeartbeatMS, maxHelloMS, ErrProtocol)
+	}
+	if hello.HangMS < 0 || hello.HangMS > maxHelloMS {
+		return helloMsg{}, nil, fmt.Errorf("hello hangMs %d outside [0, %d]: %w", hello.HangMS, maxHelloMS, ErrProtocol)
+	}
+	return hello, resume, nil
 }
 
 // workerStats is the worker's end-of-run contribution to the merged
@@ -129,15 +159,9 @@ func RunWorkerOpts(r io.Reader, w io.Writer, opts WorkerOptions) error {
 	if typ != fHello {
 		return fmt.Errorf("first frame %d is not hello: %w", typ, ErrProtocol)
 	}
-	d := checkpoint.NewDec(payload)
-	helloBlob := d.Blob()
-	resume := d.Blob()
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("hello payload: %w", err)
-	}
-	var hello helloMsg
-	if err := json.Unmarshal(helloBlob, &hello); err != nil {
-		return fmt.Errorf("hello header: %v: %w", err, ErrProtocol)
+	hello, resume, err := decodeHello(payload)
+	if err != nil {
+		return err
 	}
 	if hello.Proto != protoVersion {
 		return sendErrf(c, "protocol version %d, worker speaks %d", hello.Proto, protoVersion)
@@ -378,7 +402,7 @@ func (ws *workerSession) injectFaults(n int) {
 // block-append merge.
 func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
 	var stream bytes.Buffer
-	bw, err := tracebin.NewWriter(&stream, tracebin.WriterOptions{Workers: 1})
+	bw, err := tracebin.NewWriter(&stream, tracebin.WriterOptions{})
 	if err != nil {
 		return err
 	}

@@ -372,7 +372,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // CounterFunc registers a counter series whose value is read from fn
 // at snapshot time — for components that already maintain their own
-// atomic counters (edge caches, GEMM pools). fn must be safe to call
+// atomic counters (edge caches). fn must be safe to call
 // concurrently with the run. The first registration for a given
 // (name, labels) wins; later ones are ignored.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {

@@ -3,14 +3,12 @@ package parallel
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Crew is the persistent sibling of Pool: a fixed team of parked
 // worker goroutines for fan-outs so short that Pool.For's per-call
-// goroutine spawn (and its closure allocations) would dominate — the
-// blocked-GEMM row fan-out of the training hot path runs in tens of
-// microseconds. Dispatch is allocation-free: the caller hands Run a
+// goroutine spawn (and its closure allocations) would dominate — a
+// vecmath.GEMMPool row fan-out runs in tens of microseconds. Dispatch is allocation-free: the caller hands Run a
 // long-lived func value (bind a method value once at construction),
 // workers wake on a per-worker channel, and completion is a reused
 // WaitGroup.
@@ -28,11 +26,6 @@ type Crew struct {
 	wg      sync.WaitGroup
 	fn      func(w int)
 	closed  bool
-
-	// Utilization counters, atomic so a live metrics exporter can
-	// read them from another goroutine mid-run.
-	runs  atomic.Uint64
-	wakes atomic.Uint64
 }
 
 // NewCrew returns a crew with the given worker bound; workers <= 0
@@ -54,7 +47,6 @@ func (c *Crew) Workers() int { return c.workers }
 // the duration of the call; passing the same func value every time
 // keeps Run allocation-free.
 func (c *Crew) Run(n int, fn func(w int)) {
-	c.runs.Add(1)
 	if n > c.workers {
 		n = c.workers
 	}
@@ -63,7 +55,6 @@ func (c *Crew) Run(n int, fn func(w int)) {
 		return
 	}
 	c.once.Do(c.spawn)
-	c.wakes.Add(uint64(n - 1))
 	c.fn = fn
 	c.wg.Add(n - 1)
 	for w := 1; w < n; w++ {
@@ -88,13 +79,6 @@ func (c *Crew) spawn() {
 			}
 		}(w, ch)
 	}
-}
-
-// Stats reports the crew's lifetime utilization: fan-outs dispatched
-// (including those that degraded to sequential) and parked-worker
-// wake-ups. Safe to call concurrently with Run.
-func (c *Crew) Stats() (runs, wakes uint64) {
-	return c.runs.Load(), c.wakes.Load()
 }
 
 // Close releases the crew's workers; a Run after Close degrades to

@@ -22,7 +22,6 @@ import (
 	"dtmsvs/internal/predict"
 	"dtmsvs/internal/radio"
 	"dtmsvs/internal/udt"
-	"dtmsvs/internal/vecmath"
 	"dtmsvs/internal/video"
 )
 
@@ -49,12 +48,6 @@ type CellOptions struct {
 	// unique per cell and non-zero; the cluster engine uses
 	// cell id + 1.
 	Salt uint64
-	// GEMMWorkers bounds the cell's training GEMM crew. Zero keeps
-	// cfg.Parallelism; the cluster engine divides its worker budget
-	// by the number of concurrently training cells so the crews
-	// never oversubscribe the host. Purely a wall-clock knob —
-	// results are bit-identical at any width.
-	GEMMWorkers int
 	// DownBS, when non-nil, is the cluster engine's shared quarantine
 	// mask over station ids (one slice aliased by every sibling cell):
 	// stations marked down take no handovers, churn arrivals or
@@ -100,18 +93,6 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		return nil, err
 	}
 	builder.SetPool(opts.Pool)
-	// Each cell owns its GEMM crew (a GEMMPool runs one kernel at a
-	// time, and sibling cells train concurrently on different
-	// shards), sized to the share of the worker budget the cluster
-	// engine grants it via GEMMWorkers so the crews of concurrently
-	// training cells sum to at most the host budget. Workers park
-	// between calls and never spawn below the parallel threshold.
-	gw := opts.GEMMWorkers
-	if gw == 0 {
-		gw = c.Parallelism
-	}
-	gemm := vecmath.NewGEMMPool(gw)
-	builder.SetGEMMPool(gemm)
 
 	wastePerPlayS, err := predict.NewEWMA(0.3)
 	if err != nil {
@@ -132,7 +113,6 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		cnt:           cnt,
 		rng:           builderRng,
 		pool:          opts.Pool,
-		gemm:          gemm,
 		salt:          opts.Salt,
 		params:        params,
 		stations:      opts.Stations,

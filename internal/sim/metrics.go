@@ -30,9 +30,8 @@ type engineMetrics struct {
 
 // SetMetrics mounts reg on the engine. The labels (e.g. cell="3" in
 // a cluster run) are attached to every series the engine registers.
-// Component counters — edge cache, GEMM pool, crew — are exported as
-// func-backed series reading the components' own atomics, so they
-// stay live for HTTP export without any per-operation hook. Call
+// The edge cache's counters are exported as func-backed series
+// reading the cache's own atomics, so they stay live for HTTP export without any per-operation hook. Call
 // before stepping; a nil reg is a no-op.
 func (s *Simulation) SetMetrics(reg *obs.Registry, labels ...obs.Label) {
 	if reg == nil {
@@ -61,15 +60,4 @@ func (s *Simulation) SetMetrics(reg *obs.Registry, labels ...obs.Label) {
 		func() uint64 { return uint64(cache.Evictions()) }, labels...)
 	reg.GaugeFunc("dtmsvs_edge_cache_used_bytes", "Bytes resident in the edge cache.",
 		func() float64 { return float64(cache.Used()) }, labels...)
-	gemm := s.gemm
-	reg.CounterFunc("dtmsvs_gemm_fanouts_total", "GEMM kernel calls fanned across the worker crew.",
-		func() uint64 { f, _, _ := gemm.Stats(); return f }, labels...)
-	reg.CounterFunc("dtmsvs_gemm_sequential_total", "GEMM kernel calls that ran on the sequential kernels.",
-		func() uint64 { _, q, _ := gemm.Stats(); return q }, labels...)
-	reg.CounterFunc("dtmsvs_gemm_blocks_total", "GEMM destination row blocks executed by crew workers.",
-		func() uint64 { _, _, b := gemm.Stats(); return b }, labels...)
-	reg.CounterFunc("dtmsvs_crew_runs_total", "Fan-outs dispatched on the training GEMM crew.",
-		func() uint64 { r, _ := gemm.CrewStats(); return r }, labels...)
-	reg.CounterFunc("dtmsvs_crew_wakes_total", "Parked crew workers woken by GEMM fan-outs.",
-		func() uint64 { _, w := gemm.CrewStats(); return w }, labels...)
 }

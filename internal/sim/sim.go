@@ -26,7 +26,6 @@ import (
 	"dtmsvs/internal/segment"
 	"dtmsvs/internal/stats"
 	"dtmsvs/internal/udt"
-	"dtmsvs/internal/vecmath"
 	"dtmsvs/internal/video"
 )
 
@@ -137,8 +136,10 @@ type Config struct {
 	// coefficient between collection ticks; 0 = i.i.d. Rayleigh).
 	FadingRho float64
 	// Parallelism is the number of worker goroutines the engine fans
-	// per-user and per-group work across (0 = runtime.NumCPU(), 1 =
-	// fully sequential). The trace is bit-identical for every value:
+	// per-user, per-group and grouping work across (0 =
+	// runtime.NumCPU(), 1 = fully sequential). The goroutines live
+	// only for one fan-out; the training GEMMs run on the calling
+	// goroutine. The trace is bit-identical for every value:
 	// each user, group and churn arrival draws from its own random
 	// stream derived from Seed, and all reductions run in index order.
 	Parallelism int
@@ -441,10 +442,6 @@ type Simulation struct {
 	rng *rand.Rand
 	// pool fans per-user and per-group stages across workers.
 	pool *parallel.Pool
-	// gemm fans training GEMM row blocks across a persistent crew of
-	// the same worker bound (results are bit-identical for any
-	// count); Close releases its workers.
-	gemm *vecmath.GEMMPool
 	// salt decorrelates this engine's derived group/builder streams
 	// from other shards' in a cluster run (0 in the monolithic engine,
 	// cell id + 1 in cluster cells).
@@ -566,8 +563,6 @@ func New(cfg Config) (*Simulation, error) {
 
 	pool := parallel.New(c.Parallelism)
 	builder.SetPool(pool)
-	gemm := vecmath.NewGEMMPool(c.Parallelism)
-	builder.SetGEMMPool(gemm)
 
 	eng := &Simulation{
 		cfg:           c,
@@ -575,7 +570,6 @@ func New(cfg Config) (*Simulation, error) {
 		cnt:           cnt,
 		rng:           rng,
 		pool:          pool,
-		gemm:          gemm,
 		params:        params,
 		stations:      stations,
 		campus:        campus,
@@ -1296,10 +1290,9 @@ func (s *Simulation) WarmupIntervalContext(ctx context.Context) error {
 // collection (exported for the cluster engine's per-cell stepping).
 func (s *Simulation) CollectTicks() error { return s.collectTicks(context.Background()) }
 
-// Close releases the engine's training GEMM workers. The engine
-// stays usable afterwards — any further training GEMMs run
-// sequentially with identical results. Idempotent.
-func (s *Simulation) Close() { s.gemm.Close() }
+// Close is a no-op kept for callers that pair construction with a
+// release: the engine holds no goroutines between calls.
+func (s *Simulation) Close() {}
 
 // CloseInterval folds the finished interval's observations into the
 // per-user calibration state (exported for the cluster engine).

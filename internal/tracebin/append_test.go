@@ -49,7 +49,7 @@ func TestAppendStreamMerge(t *testing.T) {
 	for w := 0; w < 3; w++ {
 		recs := appendTestRecords(w, 10)
 		want = append(want, recs...)
-		stream := encodeStream(t, recs, WriterOptions{Workers: 1, Compress: w == 1})
+		stream := encodeStream(t, recs, WriterOptions{Compress: w == 1})
 		n, err := aw.AppendStream(bytes.NewReader(stream))
 		if err != nil {
 			t.Fatalf("worker %d: %v", w, err)
@@ -74,8 +74,8 @@ func TestAppendStreamMerge(t *testing.T) {
 // blocks — flipped byte, truncation, oversized length, trailing junk
 // — are rejected with ErrCorrupt before touching the output.
 func TestAppendBlock(t *testing.T) {
-	stream := encodeStream(t, appendTestRecords(0, 5), WriterOptions{Workers: 1})
-	hdrLen := len(encodeStream(t, nil, WriterOptions{Workers: 1}))
+	stream := encodeStream(t, appendTestRecords(0, 5), WriterOptions{})
+	hdrLen := len(encodeStream(t, nil, WriterOptions{}))
 	block := stream[hdrLen:]
 
 	var out bytes.Buffer
@@ -118,7 +118,7 @@ func TestAppendBlock(t *testing.T) {
 // fully decodable.
 func TestAppendStreamTorn(t *testing.T) {
 	recs := appendTestRecords(0, 40)
-	stream := encodeStream(t, recs[:20], WriterOptions{Workers: 1, BlockRecords: 16, MinBlockRecords: 1})
+	stream := encodeStream(t, recs[:20], WriterOptions{BlockRecords: 16, MinBlockRecords: 1})
 	var out bytes.Buffer
 	aw := NewAppendWriter(&out)
 	torn := stream[:len(stream)-5]
@@ -152,7 +152,7 @@ func TestAppendWriterConcurrent(t *testing.T) {
 	const writers = 8
 	streams := make([][]byte, writers)
 	for w := range streams {
-		streams[w] = encodeStream(t, appendTestRecords(w, 64), WriterOptions{Workers: 1, BlockRecords: 16, MinBlockRecords: 1})
+		streams[w] = encodeStream(t, appendTestRecords(w, 64), WriterOptions{BlockRecords: 16, MinBlockRecords: 1})
 	}
 	var out bytes.Buffer
 	aw := NewAppendWriter(&out)

@@ -90,11 +90,10 @@ func TestRoundTrip(t *testing.T) {
 		opts WriterOptions
 		per  int
 	}{
-		{"sequential", WriterOptions{Workers: 1}, 0},
-		{"parallel", WriterOptions{Workers: 4}, 0},
-		{"compressed", WriterOptions{Workers: 4, Compress: true}, 0},
-		{"small-blocks", WriterOptions{Workers: 4, BlockRecords: 64, MinBlockRecords: 16}, 0},
-		{"multi-flush", WriterOptions{Workers: 4, Compress: true}, 137},
+		{"sequential", WriterOptions{}, 0},
+		{"compressed", WriterOptions{Compress: true}, 0},
+		{"small-blocks", WriterOptions{BlockRecords: 64, MinBlockRecords: 16}, 0},
+		{"multi-flush", WriterOptions{Compress: true}, 137},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := encode(t, recs, tc.opts, tc.per)
@@ -114,25 +113,12 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential pins the determinism claim: worker
-// count must not change a single output byte.
-func TestParallelMatchesSequential(t *testing.T) {
-	recs := testRecords(3000)
-	seq := encode(t, recs, WriterOptions{Workers: 1, Compress: true}, 0)
-	for _, workers := range []int{2, 4, 8} {
-		par := encode(t, recs, WriterOptions{Workers: workers, Compress: true}, 0)
-		if !bytes.Equal(seq, par) {
-			t.Fatalf("Workers=%d output differs from sequential", workers)
-		}
-	}
-}
-
 // TestFlushPrefix asserts the crash contract: the bytes after any
 // Flush decode to exactly the records flushed so far.
 func TestFlushPrefix(t *testing.T) {
 	recs := testRecords(700)
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{Workers: 2, BlockRecords: 128, MinBlockRecords: 8})
+	w, err := NewWriter(&buf, WriterOptions{BlockRecords: 128, MinBlockRecords: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +144,7 @@ func TestFlushPrefix(t *testing.T) {
 // self-describing file holding zero records.
 func TestEmptyFile(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{Workers: 1})
+	w, err := NewWriter(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +168,7 @@ func TestEmptyFile(t *testing.T) {
 // never a panic or an untyped failure.
 func TestTruncationPrefix(t *testing.T) {
 	recs := testRecords(400)
-	data := encode(t, recs, WriterOptions{Workers: 2, BlockRecords: 64, MinBlockRecords: 8}, 0)
+	data := encode(t, recs, WriterOptions{BlockRecords: 64, MinBlockRecords: 8}, 0)
 	for cut := 0; cut <= len(data); cut++ {
 		got, err := ReadAll(bytes.NewReader(data[:cut]))
 		if err != nil {
@@ -207,7 +193,7 @@ func TestTruncationPrefix(t *testing.T) {
 // must be a correct prefix.
 func TestBitFlips(t *testing.T) {
 	recs := testRecords(600)
-	data := encode(t, recs, WriterOptions{Workers: 2, Compress: true, BlockRecords: 128, MinBlockRecords: 8}, 0)
+	data := encode(t, recs, WriterOptions{Compress: true, BlockRecords: 128, MinBlockRecords: 8}, 0)
 	for off := 0; off < len(data); off += 3 {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x40
@@ -232,7 +218,7 @@ func TestIntOverflowRejected(t *testing.T) {
 	}
 	recs := []Record{{GroupID: math.MaxInt32 + 1}}
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{Workers: 1})
+	w, err := NewWriter(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +232,7 @@ func TestIntOverflowRejected(t *testing.T) {
 }
 
 func TestVersionRejected(t *testing.T) {
-	data := encode(t, testRecords(10), WriterOptions{Workers: 1}, 0)
+	data := encode(t, testRecords(10), WriterOptions{}, 0)
 	mut := append([]byte(nil), data...)
 	mut[8] = 0xFF // version low byte
 	if _, err := ReadAll(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
@@ -290,7 +276,7 @@ func TestSpans(t *testing.T) {
 
 // TestReaderAfterError pins that a failed Reader stays failed.
 func TestReaderAfterError(t *testing.T) {
-	data := encode(t, testRecords(10), WriterOptions{Workers: 1}, 0)
+	data := encode(t, testRecords(10), WriterOptions{}, 0)
 	data = data[:len(data)-2] // tear the final block
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -314,7 +300,7 @@ func TestReaderAfterError(t *testing.T) {
 
 func TestReadAllPartial(t *testing.T) {
 	recs := testRecords(300)
-	data := encode(t, recs, WriterOptions{Workers: 1, BlockRecords: 64, MinBlockRecords: 8}, 0)
+	data := encode(t, recs, WriterOptions{BlockRecords: 64, MinBlockRecords: 8}, 0)
 	mut := append([]byte(nil), data...)
 	mut[len(mut)-3] ^= 0xFF // corrupt the last block's CRC
 	got, err := ReadAll(bytes.NewReader(mut))
@@ -335,7 +321,7 @@ func TestReadAllPartial(t *testing.T) {
 // constant-heavy stream must land far below the fixed-width bound.
 func TestSizeAdvantage(t *testing.T) {
 	recs := testRecords(4096)
-	data := encode(t, recs, WriterOptions{Workers: 1}, 0)
+	data := encode(t, recs, WriterOptions{}, 0)
 	perRecord := float64(len(data)) / float64(len(recs))
 	if perRecord > 108 {
 		t.Fatalf("%.1f bytes/record — constant-column elision not engaging", perRecord)

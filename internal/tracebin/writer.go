@@ -2,20 +2,14 @@ package tracebin
 
 import (
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
-	"sync/atomic"
-
-	"dtmsvs/internal/parallel"
 )
 
 // WriterOptions tune a Writer. The zero value is ready to use.
 type WriterOptions struct {
-	// Workers is the number of goroutines encoding blocks in parallel
-	// within one Flush. 0 means GOMAXPROCS, 1 means sequential.
-	Workers int
 	// Compress runs each block body through DEFLATE (BestSpeed) and
 	// keeps whichever of raw/compressed is smaller.
 	Compress bool
@@ -34,30 +28,22 @@ type WriterOptions struct {
 // and hands the underlying writer a single Write, so every successful
 // Flush leaves a readable prefix and a failed one appends nothing
 // that a flush-per-interval caller would mistake for a torn interval.
-//
-// Blocks within a Flush are encoded concurrently on a parallel.Crew;
-// the assembled output order is deterministic and identical to
-// sequential encoding. Writer is not safe for concurrent use.
+// Writer is not safe for concurrent use.
 type Writer struct {
 	w    io.Writer
 	opts WriterOptions
-	crew *parallel.Crew
 
 	headerDone bool
 	err        error
 
-	out    []byte      // assembled header+blocks for the current Flush
-	spans  []blockSpan // block boundaries of the current Flush
-	frames [][]byte    // per-block encoded frames, reused across Flushes
-	encs   []encState  // per-worker scratch, index-owned
-	errs   []error     // per-block encode errors
-	next   atomic.Int64
-	recs   []Record // records of the current Flush, shared with workers
+	out   []byte      // assembled header+blocks for the current Flush
+	spans []blockSpan // block boundaries of the current Flush
+	enc   encState    // encode scratch, reused across Flushes
 }
 
 type blockSpan struct{ lo, hi int }
 
-// encState is one worker's private encode scratch.
+// encState is the Writer's reusable encode scratch.
 type encState struct {
 	body []byte
 	fw   *flate.Writer
@@ -67,12 +53,6 @@ type encState struct {
 // the first Flush (or by Close, so even an empty run yields a valid,
 // self-describing file).
 func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("tracebin: Workers %d out of range", opts.Workers)
-	}
 	if opts.BlockRecords == 0 {
 		opts.BlockRecords = 4096
 	}
@@ -85,12 +65,7 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	if opts.MinBlockRecords < 1 || opts.MinBlockRecords > opts.BlockRecords {
 		return nil, fmt.Errorf("tracebin: MinBlockRecords %d out of range [1, BlockRecords]", opts.MinBlockRecords)
 	}
-	bw := &Writer{w: w, opts: opts}
-	if opts.Workers > 1 {
-		bw.crew = parallel.NewCrew(opts.Workers)
-	}
-	bw.encs = make([]encState, opts.Workers)
-	return bw, nil
+	return &Writer{w: w, opts: opts}, nil
 }
 
 // appendSpans splits recs into block spans: closed at the block-size
@@ -123,15 +98,11 @@ func (bw *Writer) Flush(recs []Record) error {
 	}
 	if len(recs) > 0 {
 		bw.spans = appendSpans(bw.spans[:0], recs, bw.opts.BlockRecords, bw.opts.MinBlockRecords)
-		if err := bw.encodeSpans(recs); err != nil {
-			bw.err = err
-			return err
-		}
-		for i := range bw.spans {
-			frame := bw.frames[i]
-			bw.out = le32(bw.out, uint32(len(frame)))
-			bw.out = append(bw.out, frame...)
-			bw.out = le32(bw.out, crc32.ChecksumIEEE(frame))
+		for _, sp := range bw.spans {
+			if err := bw.appendBlock(recs[sp.lo:sp.hi]); err != nil {
+				bw.err = err
+				return err
+			}
 		}
 	}
 	if len(bw.out) == 0 {
@@ -148,55 +119,25 @@ func (bw *Writer) Flush(recs []Record) error {
 	return nil
 }
 
-// encodeSpans fills bw.frames[i] for every span, fanning blocks out
-// across the crew. Workers claim block indexes from an atomic counter;
-// each frame buffer is owned by its block index, so the only shared
-// mutable state is the counter.
-func (bw *Writer) encodeSpans(recs []Record) error {
-	n := len(bw.spans)
-	for len(bw.frames) < n {
-		bw.frames = append(bw.frames, nil)
+// appendBlock appends one block to bw.out: the frame length, the
+// frame, and the frame's CRC.
+func (bw *Writer) appendBlock(recs []Record) error {
+	at := len(bw.out)
+	bw.out = le32(bw.out, 0) // frame length, patched below
+	var err error
+	if bw.out, err = appendFrame(bw.out, recs, bw.opts.Compress, &bw.enc); err != nil {
+		return err
 	}
-	for len(bw.errs) < n {
-		bw.errs = append(bw.errs, nil)
-	}
-	clear(bw.errs[:n])
-	bw.recs = recs
-	bw.next.Store(0)
-	if bw.crew != nil && n > 1 {
-		bw.crew.Run(min(n, bw.crew.Workers()), bw.encodeWorker)
-	} else {
-		bw.encodeWorker(0)
-	}
-	bw.recs = nil
-	for _, err := range bw.errs[:n] {
-		if err != nil {
-			return err
-		}
-	}
+	frame := bw.out[at+4:]
+	binary.LittleEndian.PutUint32(bw.out[at:], uint32(len(frame)))
+	bw.out = le32(bw.out, crc32.ChecksumIEEE(frame))
 	return nil
 }
 
-// encodeWorker drains the block counter, encoding each claimed block
-// into its frame buffer with worker-private scratch.
-func (bw *Writer) encodeWorker(worker int) {
-	st := &bw.encs[worker]
-	n := int64(len(bw.spans))
-	for {
-		i := bw.next.Add(1) - 1
-		if i >= n {
-			return
-		}
-		sp := bw.spans[i]
-		frame, err := appendFrame(bw.frames[i][:0], bw.recs[sp.lo:sp.hi], bw.opts.Compress, st)
-		bw.frames[i] = frame
-		bw.errs[i] = err
-	}
-}
-
-// appendFrame encodes one block's frame: the frame flag byte, then
-// the raw or DEFLATE-compressed body — whichever is smaller.
+// appendFrame appends one block's frame to dst: the frame flag byte,
+// then the raw or DEFLATE-compressed body — whichever is smaller.
 func appendFrame(dst []byte, recs []Record, compress bool, st *encState) ([]byte, error) {
+	start := len(dst)
 	if !compress {
 		dst = append(dst, frameRaw)
 		return appendBlockBody(dst, recs)
@@ -221,9 +162,9 @@ func appendFrame(dst []byte, recs []Record, compress bool, st *encState) ([]byte
 		return dst, fmt.Errorf("tracebin: compress block: %w", err)
 	}
 	dst = sw.buf
-	if len(dst) >= 1+len(st.body) {
+	if len(dst)-start >= 1+len(st.body) {
 		// Incompressible block: keep the raw body.
-		dst = append(dst[:0], frameRaw)
+		dst = append(dst[:start], frameRaw)
 		dst = append(dst, st.body...)
 	}
 	return dst, nil
@@ -239,15 +180,11 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 }
 
 // Close writes the header if no Flush has (so an empty run still
-// yields a valid file) and releases the encode crew. A Writer already
-// broken by a Flush failure releases its resources and returns nil —
-// the error was reported when it happened, and Close must not touch
-// the torn stream again. The underlying writer is not closed.
+// yields a valid file). A Writer already broken by a Flush failure
+// returns nil — the error was reported when it happened, and Close
+// must not touch the torn stream again. The underlying writer is not
+// closed.
 func (bw *Writer) Close() error {
-	if bw.crew != nil {
-		bw.crew.Close()
-		bw.crew = nil
-	}
 	if bw.err != nil {
 		return nil
 	}

@@ -45,8 +45,8 @@ const gemmBlockTargetPerWorker = 4
 // calls (first spawned when a call clears the parallel threshold)
 // until Close.
 //
-// A GEMMPool runs one kernel call at a time — callers that train
-// concurrently (e.g. cluster cells) own one pool each.
+// A GEMMPool runs one kernel call at a time — concurrent callers own
+// one pool each.
 type GEMMPool struct {
 	crew *parallel.Crew
 	// MinFlops overrides the parallel work threshold (2·m·k·n);
@@ -62,13 +62,6 @@ type GEMMPool struct {
 	nextBlock  atomic.Int64
 	zeroBefore bool
 	runFn      func(w int)
-
-	// Utilization counters, atomic so a live metrics exporter can
-	// read them mid-run: kernel calls that fanned out, calls that fell
-	// back to the sequential kernel, and row blocks executed.
-	fanouts    atomic.Uint64
-	sequential atomic.Uint64
-	blocks     atomic.Uint64
 }
 
 // NewGEMMPool returns a pool with the given worker bound; workers <=
@@ -97,32 +90,6 @@ func (p *GEMMPool) Workers() int {
 func (p *GEMMPool) Close() {
 	if p != nil && p.crew != nil {
 		p.crew.Close()
-	}
-}
-
-// Stats reports the pool's lifetime utilization. Safe to call
-// concurrently with kernel calls, and on a nil or sequential pool.
-func (p *GEMMPool) Stats() (fanouts, sequential, blocks uint64) {
-	if p == nil {
-		return 0, 0, 0
-	}
-	return p.fanouts.Load(), p.sequential.Load(), p.blocks.Load()
-}
-
-// CrewStats reports the underlying crew's fan-out and wake counters
-// (0, 0 for nil or sequential pools).
-func (p *GEMMPool) CrewStats() (runs, wakes uint64) {
-	if p == nil || p.crew == nil {
-		return 0, 0
-	}
-	return p.crew.Stats()
-}
-
-// seqCall counts a sequential fallback, tolerating the nil receiver
-// the kernel wrappers support.
-func (p *GEMMPool) seqCall() {
-	if p != nil {
-		p.sequential.Add(1)
 	}
 }
 
@@ -156,7 +123,6 @@ func (p *GEMMPool) fan(workers int, op gemmOp, dst, a, b *Matrix, rows int, zero
 	p.op, p.dst, p.a, p.b = op, dst, a, b
 	p.rows, p.blockRows, p.zeroBefore = rows, blockRows, zeroBefore
 	p.nextBlock.Store(0)
-	p.fanouts.Add(1)
 	p.crew.Run(workers, p.runFn)
 	p.dst, p.a, p.b = nil, nil, nil
 }
@@ -171,7 +137,6 @@ func (p *GEMMPool) runWorker(int) {
 		if lo >= p.rows {
 			return
 		}
-		p.blocks.Add(1)
 		hi := lo + p.blockRows
 		if hi > p.rows {
 			hi = p.rows
@@ -200,7 +165,6 @@ func (p *GEMMPool) runWorker(int) {
 func (p *GEMMPool) MatMulInto(dst, a, b *Matrix) error {
 	w := p.parWorkers(matRowsOf(dst), 2*a.Rows*a.Cols*b.Cols)
 	if w <= 1 {
-		p.seqCall()
 		return MatMulInto(dst, a, b)
 	}
 	if err := checkMatMul(dst, a, b); err != nil {
@@ -215,7 +179,6 @@ func (p *GEMMPool) MatMulInto(dst, a, b *Matrix) error {
 func (p *GEMMPool) MatMulTransAInto(dst, a, b *Matrix) error {
 	w := p.parWorkers(matRowsOf(dst), 2*a.Rows*a.Cols*b.Cols)
 	if w <= 1 {
-		p.seqCall()
 		return MatMulTransAInto(dst, a, b)
 	}
 	if err := checkTransA(dst, a, b); err != nil {
@@ -230,7 +193,6 @@ func (p *GEMMPool) MatMulTransAInto(dst, a, b *Matrix) error {
 func (p *GEMMPool) MatMulTransAAccumInto(dst, a, b *Matrix) error {
 	w := p.parWorkers(matRowsOf(dst), 2*a.Rows*a.Cols*b.Cols)
 	if w <= 1 {
-		p.seqCall()
 		return MatMulTransAAccumInto(dst, a, b)
 	}
 	if err := checkTransA(dst, a, b); err != nil {
@@ -245,7 +207,6 @@ func (p *GEMMPool) MatMulTransAAccumInto(dst, a, b *Matrix) error {
 func (p *GEMMPool) MatMulTransBInto(dst, a, b *Matrix) error {
 	w := p.parWorkers(matRowsOf(dst), 2*a.Rows*a.Cols*b.Rows)
 	if w <= 1 {
-		p.seqCall()
 		return MatMulTransBInto(dst, a, b)
 	}
 	if err := checkTransB(dst, a, b); err != nil {

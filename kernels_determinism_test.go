@@ -20,8 +20,8 @@ var kernelVariants = []struct {
 }
 
 // TestRunDeterministicAcrossKernelsAndParallelism is the acceptance
-// gate for the SIMD + pool-parallel GEMM layer at the monolithic
-// engine's trace level: for a fixed seed, the full trace — grouping
+// gate for the SIMD GEMM kernels and the pooled per-user stages at the
+// monolithic engine's trace level: for a fixed seed, the full trace — grouping
 // decisions, predictions, cache and QoE metrics, all downstream of
 // the trained CNN and DDQN weights — must be bit-identical across
 // {AVX2 dispatch, forced-generic} × Parallelism {1, 4, 8}.
@@ -57,8 +57,8 @@ func TestRunDeterministicAcrossKernelsAndParallelism(t *testing.T) {
 }
 
 // TestClusterDeterministicAcrossKernels extends the kernel sweep to
-// the sharded engine: per-cell training pipelines (each with its own
-// GEMM crew) must produce a bit-identical merged trace with the
+// the sharded engine: per-cell training pipelines, trained
+// concurrently on the shared pool, must produce a bit-identical merged trace with the
 // generic and dispatched kernels at several worker counts.
 func TestClusterDeterministicAcrossKernels(t *testing.T) {
 	defer vecmath.ForceGeneric(false)

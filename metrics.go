@@ -30,7 +30,7 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 
 // WithMetrics mounts reg on the session: engine stage timers
 // (prologue and per-interval phases, per-cell in cluster runs), edge
-// cache and GEMM/crew utilization counters, session step spans, sink
+// cache counters, session step spans, sink
 // write/flush spans and retry counters, and checkpoint size and
 // encode duration. Cluster runs with failure injection additionally
 // expose the failure-model catalog: dtmsvs_cells_down,

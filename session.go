@@ -314,12 +314,12 @@ type stepper interface {
 	// monolithic engine).
 	cellsDown() int
 	evacuated() int
-	// close releases engine-held workers (the training GEMM crews);
-	// the engine stays readable and any later training GEMMs run
-	// sequentially with identical results. Idempotent.
+	// close ends the engine's run. The in-process engines hold no
+	// goroutines between calls, so for them it is a no-op; the
+	// distributed stepper shuts its worker processes down. Idempotent.
 	close()
 	// mount attaches a metrics registry to the engine (stage timers,
-	// cache/GEMM counters; per-cell labels in the cluster engine).
+	// cache counters; per-cell labels in the cluster engine).
 	mount(reg *MetricsRegistry)
 	// kind names the engine in checkpoint headers ("sim"/"cluster").
 	kind() string

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/sim"
@@ -131,6 +133,90 @@ func TestClusterSessionMatchesRunCluster(t *testing.T) {
 			t.Fatalf("shards %d: run stats diverged", shards)
 		}
 	}
+}
+
+// settledGoroutines polls until the goroutine count is back to at
+// most base, and returns the last count seen.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSessionHoldsNoIdleGoroutines: engines and sinks fan work out
+// only for the duration of a call, so nothing stays parked between
+// steps or after Close. Parallelism 4 with one shard would give every
+// engine a 4-wide training crew if one were built, and 60 agent
+// episodes fill the replay buffer, so the DDQN minibatch GEMMs run.
+func TestSessionHoldsNoIdleGoroutines(t *testing.T) {
+	cfg := sessionTestConfig(5, 4)
+	cfg.AgentEpisodes = 60
+	for _, tc := range []struct {
+		name string
+		open func(opts ...SessionOption) (Session, error)
+	}{
+		{"sim", func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) }},
+		{"cluster", func(opts ...SessionOption) (Session, error) {
+			return OpenCluster(ClusterConfig{Sim: cfg, Shards: 1}, opts...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			sink, err := NewBinarySink(io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := tc.open(WithSink(sink))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Step(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if n := settledGoroutines(base); n > base {
+				t.Fatalf("%d goroutines after the first step, %d before Open", n, base)
+			}
+			for !s.Done() {
+				if _, err := s.Step(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := settledGoroutines(base); n > base {
+				t.Fatalf("%d goroutines after Close, %d before Open", n, base)
+			}
+		})
+	}
+	t.Run("distributed", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		s, err := OpenDistributed(distTestConfig(5, 4), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for !s.Done() {
+			if _, err := s.Step(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Fatalf("%d goroutines after Close, %d before Open", n, base)
+		}
+	})
 }
 
 // TestSessionSinkAndObservers: the sink receives exactly the trace's
