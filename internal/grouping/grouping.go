@@ -453,23 +453,42 @@ func (b *Builder) BuildFixedK(twins []*udt.Twin, k int) (*Result, error) {
 // groupings agree (same-group in both, or split in both). Used to
 // quantify multicast-group stability across regroups — unstable
 // groups force frequent multicast channel reconfiguration.
+//
+// The pairs are counted from the contingency table of (a, b) labels in
+// O(n): a pair agrees unless it is together in exactly one partition,
+// so agree = total − sameA − sameB + 2·sameBoth. The counts are exact
+// int64s and the one division sees the same two integers the pair loop
+// would have accumulated, so the result is bit-identical to it.
 func RandIndex(a, b []int) (float64, error) {
 	if len(a) != len(b) || len(a) < 2 {
 		return 0, fmt.Errorf("rand index over %d vs %d assignments: %w", len(a), len(b), ErrConfig)
 	}
-	var agree, total float64
-	for i := 0; i < len(a); i++ {
-		for j := i + 1; j < len(a); j++ {
-			sameA := a[i] == a[j]
-			sameB := b[i] == b[j]
-			if sameA == sameB {
-				agree++
-			}
-			total++
-		}
+	cells := make(map[[2]int]int64)
+	for i := range a {
+		cells[[2]int{a[i], b[i]}]++
 	}
-	return agree / total, nil
+	rows := make(map[int]int64)
+	cols := make(map[int]int64)
+	var sameBoth int64
+	for ab, c := range cells {
+		rows[ab[0]] += c
+		cols[ab[1]] += c
+		sameBoth += pairs(c)
+	}
+	var sameA, sameB int64
+	for _, c := range rows {
+		sameA += pairs(c)
+	}
+	for _, c := range cols {
+		sameB += pairs(c)
+	}
+	total := pairs(int64(len(a)))
+	agree := total - sameA - sameB + 2*sameBoth
+	return float64(agree) / float64(total), nil
 }
+
+// pairs is the number of unordered pairs among c items.
+func pairs(c int64) int64 { return c * (c - 1) / 2 }
 
 // Assignments flattens a Result into a per-user group-index slice of
 // the given population size (users missing from the result get -1).

@@ -366,6 +366,47 @@ func TestRandIndex(t *testing.T) {
 	}
 }
 
+// randIndexPairs is the pair-loop definition RandIndex counts from a
+// contingency table.
+func randIndexPairs(a, b []int) float64 {
+	var agree, total float64
+	for i := 0; i < len(a); i++ {
+		for j := i + 1; j < len(a); j++ {
+			if (a[i] == a[j]) == (b[i] == b[j]) {
+				agree++
+			}
+			total++
+		}
+	}
+	return agree / total
+}
+
+func TestRandIndexMatchesPairLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	label := func(k int) int { return rng.Intn(k+1) - 1 } // −1 is "ungrouped"
+	for n := 2; n <= 600; n++ {
+		ka, kb := 1+rng.Intn(9), 1+rng.Intn(9)
+		a, b := make([]int, n), make([]int, n)
+		for i := range a {
+			a[i], b[i] = label(ka), label(kb)
+		}
+		if n%3 == 0 {
+			// A regroup that moves a few users keeps most pairs.
+			copy(b, a)
+			for m := 0; m < 1+n/20; m++ {
+				b[rng.Intn(n)] = label(ka)
+			}
+		}
+		got, err := RandIndex(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := randIndexPairs(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: rand index %v, pair loop %v", n, got, want)
+		}
+	}
+}
+
 func TestAssignments(t *testing.T) {
 	res := &Result{Groups: []Group{
 		{ID: 0, Members: []int{0, 2}},
