@@ -889,10 +889,14 @@ func BenchmarkAdamStep(b *testing.B) {
 }
 
 // BenchmarkTrainAgent measures the DDQN half of the learning prologue
-// at a monolithic engine's scale: 20 episodes over the codes of 2000
-// twins, each a K-means++ run and a silhouette reward, on all cores.
-// The compressor is trained once outside the timer and every iteration
-// starts from the same weights and random stream.
+// at a monolithic engine's scale: the prologue's 150 episodes over the
+// codes of 2000 twins, on all cores. Each call first computes the
+// codes' distance matrix; then the first episode that picks one of the
+// 7 grouping numbers pays a K-means++ run and a silhouette for it
+// (a few ms each), and every other episode costs only the agent's
+// step and minibatch update (well under a millisecond). The compressor
+// is trained once outside the timer and every iteration starts from
+// the same weights and random stream.
 func BenchmarkTrainAgent(b *testing.B) {
 	twins := populationTwins(b, 2000)
 	cfg := grouping.Config{WindowSteps: 16, PosScale: 2000, KMin: 2, KMax: 8, UseCNN: true}
@@ -916,7 +920,7 @@ func BenchmarkTrainAgent(b *testing.B) {
 			b.Fatal(err)
 		}
 		builder.SetPool(pool)
-		if _, err := builder.TrainAgent(twins, 20); err != nil {
+		if _, err := builder.TrainAgent(twins, 150); err != nil {
 			b.Fatal(err)
 		}
 	}

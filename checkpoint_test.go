@@ -475,29 +475,29 @@ func TestTraceDigestPinned(t *testing.T) {
 		trace, ckpt string
 	}{
 		{"mono", 42, mono,
-			"998aabfc32f692d75175eda7762983f6f7a772976541f4ab0620bca27bdc3335",
-			"a18f8054a056d69b95346e281a717220dedc46b407d233db813bc5bf9ac87318"},
+			"7bd93ed0f5bb1e8fc841212a2ec75689649b980ad317dbd749e1de49bf368f5d",
+			"42baae52582042fb49b9231bfb29480ca6d273241972b10cd3651dd30a59ee78"},
 		{"mono", 7, mono,
-			"6e6daefafdf2509a8eec64be401f93435979fa76fd3322ad4cac757e901a65ea",
-			"e96d86a0aca78e66fd6bde1b25e6e4f74401570f0eac4135d06a0b672fc0e74c"},
+			"41b59b8d17534657b13d67e178381e124ae19ccdd555efc47060fb7a27db7daa",
+			"56a6c353dcab6346dd3955fc9bc9ffc321f1898b4465efd35527d813aefae001"},
 		{"cluster", 42, cluster,
-			"66dbae66259bef6293276962d06c51db29e06066af83a46b8a32e4a83d59fae9",
-			"3418d8356065a8fcad657841813ac9e839410d7ed8847b0097127b21a3d2db71"},
+			"2aac56ac7f06bb8b8f247cce53d5de445cc53a23c662776275167a6aa937f6d2",
+			"de9d76acd9fc95ce31d96f6cae3c99360ed4ea216afeb1e42229fdcf31e4b744"},
 		{"cluster", 7, cluster,
-			"c9225eef348e49f141d60fe027074b388d3232cca50a874f68115680f443cbd7",
-			"f0d2946a6cd15f01cb2f2519f2362397f77e537a8cadce9b7dffd7a09456a904"},
+			"8993a0e02a41a0e6784bd4dae3fc6dec2d37924864230a3db47b72d4ccf0037f",
+			"f036bae3e7deab8d3a2cb1d58ee2a4d01045cbfd2edb4ac69c6ea5b15ef66fc3"},
 		{"degraded", 42, degraded,
-			"9a8e5465a8b6ea5c53f1c360a06f8307b89f8ed5e8ab06372e41d4d0d81ea8f9",
-			"e047ccaad3ad1f9c317c81ecc44feb8c1e8a21afeaa0ffa9e9c9ca3a69e1d095"},
+			"77cfdbca579233e404a566c15e4e0af2839dac43c1bbce0858b6168d679f7d0e",
+			"5f2d51c26c1d06b75d884c5d9a7cff85f99af1380022547d36c16f4589eeda39"},
 		{"degraded", 7, degraded,
-			"54e4bee8d5cf8c5c7b5776688ef7c2ca0fa0a948b244d6fe36bb3598abe929cf",
-			"009b2735e6b06d4010cc70801a26045feb8479daac32423e70bc1ffc5a98e18e"},
+			"b1c7953c2034506ae3af6b5de11fd013cb3e04abfda6ce7271a76d65654a0dff",
+			"75a7eacd85b13c4e203d79a88633055f230a653cdde5f1a1d3e52d964ab341d8"},
 		{"distributed", 42, distributed,
-			"66dbae66259bef6293276962d06c51db29e06066af83a46b8a32e4a83d59fae9",
-			"824dd6a5ac719786bfc73559dca1d74782faee2edcf9fead0b8e6b6fdc1bae1d"},
+			"2aac56ac7f06bb8b8f247cce53d5de445cc53a23c662776275167a6aa937f6d2",
+			"319a63825475706248e32dcffe1f3b81dee8413457b9e4249e6276475ab3612d"},
 		{"distributed", 7, distributed,
-			"c9225eef348e49f141d60fe027074b388d3232cca50a874f68115680f443cbd7",
-			"7933eb16b2264c28c88b549ad2c4e5b24e6e26e55b41db6eed74a17d6c49c865"},
+			"8993a0e02a41a0e6784bd4dae3fc6dec2d37924864230a3db47b72d4ccf0037f",
+			"93a6902fd32768148aa1ef50a9d4e97c46200de5950d157b78b4ee861635e39d"},
 	} {
 		t.Run(fmt.Sprintf("%s/seed%d", tc.name, tc.seed), func(t *testing.T) {
 			var trace, ckpt bytes.Buffer

@@ -277,28 +277,23 @@ func envState(codes []vecmath.Vec) (vecmath.Vec, error) {
 	}, nil
 }
 
-// reward scores a candidate K on the codes: silhouette minus the
-// per-group cost penalty. K=1 uses a normalized-inertia proxy since
-// silhouette is undefined. dists optionally carries the precomputed
-// pairwise distances of codes — the training loops evaluate many K on
-// one fixed code set, and the cache turns each silhouette from
-// O(n²·d) into O(n²) with bit-identical results.
-func (b *Builder) reward(codes []vecmath.Vec, dists *kmeans.DistMatrix, k int) (float64, *kmeans.Result, error) {
+// reward scores a candidate K on the codes: one K-means++ run, then
+// its silhouette minus the per-group cost penalty. K=1 uses a
+// normalized-inertia proxy since silhouette is undefined. Its callers
+// score many K on one fixed code set, so dists carries the code set's
+// pairwise distances, computed once: each silhouette is then O(n²)
+// instead of O(n²·d), with bit-identical results. They call it through
+// a rewardTable, which runs it at most once per K.
+func (b *Builder) reward(codes []vecmath.Vec, dists *kmeans.DistMatrix, k int) (float64, error) {
 	res, err := kmeans.Run(codes, k, b.rng, kmeans.Options{Pool: b.pool})
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	var quality float64
 	if k >= 2 {
-		var s float64
-		var serr error
-		if dists != nil {
-			s, serr = kmeans.SilhouetteDists(dists, res.Assign, k, b.pool)
-		} else {
-			s, serr = kmeans.SilhouettePool(codes, res.Assign, k, b.pool)
-		}
+		s, serr := kmeans.SilhouetteDists(dists, res.Assign, k, b.pool)
 		if serr != nil {
-			return 0, nil, serr
+			return 0, serr
 		}
 		quality = s
 	} else {
@@ -308,7 +303,47 @@ func (b *Builder) reward(codes []vecmath.Vec, dists *kmeans.DistMatrix, k int) (
 		quality = 1 - math.Sqrt(mean)
 	}
 	penalty := b.cfg.GroupCostWeight * float64(k) / float64(b.cfg.KMax)
-	return quality - penalty, res, nil
+	return quality - penalty, nil
+}
+
+// rewardTable holds one reward per grouping number for one fixed code
+// set, indexed by K−KMin. The first lookup of a K runs reward, which
+// draws its K-means++ seeding from the builder's stream; every later
+// lookup returns the stored value and draws nothing. Re-running
+// K-means for a K already scored — even warm-started from its
+// converged centroids — would stop after one pass with the same
+// assignment, and so the same reward. The table lives as long as its
+// codes: one TrainAgent or BestKExhaustive call.
+type rewardTable struct {
+	b      *Builder
+	codes  []vecmath.Vec
+	dists  *kmeans.DistMatrix
+	reward []float64
+	filled []bool
+}
+
+// newRewardTable computes the codes' pairwise distances and returns an
+// empty table over them.
+func (b *Builder) newRewardTable(codes []vecmath.Vec) (*rewardTable, error) {
+	dists, err := kmeans.PairDistances(codes, b.pool)
+	if err != nil {
+		return nil, err
+	}
+	n := b.cfg.KMax - b.cfg.KMin + 1
+	return &rewardTable{b: b, codes: codes, dists: dists, reward: make([]float64, n), filled: make([]bool, n)}, nil
+}
+
+// at returns the reward of K, scoring it on first use.
+func (t *rewardTable) at(k int) (float64, error) {
+	i := k - t.b.cfg.KMin
+	if !t.filled[i] {
+		r, err := t.b.reward(t.codes, t.dists, k)
+		if err != nil {
+			return 0, err
+		}
+		t.reward[i], t.filled[i] = r, true
+	}
+	return t.reward[i], nil
 }
 
 // kOfAction maps a DDQN action index to a grouping number.
@@ -324,37 +359,19 @@ func (b *Builder) kOfAction(action int) int {
 // set, the action is K, the reward is the clustering quality net of
 // group cost, and the episode terminates immediately (contextual
 // bandit), matching how the paper uses the DDQN purely to pick the
-// grouping number.
+// grouping number. The state and the codes are fixed for the env's
+// life, so a K's reward is too: it is read from the env's rewardTable,
+// and only the first episode that picks a K pays for scoring it.
 type kEnv struct {
-	b     *Builder
-	codes []vecmath.Vec
-	dists *kmeans.DistMatrix
-	state vecmath.Vec
+	b       *Builder
+	rewards *rewardTable
+	state   vecmath.Vec
 }
 
 var _ ddqn.Env = (*kEnv)(nil)
 
-func (e *kEnv) Reset() (vecmath.Vec, error) { return e.state, nil }
-
-func (e *kEnv) Step(action int) (vecmath.Vec, float64, bool, error) {
-	k := e.b.kOfAction(action)
-	if k > len(e.codes) {
-		// Infeasible K for this population: strongly negative reward.
-		return e.state, -1, true, nil
-	}
-	r, _, err := e.b.reward(e.codes, e.dists, k)
-	if err != nil {
-		return e.state, 0, true, err
-	}
-	return e.state, r, true, nil
-}
-
-// TrainAgent trains the DDQN on the K-selection MDP over the given
-// twin snapshot for the given number of episodes, returning
-// per-episode rewards. The codes are fixed for the whole run, so their
-// pairwise distances are computed once up front and shared by every
-// episode's silhouette evaluation.
-func (b *Builder) TrainAgent(twins []*udt.Twin, episodes int) ([]float64, error) {
+// newKEnv compresses the twins and builds the MDP over their codes.
+func (b *Builder) newKEnv(twins []*udt.Twin) (*kEnv, error) {
 	codes, err := b.Codes(twins)
 	if err != nil {
 		return nil, err
@@ -363,11 +380,41 @@ func (b *Builder) TrainAgent(twins []*udt.Twin, episodes int) ([]float64, error)
 	if err != nil {
 		return nil, err
 	}
-	dists, err := kmeans.PairDistances(codes, b.pool)
+	rewards, err := b.newRewardTable(codes)
 	if err != nil {
 		return nil, err
 	}
-	env := &kEnv{b: b, codes: codes, dists: dists, state: state}
+	return &kEnv{b: b, rewards: rewards, state: state}, nil
+}
+
+func (e *kEnv) Reset() (vecmath.Vec, error) { return e.state, nil }
+
+func (e *kEnv) Step(action int) (vecmath.Vec, float64, bool, error) {
+	k := e.b.kOfAction(action)
+	if k > len(e.rewards.codes) {
+		// Infeasible K for this population: strongly negative reward.
+		return e.state, -1, true, nil
+	}
+	r, err := e.rewards.at(k)
+	if err != nil {
+		return e.state, 0, true, err
+	}
+	return e.state, r, true, nil
+}
+
+// TrainAgent trains the DDQN on the K-selection MDP over the given
+// twin snapshot for the given number of episodes, returning
+// per-episode rewards. The codes are fixed for the whole call, so each
+// of the KMax−KMin+1 grouping numbers is scored — K-means++ and an
+// exact silhouette over distances computed once up front — by the
+// first episode that picks it; the rest of the episodes reuse those
+// scores and cost only the agent's own step. A later call starts from
+// an empty table, since its codes differ.
+func (b *Builder) TrainAgent(twins []*udt.Twin, episodes int) ([]float64, error) {
+	env, err := b.newKEnv(twins)
+	if err != nil {
+		return nil, err
+	}
 	return b.agent.Train(env, episodes, 1)
 }
 
@@ -509,19 +556,21 @@ func (r *Result) Assignments(numUsers int) []int {
 
 // BestKExhaustive scans every K in [KMin, KMax] and returns the one
 // with the highest reward — the oracle the DDQN is trained toward,
-// used in tests and ablation benches.
+// used in tests and ablation benches. It reads each K through a fresh
+// rewardTable, once and in ascending order, so it scores every K
+// exactly as an uncached scan would, with the same draws.
 func (b *Builder) BestKExhaustive(twins []*udt.Twin) (int, float64, error) {
 	codes, err := b.Codes(twins)
 	if err != nil {
 		return 0, 0, err
 	}
-	dists, err := kmeans.PairDistances(codes, b.pool)
+	rewards, err := b.newRewardTable(codes)
 	if err != nil {
 		return 0, 0, err
 	}
 	bestK, bestR := 0, math.Inf(-1)
 	for k := b.cfg.KMin; k <= b.cfg.KMax && k <= len(codes); k++ {
-		r, _, rerr := b.reward(codes, dists, k)
+		r, rerr := rewards.at(k)
 		if rerr != nil {
 			return 0, 0, rerr
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/udt"
 	"dtmsvs/internal/vecmath"
 	"dtmsvs/internal/video"
@@ -314,6 +315,47 @@ func TestTrainedAgentApproachesOracle(t *testing.T) {
 	}
 	if k != oracleK {
 		t.Fatalf("trained agent K=%d, oracle %d", k, oracleK)
+	}
+}
+
+// TestRepeatedKIsFree: within one training env, the first episode that
+// picks a K runs K-means++ (and so draws from the builder's stream);
+// every later one returns the identical reward without a draw.
+func TestRepeatedKIsFree(t *testing.T) {
+	src := parallel.NewCounting(rand.NewSource(13).(rand.Source64))
+	b, err := New(testConfig(), rand.New(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twins := makeTwins(t, 20)
+	if _, err := b.TrainCompressor(twins, 5); err != nil {
+		t.Fatal(err)
+	}
+	env, err := b.newKEnv(twins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := b.Config()
+	for action := 0; action <= cfg.KMax-cfg.KMin; action++ {
+		before := src.Draws()
+		_, first, _, err := env.Step(action)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scored := src.Draws()
+		if scored == before {
+			t.Fatalf("action %d: first evaluation drew nothing", action)
+		}
+		_, again, _, err := env.Step(action)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := src.Draws() - scored; d != 0 {
+			t.Fatalf("action %d: repeated evaluation drew %d values", action, d)
+		}
+		if math.Float64bits(again) != math.Float64bits(first) {
+			t.Fatalf("action %d: reward %v, then %v", action, first, again)
+		}
 	}
 }
 
