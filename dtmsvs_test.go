@@ -265,8 +265,9 @@ func TestRunPredictorBaselines(t *testing.T) {
 // grouping predicts radio demand at least as well as fixed K = 8, the
 // DT scheme at least as well as each history-only forecaster, and
 // prediction-driven reservation wastes less than peak provisioning.
-// Fig. 3(b)'s single-group accuracy is not gated: it swings by tens of
-// points when a seed's chosen K changes.
+// Fig. 3(b)'s single-group accuracy is not gated: it is 1 − MAPE over
+// one group's dozen intervals, and one seed can read tens of points
+// below the rest.
 func TestPaperOrderingsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment")

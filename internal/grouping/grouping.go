@@ -309,10 +309,10 @@ func (b *Builder) reward(codes []vecmath.Vec, dists *kmeans.DistMatrix, k int) (
 // rewardTable holds one reward per grouping number for one fixed code
 // set, indexed by K−KMin. The first lookup of a K runs reward, which
 // draws its K-means++ seeding from the builder's stream; every later
-// lookup returns the stored value and draws nothing. Re-running
-// K-means for a K already scored — even warm-started from its
-// converged centroids — would stop after one pass with the same
-// assignment, and so the same reward. The table lives as long as its
+// lookup returns the stored value and draws nothing. A Lloyd run
+// warm-started from the converged centroids of a K already scored
+// would stop after one pass with the same assignment, so the stored
+// reward is what that run would return. The table lives as long as its
 // codes: one TrainAgent or BestKExhaustive call.
 type rewardTable struct {
 	b      *Builder
@@ -504,8 +504,9 @@ func (b *Builder) BuildFixedK(twins []*udt.Twin, k int) (*Result, error) {
 // The pairs are counted from the contingency table of (a, b) labels in
 // O(n): a pair agrees unless it is together in exactly one partition,
 // so agree = total − sameA − sameB + 2·sameBoth. The counts are exact
-// int64s and the one division sees the same two integers the pair loop
-// would have accumulated, so the result is bit-identical to it.
+// int64s, and the one division sees the same two integers a loop over
+// the pairs would accumulate (exactly, below 2⁵³ pairs), so the result
+// is bit-identical to that loop's.
 func RandIndex(a, b []int) (float64, error) {
 	if len(a) != len(b) || len(a) < 2 {
 		return 0, fmt.Errorf("rand index over %d vs %d assignments: %w", len(a), len(b), ErrConfig)
