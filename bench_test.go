@@ -430,11 +430,7 @@ func BenchmarkCluster(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var last *ClusterTrace
 			for i := 0; i < b.N; i++ {
-				tr, err := RunCluster(benchClusterConfig(42, bc.workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = tr
+				last = mustClusterTrace(b, benchClusterConfig(42, bc.workers))
 			}
 			if last != nil {
 				acc, err := last.RadioAccuracy()

@@ -431,10 +431,7 @@ func TestCSVSinkEmptyRunHeader(t *testing.T) {
 // TestBinaryBatchHelpers round-trips the per-engine batch writers.
 func TestBinaryBatchHelpers(t *testing.T) {
 	ccfg := clusterTestConfig(41, 2, 2)
-	trace, err := RunCluster(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := mustClusterTrace(t, ccfg)
 	var buf bytes.Buffer
 	if err := WriteClusterTraceBin(&buf, trace.Records); err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func (s *session) Checkpoint(w io.Writer) error {
 	t0 := s.met.ckptEncode.Start()
 	counted := &countingWriter{w: w}
 	cw := &s.ckpt
-	cw.Reset(counted, s.eng.kind(), fp)
+	cw.Reset(counted, s.kind, fp)
 	if err := cw.Section("session", func(e *checkpoint.Enc) {
 		e.Int(s.next)
 		e.Int(s.warmupDone)
@@ -81,7 +81,7 @@ func (s *session) resume(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	cr, err := checkpoint.NewReader(r, s.eng.kind(), fp)
+	cr, err := checkpoint.NewReader(r, s.kind, fp)
 	if err != nil {
 		return err
 	}
@@ -96,11 +96,15 @@ func (s *session) resume(r io.Reader) error {
 	if err := d.Close(); err != nil {
 		return err
 	}
+	// Step trains only after the last warm-up interval and runs
+	// intervals only on a trained engine, so a trained engine has
+	// finished its warm-up and any interval implies training.
 	switch {
-	case next < 0 || next > s.eng.intervals(),
-		warmupDone < 0 || warmupDone > s.eng.warmupIntervals(),
-		finished && next < s.eng.intervals(),
-		next > 0 && (!trained || warmupDone < s.eng.warmupIntervals()):
+	case next < 0 || next > s.intervals,
+		warmupDone < 0 || warmupDone > s.warmupIntervals,
+		finished && next < s.intervals,
+		next > 0 && !trained,
+		trained && warmupDone < s.warmupIntervals:
 		return fmt.Errorf("checkpoint counters inconsistent (next=%d warmup=%d trained=%v finished=%v): %w",
 			next, warmupDone, trained, finished, ErrCheckpointCorrupt)
 	}

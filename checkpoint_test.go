@@ -367,6 +367,22 @@ func TestSessionCheckpointRejectsDamage(t *testing.T) {
 	if _, rerr := Resume(other, bytes.NewReader(raw)); !errors.Is(rerr, ErrCheckpointConfig) {
 		t.Fatalf("different config: want ErrCheckpointConfig, got %v", rerr)
 	}
+	// Counters no run can reach: a trained engine with warm-up
+	// intervals still to run, at interval 0. Every section is well
+	// formed, so only the counter check can refuse it.
+	fresh, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.trained = true
+	var impossible bytes.Buffer
+	if cerr := fresh.Checkpoint(&impossible); cerr != nil {
+		t.Fatal(cerr)
+	}
+	fresh.Close()
+	if _, rerr := Resume(cfg, bytes.NewReader(impossible.Bytes())); !errors.Is(rerr, ErrCheckpointCorrupt) {
+		t.Fatalf("trained before warm-up: want ErrCheckpointCorrupt, got %v", rerr)
+	}
 }
 
 // TestCheckpointDigestPinned pins the exact bytes of one tiny

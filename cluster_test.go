@@ -30,7 +30,7 @@ func clusterTestConfig(seed int64, workers, shards int) ClusterConfig {
 }
 
 // TestClusterDeterministic is the cluster engine's acceptance
-// guarantee: RunCluster produces a bit-identical trace for
+// guarantee: a cluster session produces a bit-identical trace for
 // Parallelism ∈ {1,4,8} and shard counts {1, NumBS}, and the
 // handover pass conserves users — the engine verifies after every
 // interval boundary that no twin is lost or duplicated and fails the
@@ -40,10 +40,7 @@ func TestClusterDeterministic(t *testing.T) {
 		var base *ClusterTrace
 		for _, workers := range []int{1, 4, 8} {
 			for _, shards := range []int{1, 4} { // 4 == NumBS
-				trace, err := RunCluster(clusterTestConfig(seed, workers, shards))
-				if err != nil {
-					t.Fatalf("seed %d workers %d shards %d: %v", seed, workers, shards, err)
-				}
+				trace := mustClusterTrace(t, clusterTestConfig(seed, workers, shards))
 				if base == nil {
 					base = trace
 					if len(base.Records) == 0 {
@@ -81,10 +78,7 @@ func TestClusterDeterministic(t *testing.T) {
 // TestClusterTraceIO round-trips a real cluster trace through the
 // root package's JSON helpers.
 func TestClusterTraceIO(t *testing.T) {
-	trace, err := RunCluster(clusterTestConfig(3, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace := mustClusterTrace(t, clusterTestConfig(3, 0, 0))
 	var buf bytes.Buffer
 	if err := WriteClusterTraceJSON(&buf, trace.Records); err != nil {
 		t.Fatal(err)

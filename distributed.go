@@ -156,30 +156,23 @@ type distStepper struct {
 	trace   *ClusterTrace // stamped at finish
 }
 
-func (a *distStepper) warmupIntervals() int { return a.cfg.Sim.WarmupIntervals }
-func (a *distStepper) intervals() int       { return a.cfg.Sim.NumIntervals }
-func (a *distStepper) handovers() int       { return a.sup.Handovers() }
-func (a *distStepper) churned() int         { return a.sup.Churned() }
-func (a *distStepper) cellsDown() int       { return 0 }
-func (a *distStepper) evacuated() int       { return 0 }
-
 func (a *distStepper) warmupStep(ctx context.Context) error { return a.sup.WarmupStep(ctx) }
 
 func (a *distStepper) trainAndBuild(ctx context.Context) error { return a.sup.TrainAndBuild(ctx) }
 
-func (a *distStepper) stepInterval(ctx context.Context, interval int) ([]TraceRecord, error) {
+func (a *distStepper) stepInterval(ctx context.Context, interval int) (IntervalReport, error) {
 	recs, err := a.sup.StepInterval(ctx, interval)
 	if err != nil {
-		return nil, err
+		return IntervalReport{}, err
 	}
 	if a.retain {
 		a.records = append(a.records, recs...)
 	}
-	out := make([]TraceRecord, len(recs))
-	for i, r := range recs {
-		out[i] = TraceRecord{BS: r.BS, GroupIntervalRecord: r.GroupIntervalRecord}
-	}
-	return out, nil
+	return IntervalReport{
+		Records:      clusterTraceRecords(recs),
+		Handovers:    a.sup.Handovers(),
+		ChurnedUsers: a.sup.Churned(),
+	}, nil
 }
 
 // finish assembles the merged ClusterTrace from the workers' final
@@ -201,12 +194,6 @@ func (a *distStepper) finish() error {
 }
 
 func (a *distStepper) close() { _ = a.sup.Close() }
-
-// mount is a no-op: the supervisor takes its registry at
-// construction (OpenDistributed wires it before the first step).
-func (a *distStepper) mount(reg *MetricsRegistry) {}
-
-func (a *distStepper) kind() string { return "coord" }
 
 func (a *distStepper) fingerprint() (uint64, error) {
 	return checkpoint.Fingerprint(struct {
@@ -333,7 +320,7 @@ func OpenDistributed(cfg ClusterConfig, workers int, opts ...SessionOption) (*Di
 		workers: workers,
 		retain:  o.sink == nil,
 	}
-	return &DistSession{session: session{eng: st, opts: o, met: newSessionMetrics(o.metrics)}, st: st}, nil
+	return &DistSession{session: newSession(st, "coord", st.cfg.Sim, o), st: st}, nil
 }
 
 // ResumeDistributed opens a distributed session from cfg and

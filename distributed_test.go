@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/faultinject"
 )
 
@@ -86,10 +85,7 @@ func TestDistributedMatchesCluster(t *testing.T) {
 	want, _ := ndjsonRun(t, func(opts ...SessionOption) (Session, error) {
 		return OpenCluster(distTestConfig(seed, 1), opts...)
 	})
-	ref, err := cluster.Run(distTestConfig(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustClusterTrace(t, distTestConfig(seed, 1))
 	for _, workers := range []int{1, 2, 4} {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("workers=%d/par=%d", workers, par), func(t *testing.T) {
@@ -118,10 +114,7 @@ func TestDistributedMatchesCluster(t *testing.T) {
 // retains the merged records, matching the cluster engine's trace.
 func TestDistributedTraceRetained(t *testing.T) {
 	const seed = 29
-	ref, err := cluster.Run(distTestConfig(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustClusterTrace(t, distTestConfig(seed, 1))
 	s, err := OpenDistributed(distTestConfig(seed, 2), 2)
 	if err != nil {
 		t.Fatal(err)

@@ -10,17 +10,19 @@
 // block) and computing (transcode cycle) demand per 5-minute
 // reservation interval.
 //
-// The top-level entry point is Run, which executes a full simulation
-// scenario and returns a Trace of predicted-vs-actual demand. The
-// experiment runners in experiments.go regenerate the paper's Fig. 3
-// panels and the extended evaluation described in DESIGN.md.
+// The entry point is Open, which returns a Session over a scenario;
+// each Step runs one 5-minute interval (the first also runs warm-up,
+// CNN + DDQN training and group construction) and reports its
+// predicted-vs-actual demand. OpenCluster and OpenDistributed run the
+// sharded multi-BS scenario behind the same Session. The experiment
+// runners in experiments.go regenerate the paper's Fig. 3 panels and
+// the extended evaluation.
 //
 // Everything is deterministic given Config.Seed and uses only the
 // standard library.
 package dtmsvs
 
 import (
-	"context"
 	"io"
 
 	"dtmsvs/internal/cluster"
@@ -67,28 +69,6 @@ const (
 // NumCategories is the size of the category set.
 const NumCategories = video.NumCategories
 
-// Run executes a scenario end to end: warm-up browsing, CNN + DDQN
-// training, group construction, and NumIntervals of
-// predict-then-measure multicast streaming. The whole trace is
-// buffered in memory.
-//
-// Deprecated: Run is a thin shim over the Session API and cannot
-// stream, observe or cancel a run in flight. Use Open with the
-// Step loop (and a TraceSink for large scenarios) instead.
-func Run(cfg Config) (*Trace, error) {
-	s, err := Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	for !s.Done() {
-		if _, err := s.Step(context.Background()); err != nil {
-			return nil, err
-		}
-	}
-	return s.Trace(), nil
-}
-
 // TraceSummary aggregates a trace into run-level statistics.
 type TraceSummary = sim.Summary
 
@@ -134,30 +114,6 @@ type CellFault = faultinject.CellFault
 // same plan, so a chaotic run replays bit-identically.
 func CellFaultPlan(seed int64, cells, intervals int) CellFault {
 	return faultinject.CellPlan(seed, cells, intervals)
-}
-
-// RunCluster executes a sharded multi-BS scenario: the map is
-// partitioned into per-BS coverage cells, each with its own UDT
-// pool, edge cache and grouping pipeline; shards of cells run
-// concurrently and user twins hand over between cells at interval
-// boundaries. The trace is bit-identical for any Parallelism and any
-// shard count, and is buffered whole in memory.
-//
-// Deprecated: RunCluster is a thin shim over the Session API and
-// cannot stream, observe or cancel a run in flight. Use OpenCluster
-// with the Step loop (and a TraceSink for large scenarios) instead.
-func RunCluster(cfg ClusterConfig) (*ClusterTrace, error) {
-	s, err := OpenCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	for !s.Done() {
-		if _, err := s.Step(context.Background()); err != nil {
-			return nil, err
-		}
-	}
-	return s.Trace(), nil
 }
 
 // WriteClusterTraceJSON writes cluster trace records as a JSON array.

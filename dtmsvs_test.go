@@ -3,7 +3,6 @@ package dtmsvs
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 )
 
@@ -18,16 +17,6 @@ func smallConfig(seed int64) Config {
 		WarmupIntervals:  1,
 		CompressorEpochs: 3,
 		AgentEpisodes:    30,
-	}
-}
-
-func TestRunFacade(t *testing.T) {
-	tr, err := Run(smallConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Records) == 0 {
-		t.Fatal("empty trace")
 	}
 }
 
@@ -83,10 +72,7 @@ func TestFig3bSeriesAligned(t *testing.T) {
 }
 
 func TestSharedTraceExtractors(t *testing.T) {
-	tr, err := Run(smallConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustTrace(t, smallConfig(7))
 	a, err := Fig3aFromTrace(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -303,26 +289,4 @@ func TestPaperOrderingsHold(t *testing.T) {
 			t.Errorf("seed %d: %s waste %.3f not below %s %.3f", seed, pred.Policy, pred.Waste, peak.Policy, peak.Waste)
 		}
 	}
-}
-
-// ExampleRun demonstrates the minimal end-to-end usage shown in the
-// README.
-func ExampleRun() {
-	trace, err := Run(Config{
-		Seed:             7,
-		NumUsers:         24,
-		NumBS:            4,
-		CatalogSize:      120,
-		NumIntervals:     2,
-		TicksPerInterval: 10,
-		WarmupIntervals:  1,
-		CompressorEpochs: 2,
-		AgentEpisodes:    20,
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println(len(trace.Records) > 0)
-	// Output: true
 }

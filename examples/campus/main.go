@@ -2,7 +2,7 @@
 // packages — campus map, base stations, mobile users with digital
 // twins — then run the two-step multicast group construction and
 // inspect the groups. This example shows the lower-level API beneath
-// dtmsvs.Run.
+// dtmsvs.Open.
 package main
 
 import (

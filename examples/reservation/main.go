@@ -36,10 +36,17 @@ func main() {
 	// predictions exceed capacity.
 	fmt.Println("\nin-engine admission with a hard 8-RB budget:")
 	cfg.RBBudget = 8
-	trace, err := dtmsvs.Run(cfg)
+	s, err := dtmsvs.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer s.Close()
+	for !s.Done() {
+		if _, err := s.Step(context.Background()); err != nil {
+			log.Fatal(err)
+		}
+	}
+	trace := s.Trace()
 	summary, err := trace.Summarize()
 	if err != nil {
 		log.Fatal(err)

@@ -167,10 +167,7 @@ func TestClusterFailFastAborts(t *testing.T) {
 // faults behaves identically through the failure-aware code path —
 // the degraded-mode plumbing costs nothing when nothing fails.
 func TestClusterDefaultUnchangedByFaultFreeConfig(t *testing.T) {
-	ref, err := RunCluster(clusterTestConfig(7, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := mustClusterTrace(t, clusterTestConfig(7, 2, 0))
 	got := runDegraded(t, clusterTestConfig(7, 2, 0), CellDegradeWithRevival)
 	if !reflect.DeepEqual(got.Records, ref.Records) {
 		t.Fatal("fault-free run diverged under a degrade policy")

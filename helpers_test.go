@@ -1,12 +1,41 @@
 package dtmsvs
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"dtmsvs/internal/udt"
 	"dtmsvs/internal/video"
 )
+
+// mustTrace runs cfg to completion through a monolithic session (the
+// experiments' runTrace) and returns its trace.
+func mustTrace(tb testing.TB, cfg Config) *Trace {
+	tb.Helper()
+	tr, err := runTrace(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// mustClusterTrace steps a cluster session over cfg to completion and
+// returns its merged trace.
+func mustClusterTrace(tb testing.TB, cfg ClusterConfig) *ClusterTrace {
+	tb.Helper()
+	s, err := OpenCluster(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Close()
+	for !s.Done() {
+		if _, err := s.Step(context.Background()); err != nil {
+			tb.Fatalf("interval %d: %v", s.Interval(), err)
+		}
+	}
+	return s.Trace()
+}
 
 // benchTwins builds a two-cluster synthetic twin population for the
 // grouping benches and tests.

@@ -419,7 +419,7 @@ func (e *Engine) lateTrain() error {
 			if err := c.eng.Train(); err != nil {
 				return fmt.Errorf("cell %d late train: %w", c.id, err)
 			}
-			if err := c.eng.BuildGroups(); err != nil {
+			if err := c.eng.BuildGroupsContext(context.Background()); err != nil {
 				return fmt.Errorf("cell %d late construction: %w", c.id, err)
 			}
 			c.built = true
@@ -634,45 +634,4 @@ func (e *Engine) Finish() *Trace {
 		tr.CacheHitRate = float64(hits) / float64(total)
 	}
 	return tr
-}
-
-// Run executes the sharded scenario and returns the merged trace.
-func (e *Engine) Run() (*Trace, error) { return e.RunContext(context.Background()) }
-
-// RunContext executes the sharded scenario under ctx, with
-// cancellation checked at every interval boundary. A cancelled run
-// returns ctx.Err() and no trace.
-func (e *Engine) RunContext(ctx context.Context) (*Trace, error) {
-	for w := 0; w < e.cfg.Sim.WarmupIntervals; w++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := e.WarmupStep(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := e.TrainAndBuild(ctx); err != nil {
-		return nil, err
-	}
-	for interval := 0; interval < e.cfg.Sim.NumIntervals; interval++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if _, err := e.StepInterval(ctx, interval); err != nil {
-			return nil, err
-		}
-	}
-	return e.Finish(), nil
-}
-
-// Run executes a sharded cluster scenario end to end.
-func Run(cfg Config) (*Trace, error) {
-	e, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run()
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sort"
@@ -31,11 +32,40 @@ func testSimConfig(seed int64, workers int) sim.Config {
 
 func runCluster(t *testing.T, seed int64, workers, shards int) *Trace {
 	t.Helper()
-	tr, err := Run(Config{Sim: testSimConfig(seed, workers), Shards: shards})
+	return runConfig(t, Config{Sim: testSimConfig(seed, workers), Shards: shards})
+}
+
+// runConfig builds an engine over cfg and runs it to completion.
+func runConfig(tb testing.TB, cfg Config) *Trace {
+	tb.Helper()
+	e, err := New(cfg)
 	if err != nil {
-		t.Fatalf("seed %d workers %d shards %d: %v", seed, workers, shards, err)
+		tb.Fatal(err)
 	}
-	return tr
+	return runEngine(tb, e)
+}
+
+// runEngine drives e through the whole scenario the way a session
+// does — warm-up boundaries, training and the first group
+// construction, then every scheduling interval — and returns the
+// merged trace.
+func runEngine(tb testing.TB, e *Engine) *Trace {
+	tb.Helper()
+	ctx := context.Background()
+	for w := 0; w < e.cfg.Sim.WarmupIntervals; w++ {
+		if err := e.WarmupStep(ctx); err != nil {
+			tb.Fatalf("warm-up %d: %v", w, err)
+		}
+	}
+	if err := e.TrainAndBuild(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < e.cfg.Sim.NumIntervals; i++ {
+		if _, err := e.StepInterval(ctx, i); err != nil {
+			tb.Fatalf("interval %d: %v", i, err)
+		}
+	}
+	return e.Finish()
 }
 
 // TestRunDeterministic is the cluster engine's core guarantee: the
@@ -77,9 +107,7 @@ func TestHandoverConservesUsers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	runEngine(t, e)
 	if e.Handovers() == 0 {
 		t.Fatal("scenario produced no handovers; conservation untested")
 	}

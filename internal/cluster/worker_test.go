@@ -93,10 +93,7 @@ func runPartitioned(t *testing.T, cfg Config, count int) *Trace {
 func TestWorkerPartitionBitIdentical(t *testing.T) {
 	for _, seed := range []int64{3, 97} {
 		cfg := Config{Sim: testSimConfig(seed, 2)}
-		base, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: single-process run: %v", seed, err)
-		}
+		base := runConfig(t, cfg)
 		for _, count := range []int{1, 2, 4} {
 			tr := runPartitioned(t, cfg, count)
 			if !reflect.DeepEqual(tr.Records, base.Records) {

@@ -7,82 +7,32 @@ import (
 	"dtmsvs/internal/vecmath"
 )
 
-// TestTrainBatchAllocFree is the allocation regression gate for the
-// batched fit step: once the batch scratch has grown, a steady-state
-// TrainBatch (stack, blocked-GEMM forward+backward, optimizer step)
-// must not touch the heap.
+// TestTrainBatchAllocFree is the allocation regression gate for Fit's
+// minibatch step: once the batch scratch has grown, a steady-state
+// trainOn (blocked-GEMM forward+backward, optimizer step) must not
+// touch the heap.
 func TestTrainBatchAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	c, err := New(testConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := make([]vecmath.Vec, 8)
-	for i := range windows {
-		w := make(vecmath.Vec, c.InputDim())
-		for j := range w {
-			w[j] = rng.NormFloat64()
-		}
-		windows[i] = w
+	x := &vecmath.Matrix{}
+	if err := x.Resize(8, c.InputDim()); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
 	}
 	// Prime the scratch.
-	if _, err := c.TrainBatch(windows); err != nil {
+	if _, err := c.trainOn(x); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := c.TrainBatch(windows); err != nil {
+		if _, err := c.trainOn(x); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("TrainBatch allocates %v per run in steady state", n)
-	}
-}
-
-// TestTrainBatchMatchesTrainStepAtBatchOne pins the compatibility
-// contract: a TrainBatch over a single window takes the same gradient
-// step as the per-window TrainStep on an identically seeded
-// compressor, up to the conv im2col summation grouping (tight
-// relative tolerance rather than bit equality).
-func TestTrainBatchMatchesTrainStepAtBatchOne(t *testing.T) {
-	mk := func() *Compressor {
-		c, err := New(testConfig(), rand.New(rand.NewSource(5)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	a, b := mk(), mk()
-	rng := rand.New(rand.NewSource(6))
-	w := make(vecmath.Vec, a.InputDim())
-	for j := range w {
-		w[j] = rng.NormFloat64()
-	}
-	la, err := a.TrainStep(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := b.TrainBatch([]vecmath.Vec{w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := la - lb
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 1e-12*(1+la) {
-		t.Fatalf("batch-of-one loss %v vs per-window loss %v", lb, la)
-	}
-}
-
-func TestTrainBatchValidation(t *testing.T) {
-	c, err := New(testConfig(), rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.TrainBatch(nil); err == nil {
-		t.Fatal("empty batch must error")
-	}
-	if _, err := c.TrainBatch([]vecmath.Vec{make(vecmath.Vec, 3)}); err == nil {
-		t.Fatal("short window must error")
+		t.Fatalf("trainOn allocates %v per run in steady state", n)
 	}
 }

@@ -39,11 +39,9 @@ type Config struct {
 	// Batch is the Fit minibatch size (default 8): each optimizer
 	// step averages the reconstruction gradient over Batch windows
 	// pushed through the network as one blocked-GEMM pass. 1 recovers
-	// per-window SGD (the pre-batched trainer, still available as
-	// TrainStep). Note the zero-value LearningRate default scales
-	// with √Batch and the optimizer is shared, so TrainStep on a
-	// default config inherits the batch-tuned rate; set Batch: 1 (or
-	// an explicit LearningRate) for classic 1e-3 per-window SGD.
+	// per-window SGD; the zero-value LearningRate default scales with
+	// √Batch, so set Batch: 1 (or an explicit LearningRate) for
+	// classic 1e-3 per-window SGD.
 	Batch int
 }
 
@@ -72,10 +70,9 @@ type Compressor struct {
 	opt     *nn.Adam
 	inDim   int
 
-	// gradBuf and params are training scratch, built lazily on the
-	// first TrainStep and reused so the fit loop stays allocation-free.
-	gradBuf vecmath.Vec
-	params  []nn.Param
+	// params is the joint parameter list, built lazily on the first
+	// training step and reused so the fit loop stays allocation-free.
+	params []nn.Param
 
 	// Minibatch scratch (grow-once): the stacked window batch and the
 	// batched reconstruction gradient. The per-layer activations live
@@ -136,10 +133,10 @@ func New(cfg Config, rng *rand.Rand) (*Compressor, error) {
 	return &Compressor{cfg: cfg, encoder: encoder, decoder: decoder, opt: nn.NewAdam(lr), inDim: inDim}, nil
 }
 
-// SetGEMMPool routes the batched Fit/TrainBatch GEMMs of the encoder
-// and decoder through the given pool (nil restores the sequential
-// kernels). Purely a wall-clock knob: fitted weights, codes and
-// reconstructions are bit-identical for any worker count.
+// SetGEMMPool routes the batched Fit GEMMs of the encoder and decoder
+// through the given pool (nil restores the sequential kernels). Purely
+// a wall-clock knob: fitted weights, codes and reconstructions are
+// bit-identical for any worker count.
 func (c *Compressor) SetGEMMPool(p *vecmath.GEMMPool) {
 	c.encoder.SetGEMMPool(p)
 	c.decoder.SetGEMMPool(p)
@@ -197,45 +194,6 @@ func (c *Compressor) Reconstruct(window vecmath.Vec) (vecmath.Vec, error) {
 	return vecmath.Clone(recon), nil
 }
 
-// TrainStep performs one reconstruction-loss gradient step on a single
-// window and returns the loss. Steady-state it allocates nothing: the
-// loss gradient lives in a compressor-owned scratch buffer and the
-// layers reuse their own.
-func (c *Compressor) TrainStep(window vecmath.Vec) (float64, error) {
-	c.encoder.SetTraining(true)
-	c.decoder.SetTraining(true)
-	code, err := c.encoder.Forward(window)
-	if err != nil {
-		return 0, err
-	}
-	recon, err := c.decoder.Forward(code)
-	if err != nil {
-		return 0, err
-	}
-	if cap(c.gradBuf) < len(recon) {
-		c.gradBuf = make(vecmath.Vec, len(recon))
-	}
-	grad := c.gradBuf[:len(recon)]
-	loss, err := nn.MSELossInto(grad, recon, window)
-	if err != nil {
-		return 0, err
-	}
-	c.encoder.ZeroGrads()
-	c.decoder.ZeroGrads()
-	codeGrad, err := c.decoder.Backward(grad)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.encoder.Backward(codeGrad); err != nil {
-		return 0, err
-	}
-	nn.ClipGrads(c.allParams(), 5)
-	if err := c.opt.Step(c.params); err != nil {
-		return 0, err
-	}
-	return loss, nil
-}
-
 // allParams lazily builds and caches the joint encoder+decoder
 // parameter list shared by the clip and optimizer steps.
 func (c *Compressor) allParams() []nn.Param {
@@ -248,34 +206,12 @@ func (c *Compressor) allParams() []nn.Param {
 	return c.params
 }
 
-// TrainBatch performs one reconstruction-loss gradient step over a
-// minibatch of windows and returns their mean loss. The whole batch
-// runs through encoder and decoder as blocked GEMMs (the conv layer
-// via an im2col window matrix), the gradient is averaged over the
-// batch, and one optimizer step is applied. Steady-state it allocates
-// nothing: the batch matrices are compressor-owned grow-once scratch.
-func (c *Compressor) TrainBatch(windows []vecmath.Vec) (float64, error) {
-	if len(windows) == 0 {
-		return 0, fmt.Errorf("train batch with no windows: %w", ErrConfig)
-	}
-	for i, w := range windows {
-		if len(w) != c.inDim {
-			return 0, fmt.Errorf("train batch window %d size %d want %d: %w", i, len(w), c.inDim, ErrConfig)
-		}
-	}
-	if c.xB == nil {
-		c.xB = &vecmath.Matrix{}
-	}
-	if err := c.xB.Resize(len(windows), c.inDim); err != nil {
-		return 0, err
-	}
-	for i, w := range windows {
-		copy(c.xB.Row(i), w)
-	}
-	return c.trainOn(c.xB)
-}
-
-// trainOn is the shared minibatch step over a stacked window batch.
+// trainOn is Fit's minibatch step over a stacked window batch: the
+// whole batch runs through encoder and decoder as blocked GEMMs (the
+// conv layer via an im2col window matrix), the gradient is averaged
+// over the batch, and one optimizer step is applied. It returns the
+// batch's mean loss. Steady-state it allocates nothing: the batch
+// matrices are compressor-owned grow-once scratch.
 func (c *Compressor) trainOn(x *vecmath.Matrix) (float64, error) {
 	c.encoder.SetTraining(true)
 	c.decoder.SetTraining(true)

@@ -151,15 +151,9 @@ func TestFitReducesReconstructionLoss(t *testing.T) {
 		}
 		windows[i] = w
 	}
-	var firstLoss float64
-	for i, w := range windows {
-		l, terr := c.TrainStep(w)
-		if terr != nil {
-			t.Fatal(terr)
-		}
-		if i == 0 {
-			firstLoss = l
-		}
+	firstLoss, err := c.Fit(windows, 1, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
 	finalLoss, err := c.Fit(windows, 30, rng)
 	if err != nil {
@@ -185,6 +179,9 @@ func TestFitValidation(t *testing.T) {
 	w := make(vecmath.Vec, c.InputDim())
 	if _, err := c.Fit([]vecmath.Vec{w}, 0, rng); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig, got %v", err)
+	}
+	if _, err := c.Fit([]vecmath.Vec{w, make(vecmath.Vec, 3)}, 1, rng); !errors.Is(err, ErrConfig) {
+		t.Fatalf("short window: want ErrConfig, got %v", err)
 	}
 }
 
@@ -283,7 +280,7 @@ func TestSaveLoadState(t *testing.T) {
 	for i := range w {
 		w[i] = math.Sin(float64(i) / 2)
 	}
-	if _, err := a.TrainStep(w); err != nil {
+	if _, err := a.Fit([]vecmath.Vec{w}, 1, rng); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.LoadState(a.SaveState()); err != nil {

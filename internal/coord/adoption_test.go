@@ -86,10 +86,7 @@ func TestSupervisorAdoptionMatrix(t *testing.T) {
 	const seed = 13
 	base := Config{Cluster: testClusterConfig(seed, 1), Workers: 2}
 	clean := driveSupervisor(t, base)
-	want, err := cluster.Run(testClusterConfig(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, testClusterConfig(seed, 1))
 	assertMatchesEngine(t, clean, want, "clean")
 	for name, at := range map[string]killPoint{
 		"warmup":                  {ph: phaseWarmup},
@@ -186,10 +183,7 @@ func TestSupervisorAdoptionResume(t *testing.T) {
 	if got.cells, got.hits, got.misses, err = b.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := cluster.Run(testClusterConfig(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, testClusterConfig(seed, 1))
 	assertMatchesEngine(t, got, want, "resumed after adoption")
 	final, err := b.CheckpointBlobs(ctx)
 	if err != nil {

@@ -33,7 +33,7 @@ import (
 // Config parameterizes a supervised distributed run.
 type Config struct {
 	// Cluster is the scenario, exactly as a single-process
-	// cluster.Run would take it. Faults here are cell faults and are
+	// cluster.New would take it. Faults here are cell faults and are
 	// rejected (they live below the worker partition); process faults
 	// go in Faults.
 	Cluster cluster.Config

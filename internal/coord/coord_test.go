@@ -106,6 +106,34 @@ func driveSupervisorErr(cfg Config) (*supRun, error) {
 	return out, nil
 }
 
+// runEngine runs cfg through the single-process cluster engine, driven
+// the way a session drives it — warm-up boundaries, training and the
+// first group construction, then every scheduling interval — and
+// returns the merged trace: the reference a supervised run must match.
+func runEngine(t *testing.T, cfg cluster.Config) *cluster.Trace {
+	t.Helper()
+	e, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	d := e.Config().Sim
+	for w := 0; w < d.WarmupIntervals; w++ {
+		if err := e.WarmupStep(ctx); err != nil {
+			t.Fatalf("warm-up %d: %v", w, err)
+		}
+	}
+	if err := e.TrainAndBuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < d.NumIntervals; i++ {
+		if _, err := e.StepInterval(ctx, i); err != nil {
+			t.Fatalf("interval %d: %v", i, err)
+		}
+	}
+	return e.Finish()
+}
+
 // assertMatchesEngine compares a supervised run against the
 // single-process cluster engine at the same seed — the package's
 // bit-identity contract.
@@ -140,10 +168,7 @@ func assertMatchesEngine(t *testing.T, got *supRun, want *cluster.Trace, label s
 // engine for every worker count and intra-worker parallelism.
 func TestSupervisorBitIdentical(t *testing.T) {
 	const seed = 3
-	want, err := cluster.Run(testClusterConfig(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, testClusterConfig(seed, 1))
 	for _, workers := range []int{1, 2, 4} {
 		for _, par := range []int{1, 4} {
 			got := driveSupervisor(t, Config{Cluster: testClusterConfig(seed, par), Workers: workers})
@@ -166,10 +191,7 @@ func TestSupervisorFaultRecovery(t *testing.T) {
 	const seed = 97
 	base := Config{Cluster: testClusterConfig(seed, 2), Workers: 2}
 	clean := driveSupervisor(t, base)
-	want, err := cluster.Run(testClusterConfig(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, testClusterConfig(seed, 1))
 	assertMatchesEngine(t, clean, want, "clean distributed")
 
 	faulted := base
@@ -201,10 +223,7 @@ func TestSupervisorFaultRecovery(t *testing.T) {
 // the same way hand-placed faults do.
 func TestSupervisorProcPlan(t *testing.T) {
 	const seed = 11
-	want, err := cluster.Run(testClusterConfig(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, testClusterConfig(seed, 1))
 	cfg := Config{Cluster: testClusterConfig(seed, 1), Workers: 2}
 	fastFailure(&cfg)
 	d := cfg.Cluster.Defaulted()
@@ -232,10 +251,7 @@ func TestSupervisorRestartBudget(t *testing.T) {
 // cells move in-process and the run completes bit-identically.
 func TestSupervisorAdoption(t *testing.T) {
 	const seed = 13
-	want, err := cluster.Run(testClusterConfig(seed, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, testClusterConfig(seed, 1))
 	cfg := Config{Cluster: testClusterConfig(seed, 1), Workers: 2, MaxRestarts: -1, Adopt: true}
 	fastFailure(&cfg)
 	cfg.Faults = []faultinject.ProcFault{{Worker: 1, Interval: 1, Kind: faultinject.ProcKill}}

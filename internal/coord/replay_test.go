@@ -131,10 +131,7 @@ func assertSameCheckpoints(t *testing.T, got, want [][]byte, label string) {
 func TestSupervisorReplayEveryLogPosition(t *testing.T) {
 	const seed = 23
 	base := Config{Cluster: replayConfig(seed), Workers: 2}
-	want, err := cluster.Run(replayConfig(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, replayConfig(seed))
 	clean := driveSupervisor(t, base)
 	assertMatchesEngine(t, clean, want, "clean")
 
@@ -193,10 +190,7 @@ func TestSupervisorReplayEveryLogPosition(t *testing.T) {
 func TestSupervisorReplayAckedInFlight(t *testing.T) {
 	const seed = 29
 	base := Config{Cluster: replayConfig(seed), Workers: 2}
-	want, err := cluster.Run(replayConfig(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, replayConfig(seed))
 	clean := driveSupervisor(t, base)
 	d := base.Cluster.Defaulted()
 	for n, wantReplayed := range map[int]uint64{3: 3 + 1, 7: 0} {
@@ -350,10 +344,7 @@ func rewriteBoundary(p, ckpt []byte) []byte {
 func TestSupervisorShipMismatch(t *testing.T) {
 	const seed = 37
 	base := Config{Cluster: replayConfig(seed), Workers: 2}
-	want, err := cluster.Run(replayConfig(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, replayConfig(seed))
 	clean := driveSupervisor(t, base)
 	d := base.Cluster.Defaulted()
 	for name, c := range map[string]struct {
@@ -413,10 +404,7 @@ func TestSupervisorShipMismatch(t *testing.T) {
 func TestSupervisorStaleSeqRestarts(t *testing.T) {
 	const seed = 43
 	base := Config{Cluster: replayConfig(seed), Workers: 2}
-	want, err := cluster.Run(replayConfig(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runEngine(t, replayConfig(seed))
 	d := base.Cluster.Defaulted()
 	cfg := base
 	replayFailure(&cfg)

@@ -13,7 +13,13 @@ func benchLloyd(b *testing.B, n, dim, k int, naive bool) {
 	pts := clusteredPoints(n, dim, k, 0.4, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(pts, k, rand.New(rand.NewSource(2)), Options{Naive: naive}); err != nil {
+		var err error
+		if naive {
+			_, err = naiveRun(pts, k, rand.New(rand.NewSource(2)))
+		} else {
+			_, err = Run(pts, k, rand.New(rand.NewSource(2)), Options{})
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,6 +25,39 @@ func clusteredPoints(n, dim, g int, spread float64, rng *rand.Rand) []vecmath.Ve
 	return pts
 }
 
+// naiveRun is the classic Lloyd loop the bounded path must reproduce:
+// K-means++ seeding, then every point re-evaluated against every
+// centroid each iteration, with runOnce's update step and stopping
+// rule and the default options.
+func naiveRun(points []vecmath.Vec, k int, rng *rand.Rand) (*Result, error) {
+	centroids, err := SeedPlusPlus(points, k, rng)
+	if err != nil {
+		return nil, err
+	}
+	o := Options{}.withDefaults()
+	assign := make([]int, len(points))
+	counts := make([]int, k)
+	sums := make([]vecmath.Vec, k)
+	for i := range sums {
+		sums[i] = make(vecmath.Vec, len(points[0]))
+	}
+	var iter int
+	for iter = 0; iter < o.MaxIter; iter++ {
+		if err := AssignPoints(points, centroids, assign, nil); err != nil {
+			return nil, err
+		}
+		if updateCentroids(points, centroids, assign, counts, sums, nil) < o.Tol {
+			iter++
+			break
+		}
+	}
+	var inertia float64
+	for i, p := range points {
+		inertia += vecmath.SqDistUnchecked(p, centroids[assign[i]])
+	}
+	return &Result{K: k, Centroids: centroids, Assign: assign, Inertia: inertia, Iterations: iter}, nil
+}
+
 func wantSameResult(t *testing.T, tag string, got, want *Result) {
 	t.Helper()
 	if got.K != want.K || got.Iterations != want.Iterations || got.Inertia != want.Inertia {
@@ -71,7 +104,7 @@ func TestBoundedLloydMatchesNaive(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				points := clusteredPoints(tc.n, tc.dim, tc.blobs, tc.spread, rng)
-				naive, err := Run(points, tc.k, rand.New(rand.NewSource(seed+100)), Options{Naive: true})
+				naive, err := naiveRun(points, tc.k, rand.New(rand.NewSource(seed+100)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +138,7 @@ func TestBoundedLloydDuplicatePoints(t *testing.T) {
 		for _, p := range base {
 			points = append(points, p, vecmath.Clone(p), vecmath.Clone(p))
 		}
-		naive, err := Run(points, 7, rand.New(rand.NewSource(seed)), Options{Naive: true})
+		naive, err := naiveRun(points, 7, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +150,15 @@ func TestBoundedLloydDuplicatePoints(t *testing.T) {
 	}
 }
 
-// TestRunRejectsTooFewPoints pins the n < k contract both paths share.
+// TestRunRejectsTooFewPoints pins the n < k contract the bounded path
+// shares with the reference loop.
 func TestRunRejectsTooFewPoints(t *testing.T) {
 	points := randPoints(3, 2, rand.New(rand.NewSource(1)))
-	for _, naive := range []bool{true, false} {
-		if _, err := Run(points, 4, rand.New(rand.NewSource(2)), Options{Naive: naive}); err == nil {
-			t.Fatalf("naive=%v: want error for n < k", naive)
-		}
+	if _, err := Run(points, 4, rand.New(rand.NewSource(2)), Options{}); err == nil {
+		t.Fatal("want error for n < k")
+	}
+	if _, err := naiveRun(points, 4, rand.New(rand.NewSource(2))); err == nil {
+		t.Fatal("reference loop: want error for n < k")
 	}
 }
 

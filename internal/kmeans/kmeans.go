@@ -61,12 +61,6 @@ type Options struct {
 	// seeding makes single runs good; a few restarts remove the
 	// residual seeding variance.
 	Restarts int
-	// Naive disables the Hamerly distance bounds and re-evaluates
-	// every point against every centroid each iteration (the classic
-	// Lloyd loop). The bounded path produces bit-identical
-	// assignments, centroids and iteration counts; Naive exists for
-	// the equivalence tests and A/B benchmarks.
-	Naive bool
 	// Pool optionally fans the assignment step (and Silhouette, via
 	// SilhouettePool) across workers. The result is bit-identical to
 	// the sequential path: every point's nearest-centroid decision is
@@ -220,9 +214,9 @@ func Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, er
 	return best, nil
 }
 
-// runOnce is a single seeding + Lloyd pass. The assignment step uses
-// Hamerly distance bounds unless o.Naive is set; both paths share the
-// update step and produce bit-identical results (see bounds.go).
+// runOnce is a single seeding + Lloyd pass. The assignment step is
+// pruned by Hamerly distance bounds, with results bit-identical to the
+// classic full-reassignment loop (see bounds.go).
 func runOnce(points []vecmath.Vec, k int, rng *rand.Rand, o Options) (*Result, error) {
 	if err := validate(points, k); err != nil {
 		return nil, err
@@ -238,24 +232,16 @@ func runOnce(points []vecmath.Vec, k int, rng *rand.Rand, o Options) (*Result, e
 	for i := range sums {
 		sums[i] = make(vecmath.Vec, dim)
 	}
-	var bs *boundsState
-	if !o.Naive {
-		bs = newBoundsState(len(points), k)
-	}
+	bs := newBoundsState(len(points), k)
 
 	var iter int
 	for iter = 0; iter < o.MaxIter; iter++ {
 		// Assignment step — the hot kernel, fanned across the pool
 		// when one is configured, and pruned by the Hamerly bounds
 		// after the first iteration.
-		switch {
-		case o.Naive:
-			if err := AssignPoints(points, centroids, assign, o.Pool); err != nil {
-				return nil, err
-			}
-		case iter == 0:
+		if iter == 0 {
 			bs.assignFull(points, centroids, assign, o.Pool)
-		default:
+		} else {
 			bs.assignBounded(points, centroids, assign, o.Pool)
 		}
 		moved := updateCentroids(points, centroids, assign, counts, sums, bs)
@@ -272,12 +258,12 @@ func runOnce(points []vecmath.Vec, k int, rng *rand.Rand, o Options) (*Result, e
 	return &Result{K: k, Centroids: centroids, Assign: assign, Inertia: inertia, Iterations: iter}, nil
 }
 
-// updateCentroids is the Lloyd update step shared by the naive and
-// bounded paths: recompute per-cluster sums, move every centroid to
-// its mean (re-seeding empty clusters at the farthest point), and
-// return the total movement. When bs is non-nil the per-centroid
-// drift is recorded for the next bounded assignment; the centroid
-// arithmetic itself is identical either way.
+// updateCentroids is the Lloyd update step: recompute per-cluster
+// sums, move every centroid to its mean (re-seeding empty clusters at
+// the farthest point), and return the total movement. When bs is
+// non-nil the per-centroid drift is recorded for the next bounded
+// assignment; the test suite's classic reference loop passes nil, and
+// the centroid arithmetic is identical either way.
 func updateCentroids(points, centroids []vecmath.Vec, assign, counts []int, sums []vecmath.Vec, bs *boundsState) float64 {
 	for c := range sums {
 		counts[c] = 0

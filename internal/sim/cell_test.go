@@ -124,7 +124,7 @@ func TestNearestGroupMatchesAttachTime(t *testing.T) {
 		if err := s.Train(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.BuildGroups(); err != nil {
+		if err := s.BuildGroupsContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if len(s.groups) < 2 || s.groups[0].centroid == nil {

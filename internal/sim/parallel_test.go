@@ -26,7 +26,7 @@ func parallelTestConfig(seed int64, workers int) Config {
 }
 
 // TestRunDeterministicAcrossParallelism is the engine's core
-// reproducibility guarantee: for the same seed, Run produces a
+// reproducibility guarantee: for the same seed, a run produces a
 // bit-identical Trace whether the pool runs 1, 4 or 8 workers.
 func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1337} {
@@ -36,10 +36,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
-			trace, err := s.Run()
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
+			trace := runAll(t, s)
 			if base == nil {
 				base = trace
 				continue
@@ -75,15 +72,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 // (two runs at the same parallelism).
 func TestRunDeterministicRepeat(t *testing.T) {
 	run := func() *Trace {
-		s, err := New(parallelTestConfig(7, 0)) // 0 = NumCPU
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return trace
+		return runFast(t, parallelTestConfig(7, 0)) // 0 = NumCPU
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a.Records, b.Records) {

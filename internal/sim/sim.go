@@ -1243,36 +1243,13 @@ func (s *Simulation) streamInterval(g *groupState, rep video.Representation) (*p
 	}, nil
 }
 
-// Warmup runs the configured warm-up intervals: individual browsing
-// to populate twins and calibrate the per-user SNR offsets.
-func (s *Simulation) Warmup() error { return s.WarmupContext(context.Background()) }
-
-// WarmupContext is Warmup with cooperative cancellation, checked at
-// every warm-up interval boundary.
-func (s *Simulation) WarmupContext(ctx context.Context) error {
-	for w := 0; w < s.cfg.WarmupIntervals; w++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := s.WarmupIntervalContext(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WarmupInterval runs a single warm-up interval (collection +
-// individual browsing + calibration fold). The cluster engine steps
-// cells one warm-up interval at a time so twin handover can run at
-// every interval boundary.
-func (s *Simulation) WarmupInterval() error {
-	return s.WarmupIntervalContext(context.Background())
-}
-
-// WarmupIntervalContext is WarmupInterval under ctx. A cancellation
-// that fires mid-interval aborts the fan-out and leaves the engine's
-// per-user state indeterminate — callers must stop the run (the
-// session layer marks itself failed).
+// WarmupIntervalContext runs a single warm-up interval (collection +
+// individual browsing + calibration fold) under ctx. The cluster
+// engine steps cells one warm-up interval at a time so twin handover
+// can run at every interval boundary. A cancellation that fires
+// mid-interval aborts the fan-out and leaves the engine's per-user
+// state indeterminate — callers must stop the run (the session layer
+// marks itself failed).
 func (s *Simulation) WarmupIntervalContext(ctx context.Context) error {
 	t0 := s.met.warmup.Start()
 	if err := s.collectTicks(ctx); err != nil {
@@ -1326,13 +1303,8 @@ func (s *Simulation) Train() error {
 	return nil
 }
 
-// BuildGroups runs one group construction and the follow-up
-// abstraction pass.
-func (s *Simulation) BuildGroups() error {
-	return s.BuildGroupsContext(context.Background())
-}
-
-// BuildGroupsContext is BuildGroups under ctx.
+// BuildGroupsContext runs one group construction and the follow-up
+// abstraction pass under ctx.
 func (s *Simulation) BuildGroupsContext(ctx context.Context) error {
 	t0 := s.met.build.Start()
 	if err := s.rebuildGroups(); err != nil {
@@ -1349,7 +1321,7 @@ func (s *Simulation) BuildGroupsContext(ctx context.Context) error {
 // NumGroups reports the current number of multicast groups.
 func (s *Simulation) NumGroups() int { return len(s.groups) }
 
-// NewTrace returns an empty trace ready for RunInterval appends.
+// NewTrace returns an empty trace ready for RunIntervalContext appends.
 func NewTrace() *Trace {
 	return &Trace{SwipeByGroup: make(map[int]*predict.SwipeDistribution)}
 }
@@ -1368,38 +1340,6 @@ func (s *Simulation) FinishTrace(trace *Trace) {
 	trace.CacheHitRate = s.server.Cache().HitRate()
 	trace.StabilityByRegroup = append([]float64(nil), s.stability...)
 	trace.ChurnedUsers = s.churned
-}
-
-// Run executes the full simulation and returns the trace.
-func (s *Simulation) Run() (*Trace, error) { return s.RunContext(context.Background()) }
-
-// RunContext executes the full simulation under ctx, with
-// cancellation checked at every interval boundary. A cancelled run
-// returns ctx.Err() and no trace.
-func (s *Simulation) RunContext(ctx context.Context) (*Trace, error) {
-	if err := s.WarmupContext(ctx); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := s.Train(); err != nil {
-		return nil, err
-	}
-	if err := s.BuildGroupsContext(ctx); err != nil {
-		return nil, err
-	}
-	trace := NewTrace()
-	for interval := 0; interval < s.cfg.NumIntervals; interval++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := s.RunIntervalContext(ctx, interval, trace); err != nil {
-			return nil, err
-		}
-	}
-	s.FinishTrace(trace)
-	return trace, nil
 }
 
 // refineComputeForecast replaces the closed-form computing forecast
@@ -1421,20 +1361,15 @@ func (s *Simulation) refineComputeForecast(d *predict.Demand, rep video.Represen
 	}
 }
 
-// RunInterval executes one reservation interval — predict, admit,
-// collect, stream, re-abstract, churn, regroup, close — appending the
-// interval's records to trace. The interval index drives the regroup
-// cadence and the record rows; the cluster engine calls this once per
-// cell per interval, then migrates twins between cells.
-func (s *Simulation) RunInterval(interval int, trace *Trace) error {
-	return s.RunIntervalContext(context.Background(), interval, trace)
-}
-
-// RunIntervalContext is RunInterval under ctx. A cancellation that
-// fires mid-interval aborts the in-flight fan-out and leaves the
-// engine (and any records already appended to trace) in an
-// indeterminate state: the caller must discard the trace delta and
-// stop stepping, which is what the session layer does.
+// RunIntervalContext executes one reservation interval — predict,
+// admit, collect, stream, re-abstract, churn, regroup, close —
+// appending the interval's records to trace. The interval index drives
+// the regroup cadence and the record rows; the cluster engine calls
+// this once per cell per interval, then migrates twins between cells.
+// A cancellation that fires mid-interval aborts the in-flight fan-out
+// and leaves the engine (and any records already appended to trace)
+// in an indeterminate state: the caller must discard the trace delta
+// and stop stepping, which is what the session layer does.
 func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace *Trace) error {
 	// 1. Predict each group's demand for this interval from the
 	//    previous interval's abstraction and channel forecast.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -61,10 +62,33 @@ func runFast(t *testing.T, cfg Config) *Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
+	return runAll(t, s)
+}
+
+// runAll drives s through the whole scenario the way a session does —
+// warm-up intervals, training and the first group construction, then
+// every scheduling interval — and returns the stamped trace.
+func runAll(tb testing.TB, s *Simulation) *Trace {
+	tb.Helper()
+	ctx := context.Background()
+	for w := 0; w < s.cfg.WarmupIntervals; w++ {
+		if err := s.WarmupIntervalContext(ctx); err != nil {
+			tb.Fatalf("warm-up %d: %v", w, err)
+		}
 	}
+	if err := s.Train(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.BuildGroupsContext(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	tr := NewTrace()
+	for i := 0; i < s.cfg.NumIntervals; i++ {
+		if err := s.RunIntervalContext(ctx, i, tr); err != nil {
+			tb.Fatalf("interval %d: %v", i, err)
+		}
+	}
+	s.FinishTrace(tr)
 	return tr
 }
 
@@ -197,14 +221,7 @@ func TestRadioAccuracyBand(t *testing.T) {
 		t.Skip("long scenario")
 	}
 	cfg := Config{Seed: 42, NumUsers: 100, NumBS: 4, NumIntervals: 24}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runFast(t, cfg)
 	acc, err := tr.RadioAccuracy()
 	if err != nil {
 		t.Fatal(err)
@@ -229,14 +246,7 @@ func TestSwipeDistributionShape(t *testing.T) {
 		t.Skip("long scenario")
 	}
 	cfg := Config{Seed: 42, NumUsers: 100, NumBS: 4, NumIntervals: 12}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runFast(t, cfg)
 	checked := 0
 	for _, d := range tr.SwipeByGroup {
 		eNews, e1 := d.ExpectedWatchFraction(1) // News

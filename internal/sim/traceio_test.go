@@ -132,14 +132,7 @@ func TestSummarize(t *testing.T) {
 func TestRunWithRBBudget(t *testing.T) {
 	cfg := fastConfig(21)
 	cfg.RBBudget = 6 // tight: forces admission cuts
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runFast(t, cfg)
 	perInterval := map[int]int{}
 	for _, r := range tr.Records {
 		if r.AllocatedRBs < 0 {

@@ -36,10 +36,7 @@ func TestRunDeterministicAcrossKernelsAndParallelism(t *testing.T) {
 		for _, workers := range []int{1, 4, 8} {
 			cfg := smallConfig(7)
 			cfg.Parallelism = workers
-			tr, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", kv.name, workers, err)
-			}
+			tr := mustTrace(t, cfg)
 			if base == nil {
 				base = tr
 				continue
@@ -70,10 +67,7 @@ func TestClusterDeterministicAcrossKernels(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			c := cfg
 			c.Sim.Parallelism = workers
-			tr, err := RunCluster(c)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", kv.name, workers, err)
-			}
+			tr := mustClusterTrace(t, c)
 			if base == nil {
 				base = tr
 				continue

@@ -62,10 +62,10 @@ var ErrSessionDone = errors.New("dtmsvs: session done")
 // run. Match with errors.Is(err, ErrObserver).
 var ErrObserver = errors.New("dtmsvs: observer panicked")
 
-// ErrEmptyScenario is returned by Open, OpenCluster and the Run shims
-// for degenerate scenarios (zero users or zero intervals) that would
-// otherwise produce an empty trace with undefined summary fields. It
-// wraps the engines' config error class.
+// ErrEmptyScenario is returned by Open and OpenCluster for degenerate
+// scenarios (zero users or zero intervals) that would otherwise
+// produce an empty trace with undefined summary fields. It wraps the
+// engines' config error class.
 var ErrEmptyScenario = sim.ErrEmptyScenario
 
 // ErrCellFailure classifies injected cell-failure outcomes in a
@@ -295,36 +295,28 @@ func WithCellFailurePolicy(p CellFailurePolicy) SessionOption {
 	return func(o *sessionOptions) { o.cellPolicy = p }
 }
 
-// stepper is the engine-side contract a session drives: the prologue
-// split at every resumable boundary, one scheduling interval at a
-// time, and the final stamp.
+// stepper is the engine-side contract a session drives: one warm-up
+// interval, training plus the first group construction, one
+// scheduling interval, the final stamp, and the engine's boundary
+// state for checkpoints. The session sequences these calls itself;
+// it is the only run loop over an engine.
 type stepper interface {
-	warmupIntervals() int
-	intervals() int
 	warmupStep(ctx context.Context) error
 	trainAndBuild(ctx context.Context) error
-	stepInterval(ctx context.Context, interval int) ([]TraceRecord, error)
+	// stepInterval runs one scheduling interval and reports its
+	// records and the engine's cumulative counters (handovers, churn,
+	// cell degradation); the session fills in the rest of the report.
+	stepInterval(ctx context.Context, interval int) (IntervalReport, error)
 	// finish stamps the run-level trace fields after the last interval;
 	// an error means the trace summary could not be assembled.
 	finish() error
-	handovers() int
-	churned() int
-	// cellsDown and evacuated report the degradation state of the
-	// cluster engine's failure model (both always 0 for the
-	// monolithic engine).
-	cellsDown() int
-	evacuated() int
 	// close ends the engine's run. The in-process engines hold no
 	// goroutines between calls, so for them it is a no-op; the
 	// distributed stepper shuts its worker processes down. Idempotent.
 	close()
-	// mount attaches a metrics registry to the engine (stage timers,
-	// cache counters; per-cell labels in the cluster engine).
-	mount(reg *MetricsRegistry)
-	// kind names the engine in checkpoint headers ("sim"/"cluster").
-	kind() string
 	// fingerprint hashes the defaulted configuration for the
-	// checkpoint header's compatibility check.
+	// checkpoint header's compatibility check. It is computed on
+	// demand, so opening a session hashes nothing.
 	fingerprint() (uint64, error)
 	// writeState/readState serialize the engine's boundary state.
 	writeState(cw *checkpoint.Writer) error
@@ -332,17 +324,23 @@ type stepper interface {
 }
 
 // session is the engine-independent state machine shared by
-// SimSession and ClusterSession.
+// SimSession, ClusterSession and DistSession.
 type session struct {
-	eng        stepper
-	opts       sessionOptions
-	met        sessionMetrics
-	next       int
-	warmupDone int
-	trained    bool
-	finished   bool
-	closed     bool
-	failed     error
+	eng  stepper
+	opts sessionOptions
+	met  sessionMetrics
+	// kind names the engine in checkpoint headers ("sim", "cluster",
+	// "coord"); warmupIntervals and intervals are the defaulted
+	// scenario's prologue and run lengths.
+	kind            string
+	warmupIntervals int
+	intervals       int
+	next            int
+	warmupDone      int
+	trained         bool
+	finished        bool
+	closed          bool
+	failed          error
 	// sinkBroken is set when a WriteRecord fails partway through an
 	// interval: the sink's buffer then holds a torn interval, so no
 	// further flush may push it out — the sink's backing store keeps
@@ -352,6 +350,18 @@ type session struct {
 	// (about one checkpoint in size) is grown once per session. Close
 	// lets it go.
 	ckpt checkpoint.Writer
+}
+
+// newSession wraps an engine adapter; cfg is the defaulted scenario.
+func newSession(eng stepper, kind string, cfg Config, o sessionOptions) session {
+	return session{
+		eng:             eng,
+		opts:            o,
+		met:             newSessionMetrics(o.metrics),
+		kind:            kind,
+		warmupIntervals: cfg.WarmupIntervals,
+		intervals:       cfg.NumIntervals,
+	}
 }
 
 // Interval implements Session.
@@ -384,9 +394,9 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 	// unaffected.
 	start := time.Now()
 	var prologue time.Duration
-	ranPrologue := s.warmupDone < s.eng.warmupIntervals() || !s.trained
+	ranPrologue := s.warmupDone < s.warmupIntervals || !s.trained
 	// Prologue, resumable at every internal boundary.
-	for s.warmupDone < s.eng.warmupIntervals() {
+	for s.warmupDone < s.warmupIntervals {
 		if err := ctx.Err(); err != nil {
 			return zero, err
 		}
@@ -407,29 +417,22 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 	if ranPrologue {
 		prologue = time.Since(start)
 	}
-	recs, err := s.eng.stepInterval(ctx, s.next)
+	rep, err := s.eng.stepInterval(ctx, s.next)
 	if err != nil {
 		// Mid-interval failure: the completed intervals are already on
 		// the sink; flush so the partial trace survives, then fail.
 		_ = s.flush(ctx)
 		return zero, s.fail(err)
 	}
-	rep := IntervalReport{
-		Interval:       s.next,
-		Records:        recs,
-		Groups:         len(recs),
-		Handovers:      s.eng.handovers(),
-		ChurnedUsers:   s.eng.churned(),
-		CellsDown:      s.eng.cellsDown(),
-		EvacuatedTwins: s.eng.evacuated(),
-	}
-	for _, r := range recs {
+	rep.Interval = s.next
+	rep.Groups = len(rep.Records)
+	for _, r := range rep.Records {
 		rep.PredictedRBs += r.PredictedRBs
 		rep.ActualRBs += r.ActualRBs
 	}
 	if s.opts.sink != nil {
 		tWrite := s.met.sinkWrite.Start()
-		for _, r := range recs {
+		for _, r := range rep.Records {
 			if werr := s.writeRecord(ctx, r); werr != nil {
 				s.sinkBroken = true
 				s.met.sinkErrors.Inc()
@@ -442,7 +445,7 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 		return zero, s.fail(ferr)
 	}
 	s.next++
-	if s.next >= s.eng.intervals() {
+	if s.next >= s.intervals {
 		if err := s.eng.finish(); err != nil {
 			return zero, s.fail(err)
 		}
@@ -472,7 +475,7 @@ func (s *session) notify(rep IntervalReport) (err error) {
 		ob(rep)
 	}
 	if s.opts.progress != nil {
-		s.opts.progress(s.next, s.eng.intervals())
+		s.opts.progress(s.next, s.intervals)
 	}
 	return nil
 }
@@ -592,13 +595,6 @@ type simStepper struct {
 	retain  bool
 }
 
-func (a *simStepper) warmupIntervals() int { return a.cfg.WarmupIntervals }
-func (a *simStepper) intervals() int       { return a.cfg.NumIntervals }
-func (a *simStepper) handovers() int       { return 0 }
-func (a *simStepper) churned() int         { return a.eng.Churned() }
-func (a *simStepper) cellsDown() int       { return 0 }
-func (a *simStepper) evacuated() int       { return 0 }
-
 func (a *simStepper) warmupStep(ctx context.Context) error {
 	return a.eng.WarmupIntervalContext(ctx)
 }
@@ -610,10 +606,10 @@ func (a *simStepper) trainAndBuild(ctx context.Context) error {
 	return a.eng.BuildGroupsContext(ctx)
 }
 
-func (a *simStepper) stepInterval(ctx context.Context, interval int) ([]TraceRecord, error) {
+func (a *simStepper) stepInterval(ctx context.Context, interval int) (IntervalReport, error) {
 	a.scratch.Records = a.scratch.Records[:0]
 	if err := a.eng.RunIntervalContext(ctx, interval, &a.scratch); err != nil {
-		return nil, err
+		return IntervalReport{}, err
 	}
 	out := make([]TraceRecord, len(a.scratch.Records))
 	for i, r := range a.scratch.Records {
@@ -622,15 +618,11 @@ func (a *simStepper) stepInterval(ctx context.Context, interval int) ([]TraceRec
 	if a.retain {
 		a.trace.Records = append(a.trace.Records, a.scratch.Records...)
 	}
-	return out, nil
+	return IntervalReport{Records: out, ChurnedUsers: a.eng.Churned()}, nil
 }
 
 func (a *simStepper) finish() error { a.eng.FinishTrace(a.trace); return nil }
 func (a *simStepper) close()        { a.eng.Close() }
-
-func (a *simStepper) mount(reg *MetricsRegistry) { a.eng.SetMetrics(reg) }
-
-func (a *simStepper) kind() string { return "sim" }
 
 func (a *simStepper) fingerprint() (uint64, error) { return checkpoint.Fingerprint(a.cfg) }
 
@@ -665,16 +657,14 @@ func Open(cfg Config, opts ...SessionOption) (*SimSession, error) {
 		// empty run still gets its CSV header.
 		cs.SetSchema(TraceRecord{BS: -1})
 	}
+	eng.SetMetrics(o.metrics)
 	st := &simStepper{
 		eng:    eng,
 		cfg:    cfg.Defaulted(),
 		trace:  sim.NewTrace(),
 		retain: o.sink == nil,
 	}
-	if o.metrics != nil {
-		st.mount(o.metrics)
-	}
-	return &SimSession{session: session{eng: st, opts: o, met: newSessionMetrics(o.metrics)}, st: st}, nil
+	return &SimSession{session: newSession(st, "sim", st.cfg, o), st: st}, nil
 }
 
 // clusterStepper adapts the sharded cluster engine to the session
@@ -685,35 +675,36 @@ type clusterStepper struct {
 	trace *ClusterTrace // stamped at finish
 }
 
-func (a *clusterStepper) warmupIntervals() int { return a.cfg.Sim.WarmupIntervals }
-func (a *clusterStepper) intervals() int       { return a.cfg.Sim.NumIntervals }
-func (a *clusterStepper) handovers() int       { return a.eng.Handovers() }
-func (a *clusterStepper) churned() int         { return a.eng.Churned() }
-func (a *clusterStepper) cellsDown() int       { return a.eng.CellsDown() }
-func (a *clusterStepper) evacuated() int       { return a.eng.EvacuatedTwins() }
-
 func (a *clusterStepper) warmupStep(ctx context.Context) error { return a.eng.WarmupStep(ctx) }
 
 func (a *clusterStepper) trainAndBuild(ctx context.Context) error { return a.eng.TrainAndBuild(ctx) }
 
-func (a *clusterStepper) stepInterval(ctx context.Context, interval int) ([]TraceRecord, error) {
+func (a *clusterStepper) stepInterval(ctx context.Context, interval int) (IntervalReport, error) {
 	recs, err := a.eng.StepInterval(ctx, interval)
 	if err != nil {
-		return nil, err
+		return IntervalReport{}, err
 	}
+	return IntervalReport{
+		Records:        clusterTraceRecords(recs),
+		Handovers:      a.eng.Handovers(),
+		ChurnedUsers:   a.eng.Churned(),
+		CellsDown:      a.eng.CellsDown(),
+		EvacuatedTwins: a.eng.EvacuatedTwins(),
+	}, nil
+}
+
+// clusterTraceRecords converts one interval's cluster rows to session
+// records.
+func clusterTraceRecords(recs []cluster.Record) []TraceRecord {
 	out := make([]TraceRecord, len(recs))
 	for i, r := range recs {
 		out[i] = TraceRecord{BS: r.BS, GroupIntervalRecord: r.GroupIntervalRecord}
 	}
-	return out, nil
+	return out
 }
 
 func (a *clusterStepper) finish() error { a.trace = a.eng.Finish(); return nil }
 func (a *clusterStepper) close()        { a.eng.Close() }
-
-func (a *clusterStepper) mount(reg *MetricsRegistry) { a.eng.SetMetrics(reg) }
-
-func (a *clusterStepper) kind() string { return "cluster" }
 
 func (a *clusterStepper) fingerprint() (uint64, error) { return checkpoint.Fingerprint(a.cfg) }
 
@@ -754,11 +745,9 @@ func OpenCluster(cfg ClusterConfig, opts ...SessionOption) (*ClusterSession, err
 	}
 	eng.SetRetainRecords(o.sink == nil)
 	eng.SetFailurePolicy(o.cellPolicy)
+	eng.SetMetrics(o.metrics)
 	st := &clusterStepper{eng: eng, cfg: eng.Config()}
-	if o.metrics != nil {
-		st.mount(o.metrics)
-	}
-	return &ClusterSession{session: session{eng: st, opts: o, met: newSessionMetrics(o.metrics)}, st: st}, nil
+	return &ClusterSession{session: newSession(st, "cluster", st.cfg.Sim, o), st: st}, nil
 }
 
 // ReadTraceRecordsNDJSON decodes the newline-delimited JSON stream an

@@ -34,29 +34,70 @@ func sessionTestConfig(seed int64, workers int) Config {
 	}
 }
 
-// TestSessionMatchesRun is the batch-equivalence guarantee: stepping
-// a session by hand produces the exact trace the engine-level batch
-// path (sim.Simulation.Run — the pre-session API, which the internal
-// determinism suites pin) produces, and the deprecated Run shim
-// agrees with both.
+// simReference drives the monolithic engine's step methods directly —
+// warm-up, training and group construction, then every interval — the
+// sequence a session must reproduce.
+func simReference(t *testing.T, cfg Config) *Trace {
+	t.Helper()
+	eng, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	d := cfg.Defaulted()
+	for w := 0; w < d.WarmupIntervals; w++ {
+		if err := eng.WarmupIntervalContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Train(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.BuildGroupsContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr := sim.NewTrace()
+	for i := 0; i < d.NumIntervals; i++ {
+		if err := eng.RunIntervalContext(ctx, i, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.FinishTrace(tr)
+	return tr
+}
+
+// clusterReference is simReference for the sharded cluster engine.
+func clusterReference(t *testing.T, cfg ClusterConfig) *ClusterTrace {
+	t.Helper()
+	eng, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	d := eng.Config().Sim
+	for w := 0; w < d.WarmupIntervals; w++ {
+		if err := eng.WarmupStep(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.TrainAndBuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < d.NumIntervals; i++ {
+		if _, err := eng.StepInterval(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng.Finish()
+}
+
+// TestSessionMatchesRun is the step-equivalence guarantee: stepping a
+// session by hand produces the exact trace that driving the engine's
+// own step methods in sequence produces.
 func TestSessionMatchesRun(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := sessionTestConfig(11, workers)
-		eng, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		shim, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(shim.Records, want.Records) {
-			t.Fatalf("workers %d: Run shim diverged from engine batch path", workers)
-		}
+		want := simReference(t, cfg)
 		s, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +121,7 @@ func TestSessionMatchesRun(t *testing.T) {
 		}
 		got := s.Trace()
 		if !reflect.DeepEqual(got.Records, want.Records) {
-			t.Fatalf("workers %d: session records diverged from Run", workers)
+			t.Fatalf("workers %d: session records diverged from the engine", workers)
 		}
 		if got.K != want.K || got.Silhouette != want.Silhouette ||
 			got.CacheHitRate != want.CacheHitRate || got.ChurnedUsers != want.ChurnedUsers {
@@ -96,34 +137,15 @@ func TestSessionMatchesRun(t *testing.T) {
 }
 
 // TestClusterSessionMatchesRunCluster is the cluster-side
-// batch-equivalence guarantee across shard counts: the session path
-// matches the engine-level cluster.Run, and so does the shim.
+// step-equivalence guarantee across shard counts: the session path
+// matches the cluster engine's step methods driven in sequence.
 func TestClusterSessionMatchesRunCluster(t *testing.T) {
 	for _, shards := range []int{1, 2} { // 2 == NumBS
 		cfg := ClusterConfig{Sim: sessionTestConfig(7, 4), Shards: shards}
-		want, err := cluster.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shim, err := RunCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(shim.Records, want.Records) {
-			t.Fatalf("shards %d: RunCluster shim diverged from engine batch path", shards)
-		}
-		s, err := OpenCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !s.Done() {
-			if _, serr := s.Step(context.Background()); serr != nil {
-				t.Fatalf("shards %d: %v", shards, serr)
-			}
-		}
-		got := s.Trace()
+		want := clusterReference(t, cfg)
+		got := mustClusterTrace(t, cfg)
 		if !reflect.DeepEqual(got.Records, want.Records) {
-			t.Fatalf("shards %d: session records diverged from RunCluster", shards)
+			t.Fatalf("shards %d: session records diverged from the engine", shards)
 		}
 		if !reflect.DeepEqual(got.Cells, want.Cells) {
 			t.Fatalf("shards %d: cell stats diverged", shards)
@@ -225,10 +247,7 @@ func TestSessionHoldsNoIdleGoroutines(t *testing.T) {
 // AccuracyTracker matches the batch metrics.
 func TestSessionSinkAndObservers(t *testing.T) {
 	cfg := sessionTestConfig(3, 2)
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustTrace(t, cfg)
 
 	var sink BufferedSink
 	var acc AccuracyTracker
@@ -298,7 +317,7 @@ func TestSessionSinkAndObservers(t *testing.T) {
 }
 
 // TestEmptyScenario: degenerate configs fail with the typed
-// ErrEmptyScenario from Open, OpenCluster and the shims.
+// ErrEmptyScenario from Open and OpenCluster.
 func TestEmptyScenario(t *testing.T) {
 	noUsers := sessionTestConfig(1, 1)
 	noUsers.NumUsers = 0
@@ -308,14 +327,8 @@ func TestEmptyScenario(t *testing.T) {
 		if _, err := Open(cfg); !errors.Is(err, ErrEmptyScenario) {
 			t.Fatalf("Open %s: want ErrEmptyScenario, got %v", name, err)
 		}
-		if _, err := Run(cfg); !errors.Is(err, ErrEmptyScenario) {
-			t.Fatalf("Run %s: want ErrEmptyScenario, got %v", name, err)
-		}
 		if _, err := OpenCluster(ClusterConfig{Sim: cfg}); !errors.Is(err, ErrEmptyScenario) {
 			t.Fatalf("OpenCluster %s: want ErrEmptyScenario, got %v", name, err)
-		}
-		if _, err := RunCluster(ClusterConfig{Sim: cfg}); !errors.Is(err, ErrEmptyScenario) {
-			t.Fatalf("RunCluster %s: want ErrEmptyScenario, got %v", name, err)
 		}
 	}
 	// Negative counts stay plain config errors, and every empty-scenario
