@@ -369,11 +369,13 @@ func TestDistributedSinkRetryKeepsWorkersAlive(t *testing.T) {
 // it made them fall back to 100 ms beats while the supervisor still
 // declared them dead after 50 × 900 µs, so a healthy run lost its
 // workers in a prologue long enough — 200 agent episodes — to outlast
-// that.
+// that. One in-process worker: two CPU-bound trainers on a two-core
+// box can keep a worker's beat goroutine off the CPU for longer than
+// the 45 ms budget, which reads as a miss on a healthy run.
 func TestDistributedSubMillisecondHeartbeat(t *testing.T) {
 	cfg := distTestConfig(41, 1)
 	cfg.Sim.AgentEpisodes = 200
-	s, err := OpenDistributed(cfg, 2, WithWorkerHeartbeat(900*time.Microsecond, 50))
+	s, err := OpenDistributed(cfg, 1, WithWorkerHeartbeat(900*time.Microsecond, 50))
 	if err != nil {
 		t.Fatal(err)
 	}

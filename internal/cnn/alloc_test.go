@@ -36,3 +36,19 @@ func TestTrainBatchAllocFree(t *testing.T) {
 		t.Fatalf("trainOn allocates %v per run in steady state", n)
 	}
 }
+
+// TestTrainBatchValidation: Fit's minibatch path rejects an empty
+// window set and a window shorter than the input before it trains.
+func TestTrainBatchValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c, err := New(testConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Fit(nil, 1, rng); err == nil {
+		t.Fatal("empty batch must error")
+	}
+	if _, err := c.Fit([]vecmath.Vec{make(vecmath.Vec, 3)}, 1, rng); err == nil {
+		t.Fatal("short window must error")
+	}
+}
