@@ -247,7 +247,8 @@ func (c *Compressor) trainOn(x *vecmath.Matrix) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if _, err := c.encoder.BackwardBatch(codeGrad); err != nil {
+	// The windows are data: the encoder needs no input gradient.
+	if err := c.encoder.BackwardBatchParams(codeGrad); err != nil {
 		return 0, err
 	}
 	nn.ClipGrads(c.allParams(), 5)

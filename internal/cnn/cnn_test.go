@@ -4,8 +4,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"dtmsvs/internal/nn"
 	"dtmsvs/internal/vecmath"
 )
 
@@ -311,5 +314,98 @@ func TestSaveLoadState(t *testing.T) {
 	}
 	if err := c.LoadState(a.SaveState()); err == nil {
 		t.Fatal("mismatched architecture must fail")
+	}
+}
+
+// fullBackward hides a layer's parameter-only backward: a network
+// whose first layer is wrapped in it runs that layer's full
+// BackwardBatch and drops the input gradient.
+type fullBackward struct{ nn.BatchLayer }
+
+// adamBits flattens an Adam optimizer's step count and moment
+// estimates to their bit patterns.
+func adamBits(t *testing.T, opt *nn.Adam) []uint64 {
+	t.Helper()
+	v := reflect.ValueOf(opt).Elem()
+	step := v.FieldByName("t")
+	if !step.IsValid() {
+		t.Fatal("nn.Adam has no step counter t")
+	}
+	bits := []uint64{uint64(step.Int())}
+	for _, name := range []string{"m", "v"} {
+		f := v.FieldByName(name)
+		if !f.IsValid() {
+			t.Fatalf("nn.Adam has no moment field %s", name)
+		}
+		for i := 0; i < f.Len(); i++ {
+			for j, row := 0, f.Index(i); j < row.Len(); j++ {
+				bits = append(bits, math.Float64bits(row.Index(j).Float()))
+			}
+		}
+	}
+	return bits
+}
+
+// weightBits flattens a weight state to its bit patterns.
+func weightBits(s *nn.WeightState) []uint64 {
+	var bits []uint64
+	for _, p := range s.Params {
+		for _, w := range p {
+			bits = append(bits, math.Float64bits(w))
+		}
+	}
+	return bits
+}
+
+// TestFirstLayerGradSkipBitIdentical: the fit's encoder backward stops
+// at the conv layer's parameter gradients. Against a reference whose
+// conv runs the full BackwardBatch and drops dx, every weight and every
+// Adam moment is bit-identical after several epochs of steps.
+func TestFirstLayerGradSkipBitIdentical(t *testing.T) {
+	cfg := testConfig()
+	cfg.Batch = 4
+	fast, err := New(cfg, rand.New(rand.NewSource(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg, rand.New(rand.NewSource(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := append([]nn.Layer(nil), ref.encoder.Layers()...)
+	layers[0] = fullBackward{layers[0].(nn.BatchLayer)}
+	if ref.encoder, err = nn.NewNetwork(ref.inDim, layers...); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(32))
+	windows := make([]vecmath.Vec, 30)
+	for i := range windows {
+		windows[i] = make(vecmath.Vec, fast.InputDim())
+		for j := range windows[i] {
+			windows[i][j] = math.Sin(float64(j)/3+float64(i%3)) + 0.1*rng.NormFloat64()
+		}
+	}
+	lf, err := fast.Fit(windows, 3, rand.New(rand.NewSource(33)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr, err := ref.Fit(windows, 3, rand.New(rand.NewSource(33)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(lf) != math.Float64bits(lr) {
+		t.Fatalf("final loss %v, reference %v", lf, lr)
+	}
+	for _, pair := range []struct {
+		what      string
+		got, want []uint64
+	}{
+		{"encoder weights", weightBits(fast.SaveState().Encoder), weightBits(ref.SaveState().Encoder)},
+		{"decoder weights", weightBits(fast.SaveState().Decoder), weightBits(ref.SaveState().Decoder)},
+		{"adam state", adamBits(t, fast.opt), adamBits(t, ref.opt)},
+	} {
+		if !slices.Equal(pair.got, pair.want) {
+			t.Fatalf("%s differ from the full-backward reference", pair.what)
+		}
 	}
 }

@@ -353,7 +353,8 @@ func (a *Agent) Observe(t Transition) error {
 // The whole minibatch goes through forward and backward in one pass:
 // current and next states are stacked into matrices, every layer runs
 // as a blocked GEMM, and the backward through each Dense layer is
-// exactly dX = dY·W and dW = dYᵀ·X. The GEMM kernels accumulate in
+// exactly dX = dY·W and dW = dYᵀ·X (the first layer skips dX: its
+// input is the state batch). The GEMM kernels accumulate in
 // ascending sample order, so the step is bit-identical to running the
 // 32 samples one at a time — and it allocates nothing in steady
 // state (all matrices are agent- or layer-owned scratch).
@@ -427,7 +428,7 @@ func (a *Agent) Learn() (loss float64, learned bool, err error) {
 		}
 		total += l
 	}
-	if _, berr := a.online.net.BackwardBatch(a.gradB); berr != nil {
+	if berr := a.online.net.BackwardBatchParams(a.gradB); berr != nil {
 		return 0, false, berr
 	}
 	params := a.params

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"dtmsvs/internal/nn"
 	"dtmsvs/internal/vecmath"
 )
 
@@ -380,5 +383,89 @@ func TestVanillaVsDoubleOverestimation(t *testing.T) {
 	// Vanilla must also learn the task (policy check).
 	if vanilla < 0 {
 		t.Fatalf("vanilla DQN failed to learn: max Q %v", vanilla)
+	}
+}
+
+// fullBackward hides a layer's parameter-only backward: a network
+// whose first layer is wrapped in it runs that layer's full
+// BackwardBatch and drops the input gradient.
+type fullBackward struct{ nn.BatchLayer }
+
+// agentBits flattens an agent's online weights, Adam step count and
+// Adam moment estimates to their bit patterns.
+func agentBits(t *testing.T, a *Agent) []uint64 {
+	t.Helper()
+	var bits []uint64
+	for _, p := range a.SaveState().Params {
+		for _, w := range p {
+			bits = append(bits, math.Float64bits(w))
+		}
+	}
+	v := reflect.ValueOf(a.opt).Elem()
+	step := v.FieldByName("t")
+	if !step.IsValid() {
+		t.Fatal("nn.Adam has no step counter t")
+	}
+	bits = append(bits, uint64(step.Int()))
+	for _, name := range []string{"m", "v"} {
+		f := v.FieldByName(name)
+		if !f.IsValid() {
+			t.Fatalf("nn.Adam has no moment field %s", name)
+		}
+		for i := 0; i < f.Len(); i++ {
+			for j, row := 0, f.Index(i); j < row.Len(); j++ {
+				bits = append(bits, math.Float64bits(row.Index(j).Float()))
+			}
+		}
+	}
+	return bits
+}
+
+// TestFirstLayerGradSkipBitIdentical: Learn's backward stops at the
+// first Dense layer's parameter gradients. Against a reference whose
+// first layer runs the full BackwardBatch and drops dx, the online
+// weights and the Adam state are bit-identical after many steps.
+func TestFirstLayerGradSkipBitIdentical(t *testing.T) {
+	cfg := Config{StateDim: 6, NumActions: 4, Hidden: 32, BatchSize: 16, ReplayCapacity: 256, TargetSync: 10}
+	fast, err := New(cfg, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := append([]nn.Layer(nil), ref.online.net.Layers()...)
+	layers[0] = fullBackward{layers[0].(nn.BatchLayer)}
+	if ref.online.net, err = nn.NewNetwork(cfg.StateDim, layers...); err != nil {
+		t.Fatal(err)
+	}
+	ref.params = ref.online.net.Params()
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 200; i++ {
+		tr := Transition{State: make(vecmath.Vec, 6), Action: rng.Intn(4), Reward: rng.NormFloat64(), Done: i%7 == 0}
+		for j := range tr.State {
+			tr.State[j] = rng.NormFloat64()
+		}
+		if !tr.Done {
+			tr.NextState = make(vecmath.Vec, 6)
+			for j := range tr.NextState {
+				tr.NextState[j] = rng.NormFloat64()
+			}
+		}
+		for _, a := range []*Agent{fast, ref} {
+			if err := a.Observe(tr); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := a.Learn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if fast.learnSteps == 0 || fast.learnSteps != ref.learnSteps {
+		t.Fatalf("learn steps %d vs reference %d", fast.learnSteps, ref.learnSteps)
+	}
+	if !slices.Equal(agentBits(t, fast), agentBits(t, ref)) {
+		t.Fatal("online weights or Adam state differ from the full-backward reference")
 	}
 }

@@ -126,18 +126,8 @@ func (d *Dense) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 // ascending sample order, bit-identical to per-sample Backward calls —
 // and returns the layer-owned input gradient dX = dY·W (n × InDim).
 func (d *Dense) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
-	if grad == nil || grad.Cols != d.OutDim {
-		return nil, fmt.Errorf("dense backward batch got %dx%d want ?x%d: %w",
-			matRows(grad), matCols(grad), d.OutDim, ErrShape)
-	}
-	if d.bIn == nil || d.bIn.Rows != grad.Rows {
-		return nil, fmt.Errorf("dense backward batch before training-mode forward batch: %w", ErrShape)
-	}
-	if err := d.gemm.MatMulTransAAccumInto(d.gw, grad, d.bIn); err != nil {
+	if err := d.accumGradsBatch(grad); err != nil {
 		return nil, err
-	}
-	for r := 0; r < grad.Rows; r++ {
-		vecmath.AXPYUnchecked(1, grad.Row(r), d.gb)
 	}
 	dx, err := ensureMat(&d.bDx, grad.Rows, d.InDim)
 	if err != nil {
@@ -147,6 +137,24 @@ func (d *Dense) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 		return nil, err
 	}
 	return dx, nil
+}
+
+// accumGradsBatch is BackwardBatch's parameter half: dW and db only.
+func (d *Dense) accumGradsBatch(grad *vecmath.Matrix) error {
+	if grad == nil || grad.Cols != d.OutDim {
+		return fmt.Errorf("dense backward batch got %dx%d want ?x%d: %w",
+			matRows(grad), matCols(grad), d.OutDim, ErrShape)
+	}
+	if d.bIn == nil || d.bIn.Rows != grad.Rows {
+		return fmt.Errorf("dense backward batch before training-mode forward batch: %w", ErrShape)
+	}
+	if err := d.gemm.MatMulTransAAccumInto(d.gw, grad, d.bIn); err != nil {
+		return err
+	}
+	for r := 0; r < grad.Rows; r++ {
+		vecmath.AXPYUnchecked(1, grad.Row(r), d.gb)
+	}
+	return nil
 }
 
 func matRows(m *vecmath.Matrix) int {
@@ -438,58 +446,20 @@ func (c *Conv1D) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 // input gradient is one dY·W GEMM followed by a deterministic col2im
 // scatter in ascending (sample, position) order.
 func (c *Conv1D) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
-	outLen := c.OutLen()
-	if grad == nil || grad.Cols != c.Filters*outLen {
-		return nil, fmt.Errorf("conv1d backward batch got %dx%d want ?x%d: %w",
-			matRows(grad), matCols(grad), c.Filters*outLen, ErrShape)
-	}
-	if !c.bPrimed || c.xcol == nil || c.xcol.Rows != grad.Rows*outLen {
-		return nil, fmt.Errorf("conv1d backward batch before training-mode forward batch: %w", ErrShape)
-	}
-	// Gather the output gradient into im2col layout: row (s,t), col f.
-	dycol, err := ensureMat(&c.dycol, grad.Rows*outLen, c.Filters)
-	if err != nil {
+	if err := c.accumGradsBatch(grad); err != nil {
 		return nil, err
-	}
-	for s := 0; s < grad.Rows; s++ {
-		gr := grad.Row(s)
-		for t := 0; t < outLen; t++ {
-			dr := dycol.Row(s*outLen + t)
-			for f := 0; f < c.Filters; f++ {
-				dr[f] = gr[f*outLen+t]
-			}
-		}
-	}
-	// Bias gradient: ascending (sample, position) accumulation.
-	for r := 0; r < dycol.Rows; r++ {
-		vecmath.AXPYUnchecked(1, dycol.Row(r), c.gb)
-	}
-	// Weight gradient: dW = dYᵀ·Xcol, then scatter-add into the
-	// per-filter per-channel kernels.
-	cw := c.colWidth()
-	gwf, err := ensureMat(&c.gwflat, c.Filters, cw)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.gemm.MatMulTransAInto(gwf, dycol, c.xcol); err != nil {
-		return nil, err
-	}
-	for f := 0; f < c.Filters; f++ {
-		row := gwf.Row(f)
-		for ch := 0; ch < c.InCh; ch++ {
-			vecmath.AXPYUnchecked(1, row[ch*c.Kernel:(ch+1)*c.Kernel], c.gw[f][ch])
-		}
 	}
 	// Input gradient: dXcol = dY·W, then col2im scatter-add.
+	outLen := c.OutLen()
 	wf, err := c.fillWFlat()
 	if err != nil {
 		return nil, err
 	}
-	dxcol, err := ensureMat(&c.dxcol, grad.Rows*outLen, cw)
+	dxcol, err := ensureMat(&c.dxcol, grad.Rows*outLen, c.colWidth())
 	if err != nil {
 		return nil, err
 	}
-	if err := c.gemm.MatMulInto(dxcol, dycol, wf); err != nil {
+	if err := c.gemm.MatMulInto(dxcol, c.dycol, wf); err != nil {
 		return nil, err
 	}
 	dx, err := ensureMat(&c.bDx, grad.Rows, c.InCh*c.InLen)
@@ -510,6 +480,54 @@ func (c *Conv1D) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 		}
 	}
 	return dx, nil
+}
+
+// accumGradsBatch is BackwardBatch's parameter half: it gathers the
+// output gradient into im2col layout (kept in c.dycol for the input
+// half) and accumulates the bias and weight gradients.
+func (c *Conv1D) accumGradsBatch(grad *vecmath.Matrix) error {
+	outLen := c.OutLen()
+	if grad == nil || grad.Cols != c.Filters*outLen {
+		return fmt.Errorf("conv1d backward batch got %dx%d want ?x%d: %w",
+			matRows(grad), matCols(grad), c.Filters*outLen, ErrShape)
+	}
+	if !c.bPrimed || c.xcol == nil || c.xcol.Rows != grad.Rows*outLen {
+		return fmt.Errorf("conv1d backward batch before training-mode forward batch: %w", ErrShape)
+	}
+	// Gather the output gradient into im2col layout: row (s,t), col f.
+	dycol, err := ensureMat(&c.dycol, grad.Rows*outLen, c.Filters)
+	if err != nil {
+		return err
+	}
+	for s := 0; s < grad.Rows; s++ {
+		gr := grad.Row(s)
+		for t := 0; t < outLen; t++ {
+			dr := dycol.Row(s*outLen + t)
+			for f := 0; f < c.Filters; f++ {
+				dr[f] = gr[f*outLen+t]
+			}
+		}
+	}
+	// Bias gradient: ascending (sample, position) accumulation.
+	for r := 0; r < dycol.Rows; r++ {
+		vecmath.AXPYUnchecked(1, dycol.Row(r), c.gb)
+	}
+	// Weight gradient: dW = dYᵀ·Xcol, then scatter-add into the
+	// per-filter per-channel kernels.
+	gwf, err := ensureMat(&c.gwflat, c.Filters, c.colWidth())
+	if err != nil {
+		return err
+	}
+	if err := c.gemm.MatMulTransAInto(gwf, dycol, c.xcol); err != nil {
+		return err
+	}
+	for f := 0; f < c.Filters; f++ {
+		row := gwf.Row(f)
+		for ch := 0; ch < c.InCh; ch++ {
+			vecmath.AXPYUnchecked(1, row[ch*c.Kernel:(ch+1)*c.Kernel], c.gw[f][ch])
+		}
+	}
+	return nil
 }
 
 // -------------------------------------------------------- Network
@@ -549,4 +567,44 @@ func (n *Network) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 		cur = out
 	}
 	return cur, nil
+}
+
+// gradAccumulator is implemented by parameter layers whose batch
+// backward can accumulate their parameter gradients without also
+// computing the input gradient.
+type gradAccumulator interface {
+	accumGradsBatch(grad *vecmath.Matrix) error
+}
+
+var (
+	_ gradAccumulator = (*Dense)(nil)
+	_ gradAccumulator = (*Conv1D)(nil)
+)
+
+// BackwardBatchParams is BackwardBatch for a network whose input is
+// data, not another layer's output: it accumulates the same parameter
+// gradients, bit for bit, but returns no input gradient. The pass
+// stops at the first layer with parameters, which skips its own input
+// gradient — one dY·W GEMM for Dense, that GEMM plus the col2im
+// scatter for Conv1D.
+func (n *Network) BackwardBatchParams(grad *vecmath.Matrix) error {
+	cur := grad
+	for i := len(n.layers) - 1; i >= n.gradFrom; i-- {
+		bl, ok := n.layers[i].(BatchLayer)
+		if !ok {
+			return fmt.Errorf("backward batch layer %d (%T) has no batch path: %w", i, n.layers[i], ErrShape)
+		}
+		if ga, ok := bl.(gradAccumulator); ok && i == n.gradFrom {
+			if err := ga.accumGradsBatch(cur); err != nil {
+				return fmt.Errorf("backward batch layer %d: %w", i, err)
+			}
+			return nil
+		}
+		out, err := bl.BackwardBatch(cur)
+		if err != nil {
+			return fmt.Errorf("backward batch layer %d: %w", i, err)
+		}
+		cur = out
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -278,5 +279,64 @@ func TestNetworkBatchTrainStepAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("batched forward+backward allocates %v per run", n)
+	}
+}
+
+// TestBackwardBatchParamsSkipsInputGrad: on the compressor's encoder
+// stack, BackwardBatchParams accumulates the same parameter gradients
+// as BackwardBatch, bit for bit, and never builds the first layer's
+// input gradient. Layers in front of the first parameter layer are not
+// visited at all.
+func TestBackwardBatchParamsSkipsInputGrad(t *testing.T) {
+	build := func() (*Network, *Conv1D, *Tanh) {
+		rng := rand.New(rand.NewSource(5))
+		conv, err := NewConv1D(3, 12, 4, 3, 1, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := NewMaxPool1D(4, conv.OutLen(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, err := NewDense(4*pool.OutLen(), 5, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := &Tanh{}
+		net, err := NewNetwork(36, front, conv, &ReLU{}, pool, head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, conv, front
+	}
+	full, _, _ := build()
+	skip, conv, front := build()
+	rng := rand.New(rand.NewSource(6))
+	xs, gs := make([]vecmath.Vec, 6), make([]vecmath.Vec, 6)
+	for i := range xs {
+		xs[i], gs[i] = randVec(36, rng), randVec(5, rng)
+	}
+	x, g := stack(xs), stack(gs)
+	for _, n := range []*Network{full, skip} {
+		if _, err := n.ForwardBatch(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := full.BackwardBatch(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := skip.BackwardBatchParams(g); err != nil {
+		t.Fatal(err)
+	}
+	want, got := cloneGrads(full.Layers()), cloneGrads(skip.Layers())
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("param %d grad %d: %v want %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	if conv.bDx != nil || conv.dxcol != nil || front.bDx != nil {
+		t.Fatal("BackwardBatchParams built an input gradient at or in front of the first parameter layer")
 	}
 }

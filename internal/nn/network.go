@@ -14,6 +14,9 @@ type Network struct {
 	// static, and rebuilding the slice every ZeroGrads/Step would be
 	// the only allocation left in a training step.
 	params []Param
+	// gradFrom is the index of the first layer with parameters (len(layers)
+	// when none has any): BackwardBatchParams stops there.
+	gradFrom int
 }
 
 // NewNetwork validates that consecutive layer shapes are compatible
@@ -23,14 +26,18 @@ func NewNetwork(inputDim int, layers ...Layer) (*Network, error) {
 		return nil, fmt.Errorf("network with no layers: %w", ErrShape)
 	}
 	width := inputDim
+	gradFrom := len(layers)
 	for i, l := range layers {
 		out, err := l.OutSize(width)
 		if err != nil {
 			return nil, fmt.Errorf("network layer %d: %w", i, err)
 		}
 		width = out
+		if gradFrom == len(layers) && len(l.Params()) > 0 {
+			gradFrom = i
+		}
 	}
-	return &Network{layers: layers}, nil
+	return &Network{layers: layers, gradFrom: gradFrom}, nil
 }
 
 // Layers exposes the layer list (read-only use expected).
