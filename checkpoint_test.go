@@ -434,7 +434,9 @@ func TestCheckpointDigestPinned(t *testing.T) {
 // traceDigestConfig is the scenario of the pinned trace digests: the
 // CNN is on and every engine holds more users than KMax, so the digest
 // covers the compressor fit, the DDQN's K-means and silhouette rewards
-// and the group build, as well as the simulation around them.
+// and the group build, as well as the simulation around them. The fit
+// keeps the default cap of 20 epochs, so the digest also covers its
+// plateau stop: the cluster cells' fits stop after 12 to 19 epochs.
 func traceDigestConfig(seed int64, users int) ClusterConfig {
 	c := Config{
 		Seed:             seed,
@@ -444,7 +446,6 @@ func traceDigestConfig(seed int64, users int) ClusterConfig {
 		TicksPerInterval: 6,
 		WarmupIntervals:  1,
 		RegroupEvery:     2,
-		CompressorEpochs: 2,
 		AgentEpisodes:    6,
 		ChurnPerInterval: 0.1,
 		PrefetchDepth:    -1,
@@ -491,29 +492,29 @@ func TestTraceDigestPinned(t *testing.T) {
 		trace, ckpt string
 	}{
 		{"mono", 42, mono,
-			"7bd93ed0f5bb1e8fc841212a2ec75689649b980ad317dbd749e1de49bf368f5d",
-			"42baae52582042fb49b9231bfb29480ca6d273241972b10cd3651dd30a59ee78"},
+			"b161aeb9e727d48956ef86186d73eb8af573fc30f70284706c67146d2d14c6d3",
+			"946a3d64ed62d7dabfa82c6c87a64e7201afdcd9a1c24eca28545b30e873dd8b"},
 		{"mono", 7, mono,
-			"41b59b8d17534657b13d67e178381e124ae19ccdd555efc47060fb7a27db7daa",
-			"56a6c353dcab6346dd3955fc9bc9ffc321f1898b4465efd35527d813aefae001"},
+			"81eb18c8b6ed31eb36e9df74aa7f989c25876838572791586d4e0a5c9b81d57c",
+			"6ee4d77fa071f0f9a28484d5e0ed2e83afac5f6877c670c2592a7d553b827245"},
 		{"cluster", 42, cluster,
-			"2aac56ac7f06bb8b8f247cce53d5de445cc53a23c662776275167a6aa937f6d2",
-			"de9d76acd9fc95ce31d96f6cae3c99360ed4ea216afeb1e42229fdcf31e4b744"},
+			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
+			"bcc0bc540d6d3e4ea932a71a8711d357f933653cf1d35dd47d809922182b00fe"},
 		{"cluster", 7, cluster,
-			"8993a0e02a41a0e6784bd4dae3fc6dec2d37924864230a3db47b72d4ccf0037f",
-			"f036bae3e7deab8d3a2cb1d58ee2a4d01045cbfd2edb4ac69c6ea5b15ef66fc3"},
+			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
+			"ab9797477bb626695d2fd61b5b3738a200ff0cff0029d32e3707bf0cd67eea39"},
 		{"degraded", 42, degraded,
-			"77cfdbca579233e404a566c15e4e0af2839dac43c1bbce0858b6168d679f7d0e",
-			"5f2d51c26c1d06b75d884c5d9a7cff85f99af1380022547d36c16f4589eeda39"},
+			"6786731520d867718ac35fa7d1f9eb3d5ff80106ea54ce9dad0161f88a4254a3",
+			"ad8eb6bd0d7601c85e3aaf226b70c6d85ed5a2bb823716ddccda467b99602dd4"},
 		{"degraded", 7, degraded,
-			"b1c7953c2034506ae3af6b5de11fd013cb3e04abfda6ce7271a76d65654a0dff",
-			"75a7eacd85b13c4e203d79a88633055f230a653cdde5f1a1d3e52d964ab341d8"},
+			"2b9efea038ac9c889daa8ce2497610132758e95d9b543e0e19c396fdaf76e714",
+			"4fb66e47ab1f699191f46f5d32d5f162c35a1a9b0f9e4d377ab428b4adf5cdb7"},
 		{"distributed", 42, distributed,
-			"2aac56ac7f06bb8b8f247cce53d5de445cc53a23c662776275167a6aa937f6d2",
-			"319a63825475706248e32dcffe1f3b81dee8413457b9e4249e6276475ab3612d"},
+			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
+			"11d906ea72ff910b8640c3fe31249b24173a49340d2e5a4614282fbacc6d5d34"},
 		{"distributed", 7, distributed,
-			"8993a0e02a41a0e6784bd4dae3fc6dec2d37924864230a3db47b72d4ccf0037f",
-			"93a6902fd32768148aa1ef50a9d4e97c46200de5950d157b78b4ee861635e39d"},
+			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
+			"03b670026319ffd684a3eecd405b7f6ed60b25457129121f8693165c8e80829c"},
 	} {
 		t.Run(fmt.Sprintf("%s/seed%d", tc.name, tc.seed), func(t *testing.T) {
 			var trace, ckpt bytes.Buffer

@@ -78,6 +78,9 @@ type Compressor struct {
 	// batched reconstruction gradient. The per-layer activations live
 	// inside the layers (nn batch scratch).
 	xB, gradB *vecmath.Matrix
+
+	// epochs is how many epochs the last Fit ran.
+	epochs int
 }
 
 // New builds a compressor from the config with weights drawn from rng.
@@ -285,11 +288,25 @@ func (c *Compressor) LoadState(s *State) error {
 	return nil
 }
 
-// Fit trains for the given number of epochs over the window set,
-// returning the mean reconstruction loss of the final epoch. Each
-// epoch shuffles the windows and walks them in minibatches of
-// Config.Batch: one blocked-GEMM forward+backward and one optimizer
-// step per batch instead of per window.
+// Fit's stop rule, the warm-up-plus-tolerance shape of an incremental
+// trainer. The first fitFloorEpochs epochs always run: on 500-window
+// sets the epoch loss can stall for a few epochs at epochs 3–5 before
+// it falls again at 2–5 % an epoch. After the floor, Fit stops after
+// the first epoch whose mean loss is less than fitTolerance (relative)
+// below the best epoch before it.
+const (
+	fitFloorEpochs = 8
+	fitTolerance   = 0.01
+)
+
+// Fit trains for at most the given number of epochs over the window
+// set, returning the mean reconstruction loss of the last epoch it
+// ran. Each epoch shuffles the windows and walks them in minibatches
+// of Config.Batch: one blocked-GEMM forward+backward and one optimizer
+// step per batch instead of per window. The fit stops early on a
+// plateau: after 8 epochs, the first epoch whose loss improves on the
+// best earlier epoch by less than 1 % is the last. Epochs reports how
+// many ran.
 func (c *Compressor) Fit(windows []vecmath.Vec, epochs int, rng *rand.Rand) (float64, error) {
 	if len(windows) == 0 {
 		return 0, fmt.Errorf("fit with no windows: %w", ErrConfig)
@@ -313,7 +330,8 @@ func (c *Compressor) Fit(windows []vecmath.Vec, epochs int, rng *rand.Rand) (flo
 	if c.xB == nil {
 		c.xB = &vecmath.Matrix{}
 	}
-	var last float64
+	c.epochs = 0
+	var last, best float64
 	for e := 0; e < epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var sum float64
@@ -337,6 +355,17 @@ func (c *Compressor) Fit(windows []vecmath.Vec, epochs int, rng *rand.Rand) (flo
 			sum += loss * float64(end-start)
 		}
 		last = sum / float64(len(windows))
+		c.epochs = e + 1
+		if e > 0 && c.epochs >= fitFloorEpochs && best-last < fitTolerance*best {
+			break
+		}
+		if e == 0 || last < best {
+			best = last
+		}
 	}
 	return last, nil
 }
+
+// Epochs returns how many epochs the last Fit ran: its cap, or fewer
+// when the loss plateaued.
+func (c *Compressor) Epochs() int { return c.epochs }

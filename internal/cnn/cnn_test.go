@@ -409,3 +409,69 @@ func TestFirstLayerGradSkipBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestFitStopsOnPlateau pins Fit's stop rule: a fit whose loss cannot
+// move stops at the warm-up floor, a fit that keeps improving by more
+// than the tolerance runs its whole cap, no fit runs past its cap, and
+// a repeat of the same fit runs the same epochs to the same weights.
+func TestFitStopsOnPlateau(t *testing.T) {
+	windows := func() []vecmath.Vec {
+		rng := rand.New(rand.NewSource(50))
+		ws := make([]vecmath.Vec, 48)
+		for i := range ws {
+			w := make(vecmath.Vec, 48)
+			phase := float64(i%4) * math.Pi / 2
+			for j := range w {
+				w[j] = 0.7*math.Sin(float64(j)/3+phase) + 0.05*rng.NormFloat64()
+			}
+			ws[i] = w
+		}
+		return ws
+	}()
+	fit := func(lr float64, epochs int) (*Compressor, float64) {
+		t.Helper()
+		cfg := testConfig()
+		cfg.LearningRate = lr
+		c, err := New(cfg, rand.New(rand.NewSource(51)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loss, err := c.Fit(windows, epochs, rand.New(rand.NewSource(52)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, loss
+	}
+	// A learning rate too small to move the loss: a plateau from the
+	// first epoch on.
+	if c, _ := fit(1e-12, 50); c.Epochs() != fitFloorEpochs {
+		t.Fatalf("plateaued fit ran %d epochs, want the floor %d", c.Epochs(), fitFloorEpochs)
+	}
+	const improvingCap = 12
+	if c, _ := fit(3e-3, improvingCap); c.Epochs() != improvingCap {
+		t.Fatalf("improving fit ran %d epochs, want its cap %d", c.Epochs(), improvingCap)
+	}
+	for _, cap := range []int{1, 3, fitFloorEpochs, 30} {
+		for _, lr := range []float64{1e-12, 3e-3} {
+			if c, _ := fit(lr, cap); c.Epochs() > cap || (cap <= fitFloorEpochs && c.Epochs() != cap) {
+				t.Fatalf("lr %g cap %d: fit ran %d epochs", lr, cap, c.Epochs())
+			}
+		}
+	}
+	a, la := fit(3e-3, 40)
+	b, lb := fit(3e-3, 40)
+	if a.Epochs() != b.Epochs() || math.Float64bits(la) != math.Float64bits(lb) {
+		t.Fatalf("repeat fit: %d epochs to loss %v, then %d epochs to loss %v", a.Epochs(), la, b.Epochs(), lb)
+	}
+	if a.Epochs() == 40 {
+		t.Fatal("a 40-epoch fit of a small set should plateau before its cap")
+	}
+	for _, pair := range [][2]*nn.WeightState{
+		{a.SaveState().Encoder, b.SaveState().Encoder},
+		{a.SaveState().Decoder, b.SaveState().Decoder},
+	} {
+		if !slices.Equal(weightBits(pair[0]), weightBits(pair[1])) {
+			t.Fatal("repeat fit reached different weights")
+		}
+	}
+}

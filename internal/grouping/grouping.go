@@ -216,7 +216,11 @@ func (b *Builder) Codes(twins []*udt.Twin) ([]vecmath.Vec, error) {
 }
 
 // TrainCompressor fits the 1D-CNN autoencoder on the twins' current
-// windows. No-op (returns 0) when the CNN is disabled.
+// windows for at most epochs epochs, returning the last epoch's mean
+// loss. The fit stops early on a plateau: after 8 epochs, the first
+// epoch whose loss improves on the best earlier epoch by less than 1 %
+// is the last (cnn.Compressor.Fit). No-op (returns 0) when the CNN is
+// disabled.
 func (b *Builder) TrainCompressor(twins []*udt.Twin, epochs int) (float64, error) {
 	if b.compressor == nil {
 		return 0, nil

@@ -69,7 +69,10 @@ type Config struct {
 	RegroupEvery int
 	// Grouping configures the two-step group construction.
 	Grouping grouping.Config
-	// CompressorEpochs trains the 1D-CNN after warm-up (default 20).
+	// CompressorEpochs caps the 1D-CNN fit after warm-up (default 20):
+	// the fit runs at most this many epochs and stops early on a
+	// plateau — after 8 epochs, the first epoch whose loss improves on
+	// the best earlier epoch by less than 1 % is the last.
 	CompressorEpochs int
 	// CompressorBatch is the CNN fit minibatch size: each optimizer
 	// step pushes this many UDT windows through the autoencoder as
