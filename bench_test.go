@@ -265,6 +265,54 @@ func BenchmarkCNNCompression(b *testing.B) {
 	b.ReportMetric(lastLoss, "recon-loss")
 }
 
+// BenchmarkCompressorFit measures the CNN fit of a monolithic engine's
+// learning prologue: the windows of 2000 twins (5 channels × 16 steps)
+// through the default compressor, capped at the engine's default 20
+// epochs, at minibatch sizes 8 (the default) to 64. One op is one Fit
+// on a freshly built compressor; building it is outside the timer, so
+// allocs/op counts only the fit's grow-once scratch and Adam moments,
+// a fixed number that a per-step allocation would multiply. Reported:
+// ms per epoch, epochs run before the plateau stop, and the last
+// epoch's loss.
+func BenchmarkCompressorFit(b *testing.B) {
+	twins := populationTwins(b, 2000)
+	windows := make([]vecmath.Vec, len(twins))
+	for i, tw := range twins {
+		w, err := tw.FeatureWindow(16, 2000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		windows[i] = w
+	}
+	for _, batch := range []int{8, 16, 32, 64} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			cfg := cnn.Config{
+				Channels: udt.NumFeatureChannels, Window: 16,
+				Filters: 8, Kernel: 3, Pool: 2, CodeDim: 8, Batch: batch,
+			}
+			var epochs int
+			var loss float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				comp, err := cnn.New(cfg, rand.New(rand.NewSource(16)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if loss, err = comp.Fit(windows, 20, rand.New(rand.NewSource(17))); err != nil {
+					b.Fatal(err)
+				}
+				epochs += comp.Epochs()
+			}
+			b.ReportMetric(float64(b.Elapsed())/1e6/float64(epochs), "ms/epoch")
+			b.ReportMetric(float64(epochs)/float64(b.N), "epochs")
+			b.ReportMetric(loss, "loss")
+		})
+	}
+}
+
 // BenchmarkDDQNTraining regenerates experiment E6: DDQN convergence
 // on the K-selection MDP. Reported metric: mean reward of the last 20
 // episodes (higher is better; compare against the exhaustive oracle
