@@ -331,7 +331,7 @@ func (c *Compressor) Fit(windows []vecmath.Vec, epochs int, rng *rand.Rand) (flo
 		c.xB = &vecmath.Matrix{}
 	}
 	c.epochs = 0
-	var last, best float64
+	last, best := 0.0, math.Inf(1)
 	for e := 0; e < epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var sum float64
@@ -356,12 +356,10 @@ func (c *Compressor) Fit(windows []vecmath.Vec, epochs int, rng *rand.Rand) (flo
 		}
 		last = sum / float64(len(windows))
 		c.epochs = e + 1
-		if e > 0 && c.epochs >= fitFloorEpochs && best-last < fitTolerance*best {
+		if c.epochs >= fitFloorEpochs && best-last < fitTolerance*best {
 			break
 		}
-		if e == 0 || last < best {
-			best = last
-		}
+		best = min(best, last)
 	}
 	return last, nil
 }
