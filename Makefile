@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench bench-baseline bench-check bench-check-allocs
+.PHONY: build test vet loc bench bench-baseline bench-check bench-check-allocs
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test .go line count per package directory, and the total.
+loc:
+	./scripts/loc.sh
 
 # Quick benchmark pass (single count, with allocation stats).
 bench:

@@ -157,7 +157,6 @@ func (c *Compressor) Encode(window vecmath.Vec) (vecmath.Vec, error) {
 	if len(window) != c.inDim {
 		return nil, fmt.Errorf("encode input %d want %d: %w", len(window), c.inDim, ErrConfig)
 	}
-	c.encoder.SetTraining(false)
 	code, err := c.encoder.Forward(window)
 	if err != nil {
 		return nil, err
@@ -176,25 +175,6 @@ func (c *Compressor) EncodeBatch(windows []vecmath.Vec) ([]vecmath.Vec, error) {
 		out[i] = code
 	}
 	return out, nil
-}
-
-// Reconstruct runs the full autoencoder on one window. The returned
-// reconstruction is caller-owned.
-func (c *Compressor) Reconstruct(window vecmath.Vec) (vecmath.Vec, error) {
-	if len(window) != c.inDim {
-		return nil, fmt.Errorf("reconstruct input %d want %d: %w", len(window), c.inDim, ErrConfig)
-	}
-	c.encoder.SetTraining(false)
-	c.decoder.SetTraining(false)
-	code, err := c.encoder.Forward(window)
-	if err != nil {
-		return nil, err
-	}
-	recon, err := c.decoder.Forward(code)
-	if err != nil {
-		return nil, err
-	}
-	return vecmath.Clone(recon), nil
 }
 
 // allParams lazily builds and caches the joint encoder+decoder
@@ -216,8 +196,6 @@ func (c *Compressor) allParams() []nn.Param {
 // batch's mean loss. Steady-state it allocates nothing: the batch
 // matrices are compressor-owned grow-once scratch.
 func (c *Compressor) trainOn(x *vecmath.Matrix) (float64, error) {
-	c.encoder.SetTraining(true)
-	c.decoder.SetTraining(true)
 	code, err := c.encoder.ForwardBatch(x)
 	if err != nil {
 		return 0, err

@@ -195,7 +195,11 @@ func TestReconstructShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := make(vecmath.Vec, c.InputDim())
-	recon, err := c.Reconstruct(w)
+	code, err := c.encoder.Forward(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recon, err := c.decoder.Forward(code)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +324,7 @@ func TestSaveLoadState(t *testing.T) {
 // fullBackward hides a layer's parameter-only backward: a network
 // whose first layer is wrapped in it runs that layer's full
 // BackwardBatch and drops the input gradient.
-type fullBackward struct{ nn.BatchLayer }
+type fullBackward struct{ nn.Layer }
 
 // adamBits flattens an Adam optimizer's step count and moment
 // estimates to their bit patterns.
@@ -373,7 +377,7 @@ func TestFirstLayerGradSkipBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers := append([]nn.Layer(nil), ref.encoder.Layers()...)
-	layers[0] = fullBackward{layers[0].(nn.BatchLayer)}
+	layers[0] = fullBackward{layers[0]}
 	if ref.encoder, err = nn.NewNetwork(ref.inDim, layers...); err != nil {
 		t.Fatal(err)
 	}

@@ -389,7 +389,7 @@ func TestVanillaVsDoubleOverestimation(t *testing.T) {
 // fullBackward hides a layer's parameter-only backward: a network
 // whose first layer is wrapped in it runs that layer's full
 // BackwardBatch and drops the input gradient.
-type fullBackward struct{ nn.BatchLayer }
+type fullBackward struct{ nn.Layer }
 
 // agentBits flattens an agent's online weights, Adam step count and
 // Adam moment estimates to their bit patterns.
@@ -436,7 +436,7 @@ func TestFirstLayerGradSkipBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers := append([]nn.Layer(nil), ref.online.net.Layers()...)
-	layers[0] = fullBackward{layers[0].(nn.BatchLayer)}
+	layers[0] = fullBackward{layers[0]}
 	if ref.online.net, err = nn.NewNetwork(cfg.StateDim, layers...); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,34 +9,27 @@ import (
 )
 
 // TestDenseForwardBackwardAllocFree is the allocation regression gate
-// for the training hot path: a steady-state Dense forward+backward
-// must not touch the heap.
+// for the Dense training pass: a steady-state ForwardBatch +
+// BackwardBatch must not touch the heap.
 func TestDenseForwardBackwardAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d, err := NewDense(32, 16, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make(vecmath.Vec, 32)
-	grad := make(vecmath.Vec, 16)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range grad {
-		grad[i] = rng.NormFloat64()
-	}
+	x, grad := randMatrix(8, 32, rng), randMatrix(8, 16, rng)
 	// Prime scratch.
-	if _, err := d.Forward(x); err != nil {
+	if _, err := d.ForwardBatch(x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Backward(grad); err != nil {
+	if _, err := d.BackwardBatch(grad); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := d.Forward(x); err != nil {
+		if _, err := d.ForwardBatch(x); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Backward(grad); err != nil {
+		if _, err := d.BackwardBatch(grad); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -43,79 +37,78 @@ func TestDenseForwardBackwardAllocFree(t *testing.T) {
 	}
 }
 
-// TestInferenceForwardAllocFreeAndUncached checks the inference-only
-// path: no lastIn capture, no allocations, and Backward refuses to run
-// against the stale cache.
+// TestInferenceForwardAllocFree checks the inference path on the
+// compressor's encoder stack: Forward allocates nothing and caches
+// nothing, so inference calls between a ForwardBatch and its
+// BackwardBatch leave every gradient bit unchanged.
 func TestInferenceForwardAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	d, err := NewDense(8, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make(vecmath.Vec, 8)
-	d.SetTraining(false)
+	netA, netB := buildBatchNet(t, rand.New(rand.NewSource(3))), buildBatchNet(t, rand.New(rand.NewSource(3)))
+	x, grad := randMatrix(4, 5*16, rng), randMatrix(4, 8, rng)
+	v := randMatrix(1, 5*16, rng).Row(0)
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := d.Forward(x); err != nil {
+		if _, err := netA.Forward(v); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("inference Forward allocates %v per run", n)
 	}
-	if _, err := d.Backward(make(vecmath.Vec, 4)); err == nil {
-		t.Fatal("Backward after inference-mode Forward must error")
+	for _, net := range []*Network{netA, netB} {
+		if _, err := net.ForwardBatch(x); err != nil {
+			t.Fatal(err)
+		}
 	}
-	d.SetTraining(true)
-	if _, err := d.Forward(x); err != nil {
-		t.Fatal(err)
+	for s := 0; s < x.Rows; s++ {
+		if _, err := netA.Forward(x.Row((s + 1) % x.Rows)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := d.Backward(make(vecmath.Vec, 4)); err != nil {
-		t.Fatalf("Backward after training-mode Forward: %v", err)
+	for _, net := range []*Network{netA, netB} {
+		if _, err := net.BackwardBatch(grad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, got := cloneGrads(netB.Layers()), cloneGrads(netA.Layers())
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Fatalf("param %d grad %d: %v want %v after interleaved inference", i, j, got[i][j], want[i][j])
+			}
+		}
 	}
 }
 
-// TestNetworkTrainStepAllocFree covers the stack the CNN compressor
-// trains: conv → relu → pool → dense → tanh, forward and backward.
+// TestNetworkTrainStepAllocFree covers a whole optimizer step on the
+// stack the CNN compressor trains (conv → relu → pool → dense → tanh):
+// zeroed gradients, ForwardBatch, the MSE loss, the parameter-only
+// backward, clipping and Adam.
 func TestNetworkTrainStepAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	conv, err := NewConv1D(5, 16, 8, 3, 1, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewMaxPool1D(8, conv.OutLen(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := NewDense(8*pool.OutLen(), 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := NewNetwork(5*16, conv, &ReLU{}, pool, head, &Tanh{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make(vecmath.Vec, 5*16)
-	grad := make(vecmath.Vec, 8)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range grad {
-		grad[i] = rng.NormFloat64()
-	}
-	if _, err := net.Forward(x); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Backward(grad); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
+	net := buildBatchNet(t, rng)
+	x, target := randMatrix(8, 5*16, rng), randMatrix(8, 8, rng)
+	grad := vecmath.MustMatrix(8, 8)
+	opt := NewAdam(1e-3)
+	step := func() {
 		net.ZeroGrads()
-		if _, err := net.Forward(x); err != nil {
+		out, err := net.ForwardBatch(x)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Backward(grad); err != nil {
+		for r := 0; r < out.Rows; r++ {
+			if _, err := MSELossInto(grad.Row(r), out.Row(r), target.Row(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := net.BackwardBatchParams(grad); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("network forward+backward allocates %v per run", n)
+		ClipGrads(net.Params(), 5)
+		if err := opt.Step(net.Params()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // grow the scratch and the Adam moments
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("network train step allocates %v per run", n)
 	}
 }

@@ -7,26 +7,27 @@ import (
 	"dtmsvs/internal/vecmath"
 )
 
-// Batched training paths: every layer of the CNN compressor and the
-// DDQN Q-network can push a whole minibatch (one sample per matrix
-// row) through forward and backward as blocked matrix ops, so a
-// minibatch backward through a Dense layer is exactly three GEMMs:
+// The batch paths are the only training path: every layer of the CNN
+// compressor and the DDQN Q-network pushes a whole minibatch (one
+// sample per matrix row) through forward and backward as blocked
+// matrix ops, so a minibatch backward through a Dense layer is exactly
+// three GEMMs:
 //
 //	Y  = X·Wᵀ + b      (forward)
 //	dX = dY·W           (input gradient)
 //	dW = dYᵀ·X          (weight gradient, accumulated)
 //
 // The vecmath kernels accumulate every element's inner sum in
-// ascending index order, matching the per-sample vector kernels, so a
-// batched Dense/ReLU pass is bit-identical to running the samples one
-// at a time — the batched DDQN learn step reproduces the per-sample
-// trace exactly. (Conv1D goes through an im2col window matrix whose
-// GEMM sums over channel and tap in one run, a different — but still
-// fixed and deterministic — grouping than the per-sample loop.)
+// ascending index order, so a batched Dense/ReLU forward row is
+// bit-identical to the single-sample inference Forward, and a B-row
+// BackwardBatch accumulates dW and db exactly as B one-row batches in
+// sample order would. (Conv1D goes through an im2col window matrix
+// whose GEMM sums over channel and tap in one run, a different — but
+// still fixed and deterministic — grouping than the inference loop.)
 //
-// Like the per-sample paths, returned matrices are layer-owned scratch
-// overwritten by the next call, and all scratch grows once and is
-// reused, so steady-state batched training does not touch the heap.
+// Returned matrices are layer-owned scratch overwritten by the next
+// call, and all scratch grows once and is reused, so steady-state
+// batched training does not touch the heap.
 
 // gemmPooled is implemented by layers whose batch paths can fan GEMM
 // row blocks across a vecmath.GEMMPool.
@@ -44,18 +45,6 @@ func (n *Network) SetGEMMPool(p *vecmath.GEMMPool) {
 			gl.SetGEMMPool(p)
 		}
 	}
-}
-
-// BatchLayer is implemented by layers that support whole-minibatch
-// forward/backward passes. Matrix rows are samples. ForwardBatch
-// honors TrainMode: in inference mode nothing is cached and a
-// subsequent BackwardBatch errors. The input matrix passed to a
-// training-mode ForwardBatch must stay unmodified until the matching
-// BackwardBatch (layers keep a reference, not a copy).
-type BatchLayer interface {
-	Layer
-	ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error)
-	BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error)
 }
 
 // ensureMat resizes a lazily allocated layer-owned scratch matrix,
@@ -81,16 +70,13 @@ func ensureInts(buf *[]int, n int) []int {
 
 // ---------------------------------------------------------------- Dense
 
-var _ BatchLayer = (*Dense)(nil)
-
 // ForwardBatch maps every row of x through the layer in one GEMM:
 // out = x·Wᵀ + b, computed as x·(Wᵀ) against a transposed weight
 // scratch so the kernel runs in its fast AXPY form — the summation
-// order (ascending input index) is identical to the per-sample
-// W·x path, so the batch is bit-identical to per-sample Forwards. In
-// training mode the input batch is retained (by reference) for
-// BackwardBatch. Shapes: x is (n × InDim), the returned layer-owned
-// matrix is (n × OutDim).
+// order (ascending input index) is identical to the W·x of Forward,
+// so every row is bit-identical to a single-sample Forward. The input
+// batch is retained (by reference) for BackwardBatch. Shapes: x is
+// (n × InDim), the returned layer-owned matrix is (n × OutDim).
 func (d *Dense) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if x == nil || x.Cols != d.InDim || x.Rows <= 0 {
 		return nil, fmt.Errorf("dense forward batch got %dx%d want ?x%d: %w",
@@ -113,18 +99,15 @@ func (d *Dense) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	for r := 0; r < out.Rows; r++ {
 		vecmath.AXPYUnchecked(1, d.b, out.Row(r))
 	}
-	if d.infer {
-		d.bIn = nil
-	} else {
-		d.bIn = x
-	}
+	d.bIn = x
 	return out, nil
 }
 
 // BackwardBatch consumes the loss gradient w.r.t. the batched output
 // (n × OutDim), accumulates dW = dYᵀ·X and db = Σ rows dY — in
-// ascending sample order, bit-identical to per-sample Backward calls —
-// and returns the layer-owned input gradient dX = dY·W (n × InDim).
+// ascending sample order, bit-identical to n one-row BackwardBatch
+// calls — and returns the layer-owned input gradient dX = dY·W
+// (n × InDim).
 func (d *Dense) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if err := d.accumGradsBatch(grad); err != nil {
 		return nil, err
@@ -146,7 +129,7 @@ func (d *Dense) accumGradsBatch(grad *vecmath.Matrix) error {
 			matRows(grad), matCols(grad), d.OutDim, ErrShape)
 	}
 	if d.bIn == nil || d.bIn.Rows != grad.Rows {
-		return fmt.Errorf("dense backward batch before training-mode forward batch: %w", ErrShape)
+		return fmt.Errorf("dense backward batch before forward batch: %w", ErrShape)
 	}
 	if err := d.gemm.MatMulTransAAccumInto(d.gw, grad, d.bIn); err != nil {
 		return err
@@ -173,9 +156,7 @@ func matCols(m *vecmath.Matrix) int {
 
 // ----------------------------------------------------- activations
 
-var _ BatchLayer = (*ReLU)(nil)
-
-// ForwardBatch implements BatchLayer.
+// ForwardBatch implements Layer.
 func (r *ReLU) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if x == nil || x.Rows <= 0 {
 		return nil, fmt.Errorf("relu forward batch of empty input: %w", ErrShape)
@@ -194,7 +175,7 @@ func (r *ReLU) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	return out, nil
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (r *ReLU) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if grad == nil || r.bOut == nil || grad.Rows != r.bOut.Rows || grad.Cols != r.bOut.Cols {
 		return nil, fmt.Errorf("relu backward batch got %dx%d want %dx%d: %w",
@@ -214,9 +195,7 @@ func (r *ReLU) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	return dx, nil
 }
 
-var _ BatchLayer = (*Tanh)(nil)
-
-// ForwardBatch implements BatchLayer.
+// ForwardBatch implements Layer.
 func (t *Tanh) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if x == nil || x.Rows <= 0 {
 		return nil, fmt.Errorf("tanh forward batch of empty input: %w", ErrShape)
@@ -231,7 +210,7 @@ func (t *Tanh) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	return out, nil
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (t *Tanh) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if grad == nil || t.bOut == nil || grad.Rows != t.bOut.Rows || grad.Cols != t.bOut.Cols {
 		return nil, fmt.Errorf("tanh backward batch got %dx%d want %dx%d: %w",
@@ -248,45 +227,9 @@ func (t *Tanh) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	return dx, nil
 }
 
-var _ BatchLayer = (*Sigmoid)(nil)
-
-// ForwardBatch implements BatchLayer.
-func (s *Sigmoid) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
-	if x == nil || x.Rows <= 0 {
-		return nil, fmt.Errorf("sigmoid forward batch of empty input: %w", ErrShape)
-	}
-	out, err := ensureMat(&s.bOut, x.Rows, x.Cols)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range x.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	return out, nil
-}
-
-// BackwardBatch implements BatchLayer.
-func (s *Sigmoid) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
-	if grad == nil || s.bOut == nil || grad.Rows != s.bOut.Rows || grad.Cols != s.bOut.Cols {
-		return nil, fmt.Errorf("sigmoid backward batch got %dx%d want %dx%d: %w",
-			matRows(grad), matCols(grad), matRows(s.bOut), matCols(s.bOut), ErrShape)
-	}
-	dx, err := ensureMat(&s.bDx, grad.Rows, grad.Cols)
-	if err != nil {
-		return nil, err
-	}
-	for i, g := range grad.Data {
-		y := s.bOut.Data[i]
-		dx.Data[i] = g * y * (1 - y)
-	}
-	return dx, nil
-}
-
 // ------------------------------------------------------- MaxPool1D
 
-var _ BatchLayer = (*MaxPool1D)(nil)
-
-// ForwardBatch implements BatchLayer.
+// ForwardBatch implements Layer.
 func (p *MaxPool1D) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if x == nil || x.Rows <= 0 || x.Cols != p.Ch*p.InLen {
 		return nil, fmt.Errorf("maxpool forward batch got %dx%d want ?x%d: %w",
@@ -320,7 +263,7 @@ func (p *MaxPool1D) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	return out, nil
 }
 
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (p *MaxPool1D) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	outLen := p.OutLen()
 	if grad == nil || p.bOut == nil || grad.Rows != p.bOut.Rows || grad.Cols != p.Ch*outLen {
@@ -346,8 +289,6 @@ func (p *MaxPool1D) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error)
 }
 
 // --------------------------------------------------------- Conv1D
-
-var _ BatchLayer = (*Conv1D)(nil)
 
 // colWidth is the im2col row width: one conv receptive field,
 // flattened channel-major.
@@ -388,7 +329,7 @@ func (c *Conv1D) fillWFlatT() (*vecmath.Matrix, error) {
 	return wt, nil
 }
 
-// ForwardBatch implements BatchLayer via im2col: every output position
+// ForwardBatch implements Layer via im2col: every output position
 // of every sample becomes one row of a window matrix, and the whole
 // batch convolution is a single (B·outLen × InCh·Kernel)·(InCh·Kernel
 // × Filters) GEMM.
@@ -437,11 +378,10 @@ func (c *Conv1D) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 			}
 		}
 	}
-	c.bPrimed = !c.infer
 	return out, nil
 }
 
-// BackwardBatch implements BatchLayer: the weight gradient is one
+// BackwardBatch implements Layer: the weight gradient is one
 // dYᵀ·Xcol GEMM (scatter-added into the per-filter kernels) and the
 // input gradient is one dY·W GEMM followed by a deterministic col2im
 // scatter in ascending (sample, position) order.
@@ -491,8 +431,8 @@ func (c *Conv1D) accumGradsBatch(grad *vecmath.Matrix) error {
 		return fmt.Errorf("conv1d backward batch got %dx%d want ?x%d: %w",
 			matRows(grad), matCols(grad), c.Filters*outLen, ErrShape)
 	}
-	if !c.bPrimed || c.xcol == nil || c.xcol.Rows != grad.Rows*outLen {
-		return fmt.Errorf("conv1d backward batch before training-mode forward batch: %w", ErrShape)
+	if c.xcol == nil || c.xcol.Rows != grad.Rows*outLen {
+		return fmt.Errorf("conv1d backward batch before forward batch: %w", ErrShape)
 	}
 	// Gather the output gradient into im2col layout: row (s,t), col f.
 	dycol, err := ensureMat(&c.dycol, grad.Rows*outLen, c.Filters)
@@ -533,15 +473,11 @@ func (c *Conv1D) accumGradsBatch(grad *vecmath.Matrix) error {
 // -------------------------------------------------------- Network
 
 // ForwardBatch runs all layers on a whole minibatch (one sample per
-// row). Every layer must implement BatchLayer.
+// row).
 func (n *Network) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	cur := x
 	for i, l := range n.layers {
-		bl, ok := l.(BatchLayer)
-		if !ok {
-			return nil, fmt.Errorf("forward batch layer %d (%T) has no batch path: %w", i, l, ErrShape)
-		}
-		out, err := bl.ForwardBatch(cur)
+		out, err := l.ForwardBatch(cur)
 		if err != nil {
 			return nil, fmt.Errorf("forward batch layer %d: %w", i, err)
 		}
@@ -556,11 +492,7 @@ func (n *Network) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 func (n *Network) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	cur := grad
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		bl, ok := n.layers[i].(BatchLayer)
-		if !ok {
-			return nil, fmt.Errorf("backward batch layer %d (%T) has no batch path: %w", i, n.layers[i], ErrShape)
-		}
-		out, err := bl.BackwardBatch(cur)
+		out, err := n.layers[i].BackwardBatch(cur)
 		if err != nil {
 			return nil, fmt.Errorf("backward batch layer %d: %w", i, err)
 		}
@@ -590,17 +522,14 @@ var (
 func (n *Network) BackwardBatchParams(grad *vecmath.Matrix) error {
 	cur := grad
 	for i := len(n.layers) - 1; i >= n.gradFrom; i-- {
-		bl, ok := n.layers[i].(BatchLayer)
-		if !ok {
-			return fmt.Errorf("backward batch layer %d (%T) has no batch path: %w", i, n.layers[i], ErrShape)
-		}
-		if ga, ok := bl.(gradAccumulator); ok && i == n.gradFrom {
+		l := n.layers[i]
+		if ga, ok := l.(gradAccumulator); ok && i == n.gradFrom {
 			if err := ga.accumGradsBatch(cur); err != nil {
 				return fmt.Errorf("backward batch layer %d: %w", i, err)
 			}
 			return nil
 		}
-		out, err := bl.BackwardBatch(cur)
+		out, err := l.BackwardBatch(cur)
 		if err != nil {
 			return fmt.Errorf("backward batch layer %d: %w", i, err)
 		}

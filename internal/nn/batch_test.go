@@ -8,22 +8,6 @@ import (
 	"dtmsvs/internal/vecmath"
 )
 
-func randVec(n int, rng *rand.Rand) vecmath.Vec {
-	v := make(vecmath.Vec, n)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	return v
-}
-
-func stack(rows []vecmath.Vec) *vecmath.Matrix {
-	m := vecmath.MustMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 func cloneGrads(layers []Layer) [][]float64 {
 	var out [][]float64
 	for _, l := range layers {
@@ -34,11 +18,42 @@ func cloneGrads(layers []Layer) [][]float64 {
 	return out
 }
 
-// TestDenseBatchMatchesPerSample pins the batched Dense contract: the
-// batch forward rows equal per-sample Forward outputs bit for bit,
-// and the accumulated dW/db of one BackwardBatch equal the sum of
-// per-sample Backwards exactly (same ascending-sample summation
-// order). The returned input gradient rows must match too.
+// oneRowBatches runs every row of x (with the matching row of g)
+// through m as its own one-row ForwardBatch/BackwardBatch, in
+// ascending row order, accumulating parameter gradients across the
+// rows. It returns the stacked forward outputs and input gradients.
+func oneRowBatches(t *testing.T, m batchPass, x, g *vecmath.Matrix) (out, dx *vecmath.Matrix) {
+	t.Helper()
+	for s := 0; s < x.Rows; s++ {
+		xs := vecmath.MustMatrix(1, x.Cols)
+		copy(xs.Data, x.Row(s))
+		gs := vecmath.MustMatrix(1, g.Cols)
+		copy(gs.Data, g.Row(s))
+		o, err := m.ForwardBatch(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out == nil {
+			out = vecmath.MustMatrix(x.Rows, o.Cols)
+		}
+		copy(out.Row(s), o.Data)
+		d, err := m.BackwardBatch(gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dx == nil {
+			dx = vecmath.MustMatrix(x.Rows, d.Cols)
+		}
+		copy(dx.Row(s), d.Data)
+	}
+	return out, dx
+}
+
+// TestDenseBatchMatchesPerSample pins the batched Dense contract: one
+// B-row ForwardBatch/BackwardBatch gives, bit for bit, the forward
+// rows, input-gradient rows and accumulated dW/db of B one-row batches
+// run in ascending sample order — the batch sums its samples in that
+// order — and every forward row equals the inference Forward.
 func TestDenseBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const batch, inDim, outDim = 7, 13, 9
@@ -50,49 +65,43 @@ func TestDenseBatchMatchesPerSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([]vecmath.Vec, batch)
-	gs := make([]vecmath.Vec, batch)
-	for i := range xs {
-		xs[i] = randVec(inDim, rng)
-		gs[i] = randVec(outDim, rng)
-	}
-	xB := stack(xs)
-	gB := stack(gs)
+	x, g := randMatrix(batch, inDim, rng), randMatrix(batch, outDim, rng)
 
-	out, err := dBatch.ForwardBatch(xB)
+	out, err := dBatch.ForwardBatch(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, err := dBatch.BackwardBatch(gB)
+	dx, err := dBatch.BackwardBatch(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	wantOut, wantDx := oneRowBatches(t, dSingle, x, g)
+	for i := range wantOut.Data {
+		if math.Float64bits(out.Data[i]) != math.Float64bits(wantOut.Data[i]) {
+			t.Fatalf("forward element %d: %v want %v", i, out.Data[i], wantOut.Data[i])
+		}
+	}
+	for i := range wantDx.Data {
+		if math.Float64bits(dx.Data[i]) != math.Float64bits(wantDx.Data[i]) {
+			t.Fatalf("dx element %d: %v want %v", i, dx.Data[i], wantDx.Data[i])
+		}
+	}
 	for s := 0; s < batch; s++ {
-		wantOut, err := dSingle.Forward(xs[s])
+		row, err := dSingle.Forward(x.Row(s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range wantOut {
-			if out.At(s, j) != wantOut[j] {
-				t.Fatalf("forward row %d col %d: %v want %v", s, j, out.At(s, j), wantOut[j])
-			}
-		}
-		wantDx, err := dSingle.Backward(gs[s])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range wantDx {
-			if dx.At(s, j) != wantDx[j] {
-				t.Fatalf("dx row %d col %d: %v want %v", s, j, dx.At(s, j), wantDx[j])
+		for j, v := range row {
+			if math.Float64bits(out.At(s, j)) != math.Float64bits(v) {
+				t.Fatalf("row %d col %d: batch %v, inference Forward %v", s, j, out.At(s, j), v)
 			}
 		}
 	}
 	bp, sp := dBatch.Params(), dSingle.Params()
 	for pi := range bp {
 		for j := range bp[pi].G {
-			if bp[pi].G[j] != sp[pi].G[j] {
-				t.Fatalf("param %d grad %d: %v want %v (batched dW must equal the sum of per-sample dW)",
+			if math.Float64bits(bp[pi].G[j]) != math.Float64bits(sp[pi].G[j]) {
+				t.Fatalf("param %d grad %d: %v want %v (a batch's dW must equal its one-row batches summed in order)",
 					pi, j, bp[pi].G[j], sp[pi].G[j])
 			}
 		}
@@ -100,11 +109,12 @@ func TestDenseBatchMatchesPerSample(t *testing.T) {
 }
 
 // TestNetworkBatchGradientMatchesPerSample runs the full CNN-compressor
-// stack (conv → relu → pool → dense → tanh) both ways: the batched
-// backward's accumulated parameter gradients must equal the summed
-// per-sample gradients. The conv layer's im2col GEMM groups its
-// channel/tap summation differently from the per-sample loop, so the
-// comparison uses a tight relative tolerance instead of bit equality.
+// stack (conv → relu → pool → dense → tanh) as one 6-row batch and as
+// six one-row batches: the accumulated parameter gradients must agree.
+// The conv layer sums each batch's weight gradient in one GEMM chain
+// before adding it to the accumulator, so six one-row batches group
+// the additions differently; the comparison uses a tight relative
+// tolerance instead of bit equality.
 func TestNetworkBatchGradientMatchesPerSample(t *testing.T) {
 	build := func() *Network {
 		rng := rand.New(rand.NewSource(3))
@@ -129,85 +139,93 @@ func TestNetworkBatchGradientMatchesPerSample(t *testing.T) {
 	netB, netS := build(), build()
 	rng := rand.New(rand.NewSource(4))
 	const batch = 6
-	xs := make([]vecmath.Vec, batch)
-	gs := make([]vecmath.Vec, batch)
-	for i := range xs {
-		xs[i] = randVec(3*12, rng)
-		gs[i] = randVec(5, rng)
-	}
+	x, g := randMatrix(batch, 3*12, rng), randMatrix(batch, 5, rng)
 
-	if _, err := netB.ForwardBatch(stack(xs)); err != nil {
+	if _, err := netB.ForwardBatch(x); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netB.BackwardBatch(stack(gs)); err != nil {
+	if _, err := netB.BackwardBatch(g); err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < batch; s++ {
-		if _, err := netS.Forward(xs[s]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := netS.Backward(gs[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	oneRowBatches(t, netS, x, g)
 	pb, ps := netB.Params(), netS.Params()
 	const tol = 1e-12
 	for pi := range pb {
 		for j := range pb[pi].G {
 			got, want := pb[pi].G[j], ps[pi].G[j]
-			diff := got - want
-			if diff < 0 {
-				diff = -diff
-			}
-			scale := 1.0
-			if want > scale || want < -scale {
-				scale = want
-				if scale < 0 {
-					scale = -scale
-				}
-			}
-			if diff > tol*scale {
+			if diff := math.Abs(got - want); diff > tol*math.Max(1, math.Abs(want)) {
 				t.Fatalf("param %d grad %d: %v want %v (diff %v)", pi, j, got, want, diff)
 			}
 		}
 	}
 }
 
-// TestBatchForwardMatchesPerSampleForward pins bit-identity of the
-// whole batched MLP forward against per-sample Forward — the property
-// the DDQN's batched next-state evaluation relies on.
+// TestBatchForwardMatchesPerSampleForward pins inference against the
+// training forward on the stacks the engines run: every ForwardBatch
+// row must equal the vector Forward of that sample. The DDQN Q-network
+// (Dense-ReLU-Dense-ReLU-Dense, its batched next-state evaluation) and
+// the compressor decoder (Dense-ReLU-Dense) agree bit for bit. The
+// conv encoder agrees within 1e-12 but not bitwise: its training
+// forward is an im2col GEMM that sums over (channel, tap) in one
+// chain, while the inference loop sums each channel's taps and then
+// adds the channel sums.
 func TestBatchForwardMatchesPerSampleForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	l1, _ := NewDense(6, 16, rng)
-	l2, _ := NewDense(16, 4, rng)
-	net, err := NewNetwork(6, l1, &ReLU{}, l2, &Sigmoid{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 9
-	xs := make([]vecmath.Vec, batch)
-	for i := range xs {
-		xs[i] = randVec(6, rng)
-	}
-	out, err := net.ForwardBatch(stack(xs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < batch; s++ {
-		want, err := net.Forward(xs[s])
+	mlp := func(widths ...int) *Network {
+		var layers []Layer
+		for i := 0; i+1 < len(widths); i++ {
+			if i > 0 {
+				layers = append(layers, &ReLU{})
+			}
+			d, err := NewDense(widths[i], widths[i+1], rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layers = append(layers, d)
+		}
+		net, err := NewNetwork(widths[0], layers...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range want {
-			if out.At(s, j) != want[j] {
-				t.Fatalf("row %d col %d: %v want %v", s, j, out.At(s, j), want[j])
+		return net
+	}
+	for _, tc := range []struct {
+		name string
+		net  *Network
+		in   int
+		tol  float64
+	}{
+		{"ddqn", mlp(8, 64, 64, 9), 8, 0},
+		{"decoder", mlp(8, 56, 80), 8, 0},
+		{"encoder", buildBatchNet(t, rng), 5 * 16, 1e-12},
+	} {
+		x := randMatrix(9, tc.in, rng)
+		out, err := tc.net.ForwardBatch(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < x.Rows; s++ {
+			want, err := tc.net.Forward(x.Row(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, w := range want {
+				got := out.At(s, j)
+				bad := math.Float64bits(got) != math.Float64bits(w)
+				if tc.tol > 0 {
+					bad = math.Abs(got-w) > tc.tol*math.Max(1, math.Abs(w))
+				}
+				if bad {
+					t.Fatalf("%s row %d col %d: ForwardBatch %v, Forward %v", tc.name, s, j, got, w)
+				}
 			}
 		}
 	}
 }
 
-// TestBackwardBatchBeforeForwardErrors pins the priming contract on
-// the batch path, including after an inference-mode forward.
+// TestBackwardBatchBeforeForwardErrors pins the priming contract: a
+// BackwardBatch needs a ForwardBatch of the same batch size first,
+// and an inference Forward does not prime it.
 func TestBackwardBatchBeforeForwardErrors(t *testing.T) {
 	d, err := NewDense(4, 3, rand.New(rand.NewSource(6)))
 	if err != nil {
@@ -216,19 +234,20 @@ func TestBackwardBatchBeforeForwardErrors(t *testing.T) {
 	if _, err := d.BackwardBatch(vecmath.MustMatrix(2, 3)); err == nil {
 		t.Fatal("BackwardBatch before ForwardBatch must error")
 	}
-	d.SetTraining(false)
-	if _, err := d.ForwardBatch(vecmath.MustMatrix(2, 4)); err != nil {
+	if _, err := d.Forward(make(vecmath.Vec, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.BackwardBatch(vecmath.MustMatrix(2, 3)); err == nil {
-		t.Fatal("BackwardBatch after inference-mode ForwardBatch must error")
+		t.Fatal("BackwardBatch after an inference Forward must error")
 	}
-	d.SetTraining(true)
 	if _, err := d.ForwardBatch(vecmath.MustMatrix(2, 4)); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := d.BackwardBatch(vecmath.MustMatrix(3, 3)); err == nil {
+		t.Fatal("BackwardBatch of a different batch size must error")
+	}
 	if _, err := d.BackwardBatch(vecmath.MustMatrix(2, 3)); err != nil {
-		t.Fatalf("BackwardBatch after training-mode ForwardBatch: %v", err)
+		t.Fatalf("BackwardBatch after ForwardBatch: %v", err)
 	}
 }
 
@@ -312,11 +331,7 @@ func TestBackwardBatchParamsSkipsInputGrad(t *testing.T) {
 	full, _, _ := build()
 	skip, conv, front := build()
 	rng := rand.New(rand.NewSource(6))
-	xs, gs := make([]vecmath.Vec, 6), make([]vecmath.Vec, 6)
-	for i := range xs {
-		xs[i], gs[i] = randVec(36, rng), randVec(5, rng)
-	}
-	x, g := stack(xs), stack(gs)
+	x, g := randMatrix(6, 36, rng), randMatrix(6, 5, rng)
 	for _, n := range []*Network{full, skip} {
 		if _, err := n.ForwardBatch(x); err != nil {
 			t.Fatal(err)

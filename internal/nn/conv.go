@@ -24,16 +24,11 @@ type Conv1D struct {
 	w, gw [][]vecmath.Vec
 	b, gb vecmath.Vec
 
-	infer  bool
-	primed bool
-	lastIn vecmath.Vec
-	out    vecmath.Vec
-	dx     vecmath.Vec
+	out vecmath.Vec
 
 	// Batched-training scratch (see batch.go): the im2col window
 	// matrix, flattened weight/gradient views, the GEMM outputs and
 	// the batch input-gradient — all grow-once layer-owned.
-	bPrimed                     bool
 	xcol, wflat, wflatT, gwflat *vecmath.Matrix
 	ycol, dycol, dxcol          *vecmath.Matrix
 	bOut, bDx                   *vecmath.Matrix
@@ -79,17 +74,11 @@ func NewConv1D(inCh, inLen, filters, kernel, stride int, rng *rand.Rand) (*Conv1
 		w: w, gw: gw,
 		b: make(vecmath.Vec, filters), gb: make(vecmath.Vec, filters),
 	}
-	c.lastIn = make(vecmath.Vec, inCh*inLen)
 	c.out = make(vecmath.Vec, filters*c.OutLen())
-	c.dx = make(vecmath.Vec, inCh*inLen)
 	return c, nil
 }
 
 var _ Layer = (*Conv1D)(nil)
-var _ TrainMode = (*Conv1D)(nil)
-
-// SetTraining implements TrainMode.
-func (c *Conv1D) SetTraining(train bool) { c.infer = !train }
 
 // OutLen returns the temporal length of each output channel.
 func (c *Conv1D) OutLen() int { return (c.InLen-c.Kernel)/c.Stride + 1 }
@@ -106,12 +95,6 @@ func (c *Conv1D) OutSize(in int) (int, error) {
 func (c *Conv1D) Forward(x vecmath.Vec) (vecmath.Vec, error) {
 	if len(x) != c.InCh*c.InLen {
 		return nil, fmt.Errorf("conv1d forward got %d want %d: %w", len(x), c.InCh*c.InLen, ErrShape)
-	}
-	if c.infer {
-		c.primed = false
-	} else {
-		copy(c.lastIn, x)
-		c.primed = true
 	}
 	outLen := c.OutLen()
 	out := c.out
@@ -139,45 +122,6 @@ func (c *Conv1D) Forward(x vecmath.Vec) (vecmath.Vec, error) {
 	return out, nil
 }
 
-// Backward implements Layer.
-func (c *Conv1D) Backward(grad vecmath.Vec) (vecmath.Vec, error) {
-	outLen := c.OutLen()
-	if len(grad) != c.Filters*outLen {
-		return nil, fmt.Errorf("conv1d backward got %d want %d: %w", len(grad), c.Filters*outLen, ErrShape)
-	}
-	if !c.primed {
-		return nil, fmt.Errorf("conv1d backward before training-mode forward: %w", ErrShape)
-	}
-	dx := c.dx
-	for i := range dx {
-		dx[i] = 0
-	}
-	for f := 0; f < c.Filters; f++ {
-		g := grad[f*outLen : (f+1)*outLen]
-		for _, gv := range g {
-			c.gb[f] += gv
-		}
-		for ch := 0; ch < c.InCh; ch++ {
-			src := c.lastIn[ch*c.InLen : (ch+1)*c.InLen]
-			kern := c.w[f][ch]
-			gk := c.gw[f][ch]
-			dsrc := dx[ch*c.InLen : (ch+1)*c.InLen]
-			for t := 0; t < outLen; t++ {
-				base := t * c.Stride
-				gv := g[t]
-				if gv == 0 {
-					continue
-				}
-				for j := 0; j < c.Kernel; j++ {
-					gk[j] += gv * src[base+j]
-					dsrc[base+j] += gv * kern[j]
-				}
-			}
-		}
-	}
-	return dx, nil
-}
-
 // Params implements Layer.
 func (c *Conv1D) Params() []Param {
 	params := make([]Param, 0, c.Filters*c.InCh+1)
@@ -195,10 +139,7 @@ func (c *Conv1D) Params() []Param {
 type MaxPool1D struct {
 	Ch, InLen, Window int
 
-	lastArg []int // index of max per output element
-	primed  bool
-	out     vecmath.Vec
-	dx      vecmath.Vec
+	out vecmath.Vec
 
 	bArg      []int // batched argmax cache, row-major per sample
 	bOut, bDx *vecmath.Matrix
@@ -210,9 +151,7 @@ func NewMaxPool1D(ch, inLen, window int) (*MaxPool1D, error) {
 		return nil, fmt.Errorf("maxpool ch=%d len=%d w=%d: %w", ch, inLen, window, ErrShape)
 	}
 	p := &MaxPool1D{Ch: ch, InLen: inLen, Window: window}
-	p.lastArg = make([]int, ch*p.OutLen())
 	p.out = make(vecmath.Vec, ch*p.OutLen())
-	p.dx = make(vecmath.Vec, ch*inLen)
 	return p, nil
 }
 
@@ -236,7 +175,6 @@ func (p *MaxPool1D) Forward(x vecmath.Vec) (vecmath.Vec, error) {
 	}
 	outLen := p.OutLen()
 	out := p.out
-	p.primed = true
 	for c := 0; c < p.Ch; c++ {
 		src := x[c*p.InLen : (c+1)*p.InLen]
 		for t := 0; t < outLen; t++ {
@@ -248,26 +186,9 @@ func (p *MaxPool1D) Forward(x vecmath.Vec) (vecmath.Vec, error) {
 				}
 			}
 			out[c*outLen+t] = src[best]
-			p.lastArg[c*outLen+t] = c*p.InLen + best
 		}
 	}
 	return out, nil
-}
-
-// Backward implements Layer.
-func (p *MaxPool1D) Backward(grad vecmath.Vec) (vecmath.Vec, error) {
-	outLen := p.OutLen()
-	if len(grad) != p.Ch*outLen || !p.primed {
-		return nil, fmt.Errorf("maxpool backward got %d want %d: %w", len(grad), p.Ch*outLen, ErrShape)
-	}
-	dx := p.dx
-	for i := range dx {
-		dx[i] = 0
-	}
-	for i, g := range grad {
-		dx[p.lastArg[i]] += g
-	}
-	return dx, nil
 }
 
 // Params implements Layer.

@@ -1,14 +1,16 @@
 // Package nn is a small from-scratch neural-network library used by
 // the 1D-CNN UDT-data compressor (internal/cnn) and the DDQN grouping
-// agent (internal/ddqn). It supports single-sample forward/backward
-// passes over dense, conv1d, pooling and activation layers with SGD or
-// Adam optimization. Networks are deterministic given a seeded RNG.
+// agent (internal/ddqn). Its dense, conv1d, pooling and activation
+// layers have one training path — whole-minibatch ForwardBatch and
+// BackwardBatch, optimized with Adam — and a stateless single-sample
+// Forward for inference. Networks are deterministic given a seeded
+// RNG.
 //
-// Layers own preallocated scratch buffers: Forward and Backward return
-// views into layer-owned memory that the next call overwrites, so a
-// full training step runs with zero steady-state heap allocations.
-// Callers that need an output to survive the next pass must copy it
-// (vecmath.Clone).
+// Layers own preallocated scratch buffers: every pass returns views
+// into layer-owned memory that the next call of the same pass
+// overwrites, so a full training step runs with zero steady-state heap
+// allocations. Callers that need an output to survive the next pass
+// must copy it (vecmath.Clone).
 package nn
 
 import (
@@ -23,16 +25,23 @@ import (
 // ErrShape is returned when a layer receives input of the wrong size.
 var ErrShape = errors.New("nn: shape mismatch")
 
-// Layer is one differentiable stage of a network. Forward consumes an
-// input vector and returns the output; Backward consumes the gradient
-// of the loss w.r.t. the output and returns the gradient w.r.t. the
-// input, accumulating parameter gradients internally. Returned slices
-// are layer-owned scratch, overwritten by the next call.
+// Layer is one differentiable stage of a network. Forward maps one
+// input vector to its output and caches nothing. ForwardBatch maps a
+// minibatch (one sample per matrix row) and retains what the matching
+// BackwardBatch needs; BackwardBatch consumes the gradient of the loss
+// w.r.t. that output, accumulates parameter gradients internally and
+// returns the gradient w.r.t. the input. The input matrix of a
+// ForwardBatch must stay unmodified until its BackwardBatch (layers
+// keep a reference, not a copy). Returned slices and matrices are
+// layer-owned scratch, overwritten by the next call of the same pass.
 type Layer interface {
-	// Forward runs the layer on x, caching whatever Backward needs.
+	// Forward runs the layer on one sample.
 	Forward(x vecmath.Vec) (vecmath.Vec, error)
-	// Backward propagates the output gradient to the input gradient.
-	Backward(grad vecmath.Vec) (vecmath.Vec, error)
+	// ForwardBatch runs the layer on every row of x.
+	ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error)
+	// BackwardBatch propagates the batched output gradient to the
+	// batched input gradient.
+	BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error)
 	// Params returns parameter/gradient pairs for the optimizer
 	// (nil for stateless layers).
 	Params() []Param
@@ -41,28 +50,9 @@ type Layer interface {
 	OutSize(in int) (int, error)
 }
 
-// TrainMode is implemented by layers that cache forward activations
-// for backprop. SetTraining(false) skips the caching on
-// inference-only paths (e.g. encoding after the compressor is fitted);
-// a Backward call after an inference-mode Forward returns an error.
-type TrainMode interface {
-	SetTraining(train bool)
-}
-
 // Param couples a parameter slice with its gradient accumulator.
 type Param struct {
 	W, G []float64
-}
-
-// ZeroGrads clears all gradient accumulators of the given layers.
-func ZeroGrads(layers []Layer) {
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			for i := range p.G {
-				p.G[i] = 0
-			}
-		}
-	}
 }
 
 // ensure returns (*buf)[:n], reallocating only when capacity is short:
@@ -83,15 +73,7 @@ type Dense struct {
 	w, gw *vecmath.Matrix
 	b, gb vecmath.Vec
 
-	// infer disables lastIn capture (zero value = training mode, so
-	// existing construction sites keep their semantics).
-	infer bool
-	// primed reports that lastIn holds the input of a training-mode
-	// Forward that Backward has not consumed yet.
-	primed bool
-	lastIn vecmath.Vec
-	out    vecmath.Vec
-	dx     vecmath.Vec
+	out vecmath.Vec
 
 	// Batched-training scratch (see batch.go): bIn references the
 	// caller's input batch between ForwardBatch and BackwardBatch,
@@ -127,50 +109,22 @@ func NewDense(inDim, outDim int, rng *rand.Rand) (*Dense, error) {
 		InDim: inDim, OutDim: outDim,
 		w: w, gw: gw,
 		b: make(vecmath.Vec, outDim), gb: make(vecmath.Vec, outDim),
-		lastIn: make(vecmath.Vec, inDim),
-		out:    make(vecmath.Vec, outDim),
-		dx:     make(vecmath.Vec, inDim),
+		out: make(vecmath.Vec, outDim),
 	}, nil
 }
 
 var _ Layer = (*Dense)(nil)
-var _ TrainMode = (*Dense)(nil)
-
-// SetTraining implements TrainMode.
-func (d *Dense) SetTraining(train bool) { d.infer = !train }
 
 // Forward implements Layer.
 func (d *Dense) Forward(x vecmath.Vec) (vecmath.Vec, error) {
 	if len(x) != d.InDim {
 		return nil, fmt.Errorf("dense forward got %d want %d: %w", len(x), d.InDim, ErrShape)
 	}
-	if d.infer {
-		d.primed = false
-	} else {
-		copy(d.lastIn, x)
-		d.primed = true
-	}
 	if err := d.w.MulVecInto(d.out, x); err != nil {
 		return nil, err
 	}
 	vecmath.AXPYUnchecked(1, d.b, d.out)
 	return d.out, nil
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(grad vecmath.Vec) (vecmath.Vec, error) {
-	if len(grad) != d.OutDim {
-		return nil, fmt.Errorf("dense backward got %d want %d: %w", len(grad), d.OutDim, ErrShape)
-	}
-	if !d.primed {
-		return nil, fmt.Errorf("dense backward before training-mode forward: %w", ErrShape)
-	}
-	d.gw.AddOuterInto(1, grad, d.lastIn)
-	vecmath.AXPYUnchecked(1, grad, d.gb)
-	if err := d.w.MulVecTInto(d.dx, grad); err != nil {
-		return nil, err
-	}
-	return d.dx, nil
 }
 
 // Params implements Layer.
@@ -199,11 +153,11 @@ func (d *Dense) CopyWeightsFrom(src *Dense) error {
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	// out doubles as the backward cache: out[i] > 0 iff lastIn[i] > 0.
 	out vecmath.Vec
-	dx  vecmath.Vec
 
-	bOut, bDx *vecmath.Matrix // batched scratch, same caching role
+	// bOut doubles as the backward cache: bOut[i] > 0 iff the input
+	// was > 0.
+	bOut, bDx *vecmath.Matrix
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -221,22 +175,6 @@ func (r *ReLU) Forward(x vecmath.Vec) (vecmath.Vec, error) {
 	return out, nil
 }
 
-// Backward implements Layer.
-func (r *ReLU) Backward(grad vecmath.Vec) (vecmath.Vec, error) {
-	if len(grad) != len(r.out) {
-		return nil, fmt.Errorf("relu backward got %d want %d: %w", len(grad), len(r.out), ErrShape)
-	}
-	dx := ensure(&r.dx, len(grad))
-	for i, g := range grad {
-		if r.out[i] > 0 {
-			dx[i] = g
-		} else {
-			dx[i] = 0
-		}
-	}
-	return dx, nil
-}
-
 // Params implements Layer.
 func (r *ReLU) Params() []Param { return nil }
 
@@ -245,10 +183,9 @@ func (r *ReLU) OutSize(in int) (int, error) { return in, nil }
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
-	out vecmath.Vec // doubles as the backward cache (y = tanh x)
-	dx  vecmath.Vec
+	out vecmath.Vec
 
-	bOut, bDx *vecmath.Matrix // batched scratch, same caching role
+	bOut, bDx *vecmath.Matrix // bOut doubles as the backward cache (y = tanh x)
 }
 
 var _ Layer = (*Tanh)(nil)
@@ -262,59 +199,8 @@ func (t *Tanh) Forward(x vecmath.Vec) (vecmath.Vec, error) {
 	return out, nil
 }
 
-// Backward implements Layer.
-func (t *Tanh) Backward(grad vecmath.Vec) (vecmath.Vec, error) {
-	if len(grad) != len(t.out) {
-		return nil, fmt.Errorf("tanh backward got %d want %d: %w", len(grad), len(t.out), ErrShape)
-	}
-	dx := ensure(&t.dx, len(grad))
-	for i, g := range grad {
-		y := t.out[i]
-		dx[i] = g * (1 - y*y)
-	}
-	return dx, nil
-}
-
 // Params implements Layer.
 func (t *Tanh) Params() []Param { return nil }
 
 // OutSize implements Layer.
 func (t *Tanh) OutSize(in int) (int, error) { return in, nil }
-
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	out vecmath.Vec // doubles as the backward cache (y = σ(x))
-	dx  vecmath.Vec
-
-	bOut, bDx *vecmath.Matrix // batched scratch, same caching role
-}
-
-var _ Layer = (*Sigmoid)(nil)
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x vecmath.Vec) (vecmath.Vec, error) {
-	out := ensure(&s.out, len(x))
-	for i, v := range x {
-		out[i] = 1 / (1 + math.Exp(-v))
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad vecmath.Vec) (vecmath.Vec, error) {
-	if len(grad) != len(s.out) {
-		return nil, fmt.Errorf("sigmoid backward got %d want %d: %w", len(grad), len(s.out), ErrShape)
-	}
-	dx := ensure(&s.dx, len(grad))
-	for i, g := range grad {
-		y := s.out[i]
-		dx[i] = g * y * (1 - y)
-	}
-	return dx, nil
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []Param { return nil }
-
-// OutSize implements Layer.
-func (s *Sigmoid) OutSize(in int) (int, error) { return in, nil }

@@ -56,39 +56,11 @@ func (n *Network) Forward(x vecmath.Vec) (vecmath.Vec, error) {
 	return cur, nil
 }
 
-// Backward propagates an output-gradient through all layers in
-// reverse, accumulating parameter gradients, and returns the gradient
-// with respect to the network input (useful for chaining networks,
-// e.g. autoencoder decoder → encoder).
-func (n *Network) Backward(grad vecmath.Vec) (vecmath.Vec, error) {
-	cur := grad
-	for i := len(n.layers) - 1; i >= 0; i-- {
-		out, err := n.layers[i].Backward(cur)
-		if err != nil {
-			return nil, fmt.Errorf("backward layer %d: %w", i, err)
-		}
-		cur = out
-	}
-	return cur, nil
-}
-
 // ZeroGrads clears all gradient accumulators.
 func (n *Network) ZeroGrads() {
 	for _, p := range n.Params() {
 		for i := range p.G {
 			p.G[i] = 0
-		}
-	}
-}
-
-// SetTraining toggles activation caching on every layer that supports
-// it. With train=false, Forward skips the backprop caches (and clones)
-// entirely — the inference-only fast path; a subsequent Backward
-// returns an error until training mode is restored.
-func (n *Network) SetTraining(train bool) {
-	for _, l := range n.layers {
-		if tm, ok := l.(TrainMode); ok {
-			tm.SetTraining(train)
 		}
 	}
 }
@@ -104,27 +76,8 @@ func (n *Network) Params() []Param {
 	return n.params
 }
 
-// NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	var total int
-	for _, p := range n.Params() {
-		total += len(p.W)
-	}
-	return total
-}
-
-// MSELoss returns ½·mean((pred−target)²) and the gradient w.r.t. pred.
-func MSELoss(pred, target vecmath.Vec) (float64, vecmath.Vec, error) {
-	grad := make(vecmath.Vec, len(pred))
-	loss, err := MSELossInto(grad, pred, target)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad, nil
-}
-
-// MSELossInto is MSELoss writing the gradient into a caller-owned
-// buffer (len(grad) == len(pred)) instead of allocating.
+// MSELossInto returns ½·mean((pred−target)²) and writes its gradient
+// w.r.t. pred into the caller-owned grad (len(grad) == len(pred)).
 func MSELossInto(grad, pred, target vecmath.Vec) (float64, error) {
 	if len(pred) == 0 || len(pred) != len(target) || len(grad) != len(pred) {
 		return 0, fmt.Errorf("mse %d vs %d grad %d: %w", len(pred), len(target), len(grad), ErrShape)
@@ -139,20 +92,11 @@ func MSELossInto(grad, pred, target vecmath.Vec) (float64, error) {
 	return loss, nil
 }
 
-// HuberLoss returns the mean Huber loss with threshold delta and its
-// gradient. It is the standard DQN loss (smooth L1) — quadratic near
-// zero, linear in the tails, which stabilizes TD training.
-func HuberLoss(pred, target vecmath.Vec, delta float64) (float64, vecmath.Vec, error) {
-	grad := make(vecmath.Vec, len(pred))
-	loss, err := HuberLossInto(grad, pred, target, delta)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad, nil
-}
-
-// HuberLossInto is HuberLoss writing the gradient into a caller-owned
-// buffer (len(grad) == len(pred)) instead of allocating.
+// HuberLossInto returns the mean Huber loss with threshold delta and
+// writes its gradient w.r.t. pred into the caller-owned grad
+// (len(grad) == len(pred)). It is the standard DQN loss (smooth L1) —
+// quadratic near zero, linear in the tails, which stabilizes TD
+// training.
 func HuberLossInto(grad, pred, target vecmath.Vec, delta float64) (float64, error) {
 	if len(pred) == 0 || len(pred) != len(target) || len(grad) != len(pred) {
 		return 0, fmt.Errorf("huber %d vs %d grad %d: %w", len(pred), len(target), len(grad), ErrShape)
@@ -179,48 +123,6 @@ func HuberLossInto(grad, pred, target vecmath.Vec, delta float64) (float64, erro
 	return loss, nil
 }
 
-// Optimizer updates parameters given accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter pair.
-	Step(params []Param) error
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR, Momentum float64
-
-	velocity [][]float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []Param) error {
-	if s.LR <= 0 {
-		return fmt.Errorf("sgd lr=%v: %w", s.LR, ErrShape)
-	}
-	if s.velocity == nil {
-		s.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			s.velocity[i] = make([]float64, len(p.W))
-		}
-	}
-	if len(s.velocity) != len(params) {
-		return fmt.Errorf("sgd param-set changed size: %w", ErrShape)
-	}
-	for i, p := range params {
-		v := s.velocity[i]
-		if len(v) != len(p.W) || len(p.G) != len(p.W) {
-			return fmt.Errorf("sgd param %d shape: %w", i, ErrShape)
-		}
-		for j := range p.W {
-			v[j] = s.Momentum*v[j] - s.LR*p.G[j]
-			p.W[j] += v[j]
-		}
-	}
-	return nil
-}
-
 // Adam is the Adam optimizer with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -234,9 +136,7 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-var _ Optimizer = (*Adam)(nil)
-
-// Step implements Optimizer.
+// Step applies one update to every parameter pair.
 func (a *Adam) Step(params []Param) error {
 	if a.LR <= 0 {
 		return fmt.Errorf("adam lr=%v: %w", a.LR, ErrShape)

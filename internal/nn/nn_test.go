@@ -11,6 +11,77 @@ import (
 
 func newRNG() *rand.Rand { return rand.New(rand.NewSource(12345)) }
 
+// batchPass is the training surface shared by a Layer and a Network.
+type batchPass interface {
+	ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error)
+	BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error)
+	Params() []Param
+}
+
+// checkGradients holds one BackwardBatch of m at the input batch x to
+// central finite differences of the loss L = Σ out⊙g, for random g:
+// every parameter gradient and every input-gradient entry.
+func checkGradients(t *testing.T, name string, m batchPass, x *vecmath.Matrix, rng *rand.Rand) {
+	t.Helper()
+	out, err := m.ForwardBatch(x)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	g := vecmath.MustMatrix(out.Rows, out.Cols)
+	for i := range g.Data {
+		g.Data[i] = rng.NormFloat64()
+	}
+	for _, p := range m.Params() {
+		clear(p.G)
+	}
+	dxOwned, err := m.BackwardBatch(g)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	dx := dxOwned.Clone()
+	loss := func() float64 {
+		out, ferr := m.ForwardBatch(x)
+		if ferr != nil {
+			t.Fatalf("%s: %v", name, ferr)
+		}
+		var s float64
+		for i, v := range out.Data {
+			s += v * g.Data[i]
+		}
+		return s
+	}
+	const eps, tol = 1e-6, 1e-5
+	numeric := func(v *float64) float64 {
+		orig := *v
+		*v = orig + eps
+		lp := loss()
+		*v = orig - eps
+		lm := loss()
+		*v = orig
+		return (lp - lm) / (2 * eps)
+	}
+	for pi, p := range m.Params() {
+		for j := range p.W {
+			if num := numeric(&p.W[j]); math.Abs(num-p.G[j]) > tol {
+				t.Fatalf("%s param %d grad %d: numeric %v analytic %v", name, pi, j, num, p.G[j])
+			}
+		}
+	}
+	for i := range x.Data {
+		if num := numeric(&x.Data[i]); math.Abs(num-dx.Data[i]) > tol {
+			t.Fatalf("%s input grad %d: numeric %v analytic %v", name, i, num, dx.Data[i])
+		}
+	}
+}
+
+func randMatrix(rows, cols int, rng *rand.Rand) *vecmath.Matrix {
+	m := vecmath.MustMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
 func TestDenseShapeValidation(t *testing.T) {
 	rng := newRNG()
 	if _, err := NewDense(0, 3, rng); !errors.Is(err, ErrShape) {
@@ -23,7 +94,10 @@ func TestDenseShapeValidation(t *testing.T) {
 	if _, err := d.Forward(vecmath.Vec{1}); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
-	if _, err := d.Backward(vecmath.Vec{1, 2}); !errors.Is(err, ErrShape) {
+	if _, err := d.ForwardBatch(vecmath.MustMatrix(2, 1)); !errors.Is(err, ErrShape) {
+		t.Fatalf("forward batch: want ErrShape, got %v", err)
+	}
+	if _, err := d.BackwardBatch(vecmath.MustMatrix(1, 2)); !errors.Is(err, ErrShape) {
 		t.Fatalf("backward before forward: want ErrShape, got %v", err)
 	}
 	if _, err := d.OutSize(5); !errors.Is(err, ErrShape) {
@@ -51,56 +125,14 @@ func TestDenseForwardKnownWeights(t *testing.T) {
 	}
 }
 
-// Finite-difference check of the dense layer gradient.
+// Finite-difference check of the dense layer's batched gradients.
 func TestDenseGradientNumerically(t *testing.T) {
 	rng := newRNG()
-	d, err := NewDense(3, 2, rng)
+	d, err := NewDense(5, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := vecmath.Vec{0.3, -0.7, 1.2}
-	target := vecmath.Vec{0.1, -0.4}
-
-	lossOf := func() float64 {
-		out, ferr := d.Forward(x)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		l, _, lerr := MSELoss(out, target)
-		if lerr != nil {
-			t.Fatal(lerr)
-		}
-		return l
-	}
-
-	out, err := d.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, grad, err := MSELoss(out, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ZeroGrads([]Layer{d})
-	if _, err := d.Backward(grad); err != nil {
-		t.Fatal(err)
-	}
-
-	const eps = 1e-6
-	for _, p := range d.Params() {
-		for j := range p.W {
-			orig := p.W[j]
-			p.W[j] = orig + eps
-			lp := lossOf()
-			p.W[j] = orig - eps
-			lm := lossOf()
-			p.W[j] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-p.G[j]) > 1e-5 {
-				t.Fatalf("param grad mismatch: numeric %v analytic %v", num, p.G[j])
-			}
-		}
-	}
+	checkGradients(t, "dense", d, randMatrix(4, 5, rng), rng)
 }
 
 func TestReLU(t *testing.T) {
@@ -112,14 +144,21 @@ func TestReLU(t *testing.T) {
 	if out[0] != 0 || out[1] != 0 || out[2] != 2 {
 		t.Fatalf("relu forward %v", out)
 	}
-	g, err := r.Backward(vecmath.Vec{1, 1, 1})
+	x := vecmath.MustMatrix(1, 3)
+	copy(x.Data, []float64{-1, 0, 2})
+	if _, err := r.ForwardBatch(x); err != nil {
+		t.Fatal(err)
+	}
+	ones := vecmath.MustMatrix(1, 3)
+	copy(ones.Data, []float64{1, 1, 1})
+	g, err := r.BackwardBatch(ones)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g[0] != 0 || g[1] != 0 || g[2] != 1 {
-		t.Fatalf("relu backward %v", g)
+	if g.Data[0] != 0 || g.Data[1] != 0 || g.Data[2] != 1 {
+		t.Fatalf("relu backward %v", g.Data)
 	}
-	if _, err := r.Backward(vecmath.Vec{1}); !errors.Is(err, ErrShape) {
+	if _, err := r.BackwardBatch(vecmath.MustMatrix(1, 1)); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
 	if r.Params() != nil {
@@ -127,37 +166,17 @@ func TestReLU(t *testing.T) {
 	}
 }
 
-func TestTanhSigmoidGradients(t *testing.T) {
-	for name, layer := range map[string]Layer{"tanh": &Tanh{}, "sigmoid": &Sigmoid{}} {
-		x := vecmath.Vec{0.5, -0.3}
-		out, err := layer.Forward(x)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		_ = out
-		grad, err := layer.Backward(vecmath.Vec{1, 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// numeric check
-		const eps = 1e-6
-		for i := range x {
-			xp := vecmath.Clone(x)
-			xp[i] += eps
-			opRaw, _ := layer.Forward(xp)
-			op := vecmath.Clone(opRaw) // Forward returns layer-owned scratch
-			xm := vecmath.Clone(x)
-			xm[i] -= eps
-			om, _ := layer.Forward(xm)
-			num := (op[i] - om[i]) / (2 * eps)
-			// re-prime cache for the original input
-			if _, err := layer.Forward(x); err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(num-grad[i]) > 1e-5 {
-				t.Fatalf("%s grad[%d]: numeric %v analytic %v", name, i, num, grad[i])
-			}
-		}
+// Finite-difference checks of the parameter-free layers' batched
+// input gradients. Normal draws keep every input off ReLU's kink and
+// every pooling window free of ties.
+func TestActivationGradientsNumerically(t *testing.T) {
+	rng := newRNG()
+	pool, err := NewMaxPool1D(2, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, l := range map[string]Layer{"relu": &ReLU{}, "tanh": &Tanh{}, "maxpool": pool} {
+		checkGradients(t, name, l, randMatrix(3, 12, rng), rng)
 	}
 }
 
@@ -178,6 +197,9 @@ func TestConv1DValidation(t *testing.T) {
 	}
 	if _, err := c.Forward(vecmath.Vec{1, 2}); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
+	}
+	if _, err := c.BackwardBatch(vecmath.MustMatrix(1, 18)); !errors.Is(err, ErrShape) {
+		t.Fatalf("backward before forward: want ErrShape, got %v", err)
 	}
 	n, err := c.OutSize(16)
 	if err != nil || n != 18 {
@@ -204,72 +226,40 @@ func TestConv1DKnownKernel(t *testing.T) {
 	}
 }
 
+// Finite-difference check of the conv layer's batched gradients at
+// stride 1 and at stride 2, where some inputs fall between windows.
 func TestConv1DGradientNumerically(t *testing.T) {
 	rng := newRNG()
-	c, err := NewConv1D(2, 6, 2, 3, 1, rng)
+	for _, stride := range []int{1, 2} {
+		c, err := NewConv1D(2, 9, 3, 3, stride, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGradients(t, "conv", c, randMatrix(3, 18, rng), rng)
+	}
+}
+
+// Finite-difference check of the compressor's encoder stack as one
+// network: conv → relu → pool → dense → tanh.
+func TestEncoderStackGradientNumerically(t *testing.T) {
+	rng := newRNG()
+	conv, err := NewConv1D(3, 12, 4, 3, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make(vecmath.Vec, 12)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	target := make(vecmath.Vec, 2*c.OutLen())
-	for i := range target {
-		target[i] = rng.NormFloat64()
-	}
-	lossOf := func() float64 {
-		out, ferr := c.Forward(x)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		l, _, lerr := MSELoss(out, target)
-		if lerr != nil {
-			t.Fatal(lerr)
-		}
-		return l
-	}
-	out, err := c.Forward(x)
+	pool, err := NewMaxPool1D(4, conv.OutLen(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, grad, err := MSELoss(out, target)
+	head, err := NewDense(4*pool.OutLen(), 5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ZeroGrads([]Layer{c})
-	dx, err := c.Backward(grad)
+	net, err := NewNetwork(36, conv, &ReLU{}, pool, head, &Tanh{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const eps = 1e-6
-	for _, p := range c.Params() {
-		for j := range p.W {
-			orig := p.W[j]
-			p.W[j] = orig + eps
-			lp := lossOf()
-			p.W[j] = orig - eps
-			lm := lossOf()
-			p.W[j] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-p.G[j]) > 1e-5 {
-				t.Fatalf("conv param grad: numeric %v analytic %v", num, p.G[j])
-			}
-		}
-	}
-	// input gradient
-	for i := range x {
-		orig := x[i]
-		x[i] = orig + eps
-		lp := lossOf()
-		x[i] = orig - eps
-		lm := lossOf()
-		x[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if math.Abs(num-dx[i]) > 1e-5 {
-			t.Fatalf("conv input grad[%d]: numeric %v analytic %v", i, num, dx[i])
-		}
-	}
+	checkGradients(t, "encoder", net, randMatrix(4, 36, rng), rng)
 }
 
 func TestMaxPool(t *testing.T) {
@@ -280,7 +270,8 @@ func TestMaxPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Forward(vecmath.Vec{1, 3, 2, 2, 5, 4, 0, 7})
+	in := []float64{1, 3, 2, 2, 5, 4, 0, 7}
+	out, err := p.Forward(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,14 +281,22 @@ func TestMaxPool(t *testing.T) {
 			t.Fatalf("pool out %v, want %v", out, want)
 		}
 	}
-	g, err := p.Backward(vecmath.Vec{1, 1, 1, 1})
+	x := vecmath.MustMatrix(1, 8)
+	copy(x.Data, in)
+	if _, err := p.ForwardBatch(x); err != nil {
+		t.Fatal(err)
+	}
+	ones := vecmath.MustMatrix(1, 4)
+	copy(ones.Data, []float64{1, 1, 1, 1})
+	g, err := p.BackwardBatch(ones)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Ties go to the first element of the window.
 	wantG := []float64{0, 1, 1, 0, 1, 0, 0, 1}
 	for i := range wantG {
-		if g[i] != wantG[i] {
-			t.Fatalf("pool grad %v, want %v", g, wantG)
+		if g.Data[i] != wantG[i] {
+			t.Fatalf("pool grad %v, want %v", g.Data, wantG)
 		}
 	}
 	if _, err := p.Forward(vecmath.Vec{1}); !errors.Is(err, ErrShape) {
@@ -317,6 +316,9 @@ func TestNetworkValidation(t *testing.T) {
 	}
 }
 
+// TestNetworkLearnsXOR trains full-batch on the four XOR points
+// through ForwardBatch/BackwardBatch and Adam, then checks the fit
+// through the inference Forward.
 func TestNetworkLearnsXOR(t *testing.T) {
 	rng := newRNG()
 	d1, err := NewDense(2, 8, rng)
@@ -327,67 +329,41 @@ func TestNetworkLearnsXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNetwork(2, d1, &Tanh{}, d2, &Sigmoid{})
+	net, err := NewNetwork(2, d1, &Tanh{}, d2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.NumParams() != 2*8+8+8+1 {
-		t.Fatalf("NumParams = %d", net.NumParams())
-	}
-	inputs := []vecmath.Vec{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
-	targets := []vecmath.Vec{{0}, {1}, {1}, {0}}
+	x := vecmath.MustMatrix(4, 2)
+	copy(x.Data, []float64{0, 0, 0, 1, 1, 0, 1, 1})
+	targets := []float64{0, 1, 1, 0}
+	grad := vecmath.MustMatrix(4, 1)
 	opt := NewAdam(0.05)
-	for epoch := 0; epoch < 2000; epoch++ {
-		for i := range inputs {
-			out, ferr := net.Forward(inputs[i])
-			if ferr != nil {
-				t.Fatal(ferr)
-			}
-			_, grad, lerr := MSELoss(out, targets[i])
-			if lerr != nil {
-				t.Fatal(lerr)
-			}
-			net.ZeroGrads()
-			if _, berr := net.Backward(grad); berr != nil {
-				t.Fatal(berr)
-			}
-			if serr := opt.Step(net.Params()); serr != nil {
-				t.Fatal(serr)
-			}
-		}
-	}
-	for i := range inputs {
-		out, ferr := net.Forward(inputs[i])
+	for step := 0; step < 2000; step++ {
+		out, ferr := net.ForwardBatch(x)
 		if ferr != nil {
 			t.Fatal(ferr)
 		}
-		if math.Abs(out[0]-targets[i][0]) > 0.2 {
-			t.Fatalf("XOR not learned: in=%v out=%v want %v", inputs[i], out[0], targets[i][0])
+		for r := 0; r < 4; r++ {
+			if _, lerr := MSELossInto(grad.Row(r), out.Row(r), targets[r:r+1]); lerr != nil {
+				t.Fatal(lerr)
+			}
+		}
+		net.ZeroGrads()
+		if berr := net.BackwardBatchParams(grad); berr != nil {
+			t.Fatal(berr)
+		}
+		if serr := opt.Step(net.Params()); serr != nil {
+			t.Fatal(serr)
 		}
 	}
-}
-
-func TestSGDMomentum(t *testing.T) {
-	w := []float64{1}
-	g := []float64{1}
-	s := &SGD{LR: 0.1, Momentum: 0.9}
-	params := []Param{{W: w, G: g}}
-	if err := s.Step(params); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w[0]-0.9) > 1e-12 {
-		t.Fatalf("after step1 w=%v", w[0])
-	}
-	if err := s.Step(params); err != nil {
-		t.Fatal(err)
-	}
-	// v2 = 0.9*(-0.1) - 0.1 = -0.19; w = 0.9-0.19 = 0.71
-	if math.Abs(w[0]-0.71) > 1e-12 {
-		t.Fatalf("after step2 w=%v", w[0])
-	}
-	bad := &SGD{LR: 0}
-	if err := bad.Step(params); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
+	for r := 0; r < 4; r++ {
+		out, ferr := net.Forward(x.Row(r))
+		if ferr != nil {
+			t.Fatal(ferr)
+		}
+		if math.Abs(out[0]-targets[r]) > 0.2 {
+			t.Fatalf("XOR not learned: in=%v out=%v want %v", x.Row(r), out[0], targets[r])
+		}
 	}
 }
 
@@ -397,16 +373,22 @@ func TestAdamDecreasesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := vecmath.Vec{1, 2, 3}
+	net, err := NewNetwork(3, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := vecmath.MustMatrix(1, 3)
+	copy(x.Data, []float64{1, 2, 3})
 	target := vecmath.Vec{5}
+	grad := vecmath.MustMatrix(1, 1)
 	opt := NewAdam(0.01)
 	var first, last float64
 	for i := 0; i < 500; i++ {
-		out, ferr := d.Forward(x)
+		out, ferr := net.ForwardBatch(x)
 		if ferr != nil {
 			t.Fatal(ferr)
 		}
-		loss, grad, lerr := MSELoss(out, target)
+		loss, lerr := MSELossInto(grad.Row(0), out.Row(0), target)
 		if lerr != nil {
 			t.Fatal(lerr)
 		}
@@ -414,11 +396,11 @@ func TestAdamDecreasesLoss(t *testing.T) {
 			first = loss
 		}
 		last = loss
-		ZeroGrads([]Layer{d})
-		if _, berr := d.Backward(grad); berr != nil {
+		net.ZeroGrads()
+		if berr := net.BackwardBatchParams(grad); berr != nil {
 			t.Fatal(berr)
 		}
-		if serr := opt.Step(d.Params()); serr != nil {
+		if serr := opt.Step(net.Params()); serr != nil {
 			t.Fatal(serr)
 		}
 	}
@@ -428,18 +410,23 @@ func TestAdamDecreasesLoss(t *testing.T) {
 }
 
 func TestHuberLoss(t *testing.T) {
-	if _, _, err := HuberLoss(vecmath.Vec{1}, vecmath.Vec{1}, 0); !errors.Is(err, ErrShape) {
+	g := make(vecmath.Vec, 1)
+	if _, err := HuberLossInto(g, vecmath.Vec{1}, vecmath.Vec{1}, 0); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
-	if _, _, err := HuberLoss(nil, nil, 1); !errors.Is(err, ErrShape) {
+	if _, err := HuberLossInto(nil, nil, nil, 1); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
+	}
+	if _, err := HuberLossInto(make(vecmath.Vec, 2), vecmath.Vec{1}, vecmath.Vec{1}, 1); !errors.Is(err, ErrShape) {
+		t.Fatalf("grad length: want ErrShape, got %v", err)
 	}
 	// Inside the quadratic zone Huber == MSE.
-	lh, gh, err := HuberLoss(vecmath.Vec{0.5}, vecmath.Vec{0}, 1)
+	gh, gm := make(vecmath.Vec, 1), make(vecmath.Vec, 1)
+	lh, err := HuberLossInto(gh, vecmath.Vec{0.5}, vecmath.Vec{0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm, gm, err := MSELoss(vecmath.Vec{0.5}, vecmath.Vec{0})
+	lm, err := MSELossInto(gm, vecmath.Vec{0.5}, vecmath.Vec{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,15 +434,13 @@ func TestHuberLoss(t *testing.T) {
 		t.Fatalf("huber != mse in quadratic zone: %v vs %v", lh, lm)
 	}
 	// Outside: gradient saturates at ±delta/n.
-	_, g, err := HuberLoss(vecmath.Vec{10}, vecmath.Vec{0}, 1)
-	if err != nil {
+	if _, err := HuberLossInto(g, vecmath.Vec{10}, vecmath.Vec{0}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if g[0] != 1 {
 		t.Fatalf("saturated grad %v, want 1", g[0])
 	}
-	_, g, err = HuberLoss(vecmath.Vec{-10}, vecmath.Vec{0}, 1)
-	if err != nil {
+	if _, err := HuberLossInto(g, vecmath.Vec{-10}, vecmath.Vec{0}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if g[0] != -1 {
@@ -517,23 +502,27 @@ func TestNetworkCNNPipelineShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make(vecmath.Vec, 4*32)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	out, err := net.Forward(x)
+	x := randMatrix(3, 4*32, rng)
+	out, err := net.Forward(x.Row(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 8 {
 		t.Fatalf("pipeline out %d, want 8", len(out))
 	}
-	_, grad, err := MSELoss(out, make(vecmath.Vec, 8))
+	outB, err := net.ForwardBatch(x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if outB.Rows != 3 || outB.Cols != 8 {
+		t.Fatalf("pipeline batch out %dx%d, want 3x8", outB.Rows, outB.Cols)
+	}
 	net.ZeroGrads()
-	if _, err := net.Backward(grad); err != nil {
+	dx, err := net.BackwardBatch(randMatrix(3, 8, rng))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if dx.Rows != 3 || dx.Cols != 4*32 {
+		t.Fatalf("pipeline input grad %dx%d, want 3x%d", dx.Rows, dx.Cols, 4*32)
 	}
 }

@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"dtmsvs/internal/checkpoint"
 )
@@ -48,20 +46,6 @@ func (n *Network) LoadWeights(state *WeightState) error {
 		copy(p.W, state.Params[i])
 	}
 	return nil
-}
-
-// WriteJSON serializes the weight state.
-func (s *WeightState) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(s)
-}
-
-// ReadWeightState decodes a weight state.
-func ReadWeightState(r io.Reader) (*WeightState, error) {
-	var s WeightState
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("decode weights: %w", err)
-	}
-	return &s, nil
 }
 
 // Encode appends the weight state to a checkpoint section: tensor

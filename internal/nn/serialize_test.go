@@ -1,11 +1,11 @@
 package nn
 
 import (
-	"bytes"
 	"errors"
-	"strings"
+	"math"
 	"testing"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/vecmath"
 )
 
@@ -98,15 +98,15 @@ func TestLoadWeightsValidation(t *testing.T) {
 	}
 }
 
-func TestWeightStateJSONRoundTrip(t *testing.T) {
+// TestWeightStateEncodeRoundTrip moves weights through the checkpoint
+// codec into a second network: its outputs must match bit for bit.
+func TestWeightStateEncodeRoundTrip(t *testing.T) {
 	net := buildNet(t, 5)
-	state := net.SaveWeights()
-	var buf bytes.Buffer
-	if err := state.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadWeightState(&buf)
-	if err != nil {
+	var e checkpoint.Enc
+	net.SaveWeights().Encode(&e)
+	d := checkpoint.NewDec(e.Bytes())
+	back := DecodeWeightState(d)
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	other := buildNet(t, 6)
@@ -123,14 +123,20 @@ func TestWeightStateJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("json round trip changed weights")
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatal("checkpoint round trip changed weights")
 		}
 	}
 }
 
-func TestReadWeightStateError(t *testing.T) {
-	if _, err := ReadWeightState(strings.NewReader("{oops")); err == nil {
-		t.Fatal("malformed weights must error")
+// TestDecodeWeightStateError: a truncated weight state surfaces as a
+// decoder error, never a panic.
+func TestDecodeWeightStateError(t *testing.T) {
+	var e checkpoint.Enc
+	buildNet(t, 7).SaveWeights().Encode(&e)
+	d := checkpoint.NewDec(e.Bytes()[:len(e.Bytes())-3])
+	DecodeWeightState(d)
+	if d.Err() == nil {
+		t.Fatal("truncated weights must error")
 	}
 }

@@ -204,11 +204,9 @@ func TestGEMMPoolMatchesSequential(t *testing.T) {
 			a := MustMatrix(sh.m, sh.k)
 			b := MustMatrix(sh.k, sh.n)
 			at := MustMatrix(sh.k, sh.m)
-			bt := MustMatrix(sh.n, sh.k)
 			fillMat(rng, a)
 			fillMat(rng, b)
 			fillMat(rng, at)
-			fillMat(rng, bt)
 			tag := func(op string) string {
 				return fmt.Sprintf("%s w=%d m=%d k=%d n=%d", op, workers, sh.m, sh.k, sh.n)
 			}
@@ -243,15 +241,6 @@ func TestGEMMPoolMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			matsEqual(t, tag("transAaccum"), want, got)
-
-			if err := MatMulTransBInto(want, a, bt); err != nil {
-				t.Fatal(err)
-			}
-			fillMat(rng, got)
-			if err := pool.MatMulTransBInto(got, a, bt); err != nil {
-				t.Fatal(err)
-			}
-			matsEqual(t, tag("transB"), want, got)
 		}
 		pool.Close()
 	}
@@ -301,7 +290,6 @@ func TestGEMMPoolSequentialFallbacks(t *testing.T) {
 		par.MatMulInto(bad, a, b),
 		par.MatMulTransAInto(bad, a, b),
 		par.MatMulTransAAccumInto(bad, a, b),
-		par.MatMulTransBInto(bad, a, b),
 	} {
 		if err == nil {
 			t.Fatal("shape mismatch did not error on the pool path")
@@ -320,13 +308,11 @@ func TestGEMMPoolAllocFree(t *testing.T) {
 		a := MustMatrix(64, 32)
 		b := MustMatrix(32, 48)
 		at := MustMatrix(32, 64)
-		bt := MustMatrix(48, 32)
 		dst := MustMatrix(64, 48)
 		gw := MustMatrix(64, 48)
 		fillMat(rng, a)
 		fillMat(rng, b)
 		fillMat(rng, at)
-		fillMat(rng, bt)
 		// Prime: spawns the crew goroutines.
 		if err := pool.MatMulInto(dst, a, b); err != nil {
 			t.Fatal(err)
@@ -339,9 +325,6 @@ func TestGEMMPoolAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := pool.MatMulTransAAccumInto(gw, at, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.MatMulTransBInto(dst, a, bt); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {

@@ -1,7 +1,6 @@
 package vecmath
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 )
@@ -42,90 +41,6 @@ func TestUncheckedKernelsMatchChecked(t *testing.T) {
 	}
 }
 
-func TestMulVecIntoMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := MustMatrix(7, 5)
-	m.FillRandUniform(rng, 1)
-	x := make(Vec, 5)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want, err := m.MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make(Vec, 7)
-	if err := m.MulVecInto(dst, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("MulVecInto[%d] = %v want %v", i, dst[i], want[i])
-		}
-	}
-	if err := m.MulVecInto(make(Vec, 3), x); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-	if err := m.MulVecInto(dst, make(Vec, 2)); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-}
-
-func TestMulVecTIntoMatchesMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := MustMatrix(4, 9)
-	m.FillRandUniform(rng, 1)
-	x := make(Vec, 4)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	x[2] = 0 // exercise the zero-skip path
-	want, err := m.MulVecT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make(Vec, 9)
-	for i := range dst {
-		dst[i] = 99 // must be overwritten, not accumulated
-	}
-	if err := m.MulVecTInto(dst, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("MulVecTInto[%d] = %v want %v", i, dst[i], want[i])
-		}
-	}
-	if err := m.MulVecTInto(dst, make(Vec, 3)); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-}
-
-func TestAddOuterIntoMatchesAddOuter(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := make(Vec, 3)
-	b := make(Vec, 4)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	m1 := MustMatrix(3, 4)
-	m2 := MustMatrix(3, 4)
-	m1.FillRandUniform(rng, 1)
-	copy(m2.Data, m1.Data)
-	if err := m1.AddOuter(0.3, a, b); err != nil {
-		t.Fatal(err)
-	}
-	m2.AddOuterInto(0.3, a, b)
-	for i := range m1.Data {
-		if m1.Data[i] != m2.Data[i] {
-			t.Fatalf("AddOuterInto[%d] = %v want %v", i, m2.Data[i], m1.Data[i])
-		}
-	}
-}
-
 func TestKernelsAllocFree(t *testing.T) {
 	m := MustMatrix(16, 16)
 	x := make(Vec, 16)
@@ -135,8 +50,6 @@ func TestKernelsAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		_ = m.MulVecInto(dst, x)
-		_ = m.MulVecTInto(dst, x)
-		m.AddOuterInto(0.1, x, x)
 		_ = DotUnchecked(x, x)
 		AXPYUnchecked(0.5, x, dst)
 		_ = SqDistUnchecked(x, dst)

@@ -8,24 +8,18 @@ import "fmt"
 // inner dimension accumulates in ascending index order, starting from
 // zero, no matter how the loops are tiled. The kernels are sequential,
 // so results are bit-identical across machines, worker counts and call
-// sites — and they reproduce exactly the accumulation order of the
-// per-sample vector kernels (MulVecInto, MulVecTInto, AddOuterInto),
-// which is what lets a batched backward pass replace a per-sample loop
-// without changing a single trace bit.
+// sites. Against a transposed weight matrix, MatMulInto reproduces the
+// accumulation order of the single-sample MulVecInto, which is what
+// keeps a batched training forward bit-identical to inference.
 //
 // The tiling never splits the inner dimension (that would reorder the
 // summation); it blocks the *output* dimensions so operand rows are
 // reused while they are hot in cache.
 
-// matMulColTile is the number of b-rows kept hot per pass of
-// MatMulTransBInto's inner dot loops.
-const matMulColTile = 64
-
 // MatMulInto computes dst = a·b where a is (m×k) and b is (k×n); dst
 // must be (m×n) and must not alias a or b. Per element the sum runs
-// over the inner index in ascending order — the same order as
-// MulVecTInto — so dX = dY·W is bit-identical to a per-sample
-// Wᵀ·grad loop.
+// over the inner index in ascending order, so the rows of dX = dY·W
+// do not depend on how many samples share the batch.
 func MatMulInto(dst, a, b *Matrix) error {
 	if err := checkMatMul(dst, a, b); err != nil {
 		return err
@@ -89,8 +83,8 @@ func MatMulTransAInto(dst, a, b *Matrix) error {
 // MatMulTransAAccumInto accumulates dst += aᵀ·b (shapes as
 // MatMulTransAInto). Because the k-axis is walked in ascending order,
 // accumulating a whole batch into a zeroed gradient matrix produces
-// bit-identical results to adding the per-sample outer products
-// (AddOuterInto) one sample at a time.
+// bit-identical results to adding the per-sample outer products one
+// sample at a time.
 func MatMulTransAAccumInto(dst, a, b *Matrix) error {
 	if err := checkTransA(dst, a, b); err != nil {
 		return err
@@ -129,60 +123,6 @@ func matMulTransAAccumRows(dst, a, b *Matrix, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if av := ak[i]; av != 0 {
 				AXPYUnchecked(av, bk, dst.Row(i))
-			}
-		}
-	}
-}
-
-// MatMulTransBInto computes dst = a·bᵀ where a is (m×k) and b is
-// (n×k); dst must be (m×n) and must not alias a or b. Each element is
-// a row-row dot with k ascending — exactly MulVecInto applied to
-// every row of a, and bit-identical to TransposeInto+MatMulInto on
-// the same operands. It is the dot-form sibling the training forwards
-// trade away (they pay one weight transpose per call to run the
-// AXPY-form MatMulInto, whose independent per-element accumulations
-// beat the dot form's latency-bound adds on long inner dimensions);
-// it remains the right kernel when materializing bᵀ is not worth it.
-// The b-rows are walked in tiles so they stay cache-resident while
-// the a-rows stream.
-func MatMulTransBInto(dst, a, b *Matrix) error {
-	if err := checkTransB(dst, a, b); err != nil {
-		return err
-	}
-	matMulTransBRows(dst, a, b, 0, a.Rows)
-	return nil
-}
-
-func checkTransB(dst, a, b *Matrix) error {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		return fmt.Errorf("matmulTransB %dx%d by %dx%d into %dx%d: %w",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols, ErrShape)
-	}
-	return nil
-}
-
-// matMulTransBRows computes the dot-form a·bᵀ for dst rows [lo, hi).
-// Four output columns run at once through Dot4Unchecked — four
-// independent strict ascending-k chains, bit-identical per element to
-// the single-dot loop, ~3× its throughput (a lone dot is FP-add-
-// latency-bound; the batch keeps four chains in flight).
-func matMulTransBRows(dst, a, b *Matrix, lo, hi int) {
-	n := b.Rows
-	for j0 := 0; j0 < n; j0 += matMulColTile {
-		jEnd := j0 + matMulColTile
-		if jEnd > n {
-			jEnd = n
-		}
-		for i := lo; i < hi; i++ {
-			ai := a.Row(i)
-			di := dst.Row(i)
-			j := j0
-			for ; j+4 <= jEnd; j += 4 {
-				di[j], di[j+1], di[j+2], di[j+3] = Dot4Unchecked(
-					ai, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
-			}
-			for ; j < jEnd; j++ {
-				di[j] = DotUnchecked(ai, b.Row(j))
 			}
 		}
 	}

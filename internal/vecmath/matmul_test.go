@@ -76,6 +76,17 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 	}
 }
 
+// addOuter accumulates m += a ⊗ b one destination row at a time,
+// skipping zero coefficients: the single-sample weight-gradient loop
+// the batched dW = dYᵀ·X accumulation is held to.
+func addOuter(m *Matrix, a, b Vec) {
+	for i, ai := range a {
+		if ai != 0 {
+			AXPYUnchecked(ai, b, m.Row(i))
+		}
+	}
+}
+
 // TestMatMulTransAIntoMatchesNaive covers dst = aᵀ·b and the
 // accumulate variant's exact per-sample-order equivalence.
 func TestMatMulTransAIntoMatchesNaive(t *testing.T) {
@@ -101,28 +112,33 @@ func TestMatMulTransAIntoMatchesNaive(t *testing.T) {
 		}
 		perSample := MustMatrix(m, n)
 		for s := 0; s < k; s++ {
-			perSample.AddOuterInto(1, a.Row(s), b.Row(s))
+			addOuter(perSample, a.Row(s), b.Row(s))
 		}
 		wantBitIdentical(t, "matmulTransA-accum-vs-outer", acc, perSample)
 	}
 }
 
-// TestMatMulTransBIntoMatchesPerRowMulVec covers dst = a·bᵀ and its
-// bit-identity with the per-sample MulVecInto path (the batched
-// forward contract).
-func TestMatMulTransBIntoMatchesPerRowMulVec(t *testing.T) {
+// TestTransposedMatMulMatchesPerRowMulVec covers dst = a·bᵀ computed
+// the way the Dense training forward computes it — TransposeInto
+// followed by MatMulInto — and its bit-identity with the single-sample
+// MulVecInto that inference runs.
+func TestTransposedMatMulMatchesPerRowMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, sh := range [][3]int{{1, 1, 1}, {4, 6, 3}, {32, 8, 7}, {3, 80, 70}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		a, b := randMat(m, k, rng), randMat(n, k, rng)
+		bt := MustMatrix(k, n)
+		if err := TransposeInto(bt, b); err != nil {
+			t.Fatal(err)
+		}
 		dst := MustMatrix(m, n)
 		for i := range dst.Data {
 			dst.Data[i] = 1e9
 		}
-		if err := MatMulTransBInto(dst, a, b); err != nil {
+		if err := MatMulInto(dst, a, bt); err != nil {
 			t.Fatal(err)
 		}
-		wantBitIdentical(t, "matmulTransB", dst, naiveMatMul(a, b, false, true))
+		wantBitIdentical(t, "matmul-transposed", dst, naiveMatMul(a, b, false, true))
 		row := make(Vec, n)
 		for i := 0; i < m; i++ {
 			if err := b.MulVecInto(row, a.Row(i)); err != nil {
@@ -146,8 +162,8 @@ func TestMatMulShapeErrors(t *testing.T) {
 	if err := MatMulTransAInto(MustMatrix(4, 6), a, b); !errors.Is(err, ErrShape) {
 		t.Fatalf("matmulTransA mismatch: %v", err)
 	}
-	if err := MatMulTransBInto(MustMatrix(3, 5), a, MustMatrix(5, 6)); !errors.Is(err, ErrShape) {
-		t.Fatalf("matmulTransB mismatch: %v", err)
+	if err := TransposeInto(MustMatrix(3, 4), a); !errors.Is(err, ErrShape) {
+		t.Fatalf("transpose mismatch: %v", err)
 	}
 	if err := MatMulInto(MustMatrix(2, 6), a, MustMatrix(4, 6)); !errors.Is(err, ErrShape) {
 		t.Fatalf("matmul dst mismatch: %v", err)

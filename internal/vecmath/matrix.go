@@ -60,15 +60,6 @@ func (m *Matrix) FillXavier(rng *rand.Rand, fanIn, fanOut int) {
 	m.FillRandUniform(rng, scale)
 }
 
-// MulVec computes m * x and returns a new vector of length m.Rows.
-func (m *Matrix) MulVec(x Vec) (Vec, error) {
-	out := make(Vec, m.Rows)
-	if err := m.MulVecInto(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MulVecInto computes dst = m * x without allocating; dst must have
 // length m.Rows.
 func (m *Matrix) MulVecInto(dst, x Vec) error {
@@ -88,79 +79,4 @@ func (m *Matrix) MulVecInto(dst, x Vec) error {
 		dst[i] = DotUnchecked(m.Row(i), x)
 	}
 	return nil
-}
-
-// MulVecT computes mᵀ * x (x has length m.Rows) and returns a vector
-// of length m.Cols. Used for backpropagation through dense layers.
-func (m *Matrix) MulVecT(x Vec) (Vec, error) {
-	out := make(Vec, m.Cols)
-	if err := m.MulVecTInto(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulVecTInto computes dst = mᵀ * x without allocating; dst must have
-// length m.Cols and is overwritten.
-func (m *Matrix) MulVecTInto(dst, x Vec) error {
-	if m.Rows != len(x) || m.Cols != len(dst) {
-		return fmt.Errorf("mulvecT %dx%d by %d into %d: %w", m.Rows, m.Cols, len(x), len(dst), ErrShape)
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		AXPYUnchecked(xi, m.Row(i), dst)
-	}
-	return nil
-}
-
-// AddOuter accumulates m += alpha * a ⊗ b where len(a)==Rows and
-// len(b)==Cols. Used for weight-gradient accumulation.
-func (m *Matrix) AddOuter(alpha float64, a, b Vec) error {
-	if len(a) != m.Rows || len(b) != m.Cols {
-		return fmt.Errorf("addouter %dx%d by %d,%d: %w", m.Rows, m.Cols, len(a), len(b), ErrShape)
-	}
-	m.AddOuterInto(alpha, a, b)
-	return nil
-}
-
-// AddOuterInto accumulates m += alpha * a ⊗ b without a shape check:
-// the caller guarantees len(a) == Rows and len(b) == Cols. This is the
-// weight-gradient kernel of the NN training hot path.
-func (m *Matrix) AddOuterInto(alpha float64, a, b Vec) {
-	for i := range a {
-		ai := alpha * a[i]
-		if ai == 0 {
-			continue
-		}
-		AXPYUnchecked(ai, b, m.Row(i))
-	}
-}
-
-// Correlate1D computes a "valid" 1-D cross-correlation of input x with
-// kernel k at the given stride: out[t] = Σ_j x[t*stride+j]*k[j].
-// Output length is (len(x)-len(k))/stride + 1.
-func Correlate1D(x, k Vec, stride int) (Vec, error) {
-	if stride <= 0 {
-		return nil, fmt.Errorf("correlate1d stride %d: %w", stride, ErrShape)
-	}
-	if len(k) == 0 || len(x) < len(k) {
-		return nil, fmt.Errorf("correlate1d input %d kernel %d: %w", len(x), len(k), ErrShape)
-	}
-	n := (len(x)-len(k))/stride + 1
-	out := make(Vec, n)
-	for t := 0; t < n; t++ {
-		base := t * stride
-		var s float64
-		for j, kj := range k {
-			s += x[base+j] * kj
-		}
-		out[t] = s
-	}
-	return out, nil
 }

@@ -26,7 +26,6 @@ type gemmOp uint8
 const (
 	opMatMul gemmOp = iota
 	opMatMulTransA
-	opMatMulTransB
 )
 
 // gemmParMinFlops is the default work bound (2·m·k·n multiply-adds)
@@ -154,8 +153,6 @@ func (p *GEMMPool) runWorker(int) {
 			matMulAccumRows(p.dst, p.a, p.b, lo, hi)
 		case opMatMulTransA:
 			matMulTransAAccumRows(p.dst, p.a, p.b, lo, hi)
-		case opMatMulTransB:
-			matMulTransBRows(p.dst, p.a, p.b, lo, hi)
 		}
 	}
 }
@@ -199,20 +196,6 @@ func (p *GEMMPool) MatMulTransAAccumInto(dst, a, b *Matrix) error {
 		return err
 	}
 	p.fan(w, opMatMulTransA, dst, a, b, dst.Rows, false)
-	return nil
-}
-
-// MatMulTransBInto is MatMulTransBInto with dst row blocks fanned
-// across the pool; bit-identical to the package function.
-func (p *GEMMPool) MatMulTransBInto(dst, a, b *Matrix) error {
-	w := p.parWorkers(matRowsOf(dst), 2*a.Rows*a.Cols*b.Rows)
-	if w <= 1 {
-		return MatMulTransBInto(dst, a, b)
-	}
-	if err := checkTransB(dst, a, b); err != nil {
-		return err
-	}
-	p.fan(w, opMatMulTransB, dst, a, b, dst.Rows, false)
 	return nil
 }
 

@@ -226,53 +226,23 @@ func TestMatrixAtSetRowClone(t *testing.T) {
 func TestMulVec(t *testing.T) {
 	m := MustMatrix(2, 3)
 	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	got, err := m.MulVec(Vec{1, 1, 1})
-	if err != nil {
+	got := make(Vec, 2)
+	if err := m.MulVecInto(got, Vec{1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVec = %v", got)
+		t.Fatalf("MulVecInto = %v", got)
 	}
-	if _, err := m.MulVec(Vec{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
+	if err := m.MulVecInto(got, Vec{1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("short x: want ErrShape, got %v", err)
 	}
-}
-
-func TestMulVecT(t *testing.T) {
-	m := MustMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	got, err := m.MulVecT(Vec{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Vec{9, 12, 15}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MulVecT = %v, want %v", got, want)
-		}
-	}
-	if _, err := m.MulVecT(Vec{1, 2, 3}); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
+	if err := m.MulVecInto(make(Vec, 3), Vec{1, 1, 1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("long dst: want ErrShape, got %v", err)
 	}
 }
 
-func TestAddOuter(t *testing.T) {
-	m := MustMatrix(2, 2)
-	if err := m.AddOuter(2, Vec{1, 2}, Vec{3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{6, 8, 12, 16}
-	for i := range want {
-		if m.Data[i] != want[i] {
-			t.Fatalf("AddOuter data = %v, want %v", m.Data, want)
-		}
-	}
-	if err := m.AddOuter(1, Vec{1}, Vec{1, 2}); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-}
-
-// MulVecT is the adjoint of MulVec: <Mx, y> == <x, Mᵀy>.
+// MulVecInto against M and against TransposeInto(M) are adjoint:
+// <Mx, y> == <x, Mᵀy>.
 func TestMulVecAdjointProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -287,12 +257,15 @@ func TestMulVecAdjointProperty(t *testing.T) {
 		for i := range y {
 			y[i] = rng.NormFloat64()
 		}
-		mx, err := m.MulVec(x)
-		if err != nil {
+		mx, mty := make(Vec, rows), make(Vec, cols)
+		if err := m.MulVecInto(mx, x); err != nil {
 			t.Fatal(err)
 		}
-		mty, err := m.MulVecT(y)
-		if err != nil {
+		mt := MustMatrix(cols, rows)
+		if err := TransposeInto(mt, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := mt.MulVecInto(mty, y); err != nil {
 			t.Fatal(err)
 		}
 		lhs, err := Dot(mx, y)
@@ -306,32 +279,6 @@ func TestMulVecAdjointProperty(t *testing.T) {
 		if !almostEq(lhs, rhs, 1e-9) {
 			t.Fatalf("adjoint violated: %v vs %v", lhs, rhs)
 		}
-	}
-}
-
-func TestCorrelate1D(t *testing.T) {
-	out, err := Correlate1D(Vec{1, 2, 3, 4}, Vec{1, 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Vec{3, 5, 7}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("Correlate1D = %v, want %v", out, want)
-		}
-	}
-	out, err = Correlate1D(Vec{1, 2, 3, 4, 5}, Vec{1, 0, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0] != 4 || out[1] != 8 {
-		t.Fatalf("strided Correlate1D = %v", out)
-	}
-	if _, err := Correlate1D(Vec{1}, Vec{1, 2}, 1); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-	if _, err := Correlate1D(Vec{1, 2}, Vec{1}, 0); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
 	}
 }
 
