@@ -485,6 +485,18 @@ func TestTraceDigestPinned(t *testing.T) {
 	distributed := func(seed int64, opts ...SessionOption) (Session, error) {
 		return OpenDistributed(traceDigestConfig(seed, 64), 2, opts...)
 	}
+	// textPins pins the {NDJSON, CSV} bytes of the seed-42 mono and
+	// cluster traces: the binary trace's records decoded and re-encoded
+	// through NewNDJSONSink and NewCSVSink, so the text encoders are
+	// held to the same absolute contract as the binary one.
+	textPins := map[string][2]string{
+		"mono/seed42": {
+			"4d1a4f74599eba68821d4459db92f426cf5c9e6a901be94bcf8652047f3b407d",
+			"fb118f4a87c8bb853fbddc9fa623c249ac956761ced87fe402ec5ab896e199d9"},
+		"cluster/seed42": {
+			"9a098aba083b91704a4b01a76902121bcc67a4a9baf71748aa027a4fdfecbacc",
+			"6ceaf4259a53db63ef4dcb0b30a23ad8ad46aba59d82effb4a5004911a7d2507"},
+	}
 	for _, tc := range []struct {
 		name        string
 		seed        int64
@@ -516,7 +528,8 @@ func TestTraceDigestPinned(t *testing.T) {
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
 			"03b670026319ffd684a3eecd405b7f6ed60b25457129121f8693165c8e80829c"},
 	} {
-		t.Run(fmt.Sprintf("%s/seed%d", tc.name, tc.seed), func(t *testing.T) {
+		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
+		t.Run(name, func(t *testing.T) {
 			var trace, ckpt bytes.Buffer
 			sink, err := NewBinarySink(&trace)
 			if err != nil {
@@ -541,11 +554,17 @@ func TestTraceDigestPinned(t *testing.T) {
 			if err := sink.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for _, pin := range []struct {
+			type pinned struct {
 				what string
 				raw  []byte
 				want string
-			}{{"binary trace", trace.Bytes(), tc.trace}, {"final checkpoint", ckpt.Bytes(), tc.ckpt}} {
+			}
+			pins := []pinned{{"binary trace", trace.Bytes(), tc.trace}, {"final checkpoint", ckpt.Bytes(), tc.ckpt}}
+			if text, ok := textPins[name]; ok {
+				nd, csv := reencodeTrace(t, trace.Bytes())
+				pins = append(pins, pinned{"ndjson trace", nd, text[0]}, pinned{"csv trace", csv, text[1]})
+			}
+			for _, pin := range pins {
 				if got := fmt.Sprintf("%x", sha256.Sum256(pin.raw)); got != pin.want {
 					t.Errorf("%s (%d bytes) digest\n got %s\nwant %s\n"+
 						"update the pin only for a deliberate engine change, and say so in CHANGES.md",
@@ -554,6 +573,28 @@ func TestTraceDigestPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// reencodeTrace decodes a trace and re-encodes its records through an
+// NDJSONSink and a CSVSink, returning both encodings.
+func reencodeTrace(t *testing.T, trace []byte) (ndjson, csv []byte) {
+	t.Helper()
+	recs, err := ReadTraceRecords(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nd, cs bytes.Buffer
+	for _, sink := range []TraceSink{NewNDJSONSink(&nd), NewCSVSink(&cs)} {
+		for _, r := range recs {
+			if err := sink.WriteRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nd.Bytes(), cs.Bytes()
 }
 
 // TestCheckpointKeepsItsBuffer: the session encodes every checkpoint
