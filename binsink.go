@@ -1,13 +1,11 @@
-// This file holds the binary columnar trace sink and its reader: the
-// compact streaming alternative to NDJSON/CSV when a run is
-// trace-IO-bound. The format itself lives in internal/tracebin.
+// This file holds the binary columnar trace sink: the compact
+// streaming alternative to NDJSON/CSV when a run is trace-IO-bound.
+// The format itself lives in internal/tracebin.
 package dtmsvs
 
 import (
 	"io"
 
-	"dtmsvs/internal/cluster"
-	"dtmsvs/internal/sim"
 	"dtmsvs/internal/tracebin"
 )
 
@@ -33,8 +31,7 @@ var (
 // valid header-only file.
 //
 // Call Close when the run is over to write the header if nothing ever
-// flushed. Decode with ReadTraceRecordsBin or the format-agnostic
-// ReadTraceRecords.
+// flushed. Decode with ReadTraceRecords or ReadTraceFile.
 type BinarySink struct {
 	w    *tracebin.Writer
 	recs []tracebin.Record
@@ -93,40 +90,3 @@ func (s *BinarySink) Flush() error {
 // empty run leaves a valid file.
 // The underlying writer is not closed.
 func (s *BinarySink) Close() error { return s.w.Close() }
-
-// ReadTraceRecordsBin decodes the binary columnar stream a BinarySink
-// writes (either engine's schema; monolithic rows carry BS = -1).
-// Records decoded before an error are returned alongside it, so a
-// torn tail still yields its readable whole-interval prefix.
-func ReadTraceRecordsBin(r io.Reader) ([]TraceRecord, error) {
-	rows, err := tracebin.ReadAll(r)
-	out := make([]TraceRecord, len(rows))
-	for i, b := range rows {
-		out[i] = TraceRecord{BS: b.BS, GroupIntervalRecord: sim.RecordFromBin(b)}
-	}
-	return out, err
-}
-
-// WriteTraceBin writes monolithic trace records in the binary
-// columnar format (the batch analog of BinarySink).
-func WriteTraceBin(w io.Writer, records []GroupIntervalRecord) error {
-	return sim.WriteRecordsBin(w, records)
-}
-
-// ReadTraceBin decodes a binary columnar trace into monolithic
-// records, dropping cell tags.
-func ReadTraceBin(r io.Reader) ([]GroupIntervalRecord, error) {
-	return sim.ReadRecordsBin(r)
-}
-
-// WriteClusterTraceBin writes cluster trace records in the binary
-// columnar format.
-func WriteClusterTraceBin(w io.Writer, records []ClusterRecord) error {
-	return cluster.WriteRecordsBin(w, records)
-}
-
-// ReadClusterTraceBin decodes a binary columnar trace into cluster
-// records.
-func ReadClusterTraceBin(r io.Reader) ([]ClusterRecord, error) {
-	return cluster.ReadRecordsBin(r)
-}

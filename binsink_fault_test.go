@@ -16,7 +16,7 @@ import (
 // per-interval counts.
 func assertWholeIntervalPrefix(t *testing.T, store []byte, clean []TraceRecord, perInterval []int) {
 	t.Helper()
-	got, err := ReadTraceRecordsBin(bytes.NewReader(store))
+	got, err := readBinRecords(bytes.NewReader(store))
 	if err != nil && !errors.Is(err, ErrTraceCorrupt) {
 		t.Fatalf("backing store failed with an untyped error: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestBinarySinkRecordFaults(t *testing.T) {
 					if !bytes.Equal(buf.Bytes(), frozen) {
 						t.Fatal("Close grew the backing store after a reported sink error")
 					}
-					got, rerr := ReadTraceRecordsBin(bytes.NewReader(frozen))
+					got, rerr := readBinRecords(bytes.NewReader(frozen))
 					if rerr != nil {
 						t.Fatalf("store after record fault not cleanly readable: %v", rerr)
 					}
@@ -139,7 +139,7 @@ func TestBinarySinkFlushFault(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), frozen) {
 		t.Fatal("Close appended bytes after the reported flush failure")
 	}
-	got, rerr := ReadTraceRecordsBin(bytes.NewReader(frozen))
+	got, rerr := readBinRecords(bytes.NewReader(frozen))
 	if rerr != nil {
 		t.Fatalf("store after flush fault unreadable: %v", rerr)
 	}
@@ -189,7 +189,7 @@ func TestBinarySinkByteLevelFaults(t *testing.T) {
 				t.Fatal("bytes appended after the reported error")
 			}
 			if mode == faultinject.FailWrite {
-				got, rerr := ReadTraceRecordsBin(bytes.NewReader(frozen))
+				got, rerr := readBinRecords(bytes.NewReader(frozen))
 				if rerr != nil {
 					t.Fatalf("fail-write store not cleanly readable: %v", rerr)
 				}
@@ -233,7 +233,7 @@ func TestBinarySinkTransientRetry(t *testing.T) {
 	if cerr := bin.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
-	got, rerr := ReadTraceRecordsBin(bytes.NewReader(buf.Bytes()))
+	got, rerr := readBinRecords(bytes.NewReader(buf.Bytes()))
 	if rerr != nil {
 		t.Fatal(rerr)
 	}

@@ -4,14 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"dtmsvs/internal/traceio"
 )
 
 func bufioReader(data []byte) *bufio.Reader {
@@ -145,7 +144,7 @@ func TestBinarySinkRoundTrip(t *testing.T) {
 			} {
 				t.Run(sub.name, func(t *testing.T) {
 					data := binRun(t, tc.open, sub.opts...)
-					got, err := ReadTraceRecordsBin(bytes.NewReader(data))
+					got, err := readBinRecords(bytes.NewReader(data))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -162,91 +161,127 @@ func TestBinarySinkRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadTraceRecordsAutoDetect runs one scenario out through every
-// writer this package has and back through the single format-agnostic
-// reader. JSON, NDJSON and bin must round-trip bit-identical; CSV's
+// TestReadTraceRecordsAutoDetect runs a monolithic and a cluster
+// scenario (the bs-prefixed schema) out through every writer this
+// repo has and back through the single format-agnostic reader. JSON,
+// NDJSON and bin must round-trip bit-identical; CSV's
 // 10-significant-digit floats round-trip through re-encoding.
 func TestReadTraceRecordsAutoDetect(t *testing.T) {
-	cfg := sessionTestConfig(33, 2)
-	open := func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) }
-	want, _ := bufferedRun(t, open)
+	mono := sessionTestConfig(33, 2)
+	ccfg := clusterTestConfig(33, 2, 2)
+	type opener = func(opts ...SessionOption) (Session, error)
+	type engine struct {
+		name string
+		open opener
+		want []TraceRecord
+	}
+	engines := []*engine{
+		{name: "mono", open: func(opts ...SessionOption) (Session, error) { return Open(mono, opts...) }},
+		{name: "cluster", open: func(opts ...SessionOption) (Session, error) { return OpenCluster(ccfg, opts...) }},
+	}
+	for _, e := range engines {
+		e.want, _ = bufferedRun(t, e.open)
+		if len(e.want) == 0 || (e.want[0].BS >= 0) != (e.name == "cluster") {
+			t.Fatalf("%s run: %d records, first %+v", e.name, len(e.want), e.want)
+		}
+	}
+	// each runs one format's round trip for every engine.
+	each := func(t *testing.T, roundTrip func(t *testing.T, open opener, want []TraceRecord)) {
+		for _, e := range engines {
+			t.Run(e.name, func(t *testing.T) { roundTrip(t, e.open, e.want) })
+		}
+	}
 
 	t.Run("bin", func(t *testing.T) {
-		data := binRun(t, open)
-		if got := detect(t, data); got != FormatBin {
-			t.Fatalf("detected %q", got)
-		}
-		got, err := ReadTraceRecords(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertRecordsBitIdentical(t, got, want)
+		each(t, func(t *testing.T, open opener, want []TraceRecord) {
+			data := binRun(t, open)
+			if got := detect(t, data); got != formatBin {
+				t.Fatalf("detected %q", got)
+			}
+			got, err := ReadTraceRecords(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRecordsBitIdentical(t, got, want)
+		})
 	})
 
 	t.Run("ndjson", func(t *testing.T) {
-		var buf bytes.Buffer
-		runSinkSession(t, open, NewNDJSONSink(&buf))
-		if got := detect(t, buf.Bytes()); got != FormatNDJSON {
-			t.Fatalf("detected %q", got)
-		}
-		got, err := ReadTraceRecords(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertRecordsBitIdentical(t, got, want)
+		each(t, func(t *testing.T, open opener, want []TraceRecord) {
+			var buf bytes.Buffer
+			runSinkSession(t, open, NewNDJSONSink(&buf))
+			if got := detect(t, buf.Bytes()); got != formatNDJSON {
+				t.Fatalf("detected %q", got)
+			}
+			got, err := ReadTraceRecords(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRecordsBitIdentical(t, got, want)
+		})
 	})
 
 	t.Run("json", func(t *testing.T) {
-		// The batch JSON helpers are per-engine; marshal the session
-		// records through the shared Row schema instead.
-		var buf bytes.Buffer
-		if err := traceio.WriteJSONArray(&buf, want); err != nil {
-			t.Fatal(err)
-		}
-		if got := detect(t, buf.Bytes()); got != FormatJSON {
-			t.Fatalf("detected %q", got)
-		}
-		got, err := ReadTraceRecords(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertRecordsBitIdentical(t, got, want)
+		each(t, func(t *testing.T, _ opener, want []TraceRecord) {
+			// The indented array dtsim -format json writes.
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(want); err != nil {
+				t.Fatal(err)
+			}
+			if got := detect(t, buf.Bytes()); got != formatJSON {
+				t.Fatalf("detected %q", got)
+			}
+			got, err := ReadTraceRecords(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRecordsBitIdentical(t, got, want)
+		})
 	})
 
 	t.Run("csv", func(t *testing.T) {
-		var buf bytes.Buffer
-		runSinkSession(t, open, NewCSVSink(&buf))
-		if got := detect(t, buf.Bytes()); got != FormatCSV {
-			t.Fatalf("detected %q", got)
-		}
-		got, err := ReadTraceRecords(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("decoded %d records, want %d", len(got), len(want))
-		}
-		// CSV floats carry 10 significant digits; re-encoding the parsed
-		// records must reproduce the stream byte for byte.
-		var again bytes.Buffer
-		cs := NewCSVSink(&again)
-		for _, r := range got {
-			if err := cs.WriteRecord(r); err != nil {
+		each(t, func(t *testing.T, open opener, want []TraceRecord) {
+			var buf bytes.Buffer
+			runSinkSession(t, open, NewCSVSink(&buf))
+			if got := detect(t, buf.Bytes()); got != formatCSV {
+				t.Fatalf("detected %q", got)
+			}
+			got, err := ReadTraceRecords(bytes.NewReader(buf.Bytes()))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := cs.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if again.String() != buf.String() {
-			t.Fatal("CSV parse/re-encode not a fixed point")
-		}
+			if len(got) != len(want) {
+				t.Fatalf("decoded %d records, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].BS != want[i].BS || got[i].Interval != want[i].Interval || got[i].GroupID != want[i].GroupID {
+					t.Fatalf("CSV record %d keys differ:\n got %+v\nwant %+v", i, got[i], want[i])
+				}
+			}
+			// CSV floats carry 10 significant digits; re-encoding the
+			// parsed records must reproduce the stream byte for byte.
+			var again bytes.Buffer
+			cs := NewCSVSink(&again)
+			for _, r := range got {
+				if err := cs.WriteRecord(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cs.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if again.String() != buf.String() {
+				t.Fatal("CSV parse/re-encode not a fixed point")
+			}
+		})
 	})
 }
 
-func detect(t *testing.T, data []byte) TraceFormat {
+func detect(t *testing.T, data []byte) traceFormat {
 	t.Helper()
-	return DetectTraceFormat(bufioReader(data))
+	return detectTraceFormat(bufioReader(data))
 }
 
 func runSinkSession(t *testing.T, open func(opts ...SessionOption) (Session, error), sink TraceSink) {
@@ -327,7 +362,7 @@ func TestBinReaderTypedErrors(t *testing.T) {
 
 	mut := append([]byte(nil), data...)
 	mut[len(mut)-3] ^= 0xFF
-	got, err := ReadTraceRecordsBin(bytes.NewReader(mut))
+	got, err := readBinRecords(bytes.NewReader(mut))
 	if !errors.Is(err, ErrTraceCorrupt) {
 		t.Fatalf("corrupt CRC: want ErrTraceCorrupt, got %v", err)
 	}
@@ -339,20 +374,18 @@ func TestBinReaderTypedErrors(t *testing.T) {
 
 	mut = append([]byte(nil), data...)
 	mut[8] = 0x7F
-	if _, err := ReadTraceRecordsBin(bytes.NewReader(mut)); !errors.Is(err, ErrTraceVersion) {
+	if _, err := readBinRecords(bytes.NewReader(mut)); !errors.Is(err, ErrTraceVersion) {
 		t.Fatalf("future version: want ErrTraceVersion, got %v", err)
 	}
 
-	if _, err := ReadTraceRecordsBin(strings.NewReader("DTTRACEBjunk")); !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceVersion) {
+	if _, err := readBinRecords(strings.NewReader("DTTRACEBjunk")); !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceVersion) {
 		t.Fatalf("garbage after magic: untyped error %v", err)
 	}
 }
 
-// TestCSVSinkEmptyRunHeader is the satellite-1 fix: a session that
-// ends before its first interval leaves a header-only CSV — the same
-// bytes the batch helpers write for an empty trace — for both
-// engines' schemas. A BinarySink likewise leaves a valid header-only
-// binary file.
+// TestCSVSinkEmptyRunHeader: a session that ends before its first
+// interval leaves a header-only CSV in its engine's schema. A
+// BinarySink likewise leaves a valid header-only binary file.
 func TestCSVSinkEmptyRunHeader(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the run never completes an interval
@@ -369,12 +402,11 @@ func TestCSVSinkEmptyRunHeader(t *testing.T) {
 		if cerr := s.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}
-		var want bytes.Buffer
-		if err := WriteTraceCSV(&want, nil); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != want.String() {
-			t.Fatalf("cancelled run CSV = %q, want the batch empty-trace header %q", buf.String(), want.String())
+		const want = "interval,group_id,size,predicted_rbs,actual_rbs,allocated_rbs," +
+			"predicted_cycles,actual_cycles,predicted_bits,actual_bits," +
+			"predicted_waste_bits,actual_waste_bits,actual_engagement_s,worst_snr_db,bitrate_bps\n"
+		if buf.String() != want {
+			t.Fatalf("cancelled run CSV = %q, want the header %q", buf.String(), want)
 		}
 	})
 
@@ -390,12 +422,11 @@ func TestCSVSinkEmptyRunHeader(t *testing.T) {
 		if cerr := s.Close(); cerr != nil {
 			t.Fatal(cerr)
 		}
-		var want bytes.Buffer
-		if err := WriteClusterTraceCSV(&want, nil); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != want.String() {
-			t.Fatalf("cancelled cluster run CSV = %q, want %q", buf.String(), want.String())
+		const want = "bs,interval,group_id,size,predicted_rbs,actual_rbs,allocated_rbs," +
+			"predicted_cycles,actual_cycles,predicted_bits,actual_bits," +
+			"predicted_waste_bits,actual_waste_bits,actual_engagement_s,worst_snr_db,bitrate_bps\n"
+		if buf.String() != want {
+			t.Fatalf("cancelled cluster run CSV = %q, want the header %q", buf.String(), want)
 		}
 	})
 
@@ -426,47 +457,4 @@ func TestCSVSinkEmptyRunHeader(t *testing.T) {
 			t.Fatalf("empty run decoded %d records", len(got))
 		}
 	})
-}
-
-// TestBinaryBatchHelpers round-trips the per-engine batch writers.
-func TestBinaryBatchHelpers(t *testing.T) {
-	ccfg := clusterTestConfig(41, 2, 2)
-	trace := mustClusterTrace(t, ccfg)
-	var buf bytes.Buffer
-	if err := WriteClusterTraceBin(&buf, trace.Records); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadClusterTraceBin(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(trace.Records) {
-		t.Fatalf("cluster bin round trip: %d of %d records", len(back), len(trace.Records))
-	}
-	for i := range back {
-		if back[i] != trace.Records[i] {
-			t.Fatalf("cluster record %d differs", i)
-		}
-	}
-
-	mono := make([]GroupIntervalRecord, 0, len(trace.Records))
-	for _, r := range trace.Records {
-		mono = append(mono, r.GroupIntervalRecord)
-	}
-	buf.Reset()
-	if err := WriteTraceBin(&buf, mono); err != nil {
-		t.Fatal(err)
-	}
-	backMono, err := ReadTraceBin(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(backMono) != len(mono) {
-		t.Fatalf("mono bin round trip: %d of %d records", len(backMono), len(mono))
-	}
-	for i := range backMono {
-		if backMono[i] != mono[i] {
-			t.Fatalf("mono record %d differs", i)
-		}
-	}
 }

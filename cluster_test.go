@@ -1,9 +1,7 @@
 package dtmsvs
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -72,33 +70,5 @@ func TestClusterDeterministic(t *testing.T) {
 		if base.Handovers == 0 {
 			t.Fatalf("seed %d: no handovers; migration untested", seed)
 		}
-	}
-}
-
-// TestClusterTraceIO round-trips a real cluster trace through the
-// root package's JSON helpers.
-func TestClusterTraceIO(t *testing.T) {
-	trace := mustClusterTrace(t, clusterTestConfig(3, 0, 0))
-	var buf bytes.Buffer
-	if err := WriteClusterTraceJSON(&buf, trace.Records); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadClusterTraceJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, trace.Records) {
-		t.Fatal("cluster trace JSON round trip diverged")
-	}
-	buf.Reset()
-	if err := WriteClusterTraceCSV(&buf, trace.Records); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(trace.Records)+1 {
-		t.Fatalf("%d csv lines for %d records", len(lines), len(trace.Records))
-	}
-	if _, err := ReadClusterTraceJSON(strings.NewReader("not json")); err == nil {
-		t.Fatal("malformed cluster trace must error")
 	}
 }

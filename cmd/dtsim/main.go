@@ -71,6 +71,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -375,7 +376,7 @@ func run() (err error) {
 	}
 
 	if buffered != nil {
-		if err := writeBuffered(w, buffered, *shards != 0); err != nil {
+		if err := writeBuffered(w, buffered); err != nil {
 			return err
 		}
 	}
@@ -439,19 +440,16 @@ func readCheckpoint(path string, restore func(io.Reader) error) error {
 	return nil
 }
 
-// writeBuffered converts the buffered sink back to the engine's
-// record type and writes the legacy JSON array format.
-func writeBuffered(w *os.File, b *dtmsvs.BufferedSink, clustered bool) error {
-	if clustered {
-		recs := make([]dtmsvs.ClusterRecord, len(b.Records))
-		for i, r := range b.Records {
-			recs[i] = dtmsvs.ClusterRecord{BS: r.BS, GroupIntervalRecord: r.GroupIntervalRecord}
-		}
-		return dtmsvs.WriteClusterTraceJSON(w, recs)
+// writeBuffered writes the buffered run as one indented JSON array,
+// each record in its engine's schema (cluster records lead with "bs").
+// A run with no records writes [], not null: ReadTraceRecords detects
+// a JSON array by its leading '['.
+func writeBuffered(w io.Writer, b *dtmsvs.BufferedSink) error {
+	recs := b.Records
+	if recs == nil {
+		recs = []dtmsvs.TraceRecord{}
 	}
-	recs := make([]dtmsvs.GroupIntervalRecord, len(b.Records))
-	for i, r := range b.Records {
-		recs[i] = r.GroupIntervalRecord
-	}
-	return dtmsvs.WriteTraceJSON(w, recs)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(recs)
 }

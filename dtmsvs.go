@@ -23,8 +23,6 @@
 package dtmsvs
 
 import (
-	"io"
-
 	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/faultinject"
 	"dtmsvs/internal/grouping"
@@ -72,21 +70,6 @@ const NumCategories = video.NumCategories
 // TraceSummary aggregates a trace into run-level statistics.
 type TraceSummary = sim.Summary
 
-// WriteTraceCSV writes trace records as CSV with a header row.
-func WriteTraceCSV(w io.Writer, records []GroupIntervalRecord) error {
-	return sim.WriteRecordsCSV(w, records)
-}
-
-// WriteTraceJSON writes trace records as a JSON array.
-func WriteTraceJSON(w io.Writer, records []GroupIntervalRecord) error {
-	return sim.WriteRecordsJSON(w, records)
-}
-
-// ReadTraceJSON decodes a JSON array of trace records.
-func ReadTraceJSON(r io.Reader) ([]GroupIntervalRecord, error) {
-	return sim.ReadRecordsJSON(r)
-}
-
 // ClusterConfig parameterizes a sharded multi-BS cluster run: the
 // base scenario plus the shard count (0 = one shard per BS).
 type ClusterConfig = cluster.Config
@@ -114,22 +97,6 @@ type CellFault = faultinject.CellFault
 // same plan, so a chaotic run replays bit-identically.
 func CellFaultPlan(seed int64, cells, intervals int) CellFault {
 	return faultinject.CellPlan(seed, cells, intervals)
-}
-
-// WriteClusterTraceJSON writes cluster trace records as a JSON array.
-func WriteClusterTraceJSON(w io.Writer, records []ClusterRecord) error {
-	return cluster.WriteRecordsJSON(w, records)
-}
-
-// ReadClusterTraceJSON decodes a JSON array of cluster trace records.
-func ReadClusterTraceJSON(r io.Reader) ([]ClusterRecord, error) {
-	return cluster.ReadRecordsJSON(r)
-}
-
-// WriteClusterTraceCSV writes cluster trace records as CSV with a
-// header row.
-func WriteClusterTraceCSV(w io.Writer, records []ClusterRecord) error {
-	return cluster.WriteRecordsCSV(w, records)
 }
 
 // DefaultConfig returns the paper-scale scenario used by the Fig. 3

@@ -3,6 +3,7 @@ package dtmsvs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -89,11 +90,60 @@ func FuzzReadTraceBin(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a trace"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := ReadTraceRecordsBin(bytes.NewReader(data)); err != nil {
+		if _, err := readBinRecords(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceVersion) {
 				t.Fatalf("untyped trace rejection: %v", err)
 			}
 		}
+	})
+}
+
+// fuzzSeedTextTraces produces the fuzz scenario's trace in the three
+// text formats: NDJSON and CSV from the sinks, and the indented JSON
+// array dtsim -format json writes.
+func fuzzSeedTextTraces(tb testing.TB) (ndjson, csv, array []byte) {
+	tb.Helper()
+	var nd, cs bytes.Buffer
+	var buffered BufferedSink
+	for _, sink := range []TraceSink{NewNDJSONSink(&nd), NewCSVSink(&cs), &buffered} {
+		s, err := Open(fuzzCheckpointConfig(), WithSink(sink))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for !s.Done() {
+			if _, serr := s.Step(context.Background()); serr != nil {
+				tb.Fatal(serr)
+			}
+		}
+		if err := s.Close(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var js bytes.Buffer
+	enc := json.NewEncoder(&js)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(buffered.Records); err != nil {
+		tb.Fatal(err)
+	}
+	return nd.Bytes(), cs.Bytes(), js.Bytes()
+}
+
+// FuzzReadTraceRecords hammers the auto-detecting reader — and so the
+// JSON array, NDJSON and CSV decoders behind it, as well as the binary
+// one — with mutated streams seeded from a real trace in each of the
+// four formats and their truncations. Decoding must never panic.
+func FuzzReadTraceRecords(f *testing.F) {
+	nd, cs, js := fuzzSeedTextTraces(f)
+	for _, seed := range [][]byte{nd, cs, js, fuzzSeedTrace(f)} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+		f.Add(seed[:len(seed)-1])
+	}
+	f.Add([]byte{})
+	f.Add([]byte("not a trace"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Any error is an acceptable answer to damaged bytes; a panic is not.
+		_, _ = ReadTraceRecords(bytes.NewReader(data))
 	})
 }
 

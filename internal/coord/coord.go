@@ -27,6 +27,7 @@ import (
 	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/faultinject"
 	"dtmsvs/internal/obs"
+	"dtmsvs/internal/sim"
 	"dtmsvs/internal/tracebin"
 )
 
@@ -809,7 +810,7 @@ func (s *Supervisor) StepInterval(ctx context.Context, n int) ([]cluster.Record,
 	}
 	recs := make([]cluster.Record, len(rows))
 	for i, b := range rows {
-		recs[i] = cluster.RecordFromBin(b)
+		recs[i] = cluster.Record{BS: b.BS, GroupIntervalRecord: sim.RecordFromBin(b)}
 	}
 	return recs, nil
 }

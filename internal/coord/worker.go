@@ -408,7 +408,7 @@ func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
 	}
 	rows := make([]tracebin.Record, len(recs))
 	for i, r := range recs {
-		rows[i] = r.BinRecord()
+		rows[i] = r.GroupIntervalRecord.BinRecord(r.BS)
 	}
 	if err := bw.Flush(rows); err != nil {
 		return err

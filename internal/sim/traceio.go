@@ -2,57 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"io"
-	"strconv"
 
 	"dtmsvs/internal/tracebin"
-	"dtmsvs/internal/traceio"
 )
-
-// recordHeader is the monolithic trace's CSV schema.
-var recordHeader = []string{
-	"interval", "group_id", "size",
-	"predicted_rbs", "actual_rbs", "allocated_rbs",
-	"predicted_cycles", "actual_cycles",
-	"predicted_bits", "actual_bits",
-	"predicted_waste_bits", "actual_waste_bits",
-	"actual_engagement_s",
-	"worst_snr_db", "bitrate_bps",
-}
-
-// CSVHeader returns the record's flat CSV schema.
-func (r GroupIntervalRecord) CSVHeader() []string { return recordHeader }
-
-// AppendCSVRow appends the record's CSV fields to dst.
-func (r GroupIntervalRecord) AppendCSVRow(dst []string) []string {
-	f := traceio.FormatFloat
-	return append(dst,
-		strconv.Itoa(r.Interval),
-		strconv.Itoa(r.GroupID),
-		strconv.Itoa(r.Size),
-		f(r.PredictedRBs), f(r.ActualRBs), strconv.Itoa(r.AllocatedRBs),
-		f(r.PredictedCycles), f(r.ActualCycles),
-		f(r.PredictedBits), f(r.ActualBits),
-		f(r.PredictedWasteBits), f(r.ActualWasteBits),
-		f(r.ActualEngagementS),
-		f(r.WorstSNRdB), f(r.BitrateBps),
-	)
-}
-
-// WriteRecordsJSON serializes the trace records as a JSON array.
-func WriteRecordsJSON(w io.Writer, records []GroupIntervalRecord) error {
-	return traceio.WriteJSONArray(w, records)
-}
-
-// ReadRecordsJSON decodes a JSON array of trace records.
-func ReadRecordsJSON(r io.Reader) ([]GroupIntervalRecord, error) {
-	return traceio.ReadJSONArray[GroupIntervalRecord](r, "trace")
-}
-
-// WriteRecordsCSV writes the trace records as CSV with a header row.
-func WriteRecordsCSV(w io.Writer, records []GroupIntervalRecord) error {
-	return traceio.WriteCSV(w, records)
-}
 
 // BinRecord flattens the record into the binary columnar trace row,
 // tagged with its serving cell (-1 for the monolithic engine's
@@ -97,36 +49,6 @@ func RecordFromBin(b tracebin.Record) GroupIntervalRecord {
 		WorstSNRdB:         b.WorstSNRdB,
 		BitrateBps:         b.BitrateBps,
 	}
-}
-
-// WriteRecordsBin writes the trace records in the binary columnar
-// format.
-func WriteRecordsBin(w io.Writer, records []GroupIntervalRecord) error {
-	bw, err := tracebin.NewWriter(w, tracebin.WriterOptions{})
-	if err != nil {
-		return err
-	}
-	rows := make([]tracebin.Record, len(records))
-	for i, r := range records {
-		rows[i] = r.BinRecord(-1)
-	}
-	if err := bw.Flush(rows); err != nil {
-		return err
-	}
-	return bw.Close()
-}
-
-// ReadRecordsBin decodes a binary columnar trace, dropping cell tags.
-func ReadRecordsBin(r io.Reader) ([]GroupIntervalRecord, error) {
-	rows, err := tracebin.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	records := make([]GroupIntervalRecord, len(rows))
-	for i, b := range rows {
-		records[i] = RecordFromBin(b)
-	}
-	return records, nil
 }
 
 // Summary aggregates a trace into run-level statistics.

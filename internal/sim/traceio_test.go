@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"bytes"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -16,88 +14,6 @@ func sampleRecords() []GroupIntervalRecord {
 			PredictedBits: 5e8, ActualBits: 5.1e8, WorstSNRdB: 12.5, BitrateBps: 2.5e6},
 		{Interval: 1, GroupID: 0, Size: 10, PredictedRBs: 3.3, ActualRBs: 3.1,
 			PredictedBits: 7e8, ActualBits: 6.9e8, WorstSNRdB: 9.1, BitrateBps: 1.85e6},
-	}
-}
-
-func TestTraceJSONRoundTrip(t *testing.T) {
-	recs := sampleRecords()
-	var buf bytes.Buffer
-	if err := WriteRecordsJSON(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadRecordsJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(recs) {
-		t.Fatalf("round trip %d != %d", len(back), len(recs))
-	}
-	for i := range recs {
-		if back[i] != recs[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
-func TestReadRecordsJSONError(t *testing.T) {
-	for _, in := range []string{"", "nope", `{"interval": 0}`, `[{"interval": "zero"}]`, `[1, 2]`} {
-		if _, err := ReadRecordsJSON(strings.NewReader(in)); err == nil {
-			t.Fatalf("malformed input %q must error", in)
-		}
-	}
-}
-
-func TestTraceJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteRecordsJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadRecordsJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 0 {
-		t.Fatalf("empty round trip returned %d records", len(back))
-	}
-	// A zero-value record must survive unchanged too.
-	buf.Reset()
-	if err := WriteRecordsJSON(&buf, []GroupIntervalRecord{{}}); err != nil {
-		t.Fatal(err)
-	}
-	back, err = ReadRecordsJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0] != (GroupIntervalRecord{}) {
-		t.Fatalf("zero record round trip: %+v", back)
-	}
-}
-
-func TestTraceCSVEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteRecordsCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("empty trace must write only the header, got %d lines", len(lines))
-	}
-}
-
-func TestTraceCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteRecordsCSV(&buf, sampleRecords()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("%d csv lines, want header + 3", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "interval,group_id,size,predicted_rbs") {
-		t.Fatalf("header %q", lines[0])
-	}
-	if !strings.Contains(lines[1], ",4,") {
-		t.Fatalf("allocated rbs missing from %q", lines[1])
 	}
 }
 

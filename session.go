@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"dtmsvs/internal/checkpoint"
@@ -129,23 +128,6 @@ func (r *TraceRecord) UnmarshalJSON(data []byte) error {
 		r.BS = *aux.BS
 	}
 	return nil
-}
-
-// CSVHeader returns the record's flat CSV schema (the cluster schema
-// when BS >= 0).
-func (r TraceRecord) CSVHeader() []string {
-	if r.BS < 0 {
-		return r.GroupIntervalRecord.CSVHeader()
-	}
-	return append([]string{"bs"}, r.GroupIntervalRecord.CSVHeader()...)
-}
-
-// AppendCSVRow appends the record's CSV fields to dst.
-func (r TraceRecord) AppendCSVRow(dst []string) []string {
-	if r.BS >= 0 {
-		dst = append(dst, strconv.Itoa(r.BS))
-	}
-	return r.GroupIntervalRecord.AppendCSVRow(dst)
 }
 
 // IntervalReport is what one Step produced: the interval's records
@@ -748,13 +730,6 @@ func OpenCluster(cfg ClusterConfig, opts ...SessionOption) (*ClusterSession, err
 	eng.SetMetrics(o.metrics)
 	st := &clusterStepper{eng: eng, cfg: eng.Config()}
 	return &ClusterSession{session: newSession(st, "cluster", st.cfg.Sim, o), st: st}, nil
-}
-
-// ReadTraceRecordsNDJSON decodes the newline-delimited JSON stream an
-// NDJSONSink writes (either engine's schema; rows without a "bs"
-// field decode with BS = -1).
-func ReadTraceRecordsNDJSON(r io.Reader) ([]TraceRecord, error) {
-	return readNDJSONRecords(r)
 }
 
 // AccuracyTracker folds a run's accuracy metrics from interval

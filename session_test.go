@@ -398,7 +398,7 @@ func TestTraceRecordEncodings(t *testing.T) {
 	if !strings.HasPrefix(lines[1], `{"bs":3,`) {
 		t.Fatalf("cluster record missing leading bs: %s", lines[1])
 	}
-	back, err := ReadTraceRecordsNDJSON(strings.NewReader(buf.String()))
+	back, err := ReadTraceRecords(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,11 @@
 package dtmsvs
 
 import (
+	"bufio"
+	"encoding/csv"
+	"encoding/json"
+	"fmt"
 	"io"
-
-	"dtmsvs/internal/traceio"
 )
 
 // TraceSink receives trace records as a session produces them. A
@@ -42,44 +44,78 @@ func (b *BufferedSink) Flush() error { return nil }
 
 // NDJSONSink streams records as newline-delimited JSON: one record
 // per line, in the engine's record schema (monolithic records carry
-// no "bs" field). Decode with ReadTraceRecordsNDJSON.
+// no "bs" field). Decode with ReadTraceRecords or ReadTraceFile.
 type NDJSONSink struct {
-	s *traceio.NDJSONStream
+	bw  *bufio.Writer
+	enc *json.Encoder
 }
 
 // NewNDJSONSink returns an NDJSON sink over w.
 func NewNDJSONSink(w io.Writer) *NDJSONSink {
-	return &NDJSONSink{s: traceio.NewNDJSONStream(w)}
+	bw := bufio.NewWriter(w)
+	return &NDJSONSink{bw: bw, enc: json.NewEncoder(bw)}
 }
 
-// WriteRecord implements TraceSink.
-func (s *NDJSONSink) WriteRecord(r TraceRecord) error { return s.s.Write(r) }
+// WriteRecord implements TraceSink, encoding the record as one line.
+func (s *NDJSONSink) WriteRecord(r TraceRecord) error { return s.enc.Encode(r) }
 
-// Flush implements TraceSink.
-func (s *NDJSONSink) Flush() error { return s.s.Flush() }
+// Flush implements TraceSink, pushing buffered lines to the writer.
+func (s *NDJSONSink) Flush() error { return s.bw.Flush() }
 
 // CSVSink streams records as CSV, writing the header before the first
 // record (the monolithic schema for BS < 0 records, the bs-prefixed
 // cluster schema otherwise — a session never mixes the two). Sessions
 // tell the sink which schema to expect via SetSchema, so a run that
 // ends before its first interval completes (e.g. cancelled during the
-// prologue) leaves a header-only file, matching the batch
-// WriteTraceCSV helpers. A bare CSVSink used outside a session gets
-// the same behavior by calling SetSchema itself.
+// prologue) leaves a header-only file. A bare CSVSink used outside a
+// session gets the same behavior by calling SetSchema itself. Decode
+// with ReadTraceRecords or ReadTraceFile.
 type CSVSink struct {
-	s *traceio.CSVStream
+	cw      *csv.Writer
+	row     []string
+	started bool
+	empty   []string // header to write if Flush comes before any record
 }
 
 // NewCSVSink returns a CSV sink over w.
 func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{s: traceio.NewCSVStream(w)}
+	return &CSVSink{cw: csv.NewWriter(w)}
 }
 
-// WriteRecord implements TraceSink.
-func (s *CSVSink) WriteRecord(r TraceRecord) error { return s.s.Write(r) }
+// writeHeader writes header unless a header has already been written.
+func (s *CSVSink) writeHeader(header []string) error {
+	if s.started {
+		return nil
+	}
+	s.started = true
+	if err := s.cw.Write(header); err != nil {
+		return fmt.Errorf("write header: %w", err)
+	}
+	return nil
+}
 
-// Flush implements TraceSink.
-func (s *CSVSink) Flush() error { return s.s.Flush() }
+// WriteRecord implements TraceSink, emitting the header first if this
+// is the stream's first row.
+func (s *CSVSink) WriteRecord(r TraceRecord) error {
+	if err := s.writeHeader(r.csvHeader()); err != nil {
+		return err
+	}
+	s.row = r.appendCSVRow(s.row[:0])
+	return s.cw.Write(s.row)
+}
+
+// Flush implements TraceSink: it drains the encoder's buffer to the
+// writer, first emitting the SetSchema header if nothing has been
+// written yet.
+func (s *CSVSink) Flush() error {
+	if s.empty != nil {
+		if err := s.writeHeader(s.empty); err != nil {
+			return err
+		}
+	}
+	s.cw.Flush()
+	return s.cw.Error()
+}
 
 // SetSchema arms the stream with the record schema so a run that
 // flushes with zero records still emits the header row. The sample's
@@ -89,7 +125,7 @@ func (s *CSVSink) Flush() error { return s.s.Flush() }
 // via WithSink; a bare CSVSink used outside a session should call it
 // before the first Flush or Close. Once a record has been written (or
 // the header emitted) further calls have no effect.
-func (s *CSVSink) SetSchema(r TraceRecord) { s.s.SetEmptyHeader(r) }
+func (s *CSVSink) SetSchema(r TraceRecord) { s.empty = r.csvHeader() }
 
 // DiscardSink drops every record: attach it when only the run-level
 // statistics and interval reports matter, so neither the session nor
@@ -101,7 +137,3 @@ func (DiscardSink) WriteRecord(TraceRecord) error { return nil }
 
 // Flush implements TraceSink.
 func (DiscardSink) Flush() error { return nil }
-
-func readNDJSONRecords(r io.Reader) ([]TraceRecord, error) {
-	return traceio.ReadNDJSON[TraceRecord](r, "trace stream")
-}

@@ -26,7 +26,7 @@ func TestCSVSinkBareSetSchema(t *testing.T) {
 			if err := sink.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			wantHeader := strings.Join(tc.sample.CSVHeader(), ",") + "\n"
+			wantHeader := strings.Join(tc.sample.csvHeader(), ",") + "\n"
 			if bare.String() != wantHeader {
 				t.Fatalf("bare sink header %q want %q", bare.String(), wantHeader)
 			}
@@ -68,7 +68,7 @@ func TestCSVSinkSessionHeaderOnEmptyDistributedRun(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantHeader := strings.Join(TraceRecord{BS: 0}.CSVHeader(), ",") + "\n"
+	wantHeader := strings.Join(TraceRecord{BS: 0}.csvHeader(), ",") + "\n"
 	if buf.String() != wantHeader {
 		t.Fatalf("empty distributed run left %q want header only", buf.String())
 	}

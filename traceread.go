@@ -1,41 +1,43 @@
-// This file holds the format-transparent trace reader: one entry
-// point that accepts any trace a dtmsvs writer produces — JSON array,
-// NDJSON, CSV (either engine's schema) or the binary columnar format
-// — detecting the format from the stream's first bytes.
+// This file holds the trace reader — one entry point that accepts any
+// trace a dtmsvs sink writes (JSON array, NDJSON, CSV in either
+// engine's schema, or the binary columnar format), detecting the
+// format from the stream's first bytes — and the CSV schema that
+// CSVSink writes and the reader checks.
 package dtmsvs
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 
+	"dtmsvs/internal/sim"
 	"dtmsvs/internal/tracebin"
-	"dtmsvs/internal/traceio"
 )
 
-// TraceFormat names one of the trace encodings this package writes.
-type TraceFormat string
+// traceFormat names one of the trace encodings this package writes.
+type traceFormat string
 
-// The trace encodings DetectTraceFormat can report.
+// The trace encodings detectTraceFormat can report.
 const (
-	FormatJSON   TraceFormat = "json"   // indented JSON array (batch helpers)
-	FormatNDJSON TraceFormat = "ndjson" // one JSON object per line (NDJSONSink)
-	FormatCSV    TraceFormat = "csv"    // header + rows (CSVSink, batch helpers)
-	FormatBin    TraceFormat = "bin"    // binary columnar (BinarySink)
+	formatJSON   traceFormat = "json"   // indented JSON array (dtsim -format json)
+	formatNDJSON traceFormat = "ndjson" // one JSON object per line (NDJSONSink)
+	formatCSV    traceFormat = "csv"    // header + rows (CSVSink)
+	formatBin    traceFormat = "bin"    // binary columnar (BinarySink)
 )
 
-// DetectTraceFormat sniffs the trace encoding from the stream's head
+// detectTraceFormat sniffs the trace encoding from the stream's head
 // without consuming it: the binary magic bytes, else the first
 // non-whitespace byte ('[' a JSON array, '{' NDJSON, anything else
 // CSV — every CSV header starts with a letter). An empty stream
 // reports CSV, whose reader treats it as an empty trace.
-func DetectTraceFormat(br *bufio.Reader) TraceFormat {
+func detectTraceFormat(br *bufio.Reader) traceFormat {
 	if head, err := br.Peek(len(tracebin.Magic())); err == nil && bytes.Equal(head, tracebin.Magic()) {
-		return FormatBin
+		return formatBin
 	}
 	// Peek far enough to skip leading whitespace in text formats.
 	head, _ := br.Peek(512)
@@ -44,20 +46,23 @@ func DetectTraceFormat(br *bufio.Reader) TraceFormat {
 		case ' ', '\t', '\r', '\n':
 			continue
 		case '[':
-			return FormatJSON
+			return formatJSON
 		case '{':
-			return FormatNDJSON
+			return formatNDJSON
 		}
 		break
 	}
-	return FormatCSV
+	return formatCSV
 }
 
 // ReadTraceRecords decodes a trace in any format this package writes
 // — JSON array, NDJSON, CSV (monolithic or cluster schema) or binary
 // columnar — auto-detected from the stream's first bytes. Rows
 // without a serving cell decode with BS = -1. An empty stream is an
-// empty trace.
+// empty trace. On an error in an NDJSON, CSV or binary stream the
+// records decoded before it are returned alongside it, so a torn tail
+// still yields its readable prefix; a JSON array decodes whole or not
+// at all.
 func ReadTraceRecords(r io.Reader) ([]TraceRecord, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -66,16 +71,12 @@ func ReadTraceRecords(r io.Reader) ([]TraceRecord, error) {
 	if _, err := br.Peek(1); err == io.EOF {
 		return nil, nil
 	}
-	switch f := DetectTraceFormat(br); f {
-	case FormatBin:
-		recs, err := ReadTraceRecordsBin(br)
-		if err != nil {
-			return recs, err
-		}
-		return recs, nil
-	case FormatJSON:
+	switch detectTraceFormat(br) {
+	case formatBin:
+		return readBinRecords(br)
+	case formatJSON:
 		return readJSONArrayRecords(br)
-	case FormatNDJSON:
+	case formatNDJSON:
 		return readNDJSONRecords(br)
 	default:
 		return readCSVRecords(br)
@@ -83,7 +84,8 @@ func ReadTraceRecords(r io.Reader) ([]TraceRecord, error) {
 }
 
 // ReadTraceFile opens and decodes a trace file in any supported
-// format.
+// format. Like ReadTraceRecords it returns the records decoded before
+// an error alongside it.
 func ReadTraceFile(path string) ([]TraceRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -92,19 +94,96 @@ func ReadTraceFile(path string) ([]TraceRecord, error) {
 	defer f.Close()
 	recs, err := ReadTraceRecords(f)
 	if err != nil {
-		return nil, fmt.Errorf("read trace %s: %w", path, err)
+		return recs, fmt.Errorf("read trace %s: %w", path, err)
 	}
 	return recs, nil
+}
+
+// readBinRecords decodes the binary columnar stream a BinarySink
+// writes (either engine's schema; monolithic rows carry BS = -1).
+// Records decoded before an error are returned alongside it.
+func readBinRecords(r io.Reader) ([]TraceRecord, error) {
+	rows, err := tracebin.ReadAll(r)
+	out := make([]TraceRecord, len(rows))
+	for i, b := range rows {
+		out[i] = TraceRecord{BS: b.BS, GroupIntervalRecord: sim.RecordFromBin(b)}
+	}
+	return out, err
 }
 
 // readJSONArrayRecords decodes a JSON array of records; TraceRecord's
 // UnmarshalJSON accepts both engine schemas per element.
 func readJSONArrayRecords(r io.Reader) ([]TraceRecord, error) {
-	return traceio.ReadJSONArray[TraceRecord](r, "trace")
+	var out []TraceRecord
+	if err := json.NewDecoder(r).Decode(&out); err != nil {
+		return nil, fmt.Errorf("decode trace: %w", err)
+	}
+	return out, nil
+}
+
+// readNDJSONRecords decodes newline-delimited JSON records until EOF,
+// returning the records decoded before an error alongside it.
+func readNDJSONRecords(r io.Reader) ([]TraceRecord, error) {
+	dec := json.NewDecoder(r)
+	var out []TraceRecord
+	for {
+		var rec TraceRecord
+		if err := dec.Decode(&rec); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return out, fmt.Errorf("decode trace stream: %w", err)
+		}
+		out = append(out, rec)
+	}
+}
+
+// csvColumns is the monolithic trace's CSV schema; clusterCSVColumns
+// prefixes it with the serving cell.
+var (
+	csvColumns = []string{
+		"interval", "group_id", "size",
+		"predicted_rbs", "actual_rbs", "allocated_rbs",
+		"predicted_cycles", "actual_cycles",
+		"predicted_bits", "actual_bits",
+		"predicted_waste_bits", "actual_waste_bits",
+		"actual_engagement_s",
+		"worst_snr_db", "bitrate_bps",
+	}
+	clusterCSVColumns = append([]string{"bs"}, csvColumns...)
+)
+
+// csvHeader returns the record's flat CSV schema (the cluster schema
+// when BS >= 0).
+func (r TraceRecord) csvHeader() []string {
+	if r.BS < 0 {
+		return csvColumns
+	}
+	return clusterCSVColumns
+}
+
+// appendCSVRow appends the record's CSV fields to dst in csvHeader
+// order. Floats carry 10 significant digits.
+func (r TraceRecord) appendCSVRow(dst []string) []string {
+	if r.BS >= 0 {
+		dst = append(dst, strconv.Itoa(r.BS))
+	}
+	f := func(x float64) string { return strconv.FormatFloat(x, 'g', 10, 64) }
+	g := &r.GroupIntervalRecord
+	return append(dst,
+		strconv.Itoa(g.Interval),
+		strconv.Itoa(g.GroupID),
+		strconv.Itoa(g.Size),
+		f(g.PredictedRBs), f(g.ActualRBs), strconv.Itoa(g.AllocatedRBs),
+		f(g.PredictedCycles), f(g.ActualCycles),
+		f(g.PredictedBits), f(g.ActualBits),
+		f(g.PredictedWasteBits), f(g.ActualWasteBits),
+		f(g.ActualEngagementS),
+		f(g.WorstSNRdB), f(g.BitrateBps),
+	)
 }
 
 // readCSVRecords decodes a CSV trace in either engine's schema,
-// validating the header against the schema the writers emit.
+// validating the header against the schema CSVSink writes.
 func readCSVRecords(r io.Reader) ([]TraceRecord, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
@@ -116,9 +195,9 @@ func readCSVRecords(r io.Reader) ([]TraceRecord, error) {
 		return nil, fmt.Errorf("read trace CSV header: %w", err)
 	}
 	hasBS := len(header) > 0 && header[0] == "bs"
-	want := TraceRecord{BS: -1}.CSVHeader()
+	want := csvColumns
 	if hasBS {
-		want = TraceRecord{BS: 0}.CSVHeader()
+		want = clusterCSVColumns
 	}
 	if len(header) != len(want) {
 		return nil, fmt.Errorf("trace CSV header has %d columns, want %d", len(header), len(want))
