@@ -96,3 +96,41 @@ func TestReadTraceRecordsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestReadTraceRecordsZeroRecord: a zero-value record of either schema
+// survives every writer and the reader unchanged, and so does an empty
+// trace.
+func TestReadTraceRecordsZeroRecord(t *testing.T) {
+	writers := map[string]func(w *bytes.Buffer) TraceSink{
+		"ndjson": func(w *bytes.Buffer) TraceSink { return NewNDJSONSink(w) },
+		"csv":    func(w *bytes.Buffer) TraceSink { return NewCSVSink(w) },
+		"bin": func(w *bytes.Buffer) TraceSink {
+			s, err := NewBinarySink(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	}
+	for _, recs := range [][]TraceRecord{nil, {{BS: -1}}, {{BS: 0}}} {
+		for name, sink := range writers {
+			var buf bytes.Buffer
+			s := sink(&buf)
+			for _, r := range recs {
+				if err := s.WriteRecord(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadTraceRecords(&buf)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, recs, err)
+			}
+			if len(got) != len(recs) || (len(recs) > 0 && got[0] != recs[0]) {
+				t.Fatalf("%s: %+v read back as %+v", name, recs, got)
+			}
+		}
+	}
+}
