@@ -9,7 +9,6 @@
 //	dteval -exp users -counts 50,100,200
 //	dteval -exp predictors
 //	dteval -exp cluster -out trace.ndjson
-//	dteval -trace trace.bin
 //
 // Every experiment runs through the context-aware session API:
 // Ctrl-C cancels at the next interval boundary. For the single-trace
@@ -17,11 +16,8 @@
 // the underlying trace as NDJSON (or CSV/binary-columnar with
 // -format csv/bin), flushed per interval. "-out -" streams the trace
 // to stdout and moves the experiment tables to stderr, so stdout
-// stays a clean trace stream.
-//
-// -trace FILE skips simulation and summarizes a previously written
-// trace instead; the format (json, ndjson, csv or bin) is
-// auto-detected from the file's first bytes.
+// stays a clean trace stream. To summarize a stored trace, use
+// dtreport -trace.
 package main
 
 import (
@@ -58,13 +54,8 @@ func run() error {
 		shards    = flag.Int("shards", 0, "shard count for -exp cluster (0 = one per BS)")
 		out       = flag.String("out", "", "stream the experiment's trace to this file (single-trace experiments only)")
 		format    = flag.String("format", "ndjson", `-out stream format: "ndjson", "csv" or "bin" (binary columnar)`)
-		tracePath = flag.String("trace", "", "evaluate a previously written trace file (any format: json, ndjson, csv, bin) instead of running an experiment")
 	)
 	flag.Parse()
-
-	if *tracePath != "" {
-		return evalTrace(os.Stdout, *tracePath)
-	}
 
 	cfg := dtmsvs.DefaultConfig(*seed)
 	cfg.NumUsers = *users
@@ -145,68 +136,6 @@ func run() error {
 		return nil
 	}
 	return err
-}
-
-// evalTrace summarizes a previously written trace file of any format
-// (json, ndjson, csv or bin — auto-detected), so stored runs can be
-// re-evaluated without re-simulating.
-func evalTrace(w io.Writer, path string) error {
-	recs, err := dtmsvs.ReadTraceFile(path)
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("trace %s holds no records", path)
-	}
-	intervals := map[int]bool{}
-	cells := map[int]bool{}
-	groups := map[int]bool{}
-	var predRBs, actRBs, absRBs float64
-	var predCyc, actCyc, absCyc float64
-	var predWaste, actWaste float64
-	for _, r := range recs {
-		intervals[r.Interval] = true
-		groups[r.GroupID] = true
-		if r.BS >= 0 {
-			cells[r.BS] = true
-		}
-		predRBs += r.PredictedRBs
-		actRBs += r.ActualRBs
-		absRBs += abs(r.PredictedRBs - r.ActualRBs)
-		predCyc += r.PredictedCycles
-		actCyc += r.ActualCycles
-		absCyc += abs(r.PredictedCycles - r.ActualCycles)
-		predWaste += r.PredictedWasteBits
-		actWaste += r.ActualWasteBits
-	}
-	fmt.Fprintf(w, "trace %s\n", path)
-	fmt.Fprintf(w, "records: %d   intervals: %d   groups: %d   cells: %d\n",
-		len(recs), len(intervals), len(groups), len(cells))
-	fmt.Fprintf(w, "radio:   predicted %.1f RBs, actual %.1f RBs, accuracy %.2f%%\n",
-		predRBs, actRBs, accuracy(absRBs, actRBs)*100)
-	fmt.Fprintf(w, "compute: predicted %.3e cycles, actual %.3e cycles, accuracy %.2f%%\n",
-		predCyc, actCyc, accuracy(absCyc, actCyc)*100)
-	fmt.Fprintf(w, "waste:   predicted %.3e bits, actual %.3e bits\n", predWaste, actWaste)
-	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// accuracy is the volume-accuracy form the experiments report:
-// 1 - Σ|error| / Σ actual, clamped at zero.
-func accuracy(absErr, actual float64) float64 {
-	if actual == 0 {
-		return 1
-	}
-	if acc := 1 - absErr/actual; acc > 0 {
-		return acc
-	}
-	return 0
 }
 
 func runCluster(ctx context.Context, w io.Writer, cfg dtmsvs.Config, shards int, opts []dtmsvs.SessionOption) error {

@@ -16,8 +16,10 @@
 //
 // With -trace FILE the tool renders a markdown summary of a stored
 // trace instead — per-interval demand and accuracy tables built from
-// the records. The trace format (json, ndjson, csv or the binary
-// columnar bin) is auto-detected from the file's first bytes.
+// the records, scored by dtmsvs.AccuracyTracker so the totals equal
+// the accuracy the run itself reported. The trace format (json,
+// ndjson, csv or the binary columnar bin) is auto-detected from the
+// file's first bytes.
 package main
 
 import (

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,6 +239,42 @@ func TestDistributedWorkerFailed(t *testing.T) {
 	}
 	if !errors.Is(stepErr, ErrWorkerFailed) {
 		t.Fatalf("exhausted budget: %v", stepErr)
+	}
+}
+
+// TestDistributedStepTimeout: a worker that stalls mid-boundary while
+// its heartbeat budget still has slack is caught by the step deadline
+// — Step fails with ErrWorkerFailed long before the stall ends — and
+// Close still returns.
+func TestDistributedStepTimeout(t *testing.T) {
+	const (
+		stepTimeout = 500 * time.Millisecond
+		hang        = 3 * time.Second
+	)
+	s, err := OpenDistributed(distTestConfig(19, 1), 1,
+		WithWorkerRestartPolicy(-1, 0),
+		WithWorkerHeartbeat(50*time.Millisecond, 400), // 20s: longer than both
+		WithWorkerStepTimeout(stepTimeout),
+		WithProcFaults(hang, ProcFault{Worker: 0, Interval: 0, Kind: ProcHang}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, stepErr := s.Step(context.Background())
+	elapsed := time.Since(start)
+	if !errors.Is(stepErr, ErrWorkerFailed) || !strings.Contains(stepErr.Error(), "interval 0: step deadline") {
+		t.Errorf("Step: want ErrWorkerFailed on interval 0's step deadline, got %v", stepErr)
+	}
+	if elapsed > hang/2 {
+		t.Errorf("Step took %v: the deadline did not preempt the %v hang", elapsed, hang)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(hang + 10*time.Second):
+		t.Fatal("Close did not return")
 	}
 }
 

@@ -151,7 +151,11 @@ func Fig3bFromTrace(tr *Trace) (*Fig3bResult, error) {
 	if len(pred) == 0 {
 		return nil, fmt.Errorf("group %d has no records: %w", id, ErrExperiment)
 	}
-	acc, err := stats.PredictionAccuracy(pred, actual)
+	var groupAcc stats.OnlineMAPE
+	for i := range pred {
+		groupAcc.Add(pred[i], actual[i])
+	}
+	acc, err := groupAcc.Accuracy()
 	if err != nil {
 		return nil, err
 	}
@@ -601,7 +605,8 @@ func RunPredictorBaselines(ctx context.Context, cfg Config, opts ...SessionOptio
 		return nil, err
 	}
 	for bi := range probe {
-		var preds, actuals []float64
+		var fold stats.OnlineMAPE
+		forecasts := 0
 		for _, series := range groups {
 			bs, berr := mkBaselines()
 			if berr != nil {
@@ -610,16 +615,16 @@ func RunPredictorBaselines(ctx context.Context, cfg Config, opts ...SessionOptio
 			b := bs[bi]
 			for _, x := range series {
 				if p, ok := b.Predict(); ok {
-					preds = append(preds, p)
-					actuals = append(actuals, x)
+					fold.Add(p, x)
+					forecasts++
 				}
 				b.Observe(x)
 			}
 		}
-		if len(preds) == 0 {
+		if forecasts == 0 {
 			return nil, fmt.Errorf("baseline %q produced no forecasts: %w", probe[bi].Name(), ErrExperiment)
 		}
-		acc, aerr := stats.PredictionAccuracy(preds, actuals)
+		acc, aerr := fold.Accuracy()
 		if aerr != nil {
 			return nil, aerr
 		}

@@ -158,22 +158,20 @@ type Trace struct {
 // RadioAccuracy returns the paper's prediction-accuracy metric over
 // all cells' radio demand.
 func (t *Trace) RadioAccuracy() (float64, error) {
-	var pred, actual []float64
+	var acc stats.OnlineMAPE
 	for _, r := range t.Records {
-		pred = append(pred, r.PredictedRBs)
-		actual = append(actual, r.ActualRBs)
+		acc.Add(r.PredictedRBs, r.ActualRBs)
 	}
-	return stats.PredictionAccuracy(pred, actual)
+	return acc.Accuracy()
 }
 
 // ComputeAccuracy returns the volume accuracy over computing demand.
 func (t *Trace) ComputeAccuracy() (float64, error) {
-	var pred, actual []float64
+	var acc stats.OnlineVolume
 	for _, r := range t.Records {
-		pred = append(pred, r.PredictedCycles)
-		actual = append(actual, r.ActualCycles)
+		acc.Add(r.PredictedCycles, r.ActualCycles)
 	}
-	return stats.VolumeAccuracy(pred, actual)
+	return acc.Accuracy()
 }
 
 // cellState is the engine's bookkeeping for one coverage cell.

@@ -290,9 +290,6 @@ func (a *Agent) SetGEMMPool(p *vecmath.GEMMPool) {
 // Epsilon returns the current exploration rate.
 func (a *Agent) Epsilon() float64 { return a.eps }
 
-// ReplayLen returns the number of buffered transitions.
-func (a *Agent) ReplayLen() int { return a.replay.Len() }
-
 // QValues returns the online network's Q estimate for a state. The
 // returned vector is caller-owned (a copy of the network scratch).
 func (a *Agent) QValues(state vecmath.Vec) (vecmath.Vec, error) {

@@ -316,12 +316,11 @@ func (t *Trace) GroupSeries(groupID int) (pred, actual []float64) {
 // RadioAccuracy returns the paper's prediction-accuracy metric over
 // all groups' radio demand.
 func (t *Trace) RadioAccuracy() (float64, error) {
-	var pred, actual []float64
+	var acc stats.OnlineMAPE
 	for _, r := range t.Records {
-		pred = append(pred, r.PredictedRBs)
-		actual = append(actual, r.ActualRBs)
+		acc.Add(r.PredictedRBs, r.ActualRBs)
 	}
-	return stats.PredictionAccuracy(pred, actual)
+	return acc.Accuracy()
 }
 
 // ComputeAccuracy returns the volume accuracy over computing demand
@@ -329,23 +328,21 @@ func (t *Trace) RadioAccuracy() (float64, error) {
 // intervals — so the volume metric (1 − Σ|err|/Σactual) is used
 // instead of the per-sample percentage metric.
 func (t *Trace) ComputeAccuracy() (float64, error) {
-	var pred, actual []float64
+	var acc stats.OnlineVolume
 	for _, r := range t.Records {
-		pred = append(pred, r.PredictedCycles)
-		actual = append(actual, r.ActualCycles)
+		acc.Add(r.PredictedCycles, r.ActualCycles)
 	}
-	return stats.VolumeAccuracy(pred, actual)
+	return acc.Accuracy()
 }
 
 // WasteAccuracy returns the volume accuracy of the wasted-traffic
 // prediction — the paper's over-provisioning quantity.
 func (t *Trace) WasteAccuracy() (float64, error) {
-	var pred, actual []float64
+	var acc stats.OnlineVolume
 	for _, r := range t.Records {
-		pred = append(pred, r.PredictedWasteBits)
-		actual = append(actual, r.ActualWasteBits)
+		acc.Add(r.PredictedWasteBits, r.ActualWasteBits)
 	}
-	return stats.VolumeAccuracy(pred, actual)
+	return acc.Accuracy()
 }
 
 // Random-stream tags: the first id fed to parallel.DeriveSeed after

@@ -324,75 +324,53 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// mape folds (pred, actual) pairs through OnlineMAPE and returns the
+// fold's unclamped MAPE and its clamped accuracy.
+func mape(pred, actual []float64) (m, acc float64, err error) {
+	var o OnlineMAPE
+	for i := range pred {
+		o.Add(pred[i], actual[i])
+	}
+	if o.n > 0 {
+		m = o.sum / float64(o.n)
+	}
+	acc, err = o.Accuracy()
+	return m, acc, err
+}
+
 func TestMetricsErrors(t *testing.T) {
-	for _, fn := range []func([]float64, []float64) (float64, error){MAPE, RMSE, MAE, PredictionAccuracy, R2} {
-		if _, err := fn(nil, nil); !errors.Is(err, ErrMetric) {
-			t.Fatalf("want ErrMetric, got %v", err)
-		}
-		if _, err := fn([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrMetric) {
-			t.Fatalf("want ErrMetric, got %v", err)
-		}
+	if _, _, err := mape(nil, nil); !errors.Is(err, ErrMetric) {
+		t.Fatalf("empty: want ErrMetric, got %v", err)
 	}
-	if _, err := MAPE([]float64{1, 2}, []float64{0, 0}); !errors.Is(err, ErrMetric) {
+	if _, _, err := mape([]float64{1, 2}, []float64{0, 0}); !errors.Is(err, ErrMetric) {
 		t.Fatalf("all-zero actuals must fail, got %v", err)
-	}
-	if _, err := R2([]float64{1, 2}, []float64{3, 3}); !errors.Is(err, ErrMetric) {
-		t.Fatalf("constant actuals must fail R2, got %v", err)
 	}
 }
 
 func TestMetricsValues(t *testing.T) {
-	pred := []float64{110, 90}
-	actual := []float64{100, 100}
-	mape, err := MAPE(pred, actual)
+	m, acc, err := mape([]float64{110, 90}, []float64{100, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(mape-0.1) > 1e-12 {
-		t.Fatalf("mape %v", mape)
-	}
-	acc, err := PredictionAccuracy(pred, actual)
-	if err != nil {
-		t.Fatal(err)
+	if math.Abs(m-0.1) > 1e-12 {
+		t.Fatalf("mape %v", m)
 	}
 	if math.Abs(acc-0.9) > 1e-12 {
 		t.Fatalf("accuracy %v", acc)
-	}
-	rmse, err := RMSE(pred, actual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rmse-10) > 1e-12 {
-		t.Fatalf("rmse %v", rmse)
-	}
-	mae, err := MAE(pred, actual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mae-10) > 1e-12 {
-		t.Fatalf("mae %v", mae)
-	}
-	varied := []float64{100, 200}
-	r2, err := R2(varied, varied)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r2-1) > 1e-12 {
-		t.Fatalf("perfect r2 %v", r2)
 	}
 }
 
 func TestPredictionAccuracyClamps(t *testing.T) {
 	// Wildly wrong prediction: accuracy floors at 0 rather than going
 	// negative.
-	acc, err := PredictionAccuracy([]float64{1000}, []float64{1})
+	_, acc, err := mape([]float64{1000}, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if acc != 0 {
 		t.Fatalf("accuracy %v, want 0", acc)
 	}
-	acc, err = PredictionAccuracy([]float64{1, 2}, []float64{1, 2})
+	_, acc, err = mape([]float64{1, 2}, []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,12 +380,40 @@ func TestPredictionAccuracyClamps(t *testing.T) {
 }
 
 func TestMAPESkipsZeroActuals(t *testing.T) {
-	mape, err := MAPE([]float64{5, 110}, []float64{0, 100})
+	m, _, err := mape([]float64{5, 110}, []float64{0, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(mape-0.1) > 1e-12 {
-		t.Fatalf("mape %v, want 0.1 (zero-actual skipped)", mape)
+	if math.Abs(m-0.1) > 1e-12 {
+		t.Fatalf("mape %v, want 0.1 (zero-actual skipped)", m)
+	}
+}
+
+func TestOnlineVolume(t *testing.T) {
+	volume := func(pred, actual []float64) (float64, error) {
+		var o OnlineVolume
+		for i := range pred {
+			o.Add(pred[i], actual[i])
+		}
+		return o.Accuracy()
+	}
+	// Σ|err| = 10 + 0 + 5 = 15 over Σactual = 100 + 0 + 50 = 150: the
+	// zero-actual sample still counts, unlike MAPE.
+	acc, err := volume([]float64{110, 0, 45}, []float64{100, 0, 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(acc-0.9) > 1e-12 {
+		t.Fatalf("volume accuracy %v, want 0.9", acc)
+	}
+	if acc, err = volume([]float64{1000}, []float64{1}); err != nil || acc != 0 {
+		t.Fatalf("volume accuracy %v (%v), want clamp to 0", acc, err)
+	}
+	if _, err := volume(nil, nil); !errors.Is(err, ErrMetric) {
+		t.Fatalf("empty: want ErrMetric, got %v", err)
+	}
+	if _, err := volume([]float64{1, 2}, []float64{0, 0}); !errors.Is(err, ErrMetric) {
+		t.Fatalf("zero actual volume: want ErrMetric, got %v", err)
 	}
 }
 

@@ -177,8 +177,9 @@ type Twin struct {
 	watch      ring // watch durations (s)
 	engage     ring // engagement ratios [0,1]
 	pref       behavior.Preference
-	// watchByCat accumulates total watch seconds per category since
-	// the last ResetIntervalCounters call.
+	// watchByCat accumulates total watch seconds per category. The
+	// view counters below are cumulative over the twin's life: the
+	// engines never reset them (see ResetIntervalCounters).
 	watchByCat  [video.NumCategories]float64
 	engageByCat [video.NumCategories]float64
 	viewsByCat  [video.NumCategories]int
@@ -373,41 +374,40 @@ func (t *Twin) Preference() behavior.Preference {
 	return t.pref.Clone()
 }
 
-// WatchByCategory returns total watch seconds per category since the
-// last interval reset.
+// WatchByCategory returns the cumulative watch seconds per category.
 func (t *Twin) WatchByCategory() [video.NumCategories]float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.watchByCat
 }
 
-// EngagementByCategory returns the summed engagement fractions per
-// category since the last interval reset; divided by the view counts
-// it yields the mean watched fraction per category — the direct input
-// to the group swiping-probability distribution.
+// EngagementByCategory returns the cumulative summed engagement
+// fractions per category; divided by the view counts it yields the
+// mean watched fraction per category — the direct input to the group
+// swiping-probability distribution.
 func (t *Twin) EngagementByCategory() [video.NumCategories]float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.engageByCat
 }
 
-// ViewsByCategory returns view counts per category since the last
-// interval reset.
+// ViewsByCategory returns the cumulative view counts per category.
 func (t *Twin) ViewsByCategory() [video.NumCategories]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.viewsByCat
 }
 
-// SwipeStats returns (swipes, views) since the last interval reset.
+// SwipeStats returns the cumulative (swipes, views).
 func (t *Twin) SwipeStats() (swipes, views int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.swipes, t.views
 }
 
-// ResetIntervalCounters clears the per-interval accumulators (called
-// at each reservation-interval boundary).
+// ResetIntervalCounters clears the view counters. No engine calls
+// it: group abstraction relies on the counters staying cumulative so
+// the swiping distributions sharpen over time.
 func (t *Twin) ResetIntervalCounters() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
