@@ -89,7 +89,7 @@ func (p Params) PathLossDB(d float64) float64 {
 func (p Params) refDB() float64 { return 128.1 + 21*math.Log10(p.CarrierGHz/2) }
 
 // pathLossDB is PathLossDB over a reference already computed by refDB,
-// so a Link pays the carrier logarithm once, not per sample.
+// so a Propagation pays the carrier logarithm once, not per call.
 func (p Params) pathLossDB(ref, d float64) float64 {
 	if d < p.MinDistM {
 		d = p.MinDistM
@@ -106,7 +106,9 @@ func (p Params) NoisePowerDBm() float64 {
 // Link models one user's channel to a base station, holding the
 // slow-varying shadowing state. Fast fading is redrawn per sample.
 type Link struct {
-	params   Params
+	// prop holds the parameters with the path-loss reference and the
+	// noise power taken at construction.
+	prop     Propagation
 	bs       *BaseStation
 	shadowDB float64
 	rng      *rand.Rand
@@ -115,10 +117,8 @@ type Link struct {
 	// (only evolved when FadingRho > 0).
 	hRe, hIm float64
 
-	// noiseDBm, refDB and innov are params.NoisePowerDBm(), the
-	// carrier-adjusted path-loss reference of PathLossDB and
-	// sqrt(1 − FadingRho²), fixed at construction.
-	noiseDBm, refDB, innov float64
+	// innov is sqrt(1 − FadingRho²), fixed at construction.
+	innov float64
 }
 
 // NewLink creates a link with freshly drawn shadowing.
@@ -131,14 +131,12 @@ func NewLink(params Params, bs *BaseStation, rng *rand.Rand) (*Link, error) {
 	}
 	const invSqrt2 = 0.7071067811865476
 	return &Link{
-		params:   params,
+		prop:     params.Propagation(),
 		bs:       bs,
 		shadowDB: rng.NormFloat64() * params.ShadowSigmaDB,
 		rng:      rng,
 		hRe:      rng.NormFloat64() * invSqrt2,
 		hIm:      rng.NormFloat64() * invSqrt2,
-		noiseDBm: params.NoisePowerDBm(),
-		refDB:    params.refDB(),
 		innov:    math.Sqrt(1 - params.FadingRho*params.FadingRho),
 	}, nil
 }
@@ -149,7 +147,7 @@ func (l *Link) BS() *BaseStation { return l.bs }
 // RedrawShadowing resamples the slow-fading term — call when the user
 // has moved far enough for the shadowing to decorrelate (~50 m).
 func (l *Link) RedrawShadowing() {
-	l.shadowDB = l.rng.NormFloat64() * l.params.ShadowSigmaDB
+	l.shadowDB = l.rng.NormFloat64() * l.prop.params.ShadowSigmaDB
 }
 
 // Handover re-points the link at a new serving base station while
@@ -171,9 +169,9 @@ func (l *Link) Handover(bs *BaseStation) error {
 // an independent Rayleigh realization.
 func (l *Link) Sample(userPos mobility.Point) float64 {
 	d := l.bs.Pos.Dist(userPos)
-	pl := l.params.pathLossDB(l.refDB, d)
+	pl := l.prop.params.pathLossDB(l.prop.ref, d)
 	var h2 float64
-	if rho := l.params.FadingRho; rho > 0 {
+	if rho := l.prop.params.FadingRho; rho > 0 {
 		const invSqrt2 = 0.7071067811865476
 		l.hRe = rho*l.hRe + l.innov*l.rng.NormFloat64()*invSqrt2
 		l.hIm = rho*l.hIm + l.innov*l.rng.NormFloat64()*invSqrt2
@@ -187,7 +185,7 @@ func (l *Link) Sample(userPos mobility.Point) float64 {
 	}
 	fadeDB := 10 * math.Log10(h2)
 	rxDBm := l.bs.TxPowerDBm - pl - l.shadowDB + fadeDB
-	return rxDBm - l.noiseDBm
+	return rxDBm - l.prop.noise
 }
 
 // SpectralEfficiency converts an SNR in dB to Shannon spectral
@@ -213,7 +211,27 @@ func (p Params) RateBps(snrDB float64) float64 {
 // prediction: observed SNR minus MeanSNRdB yields a per-user offset
 // that absorbs shadowing and mean fading.
 func (p Params) MeanSNRdB(txPowerDBm, d float64) float64 {
-	return txPowerDBm - p.PathLossDB(d) - p.NoisePowerDBm()
+	return p.Propagation().MeanSNRdB(txPowerDBm, d)
+}
+
+// Propagation is a parameter set's deterministic propagation model
+// with its constant terms — the carrier-adjusted path-loss reference
+// and the noise power — taken once, for callers that evaluate it
+// many times.
+type Propagation struct {
+	params     Params
+	ref, noise float64
+}
+
+// Propagation returns the parameter set's propagation model.
+func (p Params) Propagation() Propagation {
+	return Propagation{params: p, ref: p.refDB(), noise: p.NoisePowerDBm()}
+}
+
+// MeanSNRdB is Params.MeanSNRdB over the precomputed terms, bit for
+// bit.
+func (m Propagation) MeanSNRdB(txPowerDBm, d float64) float64 {
+	return txPowerDBm - m.params.pathLossDB(m.ref, d) - m.noise
 }
 
 // CQI quantizes an SNR (dB) into a 1..15 channel-quality indicator,

@@ -71,6 +71,35 @@ func TestNoisePower(t *testing.T) {
 	}
 }
 
+// TestPropagationMatchesMeanSNRdB: the precomputed model is bit for
+// bit Params.MeanSNRdB and the expression it was written as — transmit
+// power minus PathLossDB minus NoisePowerDBm — below, at and above the
+// clamp distance, for two transmit powers and a non-default carrier
+// and noise figure.
+func TestPropagationMatchesMeanSNRdB(t *testing.T) {
+	odd := DefaultParams()
+	odd.CarrierGHz, odd.NoiseFigureDB, odd.MinDistM = 3.7, 5.5, 17
+	rng := rand.New(rand.NewSource(5))
+	for _, p := range []Params{DefaultParams(), odd} {
+		m := p.Propagation()
+		dists := []float64{0, 1, p.MinDistM / 2, math.Nextafter(p.MinDistM, 0), p.MinDistM, math.Nextafter(p.MinDistM, 1e9), 100, 1000, 5000}
+		for i := 0; i < 200; i++ {
+			dists = append(dists, rng.Float64()*5000)
+		}
+		for _, tx := range []float64{16, 43.2} {
+			for _, d := range dists {
+				got := m.MeanSNRdB(tx, d)
+				if ref := tx - p.PathLossDB(d) - p.NoisePowerDBm(); math.Float64bits(got) != math.Float64bits(ref) {
+					t.Fatalf("carrier %v tx %v d %v: %v, reference expression %v", p.CarrierGHz, tx, d, got, ref)
+				}
+				if want := p.MeanSNRdB(tx, d); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("carrier %v tx %v d %v: %v, Params.MeanSNRdB %v", p.CarrierGHz, tx, d, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSpectralEfficiency(t *testing.T) {
 	if se := SpectralEfficiency(0); math.Abs(se-1) > 1e-9 {
 		t.Fatalf("SE(0dB) = %v, want 1", se)

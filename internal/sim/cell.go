@@ -115,6 +115,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		pool:          opts.Pool,
 		salt:          opts.Salt,
 		params:        params,
+		prop:          params.Propagation(),
 		stations:      opts.Stations,
 		downBS:        opts.DownBS,
 		campus:        opts.Campus,

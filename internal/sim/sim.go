@@ -450,7 +450,10 @@ type Simulation struct {
 	// per-group streams.
 	constructions uint64
 	params        channel.Params
-	stations      []*channel.BaseStation
+	// prop is params.Propagation(): the SNR forecast's deterministic
+	// model with its reference and noise terms taken once.
+	prop     channel.Propagation
+	stations []*channel.BaseStation
 	// downBS, when non-nil, is the cluster engine's shared quarantine
 	// mask over station ids: stations marked down take no link
 	// handovers, churn arrivals or prediction anchors. The engine
@@ -571,6 +574,7 @@ func New(cfg Config) (*Simulation, error) {
 		rng:           rng,
 		pool:          pool,
 		params:        params,
+		prop:          params.Propagation(),
 		stations:      stations,
 		campus:        campus,
 		users:         users,
@@ -749,6 +753,11 @@ func (s *Simulation) nearestBS(pos mobility.Point) (*channel.BaseStation, error)
 	return channel.NearestAliveBS(s.stations, s.downBS, pos)
 }
 
+// tickChunk is the most ticks collectTicks hands a twin in one call:
+// the samples wait in a stack array, so an interval of up to
+// tickChunk ticks takes each twin's lock once.
+const tickChunk = 64
+
 // collectTicks runs one interval's worth of mobility + channel
 // collection into the UDTs, fanning users across the pool (each
 // user's tick sequence is self-contained: own mobility model, own
@@ -758,7 +767,10 @@ func (s *Simulation) collectTicks(ctx context.Context) error {
 	dt := s.cfg.IntervalS / float64(s.cfg.TicksPerInterval)
 	return s.pool.ForContext(ctx, len(s.users), func(i int) error {
 		u := s.users[i]
-		for tick := 0; tick < s.cfg.TicksPerInterval; tick++ {
+		ticks := s.cfg.TicksPerInterval
+		var batch [tickChunk]udt.TickSample
+		n := 0
+		for tick := 0; tick < ticks; tick++ {
 			pos, err := u.mob.Advance(dt)
 			if err != nil {
 				return fmt.Errorf("user %d mobility: %w", u.id, err)
@@ -777,8 +789,12 @@ func (s *Simulation) collectTicks(ctx context.Context) error {
 			u.meanSNR.Add(snr)
 			u.meanX.Add(pos.X)
 			u.meanY.Add(pos.Y)
-			if err := u.twin.CollectTick(channel.CQI(snr), pos.X, pos.Y, u.profile.Pref); err != nil {
-				return fmt.Errorf("user %d collect: %w", u.id, err)
+			batch[n] = udt.TickSample{CQI: channel.CQI(snr), X: pos.X, Y: pos.Y}
+			if n++; n == tickChunk || tick == ticks-1 {
+				if err := u.twin.CollectTicks(batch[:n], u.profile.Pref); err != nil {
+					return fmt.Errorf("user %d collect: %w", u.id, err)
+				}
+				n = 0
 			}
 		}
 		return nil
@@ -800,7 +816,7 @@ func (s *Simulation) closeUserInterval(u *user) {
 	if u.meanSNR.N() > 0 {
 		meanPos := mobility.Point{X: u.meanX.Mean(), Y: u.meanY.Mean()}
 		d := u.link.BS().Pos.Dist(meanPos)
-		model := s.params.MeanSNRdB(u.link.BS().TxPowerDBm, d)
+		model := s.prop.MeanSNRdB(u.link.BS().TxPowerDBm, d)
 		u.snrOffset.Observe(u.meanSNR.Mean() - model)
 		u.snrEWMA.Observe(u.meanSNR.Mean())
 		if u.havePos >= 1 {
@@ -859,7 +875,7 @@ func (s *Simulation) predictUserSNR(u *user) float64 {
 			if berr != nil {
 				bs = u.link.BS()
 			}
-			sum += s.params.MeanSNRdB(bs.TxPowerDBm, bs.Pos.Dist(pt))
+			sum += s.prop.MeanSNRdB(bs.TxPowerDBm, bs.Pos.Dist(pt))
 		}
 		model = sum / samples
 	} else {
@@ -871,7 +887,7 @@ func (s *Simulation) predictUserSNR(u *user) float64 {
 		if berr != nil {
 			bs = u.link.BS()
 		}
-		model = s.params.MeanSNRdB(bs.TxPowerDBm, bs.Pos.Dist(pos))
+		model = s.prop.MeanSNRdB(bs.TxPowerDBm, bs.Pos.Dist(pos))
 	}
 	offset, okOff := u.snrOffset.Forecast()
 	if !okOff {

@@ -3,6 +3,7 @@ package udt
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,11 +16,12 @@ import (
 // to wrap many times.
 var coprime = Config{HistoryLen: 7, ChannelEvery: 2, LocationEvery: 3, WatchEvery: 1, PreferenceEvery: 5}
 
-// TestCollectTickMatchesSeparateCalls: one CollectTick is exactly Tick
-// + CollectChannel + CollectLocation + CollectPreference. A random
-// collector sequence, with views and interval resets in between, is
-// applied both ways; the encoded state — clock, rings, preference,
-// counters, staleness — must stay byte-identical throughout.
+// TestCollectTickMatchesSeparateCalls: one tick through CollectTicks
+// is exactly Tick + CollectChannel + CollectLocation +
+// CollectPreference. A random collector sequence, with views and
+// interval resets in between, is applied both ways; the encoded state
+// — clock, rings, preference, counters, staleness — must stay
+// byte-identical throughout.
 func TestCollectTickMatchesSeparateCalls(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -31,7 +33,7 @@ func TestCollectTickMatchesSeparateCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := one.CollectTick(cqi, x, y, pref); err != nil {
+			if err := one.CollectTicks([]TickSample{{cqi, x, y}}, pref); err != nil {
 				t.Fatal(err)
 			}
 			four.Tick()
@@ -66,24 +68,37 @@ func TestCollectTickMatchesSeparateCalls(t *testing.T) {
 	}
 }
 
-// TestCollectTickValidation: both inputs are checked on every tick,
-// due or not, fail typed, and a rejected tick leaves the twin as it was.
+// TestCollectTickValidation: both inputs of CollectTicks are checked on
+// every tick, due or not, fail typed, and a rejected call leaves the
+// twin as it was.
 func TestCollectTickValidation(t *testing.T) {
 	tw := newTwin(t, coprime)
 	good := behavior.NewUniformPreference()
-	if err := tw.CollectTick(7, 1, 2, good); err != nil {
+	if err := tw.CollectTicks([]TickSample{{7, 1, 2}}, good); err != nil {
 		t.Fatal(err)
 	}
 	before := encodeState(tw)
 	// Tick 2 is not due for the preference (period 5): still validated.
 	for _, cqi := range []int{0, 16, -1} {
-		if err := tw.CollectTick(cqi, 1, 2, good); !errors.Is(err, ErrParam) {
+		if err := tw.CollectTicks([]TickSample{{cqi, 1, 2}}, good); !errors.Is(err, ErrParam) {
 			t.Fatalf("cqi %d: want ErrParam, got %v", cqi, err)
 		}
 	}
 	for _, bad := range []behavior.Preference{nil, {1}, {0.5, 0.5, 0.5, 0.5, 0.5}, {1.2, -0.2, 0, 0, 0}} {
-		if err := tw.CollectTick(7, 1, 2, bad); !errors.Is(err, behavior.ErrParam) {
+		if err := tw.CollectTicks([]TickSample{{7, 1, 2}}, bad); !errors.Is(err, behavior.ErrParam) {
 			t.Fatalf("preference %v: want behavior.ErrParam, got %v", bad, err)
+		}
+	}
+	// One bad sample anywhere in a batch fails the call before its
+	// first tick: the good samples ahead of it are not kept either.
+	for k := 0; k < 8; k++ {
+		batch := make([]TickSample, 8)
+		for i := range batch {
+			batch[i] = TickSample{CQI: 1 + i, X: float64(i), Y: 1}
+		}
+		batch[k].CQI = 16 + k
+		if err := tw.CollectTicks(batch, good); !errors.Is(err, ErrParam) {
+			t.Fatalf("bad sample %d of 8: want ErrParam, got %v", k, err)
 		}
 	}
 	if !bytes.Equal(before, encodeState(tw)) {
@@ -96,12 +111,74 @@ func TestCollectTickValidation(t *testing.T) {
 func TestCollectTickCopiesPreference(t *testing.T) {
 	tw := newTwin(t, everyTick)
 	p := behavior.Preference{0.6, 0.1, 0.1, 0.1, 0.1}
-	if err := tw.CollectTick(9, 0, 0, p); err != nil {
+	if err := tw.CollectTicks([]TickSample{{9, 0, 0}}, p); err != nil {
 		t.Fatal(err)
 	}
 	p[0], p[1] = 0.1, 0.6
 	if got := tw.Preference(); got[0] != 0.6 || got[1] != 0.1 {
 		t.Fatalf("twin preference %v follows the caller's slice", got)
+	}
+}
+
+// TestCollectTicksSplitInvariant: the due phase lives in the twin's
+// clock, not in the batch, so a tick sequence collects the same state
+// whether it arrives as one call, one tick per call, fixed chunks of
+// 64 or random splits with empty calls among them.
+func TestCollectTicksSplitInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	seq := make([]TickSample, 400)
+	for i := range seq {
+		seq[i] = TickSample{CQI: 1 + rng.Intn(15), X: rng.Float64() * 2000, Y: rng.NormFloat64() * 500}
+	}
+	pref, err := behavior.NewRandomPreference(rng, video.Music, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func(splits []int) *Twin {
+		tw := newTwin(t, coprime)
+		at := 0
+		for _, n := range splits {
+			if err := tw.CollectTicks(seq[at:at+n], pref); err != nil {
+				t.Fatal(err)
+			}
+			at += n
+		}
+		if err := tw.CollectTicks(seq[at:], pref); err != nil {
+			t.Fatal(err)
+		}
+		return tw
+	}
+	whole := collect(nil)
+	if whole.Ticks() != len(seq) {
+		t.Fatalf("one call: clock %d, want %d", whole.Ticks(), len(seq))
+	}
+	ways := map[string][]int{}
+	for i := 0; i < len(seq); i++ {
+		ways["one tick per call"] = append(ways["one tick per call"], 1)
+	}
+	for i := 0; i+64 <= len(seq); i += 64 {
+		ways["chunks of 64"] = append(ways["chunks of 64"], 64)
+	}
+	for trial := 0; trial < 20; trial++ {
+		var splits []int
+		for left := len(seq); left > 0; {
+			n := min(left, rng.Intn(3)*rng.Intn(40)) // a third of the calls empty
+			splits = append(splits, n)
+			left -= n
+		}
+		ways[fmt.Sprintf("random split %d", trial)] = splits
+	}
+	want := encodeState(whole)
+	for name, splits := range ways {
+		tw := collect(splits)
+		if !bytes.Equal(encodeState(tw), want) {
+			t.Fatalf("%s: encoded state differs from one call", name)
+		}
+		for a := AttrChannel; a <= AttrPreference; a++ {
+			if tw.Staleness(a) != whole.Staleness(a) {
+				t.Fatalf("%s: staleness %v: %d vs %d", name, a, tw.Staleness(a), whole.Staleness(a))
+			}
+		}
 	}
 }
 
@@ -120,17 +197,25 @@ func TestStalenessUnknownAttribute(t *testing.T) {
 	}
 }
 
-// TestCollectTickAllocFree: no tick allocates, whichever attributes
-// are due on it. Each run spans ten ticks — every due-combination of
-// the default periods (1, 2, 1, 5) — because AllocsPerRun rounds down.
+// TestCollectTickAllocFree: no CollectTicks call allocates, whichever
+// attributes are due on its ticks. Each run spans ten one-tick calls
+// and one ten-tick call — every due-combination of the default periods
+// (1, 2, 1, 5) both ways — because AllocsPerRun rounds down.
 func TestCollectTickAllocFree(t *testing.T) {
 	tw := newTwin(t, Config{})
 	p := behavior.NewUniformPreference()
+	var batch [10]TickSample
+	for i := range batch {
+		batch[i] = TickSample{CQI: 1 + i, X: float64(i), Y: 3}
+	}
 	if n := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 10; i++ {
-			if err := tw.CollectTick(1+i, float64(i), 3, p); err != nil {
+		for i := range batch {
+			if err := tw.CollectTicks(batch[i:i+1], p); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := tw.CollectTicks(batch[:], p); err != nil {
+			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("%v allocations per ten ticks, want 0", n)
@@ -219,7 +304,7 @@ func TestFeatureWindowMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if err := tw.CollectTick(1+rng.Intn(15), rng.Float64()*posScale, rng.Float64()*posScale, behavior.NewUniformPreference()); err != nil {
+		if err := tw.CollectTicks([]TickSample{{1 + rng.Intn(15), rng.Float64() * posScale, rng.Float64() * posScale}}, behavior.NewUniformPreference()); err != nil {
 			t.Fatal(err)
 		}
 		if tick%3 != 0 {

@@ -275,13 +275,29 @@ func TestRestoreValidation(t *testing.T) {
 }
 
 // TestStateCodecConcurrent: EncodeState runs against live collectors
-// (the checkpoint-while-serving overlap) without a race, and every
-// encoding it takes is a consistent state a fresh twin accepts.
+// (the checkpoint-while-serving overlap) — a per-attribute collector
+// and a batched CollectTicks one writing the same twin — without a
+// race, and every encoding it takes is a consistent state a fresh twin
+// accepts.
 func TestStateCodecConcurrent(t *testing.T) {
 	tw := newTwin(t, Config{HistoryLen: 16})
 	back := newTwin(t, Config{HistoryLen: 16})
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		pref := behavior.NewUniformPreference()
+		var batch [30]TickSample
+		for i := 0; i < 200; i++ {
+			for k := range batch {
+				batch[k] = TickSample{CQI: 1 + (i+k)%15, X: float64(k), Y: float64(-i)}
+			}
+			if err := tw.CollectTicks(batch[:1+i%len(batch)], pref); err != nil {
+				t.Errorf("batch %d: %v", i, err)
+				return
+			}
+		}
+	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {

@@ -154,10 +154,11 @@ func (c Config) Validate() error {
 }
 
 // Twin is one user's digital twin. It is safe for concurrent use: the
-// BS-side collector writes — one CollectTick call per simulation tick,
-// or Tick followed by the per-attribute Collect calls — while the
-// grouping pipeline reads. Readers serialize with each other as well
-// as with the collector.
+// BS-side collector writes — one CollectTicks call per batch of
+// simulation ticks (the engines pass an interval's ticks, at most 64
+// a call), or Tick followed by the per-attribute Collect calls — while
+// the grouping pipeline reads. Readers serialize with each other as
+// well as with the collector.
 type Twin struct {
 	UserID int
 
@@ -255,24 +256,37 @@ func checkCQI(cqi int) error {
 	return nil
 }
 
-// CollectTick is one simulation tick of the BS-side collector under a
+// TickSample is one simulation tick's channel and location reading,
+// as the BS-side collector hands it to CollectTicks.
+type TickSample struct {
+	CQI  int
+	X, Y float64
+}
+
+// CollectTicks runs one simulation tick per sample, in order, under a
 // single lock: Tick, then CollectChannel, CollectLocation and
-// CollectPreference, each accepted only when its period is due. Both
-// inputs are validated on every tick, due or not; on error the twin is
-// unchanged.
-func (t *Twin) CollectTick(cqi int, x, y float64, p behavior.Preference) error {
-	if err := checkCQI(cqi); err != nil {
-		return err
+// CollectPreference, each accepted only when its period is due. The
+// due phase lives in the tick clock, so a sequence split over any
+// number of calls collects exactly what one call would. Every
+// sample's CQI and the preference are validated before the first
+// tick, due or not; on error the twin is unchanged.
+func (t *Twin) CollectTicks(samples []TickSample, p behavior.Preference) error {
+	for i, s := range samples {
+		if err := checkCQI(s.CQI); err != nil {
+			return fmt.Errorf("sample %d: %w", i, err)
+		}
 	}
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tick()
-	t.collectChannel(cqi)
-	t.collectLocation(x, y)
-	t.collectPreference(p)
+	for _, s := range samples {
+		t.tick()
+		t.collectChannel(s.CQI)
+		t.collectLocation(s.X, s.Y)
+		t.collectPreference(p)
+	}
 	return nil
 }
 
