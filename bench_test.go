@@ -800,6 +800,27 @@ func BenchmarkCollectTicks(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleFromCategory measures one popularity-weighted draw
+// within a category — every warm-up view and every explored feed video
+// makes one — over the default 500-video catalog with the engine's
+// category skew, cycling through the five categories.
+func BenchmarkSampleFromCategory(b *testing.B) {
+	c := DefaultConfig(42).Defaulted()
+	rng := rand.New(rand.NewSource(42))
+	catalog, err := video.NewCatalog(video.CatalogConfig{NumVideos: c.CatalogSize, CategoryWeights: c.CategoryWeights}, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cats := video.AllCategories()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := catalog.SampleFromCategory(cats[i%len(cats)], rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOpenCluster measures OpenCluster of the benchmark
 // workloads' population, 4000 users × 8 cells: nearly all of it is
 // building users, and most of a user is its twin.

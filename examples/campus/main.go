@@ -125,7 +125,7 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("constructed %d multicast groups (silhouette %.3f)\n\n", result.K, result.Silhouette)
+	fmt.Printf("constructed %d multicast groups (silhouette %.3f)\n\n", result.K, result.Silhouette())
 	for _, g := range result.Groups {
 		static, mobile := 0, 0
 		for _, m := range g.Members {

@@ -119,7 +119,7 @@ func run(tracePath string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("constructed %d multicast groups (silhouette %.3f)\n\n", result.K, result.Silhouette)
+	fmt.Printf("constructed %d multicast groups (silhouette %.3f)\n\n", result.K, result.Silhouette())
 
 	// 4. Abstract each group's swiping behavior.
 	for _, g := range result.Groups {

@@ -38,24 +38,43 @@ type Result struct {
 	Groups []Group
 	// K is the grouping number used.
 	K int
-	// Silhouette of the clustering (0 when K == 1).
-	Silhouette float64
-	// Inertia of the clustering.
-	Inertia float64
 	// Codes are the per-user compressed features used.
 	Codes []vecmath.Vec
+
+	// assign and pool are what Silhouette scores: the K-means
+	// assignment of Codes, and the pool its scan fans across.
+	assign []int
+	pool   *parallel.Pool
+	// silhouette memoises Silhouette once silhouetteDone is set.
+	silhouette     float64
+	silhouetteDone bool
 }
 
-// GroupOf returns the group index containing user i, or -1.
-func (r *Result) GroupOf(user int) int {
-	for g, grp := range r.Groups {
-		for _, m := range grp.Members {
-			if m == user {
-				return g
+// RestoredResult returns a result that knows only its silhouette, as
+// a checkpoint records it: Silhouette returns sil, and the groups,
+// codes and K are empty.
+func RestoredResult(sil float64) *Result {
+	return &Result{silhouette: sil, silhouetteDone: true}
+}
+
+// Silhouette returns the clustering's exact silhouette over Codes (0
+// when K == 1). Only some constructions' silhouettes are ever read, so
+// the O(N²) scan runs on the first call, not at build time, and later
+// calls return the memoised value. The builder rejects every input
+// kmeans.SilhouettePool would, so the scan cannot fail. Calls on one
+// result must not overlap.
+func (r *Result) Silhouette() float64 {
+	if !r.silhouetteDone {
+		if r.K >= 2 {
+			sil, err := kmeans.SilhouettePool(r.Codes, r.assign, r.K, r.pool)
+			if err != nil {
+				panic(fmt.Sprintf("grouping: silhouette of a validated clustering: %v", err))
 			}
+			r.silhouette = sil
 		}
+		r.silhouetteDone = true
 	}
-	return -1
+	return r.silhouette
 }
 
 // Config parameterizes the builder.
@@ -440,23 +459,29 @@ func (b *Builder) SelectK(codes []vecmath.Vec) (int, error) {
 	return k, nil
 }
 
+// assemble turns a K-means run over codes into a Result. It checks
+// the run against everything kmeans.SilhouettePool validates, so the
+// result's deferred silhouette scan cannot fail.
 func (b *Builder) assemble(codes []vecmath.Vec, res *kmeans.Result) (*Result, error) {
+	if len(codes) == 0 || len(res.Assign) != len(codes) {
+		return nil, fmt.Errorf("%d codes, %d assignments: %w", len(codes), len(res.Assign), ErrConfig)
+	}
+	for i, c := range codes {
+		if len(c) != len(codes[0]) {
+			return nil, fmt.Errorf("code %d dim %d, want %d: %w", i, len(c), len(codes[0]), ErrConfig)
+		}
+	}
 	groups := make([]Group, res.K)
 	for g := range groups {
 		groups[g] = Group{ID: g, Centroid: vecmath.Clone(res.Centroids[g])}
 	}
 	for i, a := range res.Assign {
+		if a < 0 || a >= res.K {
+			return nil, fmt.Errorf("code %d assigned to %d of %d groups: %w", i, a, res.K, ErrConfig)
+		}
 		groups[a].Members = append(groups[a].Members, i)
 	}
-	var sil float64
-	if res.K >= 2 {
-		var err error
-		sil, err = kmeans.SilhouettePool(codes, res.Assign, res.K, b.pool)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Groups: groups, K: res.K, Silhouette: sil, Inertia: res.Inertia, Codes: codes}, nil
+	return &Result{Groups: groups, K: res.K, Codes: codes, assign: res.Assign, pool: b.pool}, nil
 }
 
 // Build runs the full two-step construction: compress, pick K with the

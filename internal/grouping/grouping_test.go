@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dtmsvs/internal/kmeans"
 	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/udt"
 	"dtmsvs/internal/vecmath"
@@ -189,13 +190,10 @@ func TestBuildPartition(t *testing.T) {
 	if len(seen) != 20 {
 		t.Fatalf("partition covers %d of 20 users", len(seen))
 	}
-	for u := 0; u < 20; u++ {
-		if res.GroupOf(u) < 0 {
-			t.Fatalf("user %d not found", u)
+	for u, g := range res.Assignments(21) {
+		if (g < 0) != (u == 20) {
+			t.Fatalf("user %d in group %d", u, g)
 		}
-	}
-	if res.GroupOf(999) != -1 {
-		t.Fatal("unknown user must map to -1")
 	}
 }
 
@@ -213,23 +211,141 @@ func TestBuildSeparatesBehavioralClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Users 0..11 (cluster A) must all land together, as must 12..23.
-	gA := res.GroupOf(0)
+	assign := res.Assignments(24)
+	gA := assign[0]
 	for u := 1; u < 12; u++ {
-		if res.GroupOf(u) != gA {
-			t.Fatalf("cluster A split: user %d in %d, want %d", u, res.GroupOf(u), gA)
+		if assign[u] != gA {
+			t.Fatalf("cluster A split: user %d in %d, want %d", u, assign[u], gA)
 		}
 	}
-	gB := res.GroupOf(12)
+	gB := assign[12]
 	if gB == gA {
 		t.Fatal("clusters merged")
 	}
 	for u := 13; u < 24; u++ {
-		if res.GroupOf(u) != gB {
+		if assign[u] != gB {
 			t.Fatalf("cluster B split: user %d", u)
 		}
 	}
-	if res.Silhouette < 0.5 {
-		t.Fatalf("silhouette %v too low for separated clusters", res.Silhouette)
+	if sil := res.Silhouette(); sil < 0.5 {
+		t.Fatalf("silhouette %v too low for separated clusters", sil)
+	}
+}
+
+// TestSilhouetteMatchesSilhouettePool scores Build and BuildFixedK
+// results through the memoised Silhouette and checks each against a
+// direct kmeans.SilhouettePool over the same codes and assignment, bit
+// for bit, at pool widths 1 and 2.
+func TestSilhouetteMatchesSilhouettePool(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		pool := parallel.New(workers)
+		b, err := New(testConfig(), rand.New(rand.NewSource(20)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetPool(pool)
+		twins := makeTwins(t, 30)
+		if _, err := b.TrainCompressor(twins, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.TrainAgent(twins, 40); err != nil {
+			t.Fatal(err)
+		}
+		built, err := b.Build(twins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := []*Result{built}
+		for _, k := range []int{2, 3, 5} {
+			res, err := b.BuildFixedK(twins, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
+		for _, res := range results {
+			want, err := kmeans.SilhouettePool(res.Codes, res.Assignments(len(twins)), res.K, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Silhouette()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("workers %d K=%d: silhouette %v, SilhouettePool %v", workers, res.K, got, want)
+			}
+			var again float64
+			if allocs := testing.AllocsPerRun(10, func() { again = res.Silhouette() }); allocs != 0 {
+				t.Fatalf("workers %d K=%d: repeated Silhouette allocates %v times", workers, res.K, allocs)
+			}
+			if math.Float64bits(again) != math.Float64bits(got) {
+				t.Fatalf("workers %d K=%d: second call %v, first %v", workers, res.K, again, got)
+			}
+		}
+	}
+}
+
+func TestSilhouetteSingleGroupIsZero(t *testing.T) {
+	b, err := New(testConfig(), rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.BuildFixedK(makeTwins(t, 8), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sil := res.Silhouette(); math.Float64bits(sil) != 0 {
+		t.Fatalf("K=1 silhouette %v, want 0", sil)
+	}
+}
+
+func TestRestoredResultSilhouette(t *testing.T) {
+	for _, v := range []float64{0, 0.6180339887498949, -0.25, math.SmallestNonzeroFloat64} {
+		if got := RestoredResult(v).Silhouette(); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("restored %v, want %v", got, v)
+		}
+	}
+}
+
+// TestAssembleRejectsMalformedClustering feeds assemble every input
+// kmeans.SilhouettePool rejects: the build fails, so no result can
+// carry a silhouette scan that would.
+func TestAssembleRejectsMalformedClustering(t *testing.T) {
+	b, err := New(testConfig(), rand.New(rand.NewSource(22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := []vecmath.Vec{{0, 0}, {1, 1}, {5, 5}}
+	centroids := []vecmath.Vec{{0.5, 0.5}, {5, 5}}
+	tests := []struct {
+		name  string
+		codes []vecmath.Vec
+		res   kmeans.Result
+	}{
+		{"no codes", nil, kmeans.Result{K: 2, Centroids: centroids}},
+		{"short assignment", codes, kmeans.Result{K: 2, Centroids: centroids, Assign: []int{0, 0}}},
+		{"ragged codes", []vecmath.Vec{{0, 0}, {1}, {5, 5}}, kmeans.Result{K: 2, Centroids: centroids, Assign: []int{0, 0, 1}}},
+		{"negative group", codes, kmeans.Result{K: 2, Centroids: centroids, Assign: []int{0, -1, 1}}},
+		{"group past K", codes, kmeans.Result{K: 2, Centroids: centroids, Assign: []int{0, 0, 2}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := kmeans.SilhouettePool(tt.codes, tt.res.Assign, tt.res.K, nil); !errors.Is(err, kmeans.ErrInput) {
+				t.Fatalf("SilhouettePool accepts the input: %v", err)
+			}
+			if _, err := b.assemble(tt.codes, &tt.res); !errors.Is(err, ErrConfig) {
+				t.Fatalf("want ErrConfig, got %v", err)
+			}
+		})
+	}
+	res, err := b.assemble(codes, &kmeans.Result{K: 2, Centroids: centroids, Assign: []int{0, 0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := kmeans.SilhouettePool(codes, []int{0, 0, 1}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Silhouette(); got != want {
+		t.Fatalf("well-formed clustering: silhouette %v, want %v", got, want)
 	}
 }
 

@@ -124,7 +124,7 @@ func (s *Simulation) encodeEngine(e *checkpoint.Enc) {
 	}
 	e.Bool(s.lastResult != nil)
 	if s.lastResult != nil {
-		e.F64(s.lastResult.Silhouette)
+		e.F64(s.lastResult.Silhouette())
 	}
 	levels := make([]int, 0, len(s.cyclesPerTxS))
 	for lv := range s.cyclesPerTxS {
@@ -157,7 +157,7 @@ func (s *Simulation) decodeEngine(d *checkpoint.Dec) error {
 	}
 	s.lastResult = nil
 	if d.Bool() {
-		s.lastResult = &grouping.Result{Silhouette: d.F64()}
+		s.lastResult = grouping.RestoredResult(d.F64())
 	}
 	nLevels := d.U32()
 	clear(s.cyclesPerTxS)

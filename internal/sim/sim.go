@@ -944,8 +944,10 @@ type builtGroup struct {
 
 // rebuildGroups runs the two-step construction (or the fixed-K
 // baseline) and resets per-group forecasters, preserving forecasts of
-// groups whose membership is unchanged.
-func (s *Simulation) rebuildGroups() error {
+// groups whose membership is unchanged. boundary is the number of
+// intervals run before the construction: 0 for the initial build,
+// interval+1 for the regroup after interval.
+func (s *Simulation) rebuildGroups(boundary int) error {
 	if len(s.users) == 0 {
 		// A cluster cell can be empty between migrations.
 		s.groups = nil
@@ -974,6 +976,13 @@ func (s *Simulation) rebuildGroups() error {
 	}
 	s.prevAssign = assign
 	s.lastResult = lastRes
+	// Only the run's last construction has its silhouette read by
+	// FinishTrace; score it here, in the step that built it, so the
+	// final step costs no more than any other. Earlier constructions
+	// are scored only if a checkpoint records them.
+	if lastRes != nil && s.lastConstruction(boundary) {
+		lastRes.Silhouette()
+	}
 	s.constructions++
 	s.groups = make([]*groupState, len(built))
 	for gid, bg := range built {
@@ -992,6 +1001,12 @@ func (s *Simulation) rebuildGroups() error {
 		}
 	}
 	return nil
+}
+
+// lastConstruction reports whether a construction after boundary
+// intervals is the run's last: no regroup follows it.
+func (s *Simulation) lastConstruction(boundary int) bool {
+	return s.cfg.RegroupEvery <= 0 || boundary+s.cfg.RegroupEvery >= s.cfg.NumIntervals
 }
 
 // groupStream derives a group's private feed-selection stream.
@@ -1323,7 +1338,7 @@ func (s *Simulation) Train() error {
 // abstraction pass under ctx.
 func (s *Simulation) BuildGroupsContext(ctx context.Context) error {
 	t0 := s.met.build.Start()
-	if err := s.rebuildGroups(); err != nil {
+	if err := s.rebuildGroups(0); err != nil {
 		return err
 	}
 	if err := s.abstractGroups(ctx); err != nil {
@@ -1351,7 +1366,7 @@ func (s *Simulation) FinishTrace(trace *Trace) {
 	}
 	trace.K = len(s.groups)
 	if s.lastResult != nil {
-		trace.Silhouette = s.lastResult.Silhouette
+		trace.Silhouette = s.lastResult.Silhouette()
 	}
 	trace.CacheHitRate = s.server.Cache().HitRate()
 	trace.StabilityByRegroup = append([]float64(nil), s.stability...)
@@ -1543,7 +1558,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 	s.met.churned.Add(uint64(churned))
 	if s.cfg.RegroupEvery > 0 && (interval+1)%s.cfg.RegroupEvery == 0 && interval+1 < s.cfg.NumIntervals {
 		tRegroup := s.met.regroup.Start()
-		if err := s.rebuildGroups(); err != nil {
+		if err := s.rebuildGroups(interval + 1); err != nil {
 			return err
 		}
 		if err := s.abstractGroups(ctx); err != nil {

@@ -3,9 +3,12 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"dtmsvs/internal/grouping"
+	"dtmsvs/internal/kmeans"
 )
 
 // fastConfig is a small, quick scenario for unit tests.
@@ -90,6 +93,103 @@ func runAll(tb testing.TB, s *Simulation) *Trace {
 	}
 	s.FinishTrace(tr)
 	return tr
+}
+
+// scored reports whether r's silhouette is already computed. A scored
+// result no longer reads its codes; an unscored one fails its scan on
+// the withheld codes, panics, and memoises nothing.
+func scored(r *grouping.Result) (done bool) {
+	codes := r.Codes
+	r.Codes = nil
+	defer func() {
+		r.Codes = codes
+		if recover() != nil {
+			done = false
+		}
+	}()
+	r.Silhouette()
+	return true
+}
+
+// TestFinalSilhouetteScoredAtBuild checks the silhouette the trace
+// reports and where it is computed, for every regroup cadence shape:
+// none (RegroupEvery -1 and NumIntervals), the default (0 = 4, whose
+// last regroup lands exactly at its cadence) and one that does not
+// divide NumIntervals (3). The reported value must be SilhouettePool
+// over the last construction's codes, bit for bit; the last
+// construction must be scored in the step that built it, and every
+// earlier one left unscored.
+func TestFinalSilhouetteScoredAtBuild(t *testing.T) {
+	const intervals = 8
+	for _, tc := range []struct{ every, constructions int }{
+		{-1, 1}, {0, 2}, {3, 3}, {4, 2}, {intervals, 1},
+	} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("every%d/p%d", tc.every, workers), func(t *testing.T) {
+				cfg := fastConfig(42)
+				cfg.NumIntervals = intervals
+				cfg.RegroupEvery = tc.every
+				cfg.Parallelism = workers
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := context.Background()
+				for w := 0; w < s.cfg.WarmupIntervals; w++ {
+					if err := s.WarmupIntervalContext(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.Train(); err != nil {
+					t.Fatal(err)
+				}
+				// scoredAtBuild records, per construction, whether its
+				// silhouette was already computed when the step ended.
+				var scoredAtBuild []bool
+				observe := func() {
+					if s.lastResult == nil {
+						t.Fatal("construction left no result")
+					}
+					scoredAtBuild = append(scoredAtBuild, scored(s.lastResult))
+				}
+				if err := s.BuildGroupsContext(ctx); err != nil {
+					t.Fatal(err)
+				}
+				observe()
+				tr := NewTrace()
+				for i := 0; i < intervals; i++ {
+					built := s.constructions
+					if err := s.RunIntervalContext(ctx, i, tr); err != nil {
+						t.Fatalf("interval %d: %v", i, err)
+					}
+					if s.constructions != built {
+						observe()
+					}
+				}
+				last := s.lastResult
+				s.FinishTrace(tr)
+
+				if len(scoredAtBuild) != tc.constructions {
+					t.Fatalf("%d constructions, want %d", len(scoredAtBuild), tc.constructions)
+				}
+				if last.K < 2 {
+					t.Fatalf("last construction K=%d: the silhouette scan never ran", last.K)
+				}
+				for c, done := range scoredAtBuild {
+					if final := c == len(scoredAtBuild)-1; done != final {
+						t.Fatalf("construction %d of %d scored at build: %v", c+1, len(scoredAtBuild), done)
+					}
+				}
+				want, err := kmeans.SilhouettePool(last.Codes, last.Assignments(len(last.Codes)), last.K, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(tr.Silhouette) != math.Float64bits(want) {
+					t.Fatalf("trace silhouette %v, SilhouettePool over the last construction %v", tr.Silhouette, want)
+				}
+			})
+		}
+	}
 }
 
 func TestRunTraceInvariants(t *testing.T) {

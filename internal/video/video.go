@@ -109,11 +109,18 @@ func (v *Video) RepAtMost(maxBps float64) Representation {
 	return best
 }
 
-// Catalog is the video library with popularity structure.
+// Catalog is the video library with popularity structure. It is
+// read-only after NewCatalog, so every engine and worker goroutine
+// can share one.
 type Catalog struct {
 	Videos []*Video
 	zipf   *stats.Zipf
-	byCat  map[Category][]*Video
+	// byCat holds each category's videos in ID order, indexed by
+	// Category.Index.
+	byCat [NumCategories][]*Video
+	// byCatPop draws a position in byCat[i] weighted by the videos'
+	// Zipf popularity; nil when the category is empty.
+	byCatPop [NumCategories]*stats.Categorical
 }
 
 // CatalogConfig parameterizes catalog generation.
@@ -169,7 +176,6 @@ func NewCatalog(cfg CatalogConfig, rng *rand.Rand) (*Catalog, error) {
 	cat := &Catalog{
 		Videos: make([]*Video, c.NumVideos),
 		zipf:   zipf,
-		byCat:  make(map[Category][]*Video, NumCategories),
 	}
 	cats := AllCategories()
 	for i := 0; i < c.NumVideos; i++ {
@@ -181,7 +187,20 @@ func NewCatalog(cfg CatalogConfig, rng *rand.Rand) (*Catalog, error) {
 			PopRank:   i, // IDs are assigned in popularity order
 		}
 		cat.Videos[i] = v
-		cat.byCat[v.Category] = append(cat.byCat[v.Category], v)
+		ci := v.Category.Index()
+		cat.byCat[ci] = append(cat.byCat[ci], v)
+	}
+	for ci, vids := range cat.byCat {
+		if len(vids) == 0 {
+			continue
+		}
+		weights := make([]float64, len(vids))
+		for i, v := range vids {
+			weights[i] = zipf.Prob(v.ID)
+		}
+		if cat.byCatPop[ci], err = stats.NewCategorical(weights); err != nil {
+			return nil, fmt.Errorf("category %v popularity: %w", cats[ci], err)
+		}
 	}
 	return cat, nil
 }
@@ -199,24 +218,22 @@ func (c *Catalog) SamplePopular(rng *rand.Rand) *Video {
 
 // ByCategory returns the videos of one category (shared slice; do not
 // mutate).
-func (c *Catalog) ByCategory(cat Category) []*Video { return c.byCat[cat] }
+func (c *Catalog) ByCategory(cat Category) []*Video {
+	if i := cat.Index(); i >= 0 {
+		return c.byCat[i]
+	}
+	return nil
+}
 
 // SampleFromCategory draws a popularity-weighted video within a
-// category. Returns an error if the category is empty.
+// category with one rng.Float64. Returns an error if the category is
+// empty.
 func (c *Catalog) SampleFromCategory(cat Category, rng *rand.Rand) (*Video, error) {
-	vids := c.byCat[cat]
-	if len(vids) == 0 {
+	i := cat.Index()
+	if i < 0 || c.byCatPop[i] == nil {
 		return nil, fmt.Errorf("category %v empty: %w", cat, ErrParam)
 	}
-	weights := make([]float64, len(vids))
-	for i, v := range vids {
-		weights[i] = c.zipf.Prob(v.ID)
-	}
-	d, err := stats.NewCategorical(weights)
-	if err != nil {
-		return nil, err
-	}
-	return vids[d.Sample(rng)], nil
+	return c.byCat[i][c.byCatPop[i].Sample(rng)], nil
 }
 
 // TopN returns the n most popular videos (by rank).

@@ -6,8 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"dtmsvs/internal/stats"
 )
 
 func testCatalog(t *testing.T, n int) *Catalog {
@@ -169,6 +172,126 @@ func TestSampleFromCategory(t *testing.T) {
 		}
 		if v.Category != c {
 			t.Fatalf("sampled %v from category %v", v.Category, c)
+		}
+	}
+}
+
+// sampleFromCategoryPerCall is the sampler as it was before the
+// catalog kept one per category: it rebuilds the category's Zipf CDF
+// on every draw. It is the reference the cached samplers must match.
+func sampleFromCategoryPerCall(c *Catalog, cat Category, rng *rand.Rand) (*Video, error) {
+	vids := c.ByCategory(cat)
+	if len(vids) == 0 {
+		return nil, ErrParam
+	}
+	weights := make([]float64, len(vids))
+	for i, v := range vids {
+		weights[i] = c.Popularity(v.ID)
+	}
+	d, err := stats.NewCategorical(weights)
+	if err != nil {
+		return nil, err
+	}
+	return vids[d.Sample(rng)], nil
+}
+
+func TestSampleFromCategoryMatchesPerCallCDF(t *testing.T) {
+	cat := testCatalog(t, 500)
+	for _, c := range AllCategories() {
+		for _, seed := range []int64{1, 42, 314} {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for i := 0; i < 10000; i++ {
+				g, err := cat.SampleFromCategory(c, got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := sampleFromCategoryPerCall(cat, c, want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g != w {
+					t.Fatalf("%v seed %d draw %d: video %d, per-call CDF gives %d", c, seed, i, g.ID, w.ID)
+				}
+			}
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("%v seed %d: rng states diverged (%d vs %d)", c, seed, g, w)
+			}
+		}
+	}
+}
+
+func TestSampleFromCategoryAllocFree(t *testing.T) {
+	cat := testCatalog(t, 500)
+	rng := rand.New(rand.NewSource(18))
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := cat.SampleFromCategory(Music, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SampleFromCategory allocates %v times per call", allocs)
+	}
+}
+
+func TestSampleFromCategoryEmpty(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	cat, err := NewCatalog(CatalogConfig{NumVideos: 50, CategoryWeights: []float64{1, 1, 0, 1, 1}}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cat.ByCategory(Music)); n != 0 {
+		t.Fatalf("zero-weight category holds %d videos", n)
+	}
+	for _, c := range []Category{Music, Category(0), Category(99)} {
+		if _, err := cat.SampleFromCategory(c, rng); !errors.Is(err, ErrParam) {
+			t.Fatalf("%v: want ErrParam, got %v", c, err)
+		}
+	}
+	if _, err := cat.SampleFromCategory(News, rng); err != nil {
+		t.Fatalf("non-empty category: %v", err)
+	}
+}
+
+// TestSampleFromCategoryConcurrent samples one shared catalog from
+// many goroutines, each with its own rng, as the engines' workers do:
+// every goroutine must draw exactly what a sequential run with its
+// seed draws.
+func TestSampleFromCategoryConcurrent(t *testing.T) {
+	cat := testCatalog(t, 500)
+	const workers, draws = 8, 2000
+	run := func(seed int64) []int {
+		rng := rand.New(rand.NewSource(seed))
+		cats := AllCategories()
+		ids := make([]int, draws)
+		for i := range ids {
+			v, err := cat.SampleFromCategory(cats[i%len(cats)], rng)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			ids[i] = v.ID
+		}
+		return ids
+	}
+	got := make([][]int, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = run(int64(w))
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := range got {
+		want := run(int64(w))
+		for i := range want {
+			if got[w][i] != want[i] {
+				t.Fatalf("goroutine %d draw %d: video %d, sequential %d", w, i, got[w][i], want[i])
+			}
 		}
 	}
 }
