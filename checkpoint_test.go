@@ -505,28 +505,28 @@ func TestTraceDigestPinned(t *testing.T) {
 	}{
 		{"mono", 42, mono,
 			"b161aeb9e727d48956ef86186d73eb8af573fc30f70284706c67146d2d14c6d3",
-			"946a3d64ed62d7dabfa82c6c87a64e7201afdcd9a1c24eca28545b30e873dd8b"},
+			"d940d6617b4adfa6dfdd3afe2e32279bf66a9c982e695eb04d4bc5a262c07e6f"},
 		{"mono", 7, mono,
 			"81eb18c8b6ed31eb36e9df74aa7f989c25876838572791586d4e0a5c9b81d57c",
-			"6ee4d77fa071f0f9a28484d5e0ed2e83afac5f6877c670c2592a7d553b827245"},
+			"7dc2e300350ffd1d2f5a6336a82a4f224038798cef9dbc755c536bbfd8ca913c"},
 		{"cluster", 42, cluster,
 			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"bcc0bc540d6d3e4ea932a71a8711d357f933653cf1d35dd47d809922182b00fe"},
+			"711b6b2ca5fc78485147118f5b9253230fe54cf4dad1f96c028e6f757ae66c01"},
 		{"cluster", 7, cluster,
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"ab9797477bb626695d2fd61b5b3738a200ff0cff0029d32e3707bf0cd67eea39"},
+			"af2188038d7cfa96f5fa8972d73e904df347d9af98115f2c714ae3015cc6b93e"},
 		{"degraded", 42, degraded,
 			"6786731520d867718ac35fa7d1f9eb3d5ff80106ea54ce9dad0161f88a4254a3",
-			"ad8eb6bd0d7601c85e3aaf226b70c6d85ed5a2bb823716ddccda467b99602dd4"},
+			"54afe344d1b8172fe72b938c7da86e410b1cfc801207def794c7a5b73d901771"},
 		{"degraded", 7, degraded,
 			"2b9efea038ac9c889daa8ce2497610132758e95d9b543e0e19c396fdaf76e714",
-			"4fb66e47ab1f699191f46f5d32d5f162c35a1a9b0f9e4d377ab428b4adf5cdb7"},
+			"fb831ff9ce7ae8645903e0e86c1880ed4dd647429bd45858594ce3b45becc8b9"},
 		{"distributed", 42, distributed,
 			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"11d906ea72ff910b8640c3fe31249b24173a49340d2e5a4614282fbacc6d5d34"},
+			"c1bf23951458c5a44a3787a4dba8661cb09275b4f4189d85ee87d4d26790f9e3"},
 		{"distributed", 7, distributed,
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"03b670026319ffd684a3eecd405b7f6ed60b25457129121f8693165c8e80829c"},
+			"733dd167b81e4be1b23fda1d2b50ecced68696efc9a633a75df203dc739b43c6"},
 	} {
 		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
 		t.Run(name, func(t *testing.T) {

@@ -74,9 +74,10 @@ type Compressor struct {
 	// training step and reused so the fit loop stays allocation-free.
 	params []nn.Param
 
-	// Minibatch scratch (grow-once): the stacked window batch and the
-	// batched reconstruction gradient. The per-layer activations live
-	// inside the layers (nn batch scratch).
+	// Minibatch scratch (grow-once): the stacked window batch, shared
+	// by Fit and EncodeBatch, and the batched reconstruction gradient.
+	// The per-layer activations live inside the layers (nn batch
+	// scratch).
 	xB, gradB *vecmath.Matrix
 
 	// epochs is how many epochs the last Fit ran.
@@ -136,9 +137,9 @@ func New(cfg Config, rng *rand.Rand) (*Compressor, error) {
 	return &Compressor{cfg: cfg, encoder: encoder, decoder: decoder, opt: nn.NewAdam(lr), inDim: inDim}, nil
 }
 
-// SetGEMMPool routes the batched Fit GEMMs of the encoder and decoder
-// through the given pool (nil restores the sequential kernels). Purely
-// a wall-clock knob: fitted weights, codes and reconstructions are
+// SetGEMMPool routes the GEMMs of Fit and EncodeBatch through the
+// given pool (nil restores the sequential kernels). Purely a
+// wall-clock knob: fitted weights, codes and reconstructions are
 // bit-identical for any worker count.
 func (c *Compressor) SetGEMMPool(p *vecmath.GEMMPool) {
 	c.encoder.SetGEMMPool(p)
@@ -151,28 +152,34 @@ func (c *Compressor) Config() Config { return c.cfg }
 // InputDim returns the flattened window size Channels×Window.
 func (c *Compressor) InputDim() int { return c.inDim }
 
-// Encode compresses one flattened window into a CodeDim vector. The
-// returned code is caller-owned (a copy of the network scratch).
-func (c *Compressor) Encode(window vecmath.Vec) (vecmath.Vec, error) {
-	if len(window) != c.inDim {
-		return nil, fmt.Errorf("encode input %d want %d: %w", len(window), c.inDim, ErrConfig)
-	}
-	code, err := c.encoder.Forward(window)
-	if err != nil {
-		return nil, err
-	}
-	return vecmath.Clone(code), nil
-}
-
-// EncodeBatch compresses many windows.
+// EncodeBatch compresses many windows into caller-owned CodeDim codes.
+// It runs the encoder's ForwardBatch, the pass Fit trains, on chunks
+// of Config.Batch windows staged in the compressor's minibatch
+// scratch, so inference reuses the scratch Fit grew and a window's
+// code does not depend on which windows share its chunk.
 func (c *Compressor) EncodeBatch(windows []vecmath.Vec) ([]vecmath.Vec, error) {
 	out := make([]vecmath.Vec, len(windows))
-	for i, w := range windows {
-		code, err := c.Encode(w)
-		if err != nil {
-			return nil, fmt.Errorf("window %d: %w", i, err)
+	if c.xB == nil {
+		c.xB = &vecmath.Matrix{}
+	}
+	for start := 0; start < len(windows); start += c.cfg.Batch {
+		chunk := windows[start:min(start+c.cfg.Batch, len(windows))]
+		if err := c.xB.Resize(len(chunk), c.inDim); err != nil {
+			return nil, err
 		}
-		out[i] = code
+		for r, w := range chunk {
+			if len(w) != c.inDim {
+				return nil, fmt.Errorf("window %d: encode input %d want %d: %w", start+r, len(w), c.inDim, ErrConfig)
+			}
+			copy(c.xB.Row(r), w)
+		}
+		codes, err := c.encoder.ForwardBatch(c.xB)
+		if err != nil {
+			return nil, fmt.Errorf("windows %d..%d: %w", start, start+len(chunk)-1, err)
+		}
+		for r := range chunk {
+			out[start+r] = vecmath.Clone(codes.Row(r))
+		}
 	}
 	return out, nil
 }

@@ -52,6 +52,16 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// encodeOne encodes w as a one-window EncodeBatch.
+func encodeOne(t *testing.T, c *Compressor, w vecmath.Vec) vecmath.Vec {
+	t.Helper()
+	codes, err := c.EncodeBatch([]vecmath.Vec{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codes[0]
+}
+
 func TestEncodeShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c, err := New(testConfig(), rng)
@@ -65,10 +75,7 @@ func TestEncodeShape(t *testing.T) {
 	for i := range w {
 		w[i] = rng.NormFloat64()
 	}
-	code, err := c.Encode(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	code := encodeOne(t, c, w)
 	if len(code) != 4 {
 		t.Fatalf("code len %d", len(code))
 	}
@@ -78,7 +85,7 @@ func TestEncodeShape(t *testing.T) {
 			t.Fatalf("code value %v outside [-1,1]", v)
 		}
 	}
-	if _, err := c.Encode(vecmath.Vec{1, 2}); !errors.Is(err, ErrConfig) {
+	if _, err := c.EncodeBatch([]vecmath.Vec{{1, 2}}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig, got %v", err)
 	}
 }
@@ -93,14 +100,7 @@ func TestEncodeDeterministic(t *testing.T) {
 	for i := range w {
 		w[i] = math.Sin(float64(i))
 	}
-	a, err := c.Encode(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Encode(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := encodeOne(t, c, w), encodeOne(t, c, w)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("encode must be deterministic")
@@ -132,6 +132,56 @@ func TestEncodeBatch(t *testing.T) {
 	windows[2] = vecmath.Vec{1}
 	if _, err := c.EncodeBatch(windows); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig, got %v", err)
+	}
+}
+
+// TestEncodeBatchChunkInvariant: EncodeBatch walks its windows in
+// chunks of Config.Batch, and every code must equal that window's
+// one-window encode bit for bit for any window count, a short tail
+// chunk included. Encoding N windows allocates the N codes and the
+// slice that holds them, nothing per chunk.
+func TestEncodeBatchChunkInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, batch := range []int{1, 8} {
+		cfg := testConfig()
+		cfg.Batch = batch
+		c, err := New(cfg, rand.New(rand.NewSource(10)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 7, 8, 9, 61} {
+			windows := make([]vecmath.Vec, n)
+			for i := range windows {
+				windows[i] = make(vecmath.Vec, c.InputDim())
+				for j := range windows[i] {
+					windows[i][j] = rng.NormFloat64()
+				}
+			}
+			codes, err := c.EncodeBatch(windows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range windows {
+				want := encodeOne(t, c, w)
+				if len(codes[i]) != cfg.CodeDim || len(want) != cfg.CodeDim {
+					t.Fatalf("batch %d n %d window %d: code len %d, one-window code len %d, want %d",
+						batch, n, i, len(codes[i]), len(want), cfg.CodeDim)
+				}
+				for j := range want {
+					if math.Float64bits(codes[i][j]) != math.Float64bits(want[j]) {
+						t.Fatalf("batch %d n %d window %d code %d: %v, one-window encode %v",
+							batch, n, i, j, codes[i][j], want[j])
+					}
+				}
+			}
+			if a := testing.AllocsPerRun(20, func() {
+				if _, err := c.EncodeBatch(windows); err != nil {
+					t.Fatal(err)
+				}
+			}); a != float64(n+1) {
+				t.Fatalf("batch %d: encoding %d windows allocates %v times, want %d", batch, n, a, n+1)
+			}
+		}
 	}
 }
 
@@ -194,17 +244,17 @@ func TestReconstructShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := make(vecmath.Vec, c.InputDim())
-	code, err := c.encoder.Forward(w)
+	x := vecmath.MustMatrix(1, c.InputDim())
+	code, err := c.encoder.ForwardBatch(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recon, err := c.decoder.Forward(code)
+	recon, err := c.decoder.ForwardBatch(code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recon) != c.InputDim() {
-		t.Fatalf("recon len %d want %d", len(recon), c.InputDim())
+	if recon.Rows != 1 || recon.Cols != c.InputDim() {
+		t.Fatalf("recon %dx%d want 1x%d", recon.Rows, recon.Cols, c.InputDim())
 	}
 }
 
@@ -293,14 +343,7 @@ func TestSaveLoadState(t *testing.T) {
 	if err := b.LoadState(a.SaveState()); err != nil {
 		t.Fatal(err)
 	}
-	ca, err := a.Encode(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := b.Encode(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ca, cb := encodeOne(t, a, w), encodeOne(t, b, w)
 	for i := range ca {
 		if ca[i] != cb[i] {
 			t.Fatal("codes differ after state transfer")

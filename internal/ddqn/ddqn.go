@@ -220,13 +220,14 @@ type Agent struct {
 	eps        float64
 	learnSteps int
 
-	// Minibatch scratch, allocated once in New so Learn runs with zero
-	// steady-state allocations: the sampled batch, the stacked
-	// current- and next-state matrices, the per-sample TD targets, the
-	// batched loss gradient, and the per-row target scratch. The
-	// hidden activations and batched Q outputs live inside the layers
-	// (nn batch scratch).
+	// Minibatch scratch, allocated once in New so Learn and Greedy run
+	// with zero steady-state allocations: the sampled batch, the
+	// stacked current- and next-state matrices, the per-sample TD
+	// targets, the batched loss gradient, the per-row target scratch
+	// and Greedy's one-row state matrix. The hidden activations and
+	// batched Q outputs live inside the layers (nn batch scratch).
 	batch    []Transition
+	stateX   *vecmath.Matrix
 	curX     *vecmath.Matrix
 	nextX    *vecmath.Matrix
 	gradB    *vecmath.Matrix
@@ -263,6 +264,9 @@ func New(cfg Config, rng *rand.Rand) (*Agent, error) {
 		rng: rng, eps: c.EpsStart,
 	}
 	a.batch = make([]Transition, c.BatchSize)
+	if a.stateX, err = vecmath.NewMatrix(1, c.StateDim); err != nil {
+		return nil, err
+	}
 	if a.curX, err = vecmath.NewMatrix(c.BatchSize, c.StateDim); err != nil {
 		return nil, err
 	}
@@ -278,10 +282,10 @@ func New(cfg Config, rng *rand.Rand) (*Agent, error) {
 	return a, nil
 }
 
-// SetGEMMPool routes the batched Learn GEMMs of both the online and
-// target networks through the given pool (nil restores the sequential
-// kernels). Purely a wall-clock knob: learned weights and Q-values
-// are bit-identical for any worker count.
+// SetGEMMPool routes the GEMMs of Learn and Greedy on both the online
+// and target networks through the given pool (nil restores the
+// sequential kernels). Purely a wall-clock knob: learned weights and
+// Q-values are bit-identical for any worker count.
 func (a *Agent) SetGEMMPool(p *vecmath.GEMMPool) {
 	a.online.net.SetGEMMPool(p)
 	a.target.net.SetGEMMPool(p)
@@ -289,25 +293,6 @@ func (a *Agent) SetGEMMPool(p *vecmath.GEMMPool) {
 
 // Epsilon returns the current exploration rate.
 func (a *Agent) Epsilon() float64 { return a.eps }
-
-// QValues returns the online network's Q estimate for a state. The
-// returned vector is caller-owned (a copy of the network scratch).
-func (a *Agent) QValues(state vecmath.Vec) (vecmath.Vec, error) {
-	q, err := a.qValuesScratch(state)
-	if err != nil {
-		return nil, err
-	}
-	return vecmath.Clone(q), nil
-}
-
-// qValuesScratch is the internal fast path: the returned slice aliases
-// the network's scratch and is overwritten by the next forward pass.
-func (a *Agent) qValuesScratch(state vecmath.Vec) (vecmath.Vec, error) {
-	if len(state) != a.cfg.StateDim {
-		return nil, fmt.Errorf("state dim %d want %d: %w", len(state), a.cfg.StateDim, ErrConfig)
-	}
-	return a.online.net.Forward(state)
-}
 
 // Act selects an action ε-greedily.
 func (a *Agent) Act(state vecmath.Vec) (int, error) {
@@ -317,13 +302,20 @@ func (a *Agent) Act(state vecmath.Vec) (int, error) {
 	return a.Greedy(state)
 }
 
-// Greedy selects the argmax action of the online network.
+// Greedy selects the argmax action of the online network, which runs
+// the state as a one-row ForwardBatch, the pass Learn trains. Every
+// Learn starts with fresh forward passes, so a Greedy call between two
+// Learn steps leaves training unchanged.
 func (a *Agent) Greedy(state vecmath.Vec) (int, error) {
-	q, err := a.qValuesScratch(state)
+	if len(state) != a.cfg.StateDim {
+		return 0, fmt.Errorf("state dim %d want %d: %w", len(state), a.cfg.StateDim, ErrConfig)
+	}
+	copy(a.stateX.Data, state)
+	q, err := a.online.net.ForwardBatch(a.stateX)
 	if err != nil {
 		return 0, err
 	}
-	return vecmath.ArgMax(q), nil
+	return vecmath.ArgMax(q.Data), nil
 }
 
 // Observe stores a transition and decays ε.

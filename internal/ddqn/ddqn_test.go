@@ -13,6 +13,18 @@ import (
 	"dtmsvs/internal/vecmath"
 )
 
+// qValues returns a copy of the online network's Q estimate for state.
+func qValues(t *testing.T, a *Agent, state vecmath.Vec) vecmath.Vec {
+	t.Helper()
+	x := vecmath.MustMatrix(1, len(state))
+	copy(x.Data, state)
+	q, err := a.online.net.ForwardBatch(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vecmath.Clone(q.Data)
+}
+
 func testCfg() Config {
 	return Config{StateDim: 2, NumActions: 3, Hidden: 16, BatchSize: 8, ReplayCapacity: 64, TargetSync: 10}
 }
@@ -94,7 +106,7 @@ func TestAgentActBounds(t *testing.T) {
 			t.Fatalf("action %d out of range", act)
 		}
 	}
-	if _, err := a.QValues(vecmath.Vec{1}); !errors.Is(err, ErrConfig) {
+	if _, err := a.Greedy(vecmath.Vec{1}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig, got %v", err)
 	}
 }
@@ -196,7 +208,7 @@ func TestAgentLearnsBandit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if act != 1 {
-		q, _ := a.QValues(vecmath.Vec{1, 0})
+		q := qValues(t, a, vecmath.Vec{1, 0})
 		t.Fatalf("greedy action %d, want 1 (q=%v)", act, q)
 	}
 }
@@ -326,14 +338,7 @@ func TestAgentSaveLoadState(t *testing.T) {
 	if err := b.LoadState(a.SaveState()); err != nil {
 		t.Fatal(err)
 	}
-	qa, err := a.QValues(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qb, err := b.QValues(state)
-	if err != nil {
-		t.Fatal(err)
-	}
+	qa, qb := qValues(t, a, state), qValues(t, b, state)
 	for i := range qa {
 		if qa[i] != qb[i] {
 			t.Fatal("q-values differ after state transfer")
@@ -367,10 +372,7 @@ func TestVanillaVsDoubleOverestimation(t *testing.T) {
 		if _, err := a.Train(&chainEnv{}, 250, 20); err != nil {
 			t.Fatal(err)
 		}
-		q, err := a.QValues(vecmath.Vec{1, 0, 0})
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := qValues(t, a, vecmath.Vec{1, 0, 0})
 		return q[vecmath.ArgMax(q)]
 	}
 	// True optimal return from the start: -0.05 + 0.9·1 = 0.85.

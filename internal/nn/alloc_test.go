@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -37,44 +36,33 @@ func TestDenseForwardBackwardAllocFree(t *testing.T) {
 	}
 }
 
-// TestInferenceForwardAllocFree checks the inference path on the
-// compressor's encoder stack: Forward allocates nothing and caches
-// nothing, so inference calls between a ForwardBatch and its
-// BackwardBatch leave every gradient bit unchanged.
+// TestInferenceForwardAllocFree checks inference on the compressor's
+// encoder stack: once a training step has grown the scratch, a
+// ForwardBatch of one row, of a short tail batch or of a full batch
+// allocates nothing.
 func TestInferenceForwardAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	netA, netB := buildBatchNet(t, rand.New(rand.NewSource(3))), buildBatchNet(t, rand.New(rand.NewSource(3)))
-	x, grad := randMatrix(4, 5*16, rng), randMatrix(4, 8, rng)
-	v := randMatrix(1, 5*16, rng).Row(0)
+	net := buildBatchNet(t, rand.New(rand.NewSource(3)))
+	x, grad := randMatrix(8, 5*16, rng), randMatrix(8, 8, rng)
+	if _, err := net.ForwardBatch(x); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.BackwardBatch(grad); err != nil {
+		t.Fatal(err)
+	}
+	one, tail := randMatrix(1, 5*16, rng), randMatrix(5, 5*16, rng)
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := netA.Forward(v); err != nil {
+		if _, err := net.ForwardBatch(one); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("inference Forward allocates %v per run", n)
-	}
-	for _, net := range []*Network{netA, netB} {
+		if _, err := net.ForwardBatch(tail); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := net.ForwardBatch(x); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for s := 0; s < x.Rows; s++ {
-		if _, err := netA.Forward(x.Row((s + 1) % x.Rows)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, net := range []*Network{netA, netB} {
-		if _, err := net.BackwardBatch(grad); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, got := cloneGrads(netB.Layers()), cloneGrads(netA.Layers())
-	for i := range want {
-		for j := range want[i] {
-			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-				t.Fatalf("param %d grad %d: %v want %v after interleaved inference", i, j, got[i][j], want[i][j])
-			}
-		}
+	}); n != 0 {
+		t.Fatalf("inference ForwardBatch allocates %v per run", n)
 	}
 }
 

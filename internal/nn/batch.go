@@ -7,23 +7,24 @@ import (
 	"dtmsvs/internal/vecmath"
 )
 
-// The batch paths are the only training path: every layer of the CNN
-// compressor and the DDQN Q-network pushes a whole minibatch (one
-// sample per matrix row) through forward and backward as blocked
-// matrix ops, so a minibatch backward through a Dense layer is exactly
-// three GEMMs:
+// The batch paths are the only forward and backward passes: every
+// layer of the CNN compressor and the DDQN Q-network pushes a whole
+// minibatch (one sample per matrix row) through forward and backward
+// as blocked matrix ops, so a minibatch backward through a Dense layer
+// is exactly three GEMMs:
 //
 //	Y  = X·Wᵀ + b      (forward)
 //	dX = dY·W           (input gradient)
 //	dW = dYᵀ·X          (weight gradient, accumulated)
 //
-// The vecmath kernels accumulate every element's inner sum in
-// ascending index order, so a batched Dense/ReLU forward row is
-// bit-identical to the single-sample inference Forward, and a B-row
-// BackwardBatch accumulates dW and db exactly as B one-row batches in
-// sample order would. (Conv1D goes through an im2col window matrix
-// whose GEMM sums over channel and tap in one run, a different — but
-// still fixed and deterministic — grouping than the inference loop.)
+// Inference runs the same ForwardBatch on a batch of one or more
+// samples. The vecmath kernels accumulate every element's inner sum in
+// ascending index order, and no sum crosses rows, so each forward row
+// is bit-identical to a one-row ForwardBatch of that sample, whatever
+// else shares the batch. A B-row BackwardBatch accumulates dW and db
+// exactly as B one-row batches in sample order would. (Conv1D goes
+// through an im2col window matrix whose GEMM sums over channel and tap
+// in one ascending run.)
 //
 // Returned matrices are layer-owned scratch overwritten by the next
 // call, and all scratch grows once and is reused, so steady-state
@@ -59,7 +60,8 @@ func ensureMat(m **vecmath.Matrix, rows, cols int) (*vecmath.Matrix, error) {
 	return *m, nil
 }
 
-// ensureInts is ensure for index scratch.
+// ensureInts returns (*buf)[:n], reallocating only when capacity is
+// short: the grow-once pattern of ensureMat for index scratch.
 func ensureInts(buf *[]int, n int) []int {
 	if cap(*buf) < n {
 		*buf = make([]int, n)
@@ -72,9 +74,10 @@ func ensureInts(buf *[]int, n int) []int {
 
 // ForwardBatch maps every row of x through the layer in one GEMM:
 // out = x·Wᵀ + b, computed as x·(Wᵀ) against a transposed weight
-// scratch so the kernel runs in its fast AXPY form — the summation
-// order (ascending input index) is identical to the W·x of Forward,
-// so every row is bit-identical to a single-sample Forward. The input
+// scratch so the kernel runs in its fast AXPY form. Each output sums
+// its products in ascending input index and then adds the bias, the
+// order of a plain dot product plus bias, so every row is
+// bit-identical to a one-row ForwardBatch of that sample. The input
 // batch is retained (by reference) for BackwardBatch. Shapes: x is
 // (n × InDim), the returned layer-owned matrix is (n × OutDim).
 func (d *Dense) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {

@@ -53,7 +53,7 @@ func oneRowBatches(t *testing.T, m batchPass, x, g *vecmath.Matrix) (out, dx *ve
 // B-row ForwardBatch/BackwardBatch gives, bit for bit, the forward
 // rows, input-gradient rows and accumulated dW/db of B one-row batches
 // run in ascending sample order — the batch sums its samples in that
-// order — and every forward row equals the inference Forward.
+// order.
 func TestDenseBatchMatchesPerSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const batch, inDim, outDim = 7, 13, 9
@@ -84,17 +84,6 @@ func TestDenseBatchMatchesPerSample(t *testing.T) {
 	for i := range wantDx.Data {
 		if math.Float64bits(dx.Data[i]) != math.Float64bits(wantDx.Data[i]) {
 			t.Fatalf("dx element %d: %v want %v", i, dx.Data[i], wantDx.Data[i])
-		}
-	}
-	for s := 0; s < batch; s++ {
-		row, err := dSingle.Forward(x.Row(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range row {
-			if math.Float64bits(out.At(s, j)) != math.Float64bits(v) {
-				t.Fatalf("row %d col %d: batch %v, inference Forward %v", s, j, out.At(s, j), v)
-			}
 		}
 	}
 	bp, sp := dBatch.Params(), dSingle.Params()
@@ -160,15 +149,50 @@ func TestNetworkBatchGradientMatchesPerSample(t *testing.T) {
 	}
 }
 
-// TestBatchForwardMatchesPerSampleForward pins inference against the
-// training forward on the stacks the engines run: every ForwardBatch
-// row must equal the vector Forward of that sample. The DDQN Q-network
-// (Dense-ReLU-Dense-ReLU-Dense, its batched next-state evaluation) and
-// the compressor decoder (Dense-ReLU-Dense) agree bit for bit. The
-// conv encoder agrees within 1e-12 but not bitwise: its training
-// forward is an im2col GEMM that sums over (channel, tap) in one
-// chain, while the inference loop sums each channel's taps and then
-// adds the channel sums.
+// naiveDense is the reference a Dense row is held to bit for bit: each
+// output is the ascending-index dot product of its weight row with x,
+// plus the bias.
+func naiveDense(d *Dense, x vecmath.Vec) vecmath.Vec {
+	out := make(vecmath.Vec, d.OutDim)
+	for o := range out {
+		var s float64
+		for i, xi := range x {
+			s += d.w.At(o, i) * xi
+		}
+		out[o] = s + d.b[o]
+	}
+	return out
+}
+
+// naiveConv is the textbook valid convolution: bias plus, channel by
+// channel, the taps of each window.
+func naiveConv(c *Conv1D, x vecmath.Vec) vecmath.Vec {
+	outLen := c.OutLen()
+	out := make(vecmath.Vec, c.Filters*outLen)
+	for f := 0; f < c.Filters; f++ {
+		for t := 0; t < outLen; t++ {
+			s := c.b[f]
+			for ch := 0; ch < c.InCh; ch++ {
+				for j, kj := range c.w[f][ch] {
+					s += x[ch*c.InLen+t*c.Stride+j] * kj
+				}
+			}
+			out[f*outLen+t] = s
+		}
+	}
+	return out
+}
+
+// TestBatchForwardMatchesPerSampleForward pins the one forward pass on
+// the stacks the engines run: the compressor encoder (conv → relu →
+// pool → dense → tanh), the DDQN Q-network (8-64-64-9) and the
+// compressor decoder (8-56-80). Every row of a 9-row ForwardBatch must
+// equal a one-row ForwardBatch of that sample bit for bit, so a sample
+// is encoded and scored the same whatever shares its batch. Layer by
+// layer, every Dense row must also equal naiveDense bit for bit, and
+// every Conv1D row must equal naiveConv within 1e-12: the im2col GEMM
+// sums channel and tap in one run, the loop adds each channel's taps
+// in turn.
 func TestBatchForwardMatchesPerSampleForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mlp := func(widths ...int) *Network {
@@ -193,39 +217,61 @@ func TestBatchForwardMatchesPerSampleForward(t *testing.T) {
 		name string
 		net  *Network
 		in   int
-		tol  float64
 	}{
-		{"ddqn", mlp(8, 64, 64, 9), 8, 0},
-		{"decoder", mlp(8, 56, 80), 8, 0},
-		{"encoder", buildBatchNet(t, rng), 5 * 16, 1e-12},
+		{"ddqn", mlp(8, 64, 64, 9), 8},
+		{"decoder", mlp(8, 56, 80), 8},
+		{"encoder", buildBatchNet(t, rng), 5 * 16},
 	} {
 		x := randMatrix(9, tc.in, rng)
-		out, err := tc.net.ForwardBatch(x)
+		outOwned, err := tc.net.ForwardBatch(x)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out := outOwned.Clone()
 		for s := 0; s < x.Rows; s++ {
-			want, err := tc.net.Forward(x.Row(s))
+			for j, w := range forwardOne(t, tc.net, x.Row(s)) {
+				if got := out.At(s, j); math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("%s row %d col %d: 9-row batch %v, one-row batch %v", tc.name, s, j, got, w)
+				}
+			}
+		}
+
+		cur := x
+		for li, l := range tc.net.Layers() {
+			lo, err := l.ForwardBatch(cur)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j, w := range want {
-				got := out.At(s, j)
-				bad := math.Float64bits(got) != math.Float64bits(w)
-				if tc.tol > 0 {
-					bad = math.Abs(got-w) > tc.tol*math.Max(1, math.Abs(w))
+			next := lo.Clone()
+			for s := 0; s < cur.Rows; s++ {
+				var want vecmath.Vec
+				tol := 0.0
+				switch l := l.(type) {
+				case *Dense:
+					want = naiveDense(l, cur.Row(s))
+				case *Conv1D:
+					want, tol = naiveConv(l, cur.Row(s)), 1e-12
+				default:
+					continue
 				}
-				if bad {
-					t.Fatalf("%s row %d col %d: ForwardBatch %v, Forward %v", tc.name, s, j, got, w)
+				for j, w := range want {
+					got := next.At(s, j)
+					bad := math.Float64bits(got) != math.Float64bits(w)
+					if tol > 0 {
+						bad = math.Abs(got-w) > tol*math.Max(1, math.Abs(w))
+					}
+					if bad {
+						t.Fatalf("%s layer %d row %d col %d: ForwardBatch %v, naive %v", tc.name, li, s, j, got, w)
+					}
 				}
 			}
+			cur = next
 		}
 	}
 }
 
 // TestBackwardBatchBeforeForwardErrors pins the priming contract: a
-// BackwardBatch needs a ForwardBatch of the same batch size first,
-// and an inference Forward does not prime it.
+// BackwardBatch needs a ForwardBatch of the same batch size first.
 func TestBackwardBatchBeforeForwardErrors(t *testing.T) {
 	d, err := NewDense(4, 3, rand.New(rand.NewSource(6)))
 	if err != nil {
@@ -233,12 +279,6 @@ func TestBackwardBatchBeforeForwardErrors(t *testing.T) {
 	}
 	if _, err := d.BackwardBatch(vecmath.MustMatrix(2, 3)); err == nil {
 		t.Fatal("BackwardBatch before ForwardBatch must error")
-	}
-	if _, err := d.Forward(make(vecmath.Vec, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.BackwardBatch(vecmath.MustMatrix(2, 3)); err == nil {
-		t.Fatal("BackwardBatch after an inference Forward must error")
 	}
 	if _, err := d.ForwardBatch(vecmath.MustMatrix(2, 4)); err != nil {
 		t.Fatal(err)

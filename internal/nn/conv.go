@@ -24,8 +24,6 @@ type Conv1D struct {
 	w, gw [][]vecmath.Vec
 	b, gb vecmath.Vec
 
-	out vecmath.Vec
-
 	// Batched-training scratch (see batch.go): the im2col window
 	// matrix, flattened weight/gradient views, the GEMM outputs and
 	// the batch input-gradient — all grow-once layer-owned.
@@ -69,13 +67,11 @@ func NewConv1D(inCh, inLen, filters, kernel, stride int, rng *rand.Rand) (*Conv1
 			gw[f][c] = make(vecmath.Vec, kernel)
 		}
 	}
-	c := &Conv1D{
+	return &Conv1D{
 		InCh: inCh, InLen: inLen, Filters: filters, Kernel: kernel, Stride: stride,
 		w: w, gw: gw,
 		b: make(vecmath.Vec, filters), gb: make(vecmath.Vec, filters),
-	}
-	c.out = make(vecmath.Vec, filters*c.OutLen())
-	return c, nil
+	}, nil
 }
 
 var _ Layer = (*Conv1D)(nil)
@@ -89,37 +85,6 @@ func (c *Conv1D) OutSize(in int) (int, error) {
 		return 0, fmt.Errorf("conv1d outsize for %d want %d: %w", in, c.InCh*c.InLen, ErrShape)
 	}
 	return c.Filters * c.OutLen(), nil
-}
-
-// Forward implements Layer.
-func (c *Conv1D) Forward(x vecmath.Vec) (vecmath.Vec, error) {
-	if len(x) != c.InCh*c.InLen {
-		return nil, fmt.Errorf("conv1d forward got %d want %d: %w", len(x), c.InCh*c.InLen, ErrShape)
-	}
-	outLen := c.OutLen()
-	out := c.out
-	for i := range out {
-		out[i] = 0
-	}
-	for f := 0; f < c.Filters; f++ {
-		dst := out[f*outLen : (f+1)*outLen]
-		for ch := 0; ch < c.InCh; ch++ {
-			src := x[ch*c.InLen : (ch+1)*c.InLen]
-			kern := c.w[f][ch]
-			for t := 0; t < outLen; t++ {
-				base := t * c.Stride
-				var s float64
-				for j, kj := range kern {
-					s += src[base+j] * kj
-				}
-				dst[t] += s
-			}
-		}
-		for t := range dst {
-			dst[t] += c.b[f]
-		}
-	}
-	return out, nil
 }
 
 // Params implements Layer.
@@ -139,8 +104,6 @@ func (c *Conv1D) Params() []Param {
 type MaxPool1D struct {
 	Ch, InLen, Window int
 
-	out vecmath.Vec
-
 	bArg      []int // batched argmax cache, row-major per sample
 	bOut, bDx *vecmath.Matrix
 }
@@ -150,9 +113,7 @@ func NewMaxPool1D(ch, inLen, window int) (*MaxPool1D, error) {
 	if ch <= 0 || inLen <= 0 || window <= 0 || window > inLen {
 		return nil, fmt.Errorf("maxpool ch=%d len=%d w=%d: %w", ch, inLen, window, ErrShape)
 	}
-	p := &MaxPool1D{Ch: ch, InLen: inLen, Window: window}
-	p.out = make(vecmath.Vec, ch*p.OutLen())
-	return p, nil
+	return &MaxPool1D{Ch: ch, InLen: inLen, Window: window}, nil
 }
 
 var _ Layer = (*MaxPool1D)(nil)
@@ -166,29 +127,6 @@ func (p *MaxPool1D) OutSize(in int) (int, error) {
 		return 0, fmt.Errorf("maxpool outsize for %d want %d: %w", in, p.Ch*p.InLen, ErrShape)
 	}
 	return p.Ch * p.OutLen(), nil
-}
-
-// Forward implements Layer.
-func (p *MaxPool1D) Forward(x vecmath.Vec) (vecmath.Vec, error) {
-	if len(x) != p.Ch*p.InLen {
-		return nil, fmt.Errorf("maxpool forward got %d want %d: %w", len(x), p.Ch*p.InLen, ErrShape)
-	}
-	outLen := p.OutLen()
-	out := p.out
-	for c := 0; c < p.Ch; c++ {
-		src := x[c*p.InLen : (c+1)*p.InLen]
-		for t := 0; t < outLen; t++ {
-			base := t * p.Window
-			best := base
-			for j := base + 1; j < base+p.Window; j++ {
-				if src[j] > src[best] {
-					best = j
-				}
-			}
-			out[c*outLen+t] = src[best]
-		}
-	}
-	return out, nil
 }
 
 // Params implements Layer.

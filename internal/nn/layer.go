@@ -1,22 +1,23 @@
 // Package nn is a small from-scratch neural-network library used by
 // the 1D-CNN UDT-data compressor (internal/cnn) and the DDQN grouping
 // agent (internal/ddqn). Its dense, conv1d, pooling and activation
-// layers have one training path — whole-minibatch ForwardBatch and
-// BackwardBatch, optimized with Adam — and a stateless single-sample
-// Forward for inference. Networks are deterministic given a seeded
-// RNG.
+// layers have one forward pass, whole-minibatch ForwardBatch, and one
+// backward pass, BackwardBatch, optimized with Adam. Training and
+// inference run the same ForwardBatch: inference is a batch of one or
+// more samples, and every output row depends only on its own input
+// row. Networks are deterministic given a seeded RNG.
 //
-// Layers own preallocated scratch buffers: every pass returns views
-// into layer-owned memory that the next call of the same pass
-// overwrites, so a full training step runs with zero steady-state heap
-// allocations. Callers that need an output to survive the next pass
-// must copy it (vecmath.Clone).
+// Layers own grow-once scratch buffers: every pass returns views into
+// layer-owned memory that the next call of the same pass overwrites,
+// so a full training step, and an inference batch no larger than a
+// training batch, run with zero steady-state heap allocations. Callers
+// that need an output to survive the next pass must copy it
+// (vecmath.Clone).
 package nn
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"dtmsvs/internal/vecmath"
@@ -25,8 +26,7 @@ import (
 // ErrShape is returned when a layer receives input of the wrong size.
 var ErrShape = errors.New("nn: shape mismatch")
 
-// Layer is one differentiable stage of a network. Forward maps one
-// input vector to its output and caches nothing. ForwardBatch maps a
+// Layer is one differentiable stage of a network. ForwardBatch maps a
 // minibatch (one sample per matrix row) and retains what the matching
 // BackwardBatch needs; BackwardBatch consumes the gradient of the loss
 // w.r.t. that output, accumulates parameter gradients internally and
@@ -35,8 +35,6 @@ var ErrShape = errors.New("nn: shape mismatch")
 // keep a reference, not a copy). Returned slices and matrices are
 // layer-owned scratch, overwritten by the next call of the same pass.
 type Layer interface {
-	// Forward runs the layer on one sample.
-	Forward(x vecmath.Vec) (vecmath.Vec, error)
 	// ForwardBatch runs the layer on every row of x.
 	ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error)
 	// BackwardBatch propagates the batched output gradient to the
@@ -55,25 +53,12 @@ type Param struct {
 	W, G []float64
 }
 
-// ensure returns (*buf)[:n], reallocating only when capacity is short:
-// the grow-once, reuse-forever pattern behind the scratch buffers of
-// shape-agnostic layers.
-func ensure(buf *vecmath.Vec, n int) vecmath.Vec {
-	if cap(*buf) < n {
-		*buf = make(vecmath.Vec, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // Dense is a fully connected layer: y = W·x + b.
 type Dense struct {
 	InDim, OutDim int
 
 	w, gw *vecmath.Matrix
 	b, gb vecmath.Vec
-
-	out vecmath.Vec
 
 	// Batched-training scratch (see batch.go): bIn references the
 	// caller's input batch between ForwardBatch and BackwardBatch,
@@ -109,23 +94,10 @@ func NewDense(inDim, outDim int, rng *rand.Rand) (*Dense, error) {
 		InDim: inDim, OutDim: outDim,
 		w: w, gw: gw,
 		b: make(vecmath.Vec, outDim), gb: make(vecmath.Vec, outDim),
-		out: make(vecmath.Vec, outDim),
 	}, nil
 }
 
 var _ Layer = (*Dense)(nil)
-
-// Forward implements Layer.
-func (d *Dense) Forward(x vecmath.Vec) (vecmath.Vec, error) {
-	if len(x) != d.InDim {
-		return nil, fmt.Errorf("dense forward got %d want %d: %w", len(x), d.InDim, ErrShape)
-	}
-	if err := d.w.MulVecInto(d.out, x); err != nil {
-		return nil, err
-	}
-	vecmath.AXPYUnchecked(1, d.b, d.out)
-	return d.out, nil
-}
 
 // Params implements Layer.
 func (d *Dense) Params() []Param {
@@ -153,27 +125,12 @@ func (d *Dense) CopyWeightsFrom(src *Dense) error {
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	out vecmath.Vec
-
 	// bOut doubles as the backward cache: bOut[i] > 0 iff the input
 	// was > 0.
 	bOut, bDx *vecmath.Matrix
 }
 
 var _ Layer = (*ReLU)(nil)
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x vecmath.Vec) (vecmath.Vec, error) {
-	out := ensure(&r.out, len(x))
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
-	return out, nil
-}
 
 // Params implements Layer.
 func (r *ReLU) Params() []Param { return nil }
@@ -183,21 +140,10 @@ func (r *ReLU) OutSize(in int) (int, error) { return in, nil }
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
-	out vecmath.Vec
-
 	bOut, bDx *vecmath.Matrix // bOut doubles as the backward cache (y = tanh x)
 }
 
 var _ Layer = (*Tanh)(nil)
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x vecmath.Vec) (vecmath.Vec, error) {
-	out := ensure(&t.out, len(x))
-	for i, v := range x {
-		out[i] = math.Tanh(v)
-	}
-	return out, nil
-}
 
 // Params implements Layer.
 func (t *Tanh) Params() []Param { return nil }

@@ -43,19 +43,6 @@ func NewNetwork(inputDim int, layers ...Layer) (*Network, error) {
 // Layers exposes the layer list (read-only use expected).
 func (n *Network) Layers() []Layer { return n.layers }
 
-// Forward runs all layers in order.
-func (n *Network) Forward(x vecmath.Vec) (vecmath.Vec, error) {
-	cur := x
-	for i, l := range n.layers {
-		out, err := l.Forward(cur)
-		if err != nil {
-			return nil, fmt.Errorf("forward layer %d: %w", i, err)
-		}
-		cur = out
-	}
-	return cur, nil
-}
-
 // ZeroGrads clears all gradient accumulators.
 func (n *Network) ZeroGrads() {
 	for _, p := range n.Params() {

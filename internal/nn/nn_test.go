@@ -74,6 +74,21 @@ func checkGradients(t *testing.T, name string, m batchPass, x *vecmath.Matrix, r
 	}
 }
 
+// forwardOne runs x through m as a one-row ForwardBatch and returns a
+// copy of the output row.
+func forwardOne(t *testing.T, m interface {
+	ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error)
+}, x vecmath.Vec) vecmath.Vec {
+	t.Helper()
+	xm := vecmath.MustMatrix(1, len(x))
+	copy(xm.Data, x)
+	out, err := m.ForwardBatch(xm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vecmath.Clone(out.Data)
+}
+
 func randMatrix(rows, cols int, rng *rand.Rand) *vecmath.Matrix {
 	m := vecmath.MustMatrix(rows, cols)
 	for i := range m.Data {
@@ -90,9 +105,6 @@ func TestDenseShapeValidation(t *testing.T) {
 	d, err := NewDense(3, 2, rng)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := d.Forward(vecmath.Vec{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
 	}
 	if _, err := d.ForwardBatch(vecmath.MustMatrix(2, 1)); !errors.Is(err, ErrShape) {
 		t.Fatalf("forward batch: want ErrShape, got %v", err)
@@ -116,10 +128,7 @@ func TestDenseForwardKnownWeights(t *testing.T) {
 	}
 	copy(d.w.Data, []float64{1, 2, 3, 4})
 	copy(d.b, []float64{0.5, -0.5})
-	out, err := d.Forward(vecmath.Vec{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := forwardOne(t, d, vecmath.Vec{1, 1})
 	if out[0] != 3.5 || out[1] != 6.5 {
 		t.Fatalf("forward = %v", out)
 	}
@@ -137,17 +146,9 @@ func TestDenseGradientNumerically(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	var r ReLU
-	out, err := r.Forward(vecmath.Vec{-1, 0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := forwardOne(t, &r, vecmath.Vec{-1, 0, 2})
 	if out[0] != 0 || out[1] != 0 || out[2] != 2 {
 		t.Fatalf("relu forward %v", out)
-	}
-	x := vecmath.MustMatrix(1, 3)
-	copy(x.Data, []float64{-1, 0, 2})
-	if _, err := r.ForwardBatch(x); err != nil {
-		t.Fatal(err)
 	}
 	ones := vecmath.MustMatrix(1, 3)
 	copy(ones.Data, []float64{1, 1, 1})
@@ -195,7 +196,7 @@ func TestConv1DValidation(t *testing.T) {
 	if c.OutLen() != 6 {
 		t.Fatalf("OutLen = %d", c.OutLen())
 	}
-	if _, err := c.Forward(vecmath.Vec{1, 2}); !errors.Is(err, ErrShape) {
+	if _, err := c.ForwardBatch(vecmath.MustMatrix(1, 2)); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
 	if _, err := c.BackwardBatch(vecmath.MustMatrix(1, 18)); !errors.Is(err, ErrShape) {
@@ -214,10 +215,7 @@ func TestConv1DKnownKernel(t *testing.T) {
 	}
 	copy(c.w[0][0], []float64{1, 1})
 	c.b[0] = 0
-	out, err := c.Forward(vecmath.Vec{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := forwardOne(t, c, vecmath.Vec{1, 2, 3, 4})
 	want := []float64{3, 5, 7}
 	for i := range want {
 		if out[i] != want[i] {
@@ -270,21 +268,12 @@ func TestMaxPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []float64{1, 3, 2, 2, 5, 4, 0, 7}
-	out, err := p.Forward(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := forwardOne(t, p, []float64{1, 3, 2, 2, 5, 4, 0, 7})
 	want := []float64{3, 2, 5, 7}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("pool out %v, want %v", out, want)
 		}
-	}
-	x := vecmath.MustMatrix(1, 8)
-	copy(x.Data, in)
-	if _, err := p.ForwardBatch(x); err != nil {
-		t.Fatal(err)
 	}
 	ones := vecmath.MustMatrix(1, 4)
 	copy(ones.Data, []float64{1, 1, 1, 1})
@@ -299,7 +288,7 @@ func TestMaxPool(t *testing.T) {
 			t.Fatalf("pool grad %v, want %v", g.Data, wantG)
 		}
 	}
-	if _, err := p.Forward(vecmath.Vec{1}); !errors.Is(err, ErrShape) {
+	if _, err := p.ForwardBatch(vecmath.MustMatrix(1, 1)); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
 }
@@ -317,8 +306,8 @@ func TestNetworkValidation(t *testing.T) {
 }
 
 // TestNetworkLearnsXOR trains full-batch on the four XOR points
-// through ForwardBatch/BackwardBatch and Adam, then checks the fit
-// through the inference Forward.
+// through ForwardBatch/BackwardBatch and Adam, then checks the fit one
+// point at a time.
 func TestNetworkLearnsXOR(t *testing.T) {
 	rng := newRNG()
 	d1, err := NewDense(2, 8, rng)
@@ -357,10 +346,7 @@ func TestNetworkLearnsXOR(t *testing.T) {
 		}
 	}
 	for r := 0; r < 4; r++ {
-		out, ferr := net.Forward(x.Row(r))
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
+		out := forwardOne(t, net, x.Row(r))
 		if math.Abs(out[0]-targets[r]) > 0.2 {
 			t.Fatalf("XOR not learned: in=%v out=%v want %v", x.Row(r), out[0], targets[r])
 		}
@@ -503,11 +489,7 @@ func TestNetworkCNNPipelineShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randMatrix(3, 4*32, rng)
-	out, err := net.Forward(x.Row(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 8 {
+	if out := forwardOne(t, net, x.Row(0)); len(out) != 8 {
 		t.Fatalf("pipeline out %d, want 8", len(out))
 	}
 	outB, err := net.ForwardBatch(x)

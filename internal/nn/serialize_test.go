@@ -33,17 +33,11 @@ func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	dst := buildNet(t, 2)
 	x := vecmath.Vec{0.1, -0.2, 0.3, 0.7}
 
-	before, err := src.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := forwardOne(t, src, x)
 	if err := dst.LoadWeights(src.SaveWeights()); err != nil {
 		t.Fatal(err)
 	}
-	after, err := dst.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := forwardOne(t, dst, x)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("output differs after weight transfer: %v vs %v", before, after)
@@ -56,11 +50,7 @@ func TestSaveWeightsIsolation(t *testing.T) {
 	state := net.SaveWeights()
 	state.Params[0][0] = 1e9
 	x := vecmath.Vec{1, 1, 1, 1}
-	out, err := net.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range out {
+	for _, v := range forwardOne(t, net, x) {
 		if v > 1e6 {
 			t.Fatal("saved state aliases live weights")
 		}
@@ -82,15 +72,9 @@ func TestLoadWeightsValidation(t *testing.T) {
 	}
 	// A failed load must not partially mutate: check output unchanged.
 	x := vecmath.Vec{0.5, 0.5, 0.5, 0.5}
-	before, err := net.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := forwardOne(t, net, x)
 	_ = net.LoadWeights(bad)
-	after, err := net.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := forwardOne(t, net, x)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("failed load mutated weights")
@@ -114,14 +98,7 @@ func TestWeightStateEncodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := vecmath.Vec{0.2, 0.4, 0.6, 0.8}
-	a, err := net.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := other.Forward(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := forwardOne(t, net, x), forwardOne(t, other, x)
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatal("checkpoint round trip changed weights")

@@ -118,9 +118,9 @@ func TestForceGeneric(t *testing.T) {
 	}
 }
 
-// TestDot4SqDist4Equivalence pins the multi-chain kernels to their
-// single-output references, output by output and bit by bit.
-func TestDot4SqDist4Equivalence(t *testing.T) {
+// TestSqDist4Equivalence pins the multi-chain kernel to its
+// single-output reference, output by output and bit by bit.
+func TestSqDist4Equivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, n := range kernTestLens {
 		a := make(Vec, n)
@@ -129,13 +129,6 @@ func TestDot4SqDist4Equivalence(t *testing.T) {
 		for i := range bs {
 			bs[i] = make(Vec, n)
 			fillKernVec(rng, bs[i])
-		}
-		d0, d1, d2, d3 := Dot4Unchecked(a, bs[0], bs[1], bs[2], bs[3])
-		for i, got := range []float64{d0, d1, d2, d3} {
-			want := DotUnchecked(a, bs[i])
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("dot4 n=%d lane %d: got %x want %x", n, i, math.Float64bits(got), math.Float64bits(want))
-			}
 		}
 		s0, s1, s2, s3 := SqDist4Unchecked(a, bs[0], bs[1], bs[2], bs[3])
 		for i, got := range []float64{s0, s1, s2, s3} {

@@ -17,17 +17,16 @@ package vecmath
 // the scalar loop, and ForceGeneric flips the dispatch at runtime for
 // same-binary A/B tests and benchmarks.
 //
-// Dot-form kernels are different: a single inner product is one
-// strictly sequential chain of rounded adds, so no reassociating
+// Reductions are different: a single squared distance is one strictly
+// sequential chain of rounded adds, so no reassociating
 // (multi-accumulator or horizontal-SIMD) implementation can be
-// bit-identical to it. Instead of changing the contract, the dot-form
-// hot paths batch *independent* outputs: Dot4Unchecked and
-// SqDist4Unchecked compute four sums at once, each with its own
-// accumulator walking ascending indices — bit-identical per output to
-// DotUnchecked/SqDistUnchecked — while the four independent add
-// chains hide the FP-add latency that bounds a lone chain. These are
-// hand-unrolled portable Go, identical on every platform and build
-// tag by construction.
+// bit-identical to it. Instead of changing the contract, the K-means
+// hot path batches *independent* outputs: SqDist4Unchecked computes
+// four sums at once, each with its own accumulator walking ascending
+// indices — bit-identical per output to SqDistUnchecked — while the
+// four independent add chains hide the FP-add latency that bounds a
+// lone chain. It is hand-unrolled portable Go, identical on every
+// platform and build tag by construction.
 
 import "math"
 
@@ -118,29 +117,12 @@ func adamGeneric(c *AdamCoeffs, w, g, m, v Vec) {
 	}
 }
 
-// Dot4Unchecked computes the four inner products of a with b0..b3
-// without shape checks: the caller guarantees every b has length >=
-// len(a). Each sum owns its accumulator and walks ascending indices,
-// so every output is bit-identical to DotUnchecked(a, bN) — the four
-// independent chains exist purely to hide FP-add latency.
-func Dot4Unchecked(a, b0, b1, b2, b3 Vec) (s0, s1, s2, s3 float64) {
-	b0 = b0[:len(a)]
-	b1 = b1[:len(a)]
-	b2 = b2[:len(a)]
-	b3 = b3[:len(a)]
-	for i, av := range a {
-		s0 += av * b0[i]
-		s1 += av * b1[i]
-		s2 += av * b2[i]
-		s3 += av * b3[i]
-	}
-	return s0, s1, s2, s3
-}
-
 // SqDist4Unchecked computes the four squared Euclidean distances of a
 // to b0..b3 without shape checks: the caller guarantees every b has
 // length >= len(a). Each output is bit-identical to
-// SqDistUnchecked(a, bN), for the same reason as Dot4Unchecked.
+// SqDistUnchecked(a, bN): each sum owns its accumulator and walks
+// ascending indices, and the four independent chains exist purely to
+// hide FP-add latency.
 func SqDist4Unchecked(a, b0, b1, b2, b3 Vec) (s0, s1, s2, s3 float64) {
 	b0 = b0[:len(a)]
 	b1 = b1[:len(a)]

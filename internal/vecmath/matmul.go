@@ -8,9 +8,12 @@ import "fmt"
 // inner dimension accumulates in ascending index order, starting from
 // zero, no matter how the loops are tiled. The kernels are sequential,
 // so results are bit-identical across machines, worker counts and call
-// sites. Against a transposed weight matrix, MatMulInto reproduces the
-// accumulation order of the single-sample MulVecInto, which is what
-// keeps a batched training forward bit-identical to inference.
+// sites, and no destination row depends on any other row of a: a
+// B-row product equals B one-row products bit for bit. Against a
+// transposed weight matrix, MatMulInto reproduces the accumulation
+// order of a plain ascending-index dot product, so a network's forward
+// pass gives every sample the same bits however the samples are
+// batched.
 //
 // The tiling never splits the inner dimension (that would reorder the
 // summation); it blocks the *output* dimensions so operand rows are

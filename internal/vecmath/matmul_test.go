@@ -118,11 +118,11 @@ func TestMatMulTransAIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestTransposedMatMulMatchesPerRowMulVec covers dst = a·bᵀ computed
-// the way the Dense training forward computes it — TransposeInto
-// followed by MatMulInto — and its bit-identity with the single-sample
-// MulVecInto that inference runs.
-func TestTransposedMatMulMatchesPerRowMulVec(t *testing.T) {
+// TestTransposedMatMulMatchesNaive covers dst = a·bᵀ computed the way
+// the Dense forward computes it — TransposeInto followed by MatMulInto
+// — and its bit-identity with the ascending-index dot products of the
+// naive reference.
+func TestTransposedMatMulMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, sh := range [][3]int{{1, 1, 1}, {4, 6, 3}, {32, 8, 7}, {3, 80, 70}} {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -139,17 +139,6 @@ func TestTransposedMatMulMatchesPerRowMulVec(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantBitIdentical(t, "matmul-transposed", dst, naiveMatMul(a, b, false, true))
-		row := make(Vec, n)
-		for i := 0; i < m; i++ {
-			if err := b.MulVecInto(row, a.Row(i)); err != nil {
-				t.Fatal(err)
-			}
-			for j := range row {
-				if dst.At(i, j) != row[j] {
-					t.Fatalf("row %d col %d: %v vs MulVecInto %v", i, j, dst.At(i, j), row[j])
-				}
-			}
-		}
 	}
 }
 

@@ -59,24 +59,3 @@ func (m *Matrix) FillXavier(rng *rand.Rand, fanIn, fanOut int) {
 	scale := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	m.FillRandUniform(rng, scale)
 }
-
-// MulVecInto computes dst = m * x without allocating; dst must have
-// length m.Rows.
-func (m *Matrix) MulVecInto(dst, x Vec) error {
-	if m.Cols != len(x) || m.Rows != len(dst) {
-		return fmt.Errorf("mulvec %dx%d by %d into %d: %w", m.Rows, m.Cols, len(x), len(dst), ErrShape)
-	}
-	// Four rows at a time through the multi-chain dot kernel; the
-	// shared operand moves to the left slot (row·x and x·row multiply
-	// to identical bits), so dst[i] stays bit-identical to the
-	// single-row DotUnchecked(m.Row(i), x).
-	i := 0
-	for ; i+4 <= m.Rows; i += 4 {
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = Dot4Unchecked(
-			x, m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3))
-	}
-	for ; i < m.Rows; i++ {
-		dst[i] = DotUnchecked(m.Row(i), x)
-	}
-	return nil
-}

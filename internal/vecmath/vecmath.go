@@ -58,19 +58,6 @@ func Scale(alpha float64, v Vec) {
 	}
 }
 
-// DotUnchecked returns the inner product of a and b without a shape
-// check: the caller guarantees len(b) >= len(a). It is the hot-path
-// kernel behind MulVecInto and the K-means assignment step. The
-// reslice hoists the per-element bounds check out of the loop.
-func DotUnchecked(a, b Vec) float64 {
-	b = b[:len(a)]
-	var s float64
-	for i, av := range a {
-		s += av * b[i]
-	}
-	return s
-}
-
 // AXPYUnchecked computes y += alpha*x without a shape check: the
 // caller guarantees len(y) >= len(x). It is the dispatched micro-
 // kernel of the GEMM hot path: on amd64 with AVX2 (and without the

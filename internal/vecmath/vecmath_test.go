@@ -223,65 +223,6 @@ func TestMatrixAtSetRowClone(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m := MustMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	got := make(Vec, 2)
-	if err := m.MulVecInto(got, Vec{1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVecInto = %v", got)
-	}
-	if err := m.MulVecInto(got, Vec{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("short x: want ErrShape, got %v", err)
-	}
-	if err := m.MulVecInto(make(Vec, 3), Vec{1, 1, 1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("long dst: want ErrShape, got %v", err)
-	}
-}
-
-// MulVecInto against M and against TransposeInto(M) are adjoint:
-// <Mx, y> == <x, Mᵀy>.
-func TestMulVecAdjointProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		rows, cols := 1+rng.Intn(6), 1+rng.Intn(6)
-		m := MustMatrix(rows, cols)
-		m.FillRandUniform(rng, 1)
-		x := make(Vec, cols)
-		y := make(Vec, rows)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		for i := range y {
-			y[i] = rng.NormFloat64()
-		}
-		mx, mty := make(Vec, rows), make(Vec, cols)
-		if err := m.MulVecInto(mx, x); err != nil {
-			t.Fatal(err)
-		}
-		mt := MustMatrix(cols, rows)
-		if err := TransposeInto(mt, m); err != nil {
-			t.Fatal(err)
-		}
-		if err := mt.MulVecInto(mty, y); err != nil {
-			t.Fatal(err)
-		}
-		lhs, err := Dot(mx, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rhs, err := Dot(x, mty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(lhs, rhs, 1e-9) {
-			t.Fatalf("adjoint violated: %v vs %v", lhs, rhs)
-		}
-	}
-}
-
 func TestFillXavierBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := MustMatrix(8, 8)
