@@ -404,9 +404,9 @@ func TestCheckpointDigestPinned(t *testing.T) {
 		want string
 	}{
 		{"mono", func() (Session, error) { return Open(cfg) },
-			"b6a026a29193054b03e946a2de258561c5a897809fcecfd7e9a19b75e55b61d4"},
+			"b51a039436a8de09ac94b534eb07955f4794d1b9ecd2bef74c8954913045d000"},
 		{"cluster", func() (Session, error) { return OpenCluster(ClusterConfig{Sim: cfg}) },
-			"45ca0584e47025d9ceff14f7ad914ecc35e24a82458f4fbaf55c9003a50cd436"},
+			"7b12a15205a741bae9d2a3c8d6d2e7cd2f82b0957b8b54ebe27d1e65569d9112"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := tc.open()
@@ -505,28 +505,28 @@ func TestTraceDigestPinned(t *testing.T) {
 	}{
 		{"mono", 42, mono,
 			"b161aeb9e727d48956ef86186d73eb8af573fc30f70284706c67146d2d14c6d3",
-			"d940d6617b4adfa6dfdd3afe2e32279bf66a9c982e695eb04d4bc5a262c07e6f"},
+			"e45cd459880613c39a7aabaf3867050d5a049615773b3f1386fcb56700557c20"},
 		{"mono", 7, mono,
 			"81eb18c8b6ed31eb36e9df74aa7f989c25876838572791586d4e0a5c9b81d57c",
-			"7dc2e300350ffd1d2f5a6336a82a4f224038798cef9dbc755c536bbfd8ca913c"},
+			"4ae42309545dcb2ea494034161eceb7c86d2af36e7a4460a5455de61d4473d67"},
 		{"cluster", 42, cluster,
 			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"711b6b2ca5fc78485147118f5b9253230fe54cf4dad1f96c028e6f757ae66c01"},
+			"fb4ca334da8c78b76513803494bd9bd0fe024d521a758725bb8edada0f95e858"},
 		{"cluster", 7, cluster,
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"af2188038d7cfa96f5fa8972d73e904df347d9af98115f2c714ae3015cc6b93e"},
+			"53795ec63154454cb4f339296fd52086e1412ccf9d46033d38306427bd320279"},
 		{"degraded", 42, degraded,
 			"6786731520d867718ac35fa7d1f9eb3d5ff80106ea54ce9dad0161f88a4254a3",
-			"54afe344d1b8172fe72b938c7da86e410b1cfc801207def794c7a5b73d901771"},
+			"b82f74570d67ec1625841d2460308a68959d0f7fb7a468c3454afd8818d70d1d"},
 		{"degraded", 7, degraded,
 			"2b9efea038ac9c889daa8ce2497610132758e95d9b543e0e19c396fdaf76e714",
-			"fb831ff9ce7ae8645903e0e86c1880ed4dd647429bd45858594ce3b45becc8b9"},
+			"2646e92b669574bf219162d7b29720368959d096220c816c0ac498dcabf326e9"},
 		{"distributed", 42, distributed,
 			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"c1bf23951458c5a44a3787a4dba8661cb09275b4f4189d85ee87d4d26790f9e3"},
+			"f8255466e4938b45f66b2e8db638841465f236f3b910e9958642c8a18cf27db4"},
 		{"distributed", 7, distributed,
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"733dd167b81e4be1b23fda1d2b50ecced68696efc9a633a75df203dc739b43c6"},
+			"e9e165dbb4dbb2f1c42b4f912c05875d92174fad8334ba498ea75e68dc385cbc"},
 	} {
 		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
 		t.Run(name, func(t *testing.T) {

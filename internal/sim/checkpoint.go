@@ -514,7 +514,7 @@ func (s *Simulation) decodeGroups(d *checkpoint.Dec) error {
 		if g.members == nil {
 			g.members = []int{}
 		}
-		f, err := predict.NewSNRForecaster(s.cfg.SNRAlpha)
+		f, err := predict.NewSNRForecaster(snrAlpha)
 		if err != nil {
 			return err
 		}

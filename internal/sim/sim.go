@@ -29,6 +29,20 @@ import (
 	"dtmsvs/internal/video"
 )
 
+// Model constants of the engine.
+const (
+	// snrAlpha is the EWMA weight of a group's worst-SNR forecast.
+	snrAlpha = 0.4
+	// coverageQuantile sets the multicast MCS coverage target: the
+	// group SNR is the mean of the worst 2×coverageQuantile share of
+	// members (a lower conditional tail expectation), matching eMBMS
+	// coverage-based MCS selection while staying robust to
+	// extreme-value noise.
+	coverageQuantile = 0.1
+	// reserveMargin is the reservation headroom when RBBudget > 0.
+	reserveMargin = 0.1
+)
+
 // ErrConfig indicates an invalid simulation configuration.
 var ErrConfig = errors.New("sim: invalid config")
 
@@ -74,12 +88,6 @@ type Config struct {
 	// plateau — after 8 epochs, the first epoch whose loss improves on
 	// the best earlier epoch by less than 1 % is the last.
 	CompressorEpochs int
-	// CompressorBatch is the CNN fit minibatch size: each optimizer
-	// step pushes this many UDT windows through the autoencoder as
-	// one blocked-GEMM pass. 0 keeps the compressor default (8);
-	// 1 recovers per-window SGD. Ignored when Grouping.CNN.Batch is
-	// set explicitly.
-	CompressorBatch int
 	// AgentEpisodes trains the DDQN after warm-up (default 150).
 	AgentEpisodes int
 	// TopNRecommend is the recommendation list length (default 50).
@@ -89,28 +97,17 @@ type Config struct {
 	NominalRBsPerGroup int
 	// CacheBytes of the edge server (default 2 GiB).
 	CacheBytes int64
-	// SNRAlpha is the worst-SNR EWMA weight (default 0.4).
-	SNRAlpha float64
 	// SwipeGapS between consecutive feed videos (default 0.5).
 	SwipeGapS float64
-	// CoverageQuantile sets the multicast MCS coverage target
-	// (default 0.1): the group SNR is the mean of the worst
-	// 2×CoverageQuantile share of members (a lower conditional tail
-	// expectation), matching eMBMS coverage-based MCS selection while
-	// staying robust to extreme-value noise.
-	CoverageQuantile float64
 	// FixedK, when > 0, bypasses the DDQN and always clusters into
 	// FixedK groups (baseline for experiment E2).
 	FixedK int
 	// RBBudget, when > 0, enables reservation-with-admission: each
-	// interval the engine reserves ceil(prediction × (1+ReserveMargin))
+	// interval the engine reserves ceil(prediction × (1+reserveMargin))
 	// resource blocks per group from a shared budget; groups whose
 	// grant is cut stream at the highest rung the grant sustains.
 	// 0 disables admission (every group gets its nominal allocation).
 	RBBudget int
-	// ReserveMargin is the reservation headroom when RBBudget > 0
-	// (default 0.1).
-	ReserveMargin float64
 	// SegmentS is the video segment length for prefetch-aware
 	// delivery (default 4 s).
 	SegmentS float64
@@ -186,17 +183,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.SNRAlpha == 0 {
-		c.SNRAlpha = 0.4
-	}
 	if c.SwipeGapS == 0 {
 		c.SwipeGapS = 0.5
-	}
-	if c.CoverageQuantile == 0 {
-		c.CoverageQuantile = 0.1
-	}
-	if c.RBBudget > 0 && c.ReserveMargin == 0 {
-		c.ReserveMargin = 0.1
 	}
 	if c.SegmentS == 0 {
 		c.SegmentS = 4
@@ -219,9 +207,6 @@ func (c Config) withDefaults() Config {
 	if c.Grouping.KMax == 0 {
 		c.Grouping.KMax = 8
 	}
-	if c.Grouping.CNN.Batch == 0 {
-		c.Grouping.CNN.Batch = c.CompressorBatch
-	}
 	return c
 }
 
@@ -241,8 +226,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("intervals %d: %w", d.NumIntervals, ErrConfig)
 	case d.FixedK < 0 || d.FixedK > d.NumUsers:
 		return fmt.Errorf("fixed k %d for %d users: %w", d.FixedK, d.NumUsers, ErrConfig)
-	case d.RBBudget < 0 || d.ReserveMargin < 0:
-		return fmt.Errorf("rb budget %d margin %v: %w", d.RBBudget, d.ReserveMargin, ErrConfig)
+	case d.RBBudget < 0:
+		return fmt.Errorf("rb budget %d: %w", d.RBBudget, ErrConfig)
 	case d.SegmentS < 0 || d.PrefetchDepth < 0:
 		return fmt.Errorf("segment %v depth %d: %w", d.SegmentS, d.PrefetchDepth, ErrConfig)
 	case d.ChurnPerInterval < 0 || d.ChurnPerInterval >= 1:
@@ -908,7 +893,7 @@ func (s *Simulation) predictGroupWorstSNR(g *groupState) float64 {
 	for _, m := range g.members {
 		snrs = append(snrs, s.predictUserSNR(s.userByID(m)))
 	}
-	return stats.TailMean(snrs, 2*s.cfg.CoverageQuantile)
+	return stats.TailMean(snrs, 2*coverageQuantile)
 }
 
 // warmupBrowse lets every user browse individually for one interval to
@@ -986,7 +971,7 @@ func (s *Simulation) rebuildGroups(boundary int) error {
 	s.constructions++
 	s.groups = make([]*groupState, len(built))
 	for gid, bg := range built {
-		f, ferr := predict.NewSNRForecaster(s.cfg.SNRAlpha)
+		f, ferr := predict.NewSNRForecaster(snrAlpha)
 		if ferr != nil {
 			return ferr
 		}
@@ -1139,13 +1124,13 @@ func (s *Simulation) constructGroups() ([]builtGroup, *grouping.Result, error) {
 
 // groupWorstSNR returns the coverage SNR the multicast MCS must
 // serve: the mean of the worst-tail member SNRs (see
-// Config.CoverageQuantile).
+// coverageQuantile).
 func (s *Simulation) groupWorstSNR(g *groupState) float64 {
 	snrs := make([]float64, 0, len(g.members))
 	for _, m := range g.members {
 		snrs = append(snrs, s.userByID(m).meanSNR.Mean())
 	}
-	return stats.TailMean(snrs, 2*s.cfg.CoverageQuantile)
+	return stats.TailMean(snrs, 2*coverageQuantile)
 }
 
 // abstractGroups rebuilds each group's profile from the twins'
@@ -1455,7 +1440,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 			if p.skip {
 				continue
 			}
-			want := int(math.Ceil(p.demand.RadioRBs * (1 + s.cfg.ReserveMargin)))
+			want := int(math.Ceil(p.demand.RadioRBs * (1 + reserveMargin)))
 			if want < 1 {
 				want = 1
 			}

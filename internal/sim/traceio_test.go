@@ -69,9 +69,4 @@ func TestRunBudgetValidation(t *testing.T) {
 	if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig, got %v", err)
 	}
-	cfg = fastConfig(23)
-	cfg.ReserveMargin = -0.5
-	if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
-		t.Fatalf("want ErrConfig, got %v", err)
-	}
 }
