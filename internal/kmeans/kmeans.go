@@ -1,7 +1,7 @@
 // Package kmeans implements the K-means++ seeding and Lloyd iteration
 // used for fast multicast-group construction (paper §II-B1, second
-// step), plus the cluster-quality scores (inertia, silhouette,
-// Davies-Bouldin) consumed by the DDQN reward.
+// step), plus the cluster-quality scores (inertia, silhouette)
+// consumed by the DDQN reward.
 package kmeans
 
 import (
@@ -619,60 +619,4 @@ func SilhouettePool(points []vecmath.Vec, assign []int, k int, pool *parallel.Po
 		total += c
 	}
 	return total / float64(n), nil
-}
-
-// DaviesBouldin returns the Davies-Bouldin index (lower is better).
-func DaviesBouldin(points []vecmath.Vec, res *Result) (float64, error) {
-	if res.K < 2 {
-		return 0, fmt.Errorf("davies-bouldin k=%d: %w", res.K, ErrInput)
-	}
-	if len(points) != len(res.Assign) {
-		return 0, fmt.Errorf("davies-bouldin %d points %d assigns: %w", len(points), len(res.Assign), ErrInput)
-	}
-	// Mean intra-cluster distance (scatter) per cluster.
-	scatter := make([]float64, res.K)
-	counts := make([]int, res.K)
-	for i, p := range points {
-		c := res.Assign[i]
-		d, err := vecmath.Dist(p, res.Centroids[c])
-		if err != nil {
-			return 0, err
-		}
-		scatter[c] += d
-		counts[c]++
-	}
-	for c := range scatter {
-		if counts[c] > 0 {
-			scatter[c] /= float64(counts[c])
-		}
-	}
-	var sum float64
-	var active int
-	for i := 0; i < res.K; i++ {
-		if counts[i] == 0 {
-			continue
-		}
-		active++
-		worst := 0.0
-		for j := 0; j < res.K; j++ {
-			if i == j || counts[j] == 0 {
-				continue
-			}
-			d, err := vecmath.Dist(res.Centroids[i], res.Centroids[j])
-			if err != nil {
-				return 0, err
-			}
-			if d == 0 {
-				continue
-			}
-			if r := (scatter[i] + scatter[j]) / d; r > worst {
-				worst = r
-			}
-		}
-		sum += worst
-	}
-	if active < 2 {
-		return 0, fmt.Errorf("davies-bouldin with %d active clusters: %w", active, ErrInput)
-	}
-	return sum / float64(active), nil
 }

@@ -248,28 +248,6 @@ func TestSilhouetteRandomWorseThanStructured(t *testing.T) {
 	}
 }
 
-func TestDaviesBouldin(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	pts, _ := threeBlobs(rng, 25)
-	res, err := Run(pts, 3, rng, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := DaviesBouldin(pts, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db <= 0 || db > 0.5 {
-		t.Fatalf("davies-bouldin %v for separated blobs, want small positive", db)
-	}
-	if _, err := DaviesBouldin(pts, &Result{K: 1, Assign: res.Assign}); !errors.Is(err, ErrInput) {
-		t.Fatalf("want ErrInput, got %v", err)
-	}
-	if _, err := DaviesBouldin(pts[:3], res); !errors.Is(err, ErrInput) {
-		t.Fatalf("want ErrInput, got %v", err)
-	}
-}
-
 func TestEmptyClusterReseed(t *testing.T) {
 	// Duplicate-heavy data can produce empty clusters mid-run; Run
 	// must still return k centroids with all assignments valid.

@@ -18,9 +18,6 @@ var ErrShape = errors.New("vecmath: shape mismatch")
 // Vec is a dense float64 vector.
 type Vec = []float64
 
-// Zeros returns a zero vector of length n.
-func Zeros(n int) Vec { return make(Vec, n) }
-
 // Clone returns a copy of v.
 func Clone(v Vec) Vec {
 	out := make(Vec, len(v))
@@ -208,26 +205,6 @@ func Min(v Vec) float64 {
 		return math.NaN()
 	}
 	return v[ArgMin(v)]
-}
-
-// Softmax writes the softmax of v into a new vector. It is
-// numerically stabilized by subtracting the maximum.
-func Softmax(v Vec) Vec {
-	if len(v) == 0 {
-		return nil
-	}
-	out := make(Vec, len(v))
-	m := Max(v)
-	var z float64
-	for i, x := range v {
-		e := math.Exp(x - m)
-		out[i] = e
-		z += e
-	}
-	for i := range out {
-		out[i] /= z
-	}
-	return out
 }
 
 // Clamp limits x into [lo, hi].
