@@ -282,8 +282,8 @@ func New(cfg Config, rng *rand.Rand) (*Agent, error) {
 	return a, nil
 }
 
-// SetGEMMPool routes the GEMMs of Learn and Greedy on both the online
-// and target networks through the given pool (nil restores the
+// SetGEMMPool routes the GEMMs of the online and target networks, in
+// Learn and Greedy, through the given pool (nil restores the
 // sequential kernels). Purely a wall-clock knob: learned weights and
 // Q-values are bit-identical for any worker count.
 func (a *Agent) SetGEMMPool(p *vecmath.GEMMPool) {

@@ -76,9 +76,7 @@ func checkGradients(t *testing.T, name string, m batchPass, x *vecmath.Matrix, r
 
 // forwardOne runs x through m as a one-row ForwardBatch and returns a
 // copy of the output row.
-func forwardOne(t *testing.T, m interface {
-	ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error)
-}, x vecmath.Vec) vecmath.Vec {
+func forwardOne(t *testing.T, m batchPass, x vecmath.Vec) vecmath.Vec {
 	t.Helper()
 	xm := vecmath.MustMatrix(1, len(x))
 	copy(xm.Data, x)

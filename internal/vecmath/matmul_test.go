@@ -118,11 +118,13 @@ func TestMatMulTransAIntoMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestTransposedMatMulMatchesNaive covers dst = a·bᵀ computed the way
-// the Dense forward computes it — TransposeInto followed by MatMulInto
-// — and its bit-identity with the ascending-index dot products of the
-// naive reference.
-func TestTransposedMatMulMatchesNaive(t *testing.T) {
+// TestTransposedMatMulMatchesPerRowMulVec covers dst = a·bᵀ computed
+// the way the Dense forward computes it — TransposeInto followed by
+// MatMulInto — against the naive reference, and against per-row
+// vector products: each row of dst must equal the one-row MatMulInto
+// of that row of a, bit for bit, which is what lets a network's
+// forward pass batch samples freely.
+func TestTransposedMatMulMatchesPerRowMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, sh := range [][3]int{{1, 1, 1}, {4, 6, 3}, {32, 8, 7}, {3, 80, 70}} {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -139,6 +141,18 @@ func TestTransposedMatMulMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantBitIdentical(t, "matmul-transposed", dst, naiveMatMul(a, b, false, true))
+		row, out := MustMatrix(1, k), MustMatrix(1, n)
+		for i := 0; i < m; i++ {
+			copy(row.Data, a.Row(i))
+			if err := MatMulInto(out, row, bt); err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range out.Data {
+				if dst.At(i, j) != v {
+					t.Fatalf("row %d col %d: %v vs one-row product %v", i, j, dst.At(i, j), v)
+				}
+			}
+		}
 	}
 }
 
