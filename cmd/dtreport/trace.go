@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"dtmsvs"
@@ -87,10 +88,10 @@ func sumDemand(recs []dtmsvs.TraceRecord) demand {
 	return d
 }
 
-// percent formats an accuracy, or "n/a" where it is undefined (no
-// record with a nonzero actual).
+// percent formats an accuracy, or "n/a" where it is undefined: an
+// error (no record with a nonzero actual) or NaN.
 func percent(acc float64, err error) string {
-	if err != nil {
+	if err != nil || math.IsNaN(acc) {
 		return "n/a"
 	}
 	return cli.Percent(acc)

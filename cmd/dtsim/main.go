@@ -30,7 +30,7 @@
 // format (internal/tracebin); add -bin-compress
 // for per-block DEFLATE. "json" buffers the run and writes one JSON
 // array at the end (the partial array is still written on interrupt).
-// Any of the four decodes with dtreport/dteval or ReadTraceRecords,
+// Any of the four decodes with dtreport -trace or ReadTraceRecords,
 // which auto-detect the format. -progress prints per-interval stats
 // to stderr.
 //

@@ -3,7 +3,10 @@ package dtmsvs
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
+
+	"dtmsvs/internal/predict"
 )
 
 func smallConfig(seed int64) Config {
@@ -243,6 +246,66 @@ func TestRunPredictorBaselines(t *testing.T) {
 	}
 	if rows[0].Name != "dt-scheme" {
 		t.Fatalf("first row %q", rows[0].Name)
+	}
+}
+
+// TestExperimentsIgnoreMapOrder: the experiment aggregates fold their
+// per-group series in ascending group id, so two identical calls agree
+// to the last bit, and a tie for the News-dominant group goes to the
+// lowest id.
+func TestExperimentsIgnoreMapOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run experiment")
+	}
+	ctx := context.Background()
+	cfg := smallConfig(8)
+	cfg.NumUsers = 100
+	cfg.NumIntervals = 12
+	cfg.FixedK = 8
+	var predictors [2][]PredictorRow
+	var reservation [2][]ReservationRow
+	for i := range predictors {
+		var err error
+		if predictors[i], err = RunPredictorBaselines(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if reservation[i], err = RunReservation(ctx, cfg, 0.1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range predictors[1] {
+		if math.Float64bits(r.Accuracy) != math.Float64bits(predictors[0][i].Accuracy) {
+			t.Errorf("predictor %s: accuracy %v then %v", r.Name, predictors[0][i].Accuracy, r.Accuracy)
+		}
+	}
+	for i, r := range reservation[1] {
+		first := reservation[0][i]
+		for _, f := range [][2]float64{
+			{first.Waste, r.Waste}, {first.Deficit, r.Deficit},
+			{first.ViolationRate, r.ViolationRate}, {first.Utilization, r.Utilization},
+		} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				t.Errorf("policy %s: %+v then %+v", r.Policy, first, r)
+				break
+			}
+		}
+	}
+
+	// Every group below has the same (uniform) distribution, so all
+	// News−Game margins tie.
+	uniform, err := predict.NewSwipeDistribution(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &Trace{SwipeByGroup: map[int]*SwipeDistribution{7: uniform, 3: uniform, 5: uniform, 9: uniform, 4: uniform}}
+	for range 32 {
+		id, _, err := newsDominantGroup(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != 3 {
+			t.Fatalf("tie broken to group %d, want the lowest id 3", id)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 // groups and prints each group's abstracted swiping behavior.
 //
 // With -trace FILE the example instead replays a stored session
-// trace (written by dtsim/dteval in any format — json, ndjson, csv
+// trace (written by dtsim in any format — json, ndjson, csv
 // or the binary columnar bin; detection is automatic) and prints each
 // group's demand history, showing how downstream tools consume traces
 // format-transparently.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"dtmsvs/internal/predict"
 	"dtmsvs/internal/qoe"
@@ -20,20 +22,8 @@ var ErrExperiment = errors.New("dtmsvs: experiment failed")
 // every interval boundary — every experiment wrapper routes its runs
 // through here, so a cancelled ctx aborts a sweep between intervals
 // instead of after a whole run.
-func runTrace(ctx context.Context, cfg Config, opts ...SessionOption) (*Trace, error) {
-	// A caller-supplied sink owns the record stream and turns off the
-	// session's internal retention — but the experiment aggregates
-	// still need the records, so collect them from the interval
-	// reports alongside the sink.
-	var collected []GroupIntervalRecord
-	if buildOptions(opts).sink != nil {
-		opts = append(opts, WithObserver(func(rep IntervalReport) {
-			for _, r := range rep.Records {
-				collected = append(collected, r.GroupIntervalRecord)
-			}
-		}))
-	}
-	s, err := Open(cfg, opts...)
+func runTrace(ctx context.Context, cfg Config) (*Trace, error) {
+	s, err := Open(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -43,11 +33,7 @@ func runTrace(ctx context.Context, cfg Config, opts ...SessionOption) (*Trace, e
 			return nil, err
 		}
 	}
-	tr := s.Trace()
-	if len(tr.Records) == 0 {
-		tr.Records = collected
-	}
-	return tr, nil
+	return s.Trace(), nil
 }
 
 // Fig3aResult is the reproduction of Fig. 3(a): the cumulative
@@ -65,11 +51,13 @@ type Fig3aResult struct {
 
 // newsDominantGroup picks the group whose News expected watch
 // fraction exceeds its Game expected watch fraction by the largest
-// margin — the paper's "group 1" archetype.
+// margin — the paper's "group 1" archetype. Ties go to the lowest
+// group id.
 func newsDominantGroup(tr *Trace) (int, *SwipeDistribution, error) {
 	bestID, bestMargin := -1, math.Inf(-1)
 	var bestDist *SwipeDistribution
-	for id, d := range tr.SwipeByGroup {
+	for _, id := range slices.Sorted(maps.Keys(tr.SwipeByGroup)) {
+		d := tr.SwipeByGroup[id]
 		eNews, err := d.ExpectedWatchFraction(News)
 		if err != nil {
 			return 0, nil, err
@@ -89,8 +77,8 @@ func newsDominantGroup(tr *Trace) (int, *SwipeDistribution, error) {
 }
 
 // RunFig3a reproduces Fig. 3(a) on the given scenario.
-func RunFig3a(ctx context.Context, cfg Config, opts ...SessionOption) (*Fig3aResult, error) {
-	tr, err := runTrace(ctx, cfg, opts...)
+func RunFig3a(ctx context.Context, cfg Config) (*Fig3aResult, error) {
+	tr, err := runTrace(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -133,8 +121,8 @@ type Fig3bResult struct {
 }
 
 // RunFig3b reproduces Fig. 3(b) on the given scenario.
-func RunFig3b(ctx context.Context, cfg Config, opts ...SessionOption) (*Fig3bResult, error) {
-	tr, err := runTrace(ctx, cfg, opts...)
+func RunFig3b(ctx context.Context, cfg Config) (*Fig3bResult, error) {
+	tr, err := runTrace(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -175,8 +163,8 @@ type ComputeDemandResult struct {
 }
 
 // RunComputeDemand runs experiment E1 on the scenario.
-func RunComputeDemand(ctx context.Context, cfg Config, opts ...SessionOption) (*ComputeDemandResult, error) {
-	tr, err := runTrace(ctx, cfg, opts...)
+func RunComputeDemand(ctx context.Context, cfg Config) (*ComputeDemandResult, error) {
+	tr, err := runTrace(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -383,16 +371,18 @@ type ReservationRow struct {
 // case: reserve radio resources per interval from the scheme's
 // prediction and compare against static peak provisioning and a
 // history-only adaptive policy.
-func RunReservation(ctx context.Context, cfg Config, margin float64, opts ...SessionOption) ([]ReservationRow, error) {
-	tr, err := runTrace(ctx, cfg, opts...)
+func RunReservation(ctx context.Context, cfg Config, margin float64) ([]ReservationRow, error) {
+	tr, err := runTrace(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Per-group series replayed per policy, aggregated over groups.
+	// Per-group series replayed per policy, aggregated over groups in
+	// ascending id so the float sums do not depend on map order.
 	groups := map[int][][2]float64{}
 	for _, r := range tr.Records {
 		groups[r.GroupID] = append(groups[r.GroupID], [2]float64{r.PredictedRBs, r.ActualRBs})
 	}
+	ids := slices.Sorted(maps.Keys(groups))
 	mkPolicies := func() ([]reserve.Policy, error) {
 		ph, perr := reserve.NewPredictiveHeadroom(margin)
 		if perr != nil {
@@ -415,7 +405,8 @@ func RunReservation(ctx context.Context, cfg Config, margin float64, opts ...Ses
 		var violSum float64
 		var reservedActualRatio float64
 		var groupsScored int
-		for _, series := range groups {
+		for _, id := range ids {
+			series := groups[id]
 			ps, perr := mkPolicies()
 			if perr != nil {
 				return nil, perr
@@ -572,8 +563,8 @@ type PredictorRow struct {
 // RunPredictorBaselines runs experiment E4. The DT scheme's accuracy
 // comes from the trace itself; each baseline forecasts interval t's
 // actual demand from the measured series up to t−1.
-func RunPredictorBaselines(ctx context.Context, cfg Config, opts ...SessionOption) ([]PredictorRow, error) {
-	tr, err := runTrace(ctx, cfg, opts...)
+func RunPredictorBaselines(ctx context.Context, cfg Config) ([]PredictorRow, error) {
+	tr, err := runTrace(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -583,11 +574,13 @@ func RunPredictorBaselines(ctx context.Context, cfg Config, opts ...SessionOptio
 	}
 	rows := []PredictorRow{{Name: "dt-scheme", Accuracy: dtAcc}}
 
-	// Collect per-group actual series.
+	// Collect per-group actual series, folded in ascending group id so
+	// the accuracies do not depend on map order.
 	groups := map[int][]float64{}
 	for _, r := range tr.Records {
 		groups[r.GroupID] = append(groups[r.GroupID], r.ActualRBs)
 	}
+	ids := slices.Sorted(maps.Keys(groups))
 
 	mkBaselines := func() ([]predict.SeriesPredictor, error) {
 		ma, merr := predict.NewMovingAverage(3)
@@ -607,13 +600,13 @@ func RunPredictorBaselines(ctx context.Context, cfg Config, opts ...SessionOptio
 	for bi := range probe {
 		var fold stats.OnlineMAPE
 		forecasts := 0
-		for _, series := range groups {
+		for _, id := range ids {
 			bs, berr := mkBaselines()
 			if berr != nil {
 				return nil, berr
 			}
 			b := bs[bi]
-			for _, x := range series {
+			for _, x := range groups[id] {
 				if p, ok := b.Predict(); ok {
 					fold.Add(p, x)
 					forecasts++

@@ -1,6 +1,5 @@
-// Package cli provides the small text-table writer shared by the
-// command-line tools (dteval, dtreport): fixed-width aligned columns
-// for terminals and pipe-delimited rows for markdown.
+// Package cli provides the small markdown-table writer behind
+// dtreport's reports.
 package cli
 
 import (
@@ -44,51 +43,6 @@ func (t *Table) AddRow(cells ...any) error {
 		}
 	}
 	t.rows = append(t.rows, row)
-	return nil
-}
-
-// Len returns the number of data rows.
-func (t *Table) Len() int { return len(t.rows) }
-
-// widths returns the rendered width of each column.
-func (t *Table) widths() []int {
-	w := make([]int, len(t.header))
-	for i, h := range t.header {
-		w[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, cell := range row {
-			if len(cell) > w[i] {
-				w[i] = len(cell)
-			}
-		}
-	}
-	return w
-}
-
-// WriteText renders the table with space-aligned columns.
-func (t *Table) WriteText(w io.Writer) error {
-	widths := t.widths()
-	writeRow := func(cells []string) error {
-		var b strings.Builder
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(cell)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-		return err
-	}
-	if err := writeRow(t.header); err != nil {
-		return err
-	}
-	for _, row := range t.rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package cli
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -23,41 +22,6 @@ func TestAddRowArity(t *testing.T) {
 	}
 	if err := tb.AddRow("x", 1); err != nil {
 		t.Fatal(err)
-	}
-	if tb.Len() != 1 {
-		t.Fatalf("len %d", tb.Len())
-	}
-}
-
-func TestWriteTextAlignment(t *testing.T) {
-	tb, err := NewTable("name", "value")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.AddRow("short", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.AddRow("a-much-longer-name", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tb.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d lines", len(lines))
-	}
-	// The value column starts at the same offset in every line.
-	idx := strings.Index(lines[0], "value")
-	if idx < 0 {
-		t.Fatal("header missing")
-	}
-	if !strings.HasPrefix(lines[1][idx:], "1") {
-		t.Fatalf("misaligned row: %q", lines[1])
-	}
-	if !strings.HasPrefix(lines[2][idx:], "0.500") {
-		t.Fatalf("misaligned float row: %q", lines[2])
 	}
 }
 
