@@ -34,8 +34,7 @@ var (
 // flushed. Decode with ReadTraceRecords or ReadTraceFile.
 type BinarySink struct {
 	w    *tracebin.Writer
-	recs []tracebin.Record
-	err  error
+	recs []TraceRecord
 }
 
 // BinarySinkOption tunes a BinarySink.
@@ -63,10 +62,7 @@ func NewBinarySink(w io.Writer, opts ...BinarySinkOption) (*BinarySink, error) {
 // WriteRecord implements TraceSink, buffering the record until the
 // next Flush.
 func (s *BinarySink) WriteRecord(r TraceRecord) error {
-	if s.err != nil {
-		return s.err
-	}
-	s.recs = append(s.recs, r.GroupIntervalRecord.BinRecord(r.BS))
+	s.recs = append(s.recs, r)
 	return nil
 }
 
@@ -76,9 +72,6 @@ func (s *BinarySink) WriteRecord(r TraceRecord) error {
 // nothing, per the WithSinkRetry contract) re-encodes the identical
 // bytes.
 func (s *BinarySink) Flush() error {
-	if s.err != nil {
-		return s.err
-	}
 	if err := s.w.Flush(s.recs); err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dtmsvs/internal/faultinject"
+	"dtmsvs/internal/tracebin"
 )
 
 // assertWholeIntervalPrefix decodes a (possibly torn) binary backing
@@ -16,7 +17,7 @@ import (
 // per-interval counts.
 func assertWholeIntervalPrefix(t *testing.T, store []byte, clean []TraceRecord, perInterval []int) {
 	t.Helper()
-	got, err := readBinRecords(bytes.NewReader(store))
+	got, err := tracebin.ReadAll(bytes.NewReader(store))
 	if err != nil && !errors.Is(err, ErrTraceCorrupt) {
 		t.Fatalf("backing store failed with an untyped error: %v", err)
 	}
@@ -88,7 +89,7 @@ func TestBinarySinkRecordFaults(t *testing.T) {
 					if !bytes.Equal(buf.Bytes(), frozen) {
 						t.Fatal("Close grew the backing store after a reported sink error")
 					}
-					got, rerr := readBinRecords(bytes.NewReader(frozen))
+					got, rerr := tracebin.ReadAll(bytes.NewReader(frozen))
 					if rerr != nil {
 						t.Fatalf("store after record fault not cleanly readable: %v", rerr)
 					}
@@ -139,7 +140,7 @@ func TestBinarySinkFlushFault(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), frozen) {
 		t.Fatal("Close appended bytes after the reported flush failure")
 	}
-	got, rerr := readBinRecords(bytes.NewReader(frozen))
+	got, rerr := tracebin.ReadAll(bytes.NewReader(frozen))
 	if rerr != nil {
 		t.Fatalf("store after flush fault unreadable: %v", rerr)
 	}
@@ -189,7 +190,7 @@ func TestBinarySinkByteLevelFaults(t *testing.T) {
 				t.Fatal("bytes appended after the reported error")
 			}
 			if mode == faultinject.FailWrite {
-				got, rerr := readBinRecords(bytes.NewReader(frozen))
+				got, rerr := tracebin.ReadAll(bytes.NewReader(frozen))
 				if rerr != nil {
 					t.Fatalf("fail-write store not cleanly readable: %v", rerr)
 				}
@@ -233,7 +234,7 @@ func TestBinarySinkTransientRetry(t *testing.T) {
 	if cerr := bin.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
-	got, rerr := readBinRecords(bytes.NewReader(buf.Bytes()))
+	got, rerr := tracebin.ReadAll(bytes.NewReader(buf.Bytes()))
 	if rerr != nil {
 		t.Fatal(rerr)
 	}

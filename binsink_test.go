@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dtmsvs/internal/tracebin"
 )
 
 func bufioReader(data []byte) *bufio.Reader {
@@ -144,7 +146,7 @@ func TestBinarySinkRoundTrip(t *testing.T) {
 			} {
 				t.Run(sub.name, func(t *testing.T) {
 					data := binRun(t, tc.open, sub.opts...)
-					got, err := readBinRecords(bytes.NewReader(data))
+					got, err := tracebin.ReadAll(bytes.NewReader(data))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -362,7 +364,7 @@ func TestBinReaderTypedErrors(t *testing.T) {
 
 	mut := append([]byte(nil), data...)
 	mut[len(mut)-3] ^= 0xFF
-	got, err := readBinRecords(bytes.NewReader(mut))
+	got, err := tracebin.ReadAll(bytes.NewReader(mut))
 	if !errors.Is(err, ErrTraceCorrupt) {
 		t.Fatalf("corrupt CRC: want ErrTraceCorrupt, got %v", err)
 	}
@@ -374,11 +376,11 @@ func TestBinReaderTypedErrors(t *testing.T) {
 
 	mut = append([]byte(nil), data...)
 	mut[8] = 0x7F
-	if _, err := readBinRecords(bytes.NewReader(mut)); !errors.Is(err, ErrTraceVersion) {
+	if _, err := tracebin.ReadAll(bytes.NewReader(mut)); !errors.Is(err, ErrTraceVersion) {
 		t.Fatalf("future version: want ErrTraceVersion, got %v", err)
 	}
 
-	if _, err := readBinRecords(strings.NewReader("DTTRACEBjunk")); !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceVersion) {
+	if _, err := tracebin.ReadAll(strings.NewReader("DTTRACEBjunk")); !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceVersion) {
 		t.Fatalf("garbage after magic: untyped error %v", err)
 	}
 }

@@ -169,7 +169,7 @@ func (a *distStepper) stepInterval(ctx context.Context, interval int) (IntervalR
 		a.records = append(a.records, recs...)
 	}
 	return IntervalReport{
-		Records:      clusterTraceRecords(recs),
+		Records:      recs,
 		Handovers:    a.sup.Handovers(),
 		ChurnedUsers: a.sup.Churned(),
 	}, nil
@@ -182,13 +182,8 @@ func (a *distStepper) finish() error {
 	if err != nil {
 		return fmt.Errorf("final worker stats: %w", err)
 	}
-	tr := &ClusterTrace{Records: a.records, Handovers: a.sup.Handovers(), Cells: cells}
-	for _, c := range cells {
-		tr.ChurnedUsers += c.ChurnedUsers
-	}
-	if total := hits + misses; total > 0 {
-		tr.CacheHitRate = float64(hits) / float64(total)
-	}
+	tr := &ClusterTrace{Records: a.records, Handovers: a.sup.Handovers()}
+	tr.SetCells(cells, hits, misses)
 	a.trace = tr
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"dtmsvs/internal/tracebin"
 )
 
 // fuzzCheckpointConfig is the scenario every FuzzReadCheckpoint input
@@ -90,7 +92,7 @@ func FuzzReadTraceBin(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a trace"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := readBinRecords(bytes.NewReader(data)); err != nil {
+		if _, err := tracebin.ReadAll(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceVersion) {
 				t.Fatalf("untyped trace rejection: %v", err)
 			}

@@ -39,6 +39,7 @@ import (
 	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/sim"
 	"dtmsvs/internal/stats"
+	"dtmsvs/internal/tracebin"
 	"dtmsvs/internal/video"
 )
 
@@ -106,12 +107,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Record is one (interval, cell, group) row of a cluster trace.
-type Record struct {
-	// BS is the base station / coverage cell that served the group.
-	BS int `json:"bs"`
-	sim.GroupIntervalRecord
-}
+// Record is one (interval, cell, group) row of a cluster trace; BS is
+// the base station / coverage cell that served the group.
+type Record = tracebin.Record
 
 // CellStats summarizes one coverage cell at the end of a run.
 type CellStats struct {
@@ -153,6 +151,19 @@ type Trace struct {
 	Revivals          int
 	EvacuatedTwins    int
 	DegradedIntervals int
+}
+
+// SetCells stamps the per-cell end-of-run statistics onto the trace,
+// with their run-level merges: the churn sum, and the cache hit rate
+// weighted by lookups (hits and misses summed over every cell).
+func (t *Trace) SetCells(cells []CellStats, hits, misses int) {
+	t.Cells = cells
+	for _, c := range cells {
+		t.ChurnedUsers += c.ChurnedUsers
+	}
+	if total := hits + misses; total > 0 {
+		t.CacheHitRate = float64(hits) / float64(total)
+	}
 }
 
 // RadioAccuracy returns the paper's prediction-accuracy metric over
@@ -623,13 +634,6 @@ func (e *Engine) Finish() *Trace {
 		EvacuatedTwins:    e.evacuated,
 		DegradedIntervals: e.degradedIntervals,
 	}
-	cells, hits, misses := e.FinishStats()
-	tr.Cells = cells
-	for _, c := range cells {
-		tr.ChurnedUsers += c.ChurnedUsers
-	}
-	if total := hits + misses; total > 0 {
-		tr.CacheHitRate = float64(hits) / float64(total)
-	}
+	tr.SetCells(e.FinishStats())
 	return tr
 }

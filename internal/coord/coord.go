@@ -27,7 +27,6 @@ import (
 	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/faultinject"
 	"dtmsvs/internal/obs"
-	"dtmsvs/internal/sim"
 	"dtmsvs/internal/tracebin"
 )
 
@@ -789,28 +788,20 @@ func (s *Supervisor) TrainAndBuild(ctx context.Context) error {
 
 // StepInterval runs interval n and returns the merged records, in
 // the same order the single-process cluster engine emits them
-// (workers own contiguous cell blocks, so index order is cell order).
+// (workers own contiguous cell blocks, so index order is cell order):
+// each worker's records stream decoded — every frame length and CRC
+// checked — and concatenated in worker order.
 func (s *Supervisor) StepInterval(ctx context.Context, n int) ([]cluster.Record, error) {
 	if err := s.runStep(ctx, phaseInterval, n); err != nil {
 		return nil, err
 	}
-	var merged bytes.Buffer
-	aw := tracebin.NewAppendWriter(&merged)
+	var recs []cluster.Record
 	for _, h := range s.handles {
-		if _, err := aw.AppendStream(bytes.NewReader(h.records)); err != nil {
-			return nil, s.fail(fmt.Errorf("merge worker %d records: %w", h.idx, err))
+		rows, err := tracebin.ReadAll(bytes.NewReader(h.records))
+		if err != nil {
+			return nil, s.fail(fmt.Errorf("decode worker %d records: %w", h.idx, err))
 		}
-	}
-	if err := aw.Close(); err != nil {
-		return nil, s.fail(err)
-	}
-	rows, err := tracebin.ReadAll(bytes.NewReader(merged.Bytes()))
-	if err != nil {
-		return nil, s.fail(fmt.Errorf("decode merged records: %w", err))
-	}
-	recs := make([]cluster.Record, len(rows))
-	for i, b := range rows {
-		recs[i] = cluster.Record{BS: b.BS, GroupIntervalRecord: sim.RecordFromBin(b)}
+		recs = append(recs, rows...)
 	}
 	return recs, nil
 }
@@ -857,9 +848,9 @@ func (s *Supervisor) Stats() ([]cluster.CellStats, int, int, error) {
 		if len(h.stats) == 0 {
 			return nil, 0, 0, fmt.Errorf("%w: worker %d sent no final stats", ErrProtocol, h.idx)
 		}
-		var ws workerStats
-		if err := json.Unmarshal(h.stats, &ws); err != nil {
-			return nil, 0, 0, fmt.Errorf("worker %d stats: %v: %w", h.idx, err, ErrProtocol)
+		ws, err := decodeWorkerStats(h.stats)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("worker %d stats: %w", h.idx, err)
 		}
 		cells = append(cells, ws.Cells...)
 		hits += ws.Hits

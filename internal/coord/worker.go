@@ -90,6 +90,21 @@ type workerStats struct {
 	Misses int                 `json:"misses"`
 }
 
+// decodeWorkerStats parses the stats blob of a worker's final
+// boundary. It is untrusted input: malformed JSON and negative cache
+// counts (which would skew the merged hit rate) fail with
+// ErrProtocol.
+func decodeWorkerStats(blob []byte) (workerStats, error) {
+	var ws workerStats
+	if err := json.Unmarshal(blob, &ws); err != nil {
+		return workerStats{}, fmt.Errorf("%v: %w", err, ErrProtocol)
+	}
+	if ws.Hits < 0 || ws.Misses < 0 {
+		return workerStats{}, fmt.Errorf("cache counts %d hits, %d misses: %w", ws.Hits, ws.Misses, ErrProtocol)
+	}
+	return ws, nil
+}
+
 // appendHandovers encodes a twin batch.
 func appendHandovers(e *checkpoint.Enc, hs []cluster.Handover) {
 	e.U32(uint32(len(hs)))
@@ -398,19 +413,14 @@ func (ws *workerSession) injectFaults(n int) {
 }
 
 // sendRecords ships one interval's records in the records frame, as a
-// whole columnar trace stream — the unit of the supervisor's
-// block-append merge.
+// whole columnar trace stream, which the supervisor decodes.
 func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
 	var stream bytes.Buffer
 	bw, err := tracebin.NewWriter(&stream, tracebin.WriterOptions{})
 	if err != nil {
 		return err
 	}
-	rows := make([]tracebin.Record, len(recs))
-	for i, r := range recs {
-		rows[i] = r.GroupIntervalRecord.BinRecord(r.BS)
-	}
-	if err := bw.Flush(rows); err != nil {
+	if err := bw.Flush(recs); err != nil {
 		return err
 	}
 	if err := bw.Close(); err != nil {

@@ -25,6 +25,7 @@ import (
 	"dtmsvs/internal/radio"
 	"dtmsvs/internal/segment"
 	"dtmsvs/internal/stats"
+	"dtmsvs/internal/tracebin"
 	"dtmsvs/internal/udt"
 	"dtmsvs/internal/video"
 )
@@ -244,29 +245,9 @@ func (c Config) Validate() error {
 }
 
 // GroupIntervalRecord is one (interval, group) row of the output
-// trace: predicted vs measured demand.
-type GroupIntervalRecord struct {
-	Interval     int     `json:"interval"`
-	GroupID      int     `json:"groupId"`
-	Size         int     `json:"size"`
-	PredictedRBs float64 `json:"predictedRBs"`
-	ActualRBs    float64 `json:"actualRBs"`
-	// AllocatedRBs is the admission grant when Config.RBBudget > 0
-	// (0 otherwise).
-	AllocatedRBs    int     `json:"allocatedRBs"`
-	PredictedCycles float64 `json:"predictedCycles"`
-	ActualCycles    float64 `json:"actualCycles"`
-	PredictedBits   float64 `json:"predictedBits"`
-	ActualBits      float64 `json:"actualBits"`
-	// Waste bits are the delivered-but-unplayed share of traffic
-	// caused by swiping under segment prefetching.
-	PredictedWasteBits float64 `json:"predictedWasteBits"`
-	ActualWasteBits    float64 `json:"actualWasteBits"`
-	// ActualEngagementS is the measured mean per-member watch seconds.
-	ActualEngagementS float64 `json:"actualEngagementS"`
-	WorstSNRdB        float64 `json:"worstSNRdB"`
-	BitrateBps        float64 `json:"bitrateBps"`
-}
+// trace: predicted vs measured demand. The row is defined, with its
+// column table, in internal/tracebin.
+type GroupIntervalRecord = tracebin.GroupIntervalRecord
 
 // Trace is the full simulation output.
 type Trace struct {

@@ -1,6 +1,8 @@
-// Package tracebin implements the binary columnar trace format: the
-// compact on-disk encoding of the per-(interval, cell, group) trace
-// records both engines stream through the session layer's sinks.
+// Package tracebin defines the trace row — the per-(interval, cell,
+// group) Record both engines stream through the session layer's
+// sinks, and the one column table the binary and CSV schemas are read
+// from — and implements the binary columnar trace format, the row's
+// compact on-disk encoding.
 //
 // A trace file is a header — magic, format version, a string table of
 // column labels, and the column schema — followed by blocks. Each
@@ -58,10 +60,15 @@ const (
 	maxFrame = 1 << 24
 	// maxBody bounds one block's decompressed payload.
 	maxBody = 1 << 24
-	// MaxBlockRecords bounds the records of one block, on both sides:
-	// the writer refuses larger block options, the reader treats a
-	// larger claimed count as corruption.
-	MaxBlockRecords = 1 << 16
+	// maxBlockRecords bounds the records of one block a reader
+	// accepts; a larger claimed count is corruption.
+	maxBlockRecords = 1 << 16
+	// blockRecords caps the records per block the writer emits.
+	blockRecords = 4096
+	// minBlockRecords is the smallest block a cell-run boundary may
+	// close: shorter runs are merged with the next so per-cell
+	// splitting cannot degenerate into per-record blocks.
+	minBlockRecords = 256
 	// maxName bounds a string-table entry.
 	maxName = 64
 )
@@ -77,68 +84,6 @@ const (
 	frameRaw     = 0 // payload is the block body
 	frameDeflate = 1 // payload is the DEFLATE-compressed block body
 )
-
-// Record is one trace row in the binary columnar schema: the serving
-// cell (BS, -1 for the monolithic engine's campus-wide groups) plus
-// the group-interval fields shared by both engines. Int fields are
-// stored as 4-byte values on the wire — Flush rejects a value outside
-// int32 range rather than truncating — and floats keep their exact
-// IEEE-754 bits, so a decoded record is bit-identical to the encoded
-// one.
-type Record struct {
-	BS                 int
-	Interval           int
-	GroupID            int
-	Size               int
-	PredictedRBs       float64
-	ActualRBs          float64
-	AllocatedRBs       int
-	PredictedCycles    float64
-	ActualCycles       float64
-	PredictedBits      float64
-	ActualBits         float64
-	PredictedWasteBits float64
-	ActualWasteBits    float64
-	ActualEngagementS  float64
-	WorstSNRdB         float64
-	BitrateBps         float64
-}
-
-// Column kinds, as written in the schema.
-const (
-	colI32 = 0
-	colF64 = 1
-)
-
-// column binds one schema entry to its Record field. The same table
-// drives the encoder, the decoder and the header's schema, so the
-// three can never disagree.
-type column struct {
-	name string
-	kind uint8
-	i    func(*Record) *int
-	f    func(*Record) *float64
-}
-
-// columns is the format's schema, labels matching the CSV headers.
-var columns = []column{
-	{name: "bs", kind: colI32, i: func(r *Record) *int { return &r.BS }},
-	{name: "interval", kind: colI32, i: func(r *Record) *int { return &r.Interval }},
-	{name: "group_id", kind: colI32, i: func(r *Record) *int { return &r.GroupID }},
-	{name: "size", kind: colI32, i: func(r *Record) *int { return &r.Size }},
-	{name: "predicted_rbs", kind: colF64, f: func(r *Record) *float64 { return &r.PredictedRBs }},
-	{name: "actual_rbs", kind: colF64, f: func(r *Record) *float64 { return &r.ActualRBs }},
-	{name: "allocated_rbs", kind: colI32, i: func(r *Record) *int { return &r.AllocatedRBs }},
-	{name: "predicted_cycles", kind: colF64, f: func(r *Record) *float64 { return &r.PredictedCycles }},
-	{name: "actual_cycles", kind: colF64, f: func(r *Record) *float64 { return &r.ActualCycles }},
-	{name: "predicted_bits", kind: colF64, f: func(r *Record) *float64 { return &r.PredictedBits }},
-	{name: "actual_bits", kind: colF64, f: func(r *Record) *float64 { return &r.ActualBits }},
-	{name: "predicted_waste_bits", kind: colF64, f: func(r *Record) *float64 { return &r.PredictedWasteBits }},
-	{name: "actual_waste_bits", kind: colF64, f: func(r *Record) *float64 { return &r.ActualWasteBits }},
-	{name: "actual_engagement_s", kind: colF64, f: func(r *Record) *float64 { return &r.ActualEngagementS }},
-	{name: "worst_snr_db", kind: colF64, f: func(r *Record) *float64 { return &r.WorstSNRdB }},
-	{name: "bitrate_bps", kind: colF64, f: func(r *Record) *float64 { return &r.BitrateBps }},
-}
 
 func le16(dst []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(dst, v) }
 func le32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
@@ -252,7 +197,7 @@ func decodeBlockBody(dst []Record, body []byte) ([]Record, error) {
 		return dst, err
 	}
 	n := int(binary.LittleEndian.Uint32(nb))
-	if n < 1 || n > MaxBlockRecords {
+	if n < 1 || n > maxBlockRecords {
 		return dst, fmt.Errorf("block record count %d: %w", n, ErrCorrupt)
 	}
 	if cap(dst) < n {

@@ -83,30 +83,52 @@ func encode(t *testing.T, recs []Record, opts WriterOptions, flushEvery int) []b
 	return buf.Bytes()
 }
 
+// encodeSmallBlocks encodes recs as a stream of many small blocks: one
+// Flush per appendSpans span of at most maxN records (cell runs close
+// at minN), each of which the writer emits as one block.
+func encodeSmallBlocks(t *testing.T, recs []Record, opts WriterOptions, maxN, minN int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range appendSpans(nil, recs, maxN, minN) {
+		if err := w.Flush(recs[sp.lo:sp.hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestRoundTrip(t *testing.T) {
 	recs := testRecords(1500)
 	for _, tc := range []struct {
-		name string
-		opts WriterOptions
-		per  int
+		name   string
+		recs   []Record
+		encode func(*testing.T, []Record) []byte
 	}{
-		{"sequential", WriterOptions{}, 0},
-		{"compressed", WriterOptions{Compress: true}, 0},
-		{"small-blocks", WriterOptions{BlockRecords: 64, MinBlockRecords: 16}, 0},
-		{"multi-flush", WriterOptions{Compress: true}, 137},
+		{"sequential", recs, func(t *testing.T, r []Record) []byte { return encode(t, r, WriterOptions{}, 0) }},
+		{"compressed", recs, func(t *testing.T, r []Record) []byte { return encode(t, r, WriterOptions{Compress: true}, 0) }},
+		{"small-blocks", recs, func(t *testing.T, r []Record) []byte { return encodeSmallBlocks(t, r, WriterOptions{}, 64, 16) }},
+		{"multi-flush", recs, func(t *testing.T, r []Record) []byte { return encode(t, r, WriterOptions{Compress: true}, 137) }},
+		// Past the block cap: one Flush must split into several blocks.
+		{"cap-split", testRecords(3*blockRecords + 5), func(t *testing.T, r []Record) []byte { return encode(t, r, WriterOptions{}, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			data := encode(t, recs, tc.opts, tc.per)
-			got, err := ReadAll(bytes.NewReader(data))
+			got, err := ReadAll(bytes.NewReader(tc.encode(t, tc.recs)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(recs) {
-				t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+			if len(got) != len(tc.recs) {
+				t.Fatalf("decoded %d records, want %d", len(got), len(tc.recs))
 			}
-			for i := range recs {
-				if !bitsEqual(got[i], recs[i]) {
-					t.Fatalf("record %d not bit-identical: got %+v want %+v", i, got[i], recs[i])
+			for i := range tc.recs {
+				if !bitsEqual(got[i], tc.recs[i]) {
+					t.Fatalf("record %d not bit-identical: got %+v want %+v", i, got[i], tc.recs[i])
 				}
 			}
 		})
@@ -118,7 +140,7 @@ func TestRoundTrip(t *testing.T) {
 func TestFlushPrefix(t *testing.T) {
 	recs := testRecords(700)
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{BlockRecords: 128, MinBlockRecords: 8})
+	w, err := NewWriter(&buf, WriterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +190,7 @@ func TestEmptyFile(t *testing.T) {
 // never a panic or an untyped failure.
 func TestTruncationPrefix(t *testing.T) {
 	recs := testRecords(400)
-	data := encode(t, recs, WriterOptions{BlockRecords: 64, MinBlockRecords: 8}, 0)
+	data := encodeSmallBlocks(t, recs, WriterOptions{}, 64, 8)
 	for cut := 0; cut <= len(data); cut++ {
 		got, err := ReadAll(bytes.NewReader(data[:cut]))
 		if err != nil {
@@ -193,7 +215,7 @@ func TestTruncationPrefix(t *testing.T) {
 // must be a correct prefix.
 func TestBitFlips(t *testing.T) {
 	recs := testRecords(600)
-	data := encode(t, recs, WriterOptions{Compress: true, BlockRecords: 128, MinBlockRecords: 8}, 0)
+	data := encodeSmallBlocks(t, recs, WriterOptions{Compress: true}, 128, 8)
 	for off := 0; off < len(data); off += 3 {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x40
@@ -216,7 +238,7 @@ func TestIntOverflowRejected(t *testing.T) {
 	if math.MaxInt == math.MaxInt32 {
 		t.Skip("32-bit int cannot overflow the wire field")
 	}
-	recs := []Record{{GroupID: math.MaxInt32 + 1}}
+	recs := []Record{{GroupIntervalRecord: GroupIntervalRecord{GroupID: math.MaxInt32 + 1}}}
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, WriterOptions{})
 	if err != nil {
@@ -300,7 +322,7 @@ func TestReaderAfterError(t *testing.T) {
 
 func TestReadAllPartial(t *testing.T) {
 	recs := testRecords(300)
-	data := encode(t, recs, WriterOptions{BlockRecords: 64, MinBlockRecords: 8}, 0)
+	data := encodeSmallBlocks(t, recs, WriterOptions{}, 64, 8)
 	mut := append([]byte(nil), data...)
 	mut[len(mut)-3] ^= 0xFF // corrupt the last block's CRC
 	got, err := ReadAll(bytes.NewReader(mut))

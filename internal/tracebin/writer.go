@@ -13,13 +13,6 @@ type WriterOptions struct {
 	// Compress runs each block body through DEFLATE (BestSpeed) and
 	// keeps whichever of raw/compressed is smaller.
 	Compress bool
-	// BlockRecords caps the records per block. 0 means 4096; values
-	// above MaxBlockRecords are rejected by NewWriter.
-	BlockRecords int
-	// MinBlockRecords is the smallest block a cell-run boundary may
-	// close: shorter runs are merged with the next so per-cell
-	// splitting cannot degenerate into per-record blocks. 0 means 256.
-	MinBlockRecords int
 }
 
 // Writer encodes records into the binary columnar trace format. One
@@ -51,20 +44,9 @@ type encState struct {
 
 // NewWriter returns a Writer emitting to w. The header is written by
 // the first Flush (or by Close, so even an empty run yields a valid,
-// self-describing file).
+// self-describing file). Every WriterOptions value is valid, so the
+// error is always nil.
 func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
-	if opts.BlockRecords == 0 {
-		opts.BlockRecords = 4096
-	}
-	if opts.BlockRecords < 1 || opts.BlockRecords > MaxBlockRecords {
-		return nil, fmt.Errorf("tracebin: BlockRecords %d out of range [1, %d]", opts.BlockRecords, MaxBlockRecords)
-	}
-	if opts.MinBlockRecords == 0 {
-		opts.MinBlockRecords = 256
-	}
-	if opts.MinBlockRecords < 1 || opts.MinBlockRecords > opts.BlockRecords {
-		return nil, fmt.Errorf("tracebin: MinBlockRecords %d out of range [1, BlockRecords]", opts.MinBlockRecords)
-	}
 	return &Writer{w: w, opts: opts}, nil
 }
 
@@ -97,7 +79,7 @@ func (bw *Writer) Flush(recs []Record) error {
 		bw.out = appendHeader(bw.out)
 	}
 	if len(recs) > 0 {
-		bw.spans = appendSpans(bw.spans[:0], recs, bw.opts.BlockRecords, bw.opts.MinBlockRecords)
+		bw.spans = appendSpans(bw.spans[:0], recs, blockRecords, minBlockRecords)
 		for _, sp := range bw.spans {
 			if err := bw.appendBlock(recs[sp.lo:sp.hi]); err != nil {
 				bw.err = err

@@ -26,7 +26,6 @@ package dtmsvs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -38,6 +37,7 @@ import (
 	"dtmsvs/internal/faultinject"
 	"dtmsvs/internal/sim"
 	"dtmsvs/internal/stats"
+	"dtmsvs/internal/tracebin"
 )
 
 // ErrSessionClosed is returned by Step, Checkpoint and a second Close
@@ -95,40 +95,10 @@ const (
 // TraceRecord is one streamed trace row: a group-interval record plus
 // the serving cell. BS is -1 for the monolithic engine, whose groups
 // are campus-wide; its JSON and CSV forms then match the monolithic
-// trace schema exactly (no bs column).
-type TraceRecord struct {
-	BS int
-	GroupIntervalRecord
-}
-
-// MarshalJSON emits the cluster schema (leading "bs") for cell
-// records and the monolithic schema for BS < 0.
-func (r TraceRecord) MarshalJSON() ([]byte, error) {
-	if r.BS < 0 {
-		return json.Marshal(r.GroupIntervalRecord)
-	}
-	return json.Marshal(struct {
-		BS int `json:"bs"`
-		GroupIntervalRecord
-	}{r.BS, r.GroupIntervalRecord})
-}
-
-// UnmarshalJSON accepts both schemas: a missing "bs" field decodes to
-// BS = -1 (a monolithic record).
-func (r *TraceRecord) UnmarshalJSON(data []byte) error {
-	aux := struct {
-		BS *int `json:"bs"`
-		*GroupIntervalRecord
-	}{GroupIntervalRecord: &r.GroupIntervalRecord}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	r.BS = -1
-	if aux.BS != nil {
-		r.BS = *aux.BS
-	}
-	return nil
-}
+// trace schema exactly (no bs column). The row is defined, with the
+// column table the binary and CSV schemas are read from, in
+// internal/tracebin.
+type TraceRecord = tracebin.Record
 
 // IntervalReport is what one Step produced: the interval's records
 // plus interval- and run-level counters.
@@ -667,22 +637,12 @@ func (a *clusterStepper) stepInterval(ctx context.Context, interval int) (Interv
 		return IntervalReport{}, err
 	}
 	return IntervalReport{
-		Records:        clusterTraceRecords(recs),
+		Records:        recs,
 		Handovers:      a.eng.Handovers(),
 		ChurnedUsers:   a.eng.Churned(),
 		CellsDown:      a.eng.CellsDown(),
 		EvacuatedTwins: a.eng.EvacuatedTwins(),
 	}, nil
-}
-
-// clusterTraceRecords converts one interval's cluster rows to session
-// records.
-func clusterTraceRecords(recs []cluster.Record) []TraceRecord {
-	out := make([]TraceRecord, len(recs))
-	for i, r := range recs {
-		out[i] = TraceRecord{BS: r.BS, GroupIntervalRecord: r.GroupIntervalRecord}
-	}
-	return out
 }
 
 func (a *clusterStepper) finish() error { a.trace = a.eng.Finish(); return nil }

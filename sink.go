@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"dtmsvs/internal/tracebin"
 )
 
 // TraceSink receives trace records as a session produces them. A
@@ -72,6 +74,7 @@ func (s *NDJSONSink) Flush() error { return s.bw.Flush() }
 // with ReadTraceRecords or ReadTraceFile.
 type CSVSink struct {
 	cw      *csv.Writer
+	rec     TraceRecord // row being written; a local would escape to the heap per record
 	row     []string
 	started bool
 	empty   []string // header to write if Flush comes before any record
@@ -97,10 +100,11 @@ func (s *CSVSink) writeHeader(header []string) error {
 // WriteRecord implements TraceSink, emitting the header first if this
 // is the stream's first row.
 func (s *CSVSink) WriteRecord(r TraceRecord) error {
-	if err := s.writeHeader(r.csvHeader()); err != nil {
+	if err := s.writeHeader(tracebin.CSVHeader(r.BS >= 0)); err != nil {
 		return err
 	}
-	s.row = r.appendCSVRow(s.row[:0])
+	s.rec = r
+	s.row = s.rec.AppendCSV(s.row[:0])
 	return s.cw.Write(s.row)
 }
 
@@ -125,7 +129,7 @@ func (s *CSVSink) Flush() error {
 // via WithSink; a bare CSVSink used outside a session should call it
 // before the first Flush or Close. Once a record has been written (or
 // the header emitted) further calls have no effect.
-func (s *CSVSink) SetSchema(r TraceRecord) { s.empty = r.csvHeader() }
+func (s *CSVSink) SetSchema(r TraceRecord) { s.empty = tracebin.CSVHeader(r.BS >= 0) }
 
 // DiscardSink drops every record: attach it when only the run-level
 // statistics and interval reports matter, so neither the session nor

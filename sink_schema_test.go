@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"dtmsvs/internal/tracebin"
 )
 
 // TestCSVSinkBareSetSchema: a CSVSink used outside a session learns
@@ -26,7 +28,7 @@ func TestCSVSinkBareSetSchema(t *testing.T) {
 			if err := sink.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			wantHeader := strings.Join(tc.sample.csvHeader(), ",") + "\n"
+			wantHeader := strings.Join(tracebin.CSVHeader(tc.sample.BS >= 0), ",") + "\n"
 			if bare.String() != wantHeader {
 				t.Fatalf("bare sink header %q want %q", bare.String(), wantHeader)
 			}
@@ -68,7 +70,7 @@ func TestCSVSinkSessionHeaderOnEmptyDistributedRun(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantHeader := strings.Join(TraceRecord{BS: 0}.csvHeader(), ",") + "\n"
+	wantHeader := strings.Join(tracebin.CSVHeader(true), ",") + "\n"
 	if buf.String() != wantHeader {
 		t.Fatalf("empty distributed run left %q want header only", buf.String())
 	}

@@ -1,8 +1,9 @@
-// This file holds the trace reader — one entry point that accepts any
+// This file holds the trace reader: one entry point that accepts any
 // trace a dtmsvs sink writes (JSON array, NDJSON, CSV in either
 // engine's schema, or the binary columnar format), detecting the
-// format from the stream's first bytes — and the CSV schema that
-// CSVSink writes and the reader checks.
+// format from the stream's first bytes. The binary and CSV schemas
+// come from internal/tracebin's column table, JSON's from the row's
+// struct tags.
 package dtmsvs
 
 import (
@@ -13,9 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
-	"dtmsvs/internal/sim"
 	"dtmsvs/internal/tracebin"
 )
 
@@ -73,7 +72,7 @@ func ReadTraceRecords(r io.Reader) ([]TraceRecord, error) {
 	}
 	switch detectTraceFormat(br) {
 	case formatBin:
-		return readBinRecords(br)
+		return tracebin.ReadAll(br)
 	case formatJSON:
 		return readJSONArrayRecords(br)
 	case formatNDJSON:
@@ -97,18 +96,6 @@ func ReadTraceFile(path string) ([]TraceRecord, error) {
 		return recs, fmt.Errorf("read trace %s: %w", path, err)
 	}
 	return recs, nil
-}
-
-// readBinRecords decodes the binary columnar stream a BinarySink
-// writes (either engine's schema; monolithic rows carry BS = -1).
-// Records decoded before an error are returned alongside it.
-func readBinRecords(r io.Reader) ([]TraceRecord, error) {
-	rows, err := tracebin.ReadAll(r)
-	out := make([]TraceRecord, len(rows))
-	for i, b := range rows {
-		out[i] = TraceRecord{BS: b.BS, GroupIntervalRecord: sim.RecordFromBin(b)}
-	}
-	return out, err
 }
 
 // readJSONArrayRecords decodes a JSON array of records; TraceRecord's
@@ -137,51 +124,6 @@ func readNDJSONRecords(r io.Reader) ([]TraceRecord, error) {
 	}
 }
 
-// csvColumns is the monolithic trace's CSV schema; clusterCSVColumns
-// prefixes it with the serving cell.
-var (
-	csvColumns = []string{
-		"interval", "group_id", "size",
-		"predicted_rbs", "actual_rbs", "allocated_rbs",
-		"predicted_cycles", "actual_cycles",
-		"predicted_bits", "actual_bits",
-		"predicted_waste_bits", "actual_waste_bits",
-		"actual_engagement_s",
-		"worst_snr_db", "bitrate_bps",
-	}
-	clusterCSVColumns = append([]string{"bs"}, csvColumns...)
-)
-
-// csvHeader returns the record's flat CSV schema (the cluster schema
-// when BS >= 0).
-func (r TraceRecord) csvHeader() []string {
-	if r.BS < 0 {
-		return csvColumns
-	}
-	return clusterCSVColumns
-}
-
-// appendCSVRow appends the record's CSV fields to dst in csvHeader
-// order. Floats carry 10 significant digits.
-func (r TraceRecord) appendCSVRow(dst []string) []string {
-	if r.BS >= 0 {
-		dst = append(dst, strconv.Itoa(r.BS))
-	}
-	f := func(x float64) string { return strconv.FormatFloat(x, 'g', 10, 64) }
-	g := &r.GroupIntervalRecord
-	return append(dst,
-		strconv.Itoa(g.Interval),
-		strconv.Itoa(g.GroupID),
-		strconv.Itoa(g.Size),
-		f(g.PredictedRBs), f(g.ActualRBs), strconv.Itoa(g.AllocatedRBs),
-		f(g.PredictedCycles), f(g.ActualCycles),
-		f(g.PredictedBits), f(g.ActualBits),
-		f(g.PredictedWasteBits), f(g.ActualWasteBits),
-		f(g.ActualEngagementS),
-		f(g.WorstSNRdB), f(g.BitrateBps),
-	)
-}
-
 // readCSVRecords decodes a CSV trace in either engine's schema,
 // validating the header against the schema CSVSink writes.
 func readCSVRecords(r io.Reader) ([]TraceRecord, error) {
@@ -194,11 +136,8 @@ func readCSVRecords(r io.Reader) ([]TraceRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("read trace CSV header: %w", err)
 	}
-	hasBS := len(header) > 0 && header[0] == "bs"
-	want := csvColumns
-	if hasBS {
-		want = clusterCSVColumns
-	}
+	cell := len(header) > 0 && header[0] == "bs"
+	want := tracebin.CSVHeader(cell)
 	if len(header) != len(want) {
 		return nil, fmt.Errorf("trace CSV header has %d columns, want %d", len(header), len(want))
 	}
@@ -216,63 +155,10 @@ func readCSVRecords(r io.Reader) ([]TraceRecord, error) {
 		if err != nil {
 			return out, fmt.Errorf("read trace CSV: %w", err)
 		}
-		rec, err := parseCSVRecord(row, hasBS)
+		rec, err := tracebin.ParseCSV(row, cell)
 		if err != nil {
 			return out, fmt.Errorf("trace CSV line %d: %w", line, err)
 		}
 		out = append(out, rec)
 	}
-}
-
-// parseCSVRecord decodes one row in field order — the bs prefix when
-// present, then the monolithic schema.
-func parseCSVRecord(row []string, hasBS bool) (TraceRecord, error) {
-	rec := TraceRecord{BS: -1}
-	i := 0
-	nextInt := func(dst *int) error {
-		v, err := strconv.Atoi(row[i])
-		if err != nil {
-			return fmt.Errorf("column %d: %w", i, err)
-		}
-		*dst = v
-		i++
-		return nil
-	}
-	nextFloat := func(dst *float64) error {
-		v, err := strconv.ParseFloat(row[i], 64)
-		if err != nil {
-			return fmt.Errorf("column %d: %w", i, err)
-		}
-		*dst = v
-		i++
-		return nil
-	}
-	if hasBS {
-		if err := nextInt(&rec.BS); err != nil {
-			return rec, err
-		}
-	}
-	g := &rec.GroupIntervalRecord
-	for _, step := range []func() error{
-		func() error { return nextInt(&g.Interval) },
-		func() error { return nextInt(&g.GroupID) },
-		func() error { return nextInt(&g.Size) },
-		func() error { return nextFloat(&g.PredictedRBs) },
-		func() error { return nextFloat(&g.ActualRBs) },
-		func() error { return nextInt(&g.AllocatedRBs) },
-		func() error { return nextFloat(&g.PredictedCycles) },
-		func() error { return nextFloat(&g.ActualCycles) },
-		func() error { return nextFloat(&g.PredictedBits) },
-		func() error { return nextFloat(&g.ActualBits) },
-		func() error { return nextFloat(&g.PredictedWasteBits) },
-		func() error { return nextFloat(&g.ActualWasteBits) },
-		func() error { return nextFloat(&g.ActualEngagementS) },
-		func() error { return nextFloat(&g.WorstSNRdB) },
-		func() error { return nextFloat(&g.BitrateBps) },
-	} {
-		if err := step(); err != nil {
-			return rec, err
-		}
-	}
-	return rec, nil
 }
