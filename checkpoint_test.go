@@ -404,9 +404,9 @@ func TestCheckpointDigestPinned(t *testing.T) {
 		want string
 	}{
 		{"mono", func() (Session, error) { return Open(cfg) },
-			"b51a039436a8de09ac94b534eb07955f4794d1b9ecd2bef74c8954913045d000"},
+			"f49e76cb71074575a63dccde600f4225a20d7eed00a400200bd99d99812ffd82"},
 		{"cluster", func() (Session, error) { return OpenCluster(ClusterConfig{Sim: cfg}) },
-			"7b12a15205a741bae9d2a3c8d6d2e7cd2f82b0957b8b54ebe27d1e65569d9112"},
+			"c177cd071992ca1174d03ffbe33def82555b2779409cd32e44b25034683eb1c0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := tc.open()
@@ -505,28 +505,28 @@ func TestTraceDigestPinned(t *testing.T) {
 	}{
 		{"mono", 42, mono,
 			"b161aeb9e727d48956ef86186d73eb8af573fc30f70284706c67146d2d14c6d3",
-			"e45cd459880613c39a7aabaf3867050d5a049615773b3f1386fcb56700557c20"},
+			"cb7b76f11ea7c9438a040bbc910f17c2254123e1db2c5b5b2d1d70c12e5ec4b7"},
 		{"mono", 7, mono,
 			"81eb18c8b6ed31eb36e9df74aa7f989c25876838572791586d4e0a5c9b81d57c",
-			"4ae42309545dcb2ea494034161eceb7c86d2af36e7a4460a5455de61d4473d67"},
+			"ec44f301295847f0da2c7c56db794aa87f7943720729841eeb786617dd4f30d4"},
 		{"cluster", 42, cluster,
 			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"fb4ca334da8c78b76513803494bd9bd0fe024d521a758725bb8edada0f95e858"},
+			"00f736c95ea66dbeb63957f37150fdd42b8b6797b5497fac9e68b6e9ee705887"},
 		{"cluster", 7, cluster,
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"53795ec63154454cb4f339296fd52086e1412ccf9d46033d38306427bd320279"},
+			"07de42a925a5a7c04d853704829b01d864369e9b5180266438a97b5ddf021924"},
 		{"degraded", 42, degraded,
 			"6786731520d867718ac35fa7d1f9eb3d5ff80106ea54ce9dad0161f88a4254a3",
-			"b82f74570d67ec1625841d2460308a68959d0f7fb7a468c3454afd8818d70d1d"},
+			"c5a03e028485f612f770445be47f4cd7aa1576ed1f0609fc4a257edb817ef06b"},
 		{"degraded", 7, degraded,
 			"2b9efea038ac9c889daa8ce2497610132758e95d9b543e0e19c396fdaf76e714",
-			"2646e92b669574bf219162d7b29720368959d096220c816c0ac498dcabf326e9"},
+			"21800f890dd52c078e4787f8977a14448279691a12f239879aa1451babe37f96"},
 		{"distributed", 42, distributed,
 			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"f8255466e4938b45f66b2e8db638841465f236f3b910e9958642c8a18cf27db4"},
+			"3f3b96249bd71d561df2146a4f10d4e028b98802e859b0649449cde392d9fca5"},
 		{"distributed", 7, distributed,
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"e9e165dbb4dbb2f1c42b4f912c05875d92174fad8334ba498ea75e68dc385cbc"},
+			"12a583bbf903504c8615df2e1b777e70cbc097938d8c14889356d686b79b45c3"},
 	} {
 		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
 		t.Run(name, func(t *testing.T) {

@@ -275,7 +275,12 @@ func reportGrouping(ctx context.Context, w io.Writer, cfg dtmsvs.Config) error {
 			return err
 		}
 	}
-	return writeSection(w, "E2 — grouping ablation", t)
+	if err := writeSection(w, "E2 — grouping ablation", t); err != nil {
+		return err
+	}
+	_, err = fmt.Fprint(w, "ddqn+perbs runs on the cluster engine, one cell per BS: its groups are the cells' sum, "+
+		"its silhouette the users-weighted mean of the cells'.\n\n")
+	return err
 }
 
 func reportUsers(ctx context.Context, w io.Writer, cfg dtmsvs.Config) error {

@@ -45,7 +45,8 @@ type GroupingConfig = grouping.Config
 // run-level statistics.
 type Trace = sim.Trace
 
-// GroupIntervalRecord is one row of a Trace.
+// GroupIntervalRecord is the demand part of a trace row; a Trace's
+// rows are TraceRecords, which add the serving cell.
 type GroupIntervalRecord = sim.GroupIntervalRecord
 
 // SwipeDistribution is a group's per-category swiping probability

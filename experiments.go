@@ -18,20 +18,28 @@ import (
 // ErrExperiment indicates an experiment could not be evaluated.
 var ErrExperiment = errors.New("dtmsvs: experiment failed")
 
-// runTrace executes one scenario through a Session, honoring ctx at
-// every interval boundary — every experiment wrapper routes its runs
-// through here, so a cancelled ctx aborts a sweep between intervals
-// instead of after a whole run.
+// runSession steps s through every interval, then closes it, honoring
+// ctx at every interval boundary — every experiment wrapper routes its
+// runs through here, so a cancelled ctx aborts a sweep between
+// intervals instead of after a whole run.
+func runSession(ctx context.Context, s Session) error {
+	defer s.Close()
+	for !s.Done() {
+		if _, err := s.Step(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runTrace executes one scenario on the monolithic engine.
 func runTrace(ctx context.Context, cfg Config) (*Trace, error) {
 	s, err := Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	for !s.Done() {
-		if _, err := s.Step(ctx); err != nil {
-			return nil, err
-		}
+	if err := runSession(ctx, s); err != nil {
+		return nil, err
 	}
 	return s.Trace(), nil
 }
@@ -189,14 +197,17 @@ type GroupingVariant struct {
 	// UseCNN toggles the 1D-CNN compressor.
 	UseCNN bool
 	// PerBS constructs groups under each base station (Fig. 1
-	// architecture) instead of campus-wide.
+	// architecture) instead of campus-wide: the arm runs on the
+	// cluster engine, one cell per BS.
 	PerBS bool
 	// OracleK replaces the DDQN with an exhaustive K scan (the
 	// classical silhouette-max baseline).
 	OracleK bool
 }
 
-// GroupingAblationRow is one arm's outcome.
+// GroupingAblationRow is one arm's outcome. For a PerBS arm, K is the
+// sum of the cells' K and Silhouette the users-weighted mean of the
+// cells' silhouettes (ClusterTrace.Cells).
 type GroupingAblationRow struct {
 	Variant       GroupingVariant
 	K             int
@@ -223,21 +234,55 @@ func RunGroupingAblation(ctx context.Context, cfg Config, variants []GroupingVar
 		c := cfg
 		c.FixedK = v.FixedK
 		c.Grouping.UseCNN = v.UseCNN
-		c.PerBSGrouping = v.PerBS
 		c.OracleK = v.OracleK
-		tr, err := runTrace(ctx, c)
+		row, err := runGroupingArm(ctx, c, v.PerBS)
 		if err != nil {
 			return rows, fmt.Errorf("variant %q: %w", v.Name, err)
 		}
-		acc, err := tr.RadioAccuracy()
-		if err != nil {
-			return rows, fmt.Errorf("variant %q accuracy: %w", v.Name, err)
-		}
-		rows = append(rows, GroupingAblationRow{
-			Variant: v, K: tr.K, Silhouette: tr.Silhouette, RadioAccuracy: acc,
-		})
+		row.Variant = v
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// runGroupingArm runs one E2 arm, campus-wide on the monolithic engine
+// or per BS on the cluster engine, and scores it.
+func runGroupingArm(ctx context.Context, cfg Config, perBS bool) (GroupingAblationRow, error) {
+	var row GroupingAblationRow
+	var tr interface{ RadioAccuracy() (float64, error) }
+	if perBS {
+		s, err := OpenCluster(ClusterConfig{Sim: cfg})
+		if err != nil {
+			return row, err
+		}
+		if err := runSession(ctx, s); err != nil {
+			return row, err
+		}
+		ct := s.Trace()
+		users := 0
+		for _, c := range ct.Cells {
+			row.K += c.K
+			row.Silhouette += float64(c.Users) * c.Silhouette
+			users += c.Users
+		}
+		if users > 0 {
+			row.Silhouette /= float64(users)
+		}
+		tr = ct
+	} else {
+		mt, err := runTrace(ctx, cfg)
+		if err != nil {
+			return row, err
+		}
+		row.K, row.Silhouette = mt.K, mt.Silhouette
+		tr = mt
+	}
+	acc, err := tr.RadioAccuracy()
+	if err != nil {
+		return row, fmt.Errorf("accuracy: %w", err)
+	}
+	row.RadioAccuracy = acc
+	return row, nil
 }
 
 // UsersSweepRow is one point of experiment E3 (accuracy vs user

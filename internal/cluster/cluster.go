@@ -15,7 +15,7 @@
 // group with the nearest code-space centroid.
 //
 // Determinism: every cell derives its random streams from (Seed,
-// tag, cell salt, ...), users own global-id-keyed streams that
+// tag, cell id + 1, ...), users own global-id-keyed streams that
 // travel with their twin, and the handover pass moves twins
 // sequentially in global user-id order (its concurrent group pre-pass
 // computes pure per-move values). The merged ClusterTrace is therefore
@@ -56,7 +56,6 @@ type Config struct {
 	// Sim is the base scenario. NumBS sets the number of coverage
 	// cells; CacheBytes is split evenly across the per-cell edge
 	// caches so total cache capacity matches the monolithic engine.
-	// PerBSGrouping is implied by the cell partition and ignored.
 	Sim sim.Config
 	// Shards is the number of concurrently executing cell groups
 	// (0 = one shard per base station). The trace is bit-identical
@@ -278,7 +277,6 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 		return nil, err
 	}
 	d := cfg.Defaulted()
-	d.Sim.PerBSGrouping = false // the cell partition is the per-BS split
 
 	pool := parallel.New(d.Sim.Parallelism)
 	campus := mobility.CampusMap()
@@ -316,7 +314,7 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 			Catalog:  catalog,
 			Server:   server,
 			Pool:     pool,
-			Salt:     uint64(c) + 1,
+			BS:       c,
 			DownBS:   down,
 		})
 		if cerr != nil {
@@ -571,9 +569,7 @@ func (e *Engine) stepCells(ctx context.Context, interval int) ([]Record, error) 
 	out := make([]Record, 0, n)
 	for _, ci := range e.owned {
 		c := e.cells[ci]
-		for _, r := range c.trace.Records {
-			out = append(out, Record{BS: c.id, GroupIntervalRecord: r})
-		}
+		out = append(out, c.trace.Records...)
 		// The cell buffer only ever holds the current interval; recycle
 		// its capacity for the next step.
 		c.trace.Records = c.trace.Records[:0]

@@ -132,6 +132,48 @@ func TestHandoverConservesUsers(t *testing.T) {
 	}
 }
 
+// TestGroupsCoverEveryUser: the cells' multicast groups partition the
+// population at every interval, with and without churn — the rows of
+// one interval, over all cells, sum to NumUsers — while twins hand
+// over between cells.
+func TestGroupsCoverEveryUser(t *testing.T) {
+	for _, churn := range []float64{0, 0.05} {
+		cfg := testSimConfig(13, 0)
+		cfg.NumUsers, cfg.NumIntervals = 120, 8
+		cfg.ChurnPerInterval = churn
+		e, err := New(Config{Sim: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := e.WarmupStep(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.TrainAndBuild(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < cfg.NumIntervals; i++ {
+			recs, err := e.StepInterval(ctx, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for _, r := range recs {
+				if r.Size <= 0 {
+					t.Fatalf("churn %v interval %d: empty row %+v", churn, i, r)
+				}
+				total += r.Size
+			}
+			if total != cfg.NumUsers {
+				t.Fatalf("churn %v interval %d: groups cover %d of %d users", churn, i, total, cfg.NumUsers)
+			}
+		}
+		if e.Handovers() == 0 || (churn > 0) != (e.Churned() > 0) {
+			t.Fatalf("churn %v: %d handovers, %d churned; scenario too quiet", churn, e.Handovers(), e.Churned())
+		}
+	}
+}
+
 // TestRecordsSortedAndTagged checks the merge discipline: records
 // sorted by (interval, cell, group), every cell tag within range.
 func TestRecordsSortedAndTagged(t *testing.T) {

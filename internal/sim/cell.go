@@ -43,11 +43,11 @@ type CellOptions struct {
 	Server *edge.Server
 	// Pool fans the cell's per-user and per-group stages.
 	Pool *parallel.Pool
-	// Salt decorrelates the cell's derived random streams (builder
-	// weights, group feed selection) from its siblings'. Must be
-	// unique per cell and non-zero; the cluster engine uses
-	// cell id + 1.
-	Salt uint64
+	// BS is the cell id: the index of the cell's station in Stations.
+	// It tags the cell's trace rows and decorrelates its derived
+	// random streams (builder weights, group feed selection) from its
+	// siblings'.
+	BS int
 	// DownBS, when non-nil, is the cluster engine's shared quarantine
 	// mask over station ids (one slice aliased by every sibling cell):
 	// stations marked down take no handovers, churn arrivals or
@@ -58,7 +58,7 @@ type CellOptions struct {
 
 // NewCell constructs a cell engine: a Simulation with zero users that
 // shares the campus substrate given in opts. Unlike New, every random
-// stream is derived from (Seed, tag, Salt, ...), so sibling cells
+// stream is derived from (Seed, tag, BS + 1, ...), so sibling cells
 // never share a generator and the cluster trace is independent of
 // shard scheduling.
 func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
@@ -70,8 +70,8 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		return nil, fmt.Errorf("cell without stations: %w", ErrConfig)
 	case opts.Campus == nil || opts.Catalog == nil || opts.Server == nil || opts.Pool == nil:
 		return nil, fmt.Errorf("cell substrate incomplete: %w", ErrConfig)
-	case opts.Salt == 0:
-		return nil, fmt.Errorf("cell salt must be non-zero: %w", ErrConfig)
+	case opts.BS < 0 || opts.BS >= len(opts.Stations):
+		return nil, fmt.Errorf("cell bs %d of %d stations: %w", opts.BS, len(opts.Stations), ErrConfig)
 	}
 	c := cfg.withDefaults()
 	params := channel.DefaultParams()
@@ -86,7 +86,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 	}
 	meanDur := durSum / float64(opts.Catalog.Size())
 
-	cnt := parallel.NewCounting(rand.NewSource(parallel.DeriveSeed(c.Seed, streamBuilder, opts.Salt)).(rand.Source64))
+	cnt := parallel.NewCounting(rand.NewSource(parallel.DeriveSeed(c.Seed, streamBuilder, cellSalt(opts.BS))).(rand.Source64))
 	builderRng := rand.New(cnt)
 	builder, err := grouping.New(c.Grouping, builderRng)
 	if err != nil {
@@ -113,7 +113,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		cnt:           cnt,
 		rng:           builderRng,
 		pool:          opts.Pool,
-		salt:          opts.Salt,
+		bs:            opts.BS,
 		params:        params,
 		prop:          params.Propagation(),
 		stations:      opts.Stations,

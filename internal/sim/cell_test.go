@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,10 +17,8 @@ import (
 	"dtmsvs/internal/video"
 )
 
-// newTestCell builds one cluster cell over its own substrate and
-// attaches the users with the given ids (whatever their serving
-// station: the cell does not care).
-func newTestCell(t *testing.T, cfg Config, salt uint64, ids []int) *Simulation {
+// testCellOptions builds a cell substrate of its own for cell bs.
+func testCellOptions(t *testing.T, cfg Config, bs int) CellOptions {
 	t.Helper()
 	c := cfg.withDefaults()
 	campus := mobility.CampusMap()
@@ -35,10 +34,18 @@ func newTestCell(t *testing.T, cfg Config, salt uint64, ids []int) *Simulation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewCell(cfg, CellOptions{
+	return CellOptions{
 		Stations: stations, Campus: campus, Catalog: catalog, Server: server,
-		Pool: parallel.New(2), Salt: salt,
-	})
+		Pool: parallel.New(2), BS: bs,
+	}
+}
+
+// newTestCell builds cell bs over its own substrate and attaches the
+// users with the given ids (whatever their serving station: the cell
+// does not care).
+func newTestCell(t *testing.T, cfg Config, bs int, ids []int) *Simulation {
+	t.Helper()
+	s, err := NewCell(cfg, testCellOptions(t, cfg, bs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +60,52 @@ func newTestCell(t *testing.T, cfg Config, salt uint64, ids []int) *Simulation {
 		}
 	}
 	return s
+}
+
+// TestNewCellValidatesBS: a cell id must name one of the stations.
+func TestNewCellValidatesBS(t *testing.T) {
+	cfg := fastConfig(3)
+	for _, bs := range []int{-1, cfg.NumBS} {
+		if _, err := NewCell(cfg, testCellOptions(t, cfg, bs)); !errors.Is(err, ErrConfig) {
+			t.Fatalf("bs %d: want ErrConfig, got %v", bs, err)
+		}
+	}
+}
+
+// TestCellRowsCarryBS: a cell engine tags the rows it makes with its
+// cell id.
+func TestCellRowsCarryBS(t *testing.T) {
+	cfg := fastConfig(4)
+	all := make([]int, cfg.NumUsers)
+	for i := range all {
+		all[i] = i
+	}
+	const bs = 2
+	s := newTestCell(t, cfg, bs, all)
+	ctx := context.Background()
+	if err := s.WarmupIntervalContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Train(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BuildGroupsContext(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTrace()
+	for i := 0; i < 2; i++ {
+		if err := s.RunIntervalContext(ctx, i, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tr.Records) == 0 {
+		t.Fatal("cell made no rows")
+	}
+	for i, r := range tr.Records {
+		if r.BS != bs {
+			t.Fatalf("row %d has BS %d, want %d", i, r.BS, bs)
+		}
+	}
 }
 
 // referenceAssignGroup is the attach-time group choice the handover
@@ -115,7 +168,7 @@ func TestNearestGroupMatchesAttachTime(t *testing.T) {
 		all[i] = i
 	}
 	built := func(t *testing.T) *Simulation {
-		s := newTestCell(t, cfg, 1, all)
+		s := newTestCell(t, cfg, 0, all)
 		for i := 0; i < 2; i++ {
 			if err := s.WarmupIntervalContext(context.Background()); err != nil {
 				t.Fatal(err)
@@ -157,7 +210,7 @@ func TestNearestGroupMatchesAttachTime(t *testing.T) {
 			}
 			return s
 		}, true},
-		{"no groups yet", func(t *testing.T) *Simulation { return newTestCell(t, cfg, 1, all) }, true},
+		{"no groups yet", func(t *testing.T) *Simulation { return newTestCell(t, cfg, 0, all) }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -211,7 +264,7 @@ func TestCellIndexTracksPopulation(t *testing.T) {
 	for id := 1; id < cfg.NumUsers; id += 2 {
 		ids = append(ids, id)
 	}
-	s := newTestCell(t, cfg, 2, ids)
+	s := newTestCell(t, cfg, 1, ids)
 	check := func(s *Simulation, at string) {
 		t.Helper()
 		for id := -1; id <= cfg.NumUsers; id++ {
@@ -245,7 +298,7 @@ func TestCellIndexTracksPopulation(t *testing.T) {
 	}
 	// The restoring cell holds a different population first: restore
 	// must forget it.
-	r := newTestCell(t, cfg, 2, []int{0, 2, 4})
+	r := newTestCell(t, cfg, 1, []int{0, 2, 4})
 	cr, err := checkpoint.NewReader(&buf, "cell", 0)
 	if err != nil {
 		t.Fatal(err)

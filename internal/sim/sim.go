@@ -123,11 +123,6 @@ type Config struct {
 	// "frequent and accurate multicast group updates". 0 disables
 	// churn.
 	ChurnPerInterval float64
-	// PerBSGrouping constructs multicast groups independently under
-	// each base station (the paper's Fig. 1 architecture: "BSs
-	// utilize multicast technology to transmit short videos to each
-	// multicast group") instead of campus-wide.
-	PerBSGrouping bool
 	// OracleK replaces the DDQN with an exhaustive scan over
 	// [KMin, KMax] at every group construction — the classical
 	// silhouette-maximizing baseline the DDQN amortizes. Mutually
@@ -251,7 +246,9 @@ type GroupIntervalRecord = tracebin.GroupIntervalRecord
 
 // Trace is the full simulation output.
 type Trace struct {
-	Records []GroupIntervalRecord
+	// Records carry the BS of the engine that made them: -1 for the
+	// monolithic engine, the cell id for a cluster cell.
+	Records []tracebin.Record
 	// SwipeByGroup holds the final abstracted swiping distribution
 	// per group id.
 	SwipeByGroup map[int]*predict.SwipeDistribution
@@ -408,10 +405,10 @@ type Simulation struct {
 	rng *rand.Rand
 	// pool fans per-user and per-group stages across workers.
 	pool *parallel.Pool
-	// salt decorrelates this engine's derived group/builder streams
-	// from other shards' in a cluster run (0 in the monolithic engine,
-	// cell id + 1 in cluster cells).
-	salt uint64
+	// bs is the cell id of a cluster cell, or -1 for the monolithic
+	// engine. It tags the engine's trace rows, and cellSalt(bs)
+	// decorrelates the derived group/builder streams of sibling cells.
+	bs int
 	// constructions counts group constructions, deriving each round's
 	// per-group streams.
 	constructions uint64
@@ -539,6 +536,7 @@ func New(cfg Config) (*Simulation, error) {
 		cnt:           cnt,
 		rng:           rng,
 		pool:          pool,
+		bs:            -1,
 		params:        params,
 		prop:          params.Propagation(),
 		stations:      stations,
@@ -975,12 +973,16 @@ func (s *Simulation) lastConstruction(boundary int) bool {
 	return s.cfg.RegroupEvery <= 0 || boundary+s.cfg.RegroupEvery >= s.cfg.NumIntervals
 }
 
+// cellSalt is the stream salt of cell bs: bs + 1, so the monolithic
+// engine (bs = -1) has salt 0.
+func cellSalt(bs int) uint64 { return uint64(bs) + 1 }
+
 // groupStream derives a group's private feed-selection stream.
 // Cluster cells fold their salt in so no two shards ever share a
 // stream.
 func (s *Simulation) groupStream(construction, gid uint64) *parallel.Stream {
-	if s.salt != 0 {
-		return parallel.NewStream(s.cfg.Seed, streamGroup, s.salt, construction, gid)
+	if salt := cellSalt(s.bs); salt != 0 {
+		return parallel.NewStream(s.cfg.Seed, streamGroup, salt, construction, gid)
 	}
 	return parallel.NewStream(s.cfg.Seed, streamGroup, construction, gid)
 }
@@ -997,110 +999,47 @@ func (s *Simulation) userPos(id int) int {
 	return -1
 }
 
-// constructGroups runs the two-step construction, campus-wide or per
-// base station, returning the built groups (global member ids, indexed
-// by group id) and a representative grouping.Result for run-level
-// statistics (campus-wide mode: the whole construction; per-BS mode:
-// the largest cell's construction).
+// constructGroups runs the two-step construction over the engine's
+// whole population, returning the built groups (global member ids,
+// indexed by group id) and the construction's grouping.Result (nil
+// when the population is too small to cluster and forms one group).
 func (s *Simulation) constructGroups() ([]builtGroup, *grouping.Result, error) {
-	buildSubset := func(idxs []int) (*grouping.Result, error) {
-		twins := make([]*udt.Twin, len(idxs))
-		for i, idx := range idxs {
-			twins[i] = s.users[idx].twin
+	if len(s.users) <= s.cfg.Grouping.KMin {
+		ids := make([]int, len(s.users))
+		for i, u := range s.users {
+			ids[i] = u.id
 		}
-		if s.cfg.FixedK > 0 {
-			k := s.cfg.FixedK
-			if k > len(twins) {
-				k = len(twins)
-			}
-			return s.builder.BuildFixedK(twins, k)
-		}
-		if s.cfg.OracleK {
-			k, _, oerr := s.builder.BestKExhaustive(twins)
-			if oerr != nil {
-				return nil, oerr
-			}
-			return s.builder.BuildFixedK(twins, k)
-		}
-		return s.builder.Build(twins)
+		return []builtGroup{{ids: ids}}, nil, nil
 	}
-	// oneGroup is the fallback for populations too small to cluster
-	// (tiny cluster cells): everyone in a single group, no centroid.
-	oneGroup := func(idxs []int) builtGroup {
-		ids := make([]int, len(idxs))
-		for i, idx := range idxs {
-			ids[i] = s.users[idx].id
-		}
-		return builtGroup{ids: ids}
-	}
-
-	if !s.cfg.PerBSGrouping {
-		all := make([]int, len(s.users))
-		for i := range all {
-			all[i] = i
-		}
-		if len(all) <= s.cfg.Grouping.KMin {
-			return []builtGroup{oneGroup(all)}, nil, nil
-		}
-		res, err := buildSubset(all)
-		if err != nil {
-			return nil, nil, fmt.Errorf("group construction: %w", err)
-		}
-		built := make([]builtGroup, 0, len(res.Groups))
-		for _, g := range res.Groups {
-			ids := make([]int, len(g.Members))
-			for i, m := range g.Members {
-				ids[i] = s.users[m].id
-			}
-			built = append(built, builtGroup{ids: ids, centroid: g.Centroid})
-		}
-		return built, res, nil
-	}
-
-	// Per-BS: partition users by serving base station, then cluster
-	// within each cell. Cells too small to cluster become one group.
-	byBS := make(map[int][]int)
+	twins := make([]*udt.Twin, len(s.users))
 	for i, u := range s.users {
-		id := u.link.BS().ID
-		byBS[id] = append(byBS[id], i)
+		twins[i] = u.twin
 	}
-	bsIDs := make([]int, 0, len(byBS))
-	for id := range byBS {
-		bsIDs = append(bsIDs, id)
+	var res *grouping.Result
+	var err error
+	switch {
+	case s.cfg.FixedK > 0:
+		res, err = s.builder.BuildFixedK(twins, min(s.cfg.FixedK, len(twins)))
+	case s.cfg.OracleK:
+		var k int
+		if k, _, err = s.builder.BestKExhaustive(twins); err == nil {
+			res, err = s.builder.BuildFixedK(twins, k)
+		}
+	default:
+		res, err = s.builder.Build(twins)
 	}
-	sort.Ints(bsIDs)
-
-	var built []builtGroup
-	var largest *grouping.Result
-	var largestSize int
-	for _, id := range bsIDs {
-		idxs := byBS[id]
-		if len(idxs) <= s.cfg.Grouping.KMin {
-			built = append(built, oneGroup(idxs))
-			continue
-		}
-		res, err := buildSubset(idxs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bs %d group construction: %w", id, err)
-		}
-		for _, g := range res.Groups {
-			if len(g.Members) == 0 {
-				continue
-			}
-			ids := make([]int, len(g.Members))
-			for i, m := range g.Members {
-				ids[i] = s.users[idxs[m]].id
-			}
-			built = append(built, builtGroup{ids: ids, centroid: g.Centroid})
-		}
-		if len(idxs) > largestSize {
-			largest, largestSize = res, len(idxs)
-		}
+	if err != nil {
+		return nil, nil, fmt.Errorf("group construction: %w", err)
 	}
-	if len(built) == 0 {
-		return nil, nil, fmt.Errorf("per-bs grouping produced no groups: %w", ErrConfig)
+	built := make([]builtGroup, 0, len(res.Groups))
+	for _, g := range res.Groups {
+		ids := make([]int, len(g.Members))
+		for i, m := range g.Members {
+			ids[i] = s.users[m].id
+		}
+		built = append(built, builtGroup{ids: ids, centroid: g.Centroid})
 	}
-	return built, largest, nil
+	return built, res, nil
 }
 
 // groupWorstSNR returns the coverage SNR the multicast MCS must
@@ -1486,7 +1425,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 			}
 			tracker.Observe(actual.ComputeCycles / txS)
 		}
-		trace.Records = append(trace.Records, GroupIntervalRecord{
+		trace.Records = append(trace.Records, tracebin.Record{BS: s.bs, GroupIntervalRecord: GroupIntervalRecord{
 			Interval:           interval,
 			GroupID:            g.id,
 			Size:               len(g.members),
@@ -1502,7 +1441,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 			ActualEngagementS:  actual.EngagementS,
 			WorstSNRdB:         p.snr,
 			BitrateBps:         p.rep.BitrateBps,
-		})
+		}})
 	}
 	s.met.stream.ObserveSince(tStream)
 

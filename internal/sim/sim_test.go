@@ -395,34 +395,6 @@ func TestChurnConfigValidation(t *testing.T) {
 	}
 }
 
-func TestRunPerBSGrouping(t *testing.T) {
-	cfg := fastConfig(33)
-	cfg.PerBSGrouping = true
-	tr := runFast(t, cfg)
-	if tr.K < 1 {
-		t.Fatalf("per-BS run ended with %d groups", tr.K)
-	}
-	// Partition covers everyone at interval 0.
-	var total int
-	seen := map[int]bool{}
-	for _, r := range tr.Records {
-		if r.Interval == 0 && !seen[r.GroupID] {
-			seen[r.GroupID] = true
-			total += r.Size
-		}
-	}
-	if total != 24 {
-		t.Fatalf("per-BS groups cover %d of 24 users", total)
-	}
-	acc, err := tr.RadioAccuracy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0 || acc > 1 {
-		t.Fatalf("accuracy %v", acc)
-	}
-}
-
 func TestRunOracleK(t *testing.T) {
 	cfg := fastConfig(34)
 	cfg.OracleK = true
@@ -449,11 +421,10 @@ func TestRunWithCorrelatedFading(t *testing.T) {
 	}
 }
 
-// Combined modes: per-BS grouping + churn + admission budget +
-// correlated fading in one run must hold all invariants together.
+// Combined modes: churn + admission budget + correlated fading in one
+// run must hold all invariants together.
 func TestRunCombinedModes(t *testing.T) {
 	cfg := fastConfig(36)
-	cfg.PerBSGrouping = true
 	cfg.ChurnPerInterval = 0.1
 	cfg.RBBudget = 12
 	cfg.FadingRho = 0.8

@@ -22,7 +22,10 @@ func TestSummarize(t *testing.T) {
 	if _, err := empty.Summarize(); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig, got %v", err)
 	}
-	tr := &Trace{Records: sampleRecords()}
+	tr := &Trace{}
+	for _, r := range sampleRecords() {
+		tr.Records = append(tr.Records, r.BinRecord(-1))
+	}
 	s, err := tr.Summarize()
 	if err != nil {
 		t.Fatal(err)

@@ -92,8 +92,8 @@ const (
 	CellDegradeWithRevival = cluster.DegradeWithRevival
 )
 
-// TraceRecord is one streamed trace row: a group-interval record plus
-// the serving cell. BS is -1 for the monolithic engine, whose groups
+// TraceRecord is one trace row, streamed or retained in a Trace: a
+// group-interval record plus the serving cell. BS is -1 for the monolithic engine, whose groups
 // are campus-wide; its JSON and CSV forms then match the monolithic
 // trace schema exactly (no bs column). The row is defined, with the
 // column table the binary and CSV schemas are read from, in
@@ -563,10 +563,9 @@ func (a *simStepper) stepInterval(ctx context.Context, interval int) (IntervalRe
 	if err := a.eng.RunIntervalContext(ctx, interval, &a.scratch); err != nil {
 		return IntervalReport{}, err
 	}
+	// The report must not alias the reused scratch rows.
 	out := make([]TraceRecord, len(a.scratch.Records))
-	for i, r := range a.scratch.Records {
-		out[i] = TraceRecord{BS: -1, GroupIntervalRecord: r}
-	}
+	copy(out, a.scratch.Records)
 	if a.retain {
 		a.trace.Records = append(a.trace.Records, a.scratch.Records...)
 	}

@@ -274,7 +274,7 @@ func TestSessionSinkAndObservers(t *testing.T) {
 		if r.BS != -1 {
 			t.Fatalf("monolithic record %d has BS %d", i, r.BS)
 		}
-		if r.GroupIntervalRecord != want.Records[i] {
+		if r != want.Records[i] {
 			t.Fatalf("sink record %d diverged", i)
 		}
 	}
