@@ -141,35 +141,21 @@ func TestGroupsCoverEveryUser(t *testing.T) {
 		cfg := testSimConfig(13, 0)
 		cfg.NumUsers, cfg.NumIntervals = 120, 8
 		cfg.ChurnPerInterval = churn
-		e, err := New(Config{Sim: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		if err := e.WarmupStep(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.TrainAndBuild(ctx); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < cfg.NumIntervals; i++ {
-			recs, err := e.StepInterval(ctx, i)
-			if err != nil {
-				t.Fatal(err)
+		tr := runConfig(t, Config{Sim: cfg})
+		covered := make([]int, cfg.NumIntervals)
+		for _, r := range tr.Records {
+			if r.Size <= 0 {
+				t.Fatalf("churn %v: empty row %+v", churn, r)
 			}
-			total := 0
-			for _, r := range recs {
-				if r.Size <= 0 {
-					t.Fatalf("churn %v interval %d: empty row %+v", churn, i, r)
-				}
-				total += r.Size
-			}
-			if total != cfg.NumUsers {
-				t.Fatalf("churn %v interval %d: groups cover %d of %d users", churn, i, total, cfg.NumUsers)
+			covered[r.Interval] += r.Size
+		}
+		for i, n := range covered {
+			if n != cfg.NumUsers {
+				t.Fatalf("churn %v interval %d: groups cover %d of %d users", churn, i, n, cfg.NumUsers)
 			}
 		}
-		if e.Handovers() == 0 || (churn > 0) != (e.Churned() > 0) {
-			t.Fatalf("churn %v: %d handovers, %d churned; scenario too quiet", churn, e.Handovers(), e.Churned())
+		if tr.Handovers == 0 || (churn > 0) != (tr.ChurnedUsers > 0) {
+			t.Fatalf("churn %v: %d handovers, %d churned; scenario too quiet", churn, tr.Handovers, tr.ChurnedUsers)
 		}
 	}
 }
