@@ -505,28 +505,28 @@ func TestTraceDigestPinned(t *testing.T) {
 	}{
 		{"mono", 42, mono,
 			"b161aeb9e727d48956ef86186d73eb8af573fc30f70284706c67146d2d14c6d3",
-			"cb7b76f11ea7c9438a040bbc910f17c2254123e1db2c5b5b2d1d70c12e5ec4b7"},
+			"07aefca6c1a836bd3a6a6385ef9062f8440b3407132ff6ffb791cbd55f3339c5"},
 		{"mono", 7, mono,
 			"81eb18c8b6ed31eb36e9df74aa7f989c25876838572791586d4e0a5c9b81d57c",
-			"ec44f301295847f0da2c7c56db794aa87f7943720729841eeb786617dd4f30d4"},
+			"8889508f2d3913b909d9e649c8ea6f9fbcadab6ac2ca7015f8ffca4cd5937342"},
 		{"cluster", 42, cluster,
 			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"00f736c95ea66dbeb63957f37150fdd42b8b6797b5497fac9e68b6e9ee705887"},
+			"e0b426ad3ff2f625834a755e10aca1017bce479402d04bc7889aeab0c8f8e34b"},
 		{"cluster", 7, cluster,
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"07de42a925a5a7c04d853704829b01d864369e9b5180266438a97b5ddf021924"},
+			"e312660e9a9826cf96655aacb51f0f5fc88ab0e1f76b88db7a433d4437bf233e"},
 		{"degraded", 42, degraded,
 			"6786731520d867718ac35fa7d1f9eb3d5ff80106ea54ce9dad0161f88a4254a3",
-			"c5a03e028485f612f770445be47f4cd7aa1576ed1f0609fc4a257edb817ef06b"},
+			"55b775552bc813efe2091b2e21d56512215eca2c044b47fc553c03fecbceb6ed"},
 		{"degraded", 7, degraded,
 			"2b9efea038ac9c889daa8ce2497610132758e95d9b543e0e19c396fdaf76e714",
-			"21800f890dd52c078e4787f8977a14448279691a12f239879aa1451babe37f96"},
+			"c6dbbcd6c2d8c8324a4b0037fa219171de1c9e12720f9107995ec3920a3130f5"},
 		{"distributed", 42, distributed,
 			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"3f3b96249bd71d561df2146a4f10d4e028b98802e859b0649449cde392d9fca5"},
+			"f2ce936ded822ca2729c926ea22be9a4739ce944b78223ac2b96272bd78bb940"},
 		{"distributed", 7, distributed,
 			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"12a583bbf903504c8615df2e1b777e70cbc097938d8c14889356d686b79b45c3"},
+			"d4f69b96a8dac3c15f44d8aced571e87d2d7bd7d95f1ab793a6b457c38394bb8"},
 	} {
 		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
 		t.Run(name, func(t *testing.T) {
@@ -595,6 +595,37 @@ func reencodeTrace(t *testing.T, trace []byte) (ndjson, csv []byte) {
 		}
 	}
 	return nd.Bytes(), cs.Bytes()
+}
+
+// TestClusterCheckpointBytesPerUser bounds a default-config cluster
+// checkpoint at 1.6 KB per user, models and caches of its four cells
+// included, so state nothing reads cannot creep back into every twin
+// unnoticed: rings of 4·TicksPerInterval = 120 samples, where only the
+// 16-sample grouping window is read, put it at 3.4 KB. Training
+// lengths are cut to keep the test fast; no state is sized by them.
+func TestClusterCheckpointBytesPerUser(t *testing.T) {
+	cfg := DefaultConfig(42)
+	cfg.NumUsers = 1000
+	cfg.NumIntervals = 2
+	cfg.CompressorEpochs = 2
+	cfg.AgentEpisodes = 6
+	s, err := OpenCluster(ClusterConfig{Sim: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for !s.Done() {
+		if _, err := s.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := s.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if perUser := ckpt.Len() / cfg.NumUsers; perUser > 1600 {
+		t.Fatalf("cluster checkpoint of %d users is %d bytes, %d per user, want at most 1600", cfg.NumUsers, ckpt.Len(), perUser)
+	}
 }
 
 // TestCheckpointKeepsItsBuffer: the session encodes every checkpoint

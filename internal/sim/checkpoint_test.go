@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/udt"
+	"dtmsvs/internal/video"
 )
 
 // warmedEngine returns an engine whose users have browsed for a few
@@ -80,6 +83,55 @@ func TestUserCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTwinHistoryIsTheWindow: an engine twin keeps what its one
+// reader, FeatureWindow(Grouping.WindowSteps), reads — capped at
+// 4·TicksPerInterval, never under 2 — seen on the wire: a user whose
+// every ring has overflowed encodes five rings of that many raw
+// float64 words more than the same user cold.
+func TestTwinHistoryIsTheWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		ticks     int
+		window    int
+		wantSlots int
+	}{
+		{"defaults", 0, 0, 16},
+		{"ticks 3 window 16", 3, 16, 12},
+		{"window 1", 0, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Seed: 1, NumUsers: 4, NumBS: 1, NumIntervals: 1, TicksPerInterval: tc.ticks}
+			cfg.Grouping.WindowSteps = tc.window
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			u := s.users[0]
+			cold := encodedUser(t, s, u)
+			// 240 ticks and views overfill even the old 120-slot rings
+			// (location is collected every other tick).
+			ticks := make([]udt.TickSample, 240)
+			for i := range ticks {
+				ticks[i] = udt.TickSample{CQI: 1 + i%15, X: float64(i), Y: 1}
+			}
+			if err := u.twin.CollectTicks(ticks, u.profile.Pref); err != nil {
+				t.Fatal(err)
+			}
+			for range ticks {
+				if _, err := u.twin.CollectView(video.News, 1, 0.5, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			grown := len(encodedUser(t, s, u)) - len(cold)
+			if slot := udt.NumFeatureChannels * 8; grown != tc.wantSlots*slot {
+				t.Fatalf("saturated user encodes %d bytes more than cold, want %d rings × %d slots × 8",
+					grown, udt.NumFeatureChannels, tc.wantSlots)
+			}
+		})
+	}
+}
+
 // FuzzDecodeUser hammers the per-user decoder — the one that reads
 // bytes another process wrote — with mutations of real encodings:
 // it must never panic, must fail only as checkpoint.ErrCorrupt, and
@@ -90,6 +142,9 @@ func FuzzDecodeUser(f *testing.F) {
 		enc := encodedUser(f, s, u)
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
+	}
+	for _, enc := range oldCapacityUser(f, s) {
+		f.Add(enc)
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -105,4 +160,45 @@ func FuzzDecodeUser(f *testing.F) {
 			t.Fatalf("accepted user does not re-encode: %v", err)
 		}
 	})
+}
+
+// oldCapacityUser returns a user whose twin rings hold 120 samples, as
+// builds before the rings were sized to the grouping window wrote it
+// at the default 30 ticks per interval, and the same bytes with the
+// twin's capacity word rewritten to the engine's, so the decoder reaches
+// a ring longer than its own. Both are refused as checkpoint.ErrCorrupt:
+// the first for its twin identity, the second for its ring length.
+func oldCapacityUser(tb testing.TB, s *Simulation) [2][]byte {
+	tb.Helper()
+	u := *s.users[0]
+	identity := func(history int) []byte {
+		tw, err := udt.NewTwin(u.id, udt.Config{HistoryLen: history})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var e checkpoint.Enc
+		tw.EncodeState(&e)
+		return e.Bytes()[:6*8] // user id and Config
+	}
+	old, err := udt.NewTwin(u.id, udt.Config{HistoryLen: 120})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ticks := make([]udt.TickSample, 240)
+	for i := range ticks {
+		ticks[i] = udt.TickSample{CQI: 1 + i%15, X: float64(i), Y: 2}
+	}
+	if err := old.CollectTicks(ticks, u.profile.Pref); err != nil {
+		tb.Fatal(err)
+	}
+	u.twin = old
+	written := encodedUser(tb, s, &u)
+	patched := bytes.Replace(written, identity(120), identity(s.cfg.twinHistory()), 1)
+	for i, enc := range [][]byte{written, patched} {
+		_, err := s.DecodeUser(checkpoint.NewDec(enc))
+		if !errors.Is(err, checkpoint.ErrCorrupt) || i == 1 && !strings.Contains(err.Error(), "120 floats into room for") {
+			tb.Fatalf("120-sample user (case %d): want checkpoint.ErrCorrupt, got %v", i, err)
+		}
+	}
+	return [2][]byte{written, patched}
 }

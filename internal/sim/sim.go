@@ -206,6 +206,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// twinHistory is the ring capacity of every engine twin. The rings'
+// one reader is the grouping's FeatureWindow(Grouping.WindowSteps),
+// which takes the newest WindowSteps samples and pads with the oldest
+// of them, so a ring holding the window yields the window any larger
+// ring would; older samples were never read. The 4·TicksPerInterval
+// cap leaves a window longer than that on the ring it always had, and
+// udt refuses rings under 2.
+func (c Config) twinHistory() int {
+	return max(2, min(4*c.TicksPerInterval, c.Grouping.WindowSteps))
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	d := c.withDefaults()
@@ -642,7 +653,7 @@ func (s *Simulation) newUser(id int, src *parallel.Stream) (*user, error) {
 	if lerr != nil {
 		return nil, lerr
 	}
-	twin, terr := udt.NewTwin(id, udt.Config{HistoryLen: 4 * s.cfg.TicksPerInterval})
+	twin, terr := udt.NewTwin(id, udt.Config{HistoryLen: s.cfg.twinHistory()})
 	if terr != nil {
 		return nil, terr
 	}

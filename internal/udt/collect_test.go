@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -242,8 +243,10 @@ func TestSlabRingsDisjoint(t *testing.T) {
 			if k < i {
 				want = float64(100*(k+1) + 2*n + 2) // its own last value
 			}
-			if k != i && other.window(1)[0] != want {
-				t.Fatalf("filling ring %d changed ring %d: newest %v, want %v", i, k, other.window(1)[0], want)
+			newest := []float64{-1}
+			other.windowInto(newest, 1)
+			if k != i && newest[0] != want {
+				t.Fatalf("filling ring %d changed ring %d: newest %v, want %v", i, k, newest[0], want)
 			}
 		}
 	}
@@ -310,6 +313,59 @@ func TestFeatureWindowMatchesReference(t *testing.T) {
 		if tick%3 != 0 {
 			if _, err := tw.CollectView(video.News, rng.Float64()*50, rng.Float64(), false); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestFeatureWindowCapacityInvariant: a window reads only the newest
+// samples, so a ring that holds the window yields, bit for bit, the
+// window of every larger ring. One stream under the coprime periods
+// is collected into twins of capacity max(2, W), W+1, 4W and 120, and
+// FeatureWindow(W) is compared after every tick, so each ring of the
+// smallest twin is seen empty, partly filled, exactly full and wrapped
+// several times.
+func TestFeatureWindowCapacityInvariant(t *testing.T) {
+	const posScale = 1300.0
+	for _, w := range []int{1, 2, 16} {
+		rng := rand.New(rand.NewSource(int64(w)))
+		caps := []int{max(2, w), w + 1, 4 * w, 120}
+		twins := make([]*Twin, len(caps))
+		for i, n := range caps {
+			cfg := coprime
+			cfg.HistoryLen = n
+			twins[i] = newTwin(t, cfg)
+		}
+		pref := behavior.NewUniformPreference()
+		for tick := 0; tick <= 8*max(2, w)*coprime.LocationEvery; tick++ {
+			want, err := twins[0].FeatureWindow(w, posScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, tw := range twins[1:] {
+				got, err := tw.FeatureWindow(w, posScale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("W %d tick %d: capacity %d [%d] = %v, capacity %d has %v",
+							w, tick, caps[i+1], j, got[j], caps[0], want[j])
+					}
+				}
+			}
+			s := TickSample{CQI: 1 + rng.Intn(15), X: rng.Float64() * posScale, Y: rng.NormFloat64() * posScale}
+			view := rng.Intn(3) != 0
+			cat, watch, engage := video.AllCategories()[rng.Intn(video.NumCategories)], rng.Float64()*60, rng.Float64()
+			for _, tw := range twins {
+				if err := tw.CollectTicks([]TickSample{s}, pref); err != nil {
+					t.Fatal(err)
+				}
+				if view {
+					if _, err := tw.CollectView(cat, watch, engage, false); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
 	}

@@ -99,14 +99,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("staleness %v differs", a)
 		}
 	}
-	if tw.MeanCQI(4) != back.MeanCQI(4) {
-		t.Fatal("mean cqi differs")
-	}
-	x1, y1 := tw.LastLocation()
-	x2, y2 := back.LastLocation()
-	if x1 != x2 || y1 != y2 {
-		t.Fatal("last location differs")
-	}
 }
 
 // TestStateCodecRingFills: at every ring fill — empty, partly filled,
@@ -155,7 +147,9 @@ func TestStateCodecRingFills(t *testing.T) {
 		}
 		rings, backRings := tw.rings(), back.rings()
 		for ri, r := range rings {
-			want, got := r.window(r.len()), backRings[ri].window(backRings[ri].len())
+			want, got := make([]float64, r.len()), make([]float64, backRings[ri].len())
+			r.windowInto(want, 1)
+			backRings[ri].windowInto(got, 1)
 			if len(want) != len(got) {
 				t.Fatalf("%d samples: ring %d holds %d values, want %d", samples, ri, len(got), len(want))
 			}
@@ -234,7 +228,9 @@ func TestRestoreValidation(t *testing.T) {
 	if got := encodeState(tw); !bytes.Equal(got, valid().encode()) {
 		t.Fatal("EncodeState does not emit the documented layout")
 	}
-	if tw.Staleness(AttrWatch) != 2 || tw.ViewsByCategory()[4] != 3 || tw.MeanCQI(1) != 6 {
+	newest := []float64{0}
+	tw.cqi.windowInto(newest, 1)
+	if tw.Staleness(AttrWatch) != 2 || tw.ViewsByCategory()[4] != 3 || newest[0] != 6 {
 		t.Fatal("valid state decoded into the wrong fields")
 	}
 

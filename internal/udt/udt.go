@@ -98,17 +98,11 @@ func (r *ring) windowInto(out []float64, div float64) {
 	}
 }
 
-// window returns the most recent n values in a new slice, padded as
-// windowInto pads.
-func (r *ring) window(n int) []float64 {
-	out := make([]float64, n)
-	r.windowInto(out, 1)
-	return out
-}
-
 // Config sets twin capacities and collection frequencies.
 type Config struct {
 	// HistoryLen is the ring capacity per scalar series (default 256).
+	// FeatureWindow(steps) reads only the newest steps samples, so any
+	// capacity of at least steps yields the same window.
 	HistoryLen int
 	// ChannelEvery, LocationEvery, WatchEvery, PreferenceEvery are
 	// collection periods in simulation ticks: the twin accepts a
@@ -455,27 +449,4 @@ func (t *Twin) FeatureWindow(steps int, posScale float64) (vecmath.Vec, error) {
 		r.windowInto(out[i*steps:(i+1)*steps], divs[i])
 	}
 	return out, nil
-}
-
-// MeanCQI returns the mean collected CQI over the last steps samples
-// (0 when nothing collected).
-func (t *Twin) MeanCQI(steps int) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := t.cqi.window(steps)
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	return sum / float64(len(w))
-}
-
-// LastLocation returns the most recent collected position (0,0 when
-// nothing collected).
-func (t *Twin) LastLocation() (x, y float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	wx := t.locX.window(1)
-	wy := t.locY.window(1)
-	return wx[0], wy[0]
 }

@@ -42,7 +42,8 @@ func TestAttributeString(t *testing.T) {
 
 func TestRingWindow(t *testing.T) {
 	r := &ring{buf: make([]float64, 4)}
-	w := r.window(3)
+	w := []float64{9, 9, 9}
+	r.windowInto(w, 1)
 	for _, v := range w {
 		if v != 0 {
 			t.Fatal("empty ring window must be zeros")
@@ -50,7 +51,8 @@ func TestRingWindow(t *testing.T) {
 	}
 	r.add(1)
 	r.add(2)
-	w = r.window(4)
+	w = make([]float64, 4)
+	r.windowInto(w, 1)
 	// Left-padded with oldest value (1).
 	want := []float64{1, 1, 1, 2}
 	for i := range want {
@@ -62,8 +64,9 @@ func TestRingWindow(t *testing.T) {
 		r.add(x)
 	}
 	// Ring holds 3,4,5,6 now.
-	w = r.window(3)
-	want = []float64{4, 5, 6}
+	w = make([]float64, 3)
+	r.windowInto(w, 2)
+	want = []float64{2, 2.5, 3}
 	for i := range want {
 		if w[i] != want[i] {
 			t.Fatalf("wrapped window %v, want %v", w, want)
@@ -240,7 +243,10 @@ func TestFeatureWindow(t *testing.T) {
 	}
 }
 
-func TestMeanCQIAndLastLocation(t *testing.T) {
+// TestFeatureWindowNewestSamples: the window's CQI block ends with
+// the newest samples, left-padded with the oldest, and its location
+// blocks end with the newest position.
+func TestFeatureWindowNewestSamples(t *testing.T) {
 	tw := newTwin(t, Config{})
 	tw.Tick()
 	if _, err := tw.CollectChannel(10); err != nil {
@@ -250,13 +256,17 @@ func TestMeanCQIAndLastLocation(t *testing.T) {
 	if _, err := tw.CollectChannel(12); err != nil {
 		t.Fatal(err)
 	}
-	if got := tw.MeanCQI(2); math.Abs(got-11) > 1e-12 {
-		t.Fatalf("mean cqi %v", got)
-	}
 	tw.CollectLocation(7, 9)
-	x, y := tw.LastLocation()
-	if x != 7 || y != 9 {
-		t.Fatalf("last location %v,%v", x, y)
+	const steps = 3
+	w, err := tw.FeatureWindow(steps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w[:steps]; got[0] != 10./15 || got[1] != 10./15 || got[2] != 12./15 {
+		t.Fatalf("cqi block %v, want [10 10 12]/15", got)
+	}
+	if x, y := w[2*steps-1], w[3*steps-1]; x != 7 || y != 9 {
+		t.Fatalf("newest location %v,%v", x, y)
 	}
 }
 
@@ -280,7 +290,6 @@ func TestConcurrentAccess(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
 			_, _ = tw.FeatureWindow(16, 2000)
-			tw.MeanCQI(8)
 			tw.SwipeStats()
 		}
 	}()
