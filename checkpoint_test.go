@@ -342,20 +342,23 @@ func TestSessionCheckpointRejectsDamage(t *testing.T) {
 		}
 	}
 	// A future format version is ErrCheckpointVersion specifically,
-	// and so is the superseded v1 (JSON twin blobs): there is no dual
-	// reader.
+	// and so are the superseded v1 (JSON twin blobs) and v2 (the
+	// monolithic engine's shared construction stream, whose catalog a
+	// v3 engine would not rebuild): there is no dual reader.
 	mut := bytes.Clone(raw)
 	mut[8] = 0xFE
 	mut[9] = 0x7F
 	if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
 		t.Fatalf("version bump: want ErrCheckpointVersion, got %v", rerr)
 	}
-	if raw[8] != 2 || raw[9] != 0 {
-		t.Fatalf("checkpoint header carries format version %d, want 2", int(raw[8])|int(raw[9])<<8)
+	if raw[8] != 3 || raw[9] != 0 {
+		t.Fatalf("checkpoint header carries format version %d, want 3", int(raw[8])|int(raw[9])<<8)
 	}
-	mut[8], mut[9] = 1, 0
-	if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
-		t.Fatalf("v1 header: want ErrCheckpointVersion, got %v", rerr)
+	for _, old := range []byte{1, 2} {
+		mut[8], mut[9] = old, 0
+		if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
+			t.Fatalf("v%d header: want ErrCheckpointVersion, got %v", old, rerr)
+		}
 	}
 	// The wrong engine kind and the wrong configuration are both
 	// ErrCheckpointConfig.
@@ -404,9 +407,9 @@ func TestCheckpointDigestPinned(t *testing.T) {
 		want string
 	}{
 		{"mono", func() (Session, error) { return Open(cfg) },
-			"f49e76cb71074575a63dccde600f4225a20d7eed00a400200bd99d99812ffd82"},
+			"6fbf383653b6ca1732952807fbeb4cc8a63f3e34cc2315a783848c83b6d1a8b6"},
 		{"cluster", func() (Session, error) { return OpenCluster(ClusterConfig{Sim: cfg}) },
-			"c177cd071992ca1174d03ffbe33def82555b2779409cd32e44b25034683eb1c0"},
+			"10b990a0d2950eb368ce65e8ef13ca12374e41d146a4c1dba6ddf0ca0cb57677"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := tc.open()
@@ -424,7 +427,7 @@ func TestCheckpointDigestPinned(t *testing.T) {
 				t.Fatal(cerr)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(ckpt.Bytes())); got != tc.want {
-				t.Fatalf("v2 checkpoint (%d bytes) digest\n got %s\nwant %s\n"+
+				t.Fatalf("v3 checkpoint (%d bytes) digest\n got %s\nwant %s\n"+
 					"update the pin only for a deliberate format or engine change", ckpt.Len(), got, tc.want)
 			}
 		})
@@ -491,11 +494,11 @@ func TestTraceDigestPinned(t *testing.T) {
 	// held to the same absolute contract as the binary one.
 	textPins := map[string][2]string{
 		"mono/seed42": {
-			"4d1a4f74599eba68821d4459db92f426cf5c9e6a901be94bcf8652047f3b407d",
-			"fb118f4a87c8bb853fbddc9fa623c249ac956761ced87fe402ec5ab896e199d9"},
+			"0004ad3bad4781362b8ee32407dd81906e84150ade78ee27b132ce3f4966a80e",
+			"047cd6f7cd89b556898e76a97a2c812a0ff86dbdd1e69b90cdc49de28b2f54f0"},
 		"cluster/seed42": {
-			"9a098aba083b91704a4b01a76902121bcc67a4a9baf71748aa027a4fdfecbacc",
-			"6ceaf4259a53db63ef4dcb0b30a23ad8ad46aba59d82effb4a5004911a7d2507"},
+			"338dafeef084e841b6eb366fc867fbf2ec34971d5d0580819e048905c5b4d694",
+			"560484a45e287c86ae8ec0d40b37d7ef07c506c653611142a00bf448a3f8fcae"},
 	}
 	for _, tc := range []struct {
 		name        string
@@ -504,29 +507,29 @@ func TestTraceDigestPinned(t *testing.T) {
 		trace, ckpt string
 	}{
 		{"mono", 42, mono,
-			"b161aeb9e727d48956ef86186d73eb8af573fc30f70284706c67146d2d14c6d3",
-			"07aefca6c1a836bd3a6a6385ef9062f8440b3407132ff6ffb791cbd55f3339c5"},
+			"01915b1efeb7ca22cb2afa138d8c4ffd543222a8a3d8aaf0ce9ab7a04ea963f2",
+			"da9cc39e9d4e638020b4eb83e84ae31b7b6d4fd95cc659e863fff85c7f368d77"},
 		{"mono", 7, mono,
-			"81eb18c8b6ed31eb36e9df74aa7f989c25876838572791586d4e0a5c9b81d57c",
-			"8889508f2d3913b909d9e649c8ea6f9fbcadab6ac2ca7015f8ffca4cd5937342"},
+			"7709066924d3d450237422ca70ab89dd465a8efb2bf5bcb92560566a5b0696c2",
+			"7b0fc7dd5e92268c7ecef44998a494b488f988f081d0fdc091db67b8aa9d547e"},
 		{"cluster", 42, cluster,
-			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"e0b426ad3ff2f625834a755e10aca1017bce479402d04bc7889aeab0c8f8e34b"},
+			"455ad0920db0fdfd1556c0a75299ff554e875a7bfdeacb3508641fde2fd09948",
+			"3c1bc932f90a60dff043a841caba2f9e2b678ff131c64cd606986085b2bc9eaf"},
 		{"cluster", 7, cluster,
-			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"e312660e9a9826cf96655aacb51f0f5fc88ab0e1f76b88db7a433d4437bf233e"},
+			"30b4162e74e63697fb1d59d53d1f18d7a4113303f467afa2c9c19fb6af57e28f",
+			"124a69185c68a0d2b08ae8fc10b462d8609c65423ab401397c1437ae333660ce"},
 		{"degraded", 42, degraded,
-			"6786731520d867718ac35fa7d1f9eb3d5ff80106ea54ce9dad0161f88a4254a3",
-			"55b775552bc813efe2091b2e21d56512215eca2c044b47fc553c03fecbceb6ed"},
+			"0cdfce35a11c60cae13aba69bee3e5bd271d89e1794865e78a775f575014f2cf",
+			"14c3875f61f98c7a335115bd088b4ef1f2df3a0a18fc62d869c1d83e03838c78"},
 		{"degraded", 7, degraded,
-			"2b9efea038ac9c889daa8ce2497610132758e95d9b543e0e19c396fdaf76e714",
-			"c6dbbcd6c2d8c8324a4b0037fa219171de1c9e12720f9107995ec3920a3130f5"},
+			"5d20decc24e3da222300fc9b81a58123d92abc67a05a7ffd9a87cd8c3f5b970e",
+			"ebeb9e365026786ec65fc9d92c621d8b3e25ec2e342a2ddeb025fafe0562ffe7"},
 		{"distributed", 42, distributed,
-			"c7b3a630ae72734871aff1658395957ddc0e0542c1ba508ea373090b41271176",
-			"f2ce936ded822ca2729c926ea22be9a4739ce944b78223ac2b96272bd78bb940"},
+			"455ad0920db0fdfd1556c0a75299ff554e875a7bfdeacb3508641fde2fd09948",
+			"7b3872b3edf3e23a4cba93452865266448a5d461083c5a1e40eacb067ccdd203"},
 		{"distributed", 7, distributed,
-			"6a57191c7402ba3fc45d8c865ed8727fcfc958b595cfffc7bb9c55e64cf68eed",
-			"d4f69b96a8dac3c15f44d8aced571e87d2d7bd7d95f1ab793a6b457c38394bb8"},
+			"30b4162e74e63697fb1d59d53d1f18d7a4113303f467afa2c9c19fb6af57e28f",
+			"efeef45c229da04bc0011bda6378a4f9cc466cbe1d81146d488b0502ebd0555d"},
 	} {
 		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
 		t.Run(name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package dtmsvs
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -24,6 +25,96 @@ func clusterTestConfig(seed int64, workers, shards int) ClusterConfig {
 			Parallelism:      workers,
 		},
 		Shards: shards,
+	}
+}
+
+// oneCellConfig is a one-station scenario small enough to run a
+// matrix of: more users than KMax, so the DDQN trains and the K-means
+// runs, a regroup, and churn when asked for.
+func oneCellConfig(seed int64, cnn bool, workers int, churn float64) Config {
+	c := Config{
+		Seed:             seed,
+		NumUsers:         24,
+		NumBS:            1,
+		NumIntervals:     4,
+		TicksPerInterval: 6,
+		WarmupIntervals:  1,
+		RegroupEvery:     2,
+		CompressorEpochs: 2,
+		AgentEpisodes:    6,
+		ChurnPerInterval: churn,
+		PrefetchDepth:    -1,
+		Parallelism:      workers,
+	}
+	c.Grouping.UseCNN = cnn
+	return c
+}
+
+// requireSameRows fails unless the monolithic and the cluster rows
+// agree field for field, BS aside (-1 in the monolithic engine, the
+// cell id in a cluster).
+func requireSameRows(t *testing.T, mono []TraceRecord, cluster []ClusterRecord) {
+	t.Helper()
+	if len(mono) == 0 || len(mono) != len(cluster) {
+		t.Fatalf("%d monolithic rows, %d cluster rows", len(mono), len(cluster))
+	}
+	for i := range mono {
+		if mono[i].BS != -1 || cluster[i].BS != 0 {
+			t.Fatalf("row %d: bs %d and %d, want -1 and 0", i, mono[i].BS, cluster[i].BS)
+		}
+		if mono[i].GroupIntervalRecord != cluster[i].GroupIntervalRecord {
+			t.Fatalf("row %d diverged:\n mono    %+v\n cluster %+v", i, mono[i].GroupIntervalRecord, cluster[i].GroupIntervalRecord)
+		}
+	}
+}
+
+// TestMonolithicIsOneCellCluster: the monolithic engine is one cell
+// over every station, so on a one-station campus it is the one-cell,
+// one-shard cluster row for row — same catalog, same streams, same
+// delivery model — with the CNN on and off, at any Parallelism, with
+// and without churn.
+func TestMonolithicIsOneCellCluster(t *testing.T) {
+	for _, seed := range []int64{7, 42} {
+		for _, cnn := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				for _, churn := range []float64{0, 0.05} {
+					name := fmt.Sprintf("seed%d/cnn=%v/workers%d/churn%v", seed, cnn, workers, churn)
+					t.Run(name, func(t *testing.T) {
+						cfg := oneCellConfig(seed, cnn, workers, churn)
+						mono := mustTrace(t, cfg)
+						cluster := mustClusterTrace(t, ClusterConfig{Sim: cfg, Shards: 1})
+						requireSameRows(t, mono.Records, cluster.Records)
+						if churn > 0 && (mono.ChurnedUsers == 0 || cluster.ChurnedUsers != mono.ChurnedUsers) {
+							t.Fatalf("churned %d monolithic, %d cluster", mono.ChurnedUsers, cluster.ChurnedUsers)
+						}
+						if mono.K < 2 {
+							t.Fatalf("one group: the K-means went untested")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestClusterPrefetchOff: a cluster built from a "no prefetch"
+// configuration delivers without prefetch in every cell, as the
+// monolithic engine does, although the cluster and each cell default
+// the configuration in turn.
+func TestClusterPrefetchOff(t *testing.T) {
+	cfg := oneCellConfig(7, false, 0, 0)
+	cfg.NumUsers = 60
+	cfg.NumIntervals = 6
+	mono := mustTrace(t, cfg)
+	cluster := mustClusterTrace(t, ClusterConfig{Sim: cfg})
+	if len(mono.Records) == 0 || len(mono.Records) != len(cluster.Records) {
+		t.Fatalf("%d monolithic rows, %d cluster rows", len(mono.Records), len(cluster.Records))
+	}
+	for i, r := range mono.Records {
+		if got := cluster.Records[i].ActualWasteBits; got != r.ActualWasteBits {
+			t.Fatalf("interval %d group %d: cluster wastes %.0f bits, monolithic %.0f",
+				r.Interval, r.GroupID, got, r.ActualWasteBits)
+		}
 	}
 }
 

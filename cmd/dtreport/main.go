@@ -421,7 +421,9 @@ func reportCluster(ctx context.Context, w io.Writer, cfg dtmsvs.Config) error {
 	if err := writeSection(w, "E11 — sharded multi-BS cluster engine", t); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "Handovers %d; aggregate cache hit %s; radio accuracy %s.\n",
+	_, err = fmt.Fprintf(w, "Handovers %d; aggregate cache hit %s; radio accuracy %s. "+
+		"Both this run and Fig. 3 deliver with the same model, prefetch setting included, "+
+		"so their radio accuracies differ in the grouping unit: per cell here, campus-wide there.\n",
 		trace.Handovers, cli.Percent(trace.CacheHitRate), cli.Percent(radioAcc))
 	return err
 }

@@ -68,9 +68,6 @@ const (
 // NumCategories is the size of the category set.
 const NumCategories = video.NumCategories
 
-// TraceSummary aggregates a trace into run-level statistics.
-type TraceSummary = sim.Summary
-
 // ClusterConfig parameterizes a sharded multi-BS cluster run: the
 // base scenario plus the shard count (0 = one shard per BS).
 type ClusterConfig = cluster.Config

@@ -3,7 +3,9 @@ package dtmsvs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"dtmsvs/internal/predict"
@@ -30,6 +32,26 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultedIdempotent: defaulting twice changes nothing, so every
+// layer that defaults a configuration — the cluster engine, then each
+// of its cells — runs the values the caller meant, "no prefetch" (-1,
+// the DefaultConfig value) included.
+func TestDefaultedIdempotent(t *testing.T) {
+	cfgs := map[string]Config{"zero": {}, "default": DefaultConfig(1)}
+	// The depths RunWasteVsPrefetch (E8) writes for its default sweep.
+	for _, depth := range []int{-1, 1, 2, 4, 8} {
+		c := DefaultConfig(1)
+		c.PrefetchDepth = depth
+		cfgs[fmt.Sprintf("depth%d", depth)] = c
+	}
+	for name, c := range cfgs {
+		once := c.Defaulted()
+		if twice := once.Defaulted(); !reflect.DeepEqual(twice, once) {
+			t.Errorf("%s: defaulting twice gives %+v, once %+v", name, twice, once)
+		}
 	}
 }
 

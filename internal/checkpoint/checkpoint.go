@@ -6,9 +6,11 @@
 // sections, each length-prefixed and protected by a CRC32 of its
 // payload, and closed by an empty "end" section so truncation after
 // the last real section is still detected. Section payloads are
-// binary throughout (format v2: fixed-width little-endian words and
-// length-prefixed runs of them; v1 carried a JSON blob per user twin
-// and is refused). Readers are strict: any framing damage, CRC
+// binary throughout (fixed-width little-endian words and
+// length-prefixed runs of them). v1 carried a JSON blob per user twin;
+// v2 counted the draws of the generator a monolithic engine shared
+// between its catalog and its builder, a stream v3 engines no longer
+// have; both are refused. Readers are strict: any framing damage, CRC
 // mismatch, or over-long length surfaces as ErrCorrupt (never a panic,
 // and never an allocation ahead of the bytes that justify it), a
 // format version the reader does not speak surfaces as ErrVersion, and
@@ -34,7 +36,7 @@ import (
 
 // Version is the checkpoint format version this package writes and
 // the only one it reads.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // magic opens every checkpoint stream.
 var magic = [8]byte{'D', 'T', 'C', 'K', 'P', 'T', '0', '\n'}

@@ -27,29 +27,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 
-	"dtmsvs/internal/channel"
 	"dtmsvs/internal/edge"
 	"dtmsvs/internal/faultinject"
-	"dtmsvs/internal/mobility"
 	"dtmsvs/internal/obs"
-	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/sim"
 	"dtmsvs/internal/stats"
 	"dtmsvs/internal/tracebin"
-	"dtmsvs/internal/video"
 )
 
 // ErrConfig indicates an invalid cluster configuration.
 var ErrConfig = errors.New("cluster: invalid config")
-
-// streamCatalog derives the shared catalog's generation stream from
-// the run seed (disjoint from the sim package's user/group/builder
-// tag space).
-const streamCatalog uint64 = 64
 
 // Config parameterizes a sharded cluster run.
 type Config struct {
@@ -204,12 +194,9 @@ type cellState struct {
 
 // Engine is a configured cluster instance.
 type Engine struct {
-	cfg      Config
-	pool     *parallel.Pool
-	campus   *mobility.Map
-	stations []*channel.BaseStation
-	catalog  *video.Catalog
-	cells    []*cellState
+	cfg   Config
+	sub   sim.Substrate
+	cells []*cellState
 	// The engine's unit is a set of owned cells: it steps, checkpoints
 	// and conserves twins over exactly those. New owns every cell (the
 	// degenerate partition); NewWorker owns one contiguous block of a
@@ -278,17 +265,7 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 	}
 	d := cfg.Defaulted()
 
-	pool := parallel.New(d.Sim.Parallelism)
-	campus := mobility.CampusMap()
-	stations, err := channel.GridDeploy(campus, d.Sim.NumBS, d.Sim.TxPowerDBm)
-	if err != nil {
-		return nil, err
-	}
-	catalogRng := rand.New(rand.NewSource(parallel.DeriveSeed(d.Sim.Seed, streamCatalog)))
-	catalog, err := video.NewCatalog(video.CatalogConfig{
-		NumVideos:       d.Sim.CatalogSize,
-		CategoryWeights: d.Sim.CategoryWeights,
-	}, catalogRng)
+	sub, err := sim.NewSubstrate(d.Sim)
 	if err != nil {
 		return nil, err
 	}
@@ -304,19 +281,11 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 	down := make([]bool, numCells)
 	cells := make([]*cellState, numCells)
 	for c := 0; c < numCells; c++ {
-		server, serr := edge.NewServer(cellBytes, edge.DefaultTranscodeModel(), catalog, d.Sim.CatalogSize/10)
+		server, serr := sub.NewServer(cellBytes)
 		if serr != nil {
 			return nil, serr
 		}
-		eng, cerr := sim.NewCell(d.Sim, sim.CellOptions{
-			Stations: stations,
-			Campus:   campus,
-			Catalog:  catalog,
-			Server:   server,
-			Pool:     pool,
-			BS:       c,
-			DownBS:   down,
-		})
+		eng, cerr := sim.NewCell(d.Sim, sim.CellOptions{Substrate: sub, Server: server, BS: c, DownBS: down})
 		if cerr != nil {
 			return nil, fmt.Errorf("cell %d: %w", c, cerr)
 		}
@@ -350,34 +319,24 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 	})
 
 	e := &Engine{
-		cfg:      d,
-		pool:     pool,
-		campus:   campus,
-		stations: stations,
-		catalog:  catalog,
-		cells:    cells,
-		owned:    owned,
-		mask:     mask,
-		shards:   shards,
-		owner:    make([]int, d.Sim.NumUsers),
-		inbound:  make([][]int, numCells),
-		faults:   faults,
-		down:     down,
-		retain:   true,
+		cfg:     d,
+		sub:     sub,
+		cells:   cells,
+		owned:   owned,
+		mask:    mask,
+		shards:  shards,
+		owner:   make([]int, d.Sim.NumUsers),
+		inbound: make([][]int, numCells),
+		faults:  faults,
+		down:    down,
+		retain:  true,
 	}
 
 	// Spawn the population on the pool (user creation draws only from
 	// each user's private stream) and place every twin whose initial
 	// serving base station this partition owns in that station's cell.
-	spawned := make([]sim.User, d.Sim.NumUsers)
-	if err := pool.For(d.Sim.NumUsers, func(i int) error {
-		mu, serr := cells[0].eng.SpawnUser(i)
-		if serr != nil {
-			return fmt.Errorf("spawn user %d: %w", i, serr)
-		}
-		spawned[i] = mu
-		return nil
-	}); err != nil {
+	spawned, err := cells[0].eng.SpawnUsers(d.Sim.NumUsers)
+	if err != nil {
 		return nil, err
 	}
 	for id, mu := range spawned {
@@ -399,7 +358,7 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 // touch only the given cell's state. Cancellation is cooperative:
 // once ctx is done no further cell starts, and ctx.Err() is returned.
 func (e *Engine) eachCell(ctx context.Context, fn func(*cellState) error) error {
-	return e.pool.ForContext(ctx, len(e.shards), func(si int) error {
+	return e.sub.Pool.ForContext(ctx, len(e.shards), func(si int) error {
 		var firstErr error
 		for _, ci := range e.shards[si] {
 			if ctx.Err() != nil {

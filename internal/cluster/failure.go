@@ -156,7 +156,7 @@ func (e *Engine) evacuate(failed int) error {
 		if !ok {
 			return fmt.Errorf("user %d not evacuable from cell %d: %w", id, failed, ErrCellFailure)
 		}
-		bs, err := channel.NearestAliveBS(e.stations, e.down, mu.Position())
+		bs, err := channel.NearestAliveBS(e.sub.Stations, e.down, mu.Position())
 		if err != nil {
 			return fmt.Errorf("evacuating user %d: %w", id, err)
 		}

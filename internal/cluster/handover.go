@@ -177,7 +177,7 @@ func (e *Engine) pickGroups(moves []Handover, arrivals []arrival) {
 		e.inbound[h.To] = append(e.inbound[h.To], i)
 	}
 	e.dests = dests
-	_ = e.pool.For(len(dests), func(k int) error {
+	_ = e.sub.Pool.For(len(dests), func(k int) error {
 		eng := e.cells[dests[k]].eng
 		for _, i := range e.inbound[dests[k]] {
 			arrivals[i].group = eng.NearestGroup(arrivals[i].user)

@@ -1,11 +1,12 @@
-// This file holds cell-mode construction and the twin-migration API:
-// a cluster cell is a Simulation over one base station's coverage
-// area that shares the campus substrate (map, station deployment,
-// catalog) with its sibling cells but owns its user slice, edge
-// cache, grouping pipeline and derived random streams. The cluster
-// engine (package cluster) steps cells through the exported stage
-// methods and moves user twins between cells with
-// DetachUser/AttachUser at interval boundaries.
+// This file holds engine construction and the twin-migration API.
+// Every engine is a cell: a Simulation that shares the run's substrate
+// (map, station deployment, catalog, pool) but owns its user slice,
+// edge cache, grouping pipeline and derived random streams. A cluster
+// cell serves one base station's coverage area; the monolithic engine
+// is the one cell over every station. The cluster engine (package
+// cluster) steps cells through the exported stage methods and moves
+// user twins between cells with DetachUser/AttachUser at interval
+// boundaries.
 
 package sim
 
@@ -25,28 +26,57 @@ import (
 	"dtmsvs/internal/video"
 )
 
-// Defaulted returns the configuration with every default filled in,
-// so the cluster engine sees the same values the engine will run with.
-func (c Config) Defaulted() Config { return c.withDefaults() }
-
-// CellOptions injects cluster-owned substrate into a cell engine.
-// Every field except DownBS is required.
-type CellOptions struct {
-	// Stations is the full deployment (cells hand users' links over
-	// to any station; ownership is decided at interval boundaries).
+// Substrate is what every engine of one run shares: the campus map,
+// its station deployment, the read-only video catalog and the pool
+// that fans the engines' per-user and per-group stages.
+type Substrate struct {
+	Campus   *mobility.Map
 	Stations []*channel.BaseStation
-	// Campus is the shared map.
-	Campus *mobility.Map
-	// Catalog is the shared, read-only video catalog.
-	Catalog *video.Catalog
+	Catalog  *video.Catalog
+	Pool     *parallel.Pool
+}
+
+// NewSubstrate validates cfg and builds the substrate of its run. The
+// catalog draws from its own stream derived from the seed, so every
+// engine and every partition of a run builds the same one.
+func NewSubstrate(cfg Config) (Substrate, error) {
+	if err := cfg.Validate(); err != nil {
+		return Substrate{}, err
+	}
+	c := cfg.Defaulted()
+	campus := mobility.CampusMap()
+	stations, err := channel.GridDeploy(campus, c.NumBS, c.TxPowerDBm)
+	if err != nil {
+		return Substrate{}, err
+	}
+	catalog, err := video.NewCatalog(video.CatalogConfig{
+		NumVideos:       c.CatalogSize,
+		CategoryWeights: c.CategoryWeights,
+	}, rand.New(rand.NewSource(parallel.DeriveSeed(c.Seed, streamCatalog))))
+	if err != nil {
+		return Substrate{}, err
+	}
+	return Substrate{Campus: campus, Stations: stations, Catalog: catalog, Pool: parallel.New(c.Parallelism)}, nil
+}
+
+// NewServer builds an edge server — cache of cacheBytes plus
+// transcoder — over the substrate's catalog, prewarmed with its most
+// popular tenth.
+func (sub Substrate) NewServer(cacheBytes int64) (*edge.Server, error) {
+	return edge.NewServer(cacheBytes, edge.DefaultTranscodeModel(), sub.Catalog, sub.Catalog.Size()/10)
+}
+
+// CellOptions places an engine on a substrate. Every field except
+// DownBS is required.
+type CellOptions struct {
+	Substrate
 	// Server is the cell's private edge cache + transcoder.
 	Server *edge.Server
-	// Pool fans the cell's per-user and per-group stages.
-	Pool *parallel.Pool
-	// BS is the cell id: the index of the cell's station in Stations.
-	// It tags the cell's trace rows and decorrelates its derived
-	// random streams (builder weights, group feed selection) from its
-	// siblings'.
+	// BS is the cell id: the index of the cell's station in Stations,
+	// or -1 for the monolithic engine, the one cell over every
+	// station. It tags the cell's trace rows and decorrelates its
+	// derived random streams (builder weights, group feed selection)
+	// from its siblings'.
 	BS int
 	// DownBS, when non-nil, is the cluster engine's shared quarantine
 	// mask over station ids (one slice aliased by every sibling cell):
@@ -56,11 +86,11 @@ type CellOptions struct {
 	DownBS []bool
 }
 
-// NewCell constructs a cell engine: a Simulation with zero users that
-// shares the campus substrate given in opts. Unlike New, every random
-// stream is derived from (Seed, tag, BS + 1, ...), so sibling cells
-// never share a generator and the cluster trace is independent of
-// shard scheduling.
+// NewCell constructs an engine with zero users on the substrate given
+// in opts. Every random stream is derived from (Seed, tag,
+// cellSalt(BS), ...), so sibling cells never share a generator, the
+// cluster trace is independent of shard scheduling, and the
+// monolithic engine draws exactly what cell 0 draws.
 func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -70,10 +100,10 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		return nil, fmt.Errorf("cell without stations: %w", ErrConfig)
 	case opts.Campus == nil || opts.Catalog == nil || opts.Server == nil || opts.Pool == nil:
 		return nil, fmt.Errorf("cell substrate incomplete: %w", ErrConfig)
-	case opts.BS < 0 || opts.BS >= len(opts.Stations):
+	case opts.BS < -1 || opts.BS >= len(opts.Stations):
 		return nil, fmt.Errorf("cell bs %d of %d stations: %w", opts.BS, len(opts.Stations), ErrConfig)
 	}
-	c := cfg.withDefaults()
+	c := cfg.Defaulted()
 	params := channel.DefaultParams()
 	params.FadingRho = c.FadingRho
 	if err := params.Validate(); err != nil {
@@ -87,8 +117,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 	meanDur := durSum / float64(opts.Catalog.Size())
 
 	cnt := parallel.NewCounting(rand.NewSource(parallel.DeriveSeed(c.Seed, streamBuilder, cellSalt(opts.BS))).(rand.Source64))
-	builderRng := rand.New(cnt)
-	builder, err := grouping.New(c.Grouping, builderRng)
+	builder, err := grouping.New(c.Grouping, rand.New(cnt))
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +129,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 	}
 	var sched *radio.Scheduler
 	if c.RBBudget > 0 {
-		// Each base station owns its own RB budget.
+		// Each cell owns its own RB budget.
 		sched, err = radio.NewScheduler(c.RBBudget)
 		if err != nil {
 			return nil, err
@@ -111,7 +140,6 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		cfg:           c,
 		sched:         sched,
 		cnt:           cnt,
-		rng:           builderRng,
 		pool:          opts.Pool,
 		bs:            opts.BS,
 		params:        params,
@@ -149,15 +177,23 @@ func (m User) ServingBS() int { return m.u.link.BS().ID }
 // Position returns the user's current map position.
 func (m User) Position() mobility.Point { return m.u.mob.Position() }
 
-// SpawnUser creates a fresh user with the given global id (churn
-// generation 0) without attaching it to this engine. The cluster
-// engine spawns the whole population through one cell — creation only
-// touches the shared substrate and the user's own derived stream, so
-// it does not matter which cell spawns — and attaches each user to
-// the cell of its initial serving base station.
-func (s *Simulation) SpawnUser(id int) (User, error) {
-	u, err := s.newUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), 0))
-	return User{u: u}, err
+// SpawnUsers creates fresh users with the global ids 0..n-1 (churn
+// generation 0) on the pool, without attaching them to this engine.
+// Creation touches only the shared substrate and each user's own
+// derived stream, so it does not matter which cell spawns: the
+// cluster engine spawns the whole population through one cell and
+// attaches each user to the cell of its initial serving base station.
+func (s *Simulation) SpawnUsers(n int) ([]User, error) {
+	out := make([]User, n)
+	err := s.pool.For(n, func(id int) error {
+		u, err := s.newUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), 0))
+		if err != nil {
+			return fmt.Errorf("spawn user %d: %w", id, err)
+		}
+		out[id] = User{u: u}
+		return nil
+	})
+	return out, err
 }
 
 // NumUsers reports the engine's current population.

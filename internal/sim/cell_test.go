@@ -4,40 +4,26 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"slices"
 	"testing"
 
-	"dtmsvs/internal/channel"
 	"dtmsvs/internal/checkpoint"
-	"dtmsvs/internal/edge"
-	"dtmsvs/internal/mobility"
-	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/udt"
-	"dtmsvs/internal/video"
 )
 
 // testCellOptions builds a cell substrate of its own for cell bs.
 func testCellOptions(t *testing.T, cfg Config, bs int) CellOptions {
 	t.Helper()
-	c := cfg.withDefaults()
-	campus := mobility.CampusMap()
-	stations, err := channel.GridDeploy(campus, c.NumBS, c.TxPowerDBm)
+	cfg.Parallelism = 2
+	sub, err := NewSubstrate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	catalog, err := video.NewCatalog(video.CatalogConfig{NumVideos: c.CatalogSize, CategoryWeights: c.CategoryWeights}, rand.New(rand.NewSource(c.Seed)))
+	server, err := sub.NewServer(cfg.Defaulted().CacheBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := edge.NewServer(c.CacheBytes, edge.DefaultTranscodeModel(), catalog, c.CatalogSize/10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return CellOptions{
-		Stations: stations, Campus: campus, Catalog: catalog, Server: server,
-		Pool: parallel.New(2), BS: bs,
-	}
+	return CellOptions{Substrate: sub, Server: server, BS: bs}
 }
 
 // newTestCell builds cell bs over its own substrate and attaches the
@@ -50,22 +36,23 @@ func newTestCell(t *testing.T, cfg Config, bs int, ids []int) *Simulation {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	spawned, err := s.SpawnUsers(slices.Max(ids) + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range ids {
-		mu, err := s.SpawnUser(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AttachUser(mu); err != nil {
+		if err := s.AttachUser(spawned[id]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return s
 }
 
-// TestNewCellValidatesBS: a cell id must name one of the stations.
+// TestNewCellValidatesBS: a cell id must name one of the stations,
+// or be -1, the monolithic engine's one cell over every station.
 func TestNewCellValidatesBS(t *testing.T) {
 	cfg := fastConfig(3)
-	for _, bs := range []int{-1, cfg.NumBS} {
+	for _, bs := range []int{-2, cfg.NumBS} {
 		if _, err := NewCell(cfg, testCellOptions(t, cfg, bs)); !errors.Is(err, ErrConfig) {
 			t.Fatalf("bs %d: want ErrConfig, got %v", bs, err)
 		}

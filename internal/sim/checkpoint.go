@@ -8,14 +8,14 @@
 // shapes, per-user construction draws — is rebuilt by replaying the
 // deterministic constructors; the checkpoint carries only what
 // evolves afterwards: RNG positions (one splitmix64 word per derived
-// stream, a draw count for the run-level stdlib source), trained
+// stream, a draw count for the builder's stdlib source), trained
 // weights, twin histories, calibration EWMAs, mobility/link state,
 // group membership + profiles, the edge cache, and the engine's
 // bookkeeping counters. Per-interval accumulators (tick statistics,
 // scheduler reservations, transcoder cycle meters) are always zeroed
 // at a boundary, so they never ride in a checkpoint.
 //
-// Every section is binary (checkpoint format v2), and each package
+// Every section is binary (checkpoint format v3), and each package
 // encodes its own state: nn its weights, kmeans its centroids, udt
 // the twin (EncodeState/DecodeState) — most of a checkpoint's bytes,
 // the same in the "users" section, a cluster.Worker handover and a
@@ -175,10 +175,10 @@ func (s *Simulation) decodeEngine(d *checkpoint.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	// The run-level source was replayed through construction; skip it
+	// The builder's source was replayed through construction; skip it
 	// forward to the recorded position.
 	if draws < s.cnt.Draws() {
-		return fmt.Errorf("run rng at draw %d, checkpoint says %d: %w", s.cnt.Draws(), draws, checkpoint.ErrCorrupt)
+		return fmt.Errorf("builder rng at draw %d, checkpoint says %d: %w", s.cnt.Draws(), draws, checkpoint.ErrCorrupt)
 	}
 	s.cnt.Skip(draws - s.cnt.Draws())
 	return nil

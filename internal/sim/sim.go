@@ -113,9 +113,10 @@ type Config struct {
 	// delivery (default 4 s).
 	SegmentS float64
 	// PrefetchDepth is the prefetch window in segments beyond the
-	// group playhead (default 2; -1 means no prefetch). Deeper
-	// prefetch wastes more traffic when the group swipes — the
-	// paper's over-provisioning effect.
+	// group playhead (default 2; any negative value means no
+	// prefetch, and defaulting keeps it -1). Deeper prefetch wastes
+	// more traffic when the group swipes — the paper's
+	// over-provisioning effect.
 	PrefetchDepth int
 	// ChurnPerInterval is the fraction of users replaced by fresh
 	// arrivals (new preference, mobility and cold twin) at each
@@ -141,7 +142,12 @@ type Config struct {
 	Parallelism int
 }
 
-func (c Config) withDefaults() Config {
+// Defaulted returns the configuration with every default filled in.
+// It is idempotent, so layers that each default the configuration
+// (the cluster engine, then every cell) run the values the caller
+// meant: in particular "no prefetch" stays -1, never the 0 that a
+// second pass would read as "default depth".
+func (c Config) Defaulted() Config {
 	if c.TxPowerDBm == 0 {
 		c.TxPowerDBm = 30
 	}
@@ -185,11 +191,11 @@ func (c Config) withDefaults() Config {
 	if c.SegmentS == 0 {
 		c.SegmentS = 4
 	}
-	if c.PrefetchDepth == 0 {
+	switch {
+	case c.PrefetchDepth == 0:
 		c.PrefetchDepth = 2
-	}
-	if c.PrefetchDepth < 0 {
-		c.PrefetchDepth = 0
+	case c.PrefetchDepth < 0:
+		c.PrefetchDepth = -1
 	}
 	if c.Grouping.WindowSteps == 0 {
 		c.Grouping.WindowSteps = 16
@@ -206,6 +212,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// prefetchSegments is the prefetch window the delivery model runs:
+// PrefetchDepth, with "no prefetch" as 0 segments.
+func (c Config) prefetchSegments() int { return max(c.PrefetchDepth, 0) }
+
 // twinHistory is the ring capacity of every engine twin. The rings'
 // one reader is the grouping's FeatureWindow(Grouping.WindowSteps),
 // which takes the newest WindowSteps samples and pads with the oldest
@@ -219,7 +229,7 @@ func (c Config) twinHistory() int {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	d := c.withDefaults()
+	d := c.Defaulted()
 	switch {
 	case d.NumUsers == 0:
 		return fmt.Errorf("zero users: %w", ErrEmptyScenario)
@@ -235,8 +245,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fixed k %d for %d users: %w", d.FixedK, d.NumUsers, ErrConfig)
 	case d.RBBudget < 0:
 		return fmt.Errorf("rb budget %d: %w", d.RBBudget, ErrConfig)
-	case d.SegmentS < 0 || d.PrefetchDepth < 0:
-		return fmt.Errorf("segment %v depth %d: %w", d.SegmentS, d.PrefetchDepth, ErrConfig)
+	case d.SegmentS < 0:
+		return fmt.Errorf("segment %v: %w", d.SegmentS, ErrConfig)
 	case d.ChurnPerInterval < 0 || d.ChurnPerInterval >= 1:
 		return fmt.Errorf("churn %v: %w", d.ChurnPerInterval, ErrConfig)
 	case d.Parallelism < 0:
@@ -329,15 +339,16 @@ const (
 	// across a whole cluster run, so the stream travels with the twin
 	// on cross-shard handover.
 	streamUser uint64 = 1
-	// streamGroup derives (tag, construction counter, group id) — or,
-	// in a cluster cell, (tag, cell salt, construction counter, group
+	// streamGroup derives (tag, cell salt, construction counter, group
 	// id): the shared-feed video selection draws of each multicast
 	// group.
 	streamGroup uint64 = 2
 	// streamBuilder derives (tag, cell salt): the grouping builder's
-	// private stream in cluster cells (the monolithic engine trains
-	// its builder from the run-level generator instead).
+	// private stream.
 	streamBuilder uint64 = 3
+	// streamCatalog derives (tag): the shared catalog's generation
+	// stream.
+	streamCatalog uint64 = 64
 )
 
 // user bundles one simulated user's state.
@@ -407,18 +418,18 @@ type groupState struct {
 // Simulation is a configured engine instance.
 type Simulation struct {
 	cfg Config
-	// rng seeds run-level construction (catalog, builder training);
-	// per-user and per-group randomness lives on derived streams. cnt
-	// wraps rng's source and counts its draws: the stdlib generator's
+	// cnt is the source of the grouping builder's stream (weight
+	// init, training) and counts its draws: the stdlib generator's
 	// 607-word register is restored by replaying construction and
-	// skipping forward to the recorded count.
+	// skipping forward to the recorded count. Per-user and per-group
+	// randomness lives on derived streams.
 	cnt *parallel.CountingSource
-	rng *rand.Rand
 	// pool fans per-user and per-group stages across workers.
 	pool *parallel.Pool
 	// bs is the cell id of a cluster cell, or -1 for the monolithic
-	// engine. It tags the engine's trace rows, and cellSalt(bs)
-	// decorrelates the derived group/builder streams of sibling cells.
+	// engine, the one cell over every station. It tags the engine's
+	// trace rows, and cellSalt(bs) decorrelates the derived
+	// group/builder streams of sibling cells.
 	bs int
 	// constructions counts group constructions, deriving each round's
 	// per-group streams.
@@ -438,10 +449,9 @@ type Simulation struct {
 	campus *mobility.Map
 	users  []*user
 	// byID maps a global user id below cfg.NumUsers to its member of
-	// users (nil when absent). Cluster cells keep it, maintained by
-	// attach, detach, churn and restore, because their sparse id sets
-	// miss userPos's dense fast path; the monolithic engine, whose ids
-	// are its slice indices, leaves it nil.
+	// users (nil when absent), maintained by attach, detach, churn and
+	// restore, because a cluster cell's sparse id set misses userPos's
+	// dense fast path.
 	byID    []*user
 	catalog *video.Catalog
 	server  *edge.Server
@@ -481,95 +491,30 @@ type Simulation struct {
 	met engineMetrics
 }
 
-// New constructs a simulation.
+// New constructs the monolithic engine: one cell (BS -1) over every
+// station of a substrate of its own, with one edge server of
+// CacheBytes, holding the whole population.
 func New(cfg Config) (*Simulation, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := cfg.withDefaults()
-	cnt := parallel.NewCounting(rand.NewSource(c.Seed).(rand.Source64))
-	rng := rand.New(cnt)
-
-	campus := mobility.CampusMap()
-	stations, err := channel.GridDeploy(campus, c.NumBS, c.TxPowerDBm)
+	sub, err := NewSubstrate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	params := channel.DefaultParams()
-	params.FadingRho = c.FadingRho
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-
-	catalog, err := video.NewCatalog(video.CatalogConfig{
-		NumVideos:       c.CatalogSize,
-		CategoryWeights: c.CategoryWeights,
-	}, rng)
+	server, err := sub.NewServer(cfg.Defaulted().CacheBytes)
 	if err != nil {
 		return nil, err
 	}
-	var durSum float64
-	for _, v := range catalog.Videos {
-		durSum += v.DurationS
-	}
-	meanDur := durSum / float64(catalog.Size())
-
-	server, err := edge.NewServer(c.CacheBytes, edge.DefaultTranscodeModel(), catalog, c.CatalogSize/10)
+	eng, err := NewCell(cfg, CellOptions{Substrate: sub, Server: server, BS: -1})
 	if err != nil {
 		return nil, err
 	}
-
-	builder, err := grouping.New(c.Grouping, rng)
+	users, err := eng.SpawnUsers(cfg.NumUsers)
 	if err != nil {
 		return nil, err
 	}
-
-	users := make([]*user, c.NumUsers)
-
-	wastePerPlayS, err := predict.NewEWMA(0.3)
-	if err != nil {
-		return nil, err
-	}
-	var sched *radio.Scheduler
-	if c.RBBudget > 0 {
-		sched, err = radio.NewScheduler(c.RBBudget)
-		if err != nil {
+	for _, mu := range users {
+		if err := eng.AttachUser(mu); err != nil {
 			return nil, err
 		}
-	}
-
-	pool := parallel.New(c.Parallelism)
-	builder.SetPool(pool)
-
-	eng := &Simulation{
-		cfg:           c,
-		sched:         sched,
-		cnt:           cnt,
-		rng:           rng,
-		pool:          pool,
-		bs:            -1,
-		params:        params,
-		prop:          params.Propagation(),
-		stations:      stations,
-		campus:        campus,
-		users:         users,
-		catalog:       catalog,
-		server:        server,
-		builder:       builder,
-		meanDur:       meanDur,
-		cyclesPerTxS:  make(map[int]*predict.EWMA),
-		wastePerPlayS: wastePerPlayS,
-	}
-	eng.predictor = eng.newPredictor()
-	if err := pool.For(len(users), func(i int) error {
-		u, uerr := eng.newUser(i, parallel.NewStream(c.Seed, streamUser, uint64(i), 0))
-		if uerr != nil {
-			return uerr
-		}
-		users[i] = u
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	return eng, nil
 }
@@ -585,14 +530,13 @@ func (s *Simulation) newPredictor() predict.DemandPredictor {
 		MeanVideoDurationS: s.meanDur,
 		CyclesPerBit:       edge.DefaultTranscodeModel().CyclesPerBit,
 		SegmentS:           s.cfg.SegmentS,
-		PrefetchDepth:      s.cfg.PrefetchDepth,
+		PrefetchDepth:      s.cfg.prefetchSegments(),
 	}
 }
 
-// userByID resolves a global user id to its state. The users slice is
-// kept sorted by id, with ids equal to slice indices in the monolithic
-// engine; cluster cells hold sparse id sets and look them up in byID,
-// falling back to binary search for an id it does not cover.
+// userByID resolves a global user id to its state through byID,
+// falling back to a search of the id-sorted users slice for an id
+// byID does not cover.
 func (s *Simulation) userByID(id int) *user {
 	if id >= 0 && id < len(s.byID) {
 		return s.byID[id]
@@ -965,7 +909,7 @@ func (s *Simulation) rebuildGroups(boundary int) error {
 		if ferr != nil {
 			return ferr
 		}
-		src := s.groupStream(s.constructions, uint64(gid))
+		src := parallel.NewStream(s.cfg.Seed, streamGroup, cellSalt(s.bs), s.constructions, uint64(gid))
 		s.groups[gid] = &groupState{
 			id:       gid,
 			src:      src,
@@ -984,19 +928,10 @@ func (s *Simulation) lastConstruction(boundary int) bool {
 	return s.cfg.RegroupEvery <= 0 || boundary+s.cfg.RegroupEvery >= s.cfg.NumIntervals
 }
 
-// cellSalt is the stream salt of cell bs: bs + 1, so the monolithic
-// engine (bs = -1) has salt 0.
-func cellSalt(bs int) uint64 { return uint64(bs) + 1 }
-
-// groupStream derives a group's private feed-selection stream.
-// Cluster cells fold their salt in so no two shards ever share a
-// stream.
-func (s *Simulation) groupStream(construction, gid uint64) *parallel.Stream {
-	if salt := cellSalt(s.bs); salt != 0 {
-		return parallel.NewStream(s.cfg.Seed, streamGroup, salt, construction, gid)
-	}
-	return parallel.NewStream(s.cfg.Seed, streamGroup, construction, gid)
-}
+// cellSalt is the stream salt of cell bs: bs + 1, so no two sibling
+// cells share a stream. The monolithic engine (bs = -1) is one cell
+// over every station and draws cell 0's streams.
+func cellSalt(bs int) uint64 { return uint64(max(bs, 0)) + 1 }
 
 // userPos returns the slice position of a global user id, or -1.
 func (s *Simulation) userPos(id int) int {
@@ -1163,7 +1098,7 @@ func (s *Simulation) streamInterval(g *groupState, rep video.Representation) (*p
 		// Segment-level delivery: the BS has transmitted the watched
 		// prefix rounded up to segment boundaries plus the prefetch
 		// window; the overshoot is wasted traffic.
-		delivered, waste, perr := segment.Plan(tx, v.DurationS, s.cfg.SegmentS, s.cfg.PrefetchDepth)
+		delivered, waste, perr := segment.Plan(tx, v.DurationS, s.cfg.SegmentS, s.cfg.prefetchSegments())
 		if perr != nil {
 			return nil, perr
 		}

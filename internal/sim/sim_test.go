@@ -421,6 +421,32 @@ func TestRunWithCorrelatedFading(t *testing.T) {
 	}
 }
 
+func TestRunWithRBBudget(t *testing.T) {
+	cfg := fastConfig(21)
+	cfg.RBBudget = 6 // tight: forces admission cuts
+	tr := runFast(t, cfg)
+	perInterval := map[int]int{}
+	for _, r := range tr.Records {
+		if r.AllocatedRBs < 0 {
+			t.Fatalf("negative grant: %+v", r)
+		}
+		perInterval[r.Interval] += r.AllocatedRBs
+	}
+	for iv, total := range perInterval {
+		if total > 6 {
+			t.Fatalf("interval %d allocated %d > budget 6", iv, total)
+		}
+	}
+}
+
+func TestRunBudgetValidation(t *testing.T) {
+	cfg := fastConfig(22)
+	cfg.RBBudget = -1
+	if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
+		t.Fatalf("want ErrConfig, got %v", err)
+	}
+}
+
 // Combined modes: churn + admission budget + correlated fading in one
 // run must hold all invariants together.
 func TestRunCombinedModes(t *testing.T) {
