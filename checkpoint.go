@@ -75,8 +75,18 @@ func (s *session) Checkpoint(w io.Writer) error {
 
 // resume restores the session from a checkpoint stream. The session
 // must be freshly opened with the identical configuration (the header
-// fingerprint enforces this).
+// fingerprint enforces this). A successful restore is observed as the
+// checkpoint/restore stage.
 func (s *session) resume(r io.Reader) error {
+	t0 := s.met.ckptRestore.Start()
+	if err := s.restore(r); err != nil {
+		return err
+	}
+	s.met.ckptRestore.ObserveSince(t0)
+	return nil
+}
+
+func (s *session) restore(r io.Reader) error {
 	fp, err := s.eng.fingerprint()
 	if err != nil {
 		return err

@@ -678,3 +678,51 @@ func TestCheckpointKeepsItsBuffer(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeBuildsEachTwinOnce: ResumeCluster decodes twins into the
+// population OpenCluster built, so a churn-free resume allocates about
+// what the open does. Building every twin a second time, by replaying
+// its constructor, about doubled the objects.
+func TestResumeBuildsEachTwinOnce(t *testing.T) {
+	cfg := ClusterConfig{Sim: DefaultConfig(42)}
+	cfg.Sim.NumUsers = 1000
+	cfg.Sim.NumIntervals = 4
+	cfg.Sim.FixedK = 4
+	cfg.Sim.CompressorEpochs = 1
+	cfg.Sim.AgentEpisodes = 1
+	s, err := OpenCluster(cfg, WithSink(DiscardSink{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := s.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.st.eng.Churned(); n != 0 {
+		t.Fatalf("%d users churned; the bound is for a churn-free run", n)
+	}
+	var ckpt bytes.Buffer
+	if err := s.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	open := testing.AllocsPerRun(3, func() {
+		o, err := OpenCluster(cfg, WithSink(DiscardSink{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Close()
+	})
+	resume := testing.AllocsPerRun(3, func() {
+		r, err := ResumeCluster(cfg, bytes.NewReader(ckpt.Bytes()), WithSink(DiscardSink{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	})
+	t.Logf("OpenCluster %.0f objects, ResumeCluster %.0f (%.2fx)", open, resume, resume/open)
+	if resume > 1.25*open {
+		t.Fatalf("ResumeCluster allocated %.0f objects, OpenCluster %.0f: %.2fx, want at most 1.25x", resume, open, resume/open)
+	}
+}

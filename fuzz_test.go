@@ -3,10 +3,15 @@ package dtmsvs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
+	"math"
 	"testing"
 
+	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/sim"
 	"dtmsvs/internal/tracebin"
 )
 
@@ -168,6 +173,138 @@ func FuzzReadCheckpoint(f *testing.F) {
 			// should get here; the session must at least close cleanly.
 			if cerr := s.Close(); cerr != nil {
 				t.Fatalf("resumed session failed to close: %v", cerr)
+			}
+			return
+		}
+		if !errors.Is(err, ErrCheckpointCorrupt) &&
+			!errors.Is(err, ErrCheckpointVersion) &&
+			!errors.Is(err, ErrCheckpointConfig) {
+			t.Fatalf("untyped checkpoint rejection: %v", err)
+		}
+	})
+}
+
+// fuzzSeedClusterCheckpoint produces a real cluster checkpoint of the
+// fuzz scenario over its two cells, after the warm-up and training
+// boundaries, so cells hold trained weights, groups and handed-over
+// twins.
+func fuzzSeedClusterCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	s, err := OpenCluster(ClusterConfig{Sim: fuzzCheckpointConfig()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 2; i++ {
+		if _, serr := s.Step(context.Background()); serr != nil {
+			tb.Fatal(serr)
+		}
+	}
+	var ckpt bytes.Buffer
+	if cerr := s.Checkpoint(&ckpt); cerr != nil {
+		tb.Fatal(cerr)
+	}
+	return ckpt.Bytes()
+}
+
+// rewriteSections re-frames a well-formed checkpoint stream, passing
+// each section's name and payload through edit and writing back what
+// it returns under a fresh CRC.
+func rewriteSections(data []byte, edit func(name string, payload []byte) []byte) []byte {
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(data[off:])) }
+	off := len("DTCKPT0\n") + 2 // magic, format version
+	off += 4 + u32(off) + 8     // engine kind, fingerprint
+	out := append([]byte(nil), data[:off]...)
+	for off < len(data) {
+		name := data[off+4 : off+4+u32(off)]
+		off += 4 + len(name)
+		payload := edit(string(name), data[off+4:off+4+u32(off)])
+		off += 4 + u32(off) + 4
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(name)))
+		out = append(out, name...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+		out = append(out, payload...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+	return out
+}
+
+// duplicateTwinCheckpoint rewrites a cluster checkpoint of the fuzz
+// scenario so that cell 1 also lists the first twin of cell 0: one
+// twin in two cells, every CRC intact. ResumeCluster must refuse it.
+func duplicateTwinCheckpoint(tb testing.TB, pristine []byte) []byte {
+	tb.Helper()
+	cfg := fuzzCheckpointConfig().Defaulted()
+	sub, err := sim.NewSubstrate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	server, err := sub.NewServer(cfg.CacheBytes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	scratch, err := sim.NewCell(cfg, sim.CellOptions{Substrate: sub, Server: server, BS: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// decode attaches the first n twins of a "users" payload to scratch.
+	decode := func(payload []byte, n uint32) {
+		d := checkpoint.NewDec(payload)
+		n = min(n, d.U32())
+		for i := uint32(0); i < n; i++ {
+			mu, err := scratch.DecodeUser(d)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := scratch.AttachUser(mu); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	cell := 0
+	return rewriteSections(pristine, func(name string, payload []byte) []byte {
+		if name != "users" {
+			return payload
+		}
+		if cell++; cell == 1 {
+			decode(payload, 1)
+			if scratch.NumUsers() != 1 {
+				tb.Fatal("cell 0 holds no twin to duplicate")
+			}
+			return payload
+		}
+		decode(payload, math.MaxUint32)
+		var e checkpoint.Enc
+		e.U32(uint32(scratch.NumUsers()))
+		for _, id := range scratch.UserIDs() {
+			if err := scratch.EncodeUser(&e, id); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		return e.Bytes()
+	})
+}
+
+// FuzzReadClusterCheckpoint is FuzzReadCheckpoint for ResumeCluster
+// over two cells: it must never panic, every rejection must be typed,
+// and a resume that succeeds must hold every twin exactly once. The
+// corpus includes a checkpoint listing one twin in two cells.
+func FuzzReadClusterCheckpoint(f *testing.F) {
+	seed := fuzzSeedClusterCheckpoint(f)
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte{})
+	f.Add(duplicateTwinCheckpoint(f, seed))
+	cfg := ClusterConfig{Sim: fuzzCheckpointConfig()}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ResumeCluster(cfg, bytes.NewReader(data))
+		if err == nil {
+			n := s.st.eng.NumUsers()
+			if cerr := s.Close(); cerr != nil {
+				t.Fatalf("resumed session failed to close: %v", cerr)
+			}
+			if n != cfg.Sim.NumUsers {
+				t.Fatalf("resumed %d twins for %d users", n, cfg.Sim.NumUsers)
 			}
 			return
 		}

@@ -10,8 +10,10 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/sim"
 )
 
 // WriteState appends the engine's boundary state to a checkpoint: a
@@ -50,10 +52,13 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 
 // ReadState restores boundary state written by WriteState into a
 // freshly constructed engine of the identical configuration and
-// partition. Each cell's population is rebuilt from its own checkpoint
-// sections, replacing the initial placement construction performed; a
-// checkpoint holding twins in a cell this partition does not own is
-// rejected.
+// partition. It reads every cell's sections in id order, hands each
+// owned cell the opened twins the checkpoint's owner map assigns it,
+// and then decodes the cells concurrently on the pool — each into its
+// own disjoint table of opened twins, so no two restores can share a
+// twin whatever the sections claim. Afterwards every owned cell must
+// hold exactly the twins the owner map assigns it, and every other
+// cell none; anything else is checkpoint.ErrCorrupt.
 func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 	d, err := cr.Section("cluster")
 	if err != nil {
@@ -108,6 +113,15 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 			return fmt.Errorf("user %d owned by quarantined cell %d: %w", id, c, checkpoint.ErrCorrupt)
 		}
 	}
+	secs := make([]sim.Sections, len(e.cells))
+	for i, c := range e.cells {
+		if secs[i], err = sim.ReadSections(cr); err != nil {
+			return fmt.Errorf("cell %d: %w", c.id, err)
+		}
+	}
+	if err := e.rehome(owner); err != nil {
+		return err
+	}
 	copy(e.owner, owner)
 	e.handovers = handovers
 	e.trained = trained
@@ -124,17 +138,61 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 		c.down = down[i]
 		c.evacuated = cellEvac[i]
 		e.down[i] = down[i]
-		if err := c.eng.ReadState(cr); err != nil {
-			return fmt.Errorf("cell %d: %w", c.id, err)
+	}
+	if err := e.sub.Pool.For(len(e.cells), func(i int) error {
+		if err := e.cells[i].eng.Restore(secs[i]); err != nil {
+			return fmt.Errorf("cell %d: %w", i, err)
 		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	return e.checkOwnership()
+}
+
+// rehome moves the opened twins of the owned cells to the cells the
+// checkpoint's owner map assigns them, so each cell's population is
+// the table its restore decodes into. Twins the map places outside
+// this partition are dropped.
+func (e *Engine) rehome(owner []int) error {
+	opened := make([]sim.User, len(owner))
+	for _, ci := range e.owned {
+		eng := e.cells[ci].eng
+		for _, id := range slices.Backward(eng.UserIDs()) {
+			opened[id], _ = eng.DetachUser(id)
+		}
+	}
+	for id, mu := range opened {
+		if c := owner[id]; mu != (sim.User{}) && e.mask[c] {
+			if err := e.cells[c].eng.AttachUser(mu); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkOwnership verifies a restore against the owner map: every owned
+// cell holds exactly {id : owner[id] == cell} — populations are id
+// sorted and duplicate-free, so agreeing owners and equal counts pin
+// the set — and every other cell none. It recounts the local twins.
+func (e *Engine) checkOwnership() error {
+	want := make([]int, len(e.cells))
+	for _, c := range e.owner {
+		want[c]++
 	}
 	e.local = 0
 	for i, c := range e.cells {
-		n := c.eng.NumUsers()
-		if !e.mask[i] && n != 0 {
-			return fmt.Errorf("restore left %d twins in un-owned cell %d: %w", n, i, checkpoint.ErrCorrupt)
+		ids := c.eng.UserIDs()
+		for _, id := range ids {
+			if !e.mask[i] || id >= len(e.owner) || e.owner[id] != i {
+				return fmt.Errorf("twin %d restored in cell %d, not where this partition's owner map puts it: %w", id, i, checkpoint.ErrCorrupt)
+			}
 		}
-		e.local += n
+		if e.mask[i] && len(ids) != want[i] {
+			return fmt.Errorf("cell %d restored %d twins, the owner map gives it %d: %w", i, len(ids), want[i], checkpoint.ErrCorrupt)
+		}
+		e.local += len(ids)
 	}
 	return nil
 }

@@ -277,19 +277,25 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 	}
 	// One quarantine mask, aliased by every cell's sim engine, so a
 	// failure routes handovers and churn arrivals around the dark
-	// station in every sibling cell at once.
+	// station in every sibling cell at once. Cells build on the pool:
+	// each draws only from its own derived streams and reads the
+	// substrate, and metrics are mounted later, serially, by
+	// SetMetrics.
 	down := make([]bool, numCells)
 	cells := make([]*cellState, numCells)
-	for c := 0; c < numCells; c++ {
-		server, serr := sub.NewServer(cellBytes)
-		if serr != nil {
-			return nil, serr
+	if err := sub.Pool.For(numCells, func(c int) error {
+		server, err := sub.NewServer(cellBytes)
+		if err != nil {
+			return err
 		}
-		eng, cerr := sim.NewCell(d.Sim, sim.CellOptions{Substrate: sub, Server: server, BS: c, DownBS: down})
-		if cerr != nil {
-			return nil, fmt.Errorf("cell %d: %w", c, cerr)
+		eng, err := sim.NewCell(d.Sim, sim.CellOptions{Substrate: sub, Server: server, BS: c, DownBS: down})
+		if err != nil {
+			return fmt.Errorf("cell %d: %w", c, err)
 		}
 		cells[c] = &cellState{id: c, eng: eng, server: server, trace: sim.NewTrace()}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Cells map to partition slots and to shards by the same contiguous

@@ -1,26 +1,32 @@
 // This file serializes the full mutable state of a Simulation at an
-// interval boundary, and restores it into a freshly constructed
-// engine. The contract is bit-exactness: a restored engine produces
-// the same draw-for-draw trace suffix the original would have.
+// interval boundary, and restores it into a freshly opened engine. The
+// contract is bit-exactness: a restored engine produces the same
+// draw-for-draw trace suffix the original would have.
 //
 // The restore strategy is hybrid. Everything derivable from the
 // configuration — catalog, stations, campus, untrained network
-// shapes, per-user construction draws — is rebuilt by replaying the
-// deterministic constructors; the checkpoint carries only what
+// shapes, per-user construction draws — comes from the deterministic
+// constructors Open already ran; the checkpoint carries only what
 // evolves afterwards: RNG positions (one splitmix64 word per derived
 // stream, a draw count for the builder's stdlib source), trained
 // weights, twin histories, calibration EWMAs, mobility/link state,
 // group membership + profiles, the edge cache, and the engine's
-// bookkeeping counters. Per-interval accumulators (tick statistics,
-// scheduler reservations, transcoder cycle meters) are always zeroed
-// at a boundary, so they never ride in a checkpoint.
+// bookkeeping counters. Twins decode into the population Open built:
+// a generation-0 user is the opened member with its id, overwritten,
+// and only churned users (and users the opened engine does not hold)
+// replay their constructor. Per-interval accumulators (tick
+// statistics, scheduler reservations, transcoder cycle meters) are
+// always zeroed at a boundary, so they never ride in a checkpoint.
 //
 // Every section is binary (checkpoint format v3), and each package
 // encodes its own state: nn its weights, kmeans its centroids, udt
 // the twin (EncodeState/DecodeState) — most of a checkpoint's bytes,
 // the same in the "users" section, a cluster.Worker handover and a
-// coord worker ack, and decoded into the twin the replay already
+// coord worker ack, and decoded into a twin the constructor already
 // built, so no allocation is sized by a length the input claims.
+// Reading (ReadSections: framing and CRCs, in stream order) is split
+// from decoding (Restore), so a cluster reads its cells' sections off
+// one stream and decodes the cells concurrently.
 //
 // WriteState only runs at interval boundaries — the session layer
 // guarantees that by refusing to checkpoint failed sessions.
@@ -78,37 +84,58 @@ func (s *Simulation) WriteState(cw *checkpoint.Writer) error {
 	return cw.Section("groups", s.encodeGroups)
 }
 
-// ReadState restores boundary state written by WriteState into a
-// freshly constructed engine of the identical configuration. Any
-// structural damage surfaces as checkpoint.ErrCorrupt.
-func (s *Simulation) ReadState(cr *checkpoint.Reader) error {
-	if err := readSection(cr, "engine", s.decodeEngine); err != nil {
-		return err
+// Sections is one engine's checkpoint sections, read and CRC-checked
+// in stream order but not yet decoded, so a cluster can read every
+// cell's sections off the one stream and decode the cells
+// concurrently.
+type Sections [len(sectionNames)]*checkpoint.Dec
+
+// sectionNames lists the sections WriteState writes, in stream order.
+var sectionNames = [...]string{"engine", "builder", "cache", "users", "groups"}
+
+// ReadSections reads the five sections WriteState wrote.
+func ReadSections(cr *checkpoint.Reader) (Sections, error) {
+	var secs Sections
+	for i, name := range sectionNames {
+		d, err := cr.Section(name)
+		if err != nil {
+			return Sections{}, err
+		}
+		secs[i] = d
 	}
-	if err := readSection(cr, "builder", s.decodeBuilder); err != nil {
-		return err
-	}
-	if err := readSection(cr, "cache", s.decodeCache); err != nil {
-		return err
-	}
-	if err := readSection(cr, "users", s.decodeUsers); err != nil {
-		return err
-	}
-	return readSection(cr, "groups", s.decodeGroups)
+	return secs, nil
 }
 
-// readSection frames one decode callback: section lookup, the
-// decode, then the consumed-exactly check.
-func readSection(cr *checkpoint.Reader, name string, decode func(*checkpoint.Dec) error) error {
-	d, err := cr.Section(name)
+// ReadState restores boundary state written by WriteState into a
+// freshly opened engine of the identical configuration: ReadSections,
+// then Restore. Any structural damage surfaces as
+// checkpoint.ErrCorrupt.
+func (s *Simulation) ReadState(cr *checkpoint.Reader) error {
+	secs, err := ReadSections(cr)
 	if err != nil {
 		return err
 	}
-	if err := decode(d); err != nil {
-		return fmt.Errorf("section %q: %w", name, err)
+	return s.Restore(secs)
+}
+
+// Restore decodes sections read by ReadSections into a freshly opened
+// engine. The engine's population is the table the "users" section
+// decodes into: a user the checkpoint lists at generation 0 reuses the
+// member with its id (see decodeUser), and the population becomes
+// exactly the users the section lists. Restore writes only this
+// engine and reads its substrate, so sibling cells restore
+// concurrently.
+func (s *Simulation) Restore(secs Sections) error {
+	decode := [len(sectionNames)]func(*checkpoint.Dec) error{
+		s.decodeEngine, s.decodeBuilder, s.decodeCache, s.decodeUsers, s.decodeGroups,
 	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("section %q: %w", name, err)
+	for i, d := range secs {
+		if err := decode[i](d); err != nil {
+			return fmt.Errorf("section %q: %w", sectionNames[i], err)
+		}
+		if err := d.Close(); err != nil {
+			return fmt.Errorf("section %q: %w", sectionNames[i], err)
+		}
 	}
 	return nil
 }
@@ -307,10 +334,13 @@ func (s *Simulation) EncodeUser(e *checkpoint.Enc, id int) error {
 // and overwriting the mutable state. The returned handle is detached:
 // pass it to AttachUser to add it to this cell's population.
 func (s *Simulation) DecodeUser(d *checkpoint.Dec) (User, error) {
-	u, err := s.decodeUser(d)
+	u, err := s.decodeUser(d, nil)
 	return User{u: u}, err
 }
 
+// decodeUsers decodes the "users" section into the opened population:
+// byID is the table decodeUser takes generation-0 users from, and the
+// population becomes the decoded list.
 func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {
 	n := d.U32()
 	if d.Err() != nil {
@@ -318,7 +348,7 @@ func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {
 	}
 	users := make([]*user, 0, min(int(n), 1<<20))
 	for i := uint32(0); i < n; i++ {
-		u, err := s.decodeUser(d)
+		u, err := s.decodeUser(d, s.byID)
 		if err != nil {
 			return err
 		}
@@ -335,11 +365,15 @@ func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {
 	return nil
 }
 
-// decodeUser rebuilds one user from its encodeUser bytes: replay the
-// constructor on the user's derived stream (this reproduces every
-// construction-time draw), then overwrite the mutable state and
-// reposition the stream.
-func (s *Simulation) decodeUser(d *checkpoint.Dec) (*user, error) {
+// decodeUser restores one user from its encodeUser bytes. A
+// generation-0 user found in opened (indexed by id) is taken out of
+// it and decoded into: it came from the same constructor on the same
+// stream and has never stepped, so it is exactly what a replay would
+// build. Any other user — churned, or missing from opened — is
+// rebuilt by replaying the constructor on its derived stream. Either
+// way the mutable state is then overwritten and the stream
+// repositioned.
+func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user) (*user, error) {
 	id := d.Int()
 	gen := d.U64()
 	srcState := d.U64()
@@ -349,9 +383,15 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec) (*user, error) {
 	if id < 0 {
 		return nil, fmt.Errorf("user id %d: %w", id, checkpoint.ErrCorrupt)
 	}
-	u, err := s.newUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), gen))
-	if err != nil {
-		return nil, fmt.Errorf("user %d replay: %w", id, err)
+	var u *user
+	if gen == 0 && id < len(opened) && opened[id] != nil {
+		u, opened[id] = opened[id], nil
+	} else {
+		var err error
+		u, err = s.newUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), gen))
+		if err != nil {
+			return nil, fmt.Errorf("user %d replay: %w", id, err)
+		}
 	}
 	u.gen = gen
 	if n := d.F64sInto(u.profile.Pref); n != len(u.profile.Pref) && d.Err() == nil {

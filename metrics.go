@@ -2,8 +2,9 @@
 // a session at Open time: the engine registers its stage timers and
 // component counters (per-cell in a cluster run), and the session
 // itself tracks the step span, sink write/flush spans and retries,
-// and checkpoint encode cost. The registry is read-side safe for
-// live HTTP export (obs.Serve / obs.Handler) while the session steps.
+// and checkpoint encode and restore cost. The registry is read-side
+// safe for live HTTP export (obs.Serve / obs.Handler) while the
+// session steps.
 //
 // Metrics never perturb the run: all instrumentation is out-of-band
 // wall-clock and counter state, so traces are bit-identical with a
@@ -30,13 +31,15 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 
 // WithMetrics mounts reg on the session: engine stage timers
 // (prologue and per-interval phases, per-cell in cluster runs), edge
-// cache counters, session step spans, sink
-// write/flush spans and retry counters, and checkpoint size and
-// encode duration. Cluster runs with failure injection additionally
-// expose the failure-model catalog: dtmsvs_cells_down,
-// dtmsvs_evacuated_twins_total, dtmsvs_degraded_intervals_total,
-// dtmsvs_cell_failures_total and dtmsvs_cell_revivals_total, plus the
-// interval/evacuation stage timer. A nil reg leaves the session
+// cache counters, session step spans, sink write/flush spans and
+// retry counters, checkpoint size and encode duration, and the restore
+// duration of a resumed session (a distributed resume times only the
+// supervisor's read; its workers restore on their own). Cluster runs
+// with failure injection additionally expose the failure-model
+// catalog: dtmsvs_cells_down, dtmsvs_evacuated_twins_total,
+// dtmsvs_degraded_intervals_total, dtmsvs_cell_failures_total and
+// dtmsvs_cell_revivals_total, plus the interval/evacuation stage
+// timer. A nil reg leaves the session
 // un-instrumented; the hot path then pays only nil checks.
 func WithMetrics(reg *MetricsRegistry) SessionOption {
 	return func(o *sessionOptions) { o.metrics = reg }
@@ -45,10 +48,11 @@ func WithMetrics(reg *MetricsRegistry) SessionOption {
 // sessionMetrics holds the session layer's own handles. The zero
 // value (no registry) is fully inert.
 type sessionMetrics struct {
-	step       *obs.Stage
-	sinkWrite  *obs.Stage
-	sinkFlush  *obs.Stage
-	ckptEncode *obs.Stage
+	step        *obs.Stage
+	sinkWrite   *obs.Stage
+	sinkFlush   *obs.Stage
+	ckptEncode  *obs.Stage
+	ckptRestore *obs.Stage
 
 	steps            *obs.Counter
 	sinkWriteRetries *obs.Counter
@@ -63,10 +67,11 @@ func newSessionMetrics(reg *obs.Registry) sessionMetrics {
 		return sessionMetrics{}
 	}
 	return sessionMetrics{
-		step:       reg.Stage("step"),
-		sinkWrite:  reg.Stage("interval/sink_write"),
-		sinkFlush:  reg.Stage("interval/sink_flush"),
-		ckptEncode: reg.Stage("checkpoint/encode"),
+		step:        reg.Stage("step"),
+		sinkWrite:   reg.Stage("interval/sink_write"),
+		sinkFlush:   reg.Stage("interval/sink_flush"),
+		ckptEncode:  reg.Stage("checkpoint/encode"),
+		ckptRestore: reg.Stage("checkpoint/restore"),
 		steps: reg.Counter("dtmsvs_steps_total",
 			"Scheduling intervals completed by the session."),
 		sinkWriteRetries: reg.Counter("dtmsvs_sink_write_retries_total",

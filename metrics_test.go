@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -13,23 +14,33 @@ import (
 	"dtmsvs/internal/vecmath"
 )
 
-// metricsOpeners enumerates both engines for the metrics suites.
+// metricsOpeners enumerates both engines for the metrics suites, each
+// with the resume that restores its checkpoints.
 func metricsOpeners(seed int64, workers int) []struct {
-	name string
-	open func(opts ...SessionOption) (Session, error)
+	name   string
+	open   func(opts ...SessionOption) (Session, error)
+	resume func(r io.Reader, opts ...SessionOption) (Session, error)
 } {
 	cfg := sessionTestConfig(seed, workers)
+	cluster := func(shards int) ClusterConfig { return ClusterConfig{Sim: cfg, Shards: shards} }
 	return []struct {
-		name string
-		open func(opts ...SessionOption) (Session, error)
+		name   string
+		open   func(opts ...SessionOption) (Session, error)
+		resume func(r io.Reader, opts ...SessionOption) (Session, error)
 	}{
-		{"sim", func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) }},
-		{"cluster-s1", func(opts ...SessionOption) (Session, error) {
-			return OpenCluster(ClusterConfig{Sim: cfg, Shards: 1}, opts...)
-		}},
-		{"cluster", func(opts ...SessionOption) (Session, error) {
-			return OpenCluster(ClusterConfig{Sim: cfg, Shards: cfg.NumBS}, opts...)
-		}},
+		{"sim",
+			func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) },
+			func(r io.Reader, opts ...SessionOption) (Session, error) { return Resume(cfg, r, opts...) }},
+		{"cluster-s1",
+			func(opts ...SessionOption) (Session, error) { return OpenCluster(cluster(1), opts...) },
+			func(r io.Reader, opts ...SessionOption) (Session, error) {
+				return ResumeCluster(cluster(1), r, opts...)
+			}},
+		{"cluster",
+			func(opts ...SessionOption) (Session, error) { return OpenCluster(cluster(cfg.NumBS), opts...) },
+			func(r io.Reader, opts ...SessionOption) (Session, error) {
+				return ResumeCluster(cluster(cfg.NumBS), r, opts...)
+			}},
 	}
 }
 
@@ -136,6 +147,9 @@ func TestSessionMetricsSnapshot(t *testing.T) {
 			if byStage["checkpoint/encode"] != 1 {
 				t.Fatalf("checkpoint/encode count = %d, want 1", byStage["checkpoint/encode"])
 			}
+			if byStage["checkpoint/restore"] != 0 {
+				t.Fatalf("checkpoint/restore count = %d in a session never resumed", byStage["checkpoint/restore"])
+			}
 			if eng.name != "sim" {
 				if len(cells) != 2 {
 					t.Fatalf("cluster run labelled %d cells, want 2", len(cells))
@@ -159,6 +173,23 @@ func TestSessionMetricsSnapshot(t *testing.T) {
 				if counterValue(t, reg, name) == 0 {
 					t.Fatalf("family %s absent or zero after a full run", name)
 				}
+			}
+
+			// Resuming the checkpoint observes one restore.
+			resumed := NewMetricsRegistry()
+			r, err := eng.resume(bytes.NewReader(ckpt.Bytes()), WithMetrics(resumed), WithSink(DiscardSink{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			restores := uint64(0)
+			for _, sr := range resumed.Snapshot().Family(obs.StageFamily).Series {
+				if sr.Label("stage") == "checkpoint/restore" {
+					restores += sr.Count
+				}
+			}
+			if restores != 1 {
+				t.Fatalf("checkpoint/restore count = %d after one resume, want 1", restores)
 			}
 		})
 	}
