@@ -526,10 +526,10 @@ func TestTraceDigestPinned(t *testing.T) {
 			"ebeb9e365026786ec65fc9d92c621d8b3e25ec2e342a2ddeb025fafe0562ffe7"},
 		{"distributed", 42, distributed,
 			"455ad0920db0fdfd1556c0a75299ff554e875a7bfdeacb3508641fde2fd09948",
-			"7b3872b3edf3e23a4cba93452865266448a5d461083c5a1e40eacb067ccdd203"},
+			"71d76e621190a3503f5be5807fef3e7d66ebbfd5b70ca9e748b0909e913141da"},
 		{"distributed", 7, distributed,
 			"30b4162e74e63697fb1d59d53d1f18d7a4113303f467afa2c9c19fb6af57e28f",
-			"efeef45c229da04bc0011bda6378a4f9cc466cbe1d81146d488b0502ebd0555d"},
+			"c60ef1165d5b61bf8028c38cfa8a2b43e978be3dc6cda555a9243eec5705af72"},
 	} {
 		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
 		t.Run(name, func(t *testing.T) {

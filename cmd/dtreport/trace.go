@@ -89,7 +89,8 @@ func sumDemand(recs []dtmsvs.TraceRecord) demand {
 }
 
 // percent formats an accuracy, or "n/a" where it is undefined: an
-// error (no record with a nonzero actual) or NaN.
+// error (stats.ErrMetric — no record with a nonzero actual, or volume
+// predicted where none was served) or NaN.
 func percent(acc float64, err error) string {
 	if err != nil || math.IsNaN(acc) {
 		return "n/a"

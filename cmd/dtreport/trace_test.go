@@ -82,7 +82,9 @@ func totalsLine(t *testing.T, report, prefix string) string {
 }
 
 // TestReportTraceUndefinedAccuracy: an interval without a nonzero
-// actual prints n/a rather than a perfect score.
+// actual prints n/a rather than a perfect score — unless nothing was
+// predicted either: zero volume forecast as zero (the waste column
+// here) is exact.
 func TestReportTraceUndefinedAccuracy(t *testing.T) {
 	var buf bytes.Buffer
 	sink := dtmsvs.NewNDJSONSink(&buf)
@@ -106,10 +108,11 @@ func TestReportTraceUndefinedAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"| 0 | 1 | 0 | 2.0 | 0.0 | n/a | n/a | n/a |",
-		"| 1 | 1 | 0 | 2.0 | 2.0 | 100.00% | 100.00% | n/a |",
+		"| 0 | 1 | 0 | 2.0 | 0.0 | n/a | n/a | 100.00% |",
+		"| 1 | 1 | 0 | 2.0 | 2.0 | 100.00% | 100.00% | 100.00% |",
 		"- radio: predicted 4.0 RBs vs actual 2.0 RBs, accuracy 100.00% (1 − MAPE)",
 		"- compute: predicted 2.000e+00 vs actual 1.000e+00 cycles, accuracy 0.00% (volume)",
+		"- waste: predicted 0.000e+00 vs actual 0.000e+00 bits, accuracy 100.00% (volume)",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, out.String())

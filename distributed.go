@@ -198,7 +198,8 @@ func (a *distStepper) fingerprint() (uint64, error) {
 }
 
 // writeState captures the distributed boundary: one checkpoint blob
-// per worker, fetched fresh over the wire at this boundary.
+// per worker, fetched fresh over the wire at this boundary and framed
+// as it arrived, without another copy.
 func (a *distStepper) writeState(cw *checkpoint.Writer) error {
 	blobs, err := a.sup.CheckpointBlobs(context.Background())
 	if err != nil {
@@ -210,17 +211,16 @@ func (a *distStepper) writeState(cw *checkpoint.Writer) error {
 		return err
 	}
 	for i, b := range blobs {
-		if err := cw.Section(fmt.Sprintf("worker%d", i), func(e *checkpoint.Enc) {
-			e.Blob(b)
-		}); err != nil {
+		if err := cw.BlobSection(fmt.Sprintf("worker%d", i), b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readState seeds every worker with its blob; the workers themselves
-// validate kind and fingerprint when they restore.
+// readState seeds every worker with its blob — the section payload the
+// reader read, not a copy of it; the workers themselves validate kind
+// and fingerprint when they restore.
 func (a *distStepper) readState(cr *checkpoint.Reader) error {
 	d, err := cr.Section("coord")
 	if err != nil {
@@ -240,7 +240,7 @@ func (a *distStepper) readState(cr *checkpoint.Reader) error {
 		if err != nil {
 			return err
 		}
-		blobs[i] = append([]byte(nil), d.Blob()...)
+		blobs[i] = d.Blob()
 		if err := d.Close(); err != nil {
 			return err
 		}

@@ -141,6 +141,18 @@ func (e *Enc) Bool(v bool) {
 	}
 }
 
+// Grow reserves room for n more bytes, so an encoding whose size is
+// known up front is built in one allocation.
+func (e *Enc) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
+// Write appends p verbatim, so an Enc can be the destination of a
+// Writer: a checkpoint carried inside a larger payload is encoded in
+// place rather than built apart and copied in.
+func (e *Enc) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
+}
+
 // Blob appends a length-prefixed byte slice.
 func (e *Enc) Blob(b []byte) {
 	if e.count(len(b), 1) {
@@ -401,33 +413,69 @@ func (w *Writer) write(b []byte) {
 	}
 }
 
-// Section frames one named payload: fill receives a reset encoder,
-// and the accumulated bytes are written with a length prefix and a
-// CRC32 trailer. A payload the reader would refuse — longer than
-// maxSection, or holding a value whose length prefix overflowed —
-// writes nothing and latches ErrTooLarge.
+// Section frames one named payload: fill appends it to the encoder it
+// receives (and only appends), and the bytes are written with a length
+// prefix and a CRC32 trailer. The section is built in the writer's
+// section buffer and written in one piece — or, when the destination is
+// itself an *Enc, built straight into the destination, so a checkpoint
+// encoded into a larger payload is never copied. A payload the reader
+// would refuse — longer than maxSection, or holding a value whose
+// length prefix overflowed — writes nothing and latches ErrTooLarge.
 func (w *Writer) Section(name string, fill func(*Enc)) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.enc.Reset()
-	fill(&w.enc)
-	payload := w.enc.Bytes()
-	err := w.enc.Err()
+	dst, direct := w.w.(*Enc)
+	if !direct {
+		dst = &w.enc
+		dst.Reset()
+	}
+	start, prior := len(dst.buf), dst.err
+	dst.String(name)
+	at := len(dst.buf)
+	dst.U32(0) // payload length, patched below
+	dst.err = nil
+	fill(dst)
+	payload := dst.buf[at+4:]
+	err := dst.err
 	if err == nil && len(payload) > maxSection {
 		err = fmt.Errorf("%d bytes: %w", len(payload), ErrTooLarge)
 	}
+	dst.err = prior
 	if err != nil {
+		dst.buf = dst.buf[:start]
 		w.err = fmt.Errorf("checkpoint section %q: %w", name, err)
+		return w.err
+	}
+	binary.LittleEndian.PutUint32(dst.buf[at:], uint32(len(payload)))
+	dst.U32(crc32.ChecksumIEEE(payload))
+	if !direct {
+		w.write(dst.Bytes())
+	}
+	return w.err
+}
+
+// BlobSection writes a section whose payload is the one
+// length-prefixed blob b — the bytes Section(name, func(e *Enc) {
+// e.Blob(b) }) writes — without copying b into the section buffer
+// first: the CRC runs over the prefix and then b.
+func (w *Writer) BlobSection(name string, b []byte) error {
+	if w.err != nil {
+		return w.err
+	}
+	if len(b) > maxSection-4 {
+		w.err = fmt.Errorf("checkpoint section %q: %d bytes: %w", name, 4+len(b), ErrTooLarge)
 		return w.err
 	}
 	var frame Enc
 	frame.String(name)
-	frame.U32(uint32(len(payload)))
+	frame.U32(uint32(4 + len(b)))
+	frame.U32(uint32(len(b)))
+	sum := crc32.Update(crc32.ChecksumIEEE(frame.buf[len(frame.buf)-4:]), crc32.IEEETable, b)
 	w.write(frame.Bytes())
-	w.write(payload)
+	w.write(b)
 	frame.Reset()
-	frame.U32(crc32.ChecksumIEEE(payload))
+	frame.U32(sum)
 	w.write(frame.Bytes())
 	return w.err
 }

@@ -496,3 +496,62 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("WriteFile content: %q", got)
 	}
 }
+
+// TestWriterIntoEnc: a checkpoint written into an *Enc — sections
+// encoded in place after whatever the encoder already holds — is the
+// same stream as one written through the section buffer, BlobSection
+// writes the bytes of a Section holding one Blob, and a refused
+// section is cut back off the encoder, which keeps its own latched
+// state.
+func TestWriterIntoEnc(t *testing.T) {
+	blob := bytes.Repeat([]byte{0xA5, 0x5A, 7}, 100)
+	write := func(dst io.Writer, blobSection bool) {
+		w := NewWriter(dst, "dtworker", 9)
+		if err := w.Section("counts", func(e *Enc) { e.Int(3); e.F64s([]float64{1.5, -2}) }); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if blobSection {
+			err = w.BlobSection("blob", blob)
+		} else {
+			err = w.Section("blob", func(e *Enc) { e.Blob(blob) })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want bytes.Buffer
+	write(&want, false)
+	for _, blobSection := range []bool{false, true} {
+		var buf bytes.Buffer
+		write(&buf, blobSection)
+		var e Enc
+		e.U32(0xDEADBEEF) // a frame header the checkpoint rides behind
+		write(&e, blobSection)
+		if !bytes.Equal(buf.Bytes(), want.Bytes()) || !bytes.Equal(e.Bytes()[4:], want.Bytes()) {
+			t.Fatalf("blob section %v: the stream differs from Section through the section buffer", blobSection)
+		}
+	}
+
+	lowerMaxSection(t, 64)
+	var e Enc
+	e.U8(1)
+	w := NewWriter(&e, "sim", 1)
+	held := len(e.Bytes())
+	if err := w.Section("big", func(e *Enc) { e.Blob(make([]byte, 65)) }); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("want ErrTooLarge, got %v", err)
+	}
+	if len(e.Bytes()) != held || e.Err() != nil {
+		t.Fatalf("refused in-place section left %d bytes (had %d), err %v", len(e.Bytes()), held, e.Err())
+	}
+	w = NewWriter(io.Discard, "sim", 1)
+	if err := w.BlobSection("full", make([]byte, 60)); err != nil {
+		t.Fatalf("blob section at the limit: %v", err)
+	}
+	if err := w.BlobSection("big", make([]byte, 61)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("blob section over the limit: %v", err)
+	}
+}

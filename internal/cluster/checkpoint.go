@@ -1,10 +1,10 @@
 // This file serializes the cluster engine's boundary state: the
 // ownership map and handover counters that live on the engine, plus
-// each cell's full simulation state via sim's checkpoint sections.
-// Cells are written in id order, so the stream layout is independent
-// of shard scheduling; the per-cell trace buffers are always empty at
-// an interval boundary (StepInterval drains them when merging) and
-// never ride in a checkpoint.
+// each owned cell's full simulation state via sim's checkpoint
+// sections. Cells are written in id order, so the stream layout is
+// independent of shard scheduling; the per-cell trace buffers are
+// always empty at an interval boundary (StepInterval drains them when
+// merging) and never ride in a checkpoint.
 
 package cluster
 
@@ -16,9 +16,14 @@ import (
 	"dtmsvs/internal/sim"
 )
 
+// noCell is the bookkeeping the "cluster" section carries for a cell
+// outside the partition: none.
+var noCell cellState
+
 // WriteState appends the engine's boundary state to a checkpoint: a
-// "cluster" section followed by each cell's sim sections in id order
-// (un-owned cells present but empty).
+// "cluster" section, whose per-cell bookkeeping spans every cell (zero
+// for un-owned ones), followed by each owned cell's sim sections in id
+// order.
 func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 	if err := cw.Section("cluster", func(enc *checkpoint.Enc) {
 		enc.Ints(e.owner)
@@ -26,6 +31,9 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 		enc.Bool(e.trained)
 		enc.U32(uint32(len(e.cells)))
 		for _, c := range e.cells {
+			if c == nil {
+				c = &noCell
+			}
 			enc.Bool(c.built)
 			enc.Int(c.migratedIn)
 			enc.Bool(c.down)
@@ -42,9 +50,9 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 	}); err != nil {
 		return err
 	}
-	for _, c := range e.cells {
-		if err := c.eng.WriteState(cw); err != nil {
-			return fmt.Errorf("cell %d: %w", c.id, err)
+	for _, ci := range e.owned {
+		if err := e.cells[ci].eng.WriteState(cw); err != nil {
+			return fmt.Errorf("cell %d: %w", ci, err)
 		}
 	}
 	return nil
@@ -52,13 +60,16 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 
 // ReadState restores boundary state written by WriteState into a
 // freshly constructed engine of the identical configuration and
-// partition. It reads every cell's sections in id order, hands each
-// owned cell the opened twins the checkpoint's owner map assigns it,
-// and then decodes the cells concurrently on the pool — each into its
-// own disjoint table of opened twins, so no two restores can share a
-// twin whatever the sections claim. Afterwards every owned cell must
-// hold exactly the twins the owner map assigns it, and every other
-// cell none; anything else is checkpoint.ErrCorrupt.
+// partition. It reads the owned cells' sections in id order, hands
+// each owned cell the opened twins the checkpoint's owner map assigns
+// it, and then decodes the cells concurrently on the pool — each into
+// its own disjoint table of opened twins, so no two restores can share
+// a twin whatever the sections claim. Afterwards every owned cell must
+// hold exactly the twins the owner map assigns it; that, and any
+// bookkeeping for an un-owned cell, is checkpoint.ErrCorrupt. A stream
+// with sections for other cells than the partition's — a worker blob
+// from a build that wrote every cell — fails here or at the reader's
+// Finish, never restores.
 func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 	d, err := cr.Section("cluster")
 	if err != nil {
@@ -95,6 +106,9 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 		if down[i] {
 			cellsDown++
 		}
+		if e.cells[i] == nil && (built[i] || migrated[i] != 0 || down[i] || cellEvac[i] != 0) {
+			return fmt.Errorf("cell %d outside this partition carries state: %w", i, checkpoint.ErrCorrupt)
+		}
 	}
 	policy := FailurePolicy(d.U8())
 	failures := d.Int()
@@ -113,10 +127,10 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 			return fmt.Errorf("user %d owned by quarantined cell %d: %w", id, c, checkpoint.ErrCorrupt)
 		}
 	}
-	secs := make([]sim.Sections, len(e.cells))
-	for i, c := range e.cells {
-		if secs[i], err = sim.ReadSections(cr); err != nil {
-			return fmt.Errorf("cell %d: %w", c.id, err)
+	secs := make([]sim.Sections, len(e.owned))
+	for k, ci := range e.owned {
+		if secs[k], err = sim.ReadSections(cr); err != nil {
+			return fmt.Errorf("cell %d: %w", ci, err)
 		}
 	}
 	if err := e.rehome(owner); err != nil {
@@ -132,16 +146,18 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 	e.evacuated = evacuated
 	e.degradedIntervals = degraded
 	e.metCellsDown.Set(float64(cellsDown))
-	for i, c := range e.cells {
-		c.built = built[i]
-		c.migratedIn = migrated[i]
-		c.down = down[i]
-		c.evacuated = cellEvac[i]
-		e.down[i] = down[i]
+	copy(e.down, down)
+	for _, ci := range e.owned {
+		c := e.cells[ci]
+		c.built = built[ci]
+		c.migratedIn = migrated[ci]
+		c.down = down[ci]
+		c.evacuated = cellEvac[ci]
 	}
-	if err := e.sub.Pool.For(len(e.cells), func(i int) error {
-		if err := e.cells[i].eng.Restore(secs[i]); err != nil {
-			return fmt.Errorf("cell %d: %w", i, err)
+	if err := e.sub.Pool.For(len(e.owned), func(k int) error {
+		ci := e.owned[k]
+		if err := e.cells[ci].eng.Restore(secs[k]); err != nil {
+			return fmt.Errorf("cell %d: %w", ci, err)
 		}
 		return nil
 	}); err != nil {
@@ -175,22 +191,22 @@ func (e *Engine) rehome(owner []int) error {
 // checkOwnership verifies a restore against the owner map: every owned
 // cell holds exactly {id : owner[id] == cell} — populations are id
 // sorted and duplicate-free, so agreeing owners and equal counts pin
-// the set — and every other cell none. It recounts the local twins.
+// the set. It recounts the local twins.
 func (e *Engine) checkOwnership() error {
 	want := make([]int, len(e.cells))
 	for _, c := range e.owner {
 		want[c]++
 	}
 	e.local = 0
-	for i, c := range e.cells {
-		ids := c.eng.UserIDs()
+	for _, ci := range e.owned {
+		ids := e.cells[ci].eng.UserIDs()
 		for _, id := range ids {
-			if !e.mask[i] || id >= len(e.owner) || e.owner[id] != i {
-				return fmt.Errorf("twin %d restored in cell %d, not where this partition's owner map puts it: %w", id, i, checkpoint.ErrCorrupt)
+			if id >= len(e.owner) || e.owner[id] != ci {
+				return fmt.Errorf("twin %d restored in cell %d, not where this partition's owner map puts it: %w", id, ci, checkpoint.ErrCorrupt)
 			}
 		}
-		if e.mask[i] && len(ids) != want[i] {
-			return fmt.Errorf("cell %d restored %d twins, the owner map gives it %d: %w", i, len(ids), want[i], checkpoint.ErrCorrupt)
+		if len(ids) != want[ci] {
+			return fmt.Errorf("cell %d restored %d twins, the owner map gives it %d: %w", ci, len(ids), want[ci], checkpoint.ErrCorrupt)
 		}
 		e.local += len(ids)
 	}

@@ -197,10 +197,11 @@ type Engine struct {
 	cfg   Config
 	sub   sim.Substrate
 	cells []*cellState
-	// The engine's unit is a set of owned cells: it steps, checkpoints
-	// and conserves twins over exactly those. New owns every cell (the
-	// degenerate partition); NewWorker owns one contiguous block of a
-	// larger partition, and the other cells stay constructed but empty.
+	// The engine's unit is a set of owned cells: it builds, steps,
+	// checkpoints and conserves twins over exactly those. New owns every
+	// cell (the degenerate partition); NewWorker owns one contiguous
+	// block of a larger partition, and cells[c] is nil for every cell c
+	// outside it.
 	owned []int  // owned cell ids, ascending
 	mask  []bool // mask[c] reports ownership of cell c
 	local int    // twins currently living in owned cells
@@ -256,9 +257,11 @@ type Engine struct {
 func New(cfg Config) (*Engine, error) { return newPartition(cfg, 0, 1) }
 
 // newPartition constructs the engine for slot index of a count-way
-// partition. Construction is identical for every slot — it draws only
-// from the shared substrate and per-user streams — and only the twins
-// whose initial cell the slot owns are attached.
+// partition. Only the owned cells are built, each exactly as every
+// other partition would build it — a cell draws only from the shared
+// substrate and its own derived streams — and the whole population is
+// spawned from per-user streams, of which only the twins whose initial
+// cell the slot owns are attached.
 func newPartition(cfg Config, index, count int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -270,20 +273,37 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 		return nil, err
 	}
 
+	// Cells map to partition slots and to shards by the same contiguous
+	// block arithmetic; a slot keeps the owned part of each shard (a
+	// shard wholly owned by another slot stays empty and costs nothing).
 	numCells := d.Sim.NumBS
+	var owned []int
+	mask := make([]bool, numCells)
+	shards := make([][]int, d.Shards)
+	for c := 0; c < numCells; c++ {
+		if WorkerForCell(c, numCells, count) != index {
+			continue
+		}
+		owned = append(owned, c)
+		mask[c] = true
+		s := c * d.Shards / numCells
+		shards[s] = append(shards[s], c)
+	}
+
 	cellBytes := d.Sim.CacheBytes / int64(numCells)
 	if cellBytes <= 0 {
 		cellBytes = d.Sim.CacheBytes
 	}
-	// One quarantine mask, aliased by every cell's sim engine, so a
-	// failure routes handovers and churn arrivals around the dark
-	// station in every sibling cell at once. Cells build on the pool:
-	// each draws only from its own derived streams and reads the
-	// substrate, and metrics are mounted later, serially, by
+	// One quarantine mask over every station, aliased by every cell's
+	// sim engine, so a failure routes handovers and churn arrivals
+	// around the dark station in every sibling cell at once. Cells build
+	// on the pool: each draws only from its own derived streams and
+	// reads the substrate, and metrics are mounted later, serially, by
 	// SetMetrics.
 	down := make([]bool, numCells)
 	cells := make([]*cellState, numCells)
-	if err := sub.Pool.For(numCells, func(c int) error {
+	if err := sub.Pool.For(len(owned), func(i int) error {
+		c := owned[i]
 		server, err := sub.NewServer(cellBytes)
 		if err != nil {
 			return err
@@ -296,22 +316,6 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-
-	// Cells map to partition slots and to shards by the same contiguous
-	// block arithmetic; a slot keeps the owned part of each shard (a
-	// shard wholly owned by another slot stays empty and costs nothing).
-	var owned []int
-	mask := make([]bool, numCells)
-	shards := make([][]int, d.Shards)
-	for c := 0; c < numCells; c++ {
-		if WorkerForCell(c, numCells, count) != index {
-			continue
-		}
-		owned = append(owned, c)
-		mask[c] = true
-		s := c * d.Shards / numCells
-		shards[s] = append(shards[s], c)
 	}
 
 	// Faults fire in deterministic (FailAt, Cell) order regardless of
@@ -339,9 +343,10 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 	}
 
 	// Spawn the population on the pool (user creation draws only from
-	// each user's private stream) and place every twin whose initial
-	// serving base station this partition owns in that station's cell.
-	spawned, err := cells[0].eng.SpawnUsers(d.Sim.NumUsers)
+	// each user's private stream, whichever cell spawns) and place every
+	// twin whose initial serving base station this partition owns in
+	// that station's cell.
+	spawned, err := cells[owned[0]].eng.SpawnUsers(d.Sim.NumUsers)
 	if err != nil {
 		return nil, err
 	}
@@ -421,8 +426,8 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 	e.metDegraded = reg.Counter("dtmsvs_degraded_intervals_total", "Scheduling intervals run with at least one cell down.")
 	e.metFailures = reg.Counter("dtmsvs_cell_failures_total", "Injected cell failures fired.")
 	e.metRevivals = reg.Counter("dtmsvs_cell_revivals_total", "Quarantined cells returned to service.")
-	for _, c := range e.cells {
-		c.eng.SetMetrics(reg, obs.Label{Name: "cell", Value: strconv.Itoa(c.id)})
+	for _, ci := range e.owned {
+		e.cells[ci].eng.SetMetrics(reg, obs.Label{Name: "cell", Value: strconv.Itoa(ci)})
 	}
 }
 
@@ -436,12 +441,12 @@ func (e *Engine) NumUsers() int { return e.local }
 // Config returns the engine's fully defaulted configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Churned reports the users replaced by churn so far, summed over all
-// cells.
+// Churned reports the users replaced by churn so far, summed over the
+// owned cells.
 func (e *Engine) Churned() int {
 	var n int
-	for _, c := range e.cells {
-		n += c.eng.Churned()
+	for _, ci := range e.owned {
+		n += e.cells[ci].eng.Churned()
 	}
 	return n
 }

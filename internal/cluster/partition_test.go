@@ -393,8 +393,8 @@ func TestApplyHandoversRejectsTrainedBatch(t *testing.T) {
 		}
 	}
 	attached := func() (n int) {
-		for _, c := range ws[1].cells {
-			n += c.migratedIn
+		for _, ci := range ws[1].owned {
+			n += ws[1].cells[ci].migratedIn
 		}
 		return n
 	}

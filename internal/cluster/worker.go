@@ -3,11 +3,14 @@
 // cells, exchanging boundary handovers with its peers through the
 // internal/coord supervisor instead of running the pass on its own.
 //
-// Determinism contract: every partition slot constructs the engine
-// identically (construction draws only touch shared substrate and
-// per-user streams) and attaches only the twins of the cells it owns;
-// the handover pass (handover.go) is the engine's own, split at the
-// point where the moves crossing workers are exchanged.
+// Determinism contract: every partition slot builds only the cells it
+// owns, each exactly as the single-process engine builds it (a cell
+// draws only from the shared substrate and its own derived streams),
+// spawns the whole population from per-user streams and attaches only
+// the twins of its own cells; the handover pass (handover.go) is the
+// engine's own, split at the point where the moves crossing workers
+// are exchanged. Its checkpoint carries sim sections for its own cells
+// only.
 package cluster
 
 import (

@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/sim"
 )
 
 // runPartitioned drives a set of Workers through the full scenario by
@@ -205,5 +208,119 @@ func TestWorkerCheckpointRoundTrip(t *testing.T) {
 	}
 	if got := encode(fresh); !bytes.Equal(got, blob) {
 		t.Fatalf("restored worker re-encodes to different bytes (%d vs %d)", len(got), len(blob))
+	}
+}
+
+// rawSections splits a checkpoint stream into its header and the raw
+// bytes of each section (name, length, payload and CRC), in order.
+func rawSections(t *testing.T, blob []byte) (header []byte, secs [][]byte) {
+	t.Helper()
+	u32 := func(at int) int {
+		if at+4 > len(blob) {
+			t.Fatalf("checkpoint truncated at %d", at)
+		}
+		return int(binary.LittleEndian.Uint32(blob[at:]))
+	}
+	at := 8 + 2 // magic, version
+	at += 4 + u32(at) + 8
+	header = blob[:at]
+	for at < len(blob) {
+		start := at
+		at += 4 + u32(at)
+		at += 4 + u32(at) + 4
+		secs = append(secs, blob[start:at])
+	}
+	return header, secs
+}
+
+// TestWorkerBuildsOnlyOwnedCells: a worker builds an engine for its
+// own cells and for no other; its checkpoint carries sim sections for
+// exactly those cells; and a blob whose sections do not match the
+// slot's owned set — the layout of a build that wrote a section set for
+// every cell, empty ones included, or one missing an owned cell — is
+// refused with ErrCorrupt, never restored.
+func TestWorkerBuildsOnlyOwnedCells(t *testing.T) {
+	cfg := Config{Sim: testSimConfig(5, 1)}
+	d := cfg.Defaulted()
+	const count = 2
+	for index := range count {
+		w, err := NewWorker(cfg, index, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, cs := range w.cells {
+			if (cs != nil) != w.mask[c] {
+				t.Fatalf("worker %d: cell %d built %v, owned %v", index, c, cs != nil, w.mask[c])
+			}
+		}
+		blob := stateBytes(t, w.Engine)
+		header, secs := rawSections(t, blob)
+		if want := 1 + 5*len(w.owned) + 1; len(secs) != want {
+			t.Fatalf("worker %d: blob has %d sections, want %d (cluster, 5 per owned cell, end)", index, len(secs), want)
+		}
+
+		// The layout of a build that constructed every cell: each
+		// un-owned cell's sections are those of a fresh, empty cell.
+		var empty [][]byte
+		for c := range w.cells {
+			if w.mask[c] {
+				continue
+			}
+			server, err := w.sub.NewServer(d.Sim.CacheBytes / int64(d.Sim.NumBS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := sim.NewCell(d.Sim, sim.CellOptions{Substrate: w.sub, Server: server, BS: c, DownBS: w.down})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			cw := checkpoint.NewWriter(&buf, "dtworker", 0)
+			if err := eng.WriteState(cw); err != nil {
+				t.Fatal(err)
+			}
+			if err := cw.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			_, cs := rawSections(t, buf.Bytes())
+			empty = append(empty, cs[:5]...)
+		}
+		legacy := append(append([]byte(nil), header...), secs[0]...)
+		own := secs[1 : len(secs)-1]
+		for c := range w.cells {
+			var cell [][]byte
+			if w.mask[c] {
+				cell, own = own[:5], own[5:]
+			} else {
+				cell, empty = empty[:5], empty[5:]
+			}
+			for _, s := range cell {
+				legacy = append(legacy, s...)
+			}
+		}
+		legacy = append(legacy, secs[len(secs)-1]...)
+
+		short := append([]byte(nil), header...)
+		for _, s := range append(secs[:len(secs)-6:len(secs)-6], secs[len(secs)-1]) {
+			short = append(short, s...)
+		}
+
+		for name, b := range map[string][]byte{"every cell": legacy, "an owned cell missing": short} {
+			fresh, err := NewWorker(cfg, index, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr, err := checkpoint.NewReader(bytes.NewReader(b), "dtworker", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fresh.ReadState(cr)
+			if err == nil {
+				err = cr.Finish()
+			}
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("worker %d, sections for %s: restore = %v, want ErrCorrupt", index, name, err)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/nn"
 	"dtmsvs/internal/vecmath"
 )
@@ -250,6 +251,13 @@ func (c *Compressor) trainOn(x *vecmath.Matrix) (float64, error) {
 type State struct {
 	Encoder *nn.WeightState `json:"encoder"`
 	Decoder *nn.WeightState `json:"decoder"`
+}
+
+// EncodeState appends the encoder's and then the decoder's weights to
+// a checkpoint section, each in the form nn.DecodeWeightState reads.
+func (c *Compressor) EncodeState(e *checkpoint.Enc) {
+	c.encoder.EncodeWeights(e)
+	c.decoder.EncodeWeights(e)
 }
 
 // SaveState captures the trained weights (architecture comes from

@@ -122,8 +122,8 @@ func ceilMillis(d time.Duration) time.Duration {
 const replayMax = 8
 
 // logEntry is one boundary a worker completed without shipping its
-// checkpoint: the step and imports frames that drove it, replayed
-// verbatim into a restarted incarnation.
+// checkpoint: the step and imports frames that drove it, encoded, and
+// replayed verbatim into a restarted incarnation.
 type logEntry struct {
 	seq     int64
 	ph      phase
@@ -154,9 +154,11 @@ type workerHandle struct {
 	stripBelow int
 	t          Transport
 	conn       *conn
-	sendq      chan sendReq // ordered async sends of the live incarnation
-	lastCkpt   []byte       // last shipped checkpoint (resume blob before any)
-	log        []logEntry   // boundaries completed since lastCkpt, oldest first
+	sendq      chan []byte // ordered async frame sends of the live incarnation
+	// lastCkpt is the last shipped checkpoint (the resume blob before
+	// any). It is read-only: a ship replaces the slice, never writes it.
+	lastCkpt []byte
+	log      []logEntry // boundaries completed since lastCkpt, oldest first
 	// replayLo..replayHi are the seqs the live incarnation replays;
 	// its frames for them were delivered by an earlier one.
 	replayLo, replayHi int64
@@ -173,7 +175,7 @@ type workerHandle struct {
 	gotBoundary  bool
 	records      []byte
 	exports      []cluster.Handover
-	importsFrame []byte // this step's routed imports, kept for replay
+	importsFrame []byte // this step's routed imports frame, kept for replay
 	numUsers     int
 	handovers    int
 	churned      int
@@ -192,7 +194,7 @@ type stepState struct {
 	n             int
 	seq           int64
 	ship          bool   // workers ship their checkpoints at this boundary
-	frame         []byte // the step frame's payload
+	frame         []byte // the step frame, encoded
 	importsRouted bool
 }
 
@@ -261,8 +263,9 @@ func New(cfg Config) (*Supervisor, error) {
 }
 
 // SetResume seeds each worker with a boundary checkpoint blob (one
-// per worker, from a previous run's CheckpointBlobs). Must be called
-// before the first step.
+// per worker, from a previous run's CheckpointBlobs). The supervisor
+// keeps the slices and only reads them; the caller must not change
+// them afterwards. Must be called before the first step.
 func (s *Supervisor) SetResume(blobs [][]byte) error {
 	if s.started {
 		return fmt.Errorf("%w: resume after start", ErrProtocol)
@@ -271,7 +274,7 @@ func (s *Supervisor) SetResume(blobs [][]byte) error {
 		return fmt.Errorf("%w: %d resume blobs for %d workers", ErrProtocol, len(blobs), len(s.handles))
 	}
 	for i, b := range blobs {
-		s.handles[i].lastCkpt = append([]byte(nil), b...)
+		s.handles[i].lastCkpt = b
 	}
 	return nil
 }
@@ -298,25 +301,20 @@ func (s *Supervisor) fail(err error) error {
 	return s.err
 }
 
-// sendReq is one queued frame for a worker.
-type sendReq struct {
-	typ     frameType
-	payload []byte
-}
-
-// startSender serializes frames to one worker incarnation through an
+// startSender writes frames to one worker incarnation through an
 // ordered queue, so the supervisor's event loop never blocks on a
 // synchronous pipe (a restarted worker reads its next frame only
 // after reconstructing the engine) and frames cannot reorder. The
 // queue holds the most an incarnation can have outstanding — hello, a
 // full log's step and imports pairs, the in-flight pair, shutdown —
-// so enqueuing never blocks either. Send failures latch the conn and
-// surface through the pump's read error.
-func startSender(c *conn) chan sendReq {
-	ch := make(chan sendReq, 2*replayMax+2)
+// so enqueuing never blocks either. Frames arrive encoded and are
+// written as they stand. Send failures latch the conn and surface
+// through the pump's read error.
+func startSender(c *conn) chan []byte {
+	ch := make(chan []byte, 2*replayMax+2)
 	go func() {
-		for r := range ch {
-			_ = c.send(r.typ, r.payload)
+		for frame := range ch {
+			_ = c.write(frame)
 		}
 	}()
 	return ch
@@ -337,9 +335,11 @@ func (s *Supervisor) pump(idx, inc int, t Transport) {
 		}
 		s.rx.Add(uint64(9 + len(payload)))
 		// A checkpoint is megabytes: hand the read buffer over with the
-		// event instead of copying it, and — once the event is
-		// delivered — read on into a fresh one of the same capacity,
-		// already received, so allocation stays bounded by the stream.
+		// event instead of copying it — the blob in it becomes the
+		// worker's lastCkpt, and what CheckpointBlobs returns, read-only
+		// from here on — and once the event is delivered read on into a
+		// fresh buffer of the same capacity, already received, so
+		// allocation stays bounded by the stream.
 		handOver := typ == fBoundary && shipsCheckpoint(payload)
 		var p []byte
 		switch {
@@ -365,9 +365,10 @@ func shipsCheckpoint(payload []byte) bool {
 	return len(d.Blob()) > 0
 }
 
-// helloPayload builds the hello frame for a worker: config +
-// partition + its remaining faults, plus its resume checkpoint.
-func (s *Supervisor) helloPayload(h *workerHandle) ([]byte, error) {
+// helloFrame builds the hello frame for a worker: config + partition
+// + its remaining faults, plus its resume checkpoint, encoded in one
+// allocation — the blob's one copy on its way to the worker.
+func (s *Supervisor) helloFrame(h *workerHandle) ([]byte, error) {
 	var faults []faultinject.ProcFault
 	for _, f := range s.cfg.Faults {
 		if f.Worker == h.idx && f.Interval >= h.stripBelow && !h.adopted {
@@ -388,9 +389,12 @@ func (s *Supervisor) helloPayload(h *workerHandle) ([]byte, error) {
 		return nil, err
 	}
 	var e checkpoint.Enc
+	e.Grow(5 + 4 + len(jb) + 4 + len(h.lastCkpt) + 4)
+	at := beginFrame(&e, fHello)
 	e.Blob(jb)
 	e.Blob(h.lastCkpt)
-	return append([]byte(nil), e.Bytes()...), nil
+	endFrame(&e, at)
+	return e.Bytes(), nil
 }
 
 // spawn starts a fresh incarnation of h and queues its hello, then —
@@ -400,7 +404,7 @@ func (s *Supervisor) helloPayload(h *workerHandle) ([]byte, error) {
 // acking it without a checkpoint replays it like a logged boundary,
 // since its state must reach this boundary before the next step.
 func (s *Supervisor) spawn(h *workerHandle) error {
-	hello, err := s.helloPayload(h)
+	hello, err := s.helloFrame(h)
 	if err != nil {
 		return err
 	}
@@ -422,7 +426,7 @@ func (s *Supervisor) spawn(h *workerHandle) error {
 	h.lastBeat = time.Now()
 	go s.pump(h.idx, h.inc, t)
 
-	h.sendq <- sendReq{fHello, hello}
+	h.sendq <- hello
 	replay := h.log
 	st := s.step
 	if st != nil && h.gotBoundary && !st.ship {
@@ -434,31 +438,35 @@ func (s *Supervisor) spawn(h *workerHandle) error {
 	}
 	h.replayedC.Add(uint64(len(replay)))
 	for _, e := range replay {
-		h.sendq <- sendReq{fStep, e.step}
-		h.sendq <- sendReq{fImports, e.imports}
+		h.sendq <- e.step
+		h.sendq <- e.imports
 	}
 	if st != nil && !h.gotBoundary {
-		h.sendq <- sendReq{fStep, st.frame}
+		h.sendq <- st.frame
 		if st.importsRouted {
-			h.sendq <- sendReq{fImports, h.importsFrame}
+			h.sendq <- h.importsFrame
 		}
 	}
 	return nil
 }
 
-func stepPayload(ph phase, n int, seq int64, ship bool) []byte {
+func stepFrame(ph phase, n int, seq int64, ship bool) []byte {
 	var e checkpoint.Enc
+	at := beginFrame(&e, fStep)
 	e.U8(uint8(ph))
 	e.I64(int64(n))
 	e.I64(seq)
 	e.Bool(ship)
+	endFrame(&e, at)
 	return e.Bytes()
 }
 
-func importsPayload(seq int64, hs []cluster.Handover) []byte {
+func importsFrame(seq int64, hs []cluster.Handover) []byte {
 	var e checkpoint.Enc
+	at := beginFrame(&e, fImports)
 	e.I64(seq)
 	appendHandovers(&e, hs)
+	endFrame(&e, at)
 	return e.Bytes()
 }
 
@@ -552,7 +560,7 @@ func (s *Supervisor) runStep(ctx context.Context, ph phase, n int) error {
 	for _, h := range s.handles {
 		ship = ship || len(h.log) >= replayMax-1
 	}
-	st := &stepState{ph: ph, n: n, seq: s.seq, ship: ship, frame: stepPayload(ph, n, s.seq, ship)}
+	st := &stepState{ph: ph, n: n, seq: s.seq, ship: ship, frame: stepFrame(ph, n, s.seq, ship)}
 	s.step = st
 	defer func() { s.step = nil }()
 	now := time.Now()
@@ -567,7 +575,7 @@ func (s *Supervisor) runStep(ctx context.Context, ph phase, n int) error {
 		h.stepStart = h.stage.Start()
 	}
 	for _, h := range s.handles {
-		h.sendq <- sendReq{fStep, st.frame}
+		h.sendq <- st.frame
 	}
 	if err := s.gather(ctx); err != nil {
 		return err
@@ -666,8 +674,8 @@ func (s *Supervisor) routeImports() error {
 	}
 	s.step.importsRouted = true
 	for i, h := range s.handles {
-		h.importsFrame = importsPayload(s.step.seq, imports[i])
-		h.sendq <- sendReq{fImports, h.importsFrame}
+		h.importsFrame = importsFrame(s.step.seq, imports[i])
+		h.sendq <- h.importsFrame
 	}
 	return nil
 }
@@ -807,14 +815,16 @@ func (s *Supervisor) StepInterval(ctx context.Context, n int) ([]cluster.Record,
 }
 
 // CheckpointBlobs runs a checkpoint-only boundary and returns one
-// fresh state blob per worker — the resume payload for SetResume.
+// fresh state blob per worker — the resume payload for SetResume. The
+// blobs are the supervisor's own, shared read-only: neither side may
+// change them, and they stay valid after later boundaries.
 func (s *Supervisor) CheckpointBlobs(ctx context.Context) ([][]byte, error) {
 	if err := s.runStep(ctx, phaseCkpt, -1); err != nil {
 		return nil, err
 	}
 	blobs := make([][]byte, len(s.handles))
 	for i, h := range s.handles {
-		blobs[i] = append([]byte(nil), h.lastCkpt...)
+		blobs[i] = h.lastCkpt
 	}
 	return blobs, nil
 }
@@ -885,7 +895,7 @@ func (s *Supervisor) Close() error {
 	s.closed = true
 	for _, h := range s.handles {
 		if h.sendq != nil {
-			h.sendq <- sendReq{fShutdown, nil}
+			h.sendq <- encodeFrame(fShutdown, nil)
 			close(h.sendq)
 			h.sendq = nil
 		}

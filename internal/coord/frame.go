@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/obs"
 )
 
@@ -101,15 +102,51 @@ func (p phase) String() string {
 	return "unknown"
 }
 
-// appendFrame appends one encoded frame — [u32 len][type+payload]
-// [u32 crc] — to dst. The CRC covers the type byte and payload.
-func appendFrame(dst []byte, typ frameType, payload []byte) []byte {
-	n := 1 + len(payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	body := len(dst)
-	dst = append(dst, byte(typ))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[body:]))
+// A frame is [u32 len][type+payload][u32 crc]; the CRC covers the
+// type byte and payload. Frames are encoded whole into one buffer —
+// beginFrame, the payload appended in place, endFrame — so a payload
+// that is itself a stream (a worker checkpoint, a records stream) is
+// written straight into its frame and never copied in.
+
+// beginFrame starts a frame at the end of e: a length placeholder and
+// the type byte. It returns the frame's offset for endFrame.
+func beginFrame(e *checkpoint.Enc, typ frameType) int {
+	at := beginBlob(e)
+	e.U8(uint8(typ))
+	return at
+}
+
+// endFrame closes the frame begun at offset at: it patches the length
+// and appends the CRC.
+func endFrame(e *checkpoint.Enc, at int) {
+	endBlob(e, at)
+	e.U32(crc32.ChecksumIEEE(e.Bytes()[at+4:]))
+}
+
+// beginBlob starts a length-prefixed blob at the end of e, for a
+// stream to write in place (an Enc is an io.Writer); it returns the
+// prefix offset for endBlob.
+func beginBlob(e *checkpoint.Enc) int {
+	at := len(e.Bytes())
+	e.U32(0)
+	return at
+}
+
+// endBlob patches the prefix at offset at to the length of what
+// follows it.
+func endBlob(e *checkpoint.Enc, at int) {
+	b := e.Bytes()
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+}
+
+// encodeFrame returns one whole frame of typ around payload, in its
+// own buffer: the form a frame is queued and logged in.
+func encodeFrame(typ frameType, payload []byte) []byte {
+	var e checkpoint.Enc
+	at := beginFrame(&e, typ)
+	e.Write(payload)
+	endFrame(&e, at)
+	return e.Bytes()
 }
 
 // ReadFrame reads one frame from br, reusing buf for the payload. It
@@ -132,27 +169,19 @@ func ReadFrame(br *bufio.Reader, buf []byte) (frameType, []byte, []byte, error) 
 	if n < 1 || n > maxFramePayload {
 		return 0, nil, buf, fmt.Errorf("frame length %d: %w", n, ErrFrame)
 	}
-	// Read the body in bounded chunks, growing the buffer only as
-	// bytes actually arrive: a torn stream whose length prefix claims
-	// a huge frame must not allocate the claim up front.
+	// Read the body into the room the buffer already has, growing it
+	// only when full — by doubling, from one chunk — so a torn stream
+	// whose length prefix claims a huge frame never allocates the claim,
+	// while a frame that fits the reused buffer is read in one call,
+	// mostly straight from the stream rather than through br's buffer.
 	const chunk = 1 << 16
 	for read := 0; read < n; {
-		end := read + chunk
-		if end > n {
-			end = n
-		}
-		if cap(buf) < end {
-			grow := 2 * cap(buf)
-			if grow < end {
-				grow = end
-			}
-			if grow > n {
-				grow = n
-			}
-			nb := make([]byte, grow)
+		if read == cap(buf) {
+			nb := make([]byte, min(n, max(2*cap(buf), read+chunk)))
 			copy(nb, buf[:read])
 			buf = nb
 		}
+		end := min(n, cap(buf))
 		if _, err := io.ReadFull(br, buf[read:end]); err != nil {
 			return 0, nil, buf, fmt.Errorf("frame body: %w", ErrFrame)
 		}
@@ -169,32 +198,47 @@ func ReadFrame(br *bufio.Reader, buf []byte) (frameType, []byte, []byte, error) 
 }
 
 // conn serializes frame writes to one pipe. Both worker (main loop +
-// heartbeat goroutine) and supervisor (step loop) funnel through it;
-// each frame reaches the pipe as a single Write.
+// heartbeat goroutine) and supervisor (sender goroutine) funnel
+// through it; each frame reaches the pipe as a single Write.
 type conn struct {
 	mu  sync.Mutex
 	w   io.Writer
-	buf []byte
-	tx  *obs.Counter // frame bytes written; nil-safe
+	out checkpoint.Enc // send's frame buffer
+	tx  *obs.Counter   // frame bytes written; nil-safe
 	err error
 }
 
 func newConn(w io.Writer, tx *obs.Counter) *conn { return &conn{w: w, tx: tx} }
 
-// send writes one frame. A failed write latches the conn so the
-// heartbeat goroutine stops hammering a torn pipe.
+// send encodes and writes one frame.
 func (c *conn) send(typ frameType, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.out.Reset()
+	at := beginFrame(&c.out, typ)
+	c.out.Write(payload)
+	endFrame(&c.out, at)
+	return c.writeLocked(c.out.Bytes())
+}
+
+// write writes one whole, already encoded frame.
+func (c *conn) write(frame []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writeLocked(frame)
+}
+
+// writeLocked writes frame under c.mu. A failed write latches the
+// conn so the heartbeat goroutine stops hammering a torn pipe.
+func (c *conn) writeLocked(frame []byte) error {
 	if c.err != nil {
 		return c.err
 	}
-	c.buf = appendFrame(c.buf[:0], typ, payload)
-	if _, err := c.w.Write(c.buf); err != nil {
+	if _, err := c.w.Write(frame); err != nil {
 		c.err = err
 		return err
 	}
-	c.tx.Add(uint64(len(c.buf)))
+	c.tx.Add(uint64(len(frame)))
 	return nil
 }
 
@@ -202,19 +246,9 @@ func (c *conn) send(typ frameType, payload []byte) error {
 // CRC) — the ProcGarbage fault. The conn is NOT latched: the fault
 // model is a worker emitting damage, not a dead pipe.
 func (c *conn) sendGarbage() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	c.buf = appendFrame(c.buf[:0], fHeartbeat, []byte("garbage"))
-	c.buf[len(c.buf)-1] ^= 0xFF // break the checksum
-	if _, err := c.w.Write(c.buf); err != nil {
-		c.err = err
-		return err
-	}
-	c.tx.Add(uint64(len(c.buf)))
-	return nil
+	frame := encodeFrame(fHeartbeat, []byte("garbage"))
+	frame[len(frame)-1] ^= 0xFF // break the checksum
+	return c.write(frame)
 }
 
 // hold grabs the write mutex for d — the ProcHang fault. Heartbeats

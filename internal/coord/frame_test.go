@@ -9,6 +9,11 @@ import (
 	"testing"
 )
 
+// appendFrame appends one encoded frame to dst.
+func appendFrame(dst []byte, typ frameType, payload []byte) []byte {
+	return append(dst, encodeFrame(typ, payload)...)
+}
+
 // TestFrameRoundTrip: every frame type survives encode→decode, with
 // buffer reuse across frames.
 func TestFrameRoundTrip(t *testing.T) {

@@ -30,11 +30,11 @@ func helloSeed(t testing.TB, resume []byte) []byte {
 			t.Fatal(err)
 		}
 	}
-	p, err := s.helloPayload(s.handles[0])
+	f, err := s.helloFrame(s.handles[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return f[5 : len(f)-4]
 }
 
 // helloWith re-encodes a hello payload around a hand-edited header.

@@ -282,12 +282,13 @@ type workerSession struct {
 	buf   []byte
 	fp    uint64
 	hello helloMsg
-	enc   checkpoint.Enc
-	// ckpt holds the boundary checkpoint between encode and send, and
-	// ckptw encodes it; both are kept across boundaries so the blob and
-	// the writer's section buffer are sized once. conn.send copies the
-	// frame out before returning.
-	ckpt  bytes.Buffer
+	// out holds each frame the step loop sends, encoded whole, and
+	// conn writes it as it stands: ckptw encodes a boundary's
+	// checkpoint into it section by section, and an interval's records
+	// stream is written into it too, so neither is built apart and
+	// copied in. It is the worker's one frame buffer, kept across
+	// boundaries and so sized once.
+	out   checkpoint.Enc
 	ckptw checkpoint.Writer
 	kill  func()
 }
@@ -344,10 +345,13 @@ func (ws *workerSession) handleStep(payload []byte) error {
 			exports = append(exports, h)
 		}
 	}
-	ws.enc.Reset()
-	ws.enc.I64(seq)
-	appendHandovers(&ws.enc, exports)
-	if err := ws.c.send(fExports, ws.enc.Bytes()); err != nil {
+	out := &ws.out
+	out.Reset()
+	at := beginFrame(out, fExports)
+	out.I64(seq)
+	appendHandovers(out, exports)
+	endFrame(out, at)
+	if err := ws.c.write(out.Bytes()); err != nil {
 		return err
 	}
 
@@ -363,12 +367,27 @@ func (ws *workerSession) handleStep(payload []byte) error {
 		return fmt.Errorf("%d imports at a %s boundary: %w", len(imports), ph, ErrProtocol)
 	}
 
-	var ckpt []byte
+	// The boundary frame: counters, then the checkpoint (empty unless
+	// shipped), encoded in place.
+	out.Reset()
+	at = beginFrame(out, fBoundary)
+	out.I64(seq)
+	out.I64(int64(ws.wk.NumUsers()))
+	out.I64(int64(ws.wk.Handovers()))
+	out.I64(int64(ws.wk.Churned()))
+	blob := beginBlob(out)
 	if ship {
-		if ckpt, err = ws.encodeCheckpoint(); err != nil {
+		cw := &ws.ckptw
+		cw.Reset(out, WorkerKind, ws.fp)
+		err = ws.wk.WriteState(cw)
+		if ferr := cw.Finish(); err == nil {
+			err = ferr
+		}
+		if err != nil {
 			return sendErrf(ws.c, "worker %d checkpoint: %v", ws.hello.Index, err)
 		}
 	}
+	endBlob(out, blob)
 	// Stats ride the final interval's boundary — and every
 	// checkpoint-only boundary, so a supervisor restoring into an
 	// already-finished run can still assemble the trace summary.
@@ -379,14 +398,9 @@ func (ws *workerSession) handleStep(payload []byte) error {
 			return sendErrf(ws.c, "worker %d stats: %v", ws.hello.Index, err)
 		}
 	}
-	ws.enc.Reset()
-	ws.enc.I64(seq)
-	ws.enc.I64(int64(ws.wk.NumUsers()))
-	ws.enc.I64(int64(ws.wk.Handovers()))
-	ws.enc.I64(int64(ws.wk.Churned()))
-	ws.enc.Blob(ckpt)
-	ws.enc.Blob(stats)
-	return ws.c.send(fBoundary, ws.enc.Bytes())
+	out.Blob(stats)
+	endFrame(out, at)
+	return ws.c.write(out.Bytes())
 }
 
 // injectFaults fires any scheduled process fault for interval n.
@@ -415,8 +429,12 @@ func (ws *workerSession) injectFaults(n int) {
 // sendRecords ships one interval's records in the records frame, as a
 // whole columnar trace stream, which the supervisor decodes.
 func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
-	var stream bytes.Buffer
-	bw, err := tracebin.NewWriter(&stream, tracebin.WriterOptions{})
+	out := &ws.out
+	out.Reset()
+	at := beginFrame(out, fRecords)
+	out.I64(seq)
+	blob := beginBlob(out)
+	bw, err := tracebin.NewWriter(out, tracebin.WriterOptions{})
 	if err != nil {
 		return err
 	}
@@ -426,10 +444,9 @@ func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
 	if err := bw.Close(); err != nil {
 		return err
 	}
-	ws.enc.Reset()
-	ws.enc.I64(seq)
-	ws.enc.Blob(stream.Bytes())
-	return ws.c.send(fRecords, ws.enc.Bytes())
+	endBlob(out, blob)
+	endFrame(out, at)
+	return ws.c.write(out.Bytes())
 }
 
 // awaitImports blocks on the routed twin batch for seq. Shutdown
@@ -463,21 +480,4 @@ func (ws *workerSession) awaitImports(seq int64) ([]cluster.Handover, error) {
 			return nil, fmt.Errorf("frame %d while awaiting imports: %w", typ, ErrProtocol)
 		}
 	}
-}
-
-// encodeCheckpoint captures the worker's boundary state as a
-// self-contained checkpoint blob, valid until the next call. This and
-// the restore in RunWorkerOpts are the only places a worker checkpoint
-// is written or read.
-func (ws *workerSession) encodeCheckpoint() ([]byte, error) {
-	ws.ckpt.Reset()
-	cw := &ws.ckptw
-	cw.Reset(&ws.ckpt, WorkerKind, ws.fp)
-	if err := ws.wk.WriteState(cw); err != nil {
-		return nil, err
-	}
-	if err := cw.Finish(); err != nil {
-		return nil, err
-	}
-	return ws.ckpt.Bytes(), nil
 }

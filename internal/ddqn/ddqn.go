@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/nn"
 	"dtmsvs/internal/vecmath"
 )
@@ -440,6 +441,10 @@ func (a *Agent) Learn() (loss float64, learned bool, err error) {
 	}
 	return total / float64(len(a.batch)), true, nil
 }
+
+// EncodeState appends the online network's weights to a checkpoint
+// section, in the form nn.DecodeWeightState reads and LoadState takes.
+func (a *Agent) EncodeState(e *checkpoint.Enc) { a.online.net.EncodeWeights(e) }
 
 // SaveState captures the online network's weights (the target
 // network is re-synchronized on load).

@@ -10,6 +10,7 @@ package grouping
 import (
 	"fmt"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/cnn"
 	"dtmsvs/internal/nn"
 )
@@ -31,6 +32,17 @@ func (b *Builder) SaveState() *State {
 		st.Compressor = b.compressor.SaveState()
 	}
 	return st
+}
+
+// EncodeState appends the builder's trained weights to a checkpoint
+// section straight from the live networks: whether a compressor is
+// present, its encoder and decoder weights if so, then the agent's.
+func (b *Builder) EncodeState(e *checkpoint.Enc) {
+	e.Bool(b.compressor != nil)
+	if b.compressor != nil {
+		b.compressor.EncodeState(e)
+	}
+	b.agent.EncodeState(e)
 }
 
 // LoadState restores weights saved from a builder with the same

@@ -332,7 +332,13 @@ func Silhouette(points []vecmath.Vec, assign []int, k int) (float64, error) {
 // from O(n²·d) into O(n²) lookups with bit-identical results.
 type DistMatrix struct {
 	N int
-	D []float64 // row-major n×n, D[i*N+j] = dist(points[i], points[j])
+	// Rows[i][j] = dist(points[i], points[j]). Each row is an allocation
+	// of its own: the whole n×n block (32 MB at 2000 codes) would land on
+	// the heap in one step, far past the collector's trigger, and the
+	// cycle it starts would find whatever died just before it still
+	// uncollected. Row by row, the collector keeps pace as the matrix
+	// fills, and peak memory does not depend on when it last ran.
+	Rows [][]float64
 
 	// Silhouette scratch, grown by the first SilhouetteDists call and
 	// reused by the many a DDQN training run makes against one matrix,
@@ -349,7 +355,7 @@ type DistMatrix struct {
 }
 
 // At returns the distance between points i and j.
-func (m *DistMatrix) At(i, j int) float64 { return m.D[i*m.N+j] }
+func (m *DistMatrix) At(i, j int) float64 { return m.Rows[i][j] }
 
 // PairDistances computes the full distance matrix, fanning rows across
 // the pool (nil = sequential; identical output either way).
@@ -364,10 +370,11 @@ func PairDistances(points []vecmath.Vec, pool *parallel.Pool) (*DistMatrix, erro
 			return nil, fmt.Errorf("pair distances point %d dim %d want %d: %w", i, len(p), dim, ErrInput)
 		}
 	}
-	m := &DistMatrix{N: n, D: make([]float64, n*n)}
+	m := &DistMatrix{N: n, Rows: make([][]float64, n)}
 	fill := func(i int) error {
 		p := points[i]
-		row := m.D[i*n : (i+1)*n]
+		row := make([]float64, n)
+		m.Rows[i] = row
 		// Four columns per pass through the multi-chain kernel; each
 		// distance keeps its own ascending-dimension chain, so every
 		// entry is bit-identical to the one-pair scan.
@@ -477,7 +484,7 @@ func (m *DistMatrix) silhouetteQuad(q int, assign []int, k int) {
 	var own [4]int
 	for r := range rows {
 		i := min(4*q+r, n-1)
-		rows[r] = m.D[i*n : (i+1)*n]
+		rows[r] = m.Rows[i]
 		own[r] = assign[i]
 	}
 	// Equal lengths let one bounds check per member cover all four rows.

@@ -85,3 +85,34 @@ func TestSilhouetteDistsAllocFree(t *testing.T) {
 		t.Fatalf("SilhouetteDists allocates %v per call", n)
 	}
 }
+
+// TestPairDistancesRows holds the matrix to the one-pair distance,
+// pooled or not, and each row to an allocation of exactly n: rows cut
+// from one n×n block would have room past their end (every row but the
+// last), and that block is what the row layout keeps off the heap.
+func TestPairDistancesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	for _, n := range []int{1, 5, 257} {
+		points := randPoints(n, 6, rng)
+		for _, pool := range []*parallel.Pool{nil, parallel.New(2)} {
+			dists, err := PairDistances(points, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dists.N != n || len(dists.Rows) != n {
+				t.Fatalf("n=%d: matrix %d with %d rows", n, dists.N, len(dists.Rows))
+			}
+			for i, row := range dists.Rows {
+				if len(row) != n || cap(row) != n {
+					t.Fatalf("n=%d row %d: len %d cap %d", n, i, len(row), cap(row))
+				}
+				for j := range row {
+					want := math.Sqrt(vecmath.SqDistUnchecked(points[i], points[j]))
+					if math.Float64bits(dists.At(i, j)) != math.Float64bits(want) {
+						t.Fatalf("n=%d D[%d,%d] = %v, want %v", n, i, j, dists.At(i, j), want)
+					}
+				}
+			}
+		}
+	}
+}

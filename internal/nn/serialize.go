@@ -48,14 +48,16 @@ func (n *Network) LoadWeights(state *WeightState) error {
 	return nil
 }
 
-// Encode appends the weight state to a checkpoint section: tensor
-// count, then each tensor as a length-prefixed float64 slice. Float
-// bits round-trip exactly, so encode/decode preserves weights
-// bitwise.
-func (s *WeightState) Encode(e *checkpoint.Enc) {
-	e.U32(uint32(len(s.Params)))
-	for _, p := range s.Params {
-		e.F64s(p)
+// EncodeWeights appends the network's parameters to a checkpoint
+// section in the form DecodeWeightState reads: tensor count, then each
+// tensor as a length-prefixed float64 slice, straight from the live
+// tensors (no SaveWeights copy). Float bits round-trip
+// exactly, so encode/decode preserves weights bitwise.
+func (n *Network) EncodeWeights(e *checkpoint.Enc) {
+	params := n.Params()
+	e.U32(uint32(len(params)))
+	for _, p := range params {
+		e.F64s(p.W)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestLoadWeightsValidation(t *testing.T) {
 func TestWeightStateEncodeRoundTrip(t *testing.T) {
 	net := buildNet(t, 5)
 	var e checkpoint.Enc
-	net.SaveWeights().Encode(&e)
+	net.EncodeWeights(&e)
 	d := checkpoint.NewDec(e.Bytes())
 	back := DecodeWeightState(d)
 	if err := d.Close(); err != nil {
@@ -110,7 +110,7 @@ func TestWeightStateEncodeRoundTrip(t *testing.T) {
 // decoder error, never a panic.
 func TestDecodeWeightStateError(t *testing.T) {
 	var e checkpoint.Enc
-	buildNet(t, 7).SaveWeights().Encode(&e)
+	buildNet(t, 7).EncodeWeights(&e)
 	d := checkpoint.NewDec(e.Bytes()[:len(e.Bytes())-3])
 	DecodeWeightState(d)
 	if d.Err() == nil {

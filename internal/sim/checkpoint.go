@@ -211,15 +211,7 @@ func (s *Simulation) decodeEngine(d *checkpoint.Dec) error {
 	return nil
 }
 
-func (s *Simulation) encodeBuilder(e *checkpoint.Enc) {
-	st := s.builder.SaveState()
-	e.Bool(st.Compressor != nil)
-	if st.Compressor != nil {
-		st.Compressor.Encoder.Encode(e)
-		st.Compressor.Decoder.Encode(e)
-	}
-	st.Agent.Encode(e)
-}
+func (s *Simulation) encodeBuilder(e *checkpoint.Enc) { s.builder.EncodeState(e) }
 
 func (s *Simulation) decodeBuilder(d *checkpoint.Dec) error {
 	st := &grouping.State{}

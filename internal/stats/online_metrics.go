@@ -7,7 +7,8 @@ import (
 )
 
 // ErrMetric indicates an accuracy that is undefined over the samples
-// folded so far (none, or none with a nonzero actual).
+// folded so far: none at all, none with a nonzero actual (MAPE), or a
+// nonzero prediction against zero actual volume (volume accuracy).
 var ErrMetric = errors.New("stats: invalid metric input")
 
 // OnlineMAPE folds the paper's prediction-accuracy metric (1 − MAPE,
@@ -55,13 +56,19 @@ func (o *OnlineVolume) Add(pred, actual float64) {
 	o.n++
 }
 
-// Accuracy returns the running volume accuracy. It fails with
-// ErrMetric on an empty or all-zero series.
+// Accuracy returns the running volume accuracy. A series with zero
+// actual volume that was also predicted exactly zero — a run that
+// transcodes nothing and was forecast to — is exact, 1. It fails with
+// ErrMetric on an empty series, and on a nonzero prediction against
+// zero actual volume, which no ratio scores.
 func (o *OnlineVolume) Accuracy() (float64, error) {
 	if o.n == 0 {
 		return 0, fmt.Errorf("online volume accuracy over 0 samples: %w", ErrMetric)
 	}
 	if o.actSum == 0 {
+		if o.errSum == 0 {
+			return 1, nil
+		}
 		return 0, fmt.Errorf("online volume accuracy: zero actual volume: %w", ErrMetric)
 	}
 	return clamp01(1 - o.errSum/o.actSum), nil

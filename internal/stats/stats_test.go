@@ -417,6 +417,23 @@ func TestOnlineVolume(t *testing.T) {
 	}
 }
 
+// TestOnlineVolumeZeroVolume: zero actual volume predicted exactly
+// zero is a perfect forecast, however many samples; any nonzero
+// prediction against it stays undefined.
+func TestOnlineVolumeZeroVolume(t *testing.T) {
+	var o OnlineVolume
+	for range 3 {
+		o.Add(0, 0)
+	}
+	if acc, err := o.Accuracy(); err != nil || acc != 1 {
+		t.Fatalf("all-zero series: accuracy %v (%v), want exactly 1", acc, err)
+	}
+	o.Add(1e-9, 0)
+	if _, err := o.Accuracy(); !errors.Is(err, ErrMetric) {
+		t.Fatalf("nonzero prediction of zero volume: want ErrMetric, got %v", err)
+	}
+}
+
 func TestTailMean(t *testing.T) {
 	if !math.IsNaN(TailMean(nil, 0.2)) {
 		t.Fatal("empty tail mean must be NaN")

@@ -415,3 +415,43 @@ func TestAccuracyTrackerEmpty(t *testing.T) {
 		t.Fatal("RadioAccuracy after empty report: want error")
 	}
 }
+
+// TestZeroTranscodeRunIsExact: the dense deployment `dtsim -users 2000
+// -bs 8 -intervals 4` streams every group at the top rung, so it
+// transcodes nothing and forecasts nothing to transcode. Its compute
+// accuracy is exact through the online tracker dtsim's summary folds
+// and through the trace method alike — not an undefined metric that
+// failed the run after its trace was written.
+func TestZeroTranscodeRunIsExact(t *testing.T) {
+	cfg := DefaultConfig(42)
+	cfg.NumUsers = 2000
+	cfg.NumBS = 8
+	cfg.NumIntervals = 4
+	cfg.Grouping.UseCNN = true
+	var acc AccuracyTracker
+	s, err := Open(cfg, WithObserver(acc.Observe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for !s.Done() {
+		if _, err := s.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := s.Trace()
+	for _, r := range tr.Records {
+		if r.ActualCycles != 0 || r.PredictedCycles != 0 {
+			t.Fatalf("interval %d group %d: %v cycles predicted, %v actual; the deployment no longer runs transcode-free",
+				r.Interval, r.GroupID, r.PredictedCycles, r.ActualCycles)
+		}
+	}
+	for name, score := range map[string]func() (float64, error){
+		"tracker": acc.ComputeAccuracy,
+		"trace":   tr.ComputeAccuracy,
+	} {
+		if got, err := score(); err != nil || got != 1 {
+			t.Fatalf("%s compute accuracy %v (%v), want exactly 1", name, got, err)
+		}
+	}
+}
