@@ -664,9 +664,10 @@ func BenchmarkStepInstrumented(b *testing.B) {
 // 4000 users × 8 cells, default tick rate — with learning cut to the
 // minimum, and steps it until every twin ring has wrapped, so a
 // checkpoint taken from it has the steady-state size.
-func benchCheckpointSession(b *testing.B) (*ClusterSession, ClusterConfig) {
+func benchCheckpointSession(b *testing.B, parallelism int) (*ClusterSession, ClusterConfig) {
 	b.Helper()
 	cfg := ClusterConfig{Sim: DefaultConfig(42)}
+	cfg.Sim.Parallelism = parallelism
 	cfg.Sim.NumUsers = 4000
 	cfg.Sim.NumBS = 8
 	cfg.Sim.NumIntervals = 6
@@ -687,9 +688,17 @@ func benchCheckpointSession(b *testing.B) (*ClusterSession, ClusterConfig) {
 }
 
 // BenchmarkCheckpointEncode measures one whole-session Checkpoint of
-// the 4000 × 8 cluster; MB/s is over the encoded stream.
-func BenchmarkCheckpointEncode(b *testing.B) {
-	s, _ := benchCheckpointSession(b)
+// the 4000 × 8 cluster, its cells encoded on every core; MB/s is over
+// the encoded stream.
+func BenchmarkCheckpointEncode(b *testing.B) { benchCheckpointEncode(b, 0) }
+
+// BenchmarkCheckpointEncodeSerial is BenchmarkCheckpointEncode on a
+// one-worker pool: the cells encode one after another, so the pair
+// shows what the concurrent encode buys and what it costs on one core.
+func BenchmarkCheckpointEncodeSerial(b *testing.B) { benchCheckpointEncode(b, 1) }
+
+func benchCheckpointEncode(b *testing.B, parallelism int) {
+	s, _ := benchCheckpointSession(b, parallelism)
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil { // size the buffer outside the timer
 		b.Fatal(err)
@@ -709,7 +718,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 // BenchmarkCheckpointDecode measures ResumeCluster from that
 // checkpoint: the constructor replay plus the decode.
 func BenchmarkCheckpointDecode(b *testing.B) {
-	s, cfg := benchCheckpointSession(b)
+	s, cfg := benchCheckpointSession(b, 0)
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
 		b.Fatal(err)

@@ -679,6 +679,124 @@ func TestCheckpointKeepsItsBuffer(t *testing.T) {
 	}
 }
 
+// TestClusterCheckpointBytesAcrossParallelism: a cluster session
+// encodes its cells concurrently, each into its own buffer, and writes
+// them in id order (a distributed worker frames its cells in place),
+// so the pool's width and the shard layout never reach the bytes. The
+// checkpoint at every boundary of a churning, migrating run — a
+// cluster session and a two-worker distributed one — is the same at
+// Parallelism 1, 4 and 8 and at one shard or one per station. A header
+// fingerprints the whole configuration, Parallelism and Shards
+// included, so the comparison cuts every header off: the stream's, and
+// in a distributed checkpoint each worker blob's.
+func TestClusterCheckpointBytesAcrossParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(ClusterConfig) (Session, error)
+		body func(*testing.T, []byte) []byte
+	}{
+		{"cluster", func(cfg ClusterConfig) (Session, error) { return OpenCluster(cfg) },
+			func(t *testing.T, b []byte) []byte {
+				header, _ := splitCheckpoint(t, b)
+				return b[len(header):]
+			}},
+		{"distributed", func(cfg ClusterConfig) (Session, error) { return OpenDistributed(cfg, 2) },
+			func(t *testing.T, b []byte) []byte {
+				_, secs, blobs := distributedWorkerBlobs(t, b, 2)
+				body := bytes.Join(secs[:2], nil)
+				for _, blob := range blobs {
+					_, ws := splitCheckpoint(t, blob)
+					body = append(body, bytes.Join(ws, nil)...)
+				}
+				return append(body, secs[len(secs)-1]...)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var base [][]byte
+			for _, workers := range []int{1, 4, 8} {
+				for _, shards := range []int{1, 4} { // 4 == NumBS
+					s, err := tc.open(clusterTestConfig(7, workers, shards))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var ckpts [][]byte
+					for {
+						var buf bytes.Buffer
+						if err := s.Checkpoint(&buf); err != nil {
+							t.Fatal(err)
+						}
+						ckpts = append(ckpts, tc.body(t, buf.Bytes()))
+						if s.Done() {
+							break
+						}
+						if _, err := s.Step(context.Background()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := s.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if base == nil {
+						base = ckpts
+						continue
+					}
+					if len(ckpts) != len(base) {
+						t.Fatalf("workers %d shards %d: %d boundaries, want %d", workers, shards, len(ckpts), len(base))
+					}
+					for i := range ckpts {
+						if !bytes.Equal(ckpts[i], base[i]) {
+							t.Fatalf("workers %d shards %d: checkpoint at boundary %d differs from Parallelism 1, one shard", workers, shards, i)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFirstClusterCheckpointAllocation: the cells of a session's first
+// cluster checkpoint grow their kept encoders from empty, and the
+// users section reserves its room after the first twin, so that
+// checkpoint allocates at most 1.5× its own bytes. Growing each
+// encoder a quarter at a time through its twins put it near 5×.
+func TestFirstClusterCheckpointAllocation(t *testing.T) {
+	if raceEnabled {
+		// Instrumented, slices.Grow heap-allocates the slice it appends,
+		// so each reserve costs twice its room (2.3× here).
+		t.Skip("allocation under the race detector is not the program's")
+	}
+	cfg := DefaultConfig(42)
+	cfg.NumUsers = 1000
+	cfg.NumIntervals = 2
+	cfg.CompressorEpochs = 2
+	cfg.AgentEpisodes = 6
+	s, err := OpenCluster(ClusterConfig{Sim: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for !s.Done() {
+		if _, err := s.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ckpt bytes.Buffer
+	ckpt.Grow(4 << 20) // the destination's growth is the caller's, not the checkpoint's
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	ratio := float64(alloc) / float64(ckpt.Len())
+	t.Logf("first checkpoint of %d B allocated %d B (%.2f×)", ckpt.Len(), alloc, ratio)
+	if ratio > 1.5 {
+		t.Fatalf("first checkpoint of %d B allocated %d B (%.2f×, bound 1.5×)", ckpt.Len(), alloc, ratio)
+	}
+}
+
 // TestResumeBuildsEachTwinOnce: ResumeCluster decodes twins into the
 // population OpenCluster built, so a churn-free resume allocates about
 // what the open does. Building every twin a second time, by replaying

@@ -404,6 +404,15 @@ func (w *Writer) Reset(dst io.Writer, kind string, fingerprint uint64) {
 	w.write(hdr.Bytes())
 }
 
+// NewSectionWriter returns a Writer without a header that frames
+// sections straight into dst, after the bytes dst already holds, as
+// Section does whenever its destination is an *Enc. Its sections are
+// a fragment of some stream: a caller encodes a part of the state
+// apart — concurrently with the other parts, into a buffer it keeps —
+// and hands dst's bytes to the stream's Writer through WriteSections.
+// Finish would append an end marker to the fragment; do not call it.
+func NewSectionWriter(dst *Enc) *Writer { return &Writer{w: dst} }
+
 func (w *Writer) write(b []byte) {
 	if w.err != nil {
 		return
@@ -477,6 +486,20 @@ func (w *Writer) BlobSection(name string, b []byte) error {
 	frame.Reset()
 	frame.U32(sum)
 	w.write(frame.Bytes())
+	return w.err
+}
+
+// InPlace reports whether the writer builds its sections straight into
+// its destination, an *Enc, rather than in its own section buffer.
+func (w *Writer) InPlace() bool {
+	_, ok := w.w.(*Enc)
+	return ok
+}
+
+// WriteSections writes sections a NewSectionWriter already framed,
+// verbatim, and latches a write error as every other call does.
+func (w *Writer) WriteSections(framed []byte) error {
+	w.write(framed)
 	return w.err
 }
 

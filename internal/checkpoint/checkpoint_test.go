@@ -555,3 +555,45 @@ func TestWriterIntoEnc(t *testing.T) {
 		t.Fatalf("blob section over the limit: %v", err)
 	}
 }
+
+// TestSectionWriterFragments: sections framed apart, each part by a
+// NewSectionWriter into its own encoder, then written in order with
+// WriteSections, make the stream one Writer writes directly; a
+// fragment carries no header and no end marker, a section writer
+// builds in place, and WriteSections latches a write error as Section
+// does.
+func TestSectionWriterFragments(t *testing.T) {
+	want := writeStream(t)
+	var alpha, beta Enc
+	if err := NewSectionWriter(&alpha).Section("alpha", func(e *Enc) { e.Int(42); e.String("hello") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSectionWriter(&beta).Section("beta", func(e *Enc) { e.F64s([]float64{1, 2, 3}) }); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, "sim", 0xDEADBEEF)
+	if w.InPlace() || !NewSectionWriter(&alpha).InPlace() {
+		t.Fatal("InPlace wrong: only a writer into an Enc builds in place")
+	}
+	for _, frag := range []*Enc{&alpha, &beta} {
+		if err := w.WriteSections(frag.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("stream of fragments differs from the stream written directly")
+	}
+
+	w = NewWriter(io.Discard, "sim", 1)
+	w.w = failingWriter{} // the header went out; the disk fills now
+	if err := w.WriteSections(alpha.Bytes()); err == nil {
+		t.Fatal("write error not reported")
+	}
+	if err := w.Section("beta", func(*Enc) {}); err == nil {
+		t.Fatal("write error not latched")
+	}
+}

@@ -1,8 +1,11 @@
 // This file serializes the cluster engine's boundary state: the
 // ownership map and handover counters that live on the engine, plus
 // each owned cell's full simulation state via sim's checkpoint
-// sections. Cells are written in id order, so the stream layout is
-// independent of shard scheduling; the per-cell trace buffers are
+// sections. The cells are encoded concurrently on the pool, each into
+// an encoder it keeps between checkpoints (or, for a writer that
+// builds in place, one after another into its destination), and
+// written in id order, so the stream layout is independent of shard
+// scheduling and of the pool's width; the per-cell trace buffers are
 // always empty at an interval boundary (StepInterval drains them when
 // merging) and never ride in a checkpoint.
 
@@ -23,7 +26,18 @@ var noCell cellState
 // WriteState appends the engine's boundary state to a checkpoint: a
 // "cluster" section, whose per-cell bookkeeping spans every cell (zero
 // for un-owned ones), followed by each owned cell's sim sections in id
-// order.
+// order. Every owned cell frames its sections at once, on the pool,
+// into the encoder the cell keeps — the twins are most of the bytes,
+// and a cell encodes only its own — and the framed bytes are then
+// written to cw cell by cell. A cell whose encoding fails fails the
+// call with the lowest such cell's error, and nothing of the cells
+// reaches cw.
+//
+// A writer that builds in place — a distributed worker's, into the
+// boundary frame it keeps — gets the cells framed into its destination
+// one after another instead: there the stream already lives in memory
+// its caller keeps, the other workers encode theirs at the same time,
+// and per-cell encoders would only hold a second copy of the state.
 func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 	if err := cw.Section("cluster", func(enc *checkpoint.Enc) {
 		enc.Ints(e.owner)
@@ -50,9 +64,27 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 	}); err != nil {
 		return err
 	}
+	if cw.InPlace() {
+		for _, ci := range e.owned {
+			if err := e.cells[ci].eng.WriteState(cw); err != nil {
+				return fmt.Errorf("cell %d: %w", ci, err)
+			}
+		}
+		return nil
+	}
+	if err := e.sub.Pool.For(len(e.owned), func(k int) error {
+		c := e.cells[e.owned[k]]
+		c.ckpt.Reset()
+		if err := c.eng.WriteState(checkpoint.NewSectionWriter(&c.ckpt)); err != nil {
+			return fmt.Errorf("cell %d: %w", c.id, err)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
 	for _, ci := range e.owned {
-		if err := e.cells[ci].eng.WriteState(cw); err != nil {
-			return fmt.Errorf("cell %d: %w", ci, err)
+		if err := cw.WriteSections(e.cells[ci].ckpt.Bytes()); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -79,5 +80,64 @@ func TestReadStateChecksOwnership(t *testing.T) {
 					err, fresh.NumUsers(), cfg.Sim.NumUsers)
 			}
 		})
+	}
+}
+
+// TestWriteStateInPlaceMatchesFanOut: WriteState frames the cells
+// concurrently into the encoders they keep, or, for a writer that
+// builds in place, one after another into its destination. Both write
+// the same stream, for a whole cluster and for a worker's partition,
+// and a second fan-out reuses what the first grew.
+func TestWriteStateInPlaceMatchesFanOut(t *testing.T) {
+	cfg := Config{Sim: testSimConfig(7, 4)}
+	whole, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker, err := NewWorker(cfg, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, e := range []*Engine{whole, worker.Engine} {
+		if err := e.WarmupStep(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.TrainAndBuild(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ { // churn and regroups reach the cells' state
+		if _, err := whole.StepInterval(ctx, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, e := range map[string]*Engine{"cluster": whole, "worker": worker.Engine} {
+		fanOut := stateBytes(t, e)
+		grown := cap(e.cells[e.owned[0]].ckpt.Bytes())
+		if grown == 0 {
+			t.Fatalf("%s: the fan-out kept no encoder", name)
+		}
+		var frame checkpoint.Enc
+		frame.U32(0xF00D) // a frame header the checkpoint rides behind
+		cw := checkpoint.NewWriter(&frame, "dtworker", 0)
+		if !cw.InPlace() {
+			t.Fatal("a writer into an Enc does not build in place")
+		}
+		if err := e.WriteState(cw); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(frame.Bytes()[4:], fanOut) {
+			t.Fatalf("%s: in-place stream differs from the fan-out's", name)
+		}
+		if again := stateBytes(t, e); !bytes.Equal(again, fanOut) {
+			t.Fatalf("%s: second fan-out differs from the first", name)
+		}
+		if c := cap(e.cells[e.owned[0]].ckpt.Bytes()); c != grown {
+			t.Fatalf("%s: cell encoder regrown from %d to %d at one boundary", name, grown, c)
+		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strconv"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/edge"
 	"dtmsvs/internal/faultinject"
 	"dtmsvs/internal/obs"
@@ -190,6 +191,10 @@ type cellState struct {
 	down bool
 	// evacuated counts twins evacuated out of this cell over the run.
 	evacuated int
+	// ckpt holds the cell's framed sim sections from the last
+	// WriteState; kept, so every checkpoint after the first encodes
+	// into memory the cell already owns.
+	ckpt checkpoint.Enc
 }
 
 // Engine is a configured cluster instance.
@@ -405,9 +410,13 @@ func (e *Engine) lateTrain() error {
 	return nil
 }
 
-// Close is a no-op kept for callers that pair construction with a
-// release: the engine and its cells hold no goroutines between calls.
-func (e *Engine) Close() {}
+// Close lets go of the encoders the cells keep for checkpoints; the
+// engine and its cells hold no goroutines between calls.
+func (e *Engine) Close() {
+	for _, ci := range e.owned {
+		e.cells[ci].ckpt = checkpoint.Enc{}
+	}
+}
 
 // SetMetrics mounts reg on the cluster: the interval/handover stage
 // timer and handover counter on the engine itself, and every cell's

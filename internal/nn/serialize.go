@@ -52,9 +52,16 @@ func (n *Network) LoadWeights(state *WeightState) error {
 // section in the form DecodeWeightState reads: tensor count, then each
 // tensor as a length-prefixed float64 slice, straight from the live
 // tensors (no SaveWeights copy). Float bits round-trip
-// exactly, so encode/decode preserves weights bitwise.
+// exactly, so encode/decode preserves weights bitwise. The room for
+// every tensor is reserved first, so an encoder too small for the
+// network grows once rather than once per tensor.
 func (n *Network) EncodeWeights(e *checkpoint.Enc) {
 	params := n.Params()
+	size := 4
+	for _, p := range params {
+		size += 4 + 8*len(p.W)
+	}
+	e.Grow(size)
 	e.U32(uint32(len(params)))
 	for _, p := range params {
 		e.F64s(p.W)

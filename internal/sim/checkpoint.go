@@ -26,7 +26,9 @@
 // built, so no allocation is sized by a length the input claims.
 // Reading (ReadSections: framing and CRCs, in stream order) is split
 // from decoding (Restore), so a cluster reads its cells' sections off
-// one stream and decodes the cells concurrently.
+// one stream and decodes the cells concurrently; writing goes through
+// any checkpoint.Writer, so a cluster frames each cell's sections into
+// an encoder of its own, concurrently, and writes them in order.
 //
 // WriteState only runs at interval boundaries — the session layer
 // guarantees that by refusing to checkpoint failed sessions.
@@ -266,11 +268,29 @@ func (s *Simulation) decodeCache(d *checkpoint.Dec) error {
 	return nil
 }
 
+// encodeUsers appends the population. Once the first user is encoded,
+// an encoder without room for the rest at that user's size grows to
+// hold them plus an eighth, which also covers the groups section after
+// them: an encoder that starts empty grows once rather than by a
+// quarter at a time through megabytes of twins, and one kept from an
+// earlier checkpoint regrows only when the twins will not fit. A user
+// more than an eighth larger than the one the room was judged by — the
+// first may be a churned twin with empty rings, half a full one's size
+// — judges it again, early, before much is copied.
 func (s *Simulation) encodeUsers(e *checkpoint.Enc) error {
 	e.U32(uint32(len(s.users)))
-	for _, u := range s.users {
+	reserved := 0 // the user size the room was last judged by
+	for i, u := range s.users {
+		at := len(e.Bytes())
 		if err := s.encodeUser(e, u); err != nil {
 			return err
+		}
+		if size := len(e.Bytes()) - at; size > reserved+reserved/8 {
+			reserved = size
+			rest := (len(s.users) - 1 - i) * size
+			if b := e.Bytes(); cap(b)-len(b) < rest {
+				e.Grow(rest + rest/8)
+			}
 		}
 	}
 	return nil
