@@ -1073,17 +1073,27 @@ func BenchmarkNearestAliveBS(b *testing.B) {
 // BenchmarkHandoverPass measures one boundary handover pass of the
 // benchmark workloads' population, 4000 users × 8 cells, once trained
 // (FixedK 4, so the prologue is short): PlanHandovers, then
-// ApplyHandovers of the plan — the group pre-pass, the detach/attach
-// loop and the conservation check. The plan is the real one after the
-// first interval; between iterations, off the clock, its reverse puts
-// every migrant back in its old cell, so each iteration replays the
-// same moves. Reported metric: moves per pass.
-func BenchmarkHandoverPass(b *testing.B) {
+// ApplyHandovers of the plan — per touched cell one batched group pick
+// and one splice — and the conservation check. The plan is the real
+// one after the first interval; between iterations, off the clock, its
+// reverse puts every migrant back in its old cell, so each iteration
+// replays the same moves. DefaultConfig leaves the CNN off, so the
+// picks compare raw windows; BenchmarkHandoverPassCNN is the same pass
+// with the encoder on. Reported metric: moves per pass.
+func BenchmarkHandoverPass(b *testing.B) { benchHandoverPass(b, false) }
+
+// BenchmarkHandoverPassCNN is BenchmarkHandoverPass with the 1D-CNN
+// compressor on, the benchmark workloads' setting: each touched cell
+// encodes its arrivals in one batch before picking their groups.
+func BenchmarkHandoverPassCNN(b *testing.B) { benchHandoverPass(b, true) }
+
+func benchHandoverPass(b *testing.B, cnn bool) {
 	cfg := ClusterConfig{Sim: DefaultConfig(42)}
 	cfg.Sim.NumUsers = 4000
 	cfg.Sim.NumBS = 8
 	cfg.Sim.FixedK = 4
 	cfg.Sim.CompressorEpochs = 2
+	cfg.Sim.Grouping.UseCNN = cnn
 	w, err := cluster.NewWorker(cfg, 0, 1)
 	if err != nil {
 		b.Fatal(err)

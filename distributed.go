@@ -194,7 +194,7 @@ func (a *distStepper) fingerprint() (uint64, error) {
 	return checkpoint.Fingerprint(struct {
 		Cluster ClusterConfig `json:"cluster"`
 		Workers int           `json:"workers"`
-	}{a.cfg, a.workers})
+	}{a.cfg.Unscheduled(), a.workers})
 }
 
 // writeState captures the distributed boundary: one checkpoint blob

@@ -16,11 +16,11 @@
 //
 // Determinism: every cell derives its random streams from (Seed,
 // tag, cell id + 1, ...), users own global-id-keyed streams that
-// travel with their twin, and the handover pass moves twins
-// sequentially in global user-id order (its concurrent group pre-pass
-// computes pure per-move values). The merged ClusterTrace is therefore
-// bit-identical for any Parallelism and any shard count — sharding
-// is a scheduling decision, never a semantic one.
+// travel with their twin, and the handover pass applies each cell's
+// moves as if one at a time in global user-id order (one pool task per
+// cell, each writing only its own cell). The merged ClusterTrace is
+// therefore bit-identical for any Parallelism and any shard count —
+// sharding is a scheduling decision, never a semantic one.
 package cluster
 
 import (
@@ -68,6 +68,19 @@ func (c Config) Defaulted() Config {
 		c.Shards = c.Sim.NumBS
 	}
 	return c
+}
+
+// Unscheduled returns the defaulted configuration with the two fields
+// that only schedule the run, Sim.Parallelism and Shards, reset to
+// their defaults (0 and NumBS). Neither reaches the trace or any state
+// a checkpoint carries, so this is what checkpoint headers fingerprint:
+// a run checkpointed at one pool width or shard layout resumes at any
+// other, and a default run keeps the fingerprint it always had.
+func (c Config) Unscheduled() Config {
+	d := c.Defaulted()
+	d.Sim.Parallelism = 0
+	d.Shards = d.Sim.NumBS
+	return d
 }
 
 // Validate checks the configuration.
@@ -220,14 +233,14 @@ type Engine struct {
 	owner     []int
 	handovers int
 	trained   bool
-	// plan is PlanHandovers' buffer, and arrivals, inbound (per-cell
-	// move indices) and dests ApplyHandovers' group pre-pass scratch,
+	// plan is PlanHandovers' buffer, users ApplyHandovers' twin per
+	// move, and splices (per cell) and touched relocate's buckets,
 	// kept so the handover pass allocates nothing proportional to
 	// population.
-	plan     []Handover
-	arrivals []arrival
-	inbound  [][]int
-	dests    []int
+	plan    []Handover
+	users   []sim.User
+	splices []cellSplice
+	touched []int
 	// Failure model (see failure.go): the fault schedule in firing
 	// order, the response policy, the quarantine mask shared with
 	// every cell's sim engine (written only between fan-outs), and
@@ -341,7 +354,7 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 		mask:    mask,
 		shards:  shards,
 		owner:   make([]int, d.Sim.NumUsers),
-		inbound: make([][]int, numCells),
+		splices: make([]cellSplice, numCells),
 		faults:  faults,
 		down:    down,
 		retain:  true,

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"dtmsvs/internal/channel"
+	"dtmsvs/internal/sim"
 )
 
 // ErrCellFailure classifies every injected-failure outcome: the
@@ -136,18 +137,21 @@ func (e *Engine) reviveCell(id int) {
 }
 
 // evacuate is the twin evacuation pass — the handover pass
-// generalized to a dying cell: sequentially in global user-id order,
-// every twin stranded on the failed cell is detached (UDT history,
-// calibration EWMAs and private random stream intact) and attached
-// to the cell of the nearest surviving base station, which hands it
-// to the multicast group with the nearest code-space centroid. The
-// pass ends with the same conservation and late-training checks the
-// handover pass runs, so an evacuation can never lose or duplicate a
-// twin.
+// generalized to a dying cell: every twin stranded on the failed cell
+// (UDT history, calibration EWMAs and private random stream intact) is
+// routed, in global user-id order, to the cell of the nearest
+// surviving base station, and the moves are applied as one relocation:
+// each receiving cell picks its arrivals' groups by nearest code-space
+// centroid in one batch and takes them in one splice. The pass ends
+// with the same conservation and late-training checks the handover
+// pass runs, so an evacuation can never lose or duplicate a twin.
 func (e *Engine) evacuate(failed int) error {
 	t0 := e.metEvacuation.Start()
 	defer e.metEvacuation.ObserveSince(t0)
-	moved := 0
+	var (
+		moves []Handover
+		users []sim.User
+	)
 	for id := range e.owner {
 		if e.owner[id] != failed {
 			continue
@@ -160,12 +164,13 @@ func (e *Engine) evacuate(failed int) error {
 		if err != nil {
 			return fmt.Errorf("evacuating user %d: %w", id, err)
 		}
-		a := arrival{user: mu, group: e.cells[bs.ID].eng.NearestGroup(mu)}
-		if err := e.move(Handover{ID: id, From: failed, To: bs.ID}, a); err != nil {
-			return err
-		}
-		moved++
+		moves = append(moves, Handover{ID: id, From: failed, To: bs.ID})
+		users = append(users, mu)
 	}
+	if err := e.relocate(moves, users); err != nil {
+		return err
+	}
+	moved := len(moves)
 	e.cells[failed].evacuated += moved
 	e.evacuated += moved
 	e.metEvacuated.Add(uint64(moved))

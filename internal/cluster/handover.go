@@ -4,11 +4,12 @@
 // to back (migrate); partition workers exchange the moves that cross
 // them through internal/coord between the two calls.
 //
-// Determinism: sim keeps each cell's population sorted by global user
-// id and apply runs in ascending global user-id order, so every owned
-// cell sees exactly the attach/detach subsequence it sees when one
-// engine owns all cells — per-cell state, and therefore the merged
-// trace, is bit-identical for any partition.
+// Determinism: apply hands every owned cell its departures and
+// arrivals in ascending global user-id order, and sim.Splice leaves a
+// cell where detaching and attaching them one at a time in that order
+// would, so every owned cell ends as it does when one engine owns all
+// cells — per-cell state, and therefore the merged trace, is
+// bit-identical for any partition.
 
 package cluster
 
@@ -65,28 +66,16 @@ func (e *Engine) PlanHandovers() ([]Handover, error) {
 	return plan, nil
 }
 
-// arrival is one move's twin as the apply loop attaches it: the handle
-// (the decoded import, or the owned twin still in its source cell) and
-// the destination group the pre-pass chose for it (-1: none applies,
-// join the smallest group at attach time).
-type arrival struct {
-	user  sim.User
-	group int
-}
-
 // ApplyHandovers applies one boundary's moves touching this partition
 // — its own plan plus the imports routed from its peers — in ascending
-// global user-id order: each twin is detached (UDT, calibration state
-// and random stream intact) and attached to the new station's cell.
+// global user-id order: each twin leaves its old station's cell (UDT,
+// calibration state and random stream intact) and joins the new one's.
 // Every move is checked, and every import decoded, before the first
-// twin moves, so a rejected batch leaves the engine untouched. A
-// pre-pass then picks every incoming twin's destination group
-// (sim.NearestGroup: one CNN encode and a nearest-centroid search)
-// concurrently, one pool task per destination cell, since the choice
-// reads only the twin and that cell's encoder and centroids, none of
-// which the pass changes; the sequential attach loop consumes the
-// choices. The pass ends by verifying twin conservation and
-// late-training owned cells that just gained their first users.
+// twin moves, so a rejected batch leaves the engine untouched. The
+// moves are then applied cell by cell (relocate): one batched group
+// pick and one splice per touched cell. The pass ends by verifying
+// twin conservation and late-training owned cells that just gained
+// their first users.
 func (e *Engine) ApplyHandovers(moves []Handover) error {
 	// The engine's own plan is already id-ordered; only a batch merged
 	// with imports needs the private sorted copy.
@@ -97,7 +86,7 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 			break
 		}
 	}
-	arrivals := e.arrivals[:0]
+	users := e.users[:0]
 	for i, h := range moves {
 		switch {
 		case h.ID < 0 || h.ID >= len(e.owner):
@@ -120,7 +109,7 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 			if !ok {
 				return fmt.Errorf("user %d not detachable from cell %d: %w", h.ID, h.From, ErrConfig)
 			}
-			arrivals = append(arrivals, arrival{user: mu, group: -1})
+			users = append(users, mu)
 			continue
 		case e.mask[e.owner[h.ID]]:
 			return fmt.Errorf("import of user %d, already in cell %d: %w", h.ID, e.owner[h.ID], ErrConfig)
@@ -138,79 +127,91 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 		if mu.ID() != h.ID {
 			return fmt.Errorf("import of user %d decoded twin %d: %w", h.ID, mu.ID(), ErrConfig)
 		}
-		arrivals = append(arrivals, arrival{user: mu, group: -1})
+		users = append(users, mu)
 	}
-	e.arrivals = arrivals
-	e.pickGroups(moves, arrivals)
-	for i, h := range moves {
+	e.users = users
+	for _, h := range moves {
 		if e.mask[h.From] {
 			e.handovers++
 			e.metHandovers.Inc()
 		}
-		if err := e.move(h, arrivals[i]); err != nil {
-			return err
-		}
 	}
-	clear(arrivals) // hold no twin past the pass
+	err := e.relocate(moves, users)
+	clear(users) // hold no twin past the pass
+	if err != nil {
+		return err
+	}
 	if err := e.checkConservation("handover"); err != nil {
 		return err
 	}
 	return e.lateTrain()
 }
 
-// pickGroups is ApplyHandovers' group pre-pass: arrivals[i].group
-// becomes the destination group of moves[i]'s twin whenever this
-// partition owns moves[i].To. The moves are bucketed by destination
-// cell and the buckets fan out over the pool, one task per cell, so
-// each cell's encoder has one user; a task writes only its own moves'
-// slots, so the choices do not depend on scheduling. The buckets are
-// engine-owned and reused across passes.
-func (e *Engine) pickGroups(moves []Handover, arrivals []arrival) {
-	dests := e.dests[:0]
-	for i, h := range moves {
-		if !e.mask[h.To] || e.cells[h.To].eng.NumGroups() == 0 {
-			continue
+// cellSplice is one owned cell's share of a relocation: the ids that
+// leave it, the twins that join it (both in ascending id order) and
+// the joiners' groups.
+type cellSplice struct {
+	departs  []int
+	arrivals []sim.User
+	groups   []int
+}
+
+// relocate is the one place twins change cells; handover and
+// evacuation both go through it. moves are in ascending id order and
+// users[i] is moves[i]'s twin: the owned twin still in its source
+// cell, or the decoded import. The moves are bucketed by owned cell,
+// and each touched cell is one pool task: it picks its arrivals' groups
+// in one batch (sim.NearestGroups), which reads only the twins and the
+// cell's encoder and centroids, none of which the pass changes, and
+// then applies its departures and arrivals in one splice (sim.Splice).
+// A task writes only its own cell, so the outcome does not depend on
+// scheduling, and each cell ends where applying its moves one at a
+// time in id order would leave it. The owner map and twin counts
+// follow. The buckets are engine-owned and reused across passes.
+func (e *Engine) relocate(moves []Handover, users []sim.User) error {
+	touched := e.touched[:0]
+	bucket := func(c int) *cellSplice {
+		sp := &e.splices[c]
+		if len(sp.departs) == 0 && len(sp.arrivals) == 0 {
+			touched = append(touched, c)
 		}
-		if len(e.inbound[h.To]) == 0 {
-			dests = append(dests, h.To)
-		}
-		e.inbound[h.To] = append(e.inbound[h.To], i)
+		return sp
 	}
-	e.dests = dests
-	_ = e.sub.Pool.For(len(dests), func(k int) error {
-		eng := e.cells[dests[k]].eng
-		for _, i := range e.inbound[dests[k]] {
-			arrivals[i].group = eng.NearestGroup(arrivals[i].user)
+	for i, h := range moves {
+		if e.mask[h.From] {
+			sp := bucket(h.From)
+			sp.departs = append(sp.departs, h.ID)
+		}
+		if e.mask[h.To] {
+			sp := bucket(h.To)
+			sp.arrivals = append(sp.arrivals, users[i])
+		}
+	}
+	e.touched = touched
+	err := e.sub.Pool.For(len(touched), func(k int) error {
+		c := touched[k]
+		sp := &e.splices[c]
+		sp.groups = append(sp.groups[:0], make([]int, len(sp.arrivals))...)
+		eng := e.cells[c].eng
+		eng.NearestGroups(sp.arrivals, sp.groups)
+		if err := eng.Splice(sp.departs, sp.arrivals, sp.groups); err != nil {
+			return fmt.Errorf("cell %d: %w", c, err)
 		}
 		return nil
 	})
-	for _, c := range dests {
-		e.inbound[c] = e.inbound[c][:0]
+	for _, c := range touched {
+		sp := &e.splices[c]
+		e.cells[c].migratedIn += len(sp.arrivals)
+		e.local += len(sp.arrivals) - len(sp.departs)
+		clear(sp.arrivals)
+		sp.departs, sp.arrivals = sp.departs[:0], sp.arrivals[:0]
 	}
-}
-
-// move is the one place a twin changes cells: detached from h.From
-// when this partition owns it (otherwise a.user is the decoded
-// import), attached to h.To in group a.group when this partition owns
-// that, and recorded in the owner map. Handover and evacuation both go
-// through it.
-func (e *Engine) move(h Handover, a arrival) error {
-	in := a.user
-	if e.mask[h.From] {
-		var ok bool
-		if in, ok = e.cells[h.From].eng.DetachUser(h.ID); !ok {
-			return fmt.Errorf("user %d not detachable from cell %d: %w", h.ID, h.From, ErrConfig)
-		}
-		e.local--
+	if err != nil {
+		return err
 	}
-	if e.mask[h.To] {
-		if err := e.cells[h.To].eng.AttachUserTo(in, a.group); err != nil {
-			return err
-		}
-		e.cells[h.To].migratedIn++
-		e.local++
+	for _, h := range moves {
+		e.owner[h.ID] = h.To
 	}
-	e.owner[h.ID] = h.To
 	return nil
 }
 

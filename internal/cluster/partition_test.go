@@ -290,10 +290,10 @@ func TestHandoverPassAllocations(t *testing.T) {
 }
 
 // TestApplyHandoversRejectsTrainedBatch: after training, a batch whose
-// moves land in cells with groups — so the group pre-pass has work —
-// and whose last import is bad is refused typed with the engine's
+// moves land in cells with groups — so the batched group pick has work
+// — and whose last import is bad is refused typed with the engine's
 // boundary state byte-identical to before; the same batch without the
-// bad import then applies, pre-pass and all.
+// bad import then applies, picks and all.
 func TestApplyHandoversRejectsTrainedBatch(t *testing.T) {
 	sc := testSimConfig(13, 2)
 	sc.ChurnPerInterval = 0

@@ -157,9 +157,12 @@ func (c *Compressor) InputDim() int { return c.inDim }
 // It runs the encoder's ForwardBatch, the pass Fit trains, on chunks
 // of Config.Batch windows staged in the compressor's minibatch
 // scratch, so inference reuses the scratch Fit grew and a window's
-// code does not depend on which windows share its chunk.
+// code does not depend on which windows share its chunk. The codes of
+// one chunk are capacity-capped slices of one backing array: the same
+// bytes as a code apiece, in a Batch-th of the allocations.
 func (c *Compressor) EncodeBatch(windows []vecmath.Vec) ([]vecmath.Vec, error) {
 	out := make([]vecmath.Vec, len(windows))
+	cd := c.cfg.CodeDim
 	if c.xB == nil {
 		c.xB = &vecmath.Matrix{}
 	}
@@ -178,11 +181,32 @@ func (c *Compressor) EncodeBatch(windows []vecmath.Vec) ([]vecmath.Vec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("windows %d..%d: %w", start, start+len(chunk)-1, err)
 		}
+		backing := make([]float64, len(chunk)*cd)
+		copy(backing, codes.Data)
 		for r := range chunk {
-			out[start+r] = vecmath.Clone(codes.Row(r))
+			out[start+r] = backing[r*cd : (r+1)*cd : (r+1)*cd]
 		}
 	}
 	return out, nil
+}
+
+// EncodeInto writes the code of every row of x, one window per row,
+// into the same row of dst, which it resizes to x.Rows × CodeDim: one
+// encoder ForwardBatch, the pass Fit trains, so once the layer scratch
+// has grown to x.Rows it allocates nothing. The scratch grows to the
+// largest x seen, so callers with many windows pass a Config.Batch of
+// them at a time. A row's code does not depend on the other rows of x:
+// it equals the EncodeBatch code of that window bit for bit.
+func (c *Compressor) EncodeInto(dst, x *vecmath.Matrix) error {
+	codes, err := c.encoder.ForwardBatch(x)
+	if err != nil {
+		return err
+	}
+	if err := dst.Resize(codes.Rows, codes.Cols); err != nil {
+		return err
+	}
+	copy(dst.Data, codes.Data)
+	return nil
 }
 
 // allParams lazily builds and caches the joint encoder+decoder

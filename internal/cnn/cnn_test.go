@@ -138,8 +138,10 @@ func TestEncodeBatch(t *testing.T) {
 // TestEncodeBatchChunkInvariant: EncodeBatch walks its windows in
 // chunks of Config.Batch, and every code must equal that window's
 // one-window encode bit for bit for any window count, a short tail
-// chunk included. Encoding N windows allocates the N codes and the
-// slice that holds them, nothing per chunk.
+// chunk included; so must the row EncodeInto writes for it, from the
+// windows stacked in one matrix. Encoding N windows allocates the
+// slice of codes and one backing array per chunk, nothing per code,
+// and EncodeInto into a grown matrix allocates nothing.
 func TestEncodeBatchChunkInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, batch := range []int{1, 8} {
@@ -178,8 +180,30 @@ func TestEncodeBatchChunkInvariant(t *testing.T) {
 				if _, err := c.EncodeBatch(windows); err != nil {
 					t.Fatal(err)
 				}
-			}); a != float64(n+1) {
-				t.Fatalf("batch %d: encoding %d windows allocates %v times, want %d", batch, n, a, n+1)
+			}); a != float64(1+(n+batch-1)/batch) {
+				t.Fatalf("batch %d: encoding %d windows allocates %v times, want %d", batch, n, a, 1+(n+batch-1)/batch)
+			}
+			x, dst := vecmath.MustMatrix(n, c.InputDim()), &vecmath.Matrix{}
+			for i, w := range windows {
+				copy(x.Row(i), w)
+			}
+			if err := c.EncodeInto(dst, x); err != nil {
+				t.Fatal(err)
+			}
+			for i := range codes {
+				for j, v := range codes[i] {
+					if math.Float64bits(dst.At(i, j)) != math.Float64bits(v) {
+						t.Fatalf("batch %d n %d window %d code %d: EncodeInto %v, EncodeBatch %v",
+							batch, n, i, j, dst.At(i, j), v)
+					}
+				}
+			}
+			if a := testing.AllocsPerRun(20, func() {
+				if err := c.EncodeInto(dst, x); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 0 {
+				t.Fatalf("batch %d: EncodeInto of %d windows allocates %v times, want 0", batch, n, a)
 			}
 		}
 	}

@@ -28,15 +28,15 @@ import (
 const WorkerKind = "dtworker"
 
 // WorkerFingerprint is the config fingerprint a worker checkpoint is
-// stamped with: the fully defaulted cluster configuration plus the
-// worker's slot in the partition, so a blob can never restore into
-// the wrong worker.
+// stamped with: the defaulted cluster configuration, scheduling fields
+// aside (cluster.Config.Unscheduled), plus the worker's slot in the
+// partition, so a blob can never restore into the wrong worker.
 func WorkerFingerprint(cfg cluster.Config, index, count int) (uint64, error) {
 	return checkpoint.Fingerprint(struct {
 		Cluster cluster.Config `json:"cluster"`
 		Index   int            `json:"index"`
 		Count   int            `json:"count"`
-	}{cfg.Defaulted(), index, count})
+	}{cfg.Unscheduled(), index, count})
 }
 
 // helloMsg is the supervisor's opening frame, as JSON inside the

@@ -125,6 +125,8 @@ type Builder struct {
 	agent      *ddqn.Agent
 	rng        *rand.Rand
 	pool       *parallel.Pool
+	// windows stages one compressor batch of CodesInto's windows.
+	windows vecmath.Matrix
 }
 
 // SetPool fans the K-means assignment and silhouette scans across the
@@ -232,6 +234,55 @@ func (b *Builder) Codes(twins []*udt.Twin) ([]vecmath.Vec, error) {
 		return windows, nil
 	}
 	return b.compressor.EncodeBatch(windows)
+}
+
+// CodesInto writes the code of every twin (its raw window when the CNN
+// is disabled) into a row of dst, which it resizes to len(twins) rows.
+// With the CNN on, the windows are staged a compressor batch at a time
+// in a builder-owned matrix and each batch is encoded into its rows of
+// dst, so once the scratch has grown a call allocates nothing and the
+// scratch stays one batch whatever the call's size. Each row equals
+// that twin's entry of Codes bit for bit.
+func (b *Builder) CodesInto(dst *vecmath.Matrix, twins []*udt.Twin) error {
+	if len(twins) == 0 {
+		return fmt.Errorf("no twins: %w", ErrConfig)
+	}
+	width := udt.NumFeatureChannels * b.cfg.WindowSteps
+	if b.compressor == nil {
+		if err := dst.Resize(len(twins), width); err != nil {
+			return err
+		}
+		return b.windowsInto(dst, twins)
+	}
+	cd := b.compressor.Config().CodeDim
+	if err := dst.Resize(len(twins), cd); err != nil {
+		return err
+	}
+	batch := b.compressor.Config().Batch
+	for start := 0; start < len(twins); start += batch {
+		part := twins[start:min(start+batch, len(twins))]
+		if err := b.windows.Resize(len(part), width); err != nil {
+			return err
+		}
+		if err := b.windowsInto(&b.windows, part); err != nil {
+			return err
+		}
+		rows := vecmath.Matrix{Rows: len(part), Cols: cd, Data: dst.Data[start*cd : (start+len(part))*cd]}
+		if err := b.compressor.EncodeInto(&rows, &b.windows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// windowsInto writes each twin's feature window into a row of dst.
+func (b *Builder) windowsInto(dst *vecmath.Matrix, twins []*udt.Twin) error {
+	for i, tw := range twins {
+		if err := tw.FeatureWindowInto(dst.Row(i), b.cfg.WindowSteps, b.cfg.PosScale); err != nil {
+			return fmt.Errorf("twin %d window: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // TrainCompressor fits the 1D-CNN autoencoder on the twins' current

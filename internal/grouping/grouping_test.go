@@ -137,6 +137,54 @@ func TestCodesRawWhenCNNDisabled(t *testing.T) {
 	}
 }
 
+// TestCodesIntoMatchesCodes: CodesInto stages and encodes its twins a
+// compressor batch at a time, and every row equals that twin's Codes
+// entry bit for bit — with the CNN on, over 17 twins (two full batches
+// of 8 and a tail), and with it off, where a code is the raw window.
+// Into a grown matrix it allocates nothing.
+func TestCodesIntoMatchesCodes(t *testing.T) {
+	twins := makeTwins(t, 17)
+	for _, cnn := range []bool{true, false} {
+		cfg := testConfig()
+		cfg.UseCNN = cnn
+		b, err := New(cfg, rand.New(rand.NewSource(4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.TrainCompressor(twins, 2); err != nil {
+			t.Fatal(err)
+		}
+		codes, err := b.Codes(twins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dst vecmath.Matrix
+		if err := b.CodesInto(&dst, twins); err != nil {
+			t.Fatal(err)
+		}
+		if dst.Rows != len(codes) || dst.Cols != len(codes[0]) {
+			t.Fatalf("cnn %v: CodesInto %dx%d, Codes %dx%d", cnn, dst.Rows, dst.Cols, len(codes), len(codes[0]))
+		}
+		for i, code := range codes {
+			for j, v := range code {
+				if math.Float64bits(dst.At(i, j)) != math.Float64bits(v) {
+					t.Fatalf("cnn %v twin %d code %d: CodesInto %v, Codes %v", cnn, i, j, dst.At(i, j), v)
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() {
+			if err := b.CodesInto(&dst, twins); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Fatalf("cnn %v: CodesInto allocates %v times", cnn, a)
+		}
+		if err := b.CodesInto(&dst, nil); !errors.Is(err, ErrConfig) {
+			t.Fatalf("cnn %v: no twins: want ErrConfig, got %v", cnn, err)
+		}
+	}
+}
+
 func TestTrainCompressorReducesLoss(t *testing.T) {
 	b, err := New(testConfig(), rand.New(rand.NewSource(4)))
 	if err != nil {

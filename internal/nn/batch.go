@@ -168,12 +168,16 @@ func (r *ReLU) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	// out = v when v > 0, else +0 (NaN included), as a bit mask the
+	// compiler sets from a flag rather than a branch activations make
+	// a coin toss.
+	od := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
+		var keep uint64
 		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
+			keep = ^uint64(0)
 		}
+		od[i] = math.Float64frombits(math.Float64bits(v) & keep)
 	}
 	return out, nil
 }
@@ -254,9 +258,14 @@ func (p *MaxPool1D) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 				base := t * p.Window
 				best := base
 				for j := base + 1; j < base+p.Window; j++ {
+					// best = j when src[j] > src[best], written so the
+					// compiler sets a flag instead of predicting a
+					// branch that activations make a coin toss.
+					gt := 0
 					if src[j] > src[best] {
-						best = j
+						gt = 1
 					}
+					best += gt * (j - best)
 				}
 				or[c*outLen+t] = src[best]
 				ar[c*outLen+t] = c*p.InLen + best

@@ -5,14 +5,16 @@
 // cell serves one base station's coverage area; the monolithic engine
 // is the one cell over every station. The cluster engine (package
 // cluster) steps cells through the exported stage methods and moves
-// user twins between cells with DetachUser/AttachUser at interval
-// boundaries.
+// user twins between cells at interval boundaries: per cell, one
+// NearestGroups batch picks the arrivals' groups and one Splice takes
+// the departures and arrivals.
 
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dtmsvs/internal/channel"
@@ -22,7 +24,6 @@ import (
 	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/predict"
 	"dtmsvs/internal/radio"
-	"dtmsvs/internal/udt"
 	"dtmsvs/internal/video"
 )
 
@@ -220,7 +221,7 @@ func (s *Simulation) ServingBSOf(id int) int {
 
 // Member returns the handle of the user with the given global id
 // without detaching it, so the cluster engine can route a twin (see
-// User.Position) and pick its destination group (NearestGroup) before
+// User.Position) and pick its destination group (NearestGroups) before
 // moving it; false if the user is not in this engine.
 func (s *Simulation) Member(id int) (User, bool) {
 	u := s.userByID(id)
@@ -228,26 +229,17 @@ func (s *Simulation) Member(id int) (User, bool) {
 }
 
 // DetachUser removes the user with the given global id from the
-// engine — population and multicast group — and returns the handle.
+// engine — population and multicast group — and returns the handle:
+// Splice with one departure.
 func (s *Simulation) DetachUser(id int) (User, bool) {
-	pos := s.userPos(id)
-	if pos < 0 {
+	u := s.userByID(id)
+	if u == nil {
 		return User{}, false
 	}
-	u := s.users[pos]
-	s.users = append(s.users[:pos], s.users[pos+1:]...)
-	s.index(id, nil)
-	for _, g := range s.groups {
-		for i, m := range g.members {
-			if m == id {
-				g.members = append(g.members[:i], g.members[i+1:]...)
-				break
-			}
-		}
+	one := [1]int{id}
+	if s.Splice(one[:], nil, nil) != nil {
+		return User{}, false
 	}
-	// Membership changed under the stability tracker's feet; the next
-	// construction starts a fresh baseline.
-	s.prevAssign = nil
 	return User{u: u}, true
 }
 
@@ -257,86 +249,204 @@ func (s *Simulation) DetachUser(id int) (User, bool) {
 // code-space centroid (the per-shard analogue of the paper's group
 // update on user dynamics); when no centroid applies it joins the
 // smallest group, matching how churn arrivals inherit a slot's
-// membership in the monolithic engine. It is AttachUserTo with the
-// group NearestGroup picks at the time of the call.
+// membership in the monolithic engine. It is Splice with one arrival,
+// its group picked by NearestGroups.
 func (s *Simulation) AttachUser(mu User) error {
-	return s.AttachUserTo(mu, s.NearestGroup(mu))
-}
-
-// AttachUserTo is AttachUser with the nearest-centroid group already
-// chosen by NearestGroup, so the cluster engine's handover pass can
-// encode its incoming twins concurrently, one goroutine per
-// destination cell, before its sequential attach loop. A negative
-// group — no centroid applies — joins the smallest group as it stands
-// at the time of the call (ties to the lowest id): that fallback reads
-// live membership, so it is never precomputed.
-func (s *Simulation) AttachUserTo(mu User, group int) error {
 	if mu.u == nil {
 		return fmt.Errorf("attach nil user: %w", ErrConfig)
 	}
-	if group >= len(s.groups) {
-		return fmt.Errorf("attach user %d to group %d of %d: %w", mu.u.id, group, len(s.groups), ErrConfig)
+	one, group := [1]User{mu}, [1]int{}
+	s.NearestGroups(one[:], group[:])
+	return s.Splice(nil, one[:], group[:])
+}
+
+// NearestGroups writes into out[i] the multicast group whose code-space
+// centroid is nearest to users[i]'s code under this cell's encoder, or
+// -1 when none applies: no groups, no centroid of the code's
+// dimension, or twins the encoder cannot read. The users' windows are
+// staged and encoded as one batch in engine- and builder-owned
+// scratch, so a batch allocates nothing once the scratch has grown,
+// and each pick equals the one a one-user call makes. The picks read
+// only the twins, the encoder weights and the centroids — not
+// membership — so they hold for as long as the groups are not rebuilt.
+// Every handle must be non-nil, out must be at least as long as users,
+// and calls on one engine must not overlap: they share the scratch.
+func (s *Simulation) NearestGroups(users []User, out []int) {
+	out = out[:len(users)]
+	for i := range out {
+		out[i] = -1
 	}
-	u := mu.u
-	pos := sort.Search(len(s.users), func(i int) bool { return s.users[i].id >= u.id })
-	if pos < len(s.users) && s.users[pos].id == u.id {
-		return fmt.Errorf("attach duplicate user %d: %w", u.id, ErrConfig)
+	if len(s.groups) == 0 || len(users) == 0 {
+		return
 	}
-	s.users = append(s.users, nil)
-	copy(s.users[pos+1:], s.users[pos:])
-	s.users[pos] = u
-	s.index(u.id, u)
-	s.prevAssign = nil
-	if len(s.groups) == 0 {
+	twins := s.pickTwins[:0]
+	for _, mu := range users {
+		twins = append(twins, mu.u.twin)
+	}
+	err := s.builder.CodesInto(&s.pickCodes, twins)
+	clear(twins) // hold no twin past the call
+	s.pickTwins = twins
+	if err != nil {
+		return
+	}
+	for i := range out {
+		code := s.pickCodes.Row(i)
+		best, bestD := -1, 0.0
+		for _, g := range s.groups {
+			if len(g.centroid) != len(code) {
+				continue
+			}
+			var d float64
+			for j, c := range g.centroid {
+				diff := code[j] - c
+				d += diff * diff
+			}
+			if best == -1 || d < bestD {
+				best, bestD = g.id, d
+			}
+		}
+		out[i] = best
+	}
+}
+
+// Splice applies one boundary's membership change to the engine in a
+// single pass: the users with the global ids departs leave, and the
+// users arrivals join, arrivals[i] in group groups[i]. departs and the
+// arrivals' ids must be strictly ascending, and every arrival non-nil
+// and new to the engine; everything is checked before anything moves,
+// so a rejected splice leaves the engine untouched. The population is
+// filtered and merged by id once, each group's members filtered once,
+// and each group's arrivals appended in id order, so the outcome is
+// the one a detach or attach per user in ascending global-id order
+// reaches. A negative group joins the smallest group (ties to the
+// lowest id) as it stands at that point of the id order: the live
+// group sizes are replayed across the departures and arrivals before
+// it. groups, typically NearestGroups' picks, must be as long as
+// arrivals.
+func (s *Simulation) Splice(departs []int, arrivals []User, groups []int) error {
+	for i, id := range departs {
+		if i > 0 && id <= departs[i-1] {
+			return fmt.Errorf("departures %d then %d not ascending: %w", departs[i-1], id, ErrConfig)
+		}
+		if s.userByID(id) == nil {
+			return fmt.Errorf("detach user %d not in the engine: %w", id, ErrConfig)
+		}
+	}
+	if len(groups) < len(arrivals) {
+		return fmt.Errorf("%d arrivals with %d groups: %w", len(arrivals), len(groups), ErrConfig)
+	}
+	for i, mu := range arrivals {
+		switch {
+		case mu.u == nil:
+			return fmt.Errorf("attach nil user: %w", ErrConfig)
+		case groups[i] >= len(s.groups):
+			return fmt.Errorf("attach user %d to group %d of %d: %w", mu.u.id, groups[i], len(s.groups), ErrConfig)
+		case i > 0 && mu.u.id <= arrivals[i-1].u.id:
+			return fmt.Errorf("arrivals %d then %d not ascending: %w", arrivals[i-1].u.id, mu.u.id, ErrConfig)
+		case s.userByID(mu.u.id) != nil:
+			return fmt.Errorf("attach duplicate user %d: %w", mu.u.id, ErrConfig)
+		}
+	}
+	if len(departs) == 0 && len(arrivals) == 0 {
 		return nil
 	}
-	if group < 0 {
-		group = s.smallestGroup()
-	}
-	s.groups[group].members = append(s.groups[group].members, u.id)
+	s.spliceGroups(departs, arrivals, groups)
+	s.spliceUsers(departs, arrivals)
+	// Membership changed under the stability tracker's feet; the next
+	// construction starts a fresh baseline.
+	s.prevAssign = nil
 	return nil
 }
 
-// NearestGroup returns the multicast group whose code-space centroid
-// is nearest to the twin's code under this cell's encoder, or -1 when
-// none applies: no groups, no centroid of the code's dimension, or a
-// twin the encoder cannot read. It reads only the twin, the encoder
-// weights and the centroids — not membership — so its answer holds for
-// as long as the groups are not rebuilt. Calls on one engine must not
-// overlap: they share the encoder's scratch.
-func (s *Simulation) NearestGroup(mu User) int {
-	if len(s.groups) == 0 || mu.u == nil {
-		return -1
+// spliceGroups is Splice's membership half: each group's members are
+// filtered once, noting which group each departure left, and then the
+// departures and arrivals are walked in merged id order over the live
+// group sizes, resolving every negative group to the smallest group of
+// that moment and appending each arrival to its group.
+func (s *Simulation) spliceGroups(departs []int, arrivals []User, groups []int) {
+	if len(s.groups) == 0 {
+		return
 	}
-	codes, err := s.builder.Codes([]*udt.Twin{mu.u.twin})
-	if err != nil || len(codes) != 1 {
-		return -1
+	sizes := s.spliceSizes[:0]
+	left := append(s.spliceLeft[:0], make([]int, len(departs))...)
+	for i := range left {
+		left[i] = -1
 	}
-	best, bestD := -1, 0.0
-	for _, g := range s.groups {
-		if len(g.centroid) != len(codes[0]) {
+	for gi, g := range s.groups {
+		sizes = append(sizes, len(g.members))
+		if len(departs) == 0 {
 			continue
 		}
-		var d float64
-		for i, c := range g.centroid {
-			diff := codes[0][i] - c
-			d += diff * diff
+		kept := g.members[:0]
+		for _, m := range g.members {
+			if j, found := slices.BinarySearch(departs, m); found {
+				left[j] = gi
+				continue
+			}
+			kept = append(kept, m)
 		}
-		if best == -1 || d < bestD {
-			best, bestD = g.id, d
-		}
+		g.members = kept
 	}
-	return best
+	j := 0
+	for i, mu := range arrivals {
+		for ; j < len(departs) && departs[j] < mu.u.id; j++ {
+			if left[j] >= 0 {
+				sizes[left[j]]--
+			}
+		}
+		g := groups[i]
+		if g < 0 {
+			g = 0
+			for k := range sizes {
+				if sizes[k] < sizes[g] {
+					g = k
+				}
+			}
+		}
+		sizes[g]++
+		s.groups[g].members = append(s.groups[g].members, mu.u.id)
+	}
+	s.spliceSizes, s.spliceLeft = sizes, left
 }
 
-// smallestGroup returns the group with the fewest members (ties to the
-// lowest id); the engine must have groups.
-func (s *Simulation) smallestGroup() int {
-	best := 0
-	for _, g := range s.groups[1:] {
-		if len(g.members) < len(s.groups[best].members) {
-			best = g.id
+// spliceUsers is Splice's population half. Each departure is found by
+// binary search in the id-sorted users and the runs between departures
+// are shifted down with one copy each; then the arrivals are merged in
+// from the back, each placed by binary search after one copy of the
+// run it displaces. A lone detach or attach thus costs what one slice
+// shift costs, and a batch one pass of copies; the id index follows.
+func (s *Simulation) spliceUsers(departs []int, arrivals []User) {
+	users := s.users
+	if len(departs) > 0 {
+		w, r := -1, 0 // write end of the kept prefix, read start of the next run
+		for _, id := range departs {
+			p := r + sort.Search(len(users)-r, func(k int) bool { return users[r+k].id >= id })
+			if w < 0 {
+				w = p
+			} else {
+				w += copy(users[w:], users[r:p])
+			}
+			s.index(id, nil)
+			r = p + 1
+		}
+		w += copy(users[w:], users[r:])
+		clear(users[w:]) // hold no departed user
+		users = users[:w]
+	}
+	if n := len(arrivals); n > 0 {
+		r := len(users) // users[:r] are the not yet displaced old users
+		users = slices.Grow(users, n)[:r+n]
+		w := r + n // users[w:] is final
+		for i := n - 1; i >= 0; i-- {
+			u := arrivals[i].u
+			p := sort.Search(r, func(k int) bool { return users[k].id > u.id })
+			w -= r - p
+			copy(users[w:], users[p:r])
+			r = p
+			w--
+			users[w] = u
+			s.index(u.id, u)
 		}
 	}
-	return best
+	s.users = users
 }

@@ -95,10 +95,11 @@ func TestCellRowsCarryBS(t *testing.T) {
 	}
 }
 
-// referenceAssignGroup is the attach-time group choice the handover
-// pre-pass replaced, kept verbatim as its oracle: nearest centroid in
-// the cell's code space when computable, else the smallest group as it
-// stands (ties to the lowest id).
+// referenceAssignGroup is the attach-time group choice, one twin
+// encoded alone through Codes, kept as the oracle of the batched pick
+// and the splice: nearest centroid in the cell's code space when
+// computable, else the smallest group as it stands (ties to the lowest
+// id).
 func referenceAssignGroup(s *Simulation, u *user) int {
 	if codes, err := s.builder.Codes([]*udt.Twin{u.twin}); err == nil && len(codes) == 1 {
 		best, bestD := -1, 0.0
@@ -138,15 +139,48 @@ func groupOf(s *Simulation, id int) int {
 	return -1
 }
 
+// builtTestCell is a cell of 48 users, warmed up, trained and grouped
+// with the CNN on: at least two groups, each with a centroid.
+func builtTestCell(t *testing.T) *Simulation {
+	t.Helper()
+	cfg := fastConfig(5)
+	cfg.NumUsers = 48
+	all := make([]int, cfg.NumUsers)
+	for i := range all {
+		all[i] = i
+	}
+	s := newTestCell(t, cfg, 0, all)
+	for i := 0; i < 2; i++ {
+		if err := s.WarmupIntervalContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Train(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BuildGroupsContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.groups) < 2 || s.groups[0].centroid == nil {
+		t.Fatalf("%d groups, centroid %v: scenario too small to exercise the choice", len(s.groups), s.groups[0].centroid)
+	}
+	return s
+}
+
 // TestNearestGroupMatchesAttachTime runs the handover pass's shape on
-// one cell — every migrant's group precomputed by NearestGroup while
-// it still sits in the population, then detach and attach one by one
-// in id order — and asserts each lands where the attach-time choice
-// would have put it, evaluated on live membership just before its
-// attach: with trained centroids, with one centroid of the wrong
-// dimension, with none of the right dimension (the smallest-group
-// fallback, whose answer moves as the migrants land), with no
-// centroids at all, and on a cell with no groups yet.
+// one cell: every migrant's group is picked in one NearestGroups batch
+// while it still sits in the population, the migrants leave in one
+// splice, and they come back in a second splice that also takes every
+// sixth user out, so departures and arrivals interleave in id order.
+// A twin cell built the same way replays the moves one user at a time
+// (DetachUser, AttachUser) in id order. Each migrant must land where
+// the attach-time choice would have put it, evaluated on live
+// membership just before its attach, and both cells must end with the
+// same population and the same member lists, order included. The cases
+// cover trained centroids, one centroid of the wrong dimension, none
+// of the right dimension (the smallest-group fallback, whose answer
+// moves as the migrants land and the leavers go), no centroids at
+// all, and a cell with no groups yet.
 func TestNearestGroupMatchesAttachTime(t *testing.T) {
 	cfg := fastConfig(5)
 	cfg.NumUsers = 48
@@ -154,44 +188,26 @@ func TestNearestGroupMatchesAttachTime(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	built := func(t *testing.T) *Simulation {
-		s := newTestCell(t, cfg, 0, all)
-		for i := 0; i < 2; i++ {
-			if err := s.WarmupIntervalContext(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Train(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.BuildGroupsContext(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if len(s.groups) < 2 || s.groups[0].centroid == nil {
-			t.Fatalf("%d groups, centroid %v: scenario too small to exercise the choice", len(s.groups), s.groups[0].centroid)
-		}
-		return s
-	}
 	cases := []struct {
 		name     string
 		cell     func(t *testing.T) *Simulation
 		fallback bool // every migrant must take the smallest-group fallback
 	}{
-		{"trained centroids", built, false},
+		{"trained centroids", builtTestCell, false},
 		{"one centroid of the wrong dimension", func(t *testing.T) *Simulation {
-			s := built(t)
+			s := builtTestCell(t)
 			s.groups[1].centroid = append(slices.Clone(s.groups[1].centroid), 0)
 			return s
 		}, false},
 		{"no centroid of the code's dimension", func(t *testing.T) *Simulation {
-			s := built(t)
+			s := builtTestCell(t)
 			for _, g := range s.groups {
 				g.centroid = g.centroid[:len(g.centroid)-1]
 			}
 			return s
 		}, true},
 		{"no centroids", func(t *testing.T) *Simulation {
-			s := built(t)
+			s := builtTestCell(t)
 			for _, g := range s.groups {
 				g.centroid = nil
 			}
@@ -201,43 +217,164 @@ func TestNearestGroupMatchesAttachTime(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := tc.cell(t)
-			var migrants []int
-			for id := 0; id < cfg.NumUsers; id += 3 {
-				migrants = append(migrants, id)
+			s, ref := tc.cell(t), tc.cell(t)
+			var migrants, leavers []int
+			for id := 0; id < cfg.NumUsers; id++ {
+				switch id % 6 {
+				case 0, 3:
+					migrants = append(migrants, id)
+				case 1:
+					leavers = append(leavers, id)
+				}
 			}
-			pre := make([]int, len(migrants))
+			handles := make([]User, len(migrants))
 			for i, id := range migrants {
 				mu, ok := s.Member(id)
 				if !ok {
 					t.Fatalf("user %d not a member", id)
 				}
-				pre[i] = s.NearestGroup(mu)
+				handles[i] = mu
+			}
+			pre := make([]int, len(migrants))
+			s.NearestGroups(handles, pre)
+			for i, id := range migrants {
 				if tc.fallback != (pre[i] == -1) {
-					t.Fatalf("user %d: precomputed group %d, fallback expected: %v", id, pre[i], tc.fallback)
+					t.Fatalf("user %d: picked group %d, fallback expected: %v", id, pre[i], tc.fallback)
 				}
 			}
-			handles := make([]User, len(migrants))
+			if err := s.Splice(migrants, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Splice(leavers, handles, pre); err != nil {
+				t.Fatal(err)
+			}
+
+			refHandles := make([]User, len(migrants))
 			for i, id := range migrants {
-				mu, ok := s.DetachUser(id)
+				mu, ok := ref.DetachUser(id)
 				if !ok {
 					t.Fatalf("user %d not detachable", id)
 				}
-				handles[i] = mu
+				refHandles[i] = mu
 			}
-			for i, mu := range handles {
-				want := -1
-				if len(s.groups) > 0 {
-					want = referenceAssignGroup(s, mu.u)
+			next := 0
+			for id := 0; id < cfg.NumUsers; id++ {
+				if slices.Contains(leavers, id) {
+					if _, ok := ref.DetachUser(id); !ok {
+						t.Fatalf("user %d not detachable", id)
+					}
+					continue
 				}
-				if err := s.AttachUserTo(mu, pre[i]); err != nil {
+				if next == len(migrants) || migrants[next] != id {
+					continue
+				}
+				mu := refHandles[next]
+				want := -1
+				if len(ref.groups) > 0 {
+					want = referenceAssignGroup(ref, mu.u)
+				}
+				if err := ref.AttachUser(mu); err != nil {
 					t.Fatal(err)
 				}
-				if got := groupOf(s, mu.ID()); got != want {
-					t.Fatalf("user %d joined group %d, attach-time choice %d (precomputed %d)", mu.ID(), got, want, pre[i])
+				if got := groupOf(ref, id); got != want {
+					t.Fatalf("user %d attached alone joined group %d, attach-time choice %d", id, got, want)
+				}
+				if got := groupOf(s, id); got != want {
+					t.Fatalf("user %d spliced into group %d, attach-time choice %d (picked %d)", id, got, want, pre[next])
+				}
+				next++
+			}
+			var stay []int
+			for id := 0; id < cfg.NumUsers; id++ {
+				if !slices.Contains(leavers, id) {
+					stay = append(stay, id)
+				}
+			}
+			if !slices.Equal(s.UserIDs(), stay) || !slices.Equal(ref.UserIDs(), stay) {
+				t.Fatalf("spliced population %v, one at a time %v, want %v", s.UserIDs(), ref.UserIDs(), stay)
+			}
+			for _, id := range stay {
+				if mu, ok := s.Member(id); !ok || mu.ID() != id {
+					t.Fatalf("user %d not indexed after the splice", id)
+				}
+			}
+			for g := range s.groups {
+				if !slices.Equal(s.groups[g].members, ref.groups[g].members) {
+					t.Fatalf("group %d: spliced members %v, one at a time %v", g, s.groups[g].members, ref.groups[g].members)
 				}
 			}
 		})
+	}
+}
+
+// TestNearestGroupsMatchesOneByOne: with the CNN on, 17 arrivals
+// picked in one NearestGroups batch — crossing the compressor's
+// 8-window chunk boundary twice — pick the same groups as 17 one-user
+// calls, and the same as the oracle's one-twin encode. The batch
+// spreads over more than one group, so the comparison is not vacuous.
+func TestNearestGroupsMatchesOneByOne(t *testing.T) {
+	s := builtTestCell(t)
+	var users []User
+	for id := 0; len(users) < 17; id += 2 {
+		mu, ok := s.Member(id)
+		if !ok {
+			t.Fatalf("user %d not a member", id)
+		}
+		users = append(users, mu)
+	}
+	batch := make([]int, len(users))
+	s.NearestGroups(users, batch)
+	seen := map[int]bool{}
+	for i, mu := range users {
+		var one [1]int
+		s.NearestGroups([]User{mu}, one[:])
+		if batch[i] != one[0] || batch[i] != referenceAssignGroup(s, mu.u) {
+			t.Fatalf("user %d: batch picked group %d, one-user call %d, oracle %d",
+				mu.ID(), batch[i], one[0], referenceAssignGroup(s, mu.u))
+		}
+		seen[batch[i]] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("every arrival picked group %v: scenario too small to tell picks apart", seen)
+	}
+}
+
+// TestSpliceRejectsBeforeMoving: a splice with a bad departure or
+// arrival anywhere in it fails typed and leaves the engine as it was.
+func TestSpliceRejectsBeforeMoving(t *testing.T) {
+	s := builtTestCell(t)
+	stranger, err := s.SpawnUsers(s.cfg.NumUsers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _ := s.Member(5)
+	members := func() [][]int {
+		var out [][]int
+		for _, g := range s.groups {
+			out = append(out, slices.Clone(g.members))
+		}
+		return out
+	}
+	ids, groups := s.UserIDs(), members()
+	for _, tc := range []struct {
+		name     string
+		departs  []int
+		arrivals []User
+		groups   []int
+	}{
+		{"departure not in the cell", []int{2, 99}, nil, nil},
+		{"departures out of order", []int{4, 2}, nil, nil},
+		{"duplicate arrival", []int{2}, []User{in}, []int{-1}},
+		{"nil arrival", []int{2}, []User{{}}, []int{-1}},
+		{"group out of range", []int{2}, []User{stranger[0]}, []int{len(s.groups)}},
+		{"arrival without a group", []int{2}, []User{stranger[0]}, nil},
+	} {
+		if err := s.Splice(tc.departs, tc.arrivals, tc.groups); !errors.Is(err, ErrConfig) {
+			t.Fatalf("%s: want ErrConfig, got %v", tc.name, err)
+		}
+		if !slices.Equal(s.UserIDs(), ids) || !slices.EqualFunc(members(), groups, slices.Equal) {
+			t.Fatalf("%s: rejected splice moved users", tc.name)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"dtmsvs/internal/stats"
 	"dtmsvs/internal/tracebin"
 	"dtmsvs/internal/udt"
+	"dtmsvs/internal/vecmath"
 	"dtmsvs/internal/video"
 )
 
@@ -478,6 +479,14 @@ type Simulation struct {
 	// predictor is the group-level demand model shared by every
 	// interval's forecast pass.
 	predictor predict.DemandPredictor
+
+	// Handover scratch, kept so a boundary's batch allocates nothing
+	// once grown: NearestGroups' twins and codes, and Splice's live
+	// group sizes and the group each departure left.
+	pickTwins   []*udt.Twin
+	pickCodes   vecmath.Matrix
+	spliceSizes []int
+	spliceLeft  []int
 
 	lastResult *grouping.Result
 	// prevAssign holds the previous construction's per-user group

@@ -438,15 +438,30 @@ func (t *Twin) FeatureWindow(steps int, posScale float64) (vecmath.Vec, error) {
 	if steps <= 0 {
 		return nil, fmt.Errorf("window of %d steps: %w", steps, ErrParam)
 	}
-	if posScale <= 0 {
-		return nil, fmt.Errorf("position scale %v: %w", posScale, ErrParam)
+	out := make(vecmath.Vec, NumFeatureChannels*steps)
+	if err := t.FeatureWindowInto(out, steps, posScale); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FeatureWindowInto is FeatureWindow written into dst, which must hold
+// exactly NumFeatureChannels·steps values, so a batch of windows can
+// be staged in one caller-owned matrix.
+func (t *Twin) FeatureWindowInto(dst vecmath.Vec, steps int, posScale float64) error {
+	switch {
+	case steps <= 0:
+		return fmt.Errorf("window of %d steps: %w", steps, ErrParam)
+	case posScale <= 0:
+		return fmt.Errorf("position scale %v: %w", posScale, ErrParam)
+	case len(dst) != NumFeatureChannels*steps:
+		return fmt.Errorf("window of %d steps into %d values: %w", steps, len(dst), ErrParam)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(vecmath.Vec, NumFeatureChannels*steps)
 	divs := [NumFeatureChannels]float64{15, posScale, posScale, 60, 1}
 	for i, r := range t.rings() {
-		r.windowInto(out[i*steps:(i+1)*steps], divs[i])
+		r.windowInto(dst[i*steps:(i+1)*steps], divs[i])
 	}
-	return out, nil
+	return nil
 }

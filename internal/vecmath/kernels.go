@@ -60,11 +60,12 @@ func CPU() CPUInfo {
 // axpyGeneric is the portable AXPY micro-kernel: the reslice hoists
 // the per-element bounds check out of the loop. It is the purego
 // fallback of the dispatched kernel and the reference implementation
-// the equivalence tests compare against.
+// the equivalence tests compare against. The float64 conversion rounds
+// the product on its own, so no target fuses it into the add.
 func axpyGeneric(alpha float64, x, y Vec) {
 	y = y[:len(x)]
 	for i, xv := range x {
-		y[i] += alpha * xv
+		y[i] += float64(alpha * xv)
 	}
 }
 

@@ -17,7 +17,11 @@ import "fmt"
 //
 // The tiling never splits the inner dimension (that would reorder the
 // summation); it blocks the *output* dimensions so operand rows are
-// reused while they are hot in cache.
+// reused while they are hot in cache. Which form a destination row
+// takes — an AXPY sweep, or for outputs of at most eight columns a
+// sweep with the row held in registers — depends only on the shape,
+// and both round each product and each add on their own in ascending
+// k, so the form never reaches the bits (see matMulAccum).
 
 // MatMulInto computes dst = a·b where a is (m×k) and b is (k×n); dst
 // must be (m×n) and must not alias a or b. Per element the sum runs
@@ -42,20 +46,37 @@ func checkMatMul(dst, a, b *Matrix) error {
 	return nil
 }
 
-// matMulAccum accumulates dst += a·b with k ascending per element:
-// each destination row is an ascending-k sweep of AXPYs against the
-// streamed b-rows (the store-light form that measures fastest here —
-// a fused multi-row micro-kernel was tried and lost to the extra
-// destination streams).
+// matMulAccum accumulates dst += a·b with k ascending per element.
+// Wide outputs run each destination row as an ascending-k sweep of
+// AXPYs against the streamed b-rows, the store-light form: a fused
+// multi-row register tile lost 2× to it on wide outputs, whose rows do
+// not fit in registers and so became extra destination streams.
+// Outputs of at most narrowCols columns (the CNN's 8 filters and 8-wide
+// code head, the Q-network's action head) fit: their kernels load a
+// destination row into registers once, make the same ascending-k sweep
+// with the same zero-coefficient skip, and store it once. Each element
+// still takes one rounded multiply and then one rounded add per k,
+// exactly as an AXPY lane does, so the two forms are bit-identical.
 func matMulAccum(dst, a, b *Matrix) {
 	matMulAccumRows(dst, a, b, 0, a.Rows)
 }
+
+// narrowCols is the widest output the register kernels take.
+const narrowCols = 8
 
 // matMulAccumRows is matMulAccum restricted to dst rows [lo, hi) —
 // the row-block unit of the pool-parallel path. Each dst row's sums
 // are complete within one call, so any partition of the row range
 // produces bit-identical results.
 func matMulAccumRows(dst, a, b *Matrix, lo, hi int) {
+	switch {
+	case b.Cols == narrowCols:
+		matMulAccum8(dst, a, b, lo, hi)
+		return
+	case b.Cols < narrowCols:
+		matMulAccumNarrow(dst, a, b, lo, hi)
+		return
+	}
 	k := a.Cols
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
@@ -64,6 +85,120 @@ func matMulAccumRows(dst, a, b *Matrix, lo, hi int) {
 			if av := ai[kk]; av != 0 {
 				AXPYUnchecked(av, b.Row(kk), di)
 			}
+		}
+	}
+}
+
+// matMulAccum8 is matMulAccumRows for exactly 8 output columns, the
+// destination row held in eight registers. The float64 conversions
+// round every product on its own, so no target may fuse a multiply
+// into its add: the AXPY form it must match rounds twice.
+func matMulAccum8(dst, a, b *Matrix, lo, hi int) {
+	k := a.Cols
+	bd := b.Data[:k*8]
+	for i := lo; i < hi; i++ {
+		ai := a.Data[i*k : i*k+k]
+		di := dst.Data[i*8 : i*8+8 : i*8+8]
+		d0, d1, d2, d3, d4, d5, d6, d7 := di[0], di[1], di[2], di[3], di[4], di[5], di[6], di[7]
+		for kk, av := range ai {
+			if av == 0 {
+				continue
+			}
+			br := bd[kk*8 : kk*8+8 : kk*8+8]
+			d0 += float64(av * br[0])
+			d1 += float64(av * br[1])
+			d2 += float64(av * br[2])
+			d3 += float64(av * br[3])
+			d4 += float64(av * br[4])
+			d5 += float64(av * br[5])
+			d6 += float64(av * br[6])
+			d7 += float64(av * br[7])
+		}
+		di[0], di[1], di[2], di[3], di[4], di[5], di[6], di[7] = d0, d1, d2, d3, d4, d5, d6, d7
+	}
+}
+
+// matMulAccumNarrow is matMulAccumRows for 1 to 7 output columns: the
+// register kernel of matMulAccum8 with one accumulator per column in
+// use, reached through fallthrough switches on the width.
+func matMulAccumNarrow(dst, a, b *Matrix, lo, hi int) {
+	n, k := b.Cols, a.Cols
+	bd := b.Data[:k*n]
+	for i := lo; i < hi; i++ {
+		ai := a.Data[i*k : i*k+k]
+		di := dst.Data[i*n : i*n+n]
+		var d0, d1, d2, d3, d4, d5, d6 float64
+		switch n {
+		case 7:
+			d6 = di[6]
+			fallthrough
+		case 6:
+			d5 = di[5]
+			fallthrough
+		case 5:
+			d4 = di[4]
+			fallthrough
+		case 4:
+			d3 = di[3]
+			fallthrough
+		case 3:
+			d2 = di[2]
+			fallthrough
+		case 2:
+			d1 = di[1]
+			fallthrough
+		case 1:
+			d0 = di[0]
+		}
+		for kk, av := range ai {
+			if av == 0 {
+				continue
+			}
+			br := bd[kk*n : kk*n+n]
+			switch n {
+			case 7:
+				d6 += float64(av * br[6])
+				fallthrough
+			case 6:
+				d5 += float64(av * br[5])
+				fallthrough
+			case 5:
+				d4 += float64(av * br[4])
+				fallthrough
+			case 4:
+				d3 += float64(av * br[3])
+				fallthrough
+			case 3:
+				d2 += float64(av * br[2])
+				fallthrough
+			case 2:
+				d1 += float64(av * br[1])
+				fallthrough
+			case 1:
+				d0 += float64(av * br[0])
+			}
+		}
+		switch n {
+		case 7:
+			di[6] = d6
+			fallthrough
+		case 6:
+			di[5] = d5
+			fallthrough
+		case 5:
+			di[4] = d4
+			fallthrough
+		case 4:
+			di[3] = d3
+			fallthrough
+		case 3:
+			di[2] = d2
+			fallthrough
+		case 2:
+			di[1] = d1
+			fallthrough
+		case 1:
+			di[0] = d0
 		}
 	}
 }

@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -193,5 +194,59 @@ func TestMatrixResize(t *testing.T) {
 	}
 	if err := m.Resize(0, 3); !errors.Is(err, ErrShape) {
 		t.Fatalf("zero-row resize: %v", err)
+	}
+}
+
+// TestNarrowMatMulMatchesAXPYSweep: the register kernels that take
+// outputs of at most narrowCols columns are bit-identical to the AXPY
+// sweep that takes wider ones, at every width on both sides of the
+// dispatch, with and without the SIMD AXPY, on operands that mix
+// signed zeros, infinities, NaN and subnormals into normal draws. A
+// NaN result must be NaN on both sides; its payload is not compared:
+// when both addends are NaN, x86 returns the first operand's, and
+// which operand comes first is the register allocator's choice, in
+// the scalar AXPY as much as in the kernels.
+func TestNarrowMatMulMatchesAXPYSweep(t *testing.T) {
+	defer ForceGeneric(false)
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-308}
+	fill := func(rng *rand.Rand, m *Matrix) {
+		for i := range m.Data {
+			if rng.Intn(4) == 0 {
+				m.Data[i] = special[rng.Intn(len(special))]
+			} else {
+				m.Data[i] = rng.NormFloat64()
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	for _, generic := range []bool{false, true} {
+		ForceGeneric(generic)
+		for n := 1; n <= 16; n++ {
+			for _, sh := range [][2]int{{1, 1}, {3, 15}, {9, 56}, {40, 15}} {
+				m, k := sh[0], sh[1]
+				a, b, dst := MustMatrix(m, k), MustMatrix(k, n), MustMatrix(m, n)
+				fill(rng, a)
+				fill(rng, b)
+				fill(rng, dst)
+				want := dst.Clone()
+				for i := 0; i < m; i++ {
+					for kk, av := range a.Row(i) {
+						if av != 0 {
+							AXPYUnchecked(av, b.Row(kk), want.Row(i))
+						}
+					}
+				}
+				matMulAccumRows(dst, a, b, 0, m)
+				for i := range want.Data {
+					if math.IsNaN(want.Data[i]) && math.IsNaN(dst.Data[i]) {
+						continue
+					}
+					if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("generic=%v %dx%d·%dx%d: element %d = %x, AXPY sweep %x",
+							generic, m, k, k, n, i, math.Float64bits(dst.Data[i]), math.Float64bits(want.Data[i]))
+					}
+				}
+			}
+		}
 	}
 }

@@ -575,7 +575,13 @@ func (a *simStepper) stepInterval(ctx context.Context, interval int) (IntervalRe
 func (a *simStepper) finish() error { a.eng.FinishTrace(a.trace); return nil }
 func (a *simStepper) close()        { a.eng.Close() }
 
-func (a *simStepper) fingerprint() (uint64, error) { return checkpoint.Fingerprint(a.cfg) }
+// fingerprint leaves Parallelism at its default: the pool width never
+// reaches the state, so a checkpoint resumes at any width.
+func (a *simStepper) fingerprint() (uint64, error) {
+	cfg := a.cfg
+	cfg.Parallelism = 0
+	return checkpoint.Fingerprint(cfg)
+}
 
 func (a *simStepper) writeState(cw *checkpoint.Writer) error { return a.eng.WriteState(cw) }
 
@@ -647,7 +653,9 @@ func (a *clusterStepper) stepInterval(ctx context.Context, interval int) (Interv
 func (a *clusterStepper) finish() error { a.trace = a.eng.Finish(); return nil }
 func (a *clusterStepper) close()        { a.eng.Close() }
 
-func (a *clusterStepper) fingerprint() (uint64, error) { return checkpoint.Fingerprint(a.cfg) }
+func (a *clusterStepper) fingerprint() (uint64, error) {
+	return checkpoint.Fingerprint(a.cfg.Unscheduled())
+}
 
 func (a *clusterStepper) writeState(cw *checkpoint.Writer) error { return a.eng.WriteState(cw) }
 
