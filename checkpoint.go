@@ -5,8 +5,13 @@
 // versioned binary format of internal/checkpoint. Resume and
 // ResumeCluster rebuild a session from the same configuration and a
 // checkpoint stream; the resumed session produces a trace suffix
-// bit-identical to the uninterrupted run at the same seed, for either
-// engine and any Parallelism / shard layout.
+// bit-identical to the uninterrupted run at the same seed, at any
+// Parallelism / shard layout. Both in-process session kinds run the
+// cluster engine, so they write one layout, kind "cluster": a
+// monolithic checkpoint is the cluster one of its single all-station
+// cell. Only the header fingerprint tells the two apart — the
+// scenario for Open, the cluster configuration for OpenCluster — so
+// neither resumes as the other, even over one station.
 package dtmsvs
 
 import (
@@ -136,7 +141,27 @@ func (s *session) restore(r io.Reader) error {
 	return nil
 }
 
-// Resume opens a monolithic-engine session from cfg and restores the
+// resumable is a freshly opened session of any kind.
+type resumable interface {
+	resume(r io.Reader) error
+	Close() error
+}
+
+// resumeOpened restores r into s, the session an Open call just
+// returned with err, and closes s if the restore fails.
+func resumeOpened[S resumable](s S, err error, r io.Reader) (S, error) {
+	if err != nil {
+		return s, err
+	}
+	if err := s.resume(r); err != nil {
+		s.Close()
+		var none S
+		return none, err
+	}
+	return s, nil
+}
+
+// Resume opens a monolithic session from cfg and restores the
 // checkpoint previously written by (*SimSession).Checkpoint under the
 // identical configuration. Stepping the resumed session yields the
 // same records, in the same order, as the uninterrupted run would
@@ -145,26 +170,13 @@ func (s *session) restore(r io.Reader) error {
 // sink put it.
 func Resume(cfg Config, r io.Reader, opts ...SessionOption) (*SimSession, error) {
 	s, err := Open(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.resume(r); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
+	return resumeOpened(s, err, r)
 }
 
-// ResumeCluster is Resume for the sharded cluster engine, restoring a
-// checkpoint written by (*ClusterSession).Checkpoint.
+// ResumeCluster is Resume for a session over one cell per base
+// station, restoring a checkpoint written by
+// (*ClusterSession).Checkpoint.
 func ResumeCluster(cfg ClusterConfig, r io.Reader, opts ...SessionOption) (*ClusterSession, error) {
 	s, err := OpenCluster(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.resume(r); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
+	return resumeOpened(s, err, r)
 }

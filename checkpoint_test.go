@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/faultinject"
 )
 
@@ -448,6 +449,57 @@ func TestSessionCheckpointRejectsDamage(t *testing.T) {
 	if _, rerr := Resume(cfg, bytes.NewReader(impossible.Bytes())); !errors.Is(rerr, ErrCheckpointCorrupt) {
 		t.Fatalf("trained before warm-up: want ErrCheckpointCorrupt, got %v", rerr)
 	}
+
+	// Both in-process kinds write the cluster layout under one kind, and
+	// over one station both are one cell: only the fingerprint — the
+	// scenario for Open, the cluster configuration for OpenCluster —
+	// keeps them apart, in both directions.
+	steppedCheckpoint := func(s Session, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, serr := s.Step(context.Background()); serr != nil {
+			t.Fatal(serr)
+		}
+		var b bytes.Buffer
+		if cerr := s.Checkpoint(&b); cerr != nil {
+			t.Fatal(cerr)
+		}
+		return b.Bytes()
+	}
+	oneBS := cfg
+	oneBS.NumBS = 1
+	for _, sc := range []Config{cfg, oneBS} {
+		clusterRaw := steppedCheckpoint(OpenCluster(ClusterConfig{Sim: sc}))
+		if _, rerr := Resume(sc, bytes.NewReader(clusterRaw)); !errors.Is(rerr, ErrCheckpointConfig) {
+			t.Fatalf("%d-station cluster checkpoint into monolithic session: want ErrCheckpointConfig, got %v", sc.NumBS, rerr)
+		}
+		monoRaw := steppedCheckpoint(Open(sc))
+		if _, rerr := ResumeCluster(ClusterConfig{Sim: sc}, bytes.NewReader(monoRaw)); !errors.Is(rerr, ErrCheckpointConfig) {
+			t.Fatalf("%d-station monolithic checkpoint into cluster session: want ErrCheckpointConfig, got %v", sc.NumBS, rerr)
+		}
+	}
+	// A monolithic stream written before Open ran the cluster engine:
+	// the header of today's stream, whose fingerprint is still the
+	// scenario with Parallelism at its default, under the old kind.
+	unscheduled := cfg.Defaulted()
+	unscheduled.Parallelism = 0
+	fp, err := checkpoint.Fingerprint(unscheduled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var header, simKind bytes.Buffer
+	checkpoint.NewWriter(&header, "cluster", fp)
+	if !bytes.HasPrefix(raw, header.Bytes()) {
+		t.Fatal("monolithic checkpoint header is not kind \"cluster\" over the scenario's fingerprint")
+	}
+	checkpoint.NewWriter(&simKind, "sim", fp)
+	simKind.Write(raw[header.Len():])
+	if _, rerr := Resume(cfg, &simKind); !errors.Is(rerr, ErrCheckpointConfig) {
+		t.Fatalf("\"sim\" kind checkpoint: want ErrCheckpointConfig, got %v", rerr)
+	}
 }
 
 // TestCheckpointDigestPinned pins the exact bytes of one tiny
@@ -469,7 +521,7 @@ func TestCheckpointDigestPinned(t *testing.T) {
 		want string
 	}{
 		{"mono", func() (Session, error) { return Open(cfg) },
-			"6fbf383653b6ca1732952807fbeb4cc8a63f3e34cc2315a783848c83b6d1a8b6"},
+			"e3076815072e77e6fc600fd659beec195da515c9f7f54f7303d7136110cf8710"},
 		{"cluster", func() (Session, error) { return OpenCluster(ClusterConfig{Sim: cfg}) },
 			"10b990a0d2950eb368ce65e8ef13ca12374e41d146a4c1dba6ddf0ca0cb57677"},
 	} {
@@ -570,10 +622,10 @@ func TestTraceDigestPinned(t *testing.T) {
 	}{
 		{"mono", 42, mono,
 			"01915b1efeb7ca22cb2afa138d8c4ffd543222a8a3d8aaf0ce9ab7a04ea963f2",
-			"da9cc39e9d4e638020b4eb83e84ae31b7b6d4fd95cc659e863fff85c7f368d77"},
+			"90453c42b4661a4a64c853b0245ecccb29da3ebd63782f93e0739b5fad3a6c3f"},
 		{"mono", 7, mono,
 			"7709066924d3d450237422ca70ab89dd465a8efb2bf5bcb92560566a5b0696c2",
-			"7b0fc7dd5e92268c7ecef44998a494b488f988f081d0fdc091db67b8aa9d547e"},
+			"871ddc058f1678cfd69147fedfb7a2d7e5bdb0ca88f6d7bd19ddf666c2d40a20"},
 		{"cluster", 42, cluster,
 			"455ad0920db0fdfd1556c0a75299ff554e875a7bfdeacb3508641fde2fd09948",
 			"3c1bc932f90a60dff043a841caba2f9e2b678ff131c64cd606986085b2bc9eaf"},

@@ -7,10 +7,11 @@
 //	dtsim -users 100 -bs 4 -intervals 24 -seed 42 -out trace.ndjson -format ndjson
 //	dtsim -users 50000 -bs 16 -shards -1 -intervals 12 -out city.ndjson -format ndjson
 //
-// With -shards ≠ 0 the sharded multi-BS cluster engine runs instead
-// of the monolithic one: per-BS coverage cells with private edge
-// caches, concurrent shards, and deterministic twin handover between
-// intervals.
+// Every run steps the cluster engine. By default (-shards 0) it runs
+// over one coverage cell that covers every station: the monolithic
+// engine, with one edge cache and no handovers. With -shards ≠ 0 it
+// runs one cell per BS instead: private edge caches, concurrent
+// shards, and deterministic twin handover between intervals.
 //
 // With -workers N the cluster runs under the multi-worker supervisor:
 // cells are partitioned across N workers that exchange handover twins
@@ -45,7 +46,7 @@
 //	dtsim -users 100 -intervals 24 -out part1.ndjson -format ndjson -checkpoint run.ckpt
 //	dtsim -users 100 -intervals 24 -out part2.ndjson -format ndjson -resume run.ckpt
 //
-// Failure injection (cluster engine only): -fail-cell N -fail-at K
+// Failure injection (one cell per station, -shards ≠ 0): -fail-cell N -fail-at K
 // quarantines cell N at the start of interval K — its twins are
 // evacuated to the surviving cells and the run continues in degraded
 // mode; -revive-at R brings the cell back empty and cold at interval
@@ -106,7 +107,7 @@ func run() (err error) {
 		noCNN      = flag.Bool("no-cnn", false, "disable the 1D-CNN compressor (raw-feature baseline)")
 		budget     = flag.Int("rb-budget", 0, "shared RB budget for reservation-with-admission (0 = unlimited)")
 		par        = flag.Int("parallel", 0, "worker goroutines for simulation and grouping fan-out (0 = all cores; trace is identical for any value)")
-		shards     = flag.Int("shards", 0, "run the sharded multi-BS cluster engine with this many shards (-1 = one per BS, 0 = monolithic engine)")
+		shards     = flag.Int("shards", 0, "run one cell per BS, stepped as this many shards (-1 = one shard per BS; 0 = one cell over every BS, the monolithic engine)")
 		format     = flag.String("format", "json", `trace format: "json" (buffered array), "ndjson", "csv" or "bin" (streamed per interval; "bin" is the binary columnar format)`)
 		binGzip    = flag.Bool("bin-compress", false, `with -format bin, DEFLATE-compress each column block`)
 		out        = flag.String("out", "", "write the trace to this file (default stdout)")
@@ -116,7 +117,7 @@ func run() (err error) {
 		resume     = flag.String("resume", "", "resume from a checkpoint file written under identical flags (trace output holds the resumed suffix)")
 		metAddr    = flag.String("metrics-addr", "", `serve live Prometheus /metrics and /debug/pprof on this address (e.g. ":9090") for the duration of the run`)
 		metOut     = flag.String("metrics-out", "", "write the end-of-run metrics snapshot to this file as JSON (render with dtreport -timings)")
-		workersN   = flag.Int("workers", 0, "run the supervised distributed engine with this many shard workers (0 = no supervisor; implies the cluster engine)")
+		workersN   = flag.Int("workers", 0, "run the supervised distributed engine with this many shard workers (0 = no supervisor; implies one cell per BS)")
 		workerProc = flag.Bool("worker-procs", false, "with -workers, run each worker as a child process (re-execs this binary) instead of an in-process goroutine")
 		workerBin  = flag.String("worker-bin", "", "with -workers, spawn this worker binary (e.g. a dtworker build) instead of re-execing dtsim; implies -worker-procs")
 		failCell   = flag.Int("fail-cell", -1, "cluster: quarantine this cell at -fail-at and evacuate its twins (-1 = no injected failure; requires -shards)")
@@ -228,7 +229,7 @@ func run() (err error) {
 	}
 	if len(faults) > 0 {
 		if *shards == 0 {
-			return fmt.Errorf("failure injection needs the cluster engine: set -shards")
+			return fmt.Errorf("failure injection needs one cell per station: set -shards")
 		}
 		policy := dtmsvs.CellDegrade
 		if faults[0].ReviveAt >= 0 {
@@ -256,16 +257,14 @@ func run() (err error) {
 		}
 		ccfg := dtmsvs.ClusterConfig{Sim: cfg, Shards: n}
 		var ds *dtmsvs.DistSession
-		var err error
-		if *resume != "" {
-			err = readCheckpoint(*resume, func(r io.Reader) error {
+		if err := openOrResume(*resume, func(r io.Reader) (err error) {
+			if r == nil {
+				ds, err = dtmsvs.OpenDistributed(ccfg, *workersN, opts...)
+			} else {
 				ds, err = dtmsvs.ResumeDistributed(ccfg, *workersN, r, opts...)
-				return err
-			})
-		} else {
-			ds, err = dtmsvs.OpenDistributed(ccfg, *workersN, opts...)
-		}
-		if err != nil {
+			}
+			return err
+		}); err != nil {
 			return err
 		}
 		s = ds
@@ -286,23 +285,32 @@ func run() (err error) {
 			}
 			return nil
 		}
-	} else if *shards != 0 {
+	} else {
+		// -shards 0 is the monolithic session: the same engine over one
+		// cell that covers every station.
 		n := *shards
 		if n < 0 {
 			n = cfg.NumBS
 		}
 		ccfg := dtmsvs.ClusterConfig{Sim: cfg, Shards: n, Faults: faults}
 		var cs *dtmsvs.ClusterSession
-		var err error
-		if *resume != "" {
-			err = readCheckpoint(*resume, func(r io.Reader) error {
+		if err := openOrResume(*resume, func(r io.Reader) (err error) {
+			var ms *dtmsvs.SimSession
+			switch {
+			case n > 0 && r == nil:
+				cs, err = dtmsvs.OpenCluster(ccfg, opts...)
+			case n > 0:
 				cs, err = dtmsvs.ResumeCluster(ccfg, r, opts...)
-				return err
-			})
-		} else {
-			cs, err = dtmsvs.OpenCluster(ccfg, opts...)
-		}
-		if err != nil {
+			case r == nil:
+				ms, err = dtmsvs.Open(cfg, opts...)
+			default:
+				ms, err = dtmsvs.Resume(cfg, r, opts...)
+			}
+			if ms != nil {
+				cs = ms.ClusterSession
+			}
+			return err
+		}); err != nil {
 			return err
 		}
 		s = cs
@@ -312,47 +320,24 @@ func run() (err error) {
 			if err != nil {
 				return err
 			}
+			computeAcc, err := acc.ComputeAccuracy()
+			if err != nil {
+				return err
+			}
+			groups := ""
+			if len(trace.Cells) == 1 {
+				groups = fmt.Sprintf(" K=%d silhouette=%.3f", trace.Cells[0].K, trace.Cells[0].Silhouette)
+			}
 			fmt.Fprintf(os.Stderr,
-				"dtsim: %d users, %d BSs, %d shards, %d intervals → handovers=%d churned=%d radio-accuracy=%.2f%% cache-hit=%.2f%%\n",
-				*users, *bs, n, *intervals, trace.Handovers, trace.ChurnedUsers,
-				radioAcc*100, trace.CacheHitRate*100)
+				"dtsim: %d users, %d BSs, %d cells, %d shards, %d intervals →%s handovers=%d churned=%d radio-accuracy=%.2f%% compute-accuracy=%.2f%% cache-hit=%.2f%%\n",
+				*users, *bs, len(trace.Cells), max(n, 1), *intervals, groups, trace.Handovers, trace.ChurnedUsers,
+				radioAcc*100, computeAcc*100, trace.CacheHitRate*100)
 			if trace.CellFailures > 0 {
 				fmt.Fprintf(os.Stderr,
 					"dtsim: degraded run: %d cell failure(s), %d revival(s), %d twin(s) evacuated, %d/%d intervals degraded\n",
 					trace.CellFailures, trace.Revivals, trace.EvacuatedTwins,
 					trace.DegradedIntervals, *intervals)
 			}
-			return nil
-		}
-	} else {
-		var ms *dtmsvs.SimSession
-		var err error
-		if *resume != "" {
-			err = readCheckpoint(*resume, func(r io.Reader) error {
-				ms, err = dtmsvs.Resume(cfg, r, opts...)
-				return err
-			})
-		} else {
-			ms, err = dtmsvs.Open(cfg, opts...)
-		}
-		if err != nil {
-			return err
-		}
-		s = ms
-		summary = func() error {
-			trace := ms.Trace()
-			radioAcc, err := acc.RadioAccuracy()
-			if err != nil {
-				return err
-			}
-			computeAcc, err := acc.ComputeAccuracy()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr,
-				"dtsim: %d users, %d BSs, %d intervals → K=%d silhouette=%.3f radio-accuracy=%.2f%% compute-accuracy=%.2f%% cache-hit=%.2f%%\n",
-				*users, *bs, *intervals, trace.K, trace.Silhouette,
-				radioAcc*100, computeAcc*100, trace.CacheHitRate*100)
 			return nil
 		}
 	}
@@ -426,15 +411,18 @@ func writeCheckpoint(path string, s dtmsvs.Session) error {
 	return nil
 }
 
-// readCheckpoint opens a checkpoint file and hands the stream to
-// restore.
-func readCheckpoint(path string, restore func(io.Reader) error) error {
+// openOrResume calls open with nil to start a fresh session or, when
+// path names a checkpoint file, with a reader over it to resume one.
+func openOrResume(path string, open func(io.Reader) error) error {
+	if path == "" {
+		return open(nil)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}
 	defer f.Close()
-	if err := restore(bufio.NewReader(f)); err != nil {
+	if err := open(bufio.NewReader(f)); err != nil {
 		return fmt.Errorf("resume %s: %w", path, err)
 	}
 	return nil

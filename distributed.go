@@ -306,16 +306,13 @@ func OpenDistributed(cfg ClusterConfig, workers int, opts ...SessionOption) (*Di
 	if err != nil {
 		return nil, err
 	}
-	if cs, ok := o.sink.(*CSVSink); ok {
-		cs.SetSchema(TraceRecord{BS: 0})
-	}
 	st := &distStepper{
 		sup:     sup,
 		cfg:     sup.Cluster(),
 		workers: workers,
 		retain:  o.sink == nil,
 	}
-	return &DistSession{session: newSession(st, "coord", st.cfg.Sim, o), st: st}, nil
+	return &DistSession{session: newSession(st, "coord", st.cfg.Sim, 0, o), st: st}, nil
 }
 
 // ResumeDistributed opens a distributed session from cfg and
@@ -326,12 +323,5 @@ func OpenDistributed(cfg ClusterConfig, workers int, opts ...SessionOption) (*Di
 // on at every boundary.
 func ResumeDistributed(cfg ClusterConfig, workers int, r io.Reader, opts ...SessionOption) (*DistSession, error) {
 	s, err := OpenDistributed(cfg, workers, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.resume(r); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
+	return resumeOpened(s, err, r)
 }

@@ -200,14 +200,16 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 
 // rehome moves the opened twins of the owned cells to the cells the
 // checkpoint's owner map assigns them, so each cell's population is
-// the table its restore decodes into. Twins the map places outside
-// this partition are dropped.
+// the table its restore decodes into. Twins already in their cell stay
+// put, and twins the map places outside this partition are dropped.
 func (e *Engine) rehome(owner []int) error {
 	opened := make([]sim.User, len(owner))
 	for _, ci := range e.owned {
 		eng := e.cells[ci].eng
 		for _, id := range slices.Backward(eng.UserIDs()) {
-			opened[id], _ = eng.DetachUser(id)
+			if owner[id] != ci {
+				opened[id], _ = eng.DetachUser(id)
+			}
 		}
 	}
 	for id, mu := range opened {

@@ -1,12 +1,15 @@
-// Package cluster is the sharded multi-BS simulation engine (the
+// Package cluster is the simulation engine of every session (the
 // paper's Fig. 1 architecture at campus/city scale): the map is
-// partitioned into base-station coverage cells — the Voronoi regions
-// of the channel.GridDeploy stations — and each cell runs its own
-// full digital-twin pipeline (UDT pool, grouping, abstraction,
-// demand forecast, multicast streaming) against its own edge cache.
-// Cells are grouped into shards that execute concurrently on the
-// internal/parallel pool, which fans out the previously sequential
-// streaming phase along with everything else.
+// partitioned into coverage cells, each a set of base stations, and
+// each cell runs its own full digital-twin pipeline (UDT pool,
+// grouping, abstraction, demand forecast, multicast streaming) against
+// its own edge cache. New makes one cell per station — the Voronoi
+// regions of the channel.GridDeploy stations — and NewWhole one cell
+// over every station: the monolithic engine, the degenerate partition
+// in which no twin ever changes cell. Cells are grouped into shards
+// that execute concurrently on the internal/parallel pool, which fans
+// out the previously sequential streaming phase along with everything
+// else.
 //
 // Between reservation intervals a deterministic handover pass
 // migrates user twins — UDT state, calibration offsets and the
@@ -190,7 +193,10 @@ func (t *Trace) ComputeAccuracy() (float64, error) {
 
 // cellState is the engine's bookkeeping for one coverage cell.
 type cellState struct {
-	id     int
+	id int
+	// bs is the tag the cell's rows and stats carry: its id, or -1 for
+	// the NewWhole engine's one cell.
+	bs     int
 	eng    *sim.Simulation
 	server *edge.Server
 	trace  *sim.Trace
@@ -223,6 +229,13 @@ type Engine struct {
 	owned []int  // owned cell ids, ascending
 	mask  []bool // mask[c] reports ownership of cell c
 	local int    // twins currently living in owned cells
+	// cellOf[bs] is the cell serving station bs: the identity for New
+	// and NewWorker, cell 0 for every station under NewWhole. Placement
+	// and the handover plan route a twin by it, so a twin moves only
+	// when its serving station changes cell.
+	cellOf []int
+	// whole marks the NewWhole engine, whose one cell is tagged BS -1.
+	whole bool
 	// shards[s] lists the owned cell ids shard s steps (contiguous
 	// blocks of the global shard layout).
 	shards [][]int
@@ -242,9 +255,11 @@ type Engine struct {
 	splices []cellSplice
 	touched []int
 	// Failure model (see failure.go): the fault schedule in firing
-	// order, the response policy, the quarantine mask shared with
-	// every cell's sim engine (written only between fan-outs), and
-	// the degradation counters.
+	// order, the response policy, the quarantine mask over stations
+	// shared with every cell's sim engine (written only between
+	// fan-outs; stations are cells here, since faults exist only under
+	// the identity table, and NewWhole has none), and the degradation
+	// counters.
 	faults            []faultinject.CellFault
 	policy            FailurePolicy
 	down              []bool
@@ -270,17 +285,26 @@ type Engine struct {
 	metRevivals   *obs.Counter
 }
 
-// New constructs a cluster engine that owns every cell and places the
-// initial population: the partition (0, 1).
-func New(cfg Config) (*Engine, error) { return newPartition(cfg, 0, 1) }
+// New constructs a cluster engine that owns every cell, one per
+// station, and places the initial population: the partition (0, 1).
+func New(cfg Config) (*Engine, error) { return newPartition(cfg, 0, 1, false) }
+
+// NewWhole constructs the monolithic engine: the cluster engine over
+// one cell that covers every station. The cell is tagged BS -1, holds
+// the whole CacheBytes and the whole population, and never plans a
+// handover, since every station maps to it. It has no cell faults.
+func NewWhole(cfg sim.Config) (*Engine, error) {
+	return newPartition(Config{Sim: cfg, Shards: 1}, 0, 1, true)
+}
 
 // newPartition constructs the engine for slot index of a count-way
-// partition. Only the owned cells are built, each exactly as every
-// other partition would build it — a cell draws only from the shared
+// partition, with one cell per station or, whole, one cell over all of
+// them. Only the owned cells are built, each exactly as every other
+// partition would build it — a cell draws only from the shared
 // substrate and its own derived streams — and the whole population is
 // spawned from per-user streams, of which only the twins whose initial
 // cell the slot owns are attached.
-func newPartition(cfg Config, index, count int) (*Engine, error) {
+func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -291,10 +315,18 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 		return nil, err
 	}
 
+	numCells := d.Sim.NumBS
+	cellOf := make([]int, d.Sim.NumBS)
+	if whole {
+		numCells = 1
+	} else {
+		for bs := range cellOf {
+			cellOf[bs] = bs
+		}
+	}
 	// Cells map to partition slots and to shards by the same contiguous
 	// block arithmetic; a slot keeps the owned part of each shard (a
 	// shard wholly owned by another slot stays empty and costs nothing).
-	numCells := d.Sim.NumBS
 	var owned []int
 	mask := make([]bool, numCells)
 	shards := make([][]int, d.Shards)
@@ -318,7 +350,10 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 	// on the pool: each draws only from its own derived streams and
 	// reads the substrate, and metrics are mounted later, serially, by
 	// SetMetrics.
-	down := make([]bool, numCells)
+	var down []bool
+	if !whole {
+		down = make([]bool, numCells)
+	}
 	cells := make([]*cellState, numCells)
 	if err := sub.Pool.For(len(owned), func(i int) error {
 		c := owned[i]
@@ -326,11 +361,15 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 		if err != nil {
 			return err
 		}
-		eng, err := sim.NewCell(d.Sim, sim.CellOptions{Substrate: sub, Server: server, BS: c, DownBS: down})
+		bs := c
+		if whole {
+			bs = -1
+		}
+		eng, err := sim.NewCell(d.Sim, sim.CellOptions{Substrate: sub, Server: server, BS: bs, DownBS: down})
 		if err != nil {
 			return fmt.Errorf("cell %d: %w", c, err)
 		}
-		cells[c] = &cellState{id: c, eng: eng, server: server, trace: sim.NewTrace()}
+		cells[c] = &cellState{id: c, bs: bs, eng: eng, server: server, trace: sim.NewTrace()}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -352,6 +391,8 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 		cells:   cells,
 		owned:   owned,
 		mask:    mask,
+		cellOf:  cellOf,
+		whole:   whole,
 		shards:  shards,
 		owner:   make([]int, d.Sim.NumUsers),
 		splices: make([]cellSplice, numCells),
@@ -362,19 +403,19 @@ func newPartition(cfg Config, index, count int) (*Engine, error) {
 
 	// Spawn the population on the pool (user creation draws only from
 	// each user's private stream, whichever cell spawns) and place every
-	// twin whose initial serving base station this partition owns in
-	// that station's cell.
+	// twin whose initial serving base station's cell this partition owns
+	// in that cell.
 	spawned, err := cells[owned[0]].eng.SpawnUsers(d.Sim.NumUsers)
 	if err != nil {
 		return nil, err
 	}
 	for id, mu := range spawned {
-		bs := mu.ServingBS()
-		e.owner[id] = bs
-		if !mask[bs] {
+		c := cellOf[mu.ServingBS()]
+		e.owner[id] = c
+		if !mask[c] {
 			continue
 		}
-		if aerr := cells[bs].eng.AttachUser(mu); aerr != nil {
+		if aerr := cells[c].eng.AttachUser(mu); aerr != nil {
 			return nil, aerr
 		}
 		e.local++
@@ -434,10 +475,16 @@ func (e *Engine) Close() {
 // SetMetrics mounts reg on the cluster: the interval/handover stage
 // timer and handover counter on the engine itself, and every cell's
 // engine under a cell="<id>" label, so per-cell stage histograms and
-// cache counters identify the straggler shard directly. Call before
-// stepping; a nil reg is a no-op.
+// cache counters identify the straggler shard directly. The NewWhole
+// engine, which has no handovers or faults to count, mounts only its
+// cell's metrics, unlabeled. Call before stepping; a nil reg is a
+// no-op.
 func (e *Engine) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
+		return
+	}
+	if e.whole {
+		e.cells[0].eng.SetMetrics(reg)
 		return
 	}
 	e.metHandover = reg.Stage("interval/handover")
@@ -596,7 +643,7 @@ func (e *Engine) FinishStats() (cells []CellStats, hits, misses int) {
 		hits += h
 		misses += m
 		cells = append(cells, CellStats{
-			BS:             c.id,
+			BS:             c.bs,
 			Users:          c.eng.NumUsers(),
 			K:              c.trace.K,
 			Silhouette:     c.trace.Silhouette,
@@ -608,6 +655,16 @@ func (e *Engine) FinishStats() (cells []CellStats, hits, misses int) {
 		})
 	}
 	return cells, hits, misses
+}
+
+// WholeTrace returns the run of a NewWhole engine as its cell's trace:
+// the retained rows, and the run-level fields the cell stamps as they
+// stand (the final ones once the last interval has run).
+func (e *Engine) WholeTrace() *sim.Trace {
+	tr := sim.NewTrace()
+	tr.Records = e.records
+	e.cells[0].eng.FinishTrace(tr)
+	return tr
 }
 
 // Finish merges the per-cell statistics (and, when retention is on,

@@ -164,7 +164,7 @@ func (e *Engine) evacuate(failed int) error {
 		if err != nil {
 			return fmt.Errorf("evacuating user %d: %w", id, err)
 		}
-		moves = append(moves, Handover{ID: id, From: failed, To: bs.ID})
+		moves = append(moves, Handover{ID: id, From: failed, To: e.cellOf[bs.ID]})
 		users = append(users, mu)
 	}
 	if err := e.relocate(moves, users); err != nil {

@@ -34,7 +34,7 @@ type Handover struct {
 
 // PlanHandovers scans the owned twins in global id order and returns
 // every pending move out of an owned cell: each user whose link now
-// serves a base station outside its cell. Moves leaving the partition
+// serves a base station of another cell. Moves leaving the partition
 // carry the twin's wire encoding, captured before any mutation; engine
 // state is untouched until ApplyHandovers. The returned slice is the
 // engine's own buffer, valid until the next PlanHandovers.
@@ -49,11 +49,12 @@ func (e *Engine) PlanHandovers() ([]Handover, error) {
 		if bs < 0 {
 			return nil, fmt.Errorf("user %d missing from cell %d: %w", id, from, ErrConfig)
 		}
-		if bs == from {
+		to := e.cellOf[bs]
+		if to == from {
 			continue
 		}
-		h := Handover{ID: id, From: from, To: bs}
-		if !e.mask[bs] {
+		h := Handover{ID: id, From: from, To: to}
+		if !e.mask[to] {
 			enc.Reset()
 			if err := e.cells[from].eng.EncodeUser(&enc, id); err != nil {
 				return nil, err

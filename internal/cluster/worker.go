@@ -43,7 +43,7 @@ func NewWorker(cfg Config, index, count int) (*Worker, error) {
 	if index < 0 || index >= count {
 		return nil, fmt.Errorf("worker index %d of %d: %w", index, count, ErrConfig)
 	}
-	e, err := newPartition(cfg, index, count)
+	e, err := newPartition(cfg, index, count, false)
 	if err != nil {
 		return nil, err
 	}

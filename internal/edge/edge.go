@@ -154,14 +154,10 @@ func (m TranscodeModel) Cycles(srcBps, dstBps, durationS float64) (float64, erro
 	return m.CyclesPerBit * srcBps * durationS, nil
 }
 
-// Server is the edge server: cache + transcoder + accounting.
+// Server is the edge server: cache + transcoder.
 type Server struct {
 	cache *Cache
 	model TranscodeModel
-
-	// cyclesUsed accumulates transcoding cycles in the current
-	// interval.
-	cyclesUsed float64
 }
 
 // NewServer builds a server, pre-warming the cache with the top-N
@@ -196,12 +192,6 @@ func NewServer(cacheBytes int64, model TranscodeModel, cat *video.Catalog, prewa
 // Cache exposes the underlying cache for inspection.
 func (s *Server) Cache() *Cache { return s.cache }
 
-// CyclesUsed returns transcoding cycles consumed this interval.
-func (s *Server) CyclesUsed() float64 { return s.cyclesUsed }
-
-// ResetInterval clears the per-interval cycle accounting.
-func (s *Server) ResetInterval() { s.cyclesUsed = 0 }
-
 // Serve delivers (video, representation) for a watch of durationS
 // seconds and returns the transcoding cycles consumed. Matching the
 // paper's edge-server architecture, the cache holds videos at their
@@ -230,10 +220,5 @@ func (s *Server) Serve(v *video.Video, rep video.Representation, durationS float
 	if rep.Level == top.Level {
 		return 0, nil
 	}
-	cycles, err := s.model.Cycles(top.BitrateBps, rep.BitrateBps, durationS)
-	if err != nil {
-		return 0, err
-	}
-	s.cyclesUsed += cycles
-	return cycles, nil
+	return s.model.Cycles(top.BitrateBps, rep.BitrateBps, durationS)
 }

@@ -177,9 +177,6 @@ func TestServeCacheHitFree(t *testing.T) {
 	if cy != 0 {
 		t.Fatalf("cache hit cost %v cycles", cy)
 	}
-	if s.CyclesUsed() != 0 {
-		t.Fatal("interval accounting after free hit")
-	}
 }
 
 func TestServeTranscodeMissThenHit(t *testing.T) {
@@ -198,9 +195,6 @@ func TestServeTranscodeMissThenHit(t *testing.T) {
 	if cy != want {
 		t.Fatalf("transcode cycles %v, want %v", cy, want)
 	}
-	if s.CyclesUsed() != want {
-		t.Fatalf("interval cycles %v", s.CyclesUsed())
-	}
 	// Second request for the same rung: transcoded outputs are not
 	// retained, so the transcode cost recurs.
 	cy, err = s.Serve(top, low, 20)
@@ -209,10 +203,6 @@ func TestServeTranscodeMissThenHit(t *testing.T) {
 	}
 	if cy != want {
 		t.Fatalf("repeat serve cost %v, want %v", cy, want)
-	}
-	s.ResetInterval()
-	if s.CyclesUsed() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 

@@ -199,22 +199,6 @@ func (d *SwipeDistribution) ExpectedMaxWasteFraction(cat video.Category, m int, 
 	return e, nil
 }
 
-// SwipeProbBefore returns P(swipe at or before watch fraction t).
-func (d *SwipeDistribution) SwipeProbBefore(cat video.Category, t float64) (float64, error) {
-	idx := cat.Index()
-	if idx < 0 {
-		return 0, fmt.Errorf("category %v: %w", cat, ErrInput)
-	}
-	if t < 0 || t > 1 || math.IsNaN(t) {
-		return 0, fmt.Errorf("fraction %v: %w", t, ErrInput)
-	}
-	bin := int(t * SwipeBins)
-	if bin >= SwipeBins {
-		bin = SwipeBins - 1
-	}
-	return d.CDF[idx][bin], nil
-}
-
 // GroupProfile is the abstracted group-level information of §II-B2.
 type GroupProfile struct {
 	// Swipe is the group's swiping probability distribution.

@@ -158,26 +158,6 @@ func TestExpectedMaxWatchFractionMonotoneInGroupSize(t *testing.T) {
 	}
 }
 
-func TestSwipeProbBefore(t *testing.T) {
-	d, err := NewSwipeDistribution(obsOf(video.Game, 0.1, 0.1, 0.1, 0.9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := d.SwipeProbBefore(video.Game, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.75) > 1e-9 {
-		t.Fatalf("P(swipe≤0.5) = %v, want 0.75", p)
-	}
-	if _, err := d.SwipeProbBefore(video.Game, 2); !errors.Is(err, ErrInput) {
-		t.Fatalf("want ErrInput, got %v", err)
-	}
-	if _, err := d.SwipeProbBefore(video.Category(0), 0.5); !errors.Is(err, ErrInput) {
-		t.Fatalf("want ErrInput, got %v", err)
-	}
-}
-
 // Sticky category (News) must have a CDF dominated by the fast-swipe
 // category (Game) — the Fig. 3(a) shape.
 func TestStickyVsFastSwipeCDFOrdering(t *testing.T) {

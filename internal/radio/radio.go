@@ -54,20 +54,10 @@ func RBDemand(params channel.Params, members []MemberSNR, bitrateBps float64) (i
 	return int(math.Ceil(bitrateBps / perRB)), nil
 }
 
-// Allocation is the per-group radio assignment for one interval.
-type Allocation struct {
-	GroupID int
-	// RBs granted to the group.
-	RBs int
-	// BitrateBps the allocation supports.
-	BitrateBps float64
-}
-
 // Scheduler tracks a base station's RB budget across groups.
 type Scheduler struct {
 	totalRBs int
 	used     int
-	allocs   []Allocation
 }
 
 // NewScheduler creates a scheduler with the given RB budget per
@@ -88,18 +78,11 @@ func (s *Scheduler) Used() int { return s.used }
 // Free returns the remaining RBs.
 func (s *Scheduler) Free() int { return s.totalRBs - s.used }
 
-// Allocations returns a copy of the current allocation list.
-func (s *Scheduler) Allocations() []Allocation {
-	out := make([]Allocation, len(s.allocs))
-	copy(out, s.allocs)
-	return out
-}
-
 // ErrExhausted is returned when the RB budget cannot cover a request.
 var ErrExhausted = errors.New("radio: resource blocks exhausted")
 
 // Allocate grants rbs blocks to a group, or fails with ErrExhausted.
-func (s *Scheduler) Allocate(groupID, rbs int, bitrateBps float64) error {
+func (s *Scheduler) Allocate(rbs int) error {
 	if rbs <= 0 {
 		return fmt.Errorf("allocate %d rbs: %w", rbs, ErrParam)
 	}
@@ -107,15 +90,11 @@ func (s *Scheduler) Allocate(groupID, rbs int, bitrateBps float64) error {
 		return fmt.Errorf("need %d rbs, %d free: %w", rbs, s.Free(), ErrExhausted)
 	}
 	s.used += rbs
-	s.allocs = append(s.allocs, Allocation{GroupID: groupID, RBs: rbs, BitrateBps: bitrateBps})
 	return nil
 }
 
 // Reset clears allocations for a new interval.
-func (s *Scheduler) Reset() {
-	s.used = 0
-	s.allocs = s.allocs[:0]
-}
+func (s *Scheduler) Reset() { s.used = 0 }
 
 // Utilization returns the fraction of the budget in use.
 func (s *Scheduler) Utilization() float64 {

@@ -101,32 +101,23 @@ func TestSchedulerLifecycle(t *testing.T) {
 	if s.Total() != 100 || s.Used() != 0 || s.Free() != 100 {
 		t.Fatal("initial scheduler state")
 	}
-	if err := s.Allocate(1, 40, 1e6); err != nil {
+	if err := s.Allocate(40); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Allocate(2, 60, 2e6); err != nil {
+	if err := s.Allocate(60); err != nil {
 		t.Fatal(err)
 	}
 	if s.Free() != 0 || s.Utilization() != 1.0 {
 		t.Fatalf("free %d util %v", s.Free(), s.Utilization())
 	}
-	if err := s.Allocate(3, 1, 1e5); !errors.Is(err, ErrExhausted) {
+	if err := s.Allocate(1); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("want ErrExhausted, got %v", err)
 	}
-	if err := s.Allocate(3, 0, 1e5); !errors.Is(err, ErrParam) {
+	if err := s.Allocate(0); !errors.Is(err, ErrParam) {
 		t.Fatalf("want ErrParam, got %v", err)
 	}
-	allocs := s.Allocations()
-	if len(allocs) != 2 || allocs[0].GroupID != 1 || allocs[1].RBs != 60 {
-		t.Fatalf("allocations %+v", allocs)
-	}
-	// Returned slice is a copy.
-	allocs[0].RBs = 999
-	if s.Allocations()[0].RBs == 999 {
-		t.Fatal("Allocations must copy")
-	}
 	s.Reset()
-	if s.Used() != 0 || len(s.Allocations()) != 0 {
+	if s.Used() != 0 || s.Free() != 100 {
 		t.Fatal("reset failed")
 	}
 }
@@ -139,16 +130,15 @@ func TestSchedulerBudgetInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i, r := range reqs {
+		var sum int
+		for _, r := range reqs {
 			rbs := int(r%20) + 1
-			_ = s.Allocate(i, rbs, 1e6) // errors allowed
+			if s.Allocate(rbs) == nil { // errors allowed
+				sum += rbs
+			}
 			if s.Used() > s.Total() {
 				return false
 			}
-		}
-		var sum int
-		for _, a := range s.Allocations() {
-			sum += a.RBs
 		}
 		return sum == s.Used()
 	}

@@ -56,16 +56,3 @@ func Plan(watchS, durS, segS float64, depth int) (deliveredS, wasteS float64, er
 	}
 	return delivered, delivered - watchS, nil
 }
-
-// WasteFraction is a convenience wrapper returning the wasted share
-// of delivered seconds.
-func WasteFraction(watchS, durS, segS float64, depth int) (float64, error) {
-	delivered, waste, err := Plan(watchS, durS, segS, depth)
-	if err != nil {
-		return 0, err
-	}
-	if delivered == 0 {
-		return 0, nil
-	}
-	return waste / delivered, nil
-}

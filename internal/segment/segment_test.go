@@ -82,26 +82,6 @@ func TestPlanInvariants(t *testing.T) {
 	}
 }
 
-func TestWasteFraction(t *testing.T) {
-	wf, err := WasteFraction(5, 30, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wf-11.0/16.0) > 1e-9 {
-		t.Fatalf("waste fraction %v, want 11/16", wf)
-	}
-	wf, err = WasteFraction(30, 30, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wf != 0 {
-		t.Fatalf("full watch waste %v", wf)
-	}
-	if _, err := WasteFraction(1, 0, 4, 2); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-}
-
 // Waste is non-increasing in watch time for fixed depth: the longer
 // the group watches, the less of the prefetch is wasted (relative to
 // the delivered prefix).

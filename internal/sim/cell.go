@@ -1,13 +1,14 @@
 // This file holds engine construction and the twin-migration API.
 // Every engine is a cell: a Simulation that shares the run's substrate
 // (map, station deployment, catalog, pool) but owns its user slice,
-// edge cache, grouping pipeline and derived random streams. A cluster
-// cell serves one base station's coverage area; the monolithic engine
-// is the one cell over every station. The cluster engine (package
-// cluster) steps cells through the exported stage methods and moves
-// user twins between cells at interval boundaries: per cell, one
-// NearestGroups batch picks the arrivals' groups and one Splice takes
-// the departures and arrivals.
+// edge cache, grouping pipeline and derived random streams. The
+// cluster engine (package cluster) is the only one that runs cells in
+// a session: one per base station's coverage area, or, for the
+// monolithic engine, one cell (BS -1) over every station. It steps
+// cells through the exported stage methods and moves user twins
+// between cells at interval boundaries: per cell, one NearestGroups
+// batch picks the arrivals' groups and one Splice takes the
+// departures and arrivals.
 
 package sim
 

@@ -427,7 +427,11 @@ func TestCellIndexTracksPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ReadState(cr); err != nil {
+	secs, err := ReadSections(cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(secs); err != nil {
 		t.Fatal(err)
 	}
 	check(r, "restore")

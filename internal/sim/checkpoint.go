@@ -15,8 +15,8 @@
 // a generation-0 user is the opened member with its id, overwritten,
 // and only churned users (and users the opened engine does not hold)
 // replay their constructor. Per-interval accumulators (tick
-// statistics, scheduler reservations, transcoder cycle meters) are
-// always zeroed at a boundary, so they never ride in a checkpoint.
+// statistics, scheduler reservations) are always zeroed at a
+// boundary, so they never ride in a checkpoint.
 //
 // Every section is binary (checkpoint format v3), and each package
 // encodes its own state: nn its weights, kmeans its centroids, udt
@@ -106,18 +106,6 @@ func ReadSections(cr *checkpoint.Reader) (Sections, error) {
 		secs[i] = d
 	}
 	return secs, nil
-}
-
-// ReadState restores boundary state written by WriteState into a
-// freshly opened engine of the identical configuration: ReadSections,
-// then Restore. Any structural damage surfaces as
-// checkpoint.ErrCorrupt.
-func (s *Simulation) ReadState(cr *checkpoint.Reader) error {
-	secs, err := ReadSections(cr)
-	if err != nil {
-		return err
-	}
-	return s.Restore(secs)
 }
 
 // Restore decodes sections read by ReadSections into a freshly opened

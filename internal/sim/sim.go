@@ -500,9 +500,11 @@ type Simulation struct {
 	met engineMetrics
 }
 
-// New constructs the monolithic engine: one cell (BS -1) over every
-// station of a substrate of its own, with one edge server of
-// CacheBytes, holding the whole population.
+// New constructs the monolithic engine as a bare cell: one cell
+// (BS -1) over every station of a substrate of its own, with one edge
+// server of CacheBytes, holding the whole population — the cell
+// cluster.NewWhole builds, for callers that step the stages
+// themselves.
 func New(cfg Config) (*Simulation, error) {
 	sub, err := NewSubstrate(cfg)
 	if err != nil {
@@ -1324,7 +1326,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 				granted = free
 			}
 			if granted > 0 {
-				if err := s.sched.Allocate(g.id, granted, p.rep.BitrateBps); err != nil {
+				if err := s.sched.Allocate(granted); err != nil {
 					return fmt.Errorf("interval %d group %d admit: %w", interval, g.id, err)
 				}
 			}
@@ -1354,7 +1356,6 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 	}
 	s.met.tickCollect.ObserveSince(tTicks)
 	tStream := s.met.stream.Start()
-	s.server.ResetInterval()
 	for _, g := range s.groups {
 		p := preds[g.id]
 		if p.skip {

@@ -93,51 +93,6 @@ func (l *LogNormal) Sample(rng *rand.Rand) float64 {
 // Mean returns the distribution mean exp(mu + sigma^2/2).
 func (l *LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
-// TruncNormal samples from a normal(mu, sigma) clipped to [lo, hi] by
-// rejection with a fallback to clamping after a bounded number of
-// tries (keeps sampling O(1) worst case).
-type TruncNormal struct {
-	Mu, Sigma, Lo, Hi float64
-}
-
-// NewTruncNormal validates parameters and returns the distribution.
-func NewTruncNormal(mu, sigma, lo, hi float64) (*TruncNormal, error) {
-	if sigma < 0 || lo > hi || math.IsNaN(mu) || math.IsNaN(sigma) {
-		return nil, fmt.Errorf("truncnormal mu=%v sigma=%v range [%v,%v]: %w", mu, sigma, lo, hi, ErrParam)
-	}
-	return &TruncNormal{Mu: mu, Sigma: sigma, Lo: lo, Hi: hi}, nil
-}
-
-// Sample draws one value in [Lo, Hi].
-func (t *TruncNormal) Sample(rng *rand.Rand) float64 {
-	for i := 0; i < 16; i++ {
-		x := t.Mu + t.Sigma*rng.NormFloat64()
-		if x >= t.Lo && x <= t.Hi {
-			return x
-		}
-	}
-	x := t.Mu + t.Sigma*rng.NormFloat64()
-	return math.Min(math.Max(x, t.Lo), t.Hi)
-}
-
-// Exponential is an exponential distribution with the given rate.
-type Exponential struct {
-	Rate float64
-}
-
-// NewExponential validates the rate and returns the distribution.
-func NewExponential(rate float64) (*Exponential, error) {
-	if rate <= 0 || math.IsNaN(rate) {
-		return nil, fmt.Errorf("exponential rate=%v: %w", rate, ErrParam)
-	}
-	return &Exponential{Rate: rate}, nil
-}
-
-// Sample draws one value.
-func (e *Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() / e.Rate
-}
-
 // Categorical samples indices according to a fixed probability vector.
 type Categorical struct {
 	cdf []float64

@@ -90,41 +90,6 @@ func TestLogNormal(t *testing.T) {
 	}
 }
 
-func TestTruncNormalBounds(t *testing.T) {
-	if _, err := NewTruncNormal(0, 1, 5, 1); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	tn, err := NewTruncNormal(0, 10, -1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		x := tn.Sample(rng)
-		if x < -1 || x > 1 {
-			t.Fatalf("trunc sample %v outside bounds", x)
-		}
-	}
-}
-
-func TestExponential(t *testing.T) {
-	if _, err := NewExponential(0); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	e, err := NewExponential(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	var o Online
-	for i := 0; i < 100000; i++ {
-		o.Add(e.Sample(rng))
-	}
-	if math.Abs(o.Mean()-0.5) > 0.02 {
-		t.Fatalf("exp mean %v, want 0.5", o.Mean())
-	}
-}
-
 func TestCategorical(t *testing.T) {
 	if _, err := NewCategorical(nil); !errors.Is(err, ErrParam) {
 		t.Fatalf("want ErrParam, got %v", err)
@@ -295,32 +260,6 @@ func TestHistogramEmptyPMF(t *testing.T) {
 		if p != 0 {
 			t.Fatal("empty histogram PMF must be all zero")
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("empty quantile must be NaN")
-	}
-	if !math.IsNaN(Quantile([]float64{1}, -0.1)) {
-		t.Fatal("invalid q must be NaN")
-	}
-	xs := []float64{3, 1, 2}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 3 {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 2 {
-		t.Fatalf("q0.5 = %v", got)
-	}
-	if got := Quantile([]float64{10}, 0.7); got != 10 {
-		t.Fatalf("single-sample quantile = %v", got)
-	}
-	// Input must not be reordered.
-	if xs[0] != 3 {
-		t.Fatal("Quantile must not mutate input")
 	}
 }
 

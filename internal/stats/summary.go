@@ -121,23 +121,3 @@ func TailMean(xs []float64, q float64) float64 {
 	}
 	return sum / float64(n)
 }
-
-// Quantile returns the q-quantile (q in [0,1]) of the sorted sample xs
-// using linear interpolation. Returns NaN for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	if i >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := pos - float64(i)
-	return s[i]*(1-frac) + s[i+1]*frac
-}

@@ -1,8 +1,11 @@
-// This file is the unified Session API: both engines — the monolithic
-// simulation and the sharded cluster — run behind the same
-// interval-stepped handle, with per-interval records flowing to a
+// This file is the unified Session API: one interval-stepped handle
+// over the cluster engine, with per-interval records flowing to a
 // TraceSink instead of accumulating in heap, and cooperative
 // context.Context cancellation checked at every interval boundary.
+// Open runs the engine over one cell that covers every station (the
+// monolithic case: no twin is ever handed over), OpenCluster over one
+// cell per station, and OpenDistributed splits those cells across
+// supervised workers.
 //
 // The lifecycle is
 //
@@ -75,7 +78,7 @@ var ErrCellFailure = cluster.ErrCellFailure
 // CellFailurePolicy selects how a cluster session responds when a
 // scheduled cell fault (ClusterConfig.Faults) fires; see the
 // constants below and WithCellFailurePolicy. It has no effect on
-// monolithic sessions.
+// monolithic sessions, whose one cell has no faults.
 type CellFailurePolicy = cluster.FailurePolicy
 
 const (
@@ -135,8 +138,9 @@ type IntervalReport struct {
 	PrologueDuration time.Duration
 }
 
-// Session is the interval-stepped handle on a running scenario. Both
-// Open (monolithic) and OpenCluster (sharded multi-BS) return one.
+// Session is the interval-stepped handle on a running scenario. Open
+// (monolithic), OpenCluster (one cell per station) and
+// OpenDistributed return one.
 type Session interface {
 	// Step advances exactly one scheduling interval and reports that
 	// interval's records and stats. The first call also runs the
@@ -262,9 +266,10 @@ type stepper interface {
 	// finish stamps the run-level trace fields after the last interval;
 	// an error means the trace summary could not be assembled.
 	finish() error
-	// close ends the engine's run. The in-process engines hold no
-	// goroutines between calls, so for them it is a no-op; the
-	// distributed stepper shuts its worker processes down. Idempotent.
+	// close ends the engine's run. The in-process engine holds no
+	// goroutines between calls, so for it close only drops its
+	// checkpoint buffers; the distributed stepper shuts its worker
+	// processes down. Idempotent.
 	close()
 	// fingerprint hashes the defaulted configuration for the
 	// checkpoint header's compatibility check. It is computed on
@@ -276,14 +281,14 @@ type stepper interface {
 }
 
 // session is the engine-independent state machine shared by
-// SimSession, ClusterSession and DistSession.
+// ClusterSession (and so SimSession) and DistSession.
 type session struct {
 	eng  stepper
 	opts sessionOptions
 	met  sessionMetrics
-	// kind names the engine in checkpoint headers ("sim", "cluster",
-	// "coord"); warmupIntervals and intervals are the defaulted
-	// scenario's prologue and run lengths.
+	// kind names the engine in checkpoint headers ("cluster" for both
+	// in-process kinds, "coord"); warmupIntervals and intervals are the
+	// defaulted scenario's prologue and run lengths.
 	kind            string
 	warmupIntervals int
 	intervals       int
@@ -304,8 +309,15 @@ type session struct {
 	ckpt checkpoint.Writer
 }
 
-// newSession wraps an engine adapter; cfg is the defaulted scenario.
-func newSession(eng stepper, kind string, cfg Config, o sessionOptions) session {
+// newSession wraps an engine adapter; cfg is the defaulted scenario,
+// and rowBS the BS of the engine's rows (-1: the monolithic column
+// set).
+func newSession(eng stepper, kind string, cfg Config, rowBS int, o sessionOptions) session {
+	if cs, ok := o.sink.(*CSVSink); ok {
+		// The session knows the schema before any record exists, so an
+		// empty run still gets its CSV header.
+		cs.SetSchema(TraceRecord{BS: rowBS})
+	}
 	return session{
 		eng:             eng,
 		opts:            o,
@@ -537,99 +549,16 @@ func buildOptions(opts []SessionOption) sessionOptions {
 	return o
 }
 
-// simStepper adapts the monolithic engine to the session state
-// machine.
-type simStepper struct {
-	eng     *sim.Simulation
-	cfg     Config // defaulted
-	trace   *Trace
-	scratch sim.Trace
-	retain  bool
-}
-
-func (a *simStepper) warmupStep(ctx context.Context) error {
-	return a.eng.WarmupIntervalContext(ctx)
-}
-
-func (a *simStepper) trainAndBuild(ctx context.Context) error {
-	if err := a.eng.Train(); err != nil {
-		return err
-	}
-	return a.eng.BuildGroupsContext(ctx)
-}
-
-func (a *simStepper) stepInterval(ctx context.Context, interval int) (IntervalReport, error) {
-	a.scratch.Records = a.scratch.Records[:0]
-	if err := a.eng.RunIntervalContext(ctx, interval, &a.scratch); err != nil {
-		return IntervalReport{}, err
-	}
-	// The report must not alias the reused scratch rows.
-	out := make([]TraceRecord, len(a.scratch.Records))
-	copy(out, a.scratch.Records)
-	if a.retain {
-		a.trace.Records = append(a.trace.Records, a.scratch.Records...)
-	}
-	return IntervalReport{Records: out, ChurnedUsers: a.eng.Churned()}, nil
-}
-
-func (a *simStepper) finish() error { a.eng.FinishTrace(a.trace); return nil }
-func (a *simStepper) close()        { a.eng.Close() }
-
-// fingerprint leaves Parallelism at its default: the pool width never
-// reaches the state, so a checkpoint resumes at any width.
-func (a *simStepper) fingerprint() (uint64, error) {
-	cfg := a.cfg
-	cfg.Parallelism = 0
-	return checkpoint.Fingerprint(cfg)
-}
-
-func (a *simStepper) writeState(cw *checkpoint.Writer) error { return a.eng.WriteState(cw) }
-
-func (a *simStepper) readState(cr *checkpoint.Reader) error { return a.eng.ReadState(cr) }
-
-// SimSession is the monolithic engine's Session. It satisfies the
-// Session interface and additionally exposes the accumulated Trace.
-type SimSession struct {
-	session
-	st *simStepper
-}
-
-// Trace returns the run's trace: the full record set once Done (or
-// run-level statistics only, when a sink owned the records). Before
-// completion it carries the records of the completed intervals with
-// unstamped run-level fields.
-func (s *SimSession) Trace() *Trace { return s.st.trace }
-
-// Open validates cfg and returns a monolithic-engine session. No
-// simulation work happens until the first Step. Degenerate scenarios
-// (zero users or intervals) fail with ErrEmptyScenario.
-func Open(cfg Config, opts ...SessionOption) (*SimSession, error) {
-	eng, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	o := buildOptions(opts)
-	if cs, ok := o.sink.(*CSVSink); ok {
-		// The session knows the schema before any record exists, so an
-		// empty run still gets its CSV header.
-		cs.SetSchema(TraceRecord{BS: -1})
-	}
-	eng.SetMetrics(o.metrics)
-	st := &simStepper{
-		eng:    eng,
-		cfg:    cfg.Defaulted(),
-		trace:  sim.NewTrace(),
-		retain: o.sink == nil,
-	}
-	return &SimSession{session: newSession(st, "sim", st.cfg, o), st: st}, nil
-}
-
-// clusterStepper adapts the sharded cluster engine to the session
-// state machine.
+// clusterStepper adapts the cluster engine to the session state
+// machine: the engine over one all-station cell for Open, over one
+// cell per station for OpenCluster.
 type clusterStepper struct {
-	eng   *cluster.Engine
-	cfg   ClusterConfig // defaulted
-	trace *ClusterTrace // stamped at finish
+	eng *cluster.Engine
+	// unscheduled is the configuration the checkpoint header hashes:
+	// the defaulted one, with the fields that only schedule the run at
+	// their defaults.
+	unscheduled any
+	trace       *ClusterTrace // stamped at finish
 }
 
 func (a *clusterStepper) warmupStep(ctx context.Context) error { return a.eng.WarmupStep(ctx) }
@@ -654,16 +583,15 @@ func (a *clusterStepper) finish() error { a.trace = a.eng.Finish(); return nil }
 func (a *clusterStepper) close()        { a.eng.Close() }
 
 func (a *clusterStepper) fingerprint() (uint64, error) {
-	return checkpoint.Fingerprint(a.cfg.Unscheduled())
+	return checkpoint.Fingerprint(a.unscheduled)
 }
 
 func (a *clusterStepper) writeState(cw *checkpoint.Writer) error { return a.eng.WriteState(cw) }
 
 func (a *clusterStepper) readState(cr *checkpoint.Reader) error { return a.eng.ReadState(cr) }
 
-// ClusterSession is the sharded cluster engine's Session. It
-// satisfies the Session interface and additionally exposes the merged
-// ClusterTrace.
+// ClusterSession is the cluster engine's Session. It satisfies the
+// Session interface and additionally exposes the merged ClusterTrace.
 type ClusterSession struct {
 	session
 	st *clusterStepper
@@ -680,23 +608,56 @@ func (s *ClusterSession) Trace() *ClusterTrace {
 	return s.st.eng.Finish()
 }
 
-// OpenCluster validates cfg and returns a sharded-cluster session. No
-// simulation work happens until the first Step. Degenerate scenarios
-// (zero users or intervals) fail with ErrEmptyScenario.
+// openCluster wraps eng in a session whose checkpoints fingerprint
+// unscheduled and whose rows carry rowBS's column set.
+func openCluster(eng *cluster.Engine, unscheduled any, rowBS int, o sessionOptions) *ClusterSession {
+	eng.SetRetainRecords(o.sink == nil)
+	eng.SetMetrics(o.metrics)
+	st := &clusterStepper{eng: eng, unscheduled: unscheduled}
+	return &ClusterSession{session: newSession(st, "cluster", eng.Config().Sim, rowBS, o), st: st}
+}
+
+// OpenCluster validates cfg and returns a session over one cell per
+// base station. No simulation work happens until the first Step.
+// Degenerate scenarios (zero users or intervals) fail with
+// ErrEmptyScenario.
 func OpenCluster(cfg ClusterConfig, opts ...SessionOption) (*ClusterSession, error) {
 	eng, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	o := buildOptions(opts)
-	if cs, ok := o.sink.(*CSVSink); ok {
-		cs.SetSchema(TraceRecord{BS: 0})
-	}
-	eng.SetRetainRecords(o.sink == nil)
 	eng.SetFailurePolicy(o.cellPolicy)
-	eng.SetMetrics(o.metrics)
-	st := &clusterStepper{eng: eng, cfg: eng.Config()}
-	return &ClusterSession{session: newSession(st, "cluster", st.cfg.Sim, o), st: st}, nil
+	return openCluster(eng, eng.Config().Unscheduled(), 0, o), nil
+}
+
+// SimSession is the monolithic Session: the cluster session over one
+// cell that covers every station, so no twin is ever handed over. Its
+// Trace is that cell's, rows tagged BS -1; the embedded ClusterSession
+// reports the same run as a one-cell ClusterTrace.
+type SimSession struct{ *ClusterSession }
+
+// Trace returns the run's trace: the full record set once Done (or
+// run-level statistics only, when a sink owned the records). Before
+// completion it carries the records of the completed intervals and
+// the run-level fields as they stand.
+func (s *SimSession) Trace() *Trace { return s.st.eng.WholeTrace() }
+
+// Open validates cfg and returns a monolithic session. No simulation
+// work happens until the first Step. Degenerate scenarios (zero users
+// or intervals) fail with ErrEmptyScenario. WithCellFailurePolicy has
+// no effect: the one cell has no faults.
+func Open(cfg Config, opts ...SessionOption) (*SimSession, error) {
+	eng, err := cluster.NewWhole(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The checkpoint fingerprints the scenario itself rather than a
+	// cluster configuration, so a monolithic checkpoint and a cluster
+	// one never resume as each other, even over one station.
+	unscheduled := eng.Config().Sim
+	unscheduled.Parallelism = 0
+	return &SimSession{openCluster(eng, unscheduled, -1, buildOptions(opts))}, nil
 }
 
 // AccuracyTracker folds a run's accuracy metrics from interval
