@@ -970,6 +970,29 @@ func BenchmarkSilhouetteDists(b *testing.B) {
 	}
 }
 
+// BenchmarkPairDistances measures the distance matrix a DDQN training
+// run builds once over its codes: 2000 eight-dimensional codes, on all
+// cores. Its rows are allocated per call, n of n floats each.
+func BenchmarkPairDistances(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	codes := make([]vecmath.Vec, 2000)
+	for i := range codes {
+		c := make(vecmath.Vec, 8)
+		for j := range c {
+			c[j] = float64(i%6) + 0.5*rng.NormFloat64()
+		}
+		codes[i] = c
+	}
+	pool := parallel.New(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := kmeans.PairDistances(codes, pool); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdamStep measures one optimizer step over the parameter
 // shapes of the CNN compressor (conv, encoder head, two decoder
 // layers: 5 656 weights), the sequential tail of every training batch.

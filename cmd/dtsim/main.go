@@ -38,7 +38,10 @@
 // Checkpointing: -checkpoint PATH writes the session's full
 // deterministic state to PATH (atomically, via temp file + rename)
 // after every -checkpoint-every intervals and again when an interrupt
-// lands on an interval boundary. -resume PATH restores a checkpoint
+// lands on an interval boundary. An interrupt inside an interval
+// leaves the last boundary's file in place (the interrupted interval
+// was never flushed); either way dtsim prints the interval the file
+// resumes from and exits 0. -resume PATH restores a checkpoint
 // written under the identical flags and continues the run; the
 // resumed trace suffix is bit-identical to what the uninterrupted run
 // would have produced, so prefix + suffix reassemble the full trace.
@@ -344,20 +347,13 @@ func run() (err error) {
 	defer s.Close()
 
 	start := s.Interval()
-	interrupted := false
-	for !s.Done() {
-		if _, err := s.Step(ctx); err != nil {
-			if errors.Is(err, context.Canceled) {
-				interrupted = true
-				break
-			}
-			return err
-		}
-		if *ckptPath != "" && (s.Done() || s.Interval()%*ckptEvery == 0) {
-			if err := writeCheckpoint(*ckptPath, s); err != nil {
-				return err
-			}
-		}
+	ckptAt := -1 // the interval the -checkpoint file resumes from
+	if *ckptPath != "" && *ckptPath == *resume {
+		ckptAt = start
+	}
+	ckptAt, interrupted, err := stepRun(ctx, s, *ckptPath, *ckptEvery, ckptAt)
+	if err != nil {
+		return err
 	}
 
 	if buffered != nil {
@@ -366,16 +362,14 @@ func run() (err error) {
 		}
 	}
 	if interrupted {
-		// A boundary-cancelled session is still checkpointable, so the
-		// interrupted run leaves a resume point at exactly the flushed
-		// trace prefix.
-		if *ckptPath != "" {
-			if err := writeCheckpoint(*ckptPath, s); err != nil {
-				return err
-			}
-		}
 		fmt.Fprintf(os.Stderr, "dtsim: interrupted after %d of %d intervals; partial trace flushed\n",
 			s.Interval(), *intervals)
+		switch {
+		case ckptAt >= 0:
+			fmt.Fprintf(os.Stderr, "dtsim: %s resumes the run from interval %d\n", *ckptPath, ckptAt)
+		case *ckptPath != "":
+			fmt.Fprintf(os.Stderr, "dtsim: no checkpoint was written before the interrupt\n")
+		}
 		return nil
 	}
 	if s.Interval() == start && start > 0 {
@@ -386,6 +380,44 @@ func run() (err error) {
 		return nil
 	}
 	return summary()
+}
+
+// stepRun steps s until it is done or ctx is cancelled. With a
+// checkpoint path it writes the session there after every every-th
+// interval and after the last, and once more when an interrupt lands
+// on an interval boundary. ckptAt is the interval the file at path
+// resumes from when stepRun starts, -1 for none; stepRun returns the
+// one it resumes from when it stops, and whether ctx stopped it.
+//
+// An interrupt on a boundary leaves the session checkpointable, so the
+// file then resumes at exactly the flushed trace prefix. One that lands
+// inside a Step fails the session, which refuses the checkpoint with an
+// error that carries the cancellation: the file from the last boundary
+// is left as it was, and the run resumes from there.
+func stepRun(ctx context.Context, s dtmsvs.Session, path string, every, ckptAt int) (int, bool, error) {
+	for !s.Done() {
+		if _, err := s.Step(ctx); err != nil {
+			if !errors.Is(err, context.Canceled) {
+				return ckptAt, false, err
+			}
+			if path != "" {
+				switch err := writeCheckpoint(path, s); {
+				case err == nil:
+					ckptAt = s.Interval()
+				case !errors.Is(err, context.Canceled):
+					return ckptAt, true, err
+				}
+			}
+			return ckptAt, true, nil
+		}
+		if path != "" && (s.Done() || s.Interval()%every == 0) {
+			if err := writeCheckpoint(path, s); err != nil {
+				return ckptAt, false, err
+			}
+			ckptAt = s.Interval()
+		}
+	}
+	return ckptAt, false, nil
 }
 
 // writeMetrics dumps the registry's final snapshot as JSON.

@@ -2,9 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dtmsvs"
@@ -52,5 +58,107 @@ func TestWriteBufferedPinned(t *testing.T) {
 				t.Fatalf("read back %+v, want %+v", back, tc.records)
 			}
 		})
+	}
+}
+
+// midStepCancel is a context that, once armed, is cancelled inside the
+// next Step: that Step's boundary check still reads nil from Err, and
+// the check closes Done, so the engine stops part-way through the
+// interval and every later Err reads context.Canceled.
+type midStepCancel struct {
+	context.Context
+	mu     sync.Mutex
+	armed  bool
+	fired  bool
+	doneCh chan struct{}
+}
+
+func newMidStepCancel() *midStepCancel {
+	return &midStepCancel{Context: context.Background(), doneCh: make(chan struct{})}
+}
+
+func (c *midStepCancel) arm() {
+	c.mu.Lock()
+	c.armed = true
+	c.mu.Unlock()
+}
+
+func (c *midStepCancel) Done() <-chan struct{} { return c.doneCh }
+
+func (c *midStepCancel) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.fired:
+		return context.Canceled
+	case c.armed:
+		c.fired = true
+		close(c.doneCh)
+	}
+	return nil
+}
+
+// TestInterruptInsideIntervalKeepsCheckpoint: an interrupt that lands
+// inside an interval fails the session, so stepRun leaves the last
+// boundary's checkpoint file as it was, reports the interval it resumes
+// from and no error; that file resumes into the uninterrupted run's
+// trace suffix byte for byte.
+func TestInterruptInsideIntervalKeepsCheckpoint(t *testing.T) {
+	cfg := dtmsvs.DefaultConfig(7)
+	cfg.NumUsers, cfg.NumBS, cfg.NumIntervals = 60, 2, 5
+	var full bytes.Buffer
+	s, err := dtmsvs.Open(cfg, dtmsvs.WithSink(dtmsvs.NewNDJSONSink(&full)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := stepRun(context.Background(), s, "", 1, -1); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	const cut = 2 // intervals completed before the interrupt
+	ctx := newMidStepCancel()
+	var part1 bytes.Buffer
+	s, err = dtmsvs.Open(cfg, dtmsvs.WithSink(dtmsvs.NewNDJSONSink(&part1)),
+		dtmsvs.WithObserver(func(rep dtmsvs.IntervalReport) {
+			if rep.Interval == cut-1 {
+				ctx.arm()
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	at, interrupted, err := stepRun(ctx, s, path, 1, -1)
+	if err != nil || !interrupted || at != cut || s.Interval() != cut {
+		t.Fatalf("stepRun = (%d, %v, %v) at interval %d, want (%d, true, <nil>) at %d",
+			at, interrupted, err, s.Interval(), cut, cut)
+	}
+	// The cancellation fired inside the Step: the session failed.
+	if cerr := s.Checkpoint(io.Discard); !errors.Is(cerr, context.Canceled) {
+		t.Fatalf("checkpoint after the interrupt: want the failed session's cancellation, got %v", cerr)
+	}
+	s.Close()
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var part2 bytes.Buffer
+	r, err := dtmsvs.Resume(cfg, f, dtmsvs.WithSink(dtmsvs.NewNDJSONSink(&part2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Interval() != cut {
+		t.Fatalf("checkpoint resumes at interval %d, want %d", r.Interval(), cut)
+	}
+	if _, _, err := stepRun(context.Background(), r, "", 1, -1); err != nil {
+		t.Fatal(err)
+	}
+	if got := part1.String() + part2.String(); got != full.String() {
+		t.Fatalf("interrupted prefix + resumed suffix (%d + %d bytes) differ from the uninterrupted run (%d bytes)",
+			part1.Len(), part2.Len(), full.Len())
 	}
 }

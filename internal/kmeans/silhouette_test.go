@@ -116,3 +116,48 @@ func TestPairDistancesRows(t *testing.T) {
 		}
 	}
 }
+
+// TestPairDistancesMatchesOnePairScan holds every entry of the matrix,
+// both triangles and the diagonal, to the one-pair scan of its own
+// ordered pair, at sizes on both sides of the mirror's tile and of the
+// four-column kernel, on points with exact duplicates and with
+// coordinates of both signs, zeros and subnormals, sequential and on a
+// 2-worker pool. The pooled mirror pass reads rows other indices wrote
+// in the first pass, so under -race this is also the fan-out's check.
+func TestPairDistancesMatchesOnePairScan(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-308, 1e3, -1e3}
+	rng := rand.New(rand.NewSource(45))
+	for _, n := range []int{1, 2, 3, 5, 31, 32, 33, 97} {
+		points := make([]vecmath.Vec, n)
+		for i := range points {
+			if i > 0 && rng.Intn(4) == 0 {
+				points[i] = points[rng.Intn(i)] // a duplicate point
+				continue
+			}
+			p := make(vecmath.Vec, 5)
+			for d := range p {
+				if rng.Intn(4) == 0 {
+					p[d] = special[rng.Intn(len(special))]
+				} else {
+					p[d] = rng.NormFloat64()
+				}
+			}
+			points[i] = p
+		}
+		for _, pool := range []*parallel.Pool{nil, parallel.New(2)} {
+			dists, err := PairDistances(points, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					want := math.Sqrt(vecmath.SqDistUnchecked(points[i], points[j]))
+					if math.Float64bits(dists.At(i, j)) != math.Float64bits(want) {
+						t.Fatalf("n=%d pooled=%v: D[%d,%d] = %x, one-pair scan %x",
+							n, pool != nil, i, j, math.Float64bits(dists.At(i, j)), math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}

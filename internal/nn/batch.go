@@ -74,7 +74,7 @@ func ensureInts(buf *[]int, n int) []int {
 
 // ForwardBatch maps every row of x through the layer in one GEMM:
 // out = x·Wᵀ + b, computed as x·(Wᵀ) against a transposed weight
-// scratch so the kernel runs in its fast AXPY form. Each output sums
+// scratch so the kernel runs in its fast row-sweep form. Each output sums
 // its products in ascending input index and then adds the bias, the
 // order of a plain dot product plus bias, so every row is
 // bit-identical to a one-row ForwardBatch of that sample. The input

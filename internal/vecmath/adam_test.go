@@ -8,11 +8,13 @@ import (
 
 // adamTestCoeffs are the optimizer settings the models train with —
 // the CNN compressor's √8-scaled rate and the DDQN's 1e-3, both at the
-// default β₁, β₂ and ε — at the first step and at a later one.
+// default β₁, β₂ and ε — at the first step, at a later one, and at one
+// late enough that bc1 has rounded to exactly 1, which takes the
+// kernel's entry point without the divide by it.
 func adamTestCoeffs() []AdamCoeffs {
 	var out []AdamCoeffs
 	for _, lr := range []float64{1e-3 * math.Sqrt(8), 1e-3} {
-		for _, step := range []float64{1, 37} {
+		for _, step := range []float64{1, 37, 400} {
 			out = append(out, AdamCoeffs{
 				B1: 0.9, C1: 1 - 0.9, B2: 0.999, C2: 1 - 0.999,
 				LR: lr, Eps: 1e-8,
@@ -62,6 +64,42 @@ func TestAdamKernelEquivalence(t *testing.T) {
 							ci, n, i, g[i], math.Float64bits(pair[0]), math.Float64bits(pair[1]))
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestAdamBC1OneMatchesGeneric pins the entry point without the divide
+// by bc1: at a step where bc1 is exactly 1 the dispatched update equals
+// adamGeneric, which still divides by it, bit for bit in w, m and v —
+// the late-step coefficients of TestAdamKernelEquivalence, checked here
+// to really be 1 and taken over every special gradient and a moment of
+// each sign, zero and subnormal.
+func TestAdamBC1OneMatchesGeneric(t *testing.T) {
+	if !useAVX2() {
+		t.Skip("no AVX2 dispatch: AdamUnchecked already runs the generic loop")
+	}
+	c := adamTestCoeffs()[2]
+	if c.BC1 != 1 {
+		t.Fatalf("bc1 at step 400 = %v, want exactly 1", c.BC1)
+	}
+	moments := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-3, -1e-3, 1e150}
+	var w, g, m, v Vec
+	for _, gj := range append(adamTestGrads, 0.25, -0.25) {
+		for _, mj := range moments {
+			w = append(w, 0.5)
+			g = append(g, gj)
+			m = append(m, mj)
+			v = append(v, 1e-4)
+		}
+	}
+	w2, m2, v2 := Clone(w), Clone(m), Clone(v)
+	adamGeneric(&c, w, g, m, v)
+	AdamUnchecked(&c, w2, g, m2, v2)
+	for i := range w {
+		for _, pair := range [][2]float64{{w[i], w2[i]}, {m[i], m2[i]}, {v[i], v2[i]}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("i=%d g=%v: generic %x simd %x", i, g[i], math.Float64bits(pair[0]), math.Float64bits(pair[1]))
 			}
 		}
 	}

@@ -33,6 +33,20 @@ func axpyAVX2(alpha float64, x, y *float64, n int)
 //go:noescape
 func adamAVX2(c *AdamCoeffs, w, grad, m, v *float64, n int)
 
+// adamNoBC1AVX2 is adamAVX2 without the divide by c.BC1, for steps
+// whose BC1 is exactly 1. Implemented in kern_amd64.s.
+//
+//go:noescape
+func adamNoBC1AVX2(c *AdamCoeffs, w, grad, m, v *float64, n int)
+
+// rowSweepAVX2 computes dst[0:n] += Σ coef[kk*cs]·b[kk*bs : kk*bs+n]
+// over kk ascending in [0, k), skipping ±0 coefficients, with the
+// destination row held in YMM registers; n >= 4 and k >= 1.
+// Implemented in kern_amd64.s.
+//
+//go:noescape
+func rowSweepAVX2(dst *float64, n int, coef *float64, cs int, b *float64, bs int, k int)
+
 // cpuid executes CPUID for (leaf, subleaf). Implemented in
 // kern_amd64.s.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -21,3 +21,13 @@ func axpyAVX2(alpha float64, x, y *float64, n int) {
 func adamAVX2(c *AdamCoeffs, w, grad, m, v *float64, n int) {
 	panic("vecmath: adamAVX2 called without AVX2 support")
 }
+
+// adamNoBC1AVX2 is never reachable on this build either.
+func adamNoBC1AVX2(c *AdamCoeffs, w, grad, m, v *float64, n int) {
+	panic("vecmath: adamNoBC1AVX2 called without AVX2 support")
+}
+
+// rowSweepAVX2 is never reachable on this build either.
+func rowSweepAVX2(dst *float64, n int, coef *float64, cs int, b *float64, bs int, k int) {
+	panic("vecmath: rowSweepAVX2 called without AVX2 support")
+}

@@ -92,11 +92,21 @@ type AdamCoeffs struct {
 // vectors of at least four elements run 4-wide assembly — VMULPD,
 // VADDPD, VDIVPD, VSQRTPD, VSUBPD and never FMA, each lane rounding
 // exactly as the scalar loop does — and the results are bit-identical
-// to adamGeneric for every non-NaN input.
+// to adamGeneric for every non-NaN input. Once β₁ᵗ ≤ 2⁻⁵⁴, half the
+// spacing of the doubles just below 1 (from step 356 at β₁ = 0.9), bc1
+// rounds to exactly 1, and the assembly takes a second entry point
+// without the divide by it: m/1 is m for every m, and that divide is
+// one of the four divider-bound operations (three divides and a square
+// root) that set the kernel's speed. bc2 stays below 1 for tens of
+// thousands of steps, so its divide stays.
 func AdamUnchecked(c *AdamCoeffs, w, g, m, v Vec) {
 	g, m, v = g[:len(w)], m[:len(w)], v[:len(w)]
 	if n := len(w) &^ 3; n > 0 && useAVX2() {
-		adamAVX2(c, &w[0], &g[0], &m[0], &v[0], n)
+		if c.BC1 == 1 {
+			adamNoBC1AVX2(c, &w[0], &g[0], &m[0], &v[0], n)
+		} else {
+			adamAVX2(c, &w[0], &g[0], &m[0], &v[0], n)
+		}
 		w, g, m, v = w[n:], g[n:], m[n:], v[n:]
 	}
 	adamGeneric(c, w, g, m, v)

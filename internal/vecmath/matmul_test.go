@@ -157,6 +157,28 @@ func TestTransposedMatMulMatchesPerRowMulVec(t *testing.T) {
 	}
 }
 
+// TestTransposeInto checks every element of the transpose at every
+// shape up to 9×9, so each split into runs of four source rows and a
+// remainder is covered.
+func TestTransposeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for r := 1; r <= 9; r++ {
+		for c := 1; c <= 9; c++ {
+			a, at := randMat(r, c, rng), MustMatrix(c, r)
+			if err := TransposeInto(at, a); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					if math.Float64bits(at.At(j, i)) != math.Float64bits(a.At(i, j)) {
+						t.Fatalf("%dx%d: [%d,%d] = %v, want %v", r, c, j, i, at.At(j, i), a.At(i, j))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMatMulShapeErrors(t *testing.T) {
 	a := MustMatrix(3, 4)
 	b := MustMatrix(5, 6)
@@ -197,15 +219,14 @@ func TestMatrixResize(t *testing.T) {
 	}
 }
 
-// TestNarrowMatMulMatchesAXPYSweep: the register kernels that take
-// outputs of at most narrowCols columns are bit-identical to the AXPY
-// sweep that takes wider ones, at every width on both sides of the
-// dispatch, with and without the SIMD AXPY, on operands that mix
-// signed zeros, infinities, NaN and subnormals into normal draws. A
-// NaN result must be NaN on both sides; its payload is not compared:
-// when both addends are NaN, x86 returns the first operand's, and
-// which operand comes first is the register allocator's choice, in
-// the scalar AXPY as much as in the kernels.
+// TestNarrowMatMulMatchesAXPYSweep: matMulAccumRows is bit-identical
+// to the AXPY sweep at every output width from 1 to 16 — on both sides
+// of the row sweep's four-column floor and its overlapped last lane —
+// with and without the SIMD kernels, on operands that mix signed
+// zeros, infinities, NaN and subnormals into normal draws. A NaN result
+// must be NaN on both sides; its payload is not compared: when both
+// addends are NaN, x86 returns the first operand's, and which operand
+// comes first is the register allocator's choice in the scalar AXPY.
 func TestNarrowMatMulMatchesAXPYSweep(t *testing.T) {
 	defer ForceGeneric(false)
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-308}
@@ -244,6 +265,59 @@ func TestNarrowMatMulMatchesAXPYSweep(t *testing.T) {
 					if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
 						t.Fatalf("generic=%v %dx%d·%dx%d: element %d = %x, AXPY sweep %x",
 							generic, m, k, k, n, i, math.Float64bits(dst.Data[i]), math.Float64bits(want.Data[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowSweepMatchesAXPYSweep: the register row sweep that takes the
+// wide and transposed-A GEMM rows is bit-identical to the sweep of
+// AXPYs it replaced, at every width from 1 to 100 (every column-block
+// split and every overlap of the last lane), coefficient strides 1 and
+// 3, sweeps of 1 to 120 rows, with and without the SIMD kernels. The
+// operands mix signed zeros, infinities, NaN and subnormals into
+// normal draws; as in TestNarrowMatMulMatchesAXPYSweep a NaN result
+// must be NaN on both sides and its payload is not compared.
+func TestRowSweepMatchesAXPYSweep(t *testing.T) {
+	defer ForceGeneric(false)
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-308}
+	fill := func(rng *rand.Rand, v Vec) {
+		for i := range v {
+			if rng.Intn(4) == 0 {
+				v[i] = special[rng.Intn(len(special))]
+			} else {
+				v[i] = rng.NormFloat64()
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(45))
+	for _, generic := range []bool{false, true} {
+		ForceGeneric(generic)
+		for n := 1; n <= 100; n++ {
+			for _, cs := range []int{1, 3} {
+				for _, k := range []int{1, 2, 5, 8, 56, 120} {
+					coef, bd := make(Vec, (k-1)*cs+1), make(Vec, k*n)
+					got := make(Vec, n)
+					fill(rng, coef)
+					fill(rng, bd)
+					fill(rng, got)
+					want := Clone(got)
+					for kk := 0; kk < k; kk++ {
+						if av := coef[kk*cs]; av != 0 {
+							AXPYUnchecked(av, bd[kk*n:kk*n+n], want)
+						}
+					}
+					sweepRow(got, coef, cs, bd, n, k)
+					for j := range want {
+						if math.IsNaN(want[j]) && math.IsNaN(got[j]) {
+							continue
+						}
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("generic=%v n=%d cs=%d k=%d: column %d = %x, AXPY sweep %x",
+								generic, n, cs, k, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+						}
 					}
 				}
 			}

@@ -12,8 +12,8 @@ import (
 // range kernel the sequential path runs, and no two blocks share an
 // accumulator — so the output is bit-identical to the sequential
 // kernels for any worker count, any block size and any scheduling.
-// (MatMulTransA* partitions dst rows, i.e. columns of a, with the
-// k-axis still outermost and ascending inside each block.)
+// (MatMulTransA* partitions dst rows, i.e. columns of a, each swept
+// over the k-axis in ascending order.)
 //
 // Fan-out only pays above a work threshold: waking workers costs a
 // few microseconds, which tiny minibatch GEMMs undercut. Below the
