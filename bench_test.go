@@ -845,6 +845,75 @@ func BenchmarkCollectTicks(b *testing.B) {
 	}
 }
 
+// mathSink keeps the math-loop benchmarks' results live.
+var mathSink float64
+
+// benchLogInputs is one tick chunk's logarithm arguments as the engine
+// stages them: 32 distances in km, then 32 Rayleigh fade powers.
+func benchLogInputs() []float64 {
+	rng := rand.New(rand.NewSource(46))
+	x := make([]float64, 64)
+	for i := range x {
+		if i < 32 {
+			x[i] = (10 + rng.Float64()*1500) / 1000
+		} else {
+			x[i] = max(rng.ExpFloat64(), 1e-9)
+		}
+	}
+	return x
+}
+
+// BenchmarkLogInto measures a tick chunk's 64 logarithms: the batched
+// kernel (4-wide AVX2 where available) against the scalar math.Log
+// loop it replaced. Both produce the same bits.
+func BenchmarkLogInto(b *testing.B) {
+	x := benchLogInputs()
+	dst := make([]float64, len(x))
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vecmath.LogInto(dst, x)
+		}
+		mathSink = dst[0]
+	})
+	b.Run("math", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j, v := range x {
+				dst[j] = math.Log(v)
+			}
+		}
+		mathSink = dst[0]
+	})
+}
+
+// BenchmarkHypotInto measures a tick chunk's 32 station distances: the
+// batched kernel against the scalar math.Hypot loop.
+func BenchmarkHypotInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(47))
+	p, q := make([]float64, 32), make([]float64, 32)
+	for i := range p {
+		p[i], q[i] = (rng.Float64()-0.5)*2000, (rng.Float64()-0.5)*2000
+	}
+	dst := make([]float64, len(p))
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vecmath.HypotInto(dst, p, q)
+		}
+		mathSink = dst[0]
+	})
+	b.Run("math", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range p {
+				dst[j] = math.Hypot(p[j], q[j])
+			}
+		}
+		mathSink = dst[0]
+	})
+}
+
 // BenchmarkSampleFromCategory measures one popularity-weighted draw
 // within a category — every warm-up view and every explored feed video
 // makes one — over the default 500-video catalog with the engine's

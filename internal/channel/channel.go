@@ -4,6 +4,13 @@
 // CQI quantization UDTs store as "channel condition". The paper is
 // simulation-only; this is the standard substitute for real RAN
 // measurements (DESIGN.md §2).
+//
+// A link's samples are drawn and evaluated apart: DrawFade makes a
+// sample's only random draw, and SNRsInto evaluates a chunk of drawn
+// samples at once through vecmath's batched Hypot and Log, which equal
+// math.Hypot and math.Log bit for bit, so the chunked SNRs are those of
+// the per-sample formula (TestSNRsIntoMatchesPerSampleFormula keeps
+// that formula as the oracle).
 package channel
 
 import (
@@ -13,6 +20,7 @@ import (
 	"math/rand"
 
 	"dtmsvs/internal/mobility"
+	"dtmsvs/internal/vecmath"
 )
 
 // ErrParam indicates an invalid channel parameter.
@@ -104,7 +112,9 @@ func (p Params) NoisePowerDBm() float64 {
 }
 
 // Link models one user's channel to a base station, holding the
-// slow-varying shadowing state. Fast fading is redrawn per sample.
+// slow-varying shadowing state and the fast-fading process: DrawFade
+// advances the fading one sample, and SNRsInto turns a chunk of samples
+// — station, position and fade each — into SNRs.
 type Link struct {
 	// prop holds the parameters with the path-loss reference and the
 	// noise power taken at construction.
@@ -144,12 +154,6 @@ func NewLink(params Params, bs *BaseStation, rng *rand.Rand) (*Link, error) {
 // BS returns the serving base station.
 func (l *Link) BS() *BaseStation { return l.bs }
 
-// RedrawShadowing resamples the slow-fading term — call when the user
-// has moved far enough for the shadowing to decorrelate (~50 m).
-func (l *Link) RedrawShadowing() {
-	l.shadowDB = l.rng.NormFloat64() * l.prop.params.ShadowSigmaDB
-}
-
 // Handover re-points the link at a new serving base station while
 // keeping the shadowing state: the slow fade is modeled as user-local
 // clutter (body/indoor loss) that travels with the user, which also
@@ -162,14 +166,15 @@ func (l *Link) Handover(bs *BaseStation) error {
 	return nil
 }
 
-// Sample returns the instantaneous SNR (dB) at the given user
-// position: TX power − path loss − shadowing + Rayleigh fading − noise.
-// With FadingRho > 0 the fading tap evolves as a complex AR(1)
-// process (temporally correlated fades); otherwise each sample draws
-// an independent Rayleigh realization.
-func (l *Link) Sample(userPos mobility.Point) float64 {
-	d := l.bs.Pos.Dist(userPos)
-	pl := l.prop.params.pathLossDB(l.prop.ref, d)
+// DrawFade advances the link's fast-fading process by one sample and
+// returns the fade power |h|², floored at 1e-9 (−90 dB). With
+// FadingRho > 0 the complex tap evolves as an AR(1) process
+// (temporally correlated fades); otherwise each sample draws an
+// independent Rayleigh realization, whose |h|² is Exp(1). This is the
+// link's only random draw per sample: the SNR itself is deterministic
+// given the fade, so a caller can draw a chunk of samples in order and
+// evaluate them together with SNRsInto.
+func (l *Link) DrawFade() float64 {
 	var h2 float64
 	if rho := l.prop.params.FadingRho; rho > 0 {
 		const invSqrt2 = 0.7071067811865476
@@ -177,15 +182,41 @@ func (l *Link) Sample(userPos mobility.Point) float64 {
 		l.hIm = rho*l.hIm + l.innov*l.rng.NormFloat64()*invSqrt2
 		h2 = l.hRe*l.hRe + l.hIm*l.hIm
 	} else {
-		// |h|² of a unit complex Gaussian is Exp(1).
 		h2 = l.rng.ExpFloat64()
 	}
 	if h2 < 1e-9 {
 		h2 = 1e-9
 	}
-	fadeDB := 10 * math.Log10(h2)
-	rxDBm := l.bs.TxPowerDBm - pl - l.shadowDB + fadeDB
-	return rxDBm - l.prop.noise
+	return h2
+}
+
+// Reception is one sample's input to the propagation model: the
+// serving base station, the user's position and the fade power
+// DrawFade returned for it (ignored by MeanSNRsInto).
+type Reception struct {
+	BS   *BaseStation
+	Pos  mobility.Point
+	Fade float64
+}
+
+// SNRsInto sets dst[i] to the instantaneous SNR (dB) of reception
+// rs[i] on this link: TX power − path loss − shadowing + fading −
+// noise. dst must hold len(rs) values. Each sample's distance is one
+// lane of a vecmath.HypotInto and its two logarithms — path loss and
+// fade — two lanes of one vecmath.LogInto, so the result is bit for
+// bit the scalar expression over math.Hypot and math.Log10.
+func (l *Link) SNRsInto(dst []float64, rs []Reception) {
+	l.prop.snrsInto(dst, rs, l.shadowDB, true)
+}
+
+// Sample draws one fade and returns the SNR (dB) at userPos from the
+// serving station: DrawFade, then SNRsInto of that one reception. It is
+// the one-sample form for callers that step a tick at a time.
+func (l *Link) Sample(userPos mobility.Point) float64 {
+	rs := [1]Reception{{BS: l.bs, Pos: userPos, Fade: l.DrawFade()}}
+	var snr [1]float64
+	l.SNRsInto(snr[:], rs[:])
+	return snr[0]
 }
 
 // SpectralEfficiency converts an SNR in dB to Shannon spectral
@@ -232,6 +263,65 @@ func (p Params) Propagation() Propagation {
 // bit.
 func (m Propagation) MeanSNRdB(txPowerDBm, d float64) float64 {
 	return txPowerDBm - m.params.pathLossDB(m.ref, d) - m.noise
+}
+
+// MeanSNRsInto sets dst[i] to MeanSNRdB of reception rs[i] — its
+// station's TX power at its distance from the station — bit for bit,
+// through the same batched evaluation as Link.SNRsInto. dst must hold
+// len(rs) values.
+func (m Propagation) MeanSNRsInto(dst []float64, rs []Reception) {
+	m.snrsInto(dst, rs, 0, false)
+}
+
+// batchLen is the most receptions one pass of snrsInto stages: the
+// distances and fades of a pass share one stack array of 2·batchLen
+// values.
+const batchLen = 32
+
+// snrsInto evaluates the propagation model over rs a pass of at most
+// batchLen at a time: the station distances in one HypotInto, then the
+// path-loss logarithms (and, when faded, the fade logarithms after
+// them) in one LogInto. Each expression keeps the shape of its scalar
+// form — pathLossDB's ref + 37.6·log10(d/1000) with the MinDistM clamp,
+// 10·log10(|h|²), and log10(x) = ln(x)·(1/Ln10) as math.Log10 computes
+// it — so every value is that form's, bit for bit.
+func (m Propagation) snrsInto(dst []float64, rs []Reception, shadowDB float64, faded bool) {
+	dst = dst[:len(rs)]
+	for len(rs) > 0 {
+		n := min(len(rs), batchLen)
+		var buf [2 * batchLen]float64
+		dist, aux := buf[:n], buf[n:2*n]
+		for i, r := range rs[:n] {
+			dist[i] = r.BS.Pos.X - r.Pos.X
+			aux[i] = r.BS.Pos.Y - r.Pos.Y
+		}
+		vecmath.HypotInto(dist, dist, aux)
+		for i, d := range dist {
+			if d < m.params.MinDistM {
+				d = m.params.MinDistM
+			}
+			dist[i] = d / 1000
+		}
+		lg := dist
+		if faded {
+			for i, r := range rs[:n] {
+				aux[i] = r.Fade
+			}
+			lg = buf[:2*n]
+		}
+		vecmath.LogInto(lg, lg)
+		for i, r := range rs[:n] {
+			pl := m.ref + 37.6*(lg[i]*(1/math.Ln10))
+			if !faded {
+				dst[i] = r.BS.TxPowerDBm - pl - m.noise
+				continue
+			}
+			fadeDB := 10 * (lg[n+i] * (1 / math.Ln10))
+			rxDBm := r.BS.TxPowerDBm - pl - shadowDB + fadeDB
+			dst[i] = rxDBm - m.noise
+		}
+		dst, rs = dst[n:], rs[n:]
+	}
 }
 
 // CQI quantizes an SNR (dB) into a 1..15 channel-quality indicator,

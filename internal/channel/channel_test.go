@@ -175,10 +175,16 @@ func TestLinkSNRDecreasesWithDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	meanSNR := func(d float64) float64 {
-		var sum float64
 		const n = 3000
-		for i := 0; i < n; i++ {
-			sum += l.Sample(mobility.Point{X: d, Y: 0})
+		rs := make([]Reception, n)
+		for i := range rs {
+			rs[i] = Reception{BS: bs, Pos: mobility.Point{X: d, Y: 0}, Fade: l.DrawFade()}
+		}
+		snr := make([]float64, n)
+		l.SNRsInto(snr, rs)
+		var sum float64
+		for _, v := range snr {
+			sum += v
 		}
 		return sum / n
 	}
@@ -188,27 +194,6 @@ func TestLinkSNRDecreasesWithDistance(t *testing.T) {
 	}
 	if near-far < 30 {
 		t.Fatalf("distance effect too small: %v dB", near-far)
-	}
-}
-
-func TestRedrawShadowingChangesState(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	bs := &BaseStation{Pos: mobility.Point{}, TxPowerDBm: 30}
-	l, err := NewLink(DefaultParams(), bs, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := l.shadowDB
-	changed := false
-	for i := 0; i < 10; i++ {
-		l.RedrawShadowing()
-		if l.shadowDB != before {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		t.Fatal("shadowing never changed across redraws")
 	}
 }
 
@@ -302,11 +287,12 @@ func TestCorrelatedFading(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]float64, 20000)
-		pos := mobility.Point{X: 200, Y: 0}
-		for i := range out {
-			out[i] = l.Sample(pos)
+		rs := make([]Reception, 20000)
+		for i := range rs {
+			rs[i] = Reception{BS: bs, Pos: mobility.Point{X: 200, Y: 0}, Fade: l.DrawFade()}
 		}
+		out := make([]float64, len(rs))
+		l.SNRsInto(out, rs)
 		return out
 	}
 	lag1 := func(xs []float64) float64 {
@@ -340,6 +326,159 @@ func TestCorrelatedFading(t *testing.T) {
 	}
 	if d := math.Abs(meanOf(iid) - meanOf(corr)); d > 0.5 {
 		t.Fatalf("stationary means differ by %v dB", d)
+	}
+}
+
+// referenceSample is the per-sample link evaluation the batched path
+// replaced — one fading draw, then math.Hypot and two math.Log10 —
+// kept verbatim (reading the serving station and position per sample)
+// as the oracle of DrawFade and SNRsInto.
+func referenceSample(l *Link, bs *BaseStation, userPos mobility.Point) float64 {
+	d := bs.Pos.Dist(userPos)
+	pl := l.prop.params.pathLossDB(l.prop.ref, d)
+	var h2 float64
+	if rho := l.prop.params.FadingRho; rho > 0 {
+		const invSqrt2 = 0.7071067811865476
+		l.hRe = rho*l.hRe + l.innov*l.rng.NormFloat64()*invSqrt2
+		l.hIm = rho*l.hIm + l.innov*l.rng.NormFloat64()*invSqrt2
+		h2 = l.hRe*l.hRe + l.hIm*l.hIm
+	} else {
+		// |h|² of a unit complex Gaussian is Exp(1).
+		h2 = l.rng.ExpFloat64()
+	}
+	if h2 < 1e-9 {
+		h2 = 1e-9
+	}
+	fadeDB := 10 * math.Log10(h2)
+	rxDBm := bs.TxPowerDBm - pl - l.shadowDB + fadeDB
+	return rxDBm - l.prop.noise
+}
+
+// TestSNRsIntoMatchesPerSampleFormula: drawing a run's fades with
+// DrawFade and evaluating them with SNRsInto — in one call or split
+// into chunks of any size, across the batchLen pass boundary — gives
+// every sample the per-sample formula's SNR bit for bit, and leaves the
+// fading tap and the random stream where the per-sample loop leaves
+// them. The run switches serving station mid-chunk and visits the
+// clamp radius, a station's exact position (a Hypot special case) and
+// positions far away, with i.i.d. and correlated fading.
+func TestSNRsIntoMatchesPerSampleFormula(t *testing.T) {
+	stations := []*BaseStation{
+		{ID: 0, Pos: mobility.Point{X: 100, Y: 100}, TxPowerDBm: 30},
+		{ID: 1, Pos: mobility.Point{X: 900, Y: 300}, TxPowerDBm: 27},
+	}
+	const n = 3*batchLen + 5
+	rng := rand.New(rand.NewSource(5))
+	rs := make([]Reception, n)
+	for i := range rs {
+		bs := stations[(i/7)%2]
+		pos := mobility.Point{X: rng.Float64() * 1200, Y: rng.Float64() * 600}
+		switch i % 11 {
+		case 3:
+			pos = bs.Pos
+		case 5:
+			pos = mobility.Point{X: bs.Pos.X + 3, Y: bs.Pos.Y - 4}
+		case 8:
+			pos = mobility.Point{X: bs.Pos.X + 6, Y: bs.Pos.Y + 8} // exactly MinDistM
+		}
+		rs[i] = Reception{BS: bs, Pos: pos}
+	}
+	for _, rho := range []float64{0, 0.9} {
+		params := DefaultParams()
+		params.FadingRho = rho
+		link := func() *Link {
+			l, err := NewLink(params, stations[0], rand.New(rand.NewSource(11)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+		ref := link()
+		want := make([]float64, n)
+		for i, r := range rs {
+			want[i] = referenceSample(ref, r.BS, r.Pos)
+		}
+		for _, chunk := range []int{1, 3, 4, batchLen - 1, batchLen, batchLen + 1, n} {
+			l := link()
+			got := make([]float64, n)
+			for lo := 0; lo < n; lo += chunk {
+				hi := min(lo+chunk, n)
+				batch := append([]Reception(nil), rs[lo:hi]...)
+				for j := range batch {
+					batch[j].Fade = l.DrawFade()
+				}
+				l.SNRsInto(got[lo:hi], batch)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("rho %v chunk %d sample %d: SNR %v, want %v", rho, chunk, i, got[i], want[i])
+				}
+			}
+			if l.State() != ref.State() || l.rng.Int63() != ref.rng.Int63() {
+				t.Fatalf("rho %v chunk %d: link state or stream diverged", rho, chunk)
+			}
+			ref = link()
+			for _, r := range rs {
+				referenceSample(ref, r.BS, r.Pos)
+			}
+		}
+		// Sample is DrawFade and a one-reception SNRsInto.
+		l, ref := link(), link()
+		for _, r := range rs[:2*batchLen] {
+			if err := l.Handover(r.BS); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := l.Sample(r.Pos), referenceSample(ref, r.BS, r.Pos); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("rho %v: Sample %v, want %v", rho, got, want)
+			}
+		}
+	}
+}
+
+// TestMeanSNRsIntoMatchesMeanSNRdB: the batched deterministic model is
+// MeanSNRdB of each reception, bit for bit, at every length up to past
+// two passes, including the clamp radius and a station's own position.
+func TestMeanSNRsIntoMatchesMeanSNRdB(t *testing.T) {
+	m := DefaultParams().Propagation()
+	bs := &BaseStation{Pos: mobility.Point{X: 300, Y: 200}, TxPowerDBm: 30}
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n <= 2*batchLen+3; n++ {
+		rs := make([]Reception, n)
+		for i := range rs {
+			pos := mobility.Point{X: rng.Float64() * 2000, Y: rng.Float64() * 2000}
+			if i%5 == 2 {
+				pos = mobility.Point{X: bs.Pos.X + rng.Float64()*10, Y: bs.Pos.Y}
+			}
+			if i%7 == 4 {
+				pos = bs.Pos
+			}
+			rs[i] = Reception{BS: bs, Pos: pos, Fade: 3}
+		}
+		got := make([]float64, n)
+		m.MeanSNRsInto(got, rs)
+		for i, r := range rs {
+			want := m.MeanSNRdB(bs.TxPowerDBm, bs.Pos.Dist(r.Pos))
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("n=%d [%d]: %v, want %v", n, i, got[i], want)
+			}
+		}
+	}
+}
+
+// TestSNRsIntoAllocFree: a batch evaluation allocates nothing.
+func TestSNRsIntoAllocFree(t *testing.T) {
+	bs := &BaseStation{Pos: mobility.Point{}, TxPowerDBm: 30}
+	l, err := NewLink(DefaultParams(), bs, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := make([]Reception, 40)
+	for i := range rs {
+		rs[i] = Reception{BS: bs, Pos: mobility.Point{X: float64(10 * i), Y: 5}, Fade: 1}
+	}
+	dst := make([]float64, len(rs))
+	if a := testing.AllocsPerRun(10, func() { l.SNRsInto(dst, rs) }); a != 0 {
+		t.Fatalf("%v allocations per batch", a)
 	}
 }
 

@@ -148,6 +148,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		prop:          params.Propagation(),
 		stations:      opts.Stations,
 		downBS:        opts.DownBS,
+		innerSq:       servingDiscsSq(opts.Stations),
 		campus:        opts.Campus,
 		catalog:       opts.Catalog,
 		server:        opts.Server,

@@ -447,8 +447,11 @@ type Simulation struct {
 	// engine and in healthy clusters, where nearest-BS resolution is
 	// bit-identical to channel.NearestBS.
 	downBS []bool
-	campus *mobility.Map
-	users  []*user
+	// innerSq is servingDiscsSq(stations): per station, the squared
+	// radius of the disc around it in which it is the nearest station.
+	innerSq []float64
+	campus  *mobility.Map
+	users   []*user
 	// byID maps a global user id below cfg.NumUsers to its member of
 	// users (nil when absent), maintained by attach, detach, churn and
 	// restore, because a cluster cell's sparse id set misses userPos's
@@ -683,48 +686,116 @@ func (s *Simulation) nearestBS(pos mobility.Point) (*channel.BaseStation, error)
 	return channel.NearestAliveBS(s.stations, s.downBS, pos)
 }
 
-// tickChunk is the most ticks collectTicks hands a twin in one call:
-// the samples wait in a stack array, so an interval of up to
-// tickChunk ticks takes each twin's lock once.
-const tickChunk = 64
+// servingDisc is the relative margin of servingDiscsSq: a disc reaches
+// (1 − servingDisc) of the way to its station's bisectors. Distances
+// and their squares err by a few ulp (~1e-16), far inside the margin.
+const servingDisc = 1e-6
+
+// servingDiscsSq returns, for each station, the squared radius of the
+// disc around it inside which it is strictly the nearest station: half
+// the distance to its closest neighbour, less the servingDisc margin.
+// A position at distance D < m/2 from station s, m the distance from s
+// to its closest neighbour, lies at least m − D > D from every other
+// station by the triangle inequality; with the margin, every other
+// station is farther by a relative 2·servingDisc, far beyond rounding,
+// so math.Hypot measures s strictly nearest too. A lone station's disc
+// is the whole plane; stations sharing a position have none.
+func servingDiscsSq(stations []*channel.BaseStation) []float64 {
+	out := make([]float64, len(stations))
+	for i, a := range stations {
+		r := math.Inf(1)
+		for j, b := range stations {
+			if j != i {
+				r = min(r, 0.5*a.Pos.Dist(b.Pos)*(1-servingDisc))
+			}
+		}
+		out[i] = r * r
+	}
+	return out
+}
+
+// keepsServing reports whether bs, a live station, is beyond doubt the
+// nearest station to pos — pos lies inside its serving disc — so
+// nearestBS would return it; false means only that a search must
+// decide. Stations are indexed by id (GridDeploy's ids are their
+// indices). A down station, and a NaN or overflowing square, fail the
+// test.
+func (s *Simulation) keepsServing(bs *channel.BaseStation, pos mobility.Point) bool {
+	if bs.ID < len(s.downBS) && s.downBS[bs.ID] {
+		return false
+	}
+	dx, dy := bs.Pos.X-pos.X, bs.Pos.Y-pos.Y
+	return float64(dx*dx)+float64(dy*dy) < s.innerSq[bs.ID]
+}
+
+// tickChunk is the most ticks collectTicks stages at once: a chunk's
+// receptions, SNRs and twin samples wait in stack arrays, so an
+// interval of up to tickChunk ticks takes each twin's lock once. The
+// arrays are zeroed on every user's entry, so the chunk covers the
+// default 30-tick interval and no more.
+const tickChunk = 32
 
 // collectTicks runs one interval's worth of mobility + channel
 // collection into the UDTs, fanning users across the pool (each
 // user's tick sequence is self-contained: own mobility model, own
 // link, own twin, own random stream). Users hand over to the nearest
-// base station as they move.
+// base station as they move. Each chunk of a user's ticks runs in
+// three phases:
+//
+//  1. tick by tick, in the user's stream order: move, hand over to the
+//     nearest live station — searched for only when the user has left
+//     the serving station's disc (keepsServing) — and draw the tick's
+//     fade on the link;
+//  2. one batched propagation evaluation of the chunk's SNRs
+//     (channel.Link.SNRsInto: one 4-wide Hypot pass over the station
+//     distances and one 4-wide Log pass over the path losses and
+//     fades, bit-identical to the per-tick formula);
+//  3. tick by tick again: the last and mean SNR and position, the CQI,
+//     then the chunk's samples into the twin in one CollectTicks call.
+//
+// Only phase 1 draws from the user's stream, in the order a per-tick
+// loop draws, so the split changes no value.
 func (s *Simulation) collectTicks(ctx context.Context) error {
 	dt := s.cfg.IntervalS / float64(s.cfg.TicksPerInterval)
 	return s.pool.ForContext(ctx, len(s.users), func(i int) error {
 		u := s.users[i]
-		ticks := s.cfg.TicksPerInterval
-		var batch [tickChunk]udt.TickSample
-		n := 0
-		for tick := 0; tick < ticks; tick++ {
-			pos, err := u.mob.Advance(dt)
-			if err != nil {
-				return fmt.Errorf("user %d mobility: %w", u.id, err)
-			}
-			nearest, err := s.nearestBS(pos)
-			if err != nil {
-				return err
-			}
-			if nearest.ID != u.link.BS().ID {
-				if err := u.link.Handover(nearest); err != nil {
-					return err
+		var (
+			rx    [tickChunk]channel.Reception
+			snr   [tickChunk]float64
+			batch [tickChunk]udt.TickSample
+		)
+		for left := s.cfg.TicksPerInterval; left > 0; {
+			n := min(left, tickChunk)
+			left -= n
+			for j := range rx[:n] {
+				pos, err := u.mob.Advance(dt)
+				if err != nil {
+					return fmt.Errorf("user %d mobility: %w", u.id, err)
 				}
-			}
-			snr := u.link.Sample(pos)
-			u.lastSNR = snr
-			u.meanSNR.Add(snr)
-			u.meanX.Add(pos.X)
-			u.meanY.Add(pos.Y)
-			batch[n] = udt.TickSample{CQI: channel.CQI(snr), X: pos.X, Y: pos.Y}
-			if n++; n == tickChunk || tick == ticks-1 {
-				if err := u.twin.CollectTicks(batch[:n], u.profile.Pref); err != nil {
-					return fmt.Errorf("user %d collect: %w", u.id, err)
+				if !s.keepsServing(u.link.BS(), pos) {
+					nearest, err := s.nearestBS(pos)
+					if err != nil {
+						return err
+					}
+					if nearest.ID != u.link.BS().ID {
+						if err := u.link.Handover(nearest); err != nil {
+							return err
+						}
+					}
 				}
-				n = 0
+				rx[j] = channel.Reception{BS: u.link.BS(), Pos: pos, Fade: u.link.DrawFade()}
+			}
+			u.link.SNRsInto(snr[:n], rx[:n])
+			for j, v := range snr[:n] {
+				pos := rx[j].Pos
+				u.lastSNR = v
+				u.meanSNR.Add(v)
+				u.meanX.Add(pos.X)
+				u.meanY.Add(pos.Y)
+				batch[j] = udt.TickSample{CQI: channel.CQI(v), X: pos.X, Y: pos.Y}
+			}
+			if err := u.twin.CollectTicks(batch[:n], u.profile.Pref); err != nil {
+				return fmt.Errorf("user %d collect: %w", u.id, err)
 			}
 		}
 		return nil
@@ -797,15 +868,21 @@ func (s *Simulation) predictUserSNR(u *user) float64 {
 		dx := damp * (u.posPrev.X - u.posPrev2.X)
 		dy := damp * (u.posPrev.Y - u.posPrev2.Y)
 		const samples = 6
-		var sum float64
-		for k := 0; k < samples; k++ {
+		var path [samples]channel.Reception
+		for k := range path {
 			f := 0.5 + float64(k)/float64(samples-1) // 0.5 .. 1.5 intervals ahead
 			pt := s.campus.Clamp(mobility.Point{X: u.posPrev.X + f*dx, Y: u.posPrev.Y + f*dy})
 			bs, berr := s.nearestBS(pt)
 			if berr != nil {
 				bs = u.link.BS()
 			}
-			sum += s.prop.MeanSNRdB(bs.TxPowerDBm, bs.Pos.Dist(pt))
+			path[k] = channel.Reception{BS: bs, Pos: pt}
+		}
+		var snrs [samples]float64
+		s.prop.MeanSNRsInto(snrs[:], path[:])
+		var sum float64
+		for _, v := range snrs {
+			sum += v
 		}
 		model = sum / samples
 	} else {

@@ -183,6 +183,61 @@ func TestCollectTicksSplitInvariant(t *testing.T) {
 	}
 }
 
+// TestCollectTicksPhaseMatchesModuloOracle: CollectTicks steps a phase
+// counter per attribute instead of taking the clock modulo each period
+// every tick. For every combination of channel, location and
+// preference periods in {1, 2, 3, 5, 7}, a tick sequence sent in
+// batches of every length from 1 to past its end — so batches start at
+// every phase of every period — must leave the twin exactly as the
+// per-tick calls do, whose due check is the modulo of the clock.
+func TestCollectTicksPhaseMatchesModuloOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	seq := make([]TickSample, 36)
+	for i := range seq {
+		seq[i] = TickSample{CQI: 1 + rng.Intn(15), X: rng.Float64() * 2000, Y: rng.NormFloat64() * 500}
+	}
+	pref, err := behavior.NewRandomPreference(rng, video.Sports, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	periods := []int{1, 2, 3, 5, 7}
+	for _, ch := range periods {
+		for _, loc := range periods {
+			for _, pe := range periods {
+				cfg := Config{HistoryLen: 11, ChannelEvery: ch, LocationEvery: loc, PreferenceEvery: pe}
+				oracle := newTwin(t, cfg)
+				for _, s := range seq {
+					oracle.Tick()
+					if _, err := oracle.CollectChannel(s.CQI); err != nil {
+						t.Fatal(err)
+					}
+					oracle.CollectLocation(s.X, s.Y)
+					if _, err := oracle.CollectPreference(pref); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := encodeState(oracle)
+				for size := 1; size <= len(seq)+1; size++ {
+					tw := newTwin(t, cfg)
+					for lo := 0; lo < len(seq); lo += size {
+						if err := tw.CollectTicks(seq[lo:min(lo+size, len(seq))], pref); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !bytes.Equal(encodeState(tw), want) {
+						t.Fatalf("periods %d/%d/%d, batches of %d: state differs from the per-tick oracle", ch, loc, pe, size)
+					}
+					for a := AttrChannel; a <= AttrPreference; a++ {
+						if tw.Staleness(a) != oracle.Staleness(a) {
+							t.Fatalf("periods %d/%d/%d, batches of %d: staleness %v %d, want %d", ch, loc, pe, size, a, tw.Staleness(a), oracle.Staleness(a))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStalenessUnknownAttribute(t *testing.T) {
 	tw := newTwin(t, coprime)
 	for i := 0; i < 3; i++ {

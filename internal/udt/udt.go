@@ -149,7 +149,7 @@ func (c Config) Validate() error {
 
 // Twin is one user's digital twin. It is safe for concurrent use: the
 // BS-side collector writes — one CollectTicks call per batch of
-// simulation ticks (the engines pass an interval's ticks, at most 64
+// simulation ticks (the engines pass an interval's ticks, at most 32
 // a call), or Tick followed by the per-attribute Collect calls — while
 // the grouping pipeline reads. Readers serialize with each other as
 // well as with the collector.
@@ -264,6 +264,12 @@ type TickSample struct {
 // number of calls collects exactly what one call would. Every
 // sample's CQI and the preference are validated before the first
 // tick, due or not; on error the twin is unchanged.
+//
+// The due checks take no divide per tick: each attribute's phase is
+// read from the clock once per call (ticks mod period) and then
+// stepped, wrapping at the period, alongside the clock — an attribute
+// is due exactly when its phase wraps to zero, which is when the
+// clock is a multiple of its period.
 func (t *Twin) CollectTicks(samples []TickSample, p behavior.Preference) error {
 	for i, s := range samples {
 		if err := checkCQI(s.CQI); err != nil {
@@ -275,11 +281,22 @@ func (t *Twin) CollectTicks(samples []TickSample, p behavior.Preference) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	chEvery, locEvery, prefEvery := t.cfg.ChannelEvery, t.cfg.LocationEvery, t.cfg.PreferenceEvery
+	ch, loc, pref := t.ticks%chEvery, t.ticks%locEvery, t.ticks%prefEvery
 	for _, s := range samples {
 		t.tick()
-		t.collectChannel(s.CQI)
-		t.collectLocation(s.X, s.Y)
-		t.collectPreference(p)
+		if ch++; ch == chEvery {
+			ch = 0
+			t.storeChannel(s.CQI)
+		}
+		if loc++; loc == locEvery {
+			loc = 0
+			t.storeLocation(s.X, s.Y)
+		}
+		if pref++; pref == prefEvery {
+			pref = 0
+			t.storePreference(p)
+		}
 	}
 	return nil
 }
@@ -292,35 +309,35 @@ func (t *Twin) CollectChannel(cqi int) (bool, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.collectChannel(cqi), nil
+	if !t.due(t.cfg.ChannelEvery) {
+		return false, nil
+	}
+	t.storeChannel(cqi)
+	return true, nil
 }
 
-// collectChannel stores a validated CQI if due. Caller must hold the lock.
-func (t *Twin) collectChannel(cqi int) bool {
-	if !t.due(t.cfg.ChannelEvery) {
-		return false
-	}
+// storeChannel stores a validated, due CQI. Caller must hold the lock.
+func (t *Twin) storeChannel(cqi int) {
 	t.cqi.add(float64(cqi))
 	t.staleness[AttrChannel] = 0
-	return true
 }
 
 // CollectLocation records an (x, y) sample if due.
 func (t *Twin) CollectLocation(x, y float64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.collectLocation(x, y)
-}
-
-// collectLocation stores the position if due. Caller must hold the lock.
-func (t *Twin) collectLocation(x, y float64) bool {
 	if !t.due(t.cfg.LocationEvery) {
 		return false
 	}
+	t.storeLocation(x, y)
+	return true
+}
+
+// storeLocation stores a due position. Caller must hold the lock.
+func (t *Twin) storeLocation(x, y float64) {
 	t.locX.add(x)
 	t.locY.add(y)
 	t.staleness[AttrLocation] = 0
-	return true
 }
 
 // CollectView records a completed view (watch duration, engagement,
@@ -361,18 +378,18 @@ func (t *Twin) CollectPreference(p behavior.Preference) (bool, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.collectPreference(p), nil
+	if !t.due(t.cfg.PreferenceEvery) {
+		return false, nil
+	}
+	t.storePreference(p)
+	return true, nil
 }
 
-// collectPreference copies a validated preference into the twin's own
-// vector if due. Caller must hold the lock.
-func (t *Twin) collectPreference(p behavior.Preference) bool {
-	if !t.due(t.cfg.PreferenceEvery) {
-		return false
-	}
+// storePreference copies a validated, due preference into the twin's
+// own vector. Caller must hold the lock.
+func (t *Twin) storePreference(p behavior.Preference) {
 	copy(t.pref, p)
 	t.staleness[AttrPreference] = 0
-	return true
 }
 
 // Preference returns the last collected preference snapshot.

@@ -47,6 +47,21 @@ func adamNoBC1AVX2(c *AdamCoeffs, w, grad, m, v *float64, n int)
 //go:noescape
 func rowSweepAVX2(dst *float64, n int, coef *float64, cs int, b *float64, bs int, k int)
 
+// logAVX2 writes math.Log of whole quads of src[0:n] to dst, stopping
+// before the first quad holding a special-case lane, and returns the
+// number of elements written. Implemented in logmath_amd64.s.
+//
+//go:noescape
+func logAVX2(dst, src *float64, n int) int
+
+// hypotAVX2 writes math.Hypot of whole quads of p[0:n] and q[0:n] to
+// dst, stopping before the first quad holding a special-case lane, and
+// returns the number of elements written. Implemented in
+// logmath_amd64.s.
+//
+//go:noescape
+func hypotAVX2(dst, p, q *float64, n int) int
+
 // cpuid executes CPUID for (leaf, subleaf). Implemented in
 // kern_amd64.s.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

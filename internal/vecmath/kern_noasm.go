@@ -31,3 +31,13 @@ func adamNoBC1AVX2(c *AdamCoeffs, w, grad, m, v *float64, n int) {
 func rowSweepAVX2(dst *float64, n int, coef *float64, cs int, b *float64, bs int, k int) {
 	panic("vecmath: rowSweepAVX2 called without AVX2 support")
 }
+
+// logAVX2 is never reachable on this build either.
+func logAVX2(dst, src *float64, n int) int {
+	panic("vecmath: logAVX2 called without AVX2 support")
+}
+
+// hypotAVX2 is never reachable on this build either.
+func hypotAVX2(dst, p, q *float64, n int) int {
+	panic("vecmath: hypotAVX2 called without AVX2 support")
+}

@@ -1,12 +1,27 @@
 #!/usr/bin/env python3
 """Aggregate `go test -bench` output into a JSON benchmark record.
 
-Reads the raw benchmark text on stdin, averages repeated counts per
-benchmark, and emits a stable JSON document (sorted keys) suitable for
-committing as BENCH_baseline.json.
+Reads the raw benchmark text on stdin, takes the median of repeated
+counts per benchmark and metric, and emits a stable JSON document
+(sorted keys) suitable for committing as BENCH_baseline.json. Each
+metric key (ns_per_op, bytes_per_op, allocs_per_op, custom units)
+holds the median; `<key>_iqr` holds the distance between the upper and
+lower quartiles of the same samples (0 for a single count). The median
+rather than the mean, so one slow sample on a shared machine does not
+move a recorded baseline or the 1.3x wall gate that compares them.
 """
 import json
+import statistics
 import sys
+
+
+def median_iqr(vs):
+    """Median and interquartile range of the samples (inclusive
+    quartiles: with five counts, the 2nd and 4th smallest)."""
+    if len(vs) < 2:
+        return vs[0], 0.0
+    q1, _, q3 = statistics.quantiles(vs, n=4, method="inclusive")
+    return statistics.median(vs), q3 - q1
 
 
 def main() -> None:
@@ -51,7 +66,7 @@ def main() -> None:
                 "B/op": "bytes_per_op",
                 "allocs/op": "allocs_per_op",
             }.get(unit, unit)
-            out[key] = sum(vs) / len(vs)
+            out[key], out[key + "_iqr"] = median_iqr(vs)
         benches.append(out)
 
     doc = {
