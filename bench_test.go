@@ -1097,8 +1097,8 @@ func BenchmarkAdamStep(b *testing.B) {
 // 7 grouping numbers pays a K-means++ run and a silhouette for it
 // (a few ms each), and every other episode costs only the agent's
 // step and minibatch update (well under a millisecond). The compressor
-// is trained once outside the timer and every iteration starts from
-// the same weights and random stream.
+// is trained and encoded once outside the timer, and every iteration
+// decodes the same weights and starts from the same random stream.
 func BenchmarkTrainAgent(b *testing.B) {
 	twins := populationTwins(b, 2000)
 	cfg := grouping.Config{WindowSteps: 16, PosScale: 2000, KMin: 2, KMax: 8, UseCNN: true}
@@ -1109,7 +1109,8 @@ func BenchmarkTrainAgent(b *testing.B) {
 	if _, err := trained.TrainCompressor(twins, 2); err != nil {
 		b.Fatal(err)
 	}
-	state := trained.SaveState()
+	var state checkpoint.Enc
+	trained.EncodeState(&state)
 	pool := parallel.New(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1118,7 +1119,7 @@ func BenchmarkTrainAgent(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := builder.LoadState(state); err != nil {
+		if err := builder.DecodeState(checkpoint.NewDec(state.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 		builder.SetPool(pool)

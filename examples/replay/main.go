@@ -79,7 +79,7 @@ func run(tracePath string) error {
 	}
 	rng := rand.New(rand.NewSource(42))
 
-	// 1. A viewing trace (swap in a real one via video.ReadJSON).
+	// 1. A synthetic viewing trace.
 	catalog, err := video.NewCatalog(video.CatalogConfig{
 		NumVideos:       300,
 		CategoryWeights: []float64{5, 3, 2.5, 2, 1},

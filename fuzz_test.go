@@ -32,19 +32,30 @@ func fuzzCheckpointConfig() Config {
 	}
 }
 
-// fuzzSeedCheckpoint produces a real checkpoint of the fuzz scenario
-// at boundary 1, so the corpus starts from a valid stream and the
-// fuzzer mutates real section framing, payloads and CRCs instead of
-// rediscovering the container format from zero.
-func fuzzSeedCheckpoint(tb testing.TB) []byte {
+// fuzzResumeConfig is the scenario the checkpoint fuzzers resume: the
+// fuzz scenario run to four intervals, so a checkpoint taken after the
+// training boundary holds groups and still has an interval to step.
+func fuzzResumeConfig() Config {
+	cfg := fuzzCheckpointConfig()
+	cfg.NumIntervals = 4
+	return cfg
+}
+
+// fuzzSeedCheckpoint produces a real checkpoint of the resume scenario
+// after the given number of steps, so the corpus starts from a valid
+// stream and the fuzzer mutates real section framing, payloads and
+// CRCs instead of rediscovering the container format from zero.
+func fuzzSeedCheckpoint(tb testing.TB, steps int) []byte {
 	tb.Helper()
-	s, err := Open(fuzzCheckpointConfig())
+	s, err := Open(fuzzResumeConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	defer s.Close()
-	if _, serr := s.Step(context.Background()); serr != nil {
-		tb.Fatal(serr)
+	for i := 0; i < steps; i++ {
+		if _, serr := s.Step(context.Background()); serr != nil {
+			tb.Fatal(serr)
+		}
 	}
 	var ckpt bytes.Buffer
 	if cerr := s.Checkpoint(&ckpt); cerr != nil {
@@ -155,25 +166,28 @@ func FuzzReadTraceRecords(f *testing.F) {
 }
 
 // FuzzReadCheckpoint hammers the checkpoint container reader with
-// mutated streams: Resume must never panic, and every rejection must
-// be one of the three typed checkpoint errors — the contract the
+// mutated streams: Resume must never panic, every rejection must be
+// one of the three typed checkpoint errors — the contract the
 // damage-matrix test asserts at sampled offsets, here over arbitrary
-// corruption.
+// corruption — and a session it accepts must step. The corpus includes
+// checkpoints whose groups name users outside the population, repeat
+// a member or stand at the wrong position.
 func FuzzReadCheckpoint(f *testing.F) {
-	seed := fuzzSeedCheckpoint(f)
+	seed := fuzzSeedCheckpoint(f, 1)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})
 	f.Add([]byte("not a checkpoint"))
-	cfg := fuzzCheckpointConfig()
+	grouped := fuzzSeedCheckpoint(f, 3)
+	f.Add(grouped)
+	for _, bad := range corruptGroupsCheckpoints(f, grouped) {
+		f.Add(bad.data)
+	}
+	cfg := fuzzResumeConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Resume(cfg, bytes.NewReader(data))
 		if err == nil {
-			// Only the pristine seed (or an equivalent reconstruction)
-			// should get here; the session must at least close cleanly.
-			if cerr := s.Close(); cerr != nil {
-				t.Fatalf("resumed session failed to close: %v", cerr)
-			}
+			stepAndClose(t, s)
 			return
 		}
 		if !errors.Is(err, ErrCheckpointCorrupt) &&
@@ -184,13 +198,90 @@ func FuzzReadCheckpoint(f *testing.F) {
 	})
 }
 
+// stepAndClose steps a resumed session once, unless it is done — a
+// state the decoders accepted must not panic the engine — and closes
+// it. A step may fail; a resumed session must still close cleanly.
+func stepAndClose(t *testing.T, s Session) {
+	t.Helper()
+	if !s.Done() {
+		s.Step(context.Background())
+	}
+	if cerr := s.Close(); cerr != nil {
+		t.Fatalf("resumed session failed to close: %v", cerr)
+	}
+}
+
+// corruptGroups is one rewrite of corruptGroupsCheckpoints.
+type corruptGroups struct {
+	name string
+	data []byte
+}
+
+// corruptGroupsCheckpoints rewrites the first "groups" section of a
+// checkpoint of the resume scenario, every CRC intact: group 0 given
+// the id 7 or −1, or its members replaced by the id 999, by −5, or by
+// the cell's first user listed twice. Each must be refused as corrupt:
+// before they were, Resume accepted all five and the next Step
+// panicked on the first four.
+func corruptGroupsCheckpoints(tb testing.TB, pristine []byte) []corruptGroups {
+	tb.Helper()
+	const (
+		groupID = 4               // after the group count
+		count   = groupID + 8 + 8 // after the id and the stream word
+	)
+	le := binary.LittleEndian
+	user0 := int64(-1)
+	rewriteSections(pristine, func(name string, payload []byte) []byte {
+		if name == "users" && user0 < 0 && le.Uint32(payload) > 0 {
+			user0 = int64(le.Uint64(payload[4:]))
+		}
+		return payload
+	})
+	rewrite := func(edit func(groups []byte) []byte) []byte {
+		first := true
+		return rewriteSections(pristine, func(name string, payload []byte) []byte {
+			if name != "groups" || !first {
+				return payload
+			}
+			first = false
+			if user0 < 0 || le.Uint32(payload) == 0 {
+				tb.Fatal("the checkpoint's first cell has no user or no group")
+			}
+			return edit(bytes.Clone(payload))
+		})
+	}
+	id := func(v int64) []byte {
+		return rewrite(func(g []byte) []byte {
+			le.PutUint64(g[groupID:], uint64(v))
+			return g
+		})
+	}
+	members := func(ids ...int64) []byte {
+		return rewrite(func(g []byte) []byte {
+			rest := g[count+4+8*int(le.Uint32(g[count:])):]
+			out := le.AppendUint32(g[:count:count], uint32(len(ids)))
+			for _, m := range ids {
+				out = le.AppendUint64(out, uint64(m))
+			}
+			return append(out, rest...)
+		})
+	}
+	return []corruptGroups{
+		{"group id 7", id(7)},
+		{"group id -1", id(-1)},
+		{"member 999", members(999)},
+		{"member -5", members(-5)},
+		{"member twice", members(user0, user0)},
+	}
+}
+
 // fuzzSeedClusterCheckpoint produces a real cluster checkpoint of the
-// fuzz scenario over its two cells, after the warm-up and training
+// resume scenario over its two cells, after the warm-up and training
 // boundaries, so cells hold trained weights, groups and handed-over
 // twins.
 func fuzzSeedClusterCheckpoint(tb testing.TB) []byte {
 	tb.Helper()
-	s, err := OpenCluster(ClusterConfig{Sim: fuzzCheckpointConfig()})
+	s, err := OpenCluster(ClusterConfig{Sim: fuzzResumeConfig()})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -229,12 +320,12 @@ func rewriteSections(data []byte, edit func(name string, payload []byte) []byte)
 	return out
 }
 
-// duplicateTwinCheckpoint rewrites a cluster checkpoint of the fuzz
+// duplicateTwinCheckpoint rewrites a cluster checkpoint of the resume
 // scenario so that cell 1 also lists the first twin of cell 0: one
 // twin in two cells, every CRC intact. ResumeCluster must refuse it.
 func duplicateTwinCheckpoint(tb testing.TB, pristine []byte) []byte {
 	tb.Helper()
-	cfg := fuzzCheckpointConfig().Defaulted()
+	cfg := fuzzResumeConfig().Defaulted()
 	sub, err := sim.NewSubstrate(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -287,25 +378,27 @@ func duplicateTwinCheckpoint(tb testing.TB, pristine []byte) []byte {
 
 // FuzzReadClusterCheckpoint is FuzzReadCheckpoint for ResumeCluster
 // over two cells: it must never panic, every rejection must be typed,
-// and a resume that succeeds must hold every twin exactly once. The
-// corpus includes a checkpoint listing one twin in two cells.
+// and a resume that succeeds must hold every twin exactly once and
+// step. The corpus includes a checkpoint listing one twin in two cells
+// and the corrupt groups of FuzzReadCheckpoint in cell 0.
 func FuzzReadClusterCheckpoint(f *testing.F) {
 	seed := fuzzSeedClusterCheckpoint(f)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})
 	f.Add(duplicateTwinCheckpoint(f, seed))
-	cfg := ClusterConfig{Sim: fuzzCheckpointConfig()}
+	for _, bad := range corruptGroupsCheckpoints(f, seed) {
+		f.Add(bad.data)
+	}
+	cfg := ClusterConfig{Sim: fuzzResumeConfig()}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ResumeCluster(cfg, bytes.NewReader(data))
 		if err == nil {
-			n := s.st.eng.NumUsers()
-			if cerr := s.Close(); cerr != nil {
-				t.Fatalf("resumed session failed to close: %v", cerr)
-			}
-			if n != cfg.Sim.NumUsers {
+			if n := s.st.eng.NumUsers(); n != cfg.Sim.NumUsers {
+				s.Close()
 				t.Fatalf("resumed %d twins for %d users", n, cfg.Sim.NumUsers)
 			}
+			stepAndClose(t, s)
 			return
 		}
 		if !errors.Is(err, ErrCheckpointCorrupt) &&
@@ -314,4 +407,36 @@ func FuzzReadClusterCheckpoint(f *testing.F) {
 			t.Fatalf("untyped checkpoint rejection: %v", err)
 		}
 	})
+}
+
+// TestResumeRejectsCorruptGroups: a checkpoint whose groups stand at
+// the wrong position, name a user outside the population or list one
+// twice fails Resume and ResumeCluster as corrupt, rather than
+// resuming into a session whose next Step panics.
+func TestResumeRejectsCorruptGroups(t *testing.T) {
+	cfg := fuzzResumeConfig()
+	for _, tc := range []struct {
+		name     string
+		pristine []byte
+		resume   func([]byte) (Session, error)
+	}{
+		{"mono", fuzzSeedCheckpoint(t, 3), func(b []byte) (Session, error) { return Resume(cfg, bytes.NewReader(b)) }},
+		{"cluster", fuzzSeedClusterCheckpoint(t), func(b []byte) (Session, error) {
+			return ResumeCluster(ClusterConfig{Sim: cfg}, bytes.NewReader(b))
+		}},
+	} {
+		for _, bad := range corruptGroupsCheckpoints(t, tc.pristine) {
+			t.Run(tc.name+"/"+bad.name, func(t *testing.T) {
+				s, err := tc.resume(bad.data)
+				if err == nil {
+					s.Step(context.Background())
+					s.Close()
+					t.Fatal("corrupt groups resumed")
+				}
+				if !errors.Is(err, ErrCheckpointCorrupt) {
+					t.Fatalf("want ErrCheckpointCorrupt, got %v", err)
+				}
+			})
+		}
+	}
 }

@@ -1,12 +1,14 @@
 package channel
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/mobility"
 )
 
@@ -329,6 +331,53 @@ func TestCorrelatedFading(t *testing.T) {
 	}
 }
 
+// linkState returns the link's mutable state in the checkpoint
+// encoding.
+func linkState(l *Link) []byte {
+	var e checkpoint.Enc
+	l.EncodeState(&e)
+	return e.Bytes()
+}
+
+// TestLinkEncodeDecodeState: a link's state decodes into a link built on
+// another station and draw, rebinding the serving station by id, and
+// re-encodes to the same bytes; a station outside the deployment is
+// corrupt.
+func TestLinkEncodeDecodeState(t *testing.T) {
+	stations, err := GridDeploy(mobility.CampusMap(), 4, 46)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.FadingRho = 0.9
+	src, err := NewLink(p, stations[3], rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.DrawFade()
+	dst, err := NewLink(p, stations[0], rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := linkState(src)
+	d := checkpoint.NewDec(enc)
+	if err := dst.DecodeState(d, stations); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dst.BS() != stations[3] || dst.ShadowDB() != src.ShadowDB() || !bytes.Equal(linkState(dst), enc) {
+		t.Fatal("decoded link differs from the encoded one")
+	}
+	if err := dst.DecodeState(checkpoint.NewDec(enc), stations[:3]); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("station 3 of 3: want checkpoint.ErrCorrupt, got %v", err)
+	}
+	if err := dst.DecodeState(checkpoint.NewDec(enc[:len(enc)-1]), stations); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("truncated state: want checkpoint.ErrCorrupt, got %v", err)
+	}
+}
+
 // referenceSample is the per-sample link evaluation the batched path
 // replaced — one fading draw, then math.Hypot and two math.Log10 —
 // kept verbatim (reading the serving station and position per sample)
@@ -414,7 +463,7 @@ func TestSNRsIntoMatchesPerSampleFormula(t *testing.T) {
 					t.Fatalf("rho %v chunk %d sample %d: SNR %v, want %v", rho, chunk, i, got[i], want[i])
 				}
 			}
-			if l.State() != ref.State() || l.rng.Int63() != ref.rng.Int63() {
+			if !bytes.Equal(linkState(l), linkState(ref)) || l.rng.Int63() != ref.rng.Int63() {
 				t.Fatalf("rho %v chunk %d: link state or stream diverged", rho, chunk)
 			}
 			ref = link()

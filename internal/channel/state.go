@@ -1,35 +1,45 @@
-// This file exports the link's mutable state for session
-// checkpoint/restore. The channel parameters and the link's random
-// stream are restored by replaying construction on the same derived
-// stream; these accessors cover the serving station, the shadowing
-// draw, and the AR(1) fading tap.
+// This file encodes the link's mutable state for session checkpoints
+// and handovers. The channel parameters and the link's random stream
+// are restored by replaying construction on the same derived stream;
+// the encoding covers the serving station, the shadowing draw, and
+// the AR(1) fading tap.
 
 package channel
 
-import "fmt"
+import (
+	"fmt"
 
-// LinkState is the mutable state of a Link. BS is the serving base
-// station id (station pointers are rebound at restore).
-type LinkState struct {
-	BS       int
-	ShadowDB float64
-	HRe, HIm float64
+	"dtmsvs/internal/checkpoint"
+)
+
+// EncodeState appends the link's mutable state: the serving station's
+// id (station pointers are rebound on decode), the shadowing draw and
+// the fading tap.
+func (l *Link) EncodeState(e *checkpoint.Enc) {
+	e.Int(l.bs.ID)
+	e.F64(l.shadowDB)
+	e.F64(l.hRe)
+	e.F64(l.hIm)
 }
 
-// State captures the link's mutable state.
-func (l *Link) State() LinkState {
-	return LinkState{BS: l.bs.ID, ShadowDB: l.shadowDB, HRe: l.hRe, HIm: l.hIm}
-}
-
-// SetState restores state captured by State, rebinding the serving
-// station from the deployment (stations[i].ID must equal i, as
-// GridDeploy guarantees).
-func (l *Link) SetState(st LinkState, stations []*BaseStation) error {
-	if st.BS < 0 || st.BS >= len(stations) {
-		return fmt.Errorf("link state bs %d of %d: %w", st.BS, len(stations), ErrParam)
+// DecodeState overwrites the link's mutable state with bytes
+// EncodeState wrote, rebinding the serving station from the deployment
+// (stations[i].ID must equal i, as GridDeploy guarantees). A station
+// outside the deployment is checkpoint.ErrCorrupt.
+func (l *Link) DecodeState(d *checkpoint.Dec, stations []*BaseStation) error {
+	bs := d.Int()
+	shadowDB, hRe, hIm := d.F64(), d.F64(), d.F64()
+	if err := d.Err(); err != nil {
+		return err
 	}
-	l.bs = stations[st.BS]
-	l.shadowDB = st.ShadowDB
-	l.hRe, l.hIm = st.HRe, st.HIm
+	if bs < 0 || bs >= len(stations) {
+		return fmt.Errorf("link state bs %d of %d: %w", bs, len(stations), checkpoint.ErrCorrupt)
+	}
+	l.bs = stations[bs]
+	l.shadowDB = shadowDB
+	l.hRe, l.hIm = hRe, hIm
 	return nil
 }
+
+// ShadowDB returns the link's shadowing draw in dB.
+func (l *Link) ShadowDB() float64 { return l.shadowDB }

@@ -271,35 +271,22 @@ func (c *Compressor) trainOn(x *vecmath.Matrix) (float64, error) {
 	return loss * inv, nil
 }
 
-// State is the compressor's serializable parameter set.
-type State struct {
-	Encoder *nn.WeightState `json:"encoder"`
-	Decoder *nn.WeightState `json:"decoder"`
-}
-
 // EncodeState appends the encoder's and then the decoder's weights to
-// a checkpoint section, each in the form nn.DecodeWeightState reads.
+// a checkpoint section (architecture comes from Config, which the
+// caller persists separately).
 func (c *Compressor) EncodeState(e *checkpoint.Enc) {
 	c.encoder.EncodeWeights(e)
 	c.decoder.EncodeWeights(e)
 }
 
-// SaveState captures the trained weights (architecture comes from
-// Config, which the caller persists separately).
-func (c *Compressor) SaveState() *State {
-	return &State{Encoder: c.encoder.SaveWeights(), Decoder: c.decoder.SaveWeights()}
-}
-
-// LoadState restores weights saved from a compressor with the same
-// Config.
-func (c *Compressor) LoadState(s *State) error {
-	if s == nil || s.Encoder == nil || s.Decoder == nil {
-		return fmt.Errorf("nil state: %w", ErrConfig)
-	}
-	if err := c.encoder.LoadWeights(s.Encoder); err != nil {
+// DecodeState overwrites the weights with bytes EncodeState wrote on a
+// compressor of the same Config; weights of another shape are
+// checkpoint.ErrCorrupt.
+func (c *Compressor) DecodeState(d *checkpoint.Dec) error {
+	if err := c.encoder.DecodeWeights(d); err != nil {
 		return fmt.Errorf("encoder: %w", err)
 	}
-	if err := c.decoder.LoadWeights(s.Decoder); err != nil {
+	if err := c.decoder.DecodeWeights(d); err != nil {
 		return fmt.Errorf("decoder: %w", err)
 	}
 	return nil

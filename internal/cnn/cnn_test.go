@@ -1,6 +1,7 @@
 package cnn
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/nn"
 	"dtmsvs/internal/vecmath"
 )
@@ -347,7 +349,10 @@ func TestCodesSeparateClusters(t *testing.T) {
 	}
 }
 
-func TestSaveLoadState(t *testing.T) {
+// TestEncodeDecodeState: trained weights decode into a second
+// compressor of the same Config, which then encodes every window to
+// the same code; weights of another architecture are refused.
+func TestEncodeDecodeState(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	a, err := New(testConfig(), rng)
 	if err != nil {
@@ -364,7 +369,11 @@ func TestSaveLoadState(t *testing.T) {
 	if _, err := a.Fit([]vecmath.Vec{w}, 1, rng); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.LoadState(a.SaveState()); err != nil {
+	d := checkpoint.NewDec(stateBytes(a))
+	if err := b.DecodeState(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ca, cb := encodeOne(t, a, w), encodeOne(t, b, w)
@@ -373,9 +382,6 @@ func TestSaveLoadState(t *testing.T) {
 			t.Fatal("codes differ after state transfer")
 		}
 	}
-	if err := b.LoadState(nil); !errors.Is(err, ErrConfig) {
-		t.Fatalf("want ErrConfig, got %v", err)
-	}
 	// Mismatched architecture must be rejected.
 	small := testConfig()
 	small.CodeDim = 2
@@ -383,9 +389,17 @@ func TestSaveLoadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.LoadState(a.SaveState()); err == nil {
-		t.Fatal("mismatched architecture must fail")
+	if err := c.DecodeState(checkpoint.NewDec(stateBytes(a))); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("mismatched architecture: want checkpoint.ErrCorrupt, got %v", err)
 	}
+}
+
+// stateBytes returns the compressor's weights in the checkpoint
+// encoding, which carries their bit patterns.
+func stateBytes(c *Compressor) []byte {
+	var e checkpoint.Enc
+	c.EncodeState(&e)
+	return e.Bytes()
 }
 
 // fullBackward hides a layer's parameter-only backward: a network
@@ -412,17 +426,6 @@ func adamBits(t *testing.T, opt *nn.Adam) []uint64 {
 			for j, row := 0, f.Index(i); j < row.Len(); j++ {
 				bits = append(bits, math.Float64bits(row.Index(j).Float()))
 			}
-		}
-	}
-	return bits
-}
-
-// weightBits flattens a weight state to its bit patterns.
-func weightBits(s *nn.WeightState) []uint64 {
-	var bits []uint64
-	for _, p := range s.Params {
-		for _, w := range p {
-			bits = append(bits, math.Float64bits(w))
 		}
 	}
 	return bits
@@ -467,17 +470,11 @@ func TestFirstLayerGradSkipBitIdentical(t *testing.T) {
 	if math.Float64bits(lf) != math.Float64bits(lr) {
 		t.Fatalf("final loss %v, reference %v", lf, lr)
 	}
-	for _, pair := range []struct {
-		what      string
-		got, want []uint64
-	}{
-		{"encoder weights", weightBits(fast.SaveState().Encoder), weightBits(ref.SaveState().Encoder)},
-		{"decoder weights", weightBits(fast.SaveState().Decoder), weightBits(ref.SaveState().Decoder)},
-		{"adam state", adamBits(t, fast.opt), adamBits(t, ref.opt)},
-	} {
-		if !slices.Equal(pair.got, pair.want) {
-			t.Fatalf("%s differ from the full-backward reference", pair.what)
-		}
+	if !bytes.Equal(stateBytes(fast), stateBytes(ref)) {
+		t.Fatal("weights differ from the full-backward reference")
+	}
+	if !slices.Equal(adamBits(t, fast.opt), adamBits(t, ref.opt)) {
+		t.Fatal("adam state differs from the full-backward reference")
 	}
 }
 
@@ -537,12 +534,7 @@ func TestFitStopsOnPlateau(t *testing.T) {
 	if a.Epochs() == 40 {
 		t.Fatal("a 40-epoch fit of a small set should plateau before its cap")
 	}
-	for _, pair := range [][2]*nn.WeightState{
-		{a.SaveState().Encoder, b.SaveState().Encoder},
-		{a.SaveState().Decoder, b.SaveState().Decoder},
-	} {
-		if !slices.Equal(weightBits(pair[0]), weightBits(pair[1])) {
-			t.Fatal("repeat fit reached different weights")
-		}
+	if !bytes.Equal(stateBytes(a), stateBytes(b)) {
+		t.Fatal("repeat fit reached different weights")
 	}
 }

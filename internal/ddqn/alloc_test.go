@@ -98,11 +98,11 @@ func TestGreedyAllocFreeAndInert(t *testing.T) {
 	if learned == 0 {
 		t.Fatal("no Learn step ran")
 	}
-	got, want := probe.SaveState().Params, twin.SaveState().Params
+	got, want := probe.online.net.Params(), twin.online.net.Params()
 	for i := range want {
-		for j := range want[i] {
-			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-				t.Fatalf("param %d weight %d: %v with Greedy calls, %v without", i, j, got[i][j], want[i][j])
+		for j, w := range want[i].W {
+			if math.Float64bits(got[i].W[j]) != math.Float64bits(w) {
+				t.Fatalf("param %d weight %d: %v with Greedy calls, %v without", i, j, got[i].W[j], w)
 			}
 		}
 	}

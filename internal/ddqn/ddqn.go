@@ -443,19 +443,15 @@ func (a *Agent) Learn() (loss float64, learned bool, err error) {
 }
 
 // EncodeState appends the online network's weights to a checkpoint
-// section, in the form nn.DecodeWeightState reads and LoadState takes.
+// section (the target network is re-synchronized on decode).
 func (a *Agent) EncodeState(e *checkpoint.Enc) { a.online.net.EncodeWeights(e) }
 
-// SaveState captures the online network's weights (the target
-// network is re-synchronized on load).
-func (a *Agent) SaveState() *nn.WeightState {
-	return a.online.net.SaveWeights()
-}
-
-// LoadState restores weights saved from an agent with the same
-// Config, synchronizing the target network to the loaded weights.
-func (a *Agent) LoadState(s *nn.WeightState) error {
-	if err := a.online.net.LoadWeights(s); err != nil {
+// DecodeState overwrites the online network's weights with bytes
+// EncodeState wrote on an agent of the same Config, and synchronizes
+// the target network to them. Weights of another shape are
+// checkpoint.ErrCorrupt.
+func (a *Agent) DecodeState(d *checkpoint.Dec) error {
+	if err := a.online.net.DecodeWeights(d); err != nil {
 		return fmt.Errorf("online net: %w", err)
 	}
 	if err := a.target.copyFrom(a.online); err != nil {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/nn"
 	"dtmsvs/internal/vecmath"
 )
@@ -324,7 +325,10 @@ func TestDeterministicTraining(t *testing.T) {
 	}
 }
 
-func TestAgentSaveLoadState(t *testing.T) {
+// TestAgentEncodeDecodeState: an agent's weights decode into a second
+// agent of the same Config, whose Q-values then match; an agent of
+// another shape refuses them as corrupt.
+func TestAgentEncodeDecodeState(t *testing.T) {
 	cfg := testCfg()
 	a, err := New(cfg, rand.New(rand.NewSource(30)))
 	if err != nil {
@@ -335,7 +339,13 @@ func TestAgentSaveLoadState(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := vecmath.Vec{0.3, -0.4}
-	if err := b.LoadState(a.SaveState()); err != nil {
+	var enc checkpoint.Enc
+	a.EncodeState(&enc)
+	d := checkpoint.NewDec(enc.Bytes())
+	if err := b.DecodeState(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	qa, qb := qValues(t, a, state), qValues(t, b, state)
@@ -349,8 +359,8 @@ func TestAgentSaveLoadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.LoadState(a.SaveState()); err == nil {
-		t.Fatal("mismatched agent must fail to load")
+	if err := other.DecodeState(checkpoint.NewDec(enc.Bytes())); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("mismatched agent: want checkpoint.ErrCorrupt, got %v", err)
 	}
 }
 
@@ -398,8 +408,8 @@ type fullBackward struct{ nn.Layer }
 func agentBits(t *testing.T, a *Agent) []uint64 {
 	t.Helper()
 	var bits []uint64
-	for _, p := range a.SaveState().Params {
-		for _, w := range p {
+	for _, p := range a.online.net.Params() {
+		for _, w := range p.W {
 			bits = append(bits, math.Float64bits(w))
 		}
 	}

@@ -1,11 +1,13 @@
 package edge
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/video"
 )
 
@@ -330,5 +332,85 @@ func TestCacheDrop(t *testing.T) {
 	}
 	if !c.Contains(5, 1) || c.Used() != 800 {
 		t.Fatal("cache unusable after drop")
+	}
+}
+
+// TestCacheStateRoundTrip: a cache decodes into an empty one with its
+// recency order and counters, so the next eviction picks the same
+// victim; a non-positive size, a repeated entry, entries past the
+// capacity and negative counters are refused as corrupt.
+func TestCacheStateRoundTrip(t *testing.T) {
+	c, err := NewCache(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Put(i, i%2, 200); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Contains(0, 0) // 0 becomes the most recent, 1 the least
+	c.Contains(9, 0)
+	var e checkpoint.Enc
+	c.EncodeState(&e)
+	back, err := NewCache(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Put(7, 0, 900); err != nil { // overwritten by the decode
+		t.Fatal(err)
+	}
+	d := checkpoint.NewDec(e.Bytes())
+	if err := back.DecodeState(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var again checkpoint.Enc
+	back.EncodeState(&again)
+	if !bytes.Equal(again.Bytes(), e.Bytes()) {
+		t.Fatal("encode → decode → encode changed the bytes")
+	}
+	if back.Used() != 600 || back.Len() != 3 {
+		t.Fatalf("decoded cache holds %d entries, %d bytes", back.Len(), back.Used())
+	}
+	if err := back.Put(5, 0, 500); err != nil {
+		t.Fatal(err)
+	}
+	if back.Contains(1, 1) || !back.Contains(0, 0) {
+		t.Fatal("the decoded cache evicted another entry than the least recent")
+	}
+
+	state := func(capacity int64, entries [][3]int, hits, misses int) error {
+		var e checkpoint.Enc
+		e.U32(uint32(len(entries)))
+		for _, ent := range entries {
+			e.Int(ent[0])
+			e.Int(ent[1])
+			e.I64(int64(ent[2]))
+		}
+		e.Int(hits)
+		e.Int(misses)
+		c, err := NewCache(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.DecodeState(checkpoint.NewDec(e.Bytes()))
+	}
+	if err := state(1000, [][3]int{{1, 0, 500}, {2, 0, 500}}, 0, 0); err != nil {
+		t.Fatalf("a full cache: %v", err)
+	}
+	for name, err := range map[string]error{
+		"zero size":        state(1000, [][3]int{{1, 0, 0}}, 0, 0),
+		"duplicate":        state(1000, [][3]int{{1, 0, 10}, {1, 0, 10}}, 0, 0),
+		"past capacity":    state(1000, [][3]int{{1, 0, 600}, {2, 0, 600}}, 0, 0),
+		"negative hits":    state(1000, nil, -1, 0),
+		"negative misses":  state(1000, nil, 0, -1),
+		"truncated counts": c.DecodeState(checkpoint.NewDec(e.Bytes()[:len(e.Bytes())-1])),
+	} {
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s: want checkpoint.ErrCorrupt, got %v", name, err)
+		}
 	}
 }

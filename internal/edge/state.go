@@ -1,29 +1,71 @@
-// This file exports the cache's full state — entries in recency
-// order plus the hit/miss counters — for session checkpoint/restore.
-// The cache is the only edge-server state that survives an interval
+// This file encodes the cache's full state — entries in recency
+// order plus the hit/miss counters — for session checkpoints. The
+// cache is the only edge-server state that survives an interval
 // boundary (cycle accounting is reset at the start of every
 // interval), so restoring it restores the server.
 
 package edge
 
-import "fmt"
+import (
+	"fmt"
 
-// CacheEntry is one cached representation, exported for
-// serialization.
-type CacheEntry struct {
-	VideoID, Level int
-	SizeBytes      int64
-}
+	"dtmsvs/internal/checkpoint"
+)
 
-// Entries returns the cached entries from most- to least-recently
-// used.
-func (c *Cache) Entries() []CacheEntry {
-	out := make([]CacheEntry, 0, c.ll.Len())
+// EncodeState appends the cache's state: the entry count, each entry's
+// video id, level and size from most- to least-recently used, then the
+// hit and miss counters.
+func (c *Cache) EncodeState(e *checkpoint.Enc) {
+	e.U32(uint32(c.ll.Len()))
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		ent := el.Value.(*cacheEntry)
-		out = append(out, CacheEntry{VideoID: ent.key.videoID, Level: ent.key.level, SizeBytes: ent.size})
+		e.Int(ent.key.videoID)
+		e.Int(ent.key.level)
+		e.I64(ent.size)
 	}
-	return out
+	hits, misses := c.Counts()
+	e.Int(hits)
+	e.Int(misses)
+}
+
+// DecodeState replaces the cache's contents and counters with bytes
+// EncodeState wrote. Every entry must have a positive size and appear
+// once, the entries must fit the capacity — a restore never silently
+// evicts — and the counters must not be negative; anything else is
+// checkpoint.ErrCorrupt, and leaves the cache partly overwritten.
+func (c *Cache) DecodeState(d *checkpoint.Dec) error {
+	n := d.U32()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	c.Drop()
+	for i := uint32(0); i < n; i++ {
+		key := cacheKey{videoID: d.Int(), level: d.Int()}
+		size := d.I64()
+		if err := d.Err(); err != nil {
+			return err
+		}
+		switch {
+		case size <= 0:
+			return fmt.Errorf("cache entry (%d,%d) size %d: %w", key.videoID, key.level, size, checkpoint.ErrCorrupt)
+		case size > c.capacityBytes-c.usedBytes.Load():
+			return fmt.Errorf("cache entry (%d,%d) of %d bytes past capacity %d: %w", key.videoID, key.level, size, c.capacityBytes, checkpoint.ErrCorrupt)
+		case c.items[key] != nil:
+			return fmt.Errorf("cache duplicate entry (%d,%d): %w", key.videoID, key.level, checkpoint.ErrCorrupt)
+		}
+		c.items[key] = c.ll.PushBack(&cacheEntry{key: key, size: size})
+		c.usedBytes.Add(size)
+	}
+	hits, misses := d.Int(), d.Int()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if hits < 0 || misses < 0 {
+		return fmt.Errorf("cache counters %d/%d: %w", hits, misses, checkpoint.ErrCorrupt)
+	}
+	c.hits.Store(int64(hits))
+	c.misses.Store(int64(misses))
+	return nil
 }
 
 // Drop discards every cached entry — the cell's cache contents are
@@ -34,39 +76,4 @@ func (c *Cache) Drop() {
 	c.ll.Init()
 	clear(c.items)
 	c.usedBytes.Store(0)
-}
-
-// Restore replaces the cache contents with the given entries (in the
-// MRU-to-LRU order Entries produced) and counters. Entries must fit
-// the capacity — a restore never silently evicts.
-func (c *Cache) Restore(entries []CacheEntry, hits, misses int) error {
-	var total int64
-	for _, ent := range entries {
-		if ent.SizeBytes <= 0 {
-			return fmt.Errorf("cache restore entry (%d,%d) size %d: %w", ent.VideoID, ent.Level, ent.SizeBytes, ErrParam)
-		}
-		total += ent.SizeBytes
-	}
-	if total > c.capacityBytes {
-		return fmt.Errorf("cache restore %d bytes into capacity %d: %w", total, c.capacityBytes, ErrParam)
-	}
-	if hits < 0 || misses < 0 {
-		return fmt.Errorf("cache restore counters %d/%d: %w", hits, misses, ErrParam)
-	}
-	c.ll.Init()
-	clear(c.items)
-	c.usedBytes.Store(0)
-	// Insert back-to-front so list order matches the captured recency.
-	for i := len(entries) - 1; i >= 0; i-- {
-		ent := entries[i]
-		key := cacheKey{ent.VideoID, ent.Level}
-		if _, ok := c.items[key]; ok {
-			return fmt.Errorf("cache restore duplicate entry (%d,%d): %w", ent.VideoID, ent.Level, ErrParam)
-		}
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, size: ent.SizeBytes})
-		c.usedBytes.Add(ent.SizeBytes)
-	}
-	c.hits.Store(int64(hits))
-	c.misses.Store(int64(misses))
-	return nil
 }

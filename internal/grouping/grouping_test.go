@@ -1,11 +1,13 @@
 package grouping
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/kmeans"
 	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/udt"
@@ -624,5 +626,44 @@ func TestAssignments(t *testing.T) {
 		if a[i] != want[i] {
 			t.Fatalf("assignments %v, want %v", a, want)
 		}
+	}
+}
+
+// TestBuilderStateRoundTrip: a builder's weights decode into a second
+// builder of the same configuration, which re-encodes them to the same
+// bytes; a builder whose configuration disagrees about the compressor
+// refuses them as corrupt, in either direction.
+func TestBuilderStateRoundTrip(t *testing.T) {
+	build := func(useCNN bool, seed int64) *Builder {
+		cfg := testConfig()
+		cfg.UseCNN = useCNN
+		b, err := New(cfg, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	state := func(b *Builder) []byte {
+		var e checkpoint.Enc
+		b.EncodeState(&e)
+		return e.Bytes()
+	}
+	src, dst := build(true, 1), build(true, 2)
+	d := checkpoint.NewDec(state(src))
+	if err := dst.DecodeState(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(state(dst), state(src)) {
+		t.Fatal("encode → decode → encode changed the bytes")
+	}
+	raw := build(false, 3)
+	if err := raw.DecodeState(checkpoint.NewDec(state(src))); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("compressor weights into a raw builder: want checkpoint.ErrCorrupt, got %v", err)
+	}
+	if err := dst.DecodeState(checkpoint.NewDec(state(raw))); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("raw weights into a CNN builder: want checkpoint.ErrCorrupt, got %v", err)
 	}
 }

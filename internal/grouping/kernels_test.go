@@ -1,10 +1,11 @@
 package grouping
 
 import (
+	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/vecmath"
 )
 
@@ -17,8 +18,8 @@ func TestTrainedWeightsDeterministicAcrossKernels(t *testing.T) {
 	defer vecmath.ForceGeneric(false)
 	twins := makeTwins(t, 16)
 	type result struct {
-		comp  any
-		agent any
+		comp  []byte
+		agent []byte
 		loss  float64
 	}
 	var base *result
@@ -41,11 +42,10 @@ func TestTrainedWeightsDeterministicAcrossKernels(t *testing.T) {
 			if _, err := b.TrainAgent(twins, 10); err != nil {
 				t.Fatal(err)
 			}
-			got := &result{
-				comp:  b.compressor.SaveState(),
-				agent: b.agent.SaveState(),
-				loss:  loss,
-			}
+			var comp, agent checkpoint.Enc
+			b.compressor.EncodeState(&comp)
+			b.agent.EncodeState(&agent)
+			got := &result{comp: comp.Bytes(), agent: agent.Bytes(), loss: loss}
 			pool.Close()
 			if base == nil {
 				base = got
@@ -55,10 +55,10 @@ func TestTrainedWeightsDeterministicAcrossKernels(t *testing.T) {
 				t.Fatalf("generic=%v workers=%d: compressor loss %v want %v",
 					generic, workers, got.loss, base.loss)
 			}
-			if !reflect.DeepEqual(got.comp, base.comp) {
+			if !bytes.Equal(got.comp, base.comp) {
 				t.Fatalf("generic=%v workers=%d: compressor weights diverged", generic, workers)
 			}
-			if !reflect.DeepEqual(got.agent, base.agent) {
+			if !bytes.Equal(got.agent, base.agent) {
 				t.Fatalf("generic=%v workers=%d: agent weights diverged", generic, workers)
 			}
 		}

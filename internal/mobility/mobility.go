@@ -179,13 +179,6 @@ var _ Model = (*LandmarkWalk)(nil)
 // Position implements Model.
 func (l *LandmarkWalk) Position() Point { return l.pos }
 
-// Route returns a copy of the walker's landmark route.
-func (l *LandmarkWalk) Route() []Point {
-	out := make([]Point, len(l.route))
-	copy(out, l.route)
-	return out
-}
-
 // Advance implements Model.
 func (l *LandmarkWalk) Advance(dt float64) (Point, error) {
 	if dt <= 0 {

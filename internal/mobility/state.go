@@ -1,54 +1,95 @@
-// This file exports each mobility model's mutable state for session
-// checkpoint/restore. Construction-time parameters (map, speed
+// This file encodes each mobility model's mutable state for session
+// checkpoints and handovers. Construction-time parameters (map, speed
 // bounds, route, noise parameters) and the model's random stream are
 // restored by replaying the constructor on the same derived stream;
-// these accessors cover only the fields that evolve as the walker
-// advances.
+// the encoding covers only the fields that evolve as the walker
+// advances, after a kind tag that names the model.
 
 package mobility
 
-// WaypointState is the mutable state of a RandomWaypoint walker.
-type WaypointState struct {
-	Pos, Dst  Point
-	Speed     float64
-	PauseLeft float64
+import (
+	"fmt"
+
+	"dtmsvs/internal/checkpoint"
+)
+
+// Model kind tags, the first byte of an encoded state.
+const (
+	kindWaypoint uint8 = iota
+	kindLandmark
+	kindGaussMarkov
+	kindStatic
+)
+
+// EncodeState appends m's kind tag and mutable state. A model this
+// package does not define is ErrParam.
+func EncodeState(e *checkpoint.Enc, m Model) error {
+	switch m := m.(type) {
+	case *RandomWaypoint:
+		e.U8(kindWaypoint)
+		e.F64(m.pos.X)
+		e.F64(m.pos.Y)
+		e.F64(m.dst.X)
+		e.F64(m.dst.Y)
+		e.F64(m.speed)
+		e.F64(m.pauseLeft)
+	case *LandmarkWalk:
+		e.U8(kindLandmark)
+		e.F64(m.pos.X)
+		e.F64(m.pos.Y)
+		e.Int(m.next)
+	case *GaussMarkov:
+		e.U8(kindGaussMarkov)
+		e.F64(m.pos.X)
+		e.F64(m.pos.Y)
+		e.F64(m.speed)
+		e.F64(m.dir)
+	case *Static:
+		e.U8(kindStatic)
+	default:
+		return fmt.Errorf("unknown mobility model %T: %w", m, ErrParam)
+	}
+	return nil
 }
 
-// State captures the walker's mutable state.
-func (w *RandomWaypoint) State() WaypointState {
-	return WaypointState{Pos: w.pos, Dst: w.dst, Speed: w.speed, PauseLeft: w.pauseLeft}
-}
-
-// SetState restores state captured by State.
-func (w *RandomWaypoint) SetState(st WaypointState) {
-	w.pos, w.dst, w.speed, w.pauseLeft = st.Pos, st.Dst, st.Speed, st.PauseLeft
-}
-
-// WalkState is the mutable state of a LandmarkWalk walker (the route
-// itself is fixed at construction).
-type WalkState struct {
-	Pos  Point
-	Next int
-}
-
-// State captures the walker's mutable state.
-func (w *LandmarkWalk) State() WalkState { return WalkState{Pos: w.pos, Next: w.next} }
-
-// SetState restores state captured by State.
-func (w *LandmarkWalk) SetState(st WalkState) { w.pos, w.next = st.Pos, st.Next }
-
-// GaussMarkovState is the mutable state of a GaussMarkov walker.
-type GaussMarkovState struct {
-	Pos        Point
-	Speed, Dir float64
-}
-
-// State captures the walker's mutable state.
-func (g *GaussMarkov) State() GaussMarkovState {
-	return GaussMarkovState{Pos: g.pos, Speed: g.speed, Dir: g.dir}
-}
-
-// SetState restores state captured by State.
-func (g *GaussMarkov) SetState(st GaussMarkovState) {
-	g.pos, g.speed, g.dir = st.Pos, st.Speed, st.Dir
+// DecodeState overwrites m's mutable state with bytes EncodeState
+// wrote for a model of the same kind, built by the same constructor.
+// A kind tag that does not name m's type, and a landmark walker's next
+// stop outside its route, are checkpoint.ErrCorrupt.
+func DecodeState(d *checkpoint.Dec, m Model) error {
+	kind := d.U8()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	switch m := m.(type) {
+	case *RandomWaypoint:
+		if kind == kindWaypoint {
+			m.pos = Point{X: d.F64(), Y: d.F64()}
+			m.dst = Point{X: d.F64(), Y: d.F64()}
+			m.speed = d.F64()
+			m.pauseLeft = d.F64()
+			return d.Err()
+		}
+	case *LandmarkWalk:
+		if kind == kindLandmark {
+			m.pos = Point{X: d.F64(), Y: d.F64()}
+			m.next = d.Int()
+			if d.Err() == nil && (m.next < 0 || m.next >= len(m.route)) {
+				return fmt.Errorf("landmark walker's next stop %d of %d: %w", m.next, len(m.route), checkpoint.ErrCorrupt)
+			}
+			return d.Err()
+		}
+	case *GaussMarkov:
+		if kind == kindGaussMarkov {
+			m.pos = Point{X: d.F64(), Y: d.F64()}
+			m.speed = d.F64()
+			m.dir = d.F64()
+			return d.Err()
+		}
+	case *Static:
+		if kind == kindStatic {
+			return nil
+		}
+	}
+	return fmt.Errorf("mobility state of kind %d for %T: %w", kind, m, checkpoint.ErrCorrupt)
 }

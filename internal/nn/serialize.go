@@ -6,55 +6,13 @@ import (
 	"dtmsvs/internal/checkpoint"
 )
 
-// WeightState is the serializable parameter set of a network: one
-// flat float64 slice per Param, in layer order. Architectures are
-// reconstructed from configuration (not stored), so loading is only
-// valid into a network of the identical shape — which Load verifies.
-type WeightState struct {
-	// Params holds each parameter tensor's flattened values.
-	Params [][]float64 `json:"params"`
-}
-
-// SaveWeights captures the network's parameters.
-func (n *Network) SaveWeights() *WeightState {
-	params := n.Params()
-	out := &WeightState{Params: make([][]float64, len(params))}
-	for i, p := range params {
-		out.Params[i] = append([]float64(nil), p.W...)
-	}
-	return out
-}
-
-// LoadWeights restores parameters captured by SaveWeights into a
-// network of the identical architecture.
-func (n *Network) LoadWeights(state *WeightState) error {
-	if state == nil {
-		return fmt.Errorf("nil weight state: %w", ErrShape)
-	}
-	params := n.Params()
-	if len(params) != len(state.Params) {
-		return fmt.Errorf("weight state has %d tensors, network has %d: %w",
-			len(state.Params), len(params), ErrShape)
-	}
-	for i, p := range params {
-		if len(p.W) != len(state.Params[i]) {
-			return fmt.Errorf("tensor %d has %d values, want %d: %w",
-				i, len(state.Params[i]), len(p.W), ErrShape)
-		}
-	}
-	for i, p := range params {
-		copy(p.W, state.Params[i])
-	}
-	return nil
-}
-
 // EncodeWeights appends the network's parameters to a checkpoint
-// section in the form DecodeWeightState reads: tensor count, then each
+// section in the form DecodeWeights reads: tensor count, then each
 // tensor as a length-prefixed float64 slice, straight from the live
-// tensors (no SaveWeights copy). Float bits round-trip
-// exactly, so encode/decode preserves weights bitwise. The room for
-// every tensor is reserved first, so an encoder too small for the
-// network grows once rather than once per tensor.
+// tensors. Float bits round-trip exactly, so encode/decode preserves
+// weights bitwise. The room for every tensor is reserved first, so an
+// encoder too small for the network grows once rather than once per
+// tensor.
 func (n *Network) EncodeWeights(e *checkpoint.Enc) {
 	params := n.Params()
 	size := 4
@@ -68,16 +26,24 @@ func (n *Network) EncodeWeights(e *checkpoint.Enc) {
 	}
 }
 
-// DecodeWeightState reads a weight state written by Encode. Shape
-// validation happens at LoadWeights time, against the live network.
-func DecodeWeightState(d *checkpoint.Dec) *WeightState {
-	n := d.U32()
-	if d.Err() != nil {
-		return &WeightState{}
+// DecodeWeights overwrites the network's parameters with weights
+// EncodeWeights wrote, read straight into the live tensors.
+// Architectures come from configuration, not from the bytes: a tensor
+// count or a tensor length other than this network's is
+// checkpoint.ErrCorrupt, and leaves the network partly overwritten.
+func (n *Network) DecodeWeights(d *checkpoint.Dec) error {
+	params := n.Params()
+	count := d.U32()
+	if err := d.Err(); err != nil {
+		return err
 	}
-	s := &WeightState{Params: make([][]float64, 0, min(int(n), 1024))}
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		s.Params = append(s.Params, d.F64s())
+	if int(count) != len(params) {
+		return fmt.Errorf("%d weight tensors, network has %d: %w", count, len(params), checkpoint.ErrCorrupt)
 	}
-	return s
+	for i, p := range params {
+		if got := d.F64sInto(p.W); got != len(p.W) && d.Err() == nil {
+			return fmt.Errorf("tensor %d has %d values, want %d: %w", i, got, len(p.W), checkpoint.ErrCorrupt)
+		}
+	}
+	return d.Err()
 }

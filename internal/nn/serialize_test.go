@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -28,92 +29,123 @@ func buildNet(t *testing.T, seed int64) *Network {
 	return net
 }
 
+// encodedWeights returns net's weights in the checkpoint encoding.
+func encodedWeights(net *Network) []byte {
+	var e checkpoint.Enc
+	net.EncodeWeights(&e)
+	return e.Bytes()
+}
+
+// perturbed returns a network of buildNet's architecture whose first
+// weight is moved off buildNet's, so a weight transfer into it shows in
+// its outputs.
+func perturbed(t *testing.T, seed int64) *Network {
+	t.Helper()
+	net := buildNet(t, seed)
+	net.Params()[0].W[0] += 1
+	return net
+}
+
+// sameOutputs reports whether a and b agree bit for bit.
+func sameOutputs(a, b vecmath.Vec) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestSaveLoadWeightsRoundTrip transfers weights from one network into
+// another of the same architecture: the receiver must then compute the
+// sender's outputs and encode to the sender's bytes.
 func TestSaveLoadWeightsRoundTrip(t *testing.T) {
 	src := buildNet(t, 1)
-	dst := buildNet(t, 2)
+	dst := perturbed(t, 2)
 	x := vecmath.Vec{0.1, -0.2, 0.3, 0.7}
 
 	before := forwardOne(t, src, x)
-	if err := dst.LoadWeights(src.SaveWeights()); err != nil {
+	if sameOutputs(before, forwardOne(t, dst, x)) {
+		t.Fatal("receiver already computes the sender's outputs")
+	}
+	if err := dst.DecodeWeights(checkpoint.NewDec(encodedWeights(src))); err != nil {
 		t.Fatal(err)
 	}
-	after := forwardOne(t, dst, x)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("output differs after weight transfer: %v vs %v", before, after)
-		}
+	if after := forwardOne(t, dst, x); !sameOutputs(before, after) {
+		t.Fatalf("output differs after weight transfer: %v vs %v", before, after)
 	}
-}
-
-func TestSaveWeightsIsolation(t *testing.T) {
-	net := buildNet(t, 3)
-	state := net.SaveWeights()
-	state.Params[0][0] = 1e9
-	x := vecmath.Vec{1, 1, 1, 1}
-	for _, v := range forwardOne(t, net, x) {
-		if v > 1e6 {
-			t.Fatal("saved state aliases live weights")
-		}
-	}
-}
-
-func TestLoadWeightsValidation(t *testing.T) {
-	net := buildNet(t, 4)
-	if err := net.LoadWeights(nil); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-	if err := net.LoadWeights(&WeightState{Params: [][]float64{{1}}}); !errors.Is(err, ErrShape) {
-		t.Fatalf("tensor count: want ErrShape, got %v", err)
-	}
-	bad := net.SaveWeights()
-	bad.Params[0] = bad.Params[0][:1]
-	if err := net.LoadWeights(bad); !errors.Is(err, ErrShape) {
-		t.Fatalf("tensor size: want ErrShape, got %v", err)
-	}
-	// A failed load must not partially mutate: check output unchanged.
-	x := vecmath.Vec{0.5, 0.5, 0.5, 0.5}
-	before := forwardOne(t, net, x)
-	_ = net.LoadWeights(bad)
-	after := forwardOne(t, net, x)
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatal("failed load mutated weights")
-		}
+	if !bytes.Equal(encodedWeights(dst), encodedWeights(src)) {
+		t.Fatal("receiver's weights encode differently from the sender's")
 	}
 }
 
 // TestWeightStateEncodeRoundTrip moves weights through the checkpoint
-// codec into a second network: its outputs must match bit for bit.
+// codec into a second network: the decoder must consume the encoding
+// exactly, and the outputs must match bit for bit.
 func TestWeightStateEncodeRoundTrip(t *testing.T) {
 	net := buildNet(t, 5)
-	var e checkpoint.Enc
-	net.EncodeWeights(&e)
-	d := checkpoint.NewDec(e.Bytes())
-	back := DecodeWeightState(d)
+	d := checkpoint.NewDec(encodedWeights(net))
+	other := perturbed(t, 6)
+	if err := other.DecodeWeights(d); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	other := buildNet(t, 6)
-	if err := other.LoadWeights(back); err != nil {
-		t.Fatal(err)
-	}
 	x := vecmath.Vec{0.2, 0.4, 0.6, 0.8}
-	a, b := forwardOne(t, net, x), forwardOne(t, other, x)
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatal("checkpoint round trip changed weights")
-		}
+	if !sameOutputs(forwardOne(t, net, x), forwardOne(t, other, x)) {
+		t.Fatal("checkpoint round trip changed weights")
 	}
 }
 
-// TestDecodeWeightStateError: a truncated weight state surfaces as a
-// decoder error, never a panic.
-func TestDecodeWeightStateError(t *testing.T) {
-	var e checkpoint.Enc
-	buildNet(t, 7).EncodeWeights(&e)
-	d := checkpoint.NewDec(e.Bytes()[:len(e.Bytes())-3])
-	DecodeWeightState(d)
-	if d.Err() == nil {
-		t.Fatal("truncated weights must error")
+// TestDecodeWeightsValidation: weights of another architecture — more
+// or fewer tensors, a tensor shorter or longer than the live one — are
+// refused as corrupt.
+func TestDecodeWeightsValidation(t *testing.T) {
+	net := buildNet(t, 4)
+	d1, err := NewDense(4, 6, newRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneLayer, err := NewNetwork(4, d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := NewDense(4, 7, newRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider, err := NewNetwork(4, d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := buildNet(t, 9)
+	d3, err := NewDense(2, 2, newRNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if more, err = NewNetwork(4, append(more.layers, d3)...); err != nil {
+		t.Fatal(err)
+	}
+	for name, enc := range map[string][]byte{
+		"fewer tensors": encodedWeights(oneLayer),
+		"more tensors":  encodedWeights(more),
+		"longer tensor": encodedWeights(wider),
+	} {
+		if err := net.DecodeWeights(checkpoint.NewDec(enc)); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s: want checkpoint.ErrCorrupt, got %v", name, err)
+		}
+	}
+	if err := wider.DecodeWeights(checkpoint.NewDec(encodedWeights(oneLayer))); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Errorf("shorter tensor: want checkpoint.ErrCorrupt, got %v", err)
+	}
+}
+
+// TestDecodeWeightsTruncated: truncated weights surface as a decoder
+// error, never a panic.
+func TestDecodeWeightsTruncated(t *testing.T) {
+	enc := encodedWeights(buildNet(t, 7))
+	if err := buildNet(t, 8).DecodeWeights(checkpoint.NewDec(enc[:len(enc)-3])); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("truncated weights: want checkpoint.ErrCorrupt, got %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package predict
 
 import (
 	"fmt"
-	"math"
 
 	"dtmsvs/internal/channel"
 	"dtmsvs/internal/video"
@@ -162,35 +161,3 @@ func (p DemandPredictor) Predict(profile *GroupProfile, bitrateBps, worstSNRdB f
 		EngagementS:   watchFrac * p.MeanVideoDurationS * videosPerInterval,
 	}, nil
 }
-
-// SNRForecaster tracks a group's worst-member SNR with an EWMA — the
-// channel forecast feeding Predict.
-type SNRForecaster struct {
-	// Alpha is the EWMA weight of the newest observation.
-	Alpha float64
-
-	value float64
-	ready bool
-}
-
-// NewSNRForecaster builds a forecaster (alpha in (0,1]).
-func NewSNRForecaster(alpha float64) (*SNRForecaster, error) {
-	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		return nil, fmt.Errorf("snr ewma alpha %v: %w", alpha, ErrInput)
-	}
-	return &SNRForecaster{Alpha: alpha}, nil
-}
-
-// Observe folds one measured worst-member SNR in dB.
-func (f *SNRForecaster) Observe(snrDB float64) {
-	if !f.ready {
-		f.value = snrDB
-		f.ready = true
-		return
-	}
-	f.value = f.Alpha*snrDB + (1-f.Alpha)*f.value
-}
-
-// Forecast returns the current estimate and whether any observation
-// has been folded.
-func (f *SNRForecaster) Forecast() (float64, bool) { return f.value, f.ready }

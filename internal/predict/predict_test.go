@@ -9,6 +9,7 @@ import (
 
 	"dtmsvs/internal/behavior"
 	"dtmsvs/internal/channel"
+	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/udt"
 	"dtmsvs/internal/video"
 )
@@ -490,29 +491,51 @@ func TestPredictTrafficScalesWithBitrate(t *testing.T) {
 	}
 }
 
-func TestSNRForecaster(t *testing.T) {
-	if _, err := NewSNRForecaster(0); !errors.Is(err, ErrInput) {
+// TestEWMA: the first observation is taken as is, each later one
+// weighs in at Alpha, and the state round-trips through the checkpoint
+// codec.
+func TestEWMA(t *testing.T) {
+	if _, err := NewEWMA(0); !errors.Is(err, ErrInput) {
 		t.Fatalf("want ErrInput, got %v", err)
 	}
-	if _, err := NewSNRForecaster(1.5); !errors.Is(err, ErrInput) {
+	if _, err := NewEWMA(1.5); !errors.Is(err, ErrInput) {
 		t.Fatalf("want ErrInput, got %v", err)
 	}
-	f, err := NewSNRForecaster(0.5)
+	f, err := NewEWMA(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.Forecast(); ok {
+	if _, ok := f.Predict(); ok {
 		t.Fatal("forecast before any observation")
 	}
 	f.Observe(10)
-	v, ok := f.Forecast()
+	v, ok := f.Predict()
 	if !ok || v != 10 {
 		t.Fatalf("first observation %v", v)
 	}
 	f.Observe(20)
-	v, _ = f.Forecast()
+	v, _ = f.Predict()
 	if v != 15 {
 		t.Fatalf("ewma %v, want 15", v)
+	}
+	var e checkpoint.Enc
+	f.EncodeState(&e)
+	back, err := NewEWMA(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := checkpoint.NewDec(e.Bytes())
+	if err := back.DecodeState(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := back.Predict(); !ok || got != 15 {
+		t.Fatalf("decoded ewma %v (ready %v), want 15", got, ok)
+	}
+	if err := back.DecodeState(checkpoint.NewDec(e.Bytes()[:8])); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("truncated state: want checkpoint.ErrCorrupt, got %v", err)
 	}
 }
 

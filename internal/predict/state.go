@@ -1,24 +1,21 @@
-// This file exports the mutable state of the EWMA-family predictors
-// for session checkpoint/restore. Alpha is configuration (replayed at
-// construction); value/ready is what an interval's observations
-// accumulate.
+// This file encodes the EWMA's mutable state for session checkpoints
+// and handovers. Alpha is configuration (replayed at construction);
+// the value and whether one has been observed are what an interval's
+// observations accumulate.
 
 package predict
 
-// EWMAState is the mutable state of an EWMA or SNRForecaster.
-type EWMAState struct {
-	Value float64
-	Ready bool
+import "dtmsvs/internal/checkpoint"
+
+// EncodeState appends the average and whether it holds an observation.
+func (p *EWMA) EncodeState(e *checkpoint.Enc) {
+	e.F64(p.value)
+	e.Bool(p.ready)
 }
 
-// State captures the predictor's mutable state.
-func (e *EWMA) State() EWMAState { return EWMAState{Value: e.value, Ready: e.ready} }
-
-// SetState restores state captured by State.
-func (e *EWMA) SetState(st EWMAState) { e.value, e.ready = st.Value, st.Ready }
-
-// State captures the forecaster's mutable state.
-func (f *SNRForecaster) State() EWMAState { return EWMAState{Value: f.value, Ready: f.ready} }
-
-// SetState restores state captured by State.
-func (f *SNRForecaster) SetState(st EWMAState) { f.value, f.ready = st.Value, st.Ready }
+// DecodeState overwrites the state with bytes EncodeState wrote.
+func (p *EWMA) DecodeState(d *checkpoint.Dec) error {
+	p.value = d.F64()
+	p.ready = d.Bool()
+	return d.Err()
+}

@@ -19,11 +19,17 @@
 // boundary, so they never ride in a checkpoint.
 //
 // Every section is binary (checkpoint format v3), and each package
-// encodes its own state: nn its weights, kmeans its centroids, udt
-// the twin (EncodeState/DecodeState) — most of a checkpoint's bytes,
-// the same in the "users" section, a cluster.Worker handover and a
-// coord worker ack, and decoded into a twin the constructor already
-// built, so no allocation is sized by a length the input claims.
+// encodes and decodes its own state: mobility its walkers, channel the
+// link, predict the EWMAs, edge the cache, grouping the trained
+// networks (through cnn, ddqn and nn), kmeans the centroids and udt
+// the twin — most of a checkpoint's bytes, the same in the "users"
+// section, a cluster.Worker handover and a coord worker ack. All but
+// the centroids decode in place into the object the constructor
+// already built, checking every length against it, so no allocation is
+// sized by a length the input claims; any failure is
+// checkpoint.ErrCorrupt. This file only frames those calls around the
+// engine's own bookkeeping and the group table.
+//
 // Reading (ReadSections: framing and CRCs, in stream order) is split
 // from decoding (Restore), so a cluster reads its cells' sections off
 // one stream and decodes the cells concurrently; writing goes through
@@ -40,26 +46,14 @@ import (
 	"math/rand"
 	"sort"
 
-	"dtmsvs/internal/channel"
 	"dtmsvs/internal/checkpoint"
-	"dtmsvs/internal/cnn"
-	"dtmsvs/internal/edge"
 	"dtmsvs/internal/grouping"
 	"dtmsvs/internal/kmeans"
 	"dtmsvs/internal/mobility"
-	"dtmsvs/internal/nn"
 	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/predict"
 	"dtmsvs/internal/vecmath"
 	"dtmsvs/internal/video"
-)
-
-// mobility model kind tags (checkpoint encoding).
-const (
-	mobWaypoint uint8 = iota
-	mobLandmark
-	mobGaussMarkov
-	mobStatic
 )
 
 // WriteState appends the engine's boundary state to a checkpoint as
@@ -68,10 +62,10 @@ func (s *Simulation) WriteState(cw *checkpoint.Writer) error {
 	if err := cw.Section("engine", s.encodeEngine); err != nil {
 		return err
 	}
-	if err := cw.Section("builder", s.encodeBuilder); err != nil {
+	if err := cw.Section("builder", s.builder.EncodeState); err != nil {
 		return err
 	}
-	if err := cw.Section("cache", s.encodeCache); err != nil {
+	if err := cw.Section("cache", s.server.Cache().EncodeState); err != nil {
 		return err
 	}
 	var userErr error
@@ -117,7 +111,7 @@ func ReadSections(cr *checkpoint.Reader) (Sections, error) {
 // concurrently.
 func (s *Simulation) Restore(secs Sections) error {
 	decode := [len(sectionNames)]func(*checkpoint.Dec) error{
-		s.decodeEngine, s.decodeBuilder, s.decodeCache, s.decodeUsers, s.decodeGroups,
+		s.decodeEngine, s.builder.DecodeState, s.server.Cache().DecodeState, s.decodeUsers, s.decodeGroups,
 	}
 	for i, d := range secs {
 		if err := decode[i](d); err != nil {
@@ -150,14 +144,10 @@ func (s *Simulation) encodeEngine(e *checkpoint.Enc) {
 	sort.Ints(levels)
 	e.U32(uint32(len(levels)))
 	for _, lv := range levels {
-		st := s.cyclesPerTxS[lv].State()
 		e.Int(lv)
-		e.F64(st.Value)
-		e.Bool(st.Ready)
+		s.cyclesPerTxS[lv].EncodeState(e)
 	}
-	st := s.wastePerPlayS.State()
-	e.F64(st.Value)
-	e.Bool(st.Ready)
+	s.wastePerPlayS.EncodeState(e)
 }
 
 func (s *Simulation) decodeEngine(d *checkpoint.Dec) error {
@@ -180,16 +170,16 @@ func (s *Simulation) decodeEngine(d *checkpoint.Dec) error {
 	clear(s.cyclesPerTxS)
 	for i := uint32(0); i < nLevels && d.Err() == nil; i++ {
 		lv := d.Int()
-		st := predict.EWMAState{Value: d.F64(), Ready: d.Bool()}
 		tracker, err := predict.NewEWMA(0.5)
 		if err != nil {
 			return err
 		}
-		tracker.SetState(st)
+		if err := tracker.DecodeState(d); err != nil {
+			return err
+		}
 		s.cyclesPerTxS[lv] = tracker
 	}
-	s.wastePerPlayS.SetState(predict.EWMAState{Value: d.F64(), Ready: d.Bool()})
-	if err := d.Err(); err != nil {
+	if err := s.wastePerPlayS.DecodeState(d); err != nil {
 		return err
 	}
 	// The builder's source was replayed through construction; skip it
@@ -198,61 +188,6 @@ func (s *Simulation) decodeEngine(d *checkpoint.Dec) error {
 		return fmt.Errorf("builder rng at draw %d, checkpoint says %d: %w", s.cnt.Draws(), draws, checkpoint.ErrCorrupt)
 	}
 	s.cnt.Skip(draws - s.cnt.Draws())
-	return nil
-}
-
-func (s *Simulation) encodeBuilder(e *checkpoint.Enc) { s.builder.EncodeState(e) }
-
-func (s *Simulation) decodeBuilder(d *checkpoint.Dec) error {
-	st := &grouping.State{}
-	if d.Bool() {
-		st.Compressor = &cnn.State{
-			Encoder: nn.DecodeWeightState(d),
-			Decoder: nn.DecodeWeightState(d),
-		}
-	}
-	st.Agent = nn.DecodeWeightState(d)
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := s.builder.LoadState(st); err != nil {
-		return fmt.Errorf("%v: %w", err, checkpoint.ErrCorrupt)
-	}
-	return nil
-}
-
-func (s *Simulation) encodeCache(e *checkpoint.Enc) {
-	cache := s.server.Cache()
-	entries := cache.Entries()
-	e.U32(uint32(len(entries)))
-	for _, ent := range entries {
-		e.Int(ent.VideoID)
-		e.Int(ent.Level)
-		e.I64(ent.SizeBytes)
-	}
-	hits, misses := cache.Counts()
-	e.Int(hits)
-	e.Int(misses)
-}
-
-func (s *Simulation) decodeCache(d *checkpoint.Dec) error {
-	n := d.U32()
-	entries := make([]edge.CacheEntry, 0, min(int(n), 1<<16))
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		entries = append(entries, edge.CacheEntry{
-			VideoID:   d.Int(),
-			Level:     d.Int(),
-			SizeBytes: d.I64(),
-		})
-	}
-	hits := d.Int()
-	misses := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if err := s.server.Cache().Restore(entries, hits, misses); err != nil {
-		return fmt.Errorf("%v: %w", err, checkpoint.ErrCorrupt)
-	}
 	return nil
 }
 
@@ -292,14 +227,10 @@ func (s *Simulation) encodeUser(e *checkpoint.Enc, u *user) error {
 	e.U64(u.gen)
 	e.U64(u.src.State())
 	e.F64s(u.profile.Pref)
-	if err := encodeMobility(e, u.mob); err != nil {
-		return err
+	if err := mobility.EncodeState(e, u.mob); err != nil {
+		return fmt.Errorf("user %d: %w", u.id, err)
 	}
-	ls := u.link.State()
-	e.Int(ls.BS)
-	e.F64(ls.ShadowDB)
-	e.F64(ls.HRe)
-	e.F64(ls.HIm)
+	u.link.EncodeState(e)
 	u.twin.EncodeState(e)
 	e.F64(u.posPrev.X)
 	e.F64(u.posPrev.Y)
@@ -308,10 +239,9 @@ func (s *Simulation) encodeUser(e *checkpoint.Enc, u *user) error {
 	e.Int(u.havePos)
 	e.F64(u.prevDispX)
 	e.F64(u.prevDispY)
-	for _, st := range []predict.EWMAState{u.snrOffset.State(), u.snrEWMA.State(), u.persist.State()} {
-		e.F64(st.Value)
-		e.Bool(st.Ready)
-	}
+	u.snrOffset.EncodeState(e)
+	u.snrEWMA.EncodeState(e)
+	u.persist.EncodeState(e)
 	return nil
 }
 
@@ -397,19 +327,11 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user) (*user, error
 	if n := d.F64sInto(u.profile.Pref); n != len(u.profile.Pref) && d.Err() == nil {
 		return nil, fmt.Errorf("user %d preference of %d categories: %w", id, n, checkpoint.ErrCorrupt)
 	}
-	if err := decodeMobility(d, u.mob); err != nil {
+	if err := mobility.DecodeState(d, u.mob); err != nil {
 		return nil, fmt.Errorf("user %d mobility: %w", id, err)
 	}
-	var ls channel.LinkState
-	ls.BS = d.Int()
-	ls.ShadowDB = d.F64()
-	ls.HRe = d.F64()
-	ls.HIm = d.F64()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if err := u.link.SetState(ls, s.stations); err != nil {
-		return nil, fmt.Errorf("user %d link: %v: %w", id, err, checkpoint.ErrCorrupt)
+	if err := u.link.DecodeState(d, s.stations); err != nil {
+		return nil, fmt.Errorf("user %d link: %w", id, err)
 	}
 	if err := u.twin.DecodeState(d); err != nil {
 		return nil, fmt.Errorf("user %d: %w", id, err)
@@ -419,8 +341,10 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user) (*user, error
 	u.havePos = d.Int()
 	u.prevDispX = d.F64()
 	u.prevDispY = d.F64()
-	for _, f := range []interface{ SetState(predict.EWMAState) }{u.snrOffset, u.snrEWMA, u.persist} {
-		f.SetState(predict.EWMAState{Value: d.F64(), Ready: d.Bool()})
+	for _, f := range []*predict.EWMA{u.snrOffset, u.snrEWMA, u.persist} {
+		if err := f.DecodeState(d); err != nil {
+			return nil, fmt.Errorf("user %d: %w", id, err)
+		}
 	}
 	u.src.SetState(srcState)
 	if err := d.Err(); err != nil {
@@ -429,96 +353,13 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user) (*user, error
 	return u, nil
 }
 
-func encodeMobility(e *checkpoint.Enc, m mobility.Model) error {
-	switch mob := m.(type) {
-	case *mobility.RandomWaypoint:
-		st := mob.State()
-		e.U8(mobWaypoint)
-		e.F64(st.Pos.X)
-		e.F64(st.Pos.Y)
-		e.F64(st.Dst.X)
-		e.F64(st.Dst.Y)
-		e.F64(st.Speed)
-		e.F64(st.PauseLeft)
-	case *mobility.LandmarkWalk:
-		st := mob.State()
-		e.U8(mobLandmark)
-		e.F64(st.Pos.X)
-		e.F64(st.Pos.Y)
-		e.Int(st.Next)
-	case *mobility.GaussMarkov:
-		st := mob.State()
-		e.U8(mobGaussMarkov)
-		e.F64(st.Pos.X)
-		e.F64(st.Pos.Y)
-		e.F64(st.Speed)
-		e.F64(st.Dir)
-	case *mobility.Static:
-		e.U8(mobStatic)
-	default:
-		return fmt.Errorf("unknown mobility model %T: %w", m, ErrConfig)
-	}
-	return nil
-}
-
-func decodeMobility(d *checkpoint.Dec, m mobility.Model) error {
-	kind := d.U8()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	switch kind {
-	case mobWaypoint:
-		mob, ok := m.(*mobility.RandomWaypoint)
-		st := mobility.WaypointState{
-			Pos:       mobility.Point{X: d.F64(), Y: d.F64()},
-			Dst:       mobility.Point{X: d.F64(), Y: d.F64()},
-			Speed:     d.F64(),
-			PauseLeft: d.F64(),
-		}
-		if !ok {
-			return fmt.Errorf("waypoint state for %T: %w", m, checkpoint.ErrCorrupt)
-		}
-		mob.SetState(st)
-	case mobLandmark:
-		mob, ok := m.(*mobility.LandmarkWalk)
-		st := mobility.WalkState{
-			Pos:  mobility.Point{X: d.F64(), Y: d.F64()},
-			Next: d.Int(),
-		}
-		if !ok {
-			return fmt.Errorf("landmark state for %T: %w", m, checkpoint.ErrCorrupt)
-		}
-		mob.SetState(st)
-	case mobGaussMarkov:
-		mob, ok := m.(*mobility.GaussMarkov)
-		st := mobility.GaussMarkovState{
-			Pos:   mobility.Point{X: d.F64(), Y: d.F64()},
-			Speed: d.F64(),
-			Dir:   d.F64(),
-		}
-		if !ok {
-			return fmt.Errorf("gauss-markov state for %T: %w", m, checkpoint.ErrCorrupt)
-		}
-		mob.SetState(st)
-	case mobStatic:
-		if _, ok := m.(*mobility.Static); !ok {
-			return fmt.Errorf("static state for %T: %w", m, checkpoint.ErrCorrupt)
-		}
-	default:
-		return fmt.Errorf("mobility kind %d: %w", kind, checkpoint.ErrCorrupt)
-	}
-	return d.Err()
-}
-
 func (s *Simulation) encodeGroups(e *checkpoint.Enc) {
 	e.U32(uint32(len(s.groups)))
 	for _, g := range s.groups {
 		e.Int(g.id)
 		e.U64(g.src.State())
 		e.Ints(g.members)
-		fst := g.forecast.State()
-		e.F64(fst.Value)
-		e.Bool(fst.Ready)
+		g.forecast.EncodeState(e)
 		kmeans.EncodeCentroids(e, []vecmath.Vec{vecmath.Vec(g.centroid)})
 		e.Bool(g.profile != nil)
 		if g.profile == nil {
@@ -540,12 +381,16 @@ func (s *Simulation) encodeGroups(e *checkpoint.Enc) {
 	}
 }
 
+// decodeGroups decodes the "groups" section, after the population it
+// refers to: a group's id must be its position, and every member a
+// user of the population in no other group.
 func (s *Simulation) decodeGroups(d *checkpoint.Dec) error {
 	n := d.U32()
 	if d.Err() != nil {
 		return d.Err()
 	}
 	groups := make([]*groupState, 0, min(int(n), 1<<16))
+	grouped := make([]bool, len(s.users)) // by population position
 	for i := uint32(0); i < n; i++ {
 		g := &groupState{id: d.Int()}
 		g.src = parallel.StreamAt(d.U64())
@@ -554,11 +399,29 @@ func (s *Simulation) decodeGroups(d *checkpoint.Dec) error {
 		if g.members == nil {
 			g.members = []int{}
 		}
-		f, err := predict.NewSNRForecaster(snrAlpha)
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if g.id != int(i) {
+			return fmt.Errorf("group %d at position %d: %w", g.id, i, checkpoint.ErrCorrupt)
+		}
+		for _, m := range g.members {
+			pos := s.userPos(m)
+			if pos < 0 {
+				return fmt.Errorf("group %d member %d not in the population: %w", g.id, m, checkpoint.ErrCorrupt)
+			}
+			if grouped[pos] {
+				return fmt.Errorf("group %d member %d listed twice: %w", g.id, m, checkpoint.ErrCorrupt)
+			}
+			grouped[pos] = true
+		}
+		f, err := predict.NewEWMA(snrAlpha)
 		if err != nil {
 			return err
 		}
-		f.SetState(predict.EWMAState{Value: d.F64(), Ready: d.Bool()})
+		if err := f.DecodeState(d); err != nil {
+			return err
+		}
 		g.forecast = f
 		cs := kmeans.DecodeCentroids(d)
 		if len(cs) == 1 {

@@ -3,11 +3,13 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/mobility"
 	"dtmsvs/internal/udt"
 	"dtmsvs/internal/video"
 )
@@ -135,7 +137,7 @@ func TestTwinHistoryIsTheWindow(t *testing.T) {
 // FuzzDecodeUser hammers the per-user decoder — the one that reads
 // bytes another process wrote — with mutations of real encodings:
 // it must never panic, must fail only as checkpoint.ErrCorrupt, and
-// whatever it accepts must re-encode.
+// whatever it accepts must re-encode and move one tick.
 func FuzzDecodeUser(f *testing.F) {
 	s := warmedEngine(f)
 	for _, u := range s.users[:6] {
@@ -146,6 +148,7 @@ func FuzzDecodeUser(f *testing.F) {
 	for _, enc := range oldCapacityUser(f, s) {
 		f.Add(enc)
 	}
+	f.Add(offRouteUser(f, s))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := s.DecodeUser(checkpoint.NewDec(data))
@@ -159,7 +162,42 @@ func FuzzDecodeUser(f *testing.F) {
 		if err := s.encodeUser(&e, u.u); err != nil {
 			t.Fatalf("accepted user does not re-encode: %v", err)
 		}
+		if _, err := u.u.mob.Advance(s.cfg.IntervalS / float64(s.cfg.TicksPerInterval)); err != nil {
+			t.Fatalf("accepted user does not move: %v", err)
+		}
 	})
+}
+
+// offRouteUser returns the encoding of a landmark walker whose next
+// stop is 1<<20, far past its route.
+func offRouteUser(tb testing.TB, s *Simulation) []byte {
+	tb.Helper()
+	u := s.users[1]
+	if _, ok := u.mob.(*mobility.LandmarkWalk); !ok {
+		tb.Fatalf("user 1 walks by %T, not between landmarks", u.mob)
+	}
+	enc := encodedUser(tb, s, u)
+	// id, generation and stream word; the preference; the mobility
+	// kind tag and position.
+	next := 3*8 + 4 + 8*len(u.profile.Pref) + 1 + 2*8
+	binary.LittleEndian.PutUint64(enc[next:], 1<<20)
+	return enc
+}
+
+// TestDecodeUserRejectsNextOffRoute: a landmark walker whose next stop
+// lies outside its route is corrupt. DecodeUser, which also reads twins
+// handed over from another process, once accepted it, and the walker's
+// next Advance indexed past the route.
+func TestDecodeUserRejectsNextOffRoute(t *testing.T) {
+	s := warmedEngine(t)
+	u, err := s.DecodeUser(checkpoint.NewDec(offRouteUser(t, s)))
+	if err == nil {
+		u.u.mob.Advance(1)
+		t.Fatal("a walker past its route decoded")
+	}
+	if !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("want checkpoint.ErrCorrupt, got %v", err)
+	}
 }
 
 // oldCapacityUser returns a user whose twin rings hold 120 samples, as

@@ -95,7 +95,7 @@ func collectTicksOracle(t *testing.T, s *Simulation) (midChunk int) {
 			bs := u.link.BS()
 			pl := s.params.PathLossDB(bs.Pos.Dist(pos))
 			fadeDB := 10 * math.Log10(u.link.DrawFade())
-			rxDBm := bs.TxPowerDBm - pl - u.link.State().ShadowDB + fadeDB
+			rxDBm := bs.TxPowerDBm - pl - u.link.ShadowDB() + fadeDB
 			snr := rxDBm - noise
 			u.lastSNR = snr
 			u.meanSNR.Add(snr)
@@ -136,12 +136,12 @@ func predictUserSNROracle(s *Simulation, u *user) float64 {
 		sum += s.prop.MeanSNRdB(bs.TxPowerDBm, bs.Pos.Dist(pt))
 	}
 	model := sum / samples
-	offset, okOff := u.snrOffset.Forecast()
+	offset, okOff := u.snrOffset.Predict()
 	if !okOff {
 		return model - 2.5
 	}
 	modelPred := model + offset
-	if ewma, ok := u.snrEWMA.Forecast(); ok {
+	if ewma, ok := u.snrEWMA.Predict(); ok {
 		return 0.8*modelPred + 0.2*ewma
 	}
 	return modelPred

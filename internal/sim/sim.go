@@ -383,10 +383,10 @@ type user struct {
 	// snrOffset is the DT calibration offset: EWMA of observed SNR
 	// minus the deterministic propagation model, absorbing shadowing
 	// and mean fading per user.
-	snrOffset *predict.SNRForecaster
+	snrOffset *predict.EWMA
 	// snrEWMA tracks the user's observed mean SNR directly; fused
 	// with the model-based forecast to damp extrapolation error.
-	snrEWMA *predict.SNRForecaster
+	snrEWMA *predict.EWMA
 	// prevDisp is the last interval-to-interval displacement; persist
 	// tracks the cosine similarity of consecutive displacements — the
 	// user's velocity persistence, which sets how far the twin
@@ -408,7 +408,7 @@ type groupState struct {
 	// survives cross-shard user migration in cluster runs. In the
 	// monolithic engine ids and indices coincide.
 	members  []int
-	forecast *predict.SNRForecaster
+	forecast *predict.EWMA
 	profile  *predict.GroupProfile
 	// centroid is the group's center in code space from the last
 	// construction (nil when the population was too small to cluster);
@@ -615,11 +615,11 @@ func (s *Simulation) newUser(id int, src *parallel.Stream) (*user, error) {
 	if terr != nil {
 		return nil, terr
 	}
-	offset, oerr := predict.NewSNRForecaster(0.5)
+	offset, oerr := predict.NewEWMA(0.5)
 	if oerr != nil {
 		return nil, oerr
 	}
-	ewma, eerr := predict.NewSNRForecaster(0.6)
+	ewma, eerr := predict.NewEWMA(0.6)
 	if eerr != nil {
 		return nil, eerr
 	}
@@ -896,13 +896,13 @@ func (s *Simulation) predictUserSNR(u *user) float64 {
 		}
 		model = s.prop.MeanSNRdB(bs.TxPowerDBm, bs.Pos.Dist(pos))
 	}
-	offset, okOff := u.snrOffset.Forecast()
+	offset, okOff := u.snrOffset.Predict()
 	if !okOff {
 		// No calibration yet: assume mean Rayleigh fading (-2.5 dB).
 		return model - 2.5
 	}
 	modelPred := model + offset
-	if ewma, ok := u.snrEWMA.Forecast(); ok {
+	if ewma, ok := u.snrEWMA.Predict(); ok {
 		return 0.8*modelPred + 0.2*ewma
 	}
 	return modelPred
@@ -993,7 +993,7 @@ func (s *Simulation) rebuildGroups(boundary int) error {
 	s.constructions++
 	s.groups = make([]*groupState, len(built))
 	for gid, bg := range built {
-		f, ferr := predict.NewSNRForecaster(snrAlpha)
+		f, ferr := predict.NewEWMA(snrAlpha)
 		if ferr != nil {
 			return ferr
 		}

@@ -124,12 +124,3 @@ func WriteJSON(w io.Writer, records []DatasetRecord) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)
 }
-
-// ReadJSON decodes a JSON array of records.
-func ReadJSON(r io.Reader) ([]DatasetRecord, error) {
-	var out []DatasetRecord
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, fmt.Errorf("decode dataset: %w", err)
-	}
-	return out, nil
-}
