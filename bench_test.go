@@ -479,7 +479,7 @@ func BenchmarkMatMulParallel(b *testing.B) {
 	}
 }
 
-// benchClusterConfig is the sharded scenario the cluster benches
+// benchClusterConfig is the one-cell-per-station scenario the cluster benches
 // share: large enough that the per-cell pipelines dominate, small
 // enough for a bench iteration.
 func benchClusterConfig(seed int64, workers int) ClusterConfig {
@@ -500,11 +500,11 @@ func benchClusterConfig(seed int64, workers int) ClusterConfig {
 	}
 }
 
-// BenchmarkCluster measures the sharded multi-BS engine end to end —
+// BenchmarkCluster measures the one-cell-per-station multi-BS engine end to end —
 // including the per-cell streaming phase, which the monolithic engine
 // runs sequentially — at 1 worker and at all cores. The trace is
 // bit-identical across the sub-benchmarks; on multicore hardware the
-// wall-clock gap is the shard-level speedup. Reported metrics: twin
+// wall-clock gap is the cell-level speedup. Reported metrics: twin
 // handovers and radio prediction accuracy.
 func BenchmarkCluster(b *testing.B) {
 	for _, bc := range []struct {

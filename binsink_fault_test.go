@@ -51,7 +51,7 @@ func TestBinarySinkRecordFaults(t *testing.T) {
 	}{
 		{"sim", func(opts ...SessionOption) (Session, error) { return Open(sessionTestConfig(43, 2), opts...) }},
 		{"cluster", func(opts ...SessionOption) (Session, error) {
-			return OpenCluster(clusterTestConfig(43, 2, 2), opts...)
+			return OpenCluster(clusterTestConfig(43, 2), opts...)
 		}},
 	} {
 		t.Run(eng.name, func(t *testing.T) {

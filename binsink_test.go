@@ -113,7 +113,8 @@ func assertRecordsBitIdentical(t *testing.T, got, want []TraceRecord) {
 // TestBinarySinkRoundTrip is the tentpole's equivalence guarantee:
 // the binary stream a session writes decodes bit-identical to the
 // BufferedSink record sequence, for both engines, Parallelism
-// {1,4,8}, shard counts {1,NumBS}, with and without compression.
+// {1,4,8}, with and without compression; the cluster engine runs over
+// one station (sN names the station count) and over NumBS of them.
 func TestBinarySinkRoundTrip(t *testing.T) {
 	type opener struct {
 		name string
@@ -126,10 +127,11 @@ func TestBinarySinkRoundTrip(t *testing.T) {
 			name: "sim/p" + string(rune('0'+workers)),
 			open: func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) },
 		})
-		for _, shards := range []int{1, cfg.NumBS} {
-			ccfg := ClusterConfig{Sim: cfg, Shards: shards}
+		for _, stations := range []int{1, cfg.NumBS} {
+			ccfg := ClusterConfig{Sim: cfg}
+			ccfg.Sim.NumBS = stations
 			cases = append(cases, opener{
-				name: "cluster/p" + string(rune('0'+workers)) + "/s" + string(rune('0'+shards)),
+				name: "cluster/p" + string(rune('0'+workers)) + "/s" + string(rune('0'+stations)),
 				open: func(opts ...SessionOption) (Session, error) { return OpenCluster(ccfg, opts...) },
 			})
 		}
@@ -170,7 +172,7 @@ func TestBinarySinkRoundTrip(t *testing.T) {
 // 10-significant-digit floats round-trip through re-encoding.
 func TestReadTraceRecordsAutoDetect(t *testing.T) {
 	mono := sessionTestConfig(33, 2)
-	ccfg := clusterTestConfig(33, 2, 2)
+	ccfg := clusterTestConfig(33, 2)
 	type opener = func(opts ...SessionOption) (Session, error)
 	type engine struct {
 		name string
@@ -306,7 +308,7 @@ func runSinkSession(t *testing.T, open func(opts ...SessionOption) (Session, err
 // TestReadTraceFileFormats: the file entry point decodes every format
 // from disk, including cluster CSV with its bs column.
 func TestReadTraceFileFormats(t *testing.T) {
-	ccfg := clusterTestConfig(35, 2, 2)
+	ccfg := clusterTestConfig(35, 2)
 	open := func(opts ...SessionOption) (Session, error) { return OpenCluster(ccfg, opts...) }
 	want, _ := bufferedRun(t, open)
 	dir := t.TempDir()
@@ -414,7 +416,7 @@ func TestCSVSinkEmptyRunHeader(t *testing.T) {
 
 	t.Run("cluster", func(t *testing.T) {
 		var buf bytes.Buffer
-		s, err := OpenCluster(clusterTestConfig(39, 1, 1), WithSink(NewCSVSink(&buf)))
+		s, err := OpenCluster(clusterTestConfig(39, 1), WithSink(NewCSVSink(&buf)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,7 @@
 // ResumeCluster rebuild a session from the same configuration and a
 // checkpoint stream; the resumed session produces a trace suffix
 // bit-identical to the uninterrupted run at the same seed, at any
-// Parallelism / shard layout. Both in-process session kinds run the
+// Parallelism. Both in-process session kinds run the
 // cluster engine, so they write one layout, kind "cluster": a
 // monolithic checkpoint is the cluster one of its single all-station
 // cell. Only the header fingerprint tells the two apart — the

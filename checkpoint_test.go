@@ -14,8 +14,8 @@ import (
 	"dtmsvs/internal/faultinject"
 )
 
-// checkpointCase wires one engine shape — monolithic, or cluster at a
-// shard width — into the generic kill-and-resume harness.
+// checkpointCase wires one engine shape — monolithic, or one cell per
+// station — into the generic kill-and-resume harness.
 type checkpointCase struct {
 	name   string
 	open   func(opts ...SessionOption) (Session, error)
@@ -24,8 +24,7 @@ type checkpointCase struct {
 
 func checkpointCases(seed int64, workers int) []checkpointCase {
 	simCfg := sessionTestConfig(seed, workers)
-	oneShard := ClusterConfig{Sim: simCfg, Shards: 1}
-	allShards := ClusterConfig{Sim: simCfg}
+	clusterCfg := ClusterConfig{Sim: simCfg}
 	return []checkpointCase{
 		{
 			name:   "sim",
@@ -33,17 +32,10 @@ func checkpointCases(seed int64, workers int) []checkpointCase {
 			resume: func(r io.Reader, opts ...SessionOption) (Session, error) { return Resume(simCfg, r, opts...) },
 		},
 		{
-			name: "cluster/shards=1",
-			open: func(opts ...SessionOption) (Session, error) { return OpenCluster(oneShard, opts...) },
+			name: "cluster",
+			open: func(opts ...SessionOption) (Session, error) { return OpenCluster(clusterCfg, opts...) },
 			resume: func(r io.Reader, opts ...SessionOption) (Session, error) {
-				return ResumeCluster(oneShard, r, opts...)
-			},
-		},
-		{
-			name: "cluster/shards=all",
-			open: func(opts ...SessionOption) (Session, error) { return OpenCluster(allShards, opts...) },
-			resume: func(r io.Reader, opts ...SessionOption) (Session, error) {
-				return ResumeCluster(allShards, r, opts...)
+				return ResumeCluster(clusterCfg, r, opts...)
 			},
 		},
 	}
@@ -79,8 +71,8 @@ func referenceRun(t *testing.T, open func(opts ...SessionOption) (Session, error
 }
 
 // TestSessionCheckpointResumeAtEveryBoundary is the determinism
-// contract of the tentpole: for both engines, at Parallelism 1/4/8
-// and shard widths 1/NumBS, a run checkpointed after k intervals and
+// contract of the tentpole: for both engines, at Parallelism 1/4/8,
+// a run checkpointed after k intervals and
 // resumed into a fresh process produces (a) a trace suffix that makes
 // prefix+suffix bit-identical to the uninterrupted run and (b) a
 // final-boundary checkpoint bit-identical to the uninterrupted run's.
@@ -150,10 +142,9 @@ func TestSessionCheckpointResumeAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestResumeAtAnotherSchedule: Parallelism and Shards only schedule a
-// run, so a checkpoint taken at Parallelism 4, with one shard per
-// station for the cluster engine, resumes at Parallelism 1 on one
-// shard, at every boundary, into the uninterrupted run's trace suffix.
+// TestResumeAtAnotherSchedule: Parallelism only schedules a run, so a
+// checkpoint taken at Parallelism 4 resumes at Parallelism 1, at every
+// boundary, into the uninterrupted run's trace suffix.
 func TestResumeAtAnotherSchedule(t *testing.T) {
 	wide, narrow := sessionTestConfig(11, 4), sessionTestConfig(11, 1)
 	for _, tc := range []struct {
@@ -166,10 +157,10 @@ func TestResumeAtAnotherSchedule(t *testing.T) {
 			func(r io.Reader, opts ...SessionOption) (Session, error) { return Resume(narrow, r, opts...) }},
 		{"cluster",
 			func(opts ...SessionOption) (Session, error) {
-				return OpenCluster(ClusterConfig{Sim: wide, Shards: wide.NumBS}, opts...)
+				return OpenCluster(ClusterConfig{Sim: wide}, opts...)
 			},
 			func(r io.Reader, opts ...SessionOption) (Session, error) {
-				return ResumeCluster(ClusterConfig{Sim: narrow, Shards: 1}, r, opts...)
+				return ResumeCluster(ClusterConfig{Sim: narrow}, r, opts...)
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -405,19 +396,21 @@ func TestSessionCheckpointRejectsDamage(t *testing.T) {
 		}
 	}
 	// A future format version is ErrCheckpointVersion specifically,
-	// and so are the superseded v1 (JSON twin blobs) and v2 (the
+	// and so are the superseded v1 (JSON twin blobs), v2 (the
 	// monolithic engine's shared construction stream, whose catalog a
-	// v3 engine would not rebuild): there is no dual reader.
+	// later engine would not rebuild) and v3 (a cell-failure policy
+	// byte in the "cluster" section and a worst-SNR forecast per group):
+	// there is no dual reader.
 	mut := bytes.Clone(raw)
 	mut[8] = 0xFE
 	mut[9] = 0x7F
 	if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
 		t.Fatalf("version bump: want ErrCheckpointVersion, got %v", rerr)
 	}
-	if raw[8] != 3 || raw[9] != 0 {
-		t.Fatalf("checkpoint header carries format version %d, want 3", int(raw[8])|int(raw[9])<<8)
+	if raw[8] != 4 || raw[9] != 0 {
+		t.Fatalf("checkpoint header carries format version %d, want 4", int(raw[8])|int(raw[9])<<8)
 	}
-	for _, old := range []byte{1, 2} {
+	for _, old := range []byte{1, 2, 3} {
 		mut[8], mut[9] = old, 0
 		if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
 			t.Fatalf("v%d header: want ErrCheckpointVersion, got %v", old, rerr)
@@ -521,9 +514,9 @@ func TestCheckpointDigestPinned(t *testing.T) {
 		want string
 	}{
 		{"mono", func() (Session, error) { return Open(cfg) },
-			"e3076815072e77e6fc600fd659beec195da515c9f7f54f7303d7136110cf8710"},
+			"af286854ad9afa48fd89e46411dd500e9a475d4b57551b55f6e745146f8fe61e"},
 		{"cluster", func() (Session, error) { return OpenCluster(ClusterConfig{Sim: cfg}) },
-			"10b990a0d2950eb368ce65e8ef13ca12374e41d146a4c1dba6ddf0ca0cb57677"},
+			"f8ec6e83ad35dddbf88fa4e42b40048c128360c3900647947dea188710365c22"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := tc.open()
@@ -541,7 +534,7 @@ func TestCheckpointDigestPinned(t *testing.T) {
 				t.Fatal(cerr)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(ckpt.Bytes())); got != tc.want {
-				t.Fatalf("v3 checkpoint (%d bytes) digest\n got %s\nwant %s\n"+
+				t.Fatalf("v4 checkpoint (%d bytes) digest\n got %s\nwant %s\n"+
 					"update the pin only for a deliberate format or engine change", ckpt.Len(), got, tc.want)
 			}
 		})
@@ -597,7 +590,7 @@ func TestTraceDigestPinned(t *testing.T) {
 	degraded := func(seed int64, opts ...SessionOption) (Session, error) {
 		cfg := traceDigestConfig(seed, 64)
 		cfg.Faults = []CellFault{{Cell: 1, FailAt: 1, ReviveAt: 3}}
-		return OpenCluster(cfg, append(opts, WithCellFailurePolicy(CellDegradeWithRevival))...)
+		return OpenCluster(cfg, opts...)
 	}
 	distributed := func(seed int64, opts ...SessionOption) (Session, error) {
 		return OpenDistributed(traceDigestConfig(seed, 64), 2, opts...)
@@ -622,28 +615,28 @@ func TestTraceDigestPinned(t *testing.T) {
 	}{
 		{"mono", 42, mono,
 			"01915b1efeb7ca22cb2afa138d8c4ffd543222a8a3d8aaf0ce9ab7a04ea963f2",
-			"90453c42b4661a4a64c853b0245ecccb29da3ebd63782f93e0739b5fad3a6c3f"},
+			"b615dcb1eee533d13a63b6bb61ecb765598717dbd0b1aec72a6157c4a6cfb554"},
 		{"mono", 7, mono,
 			"7709066924d3d450237422ca70ab89dd465a8efb2bf5bcb92560566a5b0696c2",
-			"871ddc058f1678cfd69147fedfb7a2d7e5bdb0ca88f6d7bd19ddf666c2d40a20"},
+			"a8eef6d57d75bececf3a3271fce4e96ab5d92fdb03058b233a1106954ae021ed"},
 		{"cluster", 42, cluster,
 			"455ad0920db0fdfd1556c0a75299ff554e875a7bfdeacb3508641fde2fd09948",
-			"3c1bc932f90a60dff043a841caba2f9e2b678ff131c64cd606986085b2bc9eaf"},
+			"ac5cfbe3772c289777770c3077da01675fe0bd3378947e691ceb916cdac571bc"},
 		{"cluster", 7, cluster,
 			"30b4162e74e63697fb1d59d53d1f18d7a4113303f467afa2c9c19fb6af57e28f",
-			"124a69185c68a0d2b08ae8fc10b462d8609c65423ab401397c1437ae333660ce"},
+			"f10e322be1957709ab998ad188aa6978569275215b14d186911d87a776c6f547"},
 		{"degraded", 42, degraded,
 			"0cdfce35a11c60cae13aba69bee3e5bd271d89e1794865e78a775f575014f2cf",
-			"14c3875f61f98c7a335115bd088b4ef1f2df3a0a18fc62d869c1d83e03838c78"},
+			"40f6d42985d64461da26b7596dafadd11d72433dd0130ca4c6884777c21194c3"},
 		{"degraded", 7, degraded,
 			"5d20decc24e3da222300fc9b81a58123d92abc67a05a7ffd9a87cd8c3f5b970e",
-			"ebeb9e365026786ec65fc9d92c621d8b3e25ec2e342a2ddeb025fafe0562ffe7"},
+			"53b63ddf00b38d79567e5bb34ef51996278d5ff631e7888ab8d5538e275663c9"},
 		{"distributed", 42, distributed,
 			"455ad0920db0fdfd1556c0a75299ff554e875a7bfdeacb3508641fde2fd09948",
-			"71d76e621190a3503f5be5807fef3e7d66ebbfd5b70ca9e748b0909e913141da"},
+			"ac54cd2cfc8d577ef40247f80eb91485a7813ea02e55a00486df864022a7e3fa"},
 		{"distributed", 7, distributed,
 			"30b4162e74e63697fb1d59d53d1f18d7a4113303f467afa2c9c19fb6af57e28f",
-			"c60ef1165d5b61bf8028c38cfa8a2b43e978be3dc6cda555a9243eec5705af72"},
+			"44361dac4b3667a29af5319bde0686545ae039d6478bf424b4c216169f4f7f9b"},
 	} {
 		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
 		t.Run(name, func(t *testing.T) {
@@ -796,12 +789,11 @@ func TestCheckpointKeepsItsBuffer(t *testing.T) {
 // TestClusterCheckpointBytesAcrossParallelism: a cluster session
 // encodes its cells concurrently, each into its own buffer, and writes
 // them in id order (a distributed worker frames its cells in place),
-// so the pool's width and the shard layout never reach the bytes. The
-// checkpoint at every boundary of a churning, migrating run — a
-// cluster session and a two-worker distributed one — is the same at
-// Parallelism 1, 4 and 8 and at one shard or one per station, headers
-// included: a header fingerprints the configuration with both fields
-// at their defaults.
+// so the pool's width never reaches the bytes. The checkpoint at every
+// boundary of a churning, migrating run — a cluster session and a
+// two-worker distributed one — is the same at Parallelism 1, 4 and 8,
+// headers included: a header fingerprints the configuration with
+// Parallelism at its default.
 func TestClusterCheckpointBytesAcrossParallelism(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -813,39 +805,37 @@ func TestClusterCheckpointBytesAcrossParallelism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var base [][]byte
 			for _, workers := range []int{1, 4, 8} {
-				for _, shards := range []int{1, 4} { // 4 == NumBS
-					s, err := tc.open(clusterTestConfig(7, workers, shards))
-					if err != nil {
+				s, err := tc.open(clusterTestConfig(7, workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ckpts [][]byte
+				for {
+					var buf bytes.Buffer
+					if err := s.Checkpoint(&buf); err != nil {
 						t.Fatal(err)
 					}
-					var ckpts [][]byte
-					for {
-						var buf bytes.Buffer
-						if err := s.Checkpoint(&buf); err != nil {
-							t.Fatal(err)
-						}
-						ckpts = append(ckpts, buf.Bytes())
-						if s.Done() {
-							break
-						}
-						if _, err := s.Step(context.Background()); err != nil {
-							t.Fatal(err)
-						}
+					ckpts = append(ckpts, buf.Bytes())
+					if s.Done() {
+						break
 					}
-					if err := s.Close(); err != nil {
+					if _, err := s.Step(context.Background()); err != nil {
 						t.Fatal(err)
 					}
-					if base == nil {
-						base = ckpts
-						continue
-					}
-					if len(ckpts) != len(base) {
-						t.Fatalf("workers %d shards %d: %d boundaries, want %d", workers, shards, len(ckpts), len(base))
-					}
-					for i := range ckpts {
-						if !bytes.Equal(ckpts[i], base[i]) {
-							t.Fatalf("workers %d shards %d: checkpoint at boundary %d differs from Parallelism 1, one shard", workers, shards, i)
-						}
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if base == nil {
+					base = ckpts
+					continue
+				}
+				if len(ckpts) != len(base) {
+					t.Fatalf("workers %d: %d boundaries, want %d", workers, len(ckpts), len(base))
+				}
+				for i := range ckpts {
+					if !bytes.Equal(ckpts[i], base[i]) {
+						t.Fatalf("workers %d: checkpoint at boundary %d differs from Parallelism 1", workers, i)
 					}
 				}
 			}

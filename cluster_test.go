@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// clusterTestConfig is a small sharded scenario exercising churn,
-// regrouping, warm-up handover and every parallel stage.
-func clusterTestConfig(seed int64, workers, shards int) ClusterConfig {
+// clusterTestConfig is a small one-cell-per-station scenario
+// exercising churn, regrouping, warm-up handover and every parallel
+// stage.
+func clusterTestConfig(seed int64, workers int) ClusterConfig {
 	return ClusterConfig{
 		Sim: Config{
 			Seed:             seed,
@@ -24,7 +25,6 @@ func clusterTestConfig(seed int64, workers, shards int) ClusterConfig {
 			PrefetchDepth:    -1,
 			Parallelism:      workers,
 		},
-		Shards: shards,
 	}
 }
 
@@ -69,8 +69,8 @@ func requireSameRows(t *testing.T, mono []TraceRecord, cluster []ClusterRecord) 
 }
 
 // TestMonolithicIsOneCellCluster: the monolithic engine is one cell
-// over every station, so on a one-station campus it is the one-cell,
-// one-shard cluster row for row — same catalog, same streams, same
+// over every station, so on a one-station campus it is the one-cell
+// cluster row for row — same catalog, same streams, same
 // delivery model — with the CNN on and off, at any Parallelism, with
 // and without churn.
 func TestMonolithicIsOneCellCluster(t *testing.T) {
@@ -82,7 +82,7 @@ func TestMonolithicIsOneCellCluster(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						cfg := oneCellConfig(seed, cnn, workers, churn)
 						mono := mustTrace(t, cfg)
-						cluster := mustClusterTrace(t, ClusterConfig{Sim: cfg, Shards: 1})
+						cluster := mustClusterTrace(t, ClusterConfig{Sim: cfg})
 						requireSameRows(t, mono.Records, cluster.Records)
 						if churn > 0 && (mono.ChurnedUsers == 0 || cluster.ChurnedUsers != mono.ChurnedUsers) {
 							t.Fatalf("churned %d monolithic, %d cluster", mono.ChurnedUsers, cluster.ChurnedUsers)
@@ -120,34 +120,31 @@ func TestClusterPrefetchOff(t *testing.T) {
 
 // TestClusterDeterministic is the cluster engine's acceptance
 // guarantee: a cluster session produces a bit-identical trace for
-// Parallelism ∈ {1,4,8} and shard counts {1, NumBS}, and the
-// handover pass conserves users — the engine verifies after every
+// Parallelism ∈ {1,4,8}, and the handover pass conserves users — the engine verifies after every
 // interval boundary that no twin is lost or duplicated and fails the
 // run otherwise, so a successful run certifies conservation.
 func TestClusterDeterministic(t *testing.T) {
 	for _, seed := range []int64{7, 1234} {
 		var base *ClusterTrace
 		for _, workers := range []int{1, 4, 8} {
-			for _, shards := range []int{1, 4} { // 4 == NumBS
-				trace := mustClusterTrace(t, clusterTestConfig(seed, workers, shards))
-				if base == nil {
-					base = trace
-					if len(base.Records) == 0 {
-						t.Fatalf("seed %d: empty cluster trace", seed)
-					}
-					continue
+			trace := mustClusterTrace(t, clusterTestConfig(seed, workers))
+			if base == nil {
+				base = trace
+				if len(base.Records) == 0 {
+					t.Fatalf("seed %d: empty cluster trace", seed)
 				}
-				if !reflect.DeepEqual(trace.Records, base.Records) {
-					t.Fatalf("seed %d workers %d shards %d: records diverged", seed, workers, shards)
-				}
-				if !reflect.DeepEqual(trace.Cells, base.Cells) {
-					t.Fatalf("seed %d workers %d shards %d: cell stats diverged", seed, workers, shards)
-				}
-				if trace.Handovers != base.Handovers || trace.ChurnedUsers != base.ChurnedUsers {
-					t.Fatalf("seed %d workers %d shards %d: handovers %d/%d churned %d/%d",
-						seed, workers, shards, trace.Handovers, base.Handovers,
-						trace.ChurnedUsers, base.ChurnedUsers)
-				}
+				continue
+			}
+			if !reflect.DeepEqual(trace.Records, base.Records) {
+				t.Fatalf("seed %d workers %d: records diverged", seed, workers)
+			}
+			if !reflect.DeepEqual(trace.Cells, base.Cells) {
+				t.Fatalf("seed %d workers %d: cell stats diverged", seed, workers)
+			}
+			if trace.Handovers != base.Handovers || trace.ChurnedUsers != base.ChurnedUsers {
+				t.Fatalf("seed %d workers %d: handovers %d/%d churned %d/%d",
+					seed, workers, trace.Handovers, base.Handovers,
+					trace.ChurnedUsers, base.ChurnedUsers)
 			}
 		}
 		// Conservation: every twin accounted for in exactly one cell.

@@ -391,8 +391,8 @@ func reportChurn(ctx context.Context, w io.Writer, cfg dtmsvs.Config) error {
 	return writeSection(w, "E10 — accuracy vs user churn", t)
 }
 
-// reportCluster runs the scenario on the sharded cluster engine, one
-// shard per BS.
+// reportCluster runs the scenario on the cluster engine, one cell per
+// BS.
 func reportCluster(ctx context.Context, w io.Writer, cfg dtmsvs.Config) error {
 	s, err := dtmsvs.OpenCluster(dtmsvs.ClusterConfig{Sim: cfg})
 	if err != nil {
@@ -418,7 +418,7 @@ func reportCluster(ctx context.Context, w io.Writer, cfg dtmsvs.Config) error {
 			return err
 		}
 	}
-	if err := writeSection(w, "E11 — sharded multi-BS cluster engine", t); err != nil {
+	if err := writeSection(w, "E11 — multi-BS cluster engine, one cell per BS", t); err != nil {
 		return err
 	}
 	_, err = fmt.Fprintf(w, "Handovers %d; aggregate cache hit %s; radio accuracy %s. "+

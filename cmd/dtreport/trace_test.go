@@ -26,7 +26,7 @@ func TestReportTraceTotalsMatchTracker(t *testing.T) {
 	}{
 		{"mono", func(opts ...dtmsvs.SessionOption) (dtmsvs.Session, error) { return dtmsvs.Open(cfg, opts...) }},
 		{"cluster", func(opts ...dtmsvs.SessionOption) (dtmsvs.Session, error) {
-			return dtmsvs.OpenCluster(dtmsvs.ClusterConfig{Sim: cfg, Shards: 2}, opts...)
+			return dtmsvs.OpenCluster(dtmsvs.ClusterConfig{Sim: cfg}, opts...)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,13 +5,13 @@
 // Usage:
 //
 //	dtsim -users 100 -bs 4 -intervals 24 -seed 42 -out trace.ndjson -format ndjson
-//	dtsim -users 50000 -bs 16 -shards -1 -intervals 12 -out city.ndjson -format ndjson
+//	dtsim -users 50000 -bs 16 -cells -intervals 12 -out city.ndjson -format ndjson
 //
-// Every run steps the cluster engine. By default (-shards 0) it runs
-// over one coverage cell that covers every station: the monolithic
-// engine, with one edge cache and no handovers. With -shards ≠ 0 it
-// runs one cell per BS instead: private edge caches, concurrent
-// shards, and deterministic twin handover between intervals.
+// Every run steps the cluster engine. By default it runs over one
+// coverage cell that covers every station: the monolithic engine,
+// with one edge cache and no handovers. With -cells it runs one cell
+// per BS instead: private edge caches, cells stepped concurrently,
+// and deterministic twin handover between intervals.
 //
 // With -workers N the cluster runs under the multi-worker supervisor:
 // cells are partitioned across N workers that exchange handover twins
@@ -49,7 +49,7 @@
 //	dtsim -users 100 -intervals 24 -out part1.ndjson -format ndjson -checkpoint run.ckpt
 //	dtsim -users 100 -intervals 24 -out part2.ndjson -format ndjson -resume run.ckpt
 //
-// Failure injection (one cell per station, -shards ≠ 0): -fail-cell N -fail-at K
+// Failure injection (one cell per station, -cells): -fail-cell N -fail-at K
 // quarantines cell N at the start of interval K — its twins are
 // evacuated to the surviving cells and the run continues in degraded
 // mode; -revive-at R brings the cell back empty and cold at interval
@@ -58,8 +58,8 @@
 // are bit-reproducible: the same flags always fail the same cell at
 // the same boundary with the same evacuation.
 //
-//	dtsim -users 200 -bs 4 -shards -1 -intervals 12 -fail-cell 1 -fail-at 3 -revive-at 8
-//	dtsim -users 200 -bs 4 -shards -1 -intervals 12 -fault-seed 7
+//	dtsim -users 200 -bs 4 -cells -intervals 12 -fail-cell 1 -fail-at 3 -revive-at 8
+//	dtsim -users 200 -bs 4 -cells -intervals 12 -fault-seed 7
 //
 // Observability: -metrics-addr :9090 serves live Prometheus metrics
 // on /metrics (per-stage duration histograms, per-cell cache
@@ -110,7 +110,7 @@ func run() (err error) {
 		noCNN      = flag.Bool("no-cnn", false, "disable the 1D-CNN compressor (raw-feature baseline)")
 		budget     = flag.Int("rb-budget", 0, "shared RB budget for reservation-with-admission (0 = unlimited)")
 		par        = flag.Int("parallel", 0, "worker goroutines for simulation and grouping fan-out (0 = all cores; trace is identical for any value)")
-		shards     = flag.Int("shards", 0, "run one cell per BS, stepped as this many shards (-1 = one shard per BS; 0 = one cell over every BS, the monolithic engine)")
+		cells      = flag.Bool("cells", false, "run one cell per BS (default: one cell over every BS, the monolithic engine)")
 		format     = flag.String("format", "json", `trace format: "json" (buffered array), "ndjson", "csv" or "bin" (streamed per interval; "bin" is the binary columnar format)`)
 		binGzip    = flag.Bool("bin-compress", false, `with -format bin, DEFLATE-compress each column block`)
 		out        = flag.String("out", "", "write the trace to this file (default stdout)")
@@ -120,13 +120,13 @@ func run() (err error) {
 		resume     = flag.String("resume", "", "resume from a checkpoint file written under identical flags (trace output holds the resumed suffix)")
 		metAddr    = flag.String("metrics-addr", "", `serve live Prometheus /metrics and /debug/pprof on this address (e.g. ":9090") for the duration of the run`)
 		metOut     = flag.String("metrics-out", "", "write the end-of-run metrics snapshot to this file as JSON (render with dtreport -timings)")
-		workersN   = flag.Int("workers", 0, "run the supervised distributed engine with this many shard workers (0 = no supervisor; implies one cell per BS)")
+		workersN   = flag.Int("workers", 0, "run the supervised distributed engine with this many workers (0 = no supervisor; implies one cell per BS)")
 		workerProc = flag.Bool("worker-procs", false, "with -workers, run each worker as a child process (re-execs this binary) instead of an in-process goroutine")
 		workerBin  = flag.String("worker-bin", "", "with -workers, spawn this worker binary (e.g. a dtworker build) instead of re-execing dtsim; implies -worker-procs")
-		failCell   = flag.Int("fail-cell", -1, "cluster: quarantine this cell at -fail-at and evacuate its twins (-1 = no injected failure; requires -shards)")
+		failCell   = flag.Int("fail-cell", -1, "cluster: quarantine this cell at -fail-at and evacuate its twins (-1 = no injected failure; requires -cells)")
 		failAt     = flag.Int("fail-at", 0, "with -fail-cell, the 0-based interval boundary at which the cell dies")
 		reviveAt   = flag.Int("revive-at", -1, "with -fail-cell, the interval boundary at which the cell returns (-1 = never)")
-		faultSeed  = flag.Int64("fault-seed", 0, "derive a chaos plan (which cell fails when, and whether it revives) from this seed instead of -fail-cell/-fail-at/-revive-at (0 = none; requires -shards)")
+		faultSeed  = flag.Int64("fault-seed", 0, "derive a chaos plan (which cell fails when, and whether it revives) from this seed instead of -fail-cell/-fail-at/-revive-at (0 = none; requires -cells)")
 	)
 	flag.Parse()
 	if *ckptEvery < 1 {
@@ -220,9 +220,7 @@ func run() (err error) {
 	opts = append(opts, dtmsvs.WithObserver(acc.Observe))
 
 	// Failure injection: an explicit -fail-cell schedule or a
-	// seed-derived chaos plan. Either implies the degrade policy
-	// (with revival when the plan schedules one); without fault flags
-	// the default fail-fast policy leaves behavior unchanged.
+	// seed-derived chaos plan.
 	var faults []dtmsvs.CellFault
 	switch {
 	case *faultSeed != 0:
@@ -231,16 +229,11 @@ func run() (err error) {
 		faults = []dtmsvs.CellFault{{Cell: *failCell, FailAt: *failAt, ReviveAt: *reviveAt}}
 	}
 	if len(faults) > 0 {
-		if *shards == 0 {
-			return fmt.Errorf("failure injection needs one cell per station: set -shards")
+		if !*cells {
+			return fmt.Errorf("failure injection needs one cell per station: set -cells")
 		}
-		policy := dtmsvs.CellDegrade
-		if faults[0].ReviveAt >= 0 {
-			policy = dtmsvs.CellDegradeWithRevival
-		}
-		opts = append(opts, dtmsvs.WithCellFailurePolicy(policy))
-		fmt.Fprintf(os.Stderr, "dtsim: chaos plan: cell %d fails at interval %d, revives at %d (policy %s)\n",
-			faults[0].Cell, faults[0].FailAt, faults[0].ReviveAt, policy)
+		fmt.Fprintf(os.Stderr, "dtsim: chaos plan: cell %d fails at interval %d, revives at %d\n",
+			faults[0].Cell, faults[0].FailAt, faults[0].ReviveAt)
 	}
 
 	var s dtmsvs.Session
@@ -249,16 +242,12 @@ func run() (err error) {
 		if len(faults) > 0 {
 			return fmt.Errorf("cell failure injection is not supported under the distributed supervisor; drop -workers or the fault flags")
 		}
-		n := *shards
-		if n < 0 {
-			n = cfg.NumBS
-		}
 		if *workerBin != "" {
 			opts = append(opts, dtmsvs.WithWorkerProcesses(*workerBin))
 		} else if *workerProc {
 			opts = append(opts, dtmsvs.WithWorkerProcesses())
 		}
-		ccfg := dtmsvs.ClusterConfig{Sim: cfg, Shards: n}
+		ccfg := dtmsvs.ClusterConfig{Sim: cfg}
 		var ds *dtmsvs.DistSession
 		if err := openOrResume(*resume, func(r io.Reader) (err error) {
 			if r == nil {
@@ -289,20 +278,16 @@ func run() (err error) {
 			return nil
 		}
 	} else {
-		// -shards 0 is the monolithic session: the same engine over one
-		// cell that covers every station.
-		n := *shards
-		if n < 0 {
-			n = cfg.NumBS
-		}
-		ccfg := dtmsvs.ClusterConfig{Sim: cfg, Shards: n, Faults: faults}
+		// Without -cells the session is the monolithic one: the same
+		// engine over one cell that covers every station.
+		ccfg := dtmsvs.ClusterConfig{Sim: cfg, Faults: faults}
 		var cs *dtmsvs.ClusterSession
 		if err := openOrResume(*resume, func(r io.Reader) (err error) {
 			var ms *dtmsvs.SimSession
 			switch {
-			case n > 0 && r == nil:
+			case *cells && r == nil:
 				cs, err = dtmsvs.OpenCluster(ccfg, opts...)
-			case n > 0:
+			case *cells:
 				cs, err = dtmsvs.ResumeCluster(ccfg, r, opts...)
 			case r == nil:
 				ms, err = dtmsvs.Open(cfg, opts...)
@@ -332,8 +317,8 @@ func run() (err error) {
 				groups = fmt.Sprintf(" K=%d silhouette=%.3f", trace.Cells[0].K, trace.Cells[0].Silhouette)
 			}
 			fmt.Fprintf(os.Stderr,
-				"dtsim: %d users, %d BSs, %d cells, %d shards, %d intervals →%s handovers=%d churned=%d radio-accuracy=%.2f%% compute-accuracy=%.2f%% cache-hit=%.2f%%\n",
-				*users, *bs, len(trace.Cells), max(n, 1), *intervals, groups, trace.Handovers, trace.ChurnedUsers,
+				"dtsim: %d users, %d BSs, %d cells, %d intervals →%s handovers=%d churned=%d radio-accuracy=%.2f%% compute-accuracy=%.2f%% cache-hit=%.2f%%\n",
+				*users, *bs, len(trace.Cells), *intervals, groups, trace.Handovers, trace.ChurnedUsers,
 				radioAcc*100, computeAcc*100, trace.CacheHitRate*100)
 			if trace.CellFailures > 0 {
 				fmt.Fprintf(os.Stderr,

@@ -1,5 +1,5 @@
-// This file is the distributed Session: the sharded cluster scenario
-// executed by a supervisor driving worker processes (or in-process
+// This file is the distributed Session: the one-cell-per-station
+// cluster scenario executed by a supervisor driving worker processes (or in-process
 // worker goroutines) through internal/coord. The session surface is
 // identical to ClusterSession — Step, sinks, observers, Checkpoint /
 // ResumeDistributed — and the merged trace is bit-identical to

@@ -14,9 +14,9 @@
 // each Step runs one 5-minute interval (the first also runs warm-up,
 // CNN + DDQN training and group construction) and reports its
 // predicted-vs-actual demand. OpenCluster and OpenDistributed run the
-// sharded multi-BS scenario behind the same Session. The experiment
-// runners in experiments.go regenerate the paper's Fig. 3 panels and
-// the extended evaluation.
+// multi-BS scenario, one cell per station, behind the same Session.
+// The experiment runners in experiments.go regenerate the paper's
+// Fig. 3 panels and the extended evaluation.
 //
 // Everything is deterministic given Config.Seed and uses only the
 // standard library.
@@ -68,8 +68,8 @@ const (
 // NumCategories is the size of the category set.
 const NumCategories = video.NumCategories
 
-// ClusterConfig parameterizes a sharded multi-BS cluster run: the
-// base scenario plus the shard count (0 = one shard per BS).
+// ClusterConfig parameterizes a multi-BS cluster run: the base
+// scenario plus an optional cell-fault schedule.
 type ClusterConfig = cluster.Config
 
 // ClusterTrace is the merged output of a cluster run: per-(interval,
@@ -85,8 +85,9 @@ type ClusterCellStats = cluster.CellStats
 
 // CellFault schedules the failure of one cluster coverage cell at a
 // scheduling-interval boundary, with an optional later revival. Put
-// faults in ClusterConfig.Faults and pick the session's response
-// with WithCellFailurePolicy.
+// faults in ClusterConfig.Faults: a firing fault quarantines the cell
+// and evacuates its twins to the surviving cells, and a cell with a
+// ReviveAt ≥ 0 returns empty and cold at that boundary.
 type CellFault = faultinject.CellFault
 
 // CellFaultPlan derives a deterministic chaos plan from its own seed:

@@ -40,7 +40,7 @@ func ExampleOpen() {
 	// interval 1: 7 groups
 }
 
-// ExampleOpenCluster streams a sharded run's records into a sink, so
+// ExampleOpenCluster streams a one-cell-per-station run's records into a sink, so
 // the session itself never retains the trace.
 func ExampleOpenCluster() {
 	cfg := dtmsvs.ClusterConfig{

@@ -3,7 +3,7 @@
 // monolithic engine cannot reasonably serve: campus-wide group
 // construction needs the O(N²) pairwise-distance matrix (a 50k-user
 // run would allocate ~20 GB for DDQN training and silhouette scans),
-// while the sharded engine pays only Σ(N/C)² — super-linear memory
+// while the one-cell-per-station engine pays only Σ(N/C)² — super-linear memory
 // headroom in the cell count — and runs whole cells concurrently,
 // including the streaming phase.
 //
@@ -18,7 +18,7 @@
 //
 // Run with:
 //
-//	go run ./examples/city [-users 50000] [-bs 16] [-shards 0] [-intervals 12] [-out city.bin -format bin]
+//	go run ./examples/city [-users 50000] [-bs 16] [-intervals 12] [-out city.bin -format bin]
 package main
 
 import (
@@ -46,7 +46,6 @@ func run() error {
 	var (
 		users     = flag.Int("users", 50000, "city population")
 		bs        = flag.Int("bs", 16, "number of base stations / coverage cells")
-		shards    = flag.Int("shards", 0, "shard count (0 = one per BS)")
 		intervals = flag.Int("intervals", 12, "reservation intervals")
 		par       = flag.Int("parallel", 0, "worker goroutines (0 = all cores)")
 		seed      = flag.Int64("seed", 1, "random seed")
@@ -113,7 +112,7 @@ func run() error {
 
 	start := time.Now()
 	s, err := dtmsvs.OpenCluster(
-		dtmsvs.ClusterConfig{Sim: cfg, Shards: *shards},
+		dtmsvs.ClusterConfig{Sim: cfg},
 		dtmsvs.WithSink(sink),
 		dtmsvs.WithObserver(onInterval),
 	)
@@ -144,11 +143,11 @@ func run() error {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	// The grouping pipeline's dominant allocation is the pairwise
-	// distance matrix: O(N²) campus-wide vs Σ(cellᵢ²) sharded.
+	// distance matrix: O(N²) campus-wide vs Σ(cellᵢ²) per cell.
 	monolithicGB := float64(*users) * float64(*users) * 8 / 1e9
-	var shardedGB float64
+	var perCellGB float64
 	for _, c := range trace.Cells {
-		shardedGB += float64(c.Users) * float64(c.Users) * 8 / 1e9
+		perCellGB += float64(c.Users) * float64(c.Users) * 8 / 1e9
 	}
 
 	radioAcc, err := acc.RadioAccuracy()
@@ -158,7 +157,7 @@ func run() error {
 	fmt.Printf("\n%d records streamed, %d twin handovers, %d churned users in %v\n",
 		records, trace.Handovers, trace.ChurnedUsers, elapsed.Round(time.Millisecond))
 	fmt.Printf("radio-accuracy %.2f%%, aggregate cache-hit %.2f%%\n", radioAcc*100, trace.CacheHitRate*100)
-	fmt.Printf("peak heap %.2f GB; pairwise-distance footprint: monolithic %.1f GB → sharded %.2f GB (%.0f× headroom)\n",
-		float64(m.HeapSys)/1e9, monolithicGB, shardedGB, monolithicGB/shardedGB)
+	fmt.Printf("peak heap %.2f GB; pairwise-distance footprint: monolithic %.1f GB → per cell %.2f GB (%.0f× headroom)\n",
+		float64(m.HeapSys)/1e9, monolithicGB, perCellGB, monolithicGB/perCellGB)
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -13,55 +12,36 @@ import (
 )
 
 // chaosConfig is clusterTestConfig plus one injected fault: cell 1
-// dies at the start of interval 1 and (under a revival policy) comes
-// back at interval 3, so the scenario covers failure, two degraded
-// intervals, evacuation, and a revived cell serving again.
-func chaosConfig(seed int64, workers, shards int) ClusterConfig {
-	cfg := clusterTestConfig(seed, workers, shards)
+// dies at the start of interval 1 and comes back at interval 3, so the
+// scenario covers failure, two degraded intervals, evacuation, and a
+// revived cell serving again.
+func chaosConfig(seed int64, workers int) ClusterConfig {
+	cfg := clusterTestConfig(seed, workers)
 	cfg.Faults = []CellFault{{Cell: 1, FailAt: 1, ReviveAt: 3}}
 	return cfg
-}
-
-// runDegraded drives a degraded cluster session to completion and
-// returns its trace.
-func runDegraded(t *testing.T, cfg ClusterConfig, policy CellFailurePolicy) *ClusterTrace {
-	t.Helper()
-	s, err := OpenCluster(cfg, WithCellFailurePolicy(policy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for !s.Done() {
-		if _, serr := s.Step(context.Background()); serr != nil {
-			t.Fatal(serr)
-		}
-	}
-	return s.Trace()
 }
 
 // TestClusterDegradedDeterministic is the degraded-mode acceptance
 // gate: with a cell failing mid-run and reviving later, the trace is
 // bit-identical across {dispatched, forced-generic} kernels ×
-// Parallelism {1,4,8} × shard widths {1, NumBS}, twin conservation
-// holds after evacuation, and the failure bookkeeping is exact.
+// Parallelism {1,4,8}, twin conservation holds after evacuation, and
+// the failure bookkeeping is exact.
 func TestClusterDegradedDeterministic(t *testing.T) {
 	defer vecmath.ForceGeneric(false)
 	var base *ClusterTrace
 	for _, kv := range kernelVariants {
 		vecmath.ForceGeneric(kv.generic)
 		for _, workers := range []int{1, 4, 8} {
-			for _, shards := range []int{1, 4} { // 4 == NumBS
-				trace := runDegraded(t, chaosConfig(21, workers, shards), CellDegradeWithRevival)
-				if base == nil {
-					base = trace
-					continue
-				}
-				if !reflect.DeepEqual(trace.Records, base.Records) {
-					t.Fatalf("%s workers %d shards %d: degraded records diverged", kv.name, workers, shards)
-				}
-				if !reflect.DeepEqual(trace.Cells, base.Cells) {
-					t.Fatalf("%s workers %d shards %d: degraded cell stats diverged", kv.name, workers, shards)
-				}
+			trace := mustClusterTrace(t, chaosConfig(21, workers))
+			if base == nil {
+				base = trace
+				continue
+			}
+			if !reflect.DeepEqual(trace.Records, base.Records) {
+				t.Fatalf("%s workers %d: degraded records diverged", kv.name, workers)
+			}
+			if !reflect.DeepEqual(trace.Cells, base.Cells) {
+				t.Fatalf("%s workers %d: degraded cell stats diverged", kv.name, workers)
 			}
 		}
 	}
@@ -103,12 +83,13 @@ func TestClusterDegradedDeterministic(t *testing.T) {
 	}
 }
 
-// TestClusterDegradeKeepsCellDown: under plain Degrade the revival
-// schedule is ignored — the cell stays quarantined to the end — and
-// the per-interval reports expose the degradation to observers.
+// TestClusterDegradeKeepsCellDown: a fault with no revival (ReviveAt
+// -1) keeps its cell quarantined to the end, and the per-interval
+// reports expose the degradation to observers.
 func TestClusterDegradeKeepsCellDown(t *testing.T) {
-	cfg := chaosConfig(21, 2, 0)
-	s, err := OpenCluster(cfg, WithCellFailurePolicy(CellDegrade))
+	cfg := clusterTestConfig(21, 2)
+	cfg.Faults = []CellFault{{Cell: 1, FailAt: 1, ReviveAt: -1}}
+	s, err := OpenCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +110,7 @@ func TestClusterDegradeKeepsCellDown(t *testing.T) {
 		t.Fatalf("CellsDown per step = %v, want %v", downByStep, want)
 	}
 	if trace.Revivals != 0 {
-		t.Fatalf("plain Degrade revived %d cells", trace.Revivals)
+		t.Fatalf("a fault without revival revived %d cells", trace.Revivals)
 	}
 	if !trace.Cells[1].Down {
 		t.Fatal("cell 1 not marked down at end of run")
@@ -139,21 +120,26 @@ func TestClusterDegradeKeepsCellDown(t *testing.T) {
 	}
 }
 
-// TestClusterFailFastAborts: the default policy turns the injected
-// fault into a typed, latched error at the scheduled interval, and
-// the failed session refuses checkpoints.
+// TestClusterFailFastAborts: a schedule that takes every cell down
+// leaves the run no coverage, so the last failure is a typed, latched
+// error at its scheduled interval, and the failed session refuses
+// checkpoints.
 func TestClusterFailFastAborts(t *testing.T) {
-	s, err := OpenCluster(chaosConfig(21, 2, 0))
+	cfg := clusterTestConfig(21, 2)
+	for c := 0; c < cfg.Sim.NumBS; c++ {
+		cfg.Faults = append(cfg.Faults, CellFault{Cell: c, FailAt: 1, ReviveAt: -1})
+	}
+	s, err := OpenCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	if _, serr := s.Step(context.Background()); serr != nil {
-		t.Fatalf("interval before the fault: %v", serr)
+		t.Fatalf("interval before the faults: %v", serr)
 	}
 	_, serr := s.Step(context.Background())
 	if !errors.Is(serr, ErrCellFailure) {
-		t.Fatalf("want ErrCellFailure at the scheduled interval, got %v", serr)
+		t.Fatalf("want ErrCellFailure once every cell is down, got %v", serr)
 	}
 	if _, again := s.Step(context.Background()); !errors.Is(again, ErrCellFailure) {
 		t.Fatalf("failure not latched: %v", again)
@@ -163,17 +149,28 @@ func TestClusterFailFastAborts(t *testing.T) {
 	}
 }
 
-// TestClusterDefaultUnchangedByFaultFreeConfig: a config with no
-// faults behaves identically through the failure-aware code path —
-// the degraded-mode plumbing costs nothing when nothing fails.
+// TestClusterDefaultUnchangedByFaultFreeConfig: the failure model costs
+// nothing until a fault fires — a fault-free run reports no failure
+// statistics, and a run with a fault scheduled at interval 1 matches
+// it row for row before that boundary and departs from it after.
 func TestClusterDefaultUnchangedByFaultFreeConfig(t *testing.T) {
-	ref := mustClusterTrace(t, clusterTestConfig(7, 2, 0))
-	got := runDegraded(t, clusterTestConfig(7, 2, 0), CellDegradeWithRevival)
-	if !reflect.DeepEqual(got.Records, ref.Records) {
-		t.Fatal("fault-free run diverged under a degrade policy")
+	ref := mustClusterTrace(t, clusterTestConfig(7, 2))
+	if ref.CellFailures != 0 || ref.Revivals != 0 || ref.EvacuatedTwins != 0 || ref.DegradedIntervals != 0 {
+		t.Fatalf("phantom failure stats: %+v", ref)
 	}
-	if got.CellFailures != 0 || got.EvacuatedTwins != 0 || got.DegradedIntervals != 0 {
-		t.Fatalf("phantom failure stats: %+v", got)
+	chaos := mustClusterTrace(t, chaosConfig(7, 2))
+	before := func(recs []ClusterRecord) []ClusterRecord {
+		n := 0
+		for n < len(recs) && recs[n].Interval < 1 {
+			n++
+		}
+		return recs[:n]
+	}
+	if pre := before(ref.Records); len(pre) == 0 || !reflect.DeepEqual(before(chaos.Records), pre) {
+		t.Fatal("a fault scheduled at interval 1 changed interval 0")
+	}
+	if reflect.DeepEqual(chaos.Records, ref.Records) {
+		t.Fatal("the scheduled fault left the trace unchanged")
 	}
 }
 
@@ -191,7 +188,7 @@ func TestClusterFaultConfigValidation(t *testing.T) {
 		{"reviveAt past end", CellFault{Cell: 1, FailAt: 1, ReviveAt: 99}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := clusterTestConfig(3, 1, 0)
+			cfg := clusterTestConfig(3, 1)
 			cfg.Faults = []CellFault{tc.fault}
 			if _, err := OpenCluster(cfg); err == nil {
 				t.Fatal("invalid fault accepted")
@@ -199,7 +196,7 @@ func TestClusterFaultConfigValidation(t *testing.T) {
 		})
 	}
 	t.Run("duplicate cell", func(t *testing.T) {
-		cfg := clusterTestConfig(3, 1, 0)
+		cfg := clusterTestConfig(3, 1)
 		cfg.Faults = []CellFault{{Cell: 1, FailAt: 1}, {Cell: 1, FailAt: 2}}
 		if _, err := OpenCluster(cfg); err == nil {
 			t.Fatal("two faults on one cell accepted")
@@ -212,66 +209,60 @@ func TestClusterFaultConfigValidation(t *testing.T) {
 // where cell 1 is quarantined, the resumed run's trace suffix and
 // final checkpoint are bit-identical to the uninterrupted run's.
 func TestClusterDegradedCheckpointResume(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := chaosConfig(23, 4, shards)
-			open := func(opts ...SessionOption) (Session, error) {
-				return OpenCluster(cfg, append(opts, WithCellFailurePolicy(CellDegradeWithRevival))...)
+	t.Run("cluster", func(t *testing.T) {
+		cfg := chaosConfig(23, 4)
+		open := func(opts ...SessionOption) (Session, error) { return OpenCluster(cfg, opts...) }
+		full, perInterval, finalCkpt := referenceRun(t, open)
+		for k := 0; k <= len(perInterval); k++ {
+			var pre bytes.Buffer
+			s, err := open(WithSink(NewNDJSONSink(&pre)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			resume := func(r io.Reader, opts ...SessionOption) (Session, error) {
-				return ResumeCluster(cfg, r, append(opts, WithCellFailurePolicy(CellDegradeWithRevival))...)
+			for step := 0; step < k; step++ {
+				if _, serr := s.Step(context.Background()); serr != nil {
+					t.Fatalf("boundary %d step %d: %v", k, step, serr)
+				}
 			}
-			full, perInterval, finalCkpt := referenceRun(t, open)
-			for k := 0; k <= len(perInterval); k++ {
-				var pre bytes.Buffer
-				s, err := open(WithSink(NewNDJSONSink(&pre)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for step := 0; step < k; step++ {
-					if _, serr := s.Step(context.Background()); serr != nil {
-						t.Fatalf("boundary %d step %d: %v", k, step, serr)
-					}
-				}
-				var ckpt bytes.Buffer
-				if cerr := s.Checkpoint(&ckpt); cerr != nil {
-					t.Fatalf("checkpoint at boundary %d: %v", k, cerr)
-				}
-				s.Close()
+			var ckpt bytes.Buffer
+			if cerr := s.Checkpoint(&ckpt); cerr != nil {
+				t.Fatalf("checkpoint at boundary %d: %v", k, cerr)
+			}
+			s.Close()
 
-				var post bytes.Buffer
-				rs, err := resume(bytes.NewReader(ckpt.Bytes()), WithSink(NewNDJSONSink(&post)))
-				if err != nil {
-					t.Fatalf("resume at boundary %d: %v", k, err)
-				}
-				for !rs.Done() {
-					if _, serr := rs.Step(context.Background()); serr != nil {
-						t.Fatalf("resumed step at boundary %d: %v", k, serr)
-					}
-				}
-				var reCkpt bytes.Buffer
-				if cerr := rs.Checkpoint(&reCkpt); cerr != nil {
-					t.Fatal(cerr)
-				}
-				rs.Close()
-				if pre.String()+post.String() != full {
-					t.Fatalf("boundary %d: degraded resume diverged from uninterrupted run", k)
-				}
-				if !bytes.Equal(reCkpt.Bytes(), finalCkpt) {
-					t.Fatalf("boundary %d: final checkpoint of degraded resume diverged", k)
+			var post bytes.Buffer
+			rs, err := ResumeCluster(cfg, bytes.NewReader(ckpt.Bytes()), WithSink(NewNDJSONSink(&post)))
+			if err != nil {
+				t.Fatalf("resume at boundary %d: %v", k, err)
+			}
+			for !rs.Done() {
+				if _, serr := rs.Step(context.Background()); serr != nil {
+					t.Fatalf("resumed step at boundary %d: %v", k, serr)
 				}
 			}
-		})
-	}
+			var reCkpt bytes.Buffer
+			if cerr := rs.Checkpoint(&reCkpt); cerr != nil {
+				t.Fatal(cerr)
+			}
+			rs.Close()
+			if pre.String()+post.String() != full {
+				t.Fatalf("boundary %d: degraded resume diverged from uninterrupted run", k)
+			}
+			if !bytes.Equal(reCkpt.Bytes(), finalCkpt) {
+				t.Fatalf("boundary %d: final checkpoint of degraded resume diverged", k)
+			}
+		}
+	})
 }
 
-// TestClusterResumePolicyMismatch: a checkpoint taken under one
-// cell-failure policy cannot be resumed under another — the policy
-// shapes the engine's future, so a silent switch would fork the
+// TestClusterResumePolicyMismatch: the fault schedule is the failure
+// policy, and it shapes the engine's future, so a checkpoint taken
+// under one schedule cannot be resumed under another — the header
+// fingerprint covers the schedule, and a silent switch would fork the
 // trace.
 func TestClusterResumePolicyMismatch(t *testing.T) {
-	cfg := chaosConfig(23, 2, 0)
-	s, err := OpenCluster(cfg, WithCellFailurePolicy(CellDegradeWithRevival))
+	cfg := chaosConfig(23, 2)
+	s, err := OpenCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,17 +279,16 @@ func TestClusterResumePolicyMismatch(t *testing.T) {
 	}
 	s.Close()
 
-	if _, rerr := ResumeCluster(cfg, bytes.NewReader(ckpt.Bytes())); !errors.Is(rerr, ErrCheckpointConfig) {
-		t.Fatalf("resume under default fail-fast: want ErrCheckpointConfig, got %v", rerr)
+	for _, revive := range []int{2, -1} {
+		moved := chaosConfig(23, 2)
+		moved.Faults[0].ReviveAt = revive
+		if _, rerr := ResumeCluster(moved, bytes.NewReader(ckpt.Bytes())); !errors.Is(rerr, ErrCheckpointConfig) {
+			t.Fatalf("resume with the revival moved to %d: want ErrCheckpointConfig, got %v", revive, rerr)
+		}
 	}
-	if _, rerr := ResumeCluster(cfg, bytes.NewReader(ckpt.Bytes()),
-		WithCellFailurePolicy(CellDegrade)); !errors.Is(rerr, ErrCheckpointConfig) {
-		t.Fatalf("resume under Degrade: want ErrCheckpointConfig, got %v", rerr)
-	}
-	rs, rerr := ResumeCluster(cfg, bytes.NewReader(ckpt.Bytes()),
-		WithCellFailurePolicy(CellDegradeWithRevival))
+	rs, rerr := ResumeCluster(cfg, bytes.NewReader(ckpt.Bytes()))
 	if rerr != nil {
-		t.Fatalf("resume under matching policy: %v", rerr)
+		t.Fatalf("resume under the same schedule: %v", rerr)
 	}
 	rs.Close()
 }

@@ -36,7 +36,7 @@ import (
 
 // Version is the checkpoint format version this package writes and
 // the only one it reads.
-const Version uint16 = 3
+const Version uint16 = 4
 
 // magic opens every checkpoint stream.
 var magic = [8]byte{'D', 'T', 'C', 'K', 'P', 'T', '0', '\n'}

@@ -4,10 +4,10 @@
 // sections. The cells are encoded concurrently on the pool, each into
 // an encoder it keeps between checkpoints (or, for a writer that
 // builds in place, one after another into its destination), and
-// written in id order, so the stream layout is independent of shard
-// scheduling and of the pool's width; the per-cell trace buffers are
-// always empty at an interval boundary (StepInterval drains them when
-// merging) and never ride in a checkpoint.
+// written in id order, so the stream layout is independent of the
+// pool's width; the per-cell trace buffers are always empty at an
+// interval boundary (StepInterval drains them when merging) and never
+// ride in a checkpoint.
 
 package cluster
 
@@ -53,10 +53,6 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 			enc.Bool(c.down)
 			enc.Int(c.evacuated)
 		}
-		// The failure policy rides along as a guard: it changes the
-		// degraded run's behavior but is a session option, outside the
-		// config fingerprint, so resume verifies it explicitly.
-		enc.U8(uint8(e.policy))
 		enc.Int(e.failures)
 		enc.Int(e.revivals)
 		enc.Int(e.evacuated)
@@ -142,17 +138,12 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 			return fmt.Errorf("cell %d outside this partition carries state: %w", i, checkpoint.ErrCorrupt)
 		}
 	}
-	policy := FailurePolicy(d.U8())
 	failures := d.Int()
 	revivals := d.Int()
 	evacuated := d.Int()
 	degraded := d.Int()
 	if derr := d.Close(); derr != nil {
 		return derr
-	}
-	if policy != e.policy {
-		return fmt.Errorf("checkpoint taken under cell-failure policy %s, session opened with %s: %w",
-			policy, e.policy, checkpoint.ErrConfigMismatch)
 	}
 	for id, c := range owner {
 		if down[c] {

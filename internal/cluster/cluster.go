@@ -6,10 +6,8 @@
 // its own edge cache. New makes one cell per station — the Voronoi
 // regions of the channel.GridDeploy stations — and NewWhole one cell
 // over every station: the monolithic engine, the degenerate partition
-// in which no twin ever changes cell. Cells are grouped into shards
-// that execute concurrently on the internal/parallel pool, which fans
-// out the previously sequential streaming phase along with everything
-// else.
+// in which no twin ever changes cell. Cells step concurrently on the
+// internal/parallel pool, one task per cell.
 //
 // Between reservation intervals a deterministic handover pass
 // migrates user twins — UDT state, calibration offsets and the
@@ -22,8 +20,8 @@
 // travel with their twin, and the handover pass applies each cell's
 // moves as if one at a time in global user-id order (one pool task per
 // cell, each writing only its own cell). The merged ClusterTrace is
-// therefore bit-identical for any Parallelism and any shard count —
-// sharding is a scheduling decision, never a semantic one.
+// therefore bit-identical for any Parallelism — the pool width is a
+// scheduling decision, never a semantic one.
 package cluster
 
 import (
@@ -45,21 +43,17 @@ import (
 // ErrConfig indicates an invalid cluster configuration.
 var ErrConfig = errors.New("cluster: invalid config")
 
-// Config parameterizes a sharded cluster run.
+// Config parameterizes a cluster run.
 type Config struct {
 	// Sim is the base scenario. NumBS sets the number of coverage
 	// cells; CacheBytes is split evenly across the per-cell edge
 	// caches so total cache capacity matches the monolithic engine.
 	Sim sim.Config
-	// Shards is the number of concurrently executing cell groups
-	// (0 = one shard per base station). The trace is bit-identical
-	// for every value in [1, NumBS].
-	Shards int
 	// Faults schedules deterministic cell failures (see
-	// faultinject.CellFault and CellPlan). Empty means no injection;
-	// with a schedule, the engine's FailurePolicy decides whether a
-	// firing fault aborts the run (FailFast, the default) or degrades
-	// it. At most one fault per cell.
+	// faultinject.CellFault and CellPlan). Empty means no injection.
+	// A firing fault quarantines its cell and evacuates its twins; the
+	// cell returns at ReviveAt when that is not negative. At most one
+	// fault per cell.
 	Faults []faultinject.CellFault
 }
 
@@ -67,22 +61,17 @@ type Config struct {
 // so callers stepping the engine see the values it runs with.
 func (c Config) Defaulted() Config {
 	c.Sim = c.Sim.Defaulted()
-	if c.Shards == 0 {
-		c.Shards = c.Sim.NumBS
-	}
 	return c
 }
 
-// Unscheduled returns the defaulted configuration with the two fields
-// that only schedule the run, Sim.Parallelism and Shards, reset to
-// their defaults (0 and NumBS). Neither reaches the trace or any state
-// a checkpoint carries, so this is what checkpoint headers fingerprint:
-// a run checkpointed at one pool width or shard layout resumes at any
-// other, and a default run keeps the fingerprint it always had.
+// Unscheduled returns the defaulted configuration with the one field
+// that only schedules the run, Sim.Parallelism, reset to its default
+// 0. It reaches neither the trace nor any state a checkpoint carries,
+// so this is what checkpoint headers fingerprint: a run checkpointed
+// at one pool width resumes at any other.
 func (c Config) Unscheduled() Config {
 	d := c.Defaulted()
 	d.Sim.Parallelism = 0
-	d.Shards = d.Sim.NumBS
 	return d
 }
 
@@ -92,9 +81,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	d := c.Defaulted()
-	if d.Shards < 1 || d.Shards > d.Sim.NumBS {
-		return fmt.Errorf("%d shards for %d base stations: %w", d.Shards, d.Sim.NumBS, ErrConfig)
-	}
 	seen := make(map[int]bool, len(d.Faults))
 	for _, f := range d.Faults {
 		switch {
@@ -137,7 +123,7 @@ type CellStats struct {
 }
 
 // Trace is the merged output of a cluster run. Records are sorted by
-// (interval, cell, group) regardless of shard scheduling.
+// (interval, cell, group) regardless of scheduling.
 type Trace struct {
 	Records []Record
 	Cells   []CellStats
@@ -236,9 +222,6 @@ type Engine struct {
 	cellOf []int
 	// whole marks the NewWhole engine, whose one cell is tagged BS -1.
 	whole bool
-	// shards[s] lists the owned cell ids shard s steps (contiguous
-	// blocks of the global shard layout).
-	shards [][]int
 	// owner[id] is the cell holding user id's twin as far as this
 	// partition knows: exact for its own twins, and for the others the
 	// last un-owned cell it saw them in — so a twin is local exactly
@@ -255,13 +238,11 @@ type Engine struct {
 	splices []cellSplice
 	touched []int
 	// Failure model (see failure.go): the fault schedule in firing
-	// order, the response policy, the quarantine mask over stations
-	// shared with every cell's sim engine (written only between
-	// fan-outs; stations are cells here, since faults exist only under
-	// the identity table, and NewWhole has none), and the degradation
-	// counters.
+	// order, the quarantine mask over stations shared with every cell's
+	// sim engine (written only between fan-outs; stations are cells
+	// here, since faults exist only under the identity table, and
+	// NewWhole has none), and the degradation counters.
 	faults            []faultinject.CellFault
-	policy            FailurePolicy
 	down              []bool
 	cellsDown         int
 	failures          int
@@ -294,7 +275,7 @@ func New(cfg Config) (*Engine, error) { return newPartition(cfg, 0, 1, false) }
 // the whole CacheBytes and the whole population, and never plans a
 // handover, since every station maps to it. It has no cell faults.
 func NewWhole(cfg sim.Config) (*Engine, error) {
-	return newPartition(Config{Sim: cfg, Shards: 1}, 0, 1, true)
+	return newPartition(Config{Sim: cfg}, 0, 1, true)
 }
 
 // newPartition constructs the engine for slot index of a count-way
@@ -324,20 +305,13 @@ func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 			cellOf[bs] = bs
 		}
 	}
-	// Cells map to partition slots and to shards by the same contiguous
-	// block arithmetic; a slot keeps the owned part of each shard (a
-	// shard wholly owned by another slot stays empty and costs nothing).
 	var owned []int
 	mask := make([]bool, numCells)
-	shards := make([][]int, d.Shards)
 	for c := 0; c < numCells; c++ {
-		if WorkerForCell(c, numCells, count) != index {
-			continue
+		if WorkerForCell(c, numCells, count) == index {
+			owned = append(owned, c)
+			mask[c] = true
 		}
-		owned = append(owned, c)
-		mask[c] = true
-		s := c * d.Shards / numCells
-		shards[s] = append(shards[s], c)
 	}
 
 	cellBytes := d.Sim.CacheBytes / int64(numCells)
@@ -393,7 +367,6 @@ func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 		mask:    mask,
 		cellOf:  cellOf,
 		whole:   whole,
-		shards:  shards,
 		owner:   make([]int, d.Sim.NumUsers),
 		splices: make([]cellSplice, numCells),
 		faults:  faults,
@@ -423,22 +396,12 @@ func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 	return e, nil
 }
 
-// eachCell runs fn over every owned cell, fanning whole shards across the
-// pool; cells within a shard run sequentially in id order. fn must
-// touch only the given cell's state. Cancellation is cooperative:
+// eachCell runs fn over every owned cell, one pool task per cell. fn
+// must touch only the given cell's state. Cancellation is cooperative:
 // once ctx is done no further cell starts, and ctx.Err() is returned.
 func (e *Engine) eachCell(ctx context.Context, fn func(*cellState) error) error {
-	return e.sub.Pool.ForContext(ctx, len(e.shards), func(si int) error {
-		var firstErr error
-		for _, ci := range e.shards[si] {
-			if ctx.Err() != nil {
-				break
-			}
-			if err := fn(e.cells[ci]); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
+	return e.sub.Pool.ForContext(ctx, len(e.owned), func(k int) error {
+		return fn(e.cells[e.owned[k]])
 	})
 }
 
@@ -475,7 +438,7 @@ func (e *Engine) Close() {
 // SetMetrics mounts reg on the cluster: the interval/handover stage
 // timer and handover counter on the engine itself, and every cell's
 // engine under a cell="<id>" label, so per-cell stage histograms and
-// cache counters identify the straggler shard directly. The NewWhole
+// cache counters identify the straggler cell directly. The NewWhole
 // engine, which has no handovers or faults to count, mounts only its
 // cell's metrics, unlabeled. Call before stepping; a nil reg is a
 // no-op.
@@ -573,16 +536,16 @@ func (e *Engine) TrainAndBuild(ctx context.Context) error {
 	return nil
 }
 
-// stepCells runs one reservation interval over the owned cells — whole
-// shards concurrently: predict, collect, stream, abstract, churn,
-// regroup — and returns the interval's records in (cell, group) order.
+// stepCells runs one reservation interval over the owned cells —
+// concurrently: predict, collect, stream, abstract, churn, regroup —
+// and returns the interval's records in (cell, group) order.
 // Cells append into their own per-interval buffers, so the
 // concatenation in cell-id order is the same (interval, cell, group)
 // ordering the whole-run trace carries.
 func (e *Engine) stepCells(ctx context.Context, interval int) ([]Record, error) {
 	// Scheduled cell faults fire at the boundary, before the interval
 	// fans out: revivals restore coverage, failures quarantine the
-	// cell and evacuate its twins (or abort, under fail-fast).
+	// cell and evacuate its twins.
 	if err := e.applyFaults(interval); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,7 +9,7 @@ import (
 	"dtmsvs/internal/sim"
 )
 
-// testSimConfig is small enough to run the full sharded pipeline many
+// testSimConfig is small enough to run the full per-cell pipeline many
 // times in a unit test while exercising churn, regrouping, warm-up
 // handover and every parallel stage.
 func testSimConfig(seed int64, workers int) sim.Config {
@@ -30,9 +29,9 @@ func testSimConfig(seed int64, workers int) sim.Config {
 	}
 }
 
-func runCluster(t *testing.T, seed int64, workers, shards int) *Trace {
+func runCluster(t *testing.T, seed int64, workers int) *Trace {
 	t.Helper()
-	return runConfig(t, Config{Sim: testSimConfig(seed, workers), Shards: shards})
+	return runConfig(t, Config{Sim: testSimConfig(seed, workers)})
 }
 
 // runConfig builds an engine over cfg and runs it to completion.
@@ -69,29 +68,26 @@ func runEngine(tb testing.TB, e *Engine) *Trace {
 }
 
 // TestRunDeterministic is the cluster engine's core guarantee: the
-// merged trace is bit-identical for every worker count and every
-// shard count — sharding and parallelism are scheduling decisions,
-// never semantic ones.
+// merged trace is bit-identical for every worker count — parallelism
+// is a scheduling decision, never a semantic one.
 func TestRunDeterministic(t *testing.T) {
 	for _, seed := range []int64{3, 97} {
-		base := runCluster(t, seed, 1, 1)
+		base := runCluster(t, seed, 1)
 		if len(base.Records) == 0 {
 			t.Fatalf("seed %d: empty trace", seed)
 		}
-		for _, workers := range []int{1, 4, 8} {
-			for _, shards := range []int{1, 2, 4} {
-				tr := runCluster(t, seed, workers, shards)
-				if !reflect.DeepEqual(tr.Records, base.Records) {
-					t.Fatalf("seed %d workers %d shards %d: records diverged", seed, workers, shards)
-				}
-				if !reflect.DeepEqual(tr.Cells, base.Cells) {
-					t.Fatalf("seed %d workers %d shards %d: cell stats diverged:\n got %+v\nwant %+v",
-						seed, workers, shards, tr.Cells, base.Cells)
-				}
-				if tr.Handovers != base.Handovers || tr.ChurnedUsers != base.ChurnedUsers ||
-					tr.CacheHitRate != base.CacheHitRate {
-					t.Fatalf("seed %d workers %d shards %d: run stats diverged", seed, workers, shards)
-				}
+		for _, workers := range []int{4, 8} {
+			tr := runCluster(t, seed, workers)
+			if !reflect.DeepEqual(tr.Records, base.Records) {
+				t.Fatalf("seed %d workers %d: records diverged", seed, workers)
+			}
+			if !reflect.DeepEqual(tr.Cells, base.Cells) {
+				t.Fatalf("seed %d workers %d: cell stats diverged:\n got %+v\nwant %+v",
+					seed, workers, tr.Cells, base.Cells)
+			}
+			if tr.Handovers != base.Handovers || tr.ChurnedUsers != base.ChurnedUsers ||
+				tr.CacheHitRate != base.CacheHitRate {
+				t.Fatalf("seed %d workers %d: run stats diverged", seed, workers)
 			}
 		}
 	}
@@ -163,7 +159,7 @@ func TestGroupsCoverEveryUser(t *testing.T) {
 // TestRecordsSortedAndTagged checks the merge discipline: records
 // sorted by (interval, cell, group), every cell tag within range.
 func TestRecordsSortedAndTagged(t *testing.T) {
-	tr := runCluster(t, 5, 0, 0)
+	tr := runCluster(t, 5, 0)
 	for i, r := range tr.Records {
 		if r.BS < 0 || r.BS >= 4 {
 			t.Fatalf("record %d: bs %d out of range", i, r.BS)
@@ -186,16 +182,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := good
-	bad.Shards = 5 // > NumBS
-	if err := bad.Validate(); !errors.Is(err, ErrConfig) {
-		t.Fatalf("want ErrConfig for shards > NumBS, got %v", err)
-	}
-	bad = good
-	bad.Shards = -1
-	if err := bad.Validate(); !errors.Is(err, ErrConfig) {
-		t.Fatalf("want ErrConfig for negative shards, got %v", err)
-	}
-	bad = good
 	bad.Sim.NumUsers = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid sim config must be rejected")

@@ -1,10 +1,12 @@
 // This file is the cluster engine's failure model: deterministic
 // cell-failure injection (a faultinject.CellFault schedule in the
 // config), quarantine, the twin evacuation pass that generalizes the
-// handover pass to a whole dying cell, and revival. Every transition
-// happens at a scheduling-interval boundary on the stepping
-// goroutine, so degraded runs are bit-identical for any Parallelism,
-// shard layout or kernel dispatch — failure handling is part of the
+// handover pass to a whole dying cell, and revival. The schedule is
+// the whole policy: a firing fault always quarantines its cell and
+// evacuates it, and the cell returns at ReviveAt when that is not
+// negative. Every transition happens at a scheduling-interval boundary
+// on the stepping goroutine, so degraded runs are bit-identical for
+// any Parallelism or kernel dispatch — failure handling is part of the
 // deterministic trace, not an asynchronous event.
 
 package cluster
@@ -17,49 +19,10 @@ import (
 	"dtmsvs/internal/sim"
 )
 
-// ErrCellFailure classifies every injected-failure outcome: the
-// abort under the fail-fast policy, an evacuation with nowhere left
-// to go (all cells down), and a broken quarantine invariant. Match
-// with errors.Is.
+// ErrCellFailure classifies every injected-failure outcome: an
+// evacuation with nowhere left to go (all cells down) and a broken
+// quarantine invariant. Match with errors.Is.
 var ErrCellFailure = errors.New("cluster: cell failure")
-
-// FailurePolicy selects how the engine responds when a scheduled
-// cell fault fires.
-type FailurePolicy int
-
-const (
-	// FailFast aborts the run with an error wrapping ErrCellFailure —
-	// the pre-failure-model behavior, and the default.
-	FailFast FailurePolicy = iota
-	// Degrade quarantines the failed cell, drops its edge cache and
-	// evacuates its twins to the surviving cells; the run continues
-	// in degraded mode. Scheduled revivals are ignored — the cell
-	// stays dark for the rest of the run.
-	Degrade
-	// DegradeWithRevival is Degrade plus honoring CellFault.ReviveAt:
-	// the cell returns empty and cold at that boundary and reabsorbs
-	// users through the ordinary handover pass.
-	DegradeWithRevival
-)
-
-func (p FailurePolicy) String() string {
-	switch p {
-	case FailFast:
-		return "fail-fast"
-	case Degrade:
-		return "degrade"
-	case DegradeWithRevival:
-		return "degrade-with-revival"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
-// SetFailurePolicy selects the engine's response to scheduled cell
-// faults. Call before stepping; the default is FailFast. The policy
-// is part of the deterministic behavior, so resuming a checkpoint
-// under a different policy is rejected.
-func (e *Engine) SetFailurePolicy(p FailurePolicy) { e.policy = p }
 
 // CellsDown reports the number of currently quarantined cells.
 func (e *Engine) CellsDown() int { return e.cellsDown }
@@ -75,25 +38,15 @@ func (e *Engine) DegradedIntervals() int { return e.degradedIntervals }
 // applyFaults fires the configured cell faults scheduled for this
 // boundary: revivals first (a plan may hand coverage back before
 // another cell goes dark at the same boundary), then failures.
-// Under FailFast the first firing fault aborts the run.
 func (e *Engine) applyFaults(interval int) error {
-	if len(e.faults) == 0 {
-		return nil
-	}
-	if e.policy == DegradeWithRevival {
-		for _, f := range e.faults {
-			if f.ReviveAt == interval && e.cells[f.Cell].down {
-				e.reviveCell(f.Cell)
-			}
+	for _, f := range e.faults {
+		if f.ReviveAt == interval && e.cells[f.Cell].down {
+			e.reviveCell(f.Cell)
 		}
 	}
 	for _, f := range e.faults {
 		if f.FailAt != interval || e.cells[f.Cell].down {
 			continue
-		}
-		if e.policy == FailFast {
-			return fmt.Errorf("cell %d scheduled down at interval %d (policy %s): %w",
-				f.Cell, interval, e.policy, ErrCellFailure)
 		}
 		if err := e.failCell(f.Cell, interval); err != nil {
 			return err

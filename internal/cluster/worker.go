@@ -19,7 +19,7 @@ import (
 )
 
 // WorkerForCell maps a cell id to the worker owning it: contiguous
-// blocks, the same arithmetic the engine uses to map cells to shards.
+// blocks of cells.
 func WorkerForCell(cell, numCells, workers int) int {
 	return cell * workers / numCells
 }

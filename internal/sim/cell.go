@@ -91,7 +91,7 @@ type CellOptions struct {
 // NewCell constructs an engine with zero users on the substrate given
 // in opts. Every random stream is derived from (Seed, tag,
 // cellSalt(BS), ...), so sibling cells never share a generator, the
-// cluster trace is independent of shard scheduling, and the
+// cluster trace is independent of scheduling, and the
 // monolithic engine draws exactly what cell 0 draws.
 func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
@@ -164,7 +164,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 
 // User is an opaque handle to one simulated user — twin, mobility
 // model, link and calibration state — detached from a cell for
-// cross-shard migration. The handle carries the user's private random
+// cross-cell migration. The handle carries the user's private random
 // stream, so its draw sequence is unaffected by the move. It is one
 // pointer wide and passed by value, so a handover allocates nothing
 // for it; the zero User is no user.
@@ -248,7 +248,7 @@ func (s *Simulation) DetachUser(id int) (User, bool) {
 // AttachUser inserts a migrated (or freshly spawned) user into the
 // engine, keeping the population sorted by global id. If multicast
 // groups exist, the twin is handed to the group with the nearest
-// code-space centroid (the per-shard analogue of the paper's group
+// code-space centroid (the per-cell analogue of the paper's group
 // update on user dynamics); when no centroid applies it joins the
 // smallest group, matching how churn arrivals inherit a slot's
 // membership in the monolithic engine. It is Splice with one arrival,

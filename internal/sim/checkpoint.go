@@ -359,7 +359,6 @@ func (s *Simulation) encodeGroups(e *checkpoint.Enc) {
 		e.Int(g.id)
 		e.U64(g.src.State())
 		e.Ints(g.members)
-		g.forecast.EncodeState(e)
 		kmeans.EncodeCentroids(e, []vecmath.Vec{vecmath.Vec(g.centroid)})
 		e.Bool(g.profile != nil)
 		if g.profile == nil {
@@ -415,14 +414,6 @@ func (s *Simulation) decodeGroups(d *checkpoint.Dec) error {
 			}
 			grouped[pos] = true
 		}
-		f, err := predict.NewEWMA(snrAlpha)
-		if err != nil {
-			return err
-		}
-		if err := f.DecodeState(d); err != nil {
-			return err
-		}
-		g.forecast = f
 		cs := kmeans.DecodeCentroids(d)
 		if len(cs) == 1 {
 			g.centroid = []float64(cs[0])

@@ -33,8 +33,6 @@ import (
 
 // Model constants of the engine.
 const (
-	// snrAlpha is the EWMA weight of a group's worst-SNR forecast.
-	snrAlpha = 0.4
 	// coverageQuantile sets the multicast MCS coverage target: the
 	// group SNR is the mean of the worst 2×coverageQuantile share of
 	// members (a lower conditional tail expectation), matching eMBMS
@@ -338,7 +336,7 @@ const (
 	// slot — owns an independent draw sequence for its mobility,
 	// channel, behavior and churn decisions. User ids are global
 	// across a whole cluster run, so the stream travels with the twin
-	// on cross-shard handover.
+	// on cross-cell handover.
 	streamUser uint64 = 1
 	// streamGroup derives (tag, cell salt, construction counter, group
 	// id): the shared-feed video selection draws of each multicast
@@ -405,11 +403,10 @@ type groupState struct {
 	src *parallel.Stream
 	rng *rand.Rand
 	// members holds global user ids (not slice indices), so membership
-	// survives cross-shard user migration in cluster runs. In the
+	// survives cross-cell user migration in cluster runs. In the
 	// monolithic engine ids and indices coincide.
-	members  []int
-	forecast *predict.EWMA
-	profile  *predict.GroupProfile
+	members []int
+	profile *predict.GroupProfile
 	// centroid is the group's center in code space from the last
 	// construction (nil when the population was too small to cluster);
 	// migrated twins are handed to the nearest centroid.
@@ -950,10 +947,10 @@ type builtGroup struct {
 }
 
 // rebuildGroups runs the two-step construction (or the fixed-K
-// baseline) and resets per-group forecasters, preserving forecasts of
-// groups whose membership is unchanged. boundary is the number of
-// intervals run before the construction: 0 for the initial build,
-// interval+1 for the regroup after interval.
+// baseline) and replaces the groups with the ones it built, each with
+// a fresh shared-feed stream. boundary is the number of intervals run
+// before the construction: 0 for the initial build, interval+1 for the
+// regroup after interval.
 func (s *Simulation) rebuildGroups(boundary int) error {
 	if len(s.users) == 0 {
 		// A cluster cell can be empty between migrations.
@@ -993,17 +990,12 @@ func (s *Simulation) rebuildGroups(boundary int) error {
 	s.constructions++
 	s.groups = make([]*groupState, len(built))
 	for gid, bg := range built {
-		f, ferr := predict.NewEWMA(snrAlpha)
-		if ferr != nil {
-			return ferr
-		}
 		src := parallel.NewStream(s.cfg.Seed, streamGroup, cellSalt(s.bs), s.constructions, uint64(gid))
 		s.groups[gid] = &groupState{
 			id:       gid,
 			src:      src,
 			rng:      rand.New(src),
 			members:  bg.ids,
-			forecast: f,
 			centroid: bg.centroid,
 		}
 	}
@@ -1088,18 +1080,17 @@ func (s *Simulation) groupWorstSNR(g *groupState) float64 {
 }
 
 // abstractGroups rebuilds each group's profile from the twins'
-// cumulative view counters and folds the interval's worst SNR into
-// the forecaster. Counters are kept cumulative (not reset) so the
-// swiping distributions sharpen over time and remain available right
-// after a regroup; the profile folds each member's counters without
-// expanding them, so an interval costs O(members) however long the
-// run. Groups are disjoint and twins are only read, so the
+// cumulative view counters. Counters are kept cumulative (not reset)
+// so the swiping distributions sharpen over time and remain available
+// right after a regroup; the profile folds each member's counters
+// without expanding them, so an interval costs O(members) however long
+// the run. Groups are disjoint and twins are only read, so the
 // abstraction fans across the pool.
 func (s *Simulation) abstractGroups(ctx context.Context) error {
 	return s.pool.ForContext(ctx, len(s.groups), func(gi int) error {
 		g := s.groups[gi]
 		if len(g.members) == 0 {
-			// Emptied by cross-shard migration; skip until refilled.
+			// Emptied by cross-cell migration; skip until refilled.
 			return nil
 		}
 		twins := make([]*udt.Twin, len(g.members))
@@ -1111,7 +1102,6 @@ func (s *Simulation) abstractGroups(ctx context.Context) error {
 			return fmt.Errorf("group %d profile: %w", g.id, err)
 		}
 		g.profile = profile
-		g.forecast.Observe(s.groupWorstSNR(g))
 		return nil
 	})
 }
@@ -1359,7 +1349,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 	if err := s.pool.ForContext(ctx, len(s.groups), func(gi int) error {
 		g := s.groups[gi]
 		if len(g.members) == 0 {
-			// Emptied by cross-shard migration: nothing to serve.
+			// Emptied by cross-cell migration: nothing to serve.
 			preds[gi].skip = true
 			return nil
 		}

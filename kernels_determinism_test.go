@@ -54,7 +54,7 @@ func TestRunDeterministicAcrossKernelsAndParallelism(t *testing.T) {
 }
 
 // TestClusterDeterministicAcrossKernels extends the kernel sweep to
-// the sharded engine: per-cell training pipelines, trained
+// the one-cell-per-station engine: per-cell training pipelines, trained
 // concurrently on the shared pool, must produce a bit-identical merged trace with the
 // generic and dispatched kernels at several worker counts.
 func TestClusterDeterministicAcrossKernels(t *testing.T) {

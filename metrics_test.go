@@ -15,14 +15,20 @@ import (
 )
 
 // metricsOpeners enumerates both engines for the metrics suites, each
-// with the resume that restores its checkpoints.
+// with the resume that restores its checkpoints: the monolithic
+// engine, the cluster engine over a single station ("cluster-s1", one
+// cell) and over NumBS stations ("cluster", one cell per station).
 func metricsOpeners(seed int64, workers int) []struct {
 	name   string
 	open   func(opts ...SessionOption) (Session, error)
 	resume func(r io.Reader, opts ...SessionOption) (Session, error)
 } {
 	cfg := sessionTestConfig(seed, workers)
-	cluster := func(shards int) ClusterConfig { return ClusterConfig{Sim: cfg, Shards: shards} }
+	cluster := func(stations int) ClusterConfig {
+		c := ClusterConfig{Sim: cfg}
+		c.Sim.NumBS = stations
+		return c
+	}
 	return []struct {
 		name   string
 		open   func(opts ...SessionOption) (Session, error)
@@ -151,8 +157,12 @@ func TestSessionMetricsSnapshot(t *testing.T) {
 				t.Fatalf("checkpoint/restore count = %d in a session never resumed", byStage["checkpoint/restore"])
 			}
 			if eng.name != "sim" {
-				if len(cells) != 2 {
-					t.Fatalf("cluster run labelled %d cells, want 2", len(cells))
+				want := 2
+				if eng.name == "cluster-s1" {
+					want = 1
+				}
+				if len(cells) != want {
+					t.Fatalf("cluster run labelled %d cells, want %d", len(cells), want)
 				}
 				if snap.Family("dtmsvs_handovers_total") == nil {
 					t.Fatal("cluster run missing handover counter")

@@ -71,29 +71,10 @@ var ErrObserver = errors.New("dtmsvs: observer panicked")
 var ErrEmptyScenario = sim.ErrEmptyScenario
 
 // ErrCellFailure classifies injected cell-failure outcomes in a
-// cluster session: the abort under the fail-fast policy, and a
-// degraded run losing its last surviving cell. Match with errors.Is.
+// cluster session: a fault schedule that takes down the last
+// surviving cell, which leaves the run no coverage. Match with
+// errors.Is.
 var ErrCellFailure = cluster.ErrCellFailure
-
-// CellFailurePolicy selects how a cluster session responds when a
-// scheduled cell fault (ClusterConfig.Faults) fires; see the
-// constants below and WithCellFailurePolicy. It has no effect on
-// monolithic sessions, whose one cell has no faults.
-type CellFailurePolicy = cluster.FailurePolicy
-
-const (
-	// CellFailFast aborts the run with an error wrapping
-	// ErrCellFailure when a scheduled fault fires — the default.
-	CellFailFast = cluster.FailFast
-	// CellDegrade quarantines the failed cell, drops its edge cache
-	// and evacuates its twins to the surviving cells; the run
-	// continues in degraded mode. Scheduled revivals are ignored.
-	CellDegrade = cluster.Degrade
-	// CellDegradeWithRevival is CellDegrade plus honoring a fault's
-	// ReviveAt boundary: the cell returns empty and cold, and
-	// reabsorbs users through the ordinary handover pass.
-	CellDegradeWithRevival = cluster.DegradeWithRevival
-)
 
 // TraceRecord is one trace row, streamed or retained in a Trace: a
 // group-interval record plus the serving cell. BS is -1 for the monolithic engine, whose groups
@@ -121,8 +102,7 @@ type IntervalReport struct {
 	// ChurnedUsers is the cumulative count of users replaced by churn.
 	ChurnedUsers int
 	// CellsDown is the number of quarantined coverage cells while
-	// this interval ran (always 0 for the monolithic engine and under
-	// the fail-fast policy).
+	// this interval ran (always 0 for the monolithic engine).
 	CellsDown int
 	// EvacuatedTwins is the cumulative count of twins evacuated from
 	// failed cells so far.
@@ -185,9 +165,6 @@ type sessionOptions struct {
 	// metrics, when non-nil, is mounted on the engine and session at
 	// Open time (see WithMetrics in metrics.go).
 	metrics *MetricsRegistry
-	// cellPolicy is the cluster engine's response to scheduled cell
-	// faults (zero value: CellFailFast).
-	cellPolicy CellFailurePolicy
 	// Distributed-session knobs (see distributed.go); all zero values
 	// defer to coord's defaults.
 	workerTransport     coord.TransportFactory
@@ -237,18 +214,6 @@ func WithSinkRetry(attempts int, backoff time.Duration) SessionOption {
 		o.sinkAttempts = attempts
 		o.sinkBackoff = backoff
 	}
-}
-
-// WithCellFailurePolicy selects how a cluster session responds when
-// a scheduled cell fault (ClusterConfig.Faults) fires: CellFailFast
-// (the default) aborts the run with an error wrapping ErrCellFailure;
-// CellDegrade and CellDegradeWithRevival quarantine the cell,
-// evacuate its twins to the surviving cells and continue in degraded
-// mode. The policy is part of the run's deterministic behavior:
-// resuming a checkpoint under a different policy is rejected with
-// ErrCheckpointConfig. Monolithic sessions ignore the option.
-func WithCellFailurePolicy(p CellFailurePolicy) SessionOption {
-	return func(o *sessionOptions) { o.cellPolicy = p }
 }
 
 // stepper is the engine-side contract a session drives: one warm-up
@@ -555,8 +520,8 @@ func buildOptions(opts []SessionOption) sessionOptions {
 type clusterStepper struct {
 	eng *cluster.Engine
 	// unscheduled is the configuration the checkpoint header hashes:
-	// the defaulted one, with the fields that only schedule the run at
-	// their defaults.
+	// the defaulted one, with Parallelism, which only schedules the
+	// run, at its default.
 	unscheduled any
 	trace       *ClusterTrace // stamped at finish
 }
@@ -626,9 +591,7 @@ func OpenCluster(cfg ClusterConfig, opts ...SessionOption) (*ClusterSession, err
 	if err != nil {
 		return nil, err
 	}
-	o := buildOptions(opts)
-	eng.SetFailurePolicy(o.cellPolicy)
-	return openCluster(eng, eng.Config().Unscheduled(), 0, o), nil
+	return openCluster(eng, eng.Config().Unscheduled(), 0, buildOptions(opts)), nil
 }
 
 // SimSession is the monolithic Session: the cluster session over one
@@ -645,8 +608,7 @@ func (s *SimSession) Trace() *Trace { return s.st.eng.WholeTrace() }
 
 // Open validates cfg and returns a monolithic session. No simulation
 // work happens until the first Step. Degenerate scenarios (zero users
-// or intervals) fail with ErrEmptyScenario. WithCellFailurePolicy has
-// no effect: the one cell has no faults.
+// or intervals) fail with ErrEmptyScenario.
 func Open(cfg Config, opts ...SessionOption) (*SimSession, error) {
 	eng, err := cluster.NewWhole(cfg)
 	if err != nil {

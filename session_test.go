@@ -66,7 +66,7 @@ func simReference(t *testing.T, cfg Config) *Trace {
 	return tr
 }
 
-// clusterReference is simReference for the sharded cluster engine.
+// clusterReference is simReference for the cluster engine.
 func clusterReference(t *testing.T, cfg ClusterConfig) *ClusterTrace {
 	t.Helper()
 	eng, err := cluster.New(cfg)
@@ -137,23 +137,21 @@ func TestSessionMatchesRun(t *testing.T) {
 }
 
 // TestClusterSessionMatchesRunCluster is the cluster-side
-// step-equivalence guarantee across shard counts: the session path
-// matches the cluster engine's step methods driven in sequence.
+// step-equivalence guarantee: the session path matches the cluster
+// engine's step methods driven in sequence.
 func TestClusterSessionMatchesRunCluster(t *testing.T) {
-	for _, shards := range []int{1, 2} { // 2 == NumBS
-		cfg := ClusterConfig{Sim: sessionTestConfig(7, 4), Shards: shards}
-		want := clusterReference(t, cfg)
-		got := mustClusterTrace(t, cfg)
-		if !reflect.DeepEqual(got.Records, want.Records) {
-			t.Fatalf("shards %d: session records diverged from the engine", shards)
-		}
-		if !reflect.DeepEqual(got.Cells, want.Cells) {
-			t.Fatalf("shards %d: cell stats diverged", shards)
-		}
-		if got.Handovers != want.Handovers || got.ChurnedUsers != want.ChurnedUsers ||
-			got.CacheHitRate != want.CacheHitRate {
-			t.Fatalf("shards %d: run stats diverged", shards)
-		}
+	cfg := ClusterConfig{Sim: sessionTestConfig(7, 4)}
+	want := clusterReference(t, cfg)
+	got := mustClusterTrace(t, cfg)
+	if !reflect.DeepEqual(got.Records, want.Records) {
+		t.Fatal("session records diverged from the engine")
+	}
+	if !reflect.DeepEqual(got.Cells, want.Cells) {
+		t.Fatal("cell stats diverged")
+	}
+	if got.Handovers != want.Handovers || got.ChurnedUsers != want.ChurnedUsers ||
+		got.CacheHitRate != want.CacheHitRate {
+		t.Fatal("run stats diverged")
 	}
 }
 
@@ -172,8 +170,8 @@ func settledGoroutines(base int) int {
 
 // TestSessionHoldsNoIdleGoroutines: engines and sinks fan work out
 // only for the duration of a call, so nothing stays parked between
-// steps or after Close. Parallelism 4 with one shard would give every
-// engine a 4-wide training crew if one were built, and 60 agent
+// steps or after Close. Parallelism 4 would give every engine a
+// 4-wide training crew if one were built, and 60 agent
 // episodes fill the replay buffer, so the DDQN minibatch GEMMs run.
 func TestSessionHoldsNoIdleGoroutines(t *testing.T) {
 	cfg := sessionTestConfig(5, 4)
@@ -184,7 +182,7 @@ func TestSessionHoldsNoIdleGoroutines(t *testing.T) {
 	}{
 		{"sim", func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) }},
 		{"cluster", func(opts ...SessionOption) (Session, error) {
-			return OpenCluster(ClusterConfig{Sim: cfg, Shards: 1}, opts...)
+			return OpenCluster(ClusterConfig{Sim: cfg}, opts...)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
