@@ -67,10 +67,9 @@ func (s *BinarySink) WriteRecord(r TraceRecord) error {
 }
 
 // Flush implements TraceSink: the buffered interval is encoded and
-// written in one underlying Write. On failure the buffered records
-// are kept, so a retried Flush (after a transient error that consumed
-// nothing, per the WithSinkRetry contract) re-encodes the identical
-// bytes.
+// written in one underlying Write. The writer latches its first
+// error, so after a failure every later Flush returns that error and
+// writes nothing.
 func (s *BinarySink) Flush() error {
 	if err := s.w.Flush(s.recs); err != nil {
 		return err

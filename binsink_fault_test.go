@@ -202,31 +202,29 @@ func TestBinarySinkByteLevelFaults(t *testing.T) {
 	}
 }
 
-// TestBinarySinkTransientRetry: a transient flush fault is absorbed
-// by the session's retry budget, exercising the sink's
-// re-encode-on-retry path — the final stream must decode bit-identical
-// to the fault-free record sequence.
+// TestBinarySinkTransientRetry: a Flush error that calls itself
+// transient fails the step like any other, and the backing store
+// decodes to the whole-interval prefix of the last good flush.
 func TestBinarySinkTransientRetry(t *testing.T) {
 	open := func(opts ...SessionOption) (Session, error) { return Open(sessionTestConfig(49, 2), opts...) }
-	clean, _ := bufferedRun(t, open)
+	clean, perInterval := bufferedRun(t, open)
 
 	var buf bytes.Buffer
 	bin, err := NewBinarySink(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := faultinject.Wrap[TraceRecord](bin,
-		faultinject.Fault{Mode: faultinject.FailFlush, N: 1, Transient: true},
-		faultinject.Fault{Mode: faultinject.FailWrite, N: 3, Transient: true},
-	)
-	s, err := open(WithSink(sink), WithSinkRetry(3, 0))
+	sink := &transientSink{TraceSink: bin, flushAt: 2}
+	s, err := open(WithSink(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for !s.Done() {
-		if _, serr := s.Step(context.Background()); serr != nil {
-			t.Fatalf("transient faults should be absorbed by retry: %v", serr)
-		}
+	var serr error
+	for !s.Done() && serr == nil {
+		_, serr = s.Step(context.Background())
+	}
+	if !errors.Is(serr, ErrSink) || !errors.Is(serr, transientSinkErr{}) {
+		t.Fatalf("want ErrSink wrapping the transient flush fault, got %v", serr)
 	}
 	if cerr := s.Close(); cerr != nil {
 		t.Fatal(cerr)
@@ -238,5 +236,5 @@ func TestBinarySinkTransientRetry(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	assertRecordsBitIdentical(t, got, clean)
+	assertRecordsBitIdentical(t, got, clean[:perInterval[0]])
 }

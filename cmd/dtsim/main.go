@@ -63,7 +63,7 @@
 //
 // Observability: -metrics-addr :9090 serves live Prometheus metrics
 // on /metrics (per-stage duration histograms, per-cell cache
-// counters, sink retry counters, ...) plus net/http/pprof profiling
+// counters, sink error counter, ...) plus net/http/pprof profiling
 // under /debug/pprof/ for the duration of the run. -metrics-out
 // FILE writes the final metrics snapshot as JSON; render it with
 // `dtreport -timings FILE`. Metrics never change the trace: output

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"dtmsvs/internal/faultinject"
 )
 
 // TestMain lets the test binary double as the distributed worker:
@@ -357,27 +355,35 @@ func TestDistributedCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestDistributedSinkRetryKeepsWorkersAlive is the sink-retry /
-// heartbeat interplay contract: a transient sink failure stalls the
-// session in WithSinkRetry backoff for longer than the heartbeat miss
-// deadline, and the supervisor must NOT misread that session-side
-// stall as a dead worker — no restarts, no heartbeat misses, and the
-// delivered stream is still byte-identical.
+// slowSink stalls every Flush by delay before delegating.
+type slowSink struct {
+	TraceSink
+	delay   time.Duration
+	flushes int
+}
+
+func (s *slowSink) Flush() error {
+	s.flushes++
+	time.Sleep(s.delay)
+	return s.TraceSink.Flush()
+}
+
+// TestDistributedSinkRetryKeepsWorkersAlive is the slow-sink /
+// heartbeat interplay contract: a sink that stalls the session for
+// longer than the heartbeat miss deadline must NOT be misread by the
+// supervisor as a dead worker — no restarts, no heartbeat misses, and
+// the delivered stream is still byte-identical.
 func TestDistributedSinkRetryKeepsWorkersAlive(t *testing.T) {
 	const seed = 61
 	cfg := distTestConfig(seed, 1)
 	_, cleanStream, _ := driveDist(t, cfg, 2)
 
 	var buf bytes.Buffer
-	flaky := faultinject.Wrap[TraceRecord](NewNDJSONSink(&buf),
-		faultinject.Fault{Mode: faultinject.FailWrite, N: 3, Transient: true},
-		faultinject.Fault{Mode: faultinject.FailFlush, N: 2, Transient: true},
-	)
+	// Each flush sleeps 120ms — far past the 10ms x 5 liveness
+	// deadline the workers are being watched with.
+	slow := &slowSink{TraceSink: NewNDJSONSink(&buf), delay: 120 * time.Millisecond}
 	s, err := OpenDistributed(cfg, 2,
-		WithSink(flaky),
-		// Each retry sleeps 120ms — far past the 10ms x 5 liveness
-		// deadline the workers are being watched with.
-		WithSinkRetry(3, 120*time.Millisecond),
+		WithSink(slow),
 		WithWorkerHeartbeat(10*time.Millisecond, 5),
 	)
 	if err != nil {
@@ -390,14 +396,14 @@ func TestDistributedSinkRetryKeepsWorkersAlive(t *testing.T) {
 		}
 	}
 	if buf.String() != cleanStream {
-		t.Fatal("stream diverged after transient sink faults")
+		t.Fatal("stream diverged behind a slow sink")
 	}
 	if s.WorkerRestarts() != 0 || s.HeartbeatMisses() != 0 {
 		t.Fatalf("sink stall misread as worker failure: %d restarts, %d misses",
 			s.WorkerRestarts(), s.HeartbeatMisses())
 	}
-	if flaky.Writes() < 3 || flaky.Flushes() < 2 {
-		t.Fatalf("faults never fired (%d writes, %d flushes)", flaky.Writes(), flaky.Flushes())
+	if slow.flushes < cfg.Sim.NumIntervals {
+		t.Fatalf("sink stalled only %d times", slow.flushes)
 	}
 }
 

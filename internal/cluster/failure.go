@@ -31,10 +31,6 @@ func (e *Engine) CellsDown() int { return e.cellsDown }
 // so far.
 func (e *Engine) EvacuatedTwins() int { return e.evacuated }
 
-// DegradedIntervals reports how many scheduling intervals have run
-// with at least one cell quarantined.
-func (e *Engine) DegradedIntervals() int { return e.degradedIntervals }
-
 // applyFaults fires the configured cell faults scheduled for this
 // boundary: revivals first (a plan may hand coverage back before
 // another cell goes dark at the same boundary), then failures.

@@ -3,9 +3,6 @@
 // scheduled by call index — fail the Nth write, short-write the Nth
 // write, fail the Nth flush — so a harness can crash a run at any
 // chosen point and replay the exact same failure on every execution.
-// Injected errors carry a Transient marker the session's retry policy
-// understands; transient faults fire before any side effect on the
-// wrapped writer or sink, so retrying them is always safe.
 package faultinject
 
 import (
@@ -22,12 +19,11 @@ type Mode int
 
 const (
 	// FailWrite fails the Nth write (or WriteRecord) without touching
-	// the wrapped writer — no bytes are consumed, so a transient
-	// FailWrite is safe to retry.
+	// the wrapped writer — no bytes are consumed.
 	FailWrite Mode = iota
 	// ShortWrite passes half of the Nth write's bytes through and then
-	// fails. It models a torn write and is always permanent: the
-	// wrapped writer has seen a partial record.
+	// fails. It models a torn write: the wrapped writer has seen a
+	// partial record.
 	ShortWrite
 	// FailFlush fails the Nth flush before delegating.
 	FailFlush
@@ -51,28 +47,21 @@ func (m Mode) String() string {
 var ErrInjected = errors.New("faultinject: injected fault")
 
 // Fault schedules one failure: mode Mode on the N-th call (1-based)
-// of the matching operation. Transient marks the error retryable via
-// the session's transient-sink contract; ShortWrite faults are forced
-// permanent because bytes have already leaked downstream.
+// of the matching operation.
 type Fault struct {
-	Mode      Mode
-	N         int
-	Transient bool
+	Mode Mode
+	N    int
 }
 
 // Error is the failure an injected Fault produces.
 type Error struct {
-	Op        string // "write" or "flush"
-	Call      int    // 1-based call index the fault fired on
-	transient bool
+	Op   string // "write" or "flush"
+	Call int    // 1-based call index the fault fired on
 }
 
 func (e *Error) Error() string {
 	return fmt.Sprintf("faultinject: injected %s fault on call %d", e.Op, e.Call)
 }
-
-// Transient reports whether the session may retry the failed call.
-func (e *Error) Transient() bool { return e.transient }
 
 // Unwrap makes errors.Is(err, ErrInjected) match.
 func (e *Error) Unwrap() error { return ErrInjected }
@@ -103,7 +92,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 		}
 		switch f.Mode {
 		case FailWrite:
-			return 0, &Error{Op: "write", Call: w.writes, transient: f.Transient}
+			return 0, &Error{Op: "write", Call: w.writes}
 		case ShortWrite:
 			n, err := w.w.Write(p[:len(p)/2])
 			if err != nil {
@@ -125,7 +114,7 @@ type RecordSink[R any] interface {
 
 // Sink wraps a RecordSink with record-level fault injection. FailWrite
 // and ShortWrite faults fire on WriteRecord calls (ShortWrite at this
-// level degenerates to a permanent FailWrite: the record boundary is
+// level degenerates to a FailWrite: the record boundary is
 // the unit, and the wrapped sink never sees the record), FailFlush
 // faults on Flush calls. Not safe for concurrent use.
 type Sink[R any] struct {
@@ -147,17 +136,14 @@ func (s *Sink[R]) Writes() int { return s.writes }
 func (s *Sink[R]) Flushes() int { return s.flushes }
 
 // WriteRecord implements RecordSink, injecting before delegating so a
-// transient failure leaves the wrapped sink untouched.
+// failed call leaves the wrapped sink untouched.
 func (s *Sink[R]) WriteRecord(r R) error {
 	s.writes++
 	for _, f := range s.faults {
 		if f.N != s.writes {
 			continue
 		}
-		switch f.Mode {
-		case FailWrite:
-			return &Error{Op: "write", Call: s.writes, transient: f.Transient}
-		case ShortWrite:
+		if f.Mode == FailWrite || f.Mode == ShortWrite {
 			return &Error{Op: "write", Call: s.writes}
 		}
 	}
@@ -169,31 +155,25 @@ func (s *Sink[R]) Flush() error {
 	s.flushes++
 	for _, f := range s.faults {
 		if f.Mode == FailFlush && f.N == s.flushes {
-			return &Error{Op: "flush", Call: s.flushes, transient: f.Transient}
+			return &Error{Op: "flush", Call: s.flushes}
 		}
 	}
 	return s.s.Flush()
 }
 
-// Plan derives a deterministic fault from a seed: the mode, 1-based
-// call index within [1, calls] and transience are drawn from the
-// seed's splitmix64 stream, so a harness sweeping seeds exercises a
-// spread of failure points that is stable across runs. ShortWrite
-// plans are always permanent, matching the injectors above.
+// Plan derives a deterministic fault from a seed: the mode and the
+// 1-based call index within [1, calls] are drawn from the seed's
+// splitmix64 stream, so a harness sweeping seeds exercises a spread
+// of failure points that is stable across runs.
 func Plan(seed int64, calls int) Fault {
 	if calls < 1 {
 		calls = 1
 	}
 	rng := rand.New(parallel.NewStream(seed, 0xFA01))
-	f := Fault{
-		Mode:      Mode(rng.Intn(3)),
-		N:         1 + rng.Intn(calls),
-		Transient: rng.Intn(2) == 0,
+	return Fault{
+		Mode: Mode(rng.Intn(3)),
+		N:    1 + rng.Intn(calls),
 	}
-	if f.Mode == ShortWrite {
-		f.Transient = false
-	}
-	return f
 }
 
 // CellFault schedules the failure of one cluster coverage cell: the
@@ -208,8 +188,7 @@ type CellFault struct {
 	// cell dies (faults never fire during warm-up).
 	FailAt int `json:"failAt"`
 	// ReviveAt is the 0-based interval at whose start the cell
-	// returns; < 0 means it stays dark. Honored only under the
-	// degrade-with-revival policy.
+	// returns; < 0 means it stays dark.
 	ReviveAt int `json:"reviveAt"`
 }
 

@@ -15,12 +15,12 @@ type collector struct {
 func (c *collector) WriteRecord(r int) error { c.records = append(c.records, r); return nil }
 func (c *collector) Flush() error            { c.flushes++; return nil }
 
-// TestWriterFaults: FailWrite consumes nothing, ShortWrite leaks half
-// and is permanent, and unscheduled calls pass through untouched.
+// TestWriterFaults: FailWrite consumes nothing, ShortWrite leaks half,
+// and unscheduled calls pass through untouched.
 func TestWriterFaults(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf,
-		Fault{Mode: FailWrite, N: 2, Transient: true},
+		Fault{Mode: FailWrite, N: 2},
 		Fault{Mode: ShortWrite, N: 4},
 	)
 	if _, err := w.Write([]byte("aaaa")); err != nil {
@@ -31,7 +31,7 @@ func TestWriterFaults(t *testing.T) {
 		t.Fatalf("FailWrite: n=%d err=%v", n, err)
 	}
 	var fe *Error
-	if !errors.As(err, &fe) || !fe.Transient() || fe.Op != "write" || fe.Call != 2 {
+	if !errors.As(err, &fe) || fe.Op != "write" || fe.Call != 2 {
 		t.Fatalf("FailWrite error shape: %+v", fe)
 	}
 	if buf.String() != "aaaa" {
@@ -44,8 +44,8 @@ func TestWriterFaults(t *testing.T) {
 	if n != 2 || !errors.Is(err, ErrInjected) {
 		t.Fatalf("ShortWrite: n=%d err=%v", n, err)
 	}
-	if !errors.As(err, &fe) || fe.Transient() {
-		t.Fatal("ShortWrite must be permanent")
+	if !errors.As(err, &fe) || fe.Op != "write" || fe.Call != 4 {
+		t.Fatalf("ShortWrite error shape: %+v", fe)
 	}
 	if buf.String() != "aaaaccccdd" {
 		t.Fatalf("ShortWrite leaked wrong bytes: %q", buf.String())
@@ -57,11 +57,11 @@ func TestWriterFaults(t *testing.T) {
 
 // TestSinkFaults: record-level injection fires before the wrapped
 // sink sees anything, flush faults fire on their scheduled call, and
-// counts expose the retry traffic.
+// counts include calls that fail.
 func TestSinkFaults(t *testing.T) {
 	var c collector
 	s := Wrap[int](&c,
-		Fault{Mode: FailWrite, N: 2, Transient: true},
+		Fault{Mode: FailWrite, N: 2},
 		Fault{Mode: FailFlush, N: 2},
 	)
 	if err := s.WriteRecord(10); err != nil {
@@ -74,7 +74,7 @@ func TestSinkFaults(t *testing.T) {
 	if len(c.records) != 1 {
 		t.Fatalf("fault leaked a record: %v", c.records)
 	}
-	// The retry is call 3 — past the schedule — and succeeds.
+	// Call 3 is past the schedule and succeeds.
 	if err := s.WriteRecord(11); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,7 @@ func TestSinkFaults(t *testing.T) {
 	}
 }
 
-// TestPlan: deterministic per seed, in range, and never a transient
-// short write.
+// TestPlan: deterministic per seed and in range.
 func TestPlan(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		f := Plan(seed, 10)
@@ -105,9 +104,6 @@ func TestPlan(t *testing.T) {
 		}
 		if f.Mode < FailWrite || f.Mode > FailFlush {
 			t.Fatalf("seed %d: mode %v", seed, f.Mode)
-		}
-		if f.Mode == ShortWrite && f.Transient {
-			t.Fatalf("seed %d: transient short write", seed)
 		}
 	}
 	if f := Plan(3, 0); f.N != 1 {

@@ -91,9 +91,8 @@ func (bw *Writer) Flush(recs []Record) error {
 		return nil
 	}
 	if _, err := bw.w.Write(bw.out); err != nil {
-		// Keep headerDone false on a failed first write: a transient
-		// failure that consumed nothing must see the header again on
-		// retry.
+		// The error latches the Writer, so no later Flush writes;
+		// headerDone only ever records a header the writer accepted.
 		bw.err = err
 		return err
 	}

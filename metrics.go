@@ -1,7 +1,7 @@
 // Session-level observability. WithMetrics mounts an obs.Registry on
 // a session at Open time: the engine registers its stage timers and
 // component counters (per-cell in a cluster run), and the session
-// itself tracks the step span, sink write/flush spans and retries,
+// itself tracks the step span, sink write/flush spans and errors,
 // and checkpoint encode and restore cost. The registry is read-side
 // safe for live HTTP export (obs.Serve / obs.Handler) while the
 // session steps.
@@ -32,7 +32,7 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 // WithMetrics mounts reg on the session: engine stage timers
 // (prologue and per-interval phases, per-cell in cluster runs), edge
 // cache counters, session step spans, sink write/flush spans and
-// retry counters, checkpoint size and encode duration, and the restore
+// error counter, checkpoint size and encode duration, and the restore
 // duration of a resumed session (a distributed resume times only the
 // supervisor's read; its workers restore on their own). Cluster runs
 // with failure injection additionally expose the failure-model
@@ -54,12 +54,10 @@ type sessionMetrics struct {
 	ckptEncode  *obs.Stage
 	ckptRestore *obs.Stage
 
-	steps            *obs.Counter
-	sinkWriteRetries *obs.Counter
-	sinkFlushRetries *obs.Counter
-	sinkErrors       *obs.Counter
-	ckpts            *obs.Counter
-	ckptBytes        *obs.Gauge
+	steps      *obs.Counter
+	sinkErrors *obs.Counter
+	ckpts      *obs.Counter
+	ckptBytes  *obs.Gauge
 }
 
 func newSessionMetrics(reg *obs.Registry) sessionMetrics {
@@ -74,12 +72,8 @@ func newSessionMetrics(reg *obs.Registry) sessionMetrics {
 		ckptRestore: reg.Stage("checkpoint/restore"),
 		steps: reg.Counter("dtmsvs_steps_total",
 			"Scheduling intervals completed by the session."),
-		sinkWriteRetries: reg.Counter("dtmsvs_sink_write_retries_total",
-			"Transient sink WriteRecord failures that were retried."),
-		sinkFlushRetries: reg.Counter("dtmsvs_sink_flush_retries_total",
-			"Transient sink Flush failures that were retried."),
 		sinkErrors: reg.Counter("dtmsvs_sink_errors_total",
-			"Sink failures that survived the retry budget and failed the step."),
+			"Sink WriteRecord or Flush failures; each one failed the session."),
 		ckpts: reg.Counter("dtmsvs_checkpoints_total",
 			"Checkpoints encoded by the session."),
 		ckptBytes: reg.Gauge("dtmsvs_checkpoint_bytes",

@@ -47,8 +47,8 @@ import (
 // after the session has been closed.
 var ErrSessionClosed = errors.New("dtmsvs: session closed")
 
-// ErrSink wraps every sink failure a Step reports: a WriteRecord or
-// Flush error that survived the transient-retry budget. Match with
+// ErrSink wraps every sink failure a Step reports: the first
+// WriteRecord or Flush error, which fails the session. Match with
 // errors.Is(err, ErrSink); the sink's own error is wrapped alongside
 // and stays reachable through errors.As.
 var ErrSink = errors.New("dtmsvs: sink failure")
@@ -157,11 +157,6 @@ type sessionOptions struct {
 	sink      TraceSink
 	observers []func(IntervalReport)
 	progress  func(done, total int)
-	// sinkAttempts bounds how often one WriteRecord/Flush is tried
-	// when the sink reports transient errors; sinkBackoff is the
-	// delay before the first retry, doubling per attempt.
-	sinkAttempts int
-	sinkBackoff  time.Duration
 	// metrics, when non-nil, is mounted on the engine and session at
 	// Open time (see WithMetrics in metrics.go).
 	metrics *MetricsRegistry
@@ -197,23 +192,6 @@ func WithObserver(fn func(IntervalReport)) SessionOption {
 // interval with (completed, total) scheduling-interval counts.
 func WithProgress(fn func(done, total int)) SessionOption {
 	return func(o *sessionOptions) { o.progress = fn }
-}
-
-// WithSinkRetry bounds the session's handling of transient sink
-// errors (those whose error chain advertises `Transient() bool` true,
-// e.g. injected faults from internal/faultinject): each WriteRecord
-// or Flush is attempted up to attempts times, sleeping backoff before
-// the first retry and doubling it per attempt. Permanent errors are
-// never retried. The default is 3 attempts with a 2 ms initial
-// backoff; WithSinkRetry(1, 0) disables retries entirely.
-func WithSinkRetry(attempts int, backoff time.Duration) SessionOption {
-	return func(o *sessionOptions) {
-		if attempts < 1 {
-			attempts = 1
-		}
-		o.sinkAttempts = attempts
-		o.sinkBackoff = backoff
-	}
 }
 
 // stepper is the engine-side contract a session drives: one warm-up
@@ -313,7 +291,7 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 	// Boundary cancellation: no engine state has been touched, so the
 	// session stays resumable with a fresh context.
 	if err := ctx.Err(); err != nil {
-		if ferr := s.flush(ctx); ferr != nil {
+		if ferr := s.flush(); ferr != nil {
 			return zero, s.fail(ferr)
 		}
 		return zero, err
@@ -350,7 +328,7 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 	if err != nil {
 		// Mid-interval failure: the completed intervals are already on
 		// the sink; flush so the partial trace survives, then fail.
-		_ = s.flush(ctx)
+		_ = s.flush()
 		return zero, s.fail(err)
 	}
 	rep.Interval = s.next
@@ -362,7 +340,7 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 	if s.opts.sink != nil {
 		tWrite := s.met.sinkWrite.Start()
 		for _, r := range rep.Records {
-			if werr := s.writeRecord(ctx, r); werr != nil {
+			if werr := s.opts.sink.WriteRecord(r); werr != nil {
 				s.sinkBroken = true
 				s.met.sinkErrors.Inc()
 				return zero, s.fail(fmt.Errorf("%w: interval %d: %w", ErrSink, s.next, werr))
@@ -370,7 +348,7 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 		}
 		s.met.sinkWrite.ObserveSince(tWrite)
 	}
-	if ferr := s.flush(ctx); ferr != nil {
+	if ferr := s.flush(); ferr != nil {
 		return zero, s.fail(ferr)
 	}
 	s.next++
@@ -421,9 +399,7 @@ func (s *session) Close() error {
 	s.closed = true
 	s.eng.close()
 	s.ckpt = checkpoint.Writer{} // a closed session takes no checkpoint
-	// Close has no caller context; the final flush retries on the
-	// ordinary schedule.
-	return s.flush(context.Background())
+	return s.flush()
 }
 
 func (s *session) fail(err error) error {
@@ -431,64 +407,12 @@ func (s *session) fail(err error) error {
 	return err
 }
 
-// isTransientSink reports whether err's chain advertises itself as a
-// transient (retry-safe) sink failure.
-func isTransientSink(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
-// backoff waits before retry attempt n (1-based), doubling the
-// configured initial backoff per attempt. The wait is context-aware:
-// a cancellation mid-wait (or already pending) returns the context
-// error immediately instead of riding out the exponential schedule,
-// and the caller abandons its remaining retries.
-func (s *session) backoff(ctx context.Context, attempt int) error {
-	if s.opts.sinkBackoff <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(s.opts.sinkBackoff << (attempt - 1))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// writeRecord pushes one record to the sink, retrying transient
-// failures within the configured attempt budget. Errors are returned
-// unwrapped; Step adds the ErrSink envelope. A retry abandoned by
-// cancellation keeps the sink failure in the chain alongside the
-// context error.
-func (s *session) writeRecord(ctx context.Context, r TraceRecord) error {
-	err := s.opts.sink.WriteRecord(r)
-	for attempt := 1; err != nil && attempt < s.opts.sinkAttempts && isTransientSink(err); attempt++ {
-		s.met.sinkWriteRetries.Inc()
-		if werr := s.backoff(ctx, attempt); werr != nil {
-			return fmt.Errorf("retry abandoned: %w (after %w)", werr, err)
-		}
-		err = s.opts.sink.WriteRecord(r)
-	}
-	return err
-}
-
-func (s *session) flush(ctx context.Context) error {
+func (s *session) flush() error {
 	if s.opts.sink == nil || s.sinkBroken {
 		return nil
 	}
 	tFlush := s.met.sinkFlush.Start()
-	err := s.opts.sink.Flush()
-	for attempt := 1; err != nil && attempt < s.opts.sinkAttempts && isTransientSink(err); attempt++ {
-		s.met.sinkFlushRetries.Inc()
-		if werr := s.backoff(ctx, attempt); werr != nil {
-			err = fmt.Errorf("retry abandoned: %w (after %w)", werr, err)
-			break
-		}
-		err = s.opts.sink.Flush()
-	}
-	if err != nil {
+	if err := s.opts.sink.Flush(); err != nil {
 		// A failed flush leaves an unknown prefix of the buffer on the
 		// backing store; pushing more bytes could tear a record, so
 		// the sink is dead to this session from here on.
@@ -504,12 +428,6 @@ func buildOptions(opts []SessionOption) sessionOptions {
 	var o sessionOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.sinkAttempts == 0 {
-		// Defaults only when WithSinkRetry was never given (the option
-		// clamps attempts to >= 1, so 0 means unset).
-		o.sinkAttempts = 3
-		o.sinkBackoff = 2 * time.Millisecond
 	}
 	return o
 }

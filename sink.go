@@ -20,7 +20,9 @@ import (
 // TraceSink receives trace records as a session produces them. A
 // session writes every record of a completed interval, then calls
 // Flush — so after any Flush the sink holds a consistent
-// whole-interval prefix of the run.
+// whole-interval prefix of the run. An error from either call fails
+// the session; a sink that can recover its own faults retries inside
+// the call.
 type TraceSink interface {
 	// WriteRecord receives one trace row.
 	WriteRecord(TraceRecord) error

@@ -7,7 +7,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"dtmsvs/internal/faultinject"
 )
@@ -140,130 +139,59 @@ func TestSessionSinkByteLevelFaults(t *testing.T) {
 	}
 }
 
-// TestSessionSinkTransientRetry: transient sink faults are retried
-// within the configured budget and the run completes with a stream
-// bit-identical to a fault-free run; with retries disabled the same
-// fault is fatal.
+// TestSessionSinkTransientRetry: an error that calls itself transient
+// is as final as any other. The first one fails Step with ErrSink, the
+// failed record is written exactly once, and the backing store keeps
+// the whole-interval prefix of the last good flush.
 func TestSessionSinkTransientRetry(t *testing.T) {
 	cfg := sessionTestConfig(25, 2)
 	clean, perInterval := ndjsonRun(t, func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) })
 
-	transientWrite := faultinject.Fault{Mode: faultinject.FailWrite, N: 2, Transient: true}
-	transientFlush := faultinject.Fault{Mode: faultinject.FailFlush, N: 1, Transient: true}
-
 	var buf bytes.Buffer
-	sink := faultinject.Wrap[TraceRecord](NewNDJSONSink(&buf), transientWrite, transientFlush)
-	s, serr := runWithSink(t, cfg, sink, WithSinkRetry(3, 0))
-	if serr != nil {
-		t.Fatalf("transient faults should be absorbed by retry: %v", serr)
+	at := perInterval[0] + 2
+	sink := &transientSink{TraceSink: NewNDJSONSink(&buf), writeAt: at}
+	s, serr := runWithSink(t, cfg, sink)
+	if !errors.Is(serr, ErrSink) || !errors.Is(serr, transientSinkErr{}) {
+		t.Fatalf("want ErrSink wrapping the transient fault, got %v", serr)
+	}
+	if sink.writes != at {
+		t.Fatalf("sink saw %d writes, want %d: the failed record was written again", sink.writes, at)
 	}
 	if cerr := s.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
-	if buf.String() != clean {
-		t.Fatal("retried run diverged from fault-free run")
-	}
-	var total int
-	for _, n := range perInterval {
-		total += n
-	}
-	// One extra WriteRecord (the retry) and one extra Flush.
-	if got := sink.Writes(); got != total+1 {
-		t.Fatalf("sink saw %d writes, want %d", got, total+1)
-	}
-
-	// WithSinkRetry(1, 0) turns the same transient fault fatal.
-	var buf2 bytes.Buffer
-	sink2 := faultinject.Wrap[TraceRecord](NewNDJSONSink(&buf2), transientWrite)
-	s2, serr2 := runWithSink(t, cfg, sink2, WithSinkRetry(1, 0))
-	if !errors.Is(serr2, ErrSink) {
-		t.Fatalf("retries disabled: want ErrSink, got %v", serr2)
-	}
-	if cerr := s2.Close(); cerr != nil {
-		t.Fatal(cerr)
+	if buf.String() != linePrefix(clean, perInterval[0]) {
+		t.Fatal("backing store is not the last whole-interval prefix")
 	}
 }
 
-// transientSinkErr is a retryable sink failure minted by the tests.
+// transientSinkErr is a sink failure that advertises itself as
+// transient, minted by the tests.
 type transientSinkErr struct{}
 
 func (transientSinkErr) Error() string   { return "transient sink outage" }
 func (transientSinkErr) Transient() bool { return true }
 
-// cancelingSink fails one scheduled call with a transient error after
-// cancelling the step's context — an operator Ctrl-C landing in the
-// middle of a sink outage, right before the retry backoff starts.
-type cancelingSink struct {
+// transientSink fails its writeAt-th WriteRecord or flushAt-th Flush
+// with transientSinkErr before delegating, and counts every call.
+type transientSink struct {
 	TraceSink
-	cancel  context.CancelFunc
-	onFlush bool
-	calls   int
-	at      int
+	writeAt, flushAt int
+	writes, flushes  int
 }
 
-func (s *cancelingSink) WriteRecord(r TraceRecord) error {
-	if s.onFlush {
-		return s.TraceSink.WriteRecord(r)
-	}
-	if s.calls++; s.calls == s.at {
-		s.cancel()
+func (s *transientSink) WriteRecord(r TraceRecord) error {
+	if s.writes++; s.writes == s.writeAt {
 		return transientSinkErr{}
 	}
 	return s.TraceSink.WriteRecord(r)
 }
 
-func (s *cancelingSink) Flush() error {
-	if !s.onFlush {
-		return s.TraceSink.Flush()
-	}
-	if s.calls++; s.calls == s.at {
-		s.cancel()
+func (s *transientSink) Flush() error {
+	if s.flushes++; s.flushes == s.flushAt {
 		return transientSinkErr{}
 	}
 	return s.TraceSink.Flush()
-}
-
-// TestSessionSinkRetryBackoffCancellation: the retry backoff is
-// context-aware on both sink paths. With an hour-long backoff
-// schedule, a cancellation pending when the wait starts abandons the
-// remaining retries immediately, and the error chain carries both the
-// context error and the sink failure under the ErrSink envelope.
-func TestSessionSinkRetryBackoffCancellation(t *testing.T) {
-	cfg := sessionTestConfig(27, 2)
-	for _, tc := range []struct {
-		name    string
-		onFlush bool
-	}{
-		{"write", false},
-		{"flush", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var buf bytes.Buffer
-			sink := &cancelingSink{TraceSink: NewNDJSONSink(&buf), cancel: cancel, onFlush: tc.onFlush, at: 1}
-			s, err := Open(cfg, WithSink(sink), WithSinkRetry(5, time.Hour))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			start := time.Now()
-			_, serr := s.Step(ctx)
-			elapsed := time.Since(start)
-			if !errors.Is(serr, ErrSink) {
-				t.Fatalf("want ErrSink, got %v", serr)
-			}
-			if !errors.Is(serr, context.Canceled) {
-				t.Fatalf("context error missing from the chain: %v", serr)
-			}
-			if !errors.Is(serr, transientSinkErr{}) {
-				t.Fatalf("sink failure missing from the chain: %v", serr)
-			}
-			if elapsed > 10*time.Second {
-				t.Fatalf("backoff rode out the schedule despite cancellation: %v", elapsed)
-			}
-		})
-	}
 }
 
 // TestSessionSinkFailureSequencing: after a permanent mid-interval
