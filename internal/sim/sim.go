@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dtmsvs/internal/behavior"
@@ -370,10 +371,9 @@ type user struct {
 	twin    *udt.Twin
 	// meanSNR is the user's mean sampled SNR over the current
 	// interval's ticks.
-	meanSNR stats.Online
+	meanSNR stats.OnlineMean
 	// meanX/meanY accumulate the interval's mean position.
-	meanX, meanY stats.Online
-	lastSNR      float64
+	meanX, meanY stats.OnlineMean
 	// posPrev/posPrev2 are the mean positions of the two previous
 	// intervals, used for velocity extrapolation.
 	posPrev, posPrev2 mobility.Point
@@ -459,6 +459,13 @@ type Simulation struct {
 	builder *grouping.Builder
 	groups  []*groupState
 	meanDur float64
+	// scratch is the interval stages' per-group working set, indexed by
+	// group id and reused across intervals.
+	scratch []groupScratch
+	// draws backs every group's swipe draws, carved per interval by
+	// carveDraws into regions of feedCap videos per member.
+	draws   []float64
+	feedCap int
 
 	// sched admits per-group RB reservations when RBBudget > 0.
 	sched *radio.Scheduler
@@ -747,7 +754,7 @@ const tickChunk = 32
 //     (channel.Link.SNRsInto: one 4-wide Hypot pass over the station
 //     distances and one 4-wide Log pass over the path losses and
 //     fades, bit-identical to the per-tick formula);
-//  3. tick by tick again: the last and mean SNR and position, the CQI,
+//  3. tick by tick again: the mean SNR and position, the CQI,
 //     then the chunk's samples into the twin in one CollectTicks call.
 //
 // Only phase 1 draws from the user's stream, in the order a per-tick
@@ -785,7 +792,6 @@ func (s *Simulation) collectTicks(ctx context.Context) error {
 			u.link.SNRsInto(snr[:n], rx[:n])
 			for j, v := range snr[:n] {
 				pos := rx[j].Pos
-				u.lastSNR = v
 				u.meanSNR.Add(v)
 				u.meanX.Add(pos.X)
 				u.meanY.Add(pos.Y)
@@ -836,9 +842,9 @@ func (s *Simulation) closeUserInterval(u *user) {
 			u.havePos++
 		}
 	}
-	u.meanSNR = stats.Online{}
-	u.meanX = stats.Online{}
-	u.meanY = stats.Online{}
+	u.meanSNR = stats.OnlineMean{}
+	u.meanX = stats.OnlineMean{}
+	u.meanY = stats.OnlineMean{}
 }
 
 // predictUserSNR forecasts a user's next-interval mean SNR from the
@@ -906,13 +912,13 @@ func (s *Simulation) predictUserSNR(u *user) float64 {
 }
 
 // predictGroupWorstSNR is the group-level DT channel forecast at the
-// same coverage statistic the scheduler serves.
-func (s *Simulation) predictGroupWorstSNR(g *groupState) float64 {
-	snrs := make([]float64, 0, len(g.members))
+// same coverage statistic the scheduler serves, staged in sc.
+func (s *Simulation) predictGroupWorstSNR(g *groupState, sc *groupScratch) float64 {
+	sc.snrs = sc.snrs[:0]
 	for _, m := range g.members {
-		snrs = append(snrs, s.predictUserSNR(s.userByID(m)))
+		sc.snrs = append(sc.snrs, s.predictUserSNR(s.userByID(m)))
 	}
-	return stats.TailMean(snrs, 2*coverageQuantile)
+	return stats.TailMeanInPlace(sc.snrs, 2*coverageQuantile)
 }
 
 // warmupBrowse lets every user browse individually for one interval to
@@ -1070,13 +1076,13 @@ func (s *Simulation) constructGroups() ([]builtGroup, *grouping.Result, error) {
 
 // groupWorstSNR returns the coverage SNR the multicast MCS must
 // serve: the mean of the worst-tail member SNRs (see
-// coverageQuantile).
-func (s *Simulation) groupWorstSNR(g *groupState) float64 {
-	snrs := make([]float64, 0, len(g.members))
+// coverageQuantile), staged in sc.
+func (s *Simulation) groupWorstSNR(g *groupState, sc *groupScratch) float64 {
+	sc.snrs = sc.snrs[:0]
 	for _, m := range g.members {
-		snrs = append(snrs, s.userByID(m).meanSNR.Mean())
+		sc.snrs = append(sc.snrs, s.userByID(m).meanSNR.Mean())
 	}
-	return stats.TailMean(snrs, 2*coverageQuantile)
+	return stats.TailMeanInPlace(sc.snrs, 2*coverageQuantile)
 }
 
 // abstractGroups rebuilds each group's profile from the twins'
@@ -1114,17 +1120,61 @@ func (s *Simulation) groupBitrate(worstSNRdB float64) video.Representation {
 	return probe.RepAtMost(budget)
 }
 
+// servedVideo is one feed video of a group's interval: the video, the
+// interval clock it started at, and the seconds of it delivered — what
+// the edge server serves.
+type servedVideo struct {
+	v                *video.Video
+	clock, delivered float64
+}
+
+// groupScratch is one group's working set for an interval's stages,
+// written only by the group's own pool tasks. The engine keeps one per
+// group index and reuses its slices across intervals.
+type groupScratch struct {
+	// snrs stages the members' SNRs for the coverage statistic.
+	snrs []float64
+	// served lists the streamed feed in order.
+	served []servedVideo
+	// draws holds every member's swipe draw on every feed video,
+	// video-major: draws[j*len(members)+i] is member i's on served[j].
+	// It is the group's region of the engine's draw slab (carveDraws).
+	draws []float64
+	// views stages one member's views for Twin.CollectViews.
+	views []udt.View
+	// actual is the measured demand; serveInterval fills ComputeCycles.
+	actual predict.Demand
+}
+
+// watched returns what a member whose swipe draw is draw watches of a
+// feed video of durS seconds that starts at clock: the seconds and the
+// fraction of the video, both cut at the interval's end.
+func (s *Simulation) watched(draw, durS, clock float64) (watchS, frac float64) {
+	watchS, frac = draw*durS, draw
+	if clock+watchS > s.cfg.IntervalS {
+		watchS = s.cfg.IntervalS - clock
+		frac = watchS / durS
+	}
+	return watchS, frac
+}
+
 // streamInterval simulates one interval of shared-feed multicast for a
-// group and returns the measured demand.
-func (s *Simulation) streamInterval(g *groupState, rep video.Representation) (*predict.Demand, error) {
+// group into sc: the feed, each member's swipe on each video — folded
+// into the member's preference at once and into its twin in one
+// CollectViews call at the end — and the delivered traffic. It writes
+// only state the group owns (its stream; its members' streams,
+// profiles and twins) and reads the catalog, so groups stream
+// concurrently; the shared edge server is left to serveInterval.
+func (s *Simulation) streamInterval(g *groupState, rep video.Representation, sc *groupScratch) error {
 	if g.profile == nil {
-		return nil, fmt.Errorf("group %d streamed before abstraction: %w", g.id, ErrConfig)
+		return fmt.Errorf("group %d streamed before abstraction: %w", g.id, ErrConfig)
 	}
 	catDist, err := stats.NewCategorical(g.profile.Preference)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var traffic, wasteBits, cycles, engagement float64
+	sc.served = sc.served[:0]
+	var traffic, wasteBits, engagement float64
 	clock := 0.0
 	recIdx := 0
 	for clock < s.cfg.IntervalS {
@@ -1149,20 +1199,14 @@ func (s *Simulation) streamInterval(g *groupState, rep video.Representation) (*p
 		var maxFrac float64
 		for _, m := range g.members {
 			u := s.userByID(m)
-			frac, ferr := u.profile.WatchFraction(v.Category, u.rng)
+			draw, ferr := u.profile.WatchFraction(v.Category, u.rng)
 			if ferr != nil {
-				return nil, ferr
+				return ferr
 			}
-			watch := frac * v.DurationS
-			if clock+watch > s.cfg.IntervalS {
-				watch = s.cfg.IntervalS - clock
-				frac = watch / v.DurationS
-			}
-			if _, cerr := u.twin.CollectView(v.Category, watch, frac, frac < 0.999); cerr != nil {
-				return nil, cerr
-			}
+			sc.draws = append(sc.draws, draw)
+			watch, frac := s.watched(draw, v.DurationS, clock)
 			if uerr := u.profile.Pref.Update(v.Category, frac, 0.05); uerr != nil {
-				return nil, uerr
+				return uerr
 			}
 			engagement += watch
 			if frac > maxFrac {
@@ -1178,29 +1222,74 @@ func (s *Simulation) streamInterval(g *groupState, rep video.Representation) (*p
 		// window; the overshoot is wasted traffic.
 		delivered, waste, perr := segment.Plan(tx, v.DurationS, s.cfg.SegmentS, s.cfg.prefetchSegments())
 		if perr != nil {
-			return nil, perr
+			return perr
 		}
-		cy, serr := s.server.Serve(v, rep, delivered)
-		if serr != nil {
-			return nil, serr
-		}
-		cycles += cy
+		sc.served = append(sc.served, servedVideo{v: v, clock: clock, delivered: delivered})
 		traffic += delivered * rep.BitrateBps
 		wasteBits += waste * rep.BitrateBps
 		clock += tx + s.cfg.SwipeGapS
 	}
-	perRB := s.params.RateBps(s.groupWorstSNR(g))
+	// Every member saw the whole feed: hand each its views in one call.
+	n := len(g.members)
+	sc.views = slices.Grow(sc.views[:0], len(sc.served))[:len(sc.served)]
+	for i, m := range g.members {
+		for j, sv := range sc.served {
+			watch, frac := s.watched(sc.draws[j*n+i], sv.v.DurationS, sv.clock)
+			sc.views[j] = udt.View{Cat: sv.v.Category, WatchS: watch, Engagement: frac, Swiped: frac < 0.999}
+		}
+		if err := s.userByID(m).twin.CollectViews(sc.views); err != nil {
+			return err
+		}
+	}
+	perRB := s.params.RateBps(s.groupWorstSNR(g, sc))
 	actualRBs := 0.0
 	if perRB > 0 {
 		actualRBs = (traffic / s.cfg.IntervalS) / perRB
 	}
-	return &predict.Demand{
-		RadioRBs:      actualRBs,
-		ComputeCycles: cycles,
-		TrafficBits:   traffic,
-		WasteBits:     wasteBits,
-		EngagementS:   engagement / float64(len(g.members)),
-	}, nil
+	sc.actual = predict.Demand{
+		RadioRBs:    actualRBs,
+		TrafficBits: traffic,
+		WasteBits:   wasteBits,
+		EngagementS: engagement / float64(n),
+	}
+	return nil
+}
+
+// carveDraws hands each group, in group order, a region of the draw
+// slab for a feed of feedCap videos, so the slab is sized by the
+// population rather than by every group slot's largest membership.
+// feedCap is at least a feed of half-watched videos of mean duration
+// and follows the longest feed streamed so far; a feed that outgrows
+// its region appends into a private array (the region's capacity ends
+// where the next begins).
+func (s *Simulation) carveDraws() {
+	s.feedCap = max(s.feedCap, int(s.cfg.IntervalS/(s.meanDur/2+max(s.cfg.SwipeGapS, 0))))
+	total := 0
+	for _, g := range s.groups {
+		total += len(g.members) * s.feedCap
+	}
+	s.draws = slices.Grow(s.draws[:0], total)[:total]
+	off := 0
+	for gi, g := range s.groups {
+		end := off + len(g.members)*s.feedCap
+		s.scratch[gi].draws = s.draws[off:off:end]
+		off = end
+	}
+}
+
+// serveInterval replays a streamed group's feed on the shared edge
+// server, in feed order, and returns the group's measured demand with
+// the transcoding cycles summed in that order.
+func (s *Simulation) serveInterval(sc *groupScratch, rep video.Representation) (predict.Demand, error) {
+	actual := sc.actual
+	for _, sv := range sc.served {
+		cy, err := s.server.Serve(sv.v, rep, sv.delivered)
+		if err != nil {
+			return predict.Demand{}, err
+		}
+		actual.ComputeCycles += cy
+	}
+	return actual, nil
 }
 
 // WarmupIntervalContext runs a single warm-up interval (collection +
@@ -1344,6 +1433,9 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 		skip      bool
 	}
 	preds := make([]pendingPred, len(s.groups))
+	if len(s.scratch) < len(s.groups) {
+		s.scratch = append(s.scratch, make([]groupScratch, len(s.groups)-len(s.scratch))...)
+	}
 	tSched := s.met.schedule.Start()
 	s.predictor.CacheHitRate = s.server.Cache().HitRate()
 	if err := s.pool.ForContext(ctx, len(s.groups), func(gi int) error {
@@ -1353,7 +1445,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 			preds[gi].skip = true
 			return nil
 		}
-		snr := s.predictGroupWorstSNR(g)
+		snr := s.predictGroupWorstSNR(g, &s.scratch[gi])
 		rep := s.groupBitrate(snr)
 		d, err := s.predictor.Predict(g.profile, rep.BitrateBps, snr)
 		if err != nil {
@@ -1416,22 +1508,42 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 	s.met.schedule.ObserveSince(tSched)
 
 	// 2. Simulate the interval: channel/mobility collection, then
-	//    multicast streaming with real swipes.
+	//    multicast streaming with real swipes. Groups stream
+	//    concurrently, one pool task each, touching only what the
+	//    group owns (its stream, its members' streams, profiles and
+	//    twins) and the read-only catalog. Shared state is touched
+	//    after the fan-out, group by group in id order: each group's
+	//    feed is served on the edge cache in feed order, then the
+	//    calibration EWMAs observe it and its trace row is appended.
 	tTicks := s.met.tickCollect.Start()
 	if err := s.collectTicks(ctx); err != nil {
 		return err
 	}
 	s.met.tickCollect.ObserveSince(tTicks)
 	tStream := s.met.stream.Start()
-	for _, g := range s.groups {
-		p := preds[g.id]
+	s.carveDraws()
+	if err := s.pool.ForContext(ctx, len(s.groups), func(gi int) error {
+		if preds[gi].skip {
+			return nil
+		}
+		g := s.groups[gi]
+		if err := s.streamInterval(g, preds[gi].rep, &s.scratch[gi]); err != nil {
+			return fmt.Errorf("interval %d group %d stream: %w", interval, g.id, err)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	for gi, g := range s.groups {
+		p := preds[gi]
 		if p.skip {
 			continue
 		}
-		actual, err := s.streamInterval(g, p.rep)
+		actual, err := s.serveInterval(&s.scratch[gi], p.rep)
 		if err != nil {
 			return fmt.Errorf("interval %d group %d stream: %w", interval, g.id, err)
 		}
+		s.feedCap = max(s.feedCap, len(s.scratch[gi].served))
 		if playbackBits := actual.TrafficBits - actual.WasteBits; playbackBits > 0 {
 			playbackS := playbackBits / p.rep.BitrateBps
 			s.wastePerPlayS.Observe(actual.WasteBits / playbackS / p.rep.BitrateBps)

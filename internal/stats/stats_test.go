@@ -172,6 +172,30 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestOnlineMeanBitEqualsOnline holds the mean-only accumulator to
+// Online's mean bit for bit after every observation, over inputs of
+// mixed sign and magnitude: the engines swapped one for the other
+// under pinned trace digests.
+func TestOnlineMeanBitEqualsOnline(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		var o Online
+		var m OnlineMean
+		if m.N() != 0 || m.Mean() != 0 {
+			t.Fatal("zero value must be empty")
+		}
+		scale := math.Pow(10, float64(rng.Intn(13)-6))
+		for i := 0; i < 1+rng.Intn(64); i++ {
+			x := (rng.NormFloat64() + float64(rng.Intn(3)-1)*40) * scale
+			o.Add(x)
+			m.Add(x)
+			if m.N() != o.N() || math.Float64bits(m.Mean()) != math.Float64bits(o.Mean()) {
+				t.Fatalf("trial %d after %d: mean %v (n %d), Online %v (n %d)", trial, i+1, m.Mean(), m.N(), o.Mean(), o.N())
+			}
+		}
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	if _, err := NewHistogram(0, 0, 4); !errors.Is(err, ErrParam) {
 		t.Fatalf("want ErrParam, got %v", err)

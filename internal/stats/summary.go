@@ -39,6 +39,27 @@ func (o *Online) Var() float64 {
 // Std returns the sample standard deviation.
 func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
 
+// OnlineMean accumulates a streaming mean with Online's update step,
+// mean += (x − mean)/n, so its Mean is bit-equal to Online's over the
+// same observations; it skips the variance term. The zero value is
+// ready to use.
+type OnlineMean struct {
+	n    int
+	mean float64
+}
+
+// Add incorporates one observation.
+func (o *OnlineMean) Add(x float64) {
+	o.n++
+	o.mean += (x - o.mean) / float64(o.n)
+}
+
+// N returns the number of observations.
+func (o *OnlineMean) N() int { return o.n }
+
+// Mean returns the running mean (0 with no observations).
+func (o *OnlineMean) Mean() float64 { return o.mean }
+
 // Histogram counts observations into fixed-width bins over [Lo, Hi).
 // Out-of-range observations clamp into the first/last bin so mass is
 // never silently dropped.
@@ -104,19 +125,25 @@ func (h *Histogram) CDF() []float64 {
 // TailMean returns the mean of the values at or below the q-quantile
 // (the lower conditional tail expectation) — a smoother robust
 // statistic than a point quantile. Returns NaN for empty input or
-// invalid q.
+// invalid q. xs is not modified.
 func TailMean(xs []float64, q float64) float64 {
+	return TailMeanInPlace(append([]float64(nil), xs...), q)
+}
+
+// TailMeanInPlace is TailMean over values the caller lets it reorder:
+// xs is sorted in place, so a caller staging scratch values allocates
+// nothing.
+func TailMeanInPlace(xs []float64, q float64) float64 {
 	if len(xs) == 0 || q <= 0 || q > 1 || math.IsNaN(q) {
 		return math.NaN()
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := int(math.Ceil(q * float64(len(s))))
+	sort.Float64s(xs)
+	n := int(math.Ceil(q * float64(len(xs))))
 	if n < 1 {
 		n = 1
 	}
 	var sum float64
-	for _, v := range s[:n] {
+	for _, v := range xs[:n] {
 		sum += v
 	}
 	return sum / float64(n)

@@ -238,6 +238,66 @@ func TestCollectTicksPhaseMatchesModuloOracle(t *testing.T) {
 	}
 }
 
+// TestCollectViewsMatchesOneAtATime: CollectViews over any split of a
+// view sequence leaves the twin exactly as one CollectView per view,
+// at watch periods 1, 2 and 3, with ticks between the intervals so the
+// watch series meets due and skipped clocks alike. A batch holding one
+// invalid view, anywhere, is rejected whole: the encoded state does
+// not move.
+func TestCollectViewsMatchesOneAtATime(t *testing.T) {
+	bad := []View{
+		{Cat: video.Category(99), WatchS: 1, Engagement: 0.5},
+		{Cat: video.Music, WatchS: -1, Engagement: 0.5},
+		{Cat: video.Music, WatchS: 1, Engagement: 1.5},
+		{Cat: video.Music, WatchS: 1, Engagement: -0.1},
+	}
+	for _, every := range []int{1, 2, 3} {
+		cfg := Config{HistoryLen: 7, WatchEvery: every}
+		for seed := int64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			one, batched := newTwin(t, cfg), newTwin(t, cfg)
+			for interval := 0; interval < 40; interval++ {
+				name := fmt.Sprintf("watch every %d, seed %d, interval %d", every, seed, interval)
+				views := make([]View, rng.Intn(24))
+				for i := range views {
+					e := rng.Float64()
+					views[i] = View{Cat: video.AllCategories()[rng.Intn(video.NumCategories)], WatchS: 40 * e, Engagement: e, Swiped: e < 0.999}
+				}
+				for _, v := range views {
+					if _, err := one.CollectView(v.Cat, v.WatchS, v.Engagement, v.Swiped); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(views) > 0 && rng.Intn(3) == 0 {
+					before := encodeState(batched)
+					poisoned := append([]View(nil), views...)
+					poisoned[rng.Intn(len(poisoned))] = bad[rng.Intn(len(bad))]
+					if err := batched.CollectViews(poisoned); !errors.Is(err, ErrParam) {
+						t.Fatalf("%s: invalid view: %v, want ErrParam", name, err)
+					}
+					if !bytes.Equal(before, encodeState(batched)) {
+						t.Fatalf("%s: a rejected batch moved the twin", name)
+					}
+				}
+				for rest := views; len(rest) > 0; {
+					k := 1 + rng.Intn(len(rest))
+					if err := batched.CollectViews(rest[:k]); err != nil {
+						t.Fatal(err)
+					}
+					rest = rest[k:]
+				}
+				if !bytes.Equal(encodeState(one), encodeState(batched)) {
+					t.Fatalf("%s: encoded state differs", name)
+				}
+				for k := rng.Intn(4); k > 0; k-- {
+					one.Tick()
+					batched.Tick()
+				}
+			}
+		}
+	}
+}
+
 func TestStalenessUnknownAttribute(t *testing.T) {
 	tw := newTwin(t, coprime)
 	for i := 0; i < 3; i++ {

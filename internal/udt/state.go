@@ -39,8 +39,8 @@ func (t *Twin) EncodeState(e *checkpoint.Enc) {
 	e.Ints(t.viewsByCat[:])
 	e.Int(t.swipes)
 	e.Int(t.views)
-	for _, n := range t.staleness[AttrChannel:] {
-		e.Int(n)
+	for _, at := range t.lastAt[AttrChannel:] {
+		e.Int(t.ticks - at)
 	}
 }
 
@@ -86,7 +86,7 @@ func (t *Twin) DecodeState(d *checkpoint.Dec) error {
 	t.swipes = d.Int()
 	t.views = d.Int()
 	for a := AttrChannel; a <= AttrPreference; a++ {
-		t.staleness[a] = d.Int()
+		t.lastAt[a] = t.ticks - d.Int()
 	}
 	return d.Err()
 }

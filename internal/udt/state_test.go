@@ -272,9 +272,9 @@ func TestRestoreValidation(t *testing.T) {
 
 // TestStateCodecConcurrent: EncodeState runs against live collectors
 // (the checkpoint-while-serving overlap) — a per-attribute collector
-// and a batched CollectTicks one writing the same twin — without a
-// race, and every encoding it takes is a consistent state a fresh twin
-// accepts.
+// and a batched CollectTicks + CollectViews one writing the same twin
+// — without a race, and every encoding it takes is a consistent state
+// a fresh twin accepts.
 func TestStateCodecConcurrent(t *testing.T) {
 	tw := newTwin(t, Config{HistoryLen: 16})
 	back := newTwin(t, Config{HistoryLen: 16})
@@ -290,6 +290,11 @@ func TestStateCodecConcurrent(t *testing.T) {
 			}
 			if err := tw.CollectTicks(batch[:1+i%len(batch)], pref); err != nil {
 				t.Errorf("batch %d: %v", i, err)
+				return
+			}
+			views := []View{{Cat: video.News, WatchS: 3, Engagement: 0.2, Swiped: true}, {Cat: video.Game, WatchS: 9, Engagement: 1}}
+			if err := tw.CollectViews(views[:1+i%len(views)]); err != nil {
+				t.Errorf("views %d: %v", i, err)
 				return
 			}
 		}

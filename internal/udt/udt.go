@@ -149,10 +149,11 @@ func (c Config) Validate() error {
 
 // Twin is one user's digital twin. It is safe for concurrent use: the
 // BS-side collector writes — one CollectTicks call per batch of
-// simulation ticks (the engines pass an interval's ticks, at most 32
-// a call), or Tick followed by the per-attribute Collect calls — while
-// the grouping pipeline reads. Readers serialize with each other as
-// well as with the collector.
+// simulation ticks and one CollectViews call per batch of views, or
+// Tick followed by the per-attribute Collect calls — while the
+// grouping pipeline reads. The engines take the lock once per user per
+// interval for its ticks (at most 32 a call) and once for its views.
+// Readers serialize with each other as well as with the collector.
 type Twin struct {
 	UserID int
 
@@ -181,8 +182,11 @@ type Twin struct {
 	swipes      int
 	views       int
 
-	ticks     int
-	staleness [AttrPreference + 1]int // indexed by Attribute; slot 0 unused
+	ticks int
+	// lastAt is the clock at each attribute's last accepted sample
+	// (indexed by Attribute; slot 0 unused), so staleness is
+	// ticks − lastAt and a tick touches only the clock.
+	lastAt [AttrPreference + 1]int
 }
 
 // NewTwin constructs a twin for the user.
@@ -210,15 +214,7 @@ func (t *Twin) rings() [NumFeatureChannels]*ring {
 func (t *Twin) Tick() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tick()
-}
-
-// tick is Tick's body. Caller must hold the lock.
-func (t *Twin) tick() {
 	t.ticks++
-	for a := AttrChannel; a <= AttrPreference; a++ {
-		t.staleness[a]++
-	}
 }
 
 // Ticks returns the collection clock.
@@ -236,7 +232,7 @@ func (t *Twin) Staleness(a Attribute) int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.staleness[a]
+	return t.ticks - t.lastAt[a]
 }
 
 // due reports whether the attribute's collection period has elapsed.
@@ -284,7 +280,7 @@ func (t *Twin) CollectTicks(samples []TickSample, p behavior.Preference) error {
 	chEvery, locEvery, prefEvery := t.cfg.ChannelEvery, t.cfg.LocationEvery, t.cfg.PreferenceEvery
 	ch, loc, pref := t.ticks%chEvery, t.ticks%locEvery, t.ticks%prefEvery
 	for _, s := range samples {
-		t.tick()
+		t.ticks++
 		if ch++; ch == chEvery {
 			ch = 0
 			t.storeChannel(s.CQI)
@@ -319,7 +315,7 @@ func (t *Twin) CollectChannel(cqi int) (bool, error) {
 // storeChannel stores a validated, due CQI. Caller must hold the lock.
 func (t *Twin) storeChannel(cqi int) {
 	t.cqi.add(float64(cqi))
-	t.staleness[AttrChannel] = 0
+	t.lastAt[AttrChannel] = t.ticks
 }
 
 // CollectLocation records an (x, y) sample if due.
@@ -337,7 +333,31 @@ func (t *Twin) CollectLocation(x, y float64) bool {
 func (t *Twin) storeLocation(x, y float64) {
 	t.locX.add(x)
 	t.locY.add(y)
-	t.staleness[AttrLocation] = 0
+	t.lastAt[AttrLocation] = t.ticks
+}
+
+// View is one completed view — category, seconds watched, watched
+// fraction of the video and whether the user swiped away — as the
+// collector hands it to CollectViews.
+type View struct {
+	Cat        video.Category
+	WatchS     float64
+	Engagement float64
+	Swiped     bool
+}
+
+// valid reports whether a view's category is known and neither its
+// watch time is negative nor its engagement outside [0, 1].
+func (v View) valid() bool {
+	return v.Cat.Index() >= 0 && !(v.WatchS < 0 || v.Engagement < 0 || v.Engagement > 1)
+}
+
+// invalid describes why valid rejected v.
+func (v View) invalid() error {
+	if v.Cat.Index() < 0 {
+		return fmt.Errorf("category %v: %w", v.Cat, ErrParam)
+	}
+	return fmt.Errorf("watch %v engagement %v: %w", v.WatchS, v.Engagement, ErrParam)
 }
 
 // CollectView records a completed view (watch duration, engagement,
@@ -346,29 +366,54 @@ func (t *Twin) storeLocation(x, y float64) {
 // paper's separation between raw status series and abstracted
 // group-level data.
 func (t *Twin) CollectView(cat video.Category, watchS, engagement float64, swiped bool) (bool, error) {
-	idx := cat.Index()
-	if idx < 0 {
-		return false, fmt.Errorf("category %v: %w", cat, ErrParam)
-	}
-	if watchS < 0 || engagement < 0 || engagement > 1 {
-		return false, fmt.Errorf("watch %v engagement %v: %w", watchS, engagement, ErrParam)
+	v := View{Cat: cat, WatchS: watchS, Engagement: engagement, Swiped: swiped}
+	if !v.valid() {
+		return false, v.invalid()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.watchByCat[idx] += watchS
-	t.engageByCat[idx] += engagement
+	due := t.due(t.cfg.WatchEvery)
+	t.storeView(v, due)
+	return due, nil
+}
+
+// CollectViews records views in order under a single lock, exactly as
+// one CollectView call per view would: the view counters take every
+// view, the watch and engagement series only when the watch period is
+// due. Views do not advance the clock, so one due check serves the
+// whole batch. Every view is validated before the first is recorded;
+// on error the twin is unchanged.
+func (t *Twin) CollectViews(views []View) error {
+	for i, v := range views {
+		if !v.valid() {
+			return fmt.Errorf("view %d: %w", i, v.invalid())
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	due := t.due(t.cfg.WatchEvery)
+	for _, v := range views {
+		t.storeView(v, due)
+	}
+	return nil
+}
+
+// storeView records a validated view; due says whether the watch
+// period is due. Caller must hold the lock.
+func (t *Twin) storeView(v View, due bool) {
+	idx := v.Cat.Index()
+	t.watchByCat[idx] += v.WatchS
+	t.engageByCat[idx] += v.Engagement
 	t.viewsByCat[idx]++
 	t.views++
-	if swiped {
+	if v.Swiped {
 		t.swipes++
 	}
-	if !t.due(t.cfg.WatchEvery) {
-		return false, nil
+	if due {
+		t.watch.add(v.WatchS)
+		t.engage.add(v.Engagement)
+		t.lastAt[AttrWatch] = t.ticks
 	}
-	t.watch.add(watchS)
-	t.engage.add(engagement)
-	t.staleness[AttrWatch] = 0
-	return true, nil
 }
 
 // CollectPreference snapshots the user's preference vector if due.
@@ -389,7 +434,7 @@ func (t *Twin) CollectPreference(p behavior.Preference) (bool, error) {
 // own vector. Caller must hold the lock.
 func (t *Twin) storePreference(p behavior.Preference) {
 	copy(t.pref, p)
-	t.staleness[AttrPreference] = 0
+	t.lastAt[AttrPreference] = t.ticks
 }
 
 // Preference returns the last collected preference snapshot.
