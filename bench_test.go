@@ -440,45 +440,6 @@ func BenchmarkMatMul(b *testing.B) {
 	})
 }
 
-// BenchmarkMatMulParallel measures the pool-parallel GEMM fan-out on
-// a city-scale shape (the monolithic large-N training GEMMs the
-// ROADMAP targets): one sub-benchmark per worker count, bit-identical
-// outputs, wall-clock gap = the row-block speedup on this machine
-// (~1× on a single-core host).
-func BenchmarkMatMulParallel(b *testing.B) {
-	const m, k, n = 256, 256, 256
-	rng := rand.New(rand.NewSource(10))
-	a := vecmath.MustMatrix(m, k)
-	w := vecmath.MustMatrix(k, n)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64()
-	}
-	dst := vecmath.MustMatrix(m, n)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"w1", 1}, {"wall", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			pool := vecmath.NewGEMMPool(bc.workers)
-			defer pool.Close()
-			// The first product starts the crew; keep that out of the
-			// loop so a -benchtime 1x sample reads the steady 0 allocs.
-			if err := pool.MatMulInto(dst, a, w); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pool.MatMulInto(dst, a, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // benchClusterConfig is the one-cell-per-station scenario the cluster benches
 // share: large enough that the per-cell pipelines dominate, small
 // enough for a bench iteration.

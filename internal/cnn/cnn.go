@@ -138,15 +138,6 @@ func New(cfg Config, rng *rand.Rand) (*Compressor, error) {
 	return &Compressor{cfg: cfg, encoder: encoder, decoder: decoder, opt: nn.NewAdam(lr), inDim: inDim}, nil
 }
 
-// SetGEMMPool routes the GEMMs of Fit and EncodeBatch through the
-// given pool (nil restores the sequential kernels). Purely a
-// wall-clock knob: fitted weights, codes and reconstructions are
-// bit-identical for any worker count.
-func (c *Compressor) SetGEMMPool(p *vecmath.GEMMPool) {
-	c.encoder.SetGEMMPool(p)
-	c.decoder.SetGEMMPool(p)
-}
-
 // Config returns the compressor's configuration.
 func (c *Compressor) Config() Config { return c.cfg }
 

@@ -12,8 +12,8 @@ import (
 // TestTrainedWeightsDeterministicAcrossKernels pins the acceptance
 // criterion at the weight level: compressor and agent weights after
 // a full TrainCompressor+TrainAgent run must be bit-identical across
-// {dispatched, forced-generic} kernels × GEMM pool workers {1, 4, 8},
-// not merely produce the same groupings.
+// dispatched and forced-generic kernels, not merely produce the same
+// groupings.
 func TestTrainedWeightsDeterministicAcrossKernels(t *testing.T) {
 	defer vecmath.ForceGeneric(false)
 	twins := makeTwins(t, 16)
@@ -25,42 +25,35 @@ func TestTrainedWeightsDeterministicAcrossKernels(t *testing.T) {
 	var base *result
 	for _, generic := range []bool{false, true} {
 		vecmath.ForceGeneric(generic)
-		for _, workers := range []int{1, 4, 8} {
-			cfg := testConfig()
-			cfg.UseCNN = true
-			b, err := New(cfg, rand.New(rand.NewSource(31)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool := vecmath.NewGEMMPool(workers)
-			pool.MinFlops = 1 // engage the fan-out at test scale
-			b.SetGEMMPool(pool)
-			loss, err := b.TrainCompressor(twins, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := b.TrainAgent(twins, 10); err != nil {
-				t.Fatal(err)
-			}
-			var comp, agent checkpoint.Enc
-			b.compressor.EncodeState(&comp)
-			b.agent.EncodeState(&agent)
-			got := &result{comp: comp.Bytes(), agent: agent.Bytes(), loss: loss}
-			pool.Close()
-			if base == nil {
-				base = got
-				continue
-			}
-			if got.loss != base.loss {
-				t.Fatalf("generic=%v workers=%d: compressor loss %v want %v",
-					generic, workers, got.loss, base.loss)
-			}
-			if !bytes.Equal(got.comp, base.comp) {
-				t.Fatalf("generic=%v workers=%d: compressor weights diverged", generic, workers)
-			}
-			if !bytes.Equal(got.agent, base.agent) {
-				t.Fatalf("generic=%v workers=%d: agent weights diverged", generic, workers)
-			}
+		cfg := testConfig()
+		cfg.UseCNN = true
+		b, err := New(cfg, rand.New(rand.NewSource(31)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loss, err := b.TrainCompressor(twins, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.TrainAgent(twins, 10); err != nil {
+			t.Fatal(err)
+		}
+		var comp, agent checkpoint.Enc
+		b.compressor.EncodeState(&comp)
+		b.agent.EncodeState(&agent)
+		got := &result{comp: comp.Bytes(), agent: agent.Bytes(), loss: loss}
+		if base == nil {
+			base = got
+			continue
+		}
+		if got.loss != base.loss {
+			t.Fatalf("generic=%v: compressor loss %v want %v", generic, got.loss, base.loss)
+		}
+		if !bytes.Equal(got.comp, base.comp) {
+			t.Fatalf("generic=%v: compressor weights diverged", generic)
+		}
+		if !bytes.Equal(got.agent, base.agent) {
+			t.Fatalf("generic=%v: agent weights diverged", generic)
 		}
 	}
 }

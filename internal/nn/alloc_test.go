@@ -7,6 +7,29 @@ import (
 	"dtmsvs/internal/vecmath"
 )
 
+// buildBatchNet constructs the compressor-shaped stack the batched
+// training paths exercise: conv → relu → pool → dense → tanh.
+func buildBatchNet(t *testing.T, rng *rand.Rand) *Network {
+	t.Helper()
+	conv, err := NewConv1D(5, 16, 8, 3, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewMaxPool1D(8, conv.OutLen(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := NewDense(8*pool.OutLen(), 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(5*16, conv, &ReLU{}, pool, head, &Tanh{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 // TestDenseForwardBackwardAllocFree is the allocation regression gate
 // for the Dense training pass: a steady-state ForwardBatch +
 // BackwardBatch must not touch the heap.

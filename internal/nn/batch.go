@@ -30,24 +30,6 @@ import (
 // call, and all scratch grows once and is reused, so steady-state
 // batched training does not touch the heap.
 
-// gemmPooled is implemented by layers whose batch paths can fan GEMM
-// row blocks across a vecmath.GEMMPool.
-type gemmPooled interface {
-	SetGEMMPool(*vecmath.GEMMPool)
-}
-
-// SetGEMMPool routes the batch-path GEMMs of every layer that has one
-// through the given pool (nil restores the sequential kernels). The
-// pool only changes wall-clock time: outputs and gradients are
-// bit-identical for any worker count.
-func (n *Network) SetGEMMPool(p *vecmath.GEMMPool) {
-	for _, l := range n.layers {
-		if gl, ok := l.(gemmPooled); ok {
-			gl.SetGEMMPool(p)
-		}
-	}
-}
-
 // ensureMat resizes a lazily allocated layer-owned scratch matrix,
 // reusing its backing array whenever capacity allows.
 func ensureMat(m **vecmath.Matrix, rows, cols int) (*vecmath.Matrix, error) {
@@ -96,7 +78,7 @@ func (d *Dense) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if err := vecmath.TransposeInto(wT, d.w); err != nil {
 		return nil, err
 	}
-	if err := d.gemm.MatMulInto(out, x, wT); err != nil {
+	if err := vecmath.MatMulInto(out, x, wT); err != nil {
 		return nil, err
 	}
 	for r := 0; r < out.Rows; r++ {
@@ -119,7 +101,7 @@ func (d *Dense) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.gemm.MatMulInto(dx, grad, d.w); err != nil {
+	if err := vecmath.MatMulInto(dx, grad, d.w); err != nil {
 		return nil, err
 	}
 	return dx, nil
@@ -134,7 +116,7 @@ func (d *Dense) accumGradsBatch(grad *vecmath.Matrix) error {
 	if d.bIn == nil || d.bIn.Rows != grad.Rows {
 		return fmt.Errorf("dense backward batch before forward batch: %w", ErrShape)
 	}
-	if err := d.gemm.MatMulTransAAccumInto(d.gw, grad, d.bIn); err != nil {
+	if err := vecmath.MatMulTransAAccumInto(d.gw, grad, d.bIn); err != nil {
 		return err
 	}
 	for r := 0; r < grad.Rows; r++ {
@@ -374,7 +356,7 @@ func (c *Conv1D) ForwardBatch(x *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.gemm.MatMulInto(ycol, xcol, wt); err != nil {
+	if err := vecmath.MatMulInto(ycol, xcol, wt); err != nil {
 		return nil, err
 	}
 	out, err := ensureMat(&c.bOut, x.Rows, c.Filters*outLen)
@@ -411,7 +393,7 @@ func (c *Conv1D) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.gemm.MatMulInto(dxcol, c.dycol, wf); err != nil {
+	if err := vecmath.MatMulInto(dxcol, c.dycol, wf); err != nil {
 		return nil, err
 	}
 	dx, err := ensureMat(&c.bDx, grad.Rows, c.InCh*c.InLen)
@@ -470,7 +452,7 @@ func (c *Conv1D) accumGradsBatch(grad *vecmath.Matrix) error {
 	if err != nil {
 		return err
 	}
-	if err := c.gemm.MatMulTransAInto(gwf, dycol, c.xcol); err != nil {
+	if err := vecmath.MatMulTransAInto(gwf, dycol, c.xcol); err != nil {
 		return err
 	}
 	for f := 0; f < c.Filters; f++ {

@@ -30,16 +30,7 @@ type Conv1D struct {
 	xcol, wflat, wflatT, gwflat *vecmath.Matrix
 	ycol, dycol, dxcol          *vecmath.Matrix
 	bOut, bDx                   *vecmath.Matrix
-
-	// gemm optionally fans the batch-path GEMM row blocks across a
-	// worker pool (nil = sequential; identical bits either way).
-	gemm *vecmath.GEMMPool
 }
-
-// SetGEMMPool routes the layer's batch-path GEMMs through the given
-// pool (nil restores the sequential kernels). Outputs are
-// bit-identical for any pool and worker count.
-func (c *Conv1D) SetGEMMPool(p *vecmath.GEMMPool) { c.gemm = p }
 
 // NewConv1D builds a conv layer with Xavier-style initialization.
 func NewConv1D(inCh, inLen, filters, kernel, stride int, rng *rand.Rand) (*Conv1D, error) {

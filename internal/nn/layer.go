@@ -65,16 +65,7 @@ type Dense struct {
 	// bOut/bDx are layer-owned grow-once matrices, wT holds the
 	// transposed weights for the AXPY-form forward GEMM.
 	bIn, bOut, bDx, wT *vecmath.Matrix
-
-	// gemm optionally fans the batch-path GEMM row blocks across a
-	// worker pool (nil = sequential; identical bits either way).
-	gemm *vecmath.GEMMPool
 }
-
-// SetGEMMPool routes the layer's batch-path GEMMs through the given
-// pool (nil restores the sequential kernels). Outputs are
-// bit-identical for any pool and worker count.
-func (d *Dense) SetGEMMPool(p *vecmath.GEMMPool) { d.gemm = p }
 
 // NewDense builds a dense layer with Xavier-initialized weights.
 func NewDense(inDim, outDim int, rng *rand.Rand) (*Dense, error) {

@@ -286,10 +286,7 @@ func BuildGroupProfile(twins []*udt.Twin, cat *video.Catalog, topN int) (*GroupP
 	// Mean preference across members.
 	pref := make(behavior.Preference, video.NumCategories)
 	for _, tw := range twins {
-		p := tw.Preference()
-		for i, v := range p {
-			pref[i] += v
-		}
+		tw.AddPreferenceTo(pref)
 	}
 	for i := range pref {
 		pref[i] /= float64(len(twins))

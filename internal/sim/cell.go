@@ -25,6 +25,7 @@ import (
 	"dtmsvs/internal/parallel"
 	"dtmsvs/internal/predict"
 	"dtmsvs/internal/radio"
+	"dtmsvs/internal/stats"
 	"dtmsvs/internal/video"
 )
 
@@ -125,6 +126,10 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 	}
 	builder.SetPool(opts.Pool)
 
+	favDist, err := stats.NewCategorical(c.CategoryWeights)
+	if err != nil {
+		return nil, err
+	}
 	wastePerPlayS, err := predict.NewEWMA(0.3)
 	if err != nil {
 		return nil, err
@@ -151,6 +156,7 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 		innerSq:       servingDiscsSq(opts.Stations),
 		campus:        opts.Campus,
 		catalog:       opts.Catalog,
+		favDist:       favDist,
 		server:        opts.Server,
 		builder:       builder,
 		meanDur:       meanDur,

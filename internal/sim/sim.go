@@ -455,6 +455,9 @@ type Simulation struct {
 	// dense fast path.
 	byID    []*user
 	catalog *video.Catalog
+	// favDist draws a new user's favorite category from
+	// cfg.CategoryWeights; read-only, shared by concurrent newUser calls.
+	favDist *stats.Categorical
 	server  *edge.Server
 	builder *grouping.Builder
 	groups  []*groupState
@@ -579,12 +582,7 @@ func (s *Simulation) index(id int, u *user) {
 // private stream, so creation order never matters.
 func (s *Simulation) newUser(id int, src *parallel.Stream) (*user, error) {
 	rng := rand.New(src)
-	cats := video.AllCategories()
-	favDist, derr := stats.NewCategorical(s.cfg.CategoryWeights)
-	if derr != nil {
-		return nil, derr
-	}
-	fav := cats[favDist.Sample(rng)]
+	fav := video.AllCategories()[s.favDist.Sample(rng)]
 	pref, perr := behavior.NewRandomPreference(rng, fav, 6)
 	if perr != nil {
 		return nil, perr

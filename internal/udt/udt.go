@@ -444,6 +444,17 @@ func (t *Twin) Preference() behavior.Preference {
 	return t.pref.Clone()
 }
 
+// AddPreferenceTo adds the last collected preference snapshot into
+// dst element by element, in category order, without copying it; dst
+// must hold at least video.NumCategories entries.
+func (t *Twin) AddPreferenceTo(dst behavior.Preference) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, v := range t.pref {
+		dst[i] += v
+	}
+}
+
 // WatchByCategory returns the cumulative watch seconds per category.
 func (t *Twin) WatchByCategory() [video.NumCategories]float64 {
 	t.mu.Lock()

@@ -3,6 +3,7 @@ package udt
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -198,6 +199,38 @@ func TestPreferenceSnapshotIsolation(t *testing.T) {
 	got[1] = 0.5
 	if tw.Preference()[1] == 0.5 {
 		t.Fatal("accessor must return a clone")
+	}
+}
+
+// TestAddPreferenceToMatchesClones: summing members' preferences with
+// AddPreferenceTo gives the bits of summing their Preference clones
+// with += in the same member order.
+func TestAddPreferenceToMatchesClones(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	twins := make([]*Twin, 7)
+	for i := range twins {
+		twins[i] = newTwin(t, Config{PreferenceEvery: 1})
+		p, err := behavior.NewRandomPreference(rng, video.Category(i%video.NumCategories), float64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[i].Tick()
+		if _, err := twins[i].CollectPreference(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(behavior.Preference, video.NumCategories)
+	want := make(behavior.Preference, video.NumCategories)
+	for _, tw := range twins {
+		tw.AddPreferenceTo(got)
+		for c, v := range tw.Preference() {
+			want[c] += v
+		}
+	}
+	for c := range want {
+		if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+			t.Fatalf("category %d: AddPreferenceTo sum %v, clone sum %v", c, got[c], want[c])
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package vecmath
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -137,192 +136,5 @@ func TestSqDist4Equivalence(t *testing.T) {
 				t.Fatalf("sqdist4 n=%d lane %d: got %x want %x", n, i, math.Float64bits(got), math.Float64bits(want))
 			}
 		}
-	}
-}
-
-// gemmShapes sweeps odd GEMM shapes: outputs smaller than the block
-// size, dimensions off every vector-width multiple, single elements,
-// single rows/columns, and a long inner dimension.
-var gemmShapes = []struct{ m, k, n int }{
-	{1, 1, 1},
-	{1, 7, 1},
-	{3, 1, 5},
-	{2, 3, 2},
-	{5, 5, 5},
-	{7, 13, 9},
-	{16, 16, 16},
-	{17, 33, 9},
-	{32, 64, 64},
-	{64, 3, 64},
-	{129, 7, 65},
-	{2, 500, 2},
-	{65, 66, 67},
-}
-
-func fillMat(rng *rand.Rand, m *Matrix) {
-	for i := range m.Data {
-		// Include exact zeros: the AXPY-form kernels skip them.
-		if rng.Intn(8) == 0 {
-			m.Data[i] = 0
-		} else {
-			m.Data[i] = rng.NormFloat64()
-		}
-	}
-}
-
-func matsEqual(t *testing.T, tag string, want, got *Matrix) {
-	t.Helper()
-	if want.Rows != got.Rows || want.Cols != got.Cols {
-		t.Fatalf("%s: shape %dx%d vs %dx%d", tag, want.Rows, want.Cols, got.Rows, got.Cols)
-	}
-	for i := range want.Data {
-		if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
-			t.Fatalf("%s: element %d: want %x got %x",
-				tag, i, math.Float64bits(want.Data[i]), math.Float64bits(got.Data[i]))
-		}
-	}
-}
-
-// TestGEMMPoolMatchesSequential is the pool-parallel half of the
-// determinism contract: every kernel, over every odd shape, at every
-// worker count, with the threshold forced to zero so the fan-out
-// actually engages, must be bit-identical to the sequential kernels —
-// which the SIMD equivalence tests in turn pin to the scalar loops.
-func TestGEMMPoolMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		pool := NewGEMMPool(workers)
-		pool.MinFlops = 1 // force fan-out on every shape
-		for _, sh := range gemmShapes {
-			a := MustMatrix(sh.m, sh.k)
-			b := MustMatrix(sh.k, sh.n)
-			at := MustMatrix(sh.k, sh.m)
-			fillMat(rng, a)
-			fillMat(rng, b)
-			fillMat(rng, at)
-			tag := func(op string) string {
-				return fmt.Sprintf("%s w=%d m=%d k=%d n=%d", op, workers, sh.m, sh.k, sh.n)
-			}
-
-			want := MustMatrix(sh.m, sh.n)
-			got := MustMatrix(sh.m, sh.n)
-			fillMat(rng, got) // parallel path must fully overwrite
-			if err := MatMulInto(want, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.MatMulInto(got, a, b); err != nil {
-				t.Fatal(err)
-			}
-			matsEqual(t, tag("matmul"), want, got)
-
-			if err := MatMulTransAInto(want, at, b); err != nil {
-				t.Fatal(err)
-			}
-			fillMat(rng, got)
-			if err := pool.MatMulTransAInto(got, at, b); err != nil {
-				t.Fatal(err)
-			}
-			matsEqual(t, tag("transA"), want, got)
-
-			// Accumulating form: seed both destinations identically.
-			fillMat(rng, want)
-			copy(got.Data, want.Data)
-			if err := MatMulTransAAccumInto(want, at, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.MatMulTransAAccumInto(got, at, b); err != nil {
-				t.Fatal(err)
-			}
-			matsEqual(t, tag("transAaccum"), want, got)
-		}
-		pool.Close()
-	}
-}
-
-// TestGEMMPoolSequentialFallbacks covers the paths that skip the
-// fan-out: nil pools, single-worker pools, sub-threshold work and
-// shape errors (which must surface identically on both paths).
-func TestGEMMPoolSequentialFallbacks(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	a := MustMatrix(4, 4)
-	b := MustMatrix(4, 4)
-	fillMat(rng, a)
-	fillMat(rng, b)
-	want := MustMatrix(4, 4)
-	if err := MatMulInto(want, a, b); err != nil {
-		t.Fatal(err)
-	}
-
-	var nilPool *GEMMPool
-	got := MustMatrix(4, 4)
-	if err := nilPool.MatMulInto(got, a, b); err != nil {
-		t.Fatal(err)
-	}
-	matsEqual(t, "nil pool", want, got)
-	nilPool.Close() // must not panic
-
-	seq := NewGEMMPool(1)
-	defer seq.Close()
-	if err := seq.MatMulInto(got, a, b); err != nil {
-		t.Fatal(err)
-	}
-	matsEqual(t, "workers=1", want, got)
-
-	par := NewGEMMPool(4)
-	defer par.Close()
-	// Default threshold: a 4x4x4 product stays sequential; result
-	// must be identical anyway.
-	if err := par.MatMulInto(got, a, b); err != nil {
-		t.Fatal(err)
-	}
-	matsEqual(t, "sub-threshold", want, got)
-
-	bad := MustMatrix(3, 3)
-	par.MinFlops = 1
-	for _, err := range []error{
-		par.MatMulInto(bad, a, b),
-		par.MatMulTransAInto(bad, a, b),
-		par.MatMulTransAAccumInto(bad, a, b),
-	} {
-		if err == nil {
-			t.Fatal("shape mismatch did not error on the pool path")
-		}
-	}
-}
-
-// TestGEMMPoolAllocFree is the allocation gate for the parallel GEMM
-// path: once the crew is spawned, a steady-state fanned kernel call
-// must not touch the heap at any worker count.
-func TestGEMMPoolAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	for _, workers := range []int{1, 4, 8} {
-		pool := NewGEMMPool(workers)
-		pool.MinFlops = 1
-		a := MustMatrix(64, 32)
-		b := MustMatrix(32, 48)
-		at := MustMatrix(32, 64)
-		dst := MustMatrix(64, 48)
-		gw := MustMatrix(64, 48)
-		fillMat(rng, a)
-		fillMat(rng, b)
-		fillMat(rng, at)
-		// Prime: spawns the crew goroutines.
-		if err := pool.MatMulInto(dst, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			if err := pool.MatMulInto(dst, a, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.MatMulTransAInto(gw, at, b); err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.MatMulTransAAccumInto(gw, at, b); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Fatalf("workers=%d: parallel GEMM allocates %v per run", workers, n)
-		}
-		pool.Close()
 	}
 }

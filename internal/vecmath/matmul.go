@@ -65,16 +65,8 @@ func checkMatMul(dst, a, b *Matrix) error {
 // still takes one rounded multiply and then one rounded add per k,
 // exactly as an AXPY lane does, so the two forms are bit-identical.
 func matMulAccum(dst, a, b *Matrix) {
-	matMulAccumRows(dst, a, b, 0, a.Rows)
-}
-
-// matMulAccumRows is matMulAccum restricted to dst rows [lo, hi) —
-// the row-block unit of the pool-parallel path. Each dst row's sums
-// are complete within one call, so any partition of the row range
-// produces bit-identical results.
-func matMulAccumRows(dst, a, b *Matrix, lo, hi int) {
 	k, n := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		sweepRow(dst.Data[i*n:i*n+n], a.Data[i*k:], 1, b.Data, n, k)
 	}
 }
@@ -143,21 +135,13 @@ func checkTransA(dst, a, b *Matrix) error {
 // dimension k (the batch axis) ascending per element — the row sweep
 // of matMulAccum with coefficient stride a.Cols (column i of a feeds
 // dst row i), which is what makes a whole-batch gradient bit-identical
-// to per-sample outer products.
+// to per-sample outer products. The register sweep per row measured
+// 2.5–7× faster than a k-outer loop of AXPYs over the rows at every
+// width of at least four columns the networks use (8, 15, 56, 64) and
+// at 256.
 func matMulTransAAccum(dst, a, b *Matrix) {
-	matMulTransAAccumRows(dst, a, b, 0, a.Cols)
-}
-
-// matMulTransAAccumRows is matMulTransAAccum restricted to dst rows
-// [lo, hi) (dst row i is column i of a). Each row is one sweep over k
-// ascending, so each owned element accumulates in exactly the
-// sequential order no matter how the rows are partitioned. The register
-// sweep per row measured 2.5–7× faster than a k-outer loop of AXPYs
-// over the rows at every width of at least four columns the networks
-// use (8, 15, 56, 64) and at 256.
-func matMulTransAAccumRows(dst, a, b *Matrix, lo, hi int) {
 	k, m, n := a.Rows, a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		sweepRow(dst.Data[i*n:i*n+n], a.Data[i:], m, b.Data, n, k)
 	}
 }

@@ -219,7 +219,7 @@ func TestMatrixResize(t *testing.T) {
 	}
 }
 
-// TestNarrowMatMulMatchesAXPYSweep: matMulAccumRows is bit-identical
+// TestNarrowMatMulMatchesAXPYSweep: matMulAccum is bit-identical
 // to the AXPY sweep at every output width from 1 to 16 — on both sides
 // of the row sweep's four-column floor and its overlapped last lane —
 // with and without the SIMD kernels, on operands that mix signed
@@ -257,7 +257,7 @@ func TestNarrowMatMulMatchesAXPYSweep(t *testing.T) {
 						}
 					}
 				}
-				matMulAccumRows(dst, a, b, 0, m)
+				matMulAccum(dst, a, b)
 				for i := range want.Data {
 					if math.IsNaN(want.Data[i]) && math.IsNaN(dst.Data[i]) {
 						continue

@@ -170,9 +170,9 @@ func settledGoroutines(base int) int {
 
 // TestSessionHoldsNoIdleGoroutines: engines and sinks fan work out
 // only for the duration of a call, so nothing stays parked between
-// steps or after Close. Parallelism 4 would give every engine a
-// 4-wide training crew if one were built, and 60 agent
-// episodes fill the replay buffer, so the DDQN minibatch GEMMs run.
+// steps or after Close. Parallelism 4 gives every engine a 4-wide
+// pool, and 60 agent episodes fill the replay buffer, so the DDQN
+// minibatch GEMMs run.
 func TestSessionHoldsNoIdleGoroutines(t *testing.T) {
 	cfg := sessionTestConfig(5, 4)
 	cfg.AgentEpisodes = 60
