@@ -961,8 +961,9 @@ func BenchmarkPoolFor(b *testing.B) {
 }
 
 // BenchmarkSilhouetteDists measures one DDQN reward's silhouette over
-// the cached distance matrix of 2000 eight-dimensional codes, on all
-// cores, at the two ends of the K range.
+// 2000 staged eight-dimensional codes, on all cores, at the two ends of
+// the K range: every distance is computed on the fly, n² of them per
+// call, by the AVX2 distance-sum kernel.
 func BenchmarkSilhouetteDists(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	codes := make([]vecmath.Vec, 2000)
@@ -984,7 +985,7 @@ func BenchmarkSilhouetteDists(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// The first call grows the matrix's scratch; keep it out of
+			// The first call grows the set's scratch; keep it out of
 			// the loop so a -benchtime 1x sample reads the steady state.
 			if _, err := kmeans.SilhouetteDists(dists, res.Assign, k, pool); err != nil {
 				b.Fatal(err)
@@ -1000,9 +1001,10 @@ func BenchmarkSilhouetteDists(b *testing.B) {
 	}
 }
 
-// BenchmarkPairDistances measures the distance matrix a DDQN training
-// run builds once over its codes: 2000 eight-dimensional codes, on all
-// cores. Its rows are allocated per call, n of n floats each.
+// BenchmarkPairDistances measures staging the codes a DDQN training run
+// scores: 2000 eight-dimensional codes validated and copied into the
+// distance-sum kernel's layout, n·d floats allocated per call. No
+// distance is computed here; SilhouetteDists computes them.
 func BenchmarkPairDistances(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	codes := make([]vecmath.Vec, 2000)
@@ -1053,10 +1055,10 @@ func BenchmarkAdamStep(b *testing.B) {
 
 // BenchmarkTrainAgent measures the DDQN half of the learning prologue
 // at a monolithic engine's scale: the prologue's 150 episodes over the
-// codes of 2000 twins, on all cores. Each call first computes the
-// codes' distance matrix; then the first episode that picks one of the
-// 7 grouping numbers pays a K-means++ run and a silhouette for it
-// (a few ms each), and every other episode costs only the agent's
+// codes of 2000 twins, on all cores. Each call first stages the codes
+// (n·d floats, no distance matrix); then the first episode that picks
+// one of the 7 grouping numbers pays a K-means++ run and a silhouette
+// for it (a few ms each), and every other episode costs only the agent's
 // step and minibatch update (well under a millisecond). The compressor
 // is trained and encoded once outside the timer, and every iteration
 // decodes the same weights and starts from the same random stream.

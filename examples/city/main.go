@@ -1,11 +1,11 @@
 // City: the cluster engine's flagship scenario — a city-scale
 // population (50k users by default, ≥16 base stations) that the
-// monolithic engine cannot reasonably serve: campus-wide group
-// construction needs the O(N²) pairwise-distance matrix (a 50k-user
-// run would allocate ~20 GB for DDQN training and silhouette scans),
-// while the one-cell-per-station engine pays only Σ(N/C)² — super-linear memory
-// headroom in the cell count — and runs whole cells concurrently,
-// including the streaming phase.
+// monolithic engine cannot reasonably serve: every silhouette of
+// campus-wide group construction computes O(N²) pairwise distances
+// (2.5·10⁹ per scored K at 50k users, for DDQN training and the
+// silhouette scans), while the one-cell-per-station engine computes only
+// Σ(N/C)² — super-linear headroom in the cell count — and runs whole
+// cells concurrently, including the streaming phase.
 //
 // The run goes through the Session API with a streaming sink, so the
 // trace never accumulates in heap: records flow to -out (NDJSON, or
@@ -142,12 +142,12 @@ func run() error {
 
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	// The grouping pipeline's dominant allocation is the pairwise
-	// distance matrix: O(N²) campus-wide vs Σ(cellᵢ²) per cell.
-	monolithicGB := float64(*users) * float64(*users) * 8 / 1e9
-	var perCellGB float64
+	// The grouping pipeline's dominant cost is the silhouette's pairwise
+	// distances: O(N²) campus-wide vs Σ(cellᵢ²) per cell.
+	monolithicPairs := float64(*users) * float64(*users)
+	var perCellPairs float64
 	for _, c := range trace.Cells {
-		perCellGB += float64(c.Users) * float64(c.Users) * 8 / 1e9
+		perCellPairs += float64(c.Users) * float64(c.Users)
 	}
 
 	radioAcc, err := acc.RadioAccuracy()
@@ -157,7 +157,7 @@ func run() error {
 	fmt.Printf("\n%d records streamed, %d twin handovers, %d churned users in %v\n",
 		records, trace.Handovers, trace.ChurnedUsers, elapsed.Round(time.Millisecond))
 	fmt.Printf("radio-accuracy %.2f%%, aggregate cache-hit %.2f%%\n", radioAcc*100, trace.CacheHitRate*100)
-	fmt.Printf("peak heap %.2f GB; pairwise-distance footprint: monolithic %.1f GB → per cell %.2f GB (%.0f× headroom)\n",
-		float64(m.HeapSys)/1e9, monolithicGB, perCellGB, monolithicGB/perCellGB)
+	fmt.Printf("peak heap %.2f GB; pairwise distances per silhouette: monolithic %.3g → per cell %.3g (%.0f× headroom)\n",
+		float64(m.HeapSys)/1e9, monolithicPairs, perCellPairs, monolithicPairs/perCellPairs)
 	return nil
 }

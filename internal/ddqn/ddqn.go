@@ -28,37 +28,43 @@ type Transition struct {
 }
 
 // ReplayBuffer is a fixed-capacity ring buffer of transitions with
-// uniform sampling.
+// uniform sampling. Its storage is allocated by the first Add: an agent
+// that never trains (a fixed-K run builds one all the same) never pays
+// for it.
 type ReplayBuffer struct {
-	buf  []Transition
-	next int
-	full bool
+	capacity int
+	buf      []Transition
+	next     int
+	full     bool
 }
 
-// NewReplayBuffer allocates a buffer with the given capacity.
+// NewReplayBuffer returns an empty buffer with the given capacity.
 func NewReplayBuffer(capacity int) (*ReplayBuffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("replay capacity %d: %w", capacity, ErrConfig)
 	}
-	return &ReplayBuffer{buf: make([]Transition, capacity)}, nil
+	return &ReplayBuffer{capacity: capacity}, nil
 }
 
 // Len returns the number of stored transitions.
 func (r *ReplayBuffer) Len() int {
 	if r.full {
-		return len(r.buf)
+		return r.capacity
 	}
 	return r.next
 }
 
 // Cap returns the buffer capacity.
-func (r *ReplayBuffer) Cap() int { return len(r.buf) }
+func (r *ReplayBuffer) Cap() int { return r.capacity }
 
 // Add stores a transition, evicting the oldest when full.
 func (r *ReplayBuffer) Add(t Transition) {
+	if r.buf == nil {
+		r.buf = make([]Transition, r.capacity)
+	}
 	r.buf[r.next] = t
 	r.next++
-	if r.next == len(r.buf) {
+	if r.next == r.capacity {
 		r.next = 0
 		r.full = true
 	}

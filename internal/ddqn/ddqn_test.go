@@ -66,6 +66,24 @@ func TestReplayBuffer(t *testing.T) {
 	}
 }
 
+// TestReplayBufferAllocatedOnFirstAdd pins the lazy storage: a new
+// agent holds no transitions' worth of memory until it first observes
+// one, and Cap reports the configured capacity throughout.
+func TestReplayBufferAllocatedOnFirstAdd(t *testing.T) {
+	a, err := New(testCfg(), rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := a.replay
+	if rb.buf != nil || rb.Cap() != 64 || rb.Len() != 0 {
+		t.Fatalf("new agent: storage %d, cap %d, len %d", len(rb.buf), rb.Cap(), rb.Len())
+	}
+	rb.Add(Transition{Reward: 1})
+	if len(rb.buf) != 64 || rb.Cap() != 64 || rb.Len() != 1 {
+		t.Fatalf("after one Add: storage %d, cap %d, len %d", len(rb.buf), rb.Cap(), rb.Len())
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	tests := []struct {
 		name string

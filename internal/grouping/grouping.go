@@ -42,9 +42,11 @@ type Result struct {
 	Codes []vecmath.Vec
 
 	// assign and pool are what Silhouette scores: the K-means
-	// assignment of Codes, and the pool its scan fans across.
+	// assignment of Codes, and the pool its scan fans across. dists is
+	// the builder's staging, which Silhouette restages with Codes.
 	assign []int
 	pool   *parallel.Pool
+	dists  *kmeans.DistMatrix
 	// silhouette memoises Silhouette once silhouetteDone is set.
 	silhouette     float64
 	silhouetteDone bool
@@ -58,15 +60,22 @@ func RestoredResult(sil float64) *Result {
 }
 
 // Silhouette returns the clustering's exact silhouette over Codes (0
-// when K == 1). Only some constructions' silhouettes are ever read, so
-// the O(N²) scan runs on the first call, not at build time, and later
-// calls return the memoised value. The builder rejects every input
-// kmeans.SilhouettePool would, so the scan cannot fail. Calls on one
-// result must not overlap.
+// when K == 1), bit-identical to kmeans.SilhouettePool. Only some
+// constructions' silhouettes are ever read, so the O(N²) scan runs on
+// the first call, not at build time, and later calls return the
+// memoised value. The scan stages Codes in the builder's DistMatrix,
+// which the builder's reward table also uses, so once that has grown it
+// allocates nothing. The builder rejects every input kmeans.SilhouettePool
+// would, so the scan cannot fail. A call must not overlap another call
+// on a result of the same builder, or a call on the builder.
 func (r *Result) Silhouette() float64 {
 	if !r.silhouetteDone {
 		if r.K >= 2 {
-			sil, err := kmeans.SilhouettePool(r.Codes, r.assign, r.K, r.pool)
+			err := r.dists.Stage(r.Codes)
+			var sil float64
+			if err == nil {
+				sil, err = kmeans.SilhouetteDists(r.dists, r.assign, r.K, r.pool)
+			}
 			if err != nil {
 				panic(fmt.Sprintf("grouping: silhouette of a validated clustering: %v", err))
 			}
@@ -127,6 +136,9 @@ type Builder struct {
 	pool       *parallel.Pool
 	// windows stages one compressor batch of CodesInto's windows.
 	windows vecmath.Matrix
+	// dists stages the codes the reward table and the results'
+	// silhouettes score, one code set at a time.
+	dists kmeans.DistMatrix
 }
 
 // SetPool fans the K-means assignment and silhouette scans across the
@@ -347,10 +359,8 @@ func envState(codes []vecmath.Vec) (vecmath.Vec, error) {
 // reward scores a candidate K on the codes: one K-means++ run, then
 // its silhouette minus the per-group cost penalty. K=1 uses a
 // normalized-inertia proxy since silhouette is undefined. Its callers
-// score many K on one fixed code set, so dists carries the code set's
-// pairwise distances, computed once: each silhouette is then O(n²)
-// instead of O(n²·d), with bit-identical results. They call it through
-// a rewardTable, which runs it at most once per K.
+// score many K on one fixed code set, staged once in dists. They call
+// it through a rewardTable, which runs it at most once per K.
 func (b *Builder) reward(codes []vecmath.Vec, dists *kmeans.DistMatrix, k int) (float64, error) {
 	res, err := kmeans.Run(codes, k, b.rng, kmeans.Options{Pool: b.pool})
 	if err != nil {
@@ -389,15 +399,15 @@ type rewardTable struct {
 	filled []bool
 }
 
-// newRewardTable computes the codes' pairwise distances and returns an
-// empty table over them.
+// newRewardTable stages the codes in the builder's DistMatrix and
+// returns an empty table over them. The table must not outlive the
+// next use of that staging: another table, or a result's Silhouette.
 func (b *Builder) newRewardTable(codes []vecmath.Vec) (*rewardTable, error) {
-	dists, err := kmeans.PairDistances(codes, b.pool)
-	if err != nil {
+	if err := b.dists.Stage(codes); err != nil {
 		return nil, err
 	}
 	n := b.cfg.KMax - b.cfg.KMin + 1
-	return &rewardTable{b: b, codes: codes, dists: dists, reward: make([]float64, n), filled: make([]bool, n)}, nil
+	return &rewardTable{b: b, codes: codes, dists: &b.dists, reward: make([]float64, n), filled: make([]bool, n)}, nil
 }
 
 // at returns the reward of K, scoring it on first use.
@@ -473,7 +483,7 @@ func (e *kEnv) Step(action int) (vecmath.Vec, float64, bool, error) {
 // twin snapshot for the given number of episodes, returning
 // per-episode rewards. The codes are fixed for the whole call, so each
 // of the KMax−KMin+1 grouping numbers is scored — K-means++ and an
-// exact silhouette over distances computed once up front — by the
+// exact silhouette over the codes staged once up front — by the
 // first episode that picks it; the rest of the episodes reuse those
 // scores and cost only the agent's own step. A later call starts from
 // an empty table, since its codes differ.
@@ -525,7 +535,7 @@ func (b *Builder) assemble(codes []vecmath.Vec, res *kmeans.Result) (*Result, er
 		}
 		groups[a].Members = append(groups[a].Members, i)
 	}
-	return &Result{Groups: groups, K: res.K, Codes: codes, assign: res.Assign, pool: b.pool}, nil
+	return &Result{Groups: groups, K: res.K, Codes: codes, assign: res.Assign, pool: b.pool, dists: &b.dists}, nil
 }
 
 // Build runs the full two-step construction: compress, pick K with the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
@@ -665,5 +666,38 @@ func TestBuilderStateRoundTrip(t *testing.T) {
 	}
 	if err := dst.DecodeState(checkpoint.NewDec(state(raw))); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("raw weights into a CNN builder: want checkpoint.ErrCorrupt, got %v", err)
+	}
+}
+
+// TestTrainAgentMemory guards the reward table's footprint: one
+// TrainAgent over 2000 codes, the learn_mono benchmark workload's
+// population, at its K range and episode count, allocates under 8 MB in
+// all. Each K's silhouette computes its distances from the staged codes
+// (n·d floats); an n×n distance matrix alone would be 32 MB.
+func TestTrainAgentMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a compressor over 2000 twins")
+	}
+	twins := makeTwins(t, 2000)
+	cfg := testConfig()
+	cfg.KMax = 8
+	b, err := New(cfg, rand.New(rand.NewSource(52)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetPool(parallel.New(2))
+	if _, err := b.TrainCompressor(twins, 2); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := b.TrainAgent(twins, 150); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("TrainAgent allocated %.2f MB", float64(got)/(1<<20))
+	if got >= 8<<20 {
+		t.Fatalf("TrainAgent over %d codes allocated %.1f MB, want < 8 MB", len(twins), float64(got)/(1<<20))
 	}
 }

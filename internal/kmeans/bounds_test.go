@@ -163,8 +163,8 @@ func TestRunRejectsTooFewPoints(t *testing.T) {
 }
 
 // TestSilhouetteDistsScratchReuse asserts repeated SilhouetteDists
-// calls on one matrix (the DDQN reward pattern) stay bit-identical to
-// the from-points path while reusing the internal scratch across
+// calls on one staged set (the DDQN reward pattern) stay bit-identical
+// to the reference scatter while reusing the internal scratch across
 // different k.
 func TestSilhouetteDistsScratchReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -178,10 +178,7 @@ func TestSilhouetteDistsScratchReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SilhouettePool(points, res.Assign, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := silhouetteScatter(points, res.Assign, k)
 		got, err := SilhouetteDists(dists, res.Assign, k, nil)
 		if err != nil {
 			t.Fatal(err)

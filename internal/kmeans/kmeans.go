@@ -326,144 +326,88 @@ func Silhouette(points []vecmath.Vec, assign []int, k int) (float64, error) {
 	return SilhouettePool(points, assign, k, nil)
 }
 
-// DistMatrix caches the pairwise Euclidean distances of a fixed point
-// set. The DDQN reward evaluates silhouettes of many clusterings over
-// the same codes; precomputing the distances turns each evaluation
-// from O(n²·d) into O(n²) lookups with bit-identical results.
+// DistMatrix is a fixed point set staged for silhouette scoring. The
+// DDQN reward scores many clusterings of the same codes; SilhouetteDists
+// computes each distance it needs on the fly from the staged rows
+// (vecmath.StageRows), so the set costs O(n·d) memory at any n — an
+// n×n matrix would be 32 MB at 2000 codes and 2 GB at 16 000 — and
+// each distance is bit-identical to √SqDistUnchecked of its two points.
 type DistMatrix struct {
-	N int
-	// Rows[i][j] = dist(points[i], points[j]). Each row is an allocation
-	// of its own: the whole n×n block (32 MB at 2000 codes) would land on
-	// the heap in one step, far past the collector's trigger, and the
-	// cycle it starts would find whatever died just before it still
-	// uncollected. Row by row, the collector keeps pace as the matrix
-	// fills, and peak memory does not depend on when it last ran.
-	Rows [][]float64
+	N   int
+	dim int
+	// staged holds the points in vecmath.StageRows' layout.
+	staged []float64
 
 	// Silhouette scratch, grown by the first SilhouetteDists call and
-	// reused by the many a DDQN training run makes against one matrix,
-	// so the per-episode reward evaluation allocates nothing. order
-	// lists the point ids grouped by cluster, ascending within each,
-	// and cluster c's members are order[start[c]:start[c+1]]. Calls on
-	// the same matrix must not overlap (they never do: each builder
-	// owns its matrix and evaluates one clustering at a time; the pool
-	// fan-out inside a call writes index-owned contrib slots).
+	// reused by the many a DDQN training run makes against one set, so
+	// the per-episode reward evaluation allocates nothing. order lists
+	// the point ids grouped by cluster, ascending within each, and
+	// cluster c's members are order[start[c]:start[c+1]]. Calls on the
+	// same set must not overlap (they never do: each builder owns its
+	// set and evaluates one clustering at a time; the pool fan-out
+	// inside a call writes index-owned contrib slots).
 	sizes   []int
 	start   []int
 	order   []int
 	contrib []float64
 }
 
-// At returns the distance between points i and j.
-func (m *DistMatrix) At(i, j int) float64 { return m.Rows[i][j] }
+// At returns the distance between points i and j, computed by the
+// kernel SilhouetteDists runs.
+func (m *DistMatrix) At(i, j int) float64 {
+	var sums [8]float64
+	blk := i >> 3
+	vecmath.DistSums8Unchecked(&sums, m.staged[blk*8*m.dim:(blk+1)*8*m.dim], m.staged, m.dim, []int{j})
+	return sums[i&7]
+}
 
-// PairDistances computes the full distance matrix, fanning rows across
-// the pool (nil = sequential; identical output either way).
-//
-// Each unordered pair is computed once. For points without NaN
-// coordinates d(i,j) and d(j,i) are equal bit for bit — the differences
-// of the two scans are negations of each other, exact in IEEE
-// arithmetic, so the squares, their ascending sum and its root match —
-// so a first pass fills the upper triangle, the diagonal included, one
-// row per index, and a second pass mirrors it into the lower triangle.
-// The mirror runs in square tiles of
-// pairTile×pairTile, one index per band of pairTile rows, so each
-// index writes only its own rows (the pool's index-owned-write rule)
-// and reads finished upper-triangle rows that the first pass's barrier
-// has published. The diagonal stays √(SqDist(p,p)), which
-// SilhouetteDists relies on.
-func PairDistances(points []vecmath.Vec, pool *parallel.Pool) (*DistMatrix, error) {
-	n := len(points)
-	if n == 0 {
-		return nil, fmt.Errorf("pair distances of no points: %w", ErrInput)
+// Stage validates points and stages them into m, reusing m's storage
+// when it is large enough, so one DistMatrix can score one point set
+// after another without allocating.
+func (m *DistMatrix) Stage(points []vecmath.Vec) error {
+	if len(points) == 0 {
+		return fmt.Errorf("pair distances of no points: %w", ErrInput)
 	}
 	dim := len(points[0])
+	if dim == 0 {
+		return fmt.Errorf("zero-dimensional points: %w", ErrInput)
+	}
 	for i, p := range points {
 		if len(p) != dim {
-			return nil, fmt.Errorf("pair distances point %d dim %d want %d: %w", i, len(p), dim, ErrInput)
+			return fmt.Errorf("pair distances point %d dim %d want %d: %w", i, len(p), dim, ErrInput)
 		}
 	}
-	m := &DistMatrix{N: n, Rows: make([][]float64, n)}
-	upper := func(i int) error {
-		p := points[i]
-		row := make([]float64, n)
-		m.Rows[i] = row
-		// Four columns per pass through the multi-chain kernel; each
-		// distance keeps its own ascending-dimension chain, so every
-		// entry is bit-identical to the one-pair scan.
-		j := i
-		for ; j+4 <= n; j += 4 {
-			d0, d1, d2, d3 := vecmath.SqDist4Unchecked(
-				p, points[j], points[j+1], points[j+2], points[j+3])
-			row[j] = math.Sqrt(d0)
-			row[j+1] = math.Sqrt(d1)
-			row[j+2] = math.Sqrt(d2)
-			row[j+3] = math.Sqrt(d3)
-		}
-		for ; j < n; j++ {
-			row[j] = math.Sqrt(vecmath.SqDistUnchecked(p, points[j]))
-		}
-		return nil
-	}
-	mirror := func(band int) error {
-		lo, hi := band*pairTile, min((band+1)*pairTile, n)
-		for c := 0; c < hi; c += pairTile {
-			for i := lo; i < hi; i++ {
-				row := m.Rows[i]
-				for j := c; j < min(c+pairTile, i); j++ {
-					row[j] = m.Rows[j][i]
-				}
-			}
-		}
-		return nil
-	}
-	bands := (n + pairTile - 1) / pairTile
-	if pool != nil {
-		if err := pool.For(n, upper); err != nil {
-			return nil, err
-		}
-		if err := pool.For(bands, mirror); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	for i := 0; i < n; i++ {
-		if err := upper(i); err != nil {
-			return nil, err
-		}
-	}
-	for band := 0; band < bands; band++ {
-		if err := mirror(band); err != nil {
-			return nil, err
-		}
+	m.N, m.dim = len(points), dim
+	m.staged = vecmath.StageRows(m.staged, points)
+	return nil
+}
+
+// PairDistances validates the points and stages them for
+// SilhouetteDists. Staging is O(n·d), so pool is not used.
+func PairDistances(points []vecmath.Vec, pool *parallel.Pool) (*DistMatrix, error) {
+	m := new(DistMatrix)
+	if err := m.Stage(points); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// pairTile is the side of PairDistances' mirror tiles: a tile reads
-// pairTile upper-triangle rows at pairTile consecutive columns, a few
-// KB, while it fills its band's rows. Sides 8, 16, 32 and 64 measured
-// the same within noise: the pass is bound by reading the upper
-// triangle back from memory, not by the tile.
-const pairTile = 32
-
-// SilhouetteDists is Silhouette over a precomputed distance matrix,
-// bit-identical to SilhouettePool over the points the matrix was built
-// from. It allocates nothing after its first call on a matrix.
+// SilhouetteDists is the mean silhouette of a clustering of the staged
+// points. It allocates nothing after its first call on a DistMatrix.
 //
 // The point ids are counting-sorted by cluster (O(n), ascending id
 // within each cluster), and each row's sum over a cluster is gathered
-// by walking that cluster's members in ascending id. A bucket therefore
-// receives the same additions in the same order as SilhouettePool's
-// ascending-j scatter, and rows run four at a time: one cluster walk
-// feeds four independent accumulators, which hides the add latency a
-// lone chain is bound by, and no per-row scratch is written.
+// by walking that cluster's members in ascending id, eight rows at a
+// time through vecmath.DistSums8Unchecked: one cluster walk feeds eight
+// independent sums. A row's sum therefore receives the same distances
+// in the same order as a scatter over ascending j into per-cluster
+// buckets, the definition's loop, and is bit-identical to it.
 //
 // The gather does not skip j == i, where the scatter does. That adds
-// D[i,i] to row i's own-cluster sum, and the addition is the identity:
-// PairDistances computes D[i,i] as √(Σ(x−x)²), which is exactly +0 for
-// finite points, and a partial sum of distances starts at +0 and adds
-// values ≥ +0, so it is never −0, the one value s + (+0) would change.
+// d(i,i) to row i's own-cluster sum, and the addition is the identity:
+// d(i,i) = √(Σ(x−x)²) is exactly +0 for finite points, and a partial
+// sum of distances starts at +0 and adds values ≥ +0, so it is never
+// −0, the one value s + (+0) would change.
 func SilhouetteDists(dists *DistMatrix, assign []int, k int, pool *parallel.Pool) (float64, error) {
 	if k < 2 {
 		return 0, fmt.Errorf("silhouette k=%d: %w", k, ErrInput)
@@ -498,16 +442,16 @@ func SilhouetteDists(dists *DistMatrix, assign []int, k int, pool *parallel.Pool
 		order[start[a+1]] = i
 		start[a+1]++
 	}
-	quads := (n + 3) / 4
+	blocks := (n + 7) / 8
 	if pool != nil && pool.Workers() > 1 {
-		// Nothing fails: the quads return nil and For is not cancellable.
-		_ = pool.For(quads, func(q int) error {
-			dists.silhouetteQuad(q, assign, k)
+		// Nothing fails: the blocks return nil and For is not cancellable.
+		_ = pool.For(blocks, func(blk int) error {
+			dists.silhouetteBlock(blk, assign, k)
 			return nil
 		})
 	} else {
-		for q := 0; q < quads; q++ {
-			dists.silhouetteQuad(q, assign, k)
+		for blk := 0; blk < blocks; blk++ {
+			dists.silhouetteBlock(blk, assign, k)
 		}
 	}
 	var total float64
@@ -517,35 +461,25 @@ func SilhouetteDists(dists *DistMatrix, assign []int, k int, pool *parallel.Pool
 	return total / float64(n), nil
 }
 
-// silhouetteQuad computes the silhouette contributions of rows 4q…4q+3.
-// Past the last row the final row is computed again and not stored.
-func (m *DistMatrix) silhouetteQuad(q int, assign []int, k int) {
-	n := m.N
-	var rows [4][]float64
-	var own [4]int
-	for r := range rows {
-		i := min(4*q+r, n-1)
-		rows[r] = m.Rows[i]
-		own[r] = assign[i]
+// silhouetteBlock computes the silhouette contributions of rows
+// 8·blk…8·blk+7. Rows past the last are its copies (StageRows' padding):
+// they are computed and not stored.
+func (m *DistMatrix) silhouetteBlock(blk int, assign []int, k int) {
+	n, dim := m.N, m.dim
+	block := m.staged[blk*8*dim : (blk+1)*8*dim]
+	var own [8]int
+	for r := range own {
+		own[r] = assign[min(8*blk+r, n-1)]
 	}
-	// Equal lengths let one bounds check per member cover all four rows.
-	r0, r1, r2, r3 := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
-	var ownSum [4]float64
-	b := [4]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+	var ownSum [8]float64
+	b := [8]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
 	for c := 0; c < k; c++ {
 		size := m.sizes[c]
 		if size == 0 {
 			continue
 		}
-		// Scalars, not an array: the four chains must stay in registers.
-		var s0, s1, s2, s3 float64
-		for _, j := range m.order[m.start[c]:m.start[c+1]] {
-			s0 += r0[j]
-			s1 += r1[j]
-			s2 += r2[j]
-			s3 += r3[j]
-		}
-		s := [4]float64{s0, s1, s2, s3}
+		var s [8]float64
+		vecmath.DistSums8Unchecked(&s, block, m.staged, dim, m.order[m.start[c]:m.start[c+1]])
 		for r := range s {
 			if c == own[r] {
 				ownSum[r] = s[r]
@@ -554,26 +488,11 @@ func (m *DistMatrix) silhouetteQuad(q int, assign []int, k int) {
 			}
 		}
 	}
-	for r := range rows {
-		if i := 4*q + r; i < n {
+	for r := range own {
+		if i := 8*blk + r; i < n {
 			m.contrib[i] = silhouetteScore(ownSum[r], m.sizes[own[r]], b[r])
 		}
 	}
-}
-
-// silhouetteOf turns one point's per-cluster distance sums into its
-// silhouette contribution.
-func silhouetteOf(sumTo []float64, sizes []int, own int) float64 {
-	b := math.Inf(1)
-	for c := range sumTo {
-		if c == own || sizes[c] == 0 {
-			continue
-		}
-		if m := sumTo[c] / float64(sizes[c]); m < b {
-			b = m
-		}
-	}
-	return silhouetteScore(sumTo[own], sizes[own], b)
 }
 
 // silhouetteScore is one point's silhouette from the sum of its
@@ -592,79 +511,16 @@ func silhouetteScore(ownSum float64, ownSize int, b float64) float64 {
 	return (b - a) / den
 }
 
-// SilhouettePool is Silhouette with the O(n²) per-point distance scan
-// fanned across a worker pool (nil = sequential). Each point's
-// contribution is computed into its own slot and the final mean is
-// reduced in index order, so the result is bit-identical to the
-// sequential path.
+// SilhouettePool is Silhouette with the O(n²) distance scan fanned
+// across a worker pool (nil = sequential): it stages the points and
+// runs SilhouetteDists, so the result is bit-identical at every pool
+// width. It allocates the staged rows (n·d floats, n rounded up to a
+// multiple of 8) and SilhouetteDists' scratch on every call; a caller
+// that scores many clusterings keeps one DistMatrix and restages it.
 func SilhouettePool(points []vecmath.Vec, assign []int, k int, pool *parallel.Pool) (float64, error) {
-	if k < 2 {
-		return 0, fmt.Errorf("silhouette k=%d: %w", k, ErrInput)
+	var m DistMatrix
+	if err := m.Stage(points); err != nil {
+		return 0, err
 	}
-	if len(points) != len(assign) || len(points) == 0 {
-		return 0, fmt.Errorf("silhouette %d points %d assigns: %w", len(points), len(assign), ErrInput)
-	}
-	dim := len(points[0])
-	for i, p := range points {
-		if len(p) != dim {
-			return 0, fmt.Errorf("silhouette point %d dim %d want %d: %w", i, len(p), dim, ErrInput)
-		}
-	}
-	sizes := make([]int, k)
-	for _, a := range assign {
-		if a < 0 || a >= k {
-			return 0, fmt.Errorf("silhouette assign %d outside [0,%d): %w", a, k, ErrInput)
-		}
-		sizes[a]++
-	}
-	n := len(points)
-	contrib := make([]float64, n)
-	sumTo := make([]float64, n*k) // per-point scratch rows, index-owned
-	one := func(i int) error {
-		p := points[i]
-		st := sumTo[i*k : (i+1)*k]
-		// Four distances per pass through the multi-chain kernel; the
-		// bucket adds run in the same ascending-j order as the
-		// one-pair scan, so each bucket's sum is bit-identical.
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			d0, d1, d2, d3 := vecmath.SqDist4Unchecked(
-				p, points[j], points[j+1], points[j+2], points[j+3])
-			if j != i {
-				st[assign[j]] += math.Sqrt(d0)
-			}
-			if j+1 != i {
-				st[assign[j+1]] += math.Sqrt(d1)
-			}
-			if j+2 != i {
-				st[assign[j+2]] += math.Sqrt(d2)
-			}
-			if j+3 != i {
-				st[assign[j+3]] += math.Sqrt(d3)
-			}
-		}
-		for ; j < n; j++ {
-			if j != i {
-				st[assign[j]] += math.Sqrt(vecmath.SqDistUnchecked(p, points[j]))
-			}
-		}
-		contrib[i] = silhouetteOf(st, sizes, assign[i])
-		return nil
-	}
-	if pool != nil {
-		if err := pool.For(n, one); err != nil {
-			return 0, err
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if err := one(i); err != nil {
-				return 0, err
-			}
-		}
-	}
-	var total float64
-	for _, c := range contrib {
-		total += c
-	}
-	return total / float64(n), nil
+	return SilhouetteDists(&m, assign, k, pool)
 }

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,16 +26,55 @@ func silhouetteAssignments(n, k int, rng *rand.Rand) map[string][]int {
 	return map[string][]int{"uniform": uniform, "gaps": gaps, "one": one}
 }
 
+// silhouetteScatter is the reference silhouette: for every point, the
+// distances to every other point, one pair at a time, added in
+// ascending j into per-cluster buckets, then the mean of the points'
+// scores in index order.
+func silhouetteScatter(points []vecmath.Vec, assign []int, k int) float64 {
+	n := len(points)
+	sizes := make([]int, k)
+	for _, a := range assign {
+		sizes[a]++
+	}
+	sumTo := make([]float64, k)
+	var total float64
+	for i, p := range points {
+		clear(sumTo)
+		for j, q := range points {
+			if j != i {
+				sumTo[assign[j]] += math.Sqrt(vecmath.SqDistUnchecked(p, q))
+			}
+		}
+		total += silhouetteOf(sumTo, sizes, assign[i])
+	}
+	return total / float64(n)
+}
+
+// silhouetteOf turns one point's per-cluster distance sums into its
+// silhouette contribution.
+func silhouetteOf(sumTo []float64, sizes []int, own int) float64 {
+	b := math.Inf(1)
+	for c := range sumTo {
+		if c == own || sizes[c] == 0 {
+			continue
+		}
+		if m := sumTo[c] / float64(sizes[c]); m < b {
+			b = m
+		}
+	}
+	return silhouetteScore(sumTo[own], sizes[own], b)
+}
+
 // TestSilhouetteDistsMatchesSilhouettePool holds the cluster-ordered
-// gather to the scatter over raw points, bit for bit, across sizes off
-// every multiple of four, k around the quad and pool widths, with
-// empty clusters, singletons and duplicate points (zero distances off
-// the diagonal). One matrix per n serves every k, so the scratch is
-// regrown and reused along the way.
+// gather, and SilhouettePool over it, to the scatter over raw points,
+// bit for bit, across sizes off every multiple of eight, k around the
+// block width and pool widths, with empty clusters, singletons and
+// duplicate points (zero distances off the diagonal). One staged set per
+// n serves every k, so the scratch is regrown and reused along the way.
 func TestSilhouetteDistsMatchesSilhouettePool(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	pools := []*parallel.Pool{nil, parallel.New(1), parallel.New(2), parallel.New(4)}
-	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 257, 2000} {
+	pools := []*parallel.Pool{nil, parallel.New(1), parallel.New(2)}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 257, 2000} {
 		points := randPoints(n, 5, rng)
 		for i := 3; i < n; i += 7 {
 			points[i] = vecmath.Clone(points[i-3])
@@ -43,12 +83,13 @@ func TestSilhouetteDistsMatchesSilhouettePool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{2, 3, 8, 16, 17} {
+		ks := []int{2, 3, 8, 9, 17}
+		if n == 2000 {
+			ks = []int{2, 9}
+		}
+		for _, k := range ks {
 			for name, assign := range silhouetteAssignments(n, k, rng) {
-				want, err := SilhouettePool(points, assign, k, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := silhouetteScatter(points, assign, k)
 				for pi, pool := range pools {
 					got, err := SilhouetteDists(dists, assign, k, pool)
 					if err != nil {
@@ -58,6 +99,13 @@ func TestSilhouetteDistsMatchesSilhouettePool(t *testing.T) {
 						t.Fatalf("n=%d k=%d %s pool#%d: gather %v (%x), scatter %v (%x)",
 							n, k, name, pi, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
+				}
+				got, err := SilhouettePool(points, assign, k, pools[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d k=%d %s: SilhouettePool %v, scatter %v", n, k, name, got, want)
 				}
 			}
 		}
@@ -86,48 +134,15 @@ func TestSilhouetteDistsAllocFree(t *testing.T) {
 	}
 }
 
-// TestPairDistancesRows holds the matrix to the one-pair distance,
-// pooled or not, and each row to an allocation of exactly n: rows cut
-// from one n×n block would have room past their end (every row but the
-// last), and that block is what the row layout keeps off the heap.
-func TestPairDistancesRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	for _, n := range []int{1, 5, 257} {
-		points := randPoints(n, 6, rng)
-		for _, pool := range []*parallel.Pool{nil, parallel.New(2)} {
-			dists, err := PairDistances(points, pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dists.N != n || len(dists.Rows) != n {
-				t.Fatalf("n=%d: matrix %d with %d rows", n, dists.N, len(dists.Rows))
-			}
-			for i, row := range dists.Rows {
-				if len(row) != n || cap(row) != n {
-					t.Fatalf("n=%d row %d: len %d cap %d", n, i, len(row), cap(row))
-				}
-				for j := range row {
-					want := math.Sqrt(vecmath.SqDistUnchecked(points[i], points[j]))
-					if math.Float64bits(dists.At(i, j)) != math.Float64bits(want) {
-						t.Fatalf("n=%d D[%d,%d] = %v, want %v", n, i, j, dists.At(i, j), want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPairDistancesMatchesOnePairScan holds every entry of the matrix,
-// both triangles and the diagonal, to the one-pair scan of its own
-// ordered pair, at sizes on both sides of the mirror's tile and of the
-// four-column kernel, on points with exact duplicates and with
-// coordinates of both signs, zeros and subnormals, sequential and on a
-// 2-worker pool. The pooled mirror pass reads rows other indices wrote
-// in the first pass, so under -race this is also the fan-out's check.
+// TestPairDistancesMatchesOnePairScan holds every distance the staged
+// set yields, both orders of each pair and the diagonal, to the
+// one-pair scan of its own ordered pair, at sizes on both sides of the
+// eight-row block, on points with exact duplicates and with coordinates
+// of both signs, zeros and subnormals.
 func TestPairDistancesMatchesOnePairScan(t *testing.T) {
 	special := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-308, 1e3, -1e3}
 	rng := rand.New(rand.NewSource(45))
-	for _, n := range []int{1, 2, 3, 5, 31, 32, 33, 97} {
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 97} {
 		points := make([]vecmath.Vec, n)
 		for i := range points {
 			if i > 0 && rng.Intn(4) == 0 {
@@ -144,20 +159,47 @@ func TestPairDistancesMatchesOnePairScan(t *testing.T) {
 			}
 			points[i] = p
 		}
-		for _, pool := range []*parallel.Pool{nil, parallel.New(2)} {
-			dists, err := PairDistances(points, pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					want := math.Sqrt(vecmath.SqDistUnchecked(points[i], points[j]))
-					if math.Float64bits(dists.At(i, j)) != math.Float64bits(want) {
-						t.Fatalf("n=%d pooled=%v: D[%d,%d] = %x, one-pair scan %x",
-							n, pool != nil, i, j, math.Float64bits(dists.At(i, j)), math.Float64bits(want))
-					}
+		dists, err := PairDistances(points, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dists.N != n {
+			t.Fatalf("n=%d: staged %d points", n, dists.N)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				want := math.Sqrt(vecmath.SqDistUnchecked(points[i], points[j]))
+				if got := dists.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d: D[%d,%d] = %x, one-pair scan %x",
+						n, i, j, math.Float64bits(got), math.Float64bits(want))
 				}
 			}
 		}
+	}
+}
+
+// TestStageRejectsRaggedPoints pins Stage's validation and its reuse of
+// a set's storage for the next, smaller point set.
+func TestStageRejectsRaggedPoints(t *testing.T) {
+	var m DistMatrix
+	for _, points := range [][]vecmath.Vec{nil, {{}}, {{1, 2}, {3}}} {
+		if err := m.Stage(points); !errors.Is(err, ErrInput) {
+			t.Fatalf("Stage(%v) = %v, want ErrInput", points, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(46))
+	if err := m.Stage(randPoints(40, 4, rng)); err != nil {
+		t.Fatal(err)
+	}
+	small := randPoints(9, 3, rng)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := m.Stage(small); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("restaging a smaller set allocates %v", allocs)
+	}
+	if m.N != 9 || m.At(8, 0) != math.Sqrt(vecmath.SqDistUnchecked(small[8], small[0])) {
+		t.Fatalf("restaged set: N=%d D[8,0]=%v", m.N, m.At(8, 0))
 	}
 }

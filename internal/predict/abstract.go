@@ -322,36 +322,105 @@ func BuildGroupProfile(twins []*udt.Twin, cat *video.Catalog, topN int) (*GroupP
 }
 
 // rankByScore returns the topN videos by popularity × category
-// preference using partial selection.
+// preference (videos of no category excluded), in the order a partial
+// selection sort over the scored catalog picks them (topScores).
 func rankByScore(cat *video.Catalog, pref behavior.Preference, topN int) []*video.Video {
-	type scored struct {
-		v *video.Video
-		s float64
-	}
-	all := make([]scored, 0, cat.Size())
-	for _, v := range cat.Videos {
+	score := func(i int) (float64, bool) {
+		v := cat.Videos[i]
 		idx := v.Category.Index()
 		if idx < 0 {
-			continue
+			return 0, false
 		}
-		all = append(all, scored{v: v, s: cat.Popularity(v.ID) * pref[idx]})
+		return cat.Popularity(v.ID) * pref[idx], true
 	}
-	// Partial selection sort for topN (topN << catalog size).
-	if topN > len(all) {
-		topN = len(all)
-	}
-	for i := 0; i < topN; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].s > all[best].s {
-				best = j
-			}
-		}
-		all[i], all[best] = all[best], all[i]
-	}
-	out := make([]*video.Video, topN)
-	for i := 0; i < topN; i++ {
-		out[i] = all[i].v
+	var buf [64]int
+	picks := topScores(len(cat.Videos), topN, score, buf[:0])
+	out := make([]*video.Video, len(picks))
+	for i, p := range picks {
+		out[i] = cat.Videos[p]
 	}
 	return out
+}
+
+// rankCand is a scored item topScores may pick: its index, its score,
+// and its position in the selection sort's array — where it sits while
+// unpicked, the step that picked it once picked.
+type rankCand struct {
+	idx, pos int
+	s        float64
+}
+
+// topScores appends to dst the indices of the topN highest scores among
+// the items i in [0, n) that score reports ok (all of them when fewer),
+// in the order this partial selection sort over the ok items picks
+// them: at step i, the first maximum at array positions i and on, then
+// a swap with the item at position i. Ties are picked in that order,
+// which the swaps make depend on the earlier picks.
+//
+// The sort itself scans the whole array topN times; this replays it on
+// the few items that can be picked. Let t be the topN-th largest score:
+// every pick scores at least t (at each step, some item scoring at least
+// t remains), so an item scoring below t is never picked, and where it
+// sits never decides a pick. Only the candidates — the items scoring at
+// least t — are tracked, with their array positions: a pick moves to
+// position i, and the candidate it displaces from i, if any, to the
+// pick's old position. Scores must not be NaN. It allocates nothing
+// while topN and the candidates fit dst's capacity and 128.
+func topScores(n, topN int, score func(i int) (float64, bool), dst []int) []int {
+	if topN <= 0 {
+		return dst
+	}
+	// The topN largest scores, descending, counting repeats.
+	var topBuf [64]float64
+	top := topBuf[:0]
+	for i := 0; i < n; i++ {
+		s, ok := score(i)
+		switch {
+		case !ok:
+			continue
+		case len(top) < topN:
+			top = append(top, s)
+		case s > top[len(top)-1]:
+			top[len(top)-1] = s
+		default:
+			continue
+		}
+		for j := len(top) - 1; j > 0 && top[j-1] < top[j]; j-- {
+			top[j-1], top[j] = top[j], top[j-1]
+		}
+	}
+	if len(top) == 0 {
+		return dst
+	}
+	floor := top[len(top)-1]
+	var candBuf [128]rankCand
+	cands := candBuf[:0]
+	pos := 0
+	for i := 0; i < n; i++ {
+		s, ok := score(i)
+		if !ok {
+			continue
+		}
+		if s >= floor {
+			cands = append(cands, rankCand{idx: i, pos: pos, s: s})
+		}
+		pos++
+	}
+	for step := range top {
+		best := -1
+		for c, cd := range cands {
+			if cd.pos >= step && (best < 0 || cd.s > cands[best].s || cd.s == cands[best].s && cd.pos < cands[best].pos) {
+				best = c
+			}
+		}
+		for c := range cands {
+			if cands[c].pos == step && c != best {
+				cands[c].pos = cands[best].pos
+				break
+			}
+		}
+		cands[best].pos = step
+		dst = append(dst, cands[best].idx)
+	}
+	return dst
 }

@@ -96,3 +96,11 @@ func init() {
 	cpuHasFMA = c1&fmaBit != 0
 	axpyUseAVX2 = cpuHasAVX2
 }
+
+// distSums8AVX2 is DistSums8Unchecked's kernel: for each of the m row
+// indices at members, the eight distances from the rows of block to
+// that row of staged, each added to its lane of sums. dim and m are
+// positive. Implemented in kern_amd64.s.
+//
+//go:noescape
+func distSums8AVX2(sums *[8]float64, block, staged *float64, dim int, members *int, m int)

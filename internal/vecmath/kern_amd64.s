@@ -558,3 +558,155 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func distSums8AVX2(sums *[8]float64, block, staged *float64, dim int, members *int, m int)
+//
+// For each member row j (members[0..m), in order): the Euclidean
+// distance from each of the eight rows of block to row j of staged,
+// added to that row's lane of sums. block holds two quads, each dim
+// groups of four lanes; row j's coordinates sit at stride 32 bytes from
+// staged + (j>>2)·32·dim + (j&3)·8.
+//
+// Determinism contract: each lane is SqDistUnchecked's chain — per
+// dimension, ascending, one VSUBPD (row minus member), one VMULPD and
+// one VADDPD, each rounding once; the first dimension's square starts
+// the chain, which equals 0 + d·d bit for bit since a square is never
+// -0 — then one VSQRTPD and one VADDPD into the lane's running sum, in
+// member order. No FMA, and no sum is split or reassociated, so every
+// lane is bit-identical to the scalar loop.
+//
+// Layout: the two quads share each broadcast of a member's coordinate,
+// and the main loop takes two members per pass, so four independent
+// distance chains hide the add latency; their roots are added to the
+// sums first member first. An odd last member takes a one-member pass.
+// Loads are unaligned.
+TEXT ·distSums8AVX2(SB), NOSPLIT, $0-48
+	MOVQ sums+0(FP), DI
+	MOVQ block+8(FP), SI
+	MOVQ staged+16(FP), DX
+	MOVQ dim+24(FP), CX
+	MOVQ members+32(FP), R8
+	MOVQ m+40(FP), R9
+	VMOVUPD (DI), Y6        // lanes of quad A
+	VMOVUPD 32(DI), Y7      // lanes of quad B; DI is free until the store
+	MOVQ CX, R10
+	SHLQ $5, R10            // R10 = 32·dim, the bytes of one quad
+	LEAQ (SI)(R10*1), R11   // quad B
+	MOVQ R9, R13
+	SHRQ $1, R13            // member pairs
+	JZ   distone
+
+distpair:
+	MOVQ (R8), AX           // first member j
+	MOVQ AX, BX
+	SHRQ $2, AX
+	IMULQ R10, AX           // (j>>2)·32·dim
+	ANDQ $3, BX
+	ADDQ DX, AX
+	LEAQ (AX)(BX*8), AX     // row j, coordinate 0
+	MOVQ 8(R8), DI         // second member
+	MOVQ DI, BX
+	SHRQ $2, DI
+	IMULQ R10, DI
+	ANDQ $3, BX
+	ADDQ DX, DI
+	LEAQ (DI)(BX*8), DI
+	VMOVUPD (SI), Y1
+	VMOVUPD (R11), Y2
+	VBROADCASTSD (AX), Y0
+	VBROADCASTSD (DI), Y5
+	VSUBPD  Y0, Y1, Y8      // x - y
+	VSUBPD  Y0, Y2, Y9
+	VSUBPD  Y5, Y1, Y10
+	VSUBPD  Y5, Y2, Y11
+	VMULPD  Y8, Y8, Y3      // chains start at the first square
+	VMULPD  Y9, Y9, Y4
+	VMULPD  Y10, Y10, Y12
+	VMULPD  Y11, Y11, Y13
+	MOVQ $32, BX            // byte offset of coordinate 1
+	MOVQ CX, R12
+	DECQ R12
+	JZ   distpairroot
+
+distpairdim:
+	VMOVUPD (SI)(BX*1), Y1
+	VMOVUPD (R11)(BX*1), Y2
+	VBROADCASTSD (AX)(BX*1), Y0
+	VBROADCASTSD (DI)(BX*1), Y5
+	VSUBPD  Y0, Y1, Y8
+	VSUBPD  Y0, Y2, Y9
+	VSUBPD  Y5, Y1, Y10
+	VSUBPD  Y5, Y2, Y11
+	VMULPD  Y8, Y8, Y8
+	VMULPD  Y9, Y9, Y9
+	VMULPD  Y10, Y10, Y10
+	VMULPD  Y11, Y11, Y11
+	VADDPD  Y8, Y3, Y3
+	VADDPD  Y9, Y4, Y4
+	VADDPD  Y10, Y12, Y12
+	VADDPD  Y11, Y13, Y13
+	ADDQ $32, BX
+	DECQ R12
+	JNZ  distpairdim
+
+distpairroot:
+	VSQRTPD Y3, Y3
+	VSQRTPD Y4, Y4
+	VSQRTPD Y12, Y12
+	VSQRTPD Y13, Y13
+	VADDPD  Y3, Y6, Y6      // first member, then second
+	VADDPD  Y4, Y7, Y7
+	VADDPD  Y12, Y6, Y6
+	VADDPD  Y13, Y7, Y7
+	ADDQ $16, R8
+	DECQ R13
+	JNZ  distpair
+
+distone:
+	ANDQ $1, R9
+	JZ   diststore
+	MOVQ (R8), AX
+	MOVQ AX, BX
+	SHRQ $2, AX
+	IMULQ R10, AX
+	ANDQ $3, BX
+	ADDQ DX, AX
+	LEAQ (AX)(BX*8), AX
+	VBROADCASTSD (AX), Y0
+	VMOVUPD (SI), Y1
+	VMOVUPD (R11), Y2
+	VSUBPD  Y0, Y1, Y1
+	VSUBPD  Y0, Y2, Y2
+	VMULPD  Y1, Y1, Y3
+	VMULPD  Y2, Y2, Y4
+	MOVQ $32, BX
+	MOVQ CX, R12
+	DECQ R12
+	JZ   distoneroot
+
+distonedim:
+	VBROADCASTSD (AX)(BX*1), Y0
+	VMOVUPD (SI)(BX*1), Y1
+	VMOVUPD (R11)(BX*1), Y2
+	VSUBPD  Y0, Y1, Y1
+	VSUBPD  Y0, Y2, Y2
+	VMULPD  Y1, Y1, Y1
+	VMULPD  Y2, Y2, Y2
+	VADDPD  Y1, Y3, Y3
+	VADDPD  Y2, Y4, Y4
+	ADDQ $32, BX
+	DECQ R12
+	JNZ  distonedim
+
+distoneroot:
+	VSQRTPD Y3, Y3
+	VSQRTPD Y4, Y4
+	VADDPD  Y3, Y6, Y6
+	VADDPD  Y4, Y7, Y7
+
+diststore:
+	MOVQ sums+0(FP), DI
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, 32(DI)
+	VZEROUPPER
+	RET

@@ -41,3 +41,8 @@ func logAVX2(dst, src *float64, n int) int {
 func hypotAVX2(dst, p, q *float64, n int) int {
 	panic("vecmath: hypotAVX2 called without AVX2 support")
 }
+
+// distSums8AVX2 is never reachable on this build either.
+func distSums8AVX2(sums *[8]float64, block, staged *float64, dim int, members *int, m int) {
+	panic("vecmath: distSums8AVX2 called without AVX2 support")
+}

@@ -26,7 +26,9 @@ package vecmath
 // indices — bit-identical per output to SqDistUnchecked — while the
 // four independent add chains hide the FP-add latency that bounds a
 // lone chain. It is hand-unrolled portable Go, identical on every
-// platform and build tag by construction.
+// platform and build tag by construction. The silhouette's
+// DistSums8Unchecked (distsum.go) batches the same way in AVX2: eight
+// rows' distance chains per member, one per lane.
 
 import "math"
 
