@@ -557,7 +557,6 @@ func RunQoEVsBudget(ctx context.Context, cfg Config, budgets []int) ([]QoEBudget
 	if len(budgets) == 0 {
 		budgets = []int{0, 12, 8, 5, 3}
 	}
-	model := qoe.DefaultModel()
 	rows := make([]QoEBudgetRow, 0, len(budgets))
 	for _, budget := range budgets {
 		c := cfg
@@ -574,7 +573,7 @@ func RunQoEVsBudget(ctx context.Context, cfg Config, budgets []int) ([]QoEBudget
 		var qoeSum, rateSum float64
 		var underGrants int
 		for _, r := range tr.Records {
-			q, qerr := model.ScoreInterval(qoe.GroupInterval{
+			q, qerr := qoe.ScoreInterval(qoe.GroupInterval{
 				BitrateBps:     r.BitrateBps,
 				PrevBitrateBps: prevRate[r.GroupID],
 				EngagementS:    r.ActualEngagementS,

@@ -511,9 +511,6 @@ func (w *Writer) Finish() error {
 	return w.err
 }
 
-// Err reports the latched write error, if any.
-func (w *Writer) Err() error { return w.err }
-
 // Reader consumes a checkpoint stream written by Writer.
 type Reader struct {
 	r   io.Reader

@@ -70,18 +70,6 @@ func (r *ReplayBuffer) Add(t Transition) {
 	}
 }
 
-// Sample draws n transitions uniformly with replacement.
-func (r *ReplayBuffer) Sample(n int, rng *rand.Rand) ([]Transition, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("sample n=%d: %w", n, ErrConfig)
-	}
-	out := make([]Transition, n)
-	if err := r.SampleInto(out, rng); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SampleInto fills dst with uniform-with-replacement draws without
 // allocating; the learner reuses one minibatch buffer across steps.
 func (r *ReplayBuffer) SampleInto(dst []Transition, rng *rand.Rand) error {

@@ -42,7 +42,8 @@ func TestReplayBuffer(t *testing.T) {
 		t.Fatalf("len=%d cap=%d", rb.Len(), rb.Cap())
 	}
 	rng := rand.New(rand.NewSource(1))
-	if _, err := rb.Sample(1, rng); !errors.Is(err, ErrConfig) {
+	batch := make([]Transition, 100)
+	if err := rb.SampleInto(batch[:1], rng); !errors.Is(err, ErrConfig) {
 		t.Fatalf("empty sample: want ErrConfig, got %v", err)
 	}
 	for i := 0; i < 5; i++ {
@@ -52,17 +53,13 @@ func TestReplayBuffer(t *testing.T) {
 		t.Fatalf("ring len %d, want 3", rb.Len())
 	}
 	// Oldest entries (0,1) must have been evicted.
-	batch, err := rb.Sample(100, rng)
-	if err != nil {
+	if err := rb.SampleInto(batch, rng); err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range batch {
 		if tr.Reward < 2 {
 			t.Fatalf("evicted transition %v still sampled", tr.Reward)
 		}
-	}
-	if _, err := rb.Sample(0, rng); !errors.Is(err, ErrConfig) {
-		t.Fatalf("want ErrConfig, got %v", err)
 	}
 }
 

@@ -60,14 +60,15 @@ func RestoredResult(sil float64) *Result {
 }
 
 // Silhouette returns the clustering's exact silhouette over Codes (0
-// when K == 1), bit-identical to kmeans.SilhouettePool. Only some
+// when K == 1), kmeans.SilhouetteDists over the staged codes. Only some
 // constructions' silhouettes are ever read, so the O(N²) scan runs on
 // the first call, not at build time, and later calls return the
 // memoised value. The scan stages Codes in the builder's DistMatrix,
 // which the builder's reward table also uses, so once that has grown it
-// allocates nothing. The builder rejects every input kmeans.SilhouettePool
-// would, so the scan cannot fail. A call must not overlap another call
-// on a result of the same builder, or a call on the builder.
+// allocates nothing. The builder rejects every input Stage or
+// SilhouetteDists would, so the scan cannot fail. A call must not
+// overlap another call on a result of the same builder, or a call on
+// the builder.
 func (r *Result) Silhouette() float64 {
 	if !r.silhouetteDone {
 		if r.K >= 2 {
@@ -514,8 +515,9 @@ func (b *Builder) SelectK(codes []vecmath.Vec) (int, error) {
 }
 
 // assemble turns a K-means run over codes into a Result. It checks
-// the run against everything kmeans.SilhouettePool validates, so the
-// result's deferred silhouette scan cannot fail.
+// the run against everything kmeans.DistMatrix.Stage and
+// kmeans.SilhouetteDists validate, so the result's deferred silhouette
+// scan cannot fail.
 func (b *Builder) assemble(codes []vecmath.Vec, res *kmeans.Result) (*Result, error) {
 	if len(codes) == 0 || len(res.Assign) != len(codes) {
 		return nil, fmt.Errorf("%d codes, %d assignments: %w", len(codes), len(res.Assign), ErrConfig)

@@ -283,10 +283,20 @@ func TestBuildSeparatesBehavioralClusters(t *testing.T) {
 	}
 }
 
+// stagedSilhouette scores a clustering of codes on a freshly staged
+// kmeans.DistMatrix.
+func stagedSilhouette(codes []vecmath.Vec, assign []int, k int, pool *parallel.Pool) (float64, error) {
+	var m kmeans.DistMatrix
+	if err := m.Stage(codes); err != nil {
+		return 0, err
+	}
+	return kmeans.SilhouetteDists(&m, assign, k, pool)
+}
+
 // TestSilhouetteMatchesSilhouettePool scores Build and BuildFixedK
-// results through the memoised Silhouette and checks each against a
-// direct kmeans.SilhouettePool over the same codes and assignment, bit
-// for bit, at pool widths 1 and 2.
+// results through the memoised Silhouette and checks each against the
+// silhouette of the same codes and assignment on a freshly staged set,
+// bit for bit, at pool widths 1 and 2.
 func TestSilhouetteMatchesSilhouettePool(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		pool := parallel.New(workers)
@@ -315,13 +325,13 @@ func TestSilhouetteMatchesSilhouettePool(t *testing.T) {
 			results = append(results, res)
 		}
 		for _, res := range results {
-			want, err := kmeans.SilhouettePool(res.Codes, res.Assignments(len(twins)), res.K, pool)
+			want, err := stagedSilhouette(res.Codes, res.Assignments(len(twins)), res.K, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := res.Silhouette()
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("workers %d K=%d: silhouette %v, SilhouettePool %v", workers, res.K, got, want)
+				t.Fatalf("workers %d K=%d: silhouette %v, freshly staged %v", workers, res.K, got, want)
 			}
 			var again float64
 			if allocs := testing.AllocsPerRun(10, func() { again = res.Silhouette() }); allocs != 0 {
@@ -357,8 +367,8 @@ func TestRestoredResultSilhouette(t *testing.T) {
 }
 
 // TestAssembleRejectsMalformedClustering feeds assemble every input
-// kmeans.SilhouettePool rejects: the build fails, so no result can
-// carry a silhouette scan that would.
+// kmeans.DistMatrix.Stage or kmeans.SilhouetteDists rejects: the build
+// fails, so no result can carry a silhouette scan that would.
 func TestAssembleRejectsMalformedClustering(t *testing.T) {
 	b, err := New(testConfig(), rand.New(rand.NewSource(22)))
 	if err != nil {
@@ -379,8 +389,8 @@ func TestAssembleRejectsMalformedClustering(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := kmeans.SilhouettePool(tt.codes, tt.res.Assign, tt.res.K, nil); !errors.Is(err, kmeans.ErrInput) {
-				t.Fatalf("SilhouettePool accepts the input: %v", err)
+			if _, err := stagedSilhouette(tt.codes, tt.res.Assign, tt.res.K, nil); !errors.Is(err, kmeans.ErrInput) {
+				t.Fatalf("the silhouette scan accepts the input: %v", err)
 			}
 			if _, err := b.assemble(tt.codes, &tt.res); !errors.Is(err, ErrConfig) {
 				t.Fatalf("want ErrConfig, got %v", err)
@@ -391,7 +401,7 @@ func TestAssembleRejectsMalformedClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := kmeans.SilhouettePool(codes, []int{0, 0, 1}, 2, nil)
+	want, err := stagedSilhouette(codes, []int{0, 0, 1}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,12 +78,12 @@ func TestSilhouettePoolIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Silhouette(points, res.Assign, 4)
+	want, err := silhouette(points, res.Assign, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := SilhouettePool(points, res.Assign, 4, parallel.New(workers))
+		got, err := silhouette(points, res.Assign, 4, parallel.New(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ import (
 // boundSlack shrinks a squared lower bound before it is allowed to
 // prune an exact-distance computation. Bound maintenance accumulates
 // at most a few ulps (~1e-16 relative) of float error per iteration
-// across ≤ MaxIter iterations, so 1e-12 dominates it by orders of
+// across ≤ maxIter iterations, so 1e-12 dominates it by orders of
 // magnitude while giving up a vanishing amount of pruning.
 const boundSlack = 1 - 1e-12
 

@@ -27,14 +27,13 @@ func clusteredPoints(n, dim, g int, spread float64, rng *rand.Rand) []vecmath.Ve
 
 // naiveRun is the classic Lloyd loop the bounded path must reproduce:
 // K-means++ seeding, then every point re-evaluated against every
-// centroid each iteration, with runOnce's update step and stopping
-// rule and the default options.
+// centroid each iteration, with Run's update step, iteration cap and
+// stopping rule.
 func naiveRun(points []vecmath.Vec, k int, rng *rand.Rand) (*Result, error) {
 	centroids, err := SeedPlusPlus(points, k, rng)
 	if err != nil {
 		return nil, err
 	}
-	o := Options{}.withDefaults()
 	assign := make([]int, len(points))
 	counts := make([]int, k)
 	sums := make([]vecmath.Vec, k)
@@ -42,11 +41,11 @@ func naiveRun(points []vecmath.Vec, k int, rng *rand.Rand) (*Result, error) {
 		sums[i] = make(vecmath.Vec, len(points[0]))
 	}
 	var iter int
-	for iter = 0; iter < o.MaxIter; iter++ {
+	for iter = 0; iter < maxIter; iter++ {
 		if err := AssignPoints(points, centroids, assign, nil); err != nil {
 			return nil, err
 		}
-		if updateCentroids(points, centroids, assign, counts, sums, nil) < o.Tol {
+		if updateCentroids(points, centroids, assign, counts, sums, nil) < tol {
 			iter++
 			break
 		}

@@ -31,55 +31,22 @@ type Result struct {
 	Iterations int
 }
 
-// Sizes returns the number of points per cluster.
-func (r *Result) Sizes() []int {
-	sizes := make([]int, r.K)
-	for _, a := range r.Assign {
-		sizes[a]++
-	}
-	return sizes
-}
-
-// Members returns the point indices per cluster.
-func (r *Result) Members() [][]int {
-	out := make([][]int, r.K)
-	for i, a := range r.Assign {
-		out[a] = append(out[a], i)
-	}
-	return out
-}
-
 // Options tunes the clustering run.
 type Options struct {
-	// MaxIter bounds the Lloyd iterations (default 100).
-	MaxIter int
-	// Tol stops early when total centroid movement falls below it
-	// (default 1e-6).
-	Tol float64
-	// Restarts runs the whole seeding+Lloyd pipeline this many times
-	// and keeps the lowest-inertia result (default 1). K-means++
-	// seeding makes single runs good; a few restarts remove the
-	// residual seeding variance.
-	Restarts int
-	// Pool optionally fans the assignment step (and Silhouette, via
-	// SilhouettePool) across workers. The result is bit-identical to
-	// the sequential path: every point's nearest-centroid decision is
-	// independent, and reductions stay in index order.
+	// Pool optionally fans the assignment step across workers. The
+	// result is bit-identical to the sequential path: every point's
+	// nearest-centroid decision is independent, and reductions stay in
+	// index order.
 	Pool *parallel.Pool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-6
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 1
-	}
-	return o
-}
+const (
+	// maxIter bounds the Lloyd iterations.
+	maxIter = 100
+	// tol stops the iterations early once the total centroid movement
+	// falls below it.
+	tol = 1e-6
+)
 
 func validate(points []vecmath.Vec, k int) error {
 	if k <= 0 {
@@ -198,26 +165,10 @@ func nearestCentroid(p vecmath.Vec, centroids []vecmath.Vec) int {
 }
 
 // Run clusters points into k groups using K-means++ seeding followed
-// by Lloyd iterations, keeping the best of Options.Restarts attempts.
+// by Lloyd iterations. The assignment step is pruned by Hamerly
+// distance bounds, with results bit-identical to the classic
+// full-reassignment loop (see bounds.go).
 func Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, error) {
-	o := opts.withDefaults()
-	var best *Result
-	for r := 0; r < o.Restarts; r++ {
-		res, err := runOnce(points, k, rng, o)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Inertia < best.Inertia {
-			best = res
-		}
-	}
-	return best, nil
-}
-
-// runOnce is a single seeding + Lloyd pass. The assignment step is
-// pruned by Hamerly distance bounds, with results bit-identical to the
-// classic full-reassignment loop (see bounds.go).
-func runOnce(points []vecmath.Vec, k int, rng *rand.Rand, o Options) (*Result, error) {
 	if err := validate(points, k); err != nil {
 		return nil, err
 	}
@@ -235,17 +186,17 @@ func runOnce(points []vecmath.Vec, k int, rng *rand.Rand, o Options) (*Result, e
 	bs := newBoundsState(len(points), k)
 
 	var iter int
-	for iter = 0; iter < o.MaxIter; iter++ {
+	for iter = 0; iter < maxIter; iter++ {
 		// Assignment step — the hot kernel, fanned across the pool
 		// when one is configured, and pruned by the Hamerly bounds
 		// after the first iteration.
 		if iter == 0 {
-			bs.assignFull(points, centroids, assign, o.Pool)
+			bs.assignFull(points, centroids, assign, opts.Pool)
 		} else {
-			bs.assignBounded(points, centroids, assign, o.Pool)
+			bs.assignBounded(points, centroids, assign, opts.Pool)
 		}
 		moved := updateCentroids(points, centroids, assign, counts, sums, bs)
-		if moved < o.Tol {
+		if moved < tol {
 			iter++
 			break
 		}
@@ -317,13 +268,6 @@ func updateCentroids(points, centroids []vecmath.Vec, assign, counts []int, sums
 		}
 	}
 	return moved
-}
-
-// Silhouette returns the mean silhouette coefficient of the clustering
-// in [-1, 1]; higher is better. Singleton clusters contribute 0 per
-// the usual convention. Returns an error for k < 2.
-func Silhouette(points []vecmath.Vec, assign []int, k int) (float64, error) {
-	return SilhouettePool(points, assign, k, nil)
 }
 
 // DistMatrix is a fixed point set staged for silhouette scoring. The
@@ -509,18 +453,4 @@ func silhouetteScore(ownSum float64, ownSize int, b float64) float64 {
 		return 0
 	}
 	return (b - a) / den
-}
-
-// SilhouettePool is Silhouette with the O(n²) distance scan fanned
-// across a worker pool (nil = sequential): it stages the points and
-// runs SilhouetteDists, so the result is bit-identical at every pool
-// width. It allocates the staged rows (n·d floats, n rounded up to a
-// multiple of 8) and SilhouetteDists' scratch on every call; a caller
-// that scores many clusterings keeps one DistMatrix and restages it.
-func SilhouettePool(points []vecmath.Vec, assign []int, k int, pool *parallel.Pool) (float64, error) {
-	var m DistMatrix
-	if err := m.Stage(points); err != nil {
-		return 0, err
-	}
-	return SilhouetteDists(&m, assign, k, pool)
 }

@@ -6,7 +6,7 @@
 //
 //  1. Every concurrent unit of work (a user, a group, a churn arrival)
 //     owns a *rand.Rand derived from the run seed and the unit's
-//     stable identity via SplitMix64 mixing (NewRand), never a shared
+//     stable identity via SplitMix64 mixing (NewStream), never a shared
 //     generator, so its draw sequence is independent of scheduling.
 //  2. Workers only write to slots owned by their index; reductions
 //     over the results happen sequentially afterwards, so floating
@@ -18,7 +18,6 @@ package parallel
 
 import (
 	"context"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,16 +46,6 @@ func DeriveSeed(seed int64, ids ...uint64) int64 {
 		x = SplitMix64(x) ^ id
 	}
 	return int64(SplitMix64(x))
-}
-
-// NewRand returns a rand.Rand on the derived stream for (seed,
-// ids...). Each distinct id sequence gets an independent deterministic
-// draw sequence. The generator is a SplitMix64 source: seeding is one
-// word write (the stdlib source warms up a 607-word register, which
-// dominates when every user, group and churn arrival gets its own
-// stream) and each draw is a single mix.
-func NewRand(seed int64, ids ...uint64) *rand.Rand {
-	return rand.New(NewStream(seed, ids...))
 }
 
 // Pool is a bounded fan-out executor. It holds no goroutines between

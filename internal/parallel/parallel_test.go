@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -47,8 +48,8 @@ func TestDeriveSeedStable(t *testing.T) {
 }
 
 func TestNewRandIndependent(t *testing.T) {
-	r1 := NewRand(42, 1, 0)
-	r2 := NewRand(42, 1, 1)
+	r1 := rand.New(NewStream(42, 1, 0))
+	r2 := rand.New(NewStream(42, 1, 1))
 	var same int
 	for i := 0; i < 64; i++ {
 		if r1.Int63() == r2.Int63() {
@@ -66,7 +67,7 @@ func TestForDeterministicAcrossWorkerCounts(t *testing.T) {
 		p := New(workers)
 		out := make([]float64, n)
 		if err := p.For(n, func(i int) error {
-			rng := NewRand(7, uint64(i))
+			rng := rand.New(NewStream(7, uint64(i)))
 			out[i] = rng.Float64() + rng.NormFloat64()
 			return nil
 		}); err != nil {

@@ -1,6 +1,6 @@
 // This file holds the serializable faces of the package's random
 // streams, added for session checkpoint/restore. A derived stream
-// (NewRand) is one splitmix64 state word, so capturing and restoring
+// (NewStream) is one splitmix64 state word, so capturing and restoring
 // it is trivial; the stdlib rngSource used for run-level generators
 // carries a 607-word register instead, so those are restored by
 // replaying construction and skipping forward a recorded draw count
@@ -10,16 +10,20 @@ package parallel
 
 import "math/rand"
 
-// Stream is a splitmix64 random stream with an exported position: the
-// generator behind NewRand, plus State/SetState so a checkpoint can
-// capture the stream in one word and restore it exactly. A Stream is
-// a rand.Source64 — wrap it with rand.New to draw from it.
+// Stream is a splitmix64 random stream with an exported position:
+// State/SetState let a checkpoint capture the stream in one word and
+// restore it exactly. A Stream is a rand.Source64 — wrap it with
+// rand.New to draw from it.
 type Stream struct{ state uint64 }
 
 var _ rand.Source64 = (*Stream)(nil)
 
-// NewStream returns the derived stream for (seed, ids...) — the same
-// stream NewRand wraps, at its initial position.
+// NewStream returns the derived stream for (seed, ids...), at its
+// initial position. Each distinct id sequence gets an independent
+// deterministic draw sequence. Seeding is one word write (the stdlib
+// source warms up a 607-word register, which dominates when every
+// user, group and churn arrival gets its own stream) and each draw is
+// a single mix.
 func NewStream(seed int64, ids ...uint64) *Stream {
 	return &Stream{state: uint64(DeriveSeed(seed, ids...))}
 }

@@ -2,8 +2,8 @@
 // delivery. The paper's intro motivates transcoding and grouping with
 // user experience ("to reduce the transmission delay", "users'
 // diversified characteristics"); this package quantifies that with
-// the standard short-video QoE decomposition: bitrate utility over
-// watched seconds, minus quality-switch and startup penalties. It
+// the common log-utility formulation of ABR literature: bitrate
+// utility over watched seconds, minus a quality-switch penalty. It
 // powers the QoE-vs-budget experiment (E9) that closes the loop from
 // demand prediction → reservation → experienced quality.
 package qoe
@@ -17,89 +17,18 @@ import (
 // ErrParam indicates invalid QoE input.
 var ErrParam = errors.New("qoe: invalid parameter")
 
-// View is one watched video from the QoE perspective.
-type View struct {
-	// BitrateBps the video was streamed at.
-	BitrateBps float64
-	// WatchS seconds actually watched.
-	WatchS float64
-	// StartupS is the startup/delivery delay experienced before
-	// playback (0 for prefetched segments).
-	StartupS float64
-}
-
-// Model holds the QoE weights. The defaults follow the common
-// log-utility formulation used across ABR literature.
-type Model struct {
-	// BaseBps normalizes bitrate into utility units (default 400 kbps,
-	// the lowest ladder rung).
-	BaseBps float64
-	// SwitchPenalty is charged per unit |log-bitrate| change between
-	// consecutive views (default 1).
-	SwitchPenalty float64
-	// StartupPenaltyPerS is charged per second of startup delay
-	// (default 3).
-	StartupPenaltyPerS float64
-}
-
-// DefaultModel returns the weights used by the experiments.
-func DefaultModel() Model {
-	return Model{BaseBps: 400e3, SwitchPenalty: 1, StartupPenaltyPerS: 3}
-}
-
-// Validate checks the model weights.
-func (m Model) Validate() error {
-	if m.BaseBps <= 0 || m.SwitchPenalty < 0 || m.StartupPenaltyPerS < 0 {
-		return fmt.Errorf("model %+v: %w", m, ErrParam)
-	}
-	return nil
-}
+const (
+	// baseBps normalizes bitrate into utility units: the lowest ladder
+	// rung, 400 kbps.
+	baseBps = 400e3
+	// switchPenalty is charged per unit |utility| change between
+	// consecutive intervals' rungs.
+	switchPenalty = 1
+)
 
 // utility is the per-second bitrate utility log2(1 + r/base).
-func (m Model) utility(bitrateBps float64) float64 {
-	return math.Log2(1 + bitrateBps/m.BaseBps)
-}
-
-// Report is the QoE outcome of a view sequence.
-type Report struct {
-	// Total is utility − penalties.
-	Total float64
-	// Utility is the watched-seconds-weighted bitrate utility.
-	Utility float64
-	// SwitchCost is the accumulated quality-switch penalty.
-	SwitchCost float64
-	// StartupCost is the accumulated startup penalty.
-	StartupCost float64
-	// Views scored.
-	Views int
-	// MeanPerView is Total / Views (0 when no views).
-	MeanPerView float64
-}
-
-// Score evaluates a chronological view sequence.
-func (m Model) Score(views []View) (*Report, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{Views: len(views)}
-	prevRate := 0.0
-	for i, v := range views {
-		if v.BitrateBps <= 0 || v.WatchS < 0 || v.StartupS < 0 ||
-			math.IsNaN(v.WatchS) || math.IsNaN(v.BitrateBps) {
-			return nil, fmt.Errorf("view %d %+v: %w", i, v, ErrParam)
-		}
-		rep.Utility += m.utility(v.BitrateBps) * v.WatchS
-		if i > 0 && prevRate > 0 {
-			rep.SwitchCost += m.SwitchPenalty * math.Abs(m.utility(v.BitrateBps)-m.utility(prevRate))
-		}
-		rep.StartupCost += m.StartupPenaltyPerS * v.StartupS
-		prevRate = v.BitrateBps
-	}
-	rep.Total = rep.Utility - rep.SwitchCost - rep.StartupCost
-	if rep.Views > 0 {
-		rep.MeanPerView = rep.Total / float64(rep.Views)
-	}
-	return rep, nil
+func utility(bitrateBps float64) float64 {
+	return math.Log2(1 + bitrateBps/baseBps)
 }
 
 // GroupInterval summarizes a multicast group's interval for QoE
@@ -117,16 +46,13 @@ type GroupInterval struct {
 }
 
 // ScoreInterval returns the per-member QoE of one group interval.
-func (m Model) ScoreInterval(gi GroupInterval) (float64, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
+func ScoreInterval(gi GroupInterval) (float64, error) {
 	if gi.BitrateBps <= 0 || gi.EngagementS < 0 {
 		return 0, fmt.Errorf("interval %+v: %w", gi, ErrParam)
 	}
-	q := m.utility(gi.BitrateBps) * gi.EngagementS
+	q := utility(gi.BitrateBps) * gi.EngagementS
 	if gi.PrevBitrateBps > 0 {
-		q -= m.SwitchPenalty * math.Abs(m.utility(gi.BitrateBps)-m.utility(gi.PrevBitrateBps))
+		q -= switchPenalty * math.Abs(utility(gi.BitrateBps)-utility(gi.PrevBitrateBps))
 	}
 	return q, nil
 }

@@ -7,117 +7,81 @@ import (
 	"testing/quick"
 )
 
-func TestModelValidate(t *testing.T) {
-	if err := (Model{BaseBps: 0, SwitchPenalty: 1, StartupPenaltyPerS: 1}).Validate(); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	if err := (Model{BaseBps: 1, SwitchPenalty: -1}).Validate(); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	if err := DefaultModel().Validate(); err != nil {
-		t.Fatalf("default model invalid: %v", err)
-	}
-}
-
 func TestScoreValidation(t *testing.T) {
-	m := DefaultModel()
-	if _, err := m.Score([]View{{BitrateBps: 0, WatchS: 1}}); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	if _, err := m.Score([]View{{BitrateBps: 1e6, WatchS: -1}}); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	if _, err := m.Score([]View{{BitrateBps: 1e6, WatchS: 1, StartupS: -1}}); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	bad := Model{BaseBps: -1}
-	if _, err := bad.Score(nil); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
+	for _, gi := range []GroupInterval{
+		{BitrateBps: 0, EngagementS: 1},
+		{BitrateBps: -1e6, EngagementS: 1},
+		{BitrateBps: 1e6, EngagementS: -1},
+	} {
+		if _, err := ScoreInterval(gi); !errors.Is(err, ErrParam) {
+			t.Fatalf("%+v: want ErrParam, got %v", gi, err)
+		}
 	}
 }
 
+// An interval nobody watched scores zero when the rung held.
 func TestScoreEmpty(t *testing.T) {
-	rep, err := DefaultModel().Score(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Total != 0 || rep.Views != 0 || rep.MeanPerView != 0 {
-		t.Fatalf("empty report %+v", rep)
+	for _, prev := range []float64{0, 1.2e6} {
+		q, err := ScoreInterval(GroupInterval{BitrateBps: 1.2e6, PrevBitrateBps: prev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q != 0 {
+			t.Fatalf("prev %v: empty interval QoE %v", prev, q)
+		}
 	}
 }
 
 func TestScoreSingleView(t *testing.T) {
-	m := DefaultModel()
-	rep, err := m.Score([]View{{BitrateBps: 400e3, WatchS: 10}})
+	q, err := ScoreInterval(GroupInterval{BitrateBps: 400e3, EngagementS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// log2(1+1) = 1 utility/s × 10 s.
-	if math.Abs(rep.Utility-10) > 1e-9 {
-		t.Fatalf("utility %v, want 10", rep.Utility)
-	}
-	if rep.SwitchCost != 0 || rep.StartupCost != 0 {
-		t.Fatalf("costs %+v", rep)
-	}
-	if rep.MeanPerView != rep.Total {
-		t.Fatal("mean per view")
+	if math.Abs(q-10) > 1e-9 {
+		t.Fatalf("QoE %v, want 10", q)
 	}
 }
 
 func TestScoreSwitchPenalty(t *testing.T) {
-	m := DefaultModel()
-	steady, err := m.Score([]View{
-		{BitrateBps: 1.2e6, WatchS: 10},
-		{BitrateBps: 1.2e6, WatchS: 10},
-	})
+	steady, err := ScoreInterval(GroupInterval{BitrateBps: 1.2e6, PrevBitrateBps: 1.2e6, EngagementS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steady.SwitchCost != 0 {
-		t.Fatalf("steady switch cost %v", steady.SwitchCost)
-	}
-	switched, err := m.Score([]View{
-		{BitrateBps: 2.5e6, WatchS: 10},
-		{BitrateBps: 400e3, WatchS: 10},
-	})
+	first, err := ScoreInterval(GroupInterval{BitrateBps: 1.2e6, EngagementS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if switched.SwitchCost <= 0 {
-		t.Fatalf("switch cost %v", switched.SwitchCost)
+	if steady != first {
+		t.Fatalf("steady rung charged a switch: %v vs %v", steady, first)
 	}
-	if switched.Total >= switched.Utility {
-		t.Fatal("penalty must reduce total")
-	}
-}
-
-func TestScoreStartupPenalty(t *testing.T) {
-	m := DefaultModel()
-	rep, err := m.Score([]View{{BitrateBps: 1e6, WatchS: 5, StartupS: 2}})
+	// 2.5 Mbps → 400 kbps: the penalty is the utility gap, charged
+	// whichever way the rung moved.
+	down, err := ScoreInterval(GroupInterval{BitrateBps: 400e3, PrevBitrateBps: 2.5e6, EngagementS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(rep.StartupCost-6) > 1e-9 {
-		t.Fatalf("startup cost %v, want 6", rep.StartupCost)
+	gap := math.Log2(1+2.5e6/400e3) - 1
+	if math.Abs(down-(10-gap)) > 1e-9 {
+		t.Fatalf("switched QoE %v, want %v", down, 10-gap)
 	}
 }
 
 // Higher bitrate at equal watch time never lowers QoE (no switches).
 func TestUtilityMonotoneInBitrate(t *testing.T) {
-	m := DefaultModel()
 	f := func(rawA, rawB uint32) bool {
 		a := 1e3 + float64(rawA%5000)*1e3
 		b := 1e3 + float64(rawB%5000)*1e3
 		lo, hi := math.Min(a, b), math.Max(a, b)
-		repLo, err := m.Score([]View{{BitrateBps: lo, WatchS: 10}})
+		qLo, err := ScoreInterval(GroupInterval{BitrateBps: lo, EngagementS: 10})
 		if err != nil {
 			return false
 		}
-		repHi, err := m.Score([]View{{BitrateBps: hi, WatchS: 10}})
+		qHi, err := ScoreInterval(GroupInterval{BitrateBps: hi, EngagementS: 10})
 		if err != nil {
 			return false
 		}
-		return repHi.Total >= repLo.Total-1e-9
+		return qHi >= qLo-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -125,15 +89,11 @@ func TestUtilityMonotoneInBitrate(t *testing.T) {
 }
 
 func TestScoreInterval(t *testing.T) {
-	m := DefaultModel()
-	if _, err := m.ScoreInterval(GroupInterval{BitrateBps: 0, EngagementS: 10}); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	q1, err := m.ScoreInterval(GroupInterval{BitrateBps: 2.5e6, EngagementS: 100})
+	q1, err := ScoreInterval(GroupInterval{BitrateBps: 2.5e6, EngagementS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := m.ScoreInterval(GroupInterval{BitrateBps: 400e3, EngagementS: 100})
+	q2, err := ScoreInterval(GroupInterval{BitrateBps: 400e3, EngagementS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +101,11 @@ func TestScoreInterval(t *testing.T) {
 		t.Fatalf("higher bitrate interval QoE %v not above %v", q1, q2)
 	}
 	// Rung switch reduces QoE relative to steady state.
-	steady, err := m.ScoreInterval(GroupInterval{BitrateBps: 2.5e6, PrevBitrateBps: 2.5e6, EngagementS: 100})
+	steady, err := ScoreInterval(GroupInterval{BitrateBps: 2.5e6, PrevBitrateBps: 2.5e6, EngagementS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	switched, err := m.ScoreInterval(GroupInterval{BitrateBps: 2.5e6, PrevBitrateBps: 400e3, EngagementS: 100})
+	switched, err := ScoreInterval(GroupInterval{BitrateBps: 2.5e6, PrevBitrateBps: 400e3, EngagementS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

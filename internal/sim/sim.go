@@ -676,9 +676,6 @@ func (s *Simulation) churnUsers(ctx context.Context) (int, error) {
 	return n, nil
 }
 
-// Catalog exposes the generated catalog (for examples/benches).
-func (s *Simulation) Catalog() *video.Catalog { return s.catalog }
-
 // nearestBS resolves the nearest base station to pos, skipping
 // stations quarantined by the cluster engine's shared down mask
 // (handovers, churn arrivals and prediction anchors all route around

@@ -115,8 +115,9 @@ func scored(r *grouping.Result) (done bool) {
 // reports and where it is computed, for every regroup cadence shape:
 // none (RegroupEvery -1 and NumIntervals), the default (0 = 4, whose
 // last regroup lands exactly at its cadence) and one that does not
-// divide NumIntervals (3). The reported value must be SilhouettePool
-// over the last construction's codes, bit for bit; the last
+// divide NumIntervals (3). The reported value must be the silhouette
+// of the last construction's codes on a freshly staged set, bit for
+// bit; the last
 // construction must be scored in the step that built it, and every
 // earlier one left unscored.
 func TestFinalSilhouetteScoredAtBuild(t *testing.T) {
@@ -180,12 +181,16 @@ func TestFinalSilhouetteScoredAtBuild(t *testing.T) {
 						t.Fatalf("construction %d of %d scored at build: %v", c+1, len(scoredAtBuild), done)
 					}
 				}
-				want, err := kmeans.SilhouettePool(last.Codes, last.Assignments(len(last.Codes)), last.K, nil)
+				var staged kmeans.DistMatrix
+				if err := staged.Stage(last.Codes); err != nil {
+					t.Fatal(err)
+				}
+				want, err := kmeans.SilhouetteDists(&staged, last.Assignments(len(last.Codes)), last.K, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if math.Float64bits(tr.Silhouette) != math.Float64bits(want) {
-					t.Fatalf("trace silhouette %v, SilhouettePool over the last construction %v", tr.Silhouette, want)
+					t.Fatalf("trace silhouette %v, freshly staged over the last construction %v", tr.Silhouette, want)
 				}
 			})
 		}

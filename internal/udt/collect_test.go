@@ -19,8 +19,8 @@ var coprime = Config{HistoryLen: 7, ChannelEvery: 2, LocationEvery: 3, WatchEver
 
 // TestCollectTickMatchesSeparateCalls: one tick through CollectTicks
 // is exactly Tick + CollectChannel + CollectLocation +
-// CollectPreference. A random collector sequence, with views and
-// interval resets in between, is applied both ways; the encoded state
+// CollectPreference. A random collector sequence, with views in
+// between, is applied both ways; the encoded state
 // — clock, rings, preference, counters, staleness — must stay
 // byte-identical throughout.
 func TestCollectTickMatchesSeparateCalls(t *testing.T) {
@@ -53,9 +53,6 @@ func TestCollectTickMatchesSeparateCalls(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-			case 8:
-				one.ResetIntervalCounters()
-				four.ResetIntervalCounters()
 			}
 			if !bytes.Equal(encodeState(one), encodeState(four)) {
 				t.Fatalf("seed %d step %d: encoded state differs", seed, step)

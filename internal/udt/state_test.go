@@ -314,9 +314,6 @@ func TestStateCodecConcurrent(t *testing.T) {
 			_, _ = tw.CollectChannel(1 + i%15)
 			tw.CollectLocation(float64(i), float64(-i))
 			_, _ = tw.CollectView(video.Music, 5, 0.5, i%2 == 0)
-			if i%64 == 0 {
-				tw.ResetIntervalCounters()
-			}
 		}
 	}()
 	go func() {

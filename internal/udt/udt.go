@@ -174,8 +174,9 @@ type Twin struct {
 	engage     ring // engagement ratios [0,1]
 	pref       behavior.Preference
 	// watchByCat accumulates total watch seconds per category. The
-	// view counters below are cumulative over the twin's life: the
-	// engines never reset them (see ResetIntervalCounters).
+	// view counters below are cumulative over the twin's life: group
+	// abstraction relies on that, so the swiping distributions sharpen
+	// over time.
 	watchByCat  [video.NumCategories]float64
 	engageByCat [video.NumCategories]float64
 	viewsByCat  [video.NumCategories]int
@@ -484,19 +485,6 @@ func (t *Twin) SwipeStats() (swipes, views int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.swipes, t.views
-}
-
-// ResetIntervalCounters clears the view counters. No engine calls
-// it: group abstraction relies on the counters staying cumulative so
-// the swiping distributions sharpen over time.
-func (t *Twin) ResetIntervalCounters() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.watchByCat = [video.NumCategories]float64{}
-	t.engageByCat = [video.NumCategories]float64{}
-	t.viewsByCat = [video.NumCategories]int{}
-	t.swipes = 0
-	t.views = 0
 }
 
 // NumFeatureChannels is the number of channels in a feature window:

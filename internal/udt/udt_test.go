@@ -174,14 +174,6 @@ func TestIntervalCounters(t *testing.T) {
 	if swipes != 2 || views != 3 {
 		t.Fatalf("swipes %d views %d", swipes, views)
 	}
-	tw.ResetIntervalCounters()
-	swipes, views = tw.SwipeStats()
-	if swipes != 0 || views != 0 {
-		t.Fatal("reset did not clear counters")
-	}
-	if tw.WatchByCategory()[0] != 0 {
-		t.Fatal("reset did not clear watch")
-	}
 }
 
 func TestPreferenceSnapshotIsolation(t *testing.T) {

@@ -25,18 +25,6 @@ func Clone(v Vec) Vec {
 	return out
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b Vec) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("dot %d vs %d: %w", len(a), len(b), ErrShape)
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
-}
-
 // AXPY computes y += alpha*x in place.
 func AXPY(alpha float64, x, y Vec) error {
 	if len(x) != len(y) {
@@ -90,30 +78,6 @@ func SqDistUnchecked(a, b Vec) float64 {
 	return s
 }
 
-// Add returns a+b as a new vector.
-func Add(a, b Vec) (Vec, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("add %d vs %d: %w", len(a), len(b), ErrShape)
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out, nil
-}
-
-// Sub returns a-b as a new vector.
-func Sub(a, b Vec) (Vec, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("sub %d vs %d: %w", len(a), len(b), ErrShape)
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out, nil
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v Vec) float64 {
 	var s float64
@@ -145,23 +109,6 @@ func Dist(a, b Vec) (float64, error) {
 	return math.Sqrt(s), nil
 }
 
-// Sum returns the sum of the elements of v.
-func Sum(v Vec) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of v (0 for an empty vector).
-func Mean(v Vec) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return Sum(v) / float64(len(v))
-}
-
 // ArgMax returns the index of the maximum element (-1 for empty).
 // Ties resolve to the lowest index.
 func ArgMax(v Vec) int {
@@ -175,45 +122,4 @@ func ArgMax(v Vec) int {
 		}
 	}
 	return best
-}
-
-// ArgMin returns the index of the minimum element (-1 for empty).
-func ArgMin(v Vec) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Max returns the maximum element of v (NaN for empty).
-func Max(v Vec) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	return v[ArgMax(v)]
-}
-
-// Min returns the minimum element of v (NaN for empty).
-func Min(v Vec) float64 {
-	if len(v) == 0 {
-		return math.NaN()
-	}
-	return v[ArgMin(v)]
-}
-
-// Clamp limits x into [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
