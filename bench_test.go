@@ -313,37 +313,33 @@ func BenchmarkCompressorFit(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeBatch times the inference half of the compressor:
-// encoding the windows of a 2000-user population with the engine's CNN
-// defaults (8 filters of width 3, pool 2, code 8, batch 8), after a
-// one-epoch Fit has grown the scratch as the engine's prologue does.
-// EncodeBatch allocates the result slice and one code per window, so
-// allocs/op is 2001; an allocation per chunk or per batch would show
-// as a larger count.
+// BenchmarkEncodeBatch times the staged encode every construction
+// runs: Builder.CodesInto over a 2000-user population with the
+// engine's CNN defaults (8 filters of width 3, pool 2, code 8, batch
+// 8), each compressor batch of feature windows staged in the builder
+// and encoded into its rows of one code matrix, after a one-epoch
+// TrainCompressor has grown the scratch as the engine's prologue does.
+// Once the matrix has grown it allocates nothing, so allocs/op is 0; an
+// allocation per window or per batch would show as a count.
 func BenchmarkEncodeBatch(b *testing.B) {
 	twins := populationTwins(b, 2000)
-	windows := make([]vecmath.Vec, len(twins))
-	for i, tw := range twins {
-		w, err := tw.FeatureWindow(16, 2000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		windows[i] = w
-	}
-	comp, err := cnn.New(cnn.Config{
-		Channels: udt.NumFeatureChannels, Window: 16,
-		Filters: 8, Kernel: 3, Pool: 2, CodeDim: 8,
+	builder, err := grouping.New(grouping.Config{
+		WindowSteps: 16, PosScale: 2000, KMin: 2, KMax: 8, UseCNN: true,
 	}, rand.New(rand.NewSource(16)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := comp.Fit(windows, 1, rand.New(rand.NewSource(17))); err != nil {
+	if _, err := builder.TrainCompressor(twins, 1); err != nil {
+		b.Fatal(err)
+	}
+	var codes vecmath.Matrix
+	if err := builder.CodesInto(&codes, twins); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := comp.EncodeBatch(windows); err != nil {
+		if err := builder.CodesInto(&codes, twins); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"testing"
 
-	"dtmsvs/internal/faultinject"
 	"dtmsvs/internal/tracebin"
 )
 
@@ -56,16 +55,16 @@ func TestBinarySinkRecordFaults(t *testing.T) {
 	} {
 		t.Run(eng.name, func(t *testing.T) {
 			clean, perInterval := bufferedRun(t, eng.open)
-			for _, mode := range []faultinject.Mode{faultinject.FailWrite, faultinject.ShortWrite} {
+			for _, mode := range []faultMode{failWrite, shortWrite} {
 				t.Run(mode.String(), func(t *testing.T) {
 					// Fail midway through interval 1's records.
-					fault := faultinject.Fault{Mode: mode, N: perInterval[0] + 1 + perInterval[1]/2}
+					fault := ioFault{Mode: mode, N: perInterval[0] + 1 + perInterval[1]/2}
 					var buf bytes.Buffer
 					bin, err := NewBinarySink(&buf)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sink := faultinject.Wrap[TraceRecord](bin, fault)
+					sink := wrapFaults(bin, fault)
 					s, err := eng.open(WithSink(sink))
 					if err != nil {
 						t.Fatal(err)
@@ -76,7 +75,7 @@ func TestBinarySinkRecordFaults(t *testing.T) {
 							break
 						}
 					}
-					if !errors.Is(serr, ErrSink) || !errors.Is(serr, faultinject.ErrInjected) {
+					if !errors.Is(serr, ErrSink) || !errors.Is(serr, errInjected) {
 						t.Fatalf("want ErrSink wrapping injected fault, got %v", serr)
 					}
 					frozen := append([]byte(nil), buf.Bytes()...)
@@ -115,7 +114,7 @@ func TestBinarySinkFlushFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := faultinject.Wrap[TraceRecord](bin, faultinject.Fault{Mode: faultinject.FailFlush, N: 2})
+	sink := wrapFaults(bin, ioFault{Mode: failFlush, N: 2})
 	s, err := open(WithSink(sink))
 	if err != nil {
 		t.Fatal(err)
@@ -126,15 +125,15 @@ func TestBinarySinkFlushFault(t *testing.T) {
 			break
 		}
 	}
-	if !errors.Is(serr, ErrSink) || !errors.Is(serr, faultinject.ErrInjected) {
+	if !errors.Is(serr, ErrSink) || !errors.Is(serr, errInjected) {
 		t.Fatalf("want ErrSink wrapping injected flush fault, got %v", serr)
 	}
 	frozen := append([]byte(nil), buf.Bytes()...)
-	flushes := sink.Flushes()
+	flushes := sink.flushes
 	if cerr := s.Close(); cerr != nil {
 		t.Fatal(cerr)
 	}
-	if sink.Flushes() != flushes {
+	if sink.flushes != flushes {
 		t.Fatal("broken sink flushed again on Close")
 	}
 	if !bytes.Equal(buf.Bytes(), frozen) {
@@ -148,20 +147,20 @@ func TestBinarySinkFlushFault(t *testing.T) {
 }
 
 // TestBinarySinkByteLevelFaults: a BinarySink over an io.Writer that
-// fails or short-writes. FailWrite consumes nothing, so the store is
+// fails or short-writes. failWrite consumes nothing, so the store is
 // exactly the last whole-interval flush and decodes cleanly;
-// ShortWrite leaves a torn frame whose readable prefix is still
+// shortWrite leaves a torn frame whose readable prefix is still
 // whole-interval records, with the damage typed as ErrTraceCorrupt.
 func TestBinarySinkByteLevelFaults(t *testing.T) {
 	open := func(opts ...SessionOption) (Session, error) { return Open(sessionTestConfig(47, 2), opts...) }
 	clean, perInterval := bufferedRun(t, open)
 
-	for _, mode := range []faultinject.Mode{faultinject.FailWrite, faultinject.ShortWrite} {
+	for _, mode := range []faultMode{failWrite, shortWrite} {
 		t.Run(mode.String(), func(t *testing.T) {
 			var buf bytes.Buffer
 			// The sink issues one underlying Write per flush (header
 			// included in the first); fail the second flush's write.
-			fw := faultinject.NewWriter(&buf, faultinject.Fault{Mode: mode, N: 2})
+			fw := newFaultWriter(&buf, ioFault{Mode: mode, N: 2})
 			bin, err := NewBinarySink(fw)
 			if err != nil {
 				t.Fatal(err)
@@ -189,7 +188,7 @@ func TestBinarySinkByteLevelFaults(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), frozen) {
 				t.Fatal("bytes appended after the reported error")
 			}
-			if mode == faultinject.FailWrite {
+			if mode == failWrite {
 				got, rerr := tracebin.ReadAll(bytes.NewReader(frozen))
 				if rerr != nil {
 					t.Fatalf("fail-write store not cleanly readable: %v", rerr)

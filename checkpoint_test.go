@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
-	"dtmsvs/internal/faultinject"
 )
 
 // checkpointCase wires one engine shape — monolithic, or one cell per
@@ -305,10 +304,10 @@ func TestSessionCheckpointAfterMidIntervalFault(t *testing.T) {
 			}
 			prefixLines := perInterval[0]
 			// Fail partway through interval k's records, mid-interval.
-			fault := faultinject.Fault{Mode: faultinject.FailWrite, N: prefixLines + 1 + perInterval[k]/2}
+			fault := ioFault{Mode: failWrite, N: prefixLines + 1 + perInterval[k]/2}
 
 			var buf bytes.Buffer
-			sink := faultinject.Wrap[TraceRecord](NewNDJSONSink(&buf), fault)
+			sink := wrapFaults(NewNDJSONSink(&buf), fault)
 			s, err := tc.open(WithSink(sink))
 			if err != nil {
 				t.Fatal(err)
@@ -321,7 +320,7 @@ func TestSessionCheckpointAfterMidIntervalFault(t *testing.T) {
 				t.Fatal(cerr)
 			}
 			_, serr := s.Step(context.Background())
-			if !errors.Is(serr, ErrSink) || !errors.Is(serr, faultinject.ErrInjected) {
+			if !errors.Is(serr, ErrSink) || !errors.Is(serr, errInjected) {
 				t.Fatalf("want ErrSink wrapping the injected fault, got %v", serr)
 			}
 			// The failed session refuses checkpoints (its engine has

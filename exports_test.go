@@ -38,14 +38,6 @@ var exportsWithoutCallers = map[string]string{
 	"internal/ddqn.ReplayBuffer.Cap":        "observation: the ring's capacity",
 	"internal/edge.Cache.Capacity":          "observation: the cache's byte budget",
 	"internal/edge.Cache.Len":               "observation: the cached representations",
-	"internal/faultinject.NewWriter":        "fixture: fails an io.Writer on schedule",
-	"internal/faultinject.Plan":             "fixture: seeds a sink fault schedule",
-	"internal/faultinject.Sink.Flush":       "fixture: the fault-injecting record sink",
-	"internal/faultinject.Sink.Flushes":     "fixture: the fault-injecting record sink",
-	"internal/faultinject.Sink.WriteRecord": "fixture: the fault-injecting record sink",
-	"internal/faultinject.Sink.Writes":      "fixture: the fault-injecting record sink",
-	"internal/faultinject.Wrap":             "fixture: the fault-injecting record sink",
-	"internal/faultinject.Writer.Writes":    "fixture: the fault-injecting io.Writer",
 	"internal/grouping.Builder.Config":      "observation: the builder's configuration after defaults",
 	"internal/grouping.Result.Assignments":  "observation: a construction's per-user groups",
 	"internal/kmeans.DistMatrix.At":         "observation: one staged distance, by the silhouette kernel",

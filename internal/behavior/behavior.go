@@ -177,7 +177,7 @@ func (e ViewEvent) Engagement() float64 {
 // videos are recommended (popularity-weighted within
 // preference-sampled categories), watched for a profile-driven
 // duration, and swiped when abandoned early. linkBps caps the chosen
-// representation.
+// representation. It is AppendSession into a fresh slice.
 func Session(
 	cat *video.Catalog,
 	pr *Profile,
@@ -185,17 +185,32 @@ func Session(
 	linkBps float64,
 	rng *rand.Rand,
 ) ([]ViewEvent, error) {
+	return AppendSession(nil, cat, pr, intervalS, linkBps, rng)
+}
+
+// AppendSession appends Session's events to dst and returns the
+// extended slice, drawing the same stream in the same order; on error
+// it returns dst as passed. Into a dst with room for the session, the
+// only allocation is the preference sampler.
+func AppendSession(
+	dst []ViewEvent,
+	cat *video.Catalog,
+	pr *Profile,
+	intervalS float64,
+	linkBps float64,
+	rng *rand.Rand,
+) ([]ViewEvent, error) {
 	if cat == nil || cat.Size() == 0 {
-		return nil, fmt.Errorf("empty catalog: %w", ErrParam)
+		return dst, fmt.Errorf("empty catalog: %w", ErrParam)
 	}
 	if intervalS <= 0 {
-		return nil, fmt.Errorf("interval %v s: %w", intervalS, ErrParam)
+		return dst, fmt.Errorf("interval %v s: %w", intervalS, ErrParam)
 	}
 	catDist, err := stats.NewCategorical(pr.Pref)
 	if err != nil {
-		return nil, fmt.Errorf("preference sampler: %w", err)
+		return dst, fmt.Errorf("preference sampler: %w", err)
 	}
-	var events []ViewEvent
+	events := dst
 	clock := 0.0
 	for clock < intervalS {
 		c := video.AllCategories()[catDist.Sample(rng)]
@@ -207,7 +222,7 @@ func Session(
 		}
 		frac, ferr := pr.WatchFraction(v.Category, rng)
 		if ferr != nil {
-			return nil, ferr
+			return dst, ferr
 		}
 		watch := frac * v.DurationS
 		if clock+watch > intervalS {

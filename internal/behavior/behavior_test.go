@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dtmsvs/internal/stats"
 	"dtmsvs/internal/video"
 )
 
@@ -253,5 +254,54 @@ func TestSessionLinkCapSelectsLowRungs(t *testing.T) {
 		if e.Rep.BitrateBps > 500e3 {
 			t.Fatalf("rep %v over constrained link", e.Rep.BitrateBps)
 		}
+	}
+}
+
+// TestAppendSession: AppendSession appends exactly Session's events
+// from the same stream after what dst holds, and into a dst with room
+// allocates no more than the preference sampler does. On error it
+// returns dst as passed.
+func TestAppendSession(t *testing.T) {
+	pr, err := NewProfile(NewUniformPreference(), 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := testCatalog(t)
+	want, err := Session(cat, pr, 300, 2e6, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := ViewEvent{WatchS: -1}
+	got, err := AppendSession([]ViewEvent{prefix}, cat, pr, 300, 2e6, rand.New(rand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1+len(want) || got[0] != prefix {
+		t.Fatalf("appended %d events after %+v, want %d after the prefix", len(got)-1, got[0], len(want))
+	}
+	for i, e := range want {
+		if got[1+i] != e {
+			t.Fatalf("event %d: %+v, Session %+v", i, got[1+i], e)
+		}
+	}
+
+	sampler := testing.AllocsPerRun(20, func() {
+		if _, err := stats.NewCategorical(pr.Pref); err != nil {
+			t.Fatal(err)
+		}
+	})
+	buf := make([]ViewEvent, 0, 4*len(want))
+	rng := rand.New(rand.NewSource(9))
+	if a := testing.AllocsPerRun(20, func() {
+		if buf, err = AppendSession(buf[:0], cat, pr, 300, 2e6, rng); err != nil {
+			t.Fatal(err)
+		}
+	}); a > sampler {
+		t.Fatalf("AppendSession into a buffer with room allocates %v times, the sampler %v", a, sampler)
+	}
+
+	dst := []ViewEvent{prefix}
+	if out, err := AppendSession(dst, cat, pr, 0, 2e6, rng); !errors.Is(err, ErrParam) || len(out) != 1 || out[0] != prefix {
+		t.Fatalf("invalid interval: %d events, %v; want dst back and ErrParam", len(out), err)
 	}
 }

@@ -75,8 +75,8 @@ type Compressor struct {
 	// training step and reused so the fit loop stays allocation-free.
 	params []nn.Param
 
-	// Minibatch scratch (grow-once): the stacked window batch, shared
-	// by Fit and EncodeBatch, and the batched reconstruction gradient.
+	// Fit's minibatch scratch (grow-once): the stacked window batch
+	// and the batched reconstruction gradient.
 	// The per-layer activations live inside the layers (nn batch
 	// scratch).
 	xB, gradB *vecmath.Matrix
@@ -144,50 +144,13 @@ func (c *Compressor) Config() Config { return c.cfg }
 // InputDim returns the flattened window size Channels×Window.
 func (c *Compressor) InputDim() int { return c.inDim }
 
-// EncodeBatch compresses many windows into caller-owned CodeDim codes.
-// It runs the encoder's ForwardBatch, the pass Fit trains, on chunks
-// of Config.Batch windows staged in the compressor's minibatch
-// scratch, so inference reuses the scratch Fit grew and a window's
-// code does not depend on which windows share its chunk. The codes of
-// one chunk are capacity-capped slices of one backing array: the same
-// bytes as a code apiece, in a Batch-th of the allocations.
-func (c *Compressor) EncodeBatch(windows []vecmath.Vec) ([]vecmath.Vec, error) {
-	out := make([]vecmath.Vec, len(windows))
-	cd := c.cfg.CodeDim
-	if c.xB == nil {
-		c.xB = &vecmath.Matrix{}
-	}
-	for start := 0; start < len(windows); start += c.cfg.Batch {
-		chunk := windows[start:min(start+c.cfg.Batch, len(windows))]
-		if err := c.xB.Resize(len(chunk), c.inDim); err != nil {
-			return nil, err
-		}
-		for r, w := range chunk {
-			if len(w) != c.inDim {
-				return nil, fmt.Errorf("window %d: encode input %d want %d: %w", start+r, len(w), c.inDim, ErrConfig)
-			}
-			copy(c.xB.Row(r), w)
-		}
-		codes, err := c.encoder.ForwardBatch(c.xB)
-		if err != nil {
-			return nil, fmt.Errorf("windows %d..%d: %w", start, start+len(chunk)-1, err)
-		}
-		backing := make([]float64, len(chunk)*cd)
-		copy(backing, codes.Data)
-		for r := range chunk {
-			out[start+r] = backing[r*cd : (r+1)*cd : (r+1)*cd]
-		}
-	}
-	return out, nil
-}
-
 // EncodeInto writes the code of every row of x, one window per row,
 // into the same row of dst, which it resizes to x.Rows × CodeDim: one
 // encoder ForwardBatch, the pass Fit trains, so once the layer scratch
 // has grown to x.Rows it allocates nothing. The scratch grows to the
 // largest x seen, so callers with many windows pass a Config.Batch of
 // them at a time. A row's code does not depend on the other rows of x:
-// it equals the EncodeBatch code of that window bit for bit.
+// it equals the code of that window encoded alone, bit for bit.
 func (c *Compressor) EncodeInto(dst, x *vecmath.Matrix) error {
 	codes, err := c.encoder.ForwardBatch(x)
 	if err != nil {

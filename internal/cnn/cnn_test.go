@@ -54,14 +54,28 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// encodeOne encodes w as a one-window EncodeBatch.
-func encodeOne(t *testing.T, c *Compressor, w vecmath.Vec) vecmath.Vec {
+// encode stacks the windows one to a row and returns the EncodeInto
+// code of each.
+func encode(t *testing.T, c *Compressor, windows ...vecmath.Vec) []vecmath.Vec {
 	t.Helper()
-	codes, err := c.EncodeBatch([]vecmath.Vec{w})
-	if err != nil {
+	x, dst := vecmath.MustMatrix(len(windows), c.InputDim()), &vecmath.Matrix{}
+	for i, w := range windows {
+		copy(x.Row(i), w)
+	}
+	if err := c.EncodeInto(dst, x); err != nil {
 		t.Fatal(err)
 	}
-	return codes[0]
+	codes := make([]vecmath.Vec, len(windows))
+	for i := range codes {
+		codes[i] = dst.Row(i)
+	}
+	return codes
+}
+
+// encodeOne encodes w alone.
+func encodeOne(t *testing.T, c *Compressor, w vecmath.Vec) vecmath.Vec {
+	t.Helper()
+	return encode(t, c, w)[0]
 }
 
 func TestEncodeShape(t *testing.T) {
@@ -87,8 +101,8 @@ func TestEncodeShape(t *testing.T) {
 			t.Fatalf("code value %v outside [-1,1]", v)
 		}
 	}
-	if _, err := c.EncodeBatch([]vecmath.Vec{{1, 2}}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("want ErrConfig, got %v", err)
+	if err := c.EncodeInto(&vecmath.Matrix{}, vecmath.MustMatrix(1, 2)); !errors.Is(err, nn.ErrShape) {
+		t.Fatalf("want nn.ErrShape, got %v", err)
 	}
 }
 
@@ -110,6 +124,9 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodeBatch: a batch of windows stacked one to a row encodes to
+// one code row per window, and a batch whose rows are the wrong width
+// is refused.
 func TestEncodeBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c, err := New(testConfig(), rng)
@@ -124,26 +141,25 @@ func TestEncodeBatch(t *testing.T) {
 		}
 		windows[i] = w
 	}
-	codes, err := c.EncodeBatch(windows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	codes := encode(t, c, windows...)
 	if len(codes) != 5 {
 		t.Fatalf("batch len %d", len(codes))
 	}
-	windows[2] = vecmath.Vec{1}
-	if _, err := c.EncodeBatch(windows); !errors.Is(err, ErrConfig) {
-		t.Fatalf("want ErrConfig, got %v", err)
+	for i, code := range codes {
+		if len(code) != c.Config().CodeDim {
+			t.Fatalf("window %d: code len %d, want %d", i, len(code), c.Config().CodeDim)
+		}
+	}
+	if err := c.EncodeInto(&vecmath.Matrix{}, vecmath.MustMatrix(5, c.InputDim()-1)); !errors.Is(err, nn.ErrShape) {
+		t.Fatalf("want nn.ErrShape, got %v", err)
 	}
 }
 
-// TestEncodeBatchChunkInvariant: EncodeBatch walks its windows in
-// chunks of Config.Batch, and every code must equal that window's
-// one-window encode bit for bit for any window count, a short tail
-// chunk included; so must the row EncodeInto writes for it, from the
-// windows stacked in one matrix. Encoding N windows allocates the
-// slice of codes and one backing array per chunk, nothing per code,
-// and EncodeInto into a grown matrix allocates nothing.
+// TestEncodeBatchChunkInvariant: EncodeInto encodes a stack of windows
+// in one pass, and every row's code must equal that window's
+// one-window encode bit for bit, whatever the stack's height against
+// Config.Batch, a height that is not a multiple of it included. Once
+// the layer scratch has grown, EncodeInto allocates nothing.
 func TestEncodeBatchChunkInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, batch := range []int{1, 8} {
@@ -154,51 +170,26 @@ func TestEncodeBatchChunkInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 7, 8, 9, 61} {
-			windows := make([]vecmath.Vec, n)
-			for i := range windows {
-				windows[i] = make(vecmath.Vec, c.InputDim())
-				for j := range windows[i] {
-					windows[i][j] = rng.NormFloat64()
-				}
-			}
-			codes, err := c.EncodeBatch(windows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range windows {
-				want := encodeOne(t, c, w)
-				if len(codes[i]) != cfg.CodeDim || len(want) != cfg.CodeDim {
-					t.Fatalf("batch %d n %d window %d: code len %d, one-window code len %d, want %d",
-						batch, n, i, len(codes[i]), len(want), cfg.CodeDim)
-				}
-				for j := range want {
-					if math.Float64bits(codes[i][j]) != math.Float64bits(want[j]) {
-						t.Fatalf("batch %d n %d window %d code %d: %v, one-window encode %v",
-							batch, n, i, j, codes[i][j], want[j])
-					}
-				}
-			}
-			if a := testing.AllocsPerRun(20, func() {
-				if _, err := c.EncodeBatch(windows); err != nil {
-					t.Fatal(err)
-				}
-			}); a != float64(1+(n+batch-1)/batch) {
-				t.Fatalf("batch %d: encoding %d windows allocates %v times, want %d", batch, n, a, 1+(n+batch-1)/batch)
-			}
 			x, dst := vecmath.MustMatrix(n, c.InputDim()), &vecmath.Matrix{}
-			for i, w := range windows {
-				copy(x.Row(i), w)
-			}
+			x.FillRandUniform(rng, 2)
 			if err := c.EncodeInto(dst, x); err != nil {
 				t.Fatal(err)
 			}
-			for i := range codes {
-				for j, v := range codes[i] {
-					if math.Float64bits(dst.At(i, j)) != math.Float64bits(v) {
-						t.Fatalf("batch %d n %d window %d code %d: EncodeInto %v, EncodeBatch %v",
-							batch, n, i, j, dst.At(i, j), v)
+			if dst.Rows != n || dst.Cols != cfg.CodeDim {
+				t.Fatalf("batch %d n %d: codes %dx%d, want %dx%d", batch, n, dst.Rows, dst.Cols, n, cfg.CodeDim)
+			}
+			got := dst.Clone()
+			for i := range n {
+				want := encodeOne(t, c, x.Row(i))
+				for j, v := range want {
+					if math.Float64bits(got.At(i, j)) != math.Float64bits(v) {
+						t.Fatalf("batch %d n %d window %d code %d: stacked %v, one-window %v",
+							batch, n, i, j, got.At(i, j), v)
 					}
 				}
+			}
+			if err := c.EncodeInto(dst, x); err != nil {
+				t.Fatal(err)
 			}
 			if a := testing.AllocsPerRun(20, func() {
 				if err := c.EncodeInto(dst, x); err != nil {
@@ -310,14 +301,7 @@ func TestCodesSeparateClusters(t *testing.T) {
 	if _, err := c.Fit(all, 40, rng); err != nil {
 		t.Fatal(err)
 	}
-	codeA, err := c.EncodeBatch(classA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codeB, err := c.EncodeBatch(classB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	codeA, codeB := encode(t, c, classA...), encode(t, c, classB...)
 	centroid := func(cs []vecmath.Vec) vecmath.Vec {
 		out := make(vecmath.Vec, len(cs[0]))
 		for _, v := range cs {

@@ -1,115 +1,6 @@
 package faultinject
 
-import (
-	"bytes"
-	"errors"
-	"testing"
-)
-
-// collector is a minimal RecordSink for the wrapper tests.
-type collector struct {
-	records []int
-	flushes int
-}
-
-func (c *collector) WriteRecord(r int) error { c.records = append(c.records, r); return nil }
-func (c *collector) Flush() error            { c.flushes++; return nil }
-
-// TestWriterFaults: FailWrite consumes nothing, ShortWrite leaks half,
-// and unscheduled calls pass through untouched.
-func TestWriterFaults(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf,
-		Fault{Mode: FailWrite, N: 2},
-		Fault{Mode: ShortWrite, N: 4},
-	)
-	if _, err := w.Write([]byte("aaaa")); err != nil {
-		t.Fatal(err)
-	}
-	n, err := w.Write([]byte("bbbb"))
-	if n != 0 || !errors.Is(err, ErrInjected) {
-		t.Fatalf("FailWrite: n=%d err=%v", n, err)
-	}
-	var fe *Error
-	if !errors.As(err, &fe) || fe.Op != "write" || fe.Call != 2 {
-		t.Fatalf("FailWrite error shape: %+v", fe)
-	}
-	if buf.String() != "aaaa" {
-		t.Fatalf("FailWrite consumed bytes: %q", buf.String())
-	}
-	if _, err := w.Write([]byte("cccc")); err != nil {
-		t.Fatal(err)
-	}
-	n, err = w.Write([]byte("dddd"))
-	if n != 2 || !errors.Is(err, ErrInjected) {
-		t.Fatalf("ShortWrite: n=%d err=%v", n, err)
-	}
-	if !errors.As(err, &fe) || fe.Op != "write" || fe.Call != 4 {
-		t.Fatalf("ShortWrite error shape: %+v", fe)
-	}
-	if buf.String() != "aaaaccccdd" {
-		t.Fatalf("ShortWrite leaked wrong bytes: %q", buf.String())
-	}
-	if got := w.Writes(); got != 4 {
-		t.Fatalf("Writes: %d", got)
-	}
-}
-
-// TestSinkFaults: record-level injection fires before the wrapped
-// sink sees anything, flush faults fire on their scheduled call, and
-// counts include calls that fail.
-func TestSinkFaults(t *testing.T) {
-	var c collector
-	s := Wrap[int](&c,
-		Fault{Mode: FailWrite, N: 2},
-		Fault{Mode: FailFlush, N: 2},
-	)
-	if err := s.WriteRecord(10); err != nil {
-		t.Fatal(err)
-	}
-	err := s.WriteRecord(11)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected write fault, got %v", err)
-	}
-	if len(c.records) != 1 {
-		t.Fatalf("fault leaked a record: %v", c.records)
-	}
-	// Call 3 is past the schedule and succeeds.
-	if err := s.WriteRecord(11); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected flush fault, got %v", err)
-	}
-	if c.flushes != 1 {
-		t.Fatalf("flush fault reached the sink: %d", c.flushes)
-	}
-	if s.Writes() != 3 || s.Flushes() != 2 {
-		t.Fatalf("counts: writes=%d flushes=%d", s.Writes(), s.Flushes())
-	}
-}
-
-// TestPlan: deterministic per seed and in range.
-func TestPlan(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		f := Plan(seed, 10)
-		if f != Plan(seed, 10) {
-			t.Fatalf("seed %d: plan not deterministic", seed)
-		}
-		if f.N < 1 || f.N > 10 {
-			t.Fatalf("seed %d: N=%d out of range", seed, f.N)
-		}
-		if f.Mode < FailWrite || f.Mode > FailFlush {
-			t.Fatalf("seed %d: mode %v", seed, f.Mode)
-		}
-	}
-	if f := Plan(3, 0); f.N != 1 {
-		t.Fatalf("degenerate calls: %+v", f)
-	}
-}
+import "testing"
 
 // TestCellPlan: deterministic per seed, fields always in range, and
 // revival — when scheduled — strictly after the failure and inside

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"dtmsvs/internal/cnn"
 	"dtmsvs/internal/ddqn"
@@ -33,12 +34,17 @@ type Group struct {
 	Centroid vecmath.Vec
 }
 
-// Result is a complete group construction.
+// Result is a complete group construction. It owns its groups; its
+// Codes are the builder's staging, read through until the builder's
+// next construction (see Codes).
 type Result struct {
 	Groups []Group
 	// K is the grouping number used.
 	K int
-	// Codes are the per-user compressed features used.
+	// Codes are the per-user compressed features used. They alias the
+	// builder's code staging: they hold until the builder's next
+	// construction, TrainAgent or BestKExhaustive, which overwrites
+	// them. Copy them to keep them longer.
 	Codes []vecmath.Vec
 
 	// assign and pool are what Silhouette scores: the K-means
@@ -66,9 +72,10 @@ func RestoredResult(sil float64) *Result {
 // memoised value. The scan stages Codes in the builder's DistMatrix,
 // which the builder's reward table also uses, so once that has grown it
 // allocates nothing. The builder rejects every input Stage or
-// SilhouetteDists would, so the scan cannot fail. A call must not
-// overlap another call on a result of the same builder, or a call on
-// the builder.
+// SilhouetteDists would, so the scan cannot fail. The first call must
+// come before the builder's next construction overwrites Codes, and a
+// call must not overlap another call on a result of the same builder,
+// or a call on the builder.
 func (r *Result) Silhouette() float64 {
 	if !r.silhouetteDone {
 		if r.K >= 2 {
@@ -137,6 +144,11 @@ type Builder struct {
 	pool       *parallel.Pool
 	// windows stages one compressor batch of CodesInto's windows.
 	windows vecmath.Matrix
+	// codes stages the codes of the latest construction or training
+	// env, and codeRows views its rows; the latest Result's Codes are
+	// codeRows.
+	codes    vecmath.Matrix
+	codeRows []vecmath.Vec
 	// dists stages the codes the reward table and the results'
 	// silhouettes score, one code set at a time.
 	dists kmeans.DistMatrix
@@ -213,42 +225,14 @@ func New(cfg Config, rng *rand.Rand) (*Builder, error) {
 // Config returns the builder configuration.
 func (b *Builder) Config() Config { return b.cfg }
 
-// Windows extracts the raw feature windows from the twins.
-func (b *Builder) Windows(twins []*udt.Twin) ([]vecmath.Vec, error) {
-	if len(twins) == 0 {
-		return nil, fmt.Errorf("no twins: %w", ErrConfig)
-	}
-	out := make([]vecmath.Vec, len(twins))
-	for i, tw := range twins {
-		w, err := tw.FeatureWindow(b.cfg.WindowSteps, b.cfg.PosScale)
-		if err != nil {
-			return nil, fmt.Errorf("twin %d window: %w", i, err)
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-// Codes compresses the twins' windows (or returns raw windows when the
-// CNN is disabled).
-func (b *Builder) Codes(twins []*udt.Twin) ([]vecmath.Vec, error) {
-	windows, err := b.Windows(twins)
-	if err != nil {
-		return nil, err
-	}
-	if b.compressor == nil {
-		return windows, nil
-	}
-	return b.compressor.EncodeBatch(windows)
-}
-
 // CodesInto writes the code of every twin (its raw window when the CNN
 // is disabled) into a row of dst, which it resizes to len(twins) rows.
 // With the CNN on, the windows are staged a compressor batch at a time
 // in a builder-owned matrix and each batch is encoded into its rows of
 // dst, so once the scratch has grown a call allocates nothing and the
 // scratch stays one batch whatever the call's size. Each row equals
-// that twin's entry of Codes bit for bit.
+// the twin's FeatureWindow encoded alone with Compressor.EncodeInto,
+// bit for bit.
 func (b *Builder) CodesInto(dst *vecmath.Matrix, twins []*udt.Twin) error {
 	if len(twins) == 0 {
 		return fmt.Errorf("no twins: %w", ErrConfig)
@@ -291,21 +275,49 @@ func (b *Builder) windowsInto(dst *vecmath.Matrix, twins []*udt.Twin) error {
 	return nil
 }
 
+// stageCodes writes the twins' codes into the builder's staging with
+// CodesInto and returns views of its rows, valid until the next call.
+// Once the staging has grown to the population it allocates nothing.
+func (b *Builder) stageCodes(twins []*udt.Twin) ([]vecmath.Vec, error) {
+	if err := b.CodesInto(&b.codes, twins); err != nil {
+		return nil, err
+	}
+	b.codeRows = rowViews(b.codeRows, &b.codes)
+	return b.codeRows, nil
+}
+
+// rowViews resizes views to m's rows and points each at its row of m,
+// capacity-capped so that an append to one cannot reach the next.
+func rowViews(views []vecmath.Vec, m *vecmath.Matrix) []vecmath.Vec {
+	views = slices.Grow(views[:0], m.Rows)[:m.Rows]
+	for i := range views {
+		views[i] = m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]
+	}
+	return views
+}
+
 // TrainCompressor fits the 1D-CNN autoencoder on the twins' current
 // windows for at most epochs epochs, returning the last epoch's mean
 // loss. The fit stops early on a plateau: after 8 epochs, the first
 // epoch whose loss improves on the best earlier epoch by less than 1 %
-// is the last (cnn.Compressor.Fit). No-op (returns 0) when the CNN is
-// disabled.
+// is the last (cnn.Compressor.Fit). The windows are staged in one
+// matrix that lives only as long as the fit. No-op (returns 0) when
+// the CNN is disabled.
 func (b *Builder) TrainCompressor(twins []*udt.Twin, epochs int) (float64, error) {
 	if b.compressor == nil {
 		return 0, nil
 	}
-	windows, err := b.Windows(twins)
-	if err != nil {
+	if len(twins) == 0 {
+		return 0, fmt.Errorf("no twins: %w", ErrConfig)
+	}
+	var windows vecmath.Matrix
+	if err := windows.Resize(len(twins), udt.NumFeatureChannels*b.cfg.WindowSteps); err != nil {
 		return 0, err
 	}
-	return b.compressor.Fit(windows, epochs, b.rng)
+	if err := b.windowsInto(&windows, twins); err != nil {
+		return 0, err
+	}
+	return b.compressor.Fit(rowViews(nil, &windows), epochs, b.rng)
 }
 
 // envState summarizes a code set into the fixed-size DDQN observation:
@@ -448,9 +460,10 @@ type kEnv struct {
 
 var _ ddqn.Env = (*kEnv)(nil)
 
-// newKEnv compresses the twins and builds the MDP over their codes.
+// newKEnv compresses the twins into the builder's code staging and
+// builds the MDP over their codes.
 func (b *Builder) newKEnv(twins []*udt.Twin) (*kEnv, error) {
-	codes, err := b.Codes(twins)
+	codes, err := b.stageCodes(twins)
 	if err != nil {
 		return nil, err
 	}
@@ -527,23 +540,34 @@ func (b *Builder) assemble(codes []vecmath.Vec, res *kmeans.Result) (*Result, er
 			return nil, fmt.Errorf("code %d dim %d, want %d: %w", i, len(c), len(codes[0]), ErrConfig)
 		}
 	}
-	groups := make([]Group, res.K)
-	for g := range groups {
-		groups[g] = Group{ID: g, Centroid: vecmath.Clone(res.Centroids[g])}
-	}
+	// The groups' member lists are capacity-capped windows of one
+	// array, sized by a first counting pass.
+	start := make([]int, res.K+1)
 	for i, a := range res.Assign {
 		if a < 0 || a >= res.K {
 			return nil, fmt.Errorf("code %d assigned to %d of %d groups: %w", i, a, res.K, ErrConfig)
 		}
+		start[a+1]++
+	}
+	for g := range res.K {
+		start[g+1] += start[g]
+	}
+	members := make([]int, len(res.Assign))
+	groups := make([]Group, res.K)
+	for g := range groups {
+		groups[g] = Group{ID: g, Centroid: vecmath.Clone(res.Centroids[g]), Members: members[start[g]:start[g]:start[g+1]]}
+	}
+	for i, a := range res.Assign {
 		groups[a].Members = append(groups[a].Members, i)
 	}
 	return &Result{Groups: groups, K: res.K, Codes: codes, assign: res.Assign, pool: b.pool, dists: &b.dists}, nil
 }
 
 // Build runs the full two-step construction: compress, pick K with the
-// DDQN, cluster with K-means++.
+// DDQN, cluster with K-means++. The codes are staged in the builder
+// (see Result.Codes).
 func (b *Builder) Build(twins []*udt.Twin) (*Result, error) {
-	codes, err := b.Codes(twins)
+	codes, err := b.stageCodes(twins)
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +590,7 @@ func (b *Builder) Build(twins []*udt.Twin) (*Result, error) {
 // BuildFixedK is the fixed-K baseline: skip the DDQN and cluster
 // directly with the given grouping number.
 func (b *Builder) BuildFixedK(twins []*udt.Twin, k int) (*Result, error) {
-	codes, err := b.Codes(twins)
+	codes, err := b.stageCodes(twins)
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +670,7 @@ func (r *Result) Assignments(numUsers int) []int {
 // rewardTable, once and in ascending order, so it scores every K
 // exactly as an uncached scan would, with the same draws.
 func (b *Builder) BestKExhaustive(twins []*udt.Twin) (int, float64, error) {
-	codes, err := b.Codes(twins)
+	codes, err := b.stageCodes(twins)
 	if err != nil {
 		return 0, 0, err
 	}

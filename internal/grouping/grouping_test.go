@@ -93,28 +93,26 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestWindowsAndCodes: staging windows (TrainCompressor) or codes
+// (CodesInto) rejects an empty population, and CodesInto writes one
+// default-CodeDim code per twin.
 func TestWindowsAndCodes(t *testing.T) {
 	b, err := New(testConfig(), rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Windows(nil); !errors.Is(err, ErrConfig) {
+	var dst vecmath.Matrix
+	if err := b.CodesInto(&dst, nil); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig, got %v", err)
 	}
-	twins := makeTwins(t, 10)
-	windows, err := b.Windows(twins)
-	if err != nil {
+	if _, err := b.TrainCompressor(nil, 1); !errors.Is(err, ErrConfig) {
+		t.Fatalf("TrainCompressor of no twins: want ErrConfig, got %v", err)
+	}
+	if err := b.CodesInto(&dst, makeTwins(t, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if len(windows) != 10 || len(windows[0]) != udt.NumFeatureChannels*16 {
-		t.Fatalf("windows %d × %d", len(windows), len(windows[0]))
-	}
-	codes, err := b.Codes(twins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(codes) != 10 || len(codes[0]) != 8 {
-		t.Fatalf("codes %d × %d (default CodeDim 8)", len(codes), len(codes[0]))
+	if dst.Rows != 10 || dst.Cols != 8 {
+		t.Fatalf("codes %d × %d (default CodeDim 8)", dst.Rows, dst.Cols)
 	}
 }
 
@@ -126,12 +124,12 @@ func TestCodesRawWhenCNNDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	twins := makeTwins(t, 6)
-	codes, err := b.Codes(twins)
-	if err != nil {
+	var dst vecmath.Matrix
+	if err := b.CodesInto(&dst, twins); err != nil {
 		t.Fatal(err)
 	}
-	if len(codes[0]) != udt.NumFeatureChannels*16 {
-		t.Fatalf("raw codes dim %d", len(codes[0]))
+	if dst.Cols != udt.NumFeatureChannels*16 {
+		t.Fatalf("raw codes dim %d", dst.Cols)
 	}
 	// TrainCompressor must be a no-op.
 	loss, err := b.TrainCompressor(twins, 5)
@@ -140,16 +138,18 @@ func TestCodesRawWhenCNNDisabled(t *testing.T) {
 	}
 }
 
-// TestCodesIntoMatchesCodes: CodesInto stages and encodes its twins a
-// compressor batch at a time, and every row equals that twin's Codes
-// entry bit for bit — with the CNN on, over 17 twins (two full batches
-// of 8 and a tail), and with it off, where a code is the raw window.
-// Into a grown matrix it allocates nothing.
+// TestCodesIntoMatchesCodes is the staged path's oracle:
+// CodesInto stages and encodes its twins a compressor batch at a time,
+// and every row, and every code of a construction's Result, equals the
+// twin's FeatureWindow encoded alone by a one-row EncodeInto, bit for
+// bit. That holds with the CNN on, over 17 twins (two full batches of
+// 8 and a tail), and with it off, where a code is the raw window. Into
+// a grown matrix CodesInto allocates nothing.
 func TestCodesIntoMatchesCodes(t *testing.T) {
 	twins := makeTwins(t, 17)
-	for _, cnn := range []bool{true, false} {
+	for _, useCNN := range []bool{true, false} {
 		cfg := testConfig()
-		cfg.UseCNN = cnn
+		cfg.UseCNN = useCNN
 		b, err := New(cfg, rand.New(rand.NewSource(4)))
 		if err != nil {
 			t.Fatal(err)
@@ -157,33 +157,96 @@ func TestCodesIntoMatchesCodes(t *testing.T) {
 		if _, err := b.TrainCompressor(twins, 2); err != nil {
 			t.Fatal(err)
 		}
-		codes, err := b.Codes(twins)
-		if err != nil {
-			t.Fatal(err)
+		want := make([]vecmath.Vec, len(twins))
+		for i, tw := range twins {
+			w, err := tw.FeatureWindow(cfg.WindowSteps, cfg.PosScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = w
+			if useCNN {
+				x, code := &vecmath.Matrix{Rows: 1, Cols: len(w), Data: w}, &vecmath.Matrix{}
+				if err := b.compressor.EncodeInto(code, x); err != nil {
+					t.Fatal(err)
+				}
+				want[i] = code.Data
+			}
+		}
+		same := func(what string, got func(i int) vecmath.Vec) {
+			t.Helper()
+			for i, w := range want {
+				g := got(i)
+				if len(g) != len(w) {
+					t.Fatalf("cnn %v %s twin %d: code dim %d, want %d", useCNN, what, i, len(g), len(w))
+				}
+				for j, v := range w {
+					if math.Float64bits(g[j]) != math.Float64bits(v) {
+						t.Fatalf("cnn %v %s twin %d code %d: %v, one-window encode %v", useCNN, what, i, j, g[j], v)
+					}
+				}
+			}
 		}
 		var dst vecmath.Matrix
 		if err := b.CodesInto(&dst, twins); err != nil {
 			t.Fatal(err)
 		}
-		if dst.Rows != len(codes) || dst.Cols != len(codes[0]) {
-			t.Fatalf("cnn %v: CodesInto %dx%d, Codes %dx%d", cnn, dst.Rows, dst.Cols, len(codes), len(codes[0]))
+		if dst.Rows != len(twins) {
+			t.Fatalf("cnn %v: CodesInto %d rows, want %d", useCNN, dst.Rows, len(twins))
 		}
-		for i, code := range codes {
-			for j, v := range code {
-				if math.Float64bits(dst.At(i, j)) != math.Float64bits(v) {
-					t.Fatalf("cnn %v twin %d code %d: CodesInto %v, Codes %v", cnn, i, j, dst.At(i, j), v)
-				}
-			}
+		same("CodesInto", dst.Row)
+		res, err := b.BuildFixedK(twins, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		same("Result.Codes", func(i int) vecmath.Vec { return res.Codes[i] })
 		if a := testing.AllocsPerRun(10, func() {
 			if err := b.CodesInto(&dst, twins); err != nil {
 				t.Fatal(err)
 			}
 		}); a != 0 {
-			t.Fatalf("cnn %v: CodesInto allocates %v times", cnn, a)
+			t.Fatalf("cnn %v: CodesInto allocates %v times", useCNN, a)
 		}
-		if err := b.CodesInto(&dst, nil); !errors.Is(err, ErrConfig) {
-			t.Fatalf("cnn %v: no twins: want ErrConfig, got %v", cnn, err)
+	}
+}
+
+// TestWarmBuildAllocatesOnlyItsResult: once a builder's staging has
+// grown to a population, Build and BuildFixedK allocate no window and
+// no code. What a construction allocates is the result's own
+// bookkeeping (the Result, its groups and member array) and the
+// K-means run's, a fixed count plus three per cluster (its K-means++
+// seed, its Lloyd sum and the result's copy of its centroid), the same
+// for 40 twins as for 160.
+func TestWarmBuildAllocatesOnlyItsResult(t *testing.T) {
+	const fixed, perCluster = 16, 3
+	for _, name := range []string{"Build", "BuildFixedK"} {
+		var counts []float64
+		for _, n := range []int{40, 160} {
+			b, err := New(testConfig(), rand.New(rand.NewSource(5)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			twins := makeTwins(t, n)
+			var res *Result
+			build := func() {
+				var err error
+				if name == "Build" {
+					res, err = b.Build(twins)
+				} else {
+					res, err = b.BuildFixedK(twins, 3)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			build()
+			a := testing.AllocsPerRun(10, build) - float64(perCluster*res.K)
+			if a > fixed {
+				t.Fatalf("%s of %d twins allocates %v times besides its %d clusters', budget %d", name, n, a, res.K, fixed)
+			}
+			counts = append(counts, a)
+		}
+		if counts[0] != counts[1] {
+			t.Fatalf("%s allocates %v times besides its clusters' for 40 twins, %v for 160: a cost per twin", name, counts[0], counts[1])
 		}
 	}
 }
@@ -294,9 +357,10 @@ func stagedSilhouette(codes []vecmath.Vec, assign []int, k int, pool *parallel.P
 }
 
 // TestSilhouetteMatchesSilhouettePool scores Build and BuildFixedK
-// results through the memoised Silhouette and checks each against the
-// silhouette of the same codes and assignment on a freshly staged set,
-// bit for bit, at pool widths 1 and 2.
+// results through the memoised Silhouette and checks each, before the
+// next construction, against the silhouette of the same codes and
+// assignment on a freshly staged set, bit for bit, at pool widths 1
+// and 2.
 func TestSilhouetteMatchesSilhouettePool(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		pool := parallel.New(workers)
@@ -312,19 +376,18 @@ func TestSilhouetteMatchesSilhouettePool(t *testing.T) {
 		if _, err := b.TrainAgent(twins, 40); err != nil {
 			t.Fatal(err)
 		}
-		built, err := b.Build(twins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results := []*Result{built}
-		for _, k := range []int{2, 3, 5} {
-			res, err := b.BuildFixedK(twins, k)
+		// Each result is scored before the next construction
+		// overwrites the codes it aliases.
+		for _, k := range []int{0, 2, 3, 5} {
+			var res *Result
+			if k == 0 {
+				res, err = b.Build(twins)
+			} else {
+				res, err = b.BuildFixedK(twins, k)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			results = append(results, res)
-		}
-		for _, res := range results {
 			want, err := stagedSilhouette(res.Codes, res.Assignments(len(twins)), res.K, pool)
 			if err != nil {
 				t.Fatal(err)
@@ -427,7 +490,7 @@ func TestSelectKInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	twins := makeTwins(t, 12)
-	codes, err := b.Codes(twins)
+	codes, err := b.stageCodes(twins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +545,7 @@ func TestTrainedAgentApproachesOracle(t *testing.T) {
 	if len(rewards) != 200 {
 		t.Fatalf("%d episode rewards", len(rewards))
 	}
-	codes, err := b.Codes(twins)
+	codes, err := b.stageCodes(twins)
 	if err != nil {
 		t.Fatal(err)
 	}

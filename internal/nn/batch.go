@@ -174,12 +174,15 @@ func (r *ReLU) BackwardBatch(grad *vecmath.Matrix) (*vecmath.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	// dx = g where the output is positive, else +0, through the bit
+	// mask ForwardBatch uses.
+	out, dd := r.bOut.Data[:len(grad.Data)], dx.Data[:len(grad.Data)]
 	for i, g := range grad.Data {
-		if r.bOut.Data[i] > 0 {
-			dx.Data[i] = g
-		} else {
-			dx.Data[i] = 0
+		var keep uint64
+		if out[i] > 0 {
+			keep = ^uint64(0)
 		}
+		dd[i] = math.Float64frombits(math.Float64bits(g) & keep)
 	}
 	return dx, nil
 }

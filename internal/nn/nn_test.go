@@ -506,3 +506,36 @@ func TestNetworkCNNPipelineShapes(t *testing.T) {
 		t.Fatalf("pipeline input grad %dx%d, want 3x%d", dx.Rows, dx.Cols, 4*32)
 	}
 }
+
+// TestReLUBackwardMatchesBranchyLoop holds the masked ReLU backward to
+// the branchy loop it replaced, bit for bit: a gradient passes where
+// the cached output is positive, and is +0 elsewhere. Every pair of
+// outputs and gradients from ±0, ±1, ±subnormal, ±Inf and NaN is
+// checked; a NaN output, which ForwardBatch never caches, must zero
+// the gradient like any output that is not positive.
+func TestReLUBackwardMatchesBranchyLoop(t *testing.T) {
+	sub := math.Float64frombits(1)
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, sub, -sub, math.Inf(1), math.Inf(-1), math.NaN()}
+	n := len(vals) * len(vals)
+	outs, grads := vecmath.MustMatrix(1, n), vecmath.MustMatrix(1, n)
+	for i, o := range vals {
+		for j, g := range vals {
+			outs.Data[i*len(vals)+j], grads.Data[i*len(vals)+j] = o, g
+		}
+	}
+	r := ReLU{bOut: outs}
+	dx, err := r.BackwardBatch(grads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, g := range grads.Data {
+		want := 0.0
+		if outs.Data[k] > 0 {
+			want = g
+		}
+		if math.Float64bits(dx.Data[k]) != math.Float64bits(want) {
+			t.Fatalf("output %v gradient %v: dx %v (bits %#x), want %v (bits %#x)",
+				outs.Data[k], g, dx.Data[k], math.Float64bits(dx.Data[k]), want, math.Float64bits(want))
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/udt"
+	"dtmsvs/internal/vecmath"
 )
 
 // testCellOptions builds a cell substrate of its own for cell bs.
@@ -96,20 +97,22 @@ func TestCellRowsCarryBS(t *testing.T) {
 }
 
 // referenceAssignGroup is the attach-time group choice, one twin
-// encoded alone through Codes, kept as the oracle of the batched pick
-// and the splice: nearest centroid in the cell's code space when
+// encoded alone into a fresh matrix, kept as the oracle of the batched
+// pick and the splice: nearest centroid in the cell's code space when
 // computable, else the smallest group as it stands (ties to the lowest
 // id).
 func referenceAssignGroup(s *Simulation, u *user) int {
-	if codes, err := s.builder.Codes([]*udt.Twin{u.twin}); err == nil && len(codes) == 1 {
+	var codes vecmath.Matrix
+	if err := s.builder.CodesInto(&codes, []*udt.Twin{u.twin}); err == nil && codes.Rows == 1 {
+		code := codes.Row(0)
 		best, bestD := -1, 0.0
 		for _, g := range s.groups {
-			if len(g.centroid) != len(codes[0]) {
+			if len(g.centroid) != len(code) {
 				continue
 			}
 			var d float64
 			for i, c := range g.centroid {
-				diff := codes[0][i] - c
+				diff := code[i] - c
 				d += diff * diff
 			}
 			if best == -1 || d < bestD {

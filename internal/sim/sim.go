@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"dtmsvs/internal/behavior"
 	"dtmsvs/internal/channel"
@@ -916,14 +917,24 @@ func (s *Simulation) predictGroupWorstSNR(g *groupState, sc *groupScratch) float
 	return stats.TailMeanInPlace(sc.snrs, 2*coverageQuantile)
 }
 
+// sessionBufs holds warm-up session buffers (*[]behavior.ViewEvent)
+// between users: a pool task takes one, generates its user's session
+// into it and puts it back, so the buffers in use are bounded by the
+// workers running, not the user count, and the garbage collector may
+// drop idle ones.
+var sessionBufs = sync.Pool{New: func() any { return new([]behavior.ViewEvent) }}
+
 // warmupBrowse lets every user browse individually for one interval to
 // populate the watch/engagement series of the twins. Sessions draw
 // from each user's private stream, so the fan-out is deterministic.
 func (s *Simulation) warmupBrowse(ctx context.Context) error {
 	return s.pool.ForContext(ctx, len(s.users), func(i int) error {
+		buf := sessionBufs.Get().(*[]behavior.ViewEvent)
+		defer sessionBufs.Put(buf)
 		u := s.users[i]
 		linkBps := s.params.RateBps(u.meanSNR.Mean()) * float64(s.cfg.NominalRBsPerGroup)
-		events, err := behavior.Session(s.catalog, u.profile, s.cfg.IntervalS, linkBps, u.rng)
+		events, err := behavior.AppendSession((*buf)[:0], s.catalog, u.profile, s.cfg.IntervalS, linkBps, u.rng)
+		*buf = events
 		if err != nil {
 			return fmt.Errorf("user %d session: %w", u.id, err)
 		}
@@ -1086,19 +1097,24 @@ func (s *Simulation) groupWorstSNR(g *groupState, sc *groupScratch) float64 {
 // right after a regroup; the profile folds each member's counters
 // without expanding them, so an interval costs O(members) however long
 // the run. Groups are disjoint and twins are only read, so the
-// abstraction fans across the pool.
+// abstraction fans across the pool, each group staging its members'
+// twins in its scratch.
 func (s *Simulation) abstractGroups(ctx context.Context) error {
+	s.growScratch()
 	return s.pool.ForContext(ctx, len(s.groups), func(gi int) error {
 		g := s.groups[gi]
 		if len(g.members) == 0 {
 			// Emptied by cross-cell migration; skip until refilled.
 			return nil
 		}
-		twins := make([]*udt.Twin, len(g.members))
-		for i, m := range g.members {
-			twins[i] = s.userByID(m).twin
+		sc := &s.scratch[gi]
+		twins := sc.twins[:0]
+		for _, m := range g.members {
+			twins = append(twins, s.userByID(m).twin)
 		}
 		profile, err := predict.BuildGroupProfile(twins, s.catalog, s.cfg.TopNRecommend)
+		clear(twins) // hold no twin past the call
+		sc.twins = twins
 		if err != nil {
 			return fmt.Errorf("group %d profile: %w", g.id, err)
 		}
@@ -1137,8 +1153,17 @@ type groupScratch struct {
 	draws []float64
 	// views stages one member's views for Twin.CollectViews.
 	views []udt.View
+	// twins stages the members' twins for the group abstraction.
+	twins []*udt.Twin
 	// actual is the measured demand; serveInterval fills ComputeCycles.
 	actual predict.Demand
+}
+
+// growScratch gives every group index a groupScratch.
+func (s *Simulation) growScratch() {
+	if len(s.scratch) < len(s.groups) {
+		s.scratch = append(s.scratch, make([]groupScratch, len(s.groups)-len(s.scratch))...)
+	}
 }
 
 // watched returns what a member whose swipe draw is draw watches of a
@@ -1428,9 +1453,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 		skip      bool
 	}
 	preds := make([]pendingPred, len(s.groups))
-	if len(s.scratch) < len(s.groups) {
-		s.scratch = append(s.scratch, make([]groupScratch, len(s.groups)-len(s.scratch))...)
-	}
+	s.growScratch()
 	tSched := s.met.schedule.Start()
 	s.predictor.CacheHitRate = s.server.Cache().HitRate()
 	if err := s.pool.ForContext(ctx, len(s.groups), func(gi int) error {

@@ -7,8 +7,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"dtmsvs/internal/faultinject"
 )
 
 // runWithSink steps a fresh monolithic session against sink until
@@ -41,17 +39,17 @@ func TestSessionSinkRecordFaults(t *testing.T) {
 	cfg := sessionTestConfig(21, 2)
 	clean, perInterval := ndjsonRun(t, func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) })
 
-	for _, mode := range []faultinject.Mode{faultinject.FailWrite, faultinject.ShortWrite} {
+	for _, mode := range []faultMode{failWrite, shortWrite} {
 		t.Run(mode.String(), func(t *testing.T) {
 			// Fail midway through interval 1's records.
-			fault := faultinject.Fault{Mode: mode, N: perInterval[0] + 1 + perInterval[1]/2}
+			fault := ioFault{Mode: mode, N: perInterval[0] + 1 + perInterval[1]/2}
 			var buf bytes.Buffer
-			sink := faultinject.Wrap[TraceRecord](NewNDJSONSink(&buf), fault)
+			sink := wrapFaults(NewNDJSONSink(&buf), fault)
 			s, serr := runWithSink(t, cfg, sink)
-			if !errors.Is(serr, ErrSink) || !errors.Is(serr, faultinject.ErrInjected) {
+			if !errors.Is(serr, ErrSink) || !errors.Is(serr, errInjected) {
 				t.Fatalf("want ErrSink wrapping injected fault, got %v", serr)
 			}
-			var ie *faultinject.Error
+			var ie *injectedError
 			if !errors.As(serr, &ie) || ie.Op != "write" {
 				t.Fatalf("injected error unreachable through the chain: %v", serr)
 			}
@@ -83,9 +81,9 @@ func TestSessionSinkFlushFault(t *testing.T) {
 
 	// The session flushes once per completed interval; fail the second.
 	var buf bytes.Buffer
-	sink := faultinject.Wrap[TraceRecord](NewNDJSONSink(&buf), faultinject.Fault{Mode: faultinject.FailFlush, N: 2})
+	sink := wrapFaults(NewNDJSONSink(&buf), ioFault{Mode: failFlush, N: 2})
 	s, serr := runWithSink(t, cfg, sink)
-	if !errors.Is(serr, ErrSink) || !errors.Is(serr, faultinject.ErrInjected) {
+	if !errors.Is(serr, ErrSink) || !errors.Is(serr, errInjected) {
 		t.Fatalf("want ErrSink wrapping injected flush fault, got %v", serr)
 	}
 	frozen := buf.String()
@@ -109,23 +107,23 @@ func TestSessionSinkByteLevelFaults(t *testing.T) {
 	cfg := sessionTestConfig(23, 2)
 	for _, tc := range []struct {
 		name string
-		mk   func(w *faultinject.Writer) TraceSink
+		mk   func(w *faultWriter) TraceSink
 	}{
-		{"ndjson", func(w *faultinject.Writer) TraceSink { return NewNDJSONSink(w) }},
-		{"csv", func(w *faultinject.Writer) TraceSink { return NewCSVSink(w) }},
+		{"ndjson", func(w *faultWriter) TraceSink { return NewNDJSONSink(w) }},
+		{"csv", func(w *faultWriter) TraceSink { return NewCSVSink(w) }},
 	} {
-		for _, mode := range []faultinject.Mode{faultinject.FailWrite, faultinject.ShortWrite} {
+		for _, mode := range []faultMode{failWrite, shortWrite} {
 			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
 				// Both stream sinks buffer and hit the io.Writer on Flush;
 				// fail the second flush's write.
 				var buf bytes.Buffer
-				fw := faultinject.NewWriter(&buf, faultinject.Fault{Mode: mode, N: 2})
+				fw := newFaultWriter(&buf, ioFault{Mode: mode, N: 2})
 				s, serr := runWithSink(t, cfg, tc.mk(fw))
 				if !errors.Is(serr, ErrSink) {
 					t.Fatalf("want ErrSink, got %v", serr)
 				}
 				frozen := buf.String()
-				if mode == faultinject.FailWrite && !completeLines(frozen) {
+				if mode == failWrite && !completeLines(frozen) {
 					t.Fatalf("fail-write leaked a partial record: %q", frozen[max(0, len(frozen)-60):])
 				}
 				if cerr := s.Close(); cerr != nil {
@@ -205,32 +203,32 @@ func TestSessionSinkFailureSequencing(t *testing.T) {
 	clean, perInterval := ndjsonRun(t, func(opts ...SessionOption) (Session, error) { return Open(cfg, opts...) })
 
 	var buf bytes.Buffer
-	sink := faultinject.Wrap[TraceRecord](NewNDJSONSink(&buf),
-		faultinject.Fault{Mode: faultinject.FailWrite, N: perInterval[0] + 1 + perInterval[1]/2},
-		faultinject.Fault{Mode: faultinject.FailFlush, N: 2},
+	sink := wrapFaults(NewNDJSONSink(&buf),
+		ioFault{Mode: failWrite, N: perInterval[0] + 1 + perInterval[1]/2},
+		ioFault{Mode: failFlush, N: 2},
 	)
 	s, serr := runWithSink(t, cfg, sink)
-	if !errors.Is(serr, ErrSink) || !errors.Is(serr, faultinject.ErrInjected) {
+	if !errors.Is(serr, ErrSink) || !errors.Is(serr, errInjected) {
 		t.Fatalf("want ErrSink wrapping the injected write fault, got %v", serr)
 	}
 	frozen := buf.String()
 	if frozen != linePrefix(clean, perInterval[0]) || !completeLines(frozen) {
 		t.Fatal("backing store is not the last whole-interval prefix")
 	}
-	flushes := sink.Flushes()
+	flushes := sink.flushes
 
 	if _, again := s.Step(context.Background()); !errors.Is(again, ErrSink) {
 		t.Fatalf("step after failure: want the latched ErrSink, got %v", again)
 	}
 	cerr := s.Checkpoint(io.Discard)
-	if !errors.Is(cerr, ErrSink) || !errors.Is(cerr, faultinject.ErrInjected) {
+	if !errors.Is(cerr, ErrSink) || !errors.Is(cerr, errInjected) {
 		t.Fatalf("checkpoint of sink-broken session: want the typed step failure, got %v", cerr)
 	}
 	if cerr := s.Close(); cerr != nil {
 		t.Fatalf("close after sink failure: %v", cerr)
 	}
-	if sink.Flushes() != flushes {
-		t.Fatalf("broken sink flushed again: %d -> %d", flushes, sink.Flushes())
+	if sink.flushes != flushes {
+		t.Fatalf("broken sink flushed again: %d -> %d", flushes, sink.flushes)
 	}
 	if buf.String() != frozen {
 		t.Fatal("bytes appended to the backing store after the reported failure")
