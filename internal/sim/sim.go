@@ -81,7 +81,8 @@ type Config struct {
 	// WarmupIntervals of individual browsing before grouping
 	// (default 2).
 	WarmupIntervals int
-	// RegroupEvery intervals (default 4).
+	// RegroupEvery intervals (default 4); a period of NumIntervals or
+	// more never regroups.
 	RegroupEvery int
 	// Grouping configures the two-step group construction.
 	Grouping grouping.Config
@@ -242,6 +243,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("base stations %d: %w", d.NumBS, ErrConfig)
 	case d.NumIntervals < 0:
 		return fmt.Errorf("intervals %d: %w", d.NumIntervals, ErrConfig)
+	case d.IntervalS < 0 || d.TicksPerInterval < 0:
+		return fmt.Errorf("interval of %v s in %d ticks: %w", d.IntervalS, d.TicksPerInterval, ErrConfig)
+	case d.WarmupIntervals < 0 || d.RegroupEvery < 0:
+		return fmt.Errorf("warm-up %d, regroup every %d intervals: %w", d.WarmupIntervals, d.RegroupEvery, ErrConfig)
+	case d.CompressorEpochs < 0 || d.AgentEpisodes < 0:
+		return fmt.Errorf("compressor epochs %d, agent episodes %d: %w", d.CompressorEpochs, d.AgentEpisodes, ErrConfig)
+	case d.TopNRecommend < 0 || d.NominalRBsPerGroup < 0:
+		return fmt.Errorf("top-n %d, nominal rbs %d: %w", d.TopNRecommend, d.NominalRBsPerGroup, ErrConfig)
+	case d.SwipeGapS < 0:
+		return fmt.Errorf("swipe gap %v: %w", d.SwipeGapS, ErrConfig)
 	case d.FixedK < 0 || d.FixedK > d.NumUsers:
 		return fmt.Errorf("fixed k %d for %d users: %w", d.FixedK, d.NumUsers, ErrConfig)
 	case d.RBBudget < 0:
@@ -728,11 +739,11 @@ func (s *Simulation) keepsServing(bs *channel.BaseStation, pos mobility.Point) b
 	return float64(dx*dx)+float64(dy*dy) < s.innerSq[bs.ID]
 }
 
-// tickChunk is the most ticks collectTicks stages at once: a chunk's
-// receptions, SNRs and twin samples wait in stack arrays, so an
-// interval of up to tickChunk ticks takes each twin's lock once. The
-// arrays are zeroed on every user's entry, so the chunk covers the
-// default 30-tick interval and no more.
+// tickChunk is the most ticks collectTicks stages at once: it sizes
+// the stack arrays a chunk's receptions, SNRs and twin samples wait
+// in, so an interval of up to tickChunk ticks reaches each twin in one
+// CollectTicks call. The arrays are zeroed on every user's entry, so
+// the chunk covers the default 30-tick interval and no more.
 const tickChunk = 32
 
 // collectTicks runs one interval's worth of mobility + channel
@@ -1017,7 +1028,7 @@ func (s *Simulation) rebuildGroups(boundary int) error {
 // lastConstruction reports whether a construction after boundary
 // intervals is the run's last: no regroup follows it.
 func (s *Simulation) lastConstruction(boundary int) bool {
-	return s.cfg.RegroupEvery <= 0 || boundary+s.cfg.RegroupEvery >= s.cfg.NumIntervals
+	return boundary+s.cfg.RegroupEvery >= s.cfg.NumIntervals
 }
 
 // cellSalt is the stream salt of cell bs: bs + 1, so no two sibling
@@ -1614,7 +1625,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 	s.churned += churned
 	s.met.churn.ObserveSince(tChurn)
 	s.met.churned.Add(uint64(churned))
-	if s.cfg.RegroupEvery > 0 && (interval+1)%s.cfg.RegroupEvery == 0 && interval+1 < s.cfg.NumIntervals {
+	if (interval+1)%s.cfg.RegroupEvery == 0 && interval+1 < s.cfg.NumIntervals {
 		tRegroup := s.met.regroup.Start()
 		if err := s.rebuildGroups(interval + 1); err != nil {
 			return err

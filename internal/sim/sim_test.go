@@ -36,6 +36,15 @@ func TestConfigValidate(t *testing.T) {
 		{"bs", func(c *Config) { c.NumBS = -1 }},
 		{"intervals", func(c *Config) { c.NumIntervals = 0 }},
 		{"fixedk", func(c *Config) { c.FixedK = 99 }},
+		{"ticks", func(c *Config) { c.TicksPerInterval = -5 }},
+		{"warmup", func(c *Config) { c.WarmupIntervals = -1 }},
+		{"nominal_rbs", func(c *Config) { c.NominalRBsPerGroup = -1 }},
+		{"interval_s", func(c *Config) { c.IntervalS = -300 }},
+		{"swipe_gap", func(c *Config) { c.SwipeGapS = -0.5 }},
+		{"topn", func(c *Config) { c.TopNRecommend = -1 }},
+		{"agent_episodes", func(c *Config) { c.AgentEpisodes = -1 }},
+		{"compressor_epochs", func(c *Config) { c.CompressorEpochs = -1 }},
+		{"regroup_every", func(c *Config) { c.RegroupEvery = -1 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -43,6 +52,9 @@ func TestConfigValidate(t *testing.T) {
 			tt.mut(&cfg)
 			if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
 				t.Fatalf("want ErrConfig, got %v", err)
+			}
+			if _, err := New(cfg); !errors.Is(err, ErrConfig) {
+				t.Fatalf("New: want ErrConfig, got %v", err)
 			}
 		})
 	}
@@ -113,17 +125,16 @@ func scored(r *grouping.Result) (done bool) {
 
 // TestFinalSilhouetteScoredAtBuild checks the silhouette the trace
 // reports and where it is computed, for every regroup cadence shape:
-// none (RegroupEvery -1 and NumIntervals), the default (0 = 4, whose
-// last regroup lands exactly at its cadence) and one that does not
-// divide NumIntervals (3). The reported value must be the silhouette
-// of the last construction's codes on a freshly staged set, bit for
-// bit; the last
-// construction must be scored in the step that built it, and every
-// earlier one left unscored.
+// none (a cadence past the run's end, and NumIntervals), the default
+// (0 = 4, whose last regroup lands exactly at its cadence) and one
+// that does not divide NumIntervals (3). The reported value must be
+// the silhouette of the last construction's codes on a freshly staged
+// set, bit for bit; the last construction must be scored in the step
+// that built it, and every earlier one left unscored.
 func TestFinalSilhouetteScoredAtBuild(t *testing.T) {
 	const intervals = 8
 	for _, tc := range []struct{ every, constructions int }{
-		{-1, 1}, {0, 2}, {3, 3}, {4, 2}, {intervals, 1},
+		{intervals + 4, 1}, {0, 2}, {3, 3}, {4, 2}, {intervals, 1},
 	} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("every%d/p%d", tc.every, workers), func(t *testing.T) {

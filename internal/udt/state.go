@@ -20,8 +20,6 @@ func (t *Twin) identity() [6]int {
 // oldest-first as raw IEEE-754 words, the preference snapshot, the
 // per-category interval counters and the staleness counts.
 func (t *Twin) EncodeState(e *checkpoint.Enc) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, v := range t.identity() {
 		e.Int(v)
 	}
@@ -51,8 +49,6 @@ func (t *Twin) EncodeState(e *checkpoint.Enc) {
 // than the ring, counters of the wrong arity or an invalid preference
 // is checkpoint.ErrCorrupt, and leaves the twin partly overwritten.
 func (t *Twin) DecodeState(d *checkpoint.Dec) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	want := t.identity()
 	var got [len(want)]int
 	for i := range got {

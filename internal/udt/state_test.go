@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"slices"
-	"sync"
 	"testing"
 
 	"dtmsvs/internal/behavior"
@@ -269,81 +267,4 @@ func TestRestoreValidation(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestStateCodecConcurrent: EncodeState and AddPreferenceTo run
-// against live collectors (the checkpoint-while-serving and the group
-// abstraction overlaps) — a per-attribute collector and a batched
-// CollectTicks + CollectViews one writing the same twin — without a
-// race. Every encoding is a consistent state a fresh twin accepts,
-// and every preference read is one whole snapshot, not a mix of two.
-func TestStateCodecConcurrent(t *testing.T) {
-	tw := newTwin(t, Config{HistoryLen: 16})
-	back := newTwin(t, Config{HistoryLen: 16})
-	uniform := behavior.NewUniformPreference() // a new twin's preference
-	prefs := [2]behavior.Preference{{0.6, 0.1, 0.1, 0.1, 0.1}, {0.05, 0.05, 0.05, 0.05, 0.8}}
-	// The preference reader runs from before the batched collector's
-	// first write until after its last.
-	readerUp, batched := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(4)
-	go func() {
-		defer wg.Done()
-		defer close(batched)
-		<-readerUp
-		var batch [30]TickSample
-		for i := 0; i < 200; i++ {
-			for k := range batch {
-				batch[k] = TickSample{CQI: 1 + (i+k)%15, X: float64(k), Y: float64(-i)}
-			}
-			if err := tw.CollectTicks(batch[:1+i%len(batch)], prefs[i%2]); err != nil {
-				t.Errorf("batch %d: %v", i, err)
-				return
-			}
-			views := []View{{Cat: video.News, WatchS: 3, Engagement: 0.2, Swiped: true}, {Cat: video.Game, WatchS: 9, Engagement: 1}}
-			if err := tw.CollectViews(views[:1+i%len(views)]); err != nil {
-				t.Errorf("views %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			tw.Tick()
-			_, _ = tw.CollectChannel(1 + i%15)
-			tw.CollectLocation(float64(i), float64(-i))
-			_, _ = tw.CollectView(video.Music, 5, 0.5, i%2 == 0)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			if err := decodeState(back, encodeState(tw)); err != nil {
-				t.Errorf("snapshot %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		sum := make(behavior.Preference, video.NumCategories)
-		close(readerUp)
-		for i := 0; ; i++ {
-			select {
-			case <-batched:
-				return
-			default:
-			}
-			for c := range sum {
-				sum[c] = 0
-			}
-			tw.AddPreferenceTo(sum)
-			if !slices.Equal(sum, uniform) && !slices.Equal(sum, prefs[0]) && !slices.Equal(sum, prefs[1]) {
-				t.Errorf("read %d: preference %v is no collected snapshot", i, sum)
-				return
-			}
-		}
-	}()
-	wg.Wait()
 }

@@ -9,7 +9,6 @@ package udt
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"dtmsvs/internal/behavior"
 	"dtmsvs/internal/vecmath"
@@ -147,23 +146,34 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Twin is one user's digital twin. It is safe for concurrent use: the
-// BS-side collector writes — one CollectTicks call per batch of
-// simulation ticks and one CollectViews call per batch of views, or
-// Tick followed by the per-attribute Collect calls — while the
-// grouping pipeline reads. The engines take the lock once per user per
-// interval for its ticks (at most 32 a call) and once for its views.
-// Readers serialize with each other as well as with the collector.
+// Twin is one user's digital twin. The BS-side collector writes it —
+// one CollectTicks call per batch of simulation ticks and one
+// CollectViews call per batch of views, or Tick followed by the
+// per-attribute Collect calls — and the grouping pipeline and the
+// group abstraction read it.
+//
+// A Twin is not safe for concurrent use, and need not be: at any
+// moment one task owns it. The engine (internal/sim) runs its stages
+// as barriers, each fan-out returning before the next starts, and
+// within a stage exactly one task touches a given twin:
+//
+//   - tick collection (CollectTicks) and warm-up browsing
+//     (CollectView): the pool task of the user's index;
+//   - streaming (CollectViews): the task of the one group whose
+//     members list the user — groups partition the population;
+//   - group abstraction (the by-category reads and AddPreferenceTo):
+//     the task of that same group;
+//   - windows and codes (FeatureWindowInto, through the grouping
+//     builder's CodesInto and the engine's NearestGroups): the
+//     goroutine of the cell whose builder runs;
+//   - EncodeState and DecodeState: the owning cell's checkpoint or
+//     restore task, or the worker boundary's handover pass.
+//
+// Two tasks touching one twin inside a stage would be an ownership
+// bug, and a lock would only order them by the schedule; the race
+// detector reports it instead.
 type Twin struct {
 	UserID int
-
-	// mu guards everything below, for readers as for writers. It is a
-	// plain Mutex, not an RWMutex: the engines never run two readers of
-	// one twin at once (a twin belongs to one user, one group and one
-	// pool index per fan-out), so shared read locking bought nothing,
-	// and its extra atomics on the collector's hot path cost a drain of
-	// the store buffer the ring writes fill.
-	mu sync.Mutex
 
 	cfg Config
 
@@ -212,18 +222,10 @@ func (t *Twin) rings() [NumFeatureChannels]*ring {
 }
 
 // Tick advances the twin's collection clock by one simulation tick.
-func (t *Twin) Tick() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ticks++
-}
+func (t *Twin) Tick() { t.ticks++ }
 
 // Ticks returns the collection clock.
-func (t *Twin) Ticks() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ticks
-}
+func (t *Twin) Ticks() int { return t.ticks }
 
 // Staleness returns ticks since the attribute was last accepted (0
 // for an attribute the twin does not collect).
@@ -231,13 +233,10 @@ func (t *Twin) Staleness(a Attribute) int {
 	if a < AttrChannel || a > AttrPreference {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.ticks - t.lastAt[a]
 }
 
 // due reports whether the attribute's collection period has elapsed.
-// Caller must hold the lock.
 func (t *Twin) due(period int) bool { return t.ticks%period == 0 }
 
 func checkCQI(cqi int) error {
@@ -254,13 +253,13 @@ type TickSample struct {
 	X, Y float64
 }
 
-// CollectTicks runs one simulation tick per sample, in order, under a
-// single lock: Tick, then CollectChannel, CollectLocation and
-// CollectPreference, each accepted only when its period is due. The
-// due phase lives in the tick clock, so a sequence split over any
-// number of calls collects exactly what one call would. Every
-// sample's CQI and the preference are validated before the first
-// tick, due or not; on error the twin is unchanged.
+// CollectTicks runs one simulation tick per sample, in order: Tick,
+// then CollectChannel, CollectLocation and CollectPreference, each
+// accepted only when its period is due. The due phase lives in the
+// tick clock, so a sequence split over any number of calls collects
+// exactly what one call would. Every sample's CQI and the preference
+// are validated before the first tick, due or not; on error the twin
+// is unchanged.
 //
 // The due checks take no divide per tick: each attribute's phase is
 // read from the clock once per call (ticks mod period) and then
@@ -276,8 +275,6 @@ func (t *Twin) CollectTicks(samples []TickSample, p behavior.Preference) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	chEvery, locEvery, prefEvery := t.cfg.ChannelEvery, t.cfg.LocationEvery, t.cfg.PreferenceEvery
 	ch, loc, pref := t.ticks%chEvery, t.ticks%locEvery, t.ticks%prefEvery
 	for _, s := range samples {
@@ -304,8 +301,6 @@ func (t *Twin) CollectChannel(cqi int) (bool, error) {
 	if err := checkCQI(cqi); err != nil {
 		return false, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !t.due(t.cfg.ChannelEvery) {
 		return false, nil
 	}
@@ -313,7 +308,7 @@ func (t *Twin) CollectChannel(cqi int) (bool, error) {
 	return true, nil
 }
 
-// storeChannel stores a validated, due CQI. Caller must hold the lock.
+// storeChannel stores a validated, due CQI.
 func (t *Twin) storeChannel(cqi int) {
 	t.cqi.add(float64(cqi))
 	t.lastAt[AttrChannel] = t.ticks
@@ -321,8 +316,6 @@ func (t *Twin) storeChannel(cqi int) {
 
 // CollectLocation records an (x, y) sample if due.
 func (t *Twin) CollectLocation(x, y float64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !t.due(t.cfg.LocationEvery) {
 		return false
 	}
@@ -330,7 +323,7 @@ func (t *Twin) CollectLocation(x, y float64) bool {
 	return true
 }
 
-// storeLocation stores a due position. Caller must hold the lock.
+// storeLocation stores a due position.
 func (t *Twin) storeLocation(x, y float64) {
 	t.locX.add(x)
 	t.locY.add(y)
@@ -371,15 +364,13 @@ func (t *Twin) CollectView(cat video.Category, watchS, engagement float64, swipe
 	if !v.valid() {
 		return false, v.invalid()
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	due := t.due(t.cfg.WatchEvery)
 	t.storeView(v, due)
 	return due, nil
 }
 
-// CollectViews records views in order under a single lock, exactly as
-// one CollectView call per view would: the view counters take every
+// CollectViews records views in order, exactly as one CollectView
+// call per view would: the view counters take every
 // view, the watch and engagement series only when the watch period is
 // due. Views do not advance the clock, so one due check serves the
 // whole batch. Every view is validated before the first is recorded;
@@ -390,8 +381,6 @@ func (t *Twin) CollectViews(views []View) error {
 			return fmt.Errorf("view %d: %w", i, v.invalid())
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	due := t.due(t.cfg.WatchEvery)
 	for _, v := range views {
 		t.storeView(v, due)
@@ -400,7 +389,7 @@ func (t *Twin) CollectViews(views []View) error {
 }
 
 // storeView records a validated view; due says whether the watch
-// period is due. Caller must hold the lock.
+// period is due.
 func (t *Twin) storeView(v View, due bool) {
 	idx := v.Cat.Index()
 	t.watchByCat[idx] += v.WatchS
@@ -422,8 +411,6 @@ func (t *Twin) CollectPreference(p behavior.Preference) (bool, error) {
 	if err := p.Validate(); err != nil {
 		return false, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !t.due(t.cfg.PreferenceEvery) {
 		return false, nil
 	}
@@ -432,7 +419,7 @@ func (t *Twin) CollectPreference(p behavior.Preference) (bool, error) {
 }
 
 // storePreference copies a validated, due preference into the twin's
-// own vector. Caller must hold the lock.
+// own vector.
 func (t *Twin) storePreference(p behavior.Preference) {
 	copy(t.pref, p)
 	t.lastAt[AttrPreference] = t.ticks
@@ -440,8 +427,6 @@ func (t *Twin) storePreference(p behavior.Preference) {
 
 // Preference returns the last collected preference snapshot.
 func (t *Twin) Preference() behavior.Preference {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.pref.Clone()
 }
 
@@ -449,8 +434,6 @@ func (t *Twin) Preference() behavior.Preference {
 // dst element by element, in category order, without copying it; dst
 // must hold at least video.NumCategories entries.
 func (t *Twin) AddPreferenceTo(dst behavior.Preference) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i, v := range t.pref {
 		dst[i] += v
 	}
@@ -458,8 +441,6 @@ func (t *Twin) AddPreferenceTo(dst behavior.Preference) {
 
 // WatchByCategory returns the cumulative watch seconds per category.
 func (t *Twin) WatchByCategory() [video.NumCategories]float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.watchByCat
 }
 
@@ -468,22 +449,16 @@ func (t *Twin) WatchByCategory() [video.NumCategories]float64 {
 // mean watched fraction per category — the direct input to the group
 // swiping-probability distribution.
 func (t *Twin) EngagementByCategory() [video.NumCategories]float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.engageByCat
 }
 
 // ViewsByCategory returns the cumulative view counts per category.
 func (t *Twin) ViewsByCategory() [video.NumCategories]int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.viewsByCat
 }
 
 // SwipeStats returns the cumulative (swipes, views).
 func (t *Twin) SwipeStats() (swipes, views int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.swipes, t.views
 }
 
@@ -518,8 +493,6 @@ func (t *Twin) FeatureWindowInto(dst vecmath.Vec, steps int, posScale float64) e
 	case len(dst) != NumFeatureChannels*steps:
 		return fmt.Errorf("window of %d steps into %d values: %w", steps, len(dst), ErrParam)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	divs := [NumFeatureChannels]float64{15, posScale, posScale, 60, 1}
 	for i, r := range t.rings() {
 		r.windowInto(dst[i*steps:(i+1)*steps], divs[i])

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"dtmsvs/internal/behavior"
@@ -293,35 +292,4 @@ func TestFeatureWindowNewestSamples(t *testing.T) {
 	if x, y := w[2*steps-1], w[3*steps-1]; x != 7 || y != 9 {
 		t.Fatalf("newest location %v,%v", x, y)
 	}
-}
-
-// The twin must tolerate concurrent writers and readers (BS collectors
-// vs grouping pipeline). Run with -race.
-func TestConcurrentAccess(t *testing.T) {
-	tw := newTwin(t, Config{})
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			tw.Tick()
-			_, _ = tw.CollectChannel(1 + i%15)
-			tw.CollectLocation(float64(i), float64(i))
-			_, _ = tw.CollectView(video.Music, 5, 0.5, true)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			_, _ = tw.FeatureWindow(16, 2000)
-			tw.SwipeStats()
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		<-stop
-	}()
-	close(stop)
-	wg.Wait()
 }

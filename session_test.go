@@ -336,6 +336,16 @@ func TestEmptyScenario(t *testing.T) {
 	if _, err := Open(negative); err == nil || errors.Is(err, ErrEmptyScenario) {
 		t.Fatalf("negative users: got %v", err)
 	}
+	// A negative tick rate is refused when the session opens, not run
+	// with wrong numbers.
+	negative = sessionTestConfig(1, 1)
+	negative.TicksPerInterval = -5
+	if _, err := Open(negative); !errors.Is(err, sim.ErrConfig) {
+		t.Fatalf("Open with negative ticks: want ErrConfig, got %v", err)
+	}
+	if _, err := OpenCluster(ClusterConfig{Sim: negative}); !errors.Is(err, sim.ErrConfig) {
+		t.Fatalf("OpenCluster with negative ticks: want ErrConfig, got %v", err)
+	}
 }
 
 // TestSessionDoneAndClosed: stepping past the end and after Close
