@@ -15,12 +15,13 @@
 //
 // With -workers N the cluster runs under the multi-worker supervisor:
 // cells are partitioned across N workers that exchange handover twins
-// at every boundary and checkpoint every interval, so a crashed
-// worker is restarted and replayed without perturbing the trace. By
-// default workers are goroutines; -worker-procs re-execs this binary
-// as real child processes (SIGKILL-recoverable), and -worker-bin
-// points at a dedicated worker binary (cmd/dtworker) instead. The
-// merged trace is bit-identical to the same run without -workers.
+// at every boundary and ship a checkpoint at least every 8th, so a
+// crashed worker is restarted from its last checkpoint and replayed
+// without perturbing the trace (up to 3 restarts per worker; the
+// summary then adds a "recovered:" line). By default workers are
+// goroutines; -worker-procs re-execs this binary as real child
+// processes (SIGKILL-recoverable). The merged trace is bit-identical
+// to the same run with -cells and without -workers.
 //
 //	dtsim -users 50000 -bs 16 -intervals 12 -workers 4 -worker-procs -out city.ndjson -format ndjson
 //
@@ -90,9 +91,8 @@ import (
 )
 
 func main() {
-	// A re-exec'ed child (dtsim -workers N -worker-procs without
-	// -worker-bin) becomes a frame worker here and never reaches the
-	// flag parser.
+	// A re-exec'ed child (dtsim -workers N -worker-procs) becomes a
+	// frame worker here and never reaches the flag parser.
 	dtmsvs.MaybeWorker()
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "dtsim:", err)
@@ -122,7 +122,6 @@ func run() (err error) {
 		metOut     = flag.String("metrics-out", "", "write the end-of-run metrics snapshot to this file as JSON (render with dtreport -timings)")
 		workersN   = flag.Int("workers", 0, "run the supervised distributed engine with this many workers (0 = no supervisor; implies one cell per BS)")
 		workerProc = flag.Bool("worker-procs", false, "with -workers, run each worker as a child process (re-execs this binary) instead of an in-process goroutine")
-		workerBin  = flag.String("worker-bin", "", "with -workers, spawn this worker binary (e.g. a dtworker build) instead of re-execing dtsim; implies -worker-procs")
 		failCell   = flag.Int("fail-cell", -1, "cluster: quarantine this cell at -fail-at and evacuate its twins (-1 = no injected failure; requires -cells)")
 		failAt     = flag.Int("fail-at", 0, "with -fail-cell, the 0-based interval boundary at which the cell dies")
 		reviveAt   = flag.Int("revive-at", -1, "with -fail-cell, the interval boundary at which the cell returns (-1 = never)")
@@ -242,9 +241,7 @@ func run() (err error) {
 		if len(faults) > 0 {
 			return fmt.Errorf("cell failure injection is not supported under the distributed supervisor; drop -workers or the fault flags")
 		}
-		if *workerBin != "" {
-			opts = append(opts, dtmsvs.WithWorkerProcesses(*workerBin))
-		} else if *workerProc {
+		if *workerProc {
 			opts = append(opts, dtmsvs.WithWorkerProcesses())
 		}
 		ccfg := dtmsvs.ClusterConfig{Sim: cfg}
@@ -261,19 +258,12 @@ func run() (err error) {
 		}
 		s = ds
 		summary = func() error {
-			trace := ds.Trace()
-			radioAcc, err := acc.RadioAccuracy()
-			if err != nil {
+			if err := printSummary(ds.Trace(), &acc, *users, *bs, *intervals); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr,
-				"dtsim: %d users, %d BSs, %d workers, %d intervals → handovers=%d churned=%d radio-accuracy=%.2f%% cache-hit=%.2f%%\n",
-				*users, *bs, *workersN, *intervals, trace.Handovers, trace.ChurnedUsers,
-				radioAcc*100, trace.CacheHitRate*100)
-			if ds.WorkerRestarts() > 0 || ds.WorkerAdoptions() > 0 {
-				fmt.Fprintf(os.Stderr,
-					"dtsim: recovered: %d worker restart(s), %d heartbeat miss(es), %d adoption(s)\n",
-					ds.WorkerRestarts(), ds.HeartbeatMisses(), ds.WorkerAdoptions())
+			if ds.WorkerRestarts() > 0 {
+				fmt.Fprintf(os.Stderr, "dtsim: recovered: %d worker restart(s), %d heartbeat miss(es)\n",
+					ds.WorkerRestarts(), ds.HeartbeatMisses())
 			}
 			return nil
 		}
@@ -302,32 +292,7 @@ func run() (err error) {
 			return err
 		}
 		s = cs
-		summary = func() error {
-			trace := cs.Trace()
-			radioAcc, err := acc.RadioAccuracy()
-			if err != nil {
-				return err
-			}
-			computeAcc, err := acc.ComputeAccuracy()
-			if err != nil {
-				return err
-			}
-			groups := ""
-			if len(trace.Cells) == 1 {
-				groups = fmt.Sprintf(" K=%d silhouette=%.3f", trace.Cells[0].K, trace.Cells[0].Silhouette)
-			}
-			fmt.Fprintf(os.Stderr,
-				"dtsim: %d users, %d BSs, %d cells, %d intervals →%s handovers=%d churned=%d radio-accuracy=%.2f%% compute-accuracy=%.2f%% cache-hit=%.2f%%\n",
-				*users, *bs, len(trace.Cells), *intervals, groups, trace.Handovers, trace.ChurnedUsers,
-				radioAcc*100, computeAcc*100, trace.CacheHitRate*100)
-			if trace.CellFailures > 0 {
-				fmt.Fprintf(os.Stderr,
-					"dtsim: degraded run: %d cell failure(s), %d revival(s), %d twin(s) evacuated, %d/%d intervals degraded\n",
-					trace.CellFailures, trace.Revivals, trace.EvacuatedTwins,
-					trace.DegradedIntervals, *intervals)
-			}
-			return nil
-		}
+		summary = func() error { return printSummary(cs.Trace(), &acc, *users, *bs, *intervals) }
 	}
 	defer s.Close()
 
@@ -403,6 +368,35 @@ func stepRun(ctx context.Context, s dtmsvs.Session, path string, every, ckptAt i
 		}
 	}
 	return ckptAt, false, nil
+}
+
+// printSummary writes the run's summary to stderr: one line of
+// counts and accuracies (with K and silhouette when the run has one
+// cell), and one more for a degraded run.
+func printSummary(trace *dtmsvs.ClusterTrace, acc *dtmsvs.AccuracyTracker, users, bs, intervals int) error {
+	radioAcc, err := acc.RadioAccuracy()
+	if err != nil {
+		return err
+	}
+	computeAcc, err := acc.ComputeAccuracy()
+	if err != nil {
+		return err
+	}
+	groups := ""
+	if len(trace.Cells) == 1 {
+		groups = fmt.Sprintf(" K=%d silhouette=%.3f", trace.Cells[0].K, trace.Cells[0].Silhouette)
+	}
+	fmt.Fprintf(os.Stderr,
+		"dtsim: %d users, %d BSs, %d cells, %d intervals →%s handovers=%d churned=%d radio-accuracy=%.2f%% compute-accuracy=%.2f%% cache-hit=%.2f%%\n",
+		users, bs, len(trace.Cells), intervals, groups, trace.Handovers, trace.ChurnedUsers,
+		radioAcc*100, computeAcc*100, trace.CacheHitRate*100)
+	if trace.CellFailures > 0 {
+		fmt.Fprintf(os.Stderr,
+			"dtsim: degraded run: %d cell failure(s), %d revival(s), %d twin(s) evacuated, %d/%d intervals degraded\n",
+			trace.CellFailures, trace.Revivals, trace.EvacuatedTwins,
+			trace.DegradedIntervals, intervals)
+	}
+	return nil
 }
 
 // writeMetrics dumps the registry's final snapshot as JSON.

@@ -10,139 +10,43 @@
 // heartbeat between frames, ship a checkpoint at least every 8th
 // boundary, and a worker that dies (crash, SIGKILL, torn frame, missed
 // heartbeat) is restarted with exponential backoff from its last
-// shipped checkpoint and replays the boundaries since then. The
-// restart budget and the adoption fallback are session options below.
+// shipped checkpoint and replays the boundaries since then. The policy
+// is fixed: 100ms beats with 10 misses allowed, 3 restarts per worker
+// backing off from 25ms to 1s, and a 10-minute deadline per boundary;
+// past either the run fails with ErrWorkerFailed.
 package dtmsvs
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/coord"
-	"dtmsvs/internal/faultinject"
 )
 
 // ErrWorkerFailed marks a distributed run that lost a worker more
-// times than the restart budget allows, with adoption disabled or
-// already spent on that worker. Match with errors.Is.
+// times than the restart budget allows, or a boundary that outlived
+// its deadline. Match with errors.Is.
 var ErrWorkerFailed = coord.ErrWorkerFailed
 
-// ProcFault schedules one deterministic process fault on a worker:
-// an abrupt kill, a hang (heartbeats and frames stall), or a
-// garbage frame (torn bytes on the wire). Used with WithProcFaults
-// for chaos testing the supervisor's recovery path.
-type ProcFault = faultinject.ProcFault
-
-// ProcFaultKind selects what a ProcFault does to its worker.
-type ProcFaultKind = faultinject.ProcFaultKind
-
-const (
-	// ProcKill terminates the worker abruptly (SIGKILL for process
-	// workers, torn pipes for in-process ones).
-	ProcKill = faultinject.ProcKill
-	// ProcHang stalls the worker — no heartbeats, no frames — until
-	// the supervisor's liveness deadline declares it dead.
-	ProcHang = faultinject.ProcHang
-	// ProcGarbage makes the worker emit a corrupt frame.
-	ProcGarbage = faultinject.ProcGarbage
-)
-
-// ProcFaultPlan derives one deterministic process fault from the run
-// seed: same seed, same fault. The worker, interval and kind are
-// drawn from a stream disjoint from every simulation stream, so a
-// faulted run replays exactly.
-func ProcFaultPlan(seed int64, workers, intervals int) ProcFault {
-	return faultinject.ProcPlan(seed, workers, intervals)
-}
-
-// WorkerSelfExec marks a process as a re-exec'ed distributed worker.
-// A binary whose main calls MaybeWorker first thing becomes the
-// worker when spawned with this environment variable set; see
-// WithWorkerProcesses.
-const WorkerSelfExec = coord.WorkerEnv
-
 // MaybeWorker turns the current process into a distributed worker
-// over stdin/stdout if WorkerSelfExec is set in the environment,
+// over stdin/stdout when it was re-exec'ed by WithWorkerProcesses,
 // never returning in that case. Call it at the top of main in any
 // binary that opens distributed sessions with WithWorkerProcesses().
 func MaybeWorker() { coord.MaybeWorker() }
 
-// RunWorker speaks the worker side of the supervisor protocol over
-// the given byte channels until shutdown or a fatal error. It is the
-// whole body of a dedicated worker binary (cmd/dtworker); binaries
-// that are sometimes workers use MaybeWorker instead.
-func RunWorker(r io.Reader, w io.Writer) error { return coord.RunWorker(r, w) }
-
 // WithWorkerProcesses runs each worker as a child process speaking
 // binary frames over stdin/stdout, so worker death is real process
-// death (SIGKILL recoverable by the supervisor). With no arguments
-// the session re-execs the current binary, whose main must call
-// MaybeWorker; with arguments, argv names a dedicated worker binary
-// such as cmd/dtworker. Without this option workers run as
-// goroutines inside the session's own process — same protocol, no
+// death (SIGKILL recoverable by the supervisor). The session re-execs
+// the running binary, whose main must call MaybeWorker; a child whose
+// main does not fails its own session's first Step with a protocol
+// error instead of re-execing again. Without this option workers run
+// as goroutines inside the session's own process — same protocol, no
 // processes.
-func WithWorkerProcesses(argv ...string) SessionOption {
-	return func(o *sessionOptions) {
-		if len(argv) == 0 {
-			o.workerTransport = coord.SelfTransport()
-			return
-		}
-		o.workerTransport = coord.Process(argv, WorkerSelfExec+"=1")
-	}
-}
-
-// WithWorkerRestartPolicy bounds crash recovery: each worker may be
-// restarted up to maxRestarts times (negative forbids restarts
-// entirely), backing off from backoff and doubling per consecutive
-// restart. The default is 3 restarts from 25ms.
-func WithWorkerRestartPolicy(maxRestarts int, backoff time.Duration) SessionOption {
-	return func(o *sessionOptions) {
-		if maxRestarts == 0 {
-			maxRestarts = -1
-		}
-		o.workerRestarts = maxRestarts
-		o.workerBackoff = backoff
-	}
-}
-
-// WithWorkerAdoption degrades gracefully instead of failing: a
-// worker that exhausts its restart budget is adopted — respawned once
-// more as an in-process goroutine from the last shipped checkpoint, its
-// remaining scheduled faults stripped. The trace stays bit-identical;
-// only the process topology degrades. An adopted worker has no budget
-// left: losing it too fails the run with ErrWorkerFailed.
-func WithWorkerAdoption() SessionOption {
-	return func(o *sessionOptions) { o.workerAdopt = true }
-}
-
-// WithWorkerHeartbeat tunes liveness detection: workers beat every
-// period, and missing missBudget consecutive beats declares a worker
-// dead. The default is 100ms × 10.
-func WithWorkerHeartbeat(period time.Duration, missBudget int) SessionOption {
-	return func(o *sessionOptions) {
-		o.workerHeartbeat = period
-		o.workerHeartbeatMiss = missBudget
-	}
-}
-
-// WithWorkerStepTimeout bounds one distributed boundary (all
-// workers, recoveries included). The default is 10 minutes.
-func WithWorkerStepTimeout(d time.Duration) SessionOption {
-	return func(o *sessionOptions) { o.workerStepTimeout = d }
-}
-
-// WithProcFaults schedules deterministic process faults on the
-// distributed run — the chaos-test hook. hang bounds how long a
-// ProcHang fault stalls its worker (0 = 30s).
-func WithProcFaults(hang time.Duration, faults ...ProcFault) SessionOption {
-	return func(o *sessionOptions) {
-		o.procFaults = append(o.procFaults, faults...)
-		o.workerHang = hang
-	}
+func WithWorkerProcesses() SessionOption {
+	return func(o *sessionOptions) { o.workerTransport = coord.SelfTransport() }
 }
 
 // distStepper adapts the coord supervisor to the session state
@@ -274,10 +178,6 @@ func (s *DistSession) Trace() *ClusterTrace {
 // performed so far.
 func (s *DistSession) WorkerRestarts() int { return s.st.sup.Restarts() }
 
-// WorkerAdoptions reports how many workers the supervisor has
-// adopted in-process after exhausted restart budgets.
-func (s *DistSession) WorkerAdoptions() int { return s.st.sup.Adoptions() }
-
 // HeartbeatMisses reports how many worker losses were declared by
 // the heartbeat deadline.
 func (s *DistSession) HeartbeatMisses() int { return s.st.sup.HeartbeatMisses() }
@@ -289,20 +189,16 @@ func (s *DistSession) HeartbeatMisses() int { return s.st.sup.HeartbeatMisses() 
 // processes.
 func OpenDistributed(cfg ClusterConfig, workers int, opts ...SessionOption) (*DistSession, error) {
 	o := buildOptions(opts)
-	sup, err := coord.New(coord.Config{
-		Cluster:       cfg,
-		Workers:       workers,
-		Transport:     o.workerTransport,
-		Heartbeat:     o.workerHeartbeat,
-		HeartbeatMiss: o.workerHeartbeatMiss,
-		StepTimeout:   o.workerStepTimeout,
-		MaxRestarts:   o.workerRestarts,
-		Backoff:       o.workerBackoff,
-		Adopt:         o.workerAdopt,
-		Faults:        o.procFaults,
-		HangDuration:  o.workerHang,
-		Metrics:       o.metrics,
-	})
+	cc := coord.Config{
+		Cluster:   cfg,
+		Workers:   workers,
+		Transport: o.workerTransport,
+		Metrics:   o.metrics,
+	}
+	if o.tuneSupervisor != nil {
+		o.tuneSupervisor(&cc)
+	}
+	sup, err := coord.New(cc)
 	if err != nil {
 		return nil, err
 	}

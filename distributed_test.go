@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dtmsvs/internal/coord"
+	"dtmsvs/internal/faultinject"
 )
 
 // TestMain lets the test binary double as the distributed worker:
@@ -39,14 +42,55 @@ func distTestConfig(seed int64, workers int) ClusterConfig {
 	}}
 }
 
-// fastHeartbeat shrinks the failure-detection timescales so chaos
-// tests run in milliseconds (the session-option analog of the coord
-// package's fastFailure helper).
-func fastHeartbeat() []SessionOption {
-	return []SessionOption{
-		WithWorkerHeartbeat(10*time.Millisecond, 5),
-		WithWorkerRestartPolicy(10, 2*time.Millisecond),
+// withSupervisor edits the supervisor configuration OpenDistributed
+// builds, reaching the timescales and process faults that no session
+// option sets (the root twin of the coord package's fastFailure).
+// Edits apply in option order.
+func withSupervisor(edit func(*coord.Config)) SessionOption {
+	return func(o *sessionOptions) {
+		prev := o.tuneSupervisor
+		o.tuneSupervisor = func(c *coord.Config) {
+			if prev != nil {
+				prev(c)
+			}
+			edit(c)
+		}
 	}
+}
+
+// fastHeartbeat shrinks the failure-detection timescales so chaos
+// tests run in milliseconds: beats every 10ms, dead after 5 missed, up
+// to 10 restarts backing off from 2ms.
+func fastHeartbeat() SessionOption {
+	return withSupervisor(func(c *coord.Config) {
+		c.Heartbeat = 10 * time.Millisecond
+		c.HeartbeatMiss = 5
+		c.MaxRestarts = 10
+		c.Backoff = 2 * time.Millisecond
+	})
+}
+
+// heartbeat sets the beat period and how many missed beats declare a
+// worker dead.
+func heartbeat(period time.Duration, miss int) SessionOption {
+	return withSupervisor(func(c *coord.Config) {
+		c.Heartbeat = period
+		c.HeartbeatMiss = miss
+	})
+}
+
+// noRestarts forbids restarts, so a worker's first loss fails the run.
+func noRestarts() SessionOption {
+	return withSupervisor(func(c *coord.Config) { c.MaxRestarts = -1 })
+}
+
+// procFaults schedules process faults on the workers; hang bounds how
+// long a ProcHang fault stalls its worker (0 = coord's 30s).
+func procFaults(hang time.Duration, faults ...faultinject.ProcFault) SessionOption {
+	return withSupervisor(func(c *coord.Config) {
+		c.Faults = faults
+		c.HangDuration = hang
+	})
 }
 
 // driveDist steps a distributed session to completion and returns its
@@ -140,15 +184,15 @@ func TestDistributedChaosRecovery(t *testing.T) {
 	_, cleanStream, cleanCkpt := driveDist(t, cfg, 2)
 
 	reg := NewMetricsRegistry()
-	opts := append(fastHeartbeat(),
-		WithProcFaults(150*time.Millisecond,
-			ProcFault{Worker: 0, Interval: 1, Kind: ProcKill},
-			ProcFault{Worker: 1, Interval: 2, Kind: ProcHang},
-			ProcFault{Worker: 0, Interval: 3, Kind: ProcGarbage},
+	s, stream, ckpt := driveDist(t, cfg, 2,
+		fastHeartbeat(),
+		procFaults(150*time.Millisecond,
+			faultinject.ProcFault{Worker: 0, Interval: 1, Kind: faultinject.ProcKill},
+			faultinject.ProcFault{Worker: 1, Interval: 2, Kind: faultinject.ProcHang},
+			faultinject.ProcFault{Worker: 0, Interval: 3, Kind: faultinject.ProcGarbage},
 		),
 		WithMetrics(reg),
 	)
-	s, stream, ckpt := driveDist(t, cfg, 2, opts...)
 	if stream != cleanStream {
 		t.Fatal("chaos run NDJSON diverged from clean run")
 	}
@@ -197,33 +241,15 @@ func TestDistributedChaosRecovery(t *testing.T) {
 	}
 }
 
-// TestDistributedProcPlanFault: the seed-derived chaos plan drives
-// recovery through the session options exactly like hand-placed
-// faults.
-func TestDistributedProcPlanFault(t *testing.T) {
-	const seed = 43
-	cfg := distTestConfig(seed, 1)
-	_, cleanStream, _ := driveDist(t, cfg, 2)
-	fault := ProcFaultPlan(seed, 2, cfg.Sim.NumIntervals)
-	opts := append(fastHeartbeat(), WithProcFaults(150*time.Millisecond, fault))
-	s, stream, _ := driveDist(t, cfg, 2, opts...)
-	if stream != cleanStream {
-		t.Fatalf("planned fault %+v broke bit-identity", fault)
-	}
-	if s.WorkerRestarts() == 0 {
-		t.Fatalf("planned fault %+v caused no restart", fault)
-	}
-}
-
-// TestDistributedWorkerFailed: with restarts forbidden and no
-// adoption, a worker loss surfaces as ErrWorkerFailed from Step and
-// permanently fails the session.
+// TestDistributedWorkerFailed: with restarts forbidden, a worker loss
+// surfaces as ErrWorkerFailed from Step and permanently fails the
+// session.
 func TestDistributedWorkerFailed(t *testing.T) {
 	cfg := distTestConfig(17, 1)
 	s, err := OpenDistributed(cfg, 2,
-		WithWorkerRestartPolicy(-1, 0),
-		WithWorkerHeartbeat(10*time.Millisecond, 5),
-		WithProcFaults(0, ProcFault{Worker: 1, Interval: 0, Kind: ProcKill}),
+		noRestarts(),
+		heartbeat(10*time.Millisecond, 5),
+		procFaults(0, faultinject.ProcFault{Worker: 1, Interval: 0, Kind: faultinject.ProcKill}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -250,10 +276,10 @@ func TestDistributedStepTimeout(t *testing.T) {
 		hang        = 3 * time.Second
 	)
 	s, err := OpenDistributed(distTestConfig(19, 1), 1,
-		WithWorkerRestartPolicy(-1, 0),
-		WithWorkerHeartbeat(50*time.Millisecond, 400), // 20s: longer than both
-		WithWorkerStepTimeout(stepTimeout),
-		WithProcFaults(hang, ProcFault{Worker: 0, Interval: 0, Kind: ProcHang}),
+		noRestarts(),
+		heartbeat(50*time.Millisecond, 400), // 20s: longer than both
+		withSupervisor(func(c *coord.Config) { c.StepTimeout = stepTimeout }),
+		procFaults(hang, faultinject.ProcFault{Worker: 0, Interval: 0, Kind: faultinject.ProcHang}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -273,26 +299,6 @@ func TestDistributedStepTimeout(t *testing.T) {
 	case <-closed:
 	case <-time.After(hang + 10*time.Second):
 		t.Fatal("Close did not return")
-	}
-}
-
-// TestDistributedAdoption: with adoption enabled, an unrestartable
-// worker's cells move in-process and the stream stays bit-identical.
-func TestDistributedAdoption(t *testing.T) {
-	const seed = 37
-	cfg := distTestConfig(seed, 1)
-	_, cleanStream, _ := driveDist(t, cfg, 2)
-	s, stream, _ := driveDist(t, cfg, 2,
-		WithWorkerRestartPolicy(-1, 0),
-		WithWorkerHeartbeat(10*time.Millisecond, 5),
-		WithWorkerAdoption(),
-		WithProcFaults(0, ProcFault{Worker: 1, Interval: 1, Kind: ProcKill}),
-	)
-	if stream != cleanStream {
-		t.Fatal("adopted run NDJSON diverged")
-	}
-	if s.WorkerAdoptions() != 1 {
-		t.Fatalf("adoptions %d want 1", s.WorkerAdoptions())
 	}
 }
 
@@ -368,12 +374,12 @@ func (s *slowSink) Flush() error {
 	return s.TraceSink.Flush()
 }
 
-// TestDistributedSinkRetryKeepsWorkersAlive is the slow-sink /
+// TestDistributedSlowSinkKeepsWorkersAlive is the slow-sink /
 // heartbeat interplay contract: a sink that stalls the session for
 // longer than the heartbeat miss deadline must NOT be misread by the
 // supervisor as a dead worker — no restarts, no heartbeat misses, and
 // the delivered stream is still byte-identical.
-func TestDistributedSinkRetryKeepsWorkersAlive(t *testing.T) {
+func TestDistributedSlowSinkKeepsWorkersAlive(t *testing.T) {
 	const seed = 61
 	cfg := distTestConfig(seed, 1)
 	_, cleanStream, _ := driveDist(t, cfg, 2)
@@ -382,10 +388,7 @@ func TestDistributedSinkRetryKeepsWorkersAlive(t *testing.T) {
 	// Each flush sleeps 120ms — far past the 10ms x 5 liveness
 	// deadline the workers are being watched with.
 	slow := &slowSink{TraceSink: NewNDJSONSink(&buf), delay: 120 * time.Millisecond}
-	s, err := OpenDistributed(cfg, 2,
-		WithSink(slow),
-		WithWorkerHeartbeat(10*time.Millisecond, 5),
-	)
+	s, err := OpenDistributed(cfg, 2, WithSink(slow), heartbeat(10*time.Millisecond, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +421,7 @@ func TestDistributedSinkRetryKeepsWorkersAlive(t *testing.T) {
 func TestDistributedSubMillisecondHeartbeat(t *testing.T) {
 	cfg := distTestConfig(41, 1)
 	cfg.Sim.AgentEpisodes = 200
-	s, err := OpenDistributed(cfg, 1, WithWorkerHeartbeat(900*time.Microsecond, 50))
+	s, err := OpenDistributed(cfg, 1, heartbeat(900*time.Microsecond, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,12 +468,14 @@ func TestDistributedProcessWorkers(t *testing.T) {
 				// child processes can take tens of milliseconds to exec,
 				// and a millisecond-scale heartbeat budget would misread
 				// that cold start as death.
-				opts := []SessionOption{
-					WithWorkerRestartPolicy(10, 2*time.Millisecond),
+				s, stream, ckpt := driveDist(t, cfg, workers,
+					withSupervisor(func(c *coord.Config) {
+						c.MaxRestarts = 10
+						c.Backoff = 2 * time.Millisecond
+					}),
 					WithWorkerProcesses(),
-					WithProcFaults(0, ProcFault{Worker: workers - 1, Interval: at, Kind: ProcKill}),
-				}
-				s, stream, ckpt := driveDist(t, cfg, workers, opts...)
+					procFaults(0, faultinject.ProcFault{Worker: workers - 1, Interval: at, Kind: faultinject.ProcKill}),
+				)
 				if stream != wantStream {
 					t.Fatal("SIGKILL recovery broke bit-identity")
 				}
@@ -482,5 +487,24 @@ func TestDistributedProcessWorkers(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDistributedRefusesNestedWorkerProcesses: a process that was
+// re-exec'ed as a worker but whose main opens a distributed session
+// with WithWorkerProcesses() instead of calling MaybeWorker must not
+// re-exec again. The factory refuses with ErrProtocol before starting
+// any process, so the first Step fails. (Were the guard broken, the
+// child would be this test binary, whose TestMain makes it an ordinary
+// worker, so the run would succeed and the test fail — never recurse.)
+func TestDistributedRefusesNestedWorkerProcesses(t *testing.T) {
+	t.Setenv(coord.WorkerEnv, "1")
+	s, err := OpenDistributed(distTestConfig(3, 1), 1, WithWorkerProcesses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Step(context.Background()); !errors.Is(err, coord.ErrProtocol) {
+		t.Fatalf("Step in a worker child: %v, want ErrProtocol", err)
 	}
 }

@@ -51,20 +51,13 @@ type Config struct {
 	// StepTimeout is the hard deadline for one boundary across all
 	// workers, recoveries included (default 10 minutes).
 	StepTimeout time.Duration
-	// MaxRestarts is the per-worker restart budget (default 3).
-	// Negative forbids restarts entirely, so the first loss exhausts
-	// the budget.
+	// MaxRestarts is the per-worker restart budget (default 3); the
+	// loss after it fails the run with ErrWorkerFailed. Negative
+	// forbids restarts entirely, so the first loss fails the run.
 	MaxRestarts int
 	// Backoff is the first restart delay; it doubles per consecutive
 	// restart of the same worker, capped at 1s (default 25ms).
 	Backoff time.Duration
-	// Adopt degrades gracefully instead of failing: a worker that
-	// exhausts its restart budget is adopted — respawned once more on
-	// the in-process transport from the last shipped checkpoint and
-	// replay log, with its remaining scheduled faults stripped and no
-	// further budget: losing an adopted worker is ErrWorkerFailed.
-	// Without Adopt, budget exhaustion is ErrWorkerFailed.
-	Adopt bool
 	// Faults schedules deterministic process-fault injection
 	// (kill/hang/garbage) on workers, for tests and chaos runs.
 	Faults []faultinject.ProcFault
@@ -163,9 +156,6 @@ type workerHandle struct {
 	// its frames for them were delivered by an earlier one.
 	replayLo, replayHi int64
 	lastBeat           time.Time // last frame of the live incarnation
-	// adopted marks a worker past its restart budget that now runs on
-	// the in-process transport whatever Config.Transport says.
-	adopted bool
 
 	// Per-step state. got* flags survive recovery: a replayed worker
 	// re-sends exports, records and its boundary, and the duplicates
@@ -211,12 +201,10 @@ type Supervisor struct {
 	err     error
 
 	restartsTotal   int
-	adoptionsTotal  int
 	heartbeatMisses int
 
 	tx, rx  *obs.Counter
 	hbMissC *obs.Counter
-	adoptC  *obs.Counter
 }
 
 // New validates cfg and builds a supervisor. Workers are spawned
@@ -245,7 +233,6 @@ func New(cfg Config) (*Supervisor, error) {
 	s.tx = reg.Counter("dtmsvs_coord_tx_bytes_total", "Frame bytes written to workers.")
 	s.rx = reg.Counter("dtmsvs_coord_rx_bytes_total", "Frame bytes read from workers.")
 	s.hbMissC = reg.Counter("dtmsvs_heartbeat_miss_total", "Workers declared dead by heartbeat deadline.")
-	s.adoptC = reg.Counter("dtmsvs_worker_adoptions_total", "Workers adopted in-process after exhausting restarts.")
 	handles := make([]workerHandle, cfg.Workers)
 	s.handles = make([]*workerHandle, cfg.Workers)
 	for i := range handles {
@@ -284,10 +271,6 @@ func (s *Supervisor) Cluster() cluster.Config { return s.cfg.Cluster }
 
 // Restarts reports total worker restarts so far.
 func (s *Supervisor) Restarts() int { return s.restartsTotal }
-
-// Adoptions reports how many workers the supervisor has adopted
-// in-process.
-func (s *Supervisor) Adoptions() int { return s.adoptionsTotal }
 
 // HeartbeatMisses reports how many worker losses were declared by
 // heartbeat deadline (as opposed to observed directly).
@@ -371,7 +354,7 @@ func shipsCheckpoint(payload []byte) bool {
 func (s *Supervisor) helloFrame(h *workerHandle) ([]byte, error) {
 	var faults []faultinject.ProcFault
 	for _, f := range s.cfg.Faults {
-		if f.Worker == h.idx && f.Interval >= h.stripBelow && !h.adopted {
+		if f.Worker == h.idx && f.Interval >= h.stripBelow {
 			faults = append(faults, f)
 		}
 	}
@@ -408,11 +391,7 @@ func (s *Supervisor) spawn(h *workerHandle) error {
 	if err != nil {
 		return err
 	}
-	factory := s.cfg.Transport
-	if h.adopted {
-		factory = InProcess()
-	}
-	t, err := factory(h.idx)
+	t, err := s.cfg.Transport(h.idx)
 	if err != nil {
 		return err
 	}
@@ -487,7 +466,7 @@ func (s *Supervisor) ensureStarted() error {
 
 // recover handles the loss of worker h for any cause: kill whatever
 // is left, and either restart it (replaying the logged and in-flight
-// boundaries) or — budget exhausted — adopt it once / fail the run.
+// boundaries) or — budget exhausted — fail the run.
 func (s *Supervisor) recover(h *workerHandle, cause error) error {
 	if h.t != nil {
 		h.t.Kill()
@@ -513,26 +492,17 @@ func (s *Supervisor) recover(h *workerHandle, cause error) error {
 		budget = 0
 	}
 	if h.restarts > budget {
-		if !s.cfg.Adopt || h.adopted {
-			return s.fail(fmt.Errorf("worker %d lost %d times (budget %d), last cause: %v: %w",
-				h.idx, h.restarts, budget, cause, ErrWorkerFailed))
-		}
-		// Adoption is one more restart, on the transport that cannot
-		// fail to exec and with nothing left scheduled to kill it; the
-		// in-flight boundary replays exactly as after any restart.
-		h.adopted = true
-		s.adoptionsTotal++
-		s.adoptC.Inc()
-	} else {
-		backoff := s.cfg.Backoff
-		for i := 1; i < h.restarts && backoff < time.Second; i++ {
-			backoff *= 2
-		}
-		if backoff > time.Second {
-			backoff = time.Second
-		}
-		time.Sleep(backoff)
+		return s.fail(fmt.Errorf("worker %d lost %d times (budget %d), last cause: %v: %w",
+			h.idx, h.restarts, budget, cause, ErrWorkerFailed))
 	}
+	backoff := s.cfg.Backoff
+	for i := 1; i < h.restarts && backoff < time.Second; i++ {
+		backoff *= 2
+	}
+	if backoff > time.Second {
+		backoff = time.Second
+	}
+	time.Sleep(backoff)
 	if err := s.spawn(h); err != nil {
 		return s.fail(fmt.Errorf("respawn worker %d after %v: %v: %w", h.idx, cause, err, ErrWorkerFailed))
 	}
@@ -885,9 +855,9 @@ func (s *Supervisor) FinalStats(ctx context.Context) ([]cluster.CellStats, int, 
 	return s.Stats()
 }
 
-// Close shuts every worker down, adopted ones included: a shutdown
-// frame each and a moment to exit cleanly, then whatever is left is
-// killed and reaped. Safe to call more than once.
+// Close shuts every worker down: a shutdown frame each and a moment
+// to exit cleanly, then whatever is left is killed and reaped. Safe
+// to call more than once.
 func (s *Supervisor) Close() error {
 	if s.closed {
 		return nil

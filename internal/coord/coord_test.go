@@ -55,7 +55,6 @@ type supRun struct {
 	misses    int
 	ckpts     [][]byte
 	restarts  int
-	adoptions int
 	hbMisses  int
 }
 
@@ -102,7 +101,7 @@ func driveSupervisorErr(cfg Config) (*supRun, error) {
 	if out.ckpts, err = s.CheckpointBlobs(ctx); err != nil {
 		return nil, err
 	}
-	out.restarts, out.adoptions, out.hbMisses = s.Restarts(), s.Adoptions(), s.HeartbeatMisses()
+	out.restarts, out.hbMisses = s.Restarts(), s.HeartbeatMisses()
 	return out, nil
 }
 
@@ -219,24 +218,8 @@ func TestSupervisorFaultRecovery(t *testing.T) {
 	}
 }
 
-// TestSupervisorProcPlan: a seed-derived fault plan drives recovery
-// the same way hand-placed faults do.
-func TestSupervisorProcPlan(t *testing.T) {
-	const seed = 11
-	want := runEngine(t, testClusterConfig(seed, 1))
-	cfg := Config{Cluster: testClusterConfig(seed, 1), Workers: 2}
-	fastFailure(&cfg)
-	d := cfg.Cluster.Defaulted()
-	cfg.Faults = []faultinject.ProcFault{faultinject.ProcPlan(seed, cfg.Workers, d.Sim.NumIntervals)}
-	got := driveSupervisor(t, cfg)
-	assertMatchesEngine(t, got, want, "procplan")
-	if got.restarts == 0 {
-		t.Fatalf("planned fault %+v caused no restart", cfg.Faults[0])
-	}
-}
-
-// TestSupervisorRestartBudget: with restarts forbidden and no
-// adoption, the first worker loss is ErrWorkerFailed.
+// TestSupervisorRestartBudget: with restarts forbidden, the first
+// worker loss is ErrWorkerFailed.
 func TestSupervisorRestartBudget(t *testing.T) {
 	cfg := Config{Cluster: testClusterConfig(5, 1), Workers: 2, MaxRestarts: -1}
 	fastFailure(&cfg)
@@ -244,21 +227,6 @@ func TestSupervisorRestartBudget(t *testing.T) {
 	_, err := driveSupervisorErr(cfg)
 	if !errors.Is(err, ErrWorkerFailed) {
 		t.Fatalf("exhausted budget: %v", err)
-	}
-}
-
-// TestSupervisorAdoption: with adoption on, an unrestartable worker's
-// cells move in-process and the run completes bit-identically.
-func TestSupervisorAdoption(t *testing.T) {
-	const seed = 13
-	want := runEngine(t, testClusterConfig(seed, 1))
-	cfg := Config{Cluster: testClusterConfig(seed, 1), Workers: 2, MaxRestarts: -1, Adopt: true}
-	fastFailure(&cfg)
-	cfg.Faults = []faultinject.ProcFault{{Worker: 1, Interval: 1, Kind: faultinject.ProcKill}}
-	got := driveSupervisor(t, cfg)
-	assertMatchesEngine(t, got, want, "adopted")
-	if got.adoptions != 1 {
-		t.Fatalf("adoptions %d want 1", got.adoptions)
 	}
 }
 

@@ -12,13 +12,13 @@
 // boundary, and often enough that at most replayMax-1 boundaries
 // complete in between. The supervisor logs the step and imports
 // frames of each of those. On worker loss — process exit, SIGKILL,
-// torn frame, missed heartbeat, stalled step — it restarts the worker
-// with exponential backoff from the last checkpoint it shipped,
-// replays the logged boundaries and then the in-flight one (adoption
-// is that restart taken once past the budget, in-process). Because
-// workers are deterministic and boundaries are idempotent to replay,
-// the merged trace stays bit-identical to the single-process cluster
-// run at the same seed, faults or none.
+// torn frame, missed heartbeat — it restarts the worker with
+// exponential backoff from the last checkpoint it shipped, replays
+// the logged boundaries and then the in-flight one; a boundary that
+// outlives its deadline fails the run. Because workers are
+// deterministic and boundaries are idempotent to replay, the merged
+// trace stays bit-identical to the single-process cluster run at the
+// same seed, faults or none.
 package coord
 
 import (
@@ -45,8 +45,8 @@ var (
 	// payload shape).
 	ErrProtocol = errors.New("coord: protocol violation")
 	// ErrWorkerFailed marks a worker that died more times than the
-	// restart budget allows with adoption off, or once more after being
-	// adopted; either fails the run.
+	// restart budget allows, or a boundary past its deadline; either
+	// fails the run.
 	ErrWorkerFailed = errors.New("coord: worker failed")
 )
 

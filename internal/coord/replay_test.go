@@ -524,7 +524,7 @@ func TestWorkerRefusesV2Hello(t *testing.T) {
 	e.Blob(hb)
 	e.Blob(nil)
 	var out bytes.Buffer
-	err = RunWorker(bytes.NewReader(appendFrame(nil, fHello, e.Bytes())), &out)
+	err = runWorker(bytes.NewReader(appendFrame(nil, fHello, e.Bytes())), &out, nil)
 	if err == nil || !strings.Contains(err.Error(), "protocol version 2") {
 		t.Fatalf("v2 hello: %v", err)
 	}

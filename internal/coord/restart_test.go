@@ -3,7 +3,6 @@ package coord
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"sync"
 	"testing"
@@ -62,8 +61,8 @@ func (t *killingTransport) Write(b []byte) (int, error) {
 }
 
 // killFirst wraps the first incarnation of worker idx; every other
-// spawn — and the adopted incarnation, which never asks the configured
-// factory — gets a plain in-process transport.
+// spawn, the restarted incarnation included, gets a plain in-process
+// transport.
 func killFirst(idx int, at killPoint) TransportFactory {
 	inner := InProcess()
 	var once sync.Once
@@ -76,13 +75,14 @@ func killFirst(idx int, at killPoint) TransportFactory {
 	}
 }
 
-// TestSupervisorAdoptionMatrix lands the loss of an unrestartable
-// worker in every phase a boundary has — warm-up, train, an interval
-// before its imports are routed, after that with the imports unread and
-// read, and the checkpoint-only boundary — and requires what adoption
-// promises: one adoption, and
-// records, stats and final checkpoints byte-identical to the clean run.
-func TestSupervisorAdoptionMatrix(t *testing.T) {
+// TestSupervisorRestartMatrix lands the loss of a worker in every
+// phase a boundary has — warm-up, train, an interval before its
+// imports are routed, after that with the imports unread and read, and
+// the checkpoint-only boundary — on each worker in turn, and requires
+// what recovery promises under the default budget: exactly one
+// restart, and records, stats and final checkpoints byte-identical to
+// the clean run.
+func TestSupervisorRestartMatrix(t *testing.T) {
 	const seed = 13
 	base := Config{Cluster: testClusterConfig(seed, 1), Workers: 2}
 	clean := driveSupervisor(t, base)
@@ -98,8 +98,6 @@ func TestSupervisorAdoptionMatrix(t *testing.T) {
 	} {
 		for victim := 0; victim < base.Workers; victim++ {
 			cfg := base
-			cfg.MaxRestarts = -1
-			cfg.Adopt = true
 			fastFailure(&cfg)
 			cfg.Transport = killFirst(victim, at)
 			got, err := driveSupervisorErr(cfg)
@@ -108,8 +106,8 @@ func TestSupervisorAdoptionMatrix(t *testing.T) {
 			}
 			label := name + " worker " + itoa(victim)
 			assertMatchesEngine(t, got, want, label)
-			if got.adoptions != 1 || got.restarts != 1 {
-				t.Fatalf("%s: %d adoptions, %d restarts, want 1 and 1", label, got.adoptions, got.restarts)
+			if got.restarts != 1 {
+				t.Fatalf("%s: %d restarts, want 1", label, got.restarts)
 			}
 			for i := range got.ckpts {
 				if !bytes.Equal(got.ckpts[i], clean.ckpts[i]) {
@@ -120,22 +118,20 @@ func TestSupervisorAdoptionMatrix(t *testing.T) {
 	}
 }
 
-// TestSupervisorAdoptionResume: checkpoint blobs taken after an
-// adoption seed a fresh supervisor that finishes the run byte-for-byte
-// — an adopted worker's acked state is an ordinary worker checkpoint.
-func TestSupervisorAdoptionResume(t *testing.T) {
+// TestSupervisorRestartResume: checkpoint blobs taken after a restart
+// seed a fresh supervisor that finishes the run byte-for-byte — a
+// restarted worker's acked state is an ordinary worker checkpoint.
+func TestSupervisorRestartResume(t *testing.T) {
 	const seed = 41
 	cfg := Config{Cluster: testClusterConfig(seed, 1), Workers: 2}
 	full := driveSupervisor(t, cfg)
 	d := cfg.Cluster.Defaulted()
 
-	adopting := cfg
-	adopting.MaxRestarts = -1
-	adopting.Adopt = true
-	fastFailure(&adopting)
-	adopting.Transport = killFirst(0, killPoint{ph: phaseInterval, n: 0})
+	restarting := cfg
+	fastFailure(&restarting)
+	restarting.Transport = killFirst(0, killPoint{ph: phaseInterval, n: 0})
 	ctx := context.Background()
-	a, err := New(adopting)
+	a, err := New(restarting)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +152,8 @@ func TestSupervisorAdoptionResume(t *testing.T) {
 		}
 		recs = append(recs, r...)
 	}
-	if a.Adoptions() != 1 {
-		t.Fatalf("adoptions %d want 1", a.Adoptions())
+	if a.Restarts() != 1 {
+		t.Fatalf("restarts %d want 1", a.Restarts())
 	}
 	blobs, err := a.CheckpointBlobs(ctx)
 	if err != nil {
@@ -184,7 +180,7 @@ func TestSupervisorAdoptionResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runEngine(t, testClusterConfig(seed, 1))
-	assertMatchesEngine(t, got, want, "resumed after adoption")
+	assertMatchesEngine(t, got, want, "resumed after a restart")
 	final, err := b.CheckpointBlobs(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -193,43 +189,5 @@ func TestSupervisorAdoptionResume(t *testing.T) {
 		if !bytes.Equal(final[i], full.ckpts[i]) {
 			t.Fatalf("worker %d final checkpoint diverged", i)
 		}
-	}
-}
-
-// TestSupervisorAdoptionIsFinal: adoption spends the worker's last
-// life. Losing the adopted incarnation is ErrWorkerFailed carrying the
-// cause — not a second adoption, not a restart.
-func TestSupervisorAdoptionIsFinal(t *testing.T) {
-	cfg := Config{Cluster: testClusterConfig(5, 1), Workers: 2, MaxRestarts: -1, Adopt: true}
-	fastFailure(&cfg)
-	cfg.Transport = killFirst(1, killPoint{ph: phaseInterval, n: 0})
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ctx := context.Background()
-	d := cfg.Cluster.Defaulted()
-	for i := 0; i < d.Sim.WarmupIntervals; i++ {
-		if err := s.WarmupStep(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.TrainAndBuild(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.StepInterval(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Adoptions() != 1 || !s.handles[1].adopted {
-		t.Fatalf("adoptions %d, worker 1 adopted %v", s.Adoptions(), s.handles[1].adopted)
-	}
-	s.handles[1].t.Kill()
-	_, err = s.StepInterval(ctx, 1)
-	if !errors.Is(err, ErrWorkerFailed) {
-		t.Fatalf("loss of an adopted worker: %v", err)
-	}
-	if s.Adoptions() != 1 || s.Restarts() != 2 {
-		t.Fatalf("adoptions %d restarts %d after the second loss, want 1 and 2", s.Adoptions(), s.Restarts())
 	}
 }

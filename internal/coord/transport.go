@@ -1,9 +1,9 @@
 // This file carries the supervisor↔worker byte channels. Two
 // transports speak the same frame protocol: an in-process one (the
 // worker loop on a goroutine over io.Pipes — the default, no exec
-// needed) and a process one (a child process over stdin/stdout, so
-// worker death is real SIGKILL death). The supervisor never knows
-// which it drives.
+// needed) and a process one (the running binary re-exec'ed as a child
+// over stdin/stdout, so worker death is real SIGKILL death). The
+// supervisor never knows which it drives.
 
 package coord
 
@@ -81,7 +81,7 @@ func InProcess() TransportFactory {
 				workerOut.CloseWithError(errKilled)
 				runtime.Goexit()
 			}
-			_ = RunWorkerOpts(workerIn, workerOut, WorkerOptions{Kill: kill})
+			_ = runWorker(workerIn, workerOut, kill)
 			workerOut.Close()
 			workerIn.Close()
 		}()
@@ -106,18 +106,45 @@ func (t *procTransport) Kill() {
 	t.stdin.Close()
 }
 
-// Process runs each worker as a child process speaking frames over
-// stdin/stdout, with stderr passed through. argv is the worker
-// command; extraEnv entries (KEY=VALUE) are appended to the current
-// environment — pass WorkerEnv+"=1" to re-exec a binary that calls
-// MaybeWorker early in main.
-func Process(argv []string, extraEnv ...string) TransportFactory {
+// WorkerEnv marks a process as a re-exec'ed frame worker: a binary
+// whose main calls MaybeWorker turns into a worker when it sees this
+// variable set.
+const WorkerEnv = "DTMSVS_COORD_WORKER"
+
+// MaybeWorker turns the current process into a frame worker over
+// stdin/stdout if WorkerEnv is set, never returning. Call it first
+// thing in main (before flag parsing) of any binary used with
+// SelfTransport.
+func MaybeWorker() {
+	if os.Getenv(WorkerEnv) == "" {
+		return
+	}
+	if err := runWorker(os.Stdin, os.Stdout, nil); err != nil {
+		fmt.Fprintf(os.Stderr, "dtmsvs worker: %v\n", err)
+		os.Exit(1)
+	}
+	os.Exit(0)
+}
+
+// SelfTransport re-execs the current binary as each worker process,
+// speaking frames over stdin/stdout with stderr passed through; its
+// main must call MaybeWorker first thing. This is how dtsim and the
+// test suite get real processes — and real SIGKILLs. A process that
+// already has WorkerEnv set is itself a re-exec'ed child whose main
+// never turned it into a worker: its factory refuses with ErrProtocol
+// before starting anything, so the run fails instead of re-execing
+// itself without end.
+func SelfTransport() TransportFactory {
+	exe, err := os.Executable()
 	return func(index int) (Transport, error) {
-		if len(argv) == 0 {
-			return nil, fmt.Errorf("empty worker command: %w", ErrProtocol)
+		if os.Getenv(WorkerEnv) != "" {
+			return nil, fmt.Errorf("%w: %s is set, so this process is a worker child whose main never called MaybeWorker", ErrProtocol, WorkerEnv)
 		}
-		cmd := exec.Command(argv[0], argv[1:]...)
-		cmd.Env = append(os.Environ(), extraEnv...)
+		if err != nil {
+			return nil, fmt.Errorf("resolve own executable: %w", err)
+		}
+		cmd := exec.Command(exe)
+		cmd.Env = append(os.Environ(), WorkerEnv+"=1")
 		cmd.Stderr = os.Stderr
 		stdin, err := cmd.StdinPipe()
 		if err != nil {
@@ -136,39 +163,5 @@ func Process(argv []string, extraEnv ...string) TransportFactory {
 			_ = cmd.Wait()
 		}()
 		return t, nil
-	}
-}
-
-// WorkerEnv marks a process as a re-exec'ed frame worker: a binary
-// whose main calls MaybeWorker turns into a worker when it sees this
-// variable set.
-const WorkerEnv = "DTMSVS_COORD_WORKER"
-
-// MaybeWorker turns the current process into a frame worker over
-// stdin/stdout if WorkerEnv is set, never returning. Call it first
-// thing in main (before flag parsing) of any binary used with
-// SelfTransport.
-func MaybeWorker() {
-	if os.Getenv(WorkerEnv) == "" {
-		return
-	}
-	if err := RunWorker(os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "dtmsvs worker: %v\n", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// SelfTransport re-execs the current binary as the worker process
-// (its main must call MaybeWorker). This is how dtsim and the test
-// suite get real processes — and real SIGKILLs — without shipping a
-// second binary.
-func SelfTransport() TransportFactory {
-	exe, err := os.Executable()
-	return func(index int) (Transport, error) {
-		if err != nil {
-			return nil, fmt.Errorf("resolve own executable: %w", err)
-		}
-		return Process([]string{exe}, WorkerEnv+"=1")(index)
 	}
 }

@@ -140,26 +140,14 @@ func decodeHandovers(d *checkpoint.Dec) ([]cluster.Handover, error) {
 	return hs, nil
 }
 
-// WorkerOptions tune RunWorkerOpts.
-type WorkerOptions struct {
-	// Kill abandons the worker abruptly when a ProcKill fault fires.
-	// nil means SIGKILL the own process — real, unhandleable death for
-	// process transports; in-process transports substitute a pipe
-	// teardown.
-	Kill func()
-}
-
-// RunWorker serves the worker protocol over r/w until shutdown or
-// transport loss. It is the entire lifecycle of cmd/dtworker and of
-// re-exec'ed MaybeWorker processes.
-func RunWorker(r io.Reader, w io.Writer) error {
-	return RunWorkerOpts(r, w, WorkerOptions{})
-}
-
-// RunWorkerOpts is RunWorker with explicit options.
-func RunWorkerOpts(r io.Reader, w io.Writer, opts WorkerOptions) error {
-	if opts.Kill == nil {
-		opts.Kill = func() {
+// runWorker serves the worker protocol over r/w until shutdown or
+// transport loss. kill abandons the worker abruptly when a ProcKill
+// fault fires; nil means SIGKILL the own process — real, unhandleable
+// death for a re-exec'ed worker. The in-process transport substitutes
+// a pipe teardown.
+func runWorker(r io.Reader, w io.Writer, kill func()) error {
+	if kill == nil {
+		kill = func() {
 			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			os.Exit(137) // unreachable; belt and braces
 		}
@@ -240,7 +228,7 @@ func RunWorkerOpts(r io.Reader, w io.Writer, opts WorkerOptions) error {
 		buf:   buf,
 		fp:    fp,
 		hello: hello,
-		kill:  opts.Kill,
+		kill:  kill,
 	}
 	for {
 		typ, payload, nbuf, err := ReadFrame(ws.br, ws.buf)

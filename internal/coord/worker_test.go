@@ -42,7 +42,7 @@ func workerBlob(tb testing.TB, cfg cluster.Config) []byte {
 }
 
 // FuzzReadWorkerCheckpoint: a worker restores a resume blob exactly as
-// RunWorkerOpts does — a fresh cluster.NewWorker, the worker kind and
+// runWorker does — a fresh cluster.NewWorker, the worker kind and
 // slot fingerprint, ReadState, Finish — from bytes it did not write.
 // Any damage must fail typed and never panic, and a restore that
 // succeeds must leave a worker that checkpoints again.

@@ -1,8 +1,8 @@
 // Package faultinject schedules deterministic failures for the chaos
 // runs: a cluster coverage cell going dark (CellFault) and a
-// distributed worker process misbehaving (ProcFault). Each plan is
-// drawn from its own seed stream, so a chaotic run replays
-// bit-identically.
+// distributed worker process misbehaving (ProcFault). A cell plan is
+// drawn from its own seed stream and a process fault is placed by
+// hand, so a chaotic run replays bit-identically.
 package faultinject
 
 import (
@@ -93,24 +93,4 @@ type ProcFault struct {
 	Interval int `json:"interval"`
 	// Kind is the failure mode.
 	Kind ProcFaultKind `json:"kind"`
-}
-
-// ProcPlan derives a deterministic worker-chaos plan from its own
-// seed stream (disjoint from CellPlan's): which of workers
-// workers fails, at which of intervals boundaries, and how. The same
-// (seed, workers, intervals) always yields the same plan, so a
-// chaotic distributed run replays bit-identically.
-func ProcPlan(seed int64, workers, intervals int) ProcFault {
-	if workers < 1 {
-		workers = 1
-	}
-	if intervals < 1 {
-		intervals = 1
-	}
-	rng := rand.New(parallel.NewStream(seed, 0xFA03))
-	return ProcFault{
-		Worker:   rng.Intn(workers),
-		Interval: rng.Intn(intervals),
-		Kind:     ProcFaultKind(rng.Intn(3)),
-	}
 }

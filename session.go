@@ -37,7 +37,6 @@ import (
 	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/coord"
-	"dtmsvs/internal/faultinject"
 	"dtmsvs/internal/sim"
 	"dtmsvs/internal/stats"
 	"dtmsvs/internal/tracebin"
@@ -160,17 +159,13 @@ type sessionOptions struct {
 	// metrics, when non-nil, is mounted on the engine and session at
 	// Open time (see WithMetrics in metrics.go).
 	metrics *MetricsRegistry
-	// Distributed-session knobs (see distributed.go); all zero values
-	// defer to coord's defaults.
-	workerTransport     coord.TransportFactory
-	workerHeartbeat     time.Duration
-	workerHeartbeatMiss int
-	workerStepTimeout   time.Duration
-	workerRestarts      int
-	workerBackoff       time.Duration
-	workerAdopt         bool
-	workerHang          time.Duration
-	procFaults          []faultinject.ProcFault
+	// workerTransport, set by WithWorkerProcesses, spawns distributed
+	// workers; nil runs them in-process.
+	workerTransport coord.TransportFactory
+	// tuneSupervisor, when non-nil, edits the supervisor's
+	// configuration before OpenDistributed builds it. Only tests set
+	// it, to shrink coord's timescales and schedule process faults.
+	tuneSupervisor func(*coord.Config)
 }
 
 // WithSink streams every interval's records into sink (flushed at
