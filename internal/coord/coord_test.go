@@ -36,13 +36,15 @@ func testClusterConfig(seed int64, parallelism int) cluster.Config {
 
 // fastFailure shrinks every robustness timescale so fault tests run
 // in milliseconds: beats every 10ms, dead after 5 missed, hangs last
-// 150ms, restarts back off from 2ms.
+// 150ms, restarts back off from 2ms, and a boundary fails after 10s —
+// far above any healthy boundary of testClusterConfig under -race, so
+// a recovery that leaves a worker idle fails in seconds.
 func fastFailure(cfg *Config) {
 	cfg.Heartbeat = 10 * time.Millisecond
 	cfg.HeartbeatMiss = 5
 	cfg.HangDuration = 150 * time.Millisecond
 	cfg.Backoff = 2 * time.Millisecond
-	cfg.StepTimeout = time.Minute
+	cfg.StepTimeout = 10 * time.Second
 }
 
 // supRun is everything one supervised run produced.

@@ -3,8 +3,9 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
@@ -16,12 +17,16 @@ import (
 // or — imports set — the imports frame of that step, which the
 // supervisor only sends once every worker's exports are routed. The
 // worker dies right after reading the frame, or — unread set — with
-// the frame still unread on a torn pipe.
+// the frame still unread on a torn pipe. With acked set the worker
+// instead dies once the supervisor has read its boundary frame of the
+// step, and the other workers' imports of that step are held until it
+// has been restarted, so the step is still in flight when it dies.
 type killPoint struct {
 	ph      phase
 	n       int
 	imports bool
 	unread  bool
+	acked   bool
 }
 
 // killingTransport forwards the supervisor's frames to an in-process
@@ -33,23 +38,41 @@ type killingTransport struct {
 	Transport
 	at     killPoint
 	inStep bool
+	// seq is the kill point's step seq once its step frame went out,
+	// and pending the worker's bytes of a frame not yet read whole.
+	seq      atomic.Int64
+	pending  []byte
+	killNext bool
+}
+
+// stepFrame reports whether frame b is a step frame and, if so,
+// whether it runs the kill point's step, and its seq. conn.send hands
+// over one whole frame per Write: length, type, payload, CRC.
+func (at killPoint) stepFrame(b []byte) (step, hit bool, seq int64) {
+	if frameType(b[4]) != fStep {
+		return false, false, 0
+	}
+	d := checkpoint.NewDec(b[5 : len(b)-4])
+	ph, n, seq := phase(d.U8()), int(d.I64()), d.I64()
+	return true, ph == at.ph && (ph != phaseInterval || n == at.n), seq
 }
 
 func (t *killingTransport) Writer() io.Writer { return t }
+func (t *killingTransport) Reader() io.Reader { return t }
 
 func (t *killingTransport) Write(b []byte) (int, error) {
-	// conn.send hands over one whole frame per Write: length, type, payload.
-	typ, payload := frameType(b[4]), b[5:len(b)-4]
-	if typ == fStep {
-		d := checkpoint.NewDec(payload)
-		ph, step := phase(d.U8()), int(d.I64())
-		t.inStep = ph == t.at.ph && (ph != phaseInterval || step == t.at.n)
+	typ := frameType(b[4])
+	if step, hit, seq := t.at.stepFrame(b); step {
+		t.inStep = hit
+		if hit {
+			t.seq.Store(seq)
+		}
 	}
 	on := fStep
 	if t.at.imports {
 		on = fImports
 	}
-	hit := t.inStep && typ == on
+	hit := t.inStep && typ == on && !t.at.acked
 	if hit && t.at.unread {
 		t.Kill()
 	}
@@ -60,16 +83,80 @@ func (t *killingTransport) Write(b []byte) (int, error) {
 	return n, err
 }
 
+// Read passes the worker's frames to the supervisor's pump. For an
+// acked kill point it follows them, and once the boundary frame of the
+// kill point's step has gone through whole, the next Read kills the
+// worker: the pump asks for more only after handing that frame on.
+func (t *killingTransport) Read(p []byte) (int, error) {
+	if t.killNext {
+		t.Kill()
+	}
+	n, err := t.Transport.Reader().Read(p)
+	if !t.at.acked {
+		return n, err
+	}
+	t.pending = append(t.pending, p[:n]...)
+	for len(t.pending) >= 4 {
+		size := 4 + int(binary.LittleEndian.Uint32(t.pending)) + 4
+		if len(t.pending) < size {
+			break
+		}
+		if frameType(t.pending[4]) == fBoundary && checkpoint.NewDec(t.pending[5:size-4]).I64() == t.seq.Load() {
+			t.killNext = true
+		}
+		t.pending = t.pending[size:]
+	}
+	return n, err
+}
+
+// holdingTransport holds a worker's imports frame of the acked kill
+// point's step until the victim has been restarted, so that this
+// worker's boundary cannot complete the step before the victim dies.
+type holdingTransport struct {
+	Transport
+	at     killPoint
+	until  <-chan struct{}
+	inStep bool
+}
+
+func (t *holdingTransport) Writer() io.Writer { return t }
+
+func (t *holdingTransport) Write(b []byte) (int, error) {
+	if step, hit, _ := t.at.stepFrame(b); step {
+		t.inStep = hit
+	}
+	if t.inStep && frameType(b[4]) == fImports {
+		select {
+		case <-t.until:
+		case <-t.Done():
+		}
+	}
+	return t.Transport.Writer().Write(b)
+}
+
 // killFirst wraps the first incarnation of worker idx; every other
 // spawn, the restarted incarnation included, gets a plain in-process
-// transport.
+// transport, except that for an acked kill point the other workers'
+// transports hold their imports until worker idx is spawned again.
 func killFirst(idx int, at killPoint) TransportFactory {
 	inner := InProcess()
-	var once sync.Once
+	var spawns int
+	restarted := make(chan struct{})
 	return func(index int) (Transport, error) {
 		t, err := inner(index)
-		if err == nil && index == idx {
-			once.Do(func() { t = &killingTransport{Transport: t, at: at} })
+		if err != nil {
+			return t, err
+		}
+		switch {
+		case index == idx:
+			spawns++
+			if spawns == 1 {
+				t = &killingTransport{Transport: t, at: at}
+			} else if spawns == 2 {
+				close(restarted)
+			}
+		case at.acked:
+			t = &holdingTransport{Transport: t, at: at, until: restarted}
 		}
 		return t, err
 	}
@@ -94,6 +181,7 @@ func TestSupervisorRestartMatrix(t *testing.T) {
 		"interval-before-imports": {ph: phaseInterval, n: 1},
 		"interval-imports-unread": {ph: phaseInterval, n: 2, imports: true, unread: true},
 		"interval-imports-read":   {ph: phaseInterval, n: 2, imports: true},
+		"interval-acked":          {ph: phaseInterval, n: 2, acked: true},
 		"checkpoint-only":         {ph: phaseCkpt},
 	} {
 		for victim := 0; victim < base.Workers; victim++ {

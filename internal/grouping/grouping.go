@@ -112,10 +112,12 @@ type Config struct {
 	// cost of maintaining more multicast groups.
 	GroupCostWeight float64
 	// CNN is the compressor architecture; zero-value fields default
-	// sensibly in New.
+	// sensibly in New. Its Channels and Window, when set, must be
+	// udt.NumFeatureChannels and WindowSteps, the windows the builder
+	// feeds it, and its CodeDim, when set with CodeDim, must equal it.
 	CNN cnn.Config
 	// Agent is the DDQN configuration; StateDim/NumActions are set by
-	// New.
+	// New and must be left zero.
 	Agent ddqn.Config
 }
 
@@ -128,6 +130,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pos scale %v: %w", c.PosScale, ErrConfig)
 	case c.KMin < 1 || c.KMax < c.KMin:
 		return fmt.Errorf("k range [%d,%d]: %w", c.KMin, c.KMax, ErrConfig)
+	case c.UseCNN && c.CNN.Channels != 0 && c.CNN.Channels != udt.NumFeatureChannels:
+		return fmt.Errorf("cnn channels %d, windows have %d: %w", c.CNN.Channels, udt.NumFeatureChannels, ErrConfig)
+	case c.UseCNN && c.CNN.Window != 0 && c.CNN.Window != c.WindowSteps:
+		return fmt.Errorf("cnn window %d, window steps %d: %w", c.CNN.Window, c.WindowSteps, ErrConfig)
+	case c.CNN.CodeDim != 0 && c.CodeDim != 0 && c.CNN.CodeDim != c.CodeDim:
+		return fmt.Errorf("cnn code dim %d, code dim %d: %w", c.CNN.CodeDim, c.CodeDim, ErrConfig)
+	case c.Agent.StateDim != 0 || c.Agent.NumActions != 0:
+		return fmt.Errorf("agent state dim %d, %d actions: the builder sets both: %w",
+			c.Agent.StateDim, c.Agent.NumActions, ErrConfig)
 	}
 	return nil
 }

@@ -165,9 +165,9 @@ func nearestCentroid(p vecmath.Vec, centroids []vecmath.Vec) int {
 }
 
 // Run clusters points into k groups using K-means++ seeding followed
-// by Lloyd iterations. The assignment step is pruned by Hamerly
-// distance bounds, with results bit-identical to the classic
-// full-reassignment loop (see bounds.go).
+// by Lloyd iterations. Every iteration assigns every point to its
+// nearest centroid with AssignPoints, fanned across opts.Pool when one
+// is set, then moves each centroid to its cluster's mean.
 func Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, error) {
 	if err := validate(points, k); err != nil {
 		return nil, err
@@ -183,20 +183,13 @@ func Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, er
 	for i := range sums {
 		sums[i] = make(vecmath.Vec, dim)
 	}
-	bs := newBoundsState(len(points), k)
 
 	var iter int
 	for iter = 0; iter < maxIter; iter++ {
-		// Assignment step — the hot kernel, fanned across the pool
-		// when one is configured, and pruned by the Hamerly bounds
-		// after the first iteration.
-		if iter == 0 {
-			bs.assignFull(points, centroids, assign, opts.Pool)
-		} else {
-			bs.assignBounded(points, centroids, assign, opts.Pool)
+		if err := AssignPoints(points, centroids, assign, opts.Pool); err != nil {
+			return nil, err
 		}
-		moved := updateCentroids(points, centroids, assign, counts, sums, bs)
-		if moved < tol {
+		if updateCentroids(points, centroids, assign, counts, sums) < tol {
 			iter++
 			break
 		}
@@ -210,12 +203,11 @@ func Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, er
 }
 
 // updateCentroids is the Lloyd update step: recompute per-cluster
-// sums, move every centroid to its mean (re-seeding empty clusters at
-// the farthest point), and return the total movement. When bs is
-// non-nil the per-centroid drift is recorded for the next bounded
-// assignment; the test suite's classic reference loop passes nil, and
-// the centroid arithmetic is identical either way.
-func updateCentroids(points, centroids []vecmath.Vec, assign, counts []int, sums []vecmath.Vec, bs *boundsState) float64 {
+// sums, move every centroid to its mean, and return the total
+// movement. An empty cluster is re-seeded at the point farthest from
+// its centroid (the first such point), which counts as a movement of
+// 1 so the loop runs another iteration.
+func updateCentroids(points, centroids []vecmath.Vec, assign, counts []int, sums []vecmath.Vec) float64 {
 	for c := range sums {
 		counts[c] = 0
 		for j := range sums[c] {
@@ -232,24 +224,13 @@ func updateCentroids(points, centroids []vecmath.Vec, assign, counts []int, sums
 	var moved float64
 	for c := range centroids {
 		if counts[c] == 0 {
-			// Re-seed an empty cluster at the point farthest from
-			// its centroid to avoid dead clusters.
-			var far int
-			if bs != nil {
-				far = bs.reseedFarthest(points, centroids, assign, c)
-			} else {
-				farD := -1.0
-				for i, p := range points {
-					d := vecmath.SqDistUnchecked(p, centroids[assign[i]])
-					if d > farD {
-						far, farD = i, d
-					}
+			far, farD := 0, -1.0
+			for i, p := range points {
+				if d := vecmath.SqDistUnchecked(p, centroids[assign[i]]); d > farD {
+					far, farD = i, d
 				}
 			}
-			moved += 1 // force another iteration
-			if bs != nil {
-				bs.drift[c] = math.Sqrt(vecmath.SqDistUnchecked(centroids[c], points[far]))
-			}
+			moved++
 			copy(centroids[c], points[far])
 			continue
 		}
@@ -261,11 +242,7 @@ func updateCentroids(points, centroids []vecmath.Vec, assign, counts []int, sums
 			delta += d * d
 			centroids[c][j] = nv
 		}
-		sd := math.Sqrt(delta)
-		moved += sd
-		if bs != nil {
-			bs.drift[c] = sd
-		}
+		moved += math.Sqrt(delta)
 	}
 	return moved
 }

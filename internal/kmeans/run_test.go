@@ -12,6 +12,23 @@ import (
 	"dtmsvs/internal/vecmath"
 )
 
+// clusteredPoints draws points around g Gaussian blobs, the shape of
+// user codes: well-separated groups whose overlap leaves boundary
+// points to move between clusters.
+func clusteredPoints(n, dim, g int, spread float64, rng *rand.Rand) []vecmath.Vec {
+	centers := randPoints(g, dim, rng)
+	pts := make([]vecmath.Vec, n)
+	for i := range pts {
+		c := centers[rng.Intn(g)]
+		p := make(vecmath.Vec, dim)
+		for j := range p {
+			p[j] = c[j] + spread*rng.NormFloat64()
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
 // runDigest is a SHA-256 over everything Run returns: the assignment,
 // the centroid bits, the iteration count and the inertia bits.
 func runDigest(r *Result) string {
@@ -78,5 +95,99 @@ func TestRunPinned(t *testing.T) {
 					tc.name, pool != nil, got, tc.want, res.Iterations)
 			}
 		}
+	}
+}
+
+// TestRunDuplicatePoints covers coincident points (ties at distance
+// zero, which resolve to the lowest centroid index): copies of a point
+// share its cluster, the inertia is the assignment's, and a pool
+// changes nothing.
+func TestRunDuplicatePoints(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		points := duplicatePoints(20, 3, 3, rand.New(rand.NewSource(seed)))
+		res, err := Run(points, 7, rand.New(rand.NewSource(seed)), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inertia float64
+		for i, p := range points {
+			if i%3 != 0 && res.Assign[i] != res.Assign[i-1] {
+				t.Fatalf("seed %d: copies %d and %d of one point in clusters %d and %d",
+					seed, i-1, i, res.Assign[i-1], res.Assign[i])
+			}
+			inertia += vecmath.SqDistUnchecked(p, res.Centroids[res.Assign[i]])
+		}
+		if inertia != res.Inertia {
+			t.Fatalf("seed %d: inertia %v, assignment's %v", seed, res.Inertia, inertia)
+		}
+		pooled, err := Run(points, 7, rand.New(rand.NewSource(seed)), Options{Pool: parallel.New(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runDigest(pooled) != runDigest(res) {
+			t.Fatalf("seed %d: a pool changed the result", seed)
+		}
+	}
+}
+
+// TestRunRejectsTooFewPoints pins the n < k contract.
+func TestRunRejectsTooFewPoints(t *testing.T) {
+	points := randPoints(3, 2, rand.New(rand.NewSource(1)))
+	if _, err := Run(points, 4, rand.New(rand.NewSource(2)), Options{}); err == nil {
+		t.Fatal("want error for n < k")
+	}
+}
+
+// TestSilhouetteDistsScratchReuse asserts repeated SilhouetteDists
+// calls on one staged set (the DDQN reward pattern) stay bit-identical
+// to the reference scatter while reusing the internal scratch across
+// different k.
+func TestSilhouetteDistsScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	points := randPoints(80, 5, rng)
+	dists, err := PairDistances(points, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 5, 3, 6, 2} {
+		res, err := Run(points, k, rng, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := silhouetteScatter(points, res.Assign, k)
+		got, err := SilhouetteDists(dists, res.Assign, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("k=%d: silhouette %v want %v", k, got, want)
+		}
+	}
+}
+
+// BenchmarkLloyd runs Run at the shapes the system clusters: raw-window
+// codes (dim 85) and CNN codes (dim 8) of a 60-user campus, CNN codes
+// of a 500-user cell, and of a 3000-user population.
+func BenchmarkLloyd(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		n, dim int
+		k      int
+	}{
+		{"raw60", 60, 85, 4},
+		{"code60", 60, 8, 4},
+		{"code500", 500, 8, 4},
+		{"code3000", 3000, 8, 6},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pts := clusteredPoints(bc.n, bc.dim, bc.k, 0.4, rand.New(rand.NewSource(1)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(pts, bc.k, rand.New(rand.NewSource(2)), Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,9 +1,8 @@
 // This file holds the checkpoint encoding of K-means output state.
-// A clustering Run itself is stateless between calls (the bounded-
-// Lloyd bookkeeping lives only for one Run), but the centroids it
-// produced are long-lived engine state — every multicast group keeps
-// its code-space centroid for migration assignment — so they ride in
-// session checkpoints via these helpers.
+// A clustering Run itself is stateless between calls, but the
+// centroids it produced are long-lived engine state — every multicast
+// group keeps its code-space centroid for migration assignment — so
+// they ride in session checkpoints via these helpers.
 
 package kmeans
 

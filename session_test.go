@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dtmsvs/internal/cluster"
+	"dtmsvs/internal/grouping"
 	"dtmsvs/internal/sim"
 )
 
@@ -345,6 +346,30 @@ func TestEmptyScenario(t *testing.T) {
 	}
 	if _, err := OpenCluster(ClusterConfig{Sim: negative}); !errors.Is(err, sim.ErrConfig) {
 		t.Fatalf("OpenCluster with negative ticks: want ErrConfig, got %v", err)
+	}
+}
+
+// TestOpenRejectsGroupingKnobsTheRunCannotUse: a CNN shape other than
+// the windows the builder feeds it, two different code sizes, and an
+// agent shape, which the builder sets itself, fail Open and OpenCluster
+// with grouping.ErrConfig, before any step runs.
+func TestOpenRejectsGroupingKnobsTheRunCannotUse(t *testing.T) {
+	for name, mut := range map[string]func(*grouping.Config){
+		"cnn-window":      func(g *grouping.Config) { g.CNN.Window = 8 },
+		"cnn-channels":    func(g *grouping.Config) { g.CNN.Channels = 3 },
+		"code-dims":       func(g *grouping.Config) { g.CodeDim = 8; g.CNN.CodeDim = 4 },
+		"agent-state-dim": func(g *grouping.Config) { g.Agent.StateDim = 99 },
+		"agent-actions":   func(g *grouping.Config) { g.Agent.NumActions = 3 },
+	} {
+		cfg := sessionTestConfig(1, 1)
+		cfg.Grouping.UseCNN = true
+		mut(&cfg.Grouping)
+		if _, err := Open(cfg); !errors.Is(err, grouping.ErrConfig) {
+			t.Errorf("Open with %s: want grouping.ErrConfig, got %v", name, err)
+		}
+		if _, err := OpenCluster(ClusterConfig{Sim: cfg}); !errors.Is(err, grouping.ErrConfig) {
+			t.Errorf("OpenCluster with %s: want grouping.ErrConfig, got %v", name, err)
+		}
 	}
 }
 
