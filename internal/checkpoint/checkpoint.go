@@ -89,6 +89,11 @@ type Enc struct {
 // Reset empties the buffer, keeping capacity, and clears Err.
 func (e *Enc) Reset() { e.buf, e.err = e.buf[:0], nil }
 
+// Reuse is Reset onto b: the encoder appends from b[:0], overwriting
+// b's bytes, so an encoding its owner is done with is written again
+// rather than a new one grown. The caller gives b up to the encoder.
+func (e *Enc) Reuse(b []byte) { e.buf, e.err = b[:0], nil }
+
 // Bytes returns the accumulated payload.
 func (e *Enc) Bytes() []byte { return e.buf }
 
@@ -489,11 +494,13 @@ func (w *Writer) BlobSection(name string, b []byte) error {
 	return w.err
 }
 
-// InPlace reports whether the writer builds its sections straight into
-// its destination, an *Enc, rather than in its own section buffer.
-func (w *Writer) InPlace() bool {
-	_, ok := w.w.(*Enc)
-	return ok
+// InPlace returns the writer's destination when it builds its sections
+// straight into it, an *Enc, and nil when it builds them in its own
+// section buffer. A caller that can judge the size of what it is about
+// to write may Grow the destination once rather than let it regrow.
+func (w *Writer) InPlace() *Enc {
+	e, _ := w.w.(*Enc)
+	return e
 }
 
 // WriteSections writes sections a NewSectionWriter already framed,

@@ -573,7 +573,7 @@ func TestSectionWriterFragments(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf, "sim", 0xDEADBEEF)
-	if w.InPlace() || !NewSectionWriter(&alpha).InPlace() {
+	if w.InPlace() != nil || NewSectionWriter(&alpha).InPlace() != &alpha {
 		t.Fatal("InPlace wrong: only a writer into an Enc builds in place")
 	}
 	for _, frag := range []*Enc{&alpha, &beta} {

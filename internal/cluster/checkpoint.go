@@ -38,6 +38,11 @@ var noCell cellState
 // one after another instead: there the stream already lives in memory
 // its caller keeps, the other workers encode theirs at the same time,
 // and per-cell encoders would only hold a second copy of the state.
+// sim judges a cell's room by that cell's users alone, so a destination
+// that starts small (a worker's first ship) would regrow once per cell:
+// the first cell's bytes per twin judge the room for the rest instead,
+// and a destination short of it grows once, with an eighth to spare
+// (so a later ship of about the same size fits what the first left).
 func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 	if err := cw.Section("cluster", func(enc *checkpoint.Enc) {
 		enc.Ints(e.owner)
@@ -60,10 +65,18 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 	}); err != nil {
 		return err
 	}
-	if cw.InPlace() {
-		for _, ci := range e.owned {
-			if err := e.cells[ci].eng.WriteState(cw); err != nil {
+	if dst := cw.InPlace(); dst != nil {
+		for k, ci := range e.owned {
+			eng := e.cells[ci].eng
+			at := len(dst.Bytes())
+			if err := eng.WriteState(cw); err != nil {
 				return fmt.Errorf("cell %d: %w", ci, err)
+			}
+			if n := eng.NumUsers(); k == 0 && n > 0 {
+				rest := (e.local - n) * (len(dst.Bytes()) - at) / n
+				if b := dst.Bytes(); cap(b)-len(b) < rest {
+					dst.Grow(rest + rest/8)
+				}
 			}
 		}
 		return nil

@@ -121,7 +121,7 @@ func TestWriteStateInPlaceMatchesFanOut(t *testing.T) {
 		var frame checkpoint.Enc
 		frame.U32(0xF00D) // a frame header the checkpoint rides behind
 		cw := checkpoint.NewWriter(&frame, "dtworker", 0)
-		if !cw.InPlace() {
+		if cw.InPlace() != &frame {
 			t.Fatal("a writer into an Enc does not build in place")
 		}
 		if err := e.WriteState(cw); err != nil {

@@ -229,11 +229,15 @@ type Engine struct {
 	owner     []int
 	handovers int
 	trained   bool
-	// plan is PlanHandovers' buffer, users ApplyHandovers' twin per
-	// move, and splices (per cell) and touched relocate's buckets,
-	// kept so the handover pass allocates nothing proportional to
-	// population.
+	// plan is PlanHandovers' buffer and twins its arena, the encoded
+	// twins the plan's moves out of the partition alias; sorted is
+	// ApplyHandovers' id-ordered copy of a batch that arrives out of
+	// order and users its twin per move; splices (per cell) and touched
+	// are relocate's buckets. All are kept so the handover pass
+	// allocates nothing proportional to population.
 	plan    []Handover
+	twins   checkpoint.Enc
+	sorted  []Handover
 	users   []sim.User
 	splices []cellSplice
 	touched []int
@@ -427,12 +431,14 @@ func (e *Engine) lateTrain() error {
 	return nil
 }
 
-// Close lets go of the encoders the cells keep for checkpoints; the
-// engine and its cells hold no goroutines between calls.
+// Close lets go of the encoders the cells keep for checkpoints and of
+// the handover plan's twin arena; the engine and its cells hold no
+// goroutines between calls.
 func (e *Engine) Close() {
 	for _, ci := range e.owned {
 		e.cells[ci].ckpt = checkpoint.Enc{}
 	}
+	e.twins = checkpoint.Enc{}
 }
 
 // SetMetrics mounts reg on the cluster: the interval/handover stage

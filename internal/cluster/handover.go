@@ -14,8 +14,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/sim"
@@ -24,7 +25,10 @@ import (
 // Handover is one boundary twin move. Twin carries the user's full
 // mutable state (the sim per-user checkpoint encoding) when the move
 // leaves the planning partition; it is nil for moves both of whose
-// endpoints the partition owns, where the twin moves by pointer.
+// endpoints the partition owns, where the twin moves by pointer. Twin
+// is a capacity-capped window of a buffer the Handover does not own —
+// PlanHandovers' arena, or the frame a coord batch was decoded from —
+// and is valid only as long as that buffer is (see PlanHandovers).
 type Handover struct {
 	ID   int
 	From int
@@ -37,10 +41,13 @@ type Handover struct {
 // serves a base station of another cell. Moves leaving the partition
 // carry the twin's wire encoding, captured before any mutation; engine
 // state is untouched until ApplyHandovers. The returned slice is the
-// engine's own buffer, valid until the next PlanHandovers.
+// engine's own buffer, and every Twin in it a window of the engine's
+// twin arena, which the next PlanHandovers reuses: both are valid until
+// then, and no longer.
 func (e *Engine) PlanHandovers() ([]Handover, error) {
 	plan := e.plan[:0]
-	var enc checkpoint.Enc
+	enc := &e.twins
+	enc.Reset()
 	for id, from := range e.owner {
 		if !e.mask[from] {
 			continue
@@ -55,11 +62,14 @@ func (e *Engine) PlanHandovers() ([]Handover, error) {
 		}
 		h := Handover{ID: id, From: from, To: to}
 		if !e.mask[to] {
-			enc.Reset()
-			if err := e.cells[from].eng.EncodeUser(&enc, id); err != nil {
+			// A twin that grows the arena leaves the windows already
+			// taken in the old array, whose bytes no later twin touches.
+			at := len(enc.Bytes())
+			if err := e.cells[from].eng.EncodeUser(enc, id); err != nil {
 				return nil, err
 			}
-			h.Twin = append([]byte(nil), enc.Bytes()...)
+			b := enc.Bytes()
+			h.Twin = b[at:len(b):len(b)]
 		}
 		plan = append(plan, h)
 	}
@@ -79,11 +89,12 @@ func (e *Engine) PlanHandovers() ([]Handover, error) {
 // their first users.
 func (e *Engine) ApplyHandovers(moves []Handover) error {
 	// The engine's own plan is already id-ordered; only a batch merged
-	// with imports needs the private sorted copy.
+	// with imports needs the sorted copy, kept in the engine's buffer.
 	for i := 1; i < len(moves); i++ {
 		if moves[i].ID < moves[i-1].ID {
-			moves = append([]Handover(nil), moves...)
-			sort.Slice(moves, func(i, j int) bool { return moves[i].ID < moves[j].ID })
+			moves = append(e.sorted[:0], moves...)
+			slices.SortFunc(moves, func(a, b Handover) int { return cmp.Compare(a.ID, b.ID) })
+			e.sorted = moves
 			break
 		}
 	}

@@ -239,6 +239,61 @@ func TestApplyHandoversRejects(t *testing.T) {
 	}
 }
 
+// TestPlanHandoversArena: a worker's plan encodes the twins that leave
+// its partition into the engine's arena, so once the arena is warm,
+// planning them allocates nothing, every twin is a window of it that
+// cannot grow into the next, and each decodes as its user.
+func TestPlanHandoversArena(t *testing.T) {
+	sc := testSimConfig(9, 1)
+	sc.NumUsers = 256
+	sc.WarmupIntervals = 6
+	ws := make([]*Worker, 2)
+	for i := range ws {
+		w, err := NewWorker(Config{Sim: sc}, i, len(ws))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		ws[i] = w
+	}
+	ctx := context.Background()
+	for round := 0; ; round++ {
+		if round == sc.WarmupIntervals {
+			t.Fatal("no boundary exported twins")
+		}
+		for _, w := range ws {
+			if err := w.WarmupStep(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := ws[0].PlanHandovers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exports := 0
+		for _, h := range plan {
+			if h.Twin == nil {
+				continue
+			}
+			exports++
+			if cap(h.Twin) != len(h.Twin) {
+				t.Fatalf("user %d: twin of %d B has room for %d", h.ID, len(h.Twin), cap(h.Twin))
+			}
+			u, err := ws[0].cells[h.From].eng.DecodeUser(checkpoint.NewDec(h.Twin))
+			if err != nil || u.ID() != h.ID {
+				t.Fatalf("user %d: twin decodes as user %d: %v", h.ID, u.ID(), err)
+			}
+		}
+		if exports > 0 {
+			if n := testing.AllocsPerRun(5, func() { _, _ = ws[0].PlanHandovers() }); n != 0 {
+				t.Fatalf("planning %d exported twins allocates %.0f times per pass", exports, n)
+			}
+			return
+		}
+		exchange(t, ws)
+	}
+}
+
 // TestHandoverPassAllocations pins the single-process handover pass:
 // once the plan buffer is warm, planning allocates nothing at all, and
 // applying an id-ordered plan allocates per move (the detached handle,

@@ -11,13 +11,35 @@
 // one. Exports, records and boundaries an earlier incarnation already
 // delivered are dropped, so replay is idempotent and the merged trace
 // stays bit-identical.
+//
+// Who owns a twin's bytes. A twin crossing workers is never copied
+// into a buffer of its own: every cluster.Handover.Twin is a
+// capacity-capped window of a buffer that outlives it, and is valid
+// exactly as long as that buffer holds it.
+//   - In a worker's plan, the planning engine's twin arena: valid until
+//     the engine's next PlanHandovers. The worker copies the twins into
+//     its exports frame (its one frame buffer, workerSession.out).
+//   - In a worker's imports, the worker's read buffer (workerSession.buf)
+//     they were decoded from: valid until the next frame is read, and
+//     ApplyHandovers decodes them before that.
+//   - In the supervisor's exports, the exports event's payload: a buffer
+//     of the worker slot's pool, which the pump copied the frame into.
+//     routeImports copies the twins into the imports frames, and the
+//     next step hands the payload back to the pool (as it does a records
+//     payload, once StepInterval has decoded it); a payload the
+//     supervisor drops goes back at once.
+//
+// An imports frame is the replay log's until the worker ships its
+// checkpoint. Then it becomes a spare that a later routeImports encodes
+// over, unless the worker restarted since its last ship: a dead
+// incarnation's sender may still hold a frame that was queued to it.
 
 package coord
 
 import (
 	"bufio"
-	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -27,7 +49,6 @@ import (
 	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/faultinject"
 	"dtmsvs/internal/obs"
-	"dtmsvs/internal/tracebin"
 )
 
 // Config parameterizes a supervised distributed run.
@@ -152,6 +173,15 @@ type workerHandle struct {
 	// any). It is read-only: a ship replaces the slice, never writes it.
 	lastCkpt []byte
 	log      []logEntry // boundaries completed since lastCkpt, oldest first
+	// pool carries records and exports payload buffers the supervisor
+	// is done with back to the pumps, which copy the next such payloads
+	// into them; spare holds imports frames no log or sender holds any
+	// more, for routeImports to encode into; shipRestarts is restarts
+	// as of the last ship. See the file header. ensureStarted makes the
+	// pool, with the first pump.
+	pool         chan []byte
+	spare        [][]byte
+	shipRestarts int
 	// replayLo..replayHi are the seqs the live incarnation replays;
 	// its frames for them were delivered by an earlier one.
 	replayLo, replayHi int64
@@ -165,7 +195,8 @@ type workerHandle struct {
 	gotBoundary  bool
 	records      []byte
 	exports      []cluster.Handover
-	importsFrame []byte // this step's routed imports frame, kept for replay
+	payloads     [2][]byte // the accepted records and exports payloads, freed at the next step
+	importsFrame []byte    // this step's routed imports frame, kept for replay
 	numUsers     int
 	handovers    int
 	churned      int
@@ -202,8 +233,12 @@ type Supervisor struct {
 
 	restartsTotal   int
 	heartbeatMisses int
+	// routed is routeImports' per-destination batches, kept across
+	// boundaries (made by ensureStarted); their twins alias the exports
+	// events' payloads.
+	routed [][]cluster.Handover
 
-	tx, rx  *obs.Counter
+	tx, rx  *frameBytes
 	hbMissC *obs.Counter
 }
 
@@ -230,8 +265,8 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	s := &Supervisor{cfg: cfg}
 	reg := cfg.Metrics
-	s.tx = reg.Counter("dtmsvs_coord_tx_bytes_total", "Frame bytes written to workers.")
-	s.rx = reg.Counter("dtmsvs_coord_rx_bytes_total", "Frame bytes read from workers.")
+	s.tx = newFrameBytes(reg, "dtmsvs_coord_tx_bytes_total", "Frame bytes written to workers, by frame type.")
+	s.rx = newFrameBytes(reg, "dtmsvs_coord_rx_bytes_total", "Frame bytes read from workers, by frame type.")
 	s.hbMissC = reg.Counter("dtmsvs_heartbeat_miss_total", "Workers declared dead by heartbeat deadline.")
 	handles := make([]workerHandle, cfg.Workers)
 	s.handles = make([]*workerHandle, cfg.Workers)
@@ -305,35 +340,80 @@ func startSender(c *conn) chan []byte {
 
 // pump reads frames from one worker incarnation into the event
 // channel until the transport dies. The final event carries the read
-// error.
-func (s *Supervisor) pump(idx, inc int, t Transport) {
+// error. pool is the worker slot's pool of records and exports payload
+// buffers.
+func (s *Supervisor) pump(idx, inc int, t Transport, pool chan []byte) {
 	br := bufio.NewReaderSize(t.Reader(), 1<<16)
+	// buf reads every frame but a boundary that carries a checkpoint.
+	// That one is megabytes, so it is read into a buffer of its own and
+	// handed over with the event instead of copied: the blob in it
+	// becomes the worker's lastCkpt, and what CheckpointBlobs returns,
+	// read-only from here on. Its buffer is sized from the length
+	// prefix, up to ckptRoom — an eighth over the last such frame the
+	// stream delivered whole — and ReadFrame grows it from there by
+	// what arrives, so allocation stays bounded by the stream.
 	var buf []byte
+	ckptRoom := 0
 	for {
-		typ, payload, nbuf, err := ReadFrame(br, buf)
-		buf = nbuf
+		rbuf, own := buf, true
+		if hdr, err := br.Peek(5); err == nil && frameType(hdr[4]) == fBoundary {
+			if n := int(binary.LittleEndian.Uint32(hdr)); n > cap(buf) {
+				rbuf, own = make([]byte, 0, min(n, ckptRoom)), false
+			}
+		}
+		typ, payload, nbuf, err := ReadFrame(br, rbuf)
 		if err != nil {
 			s.events <- workerEvent{idx: idx, inc: inc, err: err}
 			return
 		}
-		s.rx.Add(uint64(9 + len(payload)))
-		// A checkpoint is megabytes: hand the read buffer over with the
-		// event instead of copying it — the blob in it becomes the
-		// worker's lastCkpt, and what CheckpointBlobs returns, read-only
-		// from here on — and once the event is delivered read on into a
-		// fresh buffer of the same capacity, already received, so
-		// allocation stays bounded by the stream.
+		s.rx.add(typ, frameOverhead+len(payload))
 		handOver := typ == fBoundary && shipsCheckpoint(payload)
+		if !handOver {
+			buf = nbuf
+		} else if own {
+			buf = nil // it goes with the event
+		}
 		var p []byte
 		switch {
 		case handOver:
 			p = payload
+			n := 1 + len(payload) // the length prefix counts the type byte
+			ckptRoom = n + n/8
+		case pooled(typ):
+			var b []byte
+			select {
+			case b = <-pool:
+			default:
+			}
+			p = append(b[:0], payload...)
 		case len(payload) > 0:
 			p = append([]byte(nil), payload...)
 		}
 		s.events <- workerEvent{idx: idx, inc: inc, typ: typ, payload: p}
-		if handOver {
-			buf = make([]byte, 0, cap(buf))
+	}
+}
+
+// pooled reports whether the payload of a frame of type typ is copied
+// into a buffer of the pump's pool, which the supervisor frees once it
+// is done with the frame: records and exports, the frames every
+// boundary brings, and which the supervisor holds no longer than one
+// step.
+func pooled(typ frameType) bool { return typ == fRecords || typ == fExports }
+
+// drop hands the payload of an event the supervisor does not keep back
+// to the pump's pool, if it came from there.
+func (h *workerHandle) drop(ev workerEvent) {
+	if pooled(ev.typ) {
+		h.release(ev.payload)
+	}
+}
+
+// release returns one pooled payload buffer; a full pool drops it.
+func (h *workerHandle) release(b []byte) {
+	if cap(b) > 0 {
+		select {
+		case h.pool <- b:
+		default:
 		}
 	}
 }
@@ -403,7 +483,7 @@ func (s *Supervisor) spawn(h *workerHandle) error {
 	}
 	h.sendq = startSender(h.conn)
 	h.lastBeat = time.Now()
-	go s.pump(h.idx, h.inc, t)
+	go s.pump(h.idx, h.inc, t, h.pool)
 
 	h.sendq <- hello
 	replay := h.log
@@ -440,8 +520,19 @@ func stepFrame(ph phase, n int, seq int64, ship bool) []byte {
 	return e.Bytes()
 }
 
-func importsFrame(seq int64, hs []cluster.Handover) []byte {
+// importsFrame encodes the imports frame of step seq over dst, a frame
+// nothing holds any more (or nil): the frame is the log's to keep for
+// replay, so it must not share a buffer with any other. Room for the
+// whole frame is reserved before the batch is encoded, so each routed
+// twin is copied once and the frame grows at most once — by an eighth
+// more than it needs, so that as a spare it holds the somewhat larger
+// batches of later boundaries.
+func importsFrame(dst []byte, seq int64, hs []cluster.Handover) []byte {
 	var e checkpoint.Enc
+	e.Reuse(dst)
+	if n := frameOverhead + 8 + handoversSize(hs); n > cap(dst) {
+		e.Grow(n + n/8)
+	}
 	at := beginFrame(&e, fImports)
 	e.I64(seq)
 	appendHandovers(&e, hs)
@@ -455,7 +546,9 @@ func (s *Supervisor) ensureStarted() error {
 		return nil
 	}
 	s.events = make(chan workerEvent, 64+16*s.cfg.Workers)
+	s.routed = make([][]cluster.Handover, len(s.handles))
 	for _, h := range s.handles {
+		h.pool = make(chan []byte, 4)
 		if err := s.spawn(h); err != nil {
 			return s.fail(fmt.Errorf("spawn worker %d: %w", h.idx, err))
 		}
@@ -538,8 +631,12 @@ func (s *Supervisor) runStep(ctx context.Context, ph phase, n int) error {
 		h.gotExports = false
 		h.gotBoundary = false
 		h.gotRecords = ph != phaseInterval
+		for i, b := range h.payloads {
+			h.release(b)
+			h.payloads[i] = nil
+		}
 		h.records = nil
-		h.exports = nil
+		h.exports = h.exports[:0]
 		h.importsFrame = nil
 		h.lastBeat = now
 		h.stepStart = h.stage.Start()
@@ -631,7 +728,10 @@ func (s *Supervisor) allBoundaries() bool {
 func (s *Supervisor) routeImports() error {
 	numCells := s.cfg.Cluster.Sim.NumBS
 	workers := len(s.handles)
-	imports := make([][]cluster.Handover, workers)
+	imports := s.routed
+	for i := range imports {
+		imports[i] = imports[i][:0]
+	}
 	for _, h := range s.handles {
 		for _, x := range h.exports {
 			dst := cluster.WorkerForCell(x.To, numCells, workers)
@@ -644,7 +744,11 @@ func (s *Supervisor) routeImports() error {
 	}
 	s.step.importsRouted = true
 	for i, h := range s.handles {
-		h.importsFrame = importsFrame(s.step.seq, imports[i])
+		var dst []byte
+		if n := len(h.spare); n > 0 {
+			dst, h.spare = h.spare[n-1], h.spare[:n-1]
+		}
+		h.importsFrame = importsFrame(dst, s.step.seq, imports[i])
 		h.sendq <- h.importsFrame
 	}
 	return nil
@@ -654,6 +758,7 @@ func (s *Supervisor) routeImports() error {
 func (s *Supervisor) handleEvent(ev workerEvent) error {
 	h := s.handles[ev.idx]
 	if ev.inc != h.inc {
+		h.drop(ev)
 		return nil // stale incarnation
 	}
 	if ev.err != nil {
@@ -666,6 +771,7 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 		// by an earlier one. Each starts with its seq; a short payload
 		// reads as 0, which no boundary has.
 		if seq := checkpoint.NewDec(ev.payload).I64(); seq >= h.replayLo && seq <= h.replayHi {
+			h.drop(ev)
 			return nil
 		}
 	}
@@ -685,25 +791,35 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 		if err := d.Close(); err != nil || seq != s.step.seq {
 			return s.recover(h, fmt.Errorf("records frame (seq %d, want %d): %w", seq, s.step.seq, ErrProtocol))
 		}
-		if !h.gotRecords {
-			h.records = blob // aliases the event's private payload copy
-			h.gotRecords = true
+		if h.gotRecords {
+			h.drop(ev)
+			return nil
 		}
+		h.records = blob // aliases the event's pooled payload
+		h.payloads[0] = ev.payload
+		h.gotRecords = true
 		return nil
 	case fExports:
 		d := checkpoint.NewDec(ev.payload)
 		seq := d.I64()
-		hs, err := decodeHandovers(d)
+		var hs []cluster.Handover
+		if !h.gotExports {
+			hs = h.exports[:0]
+		}
+		hs, err := decodeHandovers(d, hs)
 		if err == nil {
 			err = d.Close()
 		}
 		if err != nil || seq != s.step.seq {
 			return s.recover(h, fmt.Errorf("exports frame (seq %d, want %d): %w", seq, s.step.seq, ErrProtocol))
 		}
-		if !h.gotExports {
-			h.exports = hs
-			h.gotExports = true
+		if h.gotExports {
+			h.drop(ev)
+			return nil
 		}
+		h.exports = hs // the twins alias the event's pooled payload
+		h.payloads[1] = ev.payload
+		h.gotExports = true
 		return nil
 	case fBoundary:
 		d := checkpoint.NewDec(ev.payload)
@@ -726,7 +842,7 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 		// Both alias the event's private payload.
 		if s.step.ship {
 			h.lastCkpt = ckpt
-			h.log = nil
+			h.shipped()
 			h.ckptsC.Inc()
 		}
 		if len(stats) > 0 {
@@ -738,6 +854,27 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 	default:
 		return s.recover(h, fmt.Errorf("frame %d from worker: %w", ev.typ, ErrProtocol))
 	}
+}
+
+// shipped drops the replay log once the worker has shipped its
+// checkpoint. The worker has read every frame the log holds, and this
+// step's imports, before acking the ship, so the live sender is done
+// with them; if no incarnation died since the last ship, no other
+// sender ever held them, and the imports frames become spares for
+// routeImports to encode over.
+func (h *workerHandle) shipped() {
+	if h.restarts == h.shipRestarts {
+		for _, e := range h.log {
+			h.spare = append(h.spare, e.imports)
+		}
+		if h.importsFrame != nil {
+			h.spare = append(h.spare, h.importsFrame)
+		}
+	}
+	h.shipRestarts = h.restarts
+	h.importsFrame = nil
+	clear(h.log)
+	h.log = h.log[:0]
 }
 
 // checkConservation asserts no user was lost or duplicated across the
@@ -775,11 +912,10 @@ func (s *Supervisor) StepInterval(ctx context.Context, n int) ([]cluster.Record,
 	}
 	var recs []cluster.Record
 	for _, h := range s.handles {
-		rows, err := tracebin.ReadAll(bytes.NewReader(h.records))
-		if err != nil {
+		var err error
+		if recs, err = readRecords(recs, h.records); err != nil {
 			return nil, s.fail(fmt.Errorf("decode worker %d records: %w", h.idx, err))
 		}
-		recs = append(recs, rows...)
 	}
 	return recs, nil
 }
@@ -856,8 +992,10 @@ func (s *Supervisor) FinalStats(ctx context.Context) ([]cluster.CellStats, int, 
 }
 
 // Close shuts every worker down: a shutdown frame each and a moment
-// to exit cleanly, then whatever is left is killed and reaped. Safe
-// to call more than once.
+// to exit cleanly, then whatever is left is killed and reaped. It lets
+// go of the frames and batches the supervisor reuses across boundaries
+// (the blobs CheckpointBlobs returned stay valid). Safe to call more
+// than once.
 func (s *Supervisor) Close() error {
 	if s.closed {
 		return nil
@@ -878,6 +1016,11 @@ func (s *Supervisor) Close() error {
 		}
 		s.reap(2 * time.Second)
 	}
+	for _, h := range s.handles {
+		h.log, h.spare, h.pool = nil, nil, nil
+		h.records, h.exports, h.payloads, h.importsFrame = nil, nil, [2][]byte{}, nil
+	}
+	s.routed = nil
 	return nil
 }
 

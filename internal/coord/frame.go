@@ -78,6 +78,59 @@ const (
 	fError     frameType = 10 // terminal worker-side failure, as text
 )
 
+// frameNames are the frame types' names, the frame label of the byte
+// counters; index 0, which no frame type has, names every byte a frame
+// of an unknown type carried.
+var frameNames = [...]string{
+	0:          "unknown",
+	fHello:     "hello",
+	fStep:      "step",
+	fImports:   "imports",
+	fShutdown:  "shutdown",
+	fReady:     "ready",
+	fRecords:   "records",
+	fExports:   "exports",
+	fBoundary:  "boundary",
+	fHeartbeat: "heartbeat",
+	fError:     "error",
+}
+
+// String names the frame type, "unknown" for a byte no type has.
+func (t frameType) String() string {
+	if int(t) >= len(frameNames) {
+		t = 0
+	}
+	return frameNames[t]
+}
+
+// frameBytes counts the bytes of whole frames — length prefix, type,
+// payload and CRC — in one series per frame type, labelled
+// frame="<name>". A nil *frameBytes counts nothing; a nil registry
+// gets one.
+type frameBytes [len(frameNames)]*obs.Counter
+
+func newFrameBytes(reg *obs.Registry, name, help string) *frameBytes {
+	if reg == nil {
+		return nil
+	}
+	var fb frameBytes
+	for t := range fb {
+		fb[t] = reg.Counter(name, help, obs.Label{Name: "frame", Value: frameNames[t]})
+	}
+	return &fb
+}
+
+// add counts one frame of type typ, n bytes long.
+func (fb *frameBytes) add(typ frameType, n int) {
+	if fb == nil {
+		return
+	}
+	if int(typ) >= len(fb) {
+		typ = 0
+	}
+	fb[typ].Add(uint64(n))
+}
+
 // phase selects what a step frame runs.
 type phase uint8
 
@@ -107,6 +160,10 @@ func (p phase) String() string {
 // beginFrame, the payload appended in place, endFrame — so a payload
 // that is itself a stream (a worker checkpoint, a records stream) is
 // written straight into its frame and never copied in.
+
+// frameOverhead is the bytes of a frame that are not payload: the
+// length prefix, the type byte and the CRC.
+const frameOverhead = 4 + 1 + 4
 
 // beginFrame starts a frame at the end of e: a length placeholder and
 // the type byte. It returns the frame's offset for endFrame.
@@ -204,11 +261,11 @@ type conn struct {
 	mu  sync.Mutex
 	w   io.Writer
 	out checkpoint.Enc // send's frame buffer
-	tx  *obs.Counter   // frame bytes written; nil-safe
+	tx  *frameBytes    // frame bytes written, per type; nil-safe
 	err error
 }
 
-func newConn(w io.Writer, tx *obs.Counter) *conn { return &conn{w: w, tx: tx} }
+func newConn(w io.Writer, tx *frameBytes) *conn { return &conn{w: w, tx: tx} }
 
 // send encodes and writes one frame.
 func (c *conn) send(typ frameType, payload []byte) error {
@@ -234,11 +291,12 @@ func (c *conn) writeLocked(frame []byte) error {
 	if c.err != nil {
 		return c.err
 	}
+	typ := frameType(frame[4]) // read before the frame is handed on
 	if _, err := c.w.Write(frame); err != nil {
 		c.err = err
 		return err
 	}
-	c.tx.Add(uint64(len(frame)))
+	c.tx.add(typ, len(frame))
 	return nil
 }
 

@@ -165,10 +165,13 @@ func killFirst(idx int, at killPoint) TransportFactory {
 // TestSupervisorRestartMatrix lands the loss of a worker in every
 // phase a boundary has — warm-up, train, an interval before its
 // imports are routed, after that with the imports unread and read, and
-// the checkpoint-only boundary — on each worker in turn, and requires
-// what recovery promises under the default budget: exactly one
-// restart, and records, stats and final checkpoints byte-identical to
-// the clean run.
+// the checkpoint-only boundary — and in the boundary after a ship
+// (train ships, so interval 0), where the supervisor first encodes an
+// imports frame over a spare and the worker's plan first reuses its
+// twin arena, dying once it has read those imports. Each loss lands on
+// each worker in turn, and the test requires what recovery promises
+// under the default budget: exactly one restart, and records, stats
+// and final checkpoints byte-identical to the clean run.
 func TestSupervisorRestartMatrix(t *testing.T) {
 	const seed = 13
 	base := Config{Cluster: testClusterConfig(seed, 1), Workers: 2}
@@ -182,6 +185,7 @@ func TestSupervisorRestartMatrix(t *testing.T) {
 		"interval-imports-unread": {ph: phaseInterval, n: 2, imports: true, unread: true},
 		"interval-imports-read":   {ph: phaseInterval, n: 2, imports: true},
 		"interval-acked":          {ph: phaseInterval, n: 2, acked: true},
+		"interval-after-ship":     {ph: phaseInterval, n: 0, imports: true},
 		"checkpoint-only":         {ph: phaseCkpt},
 	} {
 		for victim := 0; victim < base.Workers; victim++ {

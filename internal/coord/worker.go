@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"syscall"
 	"time"
 
@@ -105,7 +106,8 @@ func decodeWorkerStats(blob []byte) (workerStats, error) {
 	return ws, nil
 }
 
-// appendHandovers encodes a twin batch.
+// appendHandovers encodes a twin batch: a count, then per move its id,
+// cells and length-prefixed twin.
 func appendHandovers(e *checkpoint.Enc, hs []cluster.Handover) {
 	e.U32(uint32(len(hs)))
 	for _, h := range hs {
@@ -116,24 +118,35 @@ func appendHandovers(e *checkpoint.Enc, hs []cluster.Handover) {
 	}
 }
 
-// decodeHandovers decodes a twin batch, bounding the prealloc so a
-// corrupt count cannot balloon.
-func decodeHandovers(d *checkpoint.Dec) ([]cluster.Handover, error) {
+// handoversSize is the number of bytes appendHandovers appends for hs.
+func handoversSize(hs []cluster.Handover) int {
+	n := 4
+	for _, h := range hs {
+		n += 3*8 + 4 + len(h.Twin)
+	}
+	return n
+}
+
+// decodeHandovers decodes a twin batch without copying a twin: each
+// Twin is a capacity-capped window of d's payload (nil when empty), so
+// the batch lives exactly as long as the payload does — the package
+// header says whose buffer that is on either side of the wire. The
+// moves are appended to hs, whose room a caller keeps across batches;
+// growing it is bounded so a corrupt count cannot balloon.
+func decodeHandovers(d *checkpoint.Dec, hs []cluster.Handover) ([]cluster.Handover, error) {
 	n := d.U32()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	hs := make([]cluster.Handover, 0, min(int(n), 1<<16))
+	hs = slices.Grow(hs, min(int(n), 1<<16))
 	for i := uint32(0); i < n; i++ {
 		h := cluster.Handover{ID: d.Int(), From: d.Int(), To: d.Int()}
-		h.Twin = d.Blob()
+		twin := d.Blob()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		if len(h.Twin) > 0 {
-			h.Twin = append([]byte(nil), h.Twin...)
-		} else {
-			h.Twin = nil
+		if len(twin) > 0 {
+			h.Twin = twin[:len(twin):len(twin)]
 		}
 		hs = append(hs, h)
 	}
@@ -278,7 +291,12 @@ type workerSession struct {
 	// boundaries and so sized once.
 	out   checkpoint.Enc
 	ckptw checkpoint.Writer
-	kill  func()
+	// exports, imports and moves are a boundary's twin batches — the
+	// plan's moves leaving the worker, the batch routed into it (whose
+	// twins alias buf), and the two together for ApplyHandovers — kept
+	// across boundaries so a batch allocates nothing.
+	exports, imports, moves []cluster.Handover
+	kill                    func()
 }
 
 // handleStep runs one boundary: fault injection, the phase's engine
@@ -327,12 +345,13 @@ func (ws *workerSession) handleStep(payload []byte) error {
 			return sendErrf(ws.c, "worker %d plan: %v", ws.hello.Index, err)
 		}
 	}
-	var exports []cluster.Handover
+	exports := ws.exports[:0]
 	for _, h := range plan {
 		if h.Twin != nil {
 			exports = append(exports, h)
 		}
 	}
+	ws.exports = exports
 	out := &ws.out
 	out.Reset()
 	at := beginFrame(out, fExports)
@@ -343,12 +362,15 @@ func (ws *workerSession) handleStep(payload []byte) error {
 		return err
 	}
 
+	// The imports alias ws.buf: they are applied before the next frame
+	// is read into it.
 	imports, err := ws.awaitImports(seq)
 	if err != nil {
 		return err
 	}
 	if migrating {
-		if err := ws.wk.ApplyHandovers(append(plan, imports...)); err != nil {
+		ws.moves = append(append(ws.moves[:0], plan...), imports...)
+		if err := ws.wk.ApplyHandovers(ws.moves); err != nil {
 			return sendErrf(ws.c, "worker %d apply: %v", ws.hello.Index, err)
 		}
 	} else if len(imports) > 0 {
@@ -422,14 +444,7 @@ func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
 	at := beginFrame(out, fRecords)
 	out.I64(seq)
 	blob := beginBlob(out)
-	bw, err := tracebin.NewWriter(out, tracebin.WriterOptions{})
-	if err != nil {
-		return err
-	}
-	if err := bw.Flush(recs); err != nil {
-		return err
-	}
-	if err := bw.Close(); err != nil {
+	if err := appendRecords(out, recs); err != nil {
 		return err
 	}
 	endBlob(out, blob)
@@ -437,9 +452,30 @@ func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
 	return ws.c.write(out.Bytes())
 }
 
-// awaitImports blocks on the routed twin batch for seq. Shutdown
-// while waiting ends the worker cleanly (the supervisor abandoned the
-// step).
+// appendRecords writes recs to e as one columnar trace stream, which
+// readRecords decodes.
+func appendRecords(e *checkpoint.Enc, recs []cluster.Record) error {
+	bw, err := tracebin.NewWriter(e, tracebin.WriterOptions{})
+	if err != nil {
+		return err
+	}
+	if err := bw.Flush(recs); err != nil {
+		return err
+	}
+	return bw.Close()
+}
+
+// readRecords decodes one records stream — every frame length and CRC
+// checked — and appends its rows to recs.
+func readRecords(recs []cluster.Record, stream []byte) ([]cluster.Record, error) {
+	rows, err := tracebin.ReadAll(bytes.NewReader(stream))
+	return append(recs, rows...), err
+}
+
+// awaitImports blocks on the routed twin batch for seq, decoded into
+// ws.imports: each twin a window of ws.buf, valid until the next frame
+// is read. Shutdown while waiting ends the worker cleanly (the
+// supervisor abandoned the step).
 func (ws *workerSession) awaitImports(seq int64) ([]cluster.Handover, error) {
 	for {
 		typ, payload, nbuf, err := ReadFrame(ws.br, ws.buf)
@@ -451,7 +487,7 @@ func (ws *workerSession) awaitImports(seq int64) ([]cluster.Handover, error) {
 		case fImports:
 			d := checkpoint.NewDec(payload)
 			gotSeq := d.I64()
-			hs, herr := decodeHandovers(d)
+			hs, herr := decodeHandovers(d, ws.imports[:0])
 			if herr == nil {
 				herr = d.Close()
 			}
@@ -461,6 +497,7 @@ func (ws *workerSession) awaitImports(seq int64) ([]cluster.Handover, error) {
 			if gotSeq != seq {
 				return nil, fmt.Errorf("imports for step %d during step %d: %w", gotSeq, seq, ErrProtocol)
 			}
+			ws.imports = hs
 			return hs, nil
 		case fShutdown:
 			return nil, io.ErrClosedPipe
