@@ -241,6 +241,10 @@ type Engine struct {
 	users   []sim.User
 	splices []cellSplice
 	touched []int
+	// spares are the users the last ApplyHandovers exported out of the
+	// partition, held by no cell: the next pass decodes its imports
+	// into their storage. A restarted worker starts with none.
+	spares []sim.User
 	// Failure model (see failure.go): the fault schedule in firing
 	// order, the quarantine mask over stations shared with every cell's
 	// sim engine (written only between fan-outs; stations are cells
@@ -287,8 +291,8 @@ func NewWhole(cfg sim.Config) (*Engine, error) {
 // them. Only the owned cells are built, each exactly as every other
 // partition would build it — a cell draws only from the shared
 // substrate and its own derived streams — and the whole population is
-// spawned from per-user streams, of which only the twins whose initial
-// cell the slot owns are attached.
+// placed from per-user streams, of which only the users whose initial
+// cell the slot owns are built whole and attached.
 func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -378,21 +382,23 @@ func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 		retain:  true,
 	}
 
-	// Spawn the population on the pool (user creation draws only from
-	// each user's private stream, whichever cell spawns) and place every
-	// twin whose initial serving base station's cell this partition owns
-	// in that cell.
-	spawned, err := cells[owned[0]].eng.SpawnUsers(d.Sim.NumUsers)
+	// Place the population on the pool (a user draws only from its
+	// private stream, whichever cell places it): every user is placed,
+	// so the owner map covers all of them, but only the users whose
+	// initial serving station's cell this partition owns are built
+	// whole, and each joins that cell.
+	serving := make([]int, d.Sim.NumUsers)
+	placed, err := cells[owned[0]].eng.PlaceUsers(serving, func(bs int) bool { return mask[cellOf[bs]] })
 	if err != nil {
 		return nil, err
 	}
-	for id, mu := range spawned {
-		c := cellOf[mu.ServingBS()]
+	for id, bs := range serving {
+		c := cellOf[bs]
 		e.owner[id] = c
 		if !mask[c] {
 			continue
 		}
-		if aerr := cells[c].eng.AttachUser(mu); aerr != nil {
+		if aerr := cells[c].eng.AttachUser(placed[id]); aerr != nil {
 			return nil, aerr
 		}
 		e.local++

@@ -82,11 +82,16 @@ func (e *Engine) PlanHandovers() ([]Handover, error) {
 // global user-id order: each twin leaves its old station's cell (UDT,
 // calibration state and random stream intact) and joins the new one's.
 // Every move is checked, and every import decoded, before the first
-// twin moves, so a rejected batch leaves the engine untouched. The
-// moves are then applied cell by cell (relocate): one batched group
-// pick and one splice per touched cell. The pass ends by verifying
-// twin conservation and late-training owned cells that just gained
-// their first users.
+// twin moves, so a rejected batch leaves the engine untouched. Each
+// import is decoded into the storage of a user the previous pass
+// exported (sim.DecodeUserInto), while those spares last: no engine
+// holds them any more. This pass's leaving users stay in their cells
+// until the moves are applied, and become the next pass's spares once
+// they are; spares a pass leaves unused are dropped then, so the engine
+// never holds more than one boundary's exports. The moves are applied
+// cell by cell (relocate): one batched group pick and one splice per
+// touched cell. The pass ends by verifying twin conservation and
+// late-training owned cells that just gained their first users.
 func (e *Engine) ApplyHandovers(moves []Handover) error {
 	// The engine's own plan is already id-ordered; only a batch merged
 	// with imports needs the sorted copy, kept in the engine's buffer.
@@ -98,7 +103,7 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 			break
 		}
 	}
-	users := e.users[:0]
+	users, spares := e.users[:0], e.spares
 	for i, h := range moves {
 		switch {
 		case h.ID < 0 || h.ID >= len(e.owner):
@@ -128,8 +133,12 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 		case len(h.Twin) == 0:
 			return fmt.Errorf("import of user %d into cell %d carries no twin: %w", h.ID, h.To, ErrConfig)
 		}
+		var spare sim.User
+		if n := len(spares); n > 0 {
+			spare, spares = spares[n-1], spares[:n-1]
+		}
 		d := checkpoint.NewDec(h.Twin)
-		mu, err := e.cells[h.To].eng.DecodeUser(d)
+		mu, err := e.cells[h.To].eng.DecodeUserInto(d, spare)
 		if err == nil {
 			err = d.Close()
 		}
@@ -149,6 +158,17 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 		}
 	}
 	err := e.relocate(moves, users)
+	// The users this pass exported are held by no engine now: they are
+	// the next pass's spares, and the spares this one left unused go.
+	clear(e.spares)
+	e.spares = e.spares[:0]
+	if err == nil {
+		for i, h := range moves {
+			if e.mask[h.From] && !e.mask[h.To] {
+				e.spares = append(e.spares, users[i])
+			}
+		}
+	}
 	clear(users) // hold no twin past the pass
 	if err != nil {
 		return err

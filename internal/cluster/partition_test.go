@@ -6,10 +6,31 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/sim"
+	"dtmsvs/internal/udt"
 )
+
+// totalAlloc is the bytes the process has allocated so far.
+func totalAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
+}
+
+// stillHeap empties the heap's pools — sim keeps one, which a collector
+// cycle clears — and stops the collector until the returned func runs,
+// so that what a window allocates does not depend on when a cycle
+// lands in it.
+func stillHeap() (restart func()) {
+	runtime.GC()
+	runtime.GC()
+	pct := debug.SetGCPercent(-1)
+	return func() { debug.SetGCPercent(pct) }
+}
 
 // stateBytes is the engine's boundary state as WriteState emits it.
 func stateBytes(t *testing.T, e *Engine) []byte {
@@ -465,4 +486,96 @@ func TestApplyHandoversRejectsTrainedBatch(t *testing.T) {
 	if got := attached(); got != want {
 		t.Fatalf("%d twins attached in all, want %d", got, want)
 	}
+}
+
+// TestImportsReuseExports: a worker decodes each import into the
+// storage of a user its previous pass exported — one no cell holds any
+// more — so a warm pass whose imports do not outnumber those exports
+// builds no new user and no new twin: every import is one of them, and
+// the pass allocates less per import than one twin's ring slab. The
+// spares a pass leaves unused are dropped, so after every pass a worker
+// holds exactly the users that pass exported, none of them in a cell.
+func TestImportsReuseExports(t *testing.T) {
+	sc := testSimConfig(9, 1)
+	sc.NumUsers = 400
+	sc.WarmupIntervals = 10
+	ws := make([]*Worker, 2)
+	for i := range ws {
+		w, err := NewWorker(Config{Sim: sc}, i, len(ws))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		ws[i] = w
+	}
+	// A twin's ring slab at this scenario's ring capacity, the grouping
+	// window of 16 samples (under 4·TicksPerInterval).
+	slab := float64(udt.NumFeatureChannels * 16 * 8)
+	ctx := context.Background()
+	gated := 0
+	for round := 0; round < sc.WarmupIntervals; round++ {
+		apply := make([][]Handover, len(ws))
+		for i, w := range ws {
+			if err := w.WarmupStep(ctx); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := w.PlanHandovers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			apply[i] = append(apply[i], plan...)
+			for _, h := range plan {
+				if dst := WorkerForCell(h.To, sc.NumBS, len(ws)); dst != i {
+					apply[dst] = append(apply[dst], h)
+				}
+			}
+		}
+		for i, w := range ws {
+			spares := make(map[sim.User]bool, len(w.spares))
+			for _, mu := range w.spares {
+				spares[mu] = true
+			}
+			var imports, exports []int
+			for _, h := range apply[i] {
+				switch {
+				case !w.mask[h.From]:
+					imports = append(imports, h.ID)
+				case !w.mask[h.To]:
+					exports = append(exports, h.ID)
+				}
+			}
+			stop := stillHeap()
+			a0 := totalAlloc()
+			err := w.ApplyHandovers(apply[i])
+			alloc := totalAlloc() - a0
+			stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(imports) > 0 && len(imports) <= len(spares) {
+				gated++
+				for _, id := range imports {
+					mu, ok := w.cells[w.owner[id]].eng.Member(id)
+					if !ok || !spares[mu] {
+						t.Fatalf("round %d worker %d: import %d is not one of the %d users the last pass exported", round, i, id, len(spares))
+					}
+				}
+				if per := float64(alloc) / float64(len(imports)); per >= slab {
+					t.Fatalf("round %d worker %d: %d imports allocate %.0f B each, a twin's slab is %.0f B", round, i, len(imports), per, slab)
+				}
+			}
+			if len(w.spares) != len(exports) {
+				t.Fatalf("round %d worker %d: %d spares after a pass exporting %d users", round, i, len(w.spares), len(exports))
+			}
+			for k, mu := range w.spares {
+				if mu.ID() != exports[k] || w.mask[w.owner[mu.ID()]] {
+					t.Fatalf("round %d worker %d: spare %d is user %d (owner cell %d), not export %d", round, i, k, mu.ID(), w.owner[mu.ID()], exports[k])
+				}
+			}
+		}
+	}
+	if gated == 0 {
+		t.Fatal("no pass imported no more users than the last one exported: scenario too quiet")
+	}
+	t.Logf("%d passes decoded every import into an export", gated)
 }

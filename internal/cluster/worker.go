@@ -6,11 +6,15 @@
 // Determinism contract: every partition slot builds only the cells it
 // owns, each exactly as the single-process engine builds it (a cell
 // draws only from the shared substrate and its own derived streams),
-// spawns the whole population from per-user streams and attaches only
-// the twins of its own cells; the handover pass (handover.go) is the
-// engine's own, split at the point where the moves crossing workers
-// are exchanged. Its checkpoint carries sim sections for its own cells
-// only.
+// places the whole population from per-user streams — every user's
+// preference, profile draw, mobility model and initial station, so the
+// owner map covers all of them — and builds whole (link, twin,
+// calibration filters) and attaches only the users that start in its
+// own cells. The handover pass (handover.go) is the engine's own,
+// split at the point where the moves crossing workers are exchanged;
+// a worker decodes each import into the storage of a user it exported
+// at the previous boundary, which changes no byte of any user. Its
+// checkpoint carries sim sections for its own cells only.
 package cluster
 
 import (

@@ -324,3 +324,35 @@ func TestWorkerBuildsOnlyOwnedCells(t *testing.T) {
 		}
 	}
 }
+
+// TestNewWorkerBuildsOwnedUsers: a worker builds only the users that
+// start in its own cells (it places every user, to know where each
+// starts, but builds no link, twin or filters for the others), so each
+// of two workers allocates at most 0.6 of what the one-worker
+// partition of the same scenario does.
+func TestNewWorkerBuildsOwnedUsers(t *testing.T) {
+	sc := testSimConfig(3, 1)
+	sc.NumUsers = 2000
+	cfg := Config{Sim: sc}
+	build := func(index, count int) uint64 {
+		stop := stillHeap()
+		a0 := totalAlloc()
+		w, err := NewWorker(cfg, index, count)
+		alloc := totalAlloc() - a0
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		return alloc
+	}
+	whole := build(0, 1)
+	for index := range 2 {
+		half := build(index, 2)
+		ratio := float64(half) / float64(whole)
+		t.Logf("worker %d of 2 allocates %d B, the partition of one %d B (%.2f)", index, half, whole, ratio)
+		if ratio > 0.6 {
+			t.Fatalf("worker %d of 2 allocates %.2f of the partition of one, want at most 0.6", index, ratio)
+		}
+	}
+}

@@ -125,6 +125,7 @@ func wirelessAlloc(t *testing.T, cfg cluster.Config) uint64 {
 	ship()
 	var alloc uint64
 	var stream checkpoint.Enc
+	var rr recordsReader
 	for n := 0; n < twinWindowHi; n++ {
 		if n == twinWindowLo {
 			defer stillHeap()()
@@ -138,7 +139,7 @@ func wirelessAlloc(t *testing.T, cfg cluster.Config) uint64 {
 				err = appendRecords(&stream, recs)
 			}
 			if err == nil {
-				merged, err = readRecords(merged, stream.Bytes())
+				merged, err = rr.read(merged, stream.Bytes())
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -237,6 +237,10 @@ type Supervisor struct {
 	// boundaries (made by ensureStarted); their twins alias the exports
 	// events' payloads.
 	routed [][]cluster.Handover
+	// records decodes the workers' records streams, and lastRecords is
+	// the last interval's merged row count, which sizes the next merge.
+	records     recordsReader
+	lastRecords int
 
 	tx, rx  *frameBytes
 	hbMissC *obs.Counter
@@ -910,13 +914,14 @@ func (s *Supervisor) StepInterval(ctx context.Context, n int) ([]cluster.Record,
 	if err := s.runStep(ctx, phaseInterval, n); err != nil {
 		return nil, err
 	}
-	var recs []cluster.Record
+	recs := make([]cluster.Record, 0, s.lastRecords)
 	for _, h := range s.handles {
 		var err error
-		if recs, err = readRecords(recs, h.records); err != nil {
+		if recs, err = s.records.read(recs, h.records); err != nil {
 			return nil, s.fail(fmt.Errorf("decode worker %d records: %w", h.idx, err))
 		}
 	}
+	s.lastRecords = len(recs)
 	return recs, nil
 }
 

@@ -453,7 +453,7 @@ func (ws *workerSession) sendRecords(seq int64, recs []cluster.Record) error {
 }
 
 // appendRecords writes recs to e as one columnar trace stream, which
-// readRecords decodes.
+// recordsReader decodes.
 func appendRecords(e *checkpoint.Enc, recs []cluster.Record) error {
 	bw, err := tracebin.NewWriter(e, tracebin.WriterOptions{})
 	if err != nil {
@@ -465,11 +465,23 @@ func appendRecords(e *checkpoint.Enc, recs []cluster.Record) error {
 	return bw.Close()
 }
 
-// readRecords decodes one records stream — every frame length and CRC
-// checked — and appends its rows to recs.
-func readRecords(recs []cluster.Record, stream []byte) ([]cluster.Record, error) {
-	rows, err := tracebin.ReadAll(bytes.NewReader(stream))
-	return append(recs, rows...), err
+// recordsReader decodes records streams, keeping its reader state —
+// the byte source and the tracebin reader's buffers — from one stream
+// to the next, so a boundary's decode allocates only the rows it
+// appends.
+type recordsReader struct {
+	src bytes.Reader
+	tr  tracebin.Reader
+}
+
+// read decodes one records stream — every frame length and CRC
+// checked — appending its rows straight to recs.
+func (rr *recordsReader) read(recs []cluster.Record, stream []byte) ([]cluster.Record, error) {
+	rr.src.Reset(stream)
+	if err := rr.tr.Reset(&rr.src); err != nil {
+		return recs, err
+	}
+	return rr.tr.AppendAll(recs)
 }
 
 // awaitImports blocks on the routed twin batch for seq, decoded into

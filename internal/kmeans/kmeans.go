@@ -206,7 +206,11 @@ func Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, er
 // sums, move every centroid to its mean, and return the total
 // movement. An empty cluster is re-seeded at the point farthest from
 // its centroid (the first such point), which counts as a movement of
-// 1 so the loop runs another iteration.
+// 1 so the loop runs another iteration. When even that point lies on
+// its centroid, so does every point, and a re-seed would only stack
+// the empty centroid on a covered point: it stays and counts nothing,
+// so a set with more clusters than distinct points converges instead
+// of re-seeding until maxIter.
 func updateCentroids(points, centroids []vecmath.Vec, assign, counts []int, sums []vecmath.Vec) float64 {
 	for c := range sums {
 		counts[c] = 0
@@ -230,8 +234,10 @@ func updateCentroids(points, centroids []vecmath.Vec, assign, counts []int, sums
 					far, farD = i, d
 				}
 			}
-			moved++
-			copy(centroids[c], points[far])
+			if farD > 0 {
+				moved++
+				copy(centroids[c], points[far])
+			}
 			continue
 		}
 		inv := 1 / float64(counts[c])

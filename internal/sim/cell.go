@@ -179,26 +179,29 @@ type User struct{ u *user }
 // ID returns the user's global id.
 func (m User) ID() int { return m.u.id }
 
-// ServingBS returns the id of the base station the user's link is
-// currently attached to.
-func (m User) ServingBS() int { return m.u.link.BS().ID }
-
 // Position returns the user's current map position.
 func (m User) Position() mobility.Point { return m.u.mob.Position() }
 
-// SpawnUsers creates fresh users with the global ids 0..n-1 (churn
-// generation 0) on the pool, without attaching them to this engine.
-// Creation touches only the shared substrate and each user's own
-// derived stream, so it does not matter which cell spawns: the
-// cluster engine spawns the whole population through one cell and
-// attaches each user to the cell of its initial serving base station.
-func (s *Simulation) SpawnUsers(n int) ([]User, error) {
-	out := make([]User, n)
-	err := s.pool.For(n, func(id int) error {
-		u, err := s.newUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), 0))
+// PlaceUsers creates the users with the global ids 0..len(serving)-1
+// (churn generation 0) on the pool, without attaching them to this
+// engine, and writes each user's initial serving station into
+// serving[id]. Every user draws its preference, profile and mobility
+// model from its own derived stream and is placed at the station
+// nearest its start, so it does not matter which cell places the
+// population. Only the users whose station keep accepts (every user
+// when keep is nil) are built whole — link, twin and calibration
+// filters — and returned at their ids; the others stop at placement,
+// their entries the zero User. keep is called from pool tasks, so it
+// must only read. The cluster engine places the population through
+// one owned cell, keeping the users whose initial cell it owns.
+func (s *Simulation) PlaceUsers(serving []int, keep func(bs int) bool) ([]User, error) {
+	out := make([]User, len(serving))
+	err := s.pool.For(len(serving), func(id int) error {
+		u, bs, err := s.buildUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), 0), nil, keep)
 		if err != nil {
-			return fmt.Errorf("spawn user %d: %w", id, err)
+			return fmt.Errorf("place user %d: %w", id, err)
 		}
+		serving[id] = bs
 		out[id] = User{u: u}
 		return nil
 	})

@@ -37,7 +37,7 @@ func newTestCell(t *testing.T, cfg Config, bs int, ids []int) *Simulation {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
-	spawned, err := s.SpawnUsers(slices.Max(ids) + 1)
+	spawned, err := s.PlaceUsers(make([]int, slices.Max(ids)+1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestNearestGroupsMatchesOneByOne(t *testing.T) {
 // arrival anywhere in it fails typed and leaves the engine as it was.
 func TestSpliceRejectsBeforeMoving(t *testing.T) {
 	s := builtTestCell(t)
-	stranger, err := s.SpawnUsers(s.cfg.NumUsers)
+	stranger, err := s.PlaceUsers(make([]int, s.cfg.NumUsers), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,8 @@
 // bookkeeping counters. Twins decode into the population Open built:
 // a generation-0 user is the opened member with its id, overwritten,
 // and only churned users (and users the opened engine does not hold)
-// replay their constructor. Per-interval accumulators (tick
+// replay their constructor — a churned one into the storage of the
+// opened member it replaces. Per-interval accumulators (tick
 // statistics, scheduler reservations) are always zeroed at a
 // boundary, so they never ride in a checkpoint.
 //
@@ -259,12 +260,25 @@ func (s *Simulation) EncodeUser(e *checkpoint.Enc, id int) error {
 	return s.encodeUser(e, u)
 }
 
-// DecodeUser rebuilds one user from bytes written by EncodeUser,
-// replaying the deterministic constructor on this cell's substrate
-// and overwriting the mutable state. The returned handle is detached:
-// pass it to AttachUser to add it to this cell's population.
+// DecodeUser is DecodeUserInto without a spare: every part of the user
+// is allocated afresh.
 func (s *Simulation) DecodeUser(d *checkpoint.Dec) (User, error) {
-	u, err := s.decodeUser(d, nil)
+	return s.DecodeUserInto(d, User{})
+}
+
+// DecodeUserInto rebuilds one user from bytes written by EncodeUser,
+// replaying the deterministic constructor on this cell's substrate
+// and overwriting the mutable state. A non-zero spare is a user no
+// engine holds any more — the cluster engine hands in a twin it
+// exported at the last boundary — and the decoded user takes over its
+// storage (user, twin, calibration filters) instead of allocating
+// them: in the distributed benchmark scenario that cuts an import from
+// about 1.6 encoded twins of allocation to about 0.5. The spare is
+// consumed either way, and must not be used again except as a later
+// spare. The returned handle is detached: pass it to AttachUser or
+// Splice to add it to this cell's population.
+func (s *Simulation) DecodeUserInto(d *checkpoint.Dec, spare User) (User, error) {
+	u, err := s.decodeUser(d, nil, spare.u)
 	return User{u: u}, err
 }
 
@@ -278,7 +292,7 @@ func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {
 	}
 	users := make([]*user, 0, min(int(n), 1<<20))
 	for i := uint32(0); i < n; i++ {
-		u, err := s.decodeUser(d, s.byID)
+		u, err := s.decodeUser(d, s.byID, nil)
 		if err != nil {
 			return err
 		}
@@ -300,10 +314,12 @@ func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {
 // it and decoded into: it came from the same constructor on the same
 // stream and has never stepped, so it is exactly what a replay would
 // build. Any other user — churned, or missing from opened — is
-// rebuilt by replaying the constructor on its derived stream. Either
-// way the mutable state is then overwritten and the stream
-// repositioned.
-func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user) (*user, error) {
+// rebuilt by replaying the constructor on its derived stream, into
+// the storage of the opened member with its id when there is one (a
+// churned slot's generation 0, which the checkpoint replaces) and
+// otherwise of spare, when not nil. Either way the mutable state is
+// then overwritten and the stream repositioned.
+func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user, spare *user) (*user, error) {
 	id := d.Int()
 	gen := d.U64()
 	srcState := d.U64()
@@ -314,11 +330,15 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user) (*user, error
 		return nil, fmt.Errorf("user id %d: %w", id, checkpoint.ErrCorrupt)
 	}
 	var u *user
-	if gen == 0 && id < len(opened) && opened[id] != nil {
+	if id < len(opened) && opened[id] != nil {
 		u, opened[id] = opened[id], nil
-	} else {
+	}
+	if gen != 0 || u == nil {
+		if u == nil {
+			u = spare
+		}
 		var err error
-		u, err = s.newUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), gen))
+		u, _, err = s.buildUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), gen), u, nil)
 		if err != nil {
 			return nil, fmt.Errorf("user %d replay: %w", id, err)
 		}

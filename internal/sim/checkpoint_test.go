@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,8 +63,8 @@ func TestUserCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("user %d: %v", u.id, err)
 		}
-		if back.ID() != u.id || back.ServingBS() != u.link.BS().ID {
-			t.Fatalf("user %d decoded as %d on BS %d", u.id, back.ID(), back.ServingBS())
+		if back.ID() != u.id || back.u.link.BS().ID != u.link.BS().ID {
+			t.Fatalf("user %d decoded as %d on BS %d", u.id, back.ID(), back.u.link.BS().ID)
 		}
 		if again := encodedUser(t, dst, back.u); !bytes.Equal(again, enc) {
 			t.Fatalf("user %d: encode → decode → encode changed the bytes", u.id)
@@ -137,11 +138,18 @@ func TestTwinHistoryIsTheWindow(t *testing.T) {
 // FuzzDecodeUser hammers the per-user decoder — the one that reads
 // bytes another process wrote — with mutations of real encodings:
 // it must never panic, must fail only as checkpoint.ErrCorrupt, and
-// whatever it accepts must re-encode and move one tick.
+// whatever it accepts must re-encode and move one tick. Every input is
+// decoded a second time into a spare that held a stepped user of
+// another mobility class, as a worker decodes an import into a twin it
+// exported: the two decodes must agree on failure, and accepted users
+// must re-encode to the same bytes, step one tick alike and re-encode
+// alike again.
 func FuzzDecodeUser(f *testing.F) {
 	s := warmedEngine(f)
+	var byClass [4][]byte // a stepped user of each mobility class (id mod 4)
 	for _, u := range s.users[:6] {
 		enc := encodedUser(f, s, u)
+		byClass[u.id%4] = enc
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
 	}
@@ -152,18 +160,53 @@ func FuzzDecodeUser(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := s.DecodeUser(checkpoint.NewDec(data))
+		class := 0
+		if err == nil {
+			class = u.ID() % 4
+		}
+		spare, serr := s.DecodeUser(checkpoint.NewDec(byClass[(class+1)%4]))
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		v, verr := s.DecodeUserInto(checkpoint.NewDec(data), spare)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("decode without a spare: %v; into a spare: %v", err, verr)
+		}
 		if err != nil {
-			if !errors.Is(err, checkpoint.ErrCorrupt) {
-				t.Fatalf("untyped decode failure: %v", err)
+			if !errors.Is(err, checkpoint.ErrCorrupt) || !errors.Is(verr, checkpoint.ErrCorrupt) {
+				t.Fatalf("untyped decode failure: %v / %v", err, verr)
 			}
 			return
 		}
-		var e checkpoint.Enc
+		if v != spare {
+			t.Fatalf("user %d decoded beside its spare, not into it", v.ID())
+		}
+		var e, ev checkpoint.Enc
 		if err := s.encodeUser(&e, u.u); err != nil {
 			t.Fatalf("accepted user does not re-encode: %v", err)
 		}
-		if _, err := u.u.mob.Advance(s.cfg.IntervalS / float64(s.cfg.TicksPerInterval)); err != nil {
+		if w, err := s.DecodeUser(checkpoint.NewDec(data)); err != nil {
+			t.Fatalf("accepted once, refused again: %v", err)
+		} else if _, err := w.u.mob.Advance(s.cfg.IntervalS / float64(s.cfg.TicksPerInterval)); err != nil {
 			t.Fatalf("accepted user does not move: %v", err)
+		}
+		if err := s.encodeUser(&ev, v.u); err != nil || !bytes.Equal(e.Bytes(), ev.Bytes()) {
+			t.Fatalf("user decoded into a spare encodes unlike a fresh decode (%v)", err)
+		}
+		err, verr = s.collectUserTicks(u.u, 1), s.collectUserTicks(v.u, 1)
+		if fmt.Sprint(err) != fmt.Sprint(verr) {
+			t.Fatalf("one tick: %v; into a spare: %v", err, verr)
+		}
+		if err != nil {
+			return
+		}
+		e.Reset()
+		ev.Reset()
+		if err := s.encodeUser(&e, u.u); err != nil {
+			t.Fatalf("user does not re-encode after a tick: %v", err)
+		}
+		if err := s.encodeUser(&ev, v.u); err != nil || !bytes.Equal(e.Bytes(), ev.Bytes()) {
+			t.Fatalf("user decoded into a spare steps unlike a fresh decode (%v)", err)
 		}
 	})
 }

@@ -468,7 +468,7 @@ type Simulation struct {
 	byID    []*user
 	catalog *video.Catalog
 	// favDist draws a new user's favorite category from
-	// cfg.CategoryWeights; read-only, shared by concurrent newUser calls.
+	// cfg.CategoryWeights; read-only, shared by concurrent buildUser calls.
 	favDist *stats.Categorical
 	server  *edge.Server
 	builder *grouping.Builder
@@ -540,7 +540,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	users, err := eng.SpawnUsers(cfg.NumUsers)
+	users, err := eng.PlaceUsers(make([]int, cfg.NumUsers), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -587,22 +587,30 @@ func (s *Simulation) index(id int, u *user) {
 	}
 }
 
-// newUser creates one simulated user: a favorite-category-biased
+// buildUser creates one simulated user: a favorite-category-biased
 // preference (weighted like the catalog so News dominates), one of
 // four mobility classes, a link to the nearest BS and a cold twin.
 // Every random choice — construction included — draws from the user's
 // private stream, so creation order never matters.
-func (s *Simulation) newUser(id int, src *parallel.Stream) (*user, error) {
+//
+// A non-nil spare is a user no engine holds any more (one that churned
+// out, an opened member a checkpoint replaces, a twin exported at the
+// last boundary): the new user takes over its storage — the user
+// struct, the twin (udt.Twin.Reuse) and the three calibration filters
+// — instead of allocating them, and is exactly the user a build
+// without a spare makes. A non-nil keep sees the initial serving
+// station once the mobility model places the user, before the link
+// draws: when it returns false the user is dropped there, before its
+// behavior profile, link, twin and filters are built, and buildUser
+// returns nil. The station is returned either way.
+func (s *Simulation) buildUser(id int, src *parallel.Stream, spare *user, keep func(bs int) bool) (*user, int, error) {
 	rng := rand.New(src)
 	fav := video.AllCategories()[s.favDist.Sample(rng)]
 	pref, perr := behavior.NewRandomPreference(rng, fav, 6)
 	if perr != nil {
-		return nil, perr
+		return nil, -1, perr
 	}
-	profile, perr := behavior.NewProfile(pref, 0.5+0.5*rng.Float64())
-	if perr != nil {
-		return nil, perr
-	}
+	engagement := 0.5 + 0.5*rng.Float64()
 	var mob mobility.Model
 	switch id % 4 {
 	case 0:
@@ -615,36 +623,45 @@ func (s *Simulation) newUser(id int, src *parallel.Stream) (*user, error) {
 		mob = &mobility.Static{P: s.campus.RandomPoint(rng)}
 	}
 	if perr != nil {
-		return nil, perr
+		return nil, -1, perr
 	}
 	bs, berr := s.nearestBS(mob.Position())
 	if berr != nil {
-		return nil, berr
+		return nil, -1, berr
+	}
+	if keep != nil && !keep(bs.ID) {
+		return nil, bs.ID, nil
+	}
+	profile, perr := behavior.NewProfile(pref, engagement)
+	if perr != nil {
+		return nil, bs.ID, perr
 	}
 	link, lerr := channel.NewLink(s.params, bs, rng)
 	if lerr != nil {
-		return nil, lerr
+		return nil, bs.ID, lerr
 	}
-	twin, terr := udt.NewTwin(id, udt.Config{HistoryLen: s.cfg.twinHistory()})
-	if terr != nil {
-		return nil, terr
+	u := spare
+	if u == nil {
+		u = &user{}
 	}
-	offset, oerr := predict.NewEWMA(0.5)
-	if oerr != nil {
-		return nil, oerr
+	twinCfg := udt.Config{HistoryLen: s.cfg.twinHistory()}
+	twin := u.twin
+	if twin == nil || !twin.Reuse(id, twinCfg) {
+		var terr error
+		if twin, terr = udt.NewTwin(id, twinCfg); terr != nil {
+			return nil, bs.ID, terr
+		}
 	}
-	ewma, eerr := predict.NewEWMA(0.6)
-	if eerr != nil {
-		return nil, eerr
+	offset, ewma, persist := u.snrOffset, u.snrEWMA, u.persist
+	if offset == nil {
+		offset, ewma, persist = new(predict.EWMA), new(predict.EWMA), new(predict.EWMA)
 	}
-	persist, serr := predict.NewEWMA(0.3)
-	if serr != nil {
-		return nil, serr
-	}
-	return &user{
+	*offset, *ewma, *persist = predict.EWMA{Alpha: 0.5}, predict.EWMA{Alpha: 0.6}, predict.EWMA{Alpha: 0.3}
+	*u = user{
 		id: id, src: src, rng: rng, profile: profile, mob: mob, link: link, twin: twin,
 		snrOffset: offset, snrEWMA: ewma, persist: persist,
-	}, nil
+	}
+	return u, bs.ID, nil
 }
 
 // churnUsers replaces each user with probability ChurnPerInterval by
@@ -654,7 +671,9 @@ func (s *Simulation) newUser(id int, src *parallel.Stream) (*user, error) {
 // keyed by the slot's churn generation, so churn neither perturbs
 // other users' randomness nor depends on evaluation order — the bug
 // class the old shared-RNG draw had, where a churn decision shifted
-// every subsequent user's draws for the rest of the run.
+// every subsequent user's draws for the rest of the run. The arrival
+// is built into the departing user's storage (buildUser's spare), in
+// the pool task that owns the slot.
 func (s *Simulation) churnUsers(ctx context.Context) (int, error) {
 	if s.cfg.ChurnPerInterval <= 0 {
 		return 0, nil
@@ -667,7 +686,7 @@ func (s *Simulation) churnUsers(ctx context.Context) (int, error) {
 		}
 		gen := old.gen + 1
 		src := parallel.NewStream(s.cfg.Seed, streamUser, uint64(old.id), gen)
-		u, err := s.newUser(old.id, src)
+		u, _, err := s.buildUser(old.id, src, old, nil)
 		if err != nil {
 			return fmt.Errorf("churn user %d: %w", old.id, err)
 		}
@@ -767,49 +786,54 @@ const tickChunk = 32
 // Only phase 1 draws from the user's stream, in the order a per-tick
 // loop draws, so the split changes no value.
 func (s *Simulation) collectTicks(ctx context.Context) error {
-	dt := s.cfg.IntervalS / float64(s.cfg.TicksPerInterval)
 	return s.pool.ForContext(ctx, len(s.users), func(i int) error {
-		u := s.users[i]
-		var (
-			rx    [tickChunk]channel.Reception
-			snr   [tickChunk]float64
-			batch [tickChunk]udt.TickSample
-		)
-		for left := s.cfg.TicksPerInterval; left > 0; {
-			n := min(left, tickChunk)
-			left -= n
-			for j := range rx[:n] {
-				pos, err := u.mob.Advance(dt)
+		return s.collectUserTicks(s.users[i], s.cfg.TicksPerInterval)
+	})
+}
+
+// collectUserTicks runs ticks ticks of one user's collection, chunk by
+// chunk, as collectTicks describes.
+func (s *Simulation) collectUserTicks(u *user, ticks int) error {
+	dt := s.cfg.IntervalS / float64(s.cfg.TicksPerInterval)
+	var (
+		rx    [tickChunk]channel.Reception
+		snr   [tickChunk]float64
+		batch [tickChunk]udt.TickSample
+	)
+	for left := ticks; left > 0; {
+		n := min(left, tickChunk)
+		left -= n
+		for j := range rx[:n] {
+			pos, err := u.mob.Advance(dt)
+			if err != nil {
+				return fmt.Errorf("user %d mobility: %w", u.id, err)
+			}
+			if !s.keepsServing(u.link.BS(), pos) {
+				nearest, err := s.nearestBS(pos)
 				if err != nil {
-					return fmt.Errorf("user %d mobility: %w", u.id, err)
+					return err
 				}
-				if !s.keepsServing(u.link.BS(), pos) {
-					nearest, err := s.nearestBS(pos)
-					if err != nil {
+				if nearest.ID != u.link.BS().ID {
+					if err := u.link.Handover(nearest); err != nil {
 						return err
 					}
-					if nearest.ID != u.link.BS().ID {
-						if err := u.link.Handover(nearest); err != nil {
-							return err
-						}
-					}
 				}
-				rx[j] = channel.Reception{BS: u.link.BS(), Pos: pos, Fade: u.link.DrawFade()}
 			}
-			u.link.SNRsInto(snr[:n], rx[:n])
-			for j, v := range snr[:n] {
-				pos := rx[j].Pos
-				u.meanSNR.Add(v)
-				u.meanX.Add(pos.X)
-				u.meanY.Add(pos.Y)
-				batch[j] = udt.TickSample{CQI: channel.CQI(v), X: pos.X, Y: pos.Y}
-			}
-			if err := u.twin.CollectTicks(batch[:n], u.profile.Pref); err != nil {
-				return fmt.Errorf("user %d collect: %w", u.id, err)
-			}
+			rx[j] = channel.Reception{BS: u.link.BS(), Pos: pos, Fade: u.link.DrawFade()}
 		}
-		return nil
-	})
+		u.link.SNRsInto(snr[:n], rx[:n])
+		for j, v := range snr[:n] {
+			pos := rx[j].Pos
+			u.meanSNR.Add(v)
+			u.meanX.Add(pos.X)
+			u.meanY.Add(pos.Y)
+			batch[j] = udt.TickSample{CQI: channel.CQI(v), X: pos.X, Y: pos.Y}
+		}
+		if err := u.twin.CollectTicks(batch[:n], u.profile.Pref); err != nil {
+			return fmt.Errorf("user %d collect: %w", u.id, err)
+		}
+	}
+	return nil
 }
 
 // closeInterval folds the finished interval's observations into each

@@ -11,44 +11,62 @@ import (
 	"io"
 )
 
-// Reader streams records out of a binary columnar trace. NewReader
-// validates the header; Next then yields records one at a time,
-// decoding a block whenever the previous one is drained. A clean EOF
-// at a block boundary ends the stream with io.EOF — that is the valid
-// shape of a trace cut off mid-run. Anything else malformed surfaces
-// as ErrCorrupt (or ErrVersion for an unknown format version), never
-// a panic.
+// Reader decodes the records of a binary columnar trace. NewReader (or
+// Reset, for the next stream) validates the header; AppendAll then
+// decodes every block, each straight into the caller's slice. A clean
+// EOF at a block boundary ends the stream — that is the valid shape of
+// a trace cut off mid-run. Anything else malformed surfaces as
+// ErrCorrupt (or ErrVersion for an unknown format version), never a
+// panic.
 type Reader struct {
 	r   *bufio.Reader
 	err error
 
-	recs []Record // current decoded block
-	pos  int
-
-	frame []byte // reused frame buffer
-	body  []byte // reused decompressed-body buffer
+	own   *bufio.Reader // the buffered reader NewReader or Reset made, kept for the next Reset
+	names []byte        // the stream's column names, back to back
+	ends  []int         // ends[i] is the end of name i in names
+	frame []byte        // reused frame buffer
+	body  []byte        // reused decompressed-body buffer
 	fr    io.ReadCloser
 	lenb  [4]byte
+	head  [maxName]byte // the header's fixed fields, then each name as it is read
 }
 
 // NewReader parses and validates the stream header of r. If r is
 // already a *bufio.Reader it is used directly, so callers may peek at
 // the magic bytes for format detection and hand over the same reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	tr := &Reader{r: br}
-	if err := tr.readHeader(); err != nil {
+	tr := &Reader{}
+	if err := tr.Reset(r); err != nil {
 		return nil, err
 	}
 	return tr, nil
 }
 
+// Reset makes the Reader read the stream r from its start, parsing and
+// validating its header as NewReader does, and keeps every buffer the
+// Reader has grown — its buffered reader (unless r is a *bufio.Reader,
+// which is used directly), the name table, frame and body buffers — so
+// a caller decoding one stream after another allocates only for
+// the first, or for a larger one. The zero Reader is ready for Reset.
+func (tr *Reader) Reset(r io.Reader) error {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		if tr.own == nil {
+			tr.own = bufio.NewReader(r)
+		} else {
+			tr.own.Reset(r)
+		}
+		br = tr.own
+	}
+	tr.r = br
+	tr.err = tr.readHeader()
+	return tr.err
+}
+
 func (tr *Reader) readHeader() error {
-	var head [11]byte // magic + version + flags
-	if _, err := io.ReadFull(tr.r, head[:]); err != nil {
+	head := tr.head[:11] // magic + version + flags
+	if _, err := io.ReadFull(tr.r, head); err != nil {
 		return fmt.Errorf("stream header: %w", corruptEOF(err))
 	}
 	if !bytes.Equal(head[:8], magic[:]) {
@@ -62,40 +80,49 @@ func (tr *Reader) readHeader() error {
 	if head[10] != 0 {
 		return fmt.Errorf("flags %#x: %w", head[10], ErrVersion)
 	}
-	names, err := tr.readStringTable()
-	if err != nil {
+	if err := tr.readStringTable(); err != nil {
 		return err
 	}
-	return tr.readSchema(names)
+	return tr.readSchema()
 }
 
-func (tr *Reader) readStringTable() ([]string, error) {
+// readStringTable reads the column names into tr.names and tr.ends.
+func (tr *Reader) readStringTable() error {
 	n, err := tr.readU16()
 	if err != nil {
-		return nil, fmt.Errorf("string table: %w", err)
+		return fmt.Errorf("string table: %w", err)
 	}
 	if int(n) != len(columns) {
-		return nil, fmt.Errorf("string table size %d (want %d): %w", n, len(columns), ErrCorrupt)
+		return fmt.Errorf("string table size %d (want %d): %w", n, len(columns), ErrCorrupt)
 	}
-	names := make([]string, n)
-	var buf [maxName]byte
-	for i := range names {
+	tr.names, tr.ends = tr.names[:0], tr.ends[:0]
+	for i := 0; i < int(n); i++ {
 		l, err := tr.readU16()
 		if err != nil {
-			return nil, fmt.Errorf("string table entry %d: %w", i, err)
+			return fmt.Errorf("string table entry %d: %w", i, err)
 		}
 		if l == 0 || int(l) > maxName {
-			return nil, fmt.Errorf("string table entry %d length %d: %w", i, l, ErrCorrupt)
+			return fmt.Errorf("string table entry %d length %d: %w", i, l, ErrCorrupt)
 		}
-		if _, err := io.ReadFull(tr.r, buf[:l]); err != nil {
-			return nil, fmt.Errorf("string table entry %d: %w", i, corruptEOF(err))
+		if _, err := io.ReadFull(tr.r, tr.head[:l]); err != nil {
+			return fmt.Errorf("string table entry %d: %w", i, corruptEOF(err))
 		}
-		names[i] = string(buf[:l])
+		tr.names = append(tr.names, tr.head[:l]...)
+		tr.ends = append(tr.ends, len(tr.names))
 	}
-	return names, nil
+	return nil
 }
 
-func (tr *Reader) readSchema(names []string) error {
+// name returns name i of the string table readStringTable read.
+func (tr *Reader) name(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = tr.ends[i-1]
+	}
+	return tr.names[start:tr.ends[i]]
+}
+
+func (tr *Reader) readSchema() error {
 	n, err := tr.readU16()
 	if err != nil {
 		return fmt.Errorf("schema: %w", err)
@@ -112,7 +139,7 @@ func (tr *Reader) readSchema(names []string) error {
 		if err != nil {
 			return fmt.Errorf("schema entry %d: %w", i, corruptEOF(err))
 		}
-		if int(idx) >= len(names) || names[idx] != columns[i].name || kind != columns[i].kind {
+		if int(idx) >= len(tr.ends) || string(tr.name(int(idx))) != columns[i].name || kind != columns[i].kind {
 			return fmt.Errorf("schema entry %d is not column %q: %w", i, columns[i].name, ErrCorrupt)
 		}
 	}
@@ -135,67 +162,68 @@ func corruptEOF(err error) error {
 	return err
 }
 
-// Next returns the next record, or io.EOF at a clean end of stream.
-// After any non-EOF error the Reader stays failed and keeps returning
-// the same error.
-func (tr *Reader) Next() (Record, error) {
-	if tr.err != nil {
-		return Record{}, tr.err
-	}
-	for tr.pos >= len(tr.recs) {
-		if err := tr.readBlock(); err != nil {
-			tr.err = err
-			return Record{}, err
-		}
-	}
-	rec := tr.recs[tr.pos]
-	tr.pos++
-	return rec, nil
-}
-
-// readBlock reads, verifies and decodes the next block into tr.recs.
-func (tr *Reader) readBlock() error {
+// readFrame reads and verifies the next block frame and returns its
+// body, inflated when it is compressed: a window of the reused frame
+// or body buffer, valid until the next frame is read.
+func (tr *Reader) readFrame() ([]byte, error) {
 	if _, err := io.ReadFull(tr.r, tr.lenb[:]); err != nil {
 		if err == io.EOF {
-			return io.EOF // clean boundary: a valid truncated trace
+			return nil, io.EOF // clean boundary: a valid truncated trace
 		}
-		return fmt.Errorf("block frame length: %w", corruptEOF(err))
+		return nil, fmt.Errorf("block frame length: %w", corruptEOF(err))
 	}
 	n := int(binary.LittleEndian.Uint32(tr.lenb[:]))
 	if n < 1 || n > maxFrame {
-		return fmt.Errorf("block frame length %d: %w", n, ErrCorrupt)
+		return nil, fmt.Errorf("block frame length %d: %w", n, ErrCorrupt)
 	}
 	if cap(tr.frame) < n {
 		tr.frame = make([]byte, n)
 	}
 	tr.frame = tr.frame[:n]
 	if _, err := io.ReadFull(tr.r, tr.frame); err != nil {
-		return fmt.Errorf("block frame: %w", corruptEOF(err))
+		return nil, fmt.Errorf("block frame: %w", corruptEOF(err))
 	}
 	if _, err := io.ReadFull(tr.r, tr.lenb[:]); err != nil {
-		return fmt.Errorf("block checksum: %w", corruptEOF(err))
+		return nil, fmt.Errorf("block checksum: %w", corruptEOF(err))
 	}
 	if got, want := crc32.ChecksumIEEE(tr.frame), binary.LittleEndian.Uint32(tr.lenb[:]); got != want {
-		return fmt.Errorf("block checksum %08x (want %08x): %w", got, want, ErrCorrupt)
+		return nil, fmt.Errorf("block checksum %08x (want %08x): %w", got, want, ErrCorrupt)
 	}
 	body := tr.frame[1:]
 	switch tr.frame[0] {
 	case frameRaw:
+		return body, nil
 	case frameDeflate:
-		var err error
-		if body, err = tr.inflate(body); err != nil {
-			return err
-		}
+		return tr.inflate(body)
 	default:
-		return fmt.Errorf("block frame flag %d: %w", tr.frame[0], ErrCorrupt)
+		return nil, fmt.Errorf("block frame flag %d: %w", tr.frame[0], ErrCorrupt)
 	}
-	recs, err := decodeBlockBody(tr.recs[:0], body)
-	tr.recs = recs
-	tr.pos = 0
-	if err != nil {
-		return fmt.Errorf("block body: %w", err)
+}
+
+// AppendAll appends every record left in the stream to dst, decoding
+// each block straight into dst's tail, and returns the extended slice;
+// a clean end of stream is a nil error. On any other error dst keeps
+// the records decoded before the failing block, and the Reader stays
+// failed: a later call returns the same error.
+func (tr *Reader) AppendAll(dst []Record) ([]Record, error) {
+	if tr.err != nil {
+		return dst, tr.err
 	}
-	return nil
+	for {
+		body, err := tr.readFrame()
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err == nil {
+			if dst, err = decodeBlockBody(dst, body); err != nil {
+				err = fmt.Errorf("block body: %w", err)
+			}
+		}
+		if err != nil {
+			tr.err = err
+			return dst, err
+		}
+	}
 }
 
 // inflate decompresses a DEFLATE block body into the reused body
@@ -232,15 +260,5 @@ func ReadAll(r io.Reader) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	var recs []Record
-	for {
-		rec, err := tr.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
+	return tr.AppendAll(nil)
 }

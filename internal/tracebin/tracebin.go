@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Version is the format version this package writes and the only one
@@ -188,8 +189,9 @@ func (c *cur) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-// decodeBlockBody decodes one block body into dst, which is resized
-// (reusing capacity) to the block's record count.
+// decodeBlockBody decodes one block body, appending its records to dst
+// (in dst's spare capacity when it has room). On error dst is returned
+// as it came.
 func decodeBlockBody(dst []Record, body []byte) ([]Record, error) {
 	c := cur{b: body}
 	nb, err := c.take(4)
@@ -200,10 +202,8 @@ func decodeBlockBody(dst []Record, body []byte) ([]Record, error) {
 	if n < 1 || n > maxBlockRecords {
 		return dst, fmt.Errorf("block record count %d: %w", n, ErrCorrupt)
 	}
-	if cap(dst) < n {
-		dst = make([]Record, n)
-	}
-	dst = dst[:n]
+	grown := slices.Grow(dst, n)[:len(dst)+n]
+	rows := grown[len(dst):]
 	for ci := range columns {
 		col := &columns[ci]
 		eb, err := c.take(1)
@@ -229,29 +229,29 @@ func decodeBlockBody(dst []Record, body []byte) ([]Record, error) {
 		if col.kind == colI32 {
 			if count == 1 {
 				v := int(int32(binary.LittleEndian.Uint32(vb)))
-				for i := range dst {
-					*col.i(&dst[i]) = v
+				for i := range rows {
+					*col.i(&rows[i]) = v
 				}
 			} else {
-				for i := range dst {
-					*col.i(&dst[i]) = int(int32(binary.LittleEndian.Uint32(vb[4*i:])))
+				for i := range rows {
+					*col.i(&rows[i]) = int(int32(binary.LittleEndian.Uint32(vb[4*i:])))
 				}
 			}
 			continue
 		}
 		if count == 1 {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(vb))
-			for i := range dst {
-				*col.f(&dst[i]) = v
+			for i := range rows {
+				*col.f(&rows[i]) = v
 			}
 		} else {
-			for i := range dst {
-				*col.f(&dst[i]) = math.Float64frombits(binary.LittleEndian.Uint64(vb[8*i:]))
+			for i := range rows {
+				*col.f(&rows[i]) = math.Float64frombits(binary.LittleEndian.Uint64(vb[8*i:]))
 			}
 		}
 	}
 	if c.off != len(body) {
 		return dst, fmt.Errorf("%d trailing block bytes: %w", len(body)-c.off, ErrCorrupt)
 	}
-	return dst, nil
+	return grown, nil
 }

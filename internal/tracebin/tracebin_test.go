@@ -296,27 +296,76 @@ func TestSpans(t *testing.T) {
 	}
 }
 
-// TestReaderAfterError pins that a failed Reader stays failed.
+// TestReaderAfterError pins that a failed Reader stays failed, and
+// that AppendAll keeps the records of the blocks before the failure.
 func TestReaderAfterError(t *testing.T) {
-	data := encode(t, testRecords(10), WriterOptions{}, 0)
+	recs := testRecords(300)
+	data := encodeSmallBlocks(t, recs, WriterOptions{}, 64, 8)
 	data = data[:len(data)-2] // tear the final block
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first error
-	for {
-		_, err := r.Next()
-		if err != nil {
-			first = err
-			break
-		}
-	}
+	got, first := r.AppendAll(recs[:1:1])
 	if !errors.Is(first, ErrCorrupt) {
 		t.Fatalf("torn block not ErrCorrupt: %v", first)
 	}
-	if _, err := r.Next(); !errors.Is(err, first) && err != first {
-		t.Fatalf("reader did not stay failed: %v", err)
+	if len(got) < 2 || len(got) >= 1+len(recs) {
+		t.Fatalf("kept %d records before the torn block, want some but not all of %d", len(got)-1, len(recs))
+	}
+	for i, rec := range got[1:] {
+		if !bitsEqual(rec, recs[i]) {
+			t.Fatalf("record %d not bit-identical", i)
+		}
+	}
+	if again, err := r.AppendAll(nil); err != first || len(again) != 0 {
+		t.Fatalf("reader did not stay failed: %d records, %v", len(again), err)
+	}
+}
+
+// TestReaderReset: one Reader decodes stream after stream — plain,
+// compressed, after a failed one — each into the tail of the caller's
+// slice exactly as ReadAll does, and once its buffers have grown a
+// stream of the same shape allocates nothing.
+func TestReaderReset(t *testing.T) {
+	plain := testRecords(300)
+	streams := [][]byte{
+		encodeSmallBlocks(t, plain, WriterOptions{}, 64, 8),
+		encode(t, plain[:40], WriterOptions{Compress: true}, 0),
+		[]byte("not a trace at all"),
+		encode(t, plain[100:], WriterOptions{}, 0),
+	}
+	var r Reader
+	var src bytes.Reader
+	for i, stream := range streams {
+		src.Reset(stream)
+		want, wantErr := ReadAll(bytes.NewReader(stream))
+		err := r.Reset(&src)
+		var got []Record
+		if err == nil {
+			got, err = r.AppendAll(plain[:3:3])
+			got = got[3:]
+		}
+		if (err == nil) != (wantErr == nil) || len(got) != len(want) {
+			t.Fatalf("stream %d: %d records, %v; ReadAll: %d, %v", i, len(got), err, len(want), wantErr)
+		}
+		for j := range want {
+			if !bitsEqual(got[j], want[j]) {
+				t.Fatalf("stream %d record %d not bit-identical", i, j)
+			}
+		}
+	}
+	dst := make([]Record, 0, len(plain))
+	if n := testing.AllocsPerRun(10, func() {
+		src.Reset(streams[0])
+		if err := r.Reset(&src); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.AppendAll(dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a reset reader allocates %.0f times per stream", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"dtmsvs/internal/behavior"
@@ -267,4 +268,82 @@ func TestRestoreValidation(t *testing.T) {
 			}
 		}
 	})
+}
+
+// collectFor runs n ticks of every attribute into tw, the values keyed
+// by salt, so two twins fed the same (n, salt) see the same samples.
+func collectFor(t *testing.T, tw *Twin, n, salt int) {
+	t.Helper()
+	pref := behavior.Preference{0.1, 0.2, 0.3, 0.15, 0.25}
+	for tick := 1; tick <= n; tick++ {
+		v := tick + salt
+		if err := tw.CollectTicks([]TickSample{{CQI: 1 + v%15, X: float64(3 * v), Y: float64(-v)}}, pref); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.CollectViews([]View{{Cat: video.AllCategories()[v%video.NumCategories], WatchS: float64(v % 7), Engagement: 0.25, Swiped: v%3 == 0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReuseIsNewTwin: a stepped twin — rings wrapped, partly filled or
+// empty, counters and clocks advanced — that is reused for another
+// user is the twin NewTwin builds for that user: equal field by field
+// (ring storage included), encoding to the same bytes, and collecting
+// the same samples into the same bytes afterwards. Reuse allocates
+// nothing, and refuses, untouched, a config that is not the twin's.
+func TestReuseIsNewTwin(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		steps int
+	}{
+		{"wrapped", Config{HistoryLen: 4, ChannelEvery: 1, LocationEvery: 2, WatchEvery: 1, PreferenceEvery: 3}, 11},
+		{"partly filled", Config{HistoryLen: 16}, 5},
+		{"never stepped", Config{HistoryLen: 16}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tw, err := NewTwin(3, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			collectFor(t, tw, tc.steps, 0)
+			if !tw.Reuse(9, tc.cfg) {
+				t.Fatal("Reuse refused the twin's own config")
+			}
+			fresh, err := NewTwin(9, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(tw, fresh) {
+				t.Fatalf("reused twin %+v, NewTwin builds %+v", *tw, *fresh)
+			}
+			if !bytes.Equal(encodeState(tw), encodeState(fresh)) {
+				t.Fatal("reused twin encodes unlike NewTwin's")
+			}
+			collectFor(t, tw, 7, 100)
+			collectFor(t, fresh, 7, 100)
+			if !bytes.Equal(encodeState(tw), encodeState(fresh)) {
+				t.Fatal("reused twin collects unlike NewTwin's")
+			}
+			if n := testing.AllocsPerRun(10, func() { tw.Reuse(9, tc.cfg) }); n != 0 {
+				t.Fatalf("Reuse allocates %.0f times", n)
+			}
+		})
+	}
+
+	tw, err := NewTwin(3, everyTick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collectFor(t, tw, 6, 0)
+	before := encodeState(tw)
+	for _, cfg := range []Config{{HistoryLen: 17}, {ChannelEvery: 2}, {HistoryLen: 1}} {
+		if tw.Reuse(9, cfg) {
+			t.Fatalf("Reuse took config %+v for a twin of %+v", cfg, tw.cfg)
+		}
+		if !bytes.Equal(encodeState(tw), before) {
+			t.Fatalf("a refused Reuse (config %+v) changed the twin", cfg)
+		}
+	}
 }

@@ -215,6 +215,32 @@ func NewTwin(userID int, cfg Config) (*Twin, error) {
 	return t, nil
 }
 
+// Reuse resets the twin, in its own storage, to exactly the state
+// NewTwin(userID, cfg) builds — every ring zeroed and empty, the
+// uniform preference, every counter and clock zero — so a user who
+// replaces one that left takes over its twin without a new slab. It
+// returns false, leaving the twin as it was, when cfg is invalid or
+// (after defaults) not the twin's own; the caller then builds a twin.
+func (t *Twin) Reuse(userID int, cfg Config) bool {
+	if cfg.Validate() != nil || cfg.withDefaults() != t.cfg {
+		return false
+	}
+	for _, r := range t.rings() {
+		clear(r.buf)
+		r.next, r.full = 0, false
+	}
+	for i := range t.pref {
+		t.pref[i] = 1.0 / video.NumCategories
+	}
+	t.UserID = userID
+	clear(t.watchByCat[:])
+	clear(t.engageByCat[:])
+	clear(t.viewsByCat[:])
+	clear(t.lastAt[:])
+	t.swipes, t.views, t.ticks = 0, 0, 0
+	return true
+}
+
 // rings lists the scalar series in feature-channel (and encoding)
 // order.
 func (t *Twin) rings() [NumFeatureChannels]*ring {
