@@ -887,8 +887,9 @@ func TestFirstClusterCheckpointAllocation(t *testing.T) {
 
 // TestResumeBuildsEachTwinOnce: ResumeCluster decodes twins into the
 // population OpenCluster built, so a churn-free resume allocates about
-// what the open does. Building every twin a second time, by replaying
-// its constructor, about doubled the objects.
+// what the open does (1.22× since the open builds its users into slabs,
+// 1.01× before). Building every twin a second time, by replaying its
+// constructor into storage of its own, adds several objects per twin.
 func TestResumeBuildsEachTwinOnce(t *testing.T) {
 	cfg := ClusterConfig{Sim: DefaultConfig(42)}
 	cfg.Sim.NumUsers = 1000

@@ -7,6 +7,7 @@ package behavior
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dtmsvs/internal/stats"
@@ -29,12 +30,27 @@ func NewUniformPreference() Preference {
 }
 
 // NewRandomPreference draws a Dirichlet-like preference by normalizing
-// exponential samples, optionally biased toward a favorite category.
+// exponential samples, optionally biased toward a favorite category:
+// Draw into a new preference.
 func NewRandomPreference(rng *rand.Rand, favorite video.Category, bias float64) (Preference, error) {
 	if bias < 0 {
 		return nil, fmt.Errorf("bias %v: %w", bias, ErrParam)
 	}
 	p := make(Preference, video.NumCategories)
+	return p, p.Draw(rng, favorite, bias)
+}
+
+// Draw overwrites p, in place, with the preference NewRandomPreference
+// draws from the same stream: one exponential sample per category, the
+// favorite's raised by bias, normalized. p must hold one weight per
+// category.
+func (p Preference) Draw(rng *rand.Rand, favorite video.Category, bias float64) error {
+	if bias < 0 {
+		return fmt.Errorf("bias %v: %w", bias, ErrParam)
+	}
+	if len(p) != video.NumCategories {
+		return fmt.Errorf("preference of %d categories, want %d: %w", len(p), video.NumCategories, ErrParam)
+	}
 	var total float64
 	for i := range p {
 		p[i] = rng.ExpFloat64()
@@ -46,7 +62,7 @@ func NewRandomPreference(rng *rand.Rand, favorite video.Category, bias float64) 
 	for i := range p {
 		p[i] /= total
 	}
-	return p, nil
+	return nil
 }
 
 // Validate checks that the preference is a proper distribution.
@@ -56,12 +72,14 @@ func (p Preference) Validate() error {
 	}
 	var sum float64
 	for i, v := range p {
-		if v < 0 {
+		// Negated so that a NaN, for which every comparison is
+		// false, fails too.
+		if !(v >= 0) || math.IsInf(v, 1) {
 			return fmt.Errorf("preference[%d]=%v: %w", i, v, ErrParam)
 		}
 		sum += v
 	}
-	if sum < 0.999 || sum > 1.001 {
+	if !(sum >= 0.999 && sum <= 1.001) {
 		return fmt.Errorf("preference sums to %v: %w", sum, ErrParam)
 	}
 	return nil
@@ -114,24 +132,33 @@ type Profile struct {
 	// Engagement in (0,1] scales how much of preferred content the
 	// user watches.
 	Engagement float64
-
-	watchDist *stats.LogNormal
 }
 
-// NewProfile constructs a behavior profile.
+// watchTime is every profile's raw watch-fraction distribution: median
+// ≈ 0.7 before preference/engagement scaling. Sample only reads it.
+var watchTime = stats.LogNormal{Mu: -0.35, Sigma: 0.55}
+
+// NewProfile constructs a behavior profile: Init into a new one.
 func NewProfile(pref Preference, engagement float64) (*Profile, error) {
-	if err := pref.Validate(); err != nil {
+	pr := new(Profile)
+	if err := pr.Init(pref, engagement); err != nil {
 		return nil, err
+	}
+	return pr, nil
+}
+
+// Init builds the profile in place over pref (which it keeps, not a
+// copy), checking both parameters first; on error the profile is left
+// as it was.
+func (pr *Profile) Init(pref Preference, engagement float64) error {
+	if err := pref.Validate(); err != nil {
+		return err
 	}
 	if engagement <= 0 || engagement > 1 {
-		return nil, fmt.Errorf("engagement %v: %w", engagement, ErrParam)
+		return fmt.Errorf("engagement %v: %w", engagement, ErrParam)
 	}
-	// Median watch fraction ≈ 0.7 before preference/engagement scaling.
-	ln, err := stats.NewLogNormal(-0.35, 0.55)
-	if err != nil {
-		return nil, err
-	}
-	return &Profile{Pref: pref, Engagement: engagement, watchDist: ln}, nil
+	*pr = Profile{Pref: pref, Engagement: engagement}
+	return nil
 }
 
 // WatchFraction draws the fraction of a video of category cat this
@@ -144,7 +171,7 @@ func (pr *Profile) WatchFraction(cat video.Category, rng *rand.Rand) (float64, e
 		return 0, fmt.Errorf("unknown category %v: %w", cat, ErrParam)
 	}
 	affinity := pr.Pref[idx] * video.NumCategories // 1.0 == indifferent
-	frac := pr.watchDist.Sample(rng) * pr.Engagement * affinity
+	frac := watchTime.Sample(rng) * pr.Engagement * affinity
 	if frac > 1 {
 		frac = 1
 	}

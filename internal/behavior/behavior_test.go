@@ -62,6 +62,57 @@ func TestPreferenceValidate(t *testing.T) {
 	}
 }
 
+// TestPreferenceValidateRejectsNonFinite: a NaN or infinite weight is
+// no distribution. A NaN once validated, since every comparison with it
+// is false.
+func TestPreferenceValidateRejectsNonFinite(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i := range video.NumCategories {
+			p := NewUniformPreference()
+			p[i] = w
+			if err := p.Validate(); !errors.Is(err, ErrParam) {
+				t.Fatalf("weight %d = %v: want ErrParam, got %v", i, w, err)
+			}
+		}
+	}
+}
+
+// TestInPlaceConstructorsAllocateNothing: Preference.Draw draws what
+// NewRandomPreference draws, and it and Profile.Init build in place.
+func TestInPlaceConstructorsAllocateNothing(t *testing.T) {
+	want, err := NewRandomPreference(rand.New(rand.NewSource(3)), video.Music, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(Preference, video.NumCategories)
+	if err := got.Draw(rand.New(rand.NewSource(3)), video.Music, 6); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Draw %v, NewRandomPreference %v", got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	var pr Profile
+	if n := testing.AllocsPerRun(10, func() {
+		if err := got.Draw(rng, video.News, 6); err != nil {
+			t.Fatal(err)
+		}
+		if err := pr.Init(got, 0.7); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Draw and Init allocate %.0f times", n)
+	}
+	if err := got.Draw(rng, video.News, -1); !errors.Is(err, ErrParam) {
+		t.Fatalf("negative bias: want ErrParam, got %v", err)
+	}
+	if err := got[:2].Draw(rng, video.News, 6); !errors.Is(err, ErrParam) {
+		t.Fatalf("short preference: want ErrParam, got %v", err)
+	}
+}
+
 func TestPreferenceUpdate(t *testing.T) {
 	p := NewUniformPreference()
 	if err := p.Update(video.Category(99), 0.5, 0.1); !errors.Is(err, ErrParam) {

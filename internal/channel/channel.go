@@ -131,16 +131,29 @@ type Link struct {
 	innov float64
 }
 
-// NewLink creates a link with freshly drawn shadowing.
+// NewLink creates a link with freshly drawn shadowing: Init into a new
+// one.
 func NewLink(params Params, bs *BaseStation, rng *rand.Rand) (*Link, error) {
-	if err := params.Validate(); err != nil {
+	l := new(Link)
+	if err := l.Init(params, bs, rng); err != nil {
 		return nil, err
 	}
+	return l, nil
+}
+
+// Init builds the link in place, drawing its shadowing and fading tap
+// from rng (which it keeps for the fading process). The parameters are
+// checked before anything is drawn; on error the link is left as it
+// was.
+func (l *Link) Init(params Params, bs *BaseStation, rng *rand.Rand) error {
+	if err := params.Validate(); err != nil {
+		return err
+	}
 	if bs == nil {
-		return nil, fmt.Errorf("nil base station: %w", ErrParam)
+		return fmt.Errorf("nil base station: %w", ErrParam)
 	}
 	const invSqrt2 = 0.7071067811865476
-	return &Link{
+	*l = Link{
 		prop:     params.Propagation(),
 		bs:       bs,
 		shadowDB: rng.NormFloat64() * params.ShadowSigmaDB,
@@ -148,7 +161,8 @@ func NewLink(params Params, bs *BaseStation, rng *rand.Rand) (*Link, error) {
 		hRe:      rng.NormFloat64() * invSqrt2,
 		hIm:      rng.NormFloat64() * invSqrt2,
 		innov:    math.Sqrt(1 - params.FadingRho*params.FadingRho),
-	}, nil
+	}
+	return nil
 }
 
 // BS returns the serving base station.

@@ -167,6 +167,45 @@ func TestNewLinkValidation(t *testing.T) {
 	}
 }
 
+// TestLinkInitInPlace: Init over a used link builds the link NewLink
+// builds from the same stream, allocating nothing, and a refused Init
+// leaves the link as it was.
+func TestLinkInitInPlace(t *testing.T) {
+	bs := &BaseStation{Pos: mobility.Point{X: 0, Y: 0}, TxPowerDBm: 30}
+	p := DefaultParams()
+	p.FadingRho = 0.5
+	want, err := NewLink(p, bs, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLink(p, &BaseStation{ID: 3}, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.DrawFade()
+	if err := l.Init(p, bs, rand.New(rand.NewSource(2))); err != nil {
+		t.Fatal(err)
+	}
+	var a, b checkpoint.Enc
+	want.EncodeState(&a)
+	l.EncodeState(&b)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) || l.BS() != bs || l.DrawFade() != want.DrawFade() {
+		t.Fatal("Init over a used link builds unlike NewLink")
+	}
+	before := *l
+	if err := l.Init(p, nil, l.rng); !errors.Is(err, ErrParam) || *l != before {
+		t.Fatalf("nil bs: want ErrParam and the link untouched, got %v", err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	if n := testing.AllocsPerRun(10, func() {
+		if err := l.Init(p, bs, rng); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Init allocates %.0f times", n)
+	}
+}
+
 func TestLinkSNRDecreasesWithDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	bs := &BaseStation{Pos: mobility.Point{X: 0, Y: 0}, TxPowerDBm: 30}

@@ -386,9 +386,14 @@ func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 	// private stream, whichever cell places it): every user is placed,
 	// so the owner map covers all of them, but only the users whose
 	// initial serving station's cell this partition owns are built
-	// whole, and each joins that cell.
+	// whole, and each joins that cell. A partition that owns every cell
+	// keeps every user, and needs no filter.
+	var keep func(bs int) bool
+	if len(owned) < numCells {
+		keep = func(bs int) bool { return mask[cellOf[bs]] }
+	}
 	serving := make([]int, d.Sim.NumUsers)
-	placed, err := cells[owned[0]].eng.PlaceUsers(serving, func(bs int) bool { return mask[cellOf[bs]] })
+	placed, err := cells[owned[0]].eng.PlaceUsers(serving, keep)
 	if err != nil {
 		return nil, err
 	}

@@ -163,6 +163,9 @@ type Builder struct {
 	// dists stages the codes the reward table and the results'
 	// silhouettes score, one code set at a time.
 	dists kmeans.DistMatrix
+	// km is the reward's K-means storage, reused by every K it
+	// scores: a reward reads its run's assignment before the next.
+	km kmeans.Scratch
 }
 
 // SetPool fans the K-means assignment and silhouette scans across the
@@ -386,7 +389,7 @@ func envState(codes []vecmath.Vec) (vecmath.Vec, error) {
 // score many K on one fixed code set, staged once in dists. They call
 // it through a rewardTable, which runs it at most once per K.
 func (b *Builder) reward(codes []vecmath.Vec, dists *kmeans.DistMatrix, k int) (float64, error) {
-	res, err := kmeans.Run(codes, k, b.rng, kmeans.Options{Pool: b.pool})
+	res, err := b.km.Run(codes, k, b.rng, kmeans.Options{Pool: b.pool})
 	if err != nil {
 		return 0, err
 	}

@@ -218,11 +218,11 @@ func TestCodesIntoMatchesCodes(t *testing.T) {
 // grown to a population, Build and BuildFixedK allocate no window and
 // no code. What a construction allocates is the result's own
 // bookkeeping (the Result, its groups and member array) and the
-// K-means run's, a fixed count plus three per cluster (its K-means++
-// seed, its Lloyd sum and the result's copy of its centroid), the same
-// for 40 twins as for 160.
+// K-means run's, a fixed count plus one per cluster (the result's copy
+// of its centroid: the run keeps its centroids and sums in one array
+// each), the same for 40 twins as for 160.
 func TestWarmBuildAllocatesOnlyItsResult(t *testing.T) {
-	const fixed, perCluster = 16, 3
+	const fixed, perCluster = 16, 1
 	for _, name := range []string{"Build", "BuildFixedK"} {
 		var counts []float64
 		for _, n := range []int{40, 160} {

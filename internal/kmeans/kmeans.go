@@ -67,22 +67,56 @@ func validate(points []vecmath.Vec, k int) error {
 	return nil
 }
 
-// SeedPlusPlus chooses k initial centroids with the K-means++ rule:
-// the first uniformly, each subsequent one with probability
-// proportional to its squared distance to the nearest chosen centroid.
-func SeedPlusPlus(points []vecmath.Vec, k int, rng *rand.Rand) ([]vecmath.Vec, error) {
-	if err := validate(points, k); err != nil {
-		return nil, err
+// Scratch is the working storage of a clustering run — the
+// assignment, the cluster counts and sums, the K-means++ distances,
+// the centroids and the Result itself — for a caller that clusters
+// many times: once it has grown to the largest point count, k and
+// dimension it has seen, its Run allocates nothing. The zero Scratch
+// is ready to use.
+type Scratch struct {
+	assign, counts []int
+	d2             []float64
+	// cents and sums hold k rows of the points' dimension each,
+	// viewed by centRows and sumRows.
+	cents, sums       []float64
+	centRows, sumRows []vecmath.Vec
+	res               Result
+}
+
+// grown returns buf resliced to n elements, reallocated when its
+// capacity is short.
+func grown[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	centroids := make([]vecmath.Vec, 0, k)
-	centroids = append(centroids, vecmath.Clone(points[rng.Intn(len(points))]))
-	d2 := make([]float64, len(points))
-	for len(centroids) < k {
+	return buf[:n]
+}
+
+// rows views k rows of dim words of flat, growing both.
+func rows(flat *[]float64, views *[]vecmath.Vec, k, dim int) []vecmath.Vec {
+	*flat = grown(*flat, k*dim)
+	*views = grown(*views, k)
+	for i := range *views {
+		(*views)[i] = (*flat)[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return *views
+}
+
+// seed chooses k initial centroids, into the scratch's, with the
+// K-means++ rule: the first uniformly, each subsequent one with
+// probability proportional to its squared distance to the nearest
+// chosen centroid. The points must be valid for k.
+func (s *Scratch) seed(points []vecmath.Vec, k int, rng *rand.Rand) []vecmath.Vec {
+	centroids := rows(&s.cents, &s.centRows, k, len(points[0]))
+	copy(centroids[0], points[rng.Intn(len(points))])
+	s.d2 = grown(s.d2, len(points))
+	d2 := s.d2
+	for chosen := 1; chosen < k; chosen++ {
 		var total float64
-		last := centroids[len(centroids)-1]
+		last := centroids[chosen-1]
 		for i, p := range points {
 			d := vecmath.SqDistUnchecked(p, last)
-			if len(centroids) == 1 || d < d2[i] {
+			if chosen == 1 || d < d2[i] {
 				d2[i] = d
 			}
 			total += d2[i]
@@ -104,9 +138,9 @@ func SeedPlusPlus(points []vecmath.Vec, k int, rng *rand.Rand) ([]vecmath.Vec, e
 				}
 			}
 		}
-		centroids = append(centroids, vecmath.Clone(points[idx]))
+		copy(centroids[chosen], points[idx])
 	}
-	return centroids, nil
+	return centroids
 }
 
 // AssignPoints writes the index of the nearest centroid (squared
@@ -167,22 +201,23 @@ func nearestCentroid(p vecmath.Vec, centroids []vecmath.Vec) int {
 // Run clusters points into k groups using K-means++ seeding followed
 // by Lloyd iterations. Every iteration assigns every point to its
 // nearest centroid with AssignPoints, fanned across opts.Pool when one
-// is set, then moves each centroid to its cluster's mean.
+// is set, then moves each centroid to its cluster's mean. It is a
+// Scratch's Run on storage of its own.
 func Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, error) {
+	return new(Scratch).Run(points, k, rng, opts)
+}
+
+// Run is the package's Run in the scratch's storage: the same result,
+// valid only until the scratch's next Run.
+func (s *Scratch) Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, error) {
 	if err := validate(points, k); err != nil {
 		return nil, err
 	}
-	centroids, err := SeedPlusPlus(points, k, rng)
-	if err != nil {
-		return nil, err
-	}
-	dim := len(points[0])
-	assign := make([]int, len(points))
-	counts := make([]int, k)
-	sums := make([]vecmath.Vec, k)
-	for i := range sums {
-		sums[i] = make(vecmath.Vec, dim)
-	}
+	centroids := s.seed(points, k, rng)
+	s.assign = grown(s.assign, len(points))
+	s.counts = grown(s.counts, k)
+	assign, counts := s.assign, s.counts
+	sums := rows(&s.sums, &s.sumRows, k, len(points[0]))
 
 	var iter int
 	for iter = 0; iter < maxIter; iter++ {
@@ -199,7 +234,8 @@ func Run(points []vecmath.Vec, k int, rng *rand.Rand, opts Options) (*Result, er
 	for i, p := range points {
 		inertia += vecmath.SqDistUnchecked(p, centroids[assign[i]])
 	}
-	return &Result{K: k, Centroids: centroids, Assign: assign, Inertia: inertia, Iterations: iter}, nil
+	s.res = Result{K: k, Centroids: centroids, Assign: assign, Inertia: inertia, Iterations: iter}
+	return &s.res, nil
 }
 
 // updateCentroids is the Lloyd update step: recompute per-cluster

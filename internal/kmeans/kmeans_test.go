@@ -42,7 +42,7 @@ func TestValidation(t *testing.T) {
 	if _, err := Run([]vecmath.Vec{{}}, 1, rng, Options{}); !errors.Is(err, ErrInput) {
 		t.Fatalf("zero-dim points: want ErrInput, got %v", err)
 	}
-	if _, err := SeedPlusPlus(pts, 0, rng); !errors.Is(err, ErrInput) {
+	if _, err := new(Scratch).Run(pts, 0, rng, Options{}); !errors.Is(err, ErrInput) {
 		t.Fatalf("want ErrInput, got %v", err)
 	}
 }
@@ -50,10 +50,7 @@ func TestValidation(t *testing.T) {
 func TestSeedPlusPlusCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	pts, _ := threeBlobs(rng, 20)
-	seeds, err := SeedPlusPlus(pts, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeds := new(Scratch).seed(pts, 3, rng)
 	if len(seeds) != 3 {
 		t.Fatalf("got %d seeds", len(seeds))
 	}
@@ -70,10 +67,7 @@ func TestSeedPlusPlusDegenerate(t *testing.T) {
 	// All identical points: seeding must still terminate.
 	pts := []vecmath.Vec{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	rng := rand.New(rand.NewSource(3))
-	seeds, err := SeedPlusPlus(pts, 3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeds := new(Scratch).seed(pts, 3, rng)
 	if len(seeds) != 3 {
 		t.Fatalf("got %d seeds", len(seeds))
 	}

@@ -192,3 +192,52 @@ func BenchmarkLloyd(b *testing.B) {
 		})
 	}
 }
+
+// TestScratchRunMatchesRun: one Scratch reused across the pinned
+// shapes, largest first and then back, seeds and returns Run's bits
+// for each (Lloyd can converge from different seeds to one result, so
+// the seeds are compared too), and once grown a run through it
+// allocates nothing.
+func TestScratchRunMatchesRun(t *testing.T) {
+	sets := []struct {
+		points []vecmath.Vec
+		k      int
+	}{
+		{clusteredPoints(2000, 8, 8, 0.4, rand.New(rand.NewSource(3))), 8},
+		{clusteredPoints(60, 85, 4, 0.4, rand.New(rand.NewSource(1))), 4},
+		{clusteredPoints(500, 8, 4, 0.4, rand.New(rand.NewSource(2))), 4},
+		{duplicatePoints(5, 4, 3, rand.New(rand.NewSource(4))), 7},
+		{clusteredPoints(500, 8, 4, 0.4, rand.New(rand.NewSource(2))), 2},
+	}
+	var s Scratch
+	for i, set := range sets {
+		want, err := Run(set.points, set.k, rand.New(rand.NewSource(42)), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Run(set.points, set.k, rand.New(rand.NewSource(42)), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runDigest(got) != runDigest(want) {
+			t.Fatalf("set %d: a reused scratch's run differs from Run's", i)
+		}
+		fresh := new(Scratch).seed(set.points, set.k, rand.New(rand.NewSource(7)))
+		reused := s.seed(set.points, set.k, rand.New(rand.NewSource(7)))
+		for c := range fresh {
+			for j := range fresh[c] {
+				if math.Float64bits(fresh[c][j]) != math.Float64bits(reused[c][j]) {
+					t.Fatalf("set %d: a reused scratch seeds centroid %d at %v, a fresh one at %v", i, c, reused[c], fresh[c])
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := s.Run(sets[2].points, 4, rng, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a warm scratch's run allocates %.0f times", n)
+	}
+}

@@ -32,24 +32,36 @@ type GaussMarkov struct {
 }
 
 // NewGaussMarkov creates a walker at a uniform position with a
-// uniform initial direction.
+// uniform initial direction: Init into a new walker.
 func NewGaussMarkov(m *Map, alpha, meanSpeed, speedSigma, dirSigma float64, rng *rand.Rand) (*GaussMarkov, error) {
+	g := new(GaussMarkov)
+	if err := g.Init(m, alpha, meanSpeed, speedSigma, dirSigma, rng); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Init builds the walker in place, drawing its start and direction
+// from rng (which it keeps). The parameters are checked before
+// anything is drawn; on error the walker is left as it was.
+func (g *GaussMarkov) Init(m *Map, alpha, meanSpeed, speedSigma, dirSigma float64, rng *rand.Rand) error {
 	if m == nil {
-		return nil, fmt.Errorf("nil map: %w", ErrParam)
+		return fmt.Errorf("nil map: %w", ErrParam)
 	}
 	if alpha < 0 || alpha >= 1 {
-		return nil, fmt.Errorf("alpha %v: %w", alpha, ErrParam)
+		return fmt.Errorf("alpha %v: %w", alpha, ErrParam)
 	}
 	if meanSpeed <= 0 || speedSigma < 0 || dirSigma < 0 {
-		return nil, fmt.Errorf("speed %v sigma %v dir sigma %v: %w", meanSpeed, speedSigma, dirSigma, ErrParam)
+		return fmt.Errorf("speed %v sigma %v dir sigma %v: %w", meanSpeed, speedSigma, dirSigma, ErrParam)
 	}
-	return &GaussMarkov{
+	*g = GaussMarkov{
 		m: m, rng: rng,
 		pos:   m.RandomPoint(rng),
 		speed: meanSpeed,
 		dir:   rng.Float64() * 2 * math.Pi,
 		Alpha: alpha, MeanSpeed: meanSpeed, SpeedSigma: speedSigma, DirSigma: dirSigma,
-	}, nil
+	}
+	return nil
 }
 
 var _ Model = (*GaussMarkov)(nil)

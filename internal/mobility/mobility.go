@@ -86,21 +86,33 @@ type RandomWaypoint struct {
 }
 
 // NewRandomWaypoint creates a walker starting at a uniform position.
-// Speeds are in m/s; pause in seconds after reaching each waypoint.
+// Speeds are in m/s; pause in seconds after reaching each waypoint. It
+// is Init into a new walker.
 func NewRandomWaypoint(m *Map, minSpeed, maxSpeed, pause float64, rng *rand.Rand) (*RandomWaypoint, error) {
+	w := new(RandomWaypoint)
+	if err := w.Init(m, minSpeed, maxSpeed, pause, rng); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Init builds the walker in place, drawing its start and first
+// waypoint from rng (which it keeps). The parameters are checked
+// before anything is drawn; on error the walker is left as it was.
+func (w *RandomWaypoint) Init(m *Map, minSpeed, maxSpeed, pause float64, rng *rand.Rand) error {
 	if m == nil {
-		return nil, fmt.Errorf("nil map: %w", ErrParam)
+		return fmt.Errorf("nil map: %w", ErrParam)
 	}
 	if minSpeed <= 0 || maxSpeed < minSpeed || pause < 0 {
-		return nil, fmt.Errorf("speeds [%v,%v] pause %v: %w", minSpeed, maxSpeed, pause, ErrParam)
+		return fmt.Errorf("speeds [%v,%v] pause %v: %w", minSpeed, maxSpeed, pause, ErrParam)
 	}
-	w := &RandomWaypoint{
+	*w = RandomWaypoint{
 		m: m, rng: rng,
 		pos:      m.RandomPoint(rng),
 		minSpeed: minSpeed, maxSpeed: maxSpeed, pause: pause,
 	}
 	w.pickDestination()
-	return w, nil
+	return nil
 }
 
 var _ Model = (*RandomWaypoint)(nil)
@@ -155,23 +167,62 @@ type LandmarkWalk struct {
 }
 
 // NewLandmarkWalk builds a walker over a random route of routeLen
-// distinct landmarks at the given speed (m/s).
+// distinct landmarks at the given speed (m/s): Init into a new walker.
 func NewLandmarkWalk(m *Map, routeLen int, speed float64, rng *rand.Rand) (*LandmarkWalk, error) {
+	l := new(LandmarkWalk)
+	if err := l.Init(m, routeLen, speed, rng); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// NewLandmarkWalks returns n zero walkers whose route storage is one
+// shared array, maxRoute points each, so an Init of a route at most
+// maxRoute long — and every later Init of that walker — allocates
+// nothing.
+func NewLandmarkWalks(n, maxRoute int) []LandmarkWalk {
+	walks := make([]LandmarkWalk, n)
+	stops := make([]Point, n*maxRoute)
+	for i := range walks {
+		walks[i].route = stops[i*maxRoute : i*maxRoute : (i+1)*maxRoute]
+	}
+	return walks
+}
+
+// Init builds the walker in place over a random route of routeLen
+// distinct landmarks at the given speed (m/s), in the walker's own
+// route storage when it has room (a new array otherwise). The route is
+// the first routeLen entries of rng.Perm(len(m.Landmarks)), drawn with
+// the same draws in the same order, but only those entries are kept:
+// in Perm's inside-out shuffle a value placed at or beyond routeLen
+// never moves back below it. The parameters are checked before
+// anything is drawn; on error the walker is left as it was.
+func (l *LandmarkWalk) Init(m *Map, routeLen int, speed float64, rng *rand.Rand) error {
 	if m == nil || len(m.Landmarks) == 0 {
-		return nil, fmt.Errorf("map without landmarks: %w", ErrParam)
+		return fmt.Errorf("map without landmarks: %w", ErrParam)
 	}
 	if routeLen < 2 || routeLen > len(m.Landmarks) {
-		return nil, fmt.Errorf("route length %d of %d landmarks: %w", routeLen, len(m.Landmarks), ErrParam)
+		return fmt.Errorf("route length %d of %d landmarks: %w", routeLen, len(m.Landmarks), ErrParam)
 	}
 	if speed <= 0 {
-		return nil, fmt.Errorf("speed %v: %w", speed, ErrParam)
+		return fmt.Errorf("speed %v: %w", speed, ErrParam)
 	}
-	perm := rng.Perm(len(m.Landmarks))
-	route := make([]Point, routeLen)
-	for i := 0; i < routeLen; i++ {
-		route[i] = m.Landmarks[perm[i]]
+	route := l.route[:0]
+	if cap(route) < routeLen {
+		route = make([]Point, 0, routeLen)
 	}
-	return &LandmarkWalk{m: m, route: route, speed: speed, pos: route[0], next: 1}, nil
+	route = route[:routeLen]
+	for i := range m.Landmarks {
+		j := rng.Intn(i + 1)
+		if i < routeLen {
+			route[i] = route[j]
+		}
+		if j < routeLen {
+			route[j] = m.Landmarks[i]
+		}
+	}
+	*l = LandmarkWalk{m: m, route: route, speed: speed, pos: route[0], next: 1}
+	return nil
 }
 
 var _ Model = (*LandmarkWalk)(nil)

@@ -183,6 +183,66 @@ func TestLandmarkWalkVisitsRoute(t *testing.T) {
 	}
 }
 
+// TestLandmarkWalkRouteIsPerm: a walker's route is the first routeLen
+// entries of rand.Perm over the landmarks, drawn with the same draws
+// (the stream stands where Perm leaves it), at every route length and
+// into a walker's own storage as into new.
+func TestLandmarkWalkRouteIsPerm(t *testing.T) {
+	m := CampusMap()
+	walks := NewLandmarkWalks(1, len(m.Landmarks))
+	for routeLen := 2; routeLen <= len(m.Landmarks); routeLen++ {
+		for seed := int64(1); seed <= 20; seed++ {
+			want := rand.New(rand.NewSource(seed))
+			perm := want.Perm(len(m.Landmarks))
+			rng := rand.New(rand.NewSource(seed))
+			l := &walks[0]
+			if seed%2 == 0 {
+				l = new(LandmarkWalk)
+			}
+			if err := l.Init(m, routeLen, 1, rng); err != nil {
+				t.Fatal(err)
+			}
+			if len(l.route) != routeLen {
+				t.Fatalf("route of %d stops, want %d", len(l.route), routeLen)
+			}
+			for i, p := range l.route {
+				if p != m.Landmarks[perm[i]] {
+					t.Fatalf("length %d seed %d: stop %d is %v, Perm's is %v", routeLen, seed, i, p, m.Landmarks[perm[i]])
+				}
+			}
+			if rng.Int63() != want.Int63() {
+				t.Fatalf("length %d seed %d: the stream left where Perm does not leave it", routeLen, seed)
+			}
+		}
+	}
+}
+
+// TestInitInPlaceAllocatesNothing: each model's Init builds it in its
+// own storage, a landmark walker's route included when the walker
+// comes from NewLandmarkWalks with room for it.
+func TestInitInPlaceAllocatesNothing(t *testing.T) {
+	m := CampusMap()
+	rng := rand.New(rand.NewSource(9))
+	var (
+		w RandomWaypoint
+		g GaussMarkov
+	)
+	l := &NewLandmarkWalks(1, 5)[0]
+	if n := testing.AllocsPerRun(10, func() {
+		if err := w.Init(m, 0.4, 1.2, 90, rng); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Init(m, 2+rng.Intn(4), 0.8, rng); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Init(m, 0.9, 0.9, 0.2, 0.25, rng); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Init allocates %.0f times", n)
+	}
+}
+
 func TestStatic(t *testing.T) {
 	s := &Static{P: Point{5, 7}}
 	p, err := s.Advance(100)

@@ -25,7 +25,16 @@ var _ rand.Source64 = (*Stream)(nil)
 // user, group and churn arrival gets its own stream) and each draw is
 // a single mix.
 func NewStream(seed int64, ids ...uint64) *Stream {
-	return &Stream{state: uint64(DeriveSeed(seed, ids...))}
+	s := new(Stream)
+	s.Init(seed, ids...)
+	return s
+}
+
+// Init positions s, in place, at the start of the derived stream for
+// (seed, ids...): the stream NewStream returns, for a caller that
+// holds its Stream by value.
+func (s *Stream) Init(seed int64, ids ...uint64) {
+	s.state = uint64(DeriveSeed(seed, ids...))
 }
 
 // StreamAt returns a stream positioned at a previously captured

@@ -191,21 +191,62 @@ func (m User) Position() mobility.Point { return m.u.mob.Position() }
 // population. Only the users whose station keep accepts (every user
 // when keep is nil) are built whole — link, twin and calibration
 // filters — and returned at their ids; the others stop at placement,
-// their entries the zero User. keep is called from pool tasks, so it
-// must only read. The cluster engine places the population through
-// one owned cell, keeping the users whose initial cell it owns.
+// their entries the zero User. The cluster engine places the
+// population through one owned cell, keeping the users whose initial
+// cell it owns.
+//
+// The kept users are built in place into one newUsers slab sized to
+// them, so a call allocates per kind of storage, not per user: no user
+// costs an allocation of its own for its struct, stream, random
+// source, preference, profile, model, link, twin or filters. With a
+// keep, a first pass places every user on scratch storage (placeAll)
+// to learn which to keep.
 func (s *Simulation) PlaceUsers(serving []int, keep func(bs int) bool) ([]User, error) {
+	ids := make([]int, 0, len(serving))
+	if keep == nil {
+		for id := range serving {
+			ids = append(ids, id)
+		}
+	} else {
+		if err := s.placeAll(serving); err != nil {
+			return nil, err
+		}
+		for id, bs := range serving {
+			if keep(bs) {
+				ids = append(ids, id)
+			}
+		}
+	}
+	sl := s.newUsers(ids)
 	out := make([]User, len(serving))
-	err := s.pool.For(len(serving), func(id int) error {
-		u, bs, err := s.buildUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), 0), nil, keep)
-		if err != nil {
+	err := s.pool.For(len(ids), func(k int) error {
+		id, u := ids[k], &sl.users[k]
+		if err := s.buildUser(u, id, 0, sl.twinBuf(k)); err != nil {
 			return fmt.Errorf("place user %d: %w", id, err)
 		}
-		serving[id] = bs
+		serving[id] = u.link.BS().ID
 		out[id] = User{u: u}
 		return nil
 	})
 	return out, err
+}
+
+// placeAll writes every user's initial serving station into serving,
+// placing each (placeUser) on scratch storage: one user of each
+// mobility class per block of placeBlock users.
+func (s *Simulation) placeAll(serving []int) error {
+	const placeBlock = 256
+	return s.pool.For((len(serving)+placeBlock-1)/placeBlock, func(b int) error {
+		scratch := s.newUsers([]int{0, 1, 2, 3})
+		for id := b * placeBlock; id < min((b+1)*placeBlock, len(serving)); id++ {
+			bs, err := s.placeUser(&scratch.users[id%4], id, 0)
+			if err != nil {
+				return fmt.Errorf("place user %d: %w", id, err)
+			}
+			serving[id] = bs.ID
+		}
+		return nil
+	})
 }
 
 // NumUsers reports the engine's current population.
@@ -292,7 +333,7 @@ func (s *Simulation) NearestGroups(users []User, out []int) {
 	}
 	twins := s.pickTwins[:0]
 	for _, mu := range users {
-		twins = append(twins, mu.u.twin)
+		twins = append(twins, &mu.u.twin)
 	}
 	err := s.builder.CodesInto(&s.pickCodes, twins)
 	clear(twins) // hold no twin past the call

@@ -103,7 +103,7 @@ func TestCellRowsCarryBS(t *testing.T) {
 // id).
 func referenceAssignGroup(s *Simulation, u *user) int {
 	var codes vecmath.Matrix
-	if err := s.builder.CodesInto(&codes, []*udt.Twin{u.twin}); err == nil && codes.Rows == 1 {
+	if err := s.builder.CodesInto(&codes, []*udt.Twin{&u.twin}); err == nil && codes.Rows == 1 {
 		code := codes.Row(0)
 		best, bestD := -1, 0.0
 		for _, g := range s.groups {

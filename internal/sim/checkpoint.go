@@ -15,9 +15,15 @@
 // a generation-0 user is the opened member with its id, overwritten,
 // and only churned users (and users the opened engine does not hold)
 // replay their constructor — a churned one into the storage of the
-// opened member it replaces. Per-interval accumulators (tick
-// statistics, scheduler reservations) are always zeroed at a
-// boundary, so they never ride in a checkpoint.
+// opened member it replaces, an import into the spare it is given —
+// and a replay into storage that held a user of the same mobility
+// class allocates nothing: every part of a user is built in place
+// (buildUser). Open itself builds the population into slabs
+// (PlaceUsers), so a 4000-user × 8-cell resume allocates about 3 500
+// objects, the open included, under one per user
+// (BenchmarkCheckpointDecode). Per-interval accumulators (tick
+// statistics, scheduler reservations) are always zeroed at a boundary,
+// so they never ride in a checkpoint.
 //
 // Every section is binary (checkpoint format v3), and each package
 // encodes and decodes its own state: mobility its walkers, channel the
@@ -226,7 +232,7 @@ func (s *Simulation) encodeUsers(e *checkpoint.Enc) error {
 func (s *Simulation) encodeUser(e *checkpoint.Enc, u *user) error {
 	e.Int(u.id)
 	e.U64(u.gen)
-	e.U64(u.src.State())
+	e.U64(u.stream.State())
 	e.F64s(u.profile.Pref)
 	if err := mobility.EncodeState(e, u.mob); err != nil {
 		return fmt.Errorf("user %d: %w", u.id, err)
@@ -270,13 +276,13 @@ func (s *Simulation) DecodeUser(d *checkpoint.Dec) (User, error) {
 // replaying the deterministic constructor on this cell's substrate
 // and overwriting the mutable state. A non-zero spare is a user no
 // engine holds any more — the cluster engine hands in a twin it
-// exported at the last boundary — and the decoded user takes over its
-// storage (user, twin, calibration filters) instead of allocating
-// them: in the distributed benchmark scenario that cuts an import from
-// about 1.6 encoded twins of allocation to about 0.5. The spare is
-// consumed either way, and must not be used again except as a later
-// spare. The returned handle is detached: pass it to AttachUser or
-// Splice to add it to this cell's population.
+// exported at the last boundary — and the decoded user is built in its
+// storage, every part in place: a spare of the user's mobility class
+// (id % 4) takes the import with no allocation at all, one of another
+// class with one, its new mobility model. The spare is consumed
+// either way, and must not be used again except as a later spare. The
+// returned handle is detached: pass it to AttachUser or Splice to add
+// it to this cell's population.
 func (s *Simulation) DecodeUserInto(d *checkpoint.Dec, spare User) (User, error) {
 	u, err := s.decodeUser(d, nil, spare.u)
 	return User{u: u}, err
@@ -309,7 +315,8 @@ func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {
 	return nil
 }
 
-// decodeUser restores one user from its encodeUser bytes. A
+// decodeUser restores one user from its encodeUser bytes, refusing a
+// profile preference that is not a distribution as corrupt. A
 // generation-0 user found in opened (indexed by id) is taken out of
 // it and decoded into: it came from the same constructor on the same
 // stream and has never stepped, so it is exactly what a replay would
@@ -333,19 +340,26 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user, spare *user) 
 	if id < len(opened) && opened[id] != nil {
 		u, opened[id] = opened[id], nil
 	}
-	if gen != 0 || u == nil {
-		if u == nil {
-			u = spare
-		}
-		var err error
-		u, _, err = s.buildUser(id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(id), gen), u, nil)
-		if err != nil {
-			return nil, fmt.Errorf("user %d replay: %w", id, err)
-		}
+	if u == nil {
+		u = spare
 	}
-	u.gen = gen
-	if n := d.F64sInto(u.profile.Pref); n != len(u.profile.Pref) && d.Err() == nil {
-		return nil, fmt.Errorf("user %d preference of %d categories: %w", id, n, checkpoint.ErrCorrupt)
+	var err error
+	switch {
+	case u == nil:
+		u, err = s.newUser(id, gen)
+	case gen != 0 || u == spare:
+		err = s.buildUser(u, id, gen, nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("user %d replay: %w", id, err)
+	}
+	if n := d.F64sInto(u.profile.Pref); d.Err() == nil {
+		if n != len(u.profile.Pref) {
+			return nil, fmt.Errorf("user %d preference of %d categories: %w", id, n, checkpoint.ErrCorrupt)
+		}
+		if err := u.profile.Pref.Validate(); err != nil {
+			return nil, fmt.Errorf("user %d preference: %v: %w", id, err, checkpoint.ErrCorrupt)
+		}
 	}
 	if err := mobility.DecodeState(d, u.mob); err != nil {
 		return nil, fmt.Errorf("user %d mobility: %w", id, err)
@@ -361,12 +375,12 @@ func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user, spare *user) 
 	u.havePos = d.Int()
 	u.prevDispX = d.F64()
 	u.prevDispY = d.F64()
-	for _, f := range []*predict.EWMA{u.snrOffset, u.snrEWMA, u.persist} {
+	for _, f := range []*predict.EWMA{&u.snrOffset, &u.snrEWMA, &u.persist} {
 		if err := f.DecodeState(d); err != nil {
 			return nil, fmt.Errorf("user %d: %w", id, err)
 		}
 	}
-	u.src.SetState(srcState)
+	u.stream.SetState(srcState)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

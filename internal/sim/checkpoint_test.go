@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -157,6 +158,7 @@ func FuzzDecodeUser(f *testing.F) {
 		f.Add(enc)
 	}
 	f.Add(offRouteUser(f, s))
+	f.Add(badPreferenceUser(f, s, math.NaN()))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		u, err := s.DecodeUser(checkpoint.NewDec(data))
@@ -180,6 +182,12 @@ func FuzzDecodeUser(f *testing.F) {
 		}
 		if v != spare {
 			t.Fatalf("user %d decoded beside its spare, not into it", v.ID())
+		}
+		if err := u.u.profile.Pref.Validate(); err != nil {
+			t.Fatalf("accepted user's preference: %v", err)
+		}
+		if err := u.u.twin.Preference().Validate(); err != nil {
+			t.Fatalf("accepted twin's preference: %v", err)
 		}
 		var e, ev checkpoint.Enc
 		if err := s.encodeUser(&e, u.u); err != nil {
@@ -209,6 +217,37 @@ func FuzzDecodeUser(f *testing.F) {
 			t.Fatalf("user decoded into a spare steps unlike a fresh decode (%v)", err)
 		}
 	})
+}
+
+// badPreferenceUser returns the encoding of user 1 with the first word
+// of its profile preference rewritten to w.
+func badPreferenceUser(tb testing.TB, s *Simulation, w float64) []byte {
+	tb.Helper()
+	enc := encodedUser(tb, s, s.users[1])
+	// id, generation and stream word; the preference's length.
+	binary.LittleEndian.PutUint64(enc[3*8+4:], math.Float64bits(w))
+	return enc
+}
+
+// TestDecodeUserRejectsBadPreference: a user whose profile preference
+// is not a distribution — a negative, NaN or infinite word — is
+// corrupt, with a spare or without. DecodeUser once accepted it, and
+// the cell's next interval failed on the preference instead.
+func TestDecodeUserRejectsBadPreference(t *testing.T) {
+	s := warmedEngine(t)
+	for _, w := range []float64{-5, math.NaN(), math.Inf(1)} {
+		enc := badPreferenceUser(t, s, w)
+		if _, err := s.DecodeUser(checkpoint.NewDec(enc)); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("preference word %v: want checkpoint.ErrCorrupt, got %v", w, err)
+		}
+		spare, err := s.newUser(5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.DecodeUserInto(checkpoint.NewDec(enc), User{u: spare}); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("preference word %v into a spare: want checkpoint.ErrCorrupt, got %v", w, err)
+		}
+	}
 }
 
 // offRouteUser returns the encoding of a landmark walker whose next
@@ -272,7 +311,7 @@ func oldCapacityUser(tb testing.TB, s *Simulation) [2][]byte {
 	if err := old.CollectTicks(ticks, u.profile.Pref); err != nil {
 		tb.Fatal(err)
 	}
-	u.twin = old
+	u.twin = *old
 	written := encodedUser(tb, s, &u)
 	patched := bytes.Replace(written, identity(120), identity(s.cfg.twinHistory()), 1)
 	for i, enc := range [][]byte{written, patched} {

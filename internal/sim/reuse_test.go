@@ -7,8 +7,7 @@ import (
 	"testing"
 
 	"dtmsvs/internal/checkpoint"
-	"dtmsvs/internal/parallel"
-	"dtmsvs/internal/udt"
+	"dtmsvs/internal/mobility"
 )
 
 // churnyEngine returns a monolithic engine on a two-task pool whose
@@ -30,16 +29,20 @@ func churnyEngine(t *testing.T) *Simulation {
 	return s
 }
 
-// userState is what a user's storage holds: the user and its twin.
+// userState is a user's storage: the user, which holds its twin, and
+// the mobility model and preference window it points at.
 type userState struct {
 	u    *user
-	twin *udt.Twin
+	mob  mobility.Model
+	pref *float64
 }
+
+func stateOf(u *user) userState { return userState{u, u.mob, &u.profile.Pref[0]} }
 
 func storage(users []*user) map[int]userState {
 	out := make(map[int]userState, len(users))
 	for _, u := range users {
-		out[u.id] = userState{u, u.twin}
+		out[u.id] = stateOf(u)
 	}
 	return out
 }
@@ -62,18 +65,17 @@ func TestReuseChurnArrival(t *testing.T) {
 	}
 	arrivals := 0
 	for _, u := range s.users {
-		if got := (userState{u, u.twin}); got != before[u.id] {
+		if got := stateOf(u); got != before[u.id] {
 			t.Fatalf("user %d (generation %d) does not live in the storage of the user it replaced", u.id, u.gen)
 		}
 		if u.gen == gens[u.id] {
 			continue
 		}
 		arrivals++
-		fresh, _, err := s.buildUser(u.id, parallel.NewStream(s.cfg.Seed, streamUser, uint64(u.id), u.gen), nil, nil)
+		fresh, err := s.newUser(u.id, u.gen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.gen = u.gen
 		if !bytes.Equal(encodedUser(t, s, u), encodedUser(t, s, fresh)) {
 			t.Fatalf("arrival %d built into its predecessor encodes unlike one built fresh", u.id)
 		}
@@ -127,7 +129,7 @@ func TestReuseChurnedSlotOnResume(t *testing.T) {
 		if u.gen > 0 {
 			churned++
 		}
-		if got := (userState{u, u.twin}); got != opened[u.id] {
+		if got := stateOf(u); got != opened[u.id] {
 			t.Fatalf("user %d (generation %d) restored beside the opened member, not into it", u.id, u.gen)
 		}
 	}

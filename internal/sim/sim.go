@@ -363,24 +363,37 @@ const (
 	streamCatalog uint64 = 64
 )
 
-// user bundles one simulated user's state.
+// user bundles one simulated user's state. It holds every fixed-size
+// part by value and is built in place (buildUser) into storage
+// newUsers allocated or a spare's; its random source, mobility model
+// and link point into it, so a user is never copied.
 type user struct {
 	id int
 	// gen is the slot's churn generation: 0 for the original arrival,
 	// incremented for each replacement. It feeds the stream derivation
 	// so every fresh arrival draws from untouched randomness.
 	gen uint64
-	// rng is the user's private random stream; all of the user's
-	// stochastic state (mobility, link fading, swipe draws, churn
-	// decision) draws from it, which is what makes per-user fan-out
-	// deterministic under any Parallelism. src is the stream behind
-	// it, kept so checkpoints can capture and restore the position.
-	src     *parallel.Stream
-	rng     *rand.Rand
-	profile *behavior.Profile
-	mob     mobility.Model
-	link    *channel.Link
-	twin    *udt.Twin
+	// rng draws from stream, the user's private random stream; all of
+	// the user's stochastic state (mobility, link fading, swipe draws,
+	// churn decision) draws from it, which is what makes per-user
+	// fan-out deterministic under any Parallelism. Checkpoints capture
+	// and restore the stream's position.
+	stream parallel.Stream
+	rng    rand.Rand
+	// profile.Pref is a window of the float slab newUsers allocated.
+	profile behavior.Profile
+	// mob is a model of the user's class (id % 4) in the class
+	// storage newUsers allocated, or one built for a spare of another
+	// class.
+	mob  mobility.Model
+	link channel.Link
+	twin udt.Twin
+	tracking
+}
+
+// tracking is a user's interval accumulators, trajectory memory and
+// calibration filters: what buildUser resets whole.
+type tracking struct {
 	// meanSNR is the user's mean sampled SNR over the current
 	// interval's ticks.
 	meanSNR stats.OnlineMean
@@ -393,17 +406,17 @@ type user struct {
 	// snrOffset is the DT calibration offset: EWMA of observed SNR
 	// minus the deterministic propagation model, absorbing shadowing
 	// and mean fading per user.
-	snrOffset *predict.EWMA
+	snrOffset predict.EWMA
 	// snrEWMA tracks the user's observed mean SNR directly; fused
 	// with the model-based forecast to damp extrapolation error.
-	snrEWMA *predict.EWMA
+	snrEWMA predict.EWMA
 	// prevDisp is the last interval-to-interval displacement; persist
 	// tracks the cosine similarity of consecutive displacements — the
 	// user's velocity persistence, which sets how far the twin
 	// extrapolates their position (waypoint turners ≈ 0.5, straight
 	// walkers ≈ 1, statics irrelevant).
 	prevDispX, prevDispY float64
-	persist              *predict.EWMA
+	persist              predict.EWMA
 }
 
 // groupState is the engine's per-group bookkeeping.
@@ -587,81 +600,152 @@ func (s *Simulation) index(id int, u *user) {
 	}
 }
 
-// buildUser creates one simulated user: a favorite-category-biased
-// preference (weighted like the catalog so News dominates), one of
-// four mobility classes, a link to the nearest BS and a cold twin.
-// Every random choice — construction included — draws from the user's
-// private stream, so creation order never matters.
-//
-// A non-nil spare is a user no engine holds any more (one that churned
-// out, an opened member a checkpoint replaces, a twin exported at the
-// last boundary): the new user takes over its storage — the user
-// struct, the twin (udt.Twin.Reuse) and the three calibration filters
-// — instead of allocating them, and is exactly the user a build
-// without a spare makes. A non-nil keep sees the initial serving
-// station once the mobility model places the user, before the link
-// draws: when it returns false the user is dropped there, before its
-// behavior profile, link, twin and filters are built, and buildUser
-// returns nil. The station is returned either way.
-func (s *Simulation) buildUser(id int, src *parallel.Stream, spare *user, keep func(bs int) bool) (*user, int, error) {
-	rng := rand.New(src)
-	fav := video.AllCategories()[s.favDist.Sample(rng)]
-	pref, perr := behavior.NewRandomPreference(rng, fav, 6)
-	if perr != nil {
-		return nil, -1, perr
+// Route lengths of the landmark walkers: minRoute plus a draw below
+// routeSpan.
+const (
+	minRoute  = 3
+	routeSpan = 3
+)
+
+// userSlab is storage for users built in place: users[k], its profile
+// preference and its twin storage are the k-th of newUsers' ids.
+type userSlab struct {
+	users []user
+	// floats holds, per user, stride words: its profile preference,
+	// then its twin's rings and preference.
+	floats []float64
+	stride int
+}
+
+// twinBuf is the twin storage of users[k], for buildUser.
+func (sl *userSlab) twinBuf(k int) []float64 {
+	return sl.floats[k*sl.stride+video.NumCategories : (k+1)*sl.stride]
+}
+
+// newUsers allocates storage for the users with the given ids, one
+// slab per kind: the users; one float slab for every user's profile
+// preference and twin; and one slab per mobility class, sized by how
+// many of the ids walk by it. Each user comes wired to its preference
+// window and to a model of its class, ready for buildUser.
+func (s *Simulation) newUsers(ids []int) userSlab {
+	stride := video.NumCategories + udt.Config{HistoryLen: s.cfg.twinHistory()}.Floats()
+	sl := userSlab{users: make([]user, len(ids)), floats: make([]float64, len(ids)*stride), stride: stride}
+	var class [4]int
+	for _, id := range ids {
+		class[id%4]++
 	}
-	engagement := 0.5 + 0.5*rng.Float64()
-	var mob mobility.Model
-	switch id % 4 {
-	case 0:
-		mob, perr = mobility.NewRandomWaypoint(s.campus, 0.4, 1.2, 90, rng)
-	case 1:
-		mob, perr = mobility.NewLandmarkWalk(s.campus, 3+rng.Intn(3), 0.8, rng)
-	case 2:
-		mob, perr = mobility.NewGaussMarkov(s.campus, 0.9, 0.9, 0.2, 0.25, rng)
-	default:
-		mob = &mobility.Static{P: s.campus.RandomPoint(rng)}
-	}
-	if perr != nil {
-		return nil, -1, perr
-	}
-	bs, berr := s.nearestBS(mob.Position())
-	if berr != nil {
-		return nil, -1, berr
-	}
-	if keep != nil && !keep(bs.ID) {
-		return nil, bs.ID, nil
-	}
-	profile, perr := behavior.NewProfile(pref, engagement)
-	if perr != nil {
-		return nil, bs.ID, perr
-	}
-	link, lerr := channel.NewLink(s.params, bs, rng)
-	if lerr != nil {
-		return nil, bs.ID, lerr
-	}
-	u := spare
-	if u == nil {
-		u = &user{}
-	}
-	twinCfg := udt.Config{HistoryLen: s.cfg.twinHistory()}
-	twin := u.twin
-	if twin == nil || !twin.Reuse(id, twinCfg) {
-		var terr error
-		if twin, terr = udt.NewTwin(id, twinCfg); terr != nil {
-			return nil, bs.ID, terr
+	waypoints := make([]mobility.RandomWaypoint, class[0])
+	walks := mobility.NewLandmarkWalks(class[1], minRoute+routeSpan-1)
+	markovs := make([]mobility.GaussMarkov, class[2])
+	statics := make([]mobility.Static, class[3])
+	for k, id := range ids {
+		u := &sl.users[k]
+		u.profile.Pref = sl.floats[k*stride : k*stride+video.NumCategories : k*stride+video.NumCategories]
+		switch id % 4 {
+		case 0:
+			u.mob, waypoints = &waypoints[0], waypoints[1:]
+		case 1:
+			u.mob, walks = &walks[0], walks[1:]
+		case 2:
+			u.mob, markovs = &markovs[0], markovs[1:]
+		default:
+			u.mob, statics = &statics[0], statics[1:]
 		}
 	}
-	offset, ewma, persist := u.snrOffset, u.snrEWMA, u.persist
-	if offset == nil {
-		offset, ewma, persist = new(predict.EWMA), new(predict.EWMA), new(predict.EWMA)
+	return sl
+}
+
+// newUser builds user id of churn generation gen into storage of its
+// own.
+func (s *Simulation) newUser(id int, gen uint64) (*user, error) {
+	sl := s.newUsers([]int{id})
+	u := &sl.users[0]
+	return u, s.buildUser(u, id, gen, sl.twinBuf(0))
+}
+
+// buildUser builds user id of churn generation gen into u: placeUser,
+// then the link, a cold twin and fresh filters. Every random choice —
+// construction included — draws from the user's private stream, so
+// creation order never matters.
+//
+// u is storage newUsers allocated, with twinBuf its twin storage, or a
+// spare with twinBuf nil: a user no engine holds any more (one that
+// churned out, an opened member a checkpoint replaces, a twin exported
+// at the last boundary). Either way every part of the user is built in
+// u's storage — its mobility model too when it is of the class id
+// walks by, one new model otherwise — and is exactly the user any
+// other storage would hold.
+func (s *Simulation) buildUser(u *user, id int, gen uint64, twinBuf []float64) error {
+	bs, err := s.placeUser(u, id, gen)
+	if err != nil {
+		return err
 	}
-	*offset, *ewma, *persist = predict.EWMA{Alpha: 0.5}, predict.EWMA{Alpha: 0.6}, predict.EWMA{Alpha: 0.3}
-	*u = user{
-		id: id, src: src, rng: rng, profile: profile, mob: mob, link: link, twin: twin,
-		snrOffset: offset, snrEWMA: ewma, persist: persist,
+	if err := u.link.Init(s.params, bs, &u.rng); err != nil {
+		return err
 	}
-	return u, bs.ID, nil
+	if err := u.twin.Init(id, udt.Config{HistoryLen: s.cfg.twinHistory()}, twinBuf); err != nil {
+		return err
+	}
+	u.tracking = tracking{
+		snrOffset: predict.EWMA{Alpha: 0.5},
+		snrEWMA:   predict.EWMA{Alpha: 0.6},
+		persist:   predict.EWMA{Alpha: 0.3},
+	}
+	return nil
+}
+
+// placeUser is the part of buildUser that places the user: it
+// positions the stream, draws a favorite-category-biased preference
+// (weighted like the catalog so News dominates) and the engagement
+// into the profile, and builds one of four mobility models by the id's
+// class, returning the station nearest the user's start.
+func (s *Simulation) placeUser(u *user, id int, gen uint64) (*channel.BaseStation, error) {
+	u.id, u.gen = id, gen
+	u.stream.Init(s.cfg.Seed, streamUser, uint64(id), gen)
+	u.rng = *rand.New(&u.stream)
+	rng := &u.rng
+	fav := video.AllCategories()[s.favDist.Sample(rng)]
+	if err := u.profile.Pref.Draw(rng, fav, 6); err != nil {
+		return nil, err
+	}
+	if err := u.profile.Init(u.profile.Pref, 0.5+0.5*rng.Float64()); err != nil {
+		return nil, err
+	}
+	var err error
+	switch id % 4 {
+	case 0:
+		w, ok := u.mob.(*mobility.RandomWaypoint)
+		if !ok {
+			w = new(mobility.RandomWaypoint)
+		}
+		err = w.Init(s.campus, 0.4, 1.2, 90, rng)
+		u.mob = w
+	case 1:
+		l, ok := u.mob.(*mobility.LandmarkWalk)
+		if !ok {
+			l = &mobility.NewLandmarkWalks(1, minRoute+routeSpan-1)[0]
+		}
+		err = l.Init(s.campus, minRoute+rng.Intn(routeSpan), 0.8, rng)
+		u.mob = l
+	case 2:
+		g, ok := u.mob.(*mobility.GaussMarkov)
+		if !ok {
+			g = new(mobility.GaussMarkov)
+		}
+		err = g.Init(s.campus, 0.9, 0.9, 0.2, 0.25, rng)
+		u.mob = g
+	default:
+		st, ok := u.mob.(*mobility.Static)
+		if !ok {
+			st = new(mobility.Static)
+		}
+		st.P = s.campus.RandomPoint(rng)
+		u.mob = st
+	}
+	if err != nil {
+		return nil, err
+	}
+	return s.nearestBS(u.mob.Position())
 }
 
 // churnUsers replaces each user with probability ChurnPerInterval by
@@ -672,27 +756,21 @@ func (s *Simulation) buildUser(id int, src *parallel.Stream, spare *user, keep f
 // other users' randomness nor depends on evaluation order — the bug
 // class the old shared-RNG draw had, where a churn decision shifted
 // every subsequent user's draws for the rest of the run. The arrival
-// is built into the departing user's storage (buildUser's spare), in
-// the pool task that owns the slot.
+// is built into the departing user's storage (buildUser's spare),
+// allocating nothing, in the pool task that owns the slot.
 func (s *Simulation) churnUsers(ctx context.Context) (int, error) {
 	if s.cfg.ChurnPerInterval <= 0 {
 		return 0, nil
 	}
 	replaced := make([]bool, len(s.users))
 	if err := s.pool.ForContext(ctx, len(s.users), func(i int) error {
-		old := s.users[i]
-		if old.rng.Float64() >= s.cfg.ChurnPerInterval {
+		u := s.users[i]
+		if u.rng.Float64() >= s.cfg.ChurnPerInterval {
 			return nil
 		}
-		gen := old.gen + 1
-		src := parallel.NewStream(s.cfg.Seed, streamUser, uint64(old.id), gen)
-		u, _, err := s.buildUser(old.id, src, old, nil)
-		if err != nil {
-			return fmt.Errorf("churn user %d: %w", old.id, err)
+		if err := s.buildUser(u, u.id, u.gen+1, nil); err != nil {
+			return fmt.Errorf("churn user %d: %w", u.id, err)
 		}
-		u.gen = gen
-		s.users[i] = u
-		s.index(u.id, u) // an index-owned slot: ids are unique
 		replaced[i] = true
 		return nil
 	}); err != nil {
@@ -968,7 +1046,7 @@ func (s *Simulation) warmupBrowse(ctx context.Context) error {
 		defer sessionBufs.Put(buf)
 		u := s.users[i]
 		linkBps := s.params.RateBps(u.meanSNR.Mean()) * float64(s.cfg.NominalRBsPerGroup)
-		events, err := behavior.AppendSession((*buf)[:0], s.catalog, u.profile, s.cfg.IntervalS, linkBps, u.rng)
+		events, err := behavior.AppendSession((*buf)[:0], s.catalog, &u.profile, s.cfg.IntervalS, linkBps, &u.rng)
 		*buf = events
 		if err != nil {
 			return fmt.Errorf("user %d session: %w", u.id, err)
@@ -1086,7 +1164,7 @@ func (s *Simulation) constructGroups() ([]builtGroup, *grouping.Result, error) {
 	}
 	twins := make([]*udt.Twin, len(s.users))
 	for i, u := range s.users {
-		twins[i] = u.twin
+		twins[i] = &u.twin
 	}
 	var res *grouping.Result
 	var err error
@@ -1145,7 +1223,7 @@ func (s *Simulation) abstractGroups(ctx context.Context) error {
 		sc := &s.scratch[gi]
 		twins := sc.twins[:0]
 		for _, m := range g.members {
-			twins = append(twins, s.userByID(m).twin)
+			twins = append(twins, &s.userByID(m).twin)
 		}
 		profile, err := predict.BuildGroupProfile(twins, s.catalog, s.cfg.TopNRecommend)
 		clear(twins) // hold no twin past the call
@@ -1254,7 +1332,7 @@ func (s *Simulation) streamInterval(g *groupState, rep video.Representation, sc 
 		var maxFrac float64
 		for _, m := range g.members {
 			u := s.userByID(m)
-			draw, ferr := u.profile.WatchFraction(v.Category, u.rng)
+			draw, ferr := u.profile.WatchFraction(v.Category, &u.rng)
 			if ferr != nil {
 				return ferr
 			}
@@ -1393,7 +1471,7 @@ func (s *Simulation) Train() error {
 	t0 := s.met.train.Start()
 	twins := make([]*udt.Twin, len(s.users))
 	for i, u := range s.users {
-		twins[i] = u.twin
+		twins[i] = &u.twin
 	}
 	if _, err := s.builder.TrainCompressor(twins, s.cfg.CompressorEpochs); err != nil {
 		return fmt.Errorf("train compressor: %w", err)

@@ -247,6 +247,7 @@ func TestRestoreValidation(t *testing.T) {
 		{"long preference", func(s *rawState) { s.pref = []float64{0.5, 0.1, 0.1, 0.1, 0.1, 0.1} }},
 		{"unnormalized preference", func(s *rawState) { s.pref = []float64{2, 2, 2, 2, 2} }},
 		{"negative preference", func(s *rawState) { s.pref = []float64{1.5, -0.5, 0, 0, 0} }},
+		{"NaN preference", func(s *rawState) { s.pref = []float64{math.NaN(), 0.25, 0.25, 0.25, 0.25} }},
 		{"watch counter arity", func(s *rawState) { s.watchBy = s.watchBy[:4] }},
 		{"engagement counter arity", func(s *rawState) { s.engageBy = append(s.engageBy, 0) }},
 		{"view counter arity", func(s *rawState) { s.viewsBy = []int{1} }},
@@ -287,11 +288,13 @@ func collectFor(t *testing.T, tw *Twin, n, salt int) {
 }
 
 // TestReuseIsNewTwin: a stepped twin — rings wrapped, partly filled or
-// empty, counters and clocks advanced — that is reused for another
-// user is the twin NewTwin builds for that user: equal field by field
-// (ring storage included), encoding to the same bytes, and collecting
-// the same samples into the same bytes afterwards. Reuse allocates
-// nothing, and refuses, untouched, a config that is not the twin's.
+// empty, counters and clocks advanced — that Init rebuilds for another
+// user, in its own storage or in storage handed in, is the twin NewTwin
+// builds for that user: equal field by field (ring storage included),
+// encoding to the same bytes, and collecting the same samples into the
+// same bytes afterwards. Init into its own storage allocates nothing,
+// into a buf writes only its cfg.Floats() words, and refuses,
+// untouched, an invalid config or a short buf.
 func TestReuseIsNewTwin(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -308,8 +311,12 @@ func TestReuseIsNewTwin(t *testing.T) {
 				t.Fatal(err)
 			}
 			collectFor(t, tw, tc.steps, 0)
-			if !tw.Reuse(9, tc.cfg) {
-				t.Fatal("Reuse refused the twin's own config")
+			own := &tw.slab[0]
+			if err := tw.Init(9, tc.cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+			if &tw.slab[0] != own {
+				t.Fatal("Init of the twin's own config left its storage")
 			}
 			fresh, err := NewTwin(9, tc.cfg)
 			if err != nil {
@@ -326,8 +333,30 @@ func TestReuseIsNewTwin(t *testing.T) {
 			if !bytes.Equal(encodeState(tw), encodeState(fresh)) {
 				t.Fatal("reused twin collects unlike NewTwin's")
 			}
-			if n := testing.AllocsPerRun(10, func() { tw.Reuse(9, tc.cfg) }); n != 0 {
-				t.Fatalf("Reuse allocates %.0f times", n)
+			if n := testing.AllocsPerRun(10, func() { tw.Init(9, tc.cfg, nil) }); n != 0 {
+				t.Fatalf("Init into the twin's own storage allocates %.0f times", n)
+			}
+
+			// Into a window of a shared array, its neighbours poisoned.
+			size := tc.cfg.Floats()
+			shared := make([]float64, 3*size)
+			for i := range shared {
+				shared[i] = -7
+			}
+			var in Twin
+			collectFor(t, tw, tc.steps, 0)
+			in = *tw
+			if err := in.Init(9, tc.cfg, shared[size:]); err != nil {
+				t.Fatal(err)
+			}
+			fresh, _ = NewTwin(9, tc.cfg)
+			if !reflect.DeepEqual(&in, fresh) || &in.slab[0] != &shared[size] {
+				t.Fatalf("twin built into a buf %+v, NewTwin builds %+v", in, *fresh)
+			}
+			for i, v := range shared {
+				if (i < size || i >= 2*size) && v != -7 {
+					t.Fatalf("Init wrote word %d outside its %d-word window", i, size)
+				}
 			}
 		})
 	}
@@ -338,12 +367,19 @@ func TestReuseIsNewTwin(t *testing.T) {
 	}
 	collectFor(t, tw, 6, 0)
 	before := encodeState(tw)
-	for _, cfg := range []Config{{HistoryLen: 17}, {ChannelEvery: 2}, {HistoryLen: 1}} {
-		if tw.Reuse(9, cfg) {
-			t.Fatalf("Reuse took config %+v for a twin of %+v", cfg, tw.cfg)
+	for _, tc := range []struct {
+		cfg Config
+		buf []float64
+	}{
+		{Config{HistoryLen: 1}, nil},
+		{Config{ChannelEvery: -1}, nil},
+		{everyTick, make([]float64, everyTick.Floats()-1)},
+	} {
+		if err := tw.Init(9, tc.cfg, tc.buf); !errors.Is(err, ErrParam) {
+			t.Fatalf("Init (config %+v, %d-word buf) = %v, want ErrParam", tc.cfg, len(tc.buf), err)
 		}
 		if !bytes.Equal(encodeState(tw), before) {
-			t.Fatalf("a refused Reuse (config %+v) changed the twin", cfg)
+			t.Fatalf("a refused Init (config %+v) changed the twin", tc.cfg)
 		}
 	}
 }

@@ -177,7 +177,9 @@ type Twin struct {
 
 	cfg Config
 
-	// The five series share one backing array allocated by NewTwin.
+	// slab backs the five series and the preference, in that order
+	// (see Init).
+	slab       []float64
 	cqi        ring
 	locX, locY ring
 	watch      ring // watch durations (s)
@@ -200,45 +202,58 @@ type Twin struct {
 	lastAt [AttrPreference + 1]int
 }
 
-// NewTwin constructs a twin for the user.
+// Floats is the number of float64 words a twin of this configuration
+// stores, its rings and its preference: the storage Init takes. The
+// configuration must be valid.
+func (c Config) Floats() int {
+	return NumFeatureChannels*c.withDefaults().HistoryLen + video.NumCategories
+}
+
+// NewTwin constructs a twin for the user: Init into a new one.
 func NewTwin(userID int, cfg Config) (*Twin, error) {
-	if err := cfg.Validate(); err != nil {
+	t := new(Twin)
+	if err := t.Init(userID, cfg, nil); err != nil {
 		return nil, err
-	}
-	c := cfg.withDefaults()
-	t := &Twin{UserID: userID, cfg: c, pref: behavior.NewUniformPreference()}
-	n := c.HistoryLen
-	slab := make([]float64, NumFeatureChannels*n)
-	for i, r := range t.rings() {
-		r.buf = slab[i*n : (i+1)*n : (i+1)*n]
 	}
 	return t, nil
 }
 
-// Reuse resets the twin, in its own storage, to exactly the state
-// NewTwin(userID, cfg) builds — every ring zeroed and empty, the
-// uniform preference, every counter and clock zero — so a user who
-// replaces one that left takes over its twin without a new slab. It
-// returns false, leaving the twin as it was, when cfg is invalid or
-// (after defaults) not the twin's own; the caller then builds a twin.
-func (t *Twin) Reuse(userID int, cfg Config) bool {
-	if cfg.Validate() != nil || cfg.withDefaults() != t.cfg {
-		return false
+// Init builds the twin for the user in place: every ring empty and
+// zeroed, the uniform preference, every counter and clock zero. The
+// rings and the preference live in buf when it is not nil — it must
+// hold cfg.Floats() words, and the twin keeps the first that many —
+// and otherwise in the twin's own storage when it is the size cfg
+// needs, so a user who replaces one that left takes over its twin
+// without a new slab, or else in a new array. cfg and buf are checked
+// first; on error the twin is left as it was.
+func (t *Twin) Init(userID int, cfg Config, buf []float64) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	for _, r := range t.rings() {
-		clear(r.buf)
-		r.next, r.full = 0, false
+	c := cfg.withDefaults()
+	size := c.Floats()
+	switch {
+	case buf != nil:
+		if len(buf) < size {
+			return fmt.Errorf("twin storage of %d words, want %d: %w", len(buf), size, ErrParam)
+		}
+		buf = buf[:size:size]
+	case len(t.slab) == size:
+		buf = t.slab
+	default:
+		buf = make([]float64, size)
 	}
+	clear(buf)
+	*t = Twin{UserID: userID, cfg: c, slab: buf}
+	n := c.HistoryLen
+	for i, r := range t.rings() {
+		r.buf = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	t.pref = behavior.Preference(buf[NumFeatureChannels*n:])
 	for i := range t.pref {
 		t.pref[i] = 1.0 / video.NumCategories
 	}
-	t.UserID = userID
-	clear(t.watchByCat[:])
-	clear(t.engageByCat[:])
-	clear(t.viewsByCat[:])
-	clear(t.lastAt[:])
-	t.swipes, t.views, t.ticks = 0, 0, 0
-	return true
+	return nil
 }
 
 // rings lists the scalar series in feature-channel (and encoding)
