@@ -397,19 +397,20 @@ func TestSessionCheckpointRejectsDamage(t *testing.T) {
 	// A future format version is ErrCheckpointVersion specifically,
 	// and so are the superseded v1 (JSON twin blobs), v2 (the
 	// monolithic engine's shared construction stream, whose catalog a
-	// later engine would not rebuild) and v3 (a cell-failure policy
-	// byte in the "cluster" section and a worst-SNR forecast per group):
-	// there is no dual reader.
+	// later engine would not rebuild), v3 (a cell-failure policy byte
+	// in the "cluster" section and a worst-SNR forecast per group) and
+	// v4 (an AR(1) fading tap in every user's link state): there is no
+	// dual reader.
 	mut := bytes.Clone(raw)
 	mut[8] = 0xFE
 	mut[9] = 0x7F
 	if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
 		t.Fatalf("version bump: want ErrCheckpointVersion, got %v", rerr)
 	}
-	if raw[8] != 4 || raw[9] != 0 {
-		t.Fatalf("checkpoint header carries format version %d, want 4", int(raw[8])|int(raw[9])<<8)
+	if raw[8] != 5 || raw[9] != 0 {
+		t.Fatalf("checkpoint header carries format version %d, want 5", int(raw[8])|int(raw[9])<<8)
 	}
-	for _, old := range []byte{1, 2, 3} {
+	for _, old := range []byte{1, 2, 3, 4} {
 		mut[8], mut[9] = old, 0
 		if _, rerr := Resume(cfg, bytes.NewReader(mut)); !errors.Is(rerr, ErrCheckpointVersion) {
 			t.Fatalf("v%d header: want ErrCheckpointVersion, got %v", old, rerr)
@@ -513,9 +514,9 @@ func TestCheckpointDigestPinned(t *testing.T) {
 		want string
 	}{
 		{"mono", func() (Session, error) { return Open(cfg) },
-			"af286854ad9afa48fd89e46411dd500e9a475d4b57551b55f6e745146f8fe61e"},
+			"a55f8661df3299948f7bf3e9e2389332cf547f5813854e7e1d17ba88c8b9f8b6"},
 		{"cluster", func() (Session, error) { return OpenCluster(ClusterConfig{Sim: cfg}) },
-			"f8ec6e83ad35dddbf88fa4e42b40048c128360c3900647947dea188710365c22"},
+			"9ac8d7f627f3cf2270bfe0a482dd54c8e58d8de9b7c13659f78d0bb6d22f0c82"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := tc.open()
@@ -533,7 +534,7 @@ func TestCheckpointDigestPinned(t *testing.T) {
 				t.Fatal(cerr)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(ckpt.Bytes())); got != tc.want {
-				t.Fatalf("v4 checkpoint (%d bytes) digest\n got %s\nwant %s\n"+
+				t.Fatalf("v5 checkpoint (%d bytes) digest\n got %s\nwant %s\n"+
 					"update the pin only for a deliberate format or engine change", ckpt.Len(), got, tc.want)
 			}
 		})
@@ -614,28 +615,28 @@ func TestTraceDigestPinned(t *testing.T) {
 	}{
 		{"mono", 42, mono,
 			"01915b1efeb7ca22cb2afa138d8c4ffd543222a8a3d8aaf0ce9ab7a04ea963f2",
-			"b615dcb1eee533d13a63b6bb61ecb765598717dbd0b1aec72a6157c4a6cfb554"},
+			"5098471f5220fb00838dfa68f1d3e87ec5447159deecb47d0d731415ec94e0bb"},
 		{"mono", 7, mono,
 			"7709066924d3d450237422ca70ab89dd465a8efb2bf5bcb92560566a5b0696c2",
-			"a8eef6d57d75bececf3a3271fce4e96ab5d92fdb03058b233a1106954ae021ed"},
+			"d9622204c4e61cc1250b1ea0b458a2ea649e9a37aa503ce56a41af7d1757ca6b"},
 		{"cluster", 42, cluster,
 			"455ad0920db0fdfd1556c0a75299ff554e875a7bfdeacb3508641fde2fd09948",
-			"ac5cfbe3772c289777770c3077da01675fe0bd3378947e691ceb916cdac571bc"},
+			"0332e245e78a5f7f9e3748c904c4af6cf378a281bafac1cdac0ecb72e0139977"},
 		{"cluster", 7, cluster,
 			"30b4162e74e63697fb1d59d53d1f18d7a4113303f467afa2c9c19fb6af57e28f",
-			"f10e322be1957709ab998ad188aa6978569275215b14d186911d87a776c6f547"},
+			"dbf0f70c6600f3ca490842843842077e409d35e0ccf950366f91d4d152f52f58"},
 		{"degraded", 42, degraded,
 			"0cdfce35a11c60cae13aba69bee3e5bd271d89e1794865e78a775f575014f2cf",
-			"40f6d42985d64461da26b7596dafadd11d72433dd0130ca4c6884777c21194c3"},
+			"4a8520d0cb41b7afbabacf7d9c58c773e46d32dd345bef8448c8f9d8fc753f08"},
 		{"degraded", 7, degraded,
 			"5d20decc24e3da222300fc9b81a58123d92abc67a05a7ffd9a87cd8c3f5b970e",
-			"53b63ddf00b38d79567e5bb34ef51996278d5ff631e7888ab8d5538e275663c9"},
+			"ae130aa74ac6f94c216563cd42a4bade13ccf6d45ed989a6fabd1691b8c64a22"},
 		{"distributed", 42, distributed,
 			"455ad0920db0fdfd1556c0a75299ff554e875a7bfdeacb3508641fde2fd09948",
-			"ac54cd2cfc8d577ef40247f80eb91485a7813ea02e55a00486df864022a7e3fa"},
+			"32a15952f316e9ca84d7c4cdb3ed0fc87e4e1c86df1d995d6582720e737f3172"},
 		{"distributed", 7, distributed,
 			"30b4162e74e63697fb1d59d53d1f18d7a4113303f467afa2c9c19fb6af57e28f",
-			"44361dac4b3667a29af5319bde0686545ae039d6478bf424b4c216169f4f7f9b"},
+			"d0c51f30da29b20efd73dfb51784b63c8b67ad9bcc7f9a96936490a505c524e2"},
 	} {
 		name := fmt.Sprintf("%s/seed%d", tc.name, tc.seed)
 		t.Run(name, func(t *testing.T) {

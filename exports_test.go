@@ -38,7 +38,6 @@ var exportsWithoutCallers = map[string]string{
 	"internal/ddqn.ReplayBuffer.Cap":        "observation: the ring's capacity",
 	"internal/edge.Cache.Capacity":          "observation: the cache's byte budget",
 	"internal/edge.Cache.Len":               "observation: the cached representations",
-	"internal/grouping.Builder.Config":      "observation: the builder's configuration after defaults",
 	"internal/grouping.Result.Assignments":  "observation: a construction's per-user groups",
 	"internal/kmeans.DistMatrix.At":         "observation: one staged distance, by the silhouette kernel",
 	"internal/mobility.Map.Contains":        "observation: whether a placed point lies on the map",
@@ -82,9 +81,43 @@ type goListPackage struct {
 // that declares it, or when the root package's exported API reaches
 // its type (an alias, or a type such an alias's methods return).
 // Struct fields are not scanned. A function calling itself is not its
-// own caller. The scan reads the default build of this platform, with
-// cgo off so no file needs cgo's preprocessing.
+// own caller.
 func TestInternalExportsHaveCallers(t *testing.T) {
+	module, checked := loadModule(t)
+	used := referencedObjects(module)
+	ifaces := interfacesByMethod(checked)
+	public := publicTypes(checked["dtmsvs"])
+	var flagged []string
+	for _, m := range module {
+		if !strings.Contains(m.path+"/", "/internal/") {
+			continue
+		}
+		for _, name := range unreachedExports(m.pkg, used, ifaces, public) {
+			flagged = append(flagged, strings.TrimPrefix(m.path, "dtmsvs/")+"."+name)
+		}
+	}
+	sort.Strings(flagged)
+	seen := map[string]bool{}
+	for _, name := range flagged {
+		seen[name] = true
+		if _, ok := exportsWithoutCallers[name]; !ok {
+			t.Errorf("%s is exported and no non-test file references it: delete it, or allowlist it with its reason", name)
+		}
+	}
+	for name := range exportsWithoutCallers {
+		if !seen[name] {
+			t.Errorf("allowlisted %s has a non-test caller or is gone: drop its entry", name)
+		}
+	}
+}
+
+// loadModule type-checks every package of the module's default build
+// on this platform, with cgo off so no file needs cgo's preprocessing,
+// and the standard library it imports. It returns the module's
+// packages with their syntax and uses, and every checked package by
+// import path.
+func loadModule(t *testing.T) ([]*moduleFiles, map[string]*types.Package) {
+	t.Helper()
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skipf("no go command: %v", err)
@@ -149,32 +182,162 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			module = append(module, &moduleFiles{path: p.ImportPath, pkg: pkg, files: files, info: info})
 		}
 	}
+	return module, checked
+}
 
-	used := referencedObjects(module)
-	ifaces := interfacesByMethod(checked)
-	public := publicTypes(checked["dtmsvs"])
-	var flagged []string
-	for _, m := range module {
-		if !strings.Contains(m.path+"/", "/internal/") {
-			continue
+// configRoots are the engine configurations TestConfigFieldsHaveWriters
+// covers, with every struct type their exported fields reach.
+var configRoots = []string{"dtmsvs/internal/sim.Config", "dtmsvs/internal/grouping.Config", "dtmsvs/internal/cluster.Config"}
+
+// configFieldsWithoutWriters lists the exported configuration fields
+// that no non-test file of the module writes, each with the reason it
+// stays:
+//
+//   - scenario: a constant of the paper's scenario that every run takes
+//     at its default, read by the benchmark probe or engine stage named;
+//   - fixture: a value tests set to reach a case cheaply.
+var configFieldsWithoutWriters = map[string]string{
+	"internal/sim.Config.CacheBytes":         "fixture: tests shrink the edge cache until it evicts",
+	"internal/sim.Config.CatalogSize":        "scenario: the 500-video catalog newTwinSet builds for the learning probe",
+	"internal/sim.Config.CategoryWeights":    "scenario: Fig. 3(a)'s News-heavy mix newTwinSet draws catalog and favourites from",
+	"internal/sim.Config.IntervalS":          "scenario: the paper's 300 s reservation interval twinSet.interval feeds",
+	"internal/sim.Config.NominalRBsPerGroup": "scenario: the per-group RB cap twinSet.interval rates its sessions by",
+	"internal/sim.Config.RegroupEvery":       "fixture: tests regroup every interval or two to reach regrouping in short runs",
+	"internal/sim.Config.SegmentS":           "scenario: the 4 s segment the engine's prefetch delivery runs on in every workload",
+	"internal/sim.Config.SwipeGapS":          "scenario: the 0.5 s swipe gap the engine's demand prediction runs on in every workload",
+	"internal/sim.Config.TopNRecommend":      "scenario: the recommendation list the learning probe's predict stage builds",
+	"internal/sim.Config.TxPowerDBm":         "scenario: the 30 dBm per-RB power newTwinSet deploys its stations with",
+}
+
+// TestConfigFieldsHaveWriters fails on every exported field of the
+// engine configurations (configRoots) that no non-test file of the
+// module writes: a key of a composite literal, the left side of an
+// assignment or op=, or the operand of ++ or --. Writes inside a
+// covered type's own Defaulted method do not count: a default is not a
+// choice any program makes. Unkeyed literals are not read as writes,
+// so a field only such a literal sets is flagged.
+func TestConfigFieldsHaveWriters(t *testing.T) {
+	module, checked := loadModule(t)
+	fields, covered := configFields(t, checked)
+	defaulting := func(fn *types.Func) bool {
+		recv := fn.Signature().Recv()
+		if recv == nil || fn.Name() != "Defaulted" {
+			return false
 		}
-		for _, name := range unreachedExports(m.pkg, used, ifaces, public) {
-			flagged = append(flagged, strings.TrimPrefix(m.path, "dtmsvs/")+"."+name)
-		}
+		named, ok := types.Unalias(recv.Type()).(*types.Named)
+		return ok && covered[named]
 	}
-	sort.Strings(flagged)
+	written := writtenFields(module, defaulting)
 	seen := map[string]bool{}
-	for _, name := range flagged {
+	for f, name := range fields {
 		seen[name] = true
-		if _, ok := exportsWithoutCallers[name]; !ok {
-			t.Errorf("%s is exported and no non-test file references it: delete it, or allowlist it with its reason", name)
+		_, listed := configFieldsWithoutWriters[name]
+		switch {
+		case !written[f] && !listed:
+			t.Errorf("%s has no writer outside tests and its defaulting: delete it, or allowlist it with its reason", name)
+		case written[f] && listed:
+			t.Errorf("allowlisted %s has a writer: drop its entry", name)
 		}
 	}
-	for name := range exportsWithoutCallers {
+	for name := range configFieldsWithoutWriters {
 		if !seen[name] {
-			t.Errorf("allowlisted %s has a non-test caller or is gone: drop its entry", name)
+			t.Errorf("allowlisted %s is gone: drop its entry", name)
 		}
 	}
+}
+
+// configFields returns the exported fields of the configRoots and of
+// every module struct type their exported fields reach (through
+// pointers, slices, arrays and maps), named path.Type.Field without
+// the module prefix, with the set of struct types covered.
+func configFields(t *testing.T, checked map[string]*types.Package) (map[*types.Var]string, map[*types.Named]bool) {
+	fields := map[*types.Var]string{}
+	covered := map[*types.Named]bool{}
+	var visit func(types.Type)
+	visit = func(typ types.Type) {
+		switch typ := types.Unalias(typ).(type) {
+		case *types.Pointer:
+			visit(typ.Elem())
+		case *types.Slice:
+			visit(typ.Elem())
+		case *types.Array:
+			visit(typ.Elem())
+		case *types.Map:
+			visit(typ.Elem())
+		case *types.Named:
+			st, ok := typ.Underlying().(*types.Struct)
+			pkg := typ.Obj().Pkg()
+			if !ok || covered[typ] || pkg == nil || !strings.HasPrefix(pkg.Path(), "dtmsvs/") {
+				return
+			}
+			covered[typ] = true
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = strings.TrimPrefix(pkg.Path(), "dtmsvs/") + "." + typ.Obj().Name() + "." + f.Name()
+					visit(f.Type())
+				}
+			}
+		}
+	}
+	for _, root := range configRoots {
+		dot := strings.LastIndex(root, ".")
+		pkg := checked[root[:dot]]
+		if pkg == nil {
+			t.Fatalf("config root %s: no package %s", root, root[:dot])
+		}
+		obj := pkg.Scope().Lookup(root[dot+1:])
+		if obj == nil {
+			t.Fatalf("config root %s is gone", root)
+		}
+		visit(obj.Type())
+	}
+	return fields, covered
+}
+
+// writtenFields returns every struct field a non-test file of the
+// module writes: a keyed composite-literal element, or a selector on
+// the left of an assignment or op=, or under ++ or --, with the fields
+// that selector reaches through. The bodies of the functions skip
+// reports are not scanned.
+func writtenFields(module []*moduleFiles, skip func(*types.Func) bool) map[*types.Var]bool {
+	written := map[*types.Var]bool{}
+	mark := func(info *types.Info, id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			written[v.Origin()] = true
+		}
+	}
+	for _, m := range module {
+		// selector marks every field of a selector chain: a write to
+		// c.Grouping.UseCNN writes into c.Grouping too.
+		selector := func(e ast.Expr) {
+			for sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok; sel, ok = ast.Unparen(sel.X).(*ast.SelectorExpr) {
+				mark(m.info, sel.Sel)
+			}
+		}
+		for _, f := range m.files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && skip(m.info.Defs[fd.Name].(*types.Func)) {
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							mark(m.info, id)
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							selector(lhs)
+						}
+					case *ast.IncDecStmt:
+						selector(n.X)
+					}
+					return true
+				})
+			}
+		}
+	}
+	return written
 }
 
 type importerFunc func(path string) (*types.Package, error)

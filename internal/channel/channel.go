@@ -48,12 +48,6 @@ type Params struct {
 	RBBandwidthHz float64
 	// MinDistM clamps the path-loss distance (default 10 m).
 	MinDistM float64
-	// FadingRho is the AR(1) correlation of the fast-fading process
-	// between consecutive samples (Jakes-style temporal correlation).
-	// 0 (default) gives i.i.d. Rayleigh fading per sample; values
-	// toward 1 model slow-moving users whose fades persist across
-	// collection ticks.
-	FadingRho float64
 }
 
 // DefaultParams returns the parameter set used by the experiments.
@@ -78,8 +72,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("rb bandwidth %v Hz: %w", p.RBBandwidthHz, ErrParam)
 	case p.MinDistM <= 0:
 		return fmt.Errorf("min dist %v m: %w", p.MinDistM, ErrParam)
-	case p.FadingRho < 0 || p.FadingRho >= 1:
-		return fmt.Errorf("fading rho %v: %w", p.FadingRho, ErrParam)
 	}
 	return nil
 }
@@ -112,9 +104,9 @@ func (p Params) NoisePowerDBm() float64 {
 }
 
 // Link models one user's channel to a base station, holding the
-// slow-varying shadowing state and the fast-fading process: DrawFade
-// advances the fading one sample, and SNRsInto turns a chunk of samples
-// — station, position and fade each — into SNRs.
+// slow-varying shadowing state and the stream of its i.i.d. Rayleigh
+// fades: DrawFade draws one sample's fade, and SNRsInto turns a chunk
+// of samples — station, position and fade each — into SNRs.
 type Link struct {
 	// prop holds the parameters with the path-loss reference and the
 	// noise power taken at construction.
@@ -122,13 +114,6 @@ type Link struct {
 	bs       *BaseStation
 	shadowDB float64
 	rng      *rand.Rand
-
-	// hRe/hIm is the complex fading tap for the AR(1) process
-	// (only evolved when FadingRho > 0).
-	hRe, hIm float64
-
-	// innov is sqrt(1 − FadingRho²), fixed at construction.
-	innov float64
 }
 
 // NewLink creates a link with freshly drawn shadowing: Init into a new
@@ -141,10 +126,10 @@ func NewLink(params Params, bs *BaseStation, rng *rand.Rand) (*Link, error) {
 	return l, nil
 }
 
-// Init builds the link in place, drawing its shadowing and fading tap
-// from rng (which it keeps for the fading process). The parameters are
-// checked before anything is drawn; on error the link is left as it
-// was.
+// Init builds the link in place, drawing its shadowing from rng (which
+// it keeps for the fades). It makes three NormFloat64 draws: the
+// shadowing, then two it discards. The parameters are checked before
+// anything is drawn; on error the link is left as it was.
 func (l *Link) Init(params Params, bs *BaseStation, rng *rand.Rand) error {
 	if err := params.Validate(); err != nil {
 		return err
@@ -152,16 +137,16 @@ func (l *Link) Init(params Params, bs *BaseStation, rng *rand.Rand) error {
 	if bs == nil {
 		return fmt.Errorf("nil base station: %w", ErrParam)
 	}
-	const invSqrt2 = 0.7071067811865476
 	*l = Link{
 		prop:     params.Propagation(),
 		bs:       bs,
 		shadowDB: rng.NormFloat64() * params.ShadowSigmaDB,
 		rng:      rng,
-		hRe:      rng.NormFloat64() * invSqrt2,
-		hIm:      rng.NormFloat64() * invSqrt2,
-		innov:    math.Sqrt(1 - params.FadingRho*params.FadingRho),
 	}
+	// Two discarded draws, where the link once drew an AR(1) fading
+	// tap, keep every later fade at its place in the stream.
+	rng.NormFloat64()
+	rng.NormFloat64()
 	return nil
 }
 
@@ -180,28 +165,13 @@ func (l *Link) Handover(bs *BaseStation) error {
 	return nil
 }
 
-// DrawFade advances the link's fast-fading process by one sample and
-// returns the fade power |h|², floored at 1e-9 (−90 dB). With
-// FadingRho > 0 the complex tap evolves as an AR(1) process
-// (temporally correlated fades); otherwise each sample draws an
-// independent Rayleigh realization, whose |h|² is Exp(1). This is the
-// link's only random draw per sample: the SNR itself is deterministic
-// given the fade, so a caller can draw a chunk of samples in order and
-// evaluate them together with SNRsInto.
+// DrawFade draws one sample's independent Rayleigh fade and returns
+// its power |h|², which is Exp(1), floored at 1e-9 (−90 dB). This is
+// the link's only random draw per sample: the SNR itself is
+// deterministic given the fade, so a caller can draw a chunk of samples
+// in order and evaluate them together with SNRsInto.
 func (l *Link) DrawFade() float64 {
-	var h2 float64
-	if rho := l.prop.params.FadingRho; rho > 0 {
-		const invSqrt2 = 0.7071067811865476
-		l.hRe = rho*l.hRe + l.innov*l.rng.NormFloat64()*invSqrt2
-		l.hIm = rho*l.hIm + l.innov*l.rng.NormFloat64()*invSqrt2
-		h2 = l.hRe*l.hRe + l.hIm*l.hIm
-	} else {
-		h2 = l.rng.ExpFloat64()
-	}
-	if h2 < 1e-9 {
-		h2 = 1e-9
-	}
-	return h2
+	return max(l.rng.ExpFloat64(), 1e-9)
 }
 
 // Reception is one sample's input to the propagation model: the

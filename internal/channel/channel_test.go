@@ -173,7 +173,6 @@ func TestNewLinkValidation(t *testing.T) {
 func TestLinkInitInPlace(t *testing.T) {
 	bs := &BaseStation{Pos: mobility.Point{X: 0, Y: 0}, TxPowerDBm: 30}
 	p := DefaultParams()
-	p.FadingRho = 0.5
 	want, err := NewLink(p, bs, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -299,74 +298,27 @@ func TestGridDeploy(t *testing.T) {
 	}
 }
 
-func TestFadingRhoValidation(t *testing.T) {
+// TestLinkInitDrawsThreeNormals: Init draws the shadowing, then two
+// normals it discards, and nothing else, so every fade after it sits
+// where the stream has always put it.
+func TestLinkInitDrawsThreeNormals(t *testing.T) {
+	bs := &BaseStation{Pos: mobility.Point{X: 0, Y: 0}, TxPowerDBm: 30}
 	p := DefaultParams()
-	p.FadingRho = 1.0
-	if err := p.Validate(); !errors.Is(err, ErrParam) {
-		t.Fatalf("rho 1: want ErrParam, got %v", err)
-	}
-	p.FadingRho = -0.1
-	if err := p.Validate(); !errors.Is(err, ErrParam) {
-		t.Fatalf("negative rho: want ErrParam, got %v", err)
-	}
-	p.FadingRho = 0.95
-	if err := p.Validate(); err != nil {
-		t.Fatalf("valid rho rejected: %v", err)
-	}
-}
-
-// Correlated fading must have a higher lag-1 autocorrelation of the
-// SNR series than i.i.d. fading, with the same stationary mean.
-func TestCorrelatedFading(t *testing.T) {
-	series := func(rho float64, seed int64) []float64 {
-		params := DefaultParams()
-		params.ShadowSigmaDB = 0
-		params.FadingRho = rho
+	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		bs := &BaseStation{Pos: mobility.Point{}, TxPowerDBm: 30}
-		l, err := NewLink(params, bs, rng)
+		l, err := NewLink(p, bs, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs := make([]Reception, 20000)
-		for i := range rs {
-			rs[i] = Reception{BS: bs, Pos: mobility.Point{X: 200, Y: 0}, Fade: l.DrawFade()}
+		ref := rand.New(rand.NewSource(seed))
+		if shadow := ref.NormFloat64() * p.ShadowSigmaDB; l.ShadowDB() != shadow {
+			t.Fatalf("seed %d: shadowing %v, want the first normal's %v", seed, l.ShadowDB(), shadow)
 		}
-		out := make([]float64, len(rs))
-		l.SNRsInto(out, rs)
-		return out
-	}
-	lag1 := func(xs []float64) float64 {
-		var mean float64
-		for _, x := range xs {
-			mean += x
+		ref.NormFloat64()
+		ref.NormFloat64()
+		if got, want := l.DrawFade(), max(ref.ExpFloat64(), 1e-9); got != want || l.rng.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: first fade %v, want %v, or the streams diverged after three normals", seed, got, want)
 		}
-		mean /= float64(len(xs))
-		var num, den float64
-		for i := 0; i < len(xs)-1; i++ {
-			num += (xs[i] - mean) * (xs[i+1] - mean)
-			den += (xs[i] - mean) * (xs[i] - mean)
-		}
-		return num / den
-	}
-	iid := series(0, 1)
-	corr := series(0.95, 1)
-	if a := lag1(iid); math.Abs(a) > 0.05 {
-		t.Fatalf("iid lag-1 autocorr %v, want ~0", a)
-	}
-	if a := lag1(corr); a < 0.5 {
-		t.Fatalf("correlated lag-1 autocorr %v, want > 0.5", a)
-	}
-	// Same stationary mean (E|h|² = 1 in both processes).
-	meanOf := func(xs []float64) float64 {
-		var m float64
-		for _, x := range xs {
-			m += x
-		}
-		return m / float64(len(xs))
-	}
-	if d := math.Abs(meanOf(iid) - meanOf(corr)); d > 0.5 {
-		t.Fatalf("stationary means differ by %v dB", d)
 	}
 }
 
@@ -388,7 +340,6 @@ func TestLinkEncodeDecodeState(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	p.FadingRho = 0.9
 	src, err := NewLink(p, stations[3], rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -424,16 +375,8 @@ func TestLinkEncodeDecodeState(t *testing.T) {
 func referenceSample(l *Link, bs *BaseStation, userPos mobility.Point) float64 {
 	d := bs.Pos.Dist(userPos)
 	pl := l.prop.params.pathLossDB(l.prop.ref, d)
-	var h2 float64
-	if rho := l.prop.params.FadingRho; rho > 0 {
-		const invSqrt2 = 0.7071067811865476
-		l.hRe = rho*l.hRe + l.innov*l.rng.NormFloat64()*invSqrt2
-		l.hIm = rho*l.hIm + l.innov*l.rng.NormFloat64()*invSqrt2
-		h2 = l.hRe*l.hRe + l.hIm*l.hIm
-	} else {
-		// |h|² of a unit complex Gaussian is Exp(1).
-		h2 = l.rng.ExpFloat64()
-	}
+	// |h|² of a unit complex Gaussian is Exp(1).
+	h2 := l.rng.ExpFloat64()
 	if h2 < 1e-9 {
 		h2 = 1e-9
 	}
@@ -446,10 +389,10 @@ func referenceSample(l *Link, bs *BaseStation, userPos mobility.Point) float64 {
 // DrawFade and evaluating them with SNRsInto — in one call or split
 // into chunks of any size, across the batchLen pass boundary — gives
 // every sample the per-sample formula's SNR bit for bit, and leaves the
-// fading tap and the random stream where the per-sample loop leaves
+// link state and the random stream where the per-sample loop leaves
 // them. The run switches serving station mid-chunk and visits the
 // clamp radius, a station's exact position (a Hypot special case) and
-// positions far away, with i.i.d. and correlated fading.
+// positions far away.
 func TestSNRsIntoMatchesPerSampleFormula(t *testing.T) {
 	stations := []*BaseStation{
 		{ID: 0, Pos: mobility.Point{X: 100, Y: 100}, TxPowerDBm: 30},
@@ -471,54 +414,50 @@ func TestSNRsIntoMatchesPerSampleFormula(t *testing.T) {
 		}
 		rs[i] = Reception{BS: bs, Pos: pos}
 	}
-	for _, rho := range []float64{0, 0.9} {
-		params := DefaultParams()
-		params.FadingRho = rho
-		link := func() *Link {
-			l, err := NewLink(params, stations[0], rand.New(rand.NewSource(11)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l
+	link := func() *Link {
+		l, err := NewLink(DefaultParams(), stations[0], rand.New(rand.NewSource(11)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		ref := link()
-		want := make([]float64, n)
-		for i, r := range rs {
-			want[i] = referenceSample(ref, r.BS, r.Pos)
+		return l
+	}
+	ref := link()
+	want := make([]float64, n)
+	for i, r := range rs {
+		want[i] = referenceSample(ref, r.BS, r.Pos)
+	}
+	for _, chunk := range []int{1, 3, 4, batchLen - 1, batchLen, batchLen + 1, n} {
+		l := link()
+		got := make([]float64, n)
+		for lo := 0; lo < n; lo += chunk {
+			hi := min(lo+chunk, n)
+			batch := append([]Reception(nil), rs[lo:hi]...)
+			for j := range batch {
+				batch[j].Fade = l.DrawFade()
+			}
+			l.SNRsInto(got[lo:hi], batch)
 		}
-		for _, chunk := range []int{1, 3, 4, batchLen - 1, batchLen, batchLen + 1, n} {
-			l := link()
-			got := make([]float64, n)
-			for lo := 0; lo < n; lo += chunk {
-				hi := min(lo+chunk, n)
-				batch := append([]Reception(nil), rs[lo:hi]...)
-				for j := range batch {
-					batch[j].Fade = l.DrawFade()
-				}
-				l.SNRsInto(got[lo:hi], batch)
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("rho %v chunk %d sample %d: SNR %v, want %v", rho, chunk, i, got[i], want[i])
-				}
-			}
-			if !bytes.Equal(linkState(l), linkState(ref)) || l.rng.Int63() != ref.rng.Int63() {
-				t.Fatalf("rho %v chunk %d: link state or stream diverged", rho, chunk)
-			}
-			ref = link()
-			for _, r := range rs {
-				referenceSample(ref, r.BS, r.Pos)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("chunk %d sample %d: SNR %v, want %v", chunk, i, got[i], want[i])
 			}
 		}
-		// Sample is DrawFade and a one-reception SNRsInto.
-		l, ref := link(), link()
-		for _, r := range rs[:2*batchLen] {
-			if err := l.Handover(r.BS); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := l.Sample(r.Pos), referenceSample(ref, r.BS, r.Pos); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("rho %v: Sample %v, want %v", rho, got, want)
-			}
+		if !bytes.Equal(linkState(l), linkState(ref)) || l.rng.Int63() != ref.rng.Int63() {
+			t.Fatalf("chunk %d: link state or stream diverged", chunk)
+		}
+		ref = link()
+		for _, r := range rs {
+			referenceSample(ref, r.BS, r.Pos)
+		}
+	}
+	// Sample is DrawFade and a one-reception SNRsInto.
+	l, ref := link(), link()
+	for _, r := range rs[:2*batchLen] {
+		if err := l.Handover(r.BS); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := l.Sample(r.Pos), referenceSample(ref, r.BS, r.Pos); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Sample %v, want %v", got, want)
 		}
 	}
 }

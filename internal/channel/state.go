@@ -1,8 +1,7 @@
 // This file encodes the link's mutable state for session checkpoints
 // and handovers. The channel parameters and the link's random stream
 // are restored by replaying construction on the same derived stream;
-// the encoding covers the serving station, the shadowing draw, and
-// the AR(1) fading tap.
+// the encoding covers the serving station and the shadowing draw.
 
 package channel
 
@@ -13,13 +12,10 @@ import (
 )
 
 // EncodeState appends the link's mutable state: the serving station's
-// id (station pointers are rebound on decode), the shadowing draw and
-// the fading tap.
+// id (station pointers are rebound on decode) and the shadowing draw.
 func (l *Link) EncodeState(e *checkpoint.Enc) {
 	e.Int(l.bs.ID)
 	e.F64(l.shadowDB)
-	e.F64(l.hRe)
-	e.F64(l.hIm)
 }
 
 // DecodeState overwrites the link's mutable state with bytes
@@ -28,7 +24,7 @@ func (l *Link) EncodeState(e *checkpoint.Enc) {
 // outside the deployment is checkpoint.ErrCorrupt.
 func (l *Link) DecodeState(d *checkpoint.Dec, stations []*BaseStation) error {
 	bs := d.Int()
-	shadowDB, hRe, hIm := d.F64(), d.F64(), d.F64()
+	shadowDB := d.F64()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -37,7 +33,6 @@ func (l *Link) DecodeState(d *checkpoint.Dec, stations []*BaseStation) error {
 	}
 	l.bs = stations[bs]
 	l.shadowDB = shadowDB
-	l.hRe, l.hIm = hRe, hIm
 	return nil
 }
 

@@ -10,12 +10,14 @@
 // length-prefixed runs of them). v1 carried a JSON blob per user twin;
 // v2 counted the draws of the generator a monolithic engine shared
 // between its catalog and its builder, a stream v3 engines no longer
-// have; both are refused. Readers are strict: any framing damage, CRC
-// mismatch, or over-long length surfaces as ErrCorrupt (never a panic,
-// and never an allocation ahead of the bytes that justify it), a
-// format version the reader does not speak surfaces as ErrVersion, and
-// a header whose engine kind or config fingerprint disagrees with the
-// resuming session surfaces as ErrConfigMismatch. The writer refuses
+// have; v3 a cluster failure-policy byte and a forecast per group; v4
+// an AR(1) fading tap in every user's link. All are refused. Readers
+// are strict: any framing damage, CRC mismatch, or over-long length
+// surfaces as ErrCorrupt (never a panic, and never an allocation ahead
+// of the bytes that justify it), a format version the reader does not
+// speak surfaces as ErrVersion, and a header whose engine kind or
+// config fingerprint disagrees with the resuming session surfaces as
+// ErrConfigMismatch. The writer refuses
 // with ErrTooLarge what the reader would refuse to read.
 package checkpoint
 
@@ -36,7 +38,7 @@ import (
 
 // Version is the checkpoint format version this package writes and
 // the only one it reads.
-const Version uint16 = 4
+const Version uint16 = 5
 
 // magic opens every checkpoint stream.
 var magic = [8]byte{'D', 'T', 'C', 'K', 'P', 'T', '0', '\n'}

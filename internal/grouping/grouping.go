@@ -103,22 +103,8 @@ type Config struct {
 	// KMin/KMax bound the grouping number (DDQN action space is
 	// KMax−KMin+1 actions).
 	KMin, KMax int
-	// CodeDim is the CNN code size (default 8).
-	CodeDim int
 	// UseCNN disables compression when false (raw-window baseline).
 	UseCNN bool
-	// GroupCostWeight is the per-group penalty λ in the DDQN reward
-	// r = silhouette − λ·K/KMax (default 0.15). It encodes the radio
-	// cost of maintaining more multicast groups.
-	GroupCostWeight float64
-	// CNN is the compressor architecture; zero-value fields default
-	// sensibly in New. Its Channels and Window, when set, must be
-	// udt.NumFeatureChannels and WindowSteps, the windows the builder
-	// feeds it, and its CodeDim, when set with CodeDim, must equal it.
-	CNN cnn.Config
-	// Agent is the DDQN configuration; StateDim/NumActions are set by
-	// New and must be left zero.
-	Agent ddqn.Config
 }
 
 // Validate checks the configuration.
@@ -130,18 +116,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pos scale %v: %w", c.PosScale, ErrConfig)
 	case c.KMin < 1 || c.KMax < c.KMin:
 		return fmt.Errorf("k range [%d,%d]: %w", c.KMin, c.KMax, ErrConfig)
-	case c.UseCNN && c.CNN.Channels != 0 && c.CNN.Channels != udt.NumFeatureChannels:
-		return fmt.Errorf("cnn channels %d, windows have %d: %w", c.CNN.Channels, udt.NumFeatureChannels, ErrConfig)
-	case c.UseCNN && c.CNN.Window != 0 && c.CNN.Window != c.WindowSteps:
-		return fmt.Errorf("cnn window %d, window steps %d: %w", c.CNN.Window, c.WindowSteps, ErrConfig)
-	case c.CNN.CodeDim != 0 && c.CodeDim != 0 && c.CNN.CodeDim != c.CodeDim:
-		return fmt.Errorf("cnn code dim %d, code dim %d: %w", c.CNN.CodeDim, c.CodeDim, ErrConfig)
-	case c.Agent.StateDim != 0 || c.Agent.NumActions != 0:
-		return fmt.Errorf("agent state dim %d, %d actions: the builder sets both: %w",
-			c.Agent.StateDim, c.Agent.NumActions, ErrConfig)
 	}
 	return nil
 }
+
+// groupCostWeight is the per-group penalty λ in the DDQN reward
+// r = silhouette − λ·K/KMax. It encodes the radio cost of maintaining
+// more multicast groups.
+const groupCostWeight = 0.15
 
 // StateDim is the width of the DDQN observation built by envState.
 const StateDim = 8
@@ -178,66 +160,38 @@ func (b *Builder) SetPool(p *parallel.Pool) { b.pool = p }
 // and goes when that harness is next edited.
 func (b *Builder) SetGEMMPool(*vecmath.GEMMPool) {}
 
-// New constructs a builder.
+// New constructs a builder: with the CNN on, a compressor of one fixed
+// architecture over the windows the builder feeds it (8 filters of
+// width 3, max-pool 2, an 8-wide code), and a DDQN over StateDim-wide
+// observations with one action per grouping number in [KMin, KMax].
 func New(cfg Config, rng *rand.Rand) (*Builder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CodeDim == 0 {
-		cfg.CodeDim = 8
-	}
-	if cfg.GroupCostWeight == 0 {
-		cfg.GroupCostWeight = 0.15
-	}
-
 	b := &Builder{cfg: cfg, rng: rng}
-
 	if cfg.UseCNN {
-		cc := cfg.CNN
-		if cc.Channels == 0 {
-			cc.Channels = udt.NumFeatureChannels
-		}
-		if cc.Window == 0 {
-			cc.Window = cfg.WindowSteps
-		}
-		if cc.Filters == 0 {
-			cc.Filters = 8
-		}
-		if cc.Kernel == 0 {
-			cc.Kernel = 3
-		}
-		if cc.Pool == 0 {
-			cc.Pool = 2
-		}
-		if cc.CodeDim == 0 {
-			cc.CodeDim = cfg.CodeDim
-		}
-		comp, err := cnn.New(cc, rng)
+		comp, err := cnn.New(cnn.Config{
+			Channels: udt.NumFeatureChannels,
+			Window:   cfg.WindowSteps,
+			Filters:  8,
+			Kernel:   3,
+			Pool:     2,
+			CodeDim:  8,
+		}, rng)
 		if err != nil {
 			return nil, fmt.Errorf("grouping compressor: %w", err)
 		}
 		b.compressor = comp
 	}
-
-	ac := cfg.Agent
-	ac.StateDim = StateDim
-	ac.NumActions = cfg.KMax - cfg.KMin + 1
-	if ac.NumActions < 2 {
-		// Degenerate action space: pad so the DDQN stays valid; the
-		// extra action maps back to KMax.
-		ac.NumActions = 2
-	}
-	agent, err := ddqn.New(ac, rng)
+	// A degenerate action space is padded so the DDQN stays valid; the
+	// extra action maps back to KMax.
+	agent, err := ddqn.New(ddqn.Config{StateDim: StateDim, NumActions: max(cfg.KMax-cfg.KMin+1, 2)}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("grouping agent: %w", err)
 	}
 	b.agent = agent
-	b.cfg = cfg
 	return b, nil
 }
-
-// Config returns the builder configuration.
-func (b *Builder) Config() Config { return b.cfg }
 
 // CodesInto writes the code of every twin (its raw window when the CNN
 // is disabled) into a row of dst, which it resizes to len(twins) rows.
@@ -406,7 +360,7 @@ func (b *Builder) reward(codes []vecmath.Vec, dists *kmeans.DistMatrix, k int) (
 		mean := res.Inertia / float64(len(codes))
 		quality = 1 - math.Sqrt(mean)
 	}
-	penalty := b.cfg.GroupCostWeight * float64(k) / float64(b.cfg.KMax)
+	penalty := groupCostWeight * float64(k) / float64(b.cfg.KMax)
 	return quality - penalty, nil
 }
 

@@ -72,11 +72,6 @@ func TestConfigValidate(t *testing.T) {
 		{"posscale", func(c *Config) { c.PosScale = 0 }},
 		{"kmin", func(c *Config) { c.KMin = 0 }},
 		{"krange", func(c *Config) { c.KMin = 5; c.KMax = 2 }},
-		{"cnn-channels", func(c *Config) { c.UseCNN = true; c.CNN.Channels = udt.NumFeatureChannels + 1 }},
-		{"cnn-window", func(c *Config) { c.UseCNN = true; c.CNN.Window = c.WindowSteps / 2 }},
-		{"code-dims", func(c *Config) { c.CodeDim = 8; c.CNN.CodeDim = 4 }},
-		{"agent-state", func(c *Config) { c.Agent.StateDim = 99 }},
-		{"agent-actions", func(c *Config) { c.Agent.NumActions = 3 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -580,8 +575,7 @@ func TestRepeatedKIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := b.Config()
-	for action := 0; action <= cfg.KMax-cfg.KMin; action++ {
+	for action := 0; action <= b.cfg.KMax-b.cfg.KMin; action++ {
 		before := src.Draws()
 		_, first, _, err := env.Step(action)
 		if err != nil {

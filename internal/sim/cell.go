@@ -108,10 +108,6 @@ func NewCell(cfg Config, opts CellOptions) (*Simulation, error) {
 	}
 	c := cfg.Defaulted()
 	params := channel.DefaultParams()
-	params.FadingRho = c.FadingRho
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 
 	var durSum float64
 	for _, v := range opts.Catalog.Videos {

@@ -153,76 +153,72 @@ func predictUserSNROracle(s *Simulation, u *user) float64 {
 // the scalar formula does: the encoded user (stream position,
 // mobility, link, twin rings and clock), the last SNR, the interval's
 // mean SNR and position, the serving station and the twin's feature
-// window. It runs i.i.d. and correlated fading, with and without a
-// down station, at interval lengths that are not a multiple of 4 and
-// span one, two and three chunks, and requires handovers inside a
-// chunk. After the intervals the 6-point path forecast must match its
+// window. It runs with and without a down station, at interval
+// lengths that are not a multiple of 4 and span one, two and three
+// chunks, and requires handovers inside a chunk. After the intervals the 6-point path forecast must match its
 // one-point-at-a-time oracle.
 func TestCollectTicksMatchesPerTickOracle(t *testing.T) {
 	midChunk := 0
-	for _, rho := range []float64{0, 0.9} {
-		for _, ticks := range []int{tickChunk - 3, tickChunk + 13, 2*tickChunk + 7} {
-			for _, down := range []bool{false, true} {
-				cfg := fastConfig(9)
-				cfg.NumUsers = 40
-				cfg.FadingRho = rho
-				cfg.TicksPerInterval = ticks
-				engine := func() *Simulation {
-					s, err := New(cfg)
+	for _, ticks := range []int{tickChunk - 3, tickChunk + 13, 2*tickChunk + 7} {
+		for _, down := range []bool{false, true} {
+			cfg := fastConfig(9)
+			cfg.NumUsers = 40
+			cfg.TicksPerInterval = ticks
+			engine := func() *Simulation {
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(s.Close)
+				if down {
+					s.downBS = []bool{false, true, false, false}
+				}
+				return s
+			}
+			got, want := engine(), engine()
+			for k := 0; k < 4; k++ {
+				if err := got.CollectTicks(); err != nil {
+					t.Fatal(err)
+				}
+				midChunk += collectTicksOracle(t, want)
+				for i, u := range got.users {
+					o := want.users[i]
+					name := func() string {
+						return fmt.Sprintf("%d ticks, down %v, interval %d, user %d", ticks, down, k, u.id)
+					}
+					if !bytes.Equal(encodedUser(t, got, u), encodedUser(t, want, o)) {
+						t.Fatalf("%s: encoded user differs", name())
+					}
+					if u.meanSNR != o.meanSNR || u.meanX != o.meanX || u.meanY != o.meanY || u.link.BS().ID != o.link.BS().ID {
+						t.Fatalf("%s: mean SNR %v/%v, station %d/%d", name(),
+							u.meanSNR.Mean(), o.meanSNR.Mean(), u.link.BS().ID, o.link.BS().ID)
+					}
+					if down && u.link.BS().ID == 1 {
+						t.Fatalf("%s: served by the down station", name())
+					}
+					gw, err := u.twin.FeatureWindow(8, 2000)
 					if err != nil {
 						t.Fatal(err)
 					}
-					t.Cleanup(s.Close)
-					if down {
-						s.downBS = []bool{false, true, false, false}
-					}
-					return s
-				}
-				got, want := engine(), engine()
-				for k := 0; k < 4; k++ {
-					if err := got.CollectTicks(); err != nil {
+					ow, err := o.twin.FeatureWindow(8, 2000)
+					if err != nil {
 						t.Fatal(err)
 					}
-					midChunk += collectTicksOracle(t, want)
-					for i, u := range got.users {
-						o := want.users[i]
-						name := func() string {
-							return fmt.Sprintf("rho %v, %d ticks, down %v, interval %d, user %d", rho, ticks, down, k, u.id)
-						}
-						if !bytes.Equal(encodedUser(t, got, u), encodedUser(t, want, o)) {
-							t.Fatalf("%s: encoded user differs", name())
-						}
-						if u.meanSNR != o.meanSNR || u.meanX != o.meanX || u.meanY != o.meanY || u.link.BS().ID != o.link.BS().ID {
-							t.Fatalf("%s: mean SNR %v/%v, station %d/%d", name(),
-								u.meanSNR.Mean(), o.meanSNR.Mean(), u.link.BS().ID, o.link.BS().ID)
-						}
-						if down && u.link.BS().ID == 1 {
-							t.Fatalf("%s: served by the down station", name())
-						}
-						gw, err := u.twin.FeatureWindow(8, 2000)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ow, err := o.twin.FeatureWindow(8, 2000)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for j := range gw {
-							if math.Float64bits(gw[j]) != math.Float64bits(ow[j]) {
-								t.Fatalf("%s: feature window [%d] %v, want %v", name(), j, gw[j], ow[j])
-							}
+					for j := range gw {
+						if math.Float64bits(gw[j]) != math.Float64bits(ow[j]) {
+							t.Fatalf("%s: feature window [%d] %v, want %v", name(), j, gw[j], ow[j])
 						}
 					}
-					got.CloseInterval()
-					want.CloseInterval()
 				}
-				for i, u := range got.users {
-					if u.havePos < 2 {
-						t.Fatalf("user %d: %d interval positions, want 2", u.id, u.havePos)
-					}
-					if p, w := got.predictUserSNR(u), predictUserSNROracle(want, want.users[i]); math.Float64bits(p) != math.Float64bits(w) {
-						t.Fatalf("user %d: path forecast %v, want %v", u.id, p, w)
-					}
+				got.CloseInterval()
+				want.CloseInterval()
+			}
+			for i, u := range got.users {
+				if u.havePos < 2 {
+					t.Fatalf("user %d: %d interval positions, want 2", u.id, u.havePos)
+				}
+				if p, w := got.predictUserSNR(u), predictUserSNROracle(want, want.users[i]); math.Float64bits(p) != math.Float64bits(w) {
+					t.Fatalf("user %d: path forecast %v, want %v", u.id, p, w)
 				}
 			}
 		}

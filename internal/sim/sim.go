@@ -98,7 +98,7 @@ type Config struct {
 	// NominalRBsPerGroup caps each group's streaming rate
 	// (default 3).
 	NominalRBsPerGroup int
-	// CacheBytes of the edge server (default 2 GiB).
+	// CacheBytes of the edge server (default 256 MiB).
 	CacheBytes int64
 	// SwipeGapS between consecutive feed videos (default 0.5).
 	SwipeGapS float64
@@ -131,9 +131,6 @@ type Config struct {
 	// silhouette-maximizing baseline the DDQN amortizes. Mutually
 	// exclusive with FixedK.
 	OracleK bool
-	// FadingRho enables temporally correlated fast fading (AR(1)
-	// coefficient between collection ticks; 0 = i.i.d. Rayleigh).
-	FadingRho float64
 	// Parallelism is the number of worker goroutines the engine fans
 	// per-user, per-group and grouping work across (0 =
 	// runtime.NumCPU(), 1 = fully sequential). The goroutines live
@@ -243,6 +240,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("base stations %d: %w", d.NumBS, ErrConfig)
 	case d.NumIntervals < 0:
 		return fmt.Errorf("intervals %d: %w", d.NumIntervals, ErrConfig)
+	case d.CatalogSize < 0 || d.CacheBytes < 0:
+		return fmt.Errorf("catalog of %d videos, cache of %d bytes: %w", d.CatalogSize, d.CacheBytes, ErrConfig)
+	case !validCategoryWeights(d.CategoryWeights):
+		return fmt.Errorf("category weights %v, want %d non-negative with a positive sum: %w",
+			d.CategoryWeights, video.NumCategories, ErrConfig)
 	case d.IntervalS < 0 || d.TicksPerInterval < 0:
 		return fmt.Errorf("interval of %v s in %d ticks: %w", d.IntervalS, d.TicksPerInterval, ErrConfig)
 	case d.WarmupIntervals < 0 || d.RegroupEvery < 0:
@@ -270,6 +272,22 @@ func (c Config) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// validCategoryWeights reports whether w weighs every video category
+// with a non-negative weight, and some category with a positive one.
+func validCategoryWeights(w []float64) bool {
+	if len(w) != video.NumCategories {
+		return false
+	}
+	var total float64
+	for _, x := range w {
+		if !(x >= 0) {
+			return false
+		}
+		total += x
+	}
+	return total > 0
 }
 
 // GroupIntervalRecord is one (interval, group) row of the output

@@ -45,6 +45,9 @@ func TestConfigValidate(t *testing.T) {
 		{"agent_episodes", func(c *Config) { c.AgentEpisodes = -1 }},
 		{"compressor_epochs", func(c *Config) { c.CompressorEpochs = -1 }},
 		{"regroup_every", func(c *Config) { c.RegroupEvery = -1 }},
+		{"catalog_size", func(c *Config) { c.CatalogSize = -5 }},
+		{"cache_bytes", func(c *Config) { c.CacheBytes = -1 }},
+		{"category_weights", func(c *Config) { c.CategoryWeights = []float64{1, 2} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -424,19 +427,6 @@ func TestRunOracleK(t *testing.T) {
 	}
 }
 
-func TestRunWithCorrelatedFading(t *testing.T) {
-	cfg := fastConfig(35)
-	cfg.FadingRho = 0.9
-	tr := runFast(t, cfg)
-	if len(tr.Records) == 0 {
-		t.Fatal("no records with correlated fading")
-	}
-	cfg.FadingRho = 1.5
-	if _, err := New(cfg); err == nil {
-		t.Fatal("invalid rho must be rejected")
-	}
-}
-
 func TestRunWithRBBudget(t *testing.T) {
 	cfg := fastConfig(21)
 	cfg.RBBudget = 6 // tight: forces admission cuts
@@ -463,13 +453,12 @@ func TestRunBudgetValidation(t *testing.T) {
 	}
 }
 
-// Combined modes: churn + admission budget + correlated fading in one
-// run must hold all invariants together.
+// Combined modes: churn and an admission budget in one run must hold
+// all invariants together.
 func TestRunCombinedModes(t *testing.T) {
 	cfg := fastConfig(36)
 	cfg.ChurnPerInterval = 0.1
 	cfg.RBBudget = 12
-	cfg.FadingRho = 0.8
 	cfg.RegroupEvery = 2
 	tr := runFast(t, cfg)
 	perInterval := map[int]int{}

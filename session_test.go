@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"dtmsvs/internal/cluster"
-	"dtmsvs/internal/grouping"
 	"dtmsvs/internal/sim"
 )
 
@@ -349,26 +348,27 @@ func TestEmptyScenario(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsGroupingKnobsTheRunCannotUse: a CNN shape other than
-// the windows the builder feeds it, two different code sizes, and an
-// agent shape, which the builder sets itself, fail Open and OpenCluster
-// with grouping.ErrConfig, before any step runs.
-func TestOpenRejectsGroupingKnobsTheRunCannotUse(t *testing.T) {
-	for name, mut := range map[string]func(*grouping.Config){
-		"cnn-window":      func(g *grouping.Config) { g.CNN.Window = 8 },
-		"cnn-channels":    func(g *grouping.Config) { g.CNN.Channels = 3 },
-		"code-dims":       func(g *grouping.Config) { g.CodeDim = 8; g.CNN.CodeDim = 4 },
-		"agent-state-dim": func(g *grouping.Config) { g.Agent.StateDim = 99 },
-		"agent-actions":   func(g *grouping.Config) { g.Agent.NumActions = 3 },
+// TestOpenRejectsWhatValidateRejects: a negative catalog or cache size
+// and category weights that do not weigh the five categories fail
+// Validate, so Open and OpenCluster refuse them with sim.ErrConfig
+// before any component is built, not with the component's own error.
+func TestOpenRejectsWhatValidateRejects(t *testing.T) {
+	for name, mut := range map[string]func(*Config){
+		"catalog-size":     func(c *Config) { c.CatalogSize = -5 },
+		"cache-bytes":      func(c *Config) { c.CacheBytes = -1 },
+		"category-count":   func(c *Config) { c.CategoryWeights = []float64{1, 2} },
+		"category-weights": func(c *Config) { c.CategoryWeights = []float64{1, -1, 1, 1, 1} },
 	} {
 		cfg := sessionTestConfig(1, 1)
-		cfg.Grouping.UseCNN = true
-		mut(&cfg.Grouping)
-		if _, err := Open(cfg); !errors.Is(err, grouping.ErrConfig) {
-			t.Errorf("Open with %s: want grouping.ErrConfig, got %v", name, err)
+		mut(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, sim.ErrConfig) {
+			t.Errorf("Validate with %s: want sim.ErrConfig, got %v", name, err)
 		}
-		if _, err := OpenCluster(ClusterConfig{Sim: cfg}); !errors.Is(err, grouping.ErrConfig) {
-			t.Errorf("OpenCluster with %s: want grouping.ErrConfig, got %v", name, err)
+		if _, err := Open(cfg); !errors.Is(err, sim.ErrConfig) {
+			t.Errorf("Open with %s: want sim.ErrConfig, got %v", name, err)
+		}
+		if _, err := OpenCluster(ClusterConfig{Sim: cfg}); !errors.Is(err, sim.ErrConfig) {
+			t.Errorf("OpenCluster with %s: want sim.ErrConfig, got %v", name, err)
 		}
 	}
 }
