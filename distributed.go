@@ -103,7 +103,7 @@ func (a *distStepper) fingerprint() (uint64, error) {
 
 // writeState captures the distributed boundary: one checkpoint blob
 // per worker, fetched fresh over the wire at this boundary and framed
-// as it arrived, without another copy.
+// from the chunks it arrived in, without another copy.
 func (a *distStepper) writeState(cw *checkpoint.Writer) error {
 	blobs, err := a.sup.CheckpointBlobs(context.Background())
 	if err != nil {
@@ -115,7 +115,7 @@ func (a *distStepper) writeState(cw *checkpoint.Writer) error {
 		return err
 	}
 	for i, b := range blobs {
-		if err := cw.BlobSection(fmt.Sprintf("worker%d", i), b); err != nil {
+		if err := cw.BlobSection(fmt.Sprintf("worker%d", i), b...); err != nil {
 			return err
 		}
 	}
@@ -123,8 +123,8 @@ func (a *distStepper) writeState(cw *checkpoint.Writer) error {
 }
 
 // readState seeds every worker with its blob — the section payload the
-// reader read, not a copy of it; the workers themselves validate kind
-// and fingerprint when they restore.
+// reader read, as one chunk, not a copy of it; the workers themselves
+// validate kind and fingerprint when they restore.
 func (a *distStepper) readState(cr *checkpoint.Reader) error {
 	d, err := cr.Section("coord")
 	if err != nil {
@@ -138,13 +138,13 @@ func (a *distStepper) readState(cr *checkpoint.Reader) error {
 		return fmt.Errorf("checkpoint partitions %d workers, session runs %d: %w",
 			workers, a.workers, ErrCheckpointConfig)
 	}
-	blobs := make([][]byte, a.workers)
+	blobs := make([][][]byte, a.workers)
 	for i := range blobs {
 		d, err := cr.Section(fmt.Sprintf("worker%d", i))
 		if err != nil {
 			return err
 		}
-		blobs[i] = d.Blob()
+		blobs[i] = [][]byte{d.Blob()}
 		if err := d.Close(); err != nil {
 			return err
 		}

@@ -471,25 +471,38 @@ func (w *Writer) Section(name string, fill func(*Enc)) error {
 	return w.err
 }
 
-// BlobSection writes a section whose payload is the one
-// length-prefixed blob b — the bytes Section(name, func(e *Enc) {
-// e.Blob(b) }) writes — without copying b into the section buffer
-// first: the CRC runs over the prefix and then b.
-func (w *Writer) BlobSection(name string, b []byte) error {
+// BlobSection writes a section whose payload is one length-prefixed
+// blob, the concatenation of parts — the bytes Section(name, func(e
+// *Enc) { e.Blob(bytes.Join(parts, nil)) }) writes — without copying
+// the parts into the section buffer first: the CRC runs over the
+// prefix and then each part. A destination that can Grow (an *Enc, a
+// *bytes.Buffer) is grown once for the whole section first, so that
+// writing it part by part grows it as writing it whole would.
+func (w *Writer) BlobSection(name string, parts ...[]byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	if len(b) > maxSection-4 {
-		w.err = fmt.Errorf("checkpoint section %q: %d bytes: %w", name, 4+len(b), ErrTooLarge)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > maxSection-4 {
+		w.err = fmt.Errorf("checkpoint section %q: %d bytes: %w", name, 4+n, ErrTooLarge)
 		return w.err
 	}
 	var frame Enc
 	frame.String(name)
-	frame.U32(uint32(4 + len(b)))
-	frame.U32(uint32(len(b)))
-	sum := crc32.Update(crc32.ChecksumIEEE(frame.buf[len(frame.buf)-4:]), crc32.IEEETable, b)
+	frame.U32(uint32(4 + n))
+	frame.U32(uint32(n))
+	if g, ok := w.w.(interface{ Grow(int) }); ok {
+		g.Grow(len(frame.buf) + n + 4)
+	}
+	sum := crc32.ChecksumIEEE(frame.buf[len(frame.buf)-4:])
 	w.write(frame.Bytes())
-	w.write(b)
+	for _, p := range parts {
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+		w.write(p)
+	}
 	frame.Reset()
 	frame.U32(sum)
 	w.write(frame.Bytes())

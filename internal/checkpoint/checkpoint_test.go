@@ -500,21 +500,27 @@ func TestWriteFileAtomic(t *testing.T) {
 // TestWriterIntoEnc: a checkpoint written into an *Enc — sections
 // encoded in place after whatever the encoder already holds — is the
 // same stream as one written through the section buffer, BlobSection
-// writes the bytes of a Section holding one Blob, and a refused
-// section is cut back off the encoder, which keeps its own latched
-// state.
+// writes the bytes of a Section holding one Blob whether it gets the
+// blob whole or in parts, and a refused section is cut back off the
+// encoder, which keeps its own latched state. A *bytes.Buffer written
+// a blob in parts grows as one written the blob whole.
 func TestWriterIntoEnc(t *testing.T) {
 	blob := bytes.Repeat([]byte{0xA5, 0x5A, 7}, 100)
-	write := func(dst io.Writer, blobSection bool) {
+	// parts = 0 writes the blob through Section, else through
+	// BlobSection in that many parts.
+	write := func(dst io.Writer, parts int) {
 		w := NewWriter(dst, "dtworker", 9)
 		if err := w.Section("counts", func(e *Enc) { e.Int(3); e.F64s([]float64{1.5, -2}) }); err != nil {
 			t.Fatal(err)
 		}
 		var err error
-		if blobSection {
-			err = w.BlobSection("blob", blob)
-		} else {
+		switch parts {
+		case 0:
 			err = w.Section("blob", func(e *Enc) { e.Blob(blob) })
+		case 1:
+			err = w.BlobSection("blob", blob)
+		default:
+			err = w.BlobSection("blob", blob[:7], nil, blob[7:100], blob[100:])
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -524,16 +530,21 @@ func TestWriterIntoEnc(t *testing.T) {
 		}
 	}
 	var want bytes.Buffer
-	write(&want, false)
-	for _, blobSection := range []bool{false, true} {
+	write(&want, 0)
+	caps := map[int]int{}
+	for _, parts := range []int{0, 1, 4} {
 		var buf bytes.Buffer
-		write(&buf, blobSection)
+		write(&buf, parts)
+		caps[parts] = buf.Cap()
 		var e Enc
 		e.U32(0xDEADBEEF) // a frame header the checkpoint rides behind
-		write(&e, blobSection)
+		write(&e, parts)
 		if !bytes.Equal(buf.Bytes(), want.Bytes()) || !bytes.Equal(e.Bytes()[4:], want.Bytes()) {
-			t.Fatalf("blob section %v: the stream differs from Section through the section buffer", blobSection)
+			t.Fatalf("blob in %d parts: the stream differs from Section through the section buffer", parts)
 		}
+	}
+	if caps[4] != caps[1] {
+		t.Fatalf("a bytes.Buffer grew to %d bytes for a blob in parts, %d for it whole", caps[4], caps[1])
 	}
 
 	lowerMaxSection(t, 64)
@@ -553,6 +564,10 @@ func TestWriterIntoEnc(t *testing.T) {
 	}
 	if err := w.BlobSection("big", make([]byte, 61)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("blob section over the limit: %v", err)
+	}
+	w = NewWriter(io.Discard, "sim", 1)
+	if err := w.BlobSection("big", make([]byte, 30), make([]byte, 31)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("blob section over the limit in parts: %v", err)
 	}
 }
 

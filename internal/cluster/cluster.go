@@ -241,10 +241,13 @@ type Engine struct {
 	users   []sim.User
 	splices []cellSplice
 	touched []int
-	// spares are the users the last ApplyHandovers exported out of the
-	// partition, held by no cell: the next pass decodes its imports
-	// into their storage. A restarted worker starts with none.
-	spares []sim.User
+	// spares are users earlier ApplyHandovers passes exported out of the
+	// partition, held by no cell, oldest first: the next pass decodes
+	// its imports into their storage. maxImports is the largest import
+	// batch a pass applied, which bounds how many unused spares stay. A
+	// restarted worker starts with none.
+	spares     []sim.User
+	maxImports int
 	// Failure model (see failure.go): the fault schedule in firing
 	// order, the quarantine mask over stations shared with every cell's
 	// sim engine (written only between fan-outs; stations are cells

@@ -83,12 +83,14 @@ func (e *Engine) PlanHandovers() ([]Handover, error) {
 // calibration state and random stream intact) and joins the new one's.
 // Every move is checked, and every import decoded, before the first
 // twin moves, so a rejected batch leaves the engine untouched. Each
-// import is decoded into the storage of a user the previous pass
-// exported (sim.DecodeUserInto), while those spares last: no engine
-// holds them any more. This pass's leaving users stay in their cells
-// until the moves are applied, and become the next pass's spares once
-// they are; spares a pass leaves unused are dropped then, so the engine
-// never holds more than one boundary's exports. The moves are applied
+// import is decoded into the storage of a spare (sim.DecodeUserInto),
+// a user an earlier pass exported, while those last: no engine holds
+// them any more. This pass's leaving users stay in their cells until
+// the moves are applied, and join the spares once they are. Spares a
+// pass leaves unused stay for later ones, oldest dropped first beyond
+// the larger of the pass's exports and the largest import batch the
+// engine has applied, so imports that outnumber the last boundary's
+// exports still find storage to decode into. The moves are applied
 // cell by cell (relocate): one batched group pick and one splice per
 // touched cell. The pass ends by verifying twin conservation and
 // late-training owned cells that just gained their first users.
@@ -104,6 +106,7 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 		}
 	}
 	users, spares := e.users[:0], e.spares
+	imports := 0
 	for i, h := range moves {
 		switch {
 		case h.ID < 0 || h.ID >= len(e.owner):
@@ -133,6 +136,7 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 		case len(h.Twin) == 0:
 			return fmt.Errorf("import of user %d into cell %d carries no twin: %w", h.ID, h.To, ErrConfig)
 		}
+		imports++
 		var spare sim.User
 		if n := len(spares); n > 0 {
 			spare, spares = spares[n-1], spares[:n-1]
@@ -158,17 +162,29 @@ func (e *Engine) ApplyHandovers(moves []Handover) error {
 		}
 	}
 	err := e.relocate(moves, users)
-	// The users this pass exported are held by no engine now: they are
-	// the next pass's spares, and the spares this one left unused go.
-	clear(e.spares)
-	e.spares = e.spares[:0]
-	if err == nil {
+	// The spares this pass left unused are spares' prefix, oldest first;
+	// the rest now live in cells. The users this pass exported are held
+	// by no engine now: they join the spares.
+	clear(e.spares[len(spares):])
+	exports := 0
+	if err != nil {
+		clear(spares)
+		spares = spares[:0]
+	} else {
 		for i, h := range moves {
 			if e.mask[h.From] && !e.mask[h.To] {
-				e.spares = append(e.spares, users[i])
+				spares = append(spares, users[i])
+				exports++
 			}
 		}
 	}
+	e.maxImports = max(e.maxImports, imports)
+	if drop := len(spares) - max(exports, e.maxImports); drop > 0 {
+		n := copy(spares, spares[drop:])
+		clear(spares[n:])
+		spares = spares[:n]
+	}
+	e.spares = spares
 	clear(users) // hold no twin past the pass
 	if err != nil {
 		return err

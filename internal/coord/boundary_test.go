@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync/atomic"
@@ -334,4 +335,144 @@ func FuzzDecodeHandovers(f *testing.F) {
 			t.Fatalf("handoversSize %d B for a %d B batch", n, len(data))
 		}
 	})
+}
+
+// TestShipChunksRecycled: a worker's ships arrive in chunks of its
+// slot's pool. Its first two ships allocate theirs — the second while
+// the first is still its last checkpoint — and every later one reads
+// into the chunks of a ship its predecessor superseded, a list
+// CheckpointBlobs handed out included once the next call has come. So
+// while a worker's ships span the same number of chunks, as they do in
+// this scenario, the allocation counter stands still from its third
+// ship on, and the shipped-bytes counter grows by each ship's length.
+func TestShipChunksRecycled(t *testing.T) {
+	const ships, allocs, shipBytes = "dtmsvs_coord_worker_checkpoints_total",
+		"dtmsvs_coord_ship_chunks_allocated_total", "dtmsvs_coord_ship_bytes_total"
+	cfg := replayConfig(13)
+	reg := obs.New()
+	s, err := New(Config{Cluster: cfg, Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := t.Context()
+	type count struct{ ships, allocs, bytes uint64 }
+	last := make([]count, len(s.handles))
+	afterSecond := make([]uint64, len(s.handles))
+	chunks := make([]int, len(s.handles))
+	// check reads the counters after a boundary.
+	check := func(label string) {
+		t.Helper()
+		for i, h := range s.handles {
+			c := count{workerCounter(reg, ships, i), workerCounter(reg, allocs, i), workerCounter(reg, shipBytes, i)}
+			if c.ships == last[i].ships {
+				if c != last[i] {
+					t.Fatalf("%s: worker %d counters moved %+v → %+v without a ship", label, i, last[i], c)
+				}
+				continue
+			}
+			if chunks[i] == 0 {
+				chunks[i] = len(h.lastCkpt)
+			} else if chunks[i] != len(h.lastCkpt) {
+				t.Fatalf("%s: worker %d shipped %d chunks, %d before: pick a scenario whose ships keep their size", label, i, len(h.lastCkpt), chunks[i])
+			}
+			n := 0
+			for _, ch := range h.lastCkpt {
+				n += len(ch)
+			}
+			if c.bytes-last[i].bytes != uint64(n) {
+				t.Fatalf("%s: worker %d shipped %d B, the counter grew by %d", label, i, n, c.bytes-last[i].bytes)
+			}
+			switch {
+			case c.ships == 2:
+				afterSecond[i] = c.allocs
+			case c.ships > 2 && c.allocs != afterSecond[i]:
+				t.Fatalf("%s: worker %d's ship %d allocated %d chunks, %d after its second", label, i, c.ships, c.allocs, afterSecond[i])
+			}
+			last[i] = c
+		}
+	}
+	if err := s.WarmupStep(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TrainAndBuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("train")
+	for n := range cfg.Sim.NumIntervals {
+		if _, err := s.StepInterval(ctx, n); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("interval %d", n))
+		// Interval 9 ships while the list handed out here is still lent.
+		if n == 1 || n == 12 {
+			if _, err := s.CheckpointBlobs(ctx); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("checkpoint after interval %d", n))
+		}
+	}
+	for i := range s.handles {
+		t.Logf("worker %d: %d ships, %d chunks allocated, %d B shipped", i, last[i].ships, last[i].allocs, last[i].bytes)
+		if last[i].ships < 4 || last[i].allocs == 0 {
+			t.Fatalf("worker %d: %d ships allocating %d chunks: the run exercises no recycling", i, last[i].ships, last[i].allocs)
+		}
+	}
+}
+
+// TestCheckpointBlobsStayValid: the chunks CheckpointBlobs hands out
+// stay as they were across later ships — two interval ships here, the
+// first of which supersedes them — and go back to the pool at the next
+// CheckpointBlobs call, whose own ship reads into them.
+func TestCheckpointBlobsStayValid(t *testing.T) {
+	cfg := replayConfig(59)
+	s, err := New(Config{Cluster: cfg, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := t.Context()
+	if err := s.WarmupStep(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TrainAndBuild(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var lent [][][]byte
+	var want [][]byte
+	for n := range cfg.Sim.NumIntervals {
+		if _, err := s.StepInterval(ctx, n); err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 {
+			if lent, err = s.CheckpointBlobs(ctx); err != nil {
+				t.Fatal(err)
+			}
+			want = joinBlobs(lent)
+		}
+		for i := range lent {
+			if !bytes.Equal(bytes.Join(lent[i], nil), want[i]) {
+				t.Fatalf("interval %d: worker %d's handed-out checkpoint changed", n, i)
+			}
+		}
+	}
+	for i, h := range s.handles {
+		if len(h.log) != 0 || len(h.lent) != len(lent[i]) {
+			t.Fatalf("worker %d: %d logged boundaries, %d lent chunks: intervals 9 and 17 should have shipped over the handed-out list", i, len(h.log), len(h.lent))
+		}
+	}
+	if _, err := s.CheckpointBlobs(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range s.handles {
+		back := map[*byte]bool{}
+		for _, c := range append(h.chunks.free, h.lastCkpt...) {
+			back[unsafe.SliceData(c[:1])] = true
+		}
+		for k, c := range lent[i] {
+			if !back[unsafe.SliceData(c[:1])] {
+				t.Fatalf("worker %d: chunk %d of the handed-out list is neither free nor in the new ship", i, k)
+			}
+		}
+	}
 }

@@ -33,16 +33,27 @@
 // checkpoint. Then it becomes a spare that a later routeImports encodes
 // over, unless the worker restarted since its last ship: a dead
 // incarnation's sender may still hold a frame that was queued to it.
+//
+// A shipped checkpoint is a list of chunks, buffers of the worker
+// slot's chunk pool that the pump read the ship's chunk frames into. It
+// goes with the boundary frame's event, and once acked becomes the
+// worker's lastCkpt: the base its restarts resume from, copied into
+// each hello frame. The list it supersedes goes back to the pool, unless
+// CheckpointBlobs handed that list out: then it goes back at the next
+// CheckpointBlobs call, and until then the caller may read it. A ship
+// that is not acked (a lost worker, a stale incarnation, a boundary
+// frame that does not add up) goes back at once. Resume blobs that
+// SetResume took are the caller's and never enter the pool.
 
 package coord
 
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"dtmsvs/internal/checkpoint"
@@ -153,6 +164,7 @@ type workerEvent struct {
 	inc     int
 	typ     frameType
 	payload []byte
+	ship    [][]byte // a boundary's: the chunks of the checkpoint ahead of it
 	err     error
 }
 
@@ -169,17 +181,25 @@ type workerHandle struct {
 	t          Transport
 	conn       *conn
 	sendq      chan []byte // ordered async frame sends of the live incarnation
-	// lastCkpt is the last shipped checkpoint (the resume blob before
-	// any). It is read-only: a ship replaces the slice, never writes it.
-	lastCkpt []byte
-	log      []logEntry // boundaries completed since lastCkpt, oldest first
+	// lastCkpt is the last shipped checkpoint, as its chunks (the resume
+	// blob before any, which resumeCkpt marks). It is read-only: a ship
+	// replaces the list, never writes it. lent holds a superseded list
+	// CheckpointBlobs handed out, and lastLent says it handed out
+	// lastCkpt. See the file header.
+	lastCkpt   [][]byte
+	resumeCkpt bool
+	lent       [][]byte
+	lastLent   bool
+	log        []logEntry // boundaries completed since lastCkpt, oldest first
 	// pool carries records and exports payload buffers the supervisor
 	// is done with back to the pumps, which copy the next such payloads
-	// into them; spare holds imports frames no log or sender holds any
-	// more, for routeImports to encode into; shipRestarts is restarts
-	// as of the last ship. See the file header. ensureStarted makes the
-	// pool, with the first pump.
+	// into them; chunks recycles the buffers ships arrive in; spare
+	// holds imports frames no log or sender holds any more, for
+	// routeImports to encode into; shipRestarts is restarts as of the
+	// last ship. See the file header. ensureStarted makes the pool, with
+	// the first pump.
 	pool         chan []byte
+	chunks       *chunkPool
 	spare        [][]byte
 	shipRestarts int
 	// replayLo..replayHi are the seqs the live incarnation replays;
@@ -203,10 +223,11 @@ type workerHandle struct {
 	stats        []byte
 	stepStart    time.Time
 
-	stage     *obs.Stage
-	restartsC *obs.Counter
-	ckptsC    *obs.Counter
-	replayedC *obs.Counter
+	stage      *obs.Stage
+	restartsC  *obs.Counter
+	ckptsC     *obs.Counter
+	shipBytesC *obs.Counter
+	replayedC  *obs.Counter
 }
 
 // stepState is the boundary currently in flight.
@@ -277,22 +298,26 @@ func New(cfg Config) (*Supervisor, error) {
 	for i := range handles {
 		lbl := obs.Label{Name: "worker", Value: strconv.Itoa(i)}
 		handles[i] = workerHandle{
-			idx:       i,
-			stage:     reg.Stage("coord_boundary", lbl),
-			restartsC: reg.Counter("dtmsvs_worker_restarts_total", "Worker restarts after crash, torn frame or missed heartbeat.", lbl),
-			ckptsC:    reg.Counter("dtmsvs_coord_worker_checkpoints_total", "Boundaries at which a worker shipped its checkpoint.", lbl),
-			replayedC: reg.Counter("dtmsvs_coord_replayed_boundaries_total", "Completed boundaries replayed into restarted workers.", lbl),
+			idx:        i,
+			stage:      reg.Stage("coord_boundary", lbl),
+			restartsC:  reg.Counter("dtmsvs_worker_restarts_total", "Worker restarts after crash, torn frame or missed heartbeat.", lbl),
+			ckptsC:     reg.Counter("dtmsvs_coord_worker_checkpoints_total", "Boundaries at which a worker shipped its checkpoint.", lbl),
+			replayedC:  reg.Counter("dtmsvs_coord_replayed_boundaries_total", "Completed boundaries replayed into restarted workers.", lbl),
+			shipBytesC: reg.Counter("dtmsvs_coord_ship_bytes_total", "Checkpoint bytes of the ships the supervisor acked.", lbl),
+			chunks: &chunkPool{allocs: reg.Counter("dtmsvs_coord_ship_chunks_allocated_total",
+				"Chunk buffers the supervisor allocated to read ships into, its pool being empty.", lbl)},
 		}
 		s.handles[i] = &handles[i]
 	}
 	return s, nil
 }
 
-// SetResume seeds each worker with a boundary checkpoint blob (one
-// per worker, from a previous run's CheckpointBlobs). The supervisor
-// keeps the slices and only reads them; the caller must not change
-// them afterwards. Must be called before the first step.
-func (s *Supervisor) SetResume(blobs [][]byte) error {
+// SetResume seeds each worker with a boundary checkpoint (one per
+// worker, as a previous run's CheckpointBlobs returned it: the blob's
+// chunks in order, or the whole blob as one). The supervisor keeps the
+// slices, only reads them and never recycles them; the caller must not
+// change them afterwards. Must be called before the first step.
+func (s *Supervisor) SetResume(blobs [][][]byte) error {
 	if s.started {
 		return fmt.Errorf("%w: resume after start", ErrProtocol)
 	}
@@ -300,7 +325,7 @@ func (s *Supervisor) SetResume(blobs [][]byte) error {
 		return fmt.Errorf("%w: %d resume blobs for %d workers", ErrProtocol, len(blobs), len(s.handles))
 	}
 	for i, b := range blobs {
-		s.handles[i].lastCkpt = b
+		s.handles[i].lastCkpt, s.handles[i].resumeCkpt = b, true
 	}
 	return nil
 }
@@ -345,55 +370,57 @@ func startSender(c *conn) chan []byte {
 // pump reads frames from one worker incarnation into the event
 // channel until the transport dies. The final event carries the read
 // error. pool is the worker slot's pool of records and exports payload
-// buffers.
-func (s *Supervisor) pump(idx, inc int, t Transport, pool chan []byte) {
+// buffers, chunks its pool of ship chunks.
+func (s *Supervisor) pump(idx, inc int, t Transport, pool chan []byte, chunks *chunkPool) {
 	br := bufio.NewReaderSize(t.Reader(), 1<<16)
-	// buf reads every frame but a boundary that carries a checkpoint.
-	// That one is megabytes, so it is read into a buffer of its own and
-	// handed over with the event instead of copied: the blob in it
-	// becomes the worker's lastCkpt, and what CheckpointBlobs returns,
-	// read-only from here on. Its buffer is sized from the length
-	// prefix, up to ckptRoom — an eighth over the last such frame the
-	// stream delivered whole — and ReadFrame grows it from there by
-	// what arrives, so allocation stays bounded by the stream.
+	// buf reads every frame but a chunk, each of which is read into a
+	// chunk of the pool and joins ship, the checkpoint on its way; the
+	// next boundary frame's event takes the list (see the file header).
 	var buf []byte
-	ckptRoom := 0
+	var ship [][]byte
+	shipLen := 0
 	for {
-		rbuf, own := buf, true
-		if hdr, err := br.Peek(5); err == nil && frameType(hdr[4]) == fBoundary {
-			if n := int(binary.LittleEndian.Uint32(hdr)); n > cap(buf) {
-				rbuf, own = make([]byte, 0, min(n, ckptRoom)), false
+		typ, n, err := readFrameHeader(br)
+		var payload []byte
+		switch {
+		case err != nil:
+		case typ != fChunk:
+			payload, buf, err = readFramePayload(br, typ, n, buf)
+		case shipLen+n > maxFramePayload:
+			err = fmt.Errorf("ship of over %d bytes: %w", maxFramePayload, ErrFrame)
+		default:
+			c := chunks.get()
+			if payload, c, err = readFramePayload(br, typ, n, c); err != nil {
+				chunks.put([][]byte{c})
 			}
 		}
-		typ, payload, nbuf, err := ReadFrame(br, rbuf)
 		if err != nil {
+			chunks.put(ship)
 			s.events <- workerEvent{idx: idx, inc: inc, err: err}
 			return
 		}
 		s.rx.add(typ, frameOverhead+len(payload))
-		handOver := typ == fBoundary && shipsCheckpoint(payload)
-		if !handOver {
-			buf = nbuf
-		} else if own {
-			buf = nil // it goes with the event
+		if typ == fChunk {
+			ship = append(ship, payload)
+			shipLen += len(payload)
+			continue
 		}
-		var p []byte
+		ev := workerEvent{idx: idx, inc: inc, typ: typ}
 		switch {
-		case handOver:
-			p = payload
-			n := 1 + len(payload) // the length prefix counts the type byte
-			ckptRoom = n + n/8
 		case pooled(typ):
 			var b []byte
 			select {
 			case b = <-pool:
 			default:
 			}
-			p = append(b[:0], payload...)
+			ev.payload = append(b[:0], payload...)
 		case len(payload) > 0:
-			p = append([]byte(nil), payload...)
+			ev.payload = append([]byte(nil), payload...)
 		}
-		s.events <- workerEvent{idx: idx, inc: inc, typ: typ, payload: p}
+		if typ == fBoundary {
+			ev.ship, ship, shipLen = ship, nil, 0
+		}
+		s.events <- ev
 	}
 }
 
@@ -405,11 +432,13 @@ func (s *Supervisor) pump(idx, inc int, t Transport, pool chan []byte) {
 func pooled(typ frameType) bool { return typ == fRecords || typ == fExports }
 
 // drop hands the payload of an event the supervisor does not keep back
-// to the pump's pool, if it came from there.
+// to the pump's pool, if it came from there, and its ship's chunks to
+// the chunk pool.
 func (h *workerHandle) drop(ev workerEvent) {
 	if pooled(ev.typ) {
 		h.release(ev.payload)
 	}
+	h.chunks.put(ev.ship)
 }
 
 // release returns one pooled payload buffer; a full pool drops it.
@@ -422,19 +451,58 @@ func (h *workerHandle) release(b []byte) {
 	}
 }
 
-// shipsCheckpoint reports whether a boundary frame's payload carries a
-// checkpoint: its blob follows the seq and three counters.
-func shipsCheckpoint(payload []byte) bool {
-	d := checkpoint.NewDec(payload)
-	for range 4 {
-		d.I64()
+// chunkPool recycles one worker slot's ship chunks, buffers of
+// shipChunk bytes: the slot's pumps take them, and the supervisor gives
+// back the lists it is done with (see the file header). It allocates
+// only when empty, so it holds no more chunks than the most the slot
+// ever held at once.
+type chunkPool struct {
+	mu     sync.Mutex
+	free   [][]byte
+	allocs *obs.Counter
+}
+
+// get returns an empty chunk.
+func (p *chunkPool) get() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		return c
 	}
-	return len(d.Blob()) > 0
+	p.allocs.Inc()
+	return make([]byte, 0, shipChunk)
+}
+
+// put takes back every chunk of a list nothing reads any more.
+func (p *chunkPool) put(chunks [][]byte) {
+	if len(chunks) == 0 {
+		return // the nil pool Close leaves is handed only empty lists
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range chunks {
+		p.free = append(p.free, c[:0])
+	}
+}
+
+// adopt makes an acked ship's chunks the worker's lastCkpt. The list it
+// supersedes goes back to the pool, unless it is the caller's resume
+// blob, or CheckpointBlobs handed it out, which waits in lent.
+func (h *workerHandle) adopt(ship [][]byte) {
+	switch {
+	case h.lastLent:
+		h.lent = h.lastCkpt
+	case !h.resumeCkpt:
+		h.chunks.put(h.lastCkpt)
+	}
+	h.lastCkpt, h.resumeCkpt, h.lastLent = ship, false, false
 }
 
 // helloFrame builds the hello frame for a worker: config + partition
 // + its remaining faults, plus its resume checkpoint, encoded in one
-// allocation — the blob's one copy on its way to the worker.
+// allocation — the chunks' one copy on their way to the worker.
 func (s *Supervisor) helloFrame(h *workerHandle) ([]byte, error) {
 	var faults []faultinject.ProcFault
 	for _, f := range s.cfg.Faults {
@@ -455,11 +523,19 @@ func (s *Supervisor) helloFrame(h *workerHandle) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := 0
+	for _, c := range h.lastCkpt {
+		n += len(c)
+	}
 	var e checkpoint.Enc
-	e.Grow(5 + 4 + len(jb) + 4 + len(h.lastCkpt) + 4)
+	e.Grow(5 + 4 + len(jb) + 4 + n + 4)
 	at := beginFrame(&e, fHello)
 	e.Blob(jb)
-	e.Blob(h.lastCkpt)
+	blob := beginBlob(&e)
+	for _, c := range h.lastCkpt {
+		e.Write(c)
+	}
+	endBlob(&e, blob)
 	endFrame(&e, at)
 	return e.Bytes(), nil
 }
@@ -487,7 +563,7 @@ func (s *Supervisor) spawn(h *workerHandle) error {
 	}
 	h.sendq = startSender(h.conn)
 	h.lastBeat = time.Now()
-	go s.pump(h.idx, h.inc, t, h.pool)
+	go s.pump(h.idx, h.inc, t, h.pool, h.chunks)
 
 	h.sendq <- hello
 	replay := h.log
@@ -831,26 +907,32 @@ func (s *Supervisor) handleEvent(ev workerEvent) error {
 		numUsers := int(d.I64())
 		handovers := int(d.I64())
 		churned := int(d.I64())
-		ckpt := d.Blob()
+		ckptLen := d.I64()
 		stats := d.Blob()
 		if err := d.Close(); err != nil || seq != s.step.seq {
+			h.drop(ev)
 			return s.recover(h, fmt.Errorf("boundary frame (seq %d, want %d): %w", seq, s.step.seq, ErrProtocol))
 		}
-		if shipped := len(ckpt) > 0; shipped != s.step.ship {
-			return s.recover(h, fmt.Errorf("boundary frame (seq %d) shipped a checkpoint: %v, asked: %v: %w",
-				seq, shipped, s.step.ship, ErrProtocol))
+		shipped := 0
+		for _, c := range ev.ship {
+			shipped += len(c)
+		}
+		if int64(shipped) != ckptLen || (shipped > 0) != s.step.ship {
+			h.drop(ev)
+			return s.recover(h, fmt.Errorf("boundary frame (seq %d) announced a %d-byte checkpoint, %d bytes arrived, asked: %v: %w",
+				seq, ckptLen, shipped, s.step.ship, ErrProtocol))
 		}
 		h.numUsers = numUsers
 		h.handovers = handovers
 		h.churned = churned
-		// Both alias the event's private payload.
 		if s.step.ship {
-			h.lastCkpt = ckpt
+			h.adopt(ev.ship)
 			h.shipped()
 			h.ckptsC.Inc()
+			h.shipBytesC.Add(uint64(shipped))
 		}
 		if len(stats) > 0 {
-			h.stats = stats
+			h.stats = stats // aliases the event's private payload
 		}
 		h.gotBoundary = true
 		h.stage.ObserveSince(h.stepStart)
@@ -926,16 +1008,24 @@ func (s *Supervisor) StepInterval(ctx context.Context, n int) ([]cluster.Record,
 }
 
 // CheckpointBlobs runs a checkpoint-only boundary and returns one
-// fresh state blob per worker — the resume payload for SetResume. The
-// blobs are the supervisor's own, shared read-only: neither side may
-// change them, and they stay valid after later boundaries.
-func (s *Supervisor) CheckpointBlobs(ctx context.Context) ([][]byte, error) {
+// fresh state blob per worker, as the chunks it arrived in: the blob is
+// their concatenation, and the resume payload for SetResume. The
+// chunks are the supervisor's own, shared read-only: neither side may
+// change them. They stay valid across later boundaries until the next
+// CheckpointBlobs call, which recycles them once a later ship has
+// superseded them; after Close they stay valid for good.
+func (s *Supervisor) CheckpointBlobs(ctx context.Context) ([][][]byte, error) {
+	for _, h := range s.handles {
+		h.chunks.put(h.lent)
+		h.lent, h.lastLent = nil, false
+	}
 	if err := s.runStep(ctx, phaseCkpt, -1); err != nil {
 		return nil, err
 	}
-	blobs := make([][]byte, len(s.handles))
+	blobs := make([][][]byte, len(s.handles))
 	for i, h := range s.handles {
 		blobs[i] = h.lastCkpt
+		h.lastLent = true
 	}
 	return blobs, nil
 }
@@ -998,9 +1088,9 @@ func (s *Supervisor) FinalStats(ctx context.Context) ([]cluster.CellStats, int, 
 
 // Close shuts every worker down: a shutdown frame each and a moment
 // to exit cleanly, then whatever is left is killed and reaped. It lets
-// go of the frames and batches the supervisor reuses across boundaries
-// (the blobs CheckpointBlobs returned stay valid). Safe to call more
-// than once.
+// go of the frames, batches and chunks the supervisor reuses across
+// boundaries (the blobs CheckpointBlobs returned stay valid). Safe to
+// call more than once.
 func (s *Supervisor) Close() error {
 	if s.closed {
 		return nil
@@ -1022,7 +1112,8 @@ func (s *Supervisor) Close() error {
 		s.reap(2 * time.Second)
 	}
 	for _, h := range s.handles {
-		h.log, h.spare, h.pool = nil, nil, nil
+		h.log, h.spare, h.pool, h.chunks = nil, nil, nil, nil
+		h.lastCkpt, h.lent = nil, nil
 		h.records, h.exports, h.payloads, h.importsFrame = nil, nil, [2][]byte{}, nil
 	}
 	s.routed = nil

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/faultinject"
+	"dtmsvs/internal/obs"
 	"dtmsvs/internal/sim"
 )
 
@@ -73,6 +75,9 @@ func driveSupervisor(t *testing.T, cfg Config) *supRun {
 // the same boundary sequence the session layer drives — and collects
 // the merged outputs plus a final checkpoint.
 func driveSupervisorErr(cfg Config) (*supRun, error) {
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.New()
+	}
 	s, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -100,11 +105,50 @@ func driveSupervisorErr(cfg Config) (*supRun, error) {
 		return nil, err
 	}
 	out.handovers, out.churned = s.Handovers(), s.Churned()
-	if out.ckpts, err = s.CheckpointBlobs(ctx); err != nil {
+	blobs, err := s.CheckpointBlobs(ctx)
+	if err != nil {
 		return nil, err
 	}
+	out.ckpts = joinBlobs(blobs)
 	out.restarts, out.hbMisses = s.Restarts(), s.HeartbeatMisses()
-	return out, nil
+	return out, chunksAccounted(s, cfg.Metrics)
+}
+
+// chunksAccounted checks, between boundaries, that every ship chunk
+// the supervisor allocated is back in its worker's pool or in a list
+// the supervisor holds, so no lost ship's chunk leaked. A dead
+// incarnation's pump hands its part of a ship back when its read
+// fails, which may come a moment after the restart.
+func chunksAccounted(s *Supervisor, reg *obs.Registry) error {
+	for wait := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var err error
+		for _, h := range s.handles {
+			allocated := workerCounter(reg, "dtmsvs_coord_ship_chunks_allocated_total", h.idx)
+			h.chunks.mu.Lock()
+			free := len(h.chunks.free)
+			h.chunks.mu.Unlock()
+			held := len(h.lent)
+			if !h.resumeCkpt {
+				held += len(h.lastCkpt)
+			}
+			if uint64(free+held) != allocated {
+				err = fmt.Errorf("worker %d: %d ship chunks allocated, %d free and %d held", h.idx, allocated, free, held)
+			}
+		}
+		if err == nil || time.Now().After(wait) {
+			return err
+		}
+	}
+}
+
+// joinBlobs concatenates each worker's checkpoint chunks into its
+// blob, a copy the supervisor does not recycle.
+func joinBlobs(blobs [][][]byte) [][]byte {
+	out := make([][]byte, len(blobs))
+	for i, b := range blobs {
+		out[i] = bytes.Join(b, nil)
+	}
+	return out
 }
 
 // runEngine runs cfg through the single-process cluster engine, driven
@@ -301,7 +345,7 @@ func TestSupervisorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range final {
-		if !bytes.Equal(final[i], full.ckpts[i]) {
+		if !bytes.Equal(bytes.Join(final[i], nil), full.ckpts[i]) {
 			t.Fatalf("worker %d resumed final checkpoint diverged", i)
 		}
 	}

@@ -52,13 +52,22 @@ var (
 
 // protoVersion gates the hello exchange so a supervisor never drives
 // a worker speaking a different frame dialect. Version 3 added the
-// step frame's ship-checkpoint byte; there is no reader for 2.
-const protoVersion = 3
+// step frame's ship-checkpoint byte; version 4 ships a checkpoint as
+// chunk frames ahead of the boundary frame, which announces its
+// length. There is no reader for an older version.
+const protoVersion = 4
 
-// maxFramePayload bounds one frame's payload: worker checkpoints
-// carry whole cell populations, so the ceiling is generous, but a
-// corrupt length prefix must never cause an unbounded allocation.
+// maxFramePayload bounds one frame's payload, and a shipped
+// checkpoint's chunks together: worker checkpoints carry whole cell
+// populations, so the ceiling is generous, but a corrupt length prefix
+// must never cause an unbounded allocation.
 const maxFramePayload = 1 << 26
+
+// shipChunk bounds a chunk frame's payload. The supervisor reads each
+// chunk into a buffer of this size from the worker slot's pool, so a
+// ship allocates at most what arrived, rounded up to a chunk, and only
+// while the pool is short.
+const shipChunk = 1 << 16
 
 // frameType tags a frame's payload shape.
 type frameType uint8
@@ -73,9 +82,10 @@ const (
 	fReady     frameType = 5  // hello processed, engine constructed/restored
 	fRecords   frameType = 6  // one interval's records as a tracebin stream
 	fExports   frameType = 7  // twin batch leaving this worker
-	fBoundary  frameType = 8  // step done: counters + checkpoint if asked
+	fBoundary  frameType = 8  // step done: counters + the length of the ship ahead of it
 	fHeartbeat frameType = 9  // liveness beat
 	fError     frameType = 10 // terminal worker-side failure, as text
+	fChunk     frameType = 11 // up to shipChunk bytes of a shipped checkpoint
 )
 
 // frameNames are the frame types' names, the frame label of the byte
@@ -93,6 +103,7 @@ var frameNames = [...]string{
 	fBoundary:  "boundary",
 	fHeartbeat: "heartbeat",
 	fError:     "error",
+	fChunk:     "chunk",
 }
 
 // String names the frame type, "unknown" for a byte no type has.
@@ -158,8 +169,10 @@ func (p phase) String() string {
 // A frame is [u32 len][type+payload][u32 crc]; the CRC covers the
 // type byte and payload. Frames are encoded whole into one buffer —
 // beginFrame, the payload appended in place, endFrame — so a payload
-// that is itself a stream (a worker checkpoint, a records stream) is
-// written straight into its frame and never copied in.
+// that is itself a stream (a records stream) is written straight into
+// its frame and never copied in. A worker checkpoint is the exception:
+// it is encoded whole into the worker's frame buffer and written as
+// chunk frames around windows of it (conn.writeShip).
 
 // frameOverhead is the bytes of a frame that are not payload: the
 // length prefix, the type byte and the CRC.
@@ -210,23 +223,62 @@ func encodeFrame(typ frameType, payload []byte) []byte {
 // returns the frame type, the payload (aliasing the possibly-grown
 // buffer, valid until the next call), and the buffer for reuse. A
 // clean EOF at a frame start returns io.EOF; a stream ending inside a
-// frame, an out-of-range length or a checksum mismatch return
-// ErrFrame. Allocation is bounded by the frame length cap regardless
-// of input.
+// frame, an out-of-range length — a chunk frame's over shipChunk — or
+// a checksum mismatch return ErrFrame. Allocation is bounded by the
+// frame length cap regardless of input.
 func ReadFrame(br *bufio.Reader, buf []byte) (frameType, []byte, []byte, error) {
-	buf = buf[:cap(buf)]
-	var lenb [4]byte
-	if _, err := io.ReadFull(br, lenb[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, buf, io.EOF
+	typ, n, err := readFrameHeader(br)
+	if err != nil {
+		return 0, nil, buf, err
+	}
+	payload, buf, err := readFramePayload(br, typ, n, buf)
+	if err != nil {
+		return 0, nil, buf, err
+	}
+	return typ, payload, buf, nil
+}
+
+// readFrameHeader reads a frame's length prefix and type byte, and
+// returns the type and the payload length. Both are checked before any
+// payload is read, so a caller may pick the payload's buffer by type.
+func readFrameHeader(br *bufio.Reader) (frameType, int, error) {
+	lenb, err := br.Peek(4)
+	if err != nil {
+		if len(lenb) == 0 && err == io.EOF {
+			return 0, 0, io.EOF
 		}
-		return 0, nil, buf, fmt.Errorf("frame length: %w", ErrFrame)
+		return 0, 0, fmt.Errorf("frame length: %w", ErrFrame)
 	}
-	n := int(binary.LittleEndian.Uint32(lenb[:]))
+	n := int(binary.LittleEndian.Uint32(lenb))
+	br.Discard(4)
 	if n < 1 || n > maxFramePayload {
-		return 0, nil, buf, fmt.Errorf("frame length %d: %w", n, ErrFrame)
+		return 0, 0, fmt.Errorf("frame length %d: %w", n, ErrFrame)
 	}
-	// Read the body into the room the buffer already has, growing it
+	t, err := br.ReadByte()
+	if err != nil {
+		return 0, 0, fmt.Errorf("frame type: %w", ErrFrame)
+	}
+	typ := frameType(t)
+	if typ == fChunk && n-1 > shipChunk {
+		return 0, 0, fmt.Errorf("chunk frame of %d bytes: %w", n-1, ErrFrame)
+	}
+	return typ, n - 1, nil
+}
+
+// typeCRC is the CRC32 of each type byte alone: a frame's checksum
+// starts from its type's and runs on over the payload.
+var typeCRC = func() (t [256]uint32) {
+	for i := range t {
+		t[i] = crc32.ChecksumIEEE([]byte{byte(i)})
+	}
+	return t
+}()
+
+// readFramePayload reads the n-byte payload of a frame of type typ,
+// whose header readFrameHeader read, into buf and checks the CRC.
+func readFramePayload(br *bufio.Reader, typ frameType, n int, buf []byte) ([]byte, []byte, error) {
+	buf = buf[:cap(buf)]
+	// Read the payload into the room the buffer already has, growing it
 	// only when full — by doubling, from one chunk — so a torn stream
 	// whose length prefix claims a huge frame never allocates the claim,
 	// while a frame that fits the reused buffer is read in one call,
@@ -240,29 +292,34 @@ func ReadFrame(br *bufio.Reader, buf []byte) (frameType, []byte, []byte, error) 
 		}
 		end := min(n, cap(buf))
 		if _, err := io.ReadFull(br, buf[read:end]); err != nil {
-			return 0, nil, buf, fmt.Errorf("frame body: %w", ErrFrame)
+			return nil, buf, fmt.Errorf("frame body: %w", ErrFrame)
 		}
 		read = end
 	}
-	body := buf[:n]
-	if _, err := io.ReadFull(br, lenb[:]); err != nil {
-		return 0, nil, buf, fmt.Errorf("frame checksum: %w", ErrFrame)
+	payload := buf[:n]
+	sum, err := br.Peek(4)
+	if err != nil {
+		return nil, buf, fmt.Errorf("frame checksum: %w", ErrFrame)
 	}
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(lenb[:]); got != want {
-		return 0, nil, buf, fmt.Errorf("frame checksum %08x (want %08x): %w", got, want, ErrFrame)
+	got, want := crc32.Update(typeCRC[typ], crc32.IEEETable, payload), binary.LittleEndian.Uint32(sum)
+	br.Discard(4)
+	if got != want {
+		return nil, buf, fmt.Errorf("frame checksum %08x (want %08x): %w", got, want, ErrFrame)
 	}
-	return frameType(body[0]), body[1:], buf, nil
+	return payload, buf, nil
 }
 
 // conn serializes frame writes to one pipe. Both worker (main loop +
 // heartbeat goroutine) and supervisor (sender goroutine) funnel
-// through it; each frame reaches the pipe as a single Write.
+// through it; each frame but a chunk frame reaches the pipe as a
+// single Write.
 type conn struct {
-	mu  sync.Mutex
-	w   io.Writer
-	out checkpoint.Enc // send's frame buffer
-	tx  *frameBytes    // frame bytes written, per type; nil-safe
-	err error
+	mu    sync.Mutex
+	w     io.Writer
+	out   checkpoint.Enc // send's frame buffer
+	chunk [5]byte        // writeShip's chunk frame header, then its CRC
+	tx    *frameBytes    // frame bytes written, per type; nil-safe
+	err   error
 }
 
 func newConn(w io.Writer, tx *frameBytes) *conn { return &conn{w: w, tx: tx} }
@@ -285,19 +342,48 @@ func (c *conn) write(frame []byte) error {
 	return c.writeLocked(frame)
 }
 
-// writeLocked writes frame under c.mu. A failed write latches the
-// conn so the heartbeat goroutine stops hammering a torn pipe.
+// writeLocked writes frame under c.mu and counts it.
 func (c *conn) writeLocked(frame []byte) error {
-	if c.err != nil {
-		return c.err
-	}
 	typ := frameType(frame[4]) // read before the frame is handed on
-	if _, err := c.w.Write(frame); err != nil {
-		c.err = err
-		return err
+	if c.writeRaw(frame); c.err == nil {
+		c.tx.add(typ, len(frame))
 	}
-	c.tx.add(typ, len(frame))
-	return nil
+	return c.err
+}
+
+// writeShip writes a shipped checkpoint as chunk frames, each a window
+// of ckpt between a header and a CRC written apart, and then boundary,
+// the whole boundary frame that announces the ship's length — under one
+// hold of the lock, so no heartbeat comes between them. An empty ckpt
+// writes the boundary frame alone.
+func (c *conn) writeShip(ckpt, boundary []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(ckpt) > 0 && c.err == nil {
+		n := min(len(ckpt), shipChunk)
+		binary.LittleEndian.PutUint32(c.chunk[:], uint32(1+n))
+		c.chunk[4] = byte(fChunk)
+		c.writeRaw(c.chunk[:])
+		c.writeRaw(ckpt[:n])
+		binary.LittleEndian.PutUint32(c.chunk[:], crc32.Update(typeCRC[fChunk], crc32.IEEETable, ckpt[:n]))
+		if c.writeRaw(c.chunk[:4]); c.err == nil {
+			c.tx.add(fChunk, frameOverhead+n)
+		}
+		ckpt = ckpt[n:]
+	}
+	return c.writeLocked(boundary)
+}
+
+// writeRaw writes b, a frame or part of one, under c.mu. A failed
+// write latches the conn so the heartbeat goroutine stops hammering a
+// torn pipe.
+func (c *conn) writeRaw(b []byte) {
+	if c.err != nil {
+		return
+	}
+	if _, err := c.w.Write(b); err != nil {
+		c.err = err
+	}
 }
 
 // sendGarbage writes a deliberately corrupt frame (valid length, bad

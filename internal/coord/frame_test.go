@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 )
 
@@ -77,6 +78,63 @@ func TestFrameCorruption(t *testing.T) {
 	if cap(scratch) > 1<<17 {
 		t.Fatalf("lying length prefix grew the buffer to %d bytes", cap(scratch))
 	}
+	// A chunk frame carries at most one chunk: a longer one fails on its
+	// header, before any payload is read — with the claimed bytes all
+	// there — so it allocates nothing. A whole chunk reads.
+	over := append(binary.LittleEndian.AppendUint32(nil, 1+shipChunk+1), byte(fChunk))
+	over = append(over, make([]byte, shipChunk+1+4)...)
+	br = bufio.NewReader(bytes.NewReader(over))
+	if _, _, scratch, err = ReadFrame(br, nil); !errors.Is(err, ErrFrame) {
+		t.Fatalf("chunk over one chunk: %v", err)
+	}
+	if cap(scratch) != 0 {
+		t.Fatalf("chunk over one chunk allocated %d bytes", cap(scratch))
+	}
+	br = bufio.NewReader(bytes.NewReader(appendFrame(nil, fChunk, make([]byte, shipChunk))))
+	if typ, payload, _, err := ReadFrame(br, nil); err != nil || typ != fChunk || len(payload) != shipChunk {
+		t.Fatalf("whole chunk: frame %d of %d bytes, %v", typ, len(payload), err)
+	}
+}
+
+// TestWriteShip: a ship goes out as chunk frames, each at most one
+// chunk, that join to the checkpoint, and then the boundary frame as
+// it stands; a boundary without a ship goes out alone.
+func TestWriteShip(t *testing.T) {
+	ckpt := make([]byte, 2*shipChunk+123)
+	for i := range ckpt {
+		ckpt[i] = byte(i * 7)
+	}
+	boundary := encodeFrame(fBoundary, []byte("counters"))
+	var pipe bytes.Buffer
+	c := newConn(&pipe, nil)
+	if err := c.writeShip(ckpt, boundary); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.writeShip(nil, boundary); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(&pipe)
+	var got []byte
+	var types []frameType
+	for {
+		typ, payload, _, err := ReadFrame(br, nil)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		types = append(types, typ)
+		if typ == fChunk {
+			got = append(got, payload...)
+		} else if string(payload) != "counters" {
+			t.Fatalf("boundary payload %q", payload)
+		}
+	}
+	want := []frameType{fChunk, fChunk, fChunk, fBoundary, fBoundary}
+	if !slices.Equal(types, want) || !bytes.Equal(got, ckpt) {
+		t.Fatalf("frames %v, %d chunk bytes; want %v, %d", types, len(got), want, len(ckpt))
+	}
 }
 
 // TestSendGarbage: the garbage fault emits a frame the reader rejects
@@ -110,6 +168,8 @@ func FuzzReadFrame(f *testing.F) {
 	bad := appendFrame(nil, fExports, []byte("x"))
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
+	f.Add(appendFrame(appendFrame(nil, fChunk, bytes.Repeat([]byte{3}, 200)), fBoundary, nil))
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 1+shipChunk+1), byte(fChunk)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -131,6 +191,9 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			if len(payload) > maxFramePayload {
 				t.Fatalf("payload %d beyond cap", len(payload))
+			}
+			if typ == fChunk && len(payload) > shipChunk {
+				t.Fatalf("chunk of %d bytes beyond one chunk", len(payload))
 			}
 		}
 	})

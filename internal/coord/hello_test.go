@@ -26,7 +26,7 @@ func helloSeed(t testing.TB, resume []byte) []byte {
 		t.Fatal(err)
 	}
 	if resume != nil {
-		if err := s.SetResume([][]byte{resume, resume}); err != nil {
+		if err := s.SetResume([][][]byte{{resume}, {resume}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -69,10 +69,11 @@ func (t *relayTransport) Kill() {
 
 // relayed passes inner's frames to the supervisor through a goroutine
 // that decodes and re-frames each one and hands it to hook with a
-// forward function: hook may hold a frame back, rewrite it, or act
-// once it is through — the pipe is synchronous, so a forwarded frame
-// has reached the supervisor's pump.
-func relayed(inner Transport, hook func(typ frameType, payload []byte, forward func([]byte))) Transport {
+// forward function: hook may hold a frame back, rewrite it, send
+// others in its place, or act once it is through — the pipe is
+// synchronous, so a forwarded frame has reached the supervisor's pump.
+// The payload hook sees is valid until it returns.
+func relayed(inner Transport, hook func(typ frameType, payload []byte, forward func(frameType, []byte))) Transport {
 	pr, pw := io.Pipe()
 	go func() {
 		br := bufio.NewReader(inner.Reader())
@@ -84,7 +85,7 @@ func relayed(inner Transport, hook func(typ frameType, payload []byte, forward f
 				pw.CloseWithError(err)
 				return
 			}
-			hook(typ, payload, func(p []byte) { _, _ = pw.Write(appendFrame(nil, typ, p)) })
+			hook(typ, payload, func(typ frameType, p []byte) { _, _ = pw.Write(appendFrame(nil, typ, p)) })
 		}
 	}()
 	return &relayTransport{Transport: inner, r: pr}
@@ -203,8 +204,8 @@ func TestSupervisorReplayAckedInFlight(t *testing.T) {
 		cfg.Transport = spawnHook(func(index, k int, tr Transport) Transport {
 			switch {
 			case index == 0 && k == 1:
-				return relayed(tr, func(typ frameType, p []byte, forward func([]byte)) {
-					forward(p)
+				return relayed(tr, func(typ frameType, p []byte, forward func(frameType, []byte)) {
+					forward(typ, p)
 					if typ == fBoundary && frameSeq(p) == seq {
 						tr.Kill()
 					}
@@ -212,14 +213,14 @@ func TestSupervisorReplayAckedInFlight(t *testing.T) {
 			case index == 0 && k == 2:
 				close(respawned)
 			case index == 1 && k == 1:
-				return relayed(tr, func(typ frameType, p []byte, forward func([]byte)) {
+				return relayed(tr, func(typ frameType, p []byte, forward func(frameType, []byte)) {
 					if typ == fBoundary && frameSeq(p) == seq {
 						select {
 						case <-respawned:
 						case <-time.After(5 * time.Second):
 						}
 					}
-					forward(p)
+					forward(typ, p)
 				})
 			}
 			return tr
@@ -323,51 +324,84 @@ func TestSupervisorCheckpointCadence(t *testing.T) {
 	}
 }
 
-// rewriteBoundary re-encodes a boundary payload with ckpt in place of
-// the checkpoint it carried.
-func rewriteBoundary(p, ckpt []byte) []byte {
+// shipLen reads the checkpoint length a boundary payload announces.
+func shipLen(p []byte) int64 {
+	d := checkpoint.NewDec(p)
+	for range 4 {
+		d.I64()
+	}
+	return d.I64()
+}
+
+// rewriteBoundary re-encodes a boundary payload announcing a
+// checkpoint of n bytes.
+func rewriteBoundary(p []byte, n int64) []byte {
 	d := checkpoint.NewDec(p)
 	var e checkpoint.Enc
 	for range 4 {
 		e.I64(d.I64())
 	}
-	d.Blob()
-	e.Blob(ckpt)
+	d.I64()
+	e.I64(n)
 	e.Blob(d.Blob())
 	return e.Bytes()
 }
 
-// TestSupervisorShipMismatch: a boundary whose checkpoint presence
-// contradicts the step's request — dropped where asked, or sent where
-// not — is a protocol violation. With budget the worker restarts and
-// the run finishes bit-identically; without, the run fails naming it.
+// TestSupervisorShipMismatch: a boundary whose ship contradicts the
+// step's request — dropped where asked, or sent where not — or whose
+// chunks do not add up to the length it announces is a protocol
+// violation. With budget the worker restarts and the run finishes
+// bit-identically; without, the run fails naming it.
 func TestSupervisorShipMismatch(t *testing.T) {
 	const seed = 37
 	base := Config{Cluster: replayConfig(seed), Workers: 2}
 	want := runEngine(t, replayConfig(seed))
 	clean := driveSupervisor(t, base)
 	d := base.Cluster.Defaulted()
+	// Train is the boundary just before interval 0. A loss there
+	// replays the warm-up boundary; one at interval 2, intervals 0 and 1.
+	train := intervalSeq(d, -1)
 	for name, c := range map[string]struct {
-		seq          int64
-		ckpt         []byte
+		seq int64
+		// ship rewrites the boundary's chunks and announced length.
+		ship         func(chunks [][]byte, n int64) ([][]byte, int64)
 		wantReplayed uint64
 	}{
-		// Train is the boundary just before interval 0. The replays are
-		// the warm-up boundary, and intervals 0 and 1.
-		"dropped at train":   {seq: intervalSeq(d, -1), ckpt: nil, wantReplayed: 1},
-		"sent at interval 2": {seq: intervalSeq(d, 2), ckpt: []byte("not asked"), wantReplayed: 2},
+		"dropped at train": {train, func([][]byte, int64) ([][]byte, int64) { return nil, 0 }, 1},
+		"sent at interval 2": {intervalSeq(d, 2), func([][]byte, int64) ([][]byte, int64) {
+			return [][]byte{[]byte("not asked")}, 9
+		}, 2},
+		"chunk short at train": {train, func(c [][]byte, n int64) ([][]byte, int64) { return c[:len(c)-1], n }, 1},
+		"chunk extra at train": {train, func(c [][]byte, n int64) ([][]byte, int64) {
+			return append(c, []byte("extra")), n
+		}, 1},
+		"length over at train": {train, func(c [][]byte, n int64) ([][]byte, int64) { return c, n + 1 }, 1},
 	} {
-		// tamper rewrites that boundary of worker 0's first incarnation.
+		// tamper rewrites that boundary's ship of worker 0's first
+		// incarnation: its chunk frames follow its exports frame, which
+		// leads with the seq, and are held until its boundary frame.
 		tamper := func() TransportFactory {
 			return spawnHook(func(index, k int, tr Transport) Transport {
 				if index != 0 || k != 1 {
 					return tr
 				}
-				return relayed(tr, func(typ frameType, p []byte, forward func([]byte)) {
-					if typ == fBoundary && frameSeq(p) == c.seq {
-						p = rewriteBoundary(p, c.ckpt)
+				var seq int64
+				var held [][]byte
+				return relayed(tr, func(typ frameType, p []byte, forward func(frameType, []byte)) {
+					switch {
+					case typ == fExports:
+						seq = frameSeq(p)
+					case typ == fChunk && seq == c.seq:
+						held = append(held, bytes.Clone(p))
+						return
+					case typ == fBoundary && seq == c.seq:
+						chunks, n := c.ship(held, shipLen(p))
+						for _, ch := range chunks {
+							forward(fChunk, ch)
+						}
+						p = rewriteBoundary(p, n)
 					}
-					forward(p)
+					forward(typ, p)
 				})
 			})
 		}
@@ -417,12 +451,12 @@ func TestSupervisorStaleSeqRestarts(t *testing.T) {
 		if index != 0 || k != 2 {
 			return tr
 		}
-		return relayed(tr, func(typ frameType, p []byte, forward func([]byte)) {
+		return relayed(tr, func(typ frameType, p []byte, forward func(frameType, []byte)) {
 			if typ == fRecords && frameSeq(p) == intervalSeq(d, 8) {
 				p = append([]byte(nil), p...)
 				binary.LittleEndian.PutUint64(p, uint64(intervalSeq(d, 5)))
 			}
-			forward(p)
+			forward(typ, p)
 		})
 	})
 	got := driveSupervisor(t, cfg)
@@ -460,7 +494,7 @@ func TestSupervisorRestartHelloStripsReplayedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		var recs []cluster.Record
-		var blobs [][]byte
+		var blobs [][][]byte
 		for n := 0; n < d.Sim.NumIntervals; n++ {
 			r, err := s.StepInterval(ctx, n)
 			if err != nil {
@@ -473,7 +507,7 @@ func TestSupervisorRestartHelloStripsReplayedFaults(t *testing.T) {
 				}
 			}
 		}
-		return recs, blobs, s
+		return recs, joinBlobs(blobs), s
 	}
 	wantRecs, wantBlobs, _ := run(base)
 

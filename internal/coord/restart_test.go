@@ -21,13 +21,21 @@ import (
 // instead dies once the supervisor has read its boundary frame of the
 // step, and the other workers' imports of that step are held until it
 // has been restarted, so the step is still in flight when it dies.
+// With chunks set it dies in the middle of the step's ship, once the
+// supervisor has read that many of its chunk frames (-1: the last one)
+// and nothing after them.
 type killPoint struct {
 	ph      phase
 	n       int
 	imports bool
 	unread  bool
 	acked   bool
+	chunks  int
 }
+
+// onRead reports whether the kill point lands on a frame the worker
+// writes rather than one it reads.
+func (at killPoint) onRead() bool { return at.acked || at.chunks != 0 }
 
 // killingTransport forwards the supervisor's frames to an in-process
 // worker and tears the worker down at its kill point. A frame that
@@ -39,9 +47,11 @@ type killingTransport struct {
 	at     killPoint
 	inStep bool
 	// seq is the kill point's step seq once its step frame went out,
-	// and pending the worker's bytes of a frame not yet read whole.
+	// pending the worker's bytes of a frame not yet read whole, and
+	// chunks the chunk frames of the step's ship read so far.
 	seq      atomic.Int64
 	pending  []byte
+	chunks   int
 	killNext bool
 }
 
@@ -72,7 +82,7 @@ func (t *killingTransport) Write(b []byte) (int, error) {
 	if t.at.imports {
 		on = fImports
 	}
-	hit := t.inStep && typ == on && !t.at.acked
+	hit := t.inStep && typ == on && !t.at.onRead()
 	if hit && t.at.unread {
 		t.Kill()
 	}
@@ -83,28 +93,38 @@ func (t *killingTransport) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// Read passes the worker's frames to the supervisor's pump. For an
-// acked kill point it follows them, and once the boundary frame of the
-// kill point's step has gone through whole, the next Read kills the
-// worker: the pump asks for more only after handing that frame on.
+// Read passes the worker's frames to the supervisor's pump. For a kill
+// point on the worker's frames it follows them, and once the frame the
+// kill lands after — the boundary frame of the kill point's step, or
+// the chunk frame of its ship — has gone through whole, the next Read
+// kills the worker: the pump asks for more only after handing that
+// frame on. Bytes past that frame are not handed on.
 func (t *killingTransport) Read(p []byte) (int, error) {
 	if t.killNext {
 		t.Kill()
 	}
 	n, err := t.Transport.Reader().Read(p)
-	if !t.at.acked {
+	if !t.at.onRead() {
 		return n, err
 	}
 	t.pending = append(t.pending, p[:n]...)
-	for len(t.pending) >= 4 {
+	for len(t.pending) >= 5 && !t.killNext {
 		size := 4 + int(binary.LittleEndian.Uint32(t.pending)) + 4
 		if len(t.pending) < size {
 			break
 		}
-		if frameType(t.pending[4]) == fBoundary && checkpoint.NewDec(t.pending[5:size-4]).I64() == t.seq.Load() {
-			t.killNext = true
+		switch typ, seq := frameType(t.pending[4]), t.seq.Load(); {
+		case t.at.acked:
+			t.killNext = typ == fBoundary && checkpoint.NewDec(t.pending[5:size-4]).I64() == seq
+		case typ == fChunk && seq != 0:
+			t.chunks++
+			t.killNext = t.chunks == t.at.chunks || (t.at.chunks < 0 && size-frameOverhead < shipChunk)
 		}
 		t.pending = t.pending[size:]
+	}
+	if t.killNext {
+		n -= len(t.pending)
+		t.pending = nil
 	}
 	return n, err
 }
@@ -162,35 +182,54 @@ func killFirst(idx int, at killPoint) TransportFactory {
 	}
 }
 
+// killFailure is fastFailure for losses the transport reports — a
+// killed worker's pipe fails at once — with a heartbeat deadline (60s)
+// past the step deadline, so that no CPU load can count a slow worker
+// as a second loss.
+func killFailure(cfg *Config) {
+	fastFailure(cfg)
+	cfg.HeartbeatMiss = 6000
+}
+
 // TestSupervisorRestartMatrix lands the loss of a worker in every
 // phase a boundary has — warm-up, train, an interval before its
 // imports are routed, after that with the imports unread and read, and
-// the checkpoint-only boundary — and in the boundary after a ship
-// (train ships, so interval 0), where the supervisor first encodes an
-// imports frame over a spare and the worker's plan first reuses its
-// twin arena, dying once it has read those imports. Each loss lands on
-// each worker in turn, and the test requires what recovery promises
-// under the default budget: exactly one restart, and records, stats
-// and final checkpoints byte-identical to the clean run.
+// the checkpoint-only boundary, there also between two chunk frames of
+// its ship and after the last one, before the boundary frame — and in
+// the boundary after a ship (train ships, so interval 0), where the
+// supervisor first encodes an imports frame over a spare and the
+// worker's plan first reuses its twin arena, dying once it has read
+// those imports. Each loss lands on each worker in turn, and the test
+// requires what recovery promises under the default budget: exactly
+// one restart, and records, stats and final checkpoints byte-identical
+// to the clean run. driveSupervisorErr checks that no chunk of a lost
+// ship stays out of the pool.
 func TestSupervisorRestartMatrix(t *testing.T) {
 	const seed = 13
 	base := Config{Cluster: testClusterConfig(seed, 1), Workers: 2}
 	clean := driveSupervisor(t, base)
 	want := runEngine(t, testClusterConfig(seed, 1))
 	assertMatchesEngine(t, clean, want, "clean")
+	for i, b := range clean.ckpts {
+		if len(b) <= shipChunk {
+			t.Fatalf("worker %d ships %d B, one chunk: no kill point lands between two", i, len(b))
+		}
+	}
 	for name, at := range map[string]killPoint{
-		"warmup":                  {ph: phaseWarmup},
-		"train":                   {ph: phaseTrain},
-		"interval-before-imports": {ph: phaseInterval, n: 1},
-		"interval-imports-unread": {ph: phaseInterval, n: 2, imports: true, unread: true},
-		"interval-imports-read":   {ph: phaseInterval, n: 2, imports: true},
-		"interval-acked":          {ph: phaseInterval, n: 2, acked: true},
-		"interval-after-ship":     {ph: phaseInterval, n: 0, imports: true},
-		"checkpoint-only":         {ph: phaseCkpt},
+		"warmup":                    {ph: phaseWarmup},
+		"train":                     {ph: phaseTrain},
+		"interval-before-imports":   {ph: phaseInterval, n: 1},
+		"interval-imports-unread":   {ph: phaseInterval, n: 2, imports: true, unread: true},
+		"interval-imports-read":     {ph: phaseInterval, n: 2, imports: true},
+		"interval-acked":            {ph: phaseInterval, n: 2, acked: true},
+		"interval-after-ship":       {ph: phaseInterval, n: 0, imports: true},
+		"checkpoint-only":           {ph: phaseCkpt},
+		"checkpoint-between-chunks": {ph: phaseCkpt, chunks: 1},
+		"checkpoint-after-chunks":   {ph: phaseCkpt, chunks: -1},
 	} {
 		for victim := 0; victim < base.Workers; victim++ {
 			cfg := base
-			fastFailure(&cfg)
+			killFailure(&cfg)
 			cfg.Transport = killFirst(victim, at)
 			got, err := driveSupervisorErr(cfg)
 			if err != nil {
@@ -220,7 +259,7 @@ func TestSupervisorRestartResume(t *testing.T) {
 	d := cfg.Cluster.Defaulted()
 
 	restarting := cfg
-	fastFailure(&restarting)
+	killFailure(&restarting)
 	restarting.Transport = killFirst(0, killPoint{ph: phaseInterval, n: 0})
 	ctx := context.Background()
 	a, err := New(restarting)
@@ -278,7 +317,7 @@ func TestSupervisorRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range final {
-		if !bytes.Equal(final[i], full.ckpts[i]) {
+		if !bytes.Equal(bytes.Join(final[i], nil), full.ckpts[i]) {
 			t.Fatalf("worker %d final checkpoint diverged", i)
 		}
 	}

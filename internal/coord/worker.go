@@ -284,9 +284,10 @@ type workerSession struct {
 	fp    uint64
 	hello helloMsg
 	// out holds each frame the step loop sends, encoded whole, and
-	// conn writes it as it stands: ckptw encodes a boundary's
-	// checkpoint into it section by section, and an interval's records
-	// stream is written into it too, so neither is built apart and
+	// conn writes it as it stands: an interval's records stream is
+	// written into it, and ckptw encodes a shipped checkpoint into it
+	// section by section, ahead of the boundary frame, for
+	// conn.writeShip to send as chunk frames; neither is built apart and
 	// copied in. It is the worker's one frame buffer, kept across
 	// boundaries and so sized once.
 	out   checkpoint.Enc
@@ -300,8 +301,8 @@ type workerSession struct {
 }
 
 // handleStep runs one boundary: fault injection, the phase's engine
-// work, the export/import twin exchange, then the boundary frame with
-// a fresh checkpoint if the step asked for one (and final stats on the
+// work, the export/import twin exchange, then a fresh checkpoint if the
+// step asked for one and the boundary frame (with final stats on the
 // last interval).
 func (ws *workerSession) handleStep(payload []byte) error {
 	d := checkpoint.NewDec(payload)
@@ -377,15 +378,9 @@ func (ws *workerSession) handleStep(payload []byte) error {
 		return fmt.Errorf("%d imports at a %s boundary: %w", len(imports), ph, ErrProtocol)
 	}
 
-	// The boundary frame: counters, then the checkpoint (empty unless
-	// shipped), encoded in place.
+	// The checkpoint, if asked, is encoded in place, and the boundary
+	// frame after it: counters, the checkpoint's length and the stats.
 	out.Reset()
-	at = beginFrame(out, fBoundary)
-	out.I64(seq)
-	out.I64(int64(ws.wk.NumUsers()))
-	out.I64(int64(ws.wk.Handovers()))
-	out.I64(int64(ws.wk.Churned()))
-	blob := beginBlob(out)
 	if ship {
 		cw := &ws.ckptw
 		cw.Reset(out, WorkerKind, ws.fp)
@@ -397,7 +392,13 @@ func (ws *workerSession) handleStep(payload []byte) error {
 			return sendErrf(ws.c, "worker %d checkpoint: %v", ws.hello.Index, err)
 		}
 	}
-	endBlob(out, blob)
+	ckptLen := len(out.Bytes())
+	at = beginFrame(out, fBoundary)
+	out.I64(seq)
+	out.I64(int64(ws.wk.NumUsers()))
+	out.I64(int64(ws.wk.Handovers()))
+	out.I64(int64(ws.wk.Churned()))
+	out.I64(int64(ckptLen))
 	// Stats ride the final interval's boundary — and every
 	// checkpoint-only boundary, so a supervisor restoring into an
 	// already-finished run can still assemble the trace summary.
@@ -410,7 +411,8 @@ func (ws *workerSession) handleStep(payload []byte) error {
 	}
 	out.Blob(stats)
 	endFrame(out, at)
-	return ws.c.write(out.Bytes())
+	b := out.Bytes()
+	return ws.c.writeShip(b[:ckptLen], b[ckptLen:])
 }
 
 // injectFaults fires any scheduled process fault for interval n.

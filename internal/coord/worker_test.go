@@ -38,7 +38,7 @@ func workerBlob(tb testing.TB, cfg cluster.Config) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return blobs[1]
+	return bytes.Join(blobs[1], nil)
 }
 
 // FuzzReadWorkerCheckpoint: a worker restores a resume blob exactly as

@@ -93,3 +93,11 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	cw.n += int64(n)
 	return n, err
 }
+
+// Grow passes a checkpoint.Writer's size hint on to a destination that
+// can take it, such as a *bytes.Buffer.
+func (cw *countingWriter) Grow(n int) {
+	if g, ok := cw.w.(interface{ Grow(int) }); ok {
+		g.Grow(n)
+	}
+}
