@@ -673,9 +673,41 @@ func benchCheckpointEncode(b *testing.B, parallelism int) {
 }
 
 // BenchmarkCheckpointDecode measures ResumeCluster from that
-// checkpoint: the constructor replay plus the decode.
+// checkpoint: the cells' construction, then the decode, which builds
+// each twin once into its cell's slab and decodes its state over it.
 func BenchmarkCheckpointDecode(b *testing.B) {
 	s, cfg := benchCheckpointSession(b, 0)
+	benchResume(b, s, cfg)
+}
+
+// BenchmarkCheckpointDecodeChurned is BenchmarkCheckpointDecode on the
+// durable_resume workload's checkpoint: CNN codes, 5 % churn, taken at
+// interval 12, by which about 46 % of the users (1 − 0.95¹²) are churn
+// arrivals, each of which a resume builds on its own derived stream.
+func BenchmarkCheckpointDecodeChurned(b *testing.B) {
+	cfg := ClusterConfig{Sim: DefaultConfig(42)}
+	cfg.Sim.NumUsers = 4000
+	cfg.Sim.NumBS = 8
+	cfg.Sim.FixedK = 4
+	cfg.Sim.ChurnPerInterval = 0.05
+	cfg.Sim.Grouping.UseCNN = true
+	cfg.Sim.CompressorEpochs = 1
+	s, err := OpenCluster(cfg, WithSink(DiscardSink{}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	for i := 0; i < 12; i++ {
+		if _, serr := s.Step(context.Background()); serr != nil {
+			b.Fatal(serr)
+		}
+	}
+	benchResume(b, s, cfg)
+}
+
+// benchResume times ResumeCluster from a checkpoint of s; MB/s is over
+// the stream.
+func benchResume(b *testing.B, s *ClusterSession, cfg ClusterConfig) {
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
 		b.Fatal(err)

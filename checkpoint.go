@@ -19,6 +19,7 @@ import (
 	"io"
 
 	"dtmsvs/internal/checkpoint"
+	"dtmsvs/internal/cluster"
 )
 
 // Sentinel errors for checkpoint streams, re-exported so callers can
@@ -163,13 +164,14 @@ func resumeOpened[S resumable](s S, err error, r io.Reader) (S, error) {
 
 // Resume opens a monolithic session from cfg and restores the
 // checkpoint previously written by (*SimSession).Checkpoint under the
-// identical configuration. Stepping the resumed session yields the
-// same records, in the same order, as the uninterrupted run would
-// have produced from that boundary on. The session's Trace holds only
-// the resumed suffix; the prefix lives wherever the original run's
-// sink put it.
+// identical configuration. The engine it opens places no population:
+// the checkpoint's users are built once each, as they are decoded.
+// Stepping the resumed session yields the same records, in the same
+// order, as the uninterrupted run would have produced from that
+// boundary on. The session's Trace holds only the resumed suffix; the
+// prefix lives wherever the original run's sink put it.
 func Resume(cfg Config, r io.Reader, opts ...SessionOption) (*SimSession, error) {
-	s, err := Open(cfg, opts...)
+	s, err := openWith(cluster.NewWholeUnplaced, cfg, opts)
 	return resumeOpened(s, err, r)
 }
 
@@ -177,6 +179,6 @@ func Resume(cfg Config, r io.Reader, opts ...SessionOption) (*SimSession, error)
 // station, restoring a checkpoint written by
 // (*ClusterSession).Checkpoint.
 func ResumeCluster(cfg ClusterConfig, r io.Reader, opts ...SessionOption) (*ClusterSession, error) {
-	s, err := OpenCluster(cfg, opts...)
+	s, err := openClusterWith(cluster.NewUnplaced, cfg, opts)
 	return resumeOpened(s, err, r)
 }

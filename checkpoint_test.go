@@ -141,6 +141,63 @@ func TestSessionCheckpointResumeAtEveryBoundary(t *testing.T) {
 	}
 }
 
+// TestResumeCheckpointsItsOwnBytes: a resumed session checkpointed
+// again before any Step writes exactly the bytes it resumed from, for
+// the monolithic engine, the cluster engine with churned twins in the
+// checkpoint, and the distributed engine, whose workers restore their
+// blobs and ship them again — at Parallelism 1 and on every core. A
+// resume builds each twin afresh from its stream, so every byte of a
+// twin that a replay does not reproduce must come from the decode.
+func TestResumeCheckpointsItsOwnBytes(t *testing.T) {
+	for _, workers := range []int{1, 0} {
+		cfg := ClusterConfig{Sim: sessionTestConfig(11, workers)}
+		cases := append(checkpointCases(11, workers), checkpointCase{
+			name: "distributed",
+			open: func(opts ...SessionOption) (Session, error) { return OpenDistributed(cfg, 2, opts...) },
+			resume: func(r io.Reader, opts ...SessionOption) (Session, error) {
+				return ResumeDistributed(cfg, 2, r, opts...)
+			},
+		})
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				s, err := tc.open(WithSink(DiscardSink{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for step := 0; step < 3; step++ {
+					if _, serr := s.Step(context.Background()); serr != nil {
+						t.Fatal(serr)
+					}
+				}
+				var ckpt bytes.Buffer
+				if cerr := s.Checkpoint(&ckpt); cerr != nil {
+					t.Fatal(cerr)
+				}
+				if cerr := s.Close(); cerr != nil {
+					t.Fatal(cerr)
+				}
+				rs, err := tc.resume(bytes.NewReader(ckpt.Bytes()), WithSink(DiscardSink{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rs.Close()
+				if cs, ok := rs.(*ClusterSession); ok {
+					if n := cs.st.eng.Churned(); n < 1 {
+						t.Fatalf("%d users churned before the checkpoint; the scenario must churn", n)
+					}
+				}
+				var again bytes.Buffer
+				if cerr := rs.Checkpoint(&again); cerr != nil {
+					t.Fatal(cerr)
+				}
+				if !bytes.Equal(again.Bytes(), ckpt.Bytes()) {
+					t.Fatalf("resumed session checkpoints %d bytes unlike the %d it resumed from", again.Len(), ckpt.Len())
+				}
+			})
+		}
+	}
+}
+
 // TestResumeAtAnotherSchedule: Parallelism only schedules a run, so a
 // checkpoint taken at Parallelism 4 resumes at Parallelism 1, at every
 // boundary, into the uninterrupted run's trace suffix.
@@ -886,51 +943,67 @@ func TestFirstClusterCheckpointAllocation(t *testing.T) {
 	}
 }
 
-// TestResumeBuildsEachTwinOnce: ResumeCluster decodes twins into the
-// population OpenCluster built, so a churn-free resume allocates about
-// what the open does (1.22× since the open builds its users into slabs,
-// 1.01× before). Building every twin a second time, by replaying its
-// constructor into storage of its own, adds several objects per twin.
+// TestResumeBuildsEachTwinOnce: ResumeCluster builds each twin once,
+// straight into its cell's slab, so a resume allocates about what the
+// open does: at most 1.25× its objects, and at most one object per
+// user more — the ratio alone is dominated by the resume's fixed
+// decode costs (sections, groups, profiles). Building every twin a
+// second time, by replaying its constructor into storage of its own,
+// adds several objects per twin. The churned arm holds a checkpoint in
+// which churn arrivals have replaced users, each of which a resume
+// builds on its own stream, under both bounds.
 func TestResumeBuildsEachTwinOnce(t *testing.T) {
-	cfg := ClusterConfig{Sim: DefaultConfig(42)}
-	cfg.Sim.NumUsers = 1000
-	cfg.Sim.NumIntervals = 4
-	cfg.Sim.FixedK = 4
-	cfg.Sim.CompressorEpochs = 1
-	cfg.Sim.AgentEpisodes = 1
-	s, err := OpenCluster(cfg, WithSink(DiscardSink{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := s.Step(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.st.eng.Churned(); n != 0 {
-		t.Fatalf("%d users churned; the bound is for a churn-free run", n)
-	}
-	var ckpt bytes.Buffer
-	if err := s.Checkpoint(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	open := testing.AllocsPerRun(3, func() {
-		o, err := OpenCluster(cfg, WithSink(DiscardSink{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Close()
-	})
-	resume := testing.AllocsPerRun(3, func() {
-		r, err := ResumeCluster(cfg, bytes.NewReader(ckpt.Bytes()), WithSink(DiscardSink{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Close()
-	})
-	t.Logf("OpenCluster %.0f objects, ResumeCluster %.0f (%.2fx)", open, resume, resume/open)
-	if resume > 1.25*open {
-		t.Fatalf("ResumeCluster allocated %.0f objects, OpenCluster %.0f: %.2fx, want at most 1.25x", resume, open, resume/open)
+	for _, tc := range []struct {
+		name  string
+		churn float64
+	}{{"churn-free", 0}, {"churned", 0.1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ClusterConfig{Sim: DefaultConfig(42)}
+			cfg.Sim.NumUsers = 1000
+			cfg.Sim.NumIntervals = 4
+			cfg.Sim.FixedK = 4
+			cfg.Sim.CompressorEpochs = 1
+			cfg.Sim.AgentEpisodes = 1
+			cfg.Sim.ChurnPerInterval = tc.churn
+			s, err := OpenCluster(cfg, WithSink(DiscardSink{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for i := 0; i < 4; i++ {
+				if _, err := s.Step(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := s.st.eng.Churned(); (n == 0) != (tc.churn == 0) {
+				t.Fatalf("%d users churned at churn %v", n, tc.churn)
+			}
+			var ckpt bytes.Buffer
+			if err := s.Checkpoint(&ckpt); err != nil {
+				t.Fatal(err)
+			}
+			open := testing.AllocsPerRun(3, func() {
+				o, err := OpenCluster(cfg, WithSink(DiscardSink{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.Close()
+			})
+			resume := testing.AllocsPerRun(3, func() {
+				r, err := ResumeCluster(cfg, bytes.NewReader(ckpt.Bytes()), WithSink(DiscardSink{}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Close()
+			})
+			perUser := (resume - open) / float64(cfg.Sim.NumUsers)
+			t.Logf("OpenCluster %.0f objects, ResumeCluster %.0f (%.2fx, %+.2f per user)", open, resume, resume/open, perUser)
+			if resume > 1.25*open {
+				t.Fatalf("ResumeCluster allocated %.0f objects, OpenCluster %.0f: %.2fx, want at most 1.25x", resume, open, resume/open)
+			}
+			if perUser > 1 {
+				t.Fatalf("ResumeCluster allocated %.0f objects, OpenCluster %.0f: %.2f more per user, want at most 1", resume, open, perUser)
+			}
+		})
 	}
 }

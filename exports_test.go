@@ -45,6 +45,7 @@ var exportsWithoutCallers = map[string]string{
 	"internal/predict.NewSwipeDistribution": "observation: the live swipe fold over raw observations at weight one",
 	"internal/radio.Scheduler.Total":        "observation: the RB budget",
 	"internal/radio.Scheduler.Used":         "observation: the RBs granted this interval",
+	"internal/sim.Simulation.DetachUser":    "oracle: one departure at a time, which Splice's batch is held to; and the fixture that damages a checkpoint's populations",
 	"internal/sim.Simulation.NumGroups":     "observation: a cell's current groups",
 	"internal/stats.Categorical.Prob":       "observation: one category's probability",
 	"internal/stats.Histogram.Add":          "oracle: one observation at a time, which AddN is held to",

@@ -211,8 +211,9 @@ func stepAndClose(t *testing.T, s Session) {
 	}
 }
 
-// corruptGroups is one rewrite of corruptGroupsCheckpoints.
-type corruptGroups struct {
+// corruptCheckpoint is one rewrite of corruptGroupsCheckpoints or
+// damagedUsersCheckpoints.
+type corruptCheckpoint struct {
 	name string
 	data []byte
 }
@@ -223,7 +224,7 @@ type corruptGroups struct {
 // the cell's first user listed twice. Each must be refused as corrupt:
 // before they were, Resume accepted all five and the next Step
 // panicked on the first four.
-func corruptGroupsCheckpoints(tb testing.TB, pristine []byte) []corruptGroups {
+func corruptGroupsCheckpoints(tb testing.TB, pristine []byte) []corruptCheckpoint {
 	tb.Helper()
 	const (
 		groupID = 4               // after the group count
@@ -266,7 +267,7 @@ func corruptGroupsCheckpoints(tb testing.TB, pristine []byte) []corruptGroups {
 			return append(out, rest...)
 		})
 	}
-	return []corruptGroups{
+	return []corruptCheckpoint{
 		{"group id 7", id(7)},
 		{"group id -1", id(-1)},
 		{"member 999", members(999)},
@@ -320,10 +321,9 @@ func rewriteSections(data []byte, edit func(name string, payload []byte) []byte)
 	return out
 }
 
-// duplicateTwinCheckpoint rewrites a cluster checkpoint of the resume
-// scenario so that cell 1 also lists the first twin of cell 0: one
-// twin in two cells, every CRC intact. ResumeCluster must refuse it.
-func duplicateTwinCheckpoint(tb testing.TB, pristine []byte) []byte {
+// scratchCell is an empty cell of the resume scenario, which decodes
+// and encodes any of its twins.
+func scratchCell(tb testing.TB) *sim.Simulation {
 	tb.Helper()
 	cfg := fuzzResumeConfig().Defaulted()
 	sub, err := sim.NewSubstrate(cfg)
@@ -338,6 +338,76 @@ func duplicateTwinCheckpoint(tb testing.TB, pristine []byte) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return scratch
+}
+
+// damagedUsersCheckpoints rewrites the first "users" section of a
+// checkpoint of the resume scenario, every CRC intact: its twins listed
+// as they are (the control, which must resume), one twin listed twice
+// in place of the next, the first two out of order, and a count that
+// claims one twin more than the section holds and the owner map gives
+// the cell, or 2³² − 1 of them. Each damaged one must be refused as
+// corrupt before any twin it lists is built; the count must not size
+// an allocation.
+func damagedUsersCheckpoints(tb testing.TB, pristine []byte) (control []byte, bad []corruptCheckpoint) {
+	tb.Helper()
+	scratch := scratchCell(tb)
+	first := func(edit func(payload []byte) []byte) []byte {
+		done := false
+		return rewriteSections(pristine, func(name string, payload []byte) []byte {
+			if name != "users" || done {
+				return payload
+			}
+			done = true
+			return edit(payload)
+		})
+	}
+	first(func(payload []byte) []byte {
+		d := checkpoint.NewDec(payload)
+		for n := d.U32(); n > 0; n-- {
+			mu, err := scratch.DecodeUser(d)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := scratch.AttachUser(mu); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		return payload
+	})
+	ids := scratch.UserIDs()
+	if len(ids) < 2 {
+		tb.Fatalf("the checkpoint's first cell holds %d twins, want at least 2", len(ids))
+	}
+	users := func(count uint32, order ...int) []byte {
+		return first(func([]byte) []byte {
+			var e checkpoint.Enc
+			e.U32(count)
+			for _, id := range order {
+				if err := scratch.EncodeUser(&e, id); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			return e.Bytes()
+		})
+	}
+	n := uint32(len(ids))
+	twice := append([]int{ids[0], ids[0]}, ids[2:]...)
+	swapped := append([]int{ids[1], ids[0]}, ids[2:]...)
+	return users(n, ids...), []corruptCheckpoint{
+		{"twin listed twice", users(n, twice...)},
+		{"twins out of order", users(n, swapped...)},
+		{"one twin more than the owner map gives", users(n+1, ids...)},
+		{"2^32-1 twins", users(math.MaxUint32, ids...)},
+	}
+}
+
+// duplicateTwinCheckpoint rewrites a cluster checkpoint of the resume
+// scenario so that cell 1 also lists the first twin of cell 0: one
+// twin in two cells, every CRC intact. ResumeCluster must refuse it.
+func duplicateTwinCheckpoint(tb testing.TB, pristine []byte) []byte {
+	tb.Helper()
+	scratch := scratchCell(tb)
 	// decode attaches the first n twins of a "users" payload to scratch.
 	decode := func(payload []byte, n uint32) {
 		d := checkpoint.NewDec(payload)
@@ -379,8 +449,9 @@ func duplicateTwinCheckpoint(tb testing.TB, pristine []byte) []byte {
 // FuzzReadClusterCheckpoint is FuzzReadCheckpoint for ResumeCluster
 // over two cells: it must never panic, every rejection must be typed,
 // and a resume that succeeds must hold every twin exactly once and
-// step. The corpus includes a checkpoint listing one twin in two cells
-// and the corrupt groups of FuzzReadCheckpoint in cell 0.
+// step. The corpus includes a checkpoint listing one twin in two cells,
+// the corrupt groups of FuzzReadCheckpoint in cell 0, and cell 0's
+// twins listed twice, out of order or over-counted.
 func FuzzReadClusterCheckpoint(f *testing.F) {
 	seed := fuzzSeedClusterCheckpoint(f)
 	f.Add(seed)
@@ -388,6 +459,10 @@ func FuzzReadClusterCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(duplicateTwinCheckpoint(f, seed))
 	for _, bad := range corruptGroupsCheckpoints(f, seed) {
+		f.Add(bad.data)
+	}
+	_, damaged := damagedUsersCheckpoints(f, seed)
+	for _, bad := range damaged {
 		f.Add(bad.data)
 	}
 	cfg := ClusterConfig{Sim: fuzzResumeConfig()}
@@ -407,6 +482,49 @@ func FuzzReadClusterCheckpoint(f *testing.F) {
 			t.Fatalf("untyped checkpoint rejection: %v", err)
 		}
 	})
+}
+
+// TestResumeRejectsDamagedUsers: a checkpoint whose first cell lists a
+// twin twice, its twins out of order, or more twins than the owner map
+// gives the cell fails Resume and ResumeCluster as corrupt, while the
+// same section rewritten as it was resumes. At the open boundary there
+// are no groups, whose members would otherwise also give a misplaced
+// twin away.
+func TestResumeRejectsDamagedUsers(t *testing.T) {
+	cfg := fuzzResumeConfig()
+	mono := func(b []byte) (Session, error) { return Resume(cfg, bytes.NewReader(b)) }
+	for _, tc := range []struct {
+		name     string
+		pristine []byte
+		resume   func([]byte) (Session, error)
+	}{
+		{"mono/open", fuzzSeedCheckpoint(t, 0), mono},
+		{"mono", fuzzSeedCheckpoint(t, 3), mono},
+		{"cluster", fuzzSeedClusterCheckpoint(t), func(b []byte) (Session, error) {
+			return ResumeCluster(ClusterConfig{Sim: cfg}, bytes.NewReader(b))
+		}},
+	} {
+		control, damaged := damagedUsersCheckpoints(t, tc.pristine)
+		t.Run(tc.name+"/control", func(t *testing.T) {
+			s, err := tc.resume(control)
+			if err != nil {
+				t.Fatalf("the undamaged rewrite does not resume: %v", err)
+			}
+			stepAndClose(t, s)
+		})
+		for _, bad := range damaged {
+			t.Run(tc.name+"/"+bad.name, func(t *testing.T) {
+				s, err := tc.resume(bad.data)
+				if err == nil {
+					s.Close()
+					t.Fatal("damaged users resumed")
+				}
+				if !errors.Is(err, ErrCheckpointCorrupt) {
+					t.Fatalf("want ErrCheckpointCorrupt, got %v", err)
+				}
+			})
+		}
+	}
 }
 
 // TestResumeRejectsCorruptGroups: a checkpoint whose groups stand at

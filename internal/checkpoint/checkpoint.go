@@ -34,6 +34,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"unsafe"
 )
 
 // Version is the checkpoint format version this package writes and
@@ -358,11 +359,20 @@ func (d *Dec) F64sInto(dst []float64) int {
 		return 0
 	}
 	b := d.take(8 * n) // len has shown the bytes are there
+	if littleEndian && n > 0 {
+		// The words' memory is their little-endian bytes: one copy.
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*n), b)
+		return n
+	}
 	for i := range dst[:n] {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return n
 }
+
+// littleEndian reports whether this machine keeps a float64 in memory
+// as the little-endian bytes a stream holds it in.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // Ints reads a length-prefixed int slice; nil when empty.
 func (d *Dec) Ints() []int {

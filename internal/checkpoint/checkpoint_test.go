@@ -99,6 +99,44 @@ func TestEncDecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestF64sIntoKeepsEveryBit: F64sInto reads each word's exact bits —
+// NaN payloads, signed zeros, infinities, subnormals — at any byte
+// offset in the payload, as the little-endian word the stream holds.
+func TestF64sIntoKeepsEveryBit(t *testing.T) {
+	words := []uint64{
+		0, 1 << 63, 0x7ff0000000000000, 0xfff0000000000000, 0x7ff8000000000001,
+		0xfff4000000abcdef, 1, 0x000fffffffffffff, 0x7fefffffffffffff, 0x3ff0000000000000,
+	}
+	in := make([]float64, len(words))
+	for i, w := range words {
+		in[i] = math.Float64frombits(w)
+	}
+	for pad := 0; pad < 8; pad++ {
+		var e Enc
+		for i := 0; i < pad; i++ {
+			e.U8(0xAA)
+		}
+		e.F64s(in[:3], in[3:])
+		d := NewDec(e.Bytes())
+		for i := 0; i < pad; i++ {
+			d.U8()
+		}
+		out := make([]float64, len(words)+1)
+		if n := d.F64sInto(out); n != len(words) || d.Close() != nil {
+			t.Fatalf("pad %d: %d words, %v", pad, n, d.Err())
+		}
+		raw := e.Bytes()[pad+4:]
+		for i, w := range words {
+			if got := math.Float64bits(out[i]); got != w || got != binary.LittleEndian.Uint64(raw[8*i:]) {
+				t.Fatalf("pad %d word %d: %#x, want %#x", pad, i, got, w)
+			}
+		}
+		if out[len(words)] != 0 {
+			t.Fatalf("pad %d: wrote past the slice", pad)
+		}
+	}
+}
+
 // TestDecMalformed: short payloads, oversized length prefixes, bad
 // bools and trailing bytes all latch ErrCorrupt; reads after the
 // latch return zero values rather than panicking.

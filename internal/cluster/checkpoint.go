@@ -99,18 +99,19 @@ func (e *Engine) WriteState(cw *checkpoint.Writer) error {
 	return nil
 }
 
-// ReadState restores boundary state written by WriteState into a
-// freshly constructed engine of the identical configuration and
-// partition. It reads the owned cells' sections in id order, hands
-// each owned cell the opened twins the checkpoint's owner map assigns
-// it, and then decodes the cells concurrently on the pool — each into
-// its own disjoint table of opened twins, so no two restores can share
-// a twin whatever the sections claim. Afterwards every owned cell must
-// hold exactly the twins the owner map assigns it; that, and any
-// bookkeeping for an un-owned cell, is checkpoint.ErrCorrupt. A stream
-// with sections for other cells than the partition's — a worker blob
-// from a build that wrote every cell — fails here or at the reader's
-// Finish, never restores.
+// ReadState restores boundary state written by WriteState into an
+// engine of the identical configuration and partition: one an Unplaced
+// constructor built, or one whose population the checkpoint's
+// replaces. It reads and CRC-checks the "cluster" section and every
+// owned cell's sections, in id order, before it builds anything; then
+// it decodes the cells concurrently on the pool, largest first, each
+// given the ids the checkpoint's owner map assigns it
+// (sim.Simulation.Restore). The map is as long as NumUsers, so no
+// allocation is sized by a length the input claims. A cell that lists
+// any other twins, and bookkeeping for an un-owned cell, is
+// checkpoint.ErrCorrupt; a stream with sections for other cells than
+// the partition's — a worker blob from a build that wrote every cell —
+// fails here or at the reader's Finish.
 func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 	d, err := cr.Section("cluster")
 	if err != nil {
@@ -163,14 +164,27 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 			return fmt.Errorf("user %d owned by quarantined cell %d: %w", id, c, checkpoint.ErrCorrupt)
 		}
 	}
-	secs := make([]sim.Sections, len(e.owned))
-	for k, ci := range e.owned {
-		if secs[k], err = sim.ReadSections(cr); err != nil {
+	secs := make([]sim.Sections, len(e.cells))
+	for _, ci := range e.owned {
+		if secs[ci], err = sim.ReadSections(cr); err != nil {
 			return fmt.Errorf("cell %d: %w", ci, err)
 		}
 	}
-	if err := e.rehome(owner); err != nil {
-		return err
+	// Each owned cell's ids, ascending.
+	n := make([]int, len(e.cells))
+	for _, c := range owner {
+		n[c]++
+	}
+	ids := make([][]int, len(e.cells))
+	e.local = 0
+	for _, ci := range e.owned {
+		ids[ci] = make([]int, 0, n[ci])
+		e.local += n[ci]
+	}
+	for id, c := range owner {
+		if e.mask[c] {
+			ids[c] = append(ids[c], id)
+		}
 	}
 	copy(e.owner, owner)
 	e.handovers = handovers
@@ -190,63 +204,15 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 		c.down = down[ci]
 		c.evacuated = cellEvac[ci]
 	}
-	if err := e.sub.Pool.For(len(e.owned), func(k int) error {
-		ci := e.owned[k]
-		if err := e.cells[ci].eng.Restore(secs[k]); err != nil {
+	// The largest cells restore first, so the pool's last task is a
+	// small one.
+	order := slices.Clone(e.owned)
+	slices.SortStableFunc(order, func(a, b int) int { return len(ids[b]) - len(ids[a]) })
+	return e.sub.Pool.For(len(order), func(k int) error {
+		ci := order[k]
+		if err := e.cells[ci].eng.Restore(secs[ci], ids[ci]); err != nil {
 			return fmt.Errorf("cell %d: %w", ci, err)
 		}
 		return nil
-	}); err != nil {
-		return err
-	}
-	return e.checkOwnership()
-}
-
-// rehome moves the opened twins of the owned cells to the cells the
-// checkpoint's owner map assigns them, so each cell's population is
-// the table its restore decodes into. Twins already in their cell stay
-// put, and twins the map places outside this partition are dropped.
-func (e *Engine) rehome(owner []int) error {
-	opened := make([]sim.User, len(owner))
-	for _, ci := range e.owned {
-		eng := e.cells[ci].eng
-		for _, id := range slices.Backward(eng.UserIDs()) {
-			if owner[id] != ci {
-				opened[id], _ = eng.DetachUser(id)
-			}
-		}
-	}
-	for id, mu := range opened {
-		if c := owner[id]; mu != (sim.User{}) && e.mask[c] {
-			if err := e.cells[c].eng.AttachUser(mu); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// checkOwnership verifies a restore against the owner map: every owned
-// cell holds exactly {id : owner[id] == cell} — populations are id
-// sorted and duplicate-free, so agreeing owners and equal counts pin
-// the set. It recounts the local twins.
-func (e *Engine) checkOwnership() error {
-	want := make([]int, len(e.cells))
-	for _, c := range e.owner {
-		want[c]++
-	}
-	e.local = 0
-	for _, ci := range e.owned {
-		ids := e.cells[ci].eng.UserIDs()
-		for _, id := range ids {
-			if id >= len(e.owner) || e.owner[id] != ci {
-				return fmt.Errorf("twin %d restored in cell %d, not where this partition's owner map puts it: %w", id, ci, checkpoint.ErrCorrupt)
-			}
-		}
-		if len(ids) != want[ci] {
-			return fmt.Errorf("cell %d restored %d twins, the owner map gives it %d: %w", ci, len(ids), want[ci], checkpoint.ErrCorrupt)
-		}
-		e.local += len(ids)
-	}
-	return nil
+	})
 }

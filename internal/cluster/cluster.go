@@ -279,13 +279,26 @@ type Engine struct {
 
 // New constructs a cluster engine that owns every cell, one per
 // station, and places the initial population: the partition (0, 1).
-func New(cfg Config) (*Engine, error) { return newPartition(cfg, 0, 1, false) }
+func New(cfg Config) (*Engine, error) { return placed(newPartition(cfg, 0, 1, false)) }
 
 // NewWhole constructs the monolithic engine: the cluster engine over
 // one cell that covers every station. The cell is tagged BS -1, holds
 // the whole CacheBytes and the whole population, and never plans a
 // handover, since every station maps to it. It has no cell faults.
 func NewWhole(cfg sim.Config) (*Engine, error) {
+	return placed(newPartition(Config{Sim: cfg}, 0, 1, true))
+}
+
+// NewUnplaced constructs the engine New does without placing the
+// population: every cell is built and holds no user, and the owner map
+// says nothing yet. It is the engine a resume restores a checkpoint
+// into — ReadState gives each cell the users the checkpoint's owner map
+// assigns it — so a resume builds every user once, where an open
+// followed by ReadState would build each twice.
+func NewUnplaced(cfg Config) (*Engine, error) { return newPartition(cfg, 0, 1, false) }
+
+// NewWholeUnplaced is NewUnplaced for the engine NewWhole constructs.
+func NewWholeUnplaced(cfg sim.Config) (*Engine, error) {
 	return newPartition(Config{Sim: cfg}, 0, 1, true)
 }
 
@@ -293,9 +306,9 @@ func NewWhole(cfg sim.Config) (*Engine, error) {
 // partition, with one cell per station or, whole, one cell over all of
 // them. Only the owned cells are built, each exactly as every other
 // partition would build it — a cell draws only from the shared
-// substrate and its own derived streams — and the whole population is
-// placed from per-user streams, of which only the users whose initial
-// cell the slot owns are built whole and attached.
+// substrate and its own derived streams — and none holds a user yet:
+// place gives an opened engine its population, ReadState a resumed
+// one.
 func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -370,7 +383,7 @@ func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 		return faults[i].Cell < faults[j].Cell
 	})
 
-	e := &Engine{
+	return &Engine{
 		cfg:     d,
 		sub:     sub,
 		cells:   cells,
@@ -383,35 +396,49 @@ func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 		faults:  faults,
 		down:    down,
 		retain:  true,
-	}
+	}, nil
+}
 
-	// Place the population on the pool (a user draws only from its
-	// private stream, whichever cell places it): every user is placed,
-	// so the owner map covers all of them, but only the users whose
-	// initial serving station's cell this partition owns are built
-	// whole, and each joins that cell. A partition that owns every cell
-	// keeps every user, and needs no filter.
-	var keep func(bs int) bool
-	if len(owned) < numCells {
-		keep = func(bs int) bool { return mask[cellOf[bs]] }
-	}
-	serving := make([]int, d.Sim.NumUsers)
-	placed, err := cells[owned[0]].eng.PlaceUsers(serving, keep)
+// placed places the initial population of an engine newPartition just
+// constructed (see place).
+func placed(e *Engine, err error) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := e.place(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// place places the population on the pool (a user draws only from its
+// private stream, whichever cell places it): every user is placed, so
+// the owner map covers all of them, but only the users whose initial
+// serving station's cell this partition owns are built whole, and each
+// joins that cell. A partition that owns every cell keeps every user,
+// and needs no filter.
+func (e *Engine) place() error {
+	var keep func(bs int) bool
+	if len(e.owned) < len(e.cells) {
+		keep = func(bs int) bool { return e.mask[e.cellOf[bs]] }
+	}
+	serving := make([]int, len(e.owner))
+	users, err := e.cells[e.owned[0]].eng.PlaceUsers(serving, keep)
+	if err != nil {
+		return err
+	}
 	for id, bs := range serving {
-		c := cellOf[bs]
+		c := e.cellOf[bs]
 		e.owner[id] = c
-		if !mask[c] {
+		if !e.mask[c] {
 			continue
 		}
-		if aerr := cells[c].eng.AttachUser(placed[id]); aerr != nil {
-			return nil, aerr
+		if err := e.cells[c].eng.AttachUser(users[id]); err != nil {
+			return err
 		}
 		e.local++
 	}
-	return e, nil
+	return nil
 }
 
 // eachCell runs fn over every owned cell, one pool task per cell. fn

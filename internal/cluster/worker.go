@@ -10,11 +10,13 @@
 // preference, profile draw, mobility model and initial station, so the
 // owner map covers all of them — and builds whole (link, twin,
 // calibration filters) and attaches only the users that start in its
-// own cells. The handover pass (handover.go) is the engine's own,
-// split at the point where the moves crossing workers are exchanged;
-// a worker decodes each import into the storage of a user it exported
-// at the previous boundary, which changes no byte of any user. Its
-// checkpoint carries sim sections for its own cells only.
+// own cells; a worker that restarts or resumes places no one, and
+// builds only the users its checkpoint's owner map puts in its cells,
+// as it decodes them. The handover pass (handover.go) is the engine's
+// own, split at the point where the moves crossing workers are
+// exchanged; a worker decodes each import into the storage of a user
+// it exported at the previous boundary, which changes no byte of any
+// user. Its checkpoint carries sim sections for its own cells only.
 package cluster
 
 import (
@@ -37,6 +39,20 @@ type Worker struct{ *Engine }
 
 // NewWorker constructs worker index of count over cfg.
 func NewWorker(cfg Config, index, count int) (*Worker, error) {
+	w, err := NewWorkerUnplaced(cfg, index, count)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.place(); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// NewWorkerUnplaced is NewUnplaced for worker index of count: the
+// worker a restarted or resumed worker process restores its checkpoint
+// into.
+func NewWorkerUnplaced(cfg Config, index, count int) (*Worker, error) {
 	d := cfg.Defaulted()
 	if len(d.Faults) > 0 {
 		return nil, fmt.Errorf("cell fault injection inside distributed workers is not supported (inject process faults instead): %w", ErrConfig)

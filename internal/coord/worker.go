@@ -208,7 +208,13 @@ func runWorker(r io.Reader, w io.Writer, kill func()) error {
 		}
 	}()
 
-	wk, err := cluster.NewWorker(hello.Cluster, hello.Index, hello.Count)
+	// A worker that resumes builds no population of its own: its
+	// checkpoint's users are built once each, as ReadState decodes them.
+	newWorker := cluster.NewWorker
+	if len(resume) > 0 {
+		newWorker = cluster.NewWorkerUnplaced
+	}
+	wk, err := newWorker(hello.Cluster, hello.Index, hello.Count)
 	if err != nil {
 		return sendErrf(c, "construct worker %d/%d: %v", hello.Index, hello.Count, err)
 	}

@@ -434,7 +434,7 @@ func TestCellIndexTracksPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Restore(secs); err != nil {
+	if err := r.Restore(secs, s.UserIDs()); err != nil {
 		t.Fatal(err)
 	}
 	check(r, "restore")

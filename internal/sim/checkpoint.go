@@ -1,31 +1,32 @@
 // This file serializes the full mutable state of a Simulation at an
-// interval boundary, and restores it into a freshly opened engine. The
-// contract is bit-exactness: a restored engine produces the same
+// interval boundary, and restores it into an engine the same
+// constructors built for the same configuration. The contract is
+// bit-exactness: a restored engine produces the same
 // draw-for-draw trace suffix the original would have.
 //
 // The restore strategy is hybrid. Everything derivable from the
 // configuration — catalog, stations, campus, untrained network
-// shapes, per-user construction draws — comes from the deterministic
-// constructors Open already ran; the checkpoint carries only what
+// shapes — comes from the deterministic constructors the resuming
+// engine ran, which build no users; the checkpoint carries only what
 // evolves afterwards: RNG positions (one splitmix64 word per derived
 // stream, a draw count for the builder's stdlib source), trained
 // weights, twin histories, calibration EWMAs, mobility/link state,
 // group membership + profiles, the edge cache, and the engine's
-// bookkeeping counters. Twins decode into the population Open built:
-// a generation-0 user is the opened member with its id, overwritten,
-// and only churned users (and users the opened engine does not hold)
-// replay their constructor — a churned one into the storage of the
-// opened member it replaces, an import into the spare it is given —
-// and a replay into storage that held a user of the same mobility
-// class allocates nothing: every part of a user is built in place
-// (buildUser). Open itself builds the population into slabs
-// (PlaceUsers), so a 4000-user × 8-cell resume allocates about 3 500
-// objects, the open included, under one per user
-// (BenchmarkCheckpointDecode). Per-interval accumulators (tick
-// statistics, scheduler reservations) are always zeroed at a boundary,
-// so they never ride in a checkpoint.
+// bookkeeping counters. The checkpoint does not carry a user's
+// construction draws (its landmark route, engagement, speed bounds),
+// so Restore builds each user it lists exactly once, replaying the
+// constructor on the user's derived stream (buildUser), straight into
+// one slab sized to the users the cell's owner map gives it, and then
+// decodes the user's mutable state over it. A 4000-user × 8-cell
+// resume so builds every twin once, on the cells' pool tasks, and
+// allocates about 3 450 objects, 1.25× an open's
+// (BenchmarkCheckpointDecode). An import (DecodeUserInto) replays into
+// the spare it is given, with no allocation for a spare of its
+// mobility class. Per-interval
+// accumulators (tick statistics, scheduler reservations) are always
+// zeroed at a boundary, so they never ride in a checkpoint.
 //
-// Every section is binary (checkpoint format v3), and each package
+// Every section is binary (checkpoint format v5), and each package
 // encodes and decodes its own state: mobility its walkers, channel the
 // link, predict the EWMAs, edge the cache, grouping the trained
 // networks (through cnn, ddqn and nn), kmeans the centroids and udt
@@ -109,16 +110,18 @@ func ReadSections(cr *checkpoint.Reader) (Sections, error) {
 	return secs, nil
 }
 
-// Restore decodes sections read by ReadSections into a freshly opened
-// engine. The engine's population is the table the "users" section
-// decodes into: a user the checkpoint lists at generation 0 reuses the
-// member with its id (see decodeUser), and the population becomes
-// exactly the users the section lists. Restore writes only this
-// engine and reads its substrate, so sibling cells restore
-// concurrently.
-func (s *Simulation) Restore(secs Sections) error {
+// Restore decodes sections read by ReadSections into the engine, whose
+// population becomes the users with the given ids, ascending: the
+// "users" section must list exactly those, in order, and is corrupt
+// before the first user out of place is built. They are built once
+// each, into one newUsers slab, and the engine's former population, if
+// any, is let go. Restore writes only this engine and reads its
+// substrate, so sibling cells restore concurrently, each allocating
+// its slab on its own pool task.
+func (s *Simulation) Restore(secs Sections, ids []int) error {
+	decodeUsers := func(d *checkpoint.Dec) error { return s.decodeUsers(d, ids) }
 	decode := [len(sectionNames)]func(*checkpoint.Dec) error{
-		s.decodeEngine, s.builder.DecodeState, s.server.Cache().DecodeState, s.decodeUsers, s.decodeGroups,
+		s.decodeEngine, s.builder.DecodeState, s.server.Cache().DecodeState, decodeUsers, s.decodeGroups,
 	}
 	for i, d := range secs {
 		if err := decode[i](d); err != nil {
@@ -266,8 +269,8 @@ func (s *Simulation) EncodeUser(e *checkpoint.Enc, id int) error {
 	return s.encodeUser(e, u)
 }
 
-// DecodeUser is DecodeUserInto without a spare: every part of the user
-// is allocated afresh.
+// DecodeUser is DecodeUserInto without a spare: the user is built
+// into storage of its own.
 func (s *Simulation) DecodeUser(d *checkpoint.Dec) (User, error) {
 	return s.DecodeUserInto(d, User{})
 }
@@ -284,73 +287,64 @@ func (s *Simulation) DecodeUser(d *checkpoint.Dec) (User, error) {
 // returned handle is detached: pass it to AttachUser or Splice to add
 // it to this cell's population.
 func (s *Simulation) DecodeUserInto(d *checkpoint.Dec, spare User) (User, error) {
-	u, err := s.decodeUser(d, nil, spare.u)
+	u, err := s.decodeUser(d, spare.u, nil, -1)
 	return User{u: u}, err
 }
 
-// decodeUsers decodes the "users" section into the opened population:
-// byID is the table decodeUser takes generation-0 users from, and the
-// population becomes the decoded list.
-func (s *Simulation) decodeUsers(d *checkpoint.Dec) error {
+// decodeUsers decodes the "users" section into one slab for ids, which
+// becomes the population: the section must list exactly those users,
+// in id order.
+func (s *Simulation) decodeUsers(d *checkpoint.Dec, ids []int) error {
 	n := d.U32()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	users := make([]*user, 0, min(int(n), 1<<20))
-	for i := uint32(0); i < n; i++ {
-		u, err := s.decodeUser(d, s.byID, nil)
+	if int64(n) != int64(len(ids)) {
+		return fmt.Errorf("%d users listed, the owner map gives the cell %d: %w", n, len(ids), checkpoint.ErrCorrupt)
+	}
+	sl := s.newUsers(ids)
+	users := make([]*user, len(ids))
+	for k, id := range ids {
+		u, err := s.decodeUser(d, &sl.users[k], sl.twinBuf(k), id)
 		if err != nil {
 			return err
 		}
-		if len(users) > 0 && u.id <= users[len(users)-1].id {
-			return fmt.Errorf("user %d after user %d: population not in id order: %w", u.id, users[len(users)-1].id, checkpoint.ErrCorrupt)
-		}
-		users = append(users, u)
+		users[k] = u
 	}
-	s.users = users
 	clear(s.byID)
+	s.users = users
 	for _, u := range users {
 		s.index(u.id, u)
 	}
 	return nil
 }
 
-// decodeUser restores one user from its encodeUser bytes, refusing a
-// profile preference that is not a distribution as corrupt. A
-// generation-0 user found in opened (indexed by id) is taken out of
-// it and decoded into: it came from the same constructor on the same
-// stream and has never stepped, so it is exactly what a replay would
-// build. Any other user — churned, or missing from opened — is
-// rebuilt by replaying the constructor on its derived stream, into
-// the storage of the opened member with its id when there is one (a
-// churned slot's generation 0, which the checkpoint replaces) and
-// otherwise of spare, when not nil. Either way the mutable state is
-// then overwritten and the stream repositioned.
-func (s *Simulation) decodeUser(d *checkpoint.Dec, opened []*user, spare *user) (*user, error) {
+// decodeUser restores one user from its encodeUser bytes. It reads the
+// user's identity, refusing an id other than want (any id when want is
+// negative) as corrupt before building anything, then builds the user
+// into u (buildUser, with twinBuf its twin storage or nil for a
+// spare's), or into storage of its own when u is nil — replaying the
+// constructor on the user's derived stream — and overwrites the
+// mutable state and the stream position. A profile preference that is
+// not a distribution is corrupt.
+func (s *Simulation) decodeUser(d *checkpoint.Dec, u *user, twinBuf []float64, want int) (*user, error) {
 	id := d.Int()
 	gen := d.U64()
 	srcState := d.U64()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if id < 0 {
+	switch {
+	case id < 0:
 		return nil, fmt.Errorf("user id %d: %w", id, checkpoint.ErrCorrupt)
-	}
-	var u *user
-	if id < len(opened) && opened[id] != nil {
-		u, opened[id] = opened[id], nil
+	case want >= 0 && id != want:
+		return nil, fmt.Errorf("user %d listed where the owner map puts user %d: %w", id, want, checkpoint.ErrCorrupt)
 	}
 	if u == nil {
-		u = spare
+		sl := s.newUsers([]int{id})
+		u, twinBuf = &sl.users[0], sl.twinBuf(0)
 	}
-	var err error
-	switch {
-	case u == nil:
-		u, err = s.newUser(id, gen)
-	case gen != 0 || u == spare:
-		err = s.buildUser(u, id, gen, nil)
-	}
-	if err != nil {
+	if err := s.buildUser(u, id, gen, twinBuf); err != nil {
 		return nil, fmt.Errorf("user %d replay: %w", id, err)
 	}
 	if n := d.F64sInto(u.profile.Pref); d.Err() == nil {

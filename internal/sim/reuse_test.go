@@ -5,9 +5,12 @@ import (
 	"context"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/mobility"
+	"dtmsvs/internal/udt"
+	"dtmsvs/internal/video"
 )
 
 // churnyEngine returns a monolithic engine on a two-task pool whose
@@ -85,11 +88,12 @@ func TestReuseChurnArrival(t *testing.T) {
 	}
 }
 
-// TestReuseChurnedSlotOnResume: restoring a checkpoint decodes every
-// user into the storage of the opened member with its id — a churned
-// slot's generation-0 member included, whose constructor replays into
-// it — and the restored engine checkpoints to the bytes it was
-// restored from.
+// TestReuseChurnedSlotOnResume: restoring a checkpoint builds every
+// user it lists once, churned slots included, straight into one slab
+// sized to the cell's ids — the users one array, their preference
+// windows one float slab at a fixed stride — not into the storage of
+// the population the engine held before, and the restored engine
+// checkpoints to the bytes it was restored from.
 func TestReuseChurnedSlotOnResume(t *testing.T) {
 	s := churnyEngine(t)
 	if n, err := s.churnUsers(context.Background()); err != nil || n == 0 {
@@ -121,16 +125,23 @@ func TestReuseChurnedSlotOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Restore(secs); err != nil {
+	if err := r.Restore(secs, s.UserIDs()); err != nil {
 		t.Fatal(err)
 	}
+	n := len(r.users)
+	users := unsafe.Slice(r.users[0], n)
+	stride := video.NumCategories + udt.Config{HistoryLen: r.cfg.twinHistory()}.Floats()
+	floats := unsafe.Slice(&r.users[0].profile.Pref[0], n*stride)
 	churned := 0
-	for _, u := range r.users {
+	for k, u := range r.users {
 		if u.gen > 0 {
 			churned++
 		}
-		if got := stateOf(u); got != opened[u.id] {
-			t.Fatalf("user %d (generation %d) restored beside the opened member, not into it", u.id, u.gen)
+		if u != &users[k] || &u.profile.Pref[0] != &floats[k*stride] {
+			t.Fatalf("user %d (generation %d) restored outside the cell's one slab", u.id, u.gen)
+		}
+		if got := stateOf(u); got.u == opened[u.id].u || got.pref == opened[u.id].pref {
+			t.Fatalf("user %d (generation %d) restored into the storage of the population it replaced", u.id, u.gen)
 		}
 	}
 	if churned == 0 {

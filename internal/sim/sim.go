@@ -673,14 +673,6 @@ func (s *Simulation) newUsers(ids []int) userSlab {
 	return sl
 }
 
-// newUser builds user id of churn generation gen into storage of its
-// own.
-func (s *Simulation) newUser(id int, gen uint64) (*user, error) {
-	sl := s.newUsers([]int{id})
-	u := &sl.users[0]
-	return u, s.buildUser(u, id, gen, sl.twinBuf(0))
-}
-
 // buildUser builds user id of churn generation gen into u: placeUser,
 // then the link, a cold twin and fresh filters. Every random choice —
 // construction included — draws from the user's private stream, so
@@ -688,11 +680,10 @@ func (s *Simulation) newUser(id int, gen uint64) (*user, error) {
 //
 // u is storage newUsers allocated, with twinBuf its twin storage, or a
 // spare with twinBuf nil: a user no engine holds any more (one that
-// churned out, an opened member a checkpoint replaces, a twin exported
-// at the last boundary). Either way every part of the user is built in
-// u's storage — its mobility model too when it is of the class id
-// walks by, one new model otherwise — and is exactly the user any
-// other storage would hold.
+// churned out, a twin exported at the last boundary). Either way every
+// part of the user is built in u's storage — its mobility model too
+// when it is of the class id walks by, one new model otherwise — and
+// is exactly the user any other storage would hold.
 func (s *Simulation) buildUser(u *user, id int, gen uint64, twinBuf []float64) error {
 	bs, err := s.placeUser(u, id, gen)
 	if err != nil {

@@ -8,6 +8,14 @@ import (
 	"dtmsvs/internal/checkpoint"
 )
 
+// newUser builds user id of churn generation gen into storage of its
+// own, as a user built alone.
+func (s *Simulation) newUser(id int, gen uint64) (*user, error) {
+	sl := s.newUsers([]int{id})
+	u := &sl.users[0]
+	return u, s.buildUser(u, id, gen, sl.twinBuf(0))
+}
+
 // bareCell is the monolithic engine's cell without its population, on
 // a pool of the config's Parallelism.
 func bareCell(t *testing.T, cfg Config) *Simulation {

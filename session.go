@@ -496,11 +496,18 @@ func openCluster(eng *cluster.Engine, unscheduled any, rowBS int, o sessionOptio
 }
 
 // OpenCluster validates cfg and returns a session over one cell per
-// base station. No simulation work happens until the first Step.
-// Degenerate scenarios (zero users or intervals) fail with
-// ErrEmptyScenario.
+// base station. It builds every cell and places and builds the whole
+// population — each user's preference, mobility model, link and cold
+// twin, drawn from its own stream — so the first Step starts from the
+// users' initial state. Degenerate scenarios (zero users or intervals)
+// fail with ErrEmptyScenario.
 func OpenCluster(cfg ClusterConfig, opts ...SessionOption) (*ClusterSession, error) {
-	eng, err := cluster.New(cfg)
+	return openClusterWith(cluster.New, cfg, opts)
+}
+
+// openClusterWith is OpenCluster over the engine newEngine constructs.
+func openClusterWith(newEngine func(cluster.Config) (*cluster.Engine, error), cfg ClusterConfig, opts []SessionOption) (*ClusterSession, error) {
+	eng, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -519,11 +526,18 @@ type SimSession struct{ *ClusterSession }
 // the run-level fields as they stand.
 func (s *SimSession) Trace() *Trace { return s.st.eng.WholeTrace() }
 
-// Open validates cfg and returns a monolithic session. No simulation
-// work happens until the first Step. Degenerate scenarios (zero users
-// or intervals) fail with ErrEmptyScenario.
+// Open validates cfg and returns a monolithic session. Like
+// OpenCluster it builds the engine and places and builds the whole
+// population, so the first Step starts from the users' initial state.
+// Degenerate scenarios (zero users or intervals) fail with
+// ErrEmptyScenario.
 func Open(cfg Config, opts ...SessionOption) (*SimSession, error) {
-	eng, err := cluster.NewWhole(cfg)
+	return openWith(cluster.NewWhole, cfg, opts)
+}
+
+// openWith is Open over the engine newEngine constructs.
+func openWith(newEngine func(Config) (*cluster.Engine, error), cfg Config, opts []SessionOption) (*SimSession, error) {
+	eng, err := newEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
