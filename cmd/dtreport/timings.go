@@ -1,6 +1,6 @@
 // dtreport -timings: render a metrics snapshot written by
 // `dtsim -metrics-out` (or any obs.Registry WriteJSON dump) as
-// markdown tables — per-stage/per-cell wall-clock timings, edge
+// markdown tables — per-stage wall-clock timings by cell or worker, edge
 // cache effectiveness, and the remaining counters and gauges.
 package main
 
@@ -79,7 +79,8 @@ func timingsFailureTable(w io.Writer, snap *obs.Snapshot) error {
 }
 
 // timingsStageTable renders the stage-duration histogram family:
-// one row per (stage, cell) series with count, total and mean.
+// one row per series with its labels besides the stage (cell, worker),
+// count, total and mean.
 func timingsStageTable(w io.Writer, snap *obs.Snapshot) error {
 	fam := snap.Family(obs.StageFamily)
 	if fam == nil || len(fam.Series) == 0 {
@@ -87,33 +88,29 @@ func timingsStageTable(w io.Writer, snap *obs.Snapshot) error {
 		return nil
 	}
 	fmt.Fprintf(w, "## Stage timings\n\n")
-	t, err := cli.NewTable("stage", "cell", "count", "total", "mean")
+	t, err := cli.NewTable("stage", "labels", "count", "total", "mean")
 	if err != nil {
 		return err
 	}
 	// Group by stage (prologue first, then interval phases, then the
-	// rest alphabetically), cells numerically within a stage.
+	// rest alphabetically), then by the other labels, shorter first, so
+	// cell 2 precedes cell 10.
 	series := append([]obs.Series(nil), fam.Series...)
 	sort.SliceStable(series, func(i, j int) bool {
 		si, sj := series[i].Label("stage"), series[j].Label("stage")
 		if si != sj {
 			return stageRank(si) < stageRank(sj) || (stageRank(si) == stageRank(sj) && si < sj)
 		}
-		ci, _ := strconv.Atoi(series[i].Label("cell"))
-		cj, _ := strconv.Atoi(series[j].Label("cell"))
-		return ci < cj
+		li, lj := joinLabels(series[i].Labels, "stage"), joinLabels(series[j].Labels, "stage")
+		return len(li) < len(lj) || (len(li) == len(lj) && li < lj)
 	})
 	for _, s := range series {
-		cell := s.Label("cell")
-		if cell == "" {
-			cell = "-"
-		}
 		total := time.Duration(s.Sum * float64(time.Second))
 		mean := time.Duration(0)
 		if s.Count > 0 {
 			mean = total / time.Duration(s.Count)
 		}
-		if err := t.AddRow(s.Label("stage"), cell, s.Count,
+		if err := t.AddRow(s.Label("stage"), joinLabels(s.Labels, "stage"), s.Count,
 			formatDur(total), formatDur(mean)); err != nil {
 			return err
 		}
@@ -123,6 +120,21 @@ func timingsStageTable(w io.Writer, snap *obs.Snapshot) error {
 	}
 	fmt.Fprintln(w)
 	return nil
+}
+
+// joinLabels renders labels as name=value pairs, skipping the one
+// named skip, or "-" when none is left.
+func joinLabels(labels []obs.Label, skip string) string {
+	parts := make([]string, 0, len(labels))
+	for _, l := range labels {
+		if l.Name != skip {
+			parts = append(parts, l.Name+"="+l.Value)
+		}
+	}
+	if len(parts) == 0 {
+		return "-"
+	}
+	return strings.Join(parts, ",")
 }
 
 // stageRank orders stage names for display: the step envelope, the
@@ -202,15 +214,7 @@ func timingsCounterTable(w io.Writer, snap *obs.Snapshot) error {
 			continue
 		}
 		for _, s := range fam.Series {
-			labels := make([]string, 0, len(s.Labels))
-			for _, l := range s.Labels {
-				labels = append(labels, l.Name+"="+l.Value)
-			}
-			lab := strings.Join(labels, ",")
-			if lab == "" {
-				lab = "-"
-			}
-			if err := t.AddRow(fam.Name, lab, strconv.FormatFloat(s.Value, 'g', -1, 64)); err != nil {
+			if err := t.AddRow(fam.Name, joinLabels(s.Labels, ""), strconv.FormatFloat(s.Value, 'g', -1, 64)); err != nil {
 				return err
 			}
 		}

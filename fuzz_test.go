@@ -13,6 +13,7 @@ import (
 	"dtmsvs/internal/checkpoint"
 	"dtmsvs/internal/sim"
 	"dtmsvs/internal/tracebin"
+	"dtmsvs/internal/video"
 )
 
 // fuzzCheckpointConfig is the scenario every FuzzReadCheckpoint input
@@ -223,7 +224,9 @@ type corruptCheckpoint struct {
 // the id 7 or −1, or its members replaced by the id 999, by −5, or by
 // the cell's first user listed twice. Each must be refused as corrupt:
 // before they were, Resume accepted all five and the next Step
-// panicked on the first four.
+// panicked on the first four. Group 0's profile given one float more
+// than a swipe CDF or a preference holds must be refused too: the
+// decoder reads the profile's floats into one fixed array.
 func corruptGroupsCheckpoints(tb testing.TB, pristine []byte) []corruptCheckpoint {
 	tb.Helper()
 	const (
@@ -267,12 +270,37 @@ func corruptGroupsCheckpoints(tb testing.TB, pristine []byte) []corruptCheckpoin
 			return append(out, rest...)
 		})
 	}
+	// longRun lengthens group 0's profile float run at position run
+	// (0–4 a category's swipe CDF, 5 the preference) by one float.
+	longRun := func(run int) []byte {
+		return rewrite(func(g []byte) []byte {
+			off := count + 4 + 8*int(le.Uint32(g[count:])) // past the members
+			nCentroids := int(le.Uint32(g[off:]))
+			off += 4
+			for range nCentroids {
+				off += 4 + 8*int(le.Uint32(g[off:]))
+			}
+			if g[off] != 1 {
+				tb.Fatal("the checkpoint's first group has no profile")
+			}
+			off += 1 + 4 // the profile flag, the category count
+			for range run {
+				off += 4 + 8*int(le.Uint32(g[off:])) + 8 // a CDF, its sample count
+			}
+			n := le.Uint32(g[off:])
+			le.PutUint32(g[off:], n+1)
+			at := off + 4 + 8*int(n)
+			return append(g[:at:at], append(le.AppendUint64(nil, math.Float64bits(1)), g[at:]...)...)
+		})
+	}
 	return []corruptCheckpoint{
 		{"group id 7", id(7)},
 		{"group id -1", id(-1)},
 		{"member 999", members(999)},
 		{"member -5", members(-5)},
 		{"member twice", members(user0, user0)},
+		{"swipe CDF one float long", longRun(0)},
+		{"preference one float long", longRun(video.NumCategories)},
 	}
 }
 

@@ -256,7 +256,7 @@ func AppendSession(
 			watch = intervalS - clock
 			frac = watch / v.DurationS
 		}
-		rep := v.RepAtMost(linkBps)
+		rep := video.RepAtMost(linkBps)
 		events = append(events, ViewEvent{
 			Video:  v,
 			Rep:    rep,

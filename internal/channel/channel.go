@@ -3,7 +3,7 @@
 // Rayleigh fast fading, SNR and Shannon spectral efficiency, plus the
 // CQI quantization UDTs store as "channel condition". The paper is
 // simulation-only; this is the standard substitute for real RAN
-// measurements (DESIGN.md §2).
+// measurements (see the README's synthetic inputs).
 //
 // A link's samples are drawn and evaluated apart: DrawFade makes a
 // sample's only random draw, and SNRsInto evaluates a chunk of drawn

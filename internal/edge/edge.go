@@ -174,8 +174,8 @@ func NewServer(cacheBytes int64, model TranscodeModel, cat *video.Catalog, prewa
 	}
 	s := &Server{cache: c, model: model}
 	if cat != nil && prewarmTopN > 0 {
+		top := video.TopRep()
 		for _, v := range cat.TopN(prewarmTopN) {
-			top := v.HighestRep()
 			size := int64(top.BitrateBps * v.DurationS / 8)
 			if size <= 0 {
 				size = 1
@@ -206,7 +206,7 @@ func (s *Server) Serve(v *video.Video, rep video.Representation, durationS float
 	if durationS < 0 {
 		return 0, fmt.Errorf("duration %v: %w", durationS, ErrParam)
 	}
-	top := v.HighestRep()
+	top := video.TopRep()
 	if !s.cache.Contains(v.ID, top.Level) {
 		// Fetch the source from the CDN and cache it at the highest
 		// representation; oversized objects are served pass-through.

@@ -160,7 +160,7 @@ func TestServerPrewarm(t *testing.T) {
 	}
 	// Top video at highest rep must be a hit.
 	top := cat.TopN(1)[0]
-	if !s.Cache().Contains(top.ID, top.HighestRep().Level) {
+	if !s.Cache().Contains(top.ID, video.TopRep().Level) {
 		t.Fatal("top video not prewarmed at highest rep")
 	}
 }
@@ -172,7 +172,7 @@ func TestServeCacheHitFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := cat.TopN(1)[0]
-	cy, err := s.Serve(top, top.HighestRep(), 30)
+	cy, err := s.Serve(top, video.TopRep(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,12 @@ func TestServeTranscodeMissThenHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := cat.TopN(1)[0]
-	low := top.Ladder[0]
+	low := video.RepAtMost(0)
 	cy, err := s.Serve(top, low, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 50.0 * top.HighestRep().BitrateBps * 20
+	want := 50.0 * video.TopRep().BitrateBps * 20
 	if cy != want {
 		t.Fatalf("transcode cycles %v, want %v", cy, want)
 	}
@@ -218,7 +218,7 @@ func TestServeValidation(t *testing.T) {
 		t.Fatalf("want ErrParam, got %v", err)
 	}
 	v := cat.Videos[0]
-	if _, err := s.Serve(v, v.Ladder[0], -1); !errors.Is(err, ErrParam) {
+	if _, err := s.Serve(v, video.RepAtMost(0), -1); !errors.Is(err, ErrParam) {
 		t.Fatalf("want ErrParam, got %v", err)
 	}
 }
@@ -235,7 +235,7 @@ func TestServerTinyCache(t *testing.T) {
 		t.Fatalf("tiny cache holds %d", s.Cache().Len())
 	}
 	v := cat.Videos[0]
-	if _, err := s.Serve(v, v.Ladder[0], 30); err != nil {
+	if _, err := s.Serve(v, video.RepAtMost(0), 30); err != nil {
 		t.Fatalf("pass-through serve failed: %v", err)
 	}
 }

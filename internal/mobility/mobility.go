@@ -2,8 +2,8 @@
 // The paper initializes users at random positions on the University of
 // Waterloo campus and moves them along different trajectories; we
 // provide a rectangular campus map with named landmarks, a
-// random-waypoint model and a landmark-trajectory model (repro
-// substitution documented in DESIGN.md §2).
+// random-waypoint model and a landmark-trajectory model (see the
+// README's synthetic inputs).
 package mobility
 
 import (

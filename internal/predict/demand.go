@@ -147,7 +147,7 @@ func (p DemandPredictor) Predict(profile *GroupProfile, bitrateBps, worstSNRdB f
 	// Transcoding: every non-cached video is transcoded from the top
 	// ladder rung down to bitrateBps for its delivered duration
 	// (prefetched segments are transcoded too).
-	topRate := video.DefaultLadder()[len(video.DefaultLadder())-1].BitrateBps
+	topRate := video.TopRep().BitrateBps
 	var cycles float64
 	if bitrateBps < topRate && p.CyclesPerBit > 0 {
 		cycles = (1 - p.CacheHitRate) * videosPerInterval * p.CyclesPerBit * topRate * deliveredPerVideoS

@@ -466,6 +466,23 @@ func (s *Simulation) decodeGroups(d *checkpoint.Dec) error {
 	return nil
 }
 
+// decodedProfile is one group profile as a resume decodes it: the
+// profile, its swipe distribution and the floats of both, one
+// allocation. A CDF holds at most predict.SwipeBins floats and the
+// preference one per category; a longer run is corruption.
+type decodedProfile struct {
+	p      predict.GroupProfile
+	swipe  predict.SwipeDistribution
+	floats [video.NumCategories*predict.SwipeBins + video.NumCategories]float64
+}
+
+// f64sInto reads a float run into the front of room and returns it,
+// capped at its length.
+func f64sInto(d *checkpoint.Dec, room []float64) []float64 {
+	n := d.F64sInto(room)
+	return room[:n:n]
+}
+
 func decodeGroupProfile(d *checkpoint.Dec, catalog *video.Catalog) (*predict.GroupProfile, error) {
 	nCat := d.U32()
 	if d.Err() != nil {
@@ -474,13 +491,16 @@ func decodeGroupProfile(d *checkpoint.Dec, catalog *video.Catalog) (*predict.Gro
 	if int(nCat) != video.NumCategories {
 		return nil, fmt.Errorf("profile with %d categories, want %d: %w", nCat, video.NumCategories, checkpoint.ErrCorrupt)
 	}
-	swipe := &predict.SwipeDistribution{}
-	for ci := 0; ci < video.NumCategories; ci++ {
-		swipe.CDF[ci] = d.F64s()
-		swipe.Samples[ci] = d.Int()
+	dp := new(decodedProfile)
+	floats := dp.floats[:]
+	for ci := range dp.swipe.CDF {
+		dp.swipe.CDF[ci] = f64sInto(d, floats[:predict.SwipeBins])
+		floats = floats[predict.SwipeBins:]
+		dp.swipe.Samples[ci] = d.Int()
 	}
-	p := &predict.GroupProfile{Swipe: swipe}
-	p.Preference = d.F64s()
+	p := &dp.p
+	p.Swipe = &dp.swipe
+	p.Preference = f64sInto(d, floats)
 	nRec := d.U32()
 	if d.Err() != nil {
 		return nil, d.Err()

@@ -1245,14 +1245,6 @@ func (s *Simulation) abstractGroups(ctx context.Context) error {
 	})
 }
 
-// groupBitrate picks the ladder rung the group can sustain with its
-// nominal RB allocation at the forecast worst SNR.
-func (s *Simulation) groupBitrate(worstSNRdB float64) video.Representation {
-	budget := s.params.RateBps(worstSNRdB) * float64(s.cfg.NominalRBsPerGroup)
-	probe := &video.Video{Ladder: video.DefaultLadder()}
-	return probe.RepAtMost(budget)
-}
-
 // servedVideo is one feed video of a group's interval: the video, the
 // interval clock it started at, and the seconds of it delivered — what
 // the edge server serves.
@@ -1540,7 +1532,7 @@ func (s *Simulation) FinishTrace(trace *Trace) {
 // transcode of the feed.
 func (s *Simulation) refineComputeForecast(d *predict.Demand, rep video.Representation) {
 	predTxS := d.TrafficBits / rep.BitrateBps
-	topRate := video.DefaultLadder()[len(video.DefaultLadder())-1].BitrateBps
+	topRate := video.TopRep().BitrateBps
 	if tracker, ok := s.cyclesPerTxS[rep.Level]; ok {
 		if est, okP := tracker.Predict(); okP {
 			d.ComputeCycles = est * predTxS
@@ -1586,7 +1578,9 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 			return nil
 		}
 		snr := s.predictGroupWorstSNR(g, &s.scratch[gi])
-		rep := s.groupBitrate(snr)
+		// The rung the group sustains with its nominal RB allocation
+		// at the forecast worst SNR.
+		rep := video.RepAtMost(s.params.RateBps(snr) * float64(s.cfg.NominalRBsPerGroup))
 		d, err := s.predictor.Predict(g.profile, rep.BitrateBps, snr)
 		if err != nil {
 			return fmt.Errorf("interval %d group %d predict: %w", interval, g.id, err)
@@ -1631,7 +1625,7 @@ func (s *Simulation) RunIntervalContext(ctx context.Context, interval int, trace
 			}
 			p.allocated = granted
 			budget := s.params.RateBps(p.snr) * float64(granted)
-			capped := (&video.Video{Ladder: video.DefaultLadder()}).RepAtMost(budget)
+			capped := video.RepAtMost(budget)
 			if capped.Level != p.rep.Level {
 				p.rep = capped
 				s.predictor.CacheHitRate = s.server.Cache().HitRate()

@@ -77,14 +77,6 @@ type LogNormal struct {
 	Mu, Sigma float64
 }
 
-// NewLogNormal validates parameters and returns the distribution.
-func NewLogNormal(mu, sigma float64) (*LogNormal, error) {
-	if sigma < 0 || math.IsNaN(sigma) || math.IsNaN(mu) {
-		return nil, fmt.Errorf("lognormal mu=%v sigma=%v: %w", mu, sigma, ErrParam)
-	}
-	return &LogNormal{Mu: mu, Sigma: sigma}, nil
-}
-
 // Sample draws one value.
 func (l *LogNormal) Sample(rng *rand.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())

@@ -69,13 +69,7 @@ func TestZipfSampleDistribution(t *testing.T) {
 }
 
 func TestLogNormal(t *testing.T) {
-	if _, err := NewLogNormal(0, -1); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	l, err := NewLogNormal(1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := LogNormal{Mu: 1, Sigma: 0.5}
 	rng := rand.New(rand.NewSource(7))
 	var o Online
 	for i := 0; i < 100000; i++ {

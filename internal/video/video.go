@@ -1,8 +1,6 @@
 // Package video models the short-video side of the system: a catalog
-// of videos tagged with categories, per-video bitrate ladders
-// (representations), and Zipf popularity. It also generates a
-// synthetic "short-video-streaming-challenge"-style dataset (the
-// public dataset the paper uses is substituted per DESIGN.md §2).
+// of videos tagged with categories and Zipf popularity, and the one
+// bitrate ladder (representations) every video is encoded at.
 package video
 
 import (
@@ -70,16 +68,30 @@ type Representation struct {
 	Level int `json:"level"`
 }
 
-// DefaultLadder returns the 5-rung bitrate ladder used across the
-// experiments, matching the range of the short-video-streaming
+// ladder is the 5-rung bitrate ladder, ascending, every video is
+// encoded at, matching the range of the short-video-streaming
 // challenge (~0.4–2.5 Mbps).
-func DefaultLadder() []Representation {
-	rates := []float64{400e3, 750e3, 1200e3, 1850e3, 2500e3}
-	out := make([]Representation, len(rates))
-	for i, r := range rates {
-		out[i] = Representation{BitrateBps: r, Level: i}
+var ladder = [...]Representation{
+	{BitrateBps: 400e3, Level: 0},
+	{BitrateBps: 750e3, Level: 1},
+	{BitrateBps: 1200e3, Level: 2},
+	{BitrateBps: 1850e3, Level: 3},
+	{BitrateBps: 2500e3, Level: 4},
+}
+
+// TopRep returns the top rung of the ladder.
+func TopRep() Representation { return ladder[len(ladder)-1] }
+
+// RepAtMost returns the highest rung whose bitrate does not exceed
+// maxBps, falling back to the lowest rung.
+func RepAtMost(maxBps float64) Representation {
+	best := ladder[0]
+	for _, r := range ladder {
+		if r.BitrateBps <= maxBps {
+			best = r
+		}
 	}
-	return out
+	return best
 }
 
 // Video is one catalog entry.
@@ -88,25 +100,8 @@ type Video struct {
 	Category Category `json:"category"`
 	// DurationS is the full video length in seconds.
 	DurationS float64 `json:"durationS"`
-	// Ladder is the available bitrate ladder, ascending.
-	Ladder []Representation `json:"ladder"`
 	// PopRank is the Zipf popularity rank (0 = most popular).
 	PopRank int `json:"popRank"`
-}
-
-// HighestRep returns the top rung of the ladder.
-func (v *Video) HighestRep() Representation { return v.Ladder[len(v.Ladder)-1] }
-
-// RepAtMost returns the highest representation whose bitrate does not
-// exceed maxBps, falling back to the lowest rung.
-func (v *Video) RepAtMost(maxBps float64) Representation {
-	best := v.Ladder[0]
-	for _, r := range v.Ladder {
-		if r.BitrateBps <= maxBps {
-			best = r
-		}
-	}
-	return best
 }
 
 // Catalog is the video library with popularity structure. It is
@@ -183,7 +178,6 @@ func NewCatalog(cfg CatalogConfig, rng *rand.Rand) (*Catalog, error) {
 			ID:        i,
 			Category:  cats[catDist.Sample(rng)],
 			DurationS: c.MinDurationS + rng.Float64()*(c.MaxDurationS-c.MinDurationS),
-			Ladder:    DefaultLadder(),
 			PopRank:   i, // IDs are assigned in popularity order
 		}
 		cat.Videos[i] = v

@@ -1,12 +1,9 @@
 package video
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -54,7 +51,7 @@ func TestCategoryIndex(t *testing.T) {
 }
 
 func TestDefaultLadder(t *testing.T) {
-	l := DefaultLadder()
+	l := ladder[:]
 	if len(l) != 5 {
 		t.Fatalf("ladder rungs %d", len(l))
 	}
@@ -69,18 +66,17 @@ func TestDefaultLadder(t *testing.T) {
 }
 
 func TestRepAtMost(t *testing.T) {
-	v := &Video{Ladder: DefaultLadder()}
-	if r := v.RepAtMost(1e9); r.Level != 4 {
+	if r := RepAtMost(1e9); r.Level != 4 {
 		t.Fatalf("unbounded: level %d", r.Level)
 	}
-	if r := v.RepAtMost(800e3); r.BitrateBps != 750e3 {
+	if r := RepAtMost(800e3); r.BitrateBps != 750e3 {
 		t.Fatalf("800k cap: %v", r.BitrateBps)
 	}
-	if r := v.RepAtMost(1); r.Level != 0 {
+	if r := RepAtMost(1); r.Level != 0 {
 		t.Fatalf("tiny cap must fall back to lowest, got level %d", r.Level)
 	}
-	if v.HighestRep().Level != 4 {
-		t.Fatal("HighestRep")
+	if TopRep().Level != 4 {
+		t.Fatal("TopRep")
 	}
 }
 
@@ -313,121 +309,18 @@ func TestTopN(t *testing.T) {
 	}
 }
 
-func TestGenerateDatasetValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	cat := testCatalog(t, 10)
-	if _, err := GenerateDataset(nil, DatasetConfig{Users: 1, EventsPerUser: 1}, rng); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	if _, err := GenerateDataset(cat, DatasetConfig{Users: 0, EventsPerUser: 1}, rng); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-	if _, err := GenerateDataset(cat, DatasetConfig{Users: 1, EventsPerUser: 1, MeanEngagement: 2}, rng); !errors.Is(err, ErrParam) {
-		t.Fatalf("want ErrParam, got %v", err)
-	}
-}
-
-func TestGenerateDatasetShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	cat := testCatalog(t, 50)
-	recs, err := GenerateDataset(cat, DatasetConfig{Users: 10, EventsPerUser: 20}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 200 {
-		t.Fatalf("%d records", len(recs))
-	}
-	var swipes int
-	for _, r := range recs {
-		if r.WatchS < 0 || r.WatchS > r.DurationS+1e-9 {
-			t.Fatalf("watch %v of duration %v", r.WatchS, r.DurationS)
-		}
-		if r.Swiped != (r.WatchS < r.DurationS) {
-			t.Fatalf("swipe flag inconsistent: %+v", r)
-		}
-		if r.UserID < 0 || r.UserID >= 10 {
-			t.Fatalf("user id %d", r.UserID)
-		}
-		if r.BitrateBps < 400e3 || r.BitrateBps > 2500e3 {
-			t.Fatalf("bitrate %v outside ladder", r.BitrateBps)
-		}
-		if r.Swiped {
-			swipes++
-		}
-	}
-	// Short-video users swipe most of the time; the generator should
-	// reflect that.
-	if float64(swipes)/float64(len(recs)) < 0.5 {
-		t.Fatalf("swipe rate %v too low", float64(swipes)/float64(len(recs)))
-	}
-	// Timestamps per user must be increasing.
-	lastTS := map[int]float64{}
-	for _, r := range recs {
-		if prev, ok := lastTS[r.UserID]; ok && r.TimestampS <= prev {
-			t.Fatalf("timestamps not increasing for user %d", r.UserID)
-		}
-		lastTS[r.UserID] = r.TimestampS
-	}
-}
-
-func TestCSVRoundTripHeaderAndRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	cat := testCatalog(t, 10)
-	recs, err := GenerateDataset(cat, DatasetConfig{Users: 2, EventsPerUser: 3}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 7 {
-		t.Fatalf("%d csv lines, want 7 (header+6)", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "user_id,video_id,category") {
-		t.Fatalf("header %q", lines[0])
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	cat := testCatalog(t, 10)
-	recs, err := GenerateDataset(cat, DatasetConfig{Users: 3, EventsPerUser: 4}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	var back []DatasetRecord
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(recs) {
-		t.Fatalf("round trip %d != %d", len(back), len(recs))
-	}
-	for i := range recs {
-		if back[i] != recs[i] {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, back[i], recs[i])
-		}
-	}
-}
-
 // RepAtMost returns the highest rung not exceeding the cap, for any
 // cap value.
 func TestRepAtMostProperty(t *testing.T) {
-	v := &Video{Ladder: DefaultLadder()}
 	f := func(raw uint32) bool {
 		cap := float64(raw % 4_000_000)
-		r := v.RepAtMost(cap)
+		r := RepAtMost(cap)
 		// Result never exceeds the cap unless it is the lowest rung.
 		if r.Level != 0 && r.BitrateBps > cap {
 			return false
 		}
 		// No higher rung would also fit.
-		for _, other := range v.Ladder {
+		for _, other := range ladder {
 			if other.Level > r.Level && other.BitrateBps <= cap {
 				return false
 			}
