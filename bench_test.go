@@ -485,11 +485,24 @@ func BenchmarkCluster(b *testing.B) {
 	}
 }
 
+// appendSink holds every record it is given, as a session with no
+// sink does: the baseline BenchmarkTraceSink's streaming sinks are
+// weighed against.
+type appendSink struct{ records []TraceRecord }
+
+func (a *appendSink) WriteRecord(r TraceRecord) error {
+	a.records = append(a.records, r)
+	return nil
+}
+
+func (a *appendSink) Flush() error { return nil }
+
 // BenchmarkTraceSink measures what the streaming redesign buys at
 // examples/city scale: the retained heap after delivering a
 // city-sized record stream (12 intervals × ~4k group-cells ≈ 50k
-// records, the shape a 50k-user cluster run emits) through the old
-// whole-trace buffering versus the streaming sinks (NDJSON, CSV, and
+// records, the shape a 50k-user cluster run emits) through
+// whole-trace buffering — an appending sink that holds what a session
+// with no sink retains — versus the streaming sinks (NDJSON, CSV, and
 // the binary columnar format). The "retained-MB" metric is live heap
 // attributable to the sink after a forced GC — the buffered sink
 // holds every record, the streaming sinks hold only their encoder
@@ -557,7 +570,7 @@ func BenchmarkTraceSink(b *testing.B) {
 		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	}
 	b.Run("buffered", func(b *testing.B) {
-		run(b, func(*countingWriter) TraceSink { return &BufferedSink{} }, nil)
+		run(b, func(*countingWriter) TraceSink { return &appendSink{} }, nil)
 	})
 	b.Run("ndjson", func(b *testing.B) {
 		run(b, func(cw *countingWriter) TraceSink { return NewNDJSONSink(cw) }, nil)

@@ -19,15 +19,13 @@ func bufioReader(data []byte) *bufio.Reader {
 	return bufio.NewReader(bytes.NewReader(data))
 }
 
-// bufferedRun steps a fresh session against a BufferedSink, returning
-// the canonical record stream the binary round trip must reproduce,
-// plus the per-interval record counts.
+// bufferedRun steps a fresh session with no sink, so the session
+// retains the rows, returning the canonical record stream the binary
+// round trip must reproduce, plus the per-interval record counts.
 func bufferedRun(t *testing.T, open func(opts ...SessionOption) (Session, error)) ([]TraceRecord, []int) {
 	t.Helper()
-	var sink BufferedSink
 	var perInterval []int
 	s, err := open(
-		WithSink(&sink),
 		WithObserver(func(rep IntervalReport) { perInterval = append(perInterval, len(rep.Records)) }),
 	)
 	if err != nil {
@@ -39,7 +37,7 @@ func bufferedRun(t *testing.T, open func(opts ...SessionOption) (Session, error)
 			t.Fatal(serr)
 		}
 	}
-	return sink.Records, perInterval
+	return retainedRows(t, s), perInterval
 }
 
 // binRun steps the same scenario against a BinarySink and returns the
@@ -112,9 +110,10 @@ func assertRecordsBitIdentical(t *testing.T, got, want []TraceRecord) {
 
 // TestBinarySinkRoundTrip is the tentpole's equivalence guarantee:
 // the binary stream a session writes decodes bit-identical to the
-// BufferedSink record sequence, for both engines, Parallelism
-// {1,4,8}, with and without compression; the cluster engine runs over
-// one station (sN names the station count) and over NumBS of them.
+// record sequence a session with no sink retains, for both engines,
+// Parallelism {1,4,8}, with and without compression; the cluster
+// engine runs over one station (sN names the station count) and over
+// NumBS of them.
 func TestBinarySinkRoundTrip(t *testing.T) {
 	type opener struct {
 		name string

@@ -30,8 +30,9 @@
 // full trace in heap and an interrupt (Ctrl-C) leaves a well-formed
 // whole-interval prefix behind. "bin" is the compact binary columnar
 // format (internal/tracebin); add -bin-compress
-// for per-block DEFLATE. "json" buffers the run and writes one JSON
-// array at the end (the partial array is still written on interrupt).
+// for per-block DEFLATE. "json" leaves the rows to the session and
+// writes one JSON array at the end (of the completed intervals, on
+// interrupt).
 // Any of the four decodes with dtreport -trace or ReadTraceRecords,
 // which auto-detect the format. -progress prints per-interval stats
 // to stderr.
@@ -66,11 +67,12 @@
 // on /metrics (per-stage duration histograms, per-cell cache
 // counters, sink error counter, ...) plus net/http/pprof profiling
 // under /debug/pprof/ for the duration of the run. -metrics-out
-// FILE writes the final metrics snapshot as JSON; render it with
-// `dtreport -timings FILE`. Metrics never change the trace: output
-// is bit-identical with or without them. All progress and log
-// chatter goes to stderr, so stdout stays a clean trace stream when
-// -out is not set ("-out -" makes stdout explicit).
+// FILE writes the final metrics snapshot as JSON (render it with
+// `dtreport -timings FILE`), its dtmsvs_process_* gauges holding the
+// run's getrusage CPU seconds and peak RSS. Metrics never change the
+// trace: output is bit-identical with or without them. All progress
+// and log chatter goes to stderr, so stdout stays a clean trace stream
+// when -out is not set ("-out -" makes stdout explicit).
 package main
 
 import (
@@ -83,6 +85,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	"dtmsvs"
@@ -177,11 +180,8 @@ func run() (err error) {
 			}
 		}()
 	}
-	var buffered *dtmsvs.BufferedSink
 	switch *format {
-	case "json":
-		buffered = &dtmsvs.BufferedSink{}
-		opts = append(opts, dtmsvs.WithSink(buffered))
+	case "json": // no sink: the session retains the rows
 	case "ndjson":
 		opts = append(opts, dtmsvs.WithSink(dtmsvs.NewNDJSONSink(w)))
 	case "csv":
@@ -236,7 +236,7 @@ func run() (err error) {
 	}
 
 	var s dtmsvs.Session
-	var summary func() error
+	var trace func() *dtmsvs.ClusterTrace
 	if *workersN > 0 {
 		if len(faults) > 0 {
 			return fmt.Errorf("cell failure injection is not supported under the distributed supervisor; drop -workers or the fault flags")
@@ -257,16 +257,7 @@ func run() (err error) {
 			return err
 		}
 		s = ds
-		summary = func() error {
-			if err := printSummary(ds.Trace(), &acc, *users, *bs, *intervals); err != nil {
-				return err
-			}
-			if ds.WorkerRestarts() > 0 {
-				fmt.Fprintf(os.Stderr, "dtsim: recovered: %d worker restart(s), %d heartbeat miss(es)\n",
-					ds.WorkerRestarts(), ds.HeartbeatMisses())
-			}
-			return nil
-		}
+		trace = ds.Trace
 	} else {
 		// Without -cells the session is the monolithic one: the same
 		// engine over one cell that covers every station.
@@ -292,7 +283,7 @@ func run() (err error) {
 			return err
 		}
 		s = cs
-		summary = func() error { return printSummary(cs.Trace(), &acc, *users, *bs, *intervals) }
+		trace = cs.Trace
 	}
 	defer s.Close()
 
@@ -306,8 +297,8 @@ func run() (err error) {
 		return err
 	}
 
-	if buffered != nil {
-		if err := writeBuffered(w, buffered); err != nil {
+	if *format == "json" {
+		if err := writeBuffered(w, trace().Records); err != nil {
 			return err
 		}
 	}
@@ -329,7 +320,14 @@ func run() (err error) {
 		fmt.Fprintf(os.Stderr, "dtsim: checkpoint already complete (%d intervals); nothing to resume\n", start)
 		return nil
 	}
-	return summary()
+	if err := printSummary(trace(), &acc, *users, *bs, *intervals); err != nil {
+		return err
+	}
+	if ds, ok := s.(*dtmsvs.DistSession); ok && ds.WorkerRestarts() > 0 {
+		fmt.Fprintf(os.Stderr, "dtsim: recovered: %d worker restart(s), %d heartbeat miss(es)\n",
+			ds.WorkerRestarts(), ds.HeartbeatMisses())
+	}
+	return nil
 }
 
 // stepRun steps s until it is done or ctx is cancelled. With a
@@ -399,8 +397,12 @@ func printSummary(trace *dtmsvs.ClusterTrace, acc *dtmsvs.AccuracyTracker, users
 	return nil
 }
 
-// writeMetrics dumps the registry's final snapshot as JSON.
+// writeMetrics dumps the registry's final snapshot as JSON, with the
+// process gauges set.
 func writeMetrics(path string, reg *dtmsvs.MetricsRegistry) error {
+	if err := setProcessGauges(reg); err != nil {
+		return fmt.Errorf("metrics-out: %w", err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("metrics-out: %w", err)
@@ -410,6 +412,24 @@ func writeMetrics(path string, reg *dtmsvs.MetricsRegistry) error {
 		return fmt.Errorf("metrics-out %s: %w", path, err)
 	}
 	return f.Close()
+}
+
+// setProcessGauges sets the CPU seconds and peak RSS of this process
+// plus its reaped -worker-procs children. getrusage gives the largest
+// child's peak, not the sum, so several workers' RSS is understated.
+func setProcessGauges(reg *dtmsvs.MetricsRegistry) error {
+	var self, kids syscall.Rusage
+	if err := errors.Join(syscall.Getrusage(syscall.RUSAGE_SELF, &self), syscall.Getrusage(syscall.RUSAGE_CHILDREN, &kids)); err != nil {
+		return fmt.Errorf("getrusage: %w", err)
+	}
+	cpuNs := self.Utime.Nano() + self.Stime.Nano() + kids.Utime.Nano() + kids.Stime.Nano()
+	rss := float64(self.Maxrss + kids.Maxrss) // KiB, but bytes on macOS
+	if runtime.GOOS != "darwin" {
+		rss *= 1024
+	}
+	reg.Gauge("dtmsvs_process_cpu_seconds", "User plus system CPU seconds of dtsim and its reaped worker processes.").Set(float64(cpuNs) / 1e9)
+	reg.Gauge("dtmsvs_process_max_rss_bytes", "Peak resident set of dtsim plus the largest reaped worker process's.").Set(rss)
+	return nil
 }
 
 // writeCheckpoint persists the session state atomically: the bytes
@@ -439,12 +459,11 @@ func openOrResume(path string, open func(io.Reader) error) error {
 	return nil
 }
 
-// writeBuffered writes the buffered run as one indented JSON array,
+// writeBuffered writes the retained rows as one indented JSON array,
 // each record in its engine's schema (cluster records lead with "bs").
 // A run with no records writes [], not null: ReadTraceRecords detects
 // a JSON array by its leading '['.
-func writeBuffered(w io.Writer, b *dtmsvs.BufferedSink) error {
-	recs := b.Records
+func writeBuffered(w io.Writer, recs []dtmsvs.TraceRecord) error {
 	if recs == nil {
 		recs = []dtmsvs.TraceRecord{}
 	}

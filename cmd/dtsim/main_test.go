@@ -41,7 +41,7 @@ func TestWriteBufferedPinned(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := writeBuffered(&buf, &dtmsvs.BufferedSink{Records: tc.records}); err != nil {
+			if err := writeBuffered(&buf, tc.records); err != nil {
 				t.Fatal(err)
 			}
 			if tc.records == nil && buf.String() != "[]\n" {

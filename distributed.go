@@ -22,7 +22,6 @@ import (
 	"io"
 
 	"dtmsvs/internal/checkpoint"
-	"dtmsvs/internal/cluster"
 	"dtmsvs/internal/coord"
 )
 
@@ -55,8 +54,6 @@ type distStepper struct {
 	sup     *coord.Supervisor
 	cfg     ClusterConfig // defaulted
 	workers int
-	retain  bool
-	records []cluster.Record
 	trace   *ClusterTrace // stamped at finish
 }
 
@@ -68,9 +65,6 @@ func (a *distStepper) stepInterval(ctx context.Context, interval int) (IntervalR
 	recs, err := a.sup.StepInterval(ctx, interval)
 	if err != nil {
 		return IntervalReport{}, err
-	}
-	if a.retain {
-		a.records = append(a.records, recs...)
 	}
 	return IntervalReport{
 		Records:      recs,
@@ -86,7 +80,7 @@ func (a *distStepper) finish() error {
 	if err != nil {
 		return fmt.Errorf("final worker stats: %w", err)
 	}
-	tr := &ClusterTrace{Records: a.records, Handovers: a.sup.Handovers()}
+	tr := &ClusterTrace{Handovers: a.sup.Handovers()}
 	tr.SetCells(cells, hits, misses)
 	a.trace = tr
 	return nil
@@ -160,18 +154,16 @@ type DistSession struct {
 	st *distStepper
 }
 
-// Trace returns the merged cluster trace: the full record set once
-// Done (or run-level and per-cell statistics only, when a sink owned
-// the records). Before completion it returns a snapshot of the
-// completed intervals without per-cell statistics.
+// Trace returns the merged cluster trace: the session's rows (none
+// with a sink), and the run-level and per-cell statistics once Done
+// (before that, the handover count only).
 func (s *DistSession) Trace() *ClusterTrace {
-	if s.st.trace != nil {
-		return s.st.trace
+	tr := s.st.trace
+	if tr == nil {
+		tr = &ClusterTrace{Handovers: s.st.sup.Handovers()}
 	}
-	return &ClusterTrace{
-		Records:   append([]cluster.Record(nil), s.st.records...),
-		Handovers: s.st.sup.Handovers(),
-	}
+	tr.Records = s.snapshot()
+	return tr
 }
 
 // WorkerRestarts reports how many worker restarts recovery has
@@ -206,7 +198,6 @@ func OpenDistributed(cfg ClusterConfig, workers int, opts ...SessionOption) (*Di
 		sup:     sup,
 		cfg:     sup.Cluster(),
 		workers: workers,
-		retain:  o.sink == nil,
 	}
 	return &DistSession{session: newSession(st, "coord", st.cfg.Sim, 0, o), st: st}, nil
 }

@@ -141,6 +141,7 @@ func everyCellWorkerBlob(t *testing.T, cfg ClusterConfig, index, count int, blob
 		if err != nil {
 			t.Fatal(err)
 		}
+		sub.Prewarm(server)
 		eng, err := sim.NewCell(d.Sim, sim.CellOptions{Substrate: sub, Server: server, BS: c, DownBS: make([]bool, d.Sim.NumBS)})
 		if err != nil {
 			t.Fatal(err)

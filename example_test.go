@@ -1,6 +1,7 @@
 package dtmsvs_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -40,8 +41,8 @@ func ExampleOpen() {
 	// interval 1: 7 groups
 }
 
-// ExampleOpenCluster streams a one-cell-per-station run's records into a sink, so
-// the session itself never retains the trace.
+// ExampleOpenCluster streams a one-cell-per-station run's records into
+// an NDJSON sink, so the session itself never retains the trace.
 func ExampleOpenCluster() {
 	cfg := dtmsvs.ClusterConfig{
 		Sim: dtmsvs.Config{
@@ -56,8 +57,8 @@ func ExampleOpenCluster() {
 			AgentEpisodes:    10,
 		},
 	}
-	var sink dtmsvs.BufferedSink
-	s, err := dtmsvs.OpenCluster(cfg, dtmsvs.WithSink(&sink))
+	var out bytes.Buffer
+	s, err := dtmsvs.OpenCluster(cfg, dtmsvs.WithSink(dtmsvs.NewNDJSONSink(&out)))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -69,7 +70,7 @@ func ExampleOpenCluster() {
 			return
 		}
 	}
-	fmt.Println("records streamed:", len(sink.Records) > 0)
+	fmt.Println("records streamed:", out.Len() > 0)
 	fmt.Println("session retained:", len(s.Trace().Records))
 	// Output:
 	// records streamed: true

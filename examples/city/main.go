@@ -7,10 +7,10 @@
 // Σ(N/C)² — super-linear headroom in the cell count — and runs whole
 // cells concurrently, including the streaming phase.
 //
-// The run goes through the Session API with a streaming sink, so the
-// trace never accumulates in heap: records flow to -out (NDJSON, or
-// the binary columnar format with -format bin, flushed per interval)
-// or are dropped after the per-interval stats are folded into the
+// The run goes through the Session API with a sink always attached, so
+// the session retains no rows: records flow to -out (NDJSON, or the
+// binary columnar format with -format bin, flushed per interval) or
+// to a DiscardSink once the per-interval stats are folded into the
 // running accuracy. Ctrl-C stops at the next interval boundary with
 // the partial trace flushed. At city scale the trace itself is the
 // bottleneck — 50k users emit millions of records — which is exactly
@@ -74,9 +74,8 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// A sink always owns the records, so neither the session nor the
-	// engine retains the trace: the run's heap stays flat in the
-	// interval count.
+	// A sink always owns the records, so the session retains none: the
+	// run's heap stays flat in the interval count.
 	var sink dtmsvs.TraceSink = dtmsvs.DiscardSink{}
 	if *out != "" {
 		f, ferr := os.Create(*out)

@@ -123,9 +123,15 @@ func FuzzReadTraceBin(f *testing.F) {
 func fuzzSeedTextTraces(tb testing.TB) (ndjson, csv, array []byte) {
 	tb.Helper()
 	var nd, cs bytes.Buffer
-	var buffered BufferedSink
-	for _, sink := range []TraceSink{NewNDJSONSink(&nd), NewCSVSink(&cs), &buffered} {
-		s, err := Open(fuzzCheckpointConfig(), WithSink(sink))
+	var retained []TraceRecord
+	// The nil sink is dtsim -format json's run: the session retains the
+	// rows.
+	for _, sink := range []TraceSink{NewNDJSONSink(&nd), NewCSVSink(&cs), nil} {
+		var opts []SessionOption
+		if sink != nil {
+			opts = append(opts, WithSink(sink))
+		}
+		s, err := Open(fuzzCheckpointConfig(), opts...)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -134,6 +140,9 @@ func fuzzSeedTextTraces(tb testing.TB) (ndjson, csv, array []byte) {
 				tb.Fatal(serr)
 			}
 		}
+		if sink == nil {
+			retained = s.Trace().Records
+		}
 		if err := s.Close(); err != nil {
 			tb.Fatal(err)
 		}
@@ -141,7 +150,7 @@ func fuzzSeedTextTraces(tb testing.TB) (ndjson, csv, array []byte) {
 	var js bytes.Buffer
 	enc := json.NewEncoder(&js)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(buffered.Records); err != nil {
+	if err := enc.Encode(retained); err != nil {
 		tb.Fatal(err)
 	}
 	return nd.Bytes(), cs.Bytes(), js.Bytes()
@@ -226,7 +235,9 @@ type corruptCheckpoint struct {
 // before they were, Resume accepted all five and the next Step
 // panicked on the first four. Group 0's profile given one float more
 // than a swipe CDF or a preference holds must be refused too: the
-// decoder reads the profile's floats into one fixed array.
+// decoder reads the profile's floats into one fixed array. So must the
+// first cell's builder draw count set to 2⁴⁰, which an unbounded skip
+// would replay for hours.
 func corruptGroupsCheckpoints(tb testing.TB, pristine []byte) []corruptCheckpoint {
 	tb.Helper()
 	const (
@@ -301,6 +312,7 @@ func corruptGroupsCheckpoints(tb testing.TB, pristine []byte) []corruptCheckpoin
 		{"member twice", members(user0, user0)},
 		{"swipe CDF one float long", longRun(0)},
 		{"preference one float long", longRun(video.NumCategories)},
+		{"builder draws 2^40", builderSkipCheckpoint(pristine, 1<<40)},
 	}
 }
 
@@ -428,6 +440,22 @@ func damagedUsersCheckpoints(tb testing.TB, pristine []byte) (control []byte, ba
 		{"one twin more than the owner map gives", users(n+1, ids...)},
 		{"2^32-1 twins", users(math.MaxUint32, ids...)},
 	}
+}
+
+// builderSkipCheckpoint rewrites the first "engine" section of a
+// checkpoint, every CRC intact, to put the cell's builder source at
+// draw count.
+func builderSkipCheckpoint(pristine []byte, count uint64) []byte {
+	done := false
+	return rewriteSections(pristine, func(name string, payload []byte) []byte {
+		if name != "engine" || done {
+			return payload
+		}
+		done = true
+		out := bytes.Clone(payload)
+		binary.LittleEndian.PutUint64(out, count) // the count leads the section
+		return out
+	})
 }
 
 // duplicateTwinCheckpoint rewrites a cluster checkpoint of the resume
@@ -558,7 +586,8 @@ func TestResumeRejectsDamagedUsers(t *testing.T) {
 // TestResumeRejectsCorruptGroups: a checkpoint whose groups stand at
 // the wrong position, name a user outside the population or list one
 // twice fails Resume and ResumeCluster as corrupt, rather than
-// resuming into a session whose next Step panics.
+// resuming into a session whose next Step panics; one whose builder
+// count is 2⁴⁰ fails at once, rather than stalling the resume.
 func TestResumeRejectsCorruptGroups(t *testing.T) {
 	cfg := fuzzResumeConfig()
 	for _, tc := range []struct {

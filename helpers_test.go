@@ -37,6 +37,22 @@ func mustClusterTrace(tb testing.TB, cfg ClusterConfig) *ClusterTrace {
 	return s.Trace()
 }
 
+// retainedRows returns the rows a session retained: its Trace's
+// Records, whichever of the three sessions s is.
+func retainedRows(tb testing.TB, s Session) []TraceRecord {
+	tb.Helper()
+	switch s := s.(type) {
+	case *SimSession:
+		return s.Trace().Records
+	case *ClusterSession:
+		return s.Trace().Records
+	case *DistSession:
+		return s.Trace().Records
+	}
+	tb.Fatalf("no trace on a %T", s)
+	return nil
+}
+
 // benchTwins builds a two-cluster synthetic twin population for the
 // grouping benches and tests.
 func benchTwins(tb testing.TB) []*udt.Twin {

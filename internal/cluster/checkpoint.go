@@ -189,7 +189,6 @@ func (e *Engine) ReadState(cr *checkpoint.Reader) error {
 	copy(e.owner, owner)
 	e.handovers = handovers
 	e.trained = trained
-	e.records = e.records[:0]
 	e.cellsDown = cellsDown
 	e.failures = failures
 	e.revivals = revivals

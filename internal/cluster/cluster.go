@@ -260,11 +260,6 @@ type Engine struct {
 	revivals          int
 	evacuated         int
 	degradedIntervals int
-	// records accumulates the merged (interval, cell, group)-ordered
-	// trace rows when retain is set; a session streaming to a sink
-	// disables retention so the full trace never lives in heap.
-	records []Record
-	retain  bool
 
 	// Observability mounted by SetMetrics; nil-safe when absent.
 	metHandover   *obs.Stage
@@ -395,7 +390,6 @@ func newPartition(cfg Config, index, count int, whole bool) (*Engine, error) {
 		splices: make([]cellSplice, numCells),
 		faults:  faults,
 		down:    down,
-		retain:  true,
 	}, nil
 }
 
@@ -411,13 +405,17 @@ func placed(e *Engine, err error) (*Engine, error) {
 	return e, nil
 }
 
-// place places the population on the pool (a user draws only from its
-// private stream, whichever cell places it): every user is placed, so
-// the owner map covers all of them, but only the users whose initial
-// serving station's cell this partition owns are built whole, and each
-// joins that cell. A partition that owns every cell keeps every user,
-// and needs no filter.
+// place prewarms the owned cells' caches (ReadState restores a resumed
+// engine's) and places the population on the pool (a user draws only
+// from its private stream, whichever cell places it): every user is
+// placed, so the owner map covers all of them, but only the users whose
+// initial serving station's cell this partition owns are built whole,
+// and each joins that cell. A partition that owns every cell keeps
+// every user, and needs no filter.
 func (e *Engine) place() error {
+	for _, ci := range e.owned {
+		e.sub.Prewarm(e.cells[ci].server)
+	}
 	var keep func(bs int) bool
 	if len(e.owned) < len(e.cells) {
 		keep = func(bs int) bool { return e.mask[e.cellOf[bs]] }
@@ -530,11 +528,9 @@ func (e *Engine) Churned() int {
 	return n
 }
 
-// SetRetainRecords controls whether the engine accumulates the merged
-// trace rows for Finish. Sessions streaming to a sink disable
-// retention so the full trace never lives in heap; Finish then
-// returns run-level statistics with an empty Records slice.
-func (e *Engine) SetRetainRecords(retain bool) { e.retain = retain }
+// SetRetainRecords does nothing: the engine never retains rows. The
+// benchmark harness's cluster probe still calls it.
+func (e *Engine) SetRetainRecords(bool) {}
 
 // warmupCells runs one warm-up interval over the owned cells.
 func (e *Engine) warmupCells(ctx context.Context) error {
@@ -636,9 +632,6 @@ func (e *Engine) StepInterval(ctx context.Context, interval int) ([]Record, erro
 	if err := e.migrate(); err != nil {
 		return nil, err
 	}
-	if e.retain {
-		e.records = append(e.records, out...)
-	}
 	return out, nil
 }
 
@@ -667,23 +660,19 @@ func (e *Engine) FinishStats() (cells []CellStats, hits, misses int) {
 	return cells, hits, misses
 }
 
-// WholeTrace returns the run of a NewWhole engine as its cell's trace:
-// the retained rows, and the run-level fields the cell stamps as they
-// stand (the final ones once the last interval has run).
+// WholeTrace returns a NewWhole engine's run-level fields as its cell
+// stamps them now, with no rows: StepInterval returned those.
 func (e *Engine) WholeTrace() *sim.Trace {
 	tr := sim.NewTrace()
-	tr.Records = e.records
 	e.cells[0].eng.FinishTrace(tr)
 	return tr
 }
 
-// Finish merges the per-cell statistics (and, when retention is on,
-// the accumulated records) into the cluster trace. Records are in
-// (interval, cell, group) order by construction.
+// Finish merges the per-cell statistics into a cluster trace with no
+// rows: StepInterval returned those.
 func (e *Engine) Finish() *Trace {
 	tr := &Trace{
 		Handovers:         e.handovers,
-		Records:           e.records,
 		CellFailures:      e.failures,
 		Revivals:          e.revivals,
 		EvacuatedTwins:    e.evacuated,

@@ -47,7 +47,7 @@ func runConfig(tb testing.TB, cfg Config) *Trace {
 // runEngine drives e through the whole scenario the way a session
 // does — warm-up boundaries, training and the first group
 // construction, then every scheduling interval — and returns the
-// merged trace.
+// merged trace, with the rows each interval returned.
 func runEngine(tb testing.TB, e *Engine) *Trace {
 	tb.Helper()
 	ctx := context.Background()
@@ -59,12 +59,17 @@ func runEngine(tb testing.TB, e *Engine) *Trace {
 	if err := e.TrainAndBuild(ctx); err != nil {
 		tb.Fatal(err)
 	}
+	var recs []Record
 	for i := 0; i < e.cfg.Sim.NumIntervals; i++ {
-		if _, err := e.StepInterval(ctx, i); err != nil {
+		out, err := e.StepInterval(ctx, i)
+		if err != nil {
 			tb.Fatalf("interval %d: %v", i, err)
 		}
+		recs = append(recs, out...)
 	}
-	return e.Finish()
+	tr := e.Finish()
+	tr.Records = recs
+	return tr
 }
 
 // TestRunDeterministic is the cluster engine's core guarantee: the

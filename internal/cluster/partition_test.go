@@ -88,7 +88,6 @@ func TestEngineIsThePartitionOfOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	e.SetRetainRecords(false)
 	w, err := NewWorker(cfg, 0, 1)
 	if err != nil {
 		t.Fatal(err)

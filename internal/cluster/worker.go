@@ -67,7 +67,6 @@ func NewWorkerUnplaced(cfg Config, index, count int) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.SetRetainRecords(false)
 	return &Worker{e}, nil
 }
 

@@ -270,6 +270,7 @@ func TestWorkerBuildsOnlyOwnedCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			w.sub.Prewarm(server)
 			eng, err := sim.NewCell(d.Sim, sim.CellOptions{Substrate: w.sub, Server: server, BS: c, DownBS: w.down})
 			if err != nil {
 				t.Fatal(err)

@@ -171,12 +171,17 @@ func runEngine(t *testing.T, cfg cluster.Config) *cluster.Trace {
 	if err := e.TrainAndBuild(ctx); err != nil {
 		t.Fatal(err)
 	}
+	var recs []cluster.Record
 	for i := 0; i < d.NumIntervals; i++ {
-		if _, err := e.StepInterval(ctx, i); err != nil {
+		out, err := e.StepInterval(ctx, i)
+		if err != nil {
 			t.Fatalf("interval %d: %v", i, err)
 		}
+		recs = append(recs, out...)
 	}
-	return e.Finish()
+	tr := e.Finish()
+	tr.Records = recs
+	return tr
 }
 
 // assertMatchesEngine compares a supervised run against the

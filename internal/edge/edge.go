@@ -160,11 +160,8 @@ type Server struct {
 	model TranscodeModel
 }
 
-// NewServer builds a server, pre-warming the cache with the top-N
-// most popular videos at their highest representation, matching the
-// paper's "stores popular short videos with the highest
-// representation".
-func NewServer(cacheBytes int64, model TranscodeModel, cat *video.Catalog, prewarmTopN int) (*Server, error) {
+// NewServer builds a server with an empty cache; Prewarm fills it.
+func NewServer(cacheBytes int64, model TranscodeModel) (*Server, error) {
 	c, err := NewCache(cacheBytes)
 	if err != nil {
 		return nil, err
@@ -172,21 +169,20 @@ func NewServer(cacheBytes int64, model TranscodeModel, cat *video.Catalog, prewa
 	if model.CyclesPerBit <= 0 {
 		return nil, fmt.Errorf("cycles/bit %v: %w", model.CyclesPerBit, ErrParam)
 	}
-	s := &Server{cache: c, model: model}
-	if cat != nil && prewarmTopN > 0 {
-		top := video.TopRep()
-		for _, v := range cat.TopN(prewarmTopN) {
-			size := int64(top.BitrateBps * v.DurationS / 8)
-			if size <= 0 {
-				size = 1
-			}
-			if err := c.Put(v.ID, top.Level, size); err != nil {
-				// Cache smaller than one object: stop pre-warming.
-				break
-			}
+	return &Server{cache: c, model: model}, nil
+}
+
+// Prewarm puts videos in the cache at their highest representation,
+// matching the paper's "stores popular short videos with the highest
+// representation". It stops at the first video larger than the cache.
+func (s *Server) Prewarm(videos []*video.Video) {
+	top := video.TopRep()
+	for _, v := range videos {
+		size := max(int64(top.BitrateBps*v.DurationS/8), 1)
+		if s.cache.Put(v.ID, top.Level, size) != nil {
+			return
 		}
 	}
-	return s, nil
 }
 
 // Cache exposes the underlying cache for inspection.

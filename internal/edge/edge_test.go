@@ -140,21 +140,21 @@ func TestTranscodeModel(t *testing.T) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	cat := testCatalog(t)
-	if _, err := NewServer(0, DefaultTranscodeModel(), cat, 5); !errors.Is(err, ErrParam) {
+	if _, err := NewServer(0, DefaultTranscodeModel()); !errors.Is(err, ErrParam) {
 		t.Fatalf("want ErrParam, got %v", err)
 	}
-	if _, err := NewServer(1000, TranscodeModel{}, cat, 5); !errors.Is(err, ErrParam) {
+	if _, err := NewServer(1000, TranscodeModel{}); !errors.Is(err, ErrParam) {
 		t.Fatalf("zero cycles/bit: want ErrParam, got %v", err)
 	}
 }
 
 func TestServerPrewarm(t *testing.T) {
 	cat := testCatalog(t)
-	s, err := NewServer(1<<30, DefaultTranscodeModel(), cat, 10)
+	s, err := NewServer(1<<30, DefaultTranscodeModel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Prewarm(cat.TopN(10))
 	if s.Cache().Len() != 10 {
 		t.Fatalf("prewarmed %d, want 10", s.Cache().Len())
 	}
@@ -167,10 +167,11 @@ func TestServerPrewarm(t *testing.T) {
 
 func TestServeCacheHitFree(t *testing.T) {
 	cat := testCatalog(t)
-	s, err := NewServer(1<<30, DefaultTranscodeModel(), cat, 10)
+	s, err := NewServer(1<<30, DefaultTranscodeModel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Prewarm(cat.TopN(10))
 	top := cat.TopN(1)[0]
 	cy, err := s.Serve(top, video.TopRep(), 30)
 	if err != nil {
@@ -183,10 +184,11 @@ func TestServeCacheHitFree(t *testing.T) {
 
 func TestServeTranscodeMissThenHit(t *testing.T) {
 	cat := testCatalog(t)
-	s, err := NewServer(1<<30, DefaultTranscodeModel(), cat, 10)
+	s, err := NewServer(1<<30, DefaultTranscodeModel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Prewarm(cat.TopN(10))
 	top := cat.TopN(1)[0]
 	low := video.RepAtMost(0)
 	cy, err := s.Serve(top, low, 20)
@@ -210,7 +212,7 @@ func TestServeTranscodeMissThenHit(t *testing.T) {
 
 func TestServeValidation(t *testing.T) {
 	cat := testCatalog(t)
-	s, err := NewServer(1<<30, DefaultTranscodeModel(), cat, 0)
+	s, err := NewServer(1<<30, DefaultTranscodeModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +229,11 @@ func TestServerTinyCache(t *testing.T) {
 	// Cache smaller than any object: prewarm stops gracefully, serves
 	// still work (pass-through).
 	cat := testCatalog(t)
-	s, err := NewServer(10, DefaultTranscodeModel(), cat, 5)
+	s, err := NewServer(10, DefaultTranscodeModel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Prewarm(cat.TopN(5))
 	if s.Cache().Len() != 0 {
 		t.Fatalf("tiny cache holds %d", s.Cache().Len())
 	}

@@ -12,19 +12,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"dtmsvs/internal/video"
 )
 
 // ErrParam indicates invalid QoE input.
 var ErrParam = errors.New("qoe: invalid parameter")
 
-const (
-	// baseBps normalizes bitrate into utility units: the lowest ladder
-	// rung, 400 kbps.
-	baseBps = 400e3
-	// switchPenalty is charged per unit |utility| change between
-	// consecutive intervals' rungs.
-	switchPenalty = 1
-)
+// baseBps, the ladder's lowest rung, is the unit of bitrate utility.
+var baseBps = video.RepAtMost(0).BitrateBps
+
+// switchPenalty is charged per unit |utility| change between
+// consecutive intervals' rungs.
+const switchPenalty = 1
 
 // utility is the per-second bitrate utility log2(1 + r/base).
 func utility(bitrateBps float64) float64 {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"dtmsvs/internal/video"
 )
 
 func TestScoreValidation(t *testing.T) {
@@ -40,6 +42,24 @@ func TestScoreSingleView(t *testing.T) {
 	// log2(1+1) = 1 utility/s × 10 s.
 	if math.Abs(q-10) > 1e-9 {
 		t.Fatalf("QoE %v, want 10", q)
+	}
+}
+
+// The utility unit is the ladder's lowest rung: a second watched there
+// scores log2(1+1) = 1 exactly, and a second at the top rung
+// log2(1 + top/lowest).
+func TestUtilityUnitIsLowestRung(t *testing.T) {
+	lowest, top := video.RepAtMost(0).BitrateBps, video.TopRep().BitrateBps
+	for _, tc := range []struct {
+		bps, want float64
+	}{{lowest, 1}, {top, math.Log2(1 + top/lowest)}} {
+		q, err := ScoreInterval(GroupInterval{BitrateBps: tc.bps, EngagementS: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q != tc.want {
+			t.Fatalf("a second at %v bps scores %v, want %v", tc.bps, q, tc.want)
+		}
 	}
 }
 

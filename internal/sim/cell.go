@@ -63,10 +63,16 @@ func NewSubstrate(cfg Config) (Substrate, error) {
 }
 
 // NewServer builds an edge server — cache of cacheBytes plus
-// transcoder — over the substrate's catalog, prewarmed with its most
-// popular tenth.
+// transcoder — with its cache empty, as a cell a checkpoint restores
+// needs it. A fresh cell's is prewarmed (see Prewarm).
 func (sub Substrate) NewServer(cacheBytes int64) (*edge.Server, error) {
-	return edge.NewServer(cacheBytes, edge.DefaultTranscodeModel(), sub.Catalog, sub.Catalog.Size()/10)
+	return edge.NewServer(cacheBytes, edge.DefaultTranscodeModel())
+}
+
+// Prewarm fills server's cache with the catalog's most popular tenth:
+// the cache a fresh cell starts with.
+func (sub Substrate) Prewarm(server *edge.Server) {
+	server.Prewarm(sub.Catalog.TopN(sub.Catalog.Size() / 10))
 }
 
 // CellOptions places an engine on a substrate. Every field except

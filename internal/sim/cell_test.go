@@ -24,6 +24,7 @@ func testCellOptions(t *testing.T, cfg Config, bs int) CellOptions {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub.Prewarm(server)
 	return CellOptions{Substrate: sub, Server: server, BS: bs}
 }
 

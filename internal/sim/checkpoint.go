@@ -193,12 +193,25 @@ func (s *Simulation) decodeEngine(d *checkpoint.Dec) error {
 		return err
 	}
 	// The builder's source was replayed through construction; skip it
-	// forward to the recorded position.
-	if draws < s.cnt.Draws() {
-		return fmt.Errorf("builder rng at draw %d, checkpoint says %d: %w", s.cnt.Draws(), draws, checkpoint.ErrCorrupt)
+	// forward, one draw at a time, to the recorded position.
+	if replayed := s.cnt.Draws(); draws < replayed || draws-replayed > maxBuilderSkip(s.cfg) {
+		return fmt.Errorf("builder rng at draw %d, checkpoint says %d: %w", replayed, draws, checkpoint.ErrCorrupt)
 	}
 	s.cnt.Skip(draws - s.cnt.Draws())
 	return nil
+}
+
+// maxBuilderSkip bounds how far past its replayed position a
+// checkpoint of configuration c may put the builder's source: twice,
+// for rejection redraws, the draws of one compressor fit (a shuffle of
+// NumUsers windows an epoch), of the agent's episodes (an ε, an action
+// and a 32-row replay batch each) and of the K-means++ seedings of its
+// reward table and of the NumIntervals/RegroupEvery+1 constructions
+// (KMax+2 runs of max(KMax, FixedK) draws each).
+func maxBuilderSkip(c Config) uint64 {
+	seedings := float64(c.Grouping.KMax+2) * float64(max(c.Grouping.KMax, c.FixedK)) * float64(c.NumIntervals/c.RegroupEvery+2)
+	draws := float64(c.NumUsers)*float64(c.CompressorEpochs) + float64(c.AgentEpisodes)*34 + seedings
+	return uint64(min(2*draws, 1<<63))
 }
 
 // encodeUsers appends the population. Once the first user is encoded,

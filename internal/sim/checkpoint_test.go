@@ -322,3 +322,57 @@ func oldCapacityUser(tb testing.TB, s *Simulation) [2][]byte {
 	}
 	return [2][]byte{written, patched}
 }
+
+// TestBuilderSkipBound: a whole run's builder draws stay within
+// maxBuilderSkip, and a checkpoint may put the builder's source as far
+// past its replayed position as that bound and no further. The bound
+// grows with CompressorEpochs, so a configuration whose fit could draw
+// more than 2^22 resumes a skip that large.
+func TestBuilderSkipBound(t *testing.T) {
+	for _, mut := range []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.OracleK = true },
+		func(c *Config) { c.FixedK = 20 },
+	} {
+		cfg := fastConfig(5)
+		mut(&cfg)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed := s.cnt.Draws()
+		runAll(t, s)
+		if skip, bound := s.cnt.Draws()-replayed, maxBuilderSkip(s.cfg); skip > bound {
+			t.Errorf("oracle %v, fixed k %d: run drew %d builder draws, bound %d", cfg.OracleK, cfg.FixedK, skip, bound)
+		}
+		s.Close()
+	}
+
+	cfg := fastConfig(5)
+	cfg.CompressorEpochs = 1 << 18
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	replayed, bound := s.cnt.Draws(), maxBuilderSkip(s.cfg)
+	if bound <= 1<<22 {
+		t.Fatalf("bound %d for %d users × %d epochs, want above 2^22", bound, cfg.NumUsers, cfg.CompressorEpochs)
+	}
+	engine := func(draws uint64) *checkpoint.Dec {
+		var e checkpoint.Enc
+		s.encodeEngine(&e)
+		b := bytes.Clone(e.Bytes())
+		binary.LittleEndian.PutUint64(b, draws) // the count leads the section
+		return checkpoint.NewDec(b)
+	}
+	if err := s.decodeEngine(engine(replayed + bound + 1)); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("skip of bound+1: %v, want ErrCorrupt", err)
+	}
+	if err := s.decodeEngine(engine(replayed + bound)); err != nil {
+		t.Fatalf("skip of bound %d: %v", bound, err)
+	}
+	if got := s.cnt.Draws(); got != replayed+bound {
+		t.Fatalf("builder at draw %d after the skip, want %d", got, replayed+bound)
+	}
+}

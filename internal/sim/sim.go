@@ -567,6 +567,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
+	sub.Prewarm(server)
 	eng, err := NewCell(cfg, CellOptions{Substrate: sub, Server: server, BS: -1})
 	if err != nil {
 		return nil, err

@@ -28,6 +28,7 @@ func bareCell(t *testing.T, cfg Config) *Simulation {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sub.Prewarm(server)
 	s, err := NewCell(cfg, CellOptions{Substrate: sub, Server: server, BS: -1})
 	if err != nil {
 		t.Fatal(err)

@@ -173,8 +173,10 @@ func NewCatalog(cfg CatalogConfig, rng *rand.Rand) (*Catalog, error) {
 		zipf:   zipf,
 	}
 	cats := AllCategories()
-	for i := 0; i < c.NumVideos; i++ {
-		v := &Video{
+	slab := make([]Video, c.NumVideos) // one allocation backs every video
+	for i := range slab {
+		v := &slab[i]
+		*v = Video{
 			ID:        i,
 			Category:  cats[catDist.Sample(rng)],
 			DurationS: c.MinDurationS + rng.Float64()*(c.MaxDurationS-c.MinDurationS),

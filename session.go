@@ -1,7 +1,7 @@
 // This file is the unified Session API: one interval-stepped handle
 // over the cluster engine, with per-interval records flowing to a
-// TraceSink instead of accumulating in heap, and cooperative
-// context.Context cancellation checked at every interval boundary.
+// TraceSink (or, with none, retained by the session, the only layer
+// that holds rows) and context cancellation at every boundary.
 // Open runs the engine over one cell that covers every station (the
 // monolithic case: no twin is ever handed over), OpenCluster over one
 // cell per station, and OpenDistributed splits those cells across
@@ -169,9 +169,9 @@ type sessionOptions struct {
 }
 
 // WithSink streams every interval's records into sink (flushed at
-// each interval boundary). With a sink attached the session stops
-// retaining records internally — Trace() then carries only run-level
-// statistics — so a streamed run never holds the full trace in heap.
+// each interval boundary). With a sink attached the session retains
+// no rows — Trace() then carries only run-level statistics — so a
+// streamed run never holds the full trace in heap.
 func WithSink(sink TraceSink) SessionOption {
 	return func(o *sessionOptions) { o.sink = sink }
 }
@@ -241,6 +241,9 @@ type session struct {
 	// further flush may push it out — the sink's backing store keeps
 	// the whole-interval prefix of the last successful flush.
 	sinkBroken bool
+	// records holds the rows of every interval this session completed
+	// when no sink is attached. It is only ever appended to.
+	records []TraceRecord
 	// ckpt is reset for every Checkpoint call, so the section buffer
 	// (about one checkpoint in size) is grown once per session. Close
 	// lets it go.
@@ -342,6 +345,8 @@ func (s *session) Step(ctx context.Context) (IntervalReport, error) {
 			}
 		}
 		s.met.sinkWrite.ObserveSince(tWrite)
+	} else {
+		s.records = append(s.records, rep.Records...)
 	}
 	if ferr := s.flush(); ferr != nil {
 		return zero, s.fail(ferr)
@@ -397,6 +402,12 @@ func (s *session) Close() error {
 	return s.flush()
 }
 
+// snapshot returns the retained rows, capped so that later intervals
+// append past what a caller holds: rows once returned never change.
+func (s *session) snapshot() []TraceRecord {
+	return s.records[:len(s.records):len(s.records)]
+}
+
 func (s *session) fail(err error) error {
 	s.failed = err
 	return err
@@ -436,7 +447,6 @@ type clusterStepper struct {
 	// the defaulted one, with Parallelism, which only schedules the
 	// run, at its default.
 	unscheduled any
-	trace       *ClusterTrace // stamped at finish
 }
 
 func (a *clusterStepper) warmupStep(ctx context.Context) error { return a.eng.WarmupStep(ctx) }
@@ -457,7 +467,8 @@ func (a *clusterStepper) stepInterval(ctx context.Context, interval int) (Interv
 	}, nil
 }
 
-func (a *clusterStepper) finish() error { a.trace = a.eng.Finish(); return nil }
+// finish has nothing to stamp: Trace reads the engine's statistics.
+func (a *clusterStepper) finish() error { return nil }
 func (a *clusterStepper) close()        { a.eng.Close() }
 
 func (a *clusterStepper) fingerprint() (uint64, error) {
@@ -475,21 +486,18 @@ type ClusterSession struct {
 	st *clusterStepper
 }
 
-// Trace returns the merged cluster trace: the full record set once
-// Done (or run-level and per-cell statistics only, when a sink owned
-// the records). Before completion it returns a snapshot of the
-// completed intervals.
+// Trace returns the merged cluster trace: the session's rows (none
+// with a sink) and the run-level and per-cell statistics as they
+// stand, final once Done.
 func (s *ClusterSession) Trace() *ClusterTrace {
-	if s.st.trace != nil {
-		return s.st.trace
-	}
-	return s.st.eng.Finish()
+	tr := s.st.eng.Finish()
+	tr.Records = s.snapshot()
+	return tr
 }
 
 // openCluster wraps eng in a session whose checkpoints fingerprint
 // unscheduled and whose rows carry rowBS's column set.
 func openCluster(eng *cluster.Engine, unscheduled any, rowBS int, o sessionOptions) *ClusterSession {
-	eng.SetRetainRecords(o.sink == nil)
 	eng.SetMetrics(o.metrics)
 	st := &clusterStepper{eng: eng, unscheduled: unscheduled}
 	return &ClusterSession{session: newSession(st, "cluster", eng.Config().Sim, rowBS, o), st: st}
@@ -520,11 +528,13 @@ func openClusterWith(newEngine func(cluster.Config) (*cluster.Engine, error), cf
 // reports the same run as a one-cell ClusterTrace.
 type SimSession struct{ *ClusterSession }
 
-// Trace returns the run's trace: the full record set once Done (or
-// run-level statistics only, when a sink owned the records). Before
-// completion it carries the records of the completed intervals and
-// the run-level fields as they stand.
-func (s *SimSession) Trace() *Trace { return s.st.eng.WholeTrace() }
+// Trace returns the run's trace: the session's rows (none with a
+// sink) and the run-level statistics as they stand, final once Done.
+func (s *SimSession) Trace() *Trace {
+	tr := s.st.eng.WholeTrace()
+	tr.Records = s.snapshot()
+	return tr
+}
 
 // Open validates cfg and returns a monolithic session. Like
 // OpenCluster it builds the engine and places and builds the whole

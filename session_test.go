@@ -83,12 +83,17 @@ func clusterReference(t *testing.T, cfg ClusterConfig) *ClusterTrace {
 	if err := eng.TrainAndBuild(ctx); err != nil {
 		t.Fatal(err)
 	}
+	var recs []ClusterRecord
 	for i := 0; i < d.NumIntervals; i++ {
-		if _, err := eng.StepInterval(ctx, i); err != nil {
+		out, err := eng.StepInterval(ctx, i)
+		if err != nil {
 			t.Fatal(err)
 		}
+		recs = append(recs, out...)
 	}
-	return eng.Finish()
+	tr := eng.Finish()
+	tr.Records = recs
+	return tr
 }
 
 // TestSessionMatchesRun is the step-equivalence guarantee: stepping a
@@ -247,12 +252,12 @@ func TestSessionSinkAndObservers(t *testing.T) {
 	cfg := sessionTestConfig(3, 2)
 	want := mustTrace(t, cfg)
 
-	var sink BufferedSink
+	var nd bytes.Buffer
 	var acc AccuracyTracker
 	var seen []int
 	var progress [][2]int
 	s, err := Open(cfg,
-		WithSink(&sink),
+		WithSink(NewNDJSONSink(&nd)),
 		WithObserver(func(rep IntervalReport) { seen = append(seen, rep.Interval) }),
 		WithObserver(acc.Observe),
 		WithProgress(func(done, total int) { progress = append(progress, [2]int{done, total}) }),
@@ -265,10 +270,14 @@ func TestSessionSinkAndObservers(t *testing.T) {
 			t.Fatal(serr)
 		}
 	}
-	if len(sink.Records) != len(want.Records) {
-		t.Fatalf("sink has %d records, want %d", len(sink.Records), len(want.Records))
+	streamed, err := ReadTraceRecords(&nd)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range sink.Records {
+	if len(streamed) != len(want.Records) {
+		t.Fatalf("sink has %d records, want %d", len(streamed), len(want.Records))
+	}
+	for i, r := range streamed {
 		if r.BS != -1 {
 			t.Fatalf("monolithic record %d has BS %d", i, r.BS)
 		}
@@ -311,6 +320,113 @@ func TestSessionSinkAndObservers(t *testing.T) {
 	}
 	if gotC != wantC {
 		t.Fatalf("tracker compute accuracy %v, batch %v", gotC, wantC)
+	}
+}
+
+// TestSessionRetainsRows: the session is the one layer that retains a
+// run's rows. For Open, OpenCluster and OpenDistributed (two
+// in-process workers) without a sink, Trace().Records is the
+// concatenation of the Steps' IntervalReport.Records and what an NDJSON
+// sink writes at the same seed; a snapshot taken mid-run is unchanged
+// by later steps; a session with a sink retains no rows; and a session
+// resumed mid-run retains exactly the suffix it ran.
+func TestSessionRetainsRows(t *testing.T) {
+	cfg := distTestConfig(41, 2)
+	const cut = 2 // the interval the mid-run snapshot and checkpoint are taken at
+	for _, tc := range []struct {
+		name   string
+		open   func(opts ...SessionOption) (Session, error)
+		resume func(r io.Reader) (Session, error)
+	}{
+		{"sim",
+			func(opts ...SessionOption) (Session, error) { return Open(cfg.Sim, opts...) },
+			func(r io.Reader) (Session, error) { return Resume(cfg.Sim, r) }},
+		{"cluster",
+			func(opts ...SessionOption) (Session, error) { return OpenCluster(cfg, opts...) },
+			func(r io.Reader) (Session, error) { return ResumeCluster(cfg, r) }},
+		{"distributed",
+			func(opts ...SessionOption) (Session, error) { return OpenDistributed(cfg, 2, opts...) },
+			func(r io.Reader) (Session, error) { return ResumeDistributed(cfg, 2, r) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sameRows := func(what string, got, want []TraceRecord) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+				}
+				for i := range want {
+					if !recordBitsEqual(got[i], want[i]) {
+						t.Fatalf("%s: row %d\n got %+v\nwant %+v", what, i, got[i], want[i])
+					}
+				}
+			}
+			// run steps s to completion, returning the reported rows,
+			// the rows reported from interval cut on, and what
+			// retainedRows read at cut (deep-copied too).
+			run := func(s Session, ckpt io.Writer) (reported, suffix, mid, midCopy []TraceRecord) {
+				t.Helper()
+				defer s.Close()
+				for !s.Done() {
+					if s.Interval() == cut {
+						mid = retainedRows(t, s)
+						midCopy = append([]TraceRecord(nil), mid...)
+						if ckpt != nil {
+							if err := s.Checkpoint(ckpt); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					rep, err := s.Step(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					reported = append(reported, rep.Records...)
+					if s.Interval() > cut {
+						suffix = append(suffix, rep.Records...)
+					}
+				}
+				return reported, suffix, mid, midCopy
+			}
+
+			s, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ckpt bytes.Buffer
+			reported, suffix, mid, midCopy := run(s, &ckpt)
+			retained := retainedRows(t, s)
+			if len(reported) == 0 || len(suffix) == 0 || len(mid) == 0 {
+				t.Fatalf("%d rows, %d after interval %d, %d before it: the scenario shows nothing",
+					len(reported), len(suffix), cut, len(mid))
+			}
+			sameRows("retained against reported", retained, reported)
+			sameRows("mid-run snapshot after the run", mid, midCopy)
+			sameRows("mid-run snapshot against the run's prefix", mid, reported[:len(mid)])
+
+			var nd bytes.Buffer
+			s, err = tc.open(WithSink(NewNDJSONSink(&nd)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamedRep, _, streamedMid, _ := run(s, nil)
+			if n := len(retainedRows(t, s)); n != 0 || len(streamedMid) != 0 {
+				t.Fatalf("a session with a sink retained %d rows mid-run and %d at the end", len(streamedMid), n)
+			}
+			sameRows("reported with a sink", streamedRep, reported)
+			streamed, err := ReadTraceRecords(&nd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows("NDJSON sink against retained", streamed, retained)
+
+			s, err = tc.resume(&ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, _, _, _ := run(s, nil)
+			sameRows("resumed session's reports", resumed, suffix)
+			sameRows("resumed session's retained rows", retainedRows(t, s), suffix)
+		})
 	}
 }
 

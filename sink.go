@@ -1,10 +1,10 @@
 // This file holds the TraceSink implementations: trace records flow
 // out of a Session per interval instead of accumulating in the run's
-// heap. BufferedSink restores the whole-trace-in-memory behavior when
-// that is what the caller wants; NDJSONSink and CSVSink stream to any
-// io.Writer with a flush at every interval boundary, so a cancelled
-// run leaves a well-formed trace prefix behind; DiscardSink keeps
-// nothing (statistics-only runs).
+// heap. A session with no sink retains the rows itself (its Trace
+// carries them); NDJSONSink and CSVSink stream to any io.Writer with a
+// flush at every interval boundary, so a cancelled run leaves a
+// well-formed trace prefix behind; DiscardSink keeps nothing
+// (statistics-only runs).
 package dtmsvs
 
 import (
@@ -30,21 +30,6 @@ type TraceSink interface {
 	// at every interval boundary and by Session.Close.
 	Flush() error
 }
-
-// BufferedSink accumulates records in memory — the pre-session
-// whole-run trace behavior, as a sink.
-type BufferedSink struct {
-	Records []TraceRecord
-}
-
-// WriteRecord implements TraceSink.
-func (b *BufferedSink) WriteRecord(r TraceRecord) error {
-	b.Records = append(b.Records, r)
-	return nil
-}
-
-// Flush implements TraceSink.
-func (b *BufferedSink) Flush() error { return nil }
 
 // NDJSONSink streams records as newline-delimited JSON: one record
 // per line, in the engine's record schema (monolithic records carry
